@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-smoke chaos stream-chaos gw-chaos load-smoke soak fuzz-smoke
+.PHONY: all build test race vet fmt check bench bench-smoke chaos stream-chaos gw-chaos load-smoke soak fuzz-smoke benchmark-test benchmark
 
 all: build
 
@@ -71,3 +71,16 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnvelope -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmlutil/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowset -fuzztime $(FUZZTIME) ./internal/rowset/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSet -fuzztime $(FUZZTIME) ./internal/rowset/
+
+# The benchmark is its own module (benchmark/go.mod), which ./... does
+# not reach: its tests — seed discipline, a smoke run of every workload,
+# process hygiene — run here. CI runs this.
+benchmark-test:
+	cd benchmark && $(GO) test -race ./...
+
+# The whole benchmark as the driver runs it: all five workloads,
+# spawned servers, 15 s windows. Prints every end-to-end metric.
+benchmark:
+	bash benchmark/run.sh --seed 7

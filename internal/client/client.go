@@ -14,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"dais/internal/core"
@@ -177,6 +179,17 @@ func (c *Client) factory(ctx context.Context, ref ResourceRef, spec ops.Spec, ms
 	return refFromResponse(resp, ref.Address)
 }
 
+// intField parses the decimal count a reply carries in the named
+// element. A reply without the element, or with anything but a number
+// in it, is malformed: reporting 0 would pass for a real answer.
+func intField(name, text string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(text))
+	if err != nil {
+		return 0, fmt.Errorf("client: response %s %q is not an integer", name, text)
+	}
+	return n, nil
+}
+
 // refFromResponse extracts the DataResourceAddress EPR from a factory
 // response. The EPR's own address wins — a gateway or a relocated
 // resource may answer at a different endpoint than the one dialed — but
@@ -273,7 +286,9 @@ func (c *Client) SQLExecute(ctx context.Context, ref ResourceRef, expression str
 		out.CA = ca
 	}
 	if uc := resp.Find(ops.NSDAIR, "UpdateCount"); uc != nil {
-		fmt.Sscanf(uc.Text(), "%d", &out.UpdateCount)
+		if out.UpdateCount, err = intField("UpdateCount", uc.Text()); err != nil {
+			return nil, err
+		}
 		return out, nil
 	}
 	ds := resp.Find(core.NSDAI, "Dataset")
@@ -281,16 +296,6 @@ func (c *Client) SQLExecute(ctx context.Context, ref ResourceRef, expression str
 		return out, nil
 	}
 	out.Raw, out.FormatURI = ops.DatasetPayload(ds)
-	// The SQLRowset default decodes straight from the already-parsed
-	// element tree, skipping DatasetPayload's marshal→re-parse cycle;
-	// other formats go through their codec on the raw bytes.
-	if rsEl := ds.Find(rowset.NSDAIR, "SQLRowset"); rsEl != nil &&
-		(out.FormatURI == "" || out.FormatURI == rowset.FormatSQLRowset) {
-		if set, derr := rowset.DecodeSQLRowsetElement(rsEl); derr == nil {
-			out.Set = set
-		}
-		return out, nil
-	}
 	if codec, err := decodeFormats.Lookup(out.FormatURI); err == nil {
 		if set, derr := codec.Decode(out.Raw); derr == nil {
 			out.Set = set
@@ -327,9 +332,7 @@ func (c *Client) GetSQLUpdateCount(ctx context.Context, ref ResourceRef, index i
 	if err != nil {
 		return 0, err
 	}
-	var n int
-	fmt.Sscanf(resp.FindText(ops.NSDAIR, "UpdateCount"), "%d", &n)
-	return n, nil
+	return intField("UpdateCount", resp.FindText(ops.NSDAIR, "UpdateCount"))
 }
 
 // GetSQLCommunicationArea fetches the response's communication area.

@@ -166,3 +166,75 @@ func TestByteCounters(t *testing.T) {
 		t.Fatal("reset failed")
 	}
 }
+
+// TestMalformedCountsAreErrors: a reply whose count field is missing or
+// not a number is malformed, not a count of zero.
+func TestMalformedCountsAreErrors(t *testing.T) {
+	var reply *xmlutil.Element
+	srv := soap.NewServer()
+	srv.HandleFallback(func(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+		return soap.NewEnvelope(reply), nil
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := New(nil)
+	ctx := context.Background()
+	ref := Ref(ts.URL, "urn:r")
+
+	calls := map[string]func() (int64, error){
+		"SQLExecute": func() (int64, error) {
+			r, err := c.SQLExecute(ctx, ref, "UPDATE t SET x = 1", nil, "")
+			if err != nil {
+				return 0, err
+			}
+			return int64(r.UpdateCount), nil
+		},
+		"GetSQLUpdateCount": func() (int64, error) {
+			n, err := c.GetSQLUpdateCount(ctx, ref, 0)
+			return int64(n), err
+		},
+		"GetSQLResponseItem": func() (int64, error) {
+			item, err := c.GetSQLResponseItem(ctx, ref, 0)
+			return int64(item.UpdateCount), err
+		},
+		"XUpdateExecute": func() (int64, error) {
+			n, err := c.XUpdateExecute(ctx, ref, "d.xml", xmlutil.NewElement("urn:x", "modifications"))
+			return int64(n), err
+		},
+		"ListFiles": func() (int64, error) {
+			files, err := c.ListFiles(ctx, ref, "*")
+			if err != nil || len(files) != 1 {
+				return 0, err
+			}
+			return files[0].Size, nil
+		},
+	}
+	build := func(text string) map[string]*xmlutil.Element {
+		uc := xmlutil.NewElement(service.NSDAIR, "R")
+		uc.AddText(service.NSDAIR, "UpdateCount", text)
+		nm := xmlutil.NewElement(service.NSDAIX, "R")
+		nm.AddText(service.NSDAIX, "NodesModified", text)
+		fl := xmlutil.NewElement(service.NSDAIF, "R")
+		fl.Add(service.NSDAIF, "FileList").Add(service.NSDAIF, "File").SetAttr("", "name", "a").SetAttr("", "size", text)
+		return map[string]*xmlutil.Element{
+			"SQLExecute": uc, "GetSQLUpdateCount": uc, "GetSQLResponseItem": uc, "XUpdateExecute": nm, "ListFiles": fl,
+		}
+	}
+	for name, call := range calls {
+		reply = build(" 42\n")[name]
+		if n, err := call(); err != nil || n != 42 {
+			t.Errorf("%s: well-formed count: got %d, %v", name, n, err)
+		}
+		for _, bad := range []string{"many", "", "12abc", "1.5"} {
+			reply = build(bad)[name]
+			if n, err := call(); err == nil {
+				t.Errorf("%s: count %q read as %d, want an error", name, bad, n)
+			}
+		}
+	}
+	// No count element at all.
+	reply = xmlutil.NewElement(service.NSDAIR, "R")
+	if n, err := c.GetSQLUpdateCount(ctx, ref, 0); err == nil {
+		t.Errorf("GetSQLUpdateCount: reply without UpdateCount read as %d", n)
+	}
+}

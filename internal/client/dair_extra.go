@@ -71,7 +71,9 @@ func (c *Client) GetSQLResponseItem(ctx context.Context, ref ResourceRef, index 
 		return out, nil
 	}
 	if uc := resp.Find(ops.NSDAIR, "UpdateCount"); uc != nil {
-		fmt.Sscanf(uc.Text(), "%d", &out.UpdateCount)
+		if out.UpdateCount, err = intField("UpdateCount", uc.Text()); err != nil {
+			return ResponseItem{}, err
+		}
 		return out, nil
 	}
 	if v := resp.Find(ops.NSDAIR, "Value"); v != nil {

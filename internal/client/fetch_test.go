@@ -6,13 +6,17 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"dais/internal/core"
 	"dais/internal/dair"
+	"dais/internal/ops"
 	"dais/internal/rowset"
 	"dais/internal/service"
 	"dais/internal/sqlengine"
+	"dais/internal/xmlutil"
 )
 
 // fetchFixture hosts a rowset resource with ids 0..rows-1 and returns
@@ -131,5 +135,91 @@ func TestFetchContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := c.FetchRowset(ctx, ref, FetchOptions{Chunks: 2}); err == nil {
 		t.Fatal("expected context error")
+	}
+}
+
+// TestFetchHammerNothingAliasesThePooledBuffer: response bodies are read
+// into pooled buffers that the next exchange overwrites, so nothing a
+// fetch hands out — decoded cells, or the verbatim Raw span a Dataset
+// arrives as — may point into one. Fetchers run concurrently (under
+// -race a shared buffer is a reported race, not only a wrong value),
+// keep everything they received, and check it all once the pool has
+// been churned by everyone else.
+func TestFetchHammerNothingAliasesThePooledBuffer(t *testing.T) {
+	const rows, fetchers, rounds = 1500, 6, 4
+	ref, c := fetchFixture(t, rows)
+	ctx := context.Background()
+
+	type rawSpan struct {
+		got  xmlutil.Raw
+		want string // a private copy, taken on arrival
+	}
+	var (
+		wg    sync.WaitGroup
+		pages [fetchers][]*sqlengine.ResultSet
+		spans [fetchers][]rawSpan
+	)
+	for f := 0; f < fetchers; f++ {
+		f := f
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				err := c.FetchPages(ctx, ref, FetchOptions{Chunks: 3, ChunkRows: 61 + 10*f},
+					func(set *sqlengine.ResultSet) error {
+						pages[f] = append(pages[f], set)
+						return nil
+					})
+				if err != nil {
+					t.Errorf("fetcher %d: %v", f, err)
+					return
+				}
+				// One window as the gateway sees it: the raw reply.
+				body := ops.GetTuples.NewRequest(ref.AbstractName)
+				ops.PageMsg{Start: 1 + 100*r, Count: 200}.Encode(ops.GetTuples, body)
+				resp, err := c.Invoke(ctx, ref.Address, ops.GetTuples, body)
+				if err != nil {
+					t.Errorf("fetcher %d: %v", f, err)
+					return
+				}
+				ds := resp.Find(core.NSDAI, "Dataset")
+				if ds == nil || len(ds.Children) != 1 {
+					t.Errorf("fetcher %d: reply has no single-child Dataset", f)
+					return
+				}
+				raw, ok := ds.Children[0].(xmlutil.Raw)
+				if !ok {
+					t.Errorf("fetcher %d: Dataset content is %T, want the verbatim span", f, ds.Children[0])
+					return
+				}
+				spans[f] = append(spans[f], rawSpan{got: raw, want: strings.Clone(string(raw))})
+			}
+		}()
+	}
+	wg.Wait()
+
+	for f := range pages {
+		next := int64(0)
+		for _, set := range pages[f] {
+			for _, row := range set.Rows {
+				id := next % rows
+				if row[0].I != id || row[1].S != fmt.Sprintf("t%03d", id%7) {
+					t.Fatalf("fetcher %d: row %d decoded as (%d, %q) once its buffer was reused", f, next, row[0].I, row[1].S)
+				}
+				next++
+			}
+		}
+		if next != rows*rounds {
+			t.Fatalf("fetcher %d kept %d rows, want %d", f, next, rows*rounds)
+		}
+		for i, s := range spans[f] {
+			if string(s.got) != s.want {
+				t.Fatalf("fetcher %d: Raw span %d changed after its buffer went back to the pool", f, i)
+			}
+			set, err := rowset.SQLRowsetCodec{}.Decode([]byte(s.got))
+			if err != nil || len(set.Rows) != 200 || set.Rows[0][0].I != int64(100*i) {
+				t.Fatalf("fetcher %d: Raw span %d no longer decodes to its window: %v", f, i, err)
+			}
+		}
 	}
 }

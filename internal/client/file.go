@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"dais/internal/core"
@@ -77,7 +79,11 @@ func decodeFileList(list *xmlutil.Element) ([]filestore.FileInfo, error) {
 	var out []filestore.FileInfo
 	for _, f := range list.FindAll(ops.NSDAIF, "File") {
 		fi := filestore.FileInfo{Name: f.AttrValue("", "name")}
-		fmt.Sscanf(f.AttrValue("", "size"), "%d", &fi.Size)
+		size, err := strconv.ParseInt(strings.TrimSpace(f.AttrValue("", "size")), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("client: file %q: size %q is not an integer", fi.Name, f.AttrValue("", "size"))
+		}
+		fi.Size = size
 		if ts, err := time.Parse(time.RFC3339Nano, f.AttrValue("", "modified")); err == nil {
 			fi.Modified = ts
 		}

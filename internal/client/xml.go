@@ -127,9 +127,7 @@ func (c *Client) XUpdateExecute(ctx context.Context, ref ResourceRef, docName st
 	if err != nil {
 		return 0, err
 	}
-	var n int
-	fmt.Sscanf(resp.FindText(ops.NSDAIX, "NodesModified"), "%d", &n)
-	return n, nil
+	return intField("NodesModified", resp.FindText(ops.NSDAIX, "NodesModified"))
 }
 
 // XPathExecuteFactory derives a sequence resource from an XPath query.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +18,11 @@ import (
 	"dais/internal/dair"
 	"dais/internal/daix"
 	"dais/internal/gateway"
+	"dais/internal/ops"
 	"dais/internal/resil"
 	"dais/internal/rowset"
 	"dais/internal/service"
+	"dais/internal/soap"
 	"dais/internal/sqlengine"
 	"dais/internal/telemetry"
 	"dais/internal/xmldb"
@@ -533,4 +536,78 @@ func healthzGet(t *testing.T, gw *gateway.Gateway) (int, map[string]any) {
 		t.Fatalf("healthz body: %v", err)
 	}
 	return rr.Code, body
+}
+
+// datasetBackend is a backend that answers every request with a
+// GetTuplesResponse around one fixed Dataset child.
+func datasetBackend(t *testing.T, content xmlutil.Node) *httptest.Server {
+	t.Helper()
+	srv := soap.NewServer()
+	srv.HandleFallback(func(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+		resp := ops.GetTuples.NewResponse()
+		ds := resp.Add(core.NSDAI, "Dataset")
+		ds.SetAttr("", "formatURI", rowset.FormatSQLRowset)
+		ds.Children = append(ds.Children, content)
+		return soap.NewEnvelope(resp), nil
+	})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestGatewayForwardsDatasetVerbatim: a proxied GetTuples window crosses
+// the gateway as the bytes the backend wrote — odd prefixes, comments,
+// line ends and all — because neither the gateway nor the consumer
+// builds a tree under dai:Dataset. A fragment that leans on a namespace
+// declared outside itself cannot travel that way; it takes the tree
+// path on every hop and must still decode to the same rows.
+func TestGatewayForwardsDatasetVerbatim(t *testing.T) {
+	const fragment = `<x:SQLRowset xmlns:x="` + rowset.NSDAIR + `" xmlns:unused="urn:u"><!-- as written -->` + "\r\n" +
+		`<x:Metadata><x:Column type='INTEGER' name="id"/><x:Column name="tag" type="VARCHAR"></x:Column></x:Metadata>` +
+		`<x:Row><x:Value>1</x:Value><x:Value>a &amp; <![CDATA[<b>]]></x:Value></x:Row>` +
+		`<x:Row><x:Value>&#50;</x:Value><x:Value isNull="true"/></x:Row></x:SQLRowset>`
+	want, err := rowset.SQLRowsetCodec{}.Decode([]byte(fragment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c := client.New(nil)
+
+	standalone := datasetBackend(t, xmlutil.Raw(fragment))
+	_, gwts := startGateway(t, gateway.Config{Backends: []string{standalone.URL}})
+	for _, hop := range []string{standalone.URL, gwts.URL} {
+		data, format, err := c.GetTuples(ctx, client.Ref(hop, "urn:any"), 1, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != fragment || format != rowset.FormatSQLRowset {
+			t.Fatalf("via %s the window is not the backend's bytes (format %q):\n got %q\nwant %q", hop, format, data, fragment)
+		}
+	}
+
+	// The same rowset as a subtree: Marshal declares its namespace on
+	// the envelope, outside the fragment.
+	tree, err := xmlutil.ParseString(fragment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dependent := datasetBackend(t, tree)
+	_, gwts = startGateway(t, gateway.Config{Backends: []string{dependent.URL}})
+	for _, hop := range []string{dependent.URL, gwts.URL} {
+		resp, err := c.Invoke(ctx, hop, ops.GetTuples, ops.GetTuples.NewRequest("urn:any"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := resp.Find(core.NSDAI, "Dataset")
+		if ds == nil || ds.Find(rowset.NSDAIR, "SQLRowset") == nil {
+			t.Fatalf("via %s: a fragment using an outer xmlns binding was not built as a subtree: %s", hop, xmlutil.Marshal(resp))
+		}
+		got, err := c.GetTuplesSet(ctx, client.Ref(hop, "urn:any"), 1, 10)
+		if err != nil {
+			t.Fatalf("via %s: %v", hop, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("via %s the tree path decoded %+v, want %+v", hop, got, want)
+		}
+	}
 }

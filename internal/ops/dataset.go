@@ -5,9 +5,15 @@ import (
 
 	"dais/internal/core"
 	"dais/internal/rowset"
+	"dais/internal/soap"
 	"dais/internal/wsaddr"
 	"dais/internal/xmlutil"
 )
+
+// A Dataset's content is a document in its dataset format, decoded by
+// that format's codec (or forwarded unread by a gateway), so envelope
+// parsing keeps it as verbatim bytes rather than a tree.
+func init() { soap.RegisterOpaquePayload(core.NSDAI, "Dataset") }
 
 // DatasetElement embeds encoded data in a response: XML formats are
 // embedded as element trees, others (CSV, binary) as text.
@@ -37,7 +43,10 @@ func DatasetElement(formatURI string, data []byte) *xmlutil.Element {
 }
 
 // DatasetPayload extracts the raw bytes and format URI from a Dataset
-// element produced by DatasetElement.
+// element: one built by DatasetElement, or one received in an envelope,
+// whose content arrives as a verbatim Raw span (the bytes the producer
+// sent) unless the fragment leaned on namespace declarations outside
+// itself, in which case its subtree is re-marshalled.
 func DatasetPayload(e *xmlutil.Element) ([]byte, string) {
 	if e == nil {
 		return nil, ""

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"dais/internal/core"
+	"dais/internal/rowset"
+	"dais/internal/soap"
 	"dais/internal/sqlengine"
 	"dais/internal/xmlutil"
 )
@@ -83,7 +85,7 @@ type decoder interface {
 // parser, as the SOAP layer does on the wire.
 func reparse(t *testing.T, req *xmlutil.Element) *xmlutil.Element {
 	t.Helper()
-	parsed, err := xmlutil.Parse(bytes.NewReader(xmlutil.Marshal(req)))
+	parsed, err := xmlutil.ParseBytes(xmlutil.Marshal(req))
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -299,5 +301,59 @@ func TestCallInfoContext(t *testing.T) {
 	}
 	if _, ok := CallInfoFromContext(context.Background()); ok {
 		t.Error("CallInfo found on a bare context")
+	}
+}
+
+// TestDatasetPayloadAfterTheWire: a Dataset's XML content arrives as the
+// bytes the producer wrote, with no tree built and nothing re-marshalled;
+// content that uses a namespace declared on the envelope cannot, and
+// comes back re-marshalled but meaning the same.
+func TestDatasetPayloadAfterTheWire(t *testing.T) {
+	const fragment = `<q:SQLRowset xmlns:q="` + rowset.NSDAIR + `"><!-- kept -->` + "\n" +
+		`<q:Metadata><q:Column name='id' type="INTEGER"/></q:Metadata><q:Row><q:Value>&#55;</q:Value></q:Row></q:SQLRowset>`
+	want, err := rowset.SQLRowsetCodec{}.Decode([]byte(fragment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overWire := func(ds *xmlutil.Element) *xmlutil.Element {
+		t.Helper()
+		resp := GetTuples.NewResponse()
+		resp.AppendChild(ds)
+		env, err := soap.ParseEnvelope(soap.NewEnvelope(resp).Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.BodyEntry().Find(core.NSDAI, "Dataset")
+	}
+
+	ds := overWire(DatasetElement(rowset.FormatSQLRowset, []byte("  "+fragment+"\n")))
+	if _, isRaw := ds.Children[0].(xmlutil.Raw); len(ds.Children) != 1 || !isRaw {
+		t.Fatalf("Dataset content was parsed into a tree: %s", xmlutil.Marshal(ds))
+	}
+	if data, format := DatasetPayload(ds); string(data) != fragment || format != rowset.FormatSQLRowset {
+		t.Fatalf("payload (format %q):\n got %q\nwant %q", format, data, fragment)
+	}
+
+	tree, err := xmlutil.ParseString(fragment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dependent := xmlutil.NewElement(core.NSDAI, "Dataset")
+	dependent.SetAttr("", "formatURI", rowset.FormatSQLRowset)
+	dependent.AppendChild(tree)
+	ds = overWire(dependent)
+	if ds.Find(rowset.NSDAIR, "SQLRowset") == nil {
+		t.Fatalf("content using the envelope's namespace declarations was kept verbatim: %s", xmlutil.Marshal(ds))
+	}
+	data, _ := DatasetPayload(ds)
+	got, err := rowset.SQLRowsetCodec{}.Decode(data)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("tree path payload %q decodes to %+v, %v", data, got, err)
+	}
+
+	// Text content (CSV) is never a verbatim span: it arrives unescaped.
+	ds = overWire(DatasetElement(rowset.FormatCSV, []byte("a:VARCHAR\n<&>\n")))
+	if data, _ := DatasetPayload(ds); string(data) != "a:VARCHAR\n<&>\n" {
+		t.Fatalf("csv payload = %q", data)
 	}
 }

@@ -236,13 +236,24 @@ func sqlRowsetRangeElement(rs *sqlengine.ResultSet, from, to int) *xmlutil.Eleme
 	return root
 }
 
-// Decode parses an SQLRowset rendering.
+// Decode parses an SQLRowset rendering: in one pass over the bytes
+// where that suffices, through DecodeSQLRowsetElement otherwise (see
+// decode.go).
 func (SQLRowsetCodec) Decode(data []byte) (*sqlengine.ResultSet, error) {
-	root, err := xmlutil.Parse(bytes.NewReader(data))
+	if rs, ok := decodeSQLRowsetStream(data); ok {
+		return rs, nil
+	}
+	return decodeViaTree(data, DecodeSQLRowsetElement)
+}
+
+// decodeViaTree parses a rendering into an element tree and hands it to
+// the format's tree decoder.
+func decodeViaTree(data []byte, decode func(*xmlutil.Element) (*sqlengine.ResultSet, error)) (*sqlengine.ResultSet, error) {
+	root, err := xmlutil.ParseBytes(data)
 	if err != nil {
 		return nil, fmt.Errorf("rowset: %w", err)
 	}
-	return DecodeSQLRowsetElement(root)
+	return decode(root)
 }
 
 // DecodeSQLRowsetElement reconstructs a result set from an SQLRowset
@@ -333,12 +344,18 @@ func (WebRowSetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte
 	return xmlutil.Marshal(root), nil
 }
 
-// Decode parses a webRowSet document.
+// Decode parses a webRowSet document: in one pass over the bytes where
+// that suffices, through the element tree otherwise (see decode.go).
 func (WebRowSetCodec) Decode(data []byte) (*sqlengine.ResultSet, error) {
-	root, err := xmlutil.Parse(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("rowset: %w", err)
+	if rs, ok := decodeWebRowSetStream(data); ok {
+		return rs, nil
 	}
+	return decodeViaTree(data, decodeWebRowSetElement)
+}
+
+// decodeWebRowSetElement reconstructs a result set from a webRowSet
+// element tree.
+func decodeWebRowSetElement(root *xmlutil.Element) (*sqlengine.ResultSet, error) {
 	if root.Name.Local != "webRowSet" {
 		return nil, fmt.Errorf("rowset: root element %s is not webRowSet", root.Name)
 	}

@@ -169,8 +169,9 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 	}
 	defer resp.Body.Close()
 	// The response body is read into a pooled scratch buffer; this is
-	// safe because ParseEnvelope copies every string out of the bytes
-	// it is handed, so nothing aliases the buffer once it is returned.
+	// safe because ParseEnvelope copies everything it keeps — strings,
+	// and the verbatim span of an opaque payload — out of the bytes it
+	// is handed, so nothing aliases the buffer once it is returned.
 	buf := getBuffer()
 	defer putBuffer(buf)
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
@@ -267,8 +268,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// Pooled request read: ParseEnvelope copies every string, so the
-	// decoded envelope never aliases the scratch buffer.
+	// Pooled request read: ParseEnvelope copies everything it keeps, so
+	// the decoded envelope never aliases the scratch buffer.
 	reqBuf := getBuffer()
 	defer putBuffer(reqBuf)
 	if _, err := reqBuf.ReadFrom(r.Body); err != nil {

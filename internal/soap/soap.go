@@ -98,9 +98,25 @@ func (e *Envelope) Marshal() []byte {
 	return out
 }
 
-// ParseEnvelope decodes a serialised envelope.
+// opaque lists the payload elements ParseEnvelope keeps verbatim.
+var opaque []xmlutil.Name
+
+// RegisterOpaquePayload names an element whose content is a
+// self-contained document in its own right (a dataset, say) that most
+// receivers decode with a codec of their own or pass on unread.
+// ParseEnvelope keeps such content as one xmlutil.Raw child instead of
+// building a tree under it (see xmlutil.ParseBytesVerbatim for when the
+// tree is built after all). The layer that owns the element's name
+// registers it from an init function; registering after the first
+// ParseEnvelope is a data race.
+func RegisterOpaquePayload(space, local string) {
+	opaque = append(opaque, xmlutil.Name{Space: space, Local: local})
+}
+
+// ParseEnvelope decodes a serialised envelope. Nothing in the result
+// aliases data.
 func ParseEnvelope(data []byte) (*Envelope, error) {
-	root, err := xmlutil.Parse(bytes.NewReader(data))
+	root, err := xmlutil.ParseBytesVerbatim(data, opaque)
 	if err != nil {
 		return nil, fmt.Errorf("soap: %w", err)
 	}

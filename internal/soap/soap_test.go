@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -271,5 +272,37 @@ func TestClientServerRoundTripBytes(t *testing.T) {
 	}
 	if c.BytesSent() != want {
 		t.Fatalf("BytesSent = %d, want %d", c.BytesSent(), want)
+	}
+}
+
+func init() { RegisterOpaquePayload("urn:test:opaque", "Blob") }
+
+// TestParseEnvelopeKeepsOpaquePayload: a registered payload element
+// comes back holding its content as the bytes that were sent, and a
+// re-marshal of the parsed body sends them on unchanged.
+func TestParseEnvelopeKeepsOpaquePayload(t *testing.T) {
+	const payload = `<p:doc xmlns:p="urn:payload" v='1'><!-- c --><p:cell>a &amp; b</p:cell></p:doc>`
+	body := xmlutil.NewElement("urn:test", "Reply")
+	body.AddText("urn:test", "Status", "ok")
+	blob := body.Add("urn:test:opaque", "Blob")
+	blob.Children = append(blob.Children, xmlutil.Raw(payload))
+	body.Add("urn:test:other", "Blob").Add("urn:payload", "doc") // same local name, not registered
+
+	env, err := ParseEnvelope(NewEnvelope(body).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := env.BodyEntry().Find("urn:test:opaque", "Blob")
+	if len(got.Children) != 1 || got.Children[0] != xmlutil.Node(xmlutil.Raw(payload)) {
+		t.Fatalf("opaque payload = %#v, want the verbatim span", got.Children)
+	}
+	if other := env.BodyEntry().Find("urn:test:other", "Blob"); other.Find("urn:payload", "doc") == nil {
+		t.Fatalf("unregistered element was not parsed: %s", xmlutil.Marshal(other))
+	}
+	if status := env.BodyEntry().FindText("urn:test", "Status"); status != "ok" {
+		t.Fatalf("Status = %q", status)
+	}
+	if again := NewEnvelope(env.BodyEntry()).Marshal(); !bytes.Contains(again, []byte(payload)) {
+		t.Fatalf("re-marshalled envelope lost the payload bytes: %s", again)
 	}
 }

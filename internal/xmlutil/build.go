@@ -1,0 +1,173 @@
+package xmlutil
+
+import "bytes"
+
+// parseArenaChunk is how many Elements are allocated at once while
+// parsing. SOAP envelopes with rowset payloads run a few hundred
+// elements; one or two chunks cover them.
+const parseArenaChunk = 128
+
+// nodeArenaChunk sizes the shared backing store for single-child
+// Children slices (most elements hold exactly one text node).
+const nodeArenaChunk = 128
+
+// treeBuilder is the tokenizer consumer that materialises the element
+// tree.
+type treeBuilder struct {
+	tok      Tokenizer
+	arena    []Element
+	nodes    []Node
+	verbatim []Name
+}
+
+// ParseBytes parses a complete XML document held in memory and returns
+// its root element. It is the allocation-conscious core that Parse and
+// ParseString delegate to; the returned tree never aliases data.
+func ParseBytes(data []byte) (*Element, error) {
+	return ParseBytesVerbatim(data, nil)
+}
+
+// ParseBytesVerbatim is ParseBytes, except that an element named in
+// verbatim whose content is exactly one element keeps that content as a
+// single Raw child — the child element's bytes as they stand in data,
+// copied once — with no subtree built under it. A consumer that only
+// hands the fragment on (to a decoder, or into another document through
+// Marshal) then never pays for a tree. The Raw contract holds: a child
+// element that resolves a prefix through a declaration outside itself
+// is not a standalone fragment, and is built as a subtree as usual.
+func ParseBytesVerbatim(data []byte, verbatim []Name) (*Element, error) {
+	b := treeBuilder{verbatim: verbatim}
+	b.tok.Reset(data)
+	return b.run()
+}
+
+func (b *treeBuilder) run() (*Element, error) {
+	var root, cur *Element
+	t := &b.tok
+	for {
+		kind, err := t.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch kind {
+		case TokenEOF:
+			return root, nil
+		case TokenText:
+			b.appendChild(cur, Text(t.Text()))
+		case TokenStart:
+			el := b.newElement()
+			el.Name = t.Name()
+			if len(t.attrs) > 0 {
+				el.Attrs = make([]Attr, len(t.attrs))
+				for i, a := range t.attrs {
+					el.Attrs[i] = Attr{Name: a.Name, Value: string(a.Value)}
+				}
+			}
+			if cur == nil {
+				root = el
+			} else {
+				el.parent = cur
+				b.appendChild(cur, el)
+			}
+			cur = el
+			if b.keepsVerbatim(el.Name) && !t.pendingEnd {
+				raw, ok, err := b.scanVerbatim()
+				if err != nil {
+					return nil, err
+				}
+				if ok { // the scan consumed the end tag too
+					b.appendChild(cur, raw)
+					cur = cur.parent
+				}
+			}
+		case TokenEnd:
+			trimWhitespaceBetweenElements(cur)
+			cur = cur.parent
+		}
+	}
+}
+
+func (b *treeBuilder) keepsVerbatim(n Name) bool {
+	for i := range b.verbatim {
+		if v := &b.verbatim[i]; v.Local == n.Local && v.Space == n.Space {
+			return true
+		}
+	}
+	return false
+}
+
+// scanVerbatim runs after the start tag of a verbatim element. It
+// tokenizes through the matching end tag without building nodes — so a
+// malformed fragment fails the parse exactly as it would have — and
+// returns the content as a Raw when that is one standalone element.
+// Otherwise it rewinds the tokenizer to where it started.
+func (b *treeBuilder) scanVerbatim() (Raw, bool, error) {
+	t := &b.tok
+	rewind := *t // stack entries below the saved lengths are never written
+	t.nsFloor, t.usedOuter = len(t.ns), false
+	t.nsGen++ // names cached before the floor was set would skip its check
+	start, end, children, depth := 0, 0, 0, 0
+	standalone := true
+scan:
+	for {
+		kind, err := t.Next()
+		if err != nil {
+			return "", false, err
+		}
+		switch kind {
+		case TokenText:
+			// Blank as trimWhitespaceBetweenElements counts it: what the
+			// tree path would drop beside an element child.
+			if depth == 0 && len(bytes.TrimSpace(t.Text())) > 0 {
+				standalone = false
+			}
+		case TokenStart:
+			if depth == 0 {
+				children++
+				start = t.tagStart
+			}
+			depth++
+		case TokenEnd:
+			if depth == 0 {
+				break scan
+			}
+			if depth--; depth == 0 {
+				end = t.pos
+			}
+		}
+	}
+	if !standalone || children != 1 || t.usedOuter {
+		*t = rewind
+		return "", false, nil
+	}
+	t.nsFloor = 0
+	return Raw(t.data[start:end]), true, nil
+}
+
+// newElement hands out a node from the arena, growing it in chunks so
+// a document costs O(elements/chunk) allocations for its nodes.
+func (b *treeBuilder) newElement() *Element {
+	if len(b.arena) == cap(b.arena) {
+		b.arena = make([]Element, 0, parseArenaChunk)
+	}
+	b.arena = b.arena[:len(b.arena)+1]
+	return &b.arena[len(b.arena)-1]
+}
+
+// appendChild attaches a child node. The first child of an element
+// lives in a shared arena slice capped at one entry, so the dominant
+// single-text-leaf shape costs no slice allocation; a second child
+// forces an ordinary append reallocation out of the arena.
+func (b *treeBuilder) appendChild(el *Element, n Node) {
+	if el.Children == nil {
+		if len(b.nodes) == cap(b.nodes) {
+			b.nodes = make([]Node, 0, nodeArenaChunk)
+		}
+		start := len(b.nodes)
+		b.nodes = b.nodes[:start+1]
+		b.nodes[start] = n
+		el.Children = b.nodes[start : start+1 : start+1]
+		return
+	}
+	el.Children = append(el.Children, n)
+}

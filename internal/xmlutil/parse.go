@@ -1,18 +1,22 @@
 package xmlutil
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"unicode/utf8"
 )
 
-// This file holds the byte-oriented document parser. It replaces the
+// This file holds the byte-oriented XML scanner. It replaces the
 // encoding/xml tokenizer on the SOAP hot path: the standard decoder
 // allocates per token (names, copied character data, attribute slices),
 // which dominated the allocation profile of a DAIS round trip. The
-// parser below works on a single byte slice, interns qualified names so
-// the repeated element vocabulary of a rowset costs one allocation per
-// distinct name, and carves Element nodes out of chunked arenas.
+// scanner is a pull Tokenizer over a single byte slice that interns
+// qualified names — the repeated element vocabulary of a rowset costs
+// one allocation per distinct name — and allocates nothing per token.
+// It has two kinds of consumer: the tree builder (ParseBytes), which
+// carves Element nodes out of chunked arenas, and decoders that turn a
+// document straight into values without a tree (package rowset).
 //
 // Behaviour matches the previous encoding/xml-based implementation (the
 // differential test in parse_test.go pins this): namespace prefixes are
@@ -22,24 +26,51 @@ import (
 // plus character references are expanded, and "\r\n"/"\r" normalise to
 // "\n" in both character data and attribute values.
 
-// parseArenaChunk is how many Elements are allocated at once while
-// parsing. SOAP envelopes with rowset payloads run a few hundred
-// elements; one or two chunks cover them.
-const parseArenaChunk = 128
+// TokenKind says what Tokenizer.Next found.
+type TokenKind uint8
 
-// nodeArenaChunk sizes the shared backing store for single-child
-// Children slices (most elements hold exactly one text node).
-const nodeArenaChunk = 128
+const (
+	// TokenEOF ends a well-formed document: one root element, closed.
+	TokenEOF TokenKind = iota
+	// TokenStart is a start tag; Name and Attrs describe it. An
+	// empty-element tag yields TokenStart and then TokenEnd.
+	TokenStart
+	// TokenEnd is the end tag that matches the innermost open start tag.
+	TokenEnd
+	// TokenText is a run of character data or one CDATA section inside
+	// an element; Text holds it decoded. Text outside the root element
+	// is skipped.
+	TokenText
+)
+
+// TokenAttr is one attribute of a start tag. Namespace declarations
+// are consumed by the tokenizer and never appear as attributes.
+type TokenAttr struct {
+	Name  Name
+	Value []byte // decoded; valid until the next call to Next
+}
 
 type nsBinding struct {
 	prefix string
 	uri    string
 }
 
+// openTag and the current-token fields of Tokenizer hold offsets into
+// the document, not slices of it: the tokenizer writes them once per
+// token, and a pointer written through a pointer costs a write barrier
+// whenever the collector is marking — which, in a consumer pulling
+// megabytes of rowset windows, is much of the time.
 type openTag struct {
-	el     *Element
-	nsMark int // len(p.ns) before this element's declarations
-	raw    []byte
+	rawStart, rawEnd int // qualified name as written, which the end tag must repeat
+	nsMark           int // len(ns) before this element's declarations
+}
+
+// qnameEntry caches how one written element name resolved, for as
+// long as the namespace bindings stay as they were (gen).
+type qnameEntry struct {
+	raw  []byte
+	name Name
+	gen  int
 }
 
 type rawAttr struct {
@@ -48,332 +79,444 @@ type rawAttr struct {
 	value  []byte
 }
 
-type byteParser struct {
+// Tokenizer is a pull scanner over a complete XML document held in
+// memory, set up by Reset. The strings in the Names it returns are
+// interned and may be kept; byte slices (Text, attribute values) point
+// into the document or into scratch space and are valid only until the
+// next call to Next.
+type Tokenizer struct {
 	data  []byte
 	pos   int
 	names map[string]string // interned names, prefixes and URIs
-	arena []Element
-	nodes []Node
 	ns    []nsBinding
+	nsGen int // counts changes to ns
 	open  []openTag
-	attrs []rawAttr
-	buf   []byte // scratch for entity/newline decoding
+
+	// Element vocabularies repeat heavily (a rowset is thousands of
+	// Row/Value tags), so resolved element names are kept in a small
+	// direct-mapped cache.
+	qnames   [16]qnameEntry
+	lastSlot [8]uint8 // by depth: the qnames slot of the last start tag
+
+	rootSeen   bool
+	pendingEnd bool // an empty-element tag's TokenEnd is due
+
+	// The current token.
+	nameSlot           int  // start tag: its entry in qnames
+	textStart, textEnd int  // text token: its span in data, unless
+	textDecoded        bool // decoding had to change it: then it is buf
+	attrs              []TokenAttr
+	tagStart           int // offset of the '<' of the current start tag
+
+	rawAttrs []rawAttr
+	buf      []byte // scratch for decoded character data
+	abuf     []byte // scratch for decoded attribute values
+
+	// usedOuter records that a name resolved through a binding below
+	// nsFloor: the tree builder's test for whether a fragment depends on
+	// declarations outside itself.
+	nsFloor   int
+	usedOuter bool
 }
 
-// ParseBytes parses a complete XML document held in memory and returns
-// its root element. It is the allocation-conscious core that Parse and
-// ParseString delegate to; the returned tree never aliases data.
-func ParseBytes(data []byte) (*Element, error) {
-	p := &byteParser{data: data, names: make(map[string]string, 16)}
-	root, err := p.run()
-	if err != nil {
-		return nil, fmt.Errorf("xmlutil: parse: %w", err)
+// Reset points the tokenizer at the start of the document in data,
+// which it never modifies. The zero Tokenizer is ready for Reset, so
+// one can live inside its consumer without an allocation of its own.
+func (t *Tokenizer) Reset(data []byte) {
+	*t = Tokenizer{data: data, names: make(map[string]string, 16)}
+}
+
+// Name is the resolved name of the current start tag.
+func (t *Tokenizer) Name() Name { return t.qnames[t.nameSlot].name }
+
+// Attrs are the attributes of the current start tag, in document order.
+func (t *Tokenizer) Attrs() []TokenAttr { return t.attrs }
+
+// Attr returns the value of the first attribute of the current start
+// tag with the given name.
+func (t *Tokenizer) Attr(space, local string) ([]byte, bool) {
+	for i := range t.attrs {
+		if a := &t.attrs[i]; a.Name.Local == local && a.Name.Space == space {
+			return a.Value, true
+		}
 	}
-	return root, nil
+	return nil, false
 }
 
-func (p *byteParser) run() (*Element, error) {
-	var root, cur *Element
+// Text is the decoded character data of the current TokenText.
+func (t *Tokenizer) Text() []byte {
+	if t.textDecoded {
+		return t.buf
+	}
+	return t.data[t.textStart:t.textEnd]
+}
+
+// PeekEnd reports whether the next token is an end tag. After a
+// TokenText that says whether the text was all its element holds.
+func (t *Tokenizer) PeekEnd() bool {
+	return t.pendingEnd || t.pos+1 < len(t.data) && t.data[t.pos] == '<' && t.data[t.pos+1] == '/'
+}
+
+// Next advances to the next token. After an error or TokenEOF the
+// tokenizer must not be used again.
+func (t *Tokenizer) Next() (TokenKind, error) {
+	if t.pendingEnd {
+		t.pendingEnd = false
+		return TokenEnd, nil
+	}
 	for {
 		// Character data up to the next markup.
-		start := p.pos
-		for p.pos < len(p.data) && p.data[p.pos] != '<' {
-			p.pos++
-		}
-		if p.pos > start && cur != nil {
-			text, err := p.decodeText(p.data[start:p.pos], false)
-			if err != nil {
-				return nil, err
+		if start := t.pos; start < len(t.data) && t.data[start] != '<' {
+			end, clean := scanText(t.data, start)
+			t.pos = end
+			if len(t.open) > 0 {
+				return TokenText, parseError(t.setText(start, end, clean, false))
 			}
-			p.appendChild(cur, Text(text))
 		}
-		if p.pos >= len(p.data) {
-			break
+		if t.pos >= len(t.data) {
+			if !t.rootSeen {
+				return TokenEOF, parseError(errors.New("empty document"))
+			}
+			if len(t.open) > 0 {
+				return TokenEOF, parseError(errors.New("unexpected EOF inside element"))
+			}
+			return TokenEOF, nil
 		}
-		p.pos++ // consume '<'
-		if p.pos >= len(p.data) {
-			return nil, errors.New("truncated markup")
+		t.tagStart = t.pos
+		t.pos++ // consume '<'
+		if t.pos >= len(t.data) {
+			return TokenEOF, parseError(errors.New("truncated markup"))
 		}
-		switch p.data[p.pos] {
+		switch t.data[t.pos] {
 		case '?':
-			if err := p.skipUntil("?>"); err != nil {
-				return nil, err
+			if err := t.skipUntil("?>"); err != nil {
+				return TokenEOF, parseError(err)
 			}
 		case '!':
-			if err := p.parseBang(cur); err != nil {
-				return nil, err
+			isText, err := t.scanBang()
+			if err != nil {
+				return TokenEOF, parseError(err)
+			}
+			if isText {
+				return TokenText, nil
 			}
 		case '/':
-			p.pos++
-			if cur == nil {
-				return nil, errors.New("unbalanced end element")
-			}
-			name, err := p.readName()
-			if err != nil {
-				return nil, err
-			}
-			p.skipSpace()
-			if p.pos >= len(p.data) || p.data[p.pos] != '>' {
-				return nil, errors.New("malformed end tag")
-			}
-			p.pos++
-			top := p.open[len(p.open)-1]
-			if string(name) != string(top.raw) {
-				return nil, fmt.Errorf("element <%s> closed by </%s>", top.raw, name)
-			}
-			trimWhitespaceBetweenElements(cur)
-			p.ns = p.ns[:top.nsMark]
-			p.open = p.open[:len(p.open)-1]
-			cur = cur.parent
+			return TokenEnd, parseError(t.scanEndTag())
 		default:
-			el, selfClose, err := p.parseStartTag(cur)
-			if err != nil {
-				return nil, err
-			}
-			if cur == nil {
-				if root != nil {
-					return nil, errors.New("multiple root elements")
-				}
-				root = el
-			}
-			if !selfClose {
-				cur = el
-			}
+			return TokenStart, parseError(t.scanStartTag())
 		}
 	}
-	if root == nil {
-		return nil, errors.New("empty document")
-	}
-	if cur != nil {
-		return nil, errors.New("unexpected EOF inside element")
-	}
-	return root, nil
 }
 
-// parseBang dispatches "<!"-markup: comments, CDATA and doctype.
-func (p *byteParser) parseBang(cur *Element) error {
-	rest := p.data[p.pos:]
+// parseError marks an error as this package's.
+func parseError(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("xmlutil: parse: %w", err)
+}
+
+// Skip consumes the rest of the element whose start tag is the current
+// token, through its end tag.
+func (t *Tokenizer) Skip() error {
+	for depth := 1; depth > 0; {
+		kind, err := t.Next()
+		if err != nil {
+			return err
+		}
+		switch kind {
+		case TokenStart:
+			depth++
+		case TokenEnd:
+			depth--
+		}
+	}
+	return nil
+}
+
+// scanBang dispatches "<!"-markup: comments, CDATA and doctype. It
+// reports whether it produced a text token (a CDATA section inside an
+// element).
+func (t *Tokenizer) scanBang() (isText bool, err error) {
+	rest := t.data[t.pos:]
 	switch {
 	case len(rest) >= 3 && rest[1] == '-' && rest[2] == '-':
-		p.pos += 3
-		return p.skipUntil("-->")
+		t.pos += 3
+		return false, t.skipUntil("-->")
 	case len(rest) >= 8 && string(rest[:8]) == "![CDATA[":
-		p.pos += 8
-		end := indexFrom(p.data, p.pos, "]]>")
+		t.pos += 8
+		end := indexFrom(t.data, t.pos, "]]>")
 		if end < 0 {
-			return errors.New("unterminated CDATA section")
+			return false, errors.New("unterminated CDATA section")
 		}
-		if cur != nil {
-			text, err := p.decodeText(p.data[p.pos:end], true)
-			if err != nil {
-				return err
-			}
-			p.appendChild(cur, Text(text))
+		start := t.pos
+		t.pos = end + 3
+		if len(t.open) == 0 {
+			return false, nil
 		}
-		p.pos = end + 3
-		return nil
+		return true, t.setText(start, end, bytes.IndexByte(t.data[start:end], '\r') < 0, true)
 	default:
 		// DOCTYPE or other directive: skip to the matching '>',
 		// tracking nested angle brackets (internal subsets).
 		depth := 0
-		for ; p.pos < len(p.data); p.pos++ {
-			switch p.data[p.pos] {
+		for ; t.pos < len(t.data); t.pos++ {
+			switch t.data[t.pos] {
 			case '<':
 				depth++
 			case '>':
 				if depth == 0 {
-					p.pos++
-					return nil
+					t.pos++
+					return false, nil
 				}
 				depth--
 			}
 		}
-		return errors.New("unterminated directive")
+		return false, errors.New("unterminated directive")
 	}
 }
 
-// parseStartTag parses a start or empty-element tag, resolves its
-// namespaces and attaches it to cur (or leaves it as a root candidate).
-func (p *byteParser) parseStartTag(cur *Element) (el *Element, selfClose bool, err error) {
-	raw, err := p.readName()
-	if err != nil {
-		return nil, false, err
-	}
-	nsMark := len(p.ns)
-	p.attrs = p.attrs[:0]
-	nattrs := 0
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.data) {
-			return nil, false, errors.New("truncated start tag")
+// scanText finds the end of the character data that starts at pos, and
+// whether it is clean: free of anything decodeText would change. Cells
+// are short and adjacent tags have nothing between them, so it looks
+// byte by byte before paying for the vectorised search's set-up.
+func scanText(data []byte, pos int) (end int, clean bool) {
+	clean = true
+	for near := min(pos+48, len(data)); pos < near; pos++ {
+		switch data[pos] {
+		case '<':
+			return pos, clean
+		case '&', '\r':
+			clean = false
 		}
-		switch p.data[p.pos] {
+	}
+	rest := data[pos:]
+	if i := bytes.IndexByte(rest, '<'); i >= 0 {
+		rest = rest[:i]
+	}
+	clean = clean && bytes.IndexByte(rest, '&') < 0 && bytes.IndexByte(rest, '\r') < 0
+	return pos + len(rest), clean
+}
+
+// setText makes data[start:end] the current text token, decoded.
+func (t *Tokenizer) setText(start, end int, clean, cdata bool) error {
+	t.textStart, t.textEnd, t.textDecoded = start, end, !clean
+	if clean {
+		return nil
+	}
+	var err error
+	_, t.buf, err = decodeText(t.data[start:end], cdata, t.buf[:0])
+	return err
+}
+
+func (t *Tokenizer) scanEndTag() error {
+	t.pos++ // consume '/'
+	if len(t.open) == 0 {
+		return errors.New("unbalanced end element")
+	}
+	top := &t.open[len(t.open)-1]
+	want := t.data[top.rawStart:top.rawEnd]
+	if rest := t.data[t.pos:]; len(rest) > len(want) && rest[len(want)] == '>' &&
+		string(rest[:len(want)]) == string(want) {
+		t.pos += len(want) + 1 // the name expected, closed at once: nearly every end tag
+	} else {
+		name, err := t.readName()
+		if err != nil {
+			return err
+		}
+		t.skipSpace()
+		if t.pos >= len(t.data) || t.data[t.pos] != '>' {
+			return errors.New("malformed end tag")
+		}
+		t.pos++
+		if string(name) != string(want) {
+			return fmt.Errorf("element <%s> closed by </%s>", want, name)
+		}
+	}
+	t.popBindings(top.nsMark)
+	t.open = t.open[:len(t.open)-1]
+	return nil
+}
+
+func (t *Tokenizer) popBindings(mark int) {
+	if len(t.ns) != mark {
+		t.ns = t.ns[:mark]
+		t.nsGen++
+	}
+}
+
+// scanStartTag scans a start or empty-element tag and resolves its
+// namespaces: declarations first, whatever their position in the tag.
+func (t *Tokenizer) scanStartTag() error {
+	// Guess the name before reading it: siblings and cousins repeat, so
+	// the last element opened at this depth is the best candidate, and
+	// comparing against it is cheaper than finding where the name ends.
+	rawStart, depth, slot := t.pos, min(len(t.open), len(t.lastSlot)-1), -1
+	var raw []byte
+	if guess := t.qnames[t.lastSlot[depth]].raw; len(guess) > 0 && len(t.data)-rawStart > len(guess) &&
+		nameDelim[t.data[rawStart+len(guess)]] && string(t.data[rawStart:rawStart+len(guess)]) == string(guess) {
+		raw, slot = t.data[rawStart:rawStart+len(guess)], int(t.lastSlot[depth])
+		t.pos += len(guess)
+	} else {
+		var err error
+		if raw, err = t.readName(); err != nil {
+			return err
+		}
+	}
+	nsMark := len(t.ns)
+	if len(t.rawAttrs) > 0 {
+		t.rawAttrs = t.rawAttrs[:0]
+	}
+	selfClose := false
+	for {
+		t.skipSpace()
+		if t.pos >= len(t.data) {
+			return errors.New("truncated start tag")
+		}
+		switch t.data[t.pos] {
 		case '>':
-			p.pos++
+			t.pos++
 		case '/':
-			if p.pos+1 >= len(p.data) || p.data[p.pos+1] != '>' {
-				return nil, false, errors.New("malformed start tag")
+			if t.pos+1 >= len(t.data) || t.data[t.pos+1] != '>' {
+				return errors.New("malformed start tag")
 			}
-			p.pos += 2
+			t.pos += 2
 			selfClose = true
 		default:
-			aname, err := p.readName()
+			aname, err := t.readName()
 			if err != nil {
-				return nil, false, err
+				return err
 			}
-			p.skipSpace()
-			if p.pos >= len(p.data) || p.data[p.pos] != '=' {
-				return nil, false, fmt.Errorf("attribute %s missing value", aname)
+			t.skipSpace()
+			if t.pos >= len(t.data) || t.data[t.pos] != '=' {
+				return fmt.Errorf("attribute %s missing value", aname)
 			}
-			p.pos++
-			p.skipSpace()
-			val, err := p.readAttrValue()
+			t.pos++
+			t.skipSpace()
+			val, err := t.readAttrValue()
 			if err != nil {
-				return nil, false, err
+				return err
 			}
 			prefix, local := splitQName(aname)
-			if string(prefix) == "xmlns" {
-				uri, err := p.decodeText(val, false)
+			isDefault := len(prefix) == 0 && string(local) == "xmlns"
+			if isDefault || string(prefix) == "xmlns" {
+				var uri []byte
+				uri, t.buf, err = decodeText(val, false, t.buf[:0])
 				if err != nil {
-					return nil, false, err
+					return err
 				}
-				p.ns = append(p.ns, nsBinding{prefix: p.intern(local), uri: uri})
+				b := nsBinding{uri: t.intern(uri)}
+				if !isDefault {
+					b.prefix = t.intern(local)
+				}
+				t.ns = append(t.ns, b)
+				t.nsGen++
 				continue
 			}
-			if len(prefix) == 0 && string(local) == "xmlns" {
-				uri, err := p.decodeText(val, false)
-				if err != nil {
-					return nil, false, err
-				}
-				p.ns = append(p.ns, nsBinding{prefix: "", uri: uri})
-				continue
-			}
-			p.attrs = append(p.attrs, rawAttr{prefix: prefix, local: local, value: val})
-			nattrs++
+			t.rawAttrs = append(t.rawAttrs, rawAttr{prefix: prefix, local: local, value: val})
 			continue
 		}
 		break
 	}
+	if len(t.open) == 0 && t.rootSeen {
+		return errors.New("multiple root elements")
+	}
 
-	prefix, local := splitQName(raw)
-	if !validLocalNameBytes(local) {
-		return nil, false, fmt.Errorf("invalid element name %q", local)
+	guessed := slot >= 0
+	if !guessed {
+		slot = (len(raw)*7 + int(raw[len(raw)-1])*3 + int(raw[len(raw)/2])) % len(t.qnames)
 	}
-	el = p.newElement()
-	el.Name = Name{Space: p.resolve(prefix, true), Local: p.intern(local)}
-	if nattrs > 0 {
-		el.Attrs = make([]Attr, 0, nattrs)
-		for _, a := range p.attrs {
-			if !validLocalNameBytes(a.local) {
-				return nil, false, fmt.Errorf("invalid attribute name %q", a.local)
-			}
-			v, err := p.decodeText(a.value, false)
-			if err != nil {
-				return nil, false, err
-			}
-			el.Attrs = append(el.Attrs, Attr{
-				Name:  Name{Space: p.resolve(a.prefix, false), Local: p.intern(a.local)},
-				Value: v,
-			})
+	t.nameSlot, t.lastSlot[depth] = slot, uint8(slot)
+	if cached := &t.qnames[slot]; cached.gen != t.nsGen || !guessed && string(cached.raw) != string(raw) {
+		prefix, local := splitQName(raw)
+		if !validLocalNameBytes(local) {
+			return fmt.Errorf("invalid element name %q", local)
 		}
+		name := Name{Space: t.resolve(prefix, true), Local: t.intern(local)}
+		*cached = qnameEntry{raw: raw, name: name, gen: t.nsGen}
 	}
-	if cur != nil {
-		el.parent = cur
-		p.appendChild(cur, el)
+	if len(t.attrs) > 0 {
+		t.attrs, t.abuf = t.attrs[:0], t.abuf[:0]
 	}
+	for _, a := range t.rawAttrs {
+		if !validLocalNameBytes(a.local) {
+			return fmt.Errorf("invalid attribute name %q", a.local)
+		}
+		// A decoded value may sit in abuf; a later append that moves
+		// abuf leaves the bytes of this one where they are.
+		var v []byte
+		var err error
+		v, t.abuf, err = decodeText(a.value, false, t.abuf)
+		if err != nil {
+			return err
+		}
+		t.attrs = append(t.attrs, TokenAttr{
+			Name:  Name{Space: t.resolve(a.prefix, false), Local: t.intern(a.local)},
+			Value: v,
+		})
+	}
+	t.rootSeen = true
 	if selfClose {
-		p.ns = p.ns[:nsMark]
-		return el, true, nil
+		t.popBindings(nsMark)
+		t.pendingEnd = true
+		return nil
 	}
-	p.open = append(p.open, openTag{el: el, nsMark: nsMark, raw: raw})
-	return el, false, nil
+	t.open = append(t.open, openTag{rawStart: rawStart, rawEnd: rawStart + len(raw), nsMark: nsMark})
+	return nil
 }
 
 // resolve maps a prefix to a namespace URI using the active bindings.
 // Elements without a prefix take the default namespace; attributes do
 // not. Undeclared prefixes are kept verbatim as the Space, matching
 // encoding/xml.
-func (p *byteParser) resolve(prefix []byte, isElement bool) string {
-	if len(prefix) == 0 {
-		if !isElement {
-			return ""
-		}
-		for i := len(p.ns) - 1; i >= 0; i-- {
-			if p.ns[i].prefix == "" {
-				return p.ns[i].uri
-			}
-		}
+func (t *Tokenizer) resolve(prefix []byte, isElement bool) string {
+	if len(prefix) == 0 && !isElement {
 		return ""
 	}
-	for i := len(p.ns) - 1; i >= 0; i-- {
-		if p.ns[i].prefix == string(prefix) {
-			return p.ns[i].uri
+	for i := len(t.ns) - 1; i >= 0; i-- {
+		if t.ns[i].prefix == string(prefix) {
+			if i < t.nsFloor {
+				t.usedOuter = true
+			}
+			return t.ns[i].uri
 		}
+	}
+	if len(prefix) == 0 {
+		return ""
 	}
 	if string(prefix) == "xml" { // predeclared by the XML spec
 		return "http://www.w3.org/XML/1998/namespace"
 	}
-	return p.intern(prefix)
-}
-
-// newElement hands out a node from the arena, growing it in chunks so
-// a document costs O(elements/chunk) allocations for its nodes.
-func (p *byteParser) newElement() *Element {
-	if len(p.arena) == cap(p.arena) {
-		p.arena = make([]Element, 0, parseArenaChunk)
-	}
-	p.arena = p.arena[:len(p.arena)+1]
-	return &p.arena[len(p.arena)-1]
-}
-
-// appendChild attaches a child node. The first child of an element
-// lives in a shared arena slice capped at one entry, so the dominant
-// single-text-leaf shape costs no slice allocation; a second child
-// forces an ordinary append reallocation out of the arena.
-func (p *byteParser) appendChild(el *Element, n Node) {
-	if el.Children == nil {
-		if len(p.nodes) == cap(p.nodes) {
-			p.nodes = make([]Node, 0, nodeArenaChunk)
-		}
-		start := len(p.nodes)
-		p.nodes = p.nodes[:start+1]
-		p.nodes[start] = n
-		el.Children = p.nodes[start : start+1 : start+1]
-		return
-	}
-	el.Children = append(el.Children, n)
+	return t.intern(prefix)
 }
 
 // intern returns a string for b, reusing a previous allocation when the
 // same bytes were seen before (element vocabularies repeat heavily).
-func (p *byteParser) intern(b []byte) string {
-	if s, ok := p.names[string(b)]; ok { // compiler-optimised, no alloc
+func (t *Tokenizer) intern(b []byte) string {
+	if s, ok := t.names[string(b)]; ok { // compiler-optimised, no alloc
 		return s
 	}
 	s := string(b)
-	p.names[s] = s
+	t.names[s] = s
 	return s
 }
 
 // readName consumes a qualified name.
-func (p *byteParser) readName() ([]byte, error) {
-	start := p.pos
-	for p.pos < len(p.data) && !isNameDelim(p.data[p.pos]) {
-		p.pos++
+func (t *Tokenizer) readName() ([]byte, error) {
+	data, end := t.data, t.pos // in locals, so the loop runs in registers
+	for end < len(data) && !nameDelim[data[end]] {
+		end++
 	}
-	if p.pos == start {
+	if end == t.pos {
 		return nil, errors.New("expected name")
 	}
-	return p.data[start:p.pos], nil
+	name := data[t.pos:end]
+	t.pos = end
+	return name, nil
 }
 
-func isNameDelim(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\r', '=', '>', '/', '<', '"', '\'':
-		return true
-	}
-	return false
-}
+// nameDelim marks the bytes that end a qualified name.
+var nameDelim = [256]bool{' ': true, '\t': true, '\n': true, '\r': true,
+	'=': true, '>': true, '/': true, '<': true, '"': true, '\'': true}
 
 func splitQName(b []byte) (prefix, local []byte) {
 	for i, c := range b {
@@ -386,47 +529,47 @@ func splitQName(b []byte) (prefix, local []byte) {
 
 // readAttrValue consumes a quoted attribute value, returning the raw
 // bytes between the quotes (entities still encoded).
-func (p *byteParser) readAttrValue() ([]byte, error) {
-	if p.pos >= len(p.data) {
+func (t *Tokenizer) readAttrValue() ([]byte, error) {
+	if t.pos >= len(t.data) {
 		return nil, errors.New("truncated attribute value")
 	}
-	quote := p.data[p.pos]
+	quote := t.data[t.pos]
 	if quote != '"' && quote != '\'' {
 		return nil, errors.New("unquoted attribute value")
 	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.data) && p.data[p.pos] != quote {
-		if p.data[p.pos] == '<' {
+	t.pos++
+	start := t.pos
+	for t.pos < len(t.data) && t.data[t.pos] != quote {
+		if t.data[t.pos] == '<' {
 			return nil, errors.New("'<' in attribute value")
 		}
-		p.pos++
+		t.pos++
 	}
-	if p.pos >= len(p.data) {
+	if t.pos >= len(t.data) {
 		return nil, errors.New("unterminated attribute value")
 	}
-	val := p.data[start:p.pos]
-	p.pos++
+	val := t.data[start:t.pos]
+	t.pos++
 	return val, nil
 }
 
-func (p *byteParser) skipSpace() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
+func (t *Tokenizer) skipSpace() {
+	for t.pos < len(t.data) {
+		switch t.data[t.pos] {
 		case ' ', '\t', '\n', '\r':
-			p.pos++
+			t.pos++
 		default:
 			return
 		}
 	}
 }
 
-func (p *byteParser) skipUntil(marker string) error {
-	end := indexFrom(p.data, p.pos, marker)
+func (t *Tokenizer) skipUntil(marker string) error {
+	end := indexFrom(t.data, t.pos, marker)
 	if end < 0 {
 		return fmt.Errorf("unterminated %q markup", marker)
 	}
-	p.pos = end + len(marker)
+	t.pos = end + len(marker)
 	return nil
 }
 
@@ -439,10 +582,11 @@ func indexFrom(data []byte, from int, sep string) int {
 	return -1
 }
 
-// decodeText turns raw character data into a string: entity references
-// expand (unless cdata), and "\r\n"/"\r" normalise to "\n". The common
-// clean case costs exactly the one string allocation.
-func (p *byteParser) decodeText(raw []byte, cdata bool) (string, error) {
+// decodeText decodes raw character data: entity references expand
+// (unless cdata), and "\r\n"/"\r" normalise to "\n". Clean input — the
+// common case — is returned as it stands; otherwise the decoded bytes
+// are appended to scratch, and the grown scratch is returned with them.
+func decodeText(raw []byte, cdata bool, scratch []byte) (text, grown []byte, err error) {
 	dirty := -1
 	for i, c := range raw {
 		if c == '\r' || (!cdata && c == '&') {
@@ -451,9 +595,10 @@ func (p *byteParser) decodeText(raw []byte, cdata bool) (string, error) {
 		}
 	}
 	if dirty < 0 {
-		return string(raw), nil
+		return raw, scratch, nil
 	}
-	buf := append(p.buf[:0], raw[:dirty]...)
+	mark := len(scratch)
+	buf := append(scratch, raw[:dirty]...)
 	for i := dirty; i < len(raw); {
 		switch c := raw[i]; {
 		case c == '\r':
@@ -465,7 +610,7 @@ func (p *byteParser) decodeText(raw []byte, cdata bool) (string, error) {
 		case c == '&' && !cdata:
 			r, width, err := decodeEntity(raw[i:])
 			if err != nil {
-				return "", err
+				return nil, scratch, err
 			}
 			buf = utf8.AppendRune(buf, r)
 			i += width
@@ -474,8 +619,7 @@ func (p *byteParser) decodeText(raw []byte, cdata bool) (string, error) {
 			i++
 		}
 	}
-	p.buf = buf
-	return string(buf), nil
+	return buf[mark:], buf, nil
 }
 
 // decodeEntity expands one entity or character reference starting at
@@ -555,9 +699,12 @@ func validLocalNameBytes(b []byte) bool {
 	}
 	first := true
 	for i := 0; i < len(b); {
-		r, size := utf8.DecodeRune(b[i:])
-		if r == utf8.RuneError && size == 1 {
-			return false
+		r, size := rune(b[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return false
+			}
 		}
 		if first {
 			if !isNameStart(r) {

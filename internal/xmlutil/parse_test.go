@@ -218,3 +218,189 @@ func BenchmarkParseBytes(b *testing.B) {
 		}
 	}
 }
+
+// TestTokenizer walks one document through the pull API: resolved
+// names, attributes without namespace declarations, decoded text, an
+// end token for every start (empty-element tags included), Skip and
+// PeekEnd.
+func TestTokenizer(t *testing.T) {
+	const doc = `<?xml version="1.0"?>lead<r:root xmlns:r="urn:r" xmlns="urn:d" r:a="1" b="x&amp;y">` +
+		`<item>one &lt; two<![CDATA[<3>]]></item><r:empty c='v'/>` +
+		`<skipped><deep>text</deep><deep/></skipped>tail</r:root>trail`
+	var tok Tokenizer
+	tok.Reset([]byte(doc))
+	var got []string
+	for {
+		kind, err := tok.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch kind {
+		case TokenStart:
+			s := "start " + tok.Name().String()
+			for _, a := range tok.Attrs() {
+				s += fmt.Sprintf(" %s=%q", a.Name, a.Value)
+			}
+			if tok.Name().Local == "skipped" {
+				if err := tok.Skip(); err != nil {
+					t.Fatal(err)
+				}
+				s += " (skipped)"
+			}
+			got = append(got, s)
+		case TokenText:
+			s := fmt.Sprintf("text %q", tok.Text())
+			if tok.PeekEnd() {
+				s += " then end"
+			}
+			got = append(got, s)
+		case TokenEnd:
+			got = append(got, "end")
+		}
+		if kind == TokenEOF {
+			break
+		}
+	}
+	want := []string{
+		`start {urn:r}root {urn:r}a="1" b="x&y"`,
+		`start {urn:d}item`, `text "one < two"`, `text "<3>" then end`, `end`,
+		`start {urn:r}empty c="v"`, `end`,
+		`start {urn:d}skipped (skipped)`,
+		`text "tail" then end`, `end`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("tokens:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	tok.Reset([]byte(`<a><b c="1"/></a>`))
+	tok.Next()
+	tok.Next()
+	if v, ok := tok.Attr("", "c"); !ok || string(v) != "1" {
+		t.Fatalf(`Attr("", "c") = %q, %v`, v, ok)
+	}
+	if _, ok := tok.Attr("urn:x", "c"); ok {
+		t.Fatal("Attr matched across namespaces")
+	}
+	if !tok.PeekEnd() {
+		t.Fatal("PeekEnd false before an empty-element tag's end token")
+	}
+
+	tok.Reset([]byte(`<a>&nope;</a>`))
+	tok.Next()
+	if _, err := tok.Next(); err == nil || !strings.HasPrefix(err.Error(), "xmlutil: parse: ") {
+		t.Fatalf("bad entity: err = %v", err)
+	}
+}
+
+// TestTokenizerRepeatedNames: the name cache and the by-depth guess
+// must never outlive the namespace bindings they were made under, nor
+// take a longer name for the shorter one it starts with.
+func TestTokenizerRepeatedNames(t *testing.T) {
+	docs := []string{
+		`<a xmlns:p="u1"><p:x/><p:x/><b xmlns:p="u2"><p:x/><p:x/></b><p:x/><p:x xmlns:p="u3"/><p:x/></a>`,
+		`<a><x/><xy/><x/><xy>t</xy><x></x><x a="1"/><x	/></a>`,
+		`<a xmlns="d1"><x/><x xmlns="d2"><x/></x><x/><x xmlns=""/></a>`,
+		`<r><row><v>1</v><v>2</v></row><row><v>3</v><w>4</w></row><rows><v/></rows></r>`,
+	}
+	for _, d := range docs {
+		got, err := ParseBytes([]byte(d))
+		if err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+		want, err := parseReference(strings.NewReader(d))
+		if err != nil {
+			t.Fatalf("%s: reference: %v", d, err)
+		}
+		if g, w := MarshalString(got), MarshalString(want); g != w {
+			t.Errorf("%s:\n got %s\nwant %s", d, g, w)
+		}
+	}
+}
+
+// TestParseBytesVerbatim pins when a verbatim element keeps its content
+// as one Raw span — exactly the bytes of a standalone child element —
+// and when it is built as a subtree like any other.
+func TestParseBytesVerbatim(t *testing.T) {
+	keep := []Name{{Space: "urn:d", Local: "Dataset"}}
+	const open, shut = `<e:Env xmlns:e="urn:e" xmlns:d="urn:d" xmlns:o="urn:o" xmlns="urn:def"><d:Dataset f="1">`, `</d:Dataset><d:After/></e:Env>`
+	cases := []struct {
+		content string
+		raw     string // "" = subtree
+	}{
+		{`<r:rows xmlns:r="urn:r"><r:row a="1">x &amp; y</r:row><!-- c --><r:row/></r:rows>`, `<r:rows xmlns:r="urn:r"><r:row a="1">x &amp; y</r:row><!-- c --><r:row/></r:rows>`},
+		{"\r\n  <rows xmlns=\"\"><row>1</row></rows>\n", `<rows xmlns="">` + `<row>1</row></rows>`},
+		{`<!-- before --><r:one xmlns:r="urn:r"/><?pi after?>`, `<r:one xmlns:r="urn:r"/>`},
+		{`<rows xmlns="urn:own" xml:lang="en" undeclared:a="v"><row/></rows>`, `<rows xmlns="urn:own" xml:lang="en" undeclared:a="v"><row/></rows>`},
+		// a nested Dataset is just part of the span
+		{`<r:x xmlns:r="urn:r" xmlns:d="urn:d"><d:Dataset><r:y/></d:Dataset></r:x>`, `<r:x xmlns:r="urn:r" xmlns:d="urn:d"><d:Dataset><r:y/></d:Dataset></r:x>`},
+		// redeclaring an outer prefix inside makes its use inside standalone
+		{`<o:x xmlns:o="urn:mine"><o:y/></o:x>`, `<o:x xmlns:o="urn:mine"><o:y/></o:x>`},
+
+		{`<o:rows><o:row/></o:rows>`, ""},                         // element prefix bound outside
+		{`<r:rows xmlns:r="urn:r"><r:row o:a="1"/></r:rows>`, ""}, // attribute prefix bound outside
+		{`<rows><row/></rows>`, ""},                               // outer default namespace
+		{`<r:rows xmlns:r="urn:r"><inner/></r:rows>`, ""},         // ... deeper down
+		{`<o:x><o:y xmlns:o="urn:late"/></o:x>`, ""},              // used before the inner declaration
+		{`<r:a xmlns:r="urn:r"/><r:b xmlns:r="urn:r"/>`, ""},      // two elements
+		{`id,name` + "\n" + `1,a`, ""},                            // text
+		{`x<r:a xmlns:r="urn:r"/>`, ""},                           // text beside the element
+		{`<![CDATA[ ]]><r:a xmlns:r="urn:r"/>`, `<r:a xmlns:r="urn:r"/>`},
+		{``, ""},
+	}
+	for _, c := range cases {
+		doc := open + c.content + shut
+		got, err := ParseBytesVerbatim([]byte(doc), keep)
+		if err != nil {
+			t.Fatalf("%s: %v", c.content, err)
+		}
+		ds := got.Find("urn:d", "Dataset")
+		if ds == nil || ds.AttrValue("", "f") != "1" || got.Find("urn:d", "After") == nil {
+			t.Fatalf("%s: surrounding tree damaged: %s", c.content, Marshal(got))
+		}
+		var raw string
+		if len(ds.Children) == 1 {
+			if r, ok := ds.Children[0].(Raw); ok {
+				raw = string(r)
+			}
+		}
+		if raw != c.raw {
+			t.Errorf("%s:\n kept %q\n want %q", c.content, raw, c.raw)
+		}
+		// Either way the document means what a plain parse says it means.
+		plain, err := ParseBytes([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseBytes(Marshal(got))
+		if err != nil {
+			t.Fatalf("%s: re-marshalled document does not parse: %v\n%s", c.content, err, Marshal(got))
+		}
+		if !Equal(again, plain) {
+			t.Errorf("%s: meaning changed:\n got %s\nwant %s", c.content, Marshal(again), Marshal(plain))
+		}
+	}
+
+	// A malformed fragment fails the parse whether or not it would have
+	// been kept, and an empty-element Dataset has nothing to keep.
+	for _, bad := range []string{`<r:a xmlns:r="urn:r">&bogus;</r:a>`, `<r:a xmlns:r="urn:r"></r:b>`, `<r:a xmlns:r="urn:r">`} {
+		if _, err := ParseBytesVerbatim([]byte(open+bad+shut), keep); err == nil {
+			t.Errorf("%s: expected an error", bad)
+		}
+	}
+	root, err := ParseBytesVerbatim([]byte(`<d:Dataset xmlns:d="urn:d"/>`), keep)
+	if err != nil || len(root.Children) != 0 {
+		t.Fatalf("empty Dataset: %v, %d children", err, len(root.Children))
+	}
+	// The span is a copy: it must survive its source buffer.
+	buf := []byte(open + `<r:one xmlns:r="urn:r">v</r:one>` + shut)
+	root, err = ParseBytesVerbatim(buf, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = '#'
+	}
+	if raw := root.Find("urn:d", "Dataset").Children[0].(Raw); raw != `<r:one xmlns:r="urn:r">v</r:one>` {
+		t.Fatalf("Raw aliases the parse buffer: %q", raw)
+	}
+}

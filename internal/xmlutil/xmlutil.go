@@ -59,7 +59,9 @@ type Text string
 // say) without re-parsing them into a tree. The fragment must be a
 // well-formed standalone element with its own namespace declarations —
 // exactly what Marshal emits — so the surrounding document stays valid.
-// Raw nodes never result from parsing; Parse materialises real elements.
+// Parsing produces Raw nodes only where ParseBytesVerbatim is asked to;
+// being a string, such a node is a copy that owns its bytes and never
+// aliases the buffer the document was read into.
 type Raw string
 
 func (Text) isNode()     {}
@@ -413,7 +415,7 @@ func MarshalString(e *Element) string {
 // MarshalIndent serialises with two-space indentation for human output.
 func MarshalIndent(e *Element) []byte {
 	raw := Marshal(e)
-	parsed, err := Parse(bytes.NewReader(raw))
+	parsed, err := ParseBytes(raw)
 	if err != nil {
 		return raw
 	}
