@@ -33,12 +33,13 @@ bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 # Fault-injection suite under the race detector: chaos byte-identity,
-# breaker recovery, admission shedding, lifetime churn (100k registry
-# cycles + 10k full-stack cycles racing the reaper) and the short soak.
-# CI runs this. Scale the churn with DAIS_CHURN_CYCLES.
+# breaker recovery, admission shedding, vector scans beside DML plus the
+# three-seed planned-vs-walked DML differential, lifetime churn (100k
+# registry cycles + 10k full-stack cycles racing the reaper) and the
+# short soak. CI runs this. Scale the churn with DAIS_CHURN_CYCLES.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChaos|TestAdmission' ./internal/service/
-	$(GO) test -race -shuffle=on -count=1 -run 'TestChaosVector' ./internal/sqlengine/
+	$(GO) test -race -shuffle=on -count=1 -run 'TestChaosVector|TestChaosDML' ./internal/sqlengine/
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChurn' ./internal/wsrf/ ./internal/loadgen/
 
 # Streaming-pipeline chaos: chunked fetch of a spilled 100k-row

@@ -16,6 +16,11 @@ const (
 	// MetricVectorChunksSkipped counts column chunks skipped entirely
 	// because their zone maps proved no row could match the predicate.
 	MetricVectorChunksSkipped = "dais_vector_chunks_skipped_total"
+	// MetricVectorChunksRebuilt counts column chunks built or rebuilt
+	// from the row store: a table's whole set on its first vectorised
+	// scan, then one per chunk a write touched. A rate near the scan
+	// rate times the table's chunk count is a rebuild storm.
+	MetricVectorChunksRebuilt = "dais_vector_chunks_rebuilt_total"
 )
 
 // RegisterVectorMetrics exposes an engine's columnar-execution counters
@@ -30,5 +35,6 @@ func RegisterVectorMetrics(reg *telemetry.Registry, eng *sqlengine.Engine) {
 		stats := eng.VectorStats()
 		emit(telemetry.Sample{Name: MetricVectorBatches, Labels: labels, Value: float64(stats.Batches)})
 		emit(telemetry.Sample{Name: MetricVectorChunksSkipped, Labels: labels, Value: float64(stats.ChunksSkipped)})
+		emit(telemetry.Sample{Name: MetricVectorChunksRebuilt, Labels: labels, Value: float64(stats.ChunksRebuilt)})
 	})
 }

@@ -10,9 +10,10 @@ import (
 	"dais/internal/telemetry"
 )
 
-// TestVectorMetricsExposed scrapes an engine's columnar counters: both
-// series must appear with the engine label, and running a vectorised
-// scan between scrapes must move the batch counter.
+// TestVectorMetricsExposed scrapes an engine's columnar counters: all
+// three series must appear with the engine label, running a vectorised
+// scan between scrapes must move the batch counter, and a one-row write
+// must move the rebuild counter by the one chunk it touched.
 func TestVectorMetricsExposed(t *testing.T) {
 	eng := sqlengine.New("vecdb")
 	eng.MustExec(`CREATE TABLE t (id INTEGER, v INTEGER)`)
@@ -45,13 +46,18 @@ func TestVectorMetricsExposed(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorBatches, stats.Batches),
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorChunksSkipped, stats.ChunksSkipped),
+		fmt.Sprintf(`%s{engine="vecdb"} 1`, MetricVectorChunksRebuilt), // 64 rows: one chunk, built by the scan
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, text)
 		}
 	}
 
-	// Another scan moves the counter on the next scrape.
+	// Another scan, after a one-row UPDATE, moves both counters on the
+	// next scrape.
+	if _, err := s.Execute(`UPDATE t SET v = 9 WHERE id = 3`); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Execute(`SELECT COUNT(*) FROM t WHERE v > 5`); err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +66,13 @@ func TestVectorMetricsExposed(t *testing.T) {
 		t.Fatalf("expected extra batch: %+v -> %+v", stats, after)
 	}
 	text = scrape()
-	want := fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorBatches, after.Batches)
-	if !strings.Contains(text, want) {
-		t.Fatalf("second scrape missing %q:\n%s", want, text)
+	for _, want := range []string{
+		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorBatches, after.Batches),
+		fmt.Sprintf(`%s{engine="vecdb"} 2`, MetricVectorChunksRebuilt),
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("second scrape missing %q:\n%s", want, text)
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value)
 			return nil, false, nil
 		}
 	}
-	tc := ap.t.ensureChunks()
+	tc := d.ensureChunks(ap.t)
 	if !tc.ok {
 		return nil, false, nil
 	}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +30,7 @@ type Table struct {
 
 	rows   map[int64][]Value
 	nextID int64
-	order  []int64 // insertion order of live rowIDs
+	order  []int64 // live rowIDs in insertion order, which is ascending
 
 	indexes    map[string]*Index        // lower-cased index name -> hash index
 	ordIndexes map[string]*OrderedIndex // lower-cased index name -> ordered index
@@ -140,16 +141,32 @@ func (t *Table) deleteRow(id int64) {
 		ix.remove(row[t.ColumnIndex(ix.Column)], id)
 	}
 	delete(t.rows, id)
-	for i, oid := range t.order {
-		if oid == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	if pos, found := slices.BinarySearch(t.order, id); found {
+		t.order = slices.Delete(t.order, pos, pos+1)
 	}
-	t.invalidateChunks()
+	t.chunkDropRow(id)
 }
 
-// updateRow replaces a row's values in place, maintaining indexes.
+// restoreRow re-inserts a deleted row under its original id (rollback
+// of a DELETE), so scan order and every undo record that names the id
+// stay valid. The previous image cannot violate a constraint.
+func (t *Table) restoreRow(id int64, row []Value) {
+	t.rows[id] = row
+	pos, _ := slices.BinarySearch(t.order, id)
+	t.order = slices.Insert(t.order, pos, id)
+	for _, idx := range t.indexes {
+		if v := row[t.ColumnIndex(idx.Column)]; !v.IsNull() {
+			idx.buckets[v.groupKey()] = append(idx.buckets[v.groupKey()], id)
+		}
+	}
+	for _, ix := range t.ordIndexes {
+		ix.insert(row[t.ColumnIndex(ix.Column)], id)
+	}
+	t.chunkRestoreRow(id)
+}
+
+// updateRow swaps a row's image for newRow, maintaining indexes. The
+// old image is never written to again, so undo records may alias it.
 func (t *Table) updateRow(id int64, newRow []Value) error {
 	old, ok := t.rows[id]
 	if !ok {
@@ -208,7 +225,7 @@ func (t *Table) updateRow(id int64, newRow []Value) error {
 		ix.insert(nv, id)
 	}
 	t.rows[id] = newRow
-	t.invalidateChunks()
+	t.chunkMarkStale(id)
 	return nil
 }
 
@@ -258,6 +275,7 @@ type Database struct {
 	// Columnar execution counters, exported via Engine.VectorStats.
 	vecBatches atomic.Uint64 // chunks evaluated by vector operators
 	vecSkipped atomic.Uint64 // chunks skipped by zone maps
+	vecRebuilt atomic.Uint64 // chunks (re)built from the row store
 }
 
 // viewDef is a stored view: a name bound to a SELECT.

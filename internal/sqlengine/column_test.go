@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -23,6 +24,33 @@ func chunkState(e *Engine, table string) (built bool, chunks int, rows int) {
 	return true, len(t.chunks.chunks), rows
 }
 
+// liveChunks returns the table's current chunk objects without
+// triggering a rebuild.
+func liveChunks(e *Engine, table string) []*colChunk {
+	e.db.mu.RLock()
+	defer e.db.mu.RUnlock()
+	t, err := e.db.table(table)
+	if err != nil {
+		return nil
+	}
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	if t.chunks == nil {
+		return nil
+	}
+	return slices.Clone(t.chunks.chunks)
+}
+
+// staleChunks counts the chunks of a live cache awaiting a rebuild.
+func staleChunks(e *Engine, table string) (stale int) {
+	for _, ch := range liveChunks(e, table) {
+		if ch.stale {
+			stale++
+		}
+	}
+	return stale
+}
+
 func vecCount(t *testing.T, e *Engine, sql string, params ...Value) int64 {
 	t.Helper()
 	res, err := e.Exec(sql, params...)
@@ -33,8 +61,9 @@ func vecCount(t *testing.T, e *Engine, sql string, params ...Value) int64 {
 }
 
 // TestChunkMaintenance walks the cache through its whole lifecycle:
-// lazy build on first vectorised scan, in-place append on INSERT,
-// invalidation on UPDATE/DELETE, and rebuild with correct contents.
+// lazy build on first vectorised scan, in-place append on INSERT, one
+// stale chunk per one-row UPDATE/DELETE, and rebuild with correct
+// contents.
 func TestChunkMaintenance(t *testing.T) {
 	e := New("chunks")
 	e.MustExec(`CREATE TABLE c (id INTEGER, v INTEGER)`)
@@ -65,19 +94,23 @@ func TestChunkMaintenance(t *testing.T) {
 		t.Fatalf("appended row not visible to vector scan: %d", got)
 	}
 
-	// UPDATE invalidates; the next scan rebuilds with the new image.
+	// UPDATE marks the owning chunk stale; the next scan rebuilds it with
+	// the new image.
 	e.MustExec(`UPDATE c SET v = -1 WHERE id = 0`)
-	if built, _, _ = chunkState(e, "c"); built {
-		t.Fatal("chunks survived UPDATE")
+	if built, _, _ = chunkState(e, "c"); !built || staleChunks(e, "c") != 1 {
+		t.Fatalf("after UPDATE: built=%v stale=%d, want a live cache with 1 stale chunk", built, staleChunks(e, "c"))
 	}
 	if got := vecCount(t, e, `SELECT COUNT(*) FROM c WHERE v = -1`); got != 1 {
 		t.Fatalf("updated row wrong in rebuilt chunks: %d", got)
 	}
+	if n := staleChunks(e, "c"); n != 0 {
+		t.Fatalf("%d chunks still stale after a scan", n)
+	}
 
-	// DELETE invalidates too.
+	// DELETE does too, and the chunk gives up the row.
 	e.MustExec(`DELETE FROM c WHERE id = 0`)
-	if built, _, _ = chunkState(e, "c"); built {
-		t.Fatal("chunks survived DELETE")
+	if built, _, rows = chunkState(e, "c"); !built || rows != n || staleChunks(e, "c") != 1 {
+		t.Fatalf("after DELETE: built=%v rows=%d stale=%d", built, rows, staleChunks(e, "c"))
 	}
 	if got := vecCount(t, e, `SELECT COUNT(*) FROM c WHERE v = -1`); got != 0 {
 		t.Fatalf("deleted row still visible: %d", got)

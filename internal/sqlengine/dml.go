@@ -124,8 +124,118 @@ func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Valu
 	return count, undo, nil
 }
 
-// execUpdate applies an UPDATE. Caller holds d.mu for writing.
-func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Value) (int, []undoEntry, error) {
+// dmlPlan is the compiled target selection of one UPDATE or DELETE
+// whose WHERE lies in the error-free predicate class (compileVecPred
+// succeeds, so no subquery): the rows to visit come from an index probe
+// or from the vector kernels instead of a walk over the table. Like a
+// selectPlan it is immutable and only valid at the schema epoch it was
+// built against.
+type dmlPlan struct {
+	stmt  Statement
+	epoch uint64
+	accessPath
+	pred vecPred // the whole WHERE clause
+}
+
+// planDML compiles the target selection for an UPDATE or DELETE, or
+// returns nil with the reason the statement walks the table. The caller
+// must hold d.mu for reading.
+func (d *Database) planDML(st Statement) (*dmlPlan, string) {
+	var table string
+	var where Expr
+	switch n := st.(type) {
+	case *UpdateStmt:
+		table, where = n.Table, n.Where
+	case *DeleteStmt:
+		table, where = n.Table, n.Where
+	}
+	if where == nil {
+		return nil, "no WHERE clause"
+	}
+	t, err := d.table(table)
+	if err != nil {
+		return nil, "unknown table"
+	}
+	if exprHasSubquery(where) {
+		return nil, "subquery in WHERE"
+	}
+	w, ok := rewriteExpr(where, tableBindings(t))
+	if !ok {
+		return nil, "unresolvable WHERE expression"
+	}
+	pred, ok := compileVecPred(foldConstants(w), t)
+	if !ok {
+		return nil, "WHERE outside the error-free predicate class"
+	}
+	p := &dmlPlan{stmt: st, epoch: d.epoch, accessPath: accessPath{t: t, keyCol: -1, exact: true}, pred: pred}
+	p.chooseIndex(strings.ToLower(t.Name), foldConstants(where))
+	return p, ""
+}
+
+// targets resolves a planned statement's candidate row IDs for one
+// execution: ascending, private to the caller, and a superset of the
+// rows the WHERE clause accepts (the caller re-checks each). Because the
+// bound predicate cannot error on any row, leaving the other rows
+// unvisited hides nothing the walk would have reported. ok=false — an
+// operand that does not bind (NULL or uncoercible key, type mismatch),
+// or no index and no live chunk cache to scan instead — sends the
+// statement down the walk. Caller holds d.mu exclusively.
+func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids []int64, ok bool, err error) {
+	bp, ok := bindVecPred(p.pred, params, p.t)
+	if !ok {
+		return nil, false, nil
+	}
+	if p.access != accessFullScan {
+		if ids, ok := p.indexIDs(params, false, false); ok {
+			return ids, true, nil
+		}
+	}
+	if !d.vectorEnabled() || !p.t.chunksLive() {
+		return nil, false, nil
+	}
+	tc := d.ensureChunks(p.t)
+	if !tc.ok {
+		return nil, false, nil
+	}
+	var selbuf [chunkRows]int8
+	for _, ch := range tc.chunks {
+		if err := ctxCheck(ctx); err != nil {
+			return nil, false, err
+		}
+		if chunkSkippable(bp, ch) {
+			d.vecSkipped.Add(1)
+			continue
+		}
+		d.vecBatches.Add(1)
+		sel := selbuf[:ch.n]
+		bp.eval(ch, sel)
+		for i, tri := range sel {
+			if tri == triT {
+				ids = append(ids, ch.ids[i])
+			}
+		}
+	}
+	return ids, true, nil
+}
+
+// dmlCandidates returns the row IDs an UPDATE or DELETE must visit, in
+// ascending order: the planned targets when p is current and binds,
+// otherwise every live row. Neither statement reorders t.order while it
+// iterates (UPDATE never touches it, DELETE collects before it removes),
+// so the walk reads the shared slice rather than copying it.
+func (d *Database) dmlCandidates(ctx context.Context, t *Table, p *dmlPlan, params []Value) ([]int64, error) {
+	if p != nil && p.epoch == d.epoch {
+		ids, ok, err := d.targets(ctx, p, params)
+		if err != nil || ok {
+			return ids, err
+		}
+	}
+	return t.scan(), nil
+}
+
+// execUpdate applies an UPDATE; p is its compiled target plan, or nil.
+// Caller holds d.mu for writing.
+func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Value, p *dmlPlan) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
@@ -144,10 +254,12 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 		}
 		sets[i] = setTarget{col: ci, expr: sc.Value}
 	}
+	ids, err := d.dmlCandidates(ctx, t, p, params)
+	if err != nil {
+		return 0, nil, err
+	}
 	var undo []undoEntry
 	count := 0
-	// Snapshot IDs first: updates must not see their own effects.
-	ids := append([]int64(nil), t.scan()...)
 	for _, id := range ids {
 		if err := env.checkCtx(); err != nil {
 			return count, undo, err
@@ -182,25 +294,30 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 			}
 			newRow[s.col] = cv
 		}
-		prev := append([]Value(nil), row...)
 		if err := t.updateRow(id, newRow); err != nil {
 			return count, undo, err
 		}
-		undo = append(undo, undoEntry{table: t.Name, kind: undoUpdate, rowID: id, row: prev})
+		// updateRow swapped the image; row is now the undo record's alone.
+		undo = append(undo, undoEntry{table: t.Name, kind: undoUpdate, rowID: id, row: row})
 		count++
 	}
 	return count, undo, nil
 }
 
-// execDelete applies a DELETE. Caller holds d.mu for writing.
-func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Value) (int, []undoEntry, error) {
+// execDelete applies a DELETE; p is its compiled target plan, or nil.
+// Caller holds d.mu for writing.
+func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Value, p *dmlPlan) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
 	}
 	env := &evalEnv{params: params, cols: tableBindings(t), db: d, ctx: ctx}
+	ids, err := d.dmlCandidates(ctx, t, p, params)
+	if err != nil {
+		return 0, nil, err
+	}
 	var doomed []int64
-	for _, id := range t.scan() {
+	for _, id := range ids {
 		if err := env.checkCtx(); err != nil {
 			return 0, nil, err
 		}
@@ -220,11 +337,15 @@ func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Valu
 		}
 		doomed = append(doomed, id)
 	}
-	var undo []undoEntry
-	for _, id := range doomed {
-		prev := append([]Value(nil), t.rows[id]...)
+	// Highest ID first: deleteRow cannot fail, so the order is not
+	// observable, and this one closes t.order (and each chunk's ids) from
+	// the end — no shifting when the doomed rows are the table or its
+	// tail — and has the rollback, which replays in reverse, append.
+	undo := make([]undoEntry, 0, len(doomed))
+	for i := len(doomed) - 1; i >= 0; i-- {
+		id := doomed[i]
+		undo = append(undo, undoEntry{table: t.Name, kind: undoDelete, rowID: id, row: t.rows[id]})
 		t.deleteRow(id)
-		undo = append(undo, undoEntry{table: t.Name, kind: undoDelete, rowID: id, row: prev})
 	}
 	return len(doomed), undo, nil
 }
@@ -242,38 +363,15 @@ func (d *Database) applyUndo(entries []undoEntry) {
 		case undoInsert:
 			t.deleteRow(e.rowID)
 		case undoDelete:
-			// Restore with the original rowID to keep ordering stable.
-			// This splices into the middle of scan order, so the chunk
-			// cache (rebuilt on append order) must be dropped.
-			t.rows[e.rowID] = e.row
-			t.order = append(t.order, e.rowID)
-			sortIDs(t.order)
-			t.invalidateChunks()
-			for _, idx := range t.indexes {
-				ci := t.ColumnIndex(idx.Column)
-				if v := e.row[ci]; !v.IsNull() {
-					idx.buckets[v.groupKey()] = append(idx.buckets[v.groupKey()], e.rowID)
-				}
-			}
-			for _, ix := range t.ordIndexes {
-				ix.insert(e.row[t.ColumnIndex(ix.Column)], e.rowID)
-			}
+			t.restoreRow(e.rowID, e.row)
 		case undoUpdate:
 			// updateRow re-validates unique constraints; restoring the
 			// previous image cannot violate them, but fall back to a
 			// raw write if it reports an error (it cannot in practice).
 			if err := t.updateRow(e.rowID, e.row); err != nil {
 				t.rows[e.rowID] = e.row
-				t.invalidateChunks()
+				t.chunkMarkStale(e.rowID)
 			}
-		}
-	}
-}
-
-func sortIDs(ids []int64) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
 		}
 	}
 }

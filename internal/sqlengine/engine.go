@@ -118,6 +118,10 @@ type VectorStats struct {
 	// ChunksSkipped is the number of column chunks eliminated by
 	// zone-map analysis without touching their vectors.
 	ChunksSkipped uint64
+	// ChunksRebuilt is the number of column chunks built or rebuilt from
+	// the row store: a table's whole set on its first vectorised scan,
+	// afterwards one per chunk a write touched.
+	ChunksRebuilt uint64
 }
 
 // VectorStats returns the engine's columnar execution counters.
@@ -125,6 +129,7 @@ func (e *Engine) VectorStats() VectorStats {
 	return VectorStats{
 		Batches:       e.db.vecBatches.Load(),
 		ChunksSkipped: e.db.vecSkipped.Load(),
+		ChunksRebuilt: e.db.vecRebuilt.Load(),
 	}
 }
 
@@ -180,7 +185,7 @@ type Session struct {
 	aborted   bool
 
 	// prep threads the compiled plan of the statement currently being
-	// executed from ExecutePrepared down to run()'s SELECT dispatch.
+	// executed from ExecutePrepared down to run()'s dispatch.
 	prep *Prepared
 }
 
@@ -364,9 +369,9 @@ func (s *Session) run(ctx context.Context, st Statement, params []Value) (*Resul
 	case *InsertStmt:
 		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execInsert(ctx, n, params) })
 	case *UpdateStmt:
-		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execUpdate(ctx, n, params) })
+		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execUpdate(ctx, n, params, s.currentDMLPlan(n)) })
 	case *DeleteStmt:
-		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execDelete(ctx, n, params) })
+		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execDelete(ctx, n, params, s.currentDMLPlan(n)) })
 	case *CreateTableStmt:
 		return s.runDDL(func() error { return db.createTable(n) })
 	case *DropTableStmt:
@@ -455,10 +460,18 @@ func (s *Session) currentAggPlan(n *SelectStmt) *aggPlan {
 	return s.prep.agg
 }
 
+// currentDMLPlan is currentPlan for UPDATE/DELETE target plans.
+func (s *Session) currentDMLPlan(n Statement) *dmlPlan {
+	if disablePlanner || s.prep == nil || s.prep.dml == nil || s.prep.dml.stmt != n {
+		return nil
+	}
+	return s.prep.dml
+}
+
 // Explain describes the physical plan the engine would use for one
-// statement: the access path (and index) for plannable SELECTs, or the
-// interpreted path (with the reason) for everything else. It never
-// executes the statement.
+// statement: the access path (and index) for plannable SELECTs and for
+// the target selection of UPDATE/DELETE, or the interpreted path (with
+// the reason) for everything else. It never executes the statement.
 func (s *Session) Explain(sql string) ([]string, error) {
 	st, _, err := Parse(sql)
 	if err != nil {

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -278,7 +279,7 @@ func (d *Database) bindTableForSelect(st *SelectStmt, env *evalEnv) ([][]Value, 
 		cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
 	}
 	ids := append([]int64(nil), ix.lookup(val)...)
-	sortIDs(ids)
+	slices.Sort(ids)
 	rows := make([][]Value, 0, len(ids))
 	for _, id := range ids {
 		if r, ok := t.rows[id]; ok {

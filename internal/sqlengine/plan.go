@@ -74,6 +74,27 @@ type joinNode struct {
 	equi    equiConjunct
 }
 
+// accessPath is the physical access bound for one base table. SELECT
+// plans and UPDATE/DELETE target plans (dml.go) share it, so both pick
+// and describe their rows in one vocabulary.
+type accessPath struct {
+	t      *Table
+	access accessKind
+	hashIx *Index
+	ordIx  *OrderedIndex
+	keyCol int  // ordinal of the access column in the base row
+	eq     Expr // equality probe value (point access)
+	lo, hi *planBound
+
+	// exact restricts the path to probes that select precisely the rows
+	// Compare-equality would: no DOUBLE key column (NaN compares equal to
+	// everything and -0 = 0, neither of which an index key reproduces)
+	// and no DOUBLE probe value (an integer key compares through float64
+	// and loses precision above 2^53). SELECT keeps the documented index
+	// caveat; DML changes data and must not.
+	exact bool
+}
+
 // selectPlan is a compiled physical plan for one SELECT: every column
 // reference resolved to a row ordinal, the access path and join
 // strategies chosen, and the projection/order machinery pre-bound. A
@@ -83,13 +104,7 @@ type selectPlan struct {
 	sel   *SelectStmt
 	epoch uint64
 
-	t      *Table
-	access accessKind
-	hashIx *Index
-	ordIx  *OrderedIndex
-	keyCol int  // ordinal of the access column in the base row
-	eq     Expr // equality probe value (point access)
-	lo, hi *planBound
+	accessPath
 
 	joins []joinNode
 	cols  []boundColumn // final combined bindings
@@ -148,7 +163,7 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 	if sel.From.Alias != "" {
 		qual = strings.ToLower(sel.From.Alias)
 	}
-	p := &selectPlan{sel: sel, epoch: d.epoch, t: t, keyCol: -1}
+	p := &selectPlan{sel: sel, epoch: d.epoch, accessPath: accessPath{t: t, keyCol: -1}}
 	cols := make([]boundColumn, len(t.Columns))
 	for i, c := range t.Columns {
 		cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
@@ -261,7 +276,16 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if sel.Where != nil {
 			foldedWhere = foldConstants(sel.Where)
 		}
-		d.chooseAccess(p, t, qual, foldedWhere)
+		if !p.chooseIndex(qual, foldedWhere) {
+			// No predicate-based access: a single-key ORDER BY over an
+			// ordered index can still replace the sort with an
+			// index-ordered full scan.
+			if ord, ok := p.effectiveOrderColumn(); ok {
+				if ix := orderedIndexOn(t, ord); ix != nil {
+					p.access, p.ordIx, p.keyCol = accessOrderedScan, ix, ord
+				}
+			}
+		}
 	}
 	p.bindOrderSatisfaction()
 
@@ -349,11 +373,13 @@ func baseColumn(e Expr, t *Table, qual string) (int, bool) {
 	return ci, true
 }
 
-// chooseAccess binds the best available index access: a hash point probe
-// first (the interpreter's own fast path), then an ordered point probe,
-// then an ordered range scan. Ties between indexes on the same column
-// break by name so plans are deterministic.
-func (d *Database) chooseAccess(p *selectPlan, t *Table, qual string, where Expr) {
+// chooseIndex binds the best index access the (folded, unrewritten)
+// WHERE clause admits: a hash point probe first (the interpreter's own
+// fast path), then an ordered point probe, then an ordered range scan.
+// Ties between indexes on the same column break by name so plans are
+// deterministic. It reports whether an index was bound.
+func (p *accessPath) chooseIndex(qual string, where Expr) bool {
+	t := p.t
 	var eqs []eqCand
 	ranges := map[int]*rangeCand{}
 	var rangeOrder []int
@@ -440,35 +466,30 @@ func (d *Database) chooseAccess(p *selectPlan, t *Table, qual string, where Expr
 		}
 	}
 
+	usable := func(col int) bool { return !p.exact || t.Columns[col].Type != TypeDouble }
 	// Hash point probe.
 	for _, eq := range eqs {
-		if ix := hashIndexOn(t, eq.col); ix != nil {
+		if ix := hashIndexOn(t, eq.col); ix != nil && usable(eq.col) {
 			p.access, p.hashIx, p.keyCol, p.eq = accessHashPoint, ix, eq.col, eq.val
-			return
+			return true
 		}
 	}
 	// Ordered point probe.
 	for _, eq := range eqs {
-		if ix := orderedIndexOn(t, eq.col); ix != nil {
+		if ix := orderedIndexOn(t, eq.col); ix != nil && usable(eq.col) {
 			p.access, p.ordIx, p.keyCol, p.eq = accessOrderedPoint, ix, eq.col, eq.val
-			return
+			return true
 		}
 	}
 	// Ordered range scan.
 	for _, col := range rangeOrder {
-		if ix := orderedIndexOn(t, col); ix != nil {
+		if ix := orderedIndexOn(t, col); ix != nil && usable(col) {
 			rc := ranges[col]
 			p.access, p.ordIx, p.keyCol, p.lo, p.hi = accessOrderedRange, ix, col, rc.lo, rc.hi
-			return
+			return true
 		}
 	}
-	// No predicate-based access: a single-key ORDER BY over an ordered
-	// index can still replace the sort with an index-ordered full scan.
-	if ord, ok := p.effectiveOrderColumn(); ok {
-		if ix := orderedIndexOn(t, ord); ix != nil {
-			p.access, p.ordIx, p.keyCol = accessOrderedScan, ix, ord
-		}
-	}
+	return false
 }
 
 // hashIndexOn returns the lexicographically first hash index on the
@@ -756,12 +777,10 @@ func refsAnyUnqualified(e Expr, names map[string]int) bool {
 	return found
 }
 
-// explainLines renders the plan node tree for EXPLAIN and daisql
-// -explain: access path, pushed-down bounds, join strategy, filter,
-// projection width, order strategy and limit handling.
-func (p *selectPlan) explainLines() []string {
-	lines := []string{fmt.Sprintf("select on %q", p.t.Name)}
-	access := fmt.Sprintf("  access: %s", p.access)
+// describe names the access kind and, for predicate-bound index
+// accesses, the index and the pushed-down key condition.
+func (p *accessPath) describe() string {
+	access := p.access.String()
 	switch p.access {
 	case accessHashPoint:
 		access += fmt.Sprintf(" via %s (%s.%s = ?)", p.hashIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name)
@@ -784,7 +803,17 @@ func (p *selectPlan) explainLines() []string {
 			parts = append(parts, p.t.Columns[p.keyCol].Name+" "+op+" ?")
 		}
 		access += fmt.Sprintf(" via %s (%s)", p.ordIx.Name, strings.Join(parts, " AND "))
-	case accessOrderedScan:
+	}
+	return access
+}
+
+// explainLines renders the plan node tree for EXPLAIN and daisql
+// -explain: access path, pushed-down bounds, join strategy, filter,
+// projection width, order strategy and limit handling.
+func (p *selectPlan) explainLines() []string {
+	lines := []string{fmt.Sprintf("select on %q", p.t.Name)}
+	access := "  access: " + p.describe()
+	if p.access == accessOrderedScan {
 		dir := "asc"
 		if p.desc {
 			dir = "desc"
@@ -846,12 +875,12 @@ func (p *selectPlan) explainLines() []string {
 // chunks the bound predicate's zone maps would skip. Predicates with
 // parameters cannot bind without values and report per-execution
 // evaluation instead. Caller holds d.mu for reading.
-func (d *Database) zoneMapLine(p *selectPlan) string {
-	bp, ok := bindVecPred(p.vec.pred, nil, p.t)
+func (d *Database) zoneMapLine(pred vecPred, t *Table) string {
+	bp, ok := bindVecPred(pred, nil, t)
 	if !ok {
 		return "  vector zone maps: evaluated per execution"
 	}
-	tc := p.t.ensureChunks()
+	tc := d.ensureChunks(t)
 	if !tc.ok {
 		return "  vector zone maps: column chunks unavailable (row fallback)"
 	}
@@ -878,17 +907,37 @@ func (d *Database) explainStatement(st Statement) []string {
 			return []string{"select: interpreted (" + reason + ")"}
 		}
 		if p.vec != nil && p.vec.pred != nil {
-			return append(append([]string(nil), p.explain...), d.zoneMapLine(p))
+			return append(append([]string(nil), p.explain...), d.zoneMapLine(p.vec.pred, p.t))
 		}
 		return p.explain
 	case *InsertStmt:
 		return []string{fmt.Sprintf("insert into %q (interpreted)", n.Table)}
 	case *UpdateStmt:
-		return []string{fmt.Sprintf("update %q (interpreted, full scan + per-row SET)", n.Table)}
+		return append(d.explainDML(fmt.Sprintf("update %q", n.Table), n),
+			fmt.Sprintf("  set: %d column(s), interpreted per target row", len(n.Set)))
 	case *DeleteStmt:
-		return []string{fmt.Sprintf("delete from %q (interpreted, full scan)", n.Table)}
+		return d.explainDML(fmt.Sprintf("delete from %q", n.Table), n)
 	}
 	return []string{fmt.Sprintf("%s (interpreted)", statementKind(st))}
+}
+
+// explainDML describes how an UPDATE or DELETE selects its target rows,
+// in the SELECT plans' vocabulary. Caller holds d.mu for reading.
+func (d *Database) explainDML(head string, st Statement) []string {
+	p, reason := d.planDML(st)
+	if p == nil {
+		return []string{head, "  access: full scan (interpreted: " + reason + ")"}
+	}
+	lines := []string{head, "  access: " + p.describe()}
+	if p.access == accessFullScan {
+		lines = append(lines,
+			fmt.Sprintf("  vector: columnar scan (chunks of %d rows) while the chunk cache is live, else interpreted walk", chunkRows),
+			"  vector filter: compiled kernels with zone-map skipping (walk on bind failure)")
+		if p.t.chunksLive() {
+			lines = append(lines, d.zoneMapLine(p.pred, p.t))
+		}
+	}
+	return append(lines, "  filter: interpreted WHERE re-check on candidates")
 }
 
 // statementKind names a statement for explain output.

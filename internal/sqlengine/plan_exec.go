@@ -3,7 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // filterChunkRows is the batch size for compiled-plan filter
@@ -34,6 +34,53 @@ func comparableWith(v Value, colType Type) bool {
 	return v.Type == colType
 }
 
+// inexact reports a probe value an exact path must not take to an
+// index: see accessPath.exact.
+func (p *accessPath) inexact(v Value) bool { return p.exact && v.Type == TypeDouble }
+
+// indexIDs resolves a predicate-bound index access (point or range) to
+// its candidate row IDs. ok=false is a runtime binding failure — a NULL
+// key, an uncoercible or incomparable bound, or (for exact paths) a
+// DOUBLE probe — and the caller widens to the whole table. IDs come
+// back ascending, or for a range scan with keyOrder set in index key
+// order (descending when desc). The result never aliases index storage.
+func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64, ok bool) {
+	colType := p.t.Columns[p.keyCol].Type
+	switch p.access {
+	case accessHashPoint:
+		v, ok := evalAccessValue(p.eq, params)
+		if !ok || p.inexact(v) {
+			return nil, false
+		}
+		// Coerce to the column type so the hash group key matches the
+		// stored representation, as the interpreter's probe does.
+		cv, err := v.Coerce(colType)
+		if err != nil {
+			return nil, false
+		}
+		ids = append(ids, p.hashIx.lookup(cv)...)
+		slices.Sort(ids)
+	case accessOrderedPoint:
+		v, ok := evalAccessValue(p.eq, params)
+		if !ok || !comparableWith(v, colType) || p.inexact(v) {
+			return nil, false
+		}
+		ids = append(ids, p.ordIx.lookup(v)...) // already id-ascending
+	case accessOrderedRange:
+		lo, hi, ok := p.rangeBounds(params)
+		if !ok {
+			return nil, false
+		}
+		ids = p.ordIx.appendRange(ids, lo, hi, keyOrder && desc)
+		if !keyOrder {
+			slices.Sort(ids)
+		}
+	default:
+		return nil, false
+	}
+	return ids, true
+}
+
 // baseRows gathers the base table's rows through the plan's access
 // path. Any runtime binding failure (NULL key, uncoercible or
 // incomparable bound) widens to a scan of the whole table: the full
@@ -45,49 +92,13 @@ func comparableWith(v Value, colType Type) bool {
 func (p *selectPlan) baseRows(params []Value) [][]Value {
 	t := p.t
 	var ids []int64
-	widen := false
-	switch p.access {
-	case accessFullScan:
-		widen = true
-	case accessHashPoint:
-		v, ok := evalAccessValue(p.eq, params)
-		if ok {
-			// Coerce to the column type so the hash group key matches the
-			// stored representation, as the interpreter's probe does.
-			cv, err := v.Coerce(t.Columns[p.keyCol].Type)
-			if err != nil {
-				ok = false
-			} else {
-				v = cv
-			}
-		}
-		if !ok {
-			widen = true
-			break
-		}
-		ids = append(ids, p.hashIx.lookup(v)...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	case accessOrderedPoint:
-		v, ok := evalAccessValue(p.eq, params)
-		if !ok || !comparableWith(v, t.Columns[p.keyCol].Type) {
-			widen = true
-			break
-		}
-		ids = append(ids, p.ordIx.lookup(v)...) // already id-ascending
-	case accessOrderedRange:
-		lo, hi, ok := p.rangeBounds(params)
-		if !ok {
-			widen = true
-			break
-		}
-		ids = p.ordIx.appendRange(ids, lo, hi, p.orderSatisfied && p.desc)
-		if !p.orderSatisfied {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-	case accessOrderedScan:
-		ids = p.ordIx.appendOrdered(ids, p.desc)
+	narrowed := false
+	if p.access == accessOrderedScan {
+		ids, narrowed = p.ordIx.appendOrdered(ids, p.desc), true
+	} else if p.access != accessFullScan {
+		ids, narrowed = p.indexIDs(params, p.orderSatisfied, p.desc)
 	}
-	if widen {
+	if !narrowed {
 		if p.orderSatisfied && p.ordIx != nil {
 			ids = p.ordIx.appendOrdered(ids, p.desc)
 		} else {
@@ -106,21 +117,24 @@ func (p *selectPlan) baseRows(params []Value) [][]Value {
 // rangeBounds evaluates the plan's pushed-down bounds. ok=false means a
 // bound evaluated to NULL or to a value Compare cannot order against
 // the key column — the access widens and the filter settles it.
-func (p *selectPlan) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
+func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 	colType := p.t.Columns[p.keyCol].Type
+	bound := func(b *planBound) (*ordBound, bool) {
+		v, ok := evalAccessValue(b.expr, params)
+		if !ok || !comparableWith(v, colType) || p.inexact(v) {
+			return nil, false
+		}
+		return &ordBound{val: v, incl: b.incl}, true
+	}
 	if p.lo != nil {
-		v, vok := evalAccessValue(p.lo.expr, params)
-		if !vok || !comparableWith(v, colType) {
+		if lo, ok = bound(p.lo); !ok {
 			return nil, nil, false
 		}
-		lo = &ordBound{val: v, incl: p.lo.incl}
 	}
 	if p.hi != nil {
-		v, vok := evalAccessValue(p.hi.expr, params)
-		if !vok || !comparableWith(v, colType) {
+		if hi, ok = bound(p.hi); !ok {
 			return nil, nil, false
 		}
-		hi = &ordBound{val: v, incl: p.hi.incl}
 	}
 	return lo, hi, true
 }

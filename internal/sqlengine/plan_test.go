@@ -247,8 +247,9 @@ func TestExplainStatement(t *testing.T) {
 	}
 	for sql, want := range map[string]string{
 		`EXPLAIN INSERT INTO rng VALUES (999, 1, 1, 'x', 0)`: `insert into "rng" (interpreted)`,
-		`EXPLAIN UPDATE rng SET s = 'y' WHERE id = 1`:        `update "rng" (interpreted`,
-		`EXPLAIN DELETE FROM rng WHERE id = 1`:               `delete from "rng" (interpreted`,
+		`EXPLAIN UPDATE rng SET s = 'y' WHERE id = 1`:        `access: hash point lookup via pk_rng_id (rng.id = ?)`,
+		`EXPLAIN DELETE FROM rng WHERE k >= 1 AND k < 3`:     `access: ordered range scan via rng_k (k >= ? AND k < ?)`,
+		`EXPLAIN DELETE FROM rng WHERE 1/k > 0`:              `access: full scan (interpreted: WHERE outside the error-free predicate class)`,
 		`EXPLAIN SELECT COUNT(*) FROM rng`:                   `vectorised aggregate`,
 		`EXPLAIN SELECT COUNT(DISTINCT k) FROM rng`:          `select: interpreted (`,
 	} {

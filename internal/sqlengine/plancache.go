@@ -7,17 +7,19 @@ import (
 )
 
 // Prepared pairs a parsed statement with the physical plan compiled for
-// it (nil when the statement is outside the plannable class — the
-// interpreter runs it). Prepared values are immutable and safe to share
-// across sessions; the plan carries the schema epoch it was built
-// against and is only dispatched while that epoch is current.
+// it: a select or aggregate plan for a SELECT, a target plan for an
+// UPDATE or DELETE (all nil when the statement is outside the plannable
+// class — the interpreter runs it). Prepared values are immutable and
+// safe to share across sessions; the plan carries the schema epoch it
+// was built against and is only dispatched while that epoch is current.
 type Prepared struct {
 	SQL     string
 	stmt    Statement
 	nparams int
 	plan    *selectPlan
 	agg     *aggPlan // vectorised aggregate plan; set only when plan is nil
-	reason  string   // why plan is nil, for diagnostics
+	dml     *dmlPlan // UPDATE/DELETE target plan; nil means the statement walks
+	reason  string   // why plan (or dml) is nil, for diagnostics
 }
 
 // Statement returns the parsed statement.
@@ -28,7 +30,7 @@ func (p *Prepared) Statement() Statement { return p.stmt }
 func (p *Prepared) NumParams() int { return p.nparams }
 
 // Planned reports whether a compiled physical plan is attached.
-func (p *Prepared) Planned() bool { return p.plan != nil }
+func (p *Prepared) Planned() bool { return p.plan != nil || p.dml != nil }
 
 // PlanCacheStats is a point-in-time snapshot of prepared-plan cache
 // counters.
@@ -187,13 +189,19 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 	if _, isExplain := stmt.(*ExplainStmt); isExplain {
 		return prep, nil
 	}
-	if sel, ok := stmt.(*SelectStmt); ok {
+	switch st := stmt.(type) {
+	case *SelectStmt:
 		e.db.mu.RLock()
 		epoch = e.db.epoch // re-read under the same latch the plan binds under
-		prep.plan, prep.reason = e.db.planSelect(sel)
+		prep.plan, prep.reason = e.db.planSelect(st)
 		if prep.plan == nil && prep.reason == "grouping/aggregates" {
-			prep.agg, _ = e.db.planAggregate(sel)
+			prep.agg, _ = e.db.planAggregate(st)
 		}
+		e.db.mu.RUnlock()
+	case *UpdateStmt, *DeleteStmt:
+		e.db.mu.RLock()
+		epoch = e.db.epoch
+		prep.dml, prep.reason = e.db.planDML(st)
 		e.db.mu.RUnlock()
 	}
 	if e.plans != nil {

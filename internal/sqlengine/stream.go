@@ -373,7 +373,7 @@ func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, params []V
 			bp, okBind = bindVecPred(p.vec.pred, params, p.t)
 		}
 		if okBind {
-			if tc := p.t.ensureChunks(); tc.ok {
+			if tc := db.ensureChunks(p.t); tc.ok {
 				go s.produceVector(rs, prodCtx, p, env, bp, tc, offset, limit)
 				return rs, nil
 			}

@@ -903,7 +903,7 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 			return nil, false, nil
 		}
 	}
-	tc := p.t.ensureChunks()
+	tc := d.ensureChunks(p.t)
 	if !tc.ok {
 		return nil, false, nil
 	}
