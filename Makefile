@@ -74,6 +74,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmlutil/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowset -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSet -fuzztime $(FUZZTIME) ./internal/rowset/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowsetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

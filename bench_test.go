@@ -8,6 +8,7 @@ package dais_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -491,5 +492,92 @@ func BenchmarkScanAfterOneRowUpdate(b *testing.B) {
 		if _, err := s.Execute(dmlScan); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The bulk session is the paper's Fig. 5 path as the repository's
+// benchmark drives it (bulk_indirect): a factory-made response resource,
+// a rowset resource derived from it, the whole rowset pulled in
+// 4 096-row windows with two in flight, both resources destroyed — here
+// against an in-process daisd, so server and consumer share the process
+// and the figures cover both.
+const (
+	bulkSessionRows   = 50000
+	bulkSessionWindow = 4096
+)
+
+func bulkSession(tb testing.TB, f *bench.SQLFixture) {
+	ctx := context.Background()
+	c := f.Client
+	respRef, err := c.SQLExecuteFactory(ctx, f.Ref, `SELECT id, payload, num FROM data WHERE id >= ?`,
+		[]sqlengine.Value{sqlengine.NewInt(0)}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rowsetRef, err := c.SQLRowsetFactory(ctx, respRef, "", 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := 0
+	err = c.FetchPages(ctx, rowsetRef, client.FetchOptions{Chunks: 2, ChunkRows: bulkSessionWindow},
+		func(set *sqlengine.ResultSet) error {
+			rows += len(set.Rows)
+			return nil
+		})
+	if err != nil || rows != bulkSessionRows {
+		tb.Fatalf("fetched %d rows, want %d: %v", rows, bulkSessionRows, err)
+	}
+	if err := c.DestroyDataResource(ctx, rowsetRef); err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.DestroyDataResource(ctx, respRef); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func BenchmarkBulkSession(b *testing.B) {
+	f, _, err := bench.NewStreamFixture(bulkSessionRows, 1<<62)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	bulkSession(b, f) // warm: plan cache, connections, pooled buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bulkSession(b, f)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/bulkSessionRows, "ns/row")
+}
+
+// TestBulkSessionAllocCeiling pins what one bulk session allocates,
+// server and consumer together. Garbage was the largest single cost of
+// the path once — a quarter of the server's CPU went to marking it — and
+// it creeps back a copy at a time: a slab per row here, a string(data)
+// there. The ceiling is half of what a session allocated before rows
+// moved in batches (71 900 kB; EXPERIMENTS.md E21); it allocates about
+// 25 000 kB now.
+func TestBulkSessionAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation figures under the race detector are not the program's")
+	}
+	const ceilingKB = 71900 / 2
+	f, _, err := bench.NewStreamFixture(bulkSessionRows, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	bulkSession(t, f)
+	const sessions = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		bulkSession(t, f)
+	}
+	runtime.ReadMemStats(&after)
+	perSession := (after.TotalAlloc - before.TotalAlloc) / sessions / 1024
+	t.Logf("one bulk session allocates %d kB (ceiling %d kB)", perSession, ceilingKB)
+	if perSession > ceilingKB {
+		t.Fatalf("one bulk session allocates %d kB, over the ceiling of %d kB", perSession, ceilingKB)
 	}
 }

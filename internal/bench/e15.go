@@ -31,11 +31,13 @@ type E15Row struct {
 	SpilledBytes int64         `json:"spilled_bytes"`
 }
 
-// e15Fixture serves a streaming relational resource seeded with rows
-// three-column rows, buffering through the given memory cap.
-func e15Fixture(rows int, memCap int64) (*SQLFixture, *filestore.Store, error) {
+// NewStreamFixture serves a streaming relational resource seeded with
+// rows three-column rows (ordered index on id, like the benchmark's
+// bulk table), buffering through the given memory cap.
+func NewStreamFixture(rows int, memCap int64) (*SQLFixture, *filestore.Store, error) {
 	eng := sqlengine.New("bench")
 	eng.MustExec(`CREATE TABLE data (id INTEGER PRIMARY KEY, payload VARCHAR(64), num DOUBLE)`)
+	eng.MustExec(`CREATE ORDERED INDEX data_id_ord ON data (id)`)
 	// Batch inserts: a million single-row Executes would dominate the
 	// fixture setup, and the seeding is not what E15 measures.
 	var sb strings.Builder
@@ -86,7 +88,7 @@ func RunE15(rows int, chunkCounts []int) ([]E15Row, error) {
 		if spill {
 			memCap = 1 // every completed page goes to disk
 		}
-		f, store, err := e15Fixture(rows, memCap)
+		f, store, err := NewStreamFixture(rows, memCap)
 		if err != nil {
 			return nil, err
 		}

@@ -368,17 +368,52 @@ func (c *Client) GetTuples(ctx context.Context, ref ResourceRef, startPosition, 
 	return data, format, nil
 }
 
-// GetTuplesSet is GetTuples decoded into a result set.
+// GetTuplesSet is GetTuples decoded into a result set. The decoding
+// happens where the envelope parser reaches the dataset, in the same
+// pass over the reply, when the format's one-pass decoder takes it; a
+// dataset it leaves alone arrives as GetTuples' bytes and is decoded
+// from those, so the result and any error are Decode's either way.
 func (c *Client) GetTuplesSet(ctx context.Context, ref ResourceRef, startPosition, count int) (*sqlengine.ResultSet, error) {
-	data, format, err := c.GetTuples(ctx, ref, startPosition, count)
+	var inPass datasetDecoder
+	resp, err := c.invoke(soap.WithPayloadDecoder(ctx, inPass.decode), ref, ops.GetTuples,
+		ops.PageMsg{Start: startPosition, Count: count})
 	if err != nil {
 		return nil, err
 	}
+	ds := resp.Find(core.NSDAI, "Dataset")
+	if ds != nil && ds == inPass.el {
+		return inPass.set, nil
+	}
+	data, format := ops.DatasetPayload(ds)
 	codec, err := decodeFormats.Lookup(format)
 	if err != nil {
 		return nil, err
 	}
 	return codec.Decode(data)
+}
+
+// datasetDecoder is the payload decoder of a call that wants its
+// reply's dai:Dataset as a result set. el says which Dataset element set
+// was decoded from: a retried call parses more than one reply.
+type datasetDecoder struct {
+	el  *xmlutil.Element
+	set *sqlengine.ResultSet
+}
+
+func (d *datasetDecoder) decode(el *xmlutil.Element, t *xmlutil.Tokenizer) bool {
+	codec, err := decodeFormats.Lookup(el.AttrValue("", "formatURI"))
+	if err != nil {
+		return false
+	}
+	inTokens, ok := codec.(rowset.TokenDecoder)
+	if !ok {
+		return false
+	}
+	set, ok := inTokens.DecodeTokens(t)
+	if ok {
+		d.el, d.set = el, set
+	}
+	return ok
 }
 
 // --- WSRF ---

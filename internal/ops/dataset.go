@@ -16,7 +16,9 @@ import (
 func init() { soap.RegisterOpaquePayload(core.NSDAI, "Dataset") }
 
 // DatasetElement embeds encoded data in a response: XML formats are
-// embedded as element trees, others (CSV, binary) as text.
+// embedded as element trees, others (CSV, binary) as text. The element
+// takes data over — it may hold the bytes themselves, not a copy — so
+// the caller must not write to data afterwards.
 //
 // Payloads produced by the registered XML codecs (SQLRowset, WebRowSet)
 // are embedded verbatim as a Raw node: the codec just rendered a
@@ -30,7 +32,7 @@ func DatasetElement(formatURI string, data []byte) *xmlutil.Element {
 	trimmed := bytes.TrimSpace(data)
 	if len(trimmed) > 0 && trimmed[0] == '<' {
 		if formatURI == rowset.FormatSQLRowset || formatURI == rowset.FormatWebRowSet {
-			e.Children = append(e.Children, xmlutil.Raw(trimmed))
+			e.Children = append(e.Children, xmlutil.RawBytes(trimmed))
 			return e
 		}
 		if parsed, err := xmlutil.ParseBytes(trimmed); err == nil {
@@ -46,7 +48,8 @@ func DatasetElement(formatURI string, data []byte) *xmlutil.Element {
 // element: one built by DatasetElement, or one received in an envelope,
 // whose content arrives as a verbatim Raw span (the bytes the producer
 // sent) unless the fragment leaned on namespace declarations outside
-// itself, in which case its subtree is re-marshalled.
+// itself, in which case its subtree is re-marshalled. The bytes are the
+// element's own, lent for reading, not a copy.
 func DatasetPayload(e *xmlutil.Element) ([]byte, string) {
 	if e == nil {
 		return nil, ""
@@ -54,7 +57,7 @@ func DatasetPayload(e *xmlutil.Element) ([]byte, string) {
 	format := e.AttrValue("", "formatURI")
 	for _, c := range e.Children {
 		if raw, ok := c.(xmlutil.Raw); ok {
-			return []byte(raw), format
+			return raw.Bytes(), format
 		}
 	}
 	if kids := e.ChildElements(); len(kids) == 1 {

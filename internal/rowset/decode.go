@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"dais/internal/sqlengine"
 	"dais/internal/xmlutil"
@@ -23,11 +24,28 @@ import (
 // elements inside a cell — and Decode then takes the tree path, so the
 // result and the error text are the tree decoder's by construction
 // (decode_test.go fuzzes the equivalence).
+//
+// A one-pass decoder does not need the rendering to be a document of
+// its own: it reads from whatever tokenizer has reached the rendering's
+// root start tag. A consumer that expects a dataset inside an envelope
+// lends it the envelope's tokenizer (TokenDecoder), and the window is
+// tokenized once, where it lies, instead of being scanned to find its
+// end, copied out and tokenized again.
+
+// TokenDecoder is implemented by the codecs whose rendering is XML. t
+// is a tokenizer standing on the rendering's root start tag;
+// DecodeTokens reads through the matching end tag. ok = false is the
+// one-pass decoders' "not mine", wherever in the element it came up:
+// the caller rewinds t and decodes the element's bytes with Decode.
+// Nothing in the result aliases the document t reads.
+type TokenDecoder interface {
+	DecodeTokens(t *xmlutil.Tokenizer) (rs *sqlengine.ResultSet, ok bool)
+}
 
 // streamDecoder is the state the one-pass decoders share: the
 // tokenizer and the result set under construction.
 type streamDecoder struct {
-	tok  xmlutil.Tokenizer
+	tok  *xmlutil.Tokenizer
 	cols []sqlengine.ResultColumn
 	rows [][]sqlengine.Value
 
@@ -37,10 +55,12 @@ type streamDecoder struct {
 	slab []sqlengine.Value
 
 	// text collects the VARCHAR cells — their lengths parked in Value.I
-	// — until finish turns it into one string and slices every cell from
+	// — until result turns it into one string and slices every cell from
 	// it. Its tail is scratch for text that arrives in pieces.
 	text     []byte
 	varchars []int // the VARCHAR columns
+
+	rowsAt int // where in the document the first row starts
 }
 
 // next returns the next token, or TokenEOF when the document is
@@ -170,15 +190,36 @@ func (d *streamDecoder) appendValue(row []sqlengine.Value, text []byte, isNull b
 	return row, true
 }
 
-// finish checks that the document ends after its root element and
-// hands out the result set, giving every VARCHAR cell its slice of the
-// one string the window's text becomes.
-func (d *streamDecoder) finish() (*sqlengine.ResultSet, bool) {
-	if kind, err := d.tok.Next(); err != nil || kind != xmlutil.TokenEOF {
+// decodeDocument runs a one-pass decoder over data as a document of its
+// own: root reads the root element, after which the document must end.
+func decodeDocument(data []byte, root func(*streamDecoder) bool) (*sqlengine.ResultSet, bool) {
+	var tok xmlutil.Tokenizer
+	tok.Reset(data)
+	d := streamDecoder{tok: &tok}
+	if d.next() != xmlutil.TokenStart || !root(&d) {
 		return nil, false
 	}
+	if kind, err := tok.Next(); err != nil || kind != xmlutil.TokenEOF {
+		return nil, false
+	}
+	return d.result(), true
+}
+
+// decodeTokens runs a one-pass decoder over the element t stands on.
+func decodeTokens(t *xmlutil.Tokenizer, root func(*streamDecoder) bool) (*sqlengine.ResultSet, bool) {
+	d := streamDecoder{tok: t}
+	if !root(&d) {
+		return nil, false
+	}
+	return d.result(), true
+}
+
+// result hands out the result set, giving every VARCHAR cell its slice
+// of the one string the window's text becomes: the arena itself, which
+// is not written again.
+func (d *streamDecoder) result() *sqlengine.ResultSet {
 	if len(d.varchars) > 0 {
-		text := string(d.text)
+		text := unsafe.String(unsafe.SliceData(d.text), len(d.text))
 		for _, row := range d.rows {
 			for _, c := range d.varchars {
 				if v := &row[c]; v.Type == sqlengine.TypeVarchar { // not NULL
@@ -189,7 +230,7 @@ func (d *streamDecoder) finish() (*sqlengine.ResultSet, bool) {
 			}
 		}
 	}
-	return &sqlengine.ResultSet{Columns: d.cols, Rows: d.rows}, true
+	return &sqlengine.ResultSet{Columns: d.cols, Rows: d.rows}
 }
 
 // children reads the rest of the current element, calling each for
@@ -223,6 +264,9 @@ func (d *streamDecoder) children(space, local string, each func() bool) bool {
 // of the given name. A cell is NULL by its isNull attribute or, when
 // nullChild, by a webRowSet null marker inside it.
 func (d *streamDecoder) row(space, local string, nullChild bool) bool {
+	if d.rows == nil {
+		d.rowsAt = d.tok.Offset()
+	}
 	row := d.newRow()
 	ok := d.children(space, local, func() bool {
 		isNull := false
@@ -238,24 +282,40 @@ func (d *streamDecoder) row(space, local string, nullChild bool) bool {
 		return false
 	}
 	d.rows = append(d.rows, row)
+	if len(d.rows) == sampleRows {
+		// Size the row list and the text arena once, taking the rest of
+		// the document for rows like these — it is, but for closing tags
+		// and an envelope's tail — where appending alone would reallocate
+		// its way up through several times the final size. A document that
+		// goes on differently costs capacity in proportion to its length.
+		more := (d.tok.Size()-d.tok.Offset())/max((d.tok.Offset()-d.rowsAt)/sampleRows, 1) + 1
+		d.rows = slices.Grow(d.rows, more)
+		d.text = slices.Grow(d.text, len(d.text)/sampleRows*more)
+	}
 	return true
 }
 
 // decodeSQLRowsetStream is the one-pass DecodeSQLRowsetElement.
 func decodeSQLRowsetStream(data []byte) (*sqlengine.ResultSet, bool) {
-	var d streamDecoder
-	d.tok.Reset(data)
-	if d.next() != xmlutil.TokenStart || d.tok.Name().Local != "SQLRowset" {
-		return nil, false
+	return decodeDocument(data, (*streamDecoder).sqlRowset)
+}
+
+// DecodeTokens implements TokenDecoder.
+func (SQLRowsetCodec) DecodeTokens(t *xmlutil.Tokenizer) (*sqlengine.ResultSet, bool) {
+	return decodeTokens(t, (*streamDecoder).sqlRowset)
+}
+
+// sqlRowset reads an SQLRowset from its root start tag through its end
+// tag.
+func (d *streamDecoder) sqlRowset() bool {
+	if d.tok.Name().Local != "SQLRowset" {
+		return false
 	}
 	for {
 		switch d.next() {
 		case xmlutil.TokenText:
 		case xmlutil.TokenEnd:
-			if d.cols == nil {
-				return nil, false
-			}
-			return d.finish()
+			return d.cols != nil
 		case xmlutil.TokenStart:
 			var ok bool
 			switch {
@@ -269,10 +329,10 @@ func decodeSQLRowsetStream(data []byte) (*sqlengine.ResultSet, bool) {
 				ok = d.skip()
 			}
 			if !ok {
-				return nil, false
+				return false
 			}
 		default:
-			return nil, false
+			return false
 		}
 	}
 }
@@ -287,20 +347,26 @@ func (d *streamDecoder) sqlRowsetColumn() bool {
 
 // decodeWebRowSetStream is the one-pass decodeWebRowSetElement.
 func decodeWebRowSetStream(data []byte) (*sqlengine.ResultSet, bool) {
-	var d streamDecoder
-	d.tok.Reset(data)
-	if d.next() != xmlutil.TokenStart || d.tok.Name().Local != "webRowSet" {
-		return nil, false
+	return decodeDocument(data, (*streamDecoder).webRowSet)
+}
+
+// DecodeTokens implements TokenDecoder.
+func (WebRowSetCodec) DecodeTokens(t *xmlutil.Tokenizer) (*sqlengine.ResultSet, bool) {
+	return decodeTokens(t, (*streamDecoder).webRowSet)
+}
+
+// webRowSet reads a webRowSet from its root start tag through its end
+// tag.
+func (d *streamDecoder) webRowSet() bool {
+	if d.tok.Name().Local != "webRowSet" {
+		return false
 	}
 	haveData := false
 	for {
 		switch d.next() {
 		case xmlutil.TokenText:
 		case xmlutil.TokenEnd:
-			if !haveData {
-				return nil, false
-			}
-			return d.finish()
+			return haveData
 		case xmlutil.TokenStart:
 			var ok bool
 			switch {
@@ -315,10 +381,10 @@ func decodeWebRowSetStream(data []byte) (*sqlengine.ResultSet, bool) {
 				ok = d.skip()
 			}
 			if !ok {
-				return nil, false
+				return false
 			}
 		default:
-			return nil, false
+			return false
 		}
 	}
 }

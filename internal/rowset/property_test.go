@@ -2,6 +2,8 @@ package rowset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"dais/internal/sqlengine"
+	"dais/internal/xmlutil"
 )
 
 // Property-based round-trip coverage for the three standard codecs.
@@ -272,6 +275,127 @@ func TestUntypedColumnWindowIdentity(t *testing.T) {
 		}
 		if dec.Columns[0].Type != sqlengine.TypeDouble {
 			t.Fatalf("%s: computed column decoded as %s, want DOUBLE", name, dec.Columns[0].Type)
+		}
+	}
+}
+
+// webRowSetTree renders rows [from, to) as the element tree the
+// WebRowSet encoder's bytes are defined by: xmlutil.Marshal of this is
+// the oracle the direct encoder is held to.
+func webRowSetTree(rs *sqlengine.ResultSet, from, to int) *xmlutil.Element {
+	root := xmlutil.NewElement(NSWebRowSet, "webRowSet")
+	props := root.Add(NSWebRowSet, "properties")
+	props.AddText(NSWebRowSet, "concurrency", "1007")
+	props.AddText(NSWebRowSet, "rowset-type", "ResultSet.TYPE_SCROLL_INSENSITIVE")
+	meta := root.Add(NSWebRowSet, "metadata")
+	meta.AddText(NSWebRowSet, "column-count", fmt.Sprintf("%d", len(rs.Columns)))
+	for i, c := range effectiveColumnsRange(rs, from, to) {
+		cd := meta.Add(NSWebRowSet, "column-definition")
+		cd.AddText(NSWebRowSet, "column-index", fmt.Sprintf("%d", i+1))
+		cd.AddText(NSWebRowSet, "column-name", c.Name)
+		cd.AddText(NSWebRowSet, "column-type-name", typeName(c.Type))
+		if c.Table != "" {
+			cd.AddText(NSWebRowSet, "table-name", c.Table)
+		}
+	}
+	data := root.Add(NSWebRowSet, "data")
+	for _, row := range rs.Rows[from:to] {
+		cr := data.Add(NSWebRowSet, "currentRow")
+		for _, v := range row {
+			cv := cr.Add(NSWebRowSet, "columnValue")
+			if v.IsNull() {
+				cv.Add(NSWebRowSet, "null")
+			} else {
+				cv.SetText(v.String())
+			}
+		}
+	}
+	return root
+}
+
+// csvWriterEncode renders rows [from, to) through encoding/csv: the
+// oracle the direct CSV encoder is held to.
+func csvWriterEncode(t *testing.T, rs *sqlengine.ResultSet, from, to int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	header := make([]string, len(rs.Columns))
+	for i, c := range effectiveColumnsRange(rs, from, to) {
+		header[i] = c.Name + ":" + typeName(c.Type)
+	}
+	if err := w.Write(header); err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]string, len(rs.Columns))
+	for _, row := range rs.Rows[from:to] {
+		for i, v := range row {
+			switch {
+			case v.IsNull():
+				rec[i] = nullSentinel
+			case v.String() == "":
+				rec[i] = emptySentinel
+			case strings.HasPrefix(v.String(), `\`):
+				rec[i] = `\` + v.String()
+			default:
+				rec[i] = v.String()
+			}
+		}
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDirectEncodersMatchTheirOracles pins the WebRowSet and CSV
+// encoders, which write bytes straight from the values, to what they
+// replaced — the marshalled element tree and encoding/csv — over the
+// generated corpus, every window of a set of strings chosen to be
+// awkward for one format or the other, and a window long enough to pass
+// the point where the encoders size their buffer.
+func TestDirectEncodersMatchTheirOracles(t *testing.T) {
+	awkward := &sqlengine.ResultSet{
+		Columns: []sqlengine.ResultColumn{
+			{Name: `n,a"me`, Type: sqlengine.TypeVarchar, Table: "t<&>"},
+			{Name: " lead", Type: sqlengine.TypeNull},
+			{Name: "", Type: sqlengine.TypeDouble},
+		},
+	}
+	for i, s := range append([]string{
+		" leading space", "\ttab first", " nbsp first", " em space first", "trailing ",
+		`\.`, `.`, `\,`, `\"q`, `"`, `""`, "a\r\nb", "\r", "\n", ",", `a,"b",c`, "<&>\"'",
+	}, stringPool...) {
+		awkward.Rows = append(awkward.Rows, []sqlengine.Value{
+			sqlengine.NewString(s), randomValue(rand.New(rand.NewSource(int64(i))), sqlengine.TypeTimestamp),
+			sqlengine.NewDouble(float64(i) / 7),
+		})
+	}
+	sets := []*sqlengine.ResultSet{awkward, corpusSet(3 * sampleRows), {Columns: awkward.Columns}}
+	for seed := int64(0); seed < 60; seed++ {
+		sets = append(sets, randomResultSet(rand.New(rand.NewSource(seed))))
+	}
+	for n, rs := range sets {
+		for from := 0; from <= len(rs.Rows); from++ {
+			for _, to := range []int{from, min(from+1, len(rs.Rows)), len(rs.Rows)} {
+				got, err := WebRowSetCodec{}.EncodeRange(rs, from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := xmlutil.Marshal(webRowSetTree(rs, from, to)); !bytes.Equal(got, want) {
+					t.Fatalf("set %d [%d,%d): WebRowSet diverged from tree rendering:\n got %s\nwant %s", n, from, to, got, want)
+				}
+				got, err = CSVCodec{}.EncodeRange(rs, from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := csvWriterEncode(t, rs, from, to); !bytes.Equal(got, want) {
+					t.Fatalf("set %d [%d,%d): CSV diverged from encoding/csv:\n got %q\nwant %q", n, from, to, got, want)
+				}
+			}
 		}
 	}
 }

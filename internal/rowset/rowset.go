@@ -14,9 +14,13 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"dais/internal/sqlengine"
 	"dais/internal/xmlutil"
@@ -142,6 +146,32 @@ func valueFromText(t sqlengine.Type, text string, isNull bool) (sqlengine.Value,
 	return sqlengine.NewString(text).Coerce(t)
 }
 
+// appendCell appends the text of a non-NULL cell: the one renderer all
+// three encoders share. A VARCHAR goes through str, the format's
+// escaping of arbitrary text; every other type renders to digits,
+// letters and punctuation that no format needs to escape.
+func appendCell(dst []byte, v sqlengine.Value, str func(dst []byte, s string) []byte) []byte {
+	if v.Type == sqlengine.TypeVarchar {
+		return str(dst, v.S)
+	}
+	return v.AppendText(dst)
+}
+
+func appendXMLText(dst []byte, s string) []byte { return xmlutil.AppendEscaped(dst, s, false) }
+
+// sampleRows is how many rows of a window an encoder renders before it
+// sizes the buffer for the rest.
+const sampleRows = 16
+
+// reserve grows dst for the rows still to come, once sampleRows of
+// them have been rendered into dst[start:], at the sample's bytes per
+// row and an eighth more — so a window costs one allocation of about
+// its size, where appending alone would reallocate its way up and a
+// per-column guess reserved half as much again as a window needs.
+func reserve(dst []byte, start, rowsLeft int) []byte {
+	return slices.Grow(dst, (len(dst)-start)/sampleRows*rowsLeft*9/8+64)
+}
+
 // --- SQLRowset XML ---
 
 // NSDAIR is the WS-DAIR namespace used by the SQLRowset rendering.
@@ -165,44 +195,39 @@ func (c SQLRowsetCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
 // byte-identical to marshalling SQLRowsetElement (pinned by test), so
 // consumers cannot tell which path produced a page.
 func (SQLRowsetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
-	var b bytes.Buffer
-	b.Grow(256 + 48*(to-from)*(len(rs.Columns)+1))
-	b.WriteString(`<ns0:SQLRowset xmlns:ns0="` + NSDAIR + `"><ns0:Metadata>`)
+	b := append([]byte(nil), `<ns0:SQLRowset xmlns:ns0="`+NSDAIR+`"><ns0:Metadata>`...)
 	for _, c := range effectiveColumnsRange(rs, from, to) {
-		b.WriteString(`<ns0:Column name="`)
-		xmlutil.EscapeTo(&b, c.Name, true)
-		b.WriteString(`" type="`)
-		xmlutil.EscapeTo(&b, typeName(c.Type), true)
+		b = append(b, `<ns0:Column name="`...)
+		b = xmlutil.AppendEscaped(b, c.Name, true)
+		b = append(b, `" type="`...)
+		b = xmlutil.AppendEscaped(b, typeName(c.Type), true)
 		if c.Table != "" {
-			b.WriteString(`" table="`)
-			xmlutil.EscapeTo(&b, c.Table, true)
+			b = append(b, `" table="`...)
+			b = xmlutil.AppendEscaped(b, c.Table, true)
 		}
-		b.WriteString(`"/>`)
+		b = append(b, `"/>`...)
 	}
-	b.WriteString(`</ns0:Metadata>`)
-	for _, row := range rs.Rows[from:to] {
-		b.WriteString(`<ns0:Row>`)
+	b = append(b, `</ns0:Metadata>`...)
+	start := len(b)
+	for i, row := range rs.Rows[from:to] {
+		if i == sampleRows {
+			b = reserve(b, start, to-from-i)
+		}
+		b = append(b, `<ns0:Row>`...)
 		for _, v := range row {
-			switch {
-			case v.IsNull():
-				b.WriteString(`<ns0:Value isNull="true"/>`)
-			case v.Type == sqlengine.TypeVarchar:
-				// Note "" still takes this shape (SetText("") leaves a text
-				// node, so the tree path never emits <Value/> here either).
-				b.WriteString(`<ns0:Value>`)
-				xmlutil.EscapeTo(&b, v.S, false)
-				b.WriteString(`</ns0:Value>`)
-			default:
-				// Non-string renderings never contain markup characters.
-				b.WriteString(`<ns0:Value>`)
-				b.Write(v.AppendText(b.AvailableBuffer()))
-				b.WriteString(`</ns0:Value>`)
+			if v.IsNull() {
+				b = append(b, `<ns0:Value isNull="true"/>`...)
+				continue
 			}
+			// "" takes this shape too (SetText("") leaves a text node, so
+			// the tree path never emits <Value/> here either).
+			b = append(b, `<ns0:Value>`...)
+			b = appendCell(b, v, appendXMLText)
+			b = append(b, `</ns0:Value>`...)
 		}
-		b.WriteString(`</ns0:Row>`)
+		b = append(b, `</ns0:Row>`...)
 	}
-	b.WriteString(`</ns0:SQLRowset>`)
-	return b.Bytes(), nil
+	return append(b, `</ns0:SQLRowset>`...), nil
 }
 
 // SQLRowsetElement builds the XML tree without serialising, for callers
@@ -311,37 +336,57 @@ func (c WebRowSetCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
 }
 
 // EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page.
+// set, without materialising an intermediate page. Like the SQLRowset
+// encoder it writes the bytes straight from the values, byte-identical
+// to marshalling the equivalent element tree (pinned by test).
 func (WebRowSetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
-	root := xmlutil.NewElement(NSWebRowSet, "webRowSet")
-	props := root.Add(NSWebRowSet, "properties")
-	props.AddText(NSWebRowSet, "concurrency", "1007")
-	props.AddText(NSWebRowSet, "rowset-type", "ResultSet.TYPE_SCROLL_INSENSITIVE")
-
-	meta := root.Add(NSWebRowSet, "metadata")
-	meta.AddText(NSWebRowSet, "column-count", fmt.Sprintf("%d", len(rs.Columns)))
+	b := append([]byte(nil), `<ns0:webRowSet xmlns:ns0="`+NSWebRowSet+`"><ns0:properties>`+
+		`<ns0:concurrency>1007</ns0:concurrency>`+
+		`<ns0:rowset-type>ResultSet.TYPE_SCROLL_INSENSITIVE</ns0:rowset-type></ns0:properties>`+
+		`<ns0:metadata><ns0:column-count>`...)
+	b = strconv.AppendInt(b, int64(len(rs.Columns)), 10)
+	b = append(b, `</ns0:column-count>`...)
 	for i, c := range effectiveColumnsRange(rs, from, to) {
-		cd := meta.Add(NSWebRowSet, "column-definition")
-		cd.AddText(NSWebRowSet, "column-index", fmt.Sprintf("%d", i+1))
-		cd.AddText(NSWebRowSet, "column-name", c.Name)
-		cd.AddText(NSWebRowSet, "column-type-name", typeName(c.Type))
+		b = append(b, `<ns0:column-definition><ns0:column-index>`...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, `</ns0:column-index><ns0:column-name>`...)
+		b = appendXMLText(b, c.Name)
+		b = append(b, `</ns0:column-name><ns0:column-type-name>`...)
+		b = appendXMLText(b, typeName(c.Type))
+		b = append(b, `</ns0:column-type-name>`...)
 		if c.Table != "" {
-			cd.AddText(NSWebRowSet, "table-name", c.Table)
+			b = append(b, `<ns0:table-name>`...)
+			b = appendXMLText(b, c.Table)
+			b = append(b, `</ns0:table-name>`...)
 		}
+		b = append(b, `</ns0:column-definition>`...)
 	}
-	data := root.Add(NSWebRowSet, "data")
-	for _, row := range rs.Rows[from:to] {
-		cr := data.Add(NSWebRowSet, "currentRow")
+	if from == to {
+		return append(b, `</ns0:metadata><ns0:data/></ns0:webRowSet>`...), nil
+	}
+	b = append(b, `</ns0:metadata><ns0:data>`...)
+	start := len(b)
+	for i, row := range rs.Rows[from:to] {
+		if i == sampleRows {
+			b = reserve(b, start, to-from-i)
+		}
+		if len(row) == 0 {
+			b = append(b, `<ns0:currentRow/>`...)
+			continue
+		}
+		b = append(b, `<ns0:currentRow>`...)
 		for _, v := range row {
-			cv := cr.Add(NSWebRowSet, "columnValue")
 			if v.IsNull() {
-				cv.Add(NSWebRowSet, "null")
-			} else {
-				cv.SetText(v.String())
+				b = append(b, `<ns0:columnValue><ns0:null/></ns0:columnValue>`...)
+				continue
 			}
+			b = append(b, `<ns0:columnValue>`...)
+			b = appendCell(b, v, appendXMLText)
+			b = append(b, `</ns0:columnValue>`...)
 		}
+		b = append(b, `</ns0:currentRow>`...)
 	}
-	return xmlutil.Marshal(root), nil
+	return append(b, `</ns0:data></ns0:webRowSet>`...), nil
 }
 
 // Decode parses a webRowSet document: in one pass over the bytes where
@@ -419,37 +464,69 @@ func (c CSVCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
 }
 
 // EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page.
+// set, without materialising an intermediate page: the bytes a
+// csv.Writer would produce for the same records (pinned by test).
 func (CSVCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	header := make([]string, len(rs.Columns))
+	var b []byte
 	for i, c := range effectiveColumnsRange(rs, from, to) {
-		header[i] = c.Name + ":" + typeName(c.Type)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCSVField(b, "", c.Name+":"+typeName(c.Type))
 	}
-	if err := w.Write(header); err != nil {
-		return nil, err
-	}
-	rec := make([]string, len(rs.Columns))
-	for _, row := range rs.Rows[from:to] {
-		for i, v := range row {
-			switch {
-			case v.IsNull():
-				rec[i] = nullSentinel
-			case v.String() == "":
-				rec[i] = emptySentinel
-			case strings.HasPrefix(v.String(), `\`):
-				rec[i] = `\` + v.String()
-			default:
-				rec[i] = v.String()
+	b = append(b, '\n')
+	start := len(b)
+	for i, row := range rs.Rows[from:to] {
+		if i == sampleRows {
+			b = reserve(b, start, to-from-i)
+		}
+		for j, v := range row {
+			if j > 0 {
+				b = append(b, ',')
 			}
+			if v.IsNull() {
+				b = append(b, nullSentinel...)
+				continue
+			}
+			b = appendCell(b, v, appendCSVText)
 		}
-		if err := w.Write(rec); err != nil {
-			return nil, err
-		}
+		b = append(b, '\n')
 	}
-	w.Flush()
-	return buf.Bytes(), w.Error()
+	return b, nil
+}
+
+// appendCSVText appends a VARCHAR cell: the empty string as its
+// sentinel, a leading backslash doubled so that no cell reads as one.
+func appendCSVText(dst []byte, s string) []byte {
+	switch {
+	case s == "":
+		return append(dst, emptySentinel...)
+	case s[0] == '\\':
+		return appendCSVField(dst, `\`, s)
+	}
+	return appendCSVField(dst, "", s)
+}
+
+// appendCSVField appends lead+s as one field under csv.Writer's rules:
+// quoted when it holds a comma, a quote or a line break or starts with
+// a space, with quotes doubled inside. lead is empty or the escaping
+// backslash before an s that starts with one, so looking at s decides
+// for both. (The writer also quotes the field `\.`, which is neither a
+// header nor, with the backslash doubled, a cell.)
+func appendCSVField(dst []byte, lead, s string) []byte {
+	r, _ := utf8.DecodeRuneInString(s)
+	if !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(r) {
+		return append(append(dst, lead...), s...)
+	}
+	dst = append(append(dst, '"'), lead...)
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			return append(append(dst, s...), '"')
+		}
+		dst = append(append(dst, s[:i]...), `""`...)
+		s = s[i+1:]
+	}
 }
 
 // Decode parses CSV produced by Encode.

@@ -5,20 +5,23 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"dais/internal/filestore"
 	"dais/internal/sqlengine"
 )
 
 // RowSource is the pull-based producer side of the streaming delivery
-// pipeline: anything that can yield rows one at a time with column
-// metadata known up front. Close must be idempotent — the buffer may
-// close a source once from the fill goroutine and once from Release.
-// *sqlengine.RowStream satisfies the interface structurally;
+// pipeline: anything that can yield rows a batch at a time with column
+// metadata known up front. A batch is not empty, and neither it nor its
+// rows are written by anyone once NextBatch has returned it: the buffer
+// keeps the slice as it stands. Close must be idempotent — the buffer
+// may close a source once from the fill goroutine and once from
+// Release. *sqlengine.RowStream satisfies the interface structurally;
 // NewSetSource adapts an already-materialised result set.
 type RowSource interface {
 	Columns() []sqlengine.ResultColumn
-	Next() ([]sqlengine.Value, error) // io.EOF after the last row
+	NextBatch() ([][]sqlengine.Value, error) // io.EOF after the last batch
 	Close() error
 }
 
@@ -36,13 +39,14 @@ type setSource struct {
 
 func (s *setSource) Columns() []sqlengine.ResultColumn { return s.rs.Columns }
 
-func (s *setSource) Next() ([]sqlengine.Value, error) {
+func (s *setSource) NextBatch() ([][]sqlengine.Value, error) {
 	if s.pos >= len(s.rs.Rows) {
 		return nil, io.EOF
 	}
-	row := s.rs.Rows[s.pos]
-	s.pos++
-	return row, nil
+	end := min(s.pos+DefaultPageRows, len(s.rs.Rows))
+	batch := s.rs.Rows[s.pos:end:end]
+	s.pos = end
+	return batch, nil
 }
 
 func (s *setSource) Close() error { return nil }
@@ -52,11 +56,17 @@ func (s *setSource) Close() error { return nil }
 // in the import graph (telemetry → ops → dair → rowset), so the buffer
 // cannot bind metrics itself; the service layer supplies callbacks
 // that record into its registry. All fields may be nil, and calls are
-// batched at page granularity to stay off the per-row hot path.
+// made once per batch to stay off the per-row hot path.
 type Hooks struct {
 	// RowsProduced is called with the number of rows newly sealed
 	// from the source.
 	RowsProduced func(n int)
+	// BatchProduced is called once per batch sealed, with the time the
+	// buffer spent getting it — waiting on the source, which for an
+	// engine stream is the scan at work, and sealing it. Production runs
+	// after the factory reply, outside any request, so this is the only
+	// place its time shows.
+	BatchProduced func(busy time.Duration)
 	// SpilledBytes is called with the encoded size of each page
 	// written to the spill store.
 	SpilledBytes func(n int64)
@@ -69,6 +79,12 @@ type Hooks struct {
 func (h Hooks) rowsProduced(n int) {
 	if h.RowsProduced != nil && n > 0 {
 		h.RowsProduced(n)
+	}
+}
+
+func (h Hooks) batchProduced(busy time.Duration) {
+	if h.BatchProduced != nil {
+		h.BatchProduced(busy)
 	}
 }
 
@@ -86,8 +102,9 @@ func (h Hooks) bufferDepth(delta int) {
 
 // BufferConfig tunes a Buffer.
 type BufferConfig struct {
-	// PageRows is the number of rows per internal page (the spill
-	// granularity). Defaults to DefaultPageRows.
+	// PageRows bounds the rows per internal page (the spill
+	// granularity): a batch larger than this is sealed as several
+	// pages. Defaults to DefaultPageRows.
 	PageRows int
 	// MemCap bounds the estimated bytes of row data held in memory;
 	// once sealed pages exceed it, the oldest are spilled. Zero (or a
@@ -109,14 +126,15 @@ const DefaultPageRows = 1024
 
 // Buffer is the bounded producer/consumer stage between a RowSource
 // and GetTuples-style window reads. A fill goroutine drains the source
-// as fast as it can, sealing rows into fixed-size pages; readers ask
-// for 1-based windows and block only while the window overlaps the
-// still-unproduced tail. When the sealed pages exceed MemCap, the
-// oldest spill to the filestore and are decoded back on demand, so a
-// service-managed rowset can exceed RAM.
+// as fast as it can, sealing each batch as a page (or as several, when
+// it holds more than PageRows rows); readers ask for 1-based windows
+// and block only while the window overlaps the still-unproduced tail.
+// When the sealed pages exceed MemCap, the oldest spill to the filestore
+// and are decoded back on demand, so a service-managed rowset can
+// exceed RAM.
 //
-// Page row slices are never mutated after sealing, so window reads
-// alias in-memory pages without copying.
+// A page is the source's batch slice itself, never written after the
+// hand-off, so window reads alias in-memory pages without copying.
 type Buffer struct {
 	cfg  BufferConfig
 	src  RowSource
@@ -124,7 +142,6 @@ type Buffer struct {
 
 	mu       sync.Mutex
 	pages    []*bufPage
-	open     *bufPage      // page currently being filled (not yet sealed)
 	produced int           // total rows drained from the source
 	resident int64         // estimated bytes of sealed in-memory pages
 	spilled  int64         // total bytes written to the spill store
@@ -205,68 +222,65 @@ func (b *Buffer) SpilledBytes() int64 {
 // release, spilling as the memory cap demands.
 func (b *Buffer) fill() {
 	for {
-		row, err := b.src.Next()
+		start := time.Now()
+		batch, err := b.src.NextBatch()
+		if err == nil && !b.seal(batch) {
+			err = io.EOF // released: nothing more is wanted
+		}
 		if err != nil {
 			b.finish(err)
 			return
 		}
-		b.mu.Lock()
-		if b.released {
-			b.mu.Unlock()
-			b.finish(io.EOF)
-			return
-		}
-		if b.open == nil {
-			b.open = &bufPage{start: b.produced, rows: make([][]sqlengine.Value, 0, b.cfg.PageRows)}
-		}
-		b.open.rows = append(b.open.rows, row)
-		b.open.n++
-		b.open.bytes += estimateRowBytes(row)
-		b.produced++
-		sealed := 0
-		if b.open.n >= b.cfg.PageRows {
-			sealed = b.sealLocked()
-		}
-		if b.waiters > 0 {
-			b.broadcastLocked()
-		}
-		b.mu.Unlock()
-		if sealed > 0 {
-			b.cfg.Hooks.rowsProduced(sealed)
-			b.cfg.Hooks.bufferDepth(sealed)
-			b.spillOver()
-		}
+		b.cfg.Hooks.rowsProduced(len(batch))
+		b.cfg.Hooks.bufferDepth(len(batch))
+		b.cfg.Hooks.batchProduced(time.Since(start))
+		b.spillOver()
 	}
 }
 
-// finish seals the trailing partial page, records the terminal state
-// and closes the source. err == io.EOF is clean exhaustion.
+// seal appends the batch to the sealed pages under one acquisition of
+// b.mu and wakes the readers. It reports false, sealing nothing, once
+// the buffer is released.
+func (b *Buffer) seal(batch [][]sqlengine.Value) bool {
+	pages := make([]bufPage, 0, (len(batch)+b.cfg.PageRows-1)/b.cfg.PageRows)
+	for rows := batch; len(rows) > 0; {
+		n := min(len(rows), b.cfg.PageRows)
+		p := bufPage{n: n, rows: rows[:n:n]}
+		if b.cfg.MemCap > 0 {
+			p.bytes = estimatePageBytes(p.rows)
+		}
+		pages = append(pages, p)
+		rows = rows[n:]
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.released {
+		return false
+	}
+	for i := range pages {
+		p := &pages[i]
+		p.start = b.produced
+		b.pages = append(b.pages, p)
+		b.produced += p.n
+		b.resident += p.bytes
+	}
+	if b.waiters > 0 {
+		b.broadcastLocked()
+	}
+	return true
+}
+
+// finish records the terminal state and closes the source. err ==
+// io.EOF is clean exhaustion.
 func (b *Buffer) finish(err error) {
 	b.mu.Lock()
-	sealed := b.sealLocked()
 	b.done = true
 	if err != io.EOF {
 		b.err = err
 	}
 	b.broadcastLocked()
 	b.mu.Unlock()
-	b.cfg.Hooks.rowsProduced(sealed)
-	b.cfg.Hooks.bufferDepth(sealed)
-	b.spillOver()
 	b.src.Close()
-}
-
-// sealLocked moves the open page onto the sealed list and returns the
-// number of rows sealed. Caller holds b.mu.
-func (b *Buffer) sealLocked() int {
-	p := b.open
-	b.open = nil
-	if p == nil || p.n == 0 {
-		return 0
-	}
-	b.pages = append(b.pages, p)
-	b.resident += p.bytes
-	return p.n
 }
 
 // broadcastLocked wakes every blocked reader. Caller holds b.mu.
@@ -383,18 +397,14 @@ func (b *Buffer) Window(ctx context.Context, startPosition, count int) (*sqlengi
 		return out, nil
 	}
 	// Snapshot the page descriptors covering [from, to); sealed page
-	// row slices are immutable, so they can be read outside the lock,
-	// and the open page only ever appends past the length captured
-	// here. Spilled pages are re-read from the store below.
+	// row slices are immutable, so they can be read outside the lock.
+	// Spilled pages are re-read from the store below.
 	refs := make([]bufPage, 0, (to-from)/b.cfg.PageRows+2)
 	for _, p := range b.pages {
 		if p.start+p.n <= from || p.start >= to {
 			continue
 		}
 		refs = append(refs, bufPage{start: p.start, n: p.n, rows: p.rows, off: p.off, size: p.size})
-	}
-	if p := b.open; p != nil && p.start < to && p.start+p.n > from {
-		refs = append(refs, bufPage{start: p.start, n: p.n, rows: p.rows[:p.n]})
 	}
 	store, spillName := b.cfg.Spill, b.cfg.SpillName
 	b.mu.Unlock()
@@ -488,7 +498,6 @@ func (b *Buffer) Release() {
 		}
 	}
 	b.pages = nil
-	b.open = nil
 	b.resident = 0
 	b.broadcastLocked()
 	b.mu.Unlock()
@@ -501,12 +510,24 @@ func (b *Buffer) Release() {
 	}
 }
 
-// estimateRowBytes approximates a row's in-memory footprint for the
-// MemCap accounting: the Value struct itself plus string payloads.
-func estimateRowBytes(row []sqlengine.Value) int64 {
-	n := int64(len(row)) * 80 // Value struct + slice slot, roughly
-	for _, v := range row {
-		n += int64(len(v.S))
+// estimatePageBytes approximates a page's in-memory footprint for the
+// MemCap accounting: per row the Value structs themselves plus their
+// string payloads. It is an estimate, so a long page is sized from
+// every stride-th row (about 64 of them) rather than by touching every
+// cell of rows that production has just finished touching.
+func estimatePageBytes(rows [][]sqlengine.Value) int64 {
+	stride := max(len(rows)/64, 1)
+	var sampled, n int64
+	for i := 0; i < len(rows); i += stride {
+		row := rows[i]
+		n += int64(len(row)) * 80 // Value struct + slice slot, roughly
+		for _, v := range row {
+			n += int64(len(v.S))
+		}
+		sampled++
 	}
-	return n
+	if sampled == 0 {
+		return 0
+	}
+	return n * int64(len(rows)) / sampled
 }

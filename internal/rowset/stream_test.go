@@ -128,31 +128,45 @@ func TestBufferWindowsMatchMaterialised(t *testing.T) {
 	}
 }
 
-// slowSource trickles rows out with a tiny delay so reads genuinely
-// overlap production.
-type slowSource struct {
-	rs    *sqlengine.ResultSet
-	pos   int
-	delay time.Duration
+// scriptedSource yields rs in batches of at most batch rows (one when
+// unset), calling before, when set, with the position each batch starts
+// at: to delay the batch, to block it, or to end production there with
+// the error it returns.
+type scriptedSource struct {
+	rs     *sqlengine.ResultSet
+	pos    int
+	batch  int
+	before func(pos int) error
 }
 
-func (s *slowSource) Columns() []sqlengine.ResultColumn { return s.rs.Columns }
+func (s *scriptedSource) Columns() []sqlengine.ResultColumn { return s.rs.Columns }
 
-func (s *slowSource) Next() ([]sqlengine.Value, error) {
+func (s *scriptedSource) NextBatch() ([][]sqlengine.Value, error) {
+	if s.before != nil {
+		if err := s.before(s.pos); err != nil {
+			return nil, err
+		}
+	}
 	if s.pos >= len(s.rs.Rows) {
 		return nil, io.EOF
 	}
-	time.Sleep(s.delay)
-	row := s.rs.Rows[s.pos]
-	s.pos++
-	return row, nil
+	end := min(s.pos+max(s.batch, 1), len(s.rs.Rows))
+	rows := s.rs.Rows[s.pos:end:end]
+	s.pos = end
+	return rows, nil
 }
 
-func (s *slowSource) Close() error { return nil }
+func (s *scriptedSource) Close() error { return nil }
+
+// slowSource trickles rows out one at a time with a tiny delay so reads
+// genuinely overlap production.
+func slowSource(rs *sqlengine.ResultSet, delay time.Duration) *scriptedSource {
+	return &scriptedSource{rs: rs, before: func(int) error { time.Sleep(delay); return nil }}
+}
 
 func TestBufferWindowBlocksForTail(t *testing.T) {
 	rs := corpusSet(50)
-	buf := NewBuffer(&slowSource{rs: rs, delay: 200 * time.Microsecond}, BufferConfig{PageRows: 8})
+	buf := NewBuffer(slowSource(rs, 200*time.Microsecond), BufferConfig{PageRows: 8})
 	defer buf.Release()
 	// Ask for the tail immediately: the call must block until rows 41..50
 	// exist, then return exactly them.
@@ -172,7 +186,14 @@ func TestBufferWindowBlocksForTail(t *testing.T) {
 func TestBufferWindowHonoursContext(t *testing.T) {
 	rs := corpusSet(5)
 	blocked := make(chan struct{})
-	src := &stuckSource{rs: rs, stuckAt: 3, blocked: blocked}
+	// Three rows, then production blocks until released.
+	src := &scriptedSource{rs: rs, before: func(pos int) error {
+		if pos >= 3 {
+			<-blocked
+			return io.EOF
+		}
+		return nil
+	}}
 	buf := NewBuffer(src, BufferConfig{PageRows: 2})
 	defer buf.Release()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -183,59 +204,25 @@ func TestBufferWindowHonoursContext(t *testing.T) {
 	close(blocked)
 }
 
-// stuckSource produces stuckAt rows then blocks until released.
-type stuckSource struct {
-	rs      *sqlengine.ResultSet
-	pos     int
-	stuckAt int
-	blocked chan struct{}
-}
-
-func (s *stuckSource) Columns() []sqlengine.ResultColumn { return s.rs.Columns }
-
-func (s *stuckSource) Next() ([]sqlengine.Value, error) {
-	if s.pos >= s.stuckAt {
-		<-s.blocked
-		return nil, io.EOF
-	}
-	row := s.rs.Rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-func (s *stuckSource) Close() error { return nil }
-
-// failSource produces okRows rows then fails.
-type failSource struct {
-	rs     *sqlengine.ResultSet
-	pos    int
-	okRows int
-}
-
-func (s *failSource) Columns() []sqlengine.ResultColumn { return s.rs.Columns }
-
-func (s *failSource) Next() ([]sqlengine.Value, error) {
-	if s.pos >= s.okRows {
-		return nil, fmt.Errorf("mid-stream failure")
-	}
-	row := s.rs.Rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-func (s *failSource) Close() error { return nil }
-
 func TestBufferProductionErrorSurfaces(t *testing.T) {
 	rs := corpusSet(20)
-	buf := NewBuffer(&failSource{rs: rs, okRows: 7}, BufferConfig{PageRows: 4})
+	// Seven rows, then production fails.
+	src := &scriptedSource{rs: rs, before: func(pos int) error {
+		if pos >= 7 {
+			return fmt.Errorf("mid-stream failure")
+		}
+		return nil
+	}}
+	buf := NewBuffer(src, BufferConfig{PageRows: 4})
 	defer buf.Release()
-	// Even a window over already-produced rows reports the failure: a
-	// partial result from a failed query must never be served.
-	if _, err := buf.Window(context.Background(), 1, 2); err == nil {
-		t.Fatal("window over failed production should error")
-	}
 	if _, err := buf.FinalCount(context.Background()); err == nil {
 		t.Fatal("final count over failed production should error")
+	}
+	// Once production has failed, even a window over already-produced
+	// rows reports the failure: a partial result from a failed query
+	// must never be served.
+	if _, err := buf.Window(context.Background(), 1, 2); err == nil {
+		t.Fatal("window over failed production should error")
 	}
 	if buf.Err() == nil {
 		t.Fatal("Err should report the production failure")
@@ -245,7 +232,7 @@ func TestBufferProductionErrorSurfaces(t *testing.T) {
 func TestBufferReleaseDeletesSpillAndStopsProducer(t *testing.T) {
 	store := filestore.NewStore("spill-test")
 	rs := corpusSet(200)
-	buf := NewBuffer(&slowSource{rs: rs, delay: 50 * time.Microsecond}, BufferConfig{
+	buf := NewBuffer(slowSource(rs, 50*time.Microsecond), BufferConfig{
 		PageRows:  8,
 		MemCap:    1,
 		Spill:     store,
@@ -284,16 +271,20 @@ func TestBufferRefCounting(t *testing.T) {
 
 func TestBufferHooksObserveProductionAndSpill(t *testing.T) {
 	var mu sync.Mutex
-	var produced, depth int
+	var produced, depth, batches int
 	var spilledBytes int64
+	var busy time.Duration
 	hooks := Hooks{
-		RowsProduced: func(n int) { mu.Lock(); produced += n; mu.Unlock() },
-		SpilledBytes: func(n int64) { mu.Lock(); spilledBytes += n; mu.Unlock() },
-		BufferDepth:  func(d int) { mu.Lock(); depth += d; mu.Unlock() },
+		RowsProduced:  func(n int) { mu.Lock(); produced += n; mu.Unlock() },
+		BatchProduced: func(d time.Duration) { mu.Lock(); batches++; busy += d; mu.Unlock() },
+		SpilledBytes:  func(n int64) { mu.Lock(); spilledBytes += n; mu.Unlock() },
+		BufferDepth:   func(d int) { mu.Lock(); depth += d; mu.Unlock() },
 	}
 	store := filestore.NewStore("spill-test")
 	rs := corpusSet(100)
-	buf := NewBuffer(NewSetSource(rs), BufferConfig{
+	// Batches of seven rows, each of them a millisecond in the making.
+	src := &scriptedSource{rs: rs, batch: 7, before: func(int) error { time.Sleep(time.Millisecond); return nil }}
+	buf := NewBuffer(src, BufferConfig{
 		PageRows: 10, MemCap: 1, Spill: store, SpillName: "hooked.spill", Hooks: hooks,
 	})
 	if _, err := buf.FinalCount(context.Background()); err != nil {
@@ -304,6 +295,9 @@ func TestBufferHooksObserveProductionAndSpill(t *testing.T) {
 	defer mu.Unlock()
 	if produced != 100 {
 		t.Fatalf("produced = %d, want 100", produced)
+	}
+	if batches != 15 || busy < 15*time.Millisecond {
+		t.Fatalf("%d batches in %v of production, want 15 in 15ms or more", batches, busy)
 	}
 	if spilledBytes == 0 {
 		t.Fatal("no spill observed")
@@ -320,7 +314,7 @@ func TestBufferHooksObserveProductionAndSpill(t *testing.T) {
 func TestBufferConcurrentReaders(t *testing.T) {
 	rs := corpusSet(600)
 	store := filestore.NewStore("spill-test")
-	buf := NewBuffer(&slowSource{rs: rs, delay: 5 * time.Microsecond}, BufferConfig{
+	buf := NewBuffer(slowSource(rs, 5*time.Microsecond), BufferConfig{
 		PageRows: 32, MemCap: 4096, Spill: store, SpillName: "conc.spill",
 	})
 	defer buf.Release()

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"dais/internal/core"
 	"dais/internal/dair"
@@ -26,11 +28,19 @@ const (
 	// MetricRowsetBufferDepth gauges memory-resident rows across all
 	// live streaming rowset buffers.
 	MetricRowsetBufferDepth = "dais_rowset_buffer_depth_rows"
+	// MetricRowsetBatches counts the batches streaming rowset buffers
+	// sealed, and MetricRowsetProductionSeconds the time they spent
+	// getting them: the scan at work behind a factory request that has
+	// long been answered. Production runs inside no request, so this is
+	// the server time that dais_request_seconds does not account for.
+	MetricRowsetBatches           = "dais_rowset_batches_total"
+	MetricRowsetProductionSeconds = "dais_rowset_production_seconds_total"
 )
 
 // RowsetStreamHooks binds the rowset buffer's observation callbacks to
 // a telemetry registry. Pass the result in the rowset.BufferConfig
-// given to dair.WithStreamDelivery. A nil registry yields no-op hooks.
+// given to dair.WithStreamDelivery, once per registry. A nil registry
+// yields no-op hooks.
 func RowsetStreamHooks(reg *telemetry.Registry) rowset.Hooks {
 	if reg == nil {
 		return rowset.Hooks{}
@@ -41,10 +51,19 @@ func RowsetStreamHooks(reg *telemetry.Registry) rowset.Hooks {
 		"Bytes spilled from streaming rowset buffers to the filestore.").With()
 	depth := reg.NewGaugeVec(MetricRowsetBufferDepth,
 		"Memory-resident rows across live streaming rowset buffers.").With()
+	batches := reg.NewCounterVec(MetricRowsetBatches,
+		"Batches sealed into streaming rowset buffers.").With()
+	// Seconds are a fraction, which a counter cannot hold: kept in
+	// nanoseconds, converted at scrape time.
+	var busy atomic.Int64
+	reg.RegisterCollector(func(emit func(telemetry.Sample)) {
+		emit(telemetry.Sample{Name: MetricRowsetProductionSeconds, Value: time.Duration(busy.Load()).Seconds()})
+	})
 	return rowset.Hooks{
-		RowsProduced: func(n int) { rows.Add(int64(n)) },
-		SpilledBytes: func(n int64) { spill.Add(n) },
-		BufferDepth:  func(delta int) { depth.Add(int64(delta)) },
+		RowsProduced:  func(n int) { rows.Add(int64(n)) },
+		BatchProduced: func(d time.Duration) { batches.Inc(); busy.Add(int64(d)) },
+		SpilledBytes:  func(n int64) { spill.Add(n) },
+		BufferDepth:   func(delta int) { depth.Add(int64(delta)) },
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,16 +108,16 @@ func TestNormalizeAbsentCountWaitsForTotal(t *testing.T) {
 	}
 }
 
-// gatedSource delays its first row until the gate closes.
+// gatedSource delays its first batch until the gate closes.
 type gatedSource struct {
 	src  rowset.RowSource
 	gate chan struct{}
 }
 
 func (g *gatedSource) Columns() []sqlengine.ResultColumn { return g.src.Columns() }
-func (g *gatedSource) Next() ([]sqlengine.Value, error) {
+func (g *gatedSource) NextBatch() ([][]sqlengine.Value, error) {
 	<-g.gate
-	return g.src.Next()
+	return g.src.NextBatch()
 }
 func (g *gatedSource) Close() error { return g.src.Close() }
 
@@ -128,13 +129,26 @@ func TestRowsetStreamHooksRecord(t *testing.T) {
 	hooks.SpilledBytes(2048)
 	hooks.BufferDepth(+5)
 	hooks.BufferDepth(-5)
+	hooks.BatchProduced(1500 * time.Millisecond)
+	hooks.BatchProduced(250 * time.Millisecond)
 	want := map[string]float64{
-		MetricRowsetRows:        10,
-		MetricRowsetSpillBytes:  2048,
-		MetricRowsetBufferDepth: 0,
+		MetricRowsetRows:              10,
+		MetricRowsetSpillBytes:        2048,
+		MetricRowsetBufferDepth:       0,
+		MetricRowsetBatches:           2,
+		MetricRowsetProductionSeconds: 1.75,
+	}
+	// As an operator sees them: scraped, not read from the registry.
+	var scraped strings.Builder
+	if err := reg.WritePrometheus(&scraped); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParsePrometheus(scraped.String())
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := map[string]float64{}
-	for _, s := range reg.Snapshot() {
+	for _, s := range samples {
 		got[s.Name] = s.Value
 	}
 	for name, val := range want {
@@ -148,7 +162,7 @@ func TestRowsetStreamHooksRecord(t *testing.T) {
 	}
 	// Nil registry: no hooks are bound, which the buffer treats as no-op.
 	none := RowsetStreamHooks(nil)
-	if none.RowsProduced != nil || none.SpilledBytes != nil || none.BufferDepth != nil {
+	if none.RowsProduced != nil || none.SpilledBytes != nil || none.BufferDepth != nil || none.BatchProduced != nil {
 		t.Fatal("nil registry must yield zero hooks")
 	}
 }

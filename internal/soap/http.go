@@ -48,6 +48,20 @@ func EndpointFromContext(ctx context.Context) string {
 	return url
 }
 
+// payloadDecoderKey is the context key of WithPayloadDecoder.
+type payloadDecoderKey struct{}
+
+// WithPayloadDecoder returns a context under which Client.Call offers
+// the content of the reply's opaque payloads (RegisterOpaquePayload) to
+// decode while it parses the envelope, instead of keeping it verbatim
+// for a second pass: a caller that knows what it will do with a dataset
+// does it where the bytes lie. A payload decode takes arrives as an
+// element without children; every retry of the call offers afresh, so
+// decode should note which element its result belongs to.
+func WithPayloadDecoder(ctx context.Context, decode xmlutil.PayloadDecoder) context.Context {
+	return context.WithValue(ctx, payloadDecoderKey{}, decode)
+}
+
 // retryAfter parses a Retry-After header value in delay-seconds form
 // (the only form this stack emits; HTTP-date values are ignored).
 func retryAfter(h http.Header) time.Duration {
@@ -171,7 +185,8 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 	// The response body is read into a pooled scratch buffer; this is
 	// safe because ParseEnvelope copies everything it keeps — strings,
 	// and the verbatim span of an opaque payload — out of the bytes it
-	// is handed, so nothing aliases the buffer once it is returned.
+	// is handed, and a payload decoder is held to the same, so nothing
+	// aliases the buffer once it is returned.
 	buf := getBuffer()
 	defer putBuffer(buf)
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
@@ -182,7 +197,8 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 	if c.onExchange != nil {
 		c.onExchange(action, len(payload), len(data))
 	}
-	env, err := ParseEnvelope(data)
+	decode, _ := ctx.Value(payloadDecoderKey{}).(xmlutil.PayloadDecoder)
+	env, err := parseEnvelope(data, decode)
 	if err != nil {
 		return nil, fmt.Errorf("soap: response (HTTP %d): %w", resp.StatusCode, err)
 	}

@@ -115,8 +115,13 @@ func RegisterOpaquePayload(space, local string) {
 
 // ParseEnvelope decodes a serialised envelope. Nothing in the result
 // aliases data.
-func ParseEnvelope(data []byte) (*Envelope, error) {
-	root, err := xmlutil.ParseBytesVerbatim(data, opaque)
+func ParseEnvelope(data []byte) (*Envelope, error) { return parseEnvelope(data, nil) }
+
+// parseEnvelope is ParseEnvelope with the content of opaque payloads
+// offered to decode (unless nil) in the same token pass: see
+// xmlutil.ParseBytesDecoding.
+func parseEnvelope(data []byte, decode xmlutil.PayloadDecoder) (*Envelope, error) {
+	root, err := xmlutil.ParseBytesDecoding(data, opaque, decode)
 	if err != nil {
 		return nil, fmt.Errorf("soap: %w", err)
 	}

@@ -1,6 +1,9 @@
 package sqlengine
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // OrderedIndex is a sorted posting structure over a single column: the
 // ordered sibling of the hash Index. Keys are kept in ascending Compare
@@ -143,6 +146,7 @@ func (ix *OrderedIndex) appendRange(dst []int64, lo, hi *ordBound, desc bool) []
 		}
 		end = sort.Search(len(ix.keys), func(i int) bool { return cmpKeys(ix.keys[i], hi.val) >= want })
 	}
+	dst = slices.Grow(dst, max(end-start, 0)) // an ID per key at least
 	if desc {
 		for i := end - 1; i >= start; i-- {
 			dst = append(dst, ix.post[i]...)

@@ -93,6 +93,13 @@ type accessPath struct {
 	// and loses precision above 2^53). SELECT keeps the documented index
 	// caveat; DML changes data and must not.
 	exact bool
+
+	// boundsAreWhere is set when the WHERE clause is nothing but the range
+	// conjuncts pushed down as lo and hi, on a key column an exact path
+	// could use. If the bounds then bind, and to no DOUBLE value, the index
+	// applies the whole predicate — one that cannot fail on any row — and
+	// the residual filter is skipped (see baseIDs).
+	boundsAreWhere bool
 }
 
 // selectPlan is a compiled physical plan for one SELECT: every column
@@ -112,6 +119,14 @@ type selectPlan struct {
 	where     Expr // rewritten filter, nil when absent
 	projCols  []ResultColumn
 	projExprs []Expr
+	// gather lists the base-row ordinals when the plan has no joins and
+	// every projection is a plain column reference (nil otherwise): such
+	// a projection cannot fail, so producers copy cells by ordinal
+	// instead of calling eval. identity marks the gather that is the
+	// table's own column list in order: the output row then is the stored
+	// row image, which streaming hands out uncopied.
+	gather   []int
+	identity bool
 
 	order          []planOrderKey
 	orderSatisfied bool // access path already yields ORDER BY order
@@ -272,6 +287,11 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 	// compiles the same vector predicate) as `WHERE x > 5`; the row
 	// executor keeps the unfolded p.where for exact error parity.
 	if len(p.joins) == 0 {
+		p.gather = gatherList(p.projExprs, t)
+		p.identity = len(p.gather) == len(t.Columns)
+		for i, c := range p.gather {
+			p.identity = p.identity && c == i
+		}
 		var foldedWhere Expr
 		if sel.Where != nil {
 			foldedWhere = foldConstants(sel.Where)
@@ -299,11 +319,8 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if p.where != nil {
 			pred, okPred = compileVecPred(foldConstants(p.where), t)
 		}
-		if okPred {
-			proj := gatherList(p.projExprs, t)
-			if pred != nil || proj != nil {
-				p.vec = &vecInfo{pred: pred, proj: proj}
-			}
+		if okPred && (pred != nil || p.gather != nil) {
+			p.vec = &vecInfo{pred: pred}
 		}
 	}
 	p.explain = p.explainLines()
@@ -383,10 +400,14 @@ func (p *accessPath) chooseIndex(qual string, where Expr) bool {
 	var eqs []eqCand
 	ranges := map[int]*rangeCand{}
 	var rangeOrder []int
+	// offered counts the bounds the conjuncts put forward; expected is what
+	// that count would be if every conjunct were a bound.
+	offered, expected := 0, 0
 	if where != nil {
 		var conjuncts []Expr
 		collectConjuncts(where, &conjuncts)
 		addBound := func(col int, b planBound, isLo bool) {
+			offered++
 			rc := ranges[col]
 			if rc == nil {
 				rc = &rangeCand{col: col}
@@ -400,6 +421,7 @@ func (p *accessPath) chooseIndex(qual string, where Expr) bool {
 			}
 		}
 		for _, c := range conjuncts {
+			expected++
 			switch n := c.(type) {
 			case *BinaryExpr:
 				col, colOnLeft := baseColumn(n.Left, t, qual)
@@ -453,6 +475,7 @@ func (p *accessPath) chooseIndex(qual string, where Expr) bool {
 					addBound(col, planBound{expr: other, incl: true}, true)
 				}
 			case *BetweenExpr:
+				expected++
 				if n.Negate {
 					continue
 				}
@@ -486,6 +509,13 @@ func (p *accessPath) chooseIndex(qual string, where Expr) bool {
 		if ix := orderedIndexOn(t, col); ix != nil && usable(col) {
 			rc := ranges[col]
 			p.access, p.ordIx, p.keyCol, p.lo, p.hi = accessOrderedRange, ix, col, rc.lo, rc.hi
+			kept := 0
+			for _, b := range []*planBound{rc.lo, rc.hi} {
+				if b != nil {
+					kept++
+				}
+			}
+			p.boundsAreWhere = offered == expected && kept == offered && t.Columns[col].Type != TypeDouble
 			return true
 		}
 	}
@@ -844,13 +874,15 @@ func (p *selectPlan) explainLines() []string {
 		} else if p.where != nil {
 			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
 		}
-		if p.vec.proj != nil {
-			lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.vec.proj)))
+		if p.gather != nil {
+			lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.gather)))
 		} else {
 			lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
 		}
 	} else {
-		if p.where != nil {
+		if p.boundsAreWhere {
+			lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind exactly)")
+		} else if p.where != nil {
 			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
 		}
 		lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))

@@ -81,17 +81,20 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 	return ids, true
 }
 
-// baseRows gathers the base table's rows through the plan's access
+// baseIDs resolves the base table's row IDs through the plan's access
 // path. Any runtime binding failure (NULL key, uncoercible or
-// incomparable bound) widens to a scan of the whole table: the full
-// WHERE predicate is always re-applied, so a superset access path is
+// incomparable bound) widens to a scan of the whole table: the caller
+// re-applies the full WHERE predicate, so a superset access path is
 // exactly as correct as the narrowed one. When the plan's ORDER BY is
 // index-satisfied the widened scan still iterates the ordered index so
 // row order is preserved; otherwise row IDs are ascending, matching the
 // interpreter's scan order.
-func (p *selectPlan) baseRows(params []Value) [][]Value {
-	t := p.t
-	var ids []int64
+//
+// filtered reports that the IDs are exactly the rows WHERE accepts, so
+// the caller skips the predicate: the clause is nothing but the range
+// bounds (boundsAreWhere), they bound, and none to a DOUBLE — which an
+// integer key would be compared with through float64, unlike the index.
+func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 	narrowed := false
 	if p.access == accessOrderedScan {
 		ids, narrowed = p.ordIx.appendOrdered(ids, p.desc), true
@@ -100,18 +103,33 @@ func (p *selectPlan) baseRows(params []Value) [][]Value {
 	}
 	if !narrowed {
 		if p.orderSatisfied && p.ordIx != nil {
-			ids = p.ordIx.appendOrdered(ids, p.desc)
-		} else {
-			ids = t.scan()
+			return p.ordIx.appendOrdered(ids, p.desc), false
+		}
+		return p.t.scan(), false
+	}
+	if !p.boundsAreWhere {
+		return ids, false
+	}
+	for _, b := range []*planBound{p.lo, p.hi} {
+		if b != nil {
+			if v, _ := evalAccessValue(b.expr, params); v.Type == TypeDouble {
+				return ids, false
+			}
 		}
 	}
-	rows := make([][]Value, 0, len(ids))
+	return ids, true
+}
+
+// baseRows is baseIDs resolved to the stored row images.
+func (p *selectPlan) baseRows(params []Value) (rows [][]Value, filtered bool) {
+	ids, filtered := p.baseIDs(params)
+	rows = make([][]Value, 0, len(ids))
 	for _, id := range ids {
-		if r, ok := t.rows[id]; ok {
+		if r, ok := p.t.rows[id]; ok {
 			rows = append(rows, r)
 		}
 	}
-	return rows
+	return rows, filtered
 }
 
 // rangeBounds evaluates the plan's pushed-down bounds. ok=false means a
@@ -157,7 +175,7 @@ func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) 
 		}
 	}
 	env := &evalEnv{cols: p.cols, params: params, db: d, ctx: ctx}
-	rows := p.baseRows(params)
+	rows, whereDone := p.baseRows(params)
 
 	// Joins: the strategy was decided at plan time; disableHashJoin is
 	// still consulted per execution so the equivalence toggle works on
@@ -195,7 +213,7 @@ func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) 
 
 	// Batched filter: evaluate the compiled predicate over a chunk into
 	// a selection vector, then gather survivors.
-	if p.where != nil {
+	if p.where != nil && !whereDone {
 		filtered := rows[:0:0]
 		var sel [filterChunkRows]bool
 		for start := 0; start < len(rows); start += filterChunkRows {

@@ -202,6 +202,10 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng WHERE k > 3`, `access: ordered range scan via rng_k (k > ?)`},
 		{`SELECT id FROM rng WHERE k BETWEEN 2 AND 5`, `access: ordered range scan via rng_k (k >= ? AND k <= ?)`},
 		{`SELECT id FROM rng WHERE k >= 1 AND k < 9`, `access: ordered range scan via rng_k (k >= ? AND k < ?)`},
+		{`SELECT id FROM rng WHERE k >= 1 AND k < 9`, `filter: satisfied by access path`},
+		{`SELECT id FROM rng WHERE 1 = 1 AND k BETWEEN ? AND ?`, `filter: satisfied by access path`},
+		{`SELECT id FROM rng WHERE k >= 1 AND id < 9`, `filter: batched predicate`},
+		{`SELECT id FROM rng WHERE k >= 1 AND k >= 5`, `filter: batched predicate`},
 		{`SELECT k FROM rng ORDER BY k`, `order: satisfied by index (no sort)`},
 		{`SELECT k FROM rng ORDER BY k DESC`, `access: ordered full scan via rng_k (rng.k desc)`},
 		{`SELECT id FROM rng ORDER BY k_noix`, `order: sort on 1 key(s)`},
@@ -220,6 +224,41 @@ func TestPlanAccessPaths(t *testing.T) {
 		if !strings.Contains(joined, tc.want) {
 			t.Fatalf("Explain(%s):\n%s\nmissing %q", tc.sql, joined, tc.want)
 		}
+	}
+}
+
+// TestRangeFilterSatisfiedByAccessPath: a WHERE that is nothing but the
+// pushed-down bounds is not evaluated again on the rows the ordered
+// index selected — unless a bound does not bind exactly (NULL, a DOUBLE
+// against the integer key, a type Compare rejects), when the scan widens
+// or the filter runs and the interpreter's rows and errors come back.
+func TestRangeFilterSatisfiedByAccessPath(t *testing.T) {
+	e := planEngine(t, 150)
+	e.MustExec(`CREATE ORDERED INDEX rng_d ON rng (d)`)
+	e.MustExec(`CREATE ORDERED INDEX rng_s ON rng (s)`)
+	for _, tc := range []struct {
+		sql    string
+		params []Value
+	}{
+		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewInt(7)}},
+		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewBigint(7)}},
+		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewDouble(6.5)}},
+		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewDouble(9007199254740993)}},
+		{`SELECT * FROM rng WHERE k >= ?`, []Value{Null}},
+		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewString("7")}},
+		{`SELECT * FROM rng WHERE k BETWEEN ? AND ?`, []Value{NewInt(3), NewInt(11)}},
+		{`SELECT * FROM rng WHERE k BETWEEN ? AND ?`, []Value{NewInt(11), NewInt(3)}},
+		{`SELECT * FROM rng WHERE k BETWEEN ? AND ?`, []Value{NewInt(3), NewDouble(10.5)}},
+		{`SELECT * FROM rng WHERE ? < k AND k <= ?`, []Value{NewInt(3), NewInt(11)}},
+		{`SELECT * FROM rng WHERE k >= 3 AND k >= 15`, nil},
+		{`SELECT * FROM rng WHERE k > 3 AND k_noix < 9`, nil},
+		{`SELECT * FROM rng WHERE d >= ?`, []Value{NewDouble(0)}}, // DOUBLE key: never satisfied
+		{`SELECT * FROM rng WHERE d >= ?`, []Value{NewInt(0)}},
+		{`SELECT * FROM rng WHERE s >= ? AND s < ?`, []Value{NewString("v-003"), NewString("v-009")}},
+		{`SELECT * FROM rng WHERE s >= ?`, []Value{NewInt(3)}},
+		{`SELECT id, k FROM rng WHERE k >= ? ORDER BY k DESC LIMIT 5 OFFSET 2`, []Value{NewInt(12)}},
+	} {
+		execBothWays(t, e, tc.sql, tc.params...)
 	}
 }
 

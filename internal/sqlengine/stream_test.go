@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -140,7 +141,9 @@ func TestExecuteStreamSetupErrors(t *testing.T) {
 }
 
 func TestExecuteStreamCancel(t *testing.T) {
-	e := streamEngine(t, 2000)
+	// Enough rows that the producer is still blocked on a batch hand-off
+	// when the cancellation lands.
+	e := streamEngine(t, 10000)
 	ctx, cancel := context.WithCancel(context.Background())
 	stream, err := e.NewSession().ExecuteStream(ctx, `SELECT id FROM items`)
 	if err != nil {
@@ -167,7 +170,7 @@ func TestExecuteStreamCancel(t *testing.T) {
 		t.Fatalf("err = %v, want CancelledError", lastErr)
 	}
 	// Locks must be released after the producer dies.
-	if _, err := e.NewSession().Execute(`INSERT INTO items VALUES (9999, 'y', 2)`); err != nil {
+	if _, err := e.NewSession().Execute(`INSERT INTO items VALUES (99999, 'y', 2)`); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -219,7 +222,7 @@ func TestExecuteStreamBackpressure(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	select {
 	case <-stream.done:
-		// The producer raced through 10k rows into a 64-slot channel
+		// The producer raced through 10k rows into a one-batch channel
 		// with nobody receiving, which cannot happen.
 		t.Fatal("producer finished without a consumer: no backpressure")
 	default:
@@ -244,5 +247,75 @@ func TestExecuteStreamInsideTxnFallsBack(t *testing.T) {
 	}
 	if _, err := s.Execute(`COMMIT`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cloneRows deep-copies delivered rows, strings included.
+func cloneRows(rows [][]Value) [][]Value {
+	out := make([][]Value, len(rows))
+	for i, r := range rows {
+		out[i] = append([]Value(nil), r...)
+		for j := range out[i] {
+			out[i][j].S = strings.Clone(out[i][j].S)
+		}
+	}
+	return out
+}
+
+func sameRows(a, b [][]Value) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d rows, want %d", len(a), len(b))
+	}
+	for i := range a {
+		for j := range a[i] {
+			if x, y := a[i][j], b[i][j]; x.Type != y.Type || x.I != y.I || x.F != y.F || x.S != y.S || x.B != y.B {
+				return fmt.Errorf("row %d col %d is now %+v, was delivered as %+v", i, j, x, y)
+			}
+		}
+	}
+	return nil
+}
+
+// TestStreamedRowsSurviveLaterWrites: an identity projection streams the
+// table's stored row images uncopied, which is sound only because the
+// engine replaces an image and never writes into one. Whatever happens
+// to the rows after they were delivered — UPDATE, DELETE, a rolled-back
+// transaction, index DDL — what the consumer holds must not change.
+func TestStreamedRowsSurviveLaterWrites(t *testing.T) {
+	for _, sql := range []string{
+		`SELECT * FROM items`,                             // chunk scan
+		`SELECT id, label, num FROM items WHERE id >= 0`,  // ordered-index range, filter satisfied
+		`SELECT id, label, num FROM items WHERE num >= 0`, // chunk scan behind a kernel filter
+	} {
+		e := streamEngine(t, 3000)
+		e.MustExec(`CREATE ORDERED INDEX items_id_ord ON items (id)`)
+		stream, err := e.NewSession().ExecuteStream(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := drain(t, stream)
+		if len(held) != 3000 {
+			t.Fatalf("%s: %d rows", sql, len(held))
+		}
+		delivered := cloneRows(held)
+		s := e.NewSession()
+		for _, write := range []string{
+			`UPDATE items SET label = 'overwritten', num = -1 WHERE id < 2000`,
+			`DELETE FROM items WHERE id >= 1000 AND id < 2500`,
+			`BEGIN`,
+			`UPDATE items SET label = 'doomed' WHERE id < 500`,
+			`DELETE FROM items WHERE id >= 2500`,
+			`ROLLBACK`,
+			`CREATE INDEX items_label ON items (label)`,
+			`DROP INDEX items_id_ord`,
+			`INSERT INTO items VALUES (1500, 'reborn', 1)`,
+		} {
+			if _, err := s.Execute(write); err != nil {
+				t.Fatalf("%s: %v", write, err)
+			}
+		}
+		if err := sameRows(held, delivered); err != nil {
+			t.Fatalf("%s: a delivered row changed under a later write: %v", sql, err)
+		}
 	}
 }

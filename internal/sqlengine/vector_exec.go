@@ -31,13 +31,11 @@ const (
 )
 
 // vecInfo is a plan's vectorised-execution annotation: the compiled
-// chunk predicate (nil when the statement has no WHERE clause) and the
-// projection gather list (column ordinals when every output expression
-// is a plain column; nil means survivors materialise their row and
-// evaluate projections the row way).
+// chunk predicate (nil when the statement has no WHERE clause). The
+// plan's gather list says whether survivors project by columnar gather
+// or materialise their row and evaluate projections the row way.
 type vecInfo struct {
 	pred vecPred
-	proj []int
 }
 
 // vecPred is a plan-time compiled predicate tree. Operand expressions
@@ -916,7 +914,7 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 	var selbuf [chunkRows]int8
 	// Row materialisation is needed when some projection or sort key is
 	// not a plain column gather.
-	needRow := p.vec.proj == nil
+	needRow := p.gather == nil
 	for _, k := range p.order {
 		if k.kind == orderKeyExpr {
 			needRow = true
@@ -948,8 +946,8 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 				env.row = p.t.rows[ch.ids[i]]
 			}
 			vals := slab.next()
-			if p.vec.proj != nil {
-				for k, ci := range p.vec.proj {
+			if p.gather != nil {
+				for k, ci := range p.gather {
 					vals[k] = ch.vecs[ci].value(i)
 				}
 			} else {

@@ -18,6 +18,7 @@ type treeBuilder struct {
 	arena    []Element
 	nodes    []Node
 	verbatim []Name
+	decode   PayloadDecoder
 }
 
 // ParseBytes parses a complete XML document held in memory and returns
@@ -36,7 +37,29 @@ func ParseBytes(data []byte) (*Element, error) {
 // element that resolves a prefix through a declaration outside itself
 // is not a standalone fragment, and is built as a subtree as usual.
 func ParseBytesVerbatim(data []byte, verbatim []Name) (*Element, error) {
-	b := treeBuilder{verbatim: verbatim}
+	return ParseBytesDecoding(data, verbatim, nil)
+}
+
+// PayloadDecoder consumes the content of a verbatim element in the
+// parse's own token pass. payload is the element, name and attributes
+// set; t stands on the start tag of its one child element, and a
+// decoder that takes the content reads through that child's end tag
+// and reports true. One that reports false may leave t anywhere. What
+// it keeps of the content it must copy: t reads the parse's input.
+type PayloadDecoder func(payload *Element, t *Tokenizer) bool
+
+// ParseBytesDecoding is ParseBytesVerbatim for a caller that does not
+// want a verbatim element's content handed on but decoded: wherever
+// ParseBytesVerbatim would keep a Raw child, decode (unless nil) is
+// offered the content first, and if it takes it the element is left
+// without children — the caller has the content in whatever form decode
+// made of it, and the fragment was tokenized once, not scanned to find
+// its end, copied out and tokenized again. If decode turns the content
+// down, or the content is not a standalone fragment, the tokenizer is
+// rewound to where the content starts and the parse goes on as
+// ParseBytesVerbatim's, so its tree and its errors are those.
+func ParseBytesDecoding(data []byte, verbatim []Name, decode PayloadDecoder) (*Element, error) {
+	b := treeBuilder{verbatim: verbatim, decode: decode}
 	b.tok.Reset(data)
 	return b.run()
 }
@@ -71,12 +94,22 @@ func (b *treeBuilder) run() (*Element, error) {
 			}
 			cur = el
 			if b.keepsVerbatim(el.Name) && !t.pendingEnd {
-				raw, ok, err := b.scanVerbatim()
-				if err != nil {
-					return nil, err
+				// A failed attempt to decode, malformed content included,
+				// costs a rewind: the verbatim scan then finds what it finds.
+				taken := false
+				if b.decode != nil {
+					_, taken, _ = b.scanVerbatim(el, b.decode)
 				}
-				if ok { // the scan consumed the end tag too
-					b.appendChild(cur, raw)
+				if !taken {
+					raw, ok, err := b.scanVerbatim(el, nil)
+					if err != nil {
+						return nil, err
+					}
+					if taken = ok; ok {
+						b.appendChild(cur, raw)
+					}
+				}
+				if taken { // the scan consumed the end tag too
 					cur = cur.parent
 				}
 			}
@@ -96,12 +129,14 @@ func (b *treeBuilder) keepsVerbatim(n Name) bool {
 	return false
 }
 
-// scanVerbatim runs after the start tag of a verbatim element. It
+// scanVerbatim runs after the start tag of the verbatim element el. It
 // tokenizes through the matching end tag without building nodes — so a
 // malformed fragment fails the parse exactly as it would have — and
 // returns the content as a Raw when that is one standalone element.
-// Otherwise it rewinds the tokenizer to where it started.
-func (b *treeBuilder) scanVerbatim() (Raw, bool, error) {
+// Otherwise it rewinds the tokenizer to where it started. Given a
+// decoder, the one child element is the decoder's to read instead, and
+// a content it takes comes back as ok with an empty Raw.
+func (b *treeBuilder) scanVerbatim(el *Element, decode PayloadDecoder) (Raw, bool, error) {
 	t := &b.tok
 	rewind := *t // stack entries below the saved lengths are never written
 	t.nsFloor, t.usedOuter = len(t.ns), false
@@ -109,9 +144,10 @@ func (b *treeBuilder) scanVerbatim() (Raw, bool, error) {
 	start, end, children, depth := 0, 0, 0, 0
 	standalone := true
 scan:
-	for {
+	for standalone {
 		kind, err := t.Next()
 		if err != nil {
+			*t = rewind
 			return "", false, err
 		}
 		switch kind {
@@ -125,6 +161,10 @@ scan:
 			if depth == 0 {
 				children++
 				start = t.tagStart
+				if decode != nil {
+					standalone = children == 1 && decode(el, t)
+					continue
+				}
 			}
 			depth++
 		case TokenEnd:
@@ -141,6 +181,9 @@ scan:
 		return "", false, nil
 	}
 	t.nsFloor = 0
+	if decode != nil {
+		return "", true, nil
+	}
 	return Raw(t.data[start:end]), true, nil
 }
 

@@ -151,6 +151,14 @@ func (t *Tokenizer) Text() []byte {
 	return t.data[t.textStart:t.textEnd]
 }
 
+// Offset is how far into the document the tokenizer has read and Size
+// how long the document is: what a consumer needs to guess how much of
+// what it has seen so far is still to come.
+func (t *Tokenizer) Offset() int { return t.pos }
+
+// Size is the length of the document. See Offset.
+func (t *Tokenizer) Size() int { return len(t.data) }
+
 // PeekEnd reports whether the next token is an end tag. After a
 // TokenText that says whether the text was all its element holds.
 func (t *Tokenizer) PeekEnd() bool {

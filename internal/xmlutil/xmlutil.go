@@ -16,6 +16,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Name is a qualified XML name: a namespace URI plus a local part.
@@ -60,9 +61,22 @@ type Text string
 // well-formed standalone element with its own namespace declarations —
 // exactly what Marshal emits — so the surrounding document stays valid.
 // Parsing produces Raw nodes only where ParseBytesVerbatim is asked to;
-// being a string, such a node is a copy that owns its bytes and never
-// aliases the buffer the document was read into.
+// such a node is a copy that owns its bytes and never aliases the buffer
+// the document was read into.
+//
+// A Raw's bytes change hands without being copied: RawBytes takes over a
+// producer's rendering, Bytes lends it to a decoder. What makes that
+// sound is that nobody writes them afterwards — the producer is done
+// with the slice when it hands it over, and a consumer only reads.
 type Raw string
+
+// RawBytes returns b as a Raw without copying it. The caller gives b
+// up: it must not write to it again.
+func RawBytes(b []byte) Raw { return Raw(unsafe.String(unsafe.SliceData(b), len(b))) }
+
+// Bytes returns the fragment's bytes without copying them. They are
+// read-only: the Raw may be shared, or a constant.
+func (r Raw) Bytes() []byte { return unsafe.Slice(unsafe.StringData(string(r)), len(r)) }
 
 func (Text) isNode()     {}
 func (Raw) isNode()      {}
@@ -540,10 +554,35 @@ func writeQName(b encWriter, n Name, ctx *nsContext) {
 	b.WriteString(n.Local)
 }
 
-// EscapeTo writes s into b with exactly Marshal's text-escaping rules
-// (attr additionally escapes the double quote), for encoders that emit
-// fragments byte-identical to a Marshal of the equivalent tree.
-func EscapeTo(b *bytes.Buffer, s string, attr bool) { writeEscaped(b, s, attr) }
+// AppendEscaped appends s to dst with exactly Marshal's text-escaping
+// rules (attr additionally escapes the double quote), for encoders that
+// emit fragments byte-identical to a Marshal of the equivalent tree. It
+// is writeEscaped for a byte slice; the two are kept apart because
+// sharing the per-byte test through a function cost Marshal a tenth.
+func AppendEscaped(dst []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			esc = "&quot;"
+		default:
+			continue
+		}
+		dst = append(append(dst, s[last:i]...), esc...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}
 
 // writeEscaped streams s with XML escaping, writing unescaped spans in
 // single WriteString calls so clean text (the overwhelmingly common
