@@ -34,12 +34,13 @@ bench-smoke:
 
 # Fault-injection suite under the race detector: chaos byte-identity,
 # breaker recovery, admission shedding, vector scans beside DML plus the
-# three-seed planned-vs-walked DML differential, lifetime churn (100k
+# three-seed planned-vs-walked DML differential and the three-seed
+# vector/row/interpreter SELECT differential, lifetime churn (100k
 # registry cycles + 10k full-stack cycles racing the reaper) and the
 # short soak. CI runs this. Scale the churn with DAIS_CHURN_CYCLES.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChaos|TestAdmission' ./internal/service/
-	$(GO) test -race -shuffle=on -count=1 -run 'TestChaosVector|TestChaosDML' ./internal/sqlengine/
+	$(GO) test -race -shuffle=on -count=1 -run 'TestChaosVector|TestChaosDML|TestChaosSelect' ./internal/sqlengine/
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChurn' ./internal/wsrf/ ./internal/loadgen/
 
 # Streaming-pipeline chaos: chunked fetch of a spilled 100k-row
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSet -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowsetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
+	$(GO) test -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) ./internal/sqlengine/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

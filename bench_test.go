@@ -581,3 +581,58 @@ func TestBulkSessionAllocCeiling(t *testing.T) {
 		t.Fatalf("one bulk session allocates %d kB, over the ceiling of %d kB", perSession, ceilingKB)
 	}
 }
+
+// E22 — the benchmark's six scan_agg statement texts (benchmark/gen.go),
+// one sub-benchmark each, over its 200 000-row facts and 64-row dims:
+// the per-template cost table behind the workload's cpu_ms_per_op.
+func BenchmarkScanTemplates(b *testing.B) {
+	const rows, groups, tags = 200000, 64, 7
+	eng := sqlengine.New("bench")
+	eng.MustExec(`CREATE TABLE facts (id INTEGER PRIMARY KEY, grp INTEGER, payload VARCHAR(64), num DOUBLE)`)
+	eng.MustExec(`CREATE TABLE dims (id INTEGER PRIMARY KEY, name VARCHAR(32))`)
+	s := eng.NewSession()
+	for i := 0; i < rows; i++ {
+		if _, err := s.Execute(`INSERT INTO facts VALUES (?, ?, ?, ?)`, sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(i%groups)),
+			sqlengine.NewString(fmt.Sprintf("k%d-%06d-payload", i%tags, i)), sqlengine.NewDouble(float64(i)*0.5)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < groups; i++ {
+		eng.MustExec(`INSERT INTO dims VALUES (?, ?)`, sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprintf("dim-%02d", i)))
+	}
+	num := func(i int) sqlengine.Value { return sqlengine.NewInt(int64(i)) }
+	dbl := func(i int) sqlengine.Value { return sqlengine.NewDouble(float64(i)) }
+	for _, tpl := range []struct {
+		name, sql string
+		params    func(i int) []sqlengine.Value
+	}{
+		{"between", `SELECT COUNT(*), SUM(num) FROM facts WHERE num BETWEEN ? AND ?`, func(i int) []sqlengine.Value {
+			lo := 1 + i*7919%(rows/2-1001)
+			return []sqlengine.Value{dbl(lo), dbl(lo + 1000)}
+		}},
+		{"like", `SELECT COUNT(*) FROM facts WHERE payload LIKE ? AND num > ?`, func(i int) []sqlengine.Value {
+			return []sqlengine.Value{sqlengine.NewString(fmt.Sprintf("k%d%%", i%tags)), dbl(i % 100)}
+		}},
+		{"groupby", `SELECT grp, COUNT(*), SUM(num) FROM facts GROUP BY grp`, func(int) []sqlengine.Value { return nil }},
+		{"interp", `SELECT SUM(num + id) FROM facts WHERE grp = ?`, func(i int) []sqlengine.Value { return []sqlengine.Value{num(i % groups)} }},
+		{"join", `SELECT d.name, COUNT(*), SUM(f.num) FROM (SELECT grp, num FROM facts WHERE id BETWEEN ? AND ?) f JOIN dims d ON f.grp = d.id GROUP BY d.name`,
+			func(i int) []sqlengine.Value {
+				lo := i * 7919 % (rows - 2000)
+				return []sqlengine.Value{num(lo), num(lo + 1999)}
+			}},
+		{"top", `SELECT id, num FROM facts WHERE grp = ? ORDER BY num DESC LIMIT 10`, func(i int) []sqlengine.Value { return []sqlengine.Value{num(i % groups)} }},
+	} {
+		b.Run(tpl.name, func(b *testing.B) {
+			if _, err := s.Execute(tpl.sql, tpl.params(0)...); err != nil { // plan cached, chunks built
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(tpl.sql, tpl.params(i)...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -21,6 +21,12 @@ const (
 	// scan, then one per chunk a write touched. A rate near the scan
 	// rate times the table's chunk count is a rebuild storm.
 	MetricVectorChunksRebuilt = "dais_vector_chunks_rebuilt_total"
+	// MetricVectorFallbacks counts executions that had a vector or
+	// aggregate plan and abandoned it for the row operators or the
+	// interpreter (an operand that did not bind, a zero divisor on a
+	// selected row): EXPLAIN says what was planned, this says how often
+	// it did not run on the kernels.
+	MetricVectorFallbacks = "dais_vector_fallbacks_total"
 )
 
 // RegisterVectorMetrics exposes an engine's columnar-execution counters
@@ -36,5 +42,6 @@ func RegisterVectorMetrics(reg *telemetry.Registry, eng *sqlengine.Engine) {
 		emit(telemetry.Sample{Name: MetricVectorBatches, Labels: labels, Value: float64(stats.Batches)})
 		emit(telemetry.Sample{Name: MetricVectorChunksSkipped, Labels: labels, Value: float64(stats.ChunksSkipped)})
 		emit(telemetry.Sample{Name: MetricVectorChunksRebuilt, Labels: labels, Value: float64(stats.ChunksRebuilt)})
+		emit(telemetry.Sample{Name: MetricVectorFallbacks, Labels: labels, Value: float64(stats.Fallbacks)})
 	})
 }

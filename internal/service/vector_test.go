@@ -11,9 +11,10 @@ import (
 )
 
 // TestVectorMetricsExposed scrapes an engine's columnar counters: all
-// three series must appear with the engine label, running a vectorised
-// scan between scrapes must move the batch counter, and a one-row write
-// must move the rebuild counter by the one chunk it touched.
+// four series must appear with the engine label, running a vectorised
+// scan between scrapes must move the batch counter, a one-row write must
+// move the rebuild counter by the one chunk it touched, and a planned
+// statement that has to abandon its kernels the fallback counter.
 func TestVectorMetricsExposed(t *testing.T) {
 	eng := sqlengine.New("vecdb")
 	eng.MustExec(`CREATE TABLE t (id INTEGER, v INTEGER)`)
@@ -47,6 +48,7 @@ func TestVectorMetricsExposed(t *testing.T) {
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorBatches, stats.Batches),
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorChunksSkipped, stats.ChunksSkipped),
 		fmt.Sprintf(`%s{engine="vecdb"} 1`, MetricVectorChunksRebuilt), // 64 rows: one chunk, built by the scan
+		fmt.Sprintf(`%s{engine="vecdb"} 0`, MetricVectorFallbacks),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, text)
@@ -61,6 +63,11 @@ func TestVectorMetricsExposed(t *testing.T) {
 	if _, err := s.Execute(`SELECT COUNT(*) FROM t WHERE v > 5`); err != nil {
 		t.Fatal(err)
 	}
+	// v = 0 on selected rows: the aggregate plan is abandoned and the
+	// interpreter reports the division.
+	if _, err := s.Execute(`SELECT SUM(id / v) FROM t`); err == nil {
+		t.Fatal("expected division by zero")
+	}
 	after := eng.VectorStats()
 	if after.Batches <= stats.Batches {
 		t.Fatalf("expected extra batch: %+v -> %+v", stats, after)
@@ -69,6 +76,7 @@ func TestVectorMetricsExposed(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorBatches, after.Batches),
 		fmt.Sprintf(`%s{engine="vecdb"} 2`, MetricVectorChunksRebuilt),
+		fmt.Sprintf(`%s{engine="vecdb"} 1`, MetricVectorFallbacks),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("second scrape missing %q:\n%s", want, text)

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -10,8 +9,9 @@ import (
 // base table compile into an aggPlan that folds column chunks into
 // typed accumulators — no per-row evalEnv, no per-row group-row
 // slices. The compilable class is chosen so results are byte-identical
-// to execGrouped; anything outside it (HAVING, DISTINCT, expression
-// aggregates, non-ordinal ORDER BY, ...) stays on the interpreter.
+// to execGrouped; anything outside it (HAVING, DISTINCT, aggregate
+// arguments beyond column arithmetic, non-ordinal ORDER BY, ...) stays
+// on the interpreter.
 
 type aggItemKind int
 
@@ -25,9 +25,15 @@ const (
 	aggGroupCol // plain column: the group's first row value
 )
 
+// String is the aggregate's SQL name, for EXPLAIN.
+func (k aggItemKind) String() string {
+	return [...]string{"COUNT", "COUNT", "MIN", "MAX", "SUM", "AVG", ""}[k]
+}
+
 type aggItem struct {
 	kind aggItemKind
-	col  int // base-column ordinal (unused for COUNT(*))
+	col  int      // base-column ordinal; -1 for COUNT(*) and expression arguments
+	expr *vecExpr // expression argument (SUM(a+b)); nil for a plain column
 }
 
 // aggPlan is a compiled aggregate query: items classified, GROUP BY
@@ -101,9 +107,10 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 		ap.groupBy = append(ap.groupBy, bc.idx)
 	}
 
-	// Select items: direct aggregates over a plain column, COUNT(*), or
-	// a plain column (grouped only — with no GROUP BY the interpreter
-	// has no first row to read and the query is malformed anyway).
+	// Select items: direct aggregates over a plain column or column
+	// arithmetic, COUNT(*), or a plain column (grouped only — with no
+	// GROUP BY the interpreter has no first row to read and the query is
+	// malformed anyway).
 	for _, e := range projExprs {
 		re, ok := rewriteExpr(e, cols)
 		if !ok {
@@ -123,37 +130,38 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 				if n.Name != "COUNT" {
 					return nil, false // interpreter errors; let it
 				}
-				ap.items = append(ap.items, aggItem{kind: aggCountStar})
+				ap.items = append(ap.items, aggItem{kind: aggCountStar, col: -1})
 				continue
 			}
 			if len(n.Args) != 1 {
 				return nil, false
 			}
-			bc, ok := n.Args[0].(*boundColExpr)
-			if !ok || bc.idx >= len(t.Columns) {
+			it := aggItem{col: -1}
+			if col, ok := vecColumn(n.Args[0], t); ok {
+				it.col = col
+			} else if it.expr, ok = compileVecExpr(n.Args[0], t); !ok {
 				return nil, false
 			}
-			var kind aggItemKind
 			switch n.Name {
 			case "COUNT":
-				kind = aggCount
+				it.kind = aggCount
 			case "MIN":
-				kind = aggMin
+				it.kind = aggMin
 			case "MAX":
-				kind = aggMax
+				it.kind = aggMax
 			case "SUM", "AVG":
-				if !t.Columns[bc.idx].Type.isNumeric() {
+				if it.expr == nil && !t.Columns[it.col].Type.isNumeric() {
 					return nil, false // interpreter errors per group; let it
 				}
 				if n.Name == "SUM" {
-					kind = aggSum
+					it.kind = aggSum
 				} else {
-					kind = aggAvg
+					it.kind = aggAvg
 				}
 			default:
 				return nil, false
 			}
-			ap.items = append(ap.items, aggItem{kind: kind, col: bc.idx})
+			ap.items = append(ap.items, it)
 		default:
 			return nil, false
 		}
@@ -194,6 +202,11 @@ func (ap *aggPlan) explainLines() []string {
 		lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
 	}
 	lines = append(lines, fmt.Sprintf("  aggregate: %d item(s), group by %d column(s)", len(ap.items), len(ap.groupBy)))
+	for _, it := range ap.items {
+		if it.expr != nil {
+			lines = append(lines, fmt.Sprintf("  aggregate arg: expression kernel (%s(%s))", it.kind, it.expr.text(ap.t)))
+		}
+	}
 	if len(ap.orderIdx) > 0 {
 		lines = append(lines, fmt.Sprintf("  order: sort on %d key(s)", len(ap.orderIdx)))
 	}
@@ -224,16 +237,40 @@ type aggGroup struct {
 	accs  []aggAcc
 }
 
-// execAggPlan runs a compiled aggregate. handled=false means a
-// bind-time fallback and the interpreter must run. Caller holds d.mu
-// for reading and has verified ap.epoch == d.epoch.
-func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value) (set *ResultSet, handled bool, err error) {
+// execAggPlan runs a compiled aggregate; in carries the execution's
+// parameters and context. handled=false means the plan was abandoned —
+// an operand that does not bind, an unbuildable chunk cache, a zero
+// divisor on a selected row — and the interpreter must run. Caller holds
+// d.mu for reading and has verified ap.epoch == d.epoch.
+func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handled bool, err error) {
+	ctx, params := in.ctx, in.params
 	var bp boundVec
 	if ap.pred != nil {
 		var ok bool
 		bp, ok = bindVecPred(ap.pred, params, ap.t)
 		if !ok {
 			return nil, false, nil
+		}
+	}
+	// Per item: the bound expression argument (nil for a plain column), the
+	// static type of what it aggregates, and the vector it reads in the
+	// chunk at hand.
+	type itemInput struct {
+		arg boundExpr
+		typ Type
+		vec *colVec
+	}
+	inputs := make([]itemInput, len(ap.items))
+	for k, it := range ap.items {
+		switch {
+		case it.expr != nil:
+			arg, ok := bindVecExpr(it.expr.e, ap.t, params)
+			if !ok {
+				return nil, false, nil
+			}
+			inputs[k] = itemInput{arg: arg, typ: arg.typ()}
+		case it.col >= 0:
+			inputs[k].typ = ap.t.Columns[it.col].Type
 		}
 	}
 	tc := d.ensureChunks(ap.t)
@@ -276,27 +313,29 @@ func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value)
 	var keyBuf []byte
 
 	var selbuf [chunkRows]int8
+	var rowbuf [chunkRows]uint16
 	for _, ch := range tc.chunks {
 		if err := ctxCheck(ctx); err != nil {
 			return nil, true, err
 		}
-		if bp != nil && chunkSkippable(bp, ch) {
-			d.vecSkipped.Add(1)
+		rows, skipped := d.filterChunk(bp, ch, &selbuf, &rowbuf)
+		if skipped {
 			continue
 		}
-		d.vecBatches.Add(1)
-		sel := selbuf[:ch.n]
-		if bp != nil {
-			bp.eval(ch, sel)
-		} else {
-			for i := range sel {
-				sel[i] = triT
+		for k, it := range ap.items {
+			switch {
+			case inputs[k].arg != nil:
+				v, ok := inputs[k].arg.eval(ch, rows)
+				if !ok {
+					return nil, false, nil
+				}
+				inputs[k].vec = v
+			case it.col >= 0:
+				inputs[k].vec = &ch.vecs[it.col]
 			}
 		}
-		for i := 0; i < ch.n; i++ {
-			if sel[i] != triT {
-				continue
-			}
+		for _, r := range rows {
+			i := int(r)
 			var g *aggGroup
 			switch {
 			case len(ap.groupBy) == 0:
@@ -338,7 +377,7 @@ func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value)
 				if it.kind == aggCountStar || it.kind == aggGroupCol {
 					continue
 				}
-				v := &ch.vecs[it.col]
+				v := inputs[k].vec
 				if v.nulls.get(i) {
 					continue
 				}
@@ -398,7 +437,7 @@ func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value)
 				switch {
 				case acc.count == 0:
 					vals[k] = Null
-				case ap.t.Columns[it.col].Type == TypeDouble:
+				case inputs[k].typ == TypeDouble:
 					vals[k] = NewDouble(acc.sumF)
 				default:
 					vals[k] = NewBigint(acc.sumI)
@@ -421,13 +460,12 @@ func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value)
 		}
 	}
 
-	env := &evalEnv{params: params, db: d, ctx: ctx}
 	if len(ap.orderIdx) > 0 {
 		if err := sortRows(out, orderKeys, ap.sel.OrderBy); err != nil {
 			return nil, true, err
 		}
 	}
-	if err := applyOffsetLimit(out, ap.sel, env); err != nil {
+	if err := applyOffsetLimit(out, ap.sel, in); err != nil {
 		return nil, true, err
 	}
 	return out, true, nil

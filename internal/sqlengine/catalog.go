@@ -267,15 +267,26 @@ type Database struct {
 	// a cached plan can never see a schema it was not planned for.
 	epoch uint64
 
-	// vectorOff disables the columnar execution paths for this database
-	// (set at engine construction, immutable afterwards); the global
-	// disableVector test toggle has the same effect process-wide.
-	vectorOff bool
+	// Execution-path switches, consulted per execution so cached plans
+	// honour them. vectorOff (WithVectorDisabled) keeps every statement off
+	// the columnar operators; plannerOff sends every statement to the
+	// interpreter and hashJoinOff every join to the nested loop — those two
+	// are set only by the equivalence tests, which own their engine.
+	vectorOff   bool
+	plannerOff  bool
+	hashJoinOff bool
 
 	// Columnar execution counters, exported via Engine.VectorStats.
 	vecBatches atomic.Uint64 // chunks evaluated by vector operators
 	vecSkipped atomic.Uint64 // chunks skipped by zone maps
 	vecRebuilt atomic.Uint64 // chunks (re)built from the row store
+	// vecFallbacks counts executions that had a vector or aggregate plan
+	// and abandoned it (bind failure, unbuildable chunks, a zero divisor on
+	// a selected row) for the row operators or the interpreter.
+	vecFallbacks atomic.Uint64
+	// hashJoins counts completed hash-join fast paths, so tests can assert
+	// the path engaged.
+	hashJoins atomic.Int64
 }
 
 // viewDef is a stored view: a name bound to a SELECT.

@@ -53,7 +53,7 @@ func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Valu
 		// INSERT ... SELECT: materialise the query first, then insert
 		// its rows as literal expression rows so the shared validation
 		// and undo paths apply unchanged.
-		set, err := d.execSelectEnv(st.Query, &evalEnv{params: params, db: d, ctx: ctx})
+		set, err := d.runSelect(st.Query, env.nested(nil))
 		if err != nil {
 			return 0, nil, err
 		}

@@ -13,9 +13,9 @@ import (
 
 // withWalk runs f with DML target planning off, so UPDATE/DELETE take
 // the full walk: the reference the planned path must match.
-func withWalk(f func()) {
-	disablePlanner = true
-	defer func() { disablePlanner = false }()
+func withWalk(e *Engine, f func()) {
+	e.SetPlannerDisabled(true)
+	defer e.SetPlannerDisabled(false)
 	f()
 }
 
@@ -106,16 +106,17 @@ func TestDMLTargetAccess(t *testing.T) {
 	}
 	execAllPaths(t, e, `SELECT COUNT(*) FROM facts WHERE num >= 0`)
 	for sql, wants := range map[string][]string{
-		`UPDATE facts SET payload = 'x' WHERE id = 7`:   {`update "facts"`, "access: hash point lookup via pk_facts_id (facts.id = ?)", "set: 1 column(s)"},
-		`DELETE FROM facts WHERE grp = 3`:               {"access: ordered point lookup via facts_grp (facts.grp = ?)"},
-		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:  {"access: ordered range scan via facts_grp (grp > ? AND grp <= ?)"},
-		`DELETE FROM facts WHERE id >= 10 AND id <= 13`: {`delete from "facts"`, "access: full scan", "vector: columnar scan", "vector zone maps: 3/4 chunks skippable"},
-		`DELETE FROM facts WHERE id >= ? AND id <= ?`:   {"vector zone maps: evaluated per execution"},
-		`DELETE FROM facts WHERE num = 1.5`:             {"access: full scan", "vector filter: compiled kernels"},
-		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:      {"access: full scan (interpreted: WHERE outside the error-free predicate class)"},
-		`DELETE FROM facts WHERE id IN (SELECT 1)`:      {"access: full scan (interpreted: subquery in WHERE)"},
-		`DELETE FROM facts`:                             {"access: full scan (interpreted: no WHERE clause)"},
-		`DELETE FROM facts WHERE nosuch = 1`:            {"access: full scan (interpreted: unresolvable WHERE expression)"},
+		`UPDATE facts SET payload = 'x' WHERE id = 7`:         {`update "facts"`, "access: hash point lookup via pk_facts_id (facts.id = ?)", "set: 1 column(s)"},
+		`DELETE FROM facts WHERE grp = 3`:                     {"access: ordered point lookup via facts_grp (facts.grp = ?)"},
+		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:        {"access: ordered range scan via facts_grp (grp > ? AND grp <= ?)"},
+		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:       {`delete from "facts"`, "access: full scan", "vector: columnar scan", "vector zone maps: 3/4 chunks skippable"},
+		`DELETE FROM facts WHERE id >= ? AND id <= ?`:         {"vector zone maps: evaluated per execution"},
+		`DELETE FROM facts WHERE num = 1.5`:                   {"access: full scan", "vector filter: compiled kernels"},
+		`DELETE FROM facts WHERE id + grp > 9 AND id % 2 = 0`: {"access: full scan", "vector filter: compiled kernels"},
+		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:            {"access: full scan (interpreted: WHERE outside the error-free predicate class)"},
+		`DELETE FROM facts WHERE id IN (SELECT 1)`:            {"access: full scan (interpreted: subquery in WHERE)"},
+		`DELETE FROM facts`:                                   {"access: full scan (interpreted: no WHERE clause)"},
+		`DELETE FROM facts WHERE nosuch = 1`:                  {"access: full scan (interpreted: unresolvable WHERE expression)"},
 	} {
 		got := explain(sql)
 		for _, want := range wants {
@@ -194,6 +195,8 @@ func TestDMLFallsBackToWalk(t *testing.T) {
 		{`DELETE FROM facts WHERE id = ?`, []Value{NewString("abc")}, true, "cannot compare"},
 		{`DELETE FROM facts WHERE payload >= ? AND payload <= ?`, []Value{NewInt(1), NewInt(2)}, true, "cannot compare"},
 		{`UPDATE facts SET num = 1 WHERE grp IN (1, ?)`, []Value{NewBool(true)}, true, "cannot compare"},
+		{`UPDATE facts SET num = 1 WHERE grp % ? = 1`, []Value{NewInt(0)}, true, "division by zero"},
+		{`DELETE FROM facts WHERE id + ? > 3`, []Value{NewString("x")}, true, "requires numeric operands"},
 	} {
 		prep, err := e.Prepare(tc.sql)
 		if err != nil {
@@ -213,7 +216,7 @@ func TestDMLFallsBackToWalk(t *testing.T) {
 		plannedRes, plannedErr := e.Exec(tc.sql, tc.params...)
 		var walkRes *Result
 		var walkErr error
-		withWalk(func() { walkRes, walkErr = e.Exec(tc.sql, tc.params...) })
+		withWalk(e, func() { walkRes, walkErr = e.Exec(tc.sql, tc.params...) })
 		if fmt.Sprint(plannedErr) != fmt.Sprint(walkErr) || plannedRes.CA != walkRes.CA {
 			t.Fatalf("%s:\nplanned: %v %+v\nwalk:    %v %+v", tc.sql, plannedErr, plannedRes.CA, walkErr, walkRes.CA)
 		}
@@ -484,15 +487,16 @@ func (g *dmlFuzz) insert() (string, []Value) {
 }
 
 // where draws a predicate: by key, range, IN, LIKE, IS NULL, boolean
-// combinations, float and NaN operands — all inside the planned class —
-// plus operands that fail to bind and predicates outside the class.
+// combinations, float and NaN operands, computed operands — all inside
+// the planned class — plus operands that fail to bind and predicates
+// outside the class.
 func (g *dmlFuzz) where() (string, []Value) {
 	lo := g.r.Int63n(g.nextID + 1)
 	hi := lo + g.r.Int63n(40)
 	if g.r.Intn(6) == 0 {
 		hi = lo + g.r.Int63n(g.nextID+1) // wide: crosses chunk boundaries
 	}
-	switch g.r.Intn(24) {
+	switch g.r.Intn(26) {
 	case 0, 1, 2:
 		return `id = ?`, []Value{g.someID()}
 	case 3:
@@ -536,6 +540,10 @@ func (g *dmlFuzz) where() (string, []Value) {
 		return g.pick(`id = ?`, `s = ?`, `a IN (1, ?)`, `b BETWEEN ? AND 3`), []Value{g.pickVal(NewString("abc"), NewInt(5), NewBool(true))}
 	case 22:
 		return `id = ? OR id = ?`, []Value{g.someID(), g.someID()}
+	case 23: // computed operands: inside the class while every divisor is a constant
+		return g.pick(`a + id > ?`, `id - a * 2 < ?`, `-a <= ?`, `b * 2 > ?`, `(a + 1) IS NULL AND id < ?`), []Value{NewInt(lo)}
+	case 24: // ... a zero one sometimes, and operands that do not bind
+		return `id % ? = 1 AND a + ? > 3`, []Value{NewInt(int64(g.r.Intn(3))), g.pickVal(NewInt(2), NewDouble(0.5), Null, NewString("x"))}
 	}
 	return "", nil // WHERE-less
 }
@@ -624,7 +632,7 @@ func dmlDifferential(t *testing.T, seed int64, rows, statements int) {
 		pres, perr := ps.Execute(sql, params...)
 		var wres *Result
 		var werr error
-		withWalk(func() { wres, werr = ws.Execute(sql, params...) })
+		withWalk(walked, func() { wres, werr = ws.Execute(sql, params...) })
 		if fmt.Sprint(perr) != fmt.Sprint(werr) || pres.UpdateCount != wres.UpdateCount || pres.CA != wres.CA {
 			t.Fatalf("seed %d diverged on %s %v\nplanned: count=%d ca=%+v err=%v\nwalked:  count=%d ca=%+v err=%v\ntrail:\n%s",
 				seed, sql, params, pres.UpdateCount, pres.CA, perr, wres.UpdateCount, wres.CA, werr, strings.Join(trail[max(0, len(trail)-12):], "\n"))
@@ -666,11 +674,11 @@ func dmlDifferential(t *testing.T, seed int64, rows, statements int) {
 			{`SELECT COUNT(*), COUNT(a), MIN(a), MAX(s) FROM t WHERE id >= ?`, []Value{NewInt(g.r.Int63n(g.nextID + 1))}},
 		} {
 			vec := contents(planned, ps, q.sql, q.params...)
-			disableVector = true
+			planned.SetVectorDisabled(true)
 			row := contents(planned, ps, q.sql, q.params...)
-			disableVector = false
+			planned.SetVectorDisabled(false)
 			var ref string
-			withWalk(func() { ref = contents(walked, ws, q.sql, q.params...) })
+			withWalk(walked, func() { ref = contents(walked, ws, q.sql, q.params...) })
 			if vec != row || vec != ref {
 				t.Fatalf("seed %d: %s %v diverged (vector==row: %v, vector==walked: %v)\ntrail:\n%s",
 					seed, q.sql, q.params, vec == row, vec == ref, strings.Join(trail[max(0, len(trail)-12):], "\n"))

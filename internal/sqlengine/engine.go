@@ -122,6 +122,12 @@ type VectorStats struct {
 	// the row store: a table's whole set on its first vectorised scan,
 	// afterwards one per chunk a write touched.
 	ChunksRebuilt uint64
+	// Fallbacks is the number of executions that had a vector or
+	// aggregate plan and abandoned it for the row operators or the
+	// interpreter — an operand that did not bind, column chunks that could
+	// not be built, a zero divisor on a selected row. It tells "planned"
+	// from "actually ran on kernels".
+	Fallbacks uint64
 }
 
 // VectorStats returns the engine's columnar execution counters.
@@ -130,6 +136,7 @@ func (e *Engine) VectorStats() VectorStats {
 		Batches:       e.db.vecBatches.Load(),
 		ChunksSkipped: e.db.vecSkipped.Load(),
 		ChunksRebuilt: e.db.vecRebuilt.Load(),
+		Fallbacks:     e.db.vecFallbacks.Load(),
 	}
 }
 
@@ -184,8 +191,8 @@ type Session struct {
 	undo      []undoEntry
 	aborted   bool
 
-	// prep threads the compiled plan of the statement currently being
-	// executed from ExecutePrepared down to run()'s dispatch.
+	// prep threads the compiled plans of the statement currently being
+	// executed from ExecutePrepared down to run().
 	prep *Prepared
 }
 
@@ -223,11 +230,11 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string, params ...Valu
 	return s.ExecutePrepared(ctx, prep, params...)
 }
 
-// ExecutePrepared runs a statement prepared by Engine.Prepare. When the
-// Prepared carries a compiled plan built at the current schema epoch,
-// the planned executor runs it; otherwise (or when the schema has moved
-// since planning) execution falls back to the interpreter, which is
-// always correct.
+// ExecutePrepared runs a statement prepared by Engine.Prepare. Each
+// SELECT block the Prepared holds a plan for, built at the current
+// schema epoch, runs planned; every other block (or all of them, when
+// the schema has moved since planning) falls back to the interpreter,
+// which is always correct.
 func (s *Session) ExecutePrepared(ctx context.Context, prep *Prepared, params ...Value) (*Result, error) {
 	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
 		err := fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
@@ -342,20 +349,7 @@ func (s *Session) run(ctx context.Context, st Statement, params []Value) (*Resul
 			return errResult(StateSerialization, err), err
 		}
 		db.mu.RLock()
-		var set *ResultSet
-		var err error
-		handled := false
-		if p := s.currentPlan(n); p != nil && p.epoch == db.epoch {
-			set, err = db.execPlan(ctx, p, params)
-			handled = true
-		} else if ap := s.currentAggPlan(n); ap != nil && ap.epoch == db.epoch {
-			// handled=false here is a bind-time fallback; the interpreter
-			// below reproduces the statement exactly (including errors).
-			set, handled, err = db.execAggPlan(ctx, ap, params)
-		}
-		if !handled && err == nil {
-			set, err = db.execSelect(ctx, n, params)
-		}
+		set, err := db.runSelect(n, &evalEnv{params: params, ctx: ctx, plans: s.currentBlocks(n)})
 		db.mu.RUnlock()
 		if err != nil {
 			return errResult(stateFor(err), err), err
@@ -438,31 +432,19 @@ func (s *Session) runDDL(f func() error) (*Result, error) {
 	return okResult(-1), nil
 }
 
-// currentPlan returns the compiled plan threaded through ExecutePrepared
-// when it belongs to exactly this statement and planning is enabled. The
-// caller still re-validates the schema epoch under the database latch.
-func (s *Session) currentPlan(n *SelectStmt) *selectPlan {
-	if disablePlanner || s.prep == nil || s.prep.plan == nil || s.prep.plan.sel != n {
+// currentBlocks returns the block plans threaded through ExecutePrepared
+// when they belong to exactly this statement. runSelect still checks the
+// schema epoch and the planner switch under the database latch.
+func (s *Session) currentBlocks(n *SelectStmt) *blockPlans {
+	if s.prep == nil || s.prep.stmt != Statement(n) {
 		return nil
 	}
-	return s.prep.plan
+	return s.prep.blocks
 }
 
-// currentAggPlan is currentPlan for vectorised aggregate plans; it also
-// honours the vector toggles so disabled engines always interpret.
-func (s *Session) currentAggPlan(n *SelectStmt) *aggPlan {
-	if disablePlanner || s.prep == nil || s.prep.agg == nil || s.prep.agg.sel != n {
-		return nil
-	}
-	if !s.engine.db.vectorEnabled() {
-		return nil
-	}
-	return s.prep.agg
-}
-
-// currentDMLPlan is currentPlan for UPDATE/DELETE target plans.
+// currentDMLPlan is currentBlocks for UPDATE/DELETE target plans.
 func (s *Session) currentDMLPlan(n Statement) *dmlPlan {
-	if disablePlanner || s.prep == nil || s.prep.dml == nil || s.prep.dml.stmt != n {
+	if s.engine.db.plannerOff || s.prep == nil || s.prep.dml == nil || s.prep.dml.stmt != n {
 		return nil
 	}
 	return s.prep.dml
@@ -510,48 +492,7 @@ func (s *Session) lockForRead(tables []string) error {
 func tablesOfSelect(st *SelectStmt) []string {
 	seen := map[string]bool{}
 	var collectSelect func(*SelectStmt)
-	var collectExpr func(Expr)
-	collectExpr = func(e Expr) {
-		switch n := e.(type) {
-		case nil:
-		case *SubqueryExpr:
-			collectSelect(n.Select)
-		case *ExistsExpr:
-			collectSelect(n.Select)
-		case *InExpr:
-			collectExpr(n.Operand)
-			for _, it := range n.List {
-				collectExpr(it)
-			}
-			if n.Subquery != nil {
-				collectSelect(n.Subquery)
-			}
-		case *BinaryExpr:
-			collectExpr(n.Left)
-			collectExpr(n.Right)
-		case *UnaryExpr:
-			collectExpr(n.Operand)
-		case *IsNullExpr:
-			collectExpr(n.Operand)
-		case *BetweenExpr:
-			collectExpr(n.Operand)
-			collectExpr(n.Lo)
-			collectExpr(n.Hi)
-		case *FuncExpr:
-			for _, a := range n.Args {
-				collectExpr(a)
-			}
-		case *CaseExpr:
-			collectExpr(n.Operand)
-			collectExpr(n.Else)
-			for _, w := range n.Whens {
-				collectExpr(w.When)
-				collectExpr(w.Then)
-			}
-		case *CastExpr:
-			collectExpr(n.Operand)
-		}
-	}
+	collectExpr := func(e Expr) { forEachSubquery(e, collectSelect) }
 	collectSelect = func(s *SelectStmt) {
 		if s == nil {
 			return

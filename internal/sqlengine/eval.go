@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"regexp"
 	"strings"
-	"sync"
+	"unicode/utf8"
 )
 
 // evalEnv supplies column values and parameters during expression
@@ -24,10 +23,23 @@ type evalEnv struct {
 	// query's environment for correlated subqueries.
 	db    *Database
 	outer *evalEnv
+	// plans holds the compiled plans of the prepared statement being
+	// executed, for runSelect to find each nested block's; nil when the
+	// statement was not prepared (everything is then interpreted).
+	plans *blockPlans
 	// ctx carries the request context so long scans can be cancelled;
 	// checkN counts rows between cancellation probes.
 	ctx    context.Context
 	checkN int
+}
+
+// nested returns a fresh environment for a SELECT block nested in env's
+// statement: same parameters, database, context and plans, no bindings
+// yet, and the given outer scope — env itself for a subquery, env.outer
+// for a derived table, view body or UNION arm, which see what the
+// enclosing block sees.
+func (env *evalEnv) nested(outer *evalEnv) *evalEnv {
+	return &evalEnv{params: env.params, db: env.db, outer: outer, ctx: env.ctx, plans: env.plans}
 }
 
 // checkCtx observes context cancellation at row granularity. To keep the
@@ -269,8 +281,7 @@ func runSubquery(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
 	if env.db == nil {
 		return nil, fmt.Errorf("subqueries are not available in this context")
 	}
-	inner := &evalEnv{params: env.params, db: env.db, outer: env, ctx: env.ctx}
-	return env.db.execSelectEnv(st, inner)
+	return env.db.runSelect(st, env.nested(env))
 }
 
 // evalScalarSubquery evaluates (SELECT ...) to a single value: one
@@ -443,11 +454,8 @@ func evalBinary(n *BinaryExpr, env *evalEnv) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		ok, err := likeMatch(ls.S, rs.S)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(ok), nil
+		p := compileLike(rs.S)
+		return NewBool(p.match(ls.S)), nil
 	}
 	return Null, fmt.Errorf("unknown operator %q", n.Op)
 }
@@ -502,44 +510,96 @@ func evalArith(op string, l, r Value) (Value, error) {
 	return Null, fmt.Errorf("unknown arithmetic operator %q", op)
 }
 
-// likeCache memoises compiled LIKE patterns.
-var likeCache sync.Map // string -> *regexp.Regexp
-
-// compileLike translates a LIKE pattern (% and _ wildcards) into a
-// cached regexp. Shared by the row evaluator and the vectorised LIKE
-// kernel so both paths match byte-identically.
-func compileLike(pattern string) (*regexp.Regexp, error) {
-	if re, ok := likeCache.Load(pattern); ok {
-		return re.(*regexp.Regexp), nil
-	}
-	var b strings.Builder
-	b.WriteString("(?s)^")
-	for _, r := range pattern {
-		switch r {
-		case '%':
-			b.WriteString(".*")
-		case '_':
-			b.WriteString(".")
-		default:
-			b.WriteString(regexp.QuoteMeta(string(r)))
-		}
-	}
-	b.WriteString("$")
-	re, err := regexp.Compile(b.String())
-	if err != nil {
-		return nil, fmt.Errorf("bad LIKE pattern %q: %w", pattern, err)
-	}
-	likeCache.Store(pattern, re)
-	return re, nil
+// likePattern is a compiled LIKE pattern: % matches any run of
+// characters, _ exactly one, everything else itself. Subject and pattern
+// are compared a rune at a time, an invalid UTF-8 byte counting as one
+// U+FFFD. The row evaluator and the vectorised kernel share it, so both
+// match byte-identically; compiling is cheap enough that nothing is
+// cached.
+type likePattern struct {
+	kind likeKind
+	lit  string // the literal of a fast-path kind
+	pat  []rune // the whole pattern, for likeGeneral
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards.
-func likeMatch(s, pattern string) (bool, error) {
-	re, err := compileLike(pattern)
-	if err != nil {
-		return false, err
+type likeKind int
+
+const (
+	likeGeneral  likeKind = iota // backtracking matcher over pat
+	likeExact                    // no wildcard
+	likePrefix                   // lit%
+	likeSuffix                   // %lit
+	likeContains                 // %lit%
+)
+
+// compileLike picks a byte-wise fast path when the pattern is one
+// literal with % at its ends at most. Comparing bytes equals comparing
+// runes there because the literal is valid UTF-8 without U+FFFD: no
+// invalid byte of the subject can match it, and UTF-8 is
+// self-synchronising, so a byte match always falls on rune boundaries.
+func compileLike(pattern string) likePattern {
+	lit := strings.Trim(pattern, "%")
+	if strings.ContainsAny(lit, "%_") || !utf8.ValidString(lit) || strings.ContainsRune(lit, utf8.RuneError) {
+		return likePattern{kind: likeGeneral, pat: []rune(pattern)}
 	}
-	return re.MatchString(s), nil
+	lead, trail := strings.HasPrefix(pattern, "%"), strings.HasSuffix(pattern, "%")
+	switch {
+	case lit == "" && len(pattern) > 0:
+		return likePattern{kind: likeContains} // all %: everything matches
+	case lead && trail:
+		return likePattern{kind: likeContains, lit: lit}
+	case lead:
+		return likePattern{kind: likeSuffix, lit: lit}
+	case trail:
+		return likePattern{kind: likePrefix, lit: lit}
+	}
+	return likePattern{kind: likeExact, lit: lit}
+}
+
+func (p *likePattern) match(s string) bool {
+	switch p.kind {
+	case likeExact:
+		return s == p.lit
+	case likePrefix:
+		return strings.HasPrefix(s, p.lit)
+	case likeSuffix:
+		return strings.HasSuffix(s, p.lit)
+	case likeContains:
+		return strings.Contains(s, p.lit)
+	}
+	// Greedy matching with one backtrack point: when the pattern stops
+	// matching, the most recent % swallows one more rune of the subject.
+	pat := p.pat
+	si, pi := 0, 0
+	starP, starS := -1, 0
+	for si < len(s) {
+		if pi < len(pat) {
+			if pat[pi] == '%' {
+				pi++
+				starP, starS = pi, si
+				continue
+			}
+			r, w := rune(s[si]), 1
+			if r >= utf8.RuneSelf {
+				r, w = utf8.DecodeRuneInString(s[si:])
+			}
+			if pat[pi] == '_' || pat[pi] == r {
+				si += w
+				pi++
+				continue
+			}
+		}
+		if starP < 0 {
+			return false
+		}
+		_, w := utf8.DecodeRuneInString(s[starS:])
+		starS += w
+		si, pi = starS, starP
+	}
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
 }
 
 // evalScalarFunc handles non-aggregate functions. Aggregates reaching

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,19 +21,36 @@ type ResultSet struct {
 	Rows    [][]Value
 }
 
-// execSelect runs a SELECT against the database. The caller must hold
-// d.mu for reading. Long scans observe ctx cancellation at row
-// granularity.
-func (d *Database) execSelect(ctx context.Context, st *SelectStmt, params []Value) (*ResultSet, error) {
-	return d.execSelectEnv(st, &evalEnv{params: params, db: d, ctx: ctx})
+// runSelect is the one place a SELECT block — a statement, a derived
+// table, a view body, a UNION arm, a subquery — chooses its executor:
+// the compiled plan the prepared statement holds for it, else its
+// aggregate plan, else the interpreter. env is the block's own fresh
+// environment (parameters, context, outer scope, the statement's plans).
+// A block has a plan only if its names resolve locally, so running it
+// planned inside an outer scope is running it alone; an abandoned
+// aggregate plan (handled=false) falls through, the interpreter being
+// the reference for every path. The caller must hold d.mu for reading.
+func (d *Database) runSelect(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
+	env.db = d
+	if bp := env.plans.block(st, d); bp != nil {
+		switch {
+		case bp.plan != nil:
+			return d.execPlan(bp.plan, env)
+		case bp.agg != nil && d.vectorEnabled():
+			set, handled, err := d.execAggPlan(bp.agg, env)
+			if handled || err != nil {
+				return set, err
+			}
+			d.vecFallbacks.Add(1)
+		}
+	}
+	return d.execSelectEnv(st, env)
 }
 
-// execSelectEnv runs a SELECT with an explicit environment; the
-// environment's outer chain makes correlated subqueries work.
+// execSelectEnv interprets a SELECT with an explicit environment; the
+// environment's outer chain makes correlated subqueries work. Nested
+// blocks go back through runSelect.
 func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
-	if env.db == nil {
-		env.db = d
-	}
 	if len(st.Unions) > 0 {
 		return d.execUnion(st, env)
 	}
@@ -159,14 +175,16 @@ func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, erro
 // deduplicates the accumulated rows. ORDER BY on a union may reference
 // output columns by name or ordinal only.
 func (d *Database) execUnion(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
-	first := *st
-	first.Unions, first.OrderBy, first.Limit, first.Offset = nil, nil, nil, nil
-	out, err := d.execSelectEnv(&first, &evalEnv{params: env.params, db: d, outer: env.outer, ctx: env.ctx})
+	first := env.plans.firstArm(st, d)
+	if first == nil {
+		first = unionFirstArm(st)
+	}
+	out, err := d.runSelect(first, env.nested(env.outer))
 	if err != nil {
 		return nil, err
 	}
 	for _, part := range st.Unions {
-		right, err := d.execSelectEnv(part.Sel, &evalEnv{params: env.params, db: d, outer: env.outer, ctx: env.ctx})
+		right, err := d.runSelect(part.Sel, env.nested(env.outer))
 		if err != nil {
 			return nil, err
 		}
@@ -238,6 +256,15 @@ func (d *Database) execUnion(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
 		}
 	}
 	return out, nil
+}
+
+// unionFirstArm is a UNION statement's first arm as a block of its own:
+// the statement without its other arms and without the ORDER BY, LIMIT
+// and OFFSET, which apply to the union.
+func unionFirstArm(st *SelectStmt) *SelectStmt {
+	first := *st
+	first.Unions, first.OrderBy, first.Limit, first.Offset = nil, nil, nil, nil
+	return &first
 }
 
 // bindTableForSelect materialises the FROM table's rows, using a hash
@@ -348,7 +375,7 @@ func columnConstPair(colSide, constSide Expr, t *Table, qual string, env *evalEn
 // their subquery with the caller's environment as outer scope.
 func (d *Database) bindTable(tr *TableRef, env *evalEnv) ([][]Value, []boundColumn, error) {
 	if tr.Subquery != nil {
-		set, err := d.execSelectEnv(tr.Subquery, &evalEnv{params: env.params, db: d, outer: env.outer, ctx: env.ctx})
+		set, err := d.runSelect(tr.Subquery, env.nested(env.outer))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -399,15 +426,10 @@ func (d *Database) bindTable(tr *TableRef, env *evalEnv) ([][]Value, []boundColu
 // otherwise — or when the fast path bails on a hash-defeating value —
 // the nested loop below is the reference implementation.
 func joinRows(left [][]Value, right [][]Value, env *evalEnv, rcols []boundColumn, j JoinClause) ([][]Value, error) {
-	joinEnv := &evalEnv{
-		cols:   append(append([]boundColumn{}, env.cols...), rcols...),
-		params: env.params,
-		db:     env.db,
-		outer:  env.outer,
-		ctx:    env.ctx,
-	}
+	joinEnv := env.nested(env.outer)
+	joinEnv.cols = append(append([]boundColumn{}, env.cols...), rcols...)
 	leftWidth := len(env.cols)
-	if !disableHashJoin && j.On != nil {
+	if !env.db.hashJoinOff && j.On != nil {
 		if k, ok := findEquiConjunct(j.On, joinEnv, leftWidth); ok {
 			out, ok, err := hashJoinRows(left, right, joinEnv, leftWidth, rcols, j, k)
 			if err != nil {

@@ -1,11 +1,16 @@
 package sqlengine
 
-// Execution-path toggles for the external test package: the streaming
-// differential (stream_batch_test.go) imports rowset, which imports this
-// package, so it cannot live inside it.
+// Execution-path switches for the equivalence tests. They live on the
+// engine's Database, so a test that owns its engine can flip them between
+// executions and still run beside other tests. The streaming differential
+// (stream_batch_test.go) imports rowset, which imports this package, so it
+// cannot live inside it and reaches the switches through these.
 
 // SetPlannerDisabled forces every statement through the interpreter.
-func SetPlannerDisabled(off bool) { disablePlanner = off }
+func (e *Engine) SetPlannerDisabled(off bool) { e.db.plannerOff = off }
 
 // SetVectorDisabled forces the row operators even for vector plans.
-func SetVectorDisabled(off bool) { disableVector = off }
+func (e *Engine) SetVectorDisabled(off bool) { e.db.vectorOff = off }
+
+// SetHashJoinDisabled forces every join through the nested loop.
+func (e *Engine) SetHashJoinDisabled(off bool) { e.db.hashJoinOff = off }

@@ -1,9 +1,6 @@
 package sqlengine
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Hash-join fast path. joinRows detects an equi-join conjunct in the ON
 // expression (the same column=column shape indexableConjunct recognises
@@ -17,13 +14,8 @@ import (
 // false positives wide integer keys can produce under float64 keying
 // and keeps any extra non-equi conjuncts working.
 //
-// disableHashJoin forces the nested loop; the equivalence tests flip it
-// to prove both paths agree on the same corpus. hashJoinUses counts
-// completed fast-path joins so tests can assert the path engaged.
-var (
-	disableHashJoin = false
-	hashJoinUses    atomic.Int64
-)
+// Database.hashJoinOff forces the nested loop; the equivalence tests set
+// it to prove both paths agree on the same corpus.
 
 // joinKeyClass is the hashing discipline for one equi-join key, derived
 // from the declared types of the two key columns.
@@ -266,6 +258,6 @@ func hashJoinRows(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols 
 			}
 		}
 	}
-	hashJoinUses.Add(1)
+	joinEnv.db.hashJoins.Add(1)
 	return out, true, nil
 }

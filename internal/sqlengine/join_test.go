@@ -101,10 +101,8 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	for _, sql := range joinCorpus {
 		t.Run(sql, func(t *testing.T) {
 			run := func(disable bool) string {
-				old := disableHashJoin
-				disableHashJoin = disable
-				defer func() { disableHashJoin = old }()
 				e := seedJoinCorpus(t)
+				e.SetHashJoinDisabled(disable)
 				res, err := e.Exec(sql)
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
@@ -124,19 +122,19 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 // detector never fired).
 func TestHashJoinEngages(t *testing.T) {
 	e := seedJoinCorpus(t)
-	before := hashJoinUses.Load()
+	before := e.db.hashJoins.Load()
 	if _, err := e.Exec(`SELECT l.id, r.id FROM l JOIN r ON l.k = r.k`); err != nil {
 		t.Fatal(err)
 	}
-	if hashJoinUses.Load() == before {
+	if e.db.hashJoins.Load() == before {
 		t.Fatal("hash join did not engage for a plain equi-join")
 	}
 	// A non-equi ON must not engage it.
-	before = hashJoinUses.Load()
+	before = e.db.hashJoins.Load()
 	if _, err := e.Exec(`SELECT l.id, r.id FROM l JOIN r ON l.k < r.k`); err != nil {
 		t.Fatal(err)
 	}
-	if hashJoinUses.Load() != before {
+	if e.db.hashJoins.Load() != before {
 		t.Fatal("hash join engaged for a non-equi join")
 	}
 }
@@ -147,10 +145,8 @@ func TestHashJoinEngages(t *testing.T) {
 func TestHashJoinTypeMismatchStillErrors(t *testing.T) {
 	e := seedJoinCorpus(t)
 	for _, disable := range []bool{false, true} {
-		old := disableHashJoin
-		disableHashJoin = disable
+		e.SetHashJoinDisabled(disable)
 		_, err := e.Exec(`SELECT l.id FROM l JOIN r ON l.s = r.k`)
-		disableHashJoin = old
 		if err == nil {
 			t.Fatalf("disable=%v: expected type-mismatch error", disable)
 		}
@@ -162,10 +158,8 @@ func TestHashJoinTypeMismatchStillErrors(t *testing.T) {
 // mid-flight with results identical to the nested loop.
 func TestHashJoinNaNBailout(t *testing.T) {
 	run := func(disable bool) string {
-		old := disableHashJoin
-		disableHashJoin = disable
-		defer func() { disableHashJoin = old }()
 		e := New("nan")
+		e.SetHashJoinDisabled(disable)
 		e.MustExec(`CREATE TABLE a (id INTEGER PRIMARY KEY, x DOUBLE)`)
 		e.MustExec(`CREATE TABLE b (id INTEGER PRIMARY KEY, x DOUBLE)`)
 		nan := Value{Type: TypeDouble, F: nanFloat()}

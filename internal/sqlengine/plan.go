@@ -6,11 +6,6 @@ import (
 	"strings"
 )
 
-// disablePlanner forces every statement through the interpreting
-// executor. The equivalence tests flip it to prove compiled plans and
-// the interpreter produce byte-identical results on the same corpus.
-var disablePlanner = false
-
 // accessKind enumerates the physical access paths a compiled plan can
 // bind for its base table.
 type accessKind int
@@ -127,10 +122,19 @@ type selectPlan struct {
 	// row image, which streaming hands out uncopied.
 	gather   []int
 	identity bool
+	// vproj is the projection when gather is nil but every item is still a
+	// plain column or column arithmetic (see vecExpr): the vector executor
+	// computes it a chunk at a time; the row and streaming executors keep
+	// evaluating projExprs.
+	vproj []vecProj
 
 	order          []planOrderKey
 	orderSatisfied bool // access path already yields ORDER BY order
 	desc           bool // iteration direction when orderSatisfied
+	// orderCols lists the base column behind each ORDER BY key when the
+	// plan has no joins and every key is one (nil otherwise): what a
+	// bounded top-K can order by without evaluating anything.
+	orderCols []int
 
 	// vec is the columnar-execution annotation: set when the plan is a
 	// join-free full scan whose predicate compiles to vector kernels.
@@ -292,6 +296,10 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		for i, c := range p.gather {
 			p.identity = p.identity && c == i
 		}
+		if p.gather == nil {
+			p.vproj = vecProjection(p.projExprs, t)
+		}
+		p.orderCols = p.orderColumns()
 		var foldedWhere Expr
 		if sel.Where != nil {
 			foldedWhere = foldConstants(sel.Where)
@@ -319,7 +327,7 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if p.where != nil {
 			pred, okPred = compileVecPred(foldConstants(p.where), t)
 		}
-		if okPred && (pred != nil || p.gather != nil) {
+		if okPred && (pred != nil || p.gather != nil || p.vproj != nil) {
 			p.vec = &vecInfo{pred: pred}
 		}
 	}
@@ -340,6 +348,47 @@ func gatherList(projExprs []Expr, t *Table) []int {
 		proj[i] = bc.idx
 	}
 	return proj
+}
+
+// vecProj is one output column of an expression-vector projection: the
+// base column it copies, or the expression it computes.
+type vecProj struct {
+	col  int
+	expr *vecExpr
+}
+
+// vecProjection reports the projection as columns and expression
+// vectors, or nil when some item is neither.
+func vecProjection(projExprs []Expr, t *Table) []vecProj {
+	proj := make([]vecProj, len(projExprs))
+	for i, e := range projExprs {
+		if col, ok := vecColumn(e, t); ok {
+			proj[i] = vecProj{col: col}
+		} else if x, ok := compileVecExpr(e, t); ok {
+			proj[i] = vecProj{col: -1, expr: x}
+		} else {
+			return nil
+		}
+	}
+	return proj
+}
+
+// orderColumns resolves every ORDER BY key to the base column it reads,
+// or returns nil.
+func (p *selectPlan) orderColumns() []int {
+	var cols []int
+	for _, k := range p.order {
+		key := k.expr
+		if k.kind == orderKeyProjected {
+			key = p.projExprs[k.idx]
+		}
+		col, ok := vecColumn(key, p.t)
+		if !ok {
+			return nil
+		}
+		cols = append(cols, col)
+	}
+	return cols
 }
 
 // conjunctCandidates walks the AND-tree of the WHERE clause in source
@@ -710,48 +759,56 @@ func rewriteExpr(e Expr, cols []boundColumn) (Expr, bool) {
 	return nil, false
 }
 
-// exprHasSubquery reports whether the tree contains any subquery form.
-func exprHasSubquery(e Expr) bool {
+// forEachSubquery calls f for every SELECT nested directly in the
+// expression — scalar, EXISTS and IN subqueries — without descending
+// into them.
+func forEachSubquery(e Expr, f func(*SelectStmt)) {
 	switch n := e.(type) {
 	case nil:
-	case *SubqueryExpr, *ExistsExpr:
-		return true
+	case *SubqueryExpr:
+		f(n.Select)
+	case *ExistsExpr:
+		f(n.Select)
 	case *InExpr:
-		if n.Subquery != nil || exprHasSubquery(n.Operand) {
-			return true
-		}
+		forEachSubquery(n.Operand, f)
 		for _, it := range n.List {
-			if exprHasSubquery(it) {
-				return true
-			}
+			forEachSubquery(it, f)
+		}
+		if n.Subquery != nil {
+			f(n.Subquery)
 		}
 	case *BinaryExpr:
-		return exprHasSubquery(n.Left) || exprHasSubquery(n.Right)
+		forEachSubquery(n.Left, f)
+		forEachSubquery(n.Right, f)
 	case *UnaryExpr:
-		return exprHasSubquery(n.Operand)
+		forEachSubquery(n.Operand, f)
 	case *IsNullExpr:
-		return exprHasSubquery(n.Operand)
+		forEachSubquery(n.Operand, f)
 	case *BetweenExpr:
-		return exprHasSubquery(n.Operand) || exprHasSubquery(n.Lo) || exprHasSubquery(n.Hi)
+		forEachSubquery(n.Operand, f)
+		forEachSubquery(n.Lo, f)
+		forEachSubquery(n.Hi, f)
 	case *FuncExpr:
 		for _, a := range n.Args {
-			if exprHasSubquery(a) {
-				return true
-			}
+			forEachSubquery(a, f)
 		}
 	case *CaseExpr:
-		if exprHasSubquery(n.Operand) || exprHasSubquery(n.Else) {
-			return true
-		}
+		forEachSubquery(n.Operand, f)
+		forEachSubquery(n.Else, f)
 		for _, w := range n.Whens {
-			if exprHasSubquery(w.When) || exprHasSubquery(w.Then) {
-				return true
-			}
+			forEachSubquery(w.When, f)
+			forEachSubquery(w.Then, f)
 		}
 	case *CastExpr:
-		return exprHasSubquery(n.Operand)
+		forEachSubquery(n.Operand, f)
 	}
-	return false
+}
+
+// exprHasSubquery reports whether the tree contains any subquery form.
+func exprHasSubquery(e Expr) bool {
+	found := false
+	forEachSubquery(e, func(*SelectStmt) { found = true })
+	return found
 }
 
 // refsAnyUnqualified reports whether the tree contains an unqualified
@@ -874,9 +931,18 @@ func (p *selectPlan) explainLines() []string {
 		} else if p.where != nil {
 			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
 		}
-		if p.gather != nil {
+		switch {
+		case p.gather != nil:
 			lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.gather)))
-		} else {
+		case p.vproj != nil:
+			var kernels []string
+			for _, vp := range p.vproj {
+				if vp.expr != nil {
+					kernels = append(kernels, vp.expr.text(p.t))
+				}
+			}
+			lines = append(lines, fmt.Sprintf("  vector project: %d columns, expression kernel (%s)", len(p.vproj), strings.Join(kernels, ", ")))
+		default:
 			lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
 		}
 	} else {
@@ -892,6 +958,9 @@ func (p *selectPlan) explainLines() []string {
 			lines = append(lines, "  order: satisfied by index (no sort)")
 		} else {
 			lines = append(lines, fmt.Sprintf("  order: sort on %d key(s)", len(p.order)))
+			if p.vec != nil && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil {
+				lines = append(lines, fmt.Sprintf("  order: bounded top-K when OFFSET+LIMIT <= %d", chunkRows))
+			}
 		}
 	}
 	if p.sel.Offset != nil {
@@ -925,23 +994,47 @@ func (d *Database) zoneMapLine(pred vecPred, t *Table) string {
 	return fmt.Sprintf("  vector zone maps: %d/%d chunks skippable", skipped, len(tc.chunks))
 }
 
+// explainSelect renders one block's plan — or why it is interpreted —
+// and, indented under a label each, the blocks nested directly in it.
+// open holds the blocks being rendered further up, so a view that reads
+// itself ends the listing instead of the stack.
+func (d *Database) explainSelect(st *SelectStmt, bps *blockPlans, open map[*SelectStmt]bool) []string {
+	bp := bps.m[st]
+	var lines []string
+	switch {
+	case bp.plan != nil:
+		lines = append(lines, bp.plan.explain...)
+		if p := bp.plan; p.vec != nil && p.vec.pred != nil {
+			lines = append(lines, d.zoneMapLine(p.vec.pred, p.t))
+		}
+	case bp.agg != nil:
+		lines = append(lines, bp.agg.explain...)
+	default:
+		lines = append(lines, "select: interpreted ("+bp.reason+")")
+	}
+	open[st] = true
+	for _, c := range bp.children {
+		lines = append(lines, "  "+c.label+":")
+		if open[c.sel] {
+			lines = append(lines, "    (reads itself)")
+			continue
+		}
+		for _, l := range d.explainSelect(c.sel, bps, open) {
+			lines = append(lines, "    "+l)
+		}
+	}
+	delete(open, st)
+	return lines
+}
+
 // explainStatement describes any statement for EXPLAIN. SELECTs compile
-// a fresh plan (or report why they cannot); everything else names the
-// interpreted path it takes. Caller must hold d.mu for reading.
+// fresh plans for every block (or report why one cannot); everything
+// else names the interpreted path it takes. Caller must hold d.mu for
+// reading.
 func (d *Database) explainStatement(st Statement) []string {
 	switch n := st.(type) {
 	case *SelectStmt:
-		p, reason := d.planSelect(n)
-		if p == nil {
-			if ap, ok := d.planAggregate(n); ok {
-				return ap.explain
-			}
-			return []string{"select: interpreted (" + reason + ")"}
-		}
-		if p.vec != nil && p.vec.pred != nil {
-			return append(append([]string(nil), p.explain...), d.zoneMapLine(p.vec.pred, p.t))
-		}
-		return p.explain
+		return d.explainSelect(n, d.planBlocks(n), map[*SelectStmt]bool{})
 	case *InsertStmt:
 		return []string{fmt.Sprintf("insert into %q (interpreted)", n.Table)}
 	case *UpdateStmt:

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"context"
 	"fmt"
 	"slices"
 )
@@ -159,28 +158,33 @@ func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 
 // execPlan runs a compiled plan: access path, joins, batched filter,
 // slab projection, index-aware ordering, then OFFSET/LIMIT — with the
-// interpreter's exact operation order and error surface. The caller
-// holds d.mu for reading and has verified p.epoch == d.epoch.
-func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) (*ResultSet, error) {
+// interpreter's exact operation order and error surface. env is the
+// block's fresh environment (see runSelect) and becomes its row
+// environment; its outer scope and plans are what the plan's subquery
+// expressions evaluate through. The caller holds d.mu for reading and
+// has verified p.epoch == d.epoch.
+func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
+	env.cols = p.cols
+	params := env.params
 	// Columnar fast path: when the plan compiled a vector annotation and
-	// vector execution is enabled, run the chunked kernels. A bind-time
-	// fallback (handled=false) drops through to the row operators below.
+	// vector execution is enabled, run the chunked kernels. An abandoned
+	// run (handled=false) drops through to the row operators below.
 	if p.vec != nil && d.vectorEnabled() {
-		set, handled, err := d.execPlanVector(ctx, p, params)
+		set, handled, err := d.execPlanVector(p, env)
 		if err != nil {
 			return nil, err
 		}
 		if handled {
 			return set, nil
 		}
+		d.vecFallbacks.Add(1)
 	}
-	env := &evalEnv{cols: p.cols, params: params, db: d, ctx: ctx}
 	rows, whereDone := p.baseRows(params)
 
-	// Joins: the strategy was decided at plan time; disableHashJoin is
-	// still consulted per execution so the equivalence toggle works on
-	// cached plans too, and the hash path keeps its runtime bail to the
-	// nested loop.
+	// Joins: the strategy was decided at plan time; hashJoinOff is still
+	// consulted per execution so the equivalence toggle works on cached
+	// plans too, and the hash path keeps its runtime bail to the nested
+	// loop.
 	leftWidth := len(p.t.Columns)
 	for i := range p.joins {
 		j := &p.joins[i]
@@ -188,10 +192,11 @@ func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) 
 		for _, id := range j.t.scan() {
 			right = append(right, j.t.rows[id])
 		}
-		joinEnv := &evalEnv{cols: j.cols, params: params, db: d, ctx: ctx}
+		joinEnv := env.nested(env.outer)
+		joinEnv.cols = j.cols
 		var joined [][]Value
 		hashed := false
-		if !disableHashJoin && j.hasEqui {
+		if !d.hashJoinOff && j.hasEqui {
 			out, ok, err := hashJoinRows(rows, right, joinEnv, leftWidth, j.rcols, j.clause, j.equi)
 			if err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,20 @@ var planCorpus = []struct {
 	{sql: `SELECT k, COUNT(*) FROM rng GROUP BY k ORDER BY k`},
 	{sql: `SELECT DISTINCT k FROM rng WHERE k > 10 ORDER BY k`},
 	{sql: `SELECT id FROM rng WHERE k IN (SELECT k FROM rng WHERE id < 5) ORDER BY id`},
+	// Nested blocks take the same access paths: an index range inside a
+	// derived table, a point lookup inside a scalar subquery, UNION arms,
+	// a correlated subquery (interpreted), computed predicates and
+	// aggregate arguments.
+	{sql: `SELECT x.k, COUNT(*) FROM (SELECT id, k FROM rng WHERE k >= 3 AND k < 9) x GROUP BY x.k ORDER BY 1`},
+	{sql: `SELECT x.id, r.s FROM (SELECT id FROM rng WHERE k = ?) x JOIN rng r ON x.id = r.id`, params: []Value{NewInt(5)}},
+	{sql: `SELECT id, (SELECT s FROM rng WHERE id = 42) FROM rng WHERE id < 3`},
+	{sql: `SELECT id FROM rng WHERE k > 17 UNION SELECT id FROM rng WHERE k < 1 ORDER BY 1`},
+	{sql: `SELECT id FROM rng WHERE k > 17 UNION ALL SELECT k FROM rng WHERE id = 3 UNION ALL SELECT COUNT(*) FROM rng`},
+	{sql: `SELECT id FROM rng o WHERE k = (SELECT MAX(k) FROM rng i WHERE i.id < o.id) ORDER BY id LIMIT 9`},
+	{sql: `SELECT id FROM rng WHERE k_noix + id > 100 AND id % 2 = 1`},
+	{sql: `SELECT SUM(k + id), AVG(d * 2), MIN(-k) FROM rng WHERE k_noix > 3`},
+	{sql: `SELECT k, SUM(id / k) FROM rng GROUP BY k ORDER BY 1`},
+	{sql: `SELECT id, k_noix FROM rng ORDER BY k_noix DESC, id LIMIT 6 OFFSET 2`},
 	// Failures must match byte for byte too.
 	{sql: `SELECT id FROM rng WHERE k < 'abc'`},
 	{sql: `SELECT id FROM rng WHERE nosuch > 1`},
@@ -88,9 +103,9 @@ var planCorpus = []struct {
 func execBothWays(t *testing.T, e *Engine, sql string, params ...Value) {
 	t.Helper()
 	planned, perr := e.NewSession().Execute(sql, params...)
-	disablePlanner = true
+	e.SetPlannerDisabled(true)
 	naive, nerr := e.NewSession().Execute(sql, params...)
-	disablePlanner = false
+	e.SetPlannerDisabled(false)
 	if (perr == nil) != (nerr == nil) {
 		t.Fatalf("%s: planned err = %v, interpreted err = %v", sql, perr, nerr)
 	}
@@ -165,9 +180,9 @@ func TestPlannedStreamMatchesInterpreted(t *testing.T) {
 			return cols, rows, res.CA, nil
 		}
 		pc, pr, pca, perr := collect()
-		disablePlanner = true
+		e.SetPlannerDisabled(true)
 		nc, nr, nca, nerr := collect()
-		disablePlanner = false
+		e.SetPlannerDisabled(false)
 		if (perr == nil) != (nerr == nil) {
 			t.Fatalf("%s: stream err = %v vs %v", tc.sql, perr, nerr)
 		}
@@ -211,6 +226,12 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng ORDER BY k_noix`, `order: sort on 1 key(s)`},
 		{`SELECT id FROM rng WHERE k_noix > 3`, `access: full scan`},
 		{`SELECT COUNT(*) FROM rng`, `vectorised aggregate`},
+		{`SELECT SUM(k + id) FROM rng`, `aggregate arg: expression kernel (SUM(k + id))`},
+		{`SELECT id FROM rng WHERE k_noix + id > 10`, `vector filter: compiled kernels`},
+		{`SELECT id * 2 FROM rng`, `vector project: 1 columns, expression kernel (id * 2)`},
+		{`SELECT id FROM rng ORDER BY k_noix LIMIT 3`, `order: bounded top-K`},
+		{`SELECT x.id FROM (SELECT id FROM rng WHERE k > 3) x`, `    access: ordered range scan via rng_k (k > ?)`},
+		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = o.k)`, `    select: interpreted (unresolvable WHERE expression)`},
 		{`SELECT COUNT(*) FROM rng GROUP BY k HAVING COUNT(*) > 1`, `interpreted`},
 		{`SELECT DISTINCT k FROM rng`, `interpreted`},
 		{`SELECT a.id FROM rng a JOIN rng b ON a.k = b.id`, `join: inner hash join`},
@@ -298,6 +319,49 @@ func TestExplainStatement(t *testing.T) {
 		}
 		if !strings.Contains(dumpSet(res.Set), want) {
 			t.Fatalf("%s:\n%s\nmissing %q", sql, dumpSet(res.Set), want)
+		}
+	}
+	// Nested blocks print indented under what nests them, each in the
+	// vocabulary a statement of its own would get.
+	e.MustExec(`CREATE VIEW lowk AS SELECT id, k FROM rng WHERE k_noix < 5`)
+	for sql, want := range map[string][]string{
+		`EXPLAIN SELECT x.k, SUM(x.id + 1) FROM (SELECT id, k FROM rng WHERE id BETWEEN 2 AND 7) x JOIN lowk v ON v.id = x.id GROUP BY x.k`: {
+			`select: interpreted (grouping/aggregates)`,
+			`  derived table x:`,
+			`    select on "rng"`,
+			`      vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)`,
+			`      vector zone maps: 0/1 chunks skippable`,
+			`  view lowk:`,
+			`      vector project: gather 2 columns`,
+		},
+		`EXPLAIN SELECT id FROM rng WHERE k = 1 UNION SELECT SUM(d * 2) FROM rng WHERE id IN (SELECT id FROM lowk)`: {
+			`select: interpreted (UNION)`,
+			`  union arm 1:`,
+			`      access: ordered point lookup via rng_k (rng.k = ?)`,
+			`  union arm 2:`,
+			`    select: interpreted (grouping/aggregates)`,
+			`      subquery:`,
+			`        select: interpreted (view)`,
+			`          view lowk:`,
+			`            select on "rng"`,
+		},
+		`EXPLAIN SELECT SUM(d * 2) FROM rng WHERE k_noix > 1`: {
+			`select on "rng" (vectorised aggregate)`,
+			`  aggregate arg: expression kernel (SUM(d * 2))`,
+		},
+	} {
+		res, err := e.NewSession().Execute(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var got []string
+		for _, row := range res.Set.Rows {
+			got = append(got, row[0].S)
+		}
+		for _, line := range want {
+			if !slices.Contains(got, line) {
+				t.Fatalf("%s:\n%s\nmissing line %q", sql, strings.Join(got, "\n"), line)
+			}
 		}
 	}
 	// EXPLAIN must not mutate: the INSERT above was only described.

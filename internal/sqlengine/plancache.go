@@ -2,24 +2,146 @@ package sqlengine
 
 import (
 	"container/list"
+	"fmt"
 	"strings"
 	"sync"
 )
 
-// Prepared pairs a parsed statement with the physical plan compiled for
-// it: a select or aggregate plan for a SELECT, a target plan for an
-// UPDATE or DELETE (all nil when the statement is outside the plannable
-// class — the interpreter runs it). Prepared values are immutable and
-// safe to share across sessions; the plan carries the schema epoch it
-// was built against and is only dispatched while that epoch is current.
+// Prepared pairs a parsed statement with the physical plans compiled for
+// it: for a SELECT one per block — the statement itself and every
+// derived table, view body, UNION arm and subquery under it — and for an
+// UPDATE or DELETE a target plan (nil when the statement is outside the
+// plannable class — the interpreter runs it). Prepared values are
+// immutable and safe to share across sessions; the plans carry the
+// schema epoch they were built against and are only dispatched while
+// that epoch is current.
 type Prepared struct {
 	SQL     string
 	stmt    Statement
 	nparams int
-	plan    *selectPlan
-	agg     *aggPlan // vectorised aggregate plan; set only when plan is nil
-	dml     *dmlPlan // UPDATE/DELETE target plan; nil means the statement walks
-	reason  string   // why plan (or dml) is nil, for diagnostics
+	blocks  *blockPlans // a SELECT's plans, its own included; nil otherwise
+	dml     *dmlPlan    // UPDATE/DELETE target plan; nil means the statement walks
+	reason  string      // why the statement's own plan (or dml) is nil, for diagnostics
+}
+
+// topPlan returns the statement's own compiled plan, if it is a SELECT
+// that has one.
+func (p *Prepared) topPlan() *selectPlan {
+	if sel, ok := p.stmt.(*SelectStmt); ok && p.blocks != nil {
+		return p.blocks.m[sel].plan
+	}
+	return nil
+}
+
+// blockPlan is what planning made of one SELECT block: a row/vector plan,
+// else a vectorised aggregate plan, else neither and the reason — which
+// is how a block whose names do not resolve locally (a correlated
+// subquery) is recorded as not plannable once, instead of being looked
+// at again for every outer row.
+type blockPlan struct {
+	plan   *selectPlan
+	agg    *aggPlan
+	reason string
+	// firstArm is set for a UNION statement: its first arm as a block of
+	// its own (see unionFirstArm), planned under that key.
+	firstArm *SelectStmt
+	children []childBlock
+}
+
+// childBlock is a block nested directly in another, with the label
+// EXPLAIN prints it under.
+type childBlock struct {
+	label string
+	sel   *SelectStmt
+}
+
+// blockPlans holds the plans of every block of one prepared SELECT,
+// keyed by the block's AST node (a view body's is the catalog's own),
+// all built under one read latch at one schema epoch.
+type blockPlans struct {
+	epoch uint64
+	m     map[*SelectStmt]*blockPlan
+}
+
+// block returns the plan record to run st by, or nil when there is
+// none to use: statement not prepared, planner switched off, schema
+// moved since planning.
+func (bps *blockPlans) block(st *SelectStmt, d *Database) *blockPlan {
+	if bps == nil || d.plannerOff || bps.epoch != d.epoch {
+		return nil
+	}
+	return bps.m[st]
+}
+
+// firstArm returns the planned first arm of a UNION statement, nil when
+// block would return nil.
+func (bps *blockPlans) firstArm(st *SelectStmt, d *Database) *SelectStmt {
+	if bp := bps.block(st, d); bp != nil {
+		return bp.firstArm
+	}
+	return nil
+}
+
+// planBlocks plans a SELECT statement and every block under it. The
+// caller must hold d.mu for reading.
+func (d *Database) planBlocks(st *SelectStmt) *blockPlans {
+	bps := &blockPlans{epoch: d.epoch, m: make(map[*SelectStmt]*blockPlan)}
+	d.planBlock(st, bps)
+	return bps
+}
+
+func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
+	if _, seen := bps.m[st]; seen {
+		return // a view read twice, or reading itself
+	}
+	bp := &blockPlan{}
+	bps.m[st] = bp
+	child := func(label string, sub *SelectStmt) {
+		bp.children = append(bp.children, childBlock{label: label, sel: sub})
+		d.planBlock(sub, bps)
+	}
+	if len(st.Unions) > 0 {
+		// The arms are the blocks; what the statement's FROM and expressions
+		// nest belongs to the first arm.
+		bp.reason, bp.firstArm = "UNION", unionFirstArm(st)
+		child("union arm 1", bp.firstArm)
+		for i, u := range st.Unions {
+			child(fmt.Sprintf("union arm %d", i+2), u.Sel)
+		}
+		return
+	}
+	bp.plan, bp.reason = d.planSelect(st)
+	if bp.plan == nil && bp.reason == "grouping/aggregates" {
+		bp.agg, _ = d.planAggregate(st)
+	}
+	ref := func(tr *TableRef) {
+		switch {
+		case tr == nil:
+		case tr.Subquery != nil:
+			child("derived table "+tr.Alias, tr.Subquery)
+		default:
+			if v, ok := d.views[strings.ToLower(tr.Table)]; ok {
+				child("view "+v.Name, v.Select)
+			}
+		}
+	}
+	sub := func(s *SelectStmt) { child("subquery", s) }
+	ref(st.From)
+	for _, j := range st.Joins {
+		ref(j.Table)
+		forEachSubquery(j.On, sub)
+	}
+	for _, it := range st.Items {
+		forEachSubquery(it.Expr, sub)
+	}
+	forEachSubquery(st.Where, sub)
+	for _, g := range st.GroupBy {
+		forEachSubquery(g, sub)
+	}
+	forEachSubquery(st.Having, sub)
+	for _, o := range st.OrderBy {
+		forEachSubquery(o.Expr, sub)
+	}
 }
 
 // Statement returns the parsed statement.
@@ -30,7 +152,7 @@ func (p *Prepared) Statement() Statement { return p.stmt }
 func (p *Prepared) NumParams() int { return p.nparams }
 
 // Planned reports whether a compiled physical plan is attached.
-func (p *Prepared) Planned() bool { return p.plan != nil || p.dml != nil }
+func (p *Prepared) Planned() bool { return p.topPlan() != nil || p.dml != nil }
 
 // PlanCacheStats is a point-in-time snapshot of prepared-plan cache
 // counters.
@@ -193,10 +315,8 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 	case *SelectStmt:
 		e.db.mu.RLock()
 		epoch = e.db.epoch // re-read under the same latch the plan binds under
-		prep.plan, prep.reason = e.db.planSelect(st)
-		if prep.plan == nil && prep.reason == "grouping/aggregates" {
-			prep.agg, _ = e.db.planAggregate(st)
-		}
+		prep.blocks = e.db.planBlocks(st)
+		prep.reason = prep.blocks.m[st].reason
 		e.db.mu.RUnlock()
 	case *UpdateStmt, *DeleteStmt:
 		e.db.mu.RLock()

@@ -1,0 +1,351 @@
+package sqlengine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestExpressionVectorsEngage keeps the equivalence corpus honest: the
+// statements it proves equal across paths must actually run on the
+// kernels (batches move, nothing is abandoned), and the ones that cannot
+// must be counted as fallbacks — what dais_vector_fallbacks_total shows
+// an operator.
+func TestExpressionVectorsEngage(t *testing.T) {
+	e := vecEngine(t, 2500) // three chunks
+	for _, tc := range []struct {
+		sql       string
+		params    []Value
+		abandoned bool
+	}{
+		{sql: `SELECT SUM(a + id), AVG(b * 2) FROM vt WHERE a > 5`},
+		{sql: `SELECT a, MIN(-b), COUNT(a + b) FROM vt GROUP BY a`},
+		{sql: `SELECT id FROM vt WHERE a + id > ? AND id % 2 = 0`, params: []Value{NewInt(100)}},
+		{sql: `SELECT id * 2, -b FROM vt WHERE a > 40`},
+		{sql: `SELECT id, a FROM vt WHERE a > 3 ORDER BY a DESC LIMIT 5`},
+		{sql: `SELECT x.a FROM (SELECT a FROM vt WHERE id < 10) x`},
+		{sql: `SELECT id FROM vt WHERE a = (SELECT MAX(a + 1) FROM vt WHERE id < 1000) - 1`},
+		{sql: `SELECT SUM(a / b) FROM vt WHERE id <> 40`},
+		{sql: `SELECT SUM(a / b) FROM vt`, abandoned: true}, // b = 0 at id 40
+		{sql: `SELECT SUM(a + ?) FROM vt`, params: []Value{Null}, abandoned: true},
+		{sql: `SELECT id / a FROM vt WHERE id < 60`, abandoned: true}, // a = 0 at id 50
+		{sql: `SELECT id FROM vt WHERE a % ? = 1`, params: []Value{NewInt(0)}, abandoned: true},
+		{sql: `SELECT id FROM vt WHERE a > 'abc'`, abandoned: true},
+	} {
+		before := e.VectorStats()
+		_, err := e.NewSession().Execute(tc.sql, tc.params...)
+		after := e.VectorStats()
+		switch {
+		case tc.abandoned && after.Fallbacks != before.Fallbacks+1:
+			t.Fatalf("%s: fallbacks %d -> %d, want one more (err=%v)", tc.sql, before.Fallbacks, after.Fallbacks, err)
+		case !tc.abandoned && (err != nil || after.Fallbacks != before.Fallbacks || after.Batches == before.Batches):
+			t.Fatalf("%s: did not run on the kernels: %+v -> %+v (err=%v)", tc.sql, before, after, err)
+		}
+	}
+	// The derived table's range skips chunks like the statement would.
+	before := e.VectorStats()
+	if _, err := e.Exec(`SELECT COUNT(*) FROM (SELECT id FROM vt WHERE id BETWEEN 3 AND 9) x JOIN vt y ON x.id = y.id`); err != nil {
+		t.Fatal(err)
+	}
+	if skipped := e.VectorStats().ChunksSkipped - before.ChunksSkipped; skipped != 2 {
+		t.Fatalf("derived table skipped %d chunks, want 2", skipped)
+	}
+}
+
+// TestNestedBlocksArePlannedOnce: the plans of a statement's nested
+// blocks are built when it is prepared, reused by every execution, and
+// dropped with the schema epoch; a correlated subquery is recorded as
+// not plannable then, so executing it for every outer row plans nothing.
+func TestNestedBlocksArePlannedOnce(t *testing.T) {
+	e := planEngine(t, 60)
+	const sql = `SELECT x.id, (SELECT MAX(k) FROM rng) FROM (SELECT id, k FROM rng WHERE k > 3) x ` +
+		`WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = x.k) UNION ALL SELECT id, k FROM rng WHERE k_noix = 2`
+	prep, err := e.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := prep.stmt.(*SelectStmt)
+	first := prep.blocks.m[head].firstArm
+	if first == nil || prep.blocks.m[first] == nil {
+		t.Fatalf("UNION head has no planned first arm: %+v", prep.blocks.m[head])
+	}
+	derived := first.From.Subquery
+	scalar := first.Items[1].Expr.(*SubqueryExpr).Select
+	correlated := first.Where.(*ExistsExpr).Select
+	arm2 := head.Unions[0].Sel
+	if len(prep.blocks.m) != 6 {
+		t.Fatalf("planned %d blocks, want 6 (head, two arms, derived, scalar, correlated)", len(prep.blocks.m))
+	}
+	for name, want := range map[string]struct {
+		sel       *SelectStmt
+		plan, agg bool
+	}{
+		"derived table": {derived, true, false},
+		"scalar":        {scalar, false, true},
+		"arm 1":         {first, false, false}, // its FROM is a derived table
+		"arm 2":         {arm2, true, false},
+		"correlated":    {correlated, false, false},
+	} {
+		bp := prep.blocks.m[want.sel]
+		if bp == nil || (bp.plan != nil) != want.plan || (bp.agg != nil) != want.agg {
+			t.Fatalf("%s: planned as %+v", name, bp)
+		}
+		if bp.plan == nil && bp.agg == nil && bp.reason == "" {
+			t.Fatalf("%s: not plannable, but no reason recorded", name)
+		}
+	}
+	snapshot := func(p *Prepared) map[*SelectStmt]blockPlan {
+		m := map[*SelectStmt]blockPlan{}
+		for sel, bp := range p.blocks.m {
+			m[sel] = blockPlan{plan: bp.plan, agg: bp.agg, reason: bp.reason}
+		}
+		return m
+	}
+	same := func(a, b map[*SelectStmt]blockPlan) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for sel, x := range a {
+			if y := b[sel]; x.plan != y.plan || x.agg != y.agg || x.reason != y.reason {
+				return false
+			}
+		}
+		return true
+	}
+
+	// Re-execution — the correlated subquery runs once per outer row —
+	// finds the same Prepared, with the same plans, and plans nothing.
+	built, misses := snapshot(prep), e.PlanCacheStats().Misses
+	want := dumpSet(e.MustExec(sql).Set)
+	for i := 0; i < 3; i++ {
+		if got := dumpSet(e.MustExec(sql).Set); got != want {
+			t.Fatalf("execution %d diverged:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+	again, err := e.Prepare(sql)
+	if err != nil || again != prep || !same(built, snapshot(again)) || e.PlanCacheStats().Misses != misses {
+		t.Fatalf("plans did not survive re-execution: same prepared=%v same plans=%v misses %d -> %d (err=%v)",
+			again == prep, same(built, snapshot(again)), misses, e.PlanCacheStats().Misses, err)
+	}
+	execBothWays(t, e, sql)
+
+	// DDL moves the epoch: the old plans are not dispatched any more and
+	// the next Prepare builds new ones.
+	e.MustExec(`CREATE INDEX rng_noix ON rng (k_noix)`)
+	e.db.mu.RLock()
+	stale := prep.blocks.block(derived, e.db)
+	e.db.mu.RUnlock()
+	if stale != nil {
+		t.Fatal("a block plan from before the DDL is still dispatched")
+	}
+	if res, err := e.NewSession().ExecutePrepared(context.Background(), prep); err != nil || dumpSet(res.Set) != want {
+		t.Fatalf("stale prepared statement: err=%v", err)
+	}
+	fresh, err := e.Prepare(sql)
+	if err != nil || fresh == prep || fresh.blocks.epoch == prep.blocks.epoch {
+		t.Fatalf("DDL did not drop the nested plans (err=%v)", err)
+	}
+	if bp := fresh.blocks.m[fresh.stmt.(*SelectStmt).Unions[0].Sel]; bp.plan == nil || bp.plan.access != accessHashPoint {
+		t.Fatalf("arm 2 was not re-planned onto the new index: %+v", bp)
+	}
+	if got := dumpSet(e.MustExec(sql).Set); got != want {
+		t.Fatalf("after DDL:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// selectFuzz draws SELECT statements over dmlFuzz's schema: every
+// projection, aggregate, ordering and nesting shape the block dispatch
+// and the expression kernels cover, beside shapes they must refuse.
+type selectFuzz struct{ *dmlFuzz }
+
+// numExpr draws arithmetic over the numeric columns; safe keeps every
+// divisor a non-zero constant.
+func (g selectFuzz) numExpr(safe bool) (string, []Value) {
+	switch g.r.Intn(12) {
+	case 0:
+		return `a + id`, nil
+	case 1:
+		return `a * 2`, nil
+	case 2:
+		return `-a`, nil
+	case 3:
+		return `b * 2 - a`, nil
+	case 4:
+		return `a % 3`, nil
+	case 5:
+		return `id - ?`, []Value{g.intVal()}
+	case 6:
+		return `b + ?`, []Value{g.dblVal()}
+	case 7:
+		return `u * 4611686018427387904`, nil // wraps around
+	case 8:
+		return `-b / 4`, nil
+	case 9:
+		if !safe {
+			return g.pick(`id / a`, `b / a`, `u % (a - 7)`), nil // zero divisors on some rows
+		}
+		return `(a + 1) * (id % 5)`, nil
+	case 10:
+		return `a % ?`, []Value{NewInt(int64(g.r.Intn(4)))} // sometimes a zero constant divisor
+	}
+	return `id`, nil
+}
+
+// predicate draws a WHERE clause: dmlFuzz's classes or a computed one.
+func (g selectFuzz) predicate() (string, []Value) {
+	if g.r.Intn(3) > 0 {
+		return g.where()
+	}
+	x, xp := g.numExpr(g.r.Intn(4) > 0)
+	switch g.r.Intn(5) {
+	case 0:
+		return x + ` > ?`, append(xp, g.intVal())
+	case 1:
+		return `? <= ` + x, append([]Value{g.dblVal()}, xp...)
+	case 2:
+		return x + ` BETWEEN ? AND ?`, append(xp, g.intVal(), NewInt(int64(g.r.Intn(400))))
+	case 3:
+		return `(` + x + `) IS NULL`, xp
+	}
+	return x + ` IN (?, 4, ?)`, append(xp, g.intVal(), g.dblVal())
+}
+
+func (g selectFuzz) whereClause() (string, []Value) {
+	w, p := g.predicate()
+	if w == "" {
+		return "", nil
+	}
+	return ` WHERE ` + w, p
+}
+
+func (g selectFuzz) statement() (string, []Value) {
+	w, wp := g.whereClause()
+	switch g.r.Intn(14) {
+	case 0:
+		return `SELECT * FROM t` + w, wp
+	case 1:
+		return `SELECT id, s, b FROM t` + w, wp
+	case 2:
+		x, xp := g.numExpr(false)
+		y, yp := g.numExpr(true)
+		return `SELECT id, ` + x + `, ` + y + ` FROM t` + w, slices.Concat(xp, yp, wp)
+	case 3:
+		x, xp := g.numExpr(false)
+		agg := g.pick("SUM", "AVG", "MIN", "MAX", "COUNT")
+		return `SELECT COUNT(*), ` + agg + `(` + x + `), SUM(a), MAX(s) FROM t` + w, append(xp, wp...)
+	case 4:
+		x, xp := g.numExpr(true)
+		key := g.pick("a", "s", "b", "a, s")
+		return `SELECT ` + key + `, COUNT(*), SUM(` + x + `), MIN(b) FROM t` + w + ` GROUP BY ` + key + ` ORDER BY 1, 2`, append(xp, wp...)
+	case 5: // top-K and its refusals: ties on a and s, NaN keys in b, big limits
+		order := g.pick("a", "a DESC, id", "s, a DESC", "b", "2", "id DESC", "a + id")
+		lim := g.pickVal(NewInt(0), NewInt(3), NewInt(17), NewInt(40), NewInt(5000), NewInt(-1))
+		sql := `SELECT id, a, s FROM t` + w + ` ORDER BY ` + order + ` LIMIT ?`
+		if g.r.Intn(2) == 0 {
+			return sql + ` OFFSET ?`, append(wp, lim, NewInt(int64(g.r.Intn(30))))
+		}
+		return sql, append(wp, lim)
+	case 6:
+		return `SELECT x.a, COUNT(*), SUM(x.id) FROM (SELECT id, a FROM t` + w + `) x GROUP BY x.a ORDER BY 1`, wp
+	case 7:
+		w2, wp2 := g.whereClause()
+		return `SELECT x.id, y.s FROM (SELECT id, a FROM t` + w + `) x JOIN (SELECT id, s FROM t` + w2 + `) y ON x.id = y.id`, append(wp, wp2...)
+	case 8:
+		return `SELECT id, b FROM live` + w, wp // a view over t
+	case 9:
+		return `SELECT v.id, t.s FROM live v JOIN t ON v.id = t.id` + strings.Replace(w, " WHERE ", " WHERE t.u >= 0 AND ", 1), wp
+	case 10:
+		w2, wp2 := g.whereClause()
+		return `SELECT id, a FROM t` + w + g.pick(" UNION ", " UNION ALL ") + `SELECT id, a FROM t` + w2 + ` ORDER BY 1, 2 LIMIT 50`, append(wp, wp2...)
+	case 11, 12:
+		// An uncorrelated subquery still runs once per outer row on the
+		// interpreter: keep the outer rows few.
+		lo := g.r.Int63n(g.nextID + 1)
+		outer := []Value{NewInt(lo), NewInt(lo + 40)}
+		if g.r.Intn(2) == 0 {
+			return `SELECT id FROM t WHERE id >= ? AND id < ? AND a ` + g.pick("", "NOT ") + `IN (SELECT a FROM t` + w + `)`, append(outer, wp...)
+		}
+		x, xp := g.numExpr(true)
+		return `SELECT id, (SELECT MAX(` + x + `) FROM t` + w + `) FROM t WHERE id >= ? AND id < ?`, slices.Concat(xp, wp, outer)
+	}
+	// Correlated: interpreted for every outer row, inside a narrow range.
+	lo := g.r.Int63n(g.nextID + 1)
+	return `SELECT id, (SELECT COUNT(*) FROM t i WHERE i.a = o.a) FROM t o WHERE id >= ? AND id < ? AND EXISTS (SELECT 1 FROM t i WHERE i.id = o.a)`,
+		[]Value{NewInt(lo), NewInt(lo + 40)}
+}
+
+// TestChaosSelectDifferential drives seeded random SELECTs over random
+// schemas and data — TestChaosDMLDifferential's generator — through the
+// vector, row and interpreter paths of one engine and requires identical
+// rows, communication areas and error text, with random writes in
+// between so the chunk cache goes stale and schema changes so the plans
+// do. It then checks the identity no path can get right by agreeing with
+// another: the rows a predicate accepts, rejects and leaves unknown
+// partition the table.
+func TestChaosSelectDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel() // the path switches are the engine's own
+			selectDifferential(t, seed, chunkRows+400, 150)
+		})
+	}
+}
+
+func selectDifferential(t *testing.T, seed int64, rows, statements int) {
+	g := selectFuzz{&dmlFuzz{r: rand.New(rand.NewSource(seed))}}
+	e := New("select-chaos")
+	for _, ddl := range g.schema() {
+		// No index on the DOUBLE column: what an index probe makes of NaN
+		// and -0 is the documented caveat of SELECT's access paths (DESIGN,
+		// "Exact probes only"), not a divergence between executors.
+		if !strings.Contains(ddl, "ix_b") {
+			e.MustExec(ddl)
+		}
+	}
+	e.MustExec(`CREATE VIEW live AS SELECT id, a, b FROM t WHERE a IS NOT NULL`)
+	s := e.NewSession()
+	for i := 0; i < rows; i++ {
+		sql, params := g.insert()
+		_, _ = s.Execute(sql, params...) // a duplicate key just does not land
+	}
+	count := func(sql string, params []Value) (int64, bool) {
+		res, err := s.Execute(sql, params...)
+		if err != nil {
+			return 0, false
+		}
+		return res.Set.Rows[0][0].I, true
+	}
+	for i := 0; i < statements; i++ {
+		switch k := g.r.Intn(20); {
+		case k == 0: // moves the schema epoch: every cached plan is dropped
+			_, _ = s.Execute(g.pick(`CREATE INDEX fz_a ON t (a)`, `DROP INDEX fz_a`, `CREATE ORDERED INDEX fz_id ON t (id)`, `DROP INDEX fz_id`))
+		case k < 4: // leaves chunks stale
+			inTxn := false
+			sql, params := g.dmlFuzz.statement(&inTxn)
+			if inTxn {
+				sql, params = g.insert()
+			}
+			_, _ = s.Execute(sql, params...)
+		}
+		sql, params := g.statement()
+		execAllPaths(t, e, sql, params...)
+
+		p, pp := g.predicate()
+		if p == "" {
+			continue
+		}
+		all, _ := count(`SELECT COUNT(*) FROM t`, nil)
+		yes, ok1 := count(`SELECT COUNT(*) FROM t WHERE `+p, pp)
+		no, ok2 := count(`SELECT COUNT(*) FROM t WHERE NOT (`+p+`)`, pp)
+		unknown, ok3 := count(`SELECT COUNT(*) FROM t WHERE (`+p+`) IS NULL`, pp)
+		// A predicate that fails on some row fails only where that row is
+		// visited (an index probe for p may never see it): the identity is
+		// about predicates that evaluate everywhere.
+		if ok1 && ok2 && ok3 && yes+no+unknown != all {
+			t.Fatalf("seed %d: %s %v: %d accepted + %d rejected + %d unknown != %d rows", seed, p, pp, yes, no, unknown, all)
+		}
+	}
+}

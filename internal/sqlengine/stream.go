@@ -152,8 +152,8 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value
 	// the access path already satisfies can deliver ordered rows
 	// incrementally. A plan gone stale under DDL falls through to the
 	// interpreted paths below.
-	if !disablePlanner && prep.plan != nil && prep.plan.streamable() && !s.inTxn && !s.aborted {
-		rs, err := s.startPlanStream(ctx, prep.plan, params)
+	if plan := prep.topPlan(); plan != nil && !s.engine.db.plannerOff && plan.streamable() && !s.inTxn && !s.aborted {
+		rs, err := s.startPlanStream(ctx, plan, prep.blocks, params)
 		if err == nil {
 			return rs, nil
 		}
@@ -162,7 +162,7 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value
 		}
 	}
 	if sel, ok := s.streamableSelect(prep.stmt); ok {
-		rs, err := s.startStream(ctx, sel, params)
+		rs, err := s.startStream(ctx, sel, prep.blocks, params)
 		if err == nil {
 			return rs, nil
 		}
@@ -406,8 +406,8 @@ func (s *Session) produce(k *streamSink, scan func() error) {
 
 // startStream streams an interpreted single-table SELECT: bound by
 // name, filtered and projected through eval.
-func (s *Session) startStream(ctx context.Context, sel *SelectStmt, params []Value) (*RowStream, error) {
-	env := &evalEnv{params: params}
+func (s *Session) startStream(ctx context.Context, sel *SelectStmt, plans *blockPlans, params []Value) (*RowStream, error) {
+	env := &evalEnv{params: params, plans: plans}
 	return s.openStream(ctx, sel, env, func(k *streamSink) ([]ResultColumn, func() error, error) {
 		base, cols, err := s.engine.db.bindTableForSelect(sel, env)
 		if err != nil {
@@ -436,16 +436,17 @@ func (s *Session) startStream(ctx context.Context, sel *SelectStmt, params []Val
 	})
 }
 
-// startPlanStream streams a compiled plan. The schema epoch is
-// re-validated under the latch; errStalePlan sends the caller back to
+// startPlanStream streams a compiled plan; plans is the statement's
+// whole set, which subqueries in its expressions run by. The schema epoch
+// is re-validated under the latch; errStalePlan sends the caller back to
 // the interpreted paths. A vector-annotated plan (always a full scan
 // with no unsatisfied ORDER BY, or it would not be streamable) scans
 // chunk at a time; bind failure or an unbuildable chunk cache falls
 // through to the access path (point, range or ordered scan), which
 // resolves the base row IDs already in delivery order — its own, which
 // equals the ORDER BY order when the plan satisfied it.
-func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, params []Value) (*RowStream, error) {
-	env := &evalEnv{cols: p.cols, params: params}
+func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, plans *blockPlans, params []Value) (*RowStream, error) {
+	env := &evalEnv{cols: p.cols, params: params, plans: plans}
 	return s.openStream(ctx, p.sel, env, func(k *streamSink) ([]ResultColumn, func() error, error) {
 		db := s.engine.db
 		if p.epoch != db.epoch {
@@ -465,6 +466,7 @@ func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, params []V
 					return p.projCols, func() error { return p.scanChunks(k, sc, bp, tc) }, nil
 				}
 			}
+			db.vecFallbacks.Add(1)
 		}
 		ids, filtered := p.baseIDs(params)
 		if filtered {

@@ -114,11 +114,11 @@ func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 					cfg.MemCap, cfg.Spill, cfg.SpillName = 1, filestore.NewStore("spill"), "diff.spill"
 				}
 				name := fmt.Sprintf("rows=%d/%s/%s/page=%d/spill=%v", n, prod.name, sql, cfg.PageRows, cfg.Spill != nil)
-				sqlengine.SetPlannerDisabled(prod.noPlanner)
-				sqlengine.SetVectorDisabled(prod.noVect)
+				e.SetPlannerDisabled(prod.noPlanner)
+				e.SetVectorDisabled(prod.noVect)
 				stream, err := e.NewSession().ExecuteStream(context.Background(), sql, params...)
-				sqlengine.SetPlannerDisabled(false)
-				sqlengine.SetVectorDisabled(false)
+				e.SetPlannerDisabled(false)
+				e.SetVectorDisabled(false)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -191,11 +191,11 @@ func TestNextBatchBounds(t *testing.T) {
 			`SELECT id FROM t WHERE id - (id / 97) * 97 = 0`,
 			`SELECT COUNT(*) FROM t`, // materialised fallback
 		} {
-			sqlengine.SetPlannerDisabled(prod.noPlanner)
-			sqlengine.SetVectorDisabled(prod.noVect)
+			e.SetPlannerDisabled(prod.noPlanner)
+			e.SetVectorDisabled(prod.noVect)
 			stream, err := e.NewSession().ExecuteStream(context.Background(), sql)
-			sqlengine.SetPlannerDisabled(false)
-			sqlengine.SetVectorDisabled(false)
+			e.SetPlannerDisabled(false)
+			e.SetVectorDisabled(false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,11 +243,11 @@ func TestAbandonedStreamFreesLocksAndProducer(t *testing.T) {
 	for name, drop := range abandon {
 		for _, prod := range producers {
 			baseline := runtime.NumGoroutine()
-			sqlengine.SetPlannerDisabled(prod.noPlanner)
-			sqlengine.SetVectorDisabled(prod.noVect)
+			e.SetPlannerDisabled(prod.noPlanner)
+			e.SetVectorDisabled(prod.noVect)
 			stream, err := e.NewSession().ExecuteStream(context.Background(), `SELECT id, tag, num FROM t WHERE id >= 0`)
-			sqlengine.SetPlannerDisabled(false)
-			sqlengine.SetVectorDisabled(false)
+			e.SetPlannerDisabled(false)
+			e.SetVectorDisabled(false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,15 +2,9 @@ package sqlengine
 
 import (
 	"context"
-	"regexp"
+	"sort"
 	"strings"
 )
-
-// disableVector forces the row executor even for plans that compiled a
-// vectorised operator. The equivalence tests flip it (alongside
-// disablePlanner) to prove all three execution paths produce
-// byte-identical results.
-var disableVector = false
 
 // Tri-state selection values: SQL three-valued logic over a chunk.
 // Only triT rows survive a filter.
@@ -32,8 +26,9 @@ const (
 
 // vecInfo is a plan's vectorised-execution annotation: the compiled
 // chunk predicate (nil when the statement has no WHERE clause). The
-// plan's gather list says whether survivors project by columnar gather
-// or materialise their row and evaluate projections the row way.
+// plan's gather and vproj lists say whether survivors project by
+// columnar gather, by expression vectors, or materialise their row and
+// evaluate projections the row way.
 type vecInfo struct {
 	pred vecPred
 }
@@ -45,9 +40,16 @@ type vecInfo struct {
 // to bind and the row executor runs instead.
 type vecPred interface{ vecPred() }
 
+// vpOperand is the row-dependent side of a kernel: a base column, or
+// (expr non-nil) an expression vector that cannot fail once bound.
+type vpOperand struct {
+	col  int
+	expr *vecExpr
+}
+
 type vpCmp struct {
-	col     int
-	op      string // =, <>, <, <=, >, >=  (column on the left)
+	src     vpOperand
+	op      string // =, <>, <, <=, >, >=  (row-dependent side on the left)
 	operand Expr
 }
 
@@ -57,18 +59,18 @@ type vpLike struct {
 }
 
 type vpIsNull struct {
-	col    int
+	src    vpOperand
 	negate bool
 }
 
 type vpBetween struct {
-	col    int
+	src    vpOperand
 	lo, hi Expr
 	negate bool
 }
 
 type vpIn struct {
-	col    int
+	src    vpOperand
 	items  []Expr
 	negate bool
 }
@@ -109,12 +111,13 @@ func flipCmp(op string) string {
 
 // compileVecPred translates a folded, rewritten predicate tree into a
 // vector predicate over base-table columns. ok=false means some
-// subtree is outside the vectorisable class (subqueries, arithmetic,
-// column-vs-column comparison, non-bool constants, ...) and the plan
-// keeps the row filter. The compiled class is chosen so that kernel
-// evaluation can NEVER error at runtime: every error the interpreter
-// could raise per row is either proven absent here or detected at bind
-// time, which falls back to the row path for exact error parity.
+// subtree is outside the vectorisable class (subqueries, functions,
+// column-vs-column comparison, arithmetic that could fail on a row,
+// non-bool constants, ...) and the plan keeps the row filter. The
+// compiled class is chosen so that kernel evaluation can NEVER error at
+// runtime: every error the interpreter could raise per row is either
+// proven absent here or detected at bind time, which falls back to the
+// row path for exact error parity.
 func compileVecPred(e Expr, t *Table) (vecPred, bool) {
 	switch n := e.(type) {
 	case *LiteralExpr:
@@ -145,11 +148,11 @@ func compileVecPred(e Expr, t *Table) (vecPred, bool) {
 			}
 			return &vpOr{l: l, r: r}, true
 		case "=", "<>", "<", "<=", ">", ">=":
-			if col, ok := vecColumn(n.Left, t); ok && constExpr(n.Right) {
-				return &vpCmp{col: col, op: n.Op, operand: n.Right}, true
+			if src, ok := vecOperand(n.Left, t); ok && constExpr(n.Right) {
+				return &vpCmp{src: src, op: n.Op, operand: n.Right}, true
 			}
-			if col, ok := vecColumn(n.Right, t); ok && constExpr(n.Left) {
-				return &vpCmp{col: col, op: flipCmp(n.Op), operand: n.Left}, true
+			if src, ok := vecOperand(n.Right, t); ok && constExpr(n.Left) {
+				return &vpCmp{src: src, op: flipCmp(n.Op), operand: n.Left}, true
 			}
 			return nil, false
 		case "LIKE":
@@ -172,22 +175,22 @@ func compileVecPred(e Expr, t *Table) (vecPred, bool) {
 		}
 		return &vpNot{c: c}, true
 	case *IsNullExpr:
-		col, ok := vecColumn(n.Operand, t)
+		src, ok := vecOperand(n.Operand, t)
 		if !ok {
 			return nil, false
 		}
-		return &vpIsNull{col: col, negate: n.Negate}, true
+		return &vpIsNull{src: src, negate: n.Negate}, true
 	case *BetweenExpr:
-		col, ok := vecColumn(n.Operand, t)
+		src, ok := vecOperand(n.Operand, t)
 		if !ok || !constExpr(n.Lo) || !constExpr(n.Hi) {
 			return nil, false
 		}
-		return &vpBetween{col: col, lo: n.Lo, hi: n.Hi, negate: n.Negate}, true
+		return &vpBetween{src: src, lo: n.Lo, hi: n.Hi, negate: n.Negate}, true
 	case *InExpr:
 		if n.Subquery != nil {
 			return nil, false
 		}
-		col, ok := vecColumn(n.Operand, t)
+		src, ok := vecOperand(n.Operand, t)
 		if !ok {
 			return nil, false
 		}
@@ -196,7 +199,7 @@ func compileVecPred(e Expr, t *Table) (vecPred, bool) {
 				return nil, false
 			}
 		}
-		return &vpIn{col: col, items: n.List, negate: n.Negate}, true
+		return &vpIn{src: src, items: n.List, negate: n.Negate}, true
 	}
 	return nil, false
 }
@@ -211,6 +214,52 @@ func vecColumn(e Expr, t *Table) (int, bool) {
 	}
 	return bc.idx, true
 }
+
+// vecOperand resolves the row-dependent side of a kernel: a base column,
+// or arithmetic over base columns whose every divisor is a constant —
+// bound, such an expression is as error-free as a column read.
+func vecOperand(e Expr, t *Table) (vpOperand, bool) {
+	if col, ok := vecColumn(e, t); ok {
+		return vpOperand{col: col}, true
+	}
+	x, ok := compileVecExpr(e, t)
+	if !ok || !x.safe {
+		return vpOperand{}, false
+	}
+	return vpOperand{col: -1, expr: x}, true
+}
+
+// bvOperand is a vpOperand bound for one execution; typ is what Compare
+// sees on its side: the column's type or the expression's static one.
+type bvOperand struct {
+	col int
+	ex  boundExpr
+	typ Type
+}
+
+func bindOperand(o vpOperand, params []Value, t *Table) (bvOperand, bool) {
+	if o.expr == nil {
+		return bvOperand{col: o.col, typ: t.Columns[o.col].Type}, true
+	}
+	ex, ok := bindVecExpr(o.expr.e, t, params)
+	if !ok {
+		return bvOperand{}, false
+	}
+	return bvOperand{col: -1, ex: ex, typ: ex.typ()}, true
+}
+
+// vec is the operand's vector for a chunk: the column's own, or the
+// expression computed over every row (a safe expression cannot fail).
+func (o *bvOperand) vec(ch *colChunk) *colVec {
+	if o.ex == nil {
+		return &ch.vecs[o.col]
+	}
+	v, _ := o.ex.eval(ch, allRows[:ch.n])
+	return v
+}
+
+// maskAny is what zone maps can say about a computed operand: nothing.
+const maskAny = maskT | maskF | maskN
 
 // boundVec is a vecPred with its constant operands evaluated for one
 // execution. eval fills a tri-state selection vector for a chunk;
@@ -245,13 +294,17 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		if !ok {
 			return nil, false
 		}
+		src, ok := bindOperand(n.src, params, t)
+		if !ok {
+			return nil, false
+		}
 		if v.IsNull() {
 			return bvAllN{}, true
 		}
-		if !comparableWith(v, t.Columns[n.col].Type) {
+		if !comparableWith(v, src.typ) {
 			return nil, false
 		}
-		return &bvCmp{col: n.col, op: n.op, tri: opTri(n.op), val: v}, true
+		return &bvCmp{src: src, op: n.op, tri: opTri(n.op), val: v}, true
 	case *vpLike:
 		v, ok := evalVecConst(n.pattern, params)
 		if !ok {
@@ -264,13 +317,13 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		if err != nil {
 			return nil, false
 		}
-		re, err := compileLike(pv.S)
-		if err != nil {
+		return &bvLike{col: n.col, pat: compileLike(pv.S)}, true
+	case *vpIsNull:
+		src, ok := bindOperand(n.src, params, t)
+		if !ok {
 			return nil, false
 		}
-		return &bvLike{col: n.col, re: re}, true
-	case *vpIsNull:
-		return &bvIsNull{col: n.col, negate: n.negate}, true
+		return &bvIsNull{src: src, negate: n.negate}, true
 	case *vpBetween:
 		lo, ok := evalVecConst(n.lo, params)
 		if !ok {
@@ -280,19 +333,26 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		if !ok {
 			return nil, false
 		}
+		src, ok := bindOperand(n.src, params, t)
+		if !ok {
+			return nil, false
+		}
 		if lo.IsNull() || hi.IsNull() {
 			// NULL bound: the interpreter yields NULL for every non-null
 			// operand too (it null-checks before comparing).
 			return bvAllN{}, true
 		}
-		ct := t.Columns[n.col].Type
-		if !comparableWith(lo, ct) || !comparableWith(hi, ct) {
+		if !comparableWith(lo, src.typ) || !comparableWith(hi, src.typ) {
 			return nil, false
 		}
-		return &bvBetween{col: n.col, lo: lo, hi: hi, negate: n.negate}, true
+		return &bvBetween{src: src, lo: lo, hi: hi, negate: n.negate}, true
 	case *vpIn:
-		b := &bvIn{col: n.col, negate: n.negate}
-		ct := t.Columns[n.col].Type
+		src, ok := bindOperand(n.src, params, t)
+		if !ok {
+			return nil, false
+		}
+		b := &bvIn{src: src, negate: n.negate}
+		ct := src.typ
 		for _, it := range n.items {
 			v, ok := evalVecConst(it, params)
 			if !ok {
@@ -338,6 +398,25 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		return &bvNot{c: c}, true
 	}
 	return nil, false
+}
+
+// compareInColumn is Compare for two values of one column — NULLs
+// first, then the column type's own ordering, which cannot fail — read
+// through pointers, a Value being nine words.
+func compareInColumn(a, b *Value) int {
+	switch {
+	case a.IsNull() || b.IsNull():
+		c, _ := Compare(*a, *b)
+		return c
+	case a.Type == TypeDouble:
+		return cmpF(a.F, b.F)
+	case a.Type == TypeInteger || a.Type == TypeBigint:
+		return cmpI(a.I, b.I)
+	case a.Type == TypeVarchar:
+		return strings.Compare(a.S, b.S)
+	}
+	c, _ := Compare(*a, *b)
+	return c
 }
 
 // cmpF is Compare's three-way float ordering: NaN compares equal to
@@ -449,14 +528,14 @@ func (b *bvConst) possible(*colChunk) uint8 {
 // loops for the hot layouts (int, float, string) and the generic
 // comparator otherwise.
 type bvCmp struct {
-	col int
+	src bvOperand
 	op  string
 	tri [3]int8
 	val Value
 }
 
 func (b *bvCmp) eval(ch *colChunk, out []int8) {
-	v := &ch.vecs[b.col]
+	v := b.src.vec(ch)
 	switch v.typ {
 	case TypeInteger, TypeBigint:
 		if b.val.Type == TypeDouble {
@@ -471,23 +550,27 @@ func (b *bvCmp) eval(ch *colChunk, out []int8) {
 			return
 		}
 		c := b.val.I
+		if v.nonNull == ch.n { // a NULL-free column vector: no bitmap reads
+			for i, x := range v.ints[:ch.n] {
+				out[i] = b.tri[cmpI(x, c)+1]
+			}
+			return
+		}
 		for i := 0; i < ch.n; i++ {
 			if v.nulls.get(i) {
 				out[i] = triN
 				continue
 			}
-			x := v.ints[i]
-			switch {
-			case x < c:
-				out[i] = b.tri[0]
-			case x > c:
-				out[i] = b.tri[2]
-			default:
-				out[i] = b.tri[1]
-			}
+			out[i] = b.tri[cmpI(v.ints[i], c)+1]
 		}
 	case TypeDouble:
 		c := b.val.asFloat()
+		if v.nonNull == ch.n {
+			for i, x := range v.flts[:ch.n] {
+				out[i] = b.tri[cmpF(x, c)+1]
+			}
+			return
+		}
 		for i := 0; i < ch.n; i++ {
 			if v.nulls.get(i) {
 				out[i] = triN
@@ -534,7 +617,10 @@ func cmpPossible(op string, lo, hi int) (canT, canF bool) {
 }
 
 func (b *bvCmp) possible(ch *colChunk) uint8 {
-	v := &ch.vecs[b.col]
+	if b.src.ex != nil {
+		return maskAny
+	}
+	v := &ch.vecs[b.src.col]
 	var m uint8
 	if v.nonNull < ch.n {
 		m |= maskN
@@ -564,7 +650,7 @@ func (b *bvCmp) possible(ch *colChunk) uint8 {
 
 type bvLike struct {
 	col int
-	re  *regexp.Regexp
+	pat likePattern
 }
 
 func (b *bvLike) eval(ch *colChunk, out []int8) {
@@ -574,7 +660,7 @@ func (b *bvLike) eval(ch *colChunk, out []int8) {
 			out[i] = triN
 			continue
 		}
-		if b.re.MatchString(v.strs[i]) {
+		if b.pat.match(v.strs[i]) {
 			out[i] = triT
 		} else {
 			out[i] = triF
@@ -595,12 +681,12 @@ func (b *bvLike) possible(ch *colChunk) uint8 {
 }
 
 type bvIsNull struct {
-	col    int
+	src    bvOperand
 	negate bool
 }
 
 func (b *bvIsNull) eval(ch *colChunk, out []int8) {
-	v := &ch.vecs[b.col]
+	v := b.src.vec(ch)
 	t, f := triT, triF
 	if b.negate {
 		t, f = triF, triT
@@ -615,7 +701,10 @@ func (b *bvIsNull) eval(ch *colChunk, out []int8) {
 }
 
 func (b *bvIsNull) possible(ch *colChunk) uint8 {
-	v := &ch.vecs[b.col]
+	if b.src.ex != nil {
+		return maskAny
+	}
+	v := &ch.vecs[b.src.col]
 	hasNull, hasVal := v.nonNull < ch.n, v.nonNull > 0
 	if b.negate {
 		hasNull, hasVal = hasVal, hasNull
@@ -631,13 +720,13 @@ func (b *bvIsNull) possible(ch *colChunk) uint8 {
 }
 
 type bvBetween struct {
-	col    int
+	src    bvOperand
 	lo, hi Value
 	negate bool
 }
 
 func (b *bvBetween) eval(ch *colChunk, out []int8) {
-	v := &ch.vecs[b.col]
+	v := b.src.vec(ch)
 	for i := 0; i < ch.n; i++ {
 		if v.nulls.get(i) {
 			out[i] = triN
@@ -656,7 +745,10 @@ func (b *bvBetween) eval(ch *colChunk, out []int8) {
 }
 
 func (b *bvBetween) possible(ch *colChunk) uint8 {
-	v := &ch.vecs[b.col]
+	if b.src.ex != nil {
+		return maskAny
+	}
+	v := &ch.vecs[b.src.col]
 	var m uint8
 	if v.nonNull < ch.n {
 		m |= maskN
@@ -689,14 +781,14 @@ func (b *bvBetween) possible(ch *colChunk) uint8 {
 }
 
 type bvIn struct {
-	col     int
+	src     bvOperand
 	items   []Value // non-null, in list order
 	sawNull bool
 	negate  bool
 }
 
 func (b *bvIn) eval(ch *colChunk, out []int8) {
-	v := &ch.vecs[b.col]
+	v := b.src.vec(ch)
 	match, miss := triT, triF
 	if b.negate {
 		match, miss = triF, triT
@@ -725,7 +817,10 @@ func (b *bvIn) eval(ch *colChunk, out []int8) {
 }
 
 func (b *bvIn) possible(ch *colChunk) uint8 {
-	v := &ch.vecs[b.col]
+	if b.src.ex != nil {
+		return maskAny
+	}
+	v := &ch.vecs[b.src.col]
 	var m uint8
 	if v.nonNull < ch.n || b.sawNull {
 		m |= maskN
@@ -861,6 +956,25 @@ func (b *bvNot) possible(ch *colChunk) uint8 {
 	return m
 }
 
+// filterChunk applies a bound predicate (nil: none) to one chunk and
+// counts it: the positions of the rows it accepts, in order, or
+// skipped=true when the zone maps rule the chunk out untouched. rows may
+// alias buf or the shared identity selection; it is valid until the
+// next call.
+func (d *Database) filterChunk(bp boundVec, ch *colChunk, sel *[chunkRows]int8, buf *[chunkRows]uint16) (rows []uint16, skipped bool) {
+	if bp == nil {
+		d.vecBatches.Add(1)
+		return allRows[:ch.n], false
+	}
+	if chunkSkippable(bp, ch) {
+		d.vecSkipped.Add(1)
+		return nil, true
+	}
+	d.vecBatches.Add(1)
+	bp.eval(ch, sel[:ch.n])
+	return selectedRows(sel[:ch.n], buf), false
+}
+
 // chunkSkippable reports that no row in the chunk can satisfy the
 // predicate, so the whole chunk is skipped without touching its
 // vectors.
@@ -869,11 +983,9 @@ func chunkSkippable(bp boundVec, ch *colChunk) bool {
 }
 
 // vectorEnabled reports whether columnar operators may run for this
-// database right now (both the global test toggle and the per-engine
-// option are consulted per execution, so cached plans honour them).
-func (d *Database) vectorEnabled() bool {
-	return !disableVector && !d.vectorOff
-}
+// database right now (consulted per execution, so cached plans honour
+// the option).
+func (d *Database) vectorEnabled() bool { return !d.vectorOff }
 
 // ctxCheck mirrors evalEnv.checkCtx at chunk granularity.
 func ctxCheck(ctx context.Context) error {
@@ -888,11 +1000,14 @@ func ctxCheck(ctx context.Context) error {
 
 // execPlanVector runs a compiled plan through the columnar operators:
 // zone-map chunk skipping, kernel predicate evaluation into a
-// selection vector, then columnar gather (or row materialisation for
-// computed projections). handled=false means a bind-time fallback —
-// the caller must run the row path; err is terminal either way.
-// Caller holds d.mu for reading.
-func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []Value) (set *ResultSet, handled bool, err error) {
+// selection vector, then columnar gather, expression vectors, or row
+// materialisation for projections the kernels do not cover. env is the
+// plan's row environment. handled=false means the plan was abandoned —
+// an operand that does not bind, an unbuildable chunk cache, a zero
+// divisor under a projected row — and the caller must run the row path;
+// err is terminal either way. Caller holds d.mu for reading.
+func (d *Database) execPlanVector(p *selectPlan, env *evalEnv) (set *ResultSet, handled bool, err error) {
+	ctx, params := env.ctx, env.params
 	var bp boundVec
 	if p.vec.pred != nil {
 		var ok bool
@@ -901,20 +1016,34 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 			return nil, false, nil
 		}
 	}
+	exprs := make([]boundExpr, len(p.vproj)) // nil where the projection is a plain column
+	for k, vp := range p.vproj {
+		if vp.expr != nil {
+			var ok bool
+			if exprs[k], ok = bindVecExpr(vp.expr.e, p.t, params); !ok {
+				return nil, false, nil
+			}
+		}
+	}
 	tc := d.ensureChunks(p.t)
 	if !tc.ok {
 		return nil, false, nil
 	}
 
-	env := &evalEnv{cols: p.cols, params: params, db: d, ctx: ctx}
 	out := &ResultSet{Columns: p.projCols}
 	needKeys := len(p.order) > 0 && !p.orderSatisfied
+	var top *topRows
+	if needKeys {
+		top = p.topRows(env, tc)
+	}
 	var orderKeys [][]Value
 	slab := newRowSlab(len(p.projExprs))
 	var selbuf [chunkRows]int8
+	var rowbuf [chunkRows]uint16
+	vecs := make([]*colVec, len(p.vproj))
 	// Row materialisation is needed when some projection or sort key is
-	// not a plain column gather.
-	needRow := p.gather == nil
+	// neither a column gather nor an expression vector.
+	needRow := p.gather == nil && p.vproj == nil
 	for _, k := range p.order {
 		if k.kind == orderKeyExpr {
 			needRow = true
@@ -925,32 +1054,41 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 		if err := ctxCheck(ctx); err != nil {
 			return nil, true, err
 		}
-		if bp != nil && chunkSkippable(bp, ch) {
-			d.vecSkipped.Add(1)
+		rows, skipped := d.filterChunk(bp, ch, &selbuf, &rowbuf)
+		if skipped {
 			continue
 		}
-		d.vecBatches.Add(1)
-		sel := selbuf[:ch.n]
-		if bp != nil {
-			bp.eval(ch, sel)
-		} else {
-			for i := range sel {
-				sel[i] = triT
-			}
+		if top != nil {
+			top.offer(ch, rows)
+			continue
 		}
-		for i := 0; i < ch.n; i++ {
-			if sel[i] != triT {
+		for k, vp := range p.vproj {
+			if exprs[k] == nil {
+				vecs[k] = &ch.vecs[vp.col]
 				continue
 			}
+			v, ok := exprs[k].eval(ch, rows)
+			if !ok {
+				return nil, false, nil
+			}
+			vecs[k] = v
+		}
+		for _, r := range rows {
+			i := int(r)
 			if needRow {
 				env.row = p.t.rows[ch.ids[i]]
 			}
 			vals := slab.next()
-			if p.gather != nil {
+			switch {
+			case p.gather != nil:
 				for k, ci := range p.gather {
 					vals[k] = ch.vecs[ci].value(i)
 				}
-			} else {
+			case p.vproj != nil:
+				for k, v := range vecs {
+					vals[k] = v.value(i)
+				}
+			default:
 				for k, e := range p.projExprs {
 					v, err := eval(e, env)
 					if err != nil {
@@ -978,6 +1116,10 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 		}
 	}
 
+	if top != nil {
+		out.Rows = top.rows(p.gather)
+		return out, true, nil
+	}
 	if needKeys {
 		if err := sortRows(out, orderKeys, p.sel.OrderBy); err != nil {
 			return nil, true, err
@@ -987,4 +1129,158 @@ func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []V
 		return nil, true, err
 	}
 	return out, true, nil
+}
+
+// topRows is the bounded ORDER BY ... LIMIT of the vector path: instead
+// of materialising, keying and stable-sorting every selected row, it
+// keeps the OFFSET+LIMIT rows that sort first in a heap and gathers only
+// the winners. A row is (keys, arrival ordinal) and ties go to the
+// earlier arrival, so the outcome is sortRows' — a stable sort —
+// exactly.
+type topRows struct {
+	cols          []int  // key columns, one per ORDER BY item
+	desc          []bool // per key
+	offset, limit int
+	arrived       int
+	cand          []Value  // the row on offer's keys
+	heap          []topRow // max-heap: heap[0] sorts last of the rows kept
+}
+
+type topRow struct {
+	keys []Value
+	ord  int
+	ch   *colChunk
+	pos  int
+}
+
+// topRows returns the bounded sorter when the plan admits one, else nil
+// and execPlanVector sorts as ever: the projection is a gather (so no
+// row outside the winners could have failed to project), every key is a
+// base column, OFFSET and LIMIT evaluate — an error there must surface
+// after the scan, where applyOffsetLimit raises it — to no more than
+// chunkRows rows together, and no key column holds a NaN, which Compare
+// finds equal to everything and a stable sort therefore orders by its
+// own merge pattern, not by any rule a heap could follow.
+func (p *selectPlan) topRows(env *evalEnv, tc *tableChunks) *topRows {
+	if p.gather == nil || p.orderCols == nil || p.sel.Limit == nil {
+		return nil
+	}
+	t := &topRows{cols: p.orderCols}
+	var err error
+	if p.sel.Offset != nil {
+		if t.offset, err = evalCount(p.sel.Offset, env); err != nil {
+			return nil
+		}
+	}
+	if t.limit, err = evalCount(p.sel.Limit, env); err != nil || t.offset+t.limit > chunkRows {
+		return nil
+	}
+	for _, ch := range tc.chunks {
+		for _, c := range t.cols {
+			if ch.vecs[c].hasNaN {
+				return nil
+			}
+		}
+	}
+	for _, k := range p.order {
+		t.desc = append(t.desc, k.desc)
+	}
+	t.cand = make([]Value, len(t.cols))
+	return t
+}
+
+// before reports that keys a sort strictly before keys b; equal keys
+// leave it to the arrival ordinals.
+func (t *topRows) before(a []Value, aOrd int, b []Value, bOrd int) bool {
+	for k := range a {
+		c := compareInColumn(&a[k], &b[k])
+		if c == 0 {
+			continue
+		}
+		return (c < 0) != t.desc[k]
+	}
+	return aOrd < bOrd
+}
+
+// offer takes a chunk's selected rows in scan order.
+func (t *topRows) offer(ch *colChunk, rows []uint16) {
+	k := t.offset + t.limit
+	for _, r := range rows {
+		ord := t.arrived
+		t.arrived++
+		if k == 0 {
+			continue
+		}
+		for i, c := range t.cols {
+			t.cand[i] = ch.vecs[c].value(int(r))
+		}
+		full := len(t.heap) == k
+		if full && !t.before(t.cand, ord, t.heap[0].keys, t.heap[0].ord) {
+			continue
+		}
+		row := topRow{ord: ord, ch: ch, pos: int(r)}
+		if full {
+			row.keys = t.heap[0].keys // the evicted row's
+		} else {
+			row.keys = make([]Value, len(t.cand))
+		}
+		copy(row.keys, t.cand)
+		if !full {
+			t.heap = append(t.heap, row)
+			t.up(len(t.heap) - 1)
+		} else {
+			t.heap[0] = row
+			t.down(0)
+		}
+	}
+}
+
+// after is the heap order: row i sorts after row j.
+func (t *topRows) after(i, j int) bool {
+	return t.before(t.heap[j].keys, t.heap[j].ord, t.heap[i].keys, t.heap[i].ord)
+}
+
+func (t *topRows) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.after(i, parent) {
+			return
+		}
+		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
+		i = parent
+	}
+}
+
+func (t *topRows) down(i int) {
+	for {
+		last := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(t.heap); c++ {
+			if t.after(c, last) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		t.heap[i], t.heap[last] = t.heap[last], t.heap[i]
+		i = last
+	}
+}
+
+// rows sorts the kept rows, drops the OFFSET and gathers the rest.
+func (t *topRows) rows(gather []int) [][]Value {
+	sort.Slice(t.heap, func(i, j int) bool { return t.after(j, i) })
+	kept := t.heap[min(t.offset, len(t.heap)):]
+	var out [][]Value
+	w := len(gather)
+	cells := make([]Value, len(kept)*w)
+	for _, r := range kept {
+		vals := cells[:w:w]
+		cells = cells[w:]
+		for k, ci := range gather {
+			vals[k] = r.ch.vecs[ci].value(r.pos)
+		}
+		out = append(out, vals)
+	}
+	return out
 }

@@ -1,0 +1,330 @@
+package sqlengine
+
+import (
+	"fmt"
+	"math"
+)
+
+// Expression vectors: arithmetic over base columns evaluated a chunk at
+// a time into a scratch typed vector with a null bitmap, so that an
+// aggregate argument (SUM(a+b)), a predicate operand (a + b > ?) or a
+// projection (a * 2) stays on the columnar pipeline. The class is the
+// interpreter's evalArith over numeric columns, literals and parameters,
+// with its static typing — DOUBLE if either side is, else BIGINT if
+// either side is, else INTEGER, integers wrapping around — and NULL in,
+// NULL out. Whatever a kernel could not reproduce byte for byte abandons
+// the plan for that execution and the row operators or the interpreter
+// run the statement instead: an operand that does not bind (a
+// non-numeric, NULL or missing parameter, a zero constant divisor), or a
+// zero divisor met on a selected row. Results and error text therefore
+// stay the interpreter's by construction.
+
+// vecExpr is a plan-time compiled expression: the rewritten tree itself,
+// proven to have the shape above and to read at least one column.
+type vecExpr struct {
+	e Expr
+	// safe: every divisor is a constant, so once bound the expression
+	// cannot fail on any row. Predicates require it — zone maps skip
+	// chunks and AND/OR kernels evaluate both sides, so a row-dependent
+	// failure would surface for different rows than the interpreter's.
+	safe bool
+}
+
+func compileVecExpr(e Expr, t *Table) (*vecExpr, bool) {
+	hasCol, safe, ok := vecExprShape(e, t)
+	if !ok || !hasCol {
+		return nil, false
+	}
+	return &vecExpr{e: e, safe: safe}, true
+}
+
+func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
+	switch n := e.(type) {
+	case *boundColExpr:
+		return true, true, n.idx < len(t.Columns) && t.Columns[n.idx].Type.isNumeric()
+	case *LiteralExpr, *ParamExpr:
+		return false, true, true
+	case *UnaryExpr:
+		if n.Op == "-" {
+			return vecExprShape(n.Operand, t)
+		}
+	case *BinaryExpr:
+		switch n.Op {
+		case "+", "-", "*", "/", "%":
+			lc, ls, lok := vecExprShape(n.Left, t)
+			rc, rs, rok := vecExprShape(n.Right, t)
+			divides := n.Op == "/" || n.Op == "%"
+			return lc || rc, ls && rs && !(divides && rc), lok && rok
+		}
+	}
+	return false, false, false
+}
+
+// text renders the expression for EXPLAIN.
+func (x *vecExpr) text(t *Table) string {
+	s := exprText(x.e, t)
+	if _, binary := x.e.(*BinaryExpr); binary {
+		s = s[1 : len(s)-1] // the outermost pair of parentheses says nothing
+	}
+	return s
+}
+
+func exprText(e Expr, t *Table) string {
+	switch n := e.(type) {
+	case *boundColExpr:
+		return t.Columns[n.idx].Name
+	case *LiteralExpr:
+		return n.Value.String()
+	case *ParamExpr:
+		return "?"
+	case *UnaryExpr:
+		return "-" + exprText(n.Operand, t)
+	case *BinaryExpr:
+		return "(" + exprText(n.Left, t) + " " + n.Op + " " + exprText(n.Right, t) + ")"
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+// allRows is the identity selection: positions 0..chunkRows-1.
+var allRows = func() (r [chunkRows]uint16) {
+	for i := range r {
+		r[i] = uint16(i)
+	}
+	return r
+}()
+
+// selectedRows lists the positions a selection vector accepted. Every
+// position is written and the count advanced by the tri-state's low bit
+// (set for triT alone), which spares a branch that a selective filter
+// makes unpredictable; n never passes i, so the write stays in range.
+func selectedRows(sel []int8, buf *[chunkRows]uint16) []uint16 {
+	n := 0
+	for i, tri := range sel {
+		buf[n] = uint16(i)
+		n += int(tri & triT)
+	}
+	return buf[:n]
+}
+
+// boundExpr is a vecExpr with its constants evaluated and its types
+// settled for one execution. eval computes the given rows of a chunk;
+// the other positions of the returned vector are undefined. ok=false
+// reports a zero divisor on one of the rows.
+type boundExpr interface {
+	typ() Type
+	eval(ch *colChunk, rows []uint16) (v *colVec, ok bool)
+}
+
+type beCol struct {
+	col int
+	t   Type
+}
+
+func (b *beCol) typ() Type                                     { return b.t }
+func (b *beCol) eval(ch *colChunk, _ []uint16) (*colVec, bool) { return &ch.vecs[b.col], true }
+
+// beConst is a constant broadcast over a whole chunk, so that every
+// arithmetic kernel has one shape: vector against vector.
+type beConst struct {
+	val Value
+	vec colVec
+}
+
+func newBeConst(v Value) (*beConst, bool) {
+	if v.IsNull() || !v.Type.isNumeric() {
+		// A NULL operand makes the interpreter skip evalArith's type check,
+		// a non-numeric one makes it fail per row: leave both to it.
+		return nil, false
+	}
+	b := &beConst{val: v, vec: newScratch(v.Type)}
+	for i := range b.vec.flts {
+		b.vec.flts[i] = v.F
+	}
+	for i := range b.vec.ints {
+		b.vec.ints[i] = v.I
+	}
+	return b, true
+}
+
+func (b *beConst) typ() Type                                { return b.val.Type }
+func (b *beConst) eval(*colChunk, []uint16) (*colVec, bool) { return &b.vec, true }
+
+func newScratch(t Type) colVec {
+	v := colVec{typ: t, nulls: newBitset(chunkRows)}
+	if t == TypeDouble {
+		v.flts = make([]float64, chunkRows)
+	} else {
+		v.ints = make([]int64, chunkRows)
+	}
+	return v
+}
+
+type beNeg struct {
+	x   boundExpr
+	out colVec
+}
+
+func (b *beNeg) typ() Type { return b.out.typ }
+
+func (b *beNeg) eval(ch *colChunk, rows []uint16) (*colVec, bool) {
+	x, ok := b.x.eval(ch, rows)
+	if !ok {
+		return nil, false
+	}
+	out := &b.out
+	clear(out.nulls)
+	for _, i := range rows {
+		switch {
+		case x.nulls.get(int(i)):
+			out.nulls.set(int(i))
+		case out.typ == TypeDouble:
+			out.flts[i] = -x.flts[i]
+		default:
+			out.ints[i] = -x.ints[i]
+		}
+	}
+	return out, true
+}
+
+type beArith struct {
+	op   byte
+	l, r boundExpr
+	out  colVec
+}
+
+func (b *beArith) typ() Type { return b.out.typ }
+
+// float reads position i as evalArith's asFloat would.
+func (v *colVec) float(i uint16) float64 {
+	if v.typ == TypeDouble {
+		return v.flts[i]
+	}
+	return float64(v.ints[i])
+}
+
+func (b *beArith) eval(ch *colChunk, rows []uint16) (*colVec, bool) {
+	l, ok := b.l.eval(ch, rows)
+	if !ok {
+		return nil, false
+	}
+	r, ok := b.r.eval(ch, rows)
+	if !ok {
+		return nil, false
+	}
+	out := &b.out
+	clear(out.nulls)
+	if out.typ == TypeDouble {
+		for _, i := range rows {
+			if l.nulls.get(int(i)) || r.nulls.get(int(i)) {
+				out.nulls.set(int(i))
+				continue
+			}
+			x, y := l.float(i), r.float(i)
+			switch b.op {
+			case '+':
+				out.flts[i] = x + y
+			case '-':
+				out.flts[i] = x - y
+			case '*':
+				out.flts[i] = x * y
+			case '/':
+				if y == 0 {
+					return nil, false
+				}
+				out.flts[i] = x / y
+			default:
+				if y == 0 {
+					return nil, false
+				}
+				out.flts[i] = math.Mod(x, y)
+			}
+		}
+		return out, true
+	}
+	for _, i := range rows {
+		if l.nulls.get(int(i)) || r.nulls.get(int(i)) {
+			out.nulls.set(int(i))
+			continue
+		}
+		x, y := l.ints[i], r.ints[i]
+		switch b.op {
+		case '+':
+			out.ints[i] = x + y
+		case '-':
+			out.ints[i] = x - y
+		case '*':
+			out.ints[i] = x * y
+		case '/':
+			if y == 0 {
+				return nil, false
+			}
+			out.ints[i] = x / y
+		default:
+			if y == 0 {
+				return nil, false
+			}
+			out.ints[i] = x % y
+		}
+	}
+	return out, true
+}
+
+// bindVecExpr settles an expression for one execution. Constant
+// subtrees fold through the interpreter's own eval and evalArith, so
+// their values, types and failures are its own; ok=false hands the
+// statement back to it.
+func bindVecExpr(e Expr, t *Table, params []Value) (boundExpr, bool) {
+	switch n := e.(type) {
+	case *boundColExpr:
+		return &beCol{col: n.idx, t: t.Columns[n.idx].Type}, true
+	case *LiteralExpr, *ParamExpr:
+		v, ok := evalVecConst(e, params)
+		if !ok {
+			return nil, false
+		}
+		return newBeConst(v)
+	case *UnaryExpr:
+		x, ok := bindVecExpr(n.Operand, t, params)
+		if !ok {
+			return nil, false
+		}
+		if c, isConst := x.(*beConst); isConst {
+			v, ok := evalVecConst(&UnaryExpr{Op: "-", Operand: &LiteralExpr{Value: c.val}}, nil)
+			if !ok {
+				return nil, false
+			}
+			return newBeConst(v)
+		}
+		return &beNeg{x: x, out: newScratch(x.typ())}, true
+	case *BinaryExpr:
+		l, ok := bindVecExpr(n.Left, t, params)
+		if !ok {
+			return nil, false
+		}
+		r, ok := bindVecExpr(n.Right, t, params)
+		if !ok {
+			return nil, false
+		}
+		lc, lConst := l.(*beConst)
+		rc, rConst := r.(*beConst)
+		if lConst && rConst {
+			v, err := evalArith(n.Op, lc.val, rc.val)
+			if err != nil {
+				return nil, false
+			}
+			return newBeConst(v)
+		}
+		if (n.Op == "/" || n.Op == "%") && rConst && rc.val.asFloat() == 0 {
+			return nil, false // fails on the first row with a non-NULL dividend
+		}
+		out := TypeInteger
+		switch lt, rt := l.typ(), r.typ(); {
+		case lt == TypeDouble || rt == TypeDouble:
+			out = TypeDouble
+		case lt == TypeBigint || rt == TypeBigint:
+			out = TypeBigint
+		}
+		return &beArith{op: n.Op[0], l: l, r: r, out: newScratch(out)}, true
+	}
+	return nil, false
+}

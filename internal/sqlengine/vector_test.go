@@ -19,6 +19,7 @@ func vecEngine(t testing.TB, rows int) *Engine {
 	t.Helper()
 	e := New("vec")
 	e.MustExec(`CREATE TABLE vt (id INTEGER, a INTEGER, b DOUBLE, s VARCHAR(16), f BOOLEAN, ts TIMESTAMP)`)
+	e.MustExec(`CREATE VIEW vv AS SELECT id, a, b FROM vt WHERE a > 10`)
 	s := e.NewSession()
 	for i := 0; i < rows; i++ {
 		a := NewInt(int64(i % 50))
@@ -139,8 +140,90 @@ var vectorCorpus = []struct {
 	// Aggregate shapes that must fall back (interpreter owns them).
 	{sql: `SELECT COUNT(DISTINCT a) FROM vt`},
 	{sql: `SELECT a, COUNT(*) FROM vt GROUP BY a HAVING COUNT(*) > 8 ORDER BY 1`},
-	{sql: `SELECT SUM(a + 1) FROM vt`},
+	{sql: `SELECT SUM(ABS(a)) FROM vt`},
 	{sql: `SELECT a, COUNT(*) FROM vt GROUP BY a ORDER BY a`},
+	// Expression vectors as aggregate arguments: integer, DOUBLE (NaN in
+	// b; b = 0 at id 40, so -b and b * -1 make -0), mixed, parameters,
+	// 64-bit wrap-around, grouped.
+	{sql: `SELECT SUM(a + 1) FROM vt`},
+	{sql: `SELECT SUM(a + id), AVG(a * 2), MIN(-a), MAX(a - id), COUNT(a + b) FROM vt`},
+	{sql: `SELECT SUM(a + b), AVG(b * 2), MIN(-b), MAX(b / 2), MIN(b * -1) FROM vt WHERE a > 5`},
+	{sql: `SELECT MIN(-b), MAX(-b), SUM(b * 0) FROM vt WHERE id BETWEEN 38 AND 42`},
+	{sql: `SELECT SUM(id * 4611686018427387904), SUM(a * 9223372036854775807), MAX(id * 4611686018427387904 * 4) FROM vt`},
+	{sql: `SELECT a, SUM(id + ?), AVG(b - ?), MIN(id % 7) FROM vt GROUP BY a ORDER BY 1`, params: []Value{NewBigint(1 << 40), NewDouble(0.5)}},
+	{sql: `SELECT SUM(a + ?), MAX(a + ?) FROM vt`, params: []Value{NewDouble(0.25), NewBigint(7)}},
+	{sql: `SELECT COUNT(*), SUM(a + id) FROM vt WHERE a + id > 400`},
+	{sql: `SELECT SUM(a + id) FROM vt WHERE a > 200`},
+	// ... that abandon the plan: an operand that does not bind, a zero
+	// divisor on a selected row (b = 0 at id 40, a = 0 at id 50), and the
+	// same divisors on rows the WHERE leaves out.
+	{sql: `SELECT SUM(a + ?) FROM vt`, params: []Value{Null}},
+	{sql: `SELECT SUM(a + ?) FROM vt`, params: []Value{NewString("x")}},
+	{sql: `SELECT SUM(s + 1) FROM vt`},
+	{sql: `SELECT SUM(a / b) FROM vt`},
+	{sql: `SELECT SUM(a / b) FROM vt WHERE id <> 40`},
+	{sql: `SELECT SUM(id / a) FROM vt`},
+	{sql: `SELECT SUM(id / a), SUM(id % a) FROM vt WHERE a > 0`},
+	{sql: `SELECT SUM(a % 0) FROM vt`},
+	{sql: `SELECT SUM(a % 0) FROM vt WHERE a > 200`},
+	{sql: `SELECT a, SUM(id / (a - 3)) FROM vt GROUP BY a ORDER BY 1`},
+	// Computed WHERE operands: comparison, BETWEEN, IN, IS NULL.
+	{sql: `SELECT id FROM vt WHERE a + id > ?`, params: []Value{NewInt(470)}},
+	{sql: `SELECT id FROM vt WHERE a % 2 = 0`},
+	{sql: `SELECT id FROM vt WHERE a + b > 10 AND id % 3 = 1`},
+	{sql: `SELECT id FROM vt WHERE -a < -40 OR b * 2 BETWEEN 1 AND 3`},
+	{sql: `SELECT id FROM vt WHERE 100 < id + a * 2 AND NOT (b - 1 > 0)`},
+	{sql: `SELECT id FROM vt WHERE (a + 1) IS NULL`},
+	{sql: `SELECT id FROM vt WHERE a * 2 IN (4, 8, NULL)`},
+	{sql: `SELECT id FROM vt WHERE a * 2 NOT IN (4, ?)`, params: []Value{NewDouble(8)}},
+	{sql: `SELECT id FROM vt WHERE b / 2 > 20`},
+	{sql: `SELECT id FROM vt WHERE 10 / a > 2`}, // a divisor that can be zero on a row: row path, errors
+	{sql: `SELECT id FROM vt WHERE a / 0 > 2`},
+	{sql: `SELECT id FROM vt WHERE a % ? = 1`, params: []Value{NewInt(0)}},
+	{sql: `SELECT id FROM vt WHERE a % ? = 1`, params: []Value{NewInt(4)}},
+	{sql: `SELECT id FROM vt WHERE a + ? > 3`, params: []Value{Null}},
+	{sql: `SELECT id FROM vt WHERE a + ? > 3`, params: []Value{NewString("x")}},
+	{sql: `SELECT id FROM vt WHERE a + 1 > 'x'`},
+	{sql: `SELECT id FROM vt WHERE s + 1 > 3`},
+	// Expression projection.
+	{sql: `SELECT id, a * 2, -b, a + b, id % 5 - a FROM vt WHERE a > 45`},
+	{sql: `SELECT a * ? FROM vt WHERE id < 9`, params: []Value{NewDouble(1.5)}},
+	{sql: `SELECT id / a FROM vt WHERE id < 60`},
+	{sql: `SELECT id / a FROM vt WHERE id < 50`},
+	{sql: `SELECT id, a * 2 FROM vt WHERE a > 40 ORDER BY 2 DESC, 1 LIMIT 6`},
+	// Bounded top-K: ties keep scan order, NULL keys first, multi-key,
+	// DESC, OFFSET, unprojected keys; NaN keys, big and failing limits
+	// take the sort.
+	{sql: `SELECT id, a FROM vt WHERE a > 10 ORDER BY a LIMIT 7`},
+	{sql: `SELECT id, a FROM vt ORDER BY a LIMIT 90`},
+	{sql: `SELECT id, a, s FROM vt ORDER BY a DESC, s LIMIT 9 OFFSET 4`},
+	{sql: `SELECT id, a FROM vt ORDER BY 2, 1 DESC LIMIT ?`, params: []Value{NewInt(5)}},
+	{sql: `SELECT id FROM vt WHERE id > 20 ORDER BY a, s DESC LIMIT 12 OFFSET ?`, params: []Value{NewInt(3)}},
+	{sql: `SELECT id, f, ts FROM vt ORDER BY f DESC, ts LIMIT 8`},
+	{sql: `SELECT id, b FROM vt ORDER BY b LIMIT 5`},
+	{sql: `SELECT id, s FROM vt ORDER BY s DESC LIMIT 3 OFFSET 600`},
+	{sql: `SELECT id FROM vt ORDER BY a LIMIT 0`},
+	{sql: `SELECT id FROM vt ORDER BY a LIMIT 2000`},
+	{sql: `SELECT id FROM vt ORDER BY a LIMIT -1`},
+	{sql: `SELECT id FROM vt ORDER BY a LIMIT 3 OFFSET ?`, params: []Value{Null}},
+	// Nested blocks reach the same executors: derived tables, a view (vv:
+	// id, a, b of the rows with a > 10), UNION arms, IN, scalar and
+	// correlated subqueries, and a failure inside one.
+	{sql: `SELECT x.a, COUNT(*) FROM (SELECT id, a FROM vt WHERE id BETWEEN 100 AND 300) x GROUP BY x.a ORDER BY 1`},
+	{sql: `SELECT x.id, y.a FROM (SELECT id FROM vt WHERE a > 45) x JOIN (SELECT id, a FROM vt WHERE a + 1 > 46) y ON x.id = y.id`},
+	{sql: `SELECT x.n FROM (SELECT COUNT(*) AS n, SUM(a + id) AS t FROM vt WHERE a > ?) x`, params: []Value{NewInt(30)}},
+	{sql: `SELECT id, a FROM vv WHERE b > 0`},
+	{sql: `SELECT COUNT(*), SUM(a + 1) FROM vv`},
+	{sql: `SELECT v.id, t.s FROM vv v JOIN vt t ON v.id = t.id WHERE t.a > 47`},
+	{sql: `SELECT id FROM vt WHERE a > 47 UNION SELECT id FROM vt WHERE a < 2 ORDER BY 1 LIMIT 20`},
+	{sql: `SELECT a FROM vt WHERE id < 10 UNION ALL SELECT SUM(a + id) FROM vt UNION ALL SELECT a FROM vv WHERE id < 30`},
+	{sql: `SELECT id FROM vt WHERE a IN (SELECT a FROM vt WHERE id < 5)`},
+	{sql: `SELECT id, (SELECT MAX(a + 1) FROM vt) FROM vt WHERE id < 3`},
+	{sql: `SELECT id FROM vt WHERE a = (SELECT MIN(a) FROM vt WHERE id > ?)`, params: []Value{NewInt(450)}},
+	{sql: `SELECT id FROM vt o WHERE EXISTS (SELECT 1 FROM vt i WHERE i.id = o.a AND i.a > 40)`},
+	{sql: `SELECT id, (SELECT COUNT(*) FROM vt i WHERE i.a = o.a) FROM vt o WHERE id < 20`},
+	{sql: `SELECT q FROM (SELECT id / a AS q FROM vt) x WHERE q > 1`},
+	{sql: `SELECT id FROM vt WHERE a IN (SELECT a / 0 FROM vt)`},
 	// Bind-time fallbacks and identical errors on every path.
 	{sql: `SELECT id FROM vt WHERE s > 5`},
 	{sql: `SELECT id FROM vt WHERE a > 'abc'`},
@@ -170,12 +253,12 @@ func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) {
 		return outcome{dump: dumpSet(res.Set), ca: res.CA}
 	}
 	vec := run()
-	disableVector = true
+	e.SetVectorDisabled(true)
 	row := run()
-	disableVector = false
-	disablePlanner = true
+	e.SetVectorDisabled(false)
+	e.SetPlannerDisabled(true)
 	interp := run()
-	disablePlanner = false
+	e.SetPlannerDisabled(false)
 	for name, o := range map[string]outcome{"row": row, "interpreted": interp} {
 		if (vec.err == nil) != (o.err == nil) {
 			t.Fatalf("%s: vector err = %v, %s err = %v", sql, vec.err, name, o.err)
@@ -241,6 +324,9 @@ func TestVectorStreamMatches(t *testing.T) {
 		{sql: `SELECT id FROM vt WHERE a > 10 LIMIT 7 OFFSET 3`},
 		{sql: `SELECT id FROM vt WHERE s > 5`},
 		{sql: `SELECT id FROM vt WHERE a > ?`, params: []Value{Null}},
+		{sql: `SELECT id, a * 2, -b FROM vt WHERE a + id > 100 AND a % 2 = 0`},
+		{sql: `SELECT id / a FROM vt WHERE id < 60`},
+		{sql: `SELECT id FROM vt WHERE a IN (SELECT a FROM vt WHERE id < 5)`},
 	}
 	collect := func(sql string, params []Value) (string, SQLCA, error) {
 		stream, err := e.NewSession().ExecuteStream(context.Background(), sql, params...)
@@ -266,9 +352,9 @@ func TestVectorStreamMatches(t *testing.T) {
 	}
 	for _, tc := range streamable {
 		vd, vca, verr := collect(tc.sql, tc.params)
-		disableVector = true
+		e.SetVectorDisabled(true)
 		rd, rca, rerr := collect(tc.sql, tc.params)
-		disableVector = false
+		e.SetVectorDisabled(false)
 		if (verr == nil) != (rerr == nil) {
 			t.Fatalf("%s: stream err = %v vs %v", tc.sql, verr, rerr)
 		}
