@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-smoke chaos stream-chaos gw-chaos load-smoke soak fuzz-smoke benchmark-test benchmark
+.PHONY: all build test race vet fmt check alloc-budget bench bench-smoke chaos stream-chaos gw-chaos load-smoke soak fuzz-smoke benchmark-test benchmark
 
 all: build
 
@@ -22,7 +22,16 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: fmt vet race
+check: fmt vet race alloc-budget
+
+# What an exchange may allocate: the ceiling tests (one bulk session;
+# one exchange of each point_mix class, in bytes and in allocations) and
+# one iteration of the point-exchange benchmark with its B/op printed.
+# Not under -race, whose allocation figures are not the program's — the
+# race run skips these tests, so check runs them here. CI runs this.
+alloc-budget:
+	$(GO) test -count=1 -run 'AllocCeiling' -v .
+	$(GO) test -run NONE -bench 'PointExchange' -benchtime 1x -benchmem .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

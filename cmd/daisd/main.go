@@ -32,7 +32,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -102,17 +101,9 @@ func main() {
 
 	// Optional dedicated ops listener: the same observability surface as
 	// the main mux, plus pprof, isolated from data-path traffic.
-	var opsSrv *http.Server
-	if *opsAddr != "" {
-		opsLn, err := net.Listen("tcp", *opsAddr)
-		if err != nil {
-			fatal(logger, "ops listen failed", "addr", *opsAddr, "err", err)
-		}
-		opsSrv = &http.Server{Handler: srv.opsMux(*usePprof)}
-		go opsSrv.Serve(opsLn) //nolint:errcheck // closed on shutdown
-		logger.Info("ops listener ready", "addr", "http://"+opsLn.Addr().String(), "pprof", *usePprof)
-	} else if *usePprof {
-		logger.Warn("-pprof requires -ops-addr; pprof not exposed")
+	opsSrv, _, err := srv.obs.ServeOps(logger, *opsAddr, srv.health, *usePprof)
+	if err != nil {
+		fatal(logger, "ops listen failed", "addr", *opsAddr, "err", err)
 	}
 
 	// Serve until interrupted, then drain in-flight requests, stop the
@@ -314,37 +305,12 @@ func buildServer(base string, cfg config) (*server, func()) {
 	srv.mux.Handle("/sql", sqlEp)
 	srv.mux.Handle("/xml", xmlEp)
 	srv.mux.Handle("/files", fileEp)
-	srv.mountOps(srv.mux)
+	obs.MountOps(srv.mux, health)
 	return srv, func() {
 		for _, r := range regs {
 			r.Close()
 		}
 	}
-}
-
-// mountOps registers the observability endpoints on a mux.
-func (s *server) mountOps(mux *http.ServeMux) {
-	mux.Handle("/metrics", s.obs.Registry.Handler())
-	mux.Handle("/healthz", s.health)
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.obs.Tracer.Recent(100)) //nolint:errcheck // client went away
-	})
-}
-
-// opsMux builds the dedicated ops listener surface: the observability
-// endpoints plus (optionally) net/http/pprof.
-func (s *server) opsMux(withPprof bool) *http.ServeMux {
-	mux := http.NewServeMux()
-	s.mountOps(mux)
-	if withPprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
 }
 
 // flushTelemetry logs a final request summary on graceful shutdown so

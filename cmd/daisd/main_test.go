@@ -269,7 +269,7 @@ func TestSpansEndpoint(t *testing.T) {
 
 func TestOpsMux(t *testing.T) {
 	srv, base := startTestServer(t, config{wsrf: true, seedRows: 3, concurrent: true})
-	ts := httptest.NewServer(srv.opsMux(true))
+	ts := httptest.NewServer(srv.obs.OpsMux(srv.health, true))
 	defer ts.Close()
 	c := client.New(nil)
 	sqlRef := client.Ref(base+"/sql", srv.sqlRes.AbstractName())

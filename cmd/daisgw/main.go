@@ -13,16 +13,18 @@
 //	daisgw -backend http://h1:8090/sql -backend http://h2:8090/sql \
 //	       [-addr :8088] [-alias 'urn:cluster:emp=urn:r1@http://h1:8090/sql,urn:r2@http://h2:8090/sql'] \
 //	       [-fanout 4] [-probe 5s] [-max-inflight 0] [-per-resource-inflight 0]
-//	       [-log-level info] [-log-json]
+//	       [-ops-addr 127.0.0.1:9088] [-pprof] [-log-level info] [-log-json]
 //
 // Observability lives on /metrics (gateway fan-out and per-backend
 // counters in Prometheus text format), /healthz (aggregated backend
-// health: 200 while at least one backend answers) and /spans.
+// health: 200 while at least one backend answers) and /spans — on the
+// main listener and, when -ops-addr is set, on a separate ops listener
+// that optionally adds net/http/pprof (the same pair of flags, with the
+// same meaning, as daisd's).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -80,6 +82,8 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-backend probe deadline")
 	maxInFlight := flag.Int("max-inflight", 0, "gateway-wide in-flight request cap; excess is shed with HTTP 503 + Retry-After (0 disables admission control)")
 	perResource := flag.Int("per-resource-inflight", 0, "per-resource in-flight request cap (0 disables)")
+	opsAddr := flag.String("ops-addr", "", "separate listener for /metrics, /healthz, /spans and pprof (empty serves them on the main listener only)")
+	usePprof := flag.Bool("pprof", false, "expose net/http/pprof on the ops listener")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	flag.Parse()
@@ -135,14 +139,14 @@ func main() {
 	}
 	defer stopProber()
 
-	mux := http.NewServeMux()
-	mux.Handle("/", gw)
-	mux.Handle("/metrics", obs.Registry.Handler())
-	mux.Handle("/healthz", gw.Healthz())
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(obs.Tracer.Recent(100)) //nolint:errcheck // client went away
-	})
+	mux := newMux(gw, obs)
+
+	// Optional dedicated ops listener: the same observability surface as
+	// the main mux, plus pprof, isolated from data-path traffic.
+	opsSrv, _, err := obs.ServeOps(logger, *opsAddr, gw.Healthz(), *usePprof)
+	if err != nil {
+		fatal(logger, "ops listen failed", "addr", *opsAddr, "err", err)
+	}
 
 	logger.Info("daisgw listening", "base", base,
 		"backends", len(gw.Backends()), "aliases", len(aliases), "fanout", *fanout)
@@ -172,8 +176,20 @@ func main() {
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			logger.Error("shutdown", "err", err)
 		}
+		if opsSrv != nil {
+			opsSrv.Shutdown(shutCtx) //nolint:errcheck // best effort
+		}
 		<-errCh
 	}
+}
+
+// newMux is the gateway's main listener: the SOAP front door at /, and
+// beside it the observability endpoints every DAIS command serves.
+func newMux(gw *gateway.Gateway, obs *telemetry.Observer) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", gw)
+	obs.MountOps(mux, gw.Healthz())
+	return mux
 }
 
 // newLogger builds the process slog handler.

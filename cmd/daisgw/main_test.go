@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,11 +73,7 @@ func TestGatewaySmoke(t *testing.T) {
 		Observer:    obs,
 		ObserverSet: true,
 	})
-	mux := http.NewServeMux()
-	mux.Handle("/", gw)
-	mux.Handle("/metrics", obs.Registry.Handler())
-	mux.Handle("/healthz", gw.Healthz())
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(newMux(gw, obs))
 	t.Cleanup(ts.Close)
 	gw.SetAddress(ts.URL)
 	gw.Probe(context.Background())
@@ -116,5 +113,49 @@ func TestGatewaySmoke(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(string(mbody), gateway.MetricBackendRequests) {
 		t.Fatalf("metrics missing %s:\n%s", gateway.MetricBackendRequests, mbody)
+	}
+
+	// The ops listener (-ops-addr, -pprof) serves the same registry and
+	// health report, plus pprof when asked: a spawned gateway can be
+	// profiled like a spawned daisd.
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for _, withPprof := range []bool{true, false} {
+		opsSrv, opsURL, err := obs.ServeOps(slog.Default(), "127.0.0.1:0", gw.Healthz(), withPprof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opsSrv.Close()
+		if code, body := get(opsURL + "/metrics"); code != http.StatusOK ||
+			!strings.Contains(body, gateway.MetricBackendRequests) || !strings.Contains(body, telemetry.MetricGoAllocBytes) {
+			t.Fatalf("ops /metrics = %d:\n%s", code, body)
+		}
+		if code, body := get(opsURL + "/healthz"); code != http.StatusOK || !strings.Contains(body, `"healthy":2`) {
+			t.Fatalf("ops /healthz = %d %s", code, body)
+		}
+		if code, _ := get(opsURL + "/spans"); code != http.StatusOK {
+			t.Fatalf("ops /spans = %d", code)
+		}
+		want := http.StatusNotFound
+		if withPprof {
+			want = http.StatusOK
+		}
+		if code, _ := get(opsURL + "/debug/pprof/cmdline"); code != want {
+			t.Fatalf("pprof=%v: /debug/pprof/cmdline = %d, want %d", withPprof, code, want)
+		}
+	}
+	if opsSrv, _, err := obs.ServeOps(slog.Default(), "", gw.Healthz(), true); opsSrv != nil || err != nil {
+		t.Fatalf("no -ops-addr: ServeOps = %v, %v", opsSrv, err)
+	}
+	if code, _ := get(ts.URL + "/debug/pprof/cmdline"); code == http.StatusOK {
+		t.Fatal("pprof is exposed on the main listener")
 	}
 }

@@ -21,6 +21,8 @@ import (
 // NS is the namespace of the rendering.
 const NS = "http://schemas.dmtf.org/wbem/wscim/1/cim-schema/2/database"
 
+func init() { xmlutil.RegisterVocabulary(NS, "Instance", "Property", "class", "name") }
+
 // Describe renders the database catalog as a CIM instance tree:
 // CIM_CommonDatabase with CIM_DatabaseSchema children containing
 // CIM_Table, CIM_Column and CIM_Index instances.

@@ -11,6 +11,20 @@ import (
 // message bodies live in it.
 const NSDAI = "http://www.ggf.org/namespaces/2005/12/WS-DAI"
 
+// The property document's names, the fault details' and the message
+// parts every realisation shares.
+func init() {
+	xmlutil.RegisterVocabulary(NSDAI,
+		"DataResourcePropertyDocument", "DataResourceAbstractName", "ParentDataResource",
+		"DataResourceManagement", "ConcurrentAccess", "DatasetMap", "MessageFormat",
+		"ConfigurationMap", "MessageName", "PortTypeQName", "ConfigurationDocument",
+		"GenericQueryLanguage", "DataResourceDescription", "Readable", "Writeable",
+		"TransactionInitiation", "TransactionIsolation", "Sensitivity",
+		"Message", "Value", "Result",
+		"InvalidDatasetFormatFault", "InvalidExpressionFault", "InvalidLanguageFault",
+		"InvalidResourceNameFault", "NotAuthorizedFault", "RequestTimeoutFault", "ServiceBusyFault")
+}
+
 // Management distinguishes the two data resource categories of §3:
 // externally managed resources exist independently of DAIS services;
 // service managed resources live inside the middleware and die with

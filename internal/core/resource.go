@@ -46,6 +46,16 @@ type DataResource interface {
 	Release() error
 }
 
+// PropertyProvider is implemented by a realisation that can render one
+// of its extension properties without the others — WS-DAIR's
+// CIMDescription describes every table of the database, and a consumer
+// asking for NumberOfTables should not pay for it.
+type PropertyProvider interface {
+	// ExtendedProperty returns the elements ExtendedProperties would
+	// that are named (space, local), an empty space matching any.
+	ExtendedProperty(space, local string) []*xmlutil.Element
+}
+
 // nameCounter disambiguates generated names within a process.
 var nameCounter atomic.Int64
 

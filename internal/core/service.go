@@ -213,7 +213,8 @@ func (s *DataService) GetDataResourcePropertyDocument(abstractName string) (*xml
 // ConfigurationMap, GenericQueryLanguage) followed by the configurable
 // ones (DataResourceDescription, Readable, Writeable,
 // TransactionInitiation, TransactionIsolation, Sensitivity) and any
-// realisation extensions.
+// realisation extensions. It is the one whole-document builder, and the
+// oracle ResourceProperty is tested against.
 func (s *DataService) BuildPropertyDocument(r DataResource) *xmlutil.Element {
 	doc := xmlutil.NewElement(NSDAI, "DataResourcePropertyDocument")
 	// Static properties come from the per-resource cache. The cached
@@ -223,21 +224,74 @@ func (s *DataService) BuildPropertyDocument(r DataResource) *xmlutil.Element {
 	for _, e := range s.staticPropertyElements(r) {
 		doc.Children = append(doc.Children, e)
 	}
-	// Configurable properties.
 	cfg := r.Configuration()
-	if cfg.Description != "" {
-		doc.AddText(NSDAI, "DataResourceDescription", cfg.Description)
+	for _, local := range configurableNames {
+		if v, ok := configurableProperty(cfg, local); ok {
+			doc.AddText(NSDAI, local, v)
+		}
 	}
-	doc.AddText(NSDAI, "Readable", boolStr(cfg.Readable))
-	doc.AddText(NSDAI, "Writeable", boolStr(cfg.Writeable))
-	doc.AddText(NSDAI, "TransactionInitiation", cfg.TransactionInitiation.String())
-	doc.AddText(NSDAI, "TransactionIsolation", cfg.TransactionIsolation)
-	doc.AddText(NSDAI, "Sensitivity", cfg.Sensitivity.String())
 	// Realisation extensions.
 	for _, e := range r.ExtendedProperties() {
 		doc.AppendChild(e.Clone())
 	}
 	return doc
+}
+
+// ResourceProperty returns the properties of r named (space, local; an
+// empty space matches any namespace): the elements FindAll finds in
+// BuildPropertyDocument(r), in its order, without building the
+// document. Static properties are the cached elements themselves and
+// everything else is rendered singly — a PropertyProvider is asked for
+// the one extension, not for all of them. The result is read-only: the
+// cached elements are shared with every other reader, so a caller links
+// them into a reply through Children (as BuildPropertyDocument does) and
+// never writes to them, parent pointers included.
+func (s *DataService) ResourceProperty(r DataResource, space, local string) []*xmlutil.Element {
+	var out []*xmlutil.Element
+	for _, e := range s.staticPropertyElements(r) {
+		if e.Name.Matches(space, local) {
+			out = append(out, e)
+		}
+	}
+	if space == "" || space == NSDAI {
+		if v, ok := configurableProperty(r.Configuration(), local); ok {
+			out = append(out, xmlutil.NewElement(NSDAI, local).SetText(v))
+		}
+	}
+	if pp, ok := r.(PropertyProvider); ok {
+		return append(out, pp.ExtendedProperty(space, local)...)
+	}
+	for _, e := range r.ExtendedProperties() {
+		if e.Name.Matches(space, local) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// configurableNames are the configurable WS-DAI properties in document
+// order.
+var configurableNames = [...]string{"DataResourceDescription", "Readable", "Writeable",
+	"TransactionInitiation", "TransactionIsolation", "Sensitivity"}
+
+// configurableProperty renders one configurable property's value. An
+// empty description is no property at all.
+func configurableProperty(cfg Configuration, local string) (value string, ok bool) {
+	switch local {
+	case "DataResourceDescription":
+		return cfg.Description, cfg.Description != ""
+	case "Readable":
+		return boolStr(cfg.Readable), true
+	case "Writeable":
+		return boolStr(cfg.Writeable), true
+	case "TransactionInitiation":
+		return cfg.TransactionInitiation.String(), true
+	case "TransactionIsolation":
+		return cfg.TransactionIsolation, true
+	case "Sensitivity":
+		return cfg.Sensitivity.String(), true
+	}
+	return "", false
 }
 
 // staticPropertyElements returns the cached static portion of the

@@ -26,6 +26,10 @@ import (
 // NSDAIF is the namespace of the files realisation.
 const NSDAIF = "http://www.ggf.org/namespaces/2005/12/WS-DAIF"
 
+func init() {
+	xmlutil.RegisterVocabulary(NSDAIF, "FileList", "File", "NumberOfFiles", "TotalSize", "name", "size", "modified")
+}
+
 // LanguageGlob identifies the glob selection language accepted by
 // GenericQuery and the select factory.
 const LanguageGlob = NSDAIF + "/glob"

@@ -22,6 +22,13 @@ import (
 // NSDAIR is the WS-DAIR namespace.
 const NSDAIR = "http://www.ggf.org/namespaces/2005/12/WS-DAIR"
 
+func init() {
+	xmlutil.RegisterVocabulary(NSDAIR, "SQLCommunicationArea", "SQLState", "SQLCode", "SQLMessage",
+		"UpdateCount", "RowsFetched", "CIMDescription", "NumberOfTables", "PlanCache", "hits", "misses", "size",
+		"NumberOfRows", "RowsetFormat", "RowsetSchema", "NumberOfSQLRowsets", "NumberOfSQLUpdateCounts",
+		"NumberOfSQLOutputParameters", "NumberOfSQLReturnValues")
+}
+
 // LanguageSQL92 identifies SQL as a GenericQueryLanguage.
 const LanguageSQL92 = "http://www.sqlstandards.org/SQL92"
 
@@ -143,16 +150,44 @@ func (r *SQLDataResource) GenericQuery(ctx context.Context, languageURI, express
 // static extensions: the CIMDescription relational metadata rendering
 // and engine-level facts.
 func (r *SQLDataResource) ExtendedProperties() []*xmlutil.Element {
-	cimDesc := xmlutil.NewElement(NSDAIR, "CIMDescription")
-	cimDesc.AppendChild(cim.Describe(r.engine.Database()))
-	tables := xmlutil.NewElement(NSDAIR, "NumberOfTables")
-	tables.SetText(fmt.Sprintf("%d", len(r.engine.Database().TableNames())))
+	return []*xmlutil.Element{r.cimDescription(), r.numberOfTables(), r.planCacheProperty()}
+}
+
+// ExtendedProperty implements core.PropertyProvider: CIMDescription
+// describes every table of the database, and is rendered only when it
+// is the property asked for.
+func (r *SQLDataResource) ExtendedProperty(space, local string) []*xmlutil.Element {
+	if space != "" && space != NSDAIR {
+		return nil
+	}
+	switch local {
+	case "CIMDescription":
+		return []*xmlutil.Element{r.cimDescription()}
+	case "NumberOfTables":
+		return []*xmlutil.Element{r.numberOfTables()}
+	case "PlanCache":
+		return []*xmlutil.Element{r.planCacheProperty()}
+	}
+	return nil
+}
+
+func (r *SQLDataResource) cimDescription() *xmlutil.Element {
+	e := xmlutil.NewElement(NSDAIR, "CIMDescription")
+	e.AppendChild(cim.Describe(r.engine.Database()))
+	return e
+}
+
+func (r *SQLDataResource) numberOfTables() *xmlutil.Element {
+	return xmlutil.NewElement(NSDAIR, "NumberOfTables").SetText(fmt.Sprintf("%d", len(r.engine.Database().TableNames())))
+}
+
+func (r *SQLDataResource) planCacheProperty() *xmlutil.Element {
 	stats := r.engine.PlanCacheStats()
 	plans := xmlutil.NewElement(NSDAIR, "PlanCache")
 	plans.SetAttr("", "hits", fmt.Sprintf("%d", stats.Hits))
 	plans.SetAttr("", "misses", fmt.Sprintf("%d", stats.Misses))
 	plans.SetAttr("", "size", fmt.Sprintf("%d", stats.Size))
-	return []*xmlutil.Element{cimDesc, tables, plans}
+	return plans
 }
 
 // SQLExecute implements the SQLAccess SQLExecute operation: it runs one

@@ -23,6 +23,11 @@ import (
 // NSDAIX is the WS-DAIX namespace.
 const NSDAIX = "http://www.ggf.org/namespaces/2005/12/WS-DAIX"
 
+func init() {
+	xmlutil.RegisterVocabulary(NSDAIX, "XMLSequence", "Item", "Value", "document",
+		"NumberOfDocuments", "NumberOfSubCollections", "NumberOfItems", "UpdateLanguage")
+}
+
 // Query language URIs advertised through GenericQueryLanguage.
 const (
 	LanguageXPath  = "http://www.w3.org/TR/xpath"

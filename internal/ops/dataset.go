@@ -15,6 +15,18 @@ import (
 // parsing keeps it as verbatim bytes rather than a tree.
 func init() { soap.RegisterOpaquePayload(core.NSDAI, "Dataset") }
 
+// The catalogue's own words: every operation's request and response
+// element, and the message parts msg.go reads and writes.
+func init() {
+	for _, s := range Catalog() {
+		xmlutil.RegisterVocabulary(s.NS, s.RequestElement(), s.ResponseElement())
+	}
+	xmlutil.RegisterVocabulary("Dataset", "DatasetFormatURI", "formatURI", "DataResourceAddress",
+		"SQLExpression", "Expression", "Parameter", "ParameterName", "type", "isNull", "Index",
+		"StartPosition", "Count", "CollectionName", "Document", "DocumentName", "modifications", "NodesModified",
+		"FileName", "Offset", "Pattern", "Data", "encoding")
+}
+
 // DatasetElement embeds encoded data in a response: XML formats are
 // embedded as element trees, others (CSV, binary) as text. The element
 // takes data over — it may hold the bytes themselves, not a copy — so

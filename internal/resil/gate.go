@@ -71,11 +71,19 @@ func (g *Gate) InFlight() int64 { return g.inFlight.Load() }
 // and the scope of the exhausted cap (ScopeService or ScopeResource).
 func (g *Gate) Acquire(resource string) (release func(), scope string, err error) {
 	if g.cfg.MaxInFlight > 0 {
-		if n := g.inFlight.Add(1); n > int64(g.cfg.MaxInFlight) {
-			g.inFlight.Add(-1)
-			return nil, ScopeService, &core.ServiceBusyFault{
-				Reason:     "service at capacity",
-				RetryAfter: g.cfg.RetryAfter,
+		// Compare-and-swap, not add-then-undo: the count never passes the
+		// cap, so a request being turned away is not in flight to anyone
+		// who reads the gauge, nor to the next arrival.
+		for {
+			n := g.inFlight.Load()
+			if n >= int64(g.cfg.MaxInFlight) {
+				return nil, ScopeService, &core.ServiceBusyFault{
+					Reason:     "service at capacity",
+					RetryAfter: g.cfg.RetryAfter,
+				}
+			}
+			if g.inFlight.CompareAndSwap(n, n+1) {
+				break
 			}
 		}
 	} else {

@@ -243,6 +243,10 @@ func (p *propertyResource) PropertyDocument() *xmlutil.Element {
 	return p.svc.BuildPropertyDocument(p.res)
 }
 
+func (p *propertyResource) Property(space, local string) []*xmlutil.Element {
+	return p.svc.ResourceProperty(p.res, space, local)
+}
+
 // has reports whether an interface flag is enabled.
 func (e *Endpoint) has(i Interfaces) bool { return e.interfaces&i != 0 }
 

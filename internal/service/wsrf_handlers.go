@@ -33,11 +33,7 @@ func (e *Endpoint) registerWSRF() {
 		if err != nil {
 			return nil, wsrfErr(err)
 		}
-		resp := ops.GetResourceProperty.NewResponse()
-		for _, p := range props {
-			resp.AppendChild(p)
-		}
-		return resp, nil
+		return linkProperties(ops.GetResourceProperty.NewResponse(), props), nil
 	})
 
 	e.handleNamed(ops.GetMultipleResourceProperties, func(ctx context.Context, name string, body *xmlutil.Element) (*xmlutil.Element, error) {
@@ -50,11 +46,7 @@ func (e *Endpoint) registerWSRF() {
 		if err != nil {
 			return nil, wsrfErr(err)
 		}
-		resp := ops.GetMultipleResourceProperties.NewResponse()
-		for _, p := range props {
-			resp.AppendChild(p)
-		}
-		return resp, nil
+		return linkProperties(ops.GetMultipleResourceProperties.NewResponse(), props), nil
 	})
 
 	e.handleNamed(ops.QueryResourceProperties, func(ctx context.Context, name string, body *xmlutil.Element) (*xmlutil.Element, error) {
@@ -173,6 +165,17 @@ func (e *Endpoint) registerWSRF() {
 		}
 		return ops.WSRFDestroy.NewResponse(), nil
 	})
+}
+
+// linkProperties makes props the children of resp without writing to
+// them: the registry hands out elements that other replies share (the
+// cached static properties), and serialisation follows Children only.
+func linkProperties(resp *xmlutil.Element, props []*xmlutil.Element) *xmlutil.Element {
+	resp.Children = make([]xmlutil.Node, len(props))
+	for i, p := range props {
+		resp.Children[i] = p
+	}
+	return resp
 }
 
 // wrapConfig wraps a single property element in a ConfigurationDocument

@@ -48,7 +48,7 @@ func (e *Envelope) BodyEntry() *xmlutil.Element {
 // FindHeader returns the first header entry with the given name.
 func (e *Envelope) FindHeader(space, local string) *xmlutil.Element {
 	for _, h := range e.Header {
-		if h.Name.Local == local && (space == "" || h.Name.Space == space) {
+		if h.Name.Matches(space, local) {
 			return h
 		}
 	}
@@ -96,6 +96,12 @@ func (e *Envelope) Marshal() []byte {
 	copy(out, buf.Bytes())
 	putBuffer(buf)
 	return out
+}
+
+func init() {
+	xmlutil.RegisterVocabulary(NSEnvelope, "Envelope", "Header", "Body", "Fault",
+		"faultcode", "faultstring", "faultactor", "detail",
+		NSPipeline, requestIDHeader)
 }
 
 // opaque lists the payload elements ParseEnvelope keeps verbatim.

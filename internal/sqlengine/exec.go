@@ -448,7 +448,7 @@ func joinRows(left [][]Value, right [][]Value, env *evalEnv, rcols []boundColumn
 // compiled plans fall back to it when the hash path bails.
 func nestedLoopJoin(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause) ([][]Value, error) {
 	var out [][]Value
-	slab := newRowSlab(leftWidth + len(rcols))
+	slab := newRowSlab(leftWidth+len(rcols), 0)
 	scratch := make([]Value, leftWidth+len(rcols))
 	nullRight := make([]Value, len(rcols))
 	for i := range nullRight {
@@ -539,7 +539,7 @@ func (d *Database) execProjection(st *SelectStmt, rows [][]Value, env *evalEnv) 
 	}
 	out := &ResultSet{Columns: cols}
 	var orderKeys [][]Value
-	slab := newRowSlab(len(exprs))
+	slab := newRowSlab(len(exprs), len(rows))
 	// The alias map only feeds ORDER BY resolution; skip building it
 	// (one map per row) when there is nothing to sort.
 	needAliases := len(st.OrderBy) > 0

@@ -153,22 +153,37 @@ func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, skip, bail bool) {
 // backing arrays, collapsing the per-row make() the join output and
 // projection paths would otherwise pay. Returned rows are
 // capacity-clamped, so a later append reallocates instead of writing
-// into a neighbouring row.
+// into a neighbouring row. Chunks are sized by the rows carved so far:
+// the first holds what the caller expects (slabFirstRows when it cannot
+// tell) and each later one twice the last, up to slabChunkRows — a
+// 20-row reply carves 20 rows, not a 256-row (55 kB, zeroed) chunk.
 type rowSlab struct {
 	width int
+	rows  int // rows in the next chunk
 	buf   []Value
 }
 
-const slabChunkRows = 256
+const (
+	slabFirstRows = 16
+	slabChunkRows = 256
+)
 
-func newRowSlab(width int) *rowSlab { return &rowSlab{width: width} }
+// newRowSlab returns a slab of width-cell rows. expect is how many the
+// caller will carve, or 0 if that depends on rows it has yet to see.
+func newRowSlab(width, expect int) *rowSlab {
+	if expect <= 0 {
+		expect = slabFirstRows
+	}
+	return &rowSlab{width: width, rows: min(expect, slabChunkRows)}
+}
 
 func (s *rowSlab) next() []Value {
 	if s.width == 0 {
 		return nil
 	}
 	if len(s.buf) < s.width {
-		s.buf = make([]Value, s.width*slabChunkRows)
+		s.buf = make([]Value, s.width*s.rows)
+		s.rows = min(s.rows*2, slabChunkRows)
 	}
 	r := s.buf[:s.width:s.width]
 	s.buf = s.buf[s.width:]
@@ -190,7 +205,7 @@ func hashJoinRows(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols 
 		}
 		build[key] = append(build[key], ri)
 	}
-	slab := newRowSlab(leftWidth + len(rcols))
+	slab := newRowSlab(leftWidth+len(rcols), 0)
 	scratch := make([]Value, leftWidth+len(rcols))
 	match := func(l, r []Value) (bool, error) {
 		copy(scratch, l)

@@ -189,3 +189,55 @@ func mustParam(t testing.TB, e *Engine, sql string, params ...Value) {
 		t.Fatalf("%s: %v", sql, err)
 	}
 }
+
+// TestRowSlabGrowth: rows carved from a slab are all its own width, are
+// distinct across every growth step — writing one row, or appending to
+// it, never shows in another — and chunks grow from what the caller
+// expects to slabChunkRows and no further.
+func TestRowSlabGrowth(t *testing.T) {
+	for _, expect := range []int{0, 1, 20, slabChunkRows, 5 * slabChunkRows} {
+		const width = 3
+		n := 3*slabChunkRows + 7
+		s := newRowSlab(width, expect)
+		rows := make([][]Value, n)
+		biggest := 0
+		for i := range rows {
+			before := len(s.buf)
+			rows[i] = s.next()
+			if len(s.buf) > before { // a new chunk: its first row is already carved
+				biggest = max(biggest, len(s.buf)/width+1)
+			}
+			if len(rows[i]) != width || cap(rows[i]) != width {
+				t.Fatalf("expect %d: row %d has len %d cap %d, want %d", expect, i, len(rows[i]), cap(rows[i]), width)
+			}
+			for c := range rows[i] {
+				rows[i][c] = NewInt(int64(i*width + c))
+			}
+		}
+		for i := range rows {
+			_ = append(rows[i], NewInt(-1)) // must reallocate, not spill into row i+1
+		}
+		for i, r := range rows {
+			for c, v := range r {
+				if v.I != int64(i*width+c) {
+					t.Fatalf("expect %d: row %d cell %d = %v: rows alias", expect, i, c, v)
+				}
+			}
+		}
+		if biggest != slabChunkRows {
+			t.Errorf("expect %d: largest chunk %d rows, want %d", expect, biggest, slabChunkRows)
+		}
+		first := newRowSlab(width, expect)
+		first.next()
+		want := min(max(expect, 1), slabChunkRows)
+		if expect == 0 {
+			want = slabFirstRows
+		}
+		if got := len(first.buf)/width + 1; got != want {
+			t.Errorf("expect %d: first chunk %d rows, want %d", expect, got, want)
+		}
+	}
+	if r := newRowSlab(0, 0).next(); r != nil {
+		t.Errorf("zero-width slab handed out %v", r)
+	}
+}

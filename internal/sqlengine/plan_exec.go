@@ -254,9 +254,12 @@ func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
 	// Projection: ordinal-bound expressions over slab rows; no per-row
 	// alias maps — ORDER BY keys were classified at plan time.
 	out := &ResultSet{Columns: p.projCols}
+	if len(rows) > 0 { // an empty result keeps nil Rows
+		out.Rows = make([][]Value, 0, len(rows))
+	}
 	needKeys := len(p.order) > 0 && !p.orderSatisfied
 	var orderKeys [][]Value
-	slab := newRowSlab(len(p.projExprs))
+	slab := newRowSlab(len(p.projExprs), len(rows))
 	for _, r := range rows {
 		if err := env.checkCtx(); err != nil {
 			return nil, err

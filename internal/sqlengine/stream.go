@@ -421,7 +421,7 @@ func (s *Session) startStream(ctx context.Context, sel *SelectStmt, plans *block
 		if err != nil {
 			return nil, nil, err
 		}
-		sc := &rowScan{env: env, where: sel.Where, exprs: exprs, slab: newRowSlab(len(exprs))}
+		sc := &rowScan{env: env, where: sel.Where, exprs: exprs, slab: newRowSlab(len(exprs), 0)}
 		return outCols, func() error {
 			for len(base) > 0 && !k.full() {
 				n := min(len(base), streamBatchRows)
@@ -453,7 +453,7 @@ func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, plans *blo
 			return nil, nil, errStalePlan
 		}
 		sc := &rowScan{env: env, where: p.where, exprs: p.projExprs, gather: p.gather, identity: p.identity,
-			slab: newRowSlab(len(p.projExprs))}
+			slab: newRowSlab(len(p.projExprs), 0)}
 		if p.vec != nil && db.vectorEnabled() {
 			var bp boundVec
 			okBind := true

@@ -1037,7 +1037,7 @@ func (d *Database) execPlanVector(p *selectPlan, env *evalEnv) (set *ResultSet, 
 		top = p.topRows(env, tc)
 	}
 	var orderKeys [][]Value
-	slab := newRowSlab(len(p.projExprs))
+	slab := newRowSlab(len(p.projExprs), 0)
 	var selbuf [chunkRows]int8
 	var rowbuf [chunkRows]uint16
 	vecs := make([]*colVec, len(p.vproj))

@@ -121,6 +121,7 @@ func NewObserver(opts ...ObserverOption) *Observer {
 		emit(Sample{Name: MetricEncodePool, Labels: map[string]string{"outcome": "hit"}, Value: float64(hits)})
 		emit(Sample{Name: MetricEncodePool, Labels: map[string]string{"outcome": "miss"}, Value: float64(misses)})
 	})
+	reg.RegisterCollector(collectRuntime)
 	return obs
 }
 

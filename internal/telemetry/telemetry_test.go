@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,55 @@ func TestExposeRoundTrip(t *testing.T) {
 		t.Fatalf("scraped p50 %v != live p50 %v", scraped, live)
 	}
 }
+
+// TestRuntimeSeriesRoundTrip: every observer exposes the Go runtime's
+// allocation and GC accounting, typed as counters, and two scrapes
+// bracket what the process allocated in between — the "bytes per
+// exchange" and "GC share" of a spawned server come from that.
+func TestRuntimeSeriesRoundTrip(t *testing.T) {
+	obs := NewObserver()
+	scrape := func() []Sample {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := obs.Registry.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{MetricGoAllocBytes, MetricGoAllocObjects, MetricGoGCCycles, MetricGoGCCPU} {
+			if !strings.Contains(buf.String(), "# TYPE "+name+" counter\n"+name+" ") {
+				t.Fatalf("exposition lacks the counter %s:\n%s", name, buf.String())
+			}
+		}
+		parsed, err := ParsePrometheus(buf.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parsed
+	}
+	before := scrape()
+	const blocks, blockSize = 64, 1 << 16
+	for i := 0; i < blocks; i++ {
+		sink = make([]byte, blockSize)
+	}
+	runtime.GC()
+	after := scrape()
+	delta := func(name string) float64 {
+		return CountFromSamples(after, name, nil) - CountFromSamples(before, name, nil)
+	}
+	if d := delta(MetricGoAllocBytes); d < blocks*blockSize {
+		t.Errorf("%s moved by %v across %d bytes of allocation", MetricGoAllocBytes, d, blocks*blockSize)
+	}
+	if d := delta(MetricGoAllocObjects); d < blocks {
+		t.Errorf("%s moved by %v across %d allocations", MetricGoAllocObjects, d, blocks)
+	}
+	if d := delta(MetricGoGCCycles); d < 1 {
+		t.Errorf("%s moved by %v across a forced collection", MetricGoGCCycles, d)
+	}
+	if d := delta(MetricGoGCCPU); d < 0 {
+		t.Errorf("%s went backwards by %v", MetricGoGCCPU, d)
+	}
+}
+
+var sink []byte
 
 func TestParsePrometheusRejectsGarbage(t *testing.T) {
 	if _, err := ParsePrometheus("not a sample line"); err == nil {

@@ -13,6 +13,7 @@ package wsaddr
 
 import (
 	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 
 	"dais/internal/soap"
@@ -29,6 +30,11 @@ const (
 	// NoneURI denotes "send no reply".
 	NoneURI = NS + "/none"
 )
+
+func init() {
+	xmlutil.RegisterVocabulary(NS, "To", "Action", "MessageID", "RelatesTo", "ReplyTo",
+		"Address", "ReferenceParameters", "Metadata", "IsReferenceParameter")
+}
 
 // EndpointReference identifies a web service endpoint plus optional
 // reference parameters that the endpoint requires echoed on every
@@ -53,7 +59,7 @@ func (e *EndpointReference) AddReferenceParameter(p *xmlutil.Element) {
 // given name, or nil.
 func (e *EndpointReference) ReferenceParameter(space, local string) *xmlutil.Element {
 	for _, p := range e.ReferenceParameters {
-		if p.Name.Local == local && (space == "" || p.Name.Space == space) {
+		if p.Name.Matches(space, local) {
 			return p
 		}
 	}
@@ -126,7 +132,20 @@ func NewMessageID() string {
 	// RFC 4122 version 4 variant bits.
 	b[6] = (b[6] & 0x0f) | 0x40
 	b[8] = (b[8] & 0x3f) | 0x80
-	return fmt.Sprintf("urn:uuid:%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
+	// "urn:uuid:" and the 8-4-4-4-12 hex groups, written in place: every
+	// request and every reply mints one.
+	var out [9 + 36]byte
+	copy(out[:], "urn:uuid:")
+	dst := out[9:]
+	for _, group := range [...][]byte{b[0:4], b[4:6], b[6:8], b[8:10], b[10:16]} {
+		hex.Encode(dst, group)
+		dst = dst[2*len(group):]
+		if len(dst) > 0 {
+			dst[0] = '-'
+			dst = dst[1:]
+		}
+	}
+	return string(out[:])
 }
 
 // Attach adds the headers to a SOAP envelope.

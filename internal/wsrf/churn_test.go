@@ -22,6 +22,10 @@ func (c *churnResource) PropertyDocument() *xmlutil.Element {
 	return e
 }
 
+func (c *churnResource) Property(space, local string) []*xmlutil.Element {
+	return c.PropertyDocument().FindAll(space, local)
+}
+
 // churnCycles returns the create/destroy cycle count: 100k by default
 // (the soft-state capacity claim is about sustained churn, and the
 // registry path is cheap enough to prove it on every run), scalable

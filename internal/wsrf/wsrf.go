@@ -28,10 +28,20 @@ const (
 	NSRL = "http://docs.oasis-open.org/wsrf/rl-2"
 )
 
+func init() {
+	xmlutil.RegisterVocabulary(NSRP, "ResourceProperty", "QueryExpression", "QueryResult", "Update",
+		NSRL, "CurrentTime", "TerminationTime", "RequestedTerminationTime", "NewTerminationTime", "nil")
+}
+
 // Resource is any entity exposing a WSRF property document. The
 // returned element's children are the individual resource properties.
 type Resource interface {
 	PropertyDocument() *xmlutil.Element
+	// Property returns the properties named (space, local) — what
+	// FindAll finds among PropertyDocument's children, in that order —
+	// without the resource having to build the others. The elements may
+	// be shared with other readers: nobody writes to them.
+	Property(space, local string) []*xmlutil.Element
 }
 
 // Clock abstracts time for lifetime tests.
@@ -46,6 +56,10 @@ type Registry struct {
 	onDestroy func(id string)
 	created   int64
 	destroyed int64
+	// reaping holds the ids a sweep has unregistered and is still
+	// releasing through the destroy callback; the channel closes when the
+	// sweep's callbacks have all returned.
+	reaping map[string]chan struct{}
 
 	reaperMu    sync.Mutex
 	reaperStops []func()
@@ -161,29 +175,43 @@ func (r *Registry) DestroyedCount() int64 {
 	return r.destroyed
 }
 
+// lookup returns what a property read needs of a registration, and the
+// time of the read.
+func (r *Registry) lookup(id string) (res Resource, term, now time.Time, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[id]
+	if !ok {
+		return nil, term, now, &UnknownResourceError{ID: id}
+	}
+	return e.res, e.termination, r.clock(), nil
+}
+
+// currentTime and terminationTime render the two WS-ResourceLifetime
+// properties.
+func currentTime(now time.Time) *xmlutil.Element {
+	return xmlutil.NewElement(NSRL, "CurrentTime").SetText(now.UTC().Format(time.RFC3339Nano))
+}
+
+func terminationTime(term time.Time) *xmlutil.Element {
+	tt := xmlutil.NewElement(NSRL, "TerminationTime")
+	if term.IsZero() {
+		return tt.SetAttr("", "nil", "true")
+	}
+	return tt.SetText(term.UTC().Format(time.RFC3339Nano))
+}
+
 // propertyDocumentWithLifetime returns the resource's property document
 // with the WS-ResourceLifetime CurrentTime and TerminationTime
 // properties appended.
 func (r *Registry) propertyDocumentWithLifetime(id string) (*xmlutil.Element, error) {
-	r.mu.Lock()
-	e, ok := r.entries[id]
-	if !ok {
-		r.mu.Unlock()
-		return nil, &UnknownResourceError{ID: id}
+	res, term, now, err := r.lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	term := e.termination
-	res := e.res
-	now := r.clock()
-	r.mu.Unlock()
-
 	doc := res.PropertyDocument().Clone()
-	doc.AddText(NSRL, "CurrentTime", now.UTC().Format(time.RFC3339Nano))
-	tt := doc.Add(NSRL, "TerminationTime")
-	if term.IsZero() {
-		tt.SetAttr("", "nil", "true")
-	} else {
-		tt.SetText(term.UTC().Format(time.RFC3339Nano))
-	}
+	doc.AppendChild(currentTime(now))
+	doc.AppendChild(terminationTime(term))
 	return doc, nil
 }
 
@@ -202,28 +230,32 @@ func (r *Registry) GetResourcePropertyDocument(id string) (*xmlutil.Element, err
 // GetResourceProperty implements wsrf:GetResourceProperty — it returns
 // every property child matching the qualified name.
 func (r *Registry) GetResourceProperty(id string, space, local string) ([]*xmlutil.Element, error) {
-	doc, err := r.propertyDocumentWithLifetime(id)
-	if err != nil {
-		return nil, err
-	}
-	matches := doc.FindAll(space, local)
-	out := make([]*xmlutil.Element, len(matches))
-	for i, m := range matches {
-		out[i] = m.Clone()
-	}
-	return out, nil
+	return r.GetMultipleResourceProperties(id, []xmlutil.Name{{Space: space, Local: local}})
 }
 
-// GetMultipleResourceProperties implements the batched variant.
+// GetMultipleResourceProperties implements the batched variant. Like
+// GetResourceProperty it resolves each name on its own — the property
+// document is never built, so asking for one cheap property costs one
+// cheap property (paper §5) — and returns what FindAll over
+// GetResourcePropertyDocument would, as read-only elements that may be
+// shared with other readers: link them into a reply through Children,
+// never AppendChild, which writes the child's parent pointer.
 func (r *Registry) GetMultipleResourceProperties(id string, names []xmlutil.Name) ([]*xmlutil.Element, error) {
-	doc, err := r.propertyDocumentWithLifetime(id)
+	res, term, now, err := r.lookup(id)
 	if err != nil {
 		return nil, err
 	}
 	var out []*xmlutil.Element
 	for _, n := range names {
-		for _, m := range doc.FindAll(n.Space, n.Local) {
-			out = append(out, m.Clone())
+		out = append(out, res.Property(n.Space, n.Local)...)
+		if n.Space != "" && n.Space != NSRL {
+			continue
+		}
+		switch n.Local {
+		case "CurrentTime":
+			out = append(out, currentTime(now))
+		case "TerminationTime":
+			out = append(out, terminationTime(term))
 		}
 	}
 	return out, nil
@@ -273,12 +305,10 @@ func (r *Registry) SetTerminationTime(id string, requested *time.Time) (*time.Ti
 		e.termination = time.Time{}
 		return nil, now, nil
 	}
-	if requested.Before(now) {
-		// Setting a past time is an immediate-destruction request.
-		e.termination = *requested
-	} else {
-		e.termination = *requested
-	}
+	// A time already past is stored like any other: what makes it an
+	// immediate-destruction request is the next SweepExpired, which reaps
+	// every resource whose termination time is not after its clock.
+	e.termination = *requested
 	t := e.termination
 	return &t, now, nil
 }
@@ -301,7 +331,14 @@ func (r *Registry) Destroy(id string) error {
 	r.mu.Lock()
 	_, ok := r.entries[id]
 	if !ok {
+		released := r.reaping[id]
 		r.mu.Unlock()
+		if released != nil {
+			// The reaper won, but has not released the resource yet: a
+			// consumer told "unknown" must find it gone everywhere, so the
+			// answer waits for the release.
+			<-released
+		}
 		return &UnknownResourceError{ID: id}
 	}
 	delete(r.entries, id)
@@ -316,7 +353,10 @@ func (r *Registry) Destroy(id string) error {
 
 // SweepExpired destroys every resource whose termination time has
 // passed, returning the ids destroyed. The reaper calls this
-// periodically; tests call it directly with a fake clock.
+// periodically; tests call it directly with a fake clock. Between
+// unregistering a resource and the destroy callback releasing it, a
+// Destroy of the same id waits (see reaping): the reaper has won, and
+// the loser is told so only once the resource is gone for readers too.
 func (r *Registry) SweepExpired() []string {
 	now := r.clock()
 	r.mu.Lock()
@@ -326,17 +366,37 @@ func (r *Registry) SweepExpired() []string {
 			doomed = append(doomed, id)
 		}
 	}
+	cb := r.onDestroy
+	if len(doomed) == 0 || cb == nil {
+		for _, id := range doomed {
+			delete(r.entries, id)
+			r.destroyed++
+		}
+		r.mu.Unlock()
+		sort.Strings(doomed)
+		return doomed
+	}
+	released := make(chan struct{})
+	if r.reaping == nil {
+		r.reaping = map[string]chan struct{}{}
+	}
 	for _, id := range doomed {
 		delete(r.entries, id)
 		r.destroyed++
+		r.reaping[id] = released
 	}
-	cb := r.onDestroy
 	r.mu.Unlock()
-	sort.Strings(doomed)
-	if cb != nil {
+	defer func() {
+		r.mu.Lock()
 		for _, id := range doomed {
-			cb(id)
+			delete(r.reaping, id)
 		}
+		r.mu.Unlock()
+		close(released)
+	}()
+	sort.Strings(doomed)
+	for _, id := range doomed {
+		cb(id)
 	}
 	return doomed
 }

@@ -2,6 +2,7 @@ package wsrf
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,9 @@ const nsTest = "urn:dais:test"
 type staticResource struct{ doc *xmlutil.Element }
 
 func (s staticResource) PropertyDocument() *xmlutil.Element { return s.doc }
+func (s staticResource) Property(space, local string) []*xmlutil.Element {
+	return s.doc.FindAll(space, local)
+}
 
 func testResource() staticResource {
 	doc := xmlutil.NewElement(nsTest, "PropertyDocument")
@@ -90,11 +94,48 @@ func TestGetResourceProperty(t *testing.T) {
 	if err != nil || len(none) != 0 {
 		t.Fatalf("none = %v, %v", none, err)
 	}
-	// Returned elements are copies.
-	props[0].SetText("mutated")
-	again, _ := r.GetResourceProperty("urn:r1", nsTest, "DatasetMap")
-	if again[0].Text() != "urn:fmt:a" {
-		t.Fatal("registry shares state with callers")
+}
+
+// TestPropertiesByNameMatchDocument: resolving by name finds what
+// FindAll finds in the whole document, lifetime properties included,
+// with and without a namespace and a scheduled termination.
+func TestPropertiesByNameMatchDocument(t *testing.T) {
+	r, fc, _ := newTestRegistry()
+	r.Add("urn:r1", testResource())
+	check := func() {
+		t.Helper()
+		doc, err := r.GetResourcePropertyDocument("urn:r1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []xmlutil.Name{
+			{Space: nsTest, Local: "DatasetMap"}, {Local: "DatasetMap"}, {Space: NSRL, Local: "DatasetMap"},
+			{Space: NSRL, Local: "CurrentTime"}, {Local: "CurrentTime"}, {Space: nsTest, Local: "CurrentTime"},
+			{Space: NSRL, Local: "TerminationTime"}, {Local: "TerminationTime"}, {Space: nsTest, Local: "Nothing"},
+		} {
+			got, err := r.GetResourceProperty("urn:r1", n.Space, n.Local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := doc.FindAll(n.Space, n.Local)
+			if len(got) != len(want) {
+				t.Fatalf("%v: %d properties by name, %d in the document", n, len(got), len(want))
+			}
+			for i := range want {
+				if g, w := xmlutil.MarshalString(got[i]), xmlutil.MarshalString(want[i]); g != w {
+					t.Errorf("%v: by name %s, in the document %s", n, g, w)
+				}
+			}
+		}
+	}
+	check()
+	tt := fc.now().Add(time.Hour)
+	if _, _, err := r.SetTerminationTime("urn:r1", &tt); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if _, err := r.GetResourceProperty("urn:missing", nsTest, "Readable"); err == nil {
+		t.Fatal("unknown resource should error")
 	}
 }
 
@@ -273,4 +314,45 @@ func TestConcurrentRegistryUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestDestroyWaitsForReaperRelease: a Destroy that loses to the reaper
+// answers "unknown" only once the reaper's destroy callback has
+// released the resource — whoever is told a resource is gone finds it
+// gone for readers too (the invariant TestChurnServiceLifetime checks
+// end to end).
+func TestDestroyWaitsForReaperRelease(t *testing.T) {
+	fc := &fakeClock{t: time.Date(2005, 9, 1, 0, 0, 0, 0, time.UTC)}
+	inCallback, release := make(chan struct{}), make(chan struct{})
+	var released atomic.Bool
+	r := NewRegistry(WithClock(fc.now), WithDestroyCallback(func(string) {
+		close(inCallback)
+		<-release
+		released.Store(true)
+	}))
+	r.AddWithTermination("urn:r1", testResource(), fc.now().Add(time.Second))
+	fc.advance(2 * time.Second)
+	swept := make(chan []string)
+	go func() { swept <- r.SweepExpired() }()
+	<-inCallback // unregistered, not yet released
+
+	answered := make(chan error)
+	go func() { answered <- r.Destroy("urn:r1") }()
+	select {
+	case err := <-answered:
+		t.Fatalf("Destroy answered %v while the reaper was still releasing the resource", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if _, ok := (<-answered).(*UnknownResourceError); !ok || !released.Load() {
+		t.Fatalf("Destroy after the release: unknown=%v released=%v", ok, released.Load())
+	}
+	if ids := <-swept; len(ids) != 1 {
+		t.Fatalf("swept %v", ids)
+	}
+	// Nothing is left waiting to be released, and a later Destroy of the
+	// same id answers at once.
+	if err := r.Destroy("urn:r1"); err == nil || r.DestroyedCount() != 1 || r.LiveCount() != 0 {
+		t.Fatalf("second Destroy: %v, destroyed %d, live %d", err, r.DestroyedCount(), r.LiveCount())
+	}
 }

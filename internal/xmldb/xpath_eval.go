@@ -106,11 +106,10 @@ func evalCompare(n *xpCompare, ctx *xpContext) (XPathValue, error) {
 	}
 	// Node-set vs anything: existential over string-values.
 	if l.Kind == KindNodeSet || r.Kind == KindNodeSet {
-		lvals := compareOperands(l)
-		rvals := compareOperands(r)
-		for _, lv := range lvals {
-			for _, rv := range rvals {
-				if compareAtoms(n.op, lv, rv) {
+		for i := 0; i < operandCount(l); i++ {
+			lv := operand(l, i)
+			for j := 0; j < operandCount(r); j++ {
+				if compareAtoms(n.op, lv, operand(r, j)) {
 					return boolValue(true), nil
 				}
 			}
@@ -120,17 +119,20 @@ func evalCompare(n *xpCompare, ctx *xpContext) (XPathValue, error) {
 	return boolValue(compareAtoms(n.op, l, r)), nil
 }
 
-// compareOperands explodes a node-set into per-node string values, or
-// wraps a scalar.
-func compareOperands(v XPathValue) []XPathValue {
+// operandCount and operand read a comparison operand as its atoms: a
+// node-set's per-node string values, or the one scalar.
+func operandCount(v XPathValue) int {
 	if v.Kind != KindNodeSet {
-		return []XPathValue{v}
+		return 1
 	}
-	out := make([]XPathValue, len(v.Nodes))
-	for i, n := range v.Nodes {
-		out[i] = stringValue(n.Text())
+	return len(v.Nodes)
+}
+
+func operand(v XPathValue, i int) XPathValue {
+	if v.Kind != KindNodeSet {
+		return v
 	}
-	return out
+	return stringValue(v.Nodes[i].Text())
 }
 
 func compareAtoms(op string, l, r XPathValue) bool {
@@ -213,7 +215,13 @@ func wrapRoot(root *xmlutil.Element) *xmlutil.Element {
 // concatenating results in document order and applying predicates.
 func applyStep(step xpStep, input []*xmlutil.Element) ([]*xmlutil.Element, error) {
 	var out []*xmlutil.Element
-	seen := map[*xmlutil.Element]bool{}
+	// One input node reaches no node twice along an axis; only several
+	// (a descendant axis from nested nodes, say) need the duplicates out.
+	var seen map[*xmlutil.Element]bool
+	if len(input) > 1 {
+		seen = map[*xmlutil.Element]bool{}
+	}
+	var pctx xpContext // one for the step: evalXP reads it and keeps nothing
 	for _, node := range input {
 		axis := step.axis
 		// Text nodes are not modelled as separate tree nodes: "x/text()"
@@ -222,8 +230,10 @@ func applyStep(step xpStep, input []*xmlutil.Element) ([]*xmlutil.Element, error
 		if step.test == "text()" && axis == "child" {
 			axis = "self"
 		}
+		// axisNodes hands over a slice of its own making, so the node
+		// test and the predicates filter it where it lies.
 		candidates := axisNodes(axis, node)
-		matched := candidates[:0:0]
+		matched := candidates[:0]
 		for _, c := range candidates {
 			if nodeTestMatches(step.test, c) {
 				matched = append(matched, c)
@@ -231,10 +241,11 @@ func applyStep(step xpStep, input []*xmlutil.Element) ([]*xmlutil.Element, error
 		}
 		// Predicates apply per input node with positional context.
 		for _, pred := range step.predicate {
-			var kept []*xmlutil.Element
+			pctx.size = len(matched)
+			kept := matched[:0]
 			for i, c := range matched {
-				pctx := &xpContext{node: c, position: i + 1, size: len(matched)}
-				v, err := evalXP(pred, pctx)
+				pctx.node, pctx.position = c, i+1
+				v, err := evalXP(pred, &pctx)
 				if err != nil {
 					return nil, err
 				}
@@ -249,6 +260,9 @@ func applyStep(step xpStep, input []*xmlutil.Element) ([]*xmlutil.Element, error
 				}
 			}
 			matched = kept
+		}
+		if seen == nil {
+			return matched, nil
 		}
 		for _, c := range matched {
 			if !seen[c] {
@@ -333,9 +347,11 @@ func axisNodes(axis string, node *xmlutil.Element) []*xmlutil.Element {
 }
 
 func collectDescendants(node *xmlutil.Element, out *[]*xmlutil.Element) {
-	for _, c := range node.ChildElements() {
-		*out = append(*out, c)
-		collectDescendants(c, out)
+	for _, n := range node.Children {
+		if c, ok := n.(*xmlutil.Element); ok {
+			*out = append(*out, c)
+			collectDescendants(c, out)
+		}
 	}
 }
 
@@ -348,7 +364,12 @@ func nodeTestMatches(test string, node *xmlutil.Element) bool {
 		// Our node-set model carries only elements; treat text() as
 		// matching elements with no element children (their
 		// string-value is the text).
-		return len(node.ChildElements()) == 0
+		for _, n := range node.Children {
+			if _, ok := n.(*xmlutil.Element); ok {
+				return false
+			}
+		}
+		return true
 	case "*":
 		return true
 	default:

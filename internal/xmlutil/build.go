@@ -1,15 +1,23 @@
 package xmlutil
 
-import "bytes"
+import (
+	"bytes"
+	"sync"
+)
 
-// parseArenaChunk is how many Elements are allocated at once while
-// parsing. SOAP envelopes with rowset payloads run a few hundred
-// elements; one or two chunks cover them.
-const parseArenaChunk = 128
+// arenaChunk is the most Elements, and the most single-child Children
+// slots, allocated at once while parsing: the size of every chunk of a
+// document long enough to fill it, a rowset window say. A shorter
+// document gets chunks sized to what it still has to say (chunkLen), so
+// a 15-element envelope does not pay for 128 elements it never builds.
+const arenaChunk = 128
 
-// nodeArenaChunk sizes the shared backing store for single-child
-// Children slices (most elements hold exactly one text node).
-const nodeArenaChunk = 128
+// bytesPerElement is the guess at a document's density before any of
+// it has been read: an envelope's tags, namespace URIs and addressing
+// headers run to 80–100 bytes an element, a rowset's cells to 15–30.
+// Guessing sparse costs a dense document a second, measured chunk;
+// guessing dense costs every small message elements it never builds.
+const bytesPerElement = 96
 
 // treeBuilder is the tokenizer consumer that materialises the element
 // tree.
@@ -17,9 +25,20 @@ type treeBuilder struct {
 	tok      Tokenizer
 	arena    []Element
 	nodes    []Node
+	made     int // elements handed out so far
 	verbatim []Name
 	decode   PayloadDecoder
+
+	// fixedChunks makes every chunk arenaChunk long whatever the
+	// document: the reference the sizing is tested against.
+	fixedChunks bool
 }
+
+// builders recycles the builder, tokenizer scratch included, between
+// parses: a payload decoder is handed a pointer to the tokenizer, so a
+// builder declared in ParseBytesDecoding would be a kilobyte of heap a
+// parse.
+var builders = sync.Pool{New: func() any { return new(treeBuilder) }}
 
 // ParseBytes parses a complete XML document held in memory and returns
 // its root element. It is the allocation-conscious core that Parse and
@@ -45,7 +64,8 @@ func ParseBytesVerbatim(data []byte, verbatim []Name) (*Element, error) {
 // set; t stands on the start tag of its one child element, and a
 // decoder that takes the content reads through that child's end tag
 // and reports true. One that reports false may leave t anywhere. What
-// it keeps of the content it must copy: t reads the parse's input.
+// it keeps of the content it must copy: t reads the parse's input, and
+// t itself goes back to a pool when the parse returns.
 type PayloadDecoder func(payload *Element, t *Tokenizer) bool
 
 // ParseBytesDecoding is ParseBytesVerbatim for a caller that does not
@@ -59,9 +79,15 @@ type PayloadDecoder func(payload *Element, t *Tokenizer) bool
 // rewound to where the content starts and the parse goes on as
 // ParseBytesVerbatim's, so its tree and its errors are those.
 func ParseBytesDecoding(data []byte, verbatim []Name, decode PayloadDecoder) (*Element, error) {
-	b := treeBuilder{verbatim: verbatim, decode: decode}
+	b := builders.Get().(*treeBuilder)
+	b.verbatim, b.decode = verbatim, decode
 	b.tok.Reset(data)
-	return b.run()
+	root, err := b.run()
+	// The tree owns the arenas; the pool keeps nothing of the document.
+	b.arena, b.nodes, b.made, b.verbatim, b.decode = nil, nil, 0, nil, nil
+	b.tok.Reset(nil)
+	builders.Put(b)
+	return root, err
 }
 
 func (b *treeBuilder) run() (*Element, error) {
@@ -187,12 +213,28 @@ scan:
 	return Raw(t.data[start:end]), true, nil
 }
 
+// chunkLen sizes the next arena chunk: the elements still to come if
+// the rest of the document is as dense as what has been read.
+func (b *treeBuilder) chunkLen() int {
+	if b.fixedChunks {
+		return arenaChunk
+	}
+	t := &b.tok
+	rest := len(t.data) - t.pos
+	n := rest / bytesPerElement
+	if b.made > 0 {
+		n = int(int64(rest) * int64(b.made) / int64(t.pos))
+	}
+	return min(n+4, arenaChunk)
+}
+
 // newElement hands out a node from the arena, growing it in chunks so
 // a document costs O(elements/chunk) allocations for its nodes.
 func (b *treeBuilder) newElement() *Element {
 	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]Element, 0, parseArenaChunk)
+		b.arena = make([]Element, 0, b.chunkLen())
 	}
+	b.made++
 	b.arena = b.arena[:len(b.arena)+1]
 	return &b.arena[len(b.arena)-1]
 }
@@ -204,7 +246,7 @@ func (b *treeBuilder) newElement() *Element {
 func (b *treeBuilder) appendChild(el *Element, n Node) {
 	if el.Children == nil {
 		if len(b.nodes) == cap(b.nodes) {
-			b.nodes = make([]Node, 0, nodeArenaChunk)
+			b.nodes = make([]Node, 0, b.chunkLen())
 		}
 		start := len(b.nodes)
 		b.nodes = b.nodes[:start+1]

@@ -87,7 +87,7 @@ type rawAttr struct {
 type Tokenizer struct {
 	data  []byte
 	pos   int
-	names map[string]string // interned names, prefixes and URIs
+	names map[string]string // names, prefixes and URIs outside the vocabulary, interned
 	ns    []nsBinding
 	nsGen int // counts changes to ns
 	open  []openTag
@@ -117,13 +117,21 @@ type Tokenizer struct {
 	// declarations outside itself.
 	nsFloor   int
 	usedOuter bool
+
+	// noVocabulary sends every name to the per-parse table: the reference
+	// the vocabulary is tested against.
+	noVocabulary bool
 }
 
 // Reset points the tokenizer at the start of the document in data,
 // which it never modifies. The zero Tokenizer is ready for Reset, so
-// one can live inside its consumer without an allocation of its own.
+// one can live inside its consumer without an allocation of its own;
+// one that is Reset again keeps its scratch space and nothing else.
 func (t *Tokenizer) Reset(data []byte) {
-	*t = Tokenizer{data: data, names: make(map[string]string, 16)}
+	clear(t.attrs[:cap(t.attrs)]) // these two point into the last document
+	clear(t.rawAttrs[:cap(t.rawAttrs)])
+	*t = Tokenizer{data: data, noVocabulary: t.noVocabulary,
+		ns: t.ns[:0], open: t.open[:0], attrs: t.attrs[:0], rawAttrs: t.rawAttrs[:0], buf: t.buf[:0], abuf: t.abuf[:0]}
 }
 
 // Name is the resolved name of the current start tag.
@@ -497,11 +505,44 @@ func (t *Tokenizer) resolve(prefix []byte, isElement bool) string {
 	return t.intern(prefix)
 }
 
-// intern returns a string for b, reusing a previous allocation when the
-// same bytes were seen before (element vocabularies repeat heavily).
+// vocabulary holds the names, prefixes and namespace URIs the
+// program's own messages are made of, so that reading one allocates no
+// string for them. It is written by RegisterVocabulary during package
+// initialisation and only read afterwards.
+var vocabulary = map[string]string{}
+
+// RegisterVocabulary adds element and attribute local names, namespace
+// prefixes and namespace URIs to the process-wide table parsed names
+// are taken from. The package that gives a word its meaning registers
+// it from an init function or a package-level variable initialiser;
+// registering after the first parse is a data race. A name that is not
+// registered costs what it always did: one string per document that
+// uses it.
+func RegisterVocabulary(words ...string) {
+	for _, w := range words {
+		vocabulary[w] = w
+	}
+}
+
+// Marshal's generated prefixes: every document this program wrote.
+func init() {
+	RegisterVocabulary("ns0", "ns1", "ns2", "ns3", "ns4", "ns5", "ns6", "ns7", "ns8", "ns9")
+}
+
+// intern returns a string for b without allocating when b is in the
+// vocabulary or was seen earlier in the document (an open-content
+// vocabulary repeats too: a rowset is thousands of Row/Value tags).
 func (t *Tokenizer) intern(b []byte) string {
-	if s, ok := t.names[string(b)]; ok { // compiler-optimised, no alloc
+	if !t.noVocabulary {
+		if s, ok := vocabulary[string(b)]; ok { // compiler-optimised, no alloc
+			return s
+		}
+	}
+	if s, ok := t.names[string(b)]; ok {
 		return s
+	}
+	if t.names == nil {
+		t.names = make(map[string]string)
 	}
 	s := string(b)
 	t.names[s] = s

@@ -33,6 +33,12 @@ func (n Name) String() string {
 	return "{" + n.Space + "}" + n.Local
 }
 
+// Matches reports whether the name is local in the given namespace;
+// an empty space matches any namespace (the rule of Find and FindAll).
+func (n Name) Matches(space, local string) bool {
+	return n.Local == local && (space == "" || n.Space == space)
+}
+
 // Attr is a single attribute. Namespace declarations are not stored as
 // attributes; prefixes are re-synthesised at serialisation time.
 type Attr struct {
@@ -186,7 +192,16 @@ func (e *Element) writeText(b *strings.Builder) {
 
 // ChildElements returns the element children in document order.
 func (e *Element) ChildElements() []*Element {
-	var out []*Element
+	n := 0
+	for _, c := range e.Children {
+		if _, ok := c.(*Element); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Element, 0, n) // counted first: one allocation, not a doubling series
 	for _, c := range e.Children {
 		if el, ok := c.(*Element); ok {
 			out = append(out, el)
@@ -198,8 +213,7 @@ func (e *Element) ChildElements() []*Element {
 // Find returns the first child element with the given name, or nil.
 func (e *Element) Find(space, local string) *Element {
 	for _, c := range e.Children {
-		if el, ok := c.(*Element); ok && el.Name.Local == local &&
-			(space == "" || el.Name.Space == space) {
+		if el, ok := c.(*Element); ok && el.Name.Matches(space, local) {
 			return el
 		}
 	}
@@ -210,8 +224,7 @@ func (e *Element) Find(space, local string) *Element {
 func (e *Element) FindAll(space, local string) []*Element {
 	var out []*Element
 	for _, c := range e.Children {
-		if el, ok := c.(*Element); ok && el.Name.Local == local &&
-			(space == "" || el.Name.Space == space) {
+		if el, ok := c.(*Element); ok && el.Name.Matches(space, local) {
 			out = append(out, el)
 		}
 	}
