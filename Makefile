@@ -54,9 +54,11 @@ chaos:
 
 # Streaming-pipeline chaos: chunked fetch of a spilled 100k-row
 # resource through a fault-injecting transport, asserting byte-identical
-# reassembly and retries visible in dais_retries_total. CI runs this.
+# reassembly and retries visible in dais_retries_total; windows of one
+# resource rendered concurrently into their replies' pooled buffers, and
+# faults decided before a reply byte is written. CI runs this.
 stream-chaos:
-	$(GO) test -race -shuffle=on -count=1 -run 'TestStreamChaos|TestGetTuplesEdgeCasesOverHTTP' ./internal/service/
+	$(GO) test -race -shuffle=on -count=1 -run 'TestStreamChaos|TestGetTuplesEdgeCasesOverHTTP|TestConcurrentGetTuplesShareNothing|TestGetTuplesFaultsBeforeTheReply' ./internal/service/
 
 # Federation gateway chaos: kill one of three backends mid-flight
 # under concurrent federated load with the race detector. Surviving
@@ -87,6 +89,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowsetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzRowsetRoundTrip -fuzztime $(FUZZTIME) ./internal/rowset/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

@@ -110,7 +110,9 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	rows, err := RunE7([]int{1, 100}, 5)
+	// 200 iterations: over 5, the first size's connection set-up and the
+	// scheduler outweigh what 99 more rows cost (≈ 150 µs).
+	rows, err := RunE7([]int{1, 100}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

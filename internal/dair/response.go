@@ -513,6 +513,22 @@ func (r *SQLRowsetResource) Release() error {
 // (under ctx) until the rows exist, then encodes exactly the bytes the
 // materialised path would have produced.
 func (r *SQLRowsetResource) GetTuples(ctx context.Context, startPosition, count int) ([]byte, error) {
+	render, err := r.TuplesRenderer(ctx, startPosition, count)
+	if err != nil {
+		return nil, err
+	}
+	return render(nil), nil
+}
+
+// TuplesRenderer is GetTuples in two steps. It resolves the window to
+// the rows that hold it — the buffer's pages, or the stored set's — and
+// every fault GetTuples can answer with is decided here; the function
+// it returns then appends the page's encoding to a buffer of the
+// caller's, any number of times, and cannot fail. The rows it reads are
+// never written, so it stays valid after the resource is released. A
+// service hands it to the reply (ops.WindowDatasetElement) and a window
+// is rendered once, where it is sent from.
+func (r *SQLRowsetResource) TuplesRenderer(ctx context.Context, startPosition, count int) (func(dst []byte) []byte, error) {
 	if err := core.CheckReadable(r); err != nil {
 		return nil, err
 	}
@@ -521,20 +537,20 @@ func (r *SQLRowsetResource) GetTuples(ctx context.Context, startPosition, count 
 		return nil, &core.InvalidDatasetFormatFault{Format: r.formatURI}
 	}
 	r.mu.RLock()
-	if r.buf != nil {
-		buf := r.buf
-		r.mu.RUnlock()
-		page, err := buf.Window(ctx, startPosition, count)
-		if err != nil {
+	buf, set := r.buf, r.set
+	r.mu.RUnlock()
+	var cols []sqlengine.ResultColumn
+	var pages [][][]sqlengine.Value
+	if buf != nil {
+		if pages, err = buf.Pages(ctx, startPosition, count); err != nil {
 			return nil, execFault(err)
 		}
-		return codec.Encode(page)
+		cols = buf.Columns()
+	} else {
+		from, to := rowset.Window(set, startPosition, count)
+		cols, pages = set.Columns, [][][]sqlengine.Value{set.Rows[from:to]}
 	}
-	// Encode the window straight out of the stored set (no per-page
-	// ResultSet), holding the read lock so the rows cannot be swapped
-	// out underneath the range encoder.
-	defer r.mu.RUnlock()
-	return rowset.EncodeWindow(codec, r.set, startPosition, count)
+	return func(dst []byte) []byte { return codec.AppendWindow(dst, cols, pages...) }, nil
 }
 
 // GetTuplesSet is GetTuples without encoding, for in-process consumers.

@@ -56,6 +56,22 @@ func DatasetElement(formatURI string, data []byte) *xmlutil.Element {
 	return e
 }
 
+// WindowDatasetElement is DatasetElement for a rowset window that has
+// been resolved but not rendered yet: render appends it, in the given
+// format. In the XML formats the element holds it as a Lazy node, and
+// the window is rendered into the reply's own buffer as the envelope is
+// written; any other format is text, which the envelope has to escape,
+// so it is rendered here.
+func WindowDatasetElement(formatURI string, render func(dst []byte) []byte) *xmlutil.Element {
+	if formatURI != rowset.FormatSQLRowset && formatURI != rowset.FormatWebRowSet {
+		return DatasetElement(formatURI, render(nil))
+	}
+	e := xmlutil.NewElement(core.NSDAI, "Dataset")
+	e.SetAttr("", "formatURI", formatURI)
+	e.Children = append(e.Children, xmlutil.Lazy(render))
+	return e
+}
+
 // DatasetPayload extracts the raw bytes and format URI from a Dataset
 // element: one built by DatasetElement, or one received in an envelope,
 // whose content arrives as a verbatim Raw span (the bytes the producer
@@ -68,8 +84,11 @@ func DatasetPayload(e *xmlutil.Element) ([]byte, string) {
 	}
 	format := e.AttrValue("", "formatURI")
 	for _, c := range e.Children {
-		if raw, ok := c.(xmlutil.Raw); ok {
-			return raw.Bytes(), format
+		switch n := c.(type) {
+		case xmlutil.Raw:
+			return n.Bytes(), format
+		case xmlutil.Lazy:
+			return n(nil), format
 		}
 	}
 	if kids := e.ChildElements(); len(kids) == 1 {

@@ -25,6 +25,21 @@ import (
 // result and the error text are the tree decoder's by construction
 // (decode_test.go fuzzes the equivalence).
 //
+// Tokens are for finding out what a rendering looks like, not for every
+// row of it: a producer repeats the same markup around every row's
+// values, and the first row read by tokens whose cells are each one run
+// of plain text becomes a template — that row's bytes, cut at the cell
+// texts. A following row that repeats the template byte for byte around
+// texts with nothing in them to decode is the same tokens in the same
+// namespace context (rows are siblings: what is in scope at the start
+// of one is in scope at the start of all), so it is read by comparing
+// the pieces and taking what lies between them, and the tokenizer is
+// moved past it. Any row that departs from that — another prefix, a
+// NULL or empty cell, an entity, a comment, white space between tags, a
+// text that does not coerce — is left, whole, to the tokenizer, which
+// decides what it means as before; the row after it is tried against
+// the template again.
+//
 // A one-pass decoder does not need the rendering to be a document of
 // its own: it reads from whatever tokenizer has reached the rendering's
 // root start tag. A consumer that expects a dataset inside an envelope
@@ -49,10 +64,12 @@ type streamDecoder struct {
 	cols []sqlengine.ResultColumn
 	rows [][]sqlengine.Value
 
-	// slab is the unused tail of the current block of cells; rows are
-	// carved from it so a window costs a handful of allocations, not one
-	// per row.
+	// slab is the current block of cells, of which used are taken; rows
+	// are carved from it so a window costs a handful of allocations, not
+	// one per row. (A count, not a shorter slab: a pointer written per
+	// row is a write barrier per row while the collector marks.)
 	slab []sqlengine.Value
+	used int
 
 	// text collects the VARCHAR cells — their lengths parked in Value.I
 	// — until result turns it into one string and slices every cell from
@@ -61,6 +78,16 @@ type streamDecoder struct {
 	varchars []int // the VARCHAR columns
 
 	rowsAt int // where in the document the first row starts
+
+	// tmpl is the row template: the bytes of the first row that was read
+	// by tokens with every cell one run of plain text, cut at the cell
+	// texts — a piece before each cell and one after the last, the first
+	// starting at the row's '<', the last ending with its end tag. Until
+	// there is one, spans collects where the texts of the row being read
+	// lie. matched counts the rows read by the template.
+	tmpl    [][]byte
+	spans   []int
+	matched int
 }
 
 // next returns the next token, or TokenEOF when the document is
@@ -108,16 +135,32 @@ func (d *streamDecoder) addColumn(name, typeName, table string) {
 	d.cols = append(d.cols, sqlengine.ResultColumn{Name: name, Type: t, Table: table})
 }
 
-// newRow carves an empty row of len(d.cols) cells. Blocks grow with
-// the row count, so a 20-row reply does not pay for a bulk window.
+// newRow returns an empty row over the next len(d.cols) cells of the
+// slab, which are zero; addRow takes them. Blocks grow with the row
+// count, so a 20-row reply does not pay for a bulk window.
 func (d *streamDecoder) newRow() []sqlengine.Value {
 	n := len(d.cols)
-	if len(d.slab) < n {
-		d.slab = make([]sqlengine.Value, n*min(max(16, len(d.rows)), 4096))
+	if len(d.slab)-d.used < n {
+		d.slab, d.used = make([]sqlengine.Value, n*min(max(16, len(d.rows)), 4096)), 0
 	}
-	row := d.slab[:0:n]
-	d.slab = d.slab[n:]
-	return row
+	return d.slab[d.used : d.used : d.used+n]
+}
+
+// addRow adds the row newRow handed out, now filled, which ends at off
+// in the document.
+func (d *streamDecoder) addRow(row []sqlengine.Value, off int) {
+	d.used += len(row)
+	d.rows = append(d.rows, row)
+	if len(d.rows) == sampleRows {
+		// Size the row list and the text arena once, taking the rest of
+		// the document for rows like these — it is, but for closing tags
+		// and an envelope's tail — where appending alone would reallocate
+		// its way up through several times the final size. A document that
+		// goes on differently costs capacity in proportion to its length.
+		more := (d.tok.Size()-off)/max((off-d.rowsAt)/sampleRows, 1) + 1
+		d.rows = slices.Grow(d.rows, more)
+		d.text = slices.Grow(d.text, len(d.text)/sampleRows*more)
+	}
 }
 
 // cell reads the rest of the current cell element and appends its
@@ -133,6 +176,9 @@ func (d *streamDecoder) cell(row []sqlengine.Value, isNull, nullChild bool) ([]s
 			if len(d.text) == mark && d.tok.PeekEnd() {
 				// Nearly every cell: one run of text, coerced where the
 				// tokenizer found it.
+				if off := d.tok.TextOffset(); d.tmpl == nil && !isNull && off >= 0 {
+					d.spans = append(d.spans, off, off+len(text))
+				}
 				row, ok := d.appendValue(row, text, isNull)
 				return row, ok && d.next() == xmlutil.TokenEnd
 			}
@@ -168,11 +214,14 @@ func (d *streamDecoder) appendValue(row []sqlengine.Value, text []byte, isNull b
 		d.text = append(d.text, text...) // where finish looks for it
 		v.Type, v.I = t, int64(len(text))
 	case t == sqlengine.TypeInteger || t == sqlengine.TypeBigint:
-		// string(...) of a short cell stays on the stack: strconv copies
-		// its argument before putting it in an error.
-		i, err := strconv.ParseInt(string(bytes.TrimSpace(text)), 10, 64)
-		if err != nil {
-			return nil, false
+		i, plain := plainInt(text)
+		if !plain {
+			// string(...) of a short cell stays on the stack: strconv
+			// copies its argument before putting it in an error.
+			var err error
+			if i, err = strconv.ParseInt(string(bytes.TrimSpace(text)), 10, 64); err != nil {
+				return nil, false
+			}
 		}
 		v.Type, v.I = t, i
 	case t == sqlengine.TypeDouble:
@@ -188,6 +237,28 @@ func (d *streamDecoder) appendValue(row []sqlengine.Value, text []byte, isNull b
 		}
 	}
 	return row, true
+}
+
+// plainInt reads text that is an optional '-' and up to eighteen digits
+// — nearly every integer cell, and too few digits to overflow.
+func plainInt(text []byte) (i int64, ok bool) {
+	neg := len(text) > 0 && text[0] == '-'
+	if neg {
+		text = text[1:]
+	}
+	if len(text) == 0 || len(text) > 18 {
+		return 0, false
+	}
+	for _, c := range text {
+		if c -= '0'; c > 9 {
+			return 0, false
+		}
+		i = i*10 + int64(c)
+	}
+	if neg {
+		i = -i
+	}
+	return i, true
 }
 
 // decodeDocument runs a one-pass decoder over data as a document of its
@@ -261,12 +332,15 @@ func (d *streamDecoder) children(space, local string, each func() bool) bool {
 }
 
 // row decodes the current row element, whose cells are its children
-// of the given name. A cell is NULL by its isNull attribute or, when
+// of the given name, and then the rows after it for as long as they
+// repeat the template. A cell is NULL by its isNull attribute or, when
 // nullChild, by a webRowSet null marker inside it.
 func (d *streamDecoder) row(space, local string, nullChild bool) bool {
+	at := d.tok.TagOffset()
 	if d.rows == nil {
-		d.rowsAt = d.tok.Offset()
+		d.rowsAt = at
 	}
+	d.spans = d.spans[:0]
 	row := d.newRow()
 	ok := d.children(space, local, func() bool {
 		isNull := false
@@ -281,18 +355,53 @@ func (d *streamDecoder) row(space, local string, nullChild bool) bool {
 	if !ok || len(row) != len(d.cols) {
 		return false
 	}
-	d.rows = append(d.rows, row)
-	if len(d.rows) == sampleRows {
-		// Size the row list and the text arena once, taking the rest of
-		// the document for rows like these — it is, but for closing tags
-		// and an envelope's tail — where appending alone would reallocate
-		// its way up through several times the final size. A document that
-		// goes on differently costs capacity in proportion to its length.
-		more := (d.tok.Size()-d.tok.Offset())/max((d.tok.Offset()-d.rowsAt)/sampleRows, 1) + 1
-		d.rows = slices.Grow(d.rows, more)
-		d.text = slices.Grow(d.text, len(d.text)/sampleRows*more)
+	data, end := d.tok.Bytes(), d.tok.Offset()
+	d.addRow(row, end)
+	if d.tmpl == nil && len(d.spans) == 2*len(d.cols) {
+		d.tmpl = make([][]byte, 0, len(d.cols)+1)
+		for i := 0; i < len(d.spans); i += 2 {
+			d.tmpl, at = append(d.tmpl, data[at:d.spans[i]]), d.spans[i+1]
+		}
+		d.tmpl = append(d.tmpl, data[at:end])
+	}
+	if d.tmpl != nil {
+		d.tok.Seek(d.templateRows(data, end))
 	}
 	return true
+}
+
+// templateRows reads the rows that start at data[pos] and repeat the
+// template, and returns where the first thing that does not stands. A
+// cell text counts if the tokenizer would hand it over as it stands —
+// not empty, nothing in it to decode — and coerces; a row that departs
+// from that anywhere is left, whole, to the tokenizer.
+func (d *streamDecoder) templateRows(data []byte, pos int) int {
+	for bytes.HasPrefix(data[pos:], d.tmpl[0]) {
+		row, mark, p := d.newRow(), len(d.text), pos+len(d.tmpl[0])
+		ok := true
+		for _, piece := range d.tmpl[1:] { // a cell's text, then the piece after it
+			end, clean := xmlutil.ScanText(data, p)
+			if ok = clean && end > p; !ok {
+				break
+			}
+			if row, ok = d.appendValue(row, data[p:end], false); !ok {
+				break
+			}
+			if ok = bytes.HasPrefix(data[end:], piece); !ok {
+				break
+			}
+			p = end + len(piece)
+		}
+		if !ok {
+			clear(d.slab[d.used : d.used+len(d.cols)]) // the cells newRow lent, zero again
+			d.text = d.text[:mark]
+			break
+		}
+		pos = p
+		d.addRow(row, pos)
+		d.matched++
+	}
+	return pos
 }
 
 // decodeSQLRowsetStream is the one-pass DecodeSQLRowsetElement.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,11 +21,12 @@ type decodeFuncs struct {
 	codec  Codec
 	stream func([]byte) (*sqlengine.ResultSet, bool)
 	tree   func(*xmlutil.Element) (*sqlengine.ResultSet, error)
+	root   func(*streamDecoder) bool
 }
 
 var (
-	sqlRowsetDecode = decodeFuncs{SQLRowsetCodec{}, decodeSQLRowsetStream, DecodeSQLRowsetElement}
-	webRowSetDecode = decodeFuncs{WebRowSetCodec{}, decodeWebRowSetStream, decodeWebRowSetElement}
+	sqlRowsetDecode = decodeFuncs{SQLRowsetCodec{}, decodeSQLRowsetStream, DecodeSQLRowsetElement, (*streamDecoder).sqlRowset}
+	webRowSetDecode = decodeFuncs{WebRowSetCodec{}, decodeWebRowSetStream, decodeWebRowSetElement, (*streamDecoder).webRowSet}
 )
 
 func (f decodeFuncs) treeDecode(data []byte) (*sqlengine.ResultSet, error) {
@@ -52,7 +55,7 @@ func identical(a, b *sqlengine.ResultSet) error {
 		for c := range a.Rows[r] {
 			x, y := a.Rows[r][c], b.Rows[r][c]
 			if x.Type != y.Type || x.I != y.I || x.S != y.S || x.B != y.B ||
-				math.Float64bits(x.F) != math.Float64bits(y.F) || !x.T.Equal(y.T) {
+				math.Float64bits(x.F) != math.Float64bits(y.F) || !x.Time().Equal(y.Time()) {
 				return fmt.Errorf("cell [%d][%d]: %+v vs %+v", r, c, x, y)
 			}
 		}
@@ -198,13 +201,112 @@ var webRowSetShapes = []shape{
 	{webOpen + webMeta + `<data/></webRowSet>junk<`, false}, // trailing markup
 }
 
+// A window's rows after the first are read against a template of the
+// first (decode.go). These windows leave it part-way — a later row that
+// is not the template's bytes around plain text — and go on: the
+// tokenizer must take exactly that row, whatever it holds, and the rows
+// after it must come out as if nothing had happened.
+type dialect struct {
+	open, close       string // around the rows, metadata (INTEGER id, VARCHAR s) included
+	rowOpen, rowClose string
+	cellOpen, cellEnd string
+	null              string
+	aliasRow          string // a row under another prefix for the same namespace: %s, %s are its texts
+	foreignRow        string // the row's name in another namespace: not a row
+}
+
+var (
+	sqlDialect = dialect{sqlOpen + sqlMeta, `</r:SQLRowset>`, `<r:Row>`, `</r:Row>`, `<r:Value>`, `</r:Value>`, `<r:Value isNull="true"/>`,
+		`<q:Row xmlns:q="` + NSDAIR + `"><q:Value>%s</q:Value><q:Value>%s</q:Value></q:Row>`,
+		`<r:Row xmlns:r="urn:other"><r:Value>%s</r:Value><r:Value>%s</r:Value></r:Row>`}
+	webDialect = dialect{webOpen + webMeta + `<data>`, `</data></webRowSet>`, `<currentRow>`, `</currentRow>`, `<columnValue>`, `</columnValue>`, `<columnValue><null/></columnValue>`,
+		`<w:currentRow xmlns:w="` + NSWebRowSet + `"><w:columnValue>%s</w:columnValue><w:columnValue>%s</w:columnValue></w:currentRow>`,
+		`<currentRow xmlns="urn:other"><columnValue>%s</columnValue><columnValue>%s</columnValue></currentRow>`}
+)
+
+func (d dialect) cell(text string) string { return d.cellOpen + text + d.cellEnd }
+func (d dialect) row(cells ...string) string {
+	return d.rowOpen + strings.Join(cells, "") + d.rowClose
+}
+func (d dialect) plain(i int) string {
+	return d.row(d.cell(fmt.Sprint(i)), d.cell(fmt.Sprintf("v%d", i)))
+}
+func (d dialect) doc(rows ...string) string { return d.open + strings.Join(rows, "") + d.close }
+
+// around puts a row between two template rows before it and two after.
+func (d dialect) around(row string) string {
+	return d.doc(d.plain(1), d.plain(2), row, d.plain(4), d.plain(5))
+}
+
+func (d dialect) templateShapes() []shape {
+	id, text := d.cell("3"), d.cell("c")
+	shapes := []shape{
+		{d.doc(d.plain(1)), true}, // a one-row window: a template nobody uses
+		{d.doc(d.plain(1), d.plain(2), d.plain(3)), true},
+		{d.around(d.row(id, d.cell("a &amp; b &lt;"))), true},
+		{d.around(d.row(d.cell("&#51;"), text)), true},
+		{d.around(d.row(id, d.cell("<![CDATA[x<y]]>"))), true},
+		{d.around(d.row(d.cell("3<!-- c -->"), text) + "<!-- between rows -->"), true},
+		{d.around(d.row(id, d.null)), true},
+		{d.around(d.row(d.null, d.null) + d.row(d.null, text)), true},
+		{d.doc(d.row(d.null, text), d.plain(2), d.plain(3), d.plain(4)), true}, // learnt from the second row
+		{d.doc(d.plain(1), "\n", d.plain(2), " ", d.row(" ", id, "\n", text), d.plain(4)), true},
+		{d.around(fmt.Sprintf(d.aliasRow, "3", "c")), true},
+		{d.around(fmt.Sprintf(d.foreignRow, "3", "c")), true},
+		{d.doc(fmt.Sprintf(d.aliasRow, "1", "a"), fmt.Sprintf(d.aliasRow, "2", "b"), d.plain(3), d.plain(4), fmt.Sprintf(d.aliasRow, "5", "e")), true},
+		{d.around(d.row(id, d.cell(""))), true},
+		{d.around(d.row(id, strings.Replace(d.cellOpen, ">", "/>", 1))), true},
+		{d.around(d.row(d.cell(""), text)), false}, // an empty INTEGER
+		{d.around(d.row(id)), false},               // a cell short
+		{d.around(d.row(id, text, text)), false},   // a cell over
+		{d.around(d.row(id, d.cell("a\rb\r\nc"))), true},
+		{d.around(d.row(id, d.cell("a>b]]>\x00\xff"))), true},
+		{d.around(d.row(d.cell(" 3 "), text) + d.row(d.cell("+3"), text) + d.row(d.cell("003"), text) + d.row(d.cell("-3"), text)), true},
+		{d.around(d.row(d.cell("-9223372036854775808"), text) + d.row(d.cell("999999999999999999"), text)), true},
+		{d.around(d.row(d.cell("9223372036854775808"), text)), false},
+		{d.around(d.row(d.cell("x"), text)), false},
+		{d.around(d.row(d.cell("-"), text)), false},
+		{d.around(d.row(d.cell("3.0"), text)), false},
+		{d.around(d.row(id, d.cell("&bogus;"))), false},
+		{d.around(d.row(id, d.cell("<b>c</b>"))), false},
+	}
+	whole := d.around(d.plain(3))
+	for _, cut := range []string{d.plain(3), d.cell("v4"), "v5", d.close} { // truncated in a later row
+		shapes = append(shapes, shape{whole[:strings.Index(whole, cut)+len(cut)-1], false})
+	}
+	return shapes
+}
+
+// Numeric cells the hand-written readers take, and the ones they must
+// leave to strconv, in rows read by the template.
+var sqlNumberShapes = func() []shape {
+	open := sqlOpen + `<r:Metadata><r:Column name="d" type="DOUBLE"/><r:Column name="n" type="BIGINT"/></r:Metadata>`
+	row := func(d, n string) string { return sqlDialect.row(sqlDialect.cell(d), sqlDialect.cell(n)) }
+	var rows []string
+	for _, d := range []string{"0.25", "12499.75", "-0", "-0.0", "0", "5", "5.", ".5", "1e3", "1E-3", "NaN", "-Inf", " 1.5 ", "+1.5",
+		"123456789012345", "1234567890123456", "999999999999999.9", "0.1234567890123456", "0.12345678901234567", "12345678901234.5",
+		"0.000000000000001", "0.1", "0.3", "2.675", "1.0000000000000002", "0x1p-2", "1_0"} {
+		rows = append(rows, row(d, "1"))
+	}
+	return []shape{
+		{open + strings.Join(rows, "") + `</r:SQLRowset>`, true},
+		{open + row("1.5", "1") + row("1.2.3", "1") + `</r:SQLRowset>`, false},
+		{open + row("1.5", "1") + row("1.5", "1.5") + `</r:SQLRowset>`, false},
+	}
+}()
+
+var (
+	allSQLRowsetShapes = slices.Concat(sqlRowsetShapes, sqlDialect.templateShapes(), sqlNumberShapes)
+	allWebRowSetShapes = slices.Concat(webRowSetShapes, webDialect.templateShapes())
+)
+
 func TestStreamDecodeShapes(t *testing.T) {
-	for i, s := range sqlRowsetShapes {
+	for i, s := range allSQLRowsetShapes {
 		if got := sqlRowsetDecode.check(t, []byte(s.doc)); got != s.streamed {
 			t.Errorf("SQLRowset shape %d: one-pass decoder took it = %v, want %v\n%s", i, got, s.streamed, s.doc)
 		}
 	}
-	for i, s := range webRowSetShapes {
+	for i, s := range allWebRowSetShapes {
 		if got := webRowSetDecode.check(t, []byte(s.doc)); got != s.streamed {
 			t.Errorf("webRowSet shape %d: one-pass decoder took it = %v, want %v\n%s", i, got, s.streamed, s.doc)
 		}
@@ -258,8 +360,86 @@ func (fn decodeFuncs) fuzz(f *testing.F, shapes []shape) {
 	f.Fuzz(func(t *testing.T, data []byte) { fn.check(t, data) })
 }
 
-func FuzzDecodeSQLRowset(f *testing.F) { sqlRowsetDecode.fuzz(f, sqlRowsetShapes) }
-func FuzzDecodeWebRowSet(f *testing.F) { webRowSetDecode.fuzz(f, webRowSetShapes) }
+func FuzzDecodeSQLRowset(f *testing.F) { sqlRowsetDecode.fuzz(f, allSQLRowsetShapes) }
+func FuzzDecodeWebRowSet(f *testing.F) { webRowSetDecode.fuzz(f, allWebRowSetShapes) }
+
+// templateStats runs the one-pass decoder and reports how many rows it
+// read, and how many of them by the template.
+func (f decodeFuncs) templateStats(t *testing.T, data []byte) (rows, matched int) {
+	t.Helper()
+	var tok xmlutil.Tokenizer
+	tok.Reset(data)
+	d := streamDecoder{tok: &tok}
+	if d.next() != xmlutil.TokenStart || !f.root(&d) {
+		t.Fatalf("one-pass decoder turned down %.200q", data)
+	}
+	return len(d.rows), d.matched
+}
+
+// TestTemplateReadsEncoderOutput: of what the encoders write, tokens
+// read one row — the one the template is learnt from — and the template
+// the rest, in a bulk window and in a point reply's twenty rows alike;
+// and a row the template cannot read costs tokens for that row only.
+func TestTemplateReadsEncoderOutput(t *testing.T) {
+	for _, f := range []decodeFuncs{sqlRowsetDecode, webRowSetDecode} {
+		for _, n := range []int{4096, 20} {
+			data, err := f.codec.Encode(bulkWindow(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.check(t, data)
+			if rows, matched := f.templateStats(t, data); rows != n || matched != n-1 {
+				t.Errorf("%s, %d rows: %d decoded, %d by the template, want all but the first", f.codec.FormatURI(), n, rows, matched)
+			}
+		}
+		// Every tenth row holds what the template leaves alone: a NULL,
+		// an empty string, text to escape.
+		set := bulkWindow(1000)
+		for i := 5; i < len(set.Rows); i += 10 {
+			set.Rows[i][1] = []sqlengine.Value{sqlengine.Null, sqlengine.NewString(""), sqlengine.NewString("a<&>b")}[i/10%3]
+		}
+		data, _ := f.codec.Encode(set)
+		f.check(t, data)
+		if rows, matched := f.templateStats(t, data); rows != 1000 || matched != 899 {
+			t.Errorf("%s: %d rows decoded, %d by the template, want 1000 and 899: a fallback row must re-arm it", f.codec.FormatURI(), rows, matched)
+		}
+	}
+	for _, s := range []struct {
+		f       decodeFuncs
+		d       dialect
+		matched int
+	}{{sqlRowsetDecode, sqlDialect, 3}, {webRowSetDecode, webDialect, 3}} {
+		doc := s.d.around(s.d.row(s.d.cell("3"), s.d.cell("a &amp; b")))
+		if rows, matched := s.f.templateStats(t, []byte(doc)); rows != 5 || matched != s.matched {
+			t.Errorf("%s: %d rows, %d by the template, want 5 and %d", s.f.codec.FormatURI(), rows, matched, s.matched)
+		}
+	}
+}
+
+// TestPlainInt holds the hand-written integer reader to strconv on what
+// it accepts.
+func TestPlainInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const alphabet = "0123456789012345678901234567890123456789.--+e "
+	accepted := 0
+	for trial := 0; trial < 200000; trial++ {
+		text := make([]byte, 1+rng.Intn(19))
+		for i := range text {
+			text[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		got, ok := plainInt(text)
+		if !ok {
+			continue
+		}
+		accepted++
+		if want, err := strconv.ParseInt(string(text), 10, 64); err != nil || got != want {
+			t.Fatalf("plainInt(%q) = %d, strconv says %d, %v", text, got, want, err)
+		}
+	}
+	if accepted < 1000 {
+		t.Fatalf("only %d texts accepted: the alphabet no longer exercises plainInt", accepted)
+	}
+}
 
 // TestStreamDecodeOwnsItsMemory: nothing in a decoded set may point
 // into the input, which callers hand back to a buffer pool.

@@ -40,6 +40,13 @@ type Codec interface {
 	FormatURI() string
 	// Encode renders the result set.
 	Encode(rs *sqlengine.ResultSet) ([]byte, error)
+	// AppendWindow is the form a codec encodes in: a window — its rows
+	// given as the pages that hold them, in order, under the header cols
+	// — rendered after dst, which is returned grown. Encode and
+	// EncodeRange are this with nothing before the window and one page; a
+	// producer that owns a buffer (a reply being written) appends to it
+	// and a window costs no allocation of its own.
+	AppendWindow(dst []byte, cols []sqlengine.ResultColumn, pages ...[][]sqlengine.Value) []byte
 	// Decode parses a rendering produced by Encode.
 	Decode(data []byte) (*sqlengine.ResultSet, error)
 }
@@ -102,32 +109,36 @@ func typeName(t sqlengine.Type) string { return t.String() }
 // effectiveColumns resolves untyped (computed) columns by inferring the
 // type from the first non-null value in that column, so expressions
 // like AVG(x) round-trip with their runtime type instead of decaying to
-// VARCHAR.
-func effectiveColumns(rs *sqlengine.ResultSet) []sqlengine.ResultColumn {
-	return effectiveColumnsRange(rs, 0, len(rs.Rows))
-}
-
-// effectiveColumnsRange is effectiveColumns restricted to the row
-// window [from, to): type inference scans only the rows a range encode
-// will render, which keeps windowed output byte-identical to encoding
-// a materialised page.
-func effectiveColumnsRange(rs *sqlengine.ResultSet, from, to int) []sqlengine.ResultColumn {
-	cols := append([]sqlengine.ResultColumn(nil), rs.Columns...)
+// VARCHAR. Inference scans only the rows a window holds — pages, in
+// order — which keeps windowed output byte-identical to encoding a
+// materialised page. A fully typed header is returned as it stands.
+func effectiveColumns(cols []sqlengine.ResultColumn, pages [][][]sqlengine.Value) []sqlengine.ResultColumn {
+	copied := false
 	for i := range cols {
 		if cols[i].Type != sqlengine.TypeNull {
 			continue
 		}
-		for _, row := range rs.Rows[from:to] {
-			if !row[i].IsNull() {
-				cols[i].Type = row[i].Type
-				break
-			}
+		if !copied {
+			cols, copied = slices.Clone(cols), true
 		}
-		if cols[i].Type == sqlengine.TypeNull {
-			cols[i].Type = sqlengine.TypeVarchar
+		cols[i].Type = sqlengine.TypeVarchar
+	infer:
+		for _, page := range pages {
+			for _, row := range page {
+				if !row[i].IsNull() {
+					cols[i].Type = row[i].Type
+					break infer
+				}
+			}
 		}
 	}
 	return cols
+}
+
+// effectiveColumnsRange is effectiveColumns for the window [from, to) of
+// a materialised set.
+func effectiveColumnsRange(rs *sqlengine.ResultSet, from, to int) []sqlengine.ResultColumn {
+	return effectiveColumns(rs.Columns, [][][]sqlengine.Value{rs.Rows[from:to]})
 }
 
 func typeFromName(s string) sqlengine.Type {
@@ -172,15 +183,38 @@ func reserve(dst []byte, start, rowsLeft int) []byte {
 	return slices.Grow(dst, (len(dst)-start)/sampleRows*rowsLeft*9/8+64)
 }
 
-// firstWindow allocates an encoder's buffer for a window's header and
-// its first rows — up to twice sampleRows of them, so that a reply that
-// short is one allocation of about its size and reserve finds nothing
-// to grow, where appending from nothing doubled its way to three times
-// that. A longer window is measured after sampleRows and reserved for
-// as before. rowBytes is what the format spends on a row with every
-// cell's value guessed at 16 bytes.
-func firstWindow(header, rowBytes, rows int) []byte {
-	return make([]byte, 0, header+min(rows, 2*sampleRows)*rowBytes)
+// firstWindow is the room an encoder asks for before it writes a
+// window's header and its first rows — up to twice sampleRows of them,
+// so that a reply that short is one allocation of about its size and
+// reserve finds nothing to grow, where appending from nothing doubled
+// its way to three times that. A longer window is measured after
+// sampleRows and reserved for as before. rowBytes is what the format
+// spends on a row with every cell's value guessed at 16 bytes.
+func firstWindow(header, rowBytes, rows int) int {
+	return header + min(rows, 2*sampleRows)*rowBytes
+}
+
+func countRows(pages [][][]sqlengine.Value) (n int) {
+	for _, page := range pages {
+		n += len(page)
+	}
+	return n
+}
+
+// appendRows renders the rows of pages, total of them, after b with
+// row, reserving for the rest once sampleRows have been measured.
+func appendRows(b []byte, pages [][][]sqlengine.Value, total int, row func([]byte, []sqlengine.Value) []byte) []byte {
+	start, done := len(b), 0
+	for _, page := range pages {
+		for _, r := range page {
+			if done == sampleRows {
+				b = reserve(b, start, total-done)
+			}
+			done++
+			b = row(b, r)
+		}
+	}
+	return b
 }
 
 // --- SQLRowset XML ---
@@ -203,21 +237,26 @@ func (SQLRowsetCodec) FormatURI() string { return FormatSQLRowset }
 
 // Encode renders the result set as an SQLRowset element.
 func (c SQLRowsetCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
-	return c.EncodeRange(rs, 0, len(rs.Rows))
+	return c.AppendWindow(nil, rs.Columns, rs.Rows), nil
 }
 
 // EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page. It writes the bytes
-// straight from the values — no element tree — and its output is
-// byte-identical to marshalling SQLRowsetElement (pinned by test), so
-// consumers cannot tell which path produced a page.
-func (SQLRowsetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
+// set, without materialising an intermediate page.
+func (c SQLRowsetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
+	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
+}
+
+// AppendWindow implements Codec. It writes the bytes straight from
+// the values — no element tree — and its output is byte-identical to
+// marshalling SQLRowsetElement (pinned by test), so consumers cannot
+// tell which path produced a page.
+func (SQLRowsetCodec) AppendWindow(dst []byte, cols []sqlengine.ResultColumn, pages ...[][]sqlengine.Value) []byte {
 	// Header: the root and Metadata tags, ~64 bytes a Column; a row is
 	// 19 bytes of Row tags and 23 of Value tags a cell.
-	cols := len(rs.Columns)
-	b := append(firstWindow(160+64*cols, 19+cols*(23+16), to-from),
+	rows, n := countRows(pages), len(cols)
+	b := append(slices.Grow(dst, firstWindow(160+64*n, 19+n*(23+16), rows)),
 		`<ns0:SQLRowset xmlns:ns0="`+NSDAIR+`"><ns0:Metadata>`...)
-	for _, c := range effectiveColumnsRange(rs, from, to) {
+	for _, c := range effectiveColumns(cols, pages) {
 		b = append(b, `<ns0:Column name="`...)
 		b = xmlutil.AppendEscaped(b, c.Name, true)
 		b = append(b, `" type="`...)
@@ -229,26 +268,24 @@ func (SQLRowsetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte
 		b = append(b, `"/>`...)
 	}
 	b = append(b, `</ns0:Metadata>`...)
-	start := len(b)
-	for i, row := range rs.Rows[from:to] {
-		if i == sampleRows {
-			b = reserve(b, start, to-from-i)
+	b = appendRows(b, pages, rows, appendSQLRowsetRow)
+	return append(b, `</ns0:SQLRowset>`...)
+}
+
+func appendSQLRowsetRow(b []byte, row []sqlengine.Value) []byte {
+	b = append(b, `<ns0:Row>`...)
+	for _, v := range row {
+		if v.IsNull() {
+			b = append(b, `<ns0:Value isNull="true"/>`...)
+			continue
 		}
-		b = append(b, `<ns0:Row>`...)
-		for _, v := range row {
-			if v.IsNull() {
-				b = append(b, `<ns0:Value isNull="true"/>`...)
-				continue
-			}
-			// "" takes this shape too (SetText("") leaves a text node, so
-			// the tree path never emits <Value/> here either).
-			b = append(b, `<ns0:Value>`...)
-			b = appendCell(b, v, appendXMLText)
-			b = append(b, `</ns0:Value>`...)
-		}
-		b = append(b, `</ns0:Row>`...)
+		// "" takes this shape too (SetText("") leaves a text node, so
+		// the tree path never emits <Value/> here either).
+		b = append(b, `<ns0:Value>`...)
+		b = appendCell(b, v, appendXMLText)
+		b = append(b, `</ns0:Value>`...)
 	}
-	return append(b, `</ns0:SQLRowset>`...), nil
+	return append(b, `</ns0:Row>`...)
 }
 
 // SQLRowsetElement builds the XML tree without serialising, for callers
@@ -353,26 +390,31 @@ func (WebRowSetCodec) FormatURI() string { return FormatWebRowSet }
 
 // Encode renders the result set as a webRowSet document.
 func (c WebRowSetCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
-	return c.EncodeRange(rs, 0, len(rs.Rows))
+	return c.AppendWindow(nil, rs.Columns, rs.Rows), nil
 }
 
 // EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page. Like the SQLRowset
-// encoder it writes the bytes straight from the values, byte-identical
-// to marshalling the equivalent element tree (pinned by test).
-func (WebRowSetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
+// set, without materialising an intermediate page.
+func (c WebRowSetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
+	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
+}
+
+// AppendWindow implements Codec. Like the SQLRowset encoder it
+// writes the bytes straight from the values, byte-identical to
+// marshalling the equivalent element tree (pinned by test).
+func (WebRowSetCodec) AppendWindow(dst []byte, cols []sqlengine.ResultColumn, pages ...[][]sqlengine.Value) []byte {
 	// Header: root, properties and metadata tags, ~224 bytes a
 	// column-definition; a row is 33 bytes of currentRow tags and 47 of
 	// columnValue tags a cell.
-	cols := len(rs.Columns)
-	b := append(firstWindow(384+224*cols, 33+cols*(47+16), to-from),
+	rows, n := countRows(pages), len(cols)
+	b := append(slices.Grow(dst, firstWindow(384+224*n, 33+n*(47+16), rows)),
 		`<ns0:webRowSet xmlns:ns0="`+NSWebRowSet+`"><ns0:properties>`+
 			`<ns0:concurrency>1007</ns0:concurrency>`+
 			`<ns0:rowset-type>ResultSet.TYPE_SCROLL_INSENSITIVE</ns0:rowset-type></ns0:properties>`+
 			`<ns0:metadata><ns0:column-count>`...)
-	b = strconv.AppendInt(b, int64(len(rs.Columns)), 10)
+	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, `</ns0:column-count>`...)
-	for i, c := range effectiveColumnsRange(rs, from, to) {
+	for i, c := range effectiveColumns(cols, pages) {
 		b = append(b, `<ns0:column-definition><ns0:column-index>`...)
 		b = strconv.AppendInt(b, int64(i+1), 10)
 		b = append(b, `</ns0:column-index><ns0:column-name>`...)
@@ -387,32 +429,29 @@ func (WebRowSetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte
 		}
 		b = append(b, `</ns0:column-definition>`...)
 	}
-	if from == to {
-		return append(b, `</ns0:metadata><ns0:data/></ns0:webRowSet>`...), nil
+	if rows == 0 {
+		return append(b, `</ns0:metadata><ns0:data/></ns0:webRowSet>`...)
 	}
 	b = append(b, `</ns0:metadata><ns0:data>`...)
-	start := len(b)
-	for i, row := range rs.Rows[from:to] {
-		if i == sampleRows {
-			b = reserve(b, start, to-from-i)
-		}
-		if len(row) == 0 {
-			b = append(b, `<ns0:currentRow/>`...)
+	b = appendRows(b, pages, rows, appendWebRowSetRow)
+	return append(b, `</ns0:data></ns0:webRowSet>`...)
+}
+
+func appendWebRowSetRow(b []byte, row []sqlengine.Value) []byte {
+	if len(row) == 0 {
+		return append(b, `<ns0:currentRow/>`...)
+	}
+	b = append(b, `<ns0:currentRow>`...)
+	for _, v := range row {
+		if v.IsNull() {
+			b = append(b, `<ns0:columnValue><ns0:null/></ns0:columnValue>`...)
 			continue
 		}
-		b = append(b, `<ns0:currentRow>`...)
-		for _, v := range row {
-			if v.IsNull() {
-				b = append(b, `<ns0:columnValue><ns0:null/></ns0:columnValue>`...)
-				continue
-			}
-			b = append(b, `<ns0:columnValue>`...)
-			b = appendCell(b, v, appendXMLText)
-			b = append(b, `</ns0:columnValue>`...)
-		}
-		b = append(b, `</ns0:currentRow>`...)
+		b = append(b, `<ns0:columnValue>`...)
+		b = appendCell(b, v, appendXMLText)
+		b = append(b, `</ns0:columnValue>`...)
 	}
-	return append(b, `</ns0:data></ns0:webRowSet>`...), nil
+	return append(b, `</ns0:currentRow>`...)
 }
 
 // Decode parses a webRowSet document: in one pass over the bytes where
@@ -486,41 +525,43 @@ func (CSVCodec) FormatURI() string { return FormatCSV }
 
 // Encode renders the result set as CSV with a typed header row.
 func (c CSVCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
-	return c.EncodeRange(rs, 0, len(rs.Rows))
+	return c.AppendWindow(nil, rs.Columns, rs.Rows), nil
 }
 
 // EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page: the bytes a
-// csv.Writer would produce for the same records (pinned by test).
-func (CSVCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
+// set, without materialising an intermediate page.
+func (c CSVCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
+	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
+}
+
+// AppendWindow implements Codec: the bytes a csv.Writer would
+// produce for the same records (pinned by test).
+func (CSVCodec) AppendWindow(dst []byte, cols []sqlengine.ResultColumn, pages ...[][]sqlengine.Value) []byte {
 	// Header: ~32 bytes of name:type a column; a row is a separator a cell.
-	cols := len(rs.Columns)
-	b := firstWindow(32*cols, cols*(1+16), to-from)
-	for i, c := range effectiveColumnsRange(rs, from, to) {
+	rows, n := countRows(pages), len(cols)
+	b := slices.Grow(dst, firstWindow(32*n, n*(1+16), rows))
+	for i, c := range effectiveColumns(cols, pages) {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = appendCSVField(b, "", c.Name+":"+typeName(c.Type))
 	}
 	b = append(b, '\n')
-	start := len(b)
-	for i, row := range rs.Rows[from:to] {
-		if i == sampleRows {
-			b = reserve(b, start, to-from-i)
+	return appendRows(b, pages, rows, appendCSVRow)
+}
+
+func appendCSVRow(b []byte, row []sqlengine.Value) []byte {
+	for j, v := range row {
+		if j > 0 {
+			b = append(b, ',')
 		}
-		for j, v := range row {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			if v.IsNull() {
-				b = append(b, nullSentinel...)
-				continue
-			}
-			b = appendCell(b, v, appendCSVText)
+		if v.IsNull() {
+			b = append(b, nullSentinel...)
+			continue
 		}
-		b = append(b, '\n')
+		b = appendCell(b, v, appendCSVText)
 	}
-	return b, nil
+	return append(b, '\n')
 }
 
 // appendCSVText appends a VARCHAR cell: the empty string as its
@@ -602,15 +643,6 @@ func (CSVCodec) Decode(data []byte) (*sqlengine.ResultSet, error) {
 	return rs, nil
 }
 
-// RangeEncoder is implemented by codecs that can render a row window
-// [from, to) directly from a stored result set, skipping the
-// intermediate per-page ResultSet entirely. All three standard codecs
-// implement it; EncodeWindow falls back to Slice+Encode for third-party
-// codecs that do not.
-type RangeEncoder interface {
-	EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error)
-}
-
 // Window clamps the 1-based WS-DAIR (StartPosition, Count) pair to the
 // 0-based half-open row range [from, to) actually present in rs.
 func Window(rs *sqlengine.ResultSet, startPosition, count int) (from, to int) {
@@ -635,15 +667,10 @@ func windowRange(n, startPosition, count int) (from, to int) {
 	return from, to
 }
 
-// EncodeWindow renders one GetTuples page: through the codec's
-// EncodeRange when available, otherwise by encoding a Slice view. The
-// two paths produce identical bytes.
+// EncodeWindow renders one GetTuples page.
 func EncodeWindow(c Codec, rs *sqlengine.ResultSet, startPosition, count int) ([]byte, error) {
-	if re, ok := c.(RangeEncoder); ok {
-		from, to := Window(rs, startPosition, count)
-		return re.EncodeRange(rs, from, to)
-	}
-	return c.Encode(Slice(rs, startPosition, count))
+	from, to := Window(rs, startPosition, count)
+	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
 }
 
 // Slice returns a paged view of the result set: rows

@@ -64,7 +64,7 @@ func appendSpillValue(buf []byte, v sqlengine.Value) []byte {
 		}
 	case sqlengine.TypeTimestamp:
 		// MarshalBinary on a wall-clock time cannot fail.
-		tb, _ := v.T.MarshalBinary()
+		tb, _ := v.Time().MarshalBinary()
 		buf = binary.AppendUvarint(buf, uint64(len(tb)))
 		buf = append(buf, tb...)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -361,18 +362,23 @@ func (b *Buffer) spillOver() {
 	}
 }
 
-// Window returns rows [startPosition, startPosition+count) — 1-based,
-// GetTuples semantics — blocking while the requested window overlaps
-// the still-producing tail. Once production is done the window clamps
-// to the final row count exactly like the materialised path's
-// rowset.Window. A production error is returned from every Window
-// call: a partial result from a failed query is never served.
-func (b *Buffer) Window(ctx context.Context, startPosition, count int) (*sqlengine.ResultSet, error) {
+// Pages resolves the window [startPosition, startPosition+count) —
+// 1-based, GetTuples semantics — to the rows that hold it: one run per
+// sealed page the window overlaps, in order, clipped to the window; a
+// page that lives in the spill store is read back. It blocks while the
+// window overlaps the still-producing tail. Once production is done the
+// window clamps to the final row count exactly like the materialised
+// path's rowset.Window. A production error is returned from every call:
+// a partial result from a failed query is never served. The runs alias
+// the pages, which nobody writes: an encoder renders a window straight
+// from them (Codec.AppendWindow), and every error there is to report has been
+// reported before it writes a byte.
+func (b *Buffer) Pages(ctx context.Context, startPosition, count int) ([][][]sqlengine.Value, error) {
 	if startPosition < 1 {
 		startPosition = 1
 	}
 	if count <= 0 {
-		return &sqlengine.ResultSet{Columns: b.cols}, nil
+		return nil, nil
 	}
 	need := startPosition - 1 + count
 	if err := b.await(ctx, func() bool {
@@ -391,10 +397,9 @@ func (b *Buffer) Window(ctx context.Context, startPosition, count int) (*sqlengi
 		return nil, err
 	}
 	from, to := windowRange(b.produced, startPosition, count)
-	out := &sqlengine.ResultSet{Columns: b.cols}
 	if from == to {
 		b.mu.Unlock()
-		return out, nil
+		return nil, nil
 	}
 	// Snapshot the page descriptors covering [from, to); sealed page
 	// row slices are immutable, so they can be read outside the lock.
@@ -409,7 +414,7 @@ func (b *Buffer) Window(ctx context.Context, startPosition, count int) (*sqlengi
 	store, spillName := b.cfg.Spill, b.cfg.SpillName
 	b.mu.Unlock()
 
-	out.Rows = make([][]sqlengine.Value, 0, to-from)
+	pages := make([][][]sqlengine.Value, 0, len(refs))
 	for _, p := range refs {
 		rows := p.rows
 		if rows == nil {
@@ -425,17 +430,24 @@ func (b *Buffer) Window(ctx context.Context, startPosition, count int) (*sqlengi
 				return nil, fmt.Errorf("rowset: spilled page holds %d rows, expected %d", len(rows), p.n)
 			}
 		}
-		lo, hi := from-p.start, to-p.start
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > p.n {
-			hi = p.n
-		}
-		out.Rows = append(out.Rows, rows[lo:hi]...)
+		pages = append(pages, rows[max(from-p.start, 0):min(to-p.start, p.n)])
 	}
-	if len(out.Rows) != to-from {
-		return nil, fmt.Errorf("rowset: window [%d,%d) assembled %d rows", from, to, len(out.Rows))
+	if n := countRows(pages); n != to-from {
+		return nil, fmt.Errorf("rowset: window [%d,%d) assembled %d rows", from, to, n)
+	}
+	return pages, nil
+}
+
+// Window is Pages assembled into one result set: the window's row
+// headers copied out, for a consumer that wants rows and not bytes.
+func (b *Buffer) Window(ctx context.Context, startPosition, count int) (*sqlengine.ResultSet, error) {
+	pages, err := b.Pages(ctx, startPosition, count)
+	if err != nil {
+		return nil, err
+	}
+	out := &sqlengine.ResultSet{Columns: b.cols}
+	if len(pages) > 0 {
+		out.Rows = slices.Concat(pages...)
 	}
 	return out, nil
 }
@@ -520,7 +532,7 @@ func estimatePageBytes(rows [][]sqlengine.Value) int64 {
 	var sampled, n int64
 	for i := 0; i < len(rows); i += stride {
 		row := rows[i]
-		n += int64(len(row)) * 80 // Value struct + slice slot, roughly
+		n += int64(len(row)) * 48 // Value struct + slice slot, roughly
 		for _, v := range row {
 			n += int64(len(v.S))
 		}

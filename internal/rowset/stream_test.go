@@ -57,7 +57,7 @@ func TestSpillPageRoundTrip(t *testing.T) {
 	for i := range rows {
 		for j := range rows[i] {
 			a, b := rows[i][j], got[i][j]
-			if a.Type != b.Type || a.I != b.I || a.F != b.F || a.S != b.S || a.B != b.B || !a.T.Equal(b.T) {
+			if a.Type != b.Type || a.I != b.I || a.F != b.F || a.S != b.S || a.B != b.B || !a.Time().Equal(b.Time()) {
 				t.Fatalf("row %d col %d: %+v != %+v", i, j, a, b)
 			}
 			if a.String() != b.String() {

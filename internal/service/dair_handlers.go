@@ -144,12 +144,12 @@ func (e *Endpoint) registerDAIR() {
 		if err != nil {
 			return nil, err
 		}
-		data, err := res.GetTuples(ctx, start, count)
+		render, err := res.TuplesRenderer(ctx, start, count)
 		if err != nil {
 			return nil, err
 		}
 		resp := ops.GetTuples.NewResponse()
-		resp.AppendChild(datasetElement(res.FormatURI(), data))
+		resp.AppendChild(ops.WindowDatasetElement(res.FormatURI(), render))
 		return resp, nil
 	})
 	handleOp(e, ops.GetRowsetPropertyDocument, func(ctx context.Context, res *dair.SQLRowsetResource, _ *ops.Empty) (*xmlutil.Element, error) {

@@ -17,6 +17,11 @@ import (
 // contentType is the SOAP 1.1 HTTP media type.
 const contentType = "text/xml; charset=utf-8"
 
+// maxPresizedReply is the largest Content-Length a consumer takes a
+// server's word for when it sizes its read buffer; a longer reply, or a
+// header that lies, is read by doubling as before.
+const maxPresizedReply = 64 << 20
+
 // HTTPError reports a non-2xx HTTP status on a response that otherwise
 // parsed as a fault-free envelope. The envelope is still returned to the
 // caller alongside this error. RetryAfter carries the response's
@@ -189,6 +194,12 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 	// aliases the buffer once it is returned.
 	buf := getBuffer()
 	defer putBuffer(buf)
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedReply {
+		// The reply's size is known: one allocation of it, where reading
+		// to EOF doubles its way up through twice a bulk window. (MinRead
+		// more, or ReadFrom grows the full buffer to find the EOF.)
+		buf.Grow(int(n) + bytes.MinRead)
+	}
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, fmt.Errorf("soap: read response: %w", err)
 	}
@@ -338,17 +349,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if observe != nil {
 		observe(action, len(data), buf.Len())
 	}
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	writeReply(w, status, buf)
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
 	buf := getBuffer()
 	defer putBuffer(buf)
 	NewEnvelope(f.Element()).encodeTo(buf)
-	status := faultStatus(w, f)
+	writeReply(w, faultStatus(w, f), buf)
+}
+
+// writeReply sends a reply that is complete in buf. Its length is
+// stated: net/http otherwise frames every reply over 2 kB in chunks,
+// which the server pays to write and the consumer to read, for a body
+// that was never a stream.
+func writeReply(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	w.Write(buf.Bytes())
 }

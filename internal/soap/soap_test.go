@@ -3,8 +3,10 @@ package soap
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -304,5 +306,53 @@ func TestParseEnvelopeKeepsOpaquePayload(t *testing.T) {
 	}
 	if again := NewEnvelope(env.BodyEntry()).Marshal(); !bytes.Contains(again, []byte(payload)) {
 		t.Fatalf("re-marshalled envelope lost the payload bytes: %s", again)
+	}
+}
+
+// TestReplyLengthStatedAndHeldTo: the server states every reply's
+// length — a Lazy body entry rendered into the reply's own buffer
+// included — and a consumer holds the server to it: a body cut short of
+// its Content-Length is a transport error, not a shorter reply.
+func TestReplyLengthStatedAndHeldTo(t *testing.T) {
+	big := strings.Repeat("<r:row xmlns:r=\"urn:t\">0123456789</r:row>", 4000)
+	srv := NewServer()
+	srv.Handle("lazy", func(context.Context, string, *Envelope) (*Envelope, error) {
+		e := xmlutil.NewElement("urn:t", "R")
+		e.Children = append(e.Children, xmlutil.Lazy(func(dst []byte) []byte {
+			return append(append(append(dst, `<r:rows xmlns:r="urn:t">`...), big...), `</r:rows>`...)
+		}))
+		return NewEnvelope(e), nil
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, action := range []string{"lazy", "nobody"} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL, bytes.NewReader(NewEnvelope(xmlutil.NewElement("urn:t", "Q")).Marshal()))
+		req.Header.Set("SOAPAction", action)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, transfer encoding %v, body %d bytes, %v", action, resp.ContentLength, resp.TransferEncoding, len(body), err)
+		}
+		if action == "lazy" && !bytes.Contains(body, []byte(big)) {
+			t.Fatal("the lazy fragment did not arrive whole")
+		}
+	}
+	if _, err := NewClient(nil).Call(context.Background(), ts.URL, "lazy", NewEnvelope(xmlutil.NewElement("urn:t", "Q"))); err != nil {
+		t.Fatalf("a 160 kB reply read into a buffer sized from its Content-Length: %v", err)
+	}
+
+	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reply := NewEnvelope(xmlutil.NewElement("urn:t", "R")).Marshal()
+		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+		w.Write(reply[:len(reply)/2])
+	}))
+	defer cut.Close()
+	_, err := NewClient(nil).Call(context.Background(), cut.URL, "a", NewEnvelope(xmlutil.NewElement("urn:t", "Q")))
+	if err == nil || !strings.Contains(err.Error(), "soap: read response") {
+		t.Fatalf("truncated reply: err = %v, want a read error", err)
 	}
 }

@@ -67,7 +67,7 @@ func (v *colVec) value(i int) Value {
 	case TypeBoolean:
 		return Value{Type: TypeBoolean, B: v.bools[i]}
 	case TypeTimestamp:
-		return Value{Type: TypeTimestamp, T: v.times[i]}
+		return NewTimestamp(v.times[i])
 	}
 	return Null
 }
@@ -138,7 +138,7 @@ func (v *colVec) push(i int, val Value) bool {
 	case TypeBoolean:
 		v.bools = append(v.bools, val.B)
 	case TypeTimestamp:
-		v.times = append(v.times, val.T)
+		v.times = append(v.times, val.Time())
 	}
 	if v.statN == 0 {
 		v.min, v.max = val, val

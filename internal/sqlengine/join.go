@@ -145,7 +145,7 @@ func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, skip, bail bool) {
 		if v.Type != TypeTimestamp {
 			return joinKey{}, false, true
 		}
-		return joinKey{num: uint64(v.T.UnixNano())}, false, false
+		return joinKey{num: uint64(v.Time().UnixNano())}, false, false
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 	"time"
 )
 
-// Type enumerates the engine's column types.
-type Type int
+// Type enumerates the engine's column types. One byte: it sits in every
+// Value.
+type Type uint8
 
 const (
 	TypeNull Type = iota
@@ -77,13 +78,21 @@ func TypeFromName(name string) (Type, error) {
 
 // Value is a typed SQL value. A Value with Type == TypeNull is the SQL
 // NULL regardless of the other fields.
+//
+// It is 40 bytes with one pointer in them (TestValueSize): a bulk
+// session is 150 000 of these on the consumer, every stored row is a
+// slice of them on the server, and each byte is zeroed when a slab is
+// made and each pointer visited when the collector marks. A TIMESTAMP
+// is therefore not a time.Time (24 bytes, a second pointer) but its
+// Unix seconds in I and the nanoseconds beside Type; Time puts them
+// back together.
 type Value struct {
+	I    int64   // Integer, Bigint; Timestamp: seconds since the Unix epoch
+	F    float64 // Double
+	S    string  // Varchar
+	nsec uint32  // Timestamp: nanoseconds within the second
 	Type Type
-	I    int64     // Integer, Bigint
-	F    float64   // Double
-	S    string    // Varchar
-	B    bool      // Boolean
-	T    time.Time // Timestamp
+	B    bool // Boolean
 }
 
 // Null is the SQL NULL value.
@@ -104,8 +113,14 @@ func NewString(s string) Value { return Value{Type: TypeVarchar, S: s} }
 // NewBool returns a BOOLEAN value.
 func NewBool(b bool) Value { return Value{Type: TypeBoolean, B: b} }
 
-// NewTimestamp returns a TIMESTAMP value.
-func NewTimestamp(t time.Time) Value { return Value{Type: TypeTimestamp, T: t.UTC()} }
+// NewTimestamp returns a TIMESTAMP value: the instant, without the
+// location it was given in.
+func NewTimestamp(t time.Time) Value {
+	return Value{Type: TypeTimestamp, I: t.Unix(), nsec: uint32(t.Nanosecond())}
+}
+
+// Time returns a TIMESTAMP value's instant, in UTC.
+func (v Value) Time() time.Time { return time.Unix(v.I, int64(v.nsec)).UTC() }
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.Type == TypeNull }
@@ -128,7 +143,7 @@ func (v Value) String() string {
 		}
 		return "false"
 	case TypeTimestamp:
-		return v.T.UTC().Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	}
 	return "?"
 }
@@ -143,7 +158,7 @@ func (v Value) AppendText(dst []byte) []byte {
 	case TypeInteger, TypeBigint:
 		return strconv.AppendInt(dst, v.I, 10)
 	case TypeDouble:
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		return appendFloat(dst, v.F)
 	case TypeVarchar:
 		return append(dst, v.S...)
 	case TypeBoolean:
@@ -152,9 +167,39 @@ func (v Value) AppendText(dst []byte) []byte {
 		}
 		return append(dst, "false"...)
 	case TypeTimestamp:
-		return v.T.UTC().AppendFormat(dst, time.RFC3339Nano)
+		return v.Time().AppendFormat(dst, time.RFC3339Nano)
 	}
 	return append(dst, '?')
+}
+
+// appendFloat appends what strconv.AppendFloat(dst, f, 'g', -1, 64)
+// does — the shortest digits that read back as f — and, for a value
+// below a million with at most three decimals, gets them from round(|f|
+// × 1000) as an integer instead of a shortest-digits search: a third of
+// what encoding a bulk window cost. If k / 1000 computed in floating
+// point is |f|, the decimal k/1000 reads back as |f| (k and 1000 are
+// exact and the division rounds once, as parsing does), and no shorter
+// decimal can: one of at most nine digits shares its double with no
+// other of at most fifteen. Below a million 'g' does not turn to an
+// exponent. Everything else — NaN, infinities, zeros, more decimals —
+// is strconv's.
+func appendFloat(dst []byte, f float64) []byte {
+	if a := math.Abs(f); a < 1e6 {
+		if k := uint64(a*1000 + 0.5); k != 0 && float64(k)/1000 == a {
+			if f < 0 {
+				dst = append(dst, '-')
+			}
+			dst = strconv.AppendUint(dst, k/1000, 10)
+			if frac := k % 1000; frac != 0 {
+				dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+				for dst[len(dst)-1] == '0' {
+					dst = dst[:len(dst)-1]
+				}
+			}
+			return dst
+		}
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // isNumeric reports whether the type participates in arithmetic.
@@ -306,13 +351,10 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	case TypeTimestamp:
-		switch {
-		case a.T.Before(b.T):
-			return -1, nil
-		case a.T.After(b.T):
-			return 1, nil
+		if a.I != b.I {
+			return cmpI(a.I, b.I), nil
 		}
-		return 0, nil
+		return cmpI(int64(a.nsec), int64(b.nsec)), nil
 	}
 	return 0, fmt.Errorf("cannot compare values of type %s", a.Type)
 }

@@ -466,14 +466,11 @@ func vecCmp(v *colVec, i int, c Value) int {
 		}
 		return 1
 	case TypeTimestamp:
-		a, b := v.times[i], c.T
-		switch {
-		case a.Before(b):
-			return -1
-		case a.After(b):
-			return 1
+		a := v.times[i] // against the cell's seconds and nanoseconds: no time.Time made per row
+		if sec := a.Unix(); sec != c.I {
+			return cmpI(sec, c.I)
 		}
-		return 0
+		return cmpI(int64(a.Nanosecond()), int64(c.nsec))
 	}
 	return 0
 }

@@ -167,6 +167,32 @@ func (t *Tokenizer) Offset() int { return t.pos }
 // Size is the length of the document. See Offset.
 func (t *Tokenizer) Size() int { return len(t.data) }
 
+// Bytes is the document itself, TagOffset where in it the current start
+// tag's '<' stands, and TextOffset where the current TokenText starts
+// when that token is a run of character data that needed no decoding
+// and ends at Offset — Text is then the document's own bytes — and -1
+// otherwise. With Seek they let a consumer that has learnt, from tokens,
+// the markup its producer repeats around every value read the
+// repetitions from the bytes: the same bytes between the same open
+// elements are the same tokens.
+func (t *Tokenizer) Bytes() []byte { return t.data }
+
+// TagOffset is the offset of the current start tag. See Bytes.
+func (t *Tokenizer) TagOffset() int { return t.tagStart }
+
+// TextOffset is the offset of the current undecoded text. See Bytes.
+func (t *Tokenizer) TextOffset() int {
+	if t.textDecoded || t.textEnd != t.pos {
+		return -1
+	}
+	return t.textStart
+}
+
+// Seek moves the tokenizer on to off, over bytes the caller has read
+// for itself: complete elements and what lies between them, so that the
+// elements open at off are the ones open now.
+func (t *Tokenizer) Seek(off int) { t.pos = off }
+
 // PeekEnd reports whether the next token is an end tag. After a
 // TokenText that says whether the text was all its element holds.
 func (t *Tokenizer) PeekEnd() bool {
@@ -183,7 +209,7 @@ func (t *Tokenizer) Next() (TokenKind, error) {
 	for {
 		// Character data up to the next markup.
 		if start := t.pos; start < len(t.data) && t.data[start] != '<' {
-			end, clean := scanText(t.data, start)
+			end, clean := ScanText(t.data, start)
 			t.pos = end
 			if len(t.open) > 0 {
 				return TokenText, parseError(t.setText(start, end, clean, false))
@@ -291,11 +317,13 @@ func (t *Tokenizer) scanBang() (isText bool, err error) {
 	}
 }
 
-// scanText finds the end of the character data that starts at pos, and
-// whether it is clean: free of anything decodeText would change. Cells
-// are short and adjacent tags have nothing between them, so it looks
-// byte by byte before paying for the vectorised search's set-up.
-func scanText(data []byte, pos int) (end int, clean bool) {
+// ScanText finds the end of the character data that starts at pos — the
+// next '<', or the end of data — and whether it is clean: free of
+// anything decoding would change, so that a text token for it is the
+// bytes themselves. Cells are short and adjacent tags have nothing
+// between them, so it looks byte by byte before paying for the
+// vectorised search's set-up.
+func ScanText(data []byte, pos int) (end int, clean bool) {
 	clean = true
 	for near := min(pos+48, len(data)); pos < near; pos++ {
 		switch data[pos] {

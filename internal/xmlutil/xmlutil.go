@@ -55,7 +55,8 @@ type Element struct {
 	parent   *Element
 }
 
-// Node is implemented by the child node kinds: *Element, Text and Raw.
+// Node is implemented by the child node kinds: *Element, Text, Raw and
+// Lazy.
 type Node interface{ isNode() }
 
 // Text is a character-data child node.
@@ -84,8 +85,18 @@ func RawBytes(b []byte) Raw { return Raw(unsafe.String(unsafe.SliceData(b), len(
 // read-only: the Raw may be shared, or a constant.
 func (r Raw) Bytes() []byte { return unsafe.Slice(unsafe.StringData(string(r)), len(r)) }
 
+// Lazy is a Raw that does not exist yet: the function appends the
+// fragment to dst when the tree is serialised, and it goes straight into
+// the document's own buffer — a producer that can render on demand (a
+// rowset window from its pages) never holds the rendering in memory of
+// its own. The fragment is under Raw's contract, the function must
+// append the same bytes every time it is called, and it cannot fail:
+// whatever could go wrong is found out before the node is built.
+type Lazy func(dst []byte) []byte
+
 func (Text) isNode()     {}
 func (Raw) isNode()      {}
+func (Lazy) isNode()     {}
 func (*Element) isNode() {}
 
 // NewElement returns an element with the given namespace and local name.
@@ -271,7 +282,7 @@ func (e *Element) Clone() *Element {
 	cp.Attrs = append([]Attr(nil), e.Attrs...)
 	for _, c := range e.Children {
 		switch n := c.(type) {
-		case Text, Raw:
+		case Text, Raw, Lazy:
 			cp.Children = append(cp.Children, n)
 		case *Element:
 			child := n.Clone()
@@ -523,6 +534,12 @@ func writeElement(b encWriter, e *Element, ctx *nsContext, root bool) {
 			writeEscaped(b, string(n), false)
 		case Raw:
 			b.WriteString(string(n))
+		case Lazy:
+			var spare []byte // a buffer's own room: rendered in place when it fits
+			if buf, ok := b.(interface{ AvailableBuffer() []byte }); ok {
+				spare = buf.AvailableBuffer()
+			}
+			b.Write(n(spare))
 		case *Element:
 			writeElement(b, n, ctx, false)
 		}
@@ -660,6 +677,11 @@ func Equal(a, b *Element) bool {
 		case Raw:
 			bn, ok := bc[i].(Raw)
 			if !ok || an != bn {
+				return false
+			}
+		case Lazy:
+			bn, ok := bc[i].(Lazy)
+			if !ok || !bytes.Equal(an(nil), bn(nil)) {
 				return false
 			}
 		case *Element:

@@ -1,6 +1,8 @@
 package xmlutil
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -325,5 +327,43 @@ func BenchmarkParse(b *testing.B) {
 		if _, err := ParseString(doc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLazyNodeIsARawRenderedLate: a tree holding a Lazy serialises to
+// the bytes of the same tree holding the fragment as a Raw, whatever it
+// is written to; clones share the node and Equal compares renderings.
+func TestLazyNodeIsARawRenderedLate(t *testing.T) {
+	const fragment = `<p:doc xmlns:p="urn:payload"><p:cell>a &amp; b</p:cell></p:doc>`
+	build := func(n Node) *Element {
+		root := NewElement("urn:t", "Reply")
+		root.AddText("urn:t", "Before", "x")
+		holder := root.Add("urn:t", "Dataset")
+		holder.Children = append(holder.Children, n)
+		root.AddText("urn:t", "After", "y")
+		return root
+	}
+	calls := 0
+	lazy := build(Lazy(func(dst []byte) []byte { calls++; return append(dst, fragment...) }))
+	want := Marshal(build(Raw(fragment)))
+	if got := Marshal(lazy); !bytes.Equal(got, want) {
+		t.Fatalf("Marshal:\n got %s\nwant %s", got, want)
+	}
+	small := bytes.NewBuffer(make([]byte, 0, 8)) // no room: the fragment is rendered elsewhere, then copied
+	var viaWriter bytes.Buffer
+	if EncodeTo(small, lazy); !bytes.Equal(small.Bytes(), want) {
+		t.Fatalf("EncodeTo a short buffer: %s", small.Bytes())
+	}
+	if err := EncodeTo(struct{ io.Writer }{&viaWriter}, lazy); err != nil || !bytes.Equal(viaWriter.Bytes(), want) {
+		t.Fatalf("EncodeTo a plain writer: %v, %s", err, viaWriter.Bytes())
+	}
+	if got := MarshalString(lazy.Clone()); got != string(want) {
+		t.Fatalf("clone: %s", got)
+	}
+	if !Equal(lazy, lazy.Clone()) || Equal(lazy, build(Lazy(func(dst []byte) []byte { return append(dst, `<other/>`...) }))) {
+		t.Fatal("Equal does not compare what Lazy nodes render")
+	}
+	if calls == 0 {
+		t.Fatal("the fragment was never rendered")
 	}
 }
