@@ -72,7 +72,7 @@ gw-chaos:
 # scenario class completes work, the churn invariants hold, and the
 # report round-trips through the BENCH_E17.json schema. CI runs this.
 load-smoke:
-	$(GO) test -count=1 -run 'TestE17Smoke' -v ./internal/bench/
+	$(GO) test -count=1 -run 'TestE17Smoke' -v ./cmd/daisbench/
 
 # Long-form soak: 10k injected-failure exchanges with goroutine
 # hygiene asserted afterwards. Not run in CI on every push.

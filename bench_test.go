@@ -1,37 +1,114 @@
-// Package dais_test holds the testing.B counterparts of the evaluation
-// suite E1–E11 (see DESIGN.md §4 and EXPERIMENTS.md). cmd/daisbench
-// prints the full parameter-sweep tables; these benchmarks expose the
-// same code paths to `go test -bench` so regressions are visible in
-// standard tooling. One benchmark (family) per experiment.
+// Package dais_test holds the evaluation suite's `go test -bench`
+// benchmarks (DESIGN.md §4 and EXPERIMENTS.md): one benchmark (family)
+// per experiment E1–E13 that has one, plus the engine- and session-level
+// benchmarks behind the benchmark/ workloads.
 package dais_test
 
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"dais/internal/bench"
 	"dais/internal/client"
 	"dais/internal/core"
 	"dais/internal/dair"
+	"dais/internal/filestore"
+	"dais/internal/ops"
 	"dais/internal/rowset"
+	"dais/internal/service"
+	"dais/internal/soap"
 	"dais/internal/sqlengine"
+	"dais/internal/telemetry"
+	"dais/internal/xmlutil"
 )
+
+// fixture is a served relational data service: table data (id INTEGER
+// PRIMARY KEY, payload VARCHAR(64), num DOUBLE) with an ordered index on
+// id, and a consumer observed by the endpoint's own observer.
+type fixture struct {
+	eng *sqlengine.Engine
+	ep  *service.Endpoint
+	ref client.ResourceRef
+	c   *client.Client
+}
+
+// fixtureOption is what the benchmarks vary about a fixture.
+type fixtureOption struct {
+	rows         int
+	wsrf         bool // enable the WSRF layer
+	extraTables  int  // extra catalogue tables to fatten the property document
+	noTelemetry  bool // strip the telemetry interceptors (overhead baseline)
+	planCacheOff bool // disable the prepared-plan cache (cold-plan baseline)
+	stream       bool // deliver factory results through a never-spilling rowset buffer
+}
+
+func newFixture(tb testing.TB, opt fixtureOption) *fixture {
+	tb.Helper()
+	var engOpts []sqlengine.Option
+	if opt.planCacheOff {
+		engOpts = append(engOpts, sqlengine.WithPlanCacheSize(0))
+	}
+	eng := sqlengine.New("bench", engOpts...)
+	eng.MustExec(`CREATE TABLE data (id INTEGER PRIMARY KEY, payload VARCHAR(64), num DOUBLE)`)
+	eng.MustExec(`CREATE ORDERED INDEX data_id_ord ON data (id)`)
+	var sb strings.Builder
+	for i := 0; i < opt.rows; i += 1000 {
+		sb.Reset()
+		sb.WriteString("INSERT INTO data VALUES ")
+		for j := i; j < min(i+1000, opt.rows); j++ {
+			if j > i {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, 'row-%06d-payload-abcdefghij', %g)", j, j, float64(j)*1.5)
+		}
+		eng.MustExec(sb.String())
+	}
+	for t := 0; t < opt.extraTables; t++ {
+		eng.MustExec(fmt.Sprintf(
+			`CREATE TABLE extra_%03d (a INTEGER PRIMARY KEY, b VARCHAR(32), c DOUBLE, d BOOLEAN, e TIMESTAMP)`, t))
+	}
+
+	var obs *telemetry.Observer
+	if !opt.noTelemetry {
+		obs = telemetry.NewObserver(telemetry.WithSlowThreshold(0))
+	}
+	var resOpts []dair.ResourceOption
+	if opt.stream {
+		resOpts = append(resOpts, dair.WithStreamDelivery(rowset.BufferConfig{
+			MemCap: 1 << 62,
+			Spill:  filestore.NewStore("rowset-spill"),
+			Hooks:  service.RowsetStreamHooks(obs.Registry),
+		}))
+	}
+	res := dair.NewSQLDataResource(eng, resOpts...)
+	svc := core.NewDataService("bench", core.WithConfigurationMap(dair.StandardConfigurationMaps()...))
+	epOpts := []service.EndpointOption{service.WithTelemetry(obs)}
+	if opt.wsrf {
+		epOpts = append(epOpts, service.WithWSRF())
+	}
+	ep := service.NewEndpoint(svc, epOpts...)
+	ep.Register(res)
+	ts := httptest.NewServer(ep)
+	tb.Cleanup(ts.Close)
+	svc.SetAddress(ts.URL)
+	return &fixture{eng: eng, ep: ep, ref: client.Ref(ts.URL, res.AbstractName()), c: client.NewObserved(nil, obs)}
+}
 
 // E1/E2 — direct vs indirect access and third-party delivery (Fig. 1,
 // Fig. 5): one sub-benchmark per result size and pattern.
 func BenchmarkE1DirectVsIndirect(b *testing.B) {
-	f := bench.MustSQLFixture(bench.FixtureOption{Rows: 1000, Concurrent: true, WSRF: true})
-	defer f.Close()
+	f := newFixture(b, fixtureOption{rows: 1000, wsrf: true})
 	for _, n := range []int{1, 10, 100, 1000} {
 		query := fmt.Sprintf(`SELECT id, payload, num FROM data ORDER BY id LIMIT %d`, n)
 		b.Run(fmt.Sprintf("direct/rows=%d", n), func(b *testing.B) {
 			c := client.New(nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.SQLExecute(context.Background(), f.Ref, query, nil, ""); err != nil {
+				if _, err := c.SQLExecute(context.Background(), f.ref, query, nil, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -41,7 +118,7 @@ func BenchmarkE1DirectVsIndirect(b *testing.B) {
 			c := client.New(nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				respRef, err := c.SQLExecuteFactory(context.Background(), f.Ref, query, nil, nil)
+				respRef, err := c.SQLExecuteFactory(context.Background(), f.ref, query, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -64,13 +141,12 @@ func BenchmarkE1DirectVsIndirect(b *testing.B) {
 // BenchmarkE2ThirdPartyDelivery measures only consumer 1's side of the
 // hand-off: relay (pull everything) vs EPR-only factory chain.
 func BenchmarkE2ThirdPartyDelivery(b *testing.B) {
-	f := bench.MustSQLFixture(bench.FixtureOption{Rows: 1000, Concurrent: true, WSRF: true})
-	defer f.Close()
+	f := newFixture(b, fixtureOption{rows: 1000, wsrf: true})
 	query := `SELECT id, payload, num FROM data ORDER BY id LIMIT 1000`
 	b.Run("relay", func(b *testing.B) {
 		c := client.New(nil)
 		for i := 0; i < b.N; i++ {
-			if _, err := c.SQLExecute(context.Background(), f.Ref, query, nil, ""); err != nil {
+			if _, err := c.SQLExecute(context.Background(), f.ref, query, nil, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -79,7 +155,7 @@ func BenchmarkE2ThirdPartyDelivery(b *testing.B) {
 	b.Run("epr-handoff", func(b *testing.B) {
 		c := client.New(nil)
 		for i := 0; i < b.N; i++ {
-			respRef, err := c.SQLExecuteFactory(context.Background(), f.Ref, query, nil, nil)
+			respRef, err := c.SQLExecuteFactory(context.Background(), f.ref, query, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -97,11 +173,11 @@ func BenchmarkE2ThirdPartyDelivery(b *testing.B) {
 // E3 — WSRF fine-grained property access vs whole property document.
 func BenchmarkE3PropertyGranularity(b *testing.B) {
 	for _, tables := range []int{0, 50} {
-		f := bench.MustSQLFixture(bench.FixtureOption{Rows: 10, Concurrent: true, WSRF: true, ExtraTables: tables})
+		f := newFixture(b, fixtureOption{rows: 10, wsrf: true, extraTables: tables})
 		b.Run(fmt.Sprintf("wholedoc/tables=%d", tables), func(b *testing.B) {
 			c := client.New(nil)
 			for i := 0; i < b.N; i++ {
-				if _, err := c.GetPropertyDocument(context.Background(), f.Ref); err != nil {
+				if _, err := c.GetPropertyDocument(context.Background(), f.ref); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -110,13 +186,12 @@ func BenchmarkE3PropertyGranularity(b *testing.B) {
 		b.Run(fmt.Sprintf("singleprop/tables=%d", tables), func(b *testing.B) {
 			c := client.New(nil)
 			for i := 0; i < b.N; i++ {
-				if _, err := c.GetResourceProperty(context.Background(), f.Ref, "Readable"); err != nil {
+				if _, err := c.GetResourceProperty(context.Background(), f.ref, "Readable"); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(c.BytesReceived())/float64(b.N), "wire-B/op")
 		})
-		f.Close()
 	}
 }
 
@@ -124,10 +199,9 @@ func BenchmarkE3PropertyGranularity(b *testing.B) {
 // rowset resource.
 func BenchmarkE4TuplePaging(b *testing.B) {
 	const totalRows = 2000
-	f := bench.MustSQLFixture(bench.FixtureOption{Rows: totalRows, Concurrent: true, WSRF: true})
-	defer f.Close()
+	f := newFixture(b, fixtureOption{rows: totalRows, wsrf: true})
 	c := client.New(nil)
-	respRef, err := c.SQLExecuteFactory(context.Background(), f.Ref, `SELECT id, payload, num FROM data ORDER BY id`, nil, nil)
+	respRef, err := c.SQLExecuteFactory(context.Background(), f.ref, `SELECT id, payload, num FROM data ORDER BY id`, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -188,39 +262,13 @@ func BenchmarkE5ThinThickWrapper(b *testing.B) {
 	})
 }
 
-// E6 — ConcurrentAccess: latency of a fast probe while a simulated
-// I/O-bound resource (bench.SlowWrapper) is being queried through the
-// same service. The serialised service head-of-line blocks the probe.
-func BenchmarkE6ConcurrentAccess(b *testing.B) {
-	for _, concurrent := range []bool{true, false} {
-		name := "serialized"
-		if concurrent {
-			name = "concurrent"
-		}
-		b.Run(name, func(b *testing.B) {
-			rows, err := bench.RunE6([]int{1}, b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var per time.Duration
-			if concurrent {
-				per = rows[0].ShortConcurrent
-			} else {
-				per = rows[0].ShortSerialized
-			}
-			b.ReportMetric(float64(per.Nanoseconds()), "probe-ns/op")
-		})
-	}
-}
-
 // E7 — SOAP wrapper overhead: raw engine vs full SOAP/HTTP round trip.
 func BenchmarkE7SOAPOverhead(b *testing.B) {
-	f := bench.MustSQLFixture(bench.FixtureOption{Rows: 1000, Concurrent: true, WSRF: false})
-	defer f.Close()
+	f := newFixture(b, fixtureOption{rows: 1000})
 	for _, n := range []int{1, 100} {
 		query := fmt.Sprintf(`SELECT id, payload, num FROM data ORDER BY id LIMIT %d`, n)
 		b.Run(fmt.Sprintf("engine/rows=%d", n), func(b *testing.B) {
-			sess := f.Engine.NewSession()
+			sess := f.eng.NewSession()
 			for i := 0; i < b.N; i++ {
 				if _, err := sess.Execute(query); err != nil {
 					b.Fatal(err)
@@ -230,7 +278,7 @@ func BenchmarkE7SOAPOverhead(b *testing.B) {
 		b.Run(fmt.Sprintf("soap/rows=%d", n), func(b *testing.B) {
 			c := client.New(nil)
 			for i := 0; i < b.N; i++ {
-				if _, err := c.SQLExecute(context.Background(), f.Ref, query, nil, ""); err != nil {
+				if _, err := c.SQLExecute(context.Background(), f.ref, query, nil, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -241,12 +289,11 @@ func BenchmarkE7SOAPOverhead(b *testing.B) {
 // E8 — lifetime management: explicit destroy vs soft-state sweep of a
 // derived resource.
 func BenchmarkE8Lifetime(b *testing.B) {
-	f := bench.MustSQLFixture(bench.FixtureOption{Rows: 10, Concurrent: true, WSRF: true})
-	defer f.Close()
+	f := newFixture(b, fixtureOption{rows: 10, wsrf: true})
 	c := client.New(nil)
 	b.Run("explicit-destroy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ref, err := c.SQLExecuteFactory(context.Background(), f.Ref, `SELECT id FROM data`, nil, nil)
+			ref, err := c.SQLExecuteFactory(context.Background(), f.ref, `SELECT id FROM data`, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -258,14 +305,14 @@ func BenchmarkE8Lifetime(b *testing.B) {
 	b.Run("soft-state", func(b *testing.B) {
 		past := time.Now().Add(-time.Second)
 		for i := 0; i < b.N; i++ {
-			ref, err := c.SQLExecuteFactory(context.Background(), f.Ref, `SELECT id FROM data`, nil, nil)
+			ref, err := c.SQLExecuteFactory(context.Background(), f.ref, `SELECT id FROM data`, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if _, err := c.SetTerminationTime(context.Background(), ref, &past); err != nil {
 				b.Fatal(err)
 			}
-			if swept := f.Endpoint.WSRF().SweepExpired(); len(swept) != 1 {
+			if swept := f.ep.WSRF().SweepExpired(); len(swept) != 1 {
 				b.Fatalf("swept %d", len(swept))
 			}
 		}
@@ -345,48 +392,150 @@ func BenchmarkE10Transactions(b *testing.B) {
 	}
 }
 
-// E11 — WS-DAIF staging (extension): relay vs select-and-stage through
-// the coordinating consumer.
-func BenchmarkE11FileStaging(b *testing.B) {
-	for _, mode := range []string{"relay", "stage"} {
-		b.Run(mode, func(b *testing.B) {
-			rows, err := bench.RunE11([]int{10}, 8192)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = rows
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunE11([]int{10}, 8192)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "relay" {
-					b.ReportMetric(float64(r[0].RelayBytes), "coordinator-B")
-				} else {
-					b.ReportMetric(float64(r[0].StageBytes), "coordinator-B")
-				}
-			}
+// E13 — hot-path allocation profile: the three optimised paths
+// (pooled envelope encoding, windowed GetTuples delivery, hash join)
+// plus the composed SQLExecute round trip, and the planner's additions:
+// the round trip with the prepared-plan cache off, and a ~1%-selective
+// range predicate over an ordered index vs the unindexed twin column.
+// EXPERIMENTS.md E13 records the before/after tables.
+
+// e13ResultSet is the three-column result set the envelope and paging
+// paths are measured against.
+func e13ResultSet(rows int) *sqlengine.ResultSet {
+	set := &sqlengine.ResultSet{
+		Columns: []sqlengine.ResultColumn{
+			{Name: "id", Type: sqlengine.TypeInteger, Table: "data"},
+			{Name: "payload", Type: sqlengine.TypeVarchar, Table: "data"},
+			{Name: "num", Type: sqlengine.TypeDouble, Table: "data"},
+		},
+	}
+	for i := 0; i < rows; i++ {
+		set.Rows = append(set.Rows, []sqlengine.Value{
+			sqlengine.NewInt(int64(i)),
+			sqlengine.NewString(fmt.Sprintf("row-%06d-payload-abcdefghij", i)),
+			sqlengine.NewDouble(float64(i) * 1.5),
 		})
+	}
+	return set
+}
+
+// BenchmarkE13EnvelopeMarshal serialises a realistic GetTuplesResponse
+// envelope (100-row SQLRowset dataset plus a RequestID header) — the
+// per-exchange encode cost every SOAP response pays.
+func BenchmarkE13EnvelopeMarshal(b *testing.B) {
+	data, err := rowset.SQLRowsetCodec{}.Encode(e13ResultSet(100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := ops.GetTuples.NewResponse()
+	resp.AppendChild(ops.DatasetElement(rowset.FormatSQLRowset, data))
+	env := soap.NewEnvelope(resp)
+	reqID := xmlutil.NewElement(soap.NSPipeline, "RequestID")
+	reqID.SetText("bench-e13-request-id")
+	env.AddHeader(reqID)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := env.Marshal(); len(out) == 0 {
+			b.Fatal("empty envelope")
+		}
 	}
 }
 
-// E13 — hot-path allocation profile: the three optimised paths
-// (pooled envelope encoding, windowed GetTuples delivery, hash join)
-// plus the composed SQLExecute round trip. EXPERIMENTS.md E13 records
-// the before/after tables; daisbench -only E13 regenerates them and
-// writes BENCH_E13.json.
-func BenchmarkE13EnvelopeMarshal(b *testing.B)     { bench.E13EnvelopeMarshal(b) }
-func BenchmarkE13GetTuplesPage(b *testing.B)       { bench.E13GetTuplesPage(b) }
-func BenchmarkE13EquiJoin(b *testing.B)            { bench.E13EquiJoin(b) }
-func BenchmarkE13SQLExecuteRoundTrip(b *testing.B) { bench.E13SQLExecuteRoundTrip(b) }
+// BenchmarkE13GetTuplesPage serves one 100-row page out of a 10 000-row
+// service-managed rowset — the paging hot path of paper Fig. 5.
+func BenchmarkE13GetTuplesPage(b *testing.B) {
+	res, err := dair.NewSQLRowsetResource("parent", e13ResultSet(10000), "", core.DefaultConfiguration())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if data, err := res.GetTuples(context.Background(), 5001, 100); err != nil || len(data) == 0 {
+			b.Fatalf("page of %d bytes: %v", len(data), err)
+		}
+	}
+}
 
-// Planner additions to E13: the same round trip with the prepared-plan
-// cache disabled (cold parse+plan each exchange) and a ~1%-selective
-// range predicate over an ordered index vs the unindexed twin column.
-func BenchmarkE13SQLExecuteRoundTripCold(b *testing.B) { bench.E13SQLExecuteRoundTripCold(b) }
-func BenchmarkE13RangeScanIndexed(b *testing.B)        { bench.E13RangeScanIndexed(b) }
-func BenchmarkE13RangeScanFullScan(b *testing.B)       { bench.E13RangeScanFullScan(b) }
+// BenchmarkE13EquiJoin runs an equi-join (2 000 orders × 200 customers)
+// through the engine — the joinRows hot path.
+func BenchmarkE13EquiJoin(b *testing.B) {
+	eng := sqlengine.New("bench")
+	eng.MustExec(`CREATE TABLE customers (id INTEGER PRIMARY KEY, name VARCHAR(32))`)
+	eng.MustExec(`CREATE TABLE orders (id INTEGER PRIMARY KEY, cust INTEGER, amount DOUBLE)`)
+	sess := eng.NewSession()
+	for i := 0; i < 200; i++ {
+		if _, err := sess.Execute(`INSERT INTO customers VALUES (?, ?)`,
+			sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprintf("cust-%03d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := sess.Execute(`INSERT INTO orders VALUES (?, ?, ?)`,
+			sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(i%200)), sqlengine.NewDouble(float64(i%97))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := sess.Execute(`SELECT o.id, c.name, o.amount FROM orders o JOIN customers c ON o.cust = c.id WHERE o.amount > 10`)
+		if err != nil || len(r.Set.Rows) == 0 {
+			b.Fatalf("join: %v", err)
+		}
+	}
+}
+
+// BenchmarkE13SQLExecuteRoundTrip is the full client→server SQLExecute
+// exchange (50 rows over loopback HTTP): every optimised layer —
+// envelope pool, streaming encoder, transport keep-alive — composes here.
+func BenchmarkE13SQLExecuteRoundTrip(b *testing.B) { e13RoundTrip(b, false) }
+
+// BenchmarkE13SQLExecuteRoundTripCold is the same round trip with the
+// prepared-plan cache disabled: every exchange re-parses and re-plans.
+func BenchmarkE13SQLExecuteRoundTripCold(b *testing.B) { e13RoundTrip(b, true) }
+
+func e13RoundTrip(b *testing.B, planCacheOff bool) {
+	f := newFixture(b, fixtureOption{rows: 500, wsrf: true, planCacheOff: planCacheOff})
+	query := `SELECT id, payload, num FROM data ORDER BY id LIMIT 50`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.c.SQLExecute(context.Background(), f.ref, query, nil, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkE13RangeScanIndexed is a ~1%-selective range query whose
+// bounds push down into the ordered index (8 000 rows, 80 hit).
+func BenchmarkE13RangeScanIndexed(b *testing.B) { e13RangeScan(b, "k") }
+
+// BenchmarkE13RangeScanFullScan is the same predicate over the unindexed
+// twin column: the filter sees every row.
+func BenchmarkE13RangeScanFullScan(b *testing.B) { e13RangeScan(b, "k_noix") }
+
+func e13RangeScan(b *testing.B, col string) {
+	eng := sqlengine.New("bench")
+	eng.MustExec(`CREATE TABLE rng (k INTEGER PRIMARY KEY, k_noix INTEGER, v VARCHAR(32))`)
+	eng.MustExec(`CREATE ORDERED INDEX rng_k ON rng (k)`)
+	sess := eng.NewSession()
+	for i := 0; i < 8000; i++ {
+		if _, err := sess.Execute(`INSERT INTO rng VALUES (?, ?, ?)`,
+			sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprintf("val-%05d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	query := fmt.Sprintf(`SELECT %[1]s, v FROM rng WHERE %[1]s >= 4000 AND %[1]s < 4080`, col)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err := sess.Execute(query); err != nil || len(r.Set.Rows) != 80 {
+			b.Fatalf("range scan: %v", err)
+		}
+	}
+}
 
 // E12 — telemetry overhead: the same SQLExecute round trip against a
 // bare fixture (telemetry interceptors stripped on both sides) and an
@@ -400,13 +549,11 @@ func BenchmarkE12TelemetryOverhead(b *testing.B) {
 		bare bool
 	}{{"bare", true}, {"instrumented", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			f := bench.MustSQLFixture(bench.FixtureOption{
-				Rows: 100, Concurrent: true, WSRF: true, NoTelemetry: mode.bare})
-			defer f.Close()
+			f := newFixture(b, fixtureOption{rows: 100, wsrf: true, noTelemetry: mode.bare})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.Client.SQLExecute(context.Background(), f.Ref, query, nil, ""); err != nil {
+				if _, err := f.c.SQLExecute(context.Background(), f.ref, query, nil, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -506,10 +653,10 @@ const (
 	bulkSessionWindow = 4096
 )
 
-func bulkSession(tb testing.TB, f *bench.SQLFixture) {
+func bulkSession(tb testing.TB, f *fixture) {
 	ctx := context.Background()
-	c := f.Client
-	respRef, err := c.SQLExecuteFactory(ctx, f.Ref, `SELECT id, payload, num FROM data WHERE id >= ?`,
+	c := f.c
+	respRef, err := c.SQLExecuteFactory(ctx, f.ref, `SELECT id, payload, num FROM data WHERE id >= ?`,
 		[]sqlengine.Value{sqlengine.NewInt(0)}, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -536,11 +683,7 @@ func bulkSession(tb testing.TB, f *bench.SQLFixture) {
 }
 
 func BenchmarkBulkSession(b *testing.B) {
-	f, _, err := bench.NewStreamFixture(bulkSessionRows, 1<<62)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
+	f := newFixture(b, fixtureOption{rows: bulkSessionRows, stream: true})
 	bulkSession(b, f) // warm: plan cache, connections, pooled buffers
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -574,11 +717,7 @@ func TestBulkSessionAllocCeiling(t *testing.T) {
 		t.Skip("allocation figures under the race detector are not the program's")
 	}
 	const ceilingKB = 15500
-	f, _, err := bench.NewStreamFixture(bulkSessionRows, 1<<62)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := newFixture(t, fixtureOption{rows: bulkSessionRows, stream: true})
 	bulkSession(t, f)
 	const sessions = 5
 	perSession := ^uint64(0)

@@ -1,16 +1,14 @@
-// Command daisbench runs the evaluation suite E1–E13, E15–E18
-// (DESIGN.md §4 / EXPERIMENTS.md) end-to-end and prints one table per
-// experiment. Each experiment operationalises a quantifiable claim from
-// the paper; the expected shapes are documented in EXPERIMENTS.md. E13
-// additionally reports B/op and allocs/op columns and writes
-// BENCH_E13.json, E15 writes BENCH_E15.json, E16 (federation gateway
-// overhead) writes BENCH_E16.json, E17 (open-loop capacity curves)
-// writes BENCH_E17.json, and E18 (columnar execution core) writes
-// BENCH_E18.json, so the perf trajectory is tracked across PRs.
+// Command daisbench runs experiment E17 (EXPERIMENTS.md): the open-loop
+// capacity sweep of internal/loadgen against a single daisd and a
+// 3-backend daisgw, both hosted in process, and the lifetime-churn run
+// against the single node. It prints both curves and the churn table and
+// writes BENCH_E17.json into the working directory. Every other
+// experiment runs as a `go test -bench` benchmark or a benchmark/
+// workload (DESIGN.md §4).
 //
 // Usage:
 //
-//	daisbench [-quick] [-only E1,E3] [-seed 1] [-e17-rates 200,400,800]
+//	daisbench [-quick] [-seed 1] [-e17-rates 200,400,800]
 package main
 
 import (
@@ -24,21 +22,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"dais/internal/bench"
+	"dais/internal/loadgen"
 )
-
-// parseOnly turns the -only flag value into the selected-experiment
-// set: ids are case-insensitive, whitespace-tolerant, empty entries
-// skipped. An empty selection means "run everything".
-func parseOnly(s string) map[string]bool {
-	selected := map[string]bool{}
-	for _, id := range strings.Split(s, ",") {
-		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
-			selected[id] = true
-		}
-	}
-	return selected
-}
 
 // parseRates turns the -e17-rates flag value into the sweep's offered
 // arrival rates. Rates must be positive, finite and ascending — a
@@ -71,317 +56,56 @@ func parseRates(s string) ([]float64, error) {
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller parameter sweeps")
-	only := flag.String("only", "", "comma-separated experiment ids to run (default all)")
-	seed := flag.Int64("seed", 1, "deterministic seed for the E17 open-loop load harness")
-	e17Rates := flag.String("e17-rates", "", "override E17 sweep rates (comma-separated ascending rps)")
+	quick := flag.Bool("quick", false, "a shorter sweep and churn")
+	seed := flag.Int64("seed", 1, "deterministic seed for the open-loop load")
+	e17Rates := flag.String("e17-rates", "", "override the sweep rates (comma-separated ascending rps)")
 	flag.Parse()
 
-	selected := parseOnly(*only)
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
-
-	sizes := []int{1, 10, 100, 1000, 10000}
-	pageRows, pages := 10000, []int{1, 10, 100, 1000}
-	tableCounts := []int{0, 10, 50, 200}
-	clientCounts := []int{1, 2, 4, 8, 16}
-	iters := 200
+	cfg := e17Config{
+		rates:       []float64{200, 400, 800, 1600, 3200},
+		step:        2 * time.Second,
+		seed:        *seed,
+		churnCycles: 20_000,
+	}
 	if *quick {
-		sizes = []int{1, 10, 100, 1000}
-		pageRows, pages = 2000, []int{10, 100, 1000}
-		tableCounts = []int{0, 10, 50}
-		clientCounts = []int{1, 4, 8}
-		iters = 50
+		cfg.rates = []float64{150, 400}
+		cfg.step = 700 * time.Millisecond
+		cfg.churnCycles = 2_000
 	}
+	if rates, err := parseRates(*e17Rates); err != nil {
+		fatal(err)
+	} else if rates != nil {
+		cfg.rates = rates
+	}
+	rep, err := runE17(cfg)
+	fatal(err)
 
-	if want("E1") {
-		rows, err := bench.RunE1(sizes)
-		fatal("E1", err)
-		table("E1  Direct vs indirect access (paper Fig. 1)",
-			"rows\tdirect latency\tdirect bytes→consumer\tindirect setup\tEPR bytes→consumer\tindirect total\tbytes→3rd party",
+	printCurve(fmt.Sprintf("E17 Open-loop capacity curve: %s (SLO p99 ≤ %.0fms, seed %d)",
+		rep.Single.Target, rep.Single.SLOMs, rep.Seed), rep.Single)
+	printCurve(fmt.Sprintf("E17 Open-loop capacity curve: %s (3 replicated backends)", rep.Cluster.Target), rep.Cluster)
+	if c := rep.Churn; c != nil {
+		table("E17 Lifetime churn (factory-created short-TTL resources racing the reaper)",
+			"cycles\tdestroy won\treaper won\tmisclassified\tfetch-after-reap ok\tcycles/s",
 			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%v\t%d\t%v\t%d\t%v\t%d\n",
-						r.Rows, r.DirectLatency, r.DirectBytes, r.IndirectSetup,
-						r.IndirectBytes, r.IndirectTotal, r.ThirdPartyPull)
-				}
+				fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%.0f\n",
+					c.Cycles, c.DestroyWon, c.ReaperWon, c.Misclassified, c.FetchAfterReapOK, c.CyclesPerSec)
 			})
 	}
-	if want("E2") {
-		rows, err := bench.RunE2(sizes)
-		fatal("E2", err)
-		table("E2  Third-party delivery (paper Fig. 5: indirect access avoids data movement)",
-			"rows\tbytes through consumer1 (relay)\tbytes through consumer1 (EPR hand-off)\tbytes to reader",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%d\t%d\t%d\n", r.Rows, r.RelayBytes, r.EPRBytes, r.ReaderBytes)
-				}
-			})
-	}
-	if want("E3") {
-		rows, err := bench.RunE3(tableCounts)
-		fatal("E3", err)
-		table("E3  WSRF fine-grained property access (paper §5)",
-			"catalog tables\twhole doc bytes\twhole doc time\tsingle prop bytes\tsingle prop time",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%d\t%v\t%d\t%v\n",
-						r.CatalogTables, r.WholeDocBytes, r.WholeDocTime, r.SinglePropByte, r.SinglePropTime)
-				}
-			})
-	}
-	if want("E4") {
-		rows, err := bench.RunE4(pageRows, pages)
-		fatal("E4", err)
-		table(fmt.Sprintf("E4  GetTuples paging, %d rows (paper §4.3)", pageRows),
-			"page size\tcalls\ttotal\tper row\twire bytes",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%d\t%v\t%v\t%d\n", r.PageSize, r.Calls, r.Total, r.PerRow, r.WireBytes)
-				}
-			})
-	}
-	if want("E5") {
-		rows, err := bench.RunE5(iters * 5)
-		fatal("E5", err)
-		table("E5  Thin vs thick wrapper (paper §2.1)",
-			"statement\tthin/exec\tthick/exec\tthick÷thin",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%.40s\t%v\t%v\t%.2fx\n", r.Statement, r.ThinPer, r.ThickPer, r.Overhead)
-				}
-			})
-	}
-	if want("E6") {
-		rows, err := bench.RunE6(clientCounts, 20)
-		fatal("E6", err)
-		table("E6  ConcurrentAccess property: short-query latency under long-scan load (paper §4.2)",
-			"long scanners\tshort latency (concurrent)\tshort latency (serialized)\tslowdown",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%v\t%v\t%.2fx\n",
-						r.LongScanners, r.ShortConcurrent, r.ShortSerialized, r.SlowdownSerial)
-				}
-			})
-	}
-	if want("E7") {
-		rows, err := bench.RunE7([]int{1, 10, 100, 1000}, iters/2)
-		fatal("E7", err)
-		table("E7  SOAP wrapper overhead (paper §3)",
-			"rows\tengine/exec\tSOAP/exec\toverhead\tfactor",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%v\t%v\t%v\t%.1fx\n", r.Rows, r.EnginePer, r.SOAPPer, r.OverheadPer, r.Factor)
-				}
-			})
-	}
-	if want("E8") {
-		rows, err := bench.RunE8([]int{10, 100, 500})
-		fatal("E8", err)
-		table("E8  Soft-state lifetime vs explicit destroy (paper §5)",
-			"resources\texplicit destroy total\tsweep time\tleaked before sweep\tleaked after",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%v\t%v\t%d\t%d\n",
-						r.Resources, r.ExplicitDestroy, r.SoftStateSweep, r.LeakedWithout, r.LeakedWithReaper)
-				}
-			})
-	}
-	if want("E9") {
-		rows, err := bench.RunE9(1000, 20)
-		fatal("E9", err)
-		table("E9  Dataset formats (paper §4.1 DatasetMap)",
-			"format\trows\tbytes\tencode\tdecode",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%s\t%d\t%d\t%v\t%v\n", short(r.Format), r.Rows, r.Bytes, r.EncodePer, r.DecodePer)
-				}
-			})
-	}
-	if want("E10") {
-		rows, err := bench.RunE10(iters * 2)
-		fatal("E10", err)
-		table("E10 Transaction properties (paper §4.2)",
-			"mode\tupdate/exec\tdirty reads (of 20)\trows leaked after failed stmt",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%s\t%v\t%d\t%d\n", r.Mode, r.UpdatesPer, r.DirtyReads, r.LostAfterErr)
-				}
-			})
-	}
-	if want("E11") {
-		rows, err := bench.RunE11([]int{1, 10, 50}, 16384)
-		fatal("E11", err)
-		table("E11 File staging (WS-DAIF extension: select-and-stage vs relay)",
-			"files\tfile size\trelay bytes→coordinator\tstage bytes→coordinator\tstage latency\tbytes→reader",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\t%d\n",
-						r.Files, r.FileSize, r.RelayBytes, r.StageBytes, r.StageLatency, r.ReaderBytes)
-				}
-			})
-	}
-	if want("E12") {
-		rows, err := bench.RunE12(iters)
-		fatal("E12", err)
-		table("E12 Client vs server latency percentiles (telemetry /metrics scrape)",
-			"operation\tcalls\tclient p50\tclient p95\tclient p99\tserver p50\tserver p95\tserver p99",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%v\t%v\t%v\t%v\n",
-						r.Op, r.Calls, r.ClientP50, r.ClientP95, r.ClientP99,
-						r.ServerP50, r.ServerP95, r.ServerP99)
-				}
-			})
-	}
-	if want("E13") {
-		rows, err := bench.RunE13()
-		fatal("E13", err)
-		table("E13 Hot-path allocation profile (pooled encode, windowed paging, hash join)",
-			"path\tns/op\tB/op\tallocs/op",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%s\t%d\t%d\t%d\n", r.Path, r.NsPerOp, r.BPerOp, r.AllocsOp)
-				}
-			})
-		// Machine-readable trail so the perf trajectory is comparable
-		// across PRs without re-parsing the table.
-		data, err := json.MarshalIndent(rows, "", "  ")
-		fatal("E13", err)
-		if err := os.WriteFile("BENCH_E13.json", append(data, '\n'), 0o644); err != nil {
-			fatal("E13", err)
-		}
-		fmt.Println("\nE13 rows written to BENCH_E13.json")
-	}
-	if want("E15") {
-		e15Rows := 1_000_000
-		if *quick {
-			e15Rows = 50_000
-		}
-		rows, err := bench.RunE15(e15Rows, []int{1, 8})
-		fatal("E15", err)
-		table(fmt.Sprintf("E15 Streaming result pipeline: %d-row end-to-end fetch (chunked GetTuples reassembly)", e15Rows),
-			"spill\tchunks\twire bytes\telapsed\tMB/s\trows/s\tspilled bytes",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%v\t%d\t%d\t%v\t%.1f\t%.0f\t%d\n",
-						r.Spill, r.Chunks, r.WireBytes, r.Elapsed.Round(time.Millisecond),
-						r.MBPerSec, r.RowsPerSec, r.SpilledBytes)
-				}
-			})
-		data, err := json.MarshalIndent(rows, "", "  ")
-		fatal("E15", err)
-		if err := os.WriteFile("BENCH_E15.json", append(data, '\n'), 0o644); err != nil {
-			fatal("E15", err)
-		}
-		fmt.Println("\nE15 rows written to BENCH_E15.json")
-	}
-	if want("E18") {
-		e18Sizes := []int{10_000, 100_000, 1_000_000}
-		e18Iters := 5
-		if *quick {
-			e18Sizes = []int{10_000, 100_000}
-			e18Iters = 3
-		}
-		rows, err := bench.RunE18(e18Sizes, e18Iters)
-		fatal("E18", err)
-		table("E18 Columnar execution core: vectorised scan/filter/aggregate vs row executor",
-			"rows\tworkload\tvector/exec\trow/exec\tspeedup\tout rows\tbatches\tskipped",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%s\t%v\t%v\t%.1fx\t%d\t%d\t%d\n",
-						r.Rows, r.Workload, r.VectorPer, r.RowPer, r.Speedup,
-						r.OutRows, r.Batches, r.Skipped)
-				}
-			})
-		data, err := json.MarshalIndent(rows, "", "  ")
-		fatal("E18", err)
-		if err := os.WriteFile("BENCH_E18.json", append(data, '\n'), 0o644); err != nil {
-			fatal("E18", err)
-		}
-		fmt.Println("\nE18 rows written to BENCH_E18.json")
-	}
-	if want("E16") {
-		e16Sizes := []int{30, 300, 3000}
-		e16Iters := 30
-		if *quick {
-			e16Sizes = []int{30, 300}
-			e16Iters = 10
-		}
-		rows, err := bench.RunE16(e16Sizes, e16Iters)
-		fatal("E16", err)
-		table("E16 Federation gateway: proxy overhead and 3-shard scatter-gather vs single node",
-			"rows\tdirect\tvia gateway\tproxy factor\tsingle-node scan\t3-shard scatter\tscatter factor",
-			func(w *tabwriter.Writer) {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%d\t%v\t%v\t%.2fx\t%v\t%v\t%.2fx\n",
-						r.Rows, r.DirectPer, r.GatewayPer, r.ProxyFactor,
-						r.SinglePer, r.ScatterPer, r.ScatterRate)
-				}
-			})
-		data, err := json.MarshalIndent(rows, "", "  ")
-		fatal("E16", err)
-		if err := os.WriteFile("BENCH_E16.json", append(data, '\n'), 0o644); err != nil {
-			fatal("E16", err)
-		}
-		fmt.Println("\nE16 rows written to BENCH_E16.json")
-	}
-	if want("E17") {
-		cfg := bench.E17Config{
-			Rates:        []float64{200, 400, 800, 1600, 3200},
-			StepDuration: 2 * time.Second,
-			Seed:         *seed,
-			ChurnCycles:  20_000,
-		}
-		if *quick {
-			cfg.Rates = []float64{150, 400}
-			cfg.StepDuration = 700 * time.Millisecond
-			cfg.ChurnCycles = 2_000
-		}
-		if rates, err := parseRates(*e17Rates); err != nil {
-			fatal("E17", err)
-		} else if rates != nil {
-			cfg.Rates = rates
-		}
-		rep, err := bench.RunE17(cfg)
-		fatal("E17", err)
-		table(fmt.Sprintf("E17 Open-loop capacity curve: %s (SLO p99 ≤ %.0fms, seed %d)",
-			rep.Single.Target, rep.Single.SLOMs, rep.Seed),
-			"offered rps\tachieved\tok\tshed\terrors\tp50 ms\tp99 ms\tp99.9 ms\twithin SLO",
-			func(w *tabwriter.Writer) {
-				for _, p := range rep.Single.Points {
-					fmt.Fprintf(w, "%.0f\t%.0f\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\t%v\n",
-						p.OfferedRPS, p.AchievedRPS, p.OK, p.Shed, p.Errors,
-						p.P50Ms, p.P99Ms, p.P999Ms, p.WithinSLO)
-				}
-				fmt.Fprintf(w, "knee\t%.0f rps (offered %.0f)\n", rep.Single.KneeRPS, rep.Single.KneeOfferedRPS)
-			})
-		table(fmt.Sprintf("E17 Open-loop capacity curve: %s (3 replicated backends)", rep.Cluster.Target),
-			"offered rps\tachieved\tok\tshed\terrors\tp50 ms\tp99 ms\tp99.9 ms\twithin SLO",
-			func(w *tabwriter.Writer) {
-				for _, p := range rep.Cluster.Points {
-					fmt.Fprintf(w, "%.0f\t%.0f\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\t%v\n",
-						p.OfferedRPS, p.AchievedRPS, p.OK, p.Shed, p.Errors,
-						p.P50Ms, p.P99Ms, p.P999Ms, p.WithinSLO)
-				}
-				fmt.Fprintf(w, "knee\t%.0f rps (offered %.0f)\n", rep.Cluster.KneeRPS, rep.Cluster.KneeOfferedRPS)
-			})
-		if rep.Churn != nil {
-			table("E17 Lifetime churn (factory-created short-TTL resources racing the reaper)",
-				"cycles\tdestroy won\treaper won\tmisclassified\tfetch-after-reap ok\tcycles/s",
-				func(w *tabwriter.Writer) {
-					c := rep.Churn
-					fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%.0f\n",
-						c.Cycles, c.DestroyWon, c.ReaperWon, c.Misclassified,
-						c.FetchAfterReapOK, c.CyclesPerSec)
-				})
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		fatal("E17", err)
-		if err := os.WriteFile("BENCH_E17.json", append(data, '\n'), 0o644); err != nil {
-			fatal("E17", err)
-		}
-		fmt.Println("\nE17 report written to BENCH_E17.json")
-	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	fatal(err)
+	fatal(os.WriteFile("BENCH_E17.json", append(data, '\n'), 0o644))
+	fmt.Println("\nE17 report written to BENCH_E17.json")
+}
+
+func printCurve(title string, curve *loadgen.Curve) {
+	table(title, "offered rps\tachieved\tok\tshed\terrors\tp50 ms\tp99 ms\tp99.9 ms\twithin SLO",
+		func(w *tabwriter.Writer) {
+			for _, p := range curve.Points {
+				fmt.Fprintf(w, "%.0f\t%.0f\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\t%v\n",
+					p.OfferedRPS, p.AchievedRPS, p.OK, p.Shed, p.Errors, p.P50Ms, p.P99Ms, p.P999Ms, p.WithinSLO)
+			}
+			fmt.Fprintf(w, "knee\t%.0f rps (offered %.0f)\n", curve.KneeRPS, curve.KneeOfferedRPS)
+		})
 }
 
 func table(title, header string, body func(*tabwriter.Writer)) {
@@ -392,15 +116,8 @@ func table(title, header string, body func(*tabwriter.Writer)) {
 	w.Flush()
 }
 
-func short(uri string) string {
-	if i := strings.LastIndex(uri, "/"); i >= 0 {
-		return uri[i+1:]
-	}
-	return uri
-}
-
-func fatal(id string, err error) {
+func fatal(err error) {
 	if err != nil {
-		log.Fatalf("daisbench: %s: %v", id, err)
+		log.Fatalf("daisbench: E17: %v", err)
 	}
 }

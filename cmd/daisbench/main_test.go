@@ -1,26 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
-)
+	"time"
 
-func TestParseOnly(t *testing.T) {
-	cases := []struct {
-		in   string
-		want map[string]bool
-	}{
-		{"", map[string]bool{}},
-		{"E1", map[string]bool{"E1": true}},
-		{"e1, e17 ,E3", map[string]bool{"E1": true, "E17": true, "E3": true}},
-		{",,", map[string]bool{}},
-	}
-	for _, tc := range cases {
-		if got := parseOnly(tc.in); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseOnly(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
+	"dais/internal/loadgen"
+)
 
 func TestParseRates(t *testing.T) {
 	good := []struct {
@@ -57,5 +44,74 @@ func TestParseRates(t *testing.T) {
 		if got, err := parseRates(in); err == nil {
 			t.Errorf("parseRates(%q) accepted: %v", in, got)
 		}
+	}
+}
+
+// TestE17Smoke is the load-smoke gate: a short fixed-seed E17 run must
+// complete work in every scenario class on both targets, find a knee,
+// prove the churn invariants, and round-trip through the BENCH_E17.json
+// schema. CI runs it via `make load-smoke` so a regression in the load
+// harness (or in the stack under it) fails fast without the full sweep.
+func TestE17Smoke(t *testing.T) {
+	rep, err := runE17(e17Config{
+		rates:       []float64{120, 240},
+		step:        500 * time.Millisecond,
+		seed:        1,
+		churnCycles: 1_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Schema round trip: what daisbench writes must parse back into the
+	// same shape with the load-bearing fields intact.
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back e17Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("BENCH_E17.json schema does not round-trip: %v", err)
+	}
+	if back.Single == nil || back.Cluster == nil || back.Churn == nil {
+		t.Fatalf("report incomplete after round trip: %+v", back)
+	}
+
+	wantClasses := []string{"sql-direct", "sql-indirect", "xml-xpath", "wsrf-props"}
+	for _, curve := range []*loadgen.Curve{back.Single, back.Cluster} {
+		if len(curve.Points) != 2 {
+			t.Fatalf("%s: %d curve points, want 2", curve.Target, len(curve.Points))
+		}
+		if curve.KneeRPS <= 0 {
+			t.Errorf("%s: no knee found in an unsaturated smoke sweep", curve.Target)
+		}
+		for _, pt := range curve.Points {
+			if pt.Errors > 0 {
+				t.Errorf("%s @ %.0f rps: %d errors", curve.Target, pt.OfferedRPS, pt.Errors)
+			}
+			byClass := map[string]loadgen.ClassPoint{}
+			for _, cp := range pt.Classes {
+				byClass[cp.Class] = cp
+			}
+			for _, cls := range wantClasses {
+				cp, ok := byClass[cls]
+				if !ok {
+					t.Fatalf("%s @ %.0f rps: class %s missing", curve.Target, pt.OfferedRPS, cls)
+				}
+				if cp.OK == 0 {
+					t.Errorf("%s @ %.0f rps: class %s completed nothing", curve.Target, pt.OfferedRPS, cls)
+				}
+			}
+		}
+	}
+
+	if back.Churn.Cycles != 1_000 {
+		t.Errorf("churn completed %d cycles, want 1000", back.Churn.Cycles)
+	}
+	if back.Churn.Misclassified != 0 {
+		t.Errorf("churn misclassified %d destroy-after-reap outcomes", back.Churn.Misclassified)
+	}
+	if back.Churn.FetchAfterReapOK != 0 {
+		t.Errorf("churn saw %d reads succeed through reaped EPRs", back.Churn.FetchAfterReapOK)
 	}
 }

@@ -94,13 +94,11 @@ func TestStreamingFactoryPagesMatchMaterialised(t *testing.T) {
 					t.Fatalf("final count = %d, %v", n, err)
 				}
 			}
-			if spill {
-				if sresp.stream.buf.SpilledBytes() == 0 {
-					t.Fatal("expected pages to spill")
-				}
-				if store.Count() == 0 {
-					t.Fatal("spill store empty")
-				}
+			if spilled := sresp.stream.buf.SpilledBytes(); spill != (spilled > 0) {
+				t.Fatalf("spill=%v but %d bytes spilled", spill, spilled)
+			}
+			if spill && store.Count() == 0 {
+				t.Fatal("spill store empty")
 			}
 
 			// The response payload itself (materialised once, from the

@@ -9,8 +9,8 @@ import (
 // SeedEngine builds the canonical load-harness engine: a `data` table
 // (id INTEGER PRIMARY KEY, payload VARCHAR(64), num DOUBLE) with an
 // ordered index on id and `rows` sequential rows — the shape the
-// StandardMix queries assume. The loadgen tests and the E17 bench
-// fixtures share it so their capacity numbers describe the same data.
+// StandardMix queries assume. The loadgen tests and daisbench's E17
+// nodes share it so their capacity numbers describe the same data.
 func SeedEngine(name string, rows int) *sqlengine.Engine {
 	eng := sqlengine.New(name)
 	eng.MustExec(`CREATE TABLE data (id INTEGER PRIMARY KEY, payload VARCHAR(64), num DOUBLE)`)

@@ -1,10 +1,11 @@
 // Package loadgen is the open-loop multi-tenant load harness for the
-// DAIS stack (ROADMAP item 5, EXPERIMENTS.md E17). Every earlier
-// benchmark (E1–E18) is closed-loop — a fixed set of callers, each
-// issuing its next request only after the previous one returns — which
-// can never exhibit the regime the specifications were written for:
-// thousands of independent consumers whose arrivals do not slow down
-// just because the service does.
+// DAIS stack (EXPERIMENTS.md E17); cmd/daisbench runs its sweep and
+// churn against a daisd and a daisgw. Every other benchmark (the
+// `go test -bench` ones and the benchmark/ workloads) is closed-loop —
+// a fixed set of callers, each issuing its next request only after the
+// previous one returns — which can never exhibit the regime the
+// specifications were written for: thousands of independent consumers
+// whose arrivals do not slow down just because the service does.
 //
 // The harness models that population directly: request arrivals follow
 // a Poisson process at a configured rate (exponential inter-arrival

@@ -64,8 +64,8 @@ type CurvePoint struct {
 	Classes     []ClassPoint `json:"classes"`
 }
 
-// Curve is one target's capacity curve — the standing trip-wire
-// BENCH_E17.json records per target.
+// Curve is one target's capacity curve, as daisbench writes it to
+// BENCH_E17.json per target.
 type Curve struct {
 	Target string       `json:"target"`
 	SLOMs  float64      `json:"slo_ms"`

@@ -56,6 +56,7 @@ func assertSetsEqual(t *testing.T, a, b *sqlengine.ResultSet) {
 
 func TestRoundTripAllCodecs(t *testing.T) {
 	reg := NewRegistry()
+	size := map[string]int{}
 	for _, uri := range reg.URIs() {
 		codec, err := reg.Lookup(uri)
 		if err != nil {
@@ -71,6 +72,11 @@ func TestRoundTripAllCodecs(t *testing.T) {
 			t.Fatalf("%s decode: %v\n%s", uri, err, data)
 		}
 		assertSetsEqual(t, in, out)
+		size[uri] = len(data)
+	}
+	// E9: the same rows take fewer bytes as CSV than as SQLRowset XML.
+	if size[FormatCSV] >= size[FormatSQLRowset] {
+		t.Errorf("CSV %d bytes, SQLRowset %d", size[FormatCSV], size[FormatSQLRowset])
 	}
 }
 

@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,6 +34,16 @@ func startEndpoint(t testing.TB, e *service.Endpoint) *httptest.Server {
 	t.Cleanup(ts.Close)
 	e.Service().SetAddress(ts.URL)
 	return ts
+}
+
+// received is what a fresh consumer reads off the wire making call.
+func received(t *testing.T, call func(c *client.Client) error) int64 {
+	t.Helper()
+	c := client.New(nil)
+	if err := call(c); err != nil {
+		t.Fatal(err)
+	}
+	return c.BytesReceived()
 }
 
 // relationalFixture builds a WSRF-enabled endpoint hosting a seeded
@@ -242,6 +253,27 @@ func TestIndirectAccessPipelineFig5(t *testing.T) {
 	if doc.FindText(core.NSDAI, "ParentDataResource") != respRef.AbstractName {
 		t.Fatal("parent chain broken")
 	}
+
+	// E1/E2: consumer 1 receives an EPR whatever the result's size, while
+	// relaying the result through it costs the rows themselves.
+	for i := 4; i <= 60; i++ {
+		eng.MustExec(`INSERT INTO emp VALUES (?, 'dan')`, sqlengine.NewInt(int64(i)))
+	}
+	ds1 := client.Ref(svc1.Address(), res.AbstractName())
+	handOff := func(query string) int64 {
+		return received(t, func(c *client.Client) error {
+			_, err := c.SQLExecuteFactory(context.Background(), ds1, query, nil, nil)
+			return err
+		})
+	}
+	one, all := handOff(`SELECT id, name FROM emp WHERE id = 1`), handOff(`SELECT id, name FROM emp`)
+	relay := received(t, func(c *client.Client) error {
+		_, err := c.SQLExecute(context.Background(), ds1, `SELECT id, name FROM emp`, nil, "")
+		return err
+	})
+	if d := all - one; d < -64 || d > 64 || relay <= all {
+		t.Errorf("consumer 1 bytes: EPR for 1 row %d, for 60 rows %d, relayed 60 rows %d", one, all, relay)
+	}
 }
 
 func TestInterfaceRestriction(t *testing.T) {
@@ -296,7 +328,7 @@ func TestResponseAccessOverHTTP(t *testing.T) {
 }
 
 func TestWSRFFineGrainedProperties(t *testing.T) {
-	_, _, ref, c := relationalFixture(t)
+	_, res, ref, c := relationalFixture(t)
 	props, err := c.GetResourceProperty(context.Background(), ref, "DataResourceManagement")
 	if err != nil {
 		t.Fatal(err)
@@ -314,6 +346,24 @@ func TestWSRFFineGrainedProperties(t *testing.T) {
 	if err != nil || len(cur) != 1 {
 		t.Fatalf("current time = %v, %v", cur, err)
 	}
+
+	// E3: one property costs the same bytes however many tables the whole
+	// document describes.
+	prop := func(c *client.Client) error {
+		_, err := c.GetResourceProperty(context.Background(), ref, "Readable")
+		return err
+	}
+	doc := func(c *client.Client) error {
+		_, err := c.GetPropertyDocument(context.Background(), ref)
+		return err
+	}
+	propBefore, docBefore := received(t, prop), received(t, doc)
+	for i := 0; i < 20; i++ {
+		res.Engine().MustExec(fmt.Sprintf(`CREATE TABLE extra_%d (a INTEGER PRIMARY KEY, b VARCHAR(32))`, i))
+	}
+	if p, d := received(t, prop), received(t, doc); p != propBefore || d <= docBefore || p >= d {
+		t.Errorf("property %d then %d bytes, document %d then %d bytes", propBefore, p, docBefore, d)
+	}
 }
 
 func TestWSRFLifetimeOverHTTP(t *testing.T) {
@@ -328,8 +378,16 @@ func TestWSRFLifetimeOverHTTP(t *testing.T) {
 	if err != nil || newTT == nil {
 		t.Fatalf("set = %v, %v", newTT, err)
 	}
+	// E8: expired but unswept, the resource is still listed; the sweep
+	// leaves only the base resource.
+	if n := len(ep.Service().GetResourceList()); n != 2 {
+		t.Fatalf("%d resources listed before the sweep, want 2", n)
+	}
 	if ids := ep.WSRF().SweepExpired(); len(ids) != 1 {
 		t.Fatalf("sweep = %v", ids)
+	}
+	if n := len(ep.Service().GetResourceList()); n != 1 {
+		t.Fatalf("%d resources listed after the sweep, want 1", n)
 	}
 	// The DAIS relationship is destroyed too.
 	if _, err := c.GetSQLRowset(context.Background(), respRef, 0); err == nil {
@@ -713,6 +771,23 @@ func TestFileStagingOverHTTP(t *testing.T) {
 	past := time.Now().Add(-time.Second)
 	if _, err := c.SetTerminationTime(context.Background(), stagedRef, &past); err != nil {
 		t.Fatal(err)
+	}
+
+	// E11: the coordinator receives an EPR, not the files: staging one
+	// 16 kB file or four reads the same bytes.
+	for i := 0; i < 4; i++ {
+		if err := c.WriteFile(context.Background(), ref, fmt.Sprintf("bulk/f-%d.dat", i), make([]byte, 16<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stage := func(glob string) int64 {
+		return received(t, func(c *client.Client) error {
+			_, err := c.FileSelectFactory(context.Background(), ref, glob, nil)
+			return err
+		})
+	}
+	if one, all := stage("bulk/f-0.dat"), stage("bulk/*"); one-all < -64 || one-all > 64 || all > 16<<10 {
+		t.Errorf("coordinator bytes: staging one file %d, four files %d", one, all)
 	}
 }
 

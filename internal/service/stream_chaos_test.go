@@ -167,6 +167,31 @@ func TestGetTuplesEdgeCasesOverHTTP(t *testing.T) {
 			if len(set.Rows) != 10 || set.Rows[0][0].I != 40 {
 				t.Fatalf("absent count page = %d rows, first %v", len(set.Rows), set.Rows[0])
 			}
+
+			// E4: paging to the first short page takes rows/page + 1
+			// calls, and bigger pages move fewer bytes in all.
+			var wire [2]int64
+			for i, page := range []int{1, 25} {
+				pc := client.New(nil)
+				calls, got := 0, 0
+				for pos := 1; ; pos += page {
+					set, err := pc.GetTuplesSet(ctx, rowsetRef, pos, page)
+					if err != nil {
+						t.Fatal(err)
+					}
+					calls, got = calls+1, got+len(set.Rows)
+					if len(set.Rows) < page {
+						break
+					}
+				}
+				if calls != rows/page+1 || got != rows {
+					t.Errorf("page %d: %d calls for %d rows, want %d calls for %d", page, calls, got, rows/page+1, rows)
+				}
+				wire[i] = pc.BytesReceived()
+			}
+			if wire[1] >= wire[0] {
+				t.Errorf("25-row pages moved %d bytes, 1-row pages %d", wire[1], wire[0])
+			}
 		})
 	}
 }

@@ -177,9 +177,8 @@ func cloneLabels(m map[string]string) map[string]string {
 
 // ParsePrometheus parses text in the Prometheus exposition format back
 // into samples — the inverse of WritePrometheus for the subset this
-// package emits. daisbench uses it to scrape a live daisd and report
-// server-side latency percentiles; tests use it to assert the format
-// round-trips.
+// package emits. loadgen.Sweep and benchmark/scrape.go use it to scrape
+// a live daisd; tests use it to assert the format round-trips.
 func ParsePrometheus(text string) ([]Sample, error) {
 	var out []Sample
 	for ln, line := range strings.Split(text, "\n") {
@@ -259,24 +258,6 @@ func splitLabelPairs(s string) []string {
 	return out
 }
 
-// QuantileFromSamples estimates a latency quantile from scraped
-// <name>_bucket samples matching the given label filter (all filter
-// pairs must match; the le label belongs to the estimator). This is how
-// daisbench turns a /metrics scrape into server-side percentiles.
-func QuantileFromSamples(samples []Sample, name string, filter map[string]string, q float64) time.Duration {
-	bounds, cum := bucketsFromSamples(samples, name, filter)
-	if len(cum) == 0 {
-		return 0
-	}
-	counts := make([]uint64, len(cum))
-	var prev uint64
-	for i, c := range cum {
-		counts[i] = c - prev
-		prev = c
-	}
-	return bucketQuantile(bounds, counts, q)
-}
-
 // bucketsFromSamples collects the (le, cumulative count) pairs of a
 // histogram's _bucket samples matching the filter, sorted by bound.
 func bucketsFromSamples(samples []Sample, name string, filter map[string]string) (bounds []float64, cum []uint64) {
@@ -312,7 +293,9 @@ func bucketsFromSamples(samples []Sample, name string, filter map[string]string)
 // DeltaQuantile estimates a latency quantile from the growth of a
 // histogram between two scrapes: the cumulative bucket counts of the
 // before scrape are subtracted from the after scrape, and the quantile
-// is estimated over the difference. The open-loop load harness uses it
+// is estimated over the difference (over the after scrape alone when
+// before is nil; label filter pairs must all match, the le label belongs
+// to the estimator). The open-loop load harness uses it
 // to report per-sweep-step server-side percentiles from the endpoint's
 // monotonically growing /metrics histograms. A series absent from the
 // before scrape counts as zero (the histogram was born mid-window).

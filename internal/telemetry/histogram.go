@@ -89,8 +89,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 }
 
 // bucketQuantile is the shared quantile estimator over per-bucket
-// (non-cumulative) counts; the daisbench scraper reuses it on parsed
-// /metrics samples.
+// (non-cumulative) counts; DeltaQuantile reuses it on the /metrics
+// samples loadgen.Sweep scrapes.
 func bucketQuantile(bounds []float64, counts []uint64, q float64) time.Duration {
 	var total uint64
 	for _, c := range counts {

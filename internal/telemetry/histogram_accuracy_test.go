@@ -154,11 +154,11 @@ func TestDeltaQuantile(t *testing.T) {
 	if got := DeltaCount(before, after, "dq_seconds_count", filter); got != 1000 {
 		t.Errorf("window count %v, want 1000", got)
 	}
-	// Whole-history quantile still sees both modes.
-	if all := QuantileFromSamples(after, "dq_seconds", filter, 0.25); all > time.Millisecond {
+	// An empty before-scrape degrades to the whole-history estimate,
+	// which still sees both modes.
+	if all := DeltaQuantile(nil, after, "dq_seconds", filter, 0.25); all > time.Millisecond {
 		t.Errorf("cumulative p25 %v should still be fast", all)
 	}
-	// Empty before-scrape degrades to the cumulative estimate.
 	if d := DeltaQuantile(nil, after, "dq_seconds", filter, 0.5); d == 0 {
 		t.Error("DeltaQuantile with empty before scrape returned 0")
 	}

@@ -21,8 +21,8 @@ import (
 )
 
 // Metric names exposed by the standard Observer instruments. Keeping
-// them as constants lets tests and the daisbench scraper refer to the
-// series without restating strings.
+// them as constants lets tests and the scrapers (loadgen.Sweep,
+// benchmark/scrape.go) refer to the series without restating strings.
 const (
 	MetricRequests = "dais_requests_total"          // side, op, class, code
 	MetricInFlight = "dais_inflight_requests"       // side

@@ -172,7 +172,7 @@ func TestExposeRoundTrip(t *testing.T) {
 		t.Fatalf("parsed histogram count = %v", v)
 	}
 	// Quantiles estimated from the scrape match the live histogram.
-	scraped := QuantileFromSamples(parsed, "rt_seconds", map[string]string{"op": "Query"}, 0.5)
+	scraped := DeltaQuantile(nil, parsed, "rt_seconds", map[string]string{"op": "Query"}, 0.5)
 	if live := h.Quantile(0.5); scraped != live {
 		t.Fatalf("scraped p50 %v != live p50 %v", scraped, live)
 	}
