@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSet -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowsetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzRowsetRoundTrip -fuzztime $(FUZZTIME) ./internal/rowset/

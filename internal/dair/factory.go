@@ -34,7 +34,7 @@ func SQLExecuteFactory(ctx context.Context, src *SQLDataResource, target *core.D
 	if cfg != nil {
 		c = *cfg
 	}
-	if h, err := src.startStream(expression, params, c); err != nil {
+	if h, err := src.streamQuery(expression, params, c); err != nil {
 		return nil, err
 	} else if h != nil {
 		// Streaming delivery: the resource is registered while the

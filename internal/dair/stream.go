@@ -34,7 +34,7 @@ type streamHandle struct {
 	buf    *rowset.Buffer
 }
 
-// startStream attempts streaming execution of the expression. It
+// streamQuery attempts streaming execution of the expression. It
 // returns (nil, nil) when the statement or configuration is not
 // eligible — the caller then takes the materialised path — and defers
 // all execution errors to that path too, so error behaviour is
@@ -47,7 +47,7 @@ type streamHandle struct {
 //     be occupied by a long-lived stream)
 //   - anything but a SELECT (DML must not run twice, and only queries
 //     produce rowsets worth streaming)
-func (r *SQLDataResource) startStream(expression string, params []sqlengine.Value, cfg core.Configuration) (*streamHandle, error) {
+func (r *SQLDataResource) streamQuery(expression string, params []sqlengine.Value, cfg core.Configuration) (*streamHandle, error) {
 	if r.streamCfg == nil || cfg.Sensitivity == core.Sensitive ||
 		r.Config.TransactionInitiation == core.TransactionConsumerControlled {
 		return nil, nil

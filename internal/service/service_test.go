@@ -124,6 +124,15 @@ func TestFaultsTravelTyped(t *testing.T) {
 	if _, err := c.SQLExecute(context.Background(), ref, `SELECT * FROM missing_table`, nil, ""); !errors.As(err, &ief) {
 		t.Fatalf("err = %v", err)
 	}
+	// A statement nested three million deep is a typed fault, and the
+	// server is still there to answer the next one.
+	deep := "SELECT " + strings.Repeat("(", 3_000_000) + "1" + strings.Repeat(")", 3_000_000)
+	if _, err := c.SQLExecute(context.Background(), ref, deep, nil, ""); !errors.As(err, &ief) {
+		t.Fatalf("err = %.200v", err)
+	}
+	if res, err := c.SQLExecute(context.Background(), ref, `SELECT COUNT(*) FROM emp`, nil, ""); err != nil || res.Set.Rows[0][0].I != 3 {
+		t.Fatalf("after the deep statement: %v", err)
+	}
 	var ilf *core.InvalidLanguageFault
 	if _, err := c.GenericQuery(context.Background(), ref, "urn:lang:marsian", "x"); !errors.As(err, &ilf) {
 		t.Fatalf("err = %v", err)

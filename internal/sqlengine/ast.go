@@ -284,46 +284,85 @@ var aggregateNames = map[string]bool{
 // containsAggregate reports whether the expression tree contains an
 // aggregate function call.
 func containsAggregate(e Expr) bool {
+	if f, ok := e.(*FuncExpr); ok && aggregateNames[f.Name] {
+		return true
+	}
+	found := false
+	eachChild(e, func(c Expr) { found = found || containsAggregate(c) }, func(*SelectStmt) {})
+	return found
+}
+
+// eachChild calls f for every expression directly under e (nil ones
+// included) and sub for every SELECT nested directly in it.
+func eachChild(e Expr, f func(Expr), sub func(*SelectStmt)) {
 	switch n := e.(type) {
-	case nil:
-		return false
-	case *FuncExpr:
-		if aggregateNames[n.Name] {
-			return true
+	case *SubqueryExpr:
+		sub(n.Select)
+	case *ExistsExpr:
+		sub(n.Select)
+	case *InExpr:
+		f(n.Operand)
+		for _, it := range n.List {
+			f(it)
 		}
-		for _, a := range n.Args {
-			if containsAggregate(a) {
-				return true
-			}
+		if n.Subquery != nil {
+			sub(n.Subquery)
 		}
 	case *BinaryExpr:
-		return containsAggregate(n.Left) || containsAggregate(n.Right)
+		f(n.Left)
+		f(n.Right)
 	case *UnaryExpr:
-		return containsAggregate(n.Operand)
+		f(n.Operand)
 	case *IsNullExpr:
-		return containsAggregate(n.Operand)
-	case *InExpr:
-		if containsAggregate(n.Operand) {
-			return true
-		}
-		for _, it := range n.List {
-			if containsAggregate(it) {
-				return true
-			}
-		}
+		f(n.Operand)
 	case *BetweenExpr:
-		return containsAggregate(n.Operand) || containsAggregate(n.Lo) || containsAggregate(n.Hi)
-	case *CaseExpr:
-		if containsAggregate(n.Operand) || containsAggregate(n.Else) {
-			return true
+		f(n.Operand)
+		f(n.Lo)
+		f(n.Hi)
+	case *FuncExpr:
+		for _, a := range n.Args {
+			f(a)
 		}
+	case *CaseExpr:
+		f(n.Operand)
+		f(n.Else)
 		for _, w := range n.Whens {
-			if containsAggregate(w.When) || containsAggregate(w.Then) {
-				return true
-			}
+			f(w.When)
+			f(w.Then)
 		}
 	case *CastExpr:
-		return containsAggregate(n.Operand)
+		f(n.Operand)
 	}
-	return false
+}
+
+// eachPart calls f for every expression of a SELECT block (nil ones
+// included) and sub for every block nested directly in it: derived
+// tables and UNION arms. Subqueries inside the expressions are f's.
+func eachPart(st *SelectStmt, f func(Expr), sub func(*SelectStmt)) {
+	ref := func(tr *TableRef) {
+		if tr != nil && tr.Subquery != nil {
+			sub(tr.Subquery)
+		}
+	}
+	ref(st.From)
+	for _, j := range st.Joins {
+		ref(j.Table)
+		f(j.On)
+	}
+	for _, it := range st.Items {
+		f(it.Expr)
+	}
+	f(st.Where)
+	for _, g := range st.GroupBy {
+		f(g)
+	}
+	f(st.Having)
+	for _, o := range st.OrderBy {
+		f(o.Expr)
+	}
+	f(st.Limit)
+	f(st.Offset)
+	for _, u := range st.Unions {
+		sub(u.Sel)
+	}
 }

@@ -83,6 +83,16 @@ func (t *Table) RowCount() int { return len(t.order) }
 // shared; callers must not mutate it.
 func (t *Table) scan() []int64 { return t.order }
 
+// rowsOf appends the stored row images of ids to dst.
+func (t *Table) rowsOf(dst [][]Value, ids []int64) [][]Value {
+	for _, id := range ids {
+		if r, ok := t.rows[id]; ok {
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
+
 // insertRow stores a row and maintains indexes. The row must already be
 // coerced and validated.
 func (t *Table) insertRow(row []Value) (int64, error) {
@@ -268,10 +278,10 @@ type Database struct {
 	epoch uint64
 
 	// Execution-path switches, consulted per execution so cached plans
-	// honour them. vectorOff (WithVectorDisabled) keeps every statement off
-	// the columnar operators; plannerOff sends every statement to the
-	// interpreter and hashJoinOff every join to the nested loop — those two
-	// are set only by the equivalence tests, which own their engine.
+	// honour them. vectorOff keeps every statement off the columnar
+	// operators, plannerOff sends every statement to the interpreter and
+	// hashJoinOff every join to the nested loop; only the equivalence
+	// tests, which own their engine, set them.
 	vectorOff   bool
 	plannerOff  bool
 	hashJoinOff bool

@@ -178,7 +178,7 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 // bound predicate cannot error on any row, leaving the other rows
 // unvisited hides nothing the walk would have reported. ok=false — an
 // operand that does not bind (NULL or uncoercible key, type mismatch),
-// or no index and no live chunk cache to scan instead — sends the
+// or no index and no live chunk cache to drain instead — sends the
 // statement down the walk. Caller holds d.mu exclusively.
 func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids []int64, ok bool, err error) {
 	bp, ok := bindVecPred(p.pred, params, p.t)
@@ -197,25 +197,11 @@ func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids
 	if !tc.ok {
 		return nil, false, nil
 	}
-	var selbuf [chunkRows]int8
-	for _, ch := range tc.chunks {
-		if err := ctxCheck(ctx); err != nil {
-			return nil, false, err
-		}
-		if chunkSkippable(bp, ch) {
-			d.vecSkipped.Add(1)
-			continue
-		}
-		d.vecBatches.Add(1)
-		sel := selbuf[:ch.n]
-		bp.eval(ch, sel)
-		for i, tri := range sel {
-			if tri == triT {
-				ids = append(ids, ch.ids[i])
-			}
-		}
-	}
-	return ids, true, nil
+	err = d.eachChunk(ctx, bp, tc, func(seg []int64) (bool, error) {
+		ids = append(ids, seg...)
+		return true, nil
+	})
+	return ids, err == nil, err
 }
 
 // dmlCandidates returns the row IDs an UPDATE or DELETE must visit, in

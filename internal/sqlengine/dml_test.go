@@ -623,7 +623,8 @@ func TestChaosDMLDifferential(t *testing.T) {
 func dmlDifferential(t *testing.T, seed int64, rows, statements int) {
 	g := &dmlFuzz{r: rand.New(rand.NewSource(seed))}
 	planned := New("planned")
-	walked := New("walked", WithVectorDisabled())
+	walked := New("walked")
+	walked.SetVectorDisabled(true)
 	ps, ws := planned.NewSession(), walked.NewSession()
 	var trail []string
 	both := func(sql string, params []Value) {

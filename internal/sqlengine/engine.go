@@ -102,13 +102,6 @@ func WithLockTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.locks.timeout = d }
 }
 
-// WithVectorDisabled turns off columnar (vectorised) execution for this
-// engine: every statement runs through the row operators or the
-// interpreter. Intended for equivalence testing and benchmarking.
-func WithVectorDisabled() Option {
-	return func(e *Engine) { e.db.vectorOff = true }
-}
-
 // VectorStats is a point-in-time snapshot of columnar execution
 // counters.
 type VectorStats struct {

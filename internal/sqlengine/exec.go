@@ -146,26 +146,8 @@ func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, erro
 		}
 	}
 
-	// OFFSET / LIMIT.
-	if st.Offset != nil {
-		n, err := evalCount(st.Offset, env)
-		if err != nil {
-			return nil, fmt.Errorf("OFFSET: %w", err)
-		}
-		if n >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[n:]
-		}
-	}
-	if st.Limit != nil {
-		n, err := evalCount(st.Limit, env)
-		if err != nil {
-			return nil, fmt.Errorf("LIMIT: %w", err)
-		}
-		if n < len(out.Rows) {
-			out.Rows = out.Rows[:n]
-		}
+	if err := applyOffsetLimit(out, st, env); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -235,25 +217,8 @@ func (d *Database) execUnion(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
 			return nil, err
 		}
 	}
-	if st.Offset != nil {
-		n, err := evalCount(st.Offset, env)
-		if err != nil {
-			return nil, fmt.Errorf("OFFSET: %w", err)
-		}
-		if n >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[n:]
-		}
-	}
-	if st.Limit != nil {
-		n, err := evalCount(st.Limit, env)
-		if err != nil {
-			return nil, fmt.Errorf("LIMIT: %w", err)
-		}
-		if n < len(out.Rows) {
-			out.Rows = out.Rows[:n]
-		}
+	if err := applyOffsetLimit(out, st, env); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -307,13 +272,7 @@ func (d *Database) bindTableForSelect(st *SelectStmt, env *evalEnv) ([][]Value, 
 	}
 	ids := append([]int64(nil), ix.lookup(val)...)
 	slices.Sort(ids)
-	rows := make([][]Value, 0, len(ids))
-	for _, id := range ids {
-		if r, ok := t.rows[id]; ok {
-			rows = append(rows, r)
-		}
-	}
-	return rows, cols, nil
+	return t.rowsOf(make([][]Value, 0, len(ids)), ids), cols, nil
 }
 
 // indexableConjunct walks the AND-tree of a WHERE clause looking for a
@@ -412,11 +371,7 @@ func (d *Database) bindTable(tr *TableRef, env *evalEnv) ([][]Value, []boundColu
 			origName:  c.Name,
 		}
 	}
-	rows := make([][]Value, 0, len(t.order))
-	for _, id := range t.scan() {
-		rows = append(rows, t.rows[id])
-	}
-	return rows, cols, nil
+	return t.rowsOf(make([][]Value, 0, len(t.order)), t.scan()), cols, nil
 }
 
 // joinRows joins the accumulated left rows with the right table's

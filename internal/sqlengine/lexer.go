@@ -48,14 +48,27 @@ var keywords = map[string]bool{
 }
 
 // lex tokenises a SQL statement. It returns a slice ending with tokEOF.
+// Parentheses nested past maxExprDepth end it early: the parser would
+// refuse them, and the statement may be megabytes long.
 func lex(input string) ([]token, error) {
 	var toks []token
 	i := 0
 	n := len(input)
+	depth := 0 // parentheses open
 	for i < n {
 		c := input[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			i++
+		case c == '(':
+			if depth++; depth > maxExprDepth {
+				return nil, errTooDeep
+			}
+			toks = append(toks, token{kind: tokSymbol, text: "(", pos: i})
+			i++
+		case c == ')':
+			depth--
+			toks = append(toks, token{kind: tokSymbol, text: ")", pos: i})
 			i++
 		case c == '-' && i+1 < n && input[i+1] == '-':
 			for i < n && input[i] != '\n' {
@@ -165,7 +178,7 @@ func lex(input string) ([]token, error) {
 				}
 			}
 			switch c {
-			case '(', ')', ',', '*', '+', '-', '/', '=', '<', '>', '.', ';', '%':
+			case ',', '*', '+', '-', '/', '=', '<', '>', '.', ';', '%':
 				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
 				i++
 			default:

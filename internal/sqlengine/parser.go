@@ -12,7 +12,31 @@ type parser struct {
 	toks   []token
 	pos    int
 	params int // count of ? markers seen
+	depth  int // nesting levels open, see maxExprDepth
 }
+
+// maxExprDepth bounds how deeply a statement nests — parentheses, NOT and
+// unary minus, operator chains, subqueries, derived tables — as SQLite's
+// SQLITE_MAX_EXPR_DEPTH does. The parser and every walk over the tree
+// recurse once a level, and a request body is not bounded, so without it
+// one deep statement would exhaust a goroutine's stack and kill the
+// process.
+const maxExprDepth = 1000
+
+var errTooDeep = fmt.Errorf("sql: statement nests more than %d levels deep", maxExprDepth)
+
+// nest opens one level of the parser's own recursion — an expression,
+// which bounds CASE, the one construct nesting expressions without a
+// parenthesis, NOT and unary minus; the lexer bounds parentheses. The
+// caller closes it with a deferred unnest.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return errTooDeep
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // Parse parses a single SQL statement. A trailing semicolon is
 // permitted. It returns the statement and the number of positional
@@ -26,6 +50,9 @@ func Parse(sql string) (Statement, int, error) {
 	st, err := p.parseStatement()
 	if err != nil {
 		return nil, 0, err
+	}
+	if stmtTooDeep(st) {
+		return nil, 0, errTooDeep
 	}
 	p.accept(tokSymbol, ";")
 	if !p.at(tokEOF, "") {
@@ -92,12 +119,12 @@ func (p *parser) parseStatement() (Statement, error) {
 	case p.accept(tokKeyword, "ROLLBACK"):
 		return &RollbackStmt{}, nil
 	case p.accept(tokKeyword, "EXPLAIN"):
+		if p.at(tokKeyword, "EXPLAIN") {
+			return nil, fmt.Errorf("sql: EXPLAIN cannot be nested")
+		}
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
-		}
-		if _, nested := inner.(*ExplainStmt); nested {
-			return nil, fmt.Errorf("sql: EXPLAIN cannot be nested")
 		}
 		return &ExplainStmt{Stmt: inner}, nil
 	}
@@ -657,7 +684,13 @@ func (p *parser) parseTableRef() (*TableRef, error) {
 // Expression parsing: precedence climbing.
 // OR < AND < NOT < comparison < additive < multiplicative < unary.
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
@@ -691,6 +724,10 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(tokKeyword, "NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -841,6 +878,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.accept(tokSymbol, "-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -1059,4 +1100,63 @@ func (p *parser) parseCase() (Expr, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// stmtTooDeep reports whether an expression of st, with the SELECTs
+// nested in it, is more than maxExprDepth levels deep. Operator chains
+// grow the tree in a loop, not by the parser's recursion, so the tree is
+// measured once built; the walk recurses no deeper than the bound.
+func stmtTooDeep(st Statement) bool {
+	deep := false
+	expr := func(e Expr) { deep = deep || tooDeep(e, maxExprDepth) }
+	switch n := st.(type) {
+	case *SelectStmt:
+		return selectTooDeep(n, maxExprDepth)
+	case *CreateViewStmt:
+		return selectTooDeep(n.Select, maxExprDepth)
+	case *ExplainStmt:
+		return stmtTooDeep(n.Stmt)
+	case *InsertStmt:
+		for _, row := range n.Rows {
+			for _, e := range row {
+				expr(e)
+			}
+		}
+		deep = deep || n.Query != nil && selectTooDeep(n.Query, maxExprDepth)
+	case *UpdateStmt:
+		for _, s := range n.Set {
+			expr(s.Value)
+		}
+		expr(n.Where)
+	case *DeleteStmt:
+		expr(n.Where)
+	case *CreateTableStmt:
+		for _, c := range n.Columns {
+			expr(c.Default)
+		}
+	}
+	return deep
+}
+
+// tooDeep reports whether e is more than n levels deep.
+func tooDeep(e Expr, n int) bool {
+	if e == nil {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	deep := false
+	eachChild(e, func(c Expr) { deep = deep || tooDeep(c, n-1) }, func(s *SelectStmt) { deep = deep || selectTooDeep(s, n-1) })
+	return deep
+}
+
+// selectTooDeep is tooDeep for a SELECT block, which is one level.
+func selectTooDeep(st *SelectStmt, n int) bool {
+	if n == 0 {
+		return true
+	}
+	deep := false
+	eachPart(st, func(e Expr) { deep = deep || tooDeep(e, n-1) }, func(s *SelectStmt) { deep = deep || selectTooDeep(s, n-1) })
+	return deep
 }

@@ -157,6 +157,9 @@ func TestParseParenOverride(t *testing.T) {
 	if b.Op != "*" {
 		t.Fatalf("top op = %s", b.Op)
 	}
+	// Deep, but inside maxExprDepth.
+	mustParse(t, "SELECT "+strings.Repeat("(", 900)+"1"+strings.Repeat(")", 900))
+	mustParse(t, "SELECT 1"+strings.Repeat("+1", 900))
 }
 
 func TestParseSpecialPredicates(t *testing.T) {
@@ -284,10 +287,27 @@ func TestParseErrors(t *testing.T) {
 		"DROP",
 		"CASE WHEN 1 THEN 2 END",
 		"SELECT CASE END",
+		"EXPLAIN EXPLAIN SELECT 1",
 	}
 	for _, sql := range bad {
 		if _, _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q): expected error", sql)
+		}
+	}
+	// Nesting past maxExprDepth is an error, not an exhausted stack — by
+	// parentheses, by recursion without them, by an operator chain, and by
+	// levels each within the bound that together are not.
+	for name, sql := range map[string]string{
+		"parentheses": "SELECT " + strings.Repeat("(", 3_000_000) + "1" + strings.Repeat(")", 3_000_000),
+		"NOT":         "SELECT " + strings.Repeat("NOT ", maxExprDepth) + "TRUE",
+		"minus":       "SELECT " + strings.Repeat("- ", maxExprDepth) + "1",
+		"CASE":        "SELECT " + strings.Repeat("CASE WHEN ", maxExprDepth) + "1" + strings.Repeat(" THEN 1 END", maxExprDepth),
+		"chain":       "SELECT 1" + strings.Repeat("+1", maxExprDepth),
+		"chains":      "SELECT " + strings.Repeat("(", 40) + "1" + strings.Repeat(strings.Repeat("+1", 40)+")", 40),
+		"subqueries":  "DELETE FROM t WHERE a = " + strings.Repeat("(SELECT a FROM t WHERE a = ", 400) + "1" + strings.Repeat(")", 400),
+	} {
+		if _, _, err := Parse(sql); err != errTooDeep {
+			t.Errorf("%s: err = %v, want %v", name, err, errTooDeep)
 		}
 	}
 }
@@ -312,4 +332,27 @@ func TestContainsAggregate(t *testing.T) {
 	if containsAggregate(st2.Items[0].Expr) {
 		t.Error("scalar function misdetected as aggregate")
 	}
+}
+
+// FuzzParse: every input is a statement or an error — no panic, and
+// nothing nested too deep exhausts the stack.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		`SELECT a, COUNT(*) FROM t WHERE b BETWEEN ? AND 3 GROUP BY a HAVING COUNT(*) > 1 ORDER BY 1 DESC LIMIT 5 OFFSET 2`,
+		`SELECT x.id FROM (SELECT id FROM t WHERE s LIKE 'v-%') x LEFT JOIN u ON x.id = u.id UNION ALL SELECT 1`,
+		`SELECT CASE WHEN a IS NOT NULL THEN CAST(a AS VARCHAR(8)) ELSE 'n' END FROM t WHERE a NOT IN (SELECT b FROM u)`,
+		`INSERT INTO t (a, b) VALUES (1, -2.5e3), (?, 'it''s')`,
+		`UPDATE t SET a = a + 1 WHERE EXISTS (SELECT 1 FROM u WHERE u.id = t.id)`,
+		`CREATE TABLE t (id INTEGER PRIMARY KEY, s VARCHAR(16) NOT NULL DEFAULT 'x')`,
+		`EXPLAIN DELETE FROM t WHERE NOT NOT a = - -1`,
+		"SELECT " + strings.Repeat("(", 1001) + "1" + strings.Repeat(")", 1001),
+		"SELECT 1" + strings.Repeat("+1", 1001),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		if st, _, err := Parse(sql); (st == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v", sql, st, err)
+		}
+	})
 }

@@ -122,11 +122,6 @@ type selectPlan struct {
 	// row image, which streaming hands out uncopied.
 	gather   []int
 	identity bool
-	// vproj is the projection when gather is nil but every item is still a
-	// plain column or column arithmetic (see vecExpr): the vector executor
-	// computes it a chunk at a time; the row and streaming executors keep
-	// evaluating projExprs.
-	vproj []vecProj
 
 	order          []planOrderKey
 	orderSatisfied bool // access path already yields ORDER BY order
@@ -136,10 +131,11 @@ type selectPlan struct {
 	// bounded top-K can order by without evaluating anything.
 	orderCols []int
 
-	// vec is the columnar-execution annotation: set when the plan is a
-	// join-free full scan whose predicate compiles to vector kernels.
-	// nil means the row operators always run.
-	vec *vecInfo
+	// vector marks a join-free full scan whose WHERE compiles to vector
+	// kernels (pred; nil without a WHERE) and that gains by them: its rows
+	// may come from the column chunks (see bindScan).
+	vector bool
+	pred   vecPred
 
 	explain []string
 }
@@ -296,9 +292,6 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		for i, c := range p.gather {
 			p.identity = p.identity && c == i
 		}
-		if p.gather == nil {
-			p.vproj = vecProjection(p.projExprs, t)
-		}
 		p.orderCols = p.orderColumns()
 		var foldedWhere Expr
 		if sel.Where != nil {
@@ -318,18 +311,15 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 	p.bindOrderSatisfaction()
 
 	// Columnar annotation: join-free full scans whose predicate compiles
-	// to vector kernels run chunk-at-a-time. Index accesses stay on the
-	// row path — their id sets are already narrowed and (for ordered
-	// scans) their iteration order is not chunk order.
+	// to vector kernels scan chunk at a time. Index accesses stay on their
+	// row IDs — already narrowed and, for ordered scans, not in chunk
+	// order.
 	if len(p.joins) == 0 && p.access == accessFullScan {
-		var pred vecPred
 		okPred := true
 		if p.where != nil {
-			pred, okPred = compileVecPred(foldConstants(p.where), t)
+			p.pred, okPred = compileVecPred(foldConstants(p.where), t)
 		}
-		if okPred && (pred != nil || p.gather != nil || p.vproj != nil) {
-			p.vec = &vecInfo{pred: pred}
-		}
+		p.vector = okPred && (p.pred != nil || p.gather != nil)
 	}
 	p.explain = p.explainLines()
 	return p, ""
@@ -346,29 +336,6 @@ func gatherList(projExprs []Expr, t *Table) []int {
 			return nil
 		}
 		proj[i] = bc.idx
-	}
-	return proj
-}
-
-// vecProj is one output column of an expression-vector projection: the
-// base column it copies, or the expression it computes.
-type vecProj struct {
-	col  int
-	expr *vecExpr
-}
-
-// vecProjection reports the projection as columns and expression
-// vectors, or nil when some item is neither.
-func vecProjection(projExprs []Expr, t *Table) []vecProj {
-	proj := make([]vecProj, len(projExprs))
-	for i, e := range projExprs {
-		if col, ok := vecColumn(e, t); ok {
-			proj[i] = vecProj{col: col}
-		} else if x, ok := compileVecExpr(e, t); ok {
-			proj[i] = vecProj{col: -1, expr: x}
-		} else {
-			return nil
-		}
 	}
 	return proj
 }
@@ -763,45 +730,7 @@ func rewriteExpr(e Expr, cols []boundColumn) (Expr, bool) {
 // expression — scalar, EXISTS and IN subqueries — without descending
 // into them.
 func forEachSubquery(e Expr, f func(*SelectStmt)) {
-	switch n := e.(type) {
-	case nil:
-	case *SubqueryExpr:
-		f(n.Select)
-	case *ExistsExpr:
-		f(n.Select)
-	case *InExpr:
-		forEachSubquery(n.Operand, f)
-		for _, it := range n.List {
-			forEachSubquery(it, f)
-		}
-		if n.Subquery != nil {
-			f(n.Subquery)
-		}
-	case *BinaryExpr:
-		forEachSubquery(n.Left, f)
-		forEachSubquery(n.Right, f)
-	case *UnaryExpr:
-		forEachSubquery(n.Operand, f)
-	case *IsNullExpr:
-		forEachSubquery(n.Operand, f)
-	case *BetweenExpr:
-		forEachSubquery(n.Operand, f)
-		forEachSubquery(n.Lo, f)
-		forEachSubquery(n.Hi, f)
-	case *FuncExpr:
-		for _, a := range n.Args {
-			forEachSubquery(a, f)
-		}
-	case *CaseExpr:
-		forEachSubquery(n.Operand, f)
-		forEachSubquery(n.Else, f)
-		for _, w := range n.Whens {
-			forEachSubquery(w.When, f)
-			forEachSubquery(w.Then, f)
-		}
-	case *CastExpr:
-		forEachSubquery(n.Operand, f)
-	}
+	eachChild(e, func(c Expr) { forEachSubquery(c, f) }, f)
 }
 
 // exprHasSubquery reports whether the tree contains any subquery form.
@@ -811,56 +740,17 @@ func exprHasSubquery(e Expr) bool {
 	return found
 }
 
-// refsAnyUnqualified reports whether the tree contains an unqualified
-// column reference whose name appears in the given set — the shape that
-// would resolve to a select-list alias in interpreted ORDER BY.
+// refsAnyUnqualified reports whether the tree, outside its subqueries,
+// contains an unqualified column reference whose name appears in the
+// given set — the shape that would resolve to a select-list alias in
+// interpreted ORDER BY.
 func refsAnyUnqualified(e Expr, names map[string]int) bool {
-	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if found {
-			return
-		}
-		switch n := e.(type) {
-		case nil:
-		case *ColumnExpr:
-			if n.Table == "" {
-				if _, ok := names[strings.ToLower(n.Column)]; ok {
-					found = true
-				}
-			}
-		case *BinaryExpr:
-			walk(n.Left)
-			walk(n.Right)
-		case *UnaryExpr:
-			walk(n.Operand)
-		case *IsNullExpr:
-			walk(n.Operand)
-		case *InExpr:
-			walk(n.Operand)
-			for _, it := range n.List {
-				walk(it)
-			}
-		case *BetweenExpr:
-			walk(n.Operand)
-			walk(n.Lo)
-			walk(n.Hi)
-		case *FuncExpr:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *CaseExpr:
-			walk(n.Operand)
-			walk(n.Else)
-			for _, w := range n.Whens {
-				walk(w.When)
-				walk(w.Then)
-			}
-		case *CastExpr:
-			walk(n.Operand)
-		}
+	if ce, ok := e.(*ColumnExpr); ok && ce.Table == "" {
+		_, found := names[strings.ToLower(ce.Column)]
+		return found
 	}
-	walk(e)
+	found := false
+	eachChild(e, func(c Expr) { found = found || refsAnyUnqualified(c, names) }, func(*SelectStmt) {})
 	return found
 }
 
@@ -924,33 +814,20 @@ func (p *selectPlan) explainLines() []string {
 		}
 		lines = append(lines, fmt.Sprintf("  join: %s %s %q", kind, strategy, j.t.Name))
 	}
-	if p.vec != nil {
+	switch {
+	case p.vector:
 		lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
-		if p.vec.pred != nil {
+		if p.pred != nil {
 			lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
-		} else if p.where != nil {
-			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
 		}
-		switch {
-		case p.gather != nil:
-			lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.gather)))
-		case p.vproj != nil:
-			var kernels []string
-			for _, vp := range p.vproj {
-				if vp.expr != nil {
-					kernels = append(kernels, vp.expr.text(p.t))
-				}
-			}
-			lines = append(lines, fmt.Sprintf("  vector project: %d columns, expression kernel (%s)", len(p.vproj), strings.Join(kernels, ", ")))
-		default:
-			lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
-		}
+	case p.boundsAreWhere:
+		lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind exactly)")
+	case p.where != nil:
+		lines = append(lines, "  filter: predicate per row")
+	}
+	if p.vector && p.gather != nil {
+		lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.gather)))
 	} else {
-		if p.boundsAreWhere {
-			lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind exactly)")
-		} else if p.where != nil {
-			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
-		}
 		lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
 	}
 	if len(p.order) > 0 {
@@ -958,7 +835,7 @@ func (p *selectPlan) explainLines() []string {
 			lines = append(lines, "  order: satisfied by index (no sort)")
 		} else {
 			lines = append(lines, fmt.Sprintf("  order: sort on %d key(s)", len(p.order)))
-			if p.vec != nil && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil {
+			if p.vector && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil {
 				lines = append(lines, fmt.Sprintf("  order: bounded top-K when OFFSET+LIMIT <= %d", chunkRows))
 			}
 		}
@@ -1004,8 +881,8 @@ func (d *Database) explainSelect(st *SelectStmt, bps *blockPlans, open map[*Sele
 	switch {
 	case bp.plan != nil:
 		lines = append(lines, bp.plan.explain...)
-		if p := bp.plan; p.vec != nil && p.vec.pred != nil {
-			lines = append(lines, d.zoneMapLine(p.vec.pred, p.t))
+		if p := bp.plan; p.pred != nil {
+			lines = append(lines, d.zoneMapLine(p.pred, p.t))
 		}
 	case bp.agg != nil:
 		lines = append(lines, bp.agg.explain...)

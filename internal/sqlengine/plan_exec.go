@@ -3,12 +3,8 @@ package sqlengine
 import (
 	"fmt"
 	"slices"
+	"sort"
 )
-
-// filterChunkRows is the batch size for compiled-plan filter
-// evaluation: the predicate runs over a chunk of rows into a selection
-// vector, then survivors are appended in a second tight pass.
-const filterChunkRows = 256
 
 // evalAccessValue evaluates a point/bound expression with parameters
 // only — access expressions are literals or parameters, never row
@@ -119,18 +115,6 @@ func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 	return ids, true
 }
 
-// baseRows is baseIDs resolved to the stored row images.
-func (p *selectPlan) baseRows(params []Value) (rows [][]Value, filtered bool) {
-	ids, filtered := p.baseIDs(params)
-	rows = make([][]Value, 0, len(ids))
-	for _, id := range ids {
-		if r, ok := p.t.rows[id]; ok {
-			rows = append(rows, r)
-		}
-	}
-	return rows, filtered
-}
-
 // rangeBounds evaluates the plan's pushed-down bounds. ok=false means a
 // bound evaluated to NULL or to a value Compare cannot order against
 // the key column — the access widens and the filter settles it.
@@ -156,42 +140,227 @@ func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 	return lo, hi, true
 }
 
-// execPlan runs a compiled plan: access path, joins, batched filter,
-// slab projection, index-aware ordering, then OFFSET/LIMIT — with the
-// interpreter's exact operation order and error surface. env is the
-// block's fresh environment (see runSelect) and becomes its row
-// environment; its outer scope and plans are what the plan's subquery
-// expressions evaluate through. The caller holds d.mu for reading and
-// has verified p.epoch == d.epoch.
-func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
-	env.cols = p.cols
-	params := env.params
-	// Columnar fast path: when the plan compiled a vector annotation and
-	// vector execution is enabled, run the chunked kernels. An abandoned
-	// run (handled=false) drops through to the row operators below.
-	if p.vec != nil && d.vectorEnabled() {
-		set, handled, err := d.execPlanVector(p, env)
-		if err != nil {
-			return nil, err
+// rowScan is what a plan does with each segment of its input rows: the
+// filter, unless the kernels or the access path already applied it, then
+// the projection and, when the plan sorts, the ORDER BY keys — or, under
+// a bounded top-K, an offer to its heap instead of the projection.
+type rowScan struct {
+	env   *evalEnv
+	where Expr // nil: every input row survives
+	exprs []Expr
+	// gather and identity are the plan's (see selectPlan): projections
+	// that copy cells by ordinal, or pass the input row — the table's
+	// stored image — through uncopied.
+	gather   []int
+	identity bool
+	slab     *rowSlab
+	order    []planOrderKey // nil when the plan does not sort
+	keys     [][]Value      // order's values, one row of keys per output row
+	top      *topRows
+}
+
+// rowScan returns the per-segment work of one execution. A materialised
+// result owns its rows, so only a stream hands out the stored images an
+// identity projection selects.
+func (p *selectPlan) rowScan(env *evalEnv, streaming bool) *rowScan {
+	sc := &rowScan{env: env, where: p.where, exprs: p.projExprs, gather: p.gather, identity: streaming && p.identity}
+	if len(p.order) > 0 && !p.orderSatisfied {
+		sc.order = p.order
+	}
+	return sc
+}
+
+// segment runs input rows into the sink — a filter pass over all of
+// them, then a projection pass — and closes the segment. A row therefore
+// fails its projection only once every row of the segment has passed the
+// filter: the interpreter's order when the segment is the whole input,
+// and the same order under the kernels, which cannot fail. rows is
+// filtered in place.
+func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
+	env := sc.env
+	if sc.where != nil {
+		kept := rows[:0]
+		for _, r := range rows {
+			if err := env.checkCtx(); err != nil {
+				return err
+			}
+			env.row = r
+			v, err := eval(sc.where, env)
+			if err != nil {
+				return err
+			}
+			ok, err := truthy(v)
+			if err != nil {
+				return err
+			}
+			if ok {
+				kept = append(kept, r)
+			}
 		}
-		if handled {
-			return set, nil
+		rows = kept
+	}
+	if sc.top != nil {
+		sc.top.offer(rows)
+		return k.endSegment()
+	}
+	k.upper = len(rows)
+	for _, r := range rows {
+		if k.full() {
+			break
+		}
+		if err := env.checkCtx(); err != nil {
+			return err
+		}
+		env.row = r
+		out := r
+		if !sc.identity {
+			if sc.slab == nil {
+				sc.slab = newRowSlab(len(sc.exprs), len(rows))
+			}
+			out = sc.slab.next()
+			if sc.gather != nil {
+				for i, c := range sc.gather {
+					out[i] = r[c]
+				}
+			} else {
+				for i, e := range sc.exprs {
+					v, err := eval(e, env)
+					if err != nil {
+						return err
+					}
+					out[i] = v
+				}
+			}
+		}
+		if sc.order != nil {
+			keys := make([]Value, len(sc.order))
+			for i, o := range sc.order {
+				if o.kind == orderKeyProjected {
+					keys[i] = out[o.idx]
+					continue
+				}
+				v, err := eval(o.expr, env)
+				if err != nil {
+					return err
+				}
+				keys[i] = v
+			}
+			sc.keys = append(sc.keys, keys)
+		}
+		if err := k.emit(out); err != nil {
+			return err
+		}
+	}
+	return k.endSegment()
+}
+
+// bindScan binds a join-free plan's scan for one execution and returns
+// its body, which feeds k. The rows come from the chunk kernels when the
+// vector annotation binds and the table's chunks build, else from the
+// access path's row IDs — as one segment when k materialises, so every
+// row is filtered before any is projected, and streamBatchRows at a time
+// when it streams. A materialised scan that sorts on the kernels takes a
+// bounded top-K where the plan admits one. The caller holds d.mu for
+// reading until the body has run.
+func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() error {
+	env := sc.env
+	if p.vector && d.vectorEnabled() {
+		var bp boundVec
+		ok := true
+		if p.pred != nil {
+			bp, ok = bindVecPred(p.pred, env.params, p.t)
+		}
+		var tc *tableChunks
+		if ok {
+			tc = d.ensureChunks(p.t)
+		}
+		if ok && tc.ok {
+			sc.where = nil // the kernels are the filter
+			if sc.order != nil {
+				sc.top = p.topRows(env, tc)
+			}
+			return func() error {
+				seg := make([][]Value, 0, chunkRows)
+				return d.eachChunk(env.ctx, bp, tc, func(ids []int64) (bool, error) {
+					seg = p.t.rowsOf(seg[:0], ids)
+					err := sc.segment(k, seg)
+					return !k.full(), err
+				})
+			}
 		}
 		d.vecFallbacks.Add(1)
 	}
-	rows, whereDone := p.baseRows(params)
+	ids, filtered := p.baseIDs(env.params)
+	if filtered {
+		sc.where = nil
+	}
+	size := len(ids)
+	if k.rs != nil {
+		size = streamBatchRows
+	}
+	return func() error {
+		seg := make([][]Value, 0, min(len(ids), size))
+		for len(ids) > 0 && !k.full() {
+			n := min(len(ids), size)
+			if err := sc.segment(k, p.t.rowsOf(seg[:0], ids[:n])); err != nil {
+				return err
+			}
+			ids = ids[n:]
+		}
+		return nil
+	}
+}
 
-	// Joins: the strategy was decided at plan time; hashJoinOff is still
-	// consulted per execution so the equivalence toggle works on cached
-	// plans too, and the hash path keeps its runtime bail to the nested
-	// loop.
+// execPlan runs a compiled plan: its scan into a sink with no channel and
+// no LIMIT (a plan with joins hands its joined rows to the same rowScan
+// as one segment), the sort unless the access path or a bounded top-K
+// ordered the rows, then OFFSET/LIMIT — with the interpreter's operation
+// order and error surface. env is the block's fresh environment (see
+// runSelect) and becomes its row environment; its outer scope and plans
+// are what the plan's subquery expressions evaluate through. The caller
+// holds d.mu for reading and has verified p.epoch == d.epoch.
+func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
+	env.cols = p.cols
+	k := &streamSink{ctx: env.ctx, limit: -1}
+	sc := p.rowScan(env, false)
+	var err error
+	if len(p.joins) > 0 {
+		var rows [][]Value
+		if rows, err = d.joinedRows(p, env); err == nil {
+			err = sc.segment(k, rows)
+		}
+	} else {
+		err = d.bindScan(p, sc, k)()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := &ResultSet{Columns: p.projCols, Rows: k.batch}
+	switch {
+	case sc.top != nil:
+		out.Rows = sc.top.rows(p.gather)
+		return out, nil
+	case sc.order != nil:
+		if err := sortRows(out, sc.keys, p.sel.OrderBy); err != nil {
+			return nil, err
+		}
+	}
+	if err := applyOffsetLimit(out, p.sel, env); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// joinedRows runs a plan's joins over its base table. The strategy was
+// decided at plan time; hashJoinOff is still consulted per execution so
+// the equivalence toggle works on cached plans too, and the hash path
+// keeps its runtime bail to the nested loop.
+func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
+	rows := p.t.rowsOf(make([][]Value, 0, len(p.t.order)), p.t.scan())
 	leftWidth := len(p.t.Columns)
 	for i := range p.joins {
 		j := &p.joins[i]
-		right := make([][]Value, 0, len(j.t.order))
-		for _, id := range j.t.scan() {
-			right = append(right, j.t.rows[id])
-		}
+		right := j.t.rowsOf(make([][]Value, 0, len(j.t.order)), j.t.scan())
 		joinEnv := env.nested(env.outer)
 		joinEnv.cols = j.cols
 		var joined [][]Value
@@ -215,118 +384,165 @@ func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
 		rows = joined
 		leftWidth = len(j.cols)
 	}
+	return rows, nil
+}
 
-	// Batched filter: evaluate the compiled predicate over a chunk into
-	// a selection vector, then gather survivors.
-	if p.where != nil && !whereDone {
-		filtered := rows[:0:0]
-		var sel [filterChunkRows]bool
-		for start := 0; start < len(rows); start += filterChunkRows {
-			end := start + filterChunkRows
-			if end > len(rows) {
-				end = len(rows)
-			}
-			chunk := rows[start:end]
-			for i, r := range chunk {
-				if err := env.checkCtx(); err != nil {
-					return nil, err
-				}
-				env.row = r
-				v, err := eval(p.where, env)
-				if err != nil {
-					return nil, err
-				}
-				ok, err := truthy(v)
-				if err != nil {
-					return nil, err
-				}
-				sel[i] = ok
-			}
-			for i, r := range chunk {
-				if sel[i] {
-					filtered = append(filtered, r)
-				}
-			}
-		}
-		rows = filtered
-	}
-
-	// Projection: ordinal-bound expressions over slab rows; no per-row
-	// alias maps — ORDER BY keys were classified at plan time.
-	out := &ResultSet{Columns: p.projCols}
-	if len(rows) > 0 { // an empty result keeps nil Rows
-		out.Rows = make([][]Value, 0, len(rows))
-	}
-	needKeys := len(p.order) > 0 && !p.orderSatisfied
-	var orderKeys [][]Value
-	slab := newRowSlab(len(p.projExprs), len(rows))
-	for _, r := range rows {
-		if err := env.checkCtx(); err != nil {
-			return nil, err
-		}
-		env.row = r
-		vals := slab.next()
-		for i, e := range p.projExprs {
-			v, err := eval(e, env)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		out.Rows = append(out.Rows, vals)
-		if needKeys {
-			keys := make([]Value, len(p.order))
-			for i, k := range p.order {
-				if k.kind == orderKeyProjected {
-					keys[i] = vals[k.idx]
-					continue
-				}
-				v, err := eval(k.expr, env)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
-			orderKeys = append(orderKeys, keys)
+// offsetLimit evaluates a block's OFFSET and LIMIT, row-independent
+// expressions; limit is -1 without a LIMIT.
+func offsetLimit(sel *SelectStmt, env *evalEnv) (offset, limit int, err error) {
+	limit = -1
+	if sel.Offset != nil {
+		if offset, err = evalCount(sel.Offset, env); err != nil {
+			return 0, 0, fmt.Errorf("OFFSET: %w", err)
 		}
 	}
-
-	if needKeys {
-		if err := sortRows(out, orderKeys, p.sel.OrderBy); err != nil {
-			return nil, err
+	if sel.Limit != nil {
+		if limit, err = evalCount(sel.Limit, env); err != nil {
+			return 0, 0, fmt.Errorf("LIMIT: %w", err)
 		}
 	}
-
-	if err := applyOffsetLimit(out, p.sel, env); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return offset, limit, nil
 }
 
 // applyOffsetLimit trims a materialised result per OFFSET/LIMIT,
 // evaluated after projection and ordering exactly as the interpreter
 // does — no early termination, so evaluation errors surface for the
-// same inputs. Shared by the row and vector executors.
+// same inputs. Every executor that materialises ends with it.
 func applyOffsetLimit(out *ResultSet, sel *SelectStmt, env *evalEnv) error {
-	if sel.Offset != nil {
-		n, err := evalCount(sel.Offset, env)
-		if err != nil {
-			return fmt.Errorf("OFFSET: %w", err)
-		}
-		if n >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[n:]
-		}
+	offset, limit, err := offsetLimit(sel, env)
+	if err != nil {
+		return err
 	}
-	if sel.Limit != nil {
-		n, err := evalCount(sel.Limit, env)
-		if err != nil {
-			return fmt.Errorf("LIMIT: %w", err)
-		}
-		if n < len(out.Rows) {
-			out.Rows = out.Rows[:n]
-		}
+	if offset >= len(out.Rows) {
+		out.Rows = nil
+	} else {
+		out.Rows = out.Rows[offset:]
+	}
+	if limit >= 0 && limit < len(out.Rows) {
+		out.Rows = out.Rows[:limit]
 	}
 	return nil
+}
+
+// topRows is the bounded ORDER BY ... LIMIT: instead of projecting,
+// keying and stable-sorting every selected row, it keeps in a heap the
+// OFFSET+LIMIT row images that sort first, keyed by their own cells, and
+// projects only the winners. A row is (image, arrival ordinal) and ties
+// go to the earlier arrival, so the outcome is sortRows' — a stable sort
+// — exactly.
+type topRows struct {
+	cols          []int  // key columns, one per ORDER BY item
+	desc          []bool // per key
+	offset, limit int
+	arrived       int
+	heap          []topRow // max-heap: heap[0] sorts last of the rows kept
+}
+
+type topRow struct {
+	row []Value // a stored row image, never written
+	ord int
+}
+
+// topRows returns the bounded sorter when the plan admits one, else nil
+// and execPlan sorts as ever: the projection is a gather (so no row
+// outside the winners could have failed to project), every key is a base
+// column, OFFSET and LIMIT evaluate — an error there must surface after
+// the scan, where applyOffsetLimit raises it — to no more than chunkRows
+// rows together, and no chunk of a key column holds a NaN, which Compare
+// finds equal to everything and a stable sort therefore orders by its own
+// merge pattern, not by any rule a heap could follow.
+func (p *selectPlan) topRows(env *evalEnv, tc *tableChunks) *topRows {
+	if p.gather == nil || p.orderCols == nil || p.sel.Limit == nil {
+		return nil
+	}
+	offset, limit, err := offsetLimit(p.sel, env)
+	if err != nil || offset+limit > chunkRows {
+		return nil
+	}
+	for _, ch := range tc.chunks {
+		for _, c := range p.orderCols {
+			if ch.vecs[c].hasNaN {
+				return nil
+			}
+		}
+	}
+	t := &topRows{cols: p.orderCols, offset: offset, limit: limit}
+	for _, k := range p.order {
+		t.desc = append(t.desc, k.desc)
+	}
+	return t
+}
+
+// before reports that a sorts strictly before b; equal keys leave it to
+// the arrival ordinals.
+func (t *topRows) before(a, b *topRow) bool {
+	for i, c := range t.cols {
+		if cmp := compareInColumn(&a.row[c], &b.row[c]); cmp != 0 {
+			return (cmp < 0) != t.desc[i]
+		}
+	}
+	return a.ord < b.ord
+}
+
+// offer takes a segment's surviving row images in scan order.
+func (t *topRows) offer(rows [][]Value) {
+	k := t.offset + t.limit
+	for _, r := range rows {
+		row := topRow{row: r, ord: t.arrived}
+		t.arrived++
+		switch {
+		case len(t.heap) < k:
+			t.heap = append(t.heap, row)
+			t.up(len(t.heap) - 1)
+		case k > 0 && t.before(&row, &t.heap[0]):
+			t.heap[0] = row
+			t.down(0)
+		}
+	}
+}
+
+// after is the heap order: row i sorts after row j.
+func (t *topRows) after(i, j int) bool { return t.before(&t.heap[j], &t.heap[i]) }
+
+func (t *topRows) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.after(i, parent) {
+			return
+		}
+		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
+		i = parent
+	}
+}
+
+func (t *topRows) down(i int) {
+	for {
+		last := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(t.heap); c++ {
+			if t.after(c, last) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		t.heap[i], t.heap[last] = t.heap[last], t.heap[i]
+		i = last
+	}
+}
+
+// rows sorts the kept rows, drops the OFFSET and gathers the rest.
+func (t *topRows) rows(gather []int) [][]Value {
+	sort.Slice(t.heap, func(i, j int) bool { return t.after(j, i) })
+	kept := t.heap[min(t.offset, len(t.heap)):]
+	var out [][]Value
+	slab := newRowSlab(len(gather), len(kept))
+	for _, r := range kept {
+		vals := slab.next()
+		for k, c := range gather {
+			vals[k] = r.row[c]
+		}
+		out = append(out, vals)
+	}
+	return out
 }

@@ -96,6 +96,12 @@ var planCorpus = []struct {
 	{sql: `SELECT id FROM rng WHERE nosuch > 1`},
 	{sql: `SELECT id FROM rng ORDER BY k LIMIT -1`},
 	{sql: `SELECT id FROM rng OFFSET ?`, params: []Value{Null}},
+	// Every row is filtered before any is projected: the WHERE failing on
+	// a late row (id 145) wins over the projection failing on an early one
+	// (id 3), LIMIT or not.
+	{sql: `SELECT 10 / (id - 3) FROM rng WHERE CASE WHEN id = 145 THEN s ELSE id END >= 0`},
+	{sql: `SELECT 10 / (id - 3) FROM rng WHERE CASE WHEN id = 145 THEN s ELSE id END >= 0 LIMIT 2`},
+	{sql: `SELECT id, 10 / (id - 3) FROM rng WHERE CASE WHEN id = 145 THEN s ELSE k_noix END >= 0 ORDER BY id DESC LIMIT 1`},
 }
 
 // execBothWays runs sql through the planner and the interpreter,
@@ -219,8 +225,8 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng WHERE k >= 1 AND k < 9`, `access: ordered range scan via rng_k (k >= ? AND k < ?)`},
 		{`SELECT id FROM rng WHERE k >= 1 AND k < 9`, `filter: satisfied by access path`},
 		{`SELECT id FROM rng WHERE 1 = 1 AND k BETWEEN ? AND ?`, `filter: satisfied by access path`},
-		{`SELECT id FROM rng WHERE k >= 1 AND id < 9`, `filter: batched predicate`},
-		{`SELECT id FROM rng WHERE k >= 1 AND k >= 5`, `filter: batched predicate`},
+		{`SELECT id FROM rng WHERE k >= 1 AND id < 9`, `filter: predicate per row`},
+		{`SELECT id FROM rng WHERE k >= 1 AND k >= 5`, `filter: predicate per row`},
 		{`SELECT k FROM rng ORDER BY k`, `order: satisfied by index (no sort)`},
 		{`SELECT k FROM rng ORDER BY k DESC`, `access: ordered full scan via rng_k (rng.k desc)`},
 		{`SELECT id FROM rng ORDER BY k_noix`, `order: sort on 1 key(s)`},
@@ -228,7 +234,7 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT COUNT(*) FROM rng`, `vectorised aggregate`},
 		{`SELECT SUM(k + id) FROM rng`, `aggregate arg: expression kernel (SUM(k + id))`},
 		{`SELECT id FROM rng WHERE k_noix + id > 10`, `vector filter: compiled kernels`},
-		{`SELECT id * 2 FROM rng`, `vector project: 1 columns, expression kernel (id * 2)`},
+		{`SELECT id * 2 FROM rng`, `project: 1 columns`},
 		{`SELECT id FROM rng ORDER BY k_noix LIMIT 3`, `order: bounded top-K`},
 		{`SELECT x.id FROM (SELECT id FROM rng WHERE k > 3) x`, `    access: ordered range scan via rng_k (k > ?)`},
 		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = o.k)`, `    select: interpreted (unresolvable WHERE expression)`},

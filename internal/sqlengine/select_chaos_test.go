@@ -11,15 +11,17 @@ import (
 
 // TestExpressionVectorsEngage keeps the equivalence corpus honest: the
 // statements it proves equal across paths must actually run on the
-// kernels (batches move, nothing is abandoned), and the ones that cannot
-// must be counted as fallbacks — what dais_vector_fallbacks_total shows
-// an operator.
+// kernels (batches move, nothing is abandoned — an error they raise comes
+// from evaluating a selected row), and the ones that cannot must be
+// counted as fallbacks — what dais_vector_fallbacks_total shows an
+// operator.
 func TestExpressionVectorsEngage(t *testing.T) {
 	e := vecEngine(t, 2500) // three chunks
 	for _, tc := range []struct {
 		sql       string
 		params    []Value
 		abandoned bool
+		fails     bool
 	}{
 		{sql: `SELECT SUM(a + id), AVG(b * 2) FROM vt WHERE a > 5`},
 		{sql: `SELECT a, MIN(-b), COUNT(a + b) FROM vt GROUP BY a`},
@@ -31,7 +33,7 @@ func TestExpressionVectorsEngage(t *testing.T) {
 		{sql: `SELECT SUM(a / b) FROM vt WHERE id <> 40`},
 		{sql: `SELECT SUM(a / b) FROM vt`, abandoned: true}, // b = 0 at id 40
 		{sql: `SELECT SUM(a + ?) FROM vt`, params: []Value{Null}, abandoned: true},
-		{sql: `SELECT id / a FROM vt WHERE id < 60`, abandoned: true}, // a = 0 at id 50
+		{sql: `SELECT id / a FROM vt WHERE id < 60`, fails: true}, // a = 0 at id 50
 		{sql: `SELECT id FROM vt WHERE a % ? = 1`, params: []Value{NewInt(0)}, abandoned: true},
 		{sql: `SELECT id FROM vt WHERE a > 'abc'`, abandoned: true},
 	} {
@@ -41,7 +43,7 @@ func TestExpressionVectorsEngage(t *testing.T) {
 		switch {
 		case tc.abandoned && after.Fallbacks != before.Fallbacks+1:
 			t.Fatalf("%s: fallbacks %d -> %d, want one more (err=%v)", tc.sql, before.Fallbacks, after.Fallbacks, err)
-		case !tc.abandoned && (err != nil || after.Fallbacks != before.Fallbacks || after.Batches == before.Batches):
+		case !tc.abandoned && (tc.fails != (err != nil) || after.Fallbacks != before.Fallbacks || after.Batches == before.Batches):
 			t.Fatalf("%s: did not run on the kernels: %+v -> %+v (err=%v)", tc.sql, before, after, err)
 		}
 	}

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 )
 
 // errStalePlan signals that a compiled plan's schema epoch no longer
-// matches the catalog; the caller re-executes through the interpreter.
+// matches the catalog; the caller executes the statement instead.
 var errStalePlan = errors.New("sqlengine: compiled plan is stale")
 
 // RowStream is a pull-based iterator over the rows of one SELECT
@@ -133,13 +132,14 @@ func (r *RowStream) Close() error {
 }
 
 // ExecuteStream parses and runs one statement, delivering query rows
-// incrementally. Plain single-table SELECTs (no grouping, aggregates,
-// DISTINCT, ORDER BY, UNION, joins or derived tables, outside an
-// explicit transaction) stream row by row while the scan is still
-// running; everything else executes exactly as ExecuteContext and is
-// replayed from the materialised result, so callers see one uniform
-// interface. ctx governs production, not just setup: cancelling it
-// aborts the scan with a *CancelledError.
+// incrementally. A SELECT whose current plan is join-free and whose ORDER
+// BY, if any, the access path already satisfies streams while its scan is
+// still running, outside an explicit transaction; everything else —
+// including a SELECT with no current plan (planner off, plan gone stale,
+// a name that does not resolve) — executes exactly as ExecuteContext and
+// is replayed from the materialised result, so callers see one uniform
+// interface. ctx governs production, not just setup: cancelling it aborts
+// the scan with a *CancelledError.
 func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value) (*RowStream, error) {
 	prep, err := s.engine.Prepare(sql)
 	if err != nil {
@@ -148,27 +148,13 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value
 	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
 		return nil, fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
 	}
-	// Compiled-plan streaming: join-free plans whose ORDER BY (if any)
-	// the access path already satisfies can deliver ordered rows
-	// incrementally. A plan gone stale under DDL falls through to the
-	// interpreted paths below.
 	if plan := prep.topPlan(); plan != nil && !s.engine.db.plannerOff && plan.streamable() && !s.inTxn && !s.aborted {
+		// Setup errors (bad LIMIT, lock timeout) surface here, like
+		// Execute's; a plan gone stale under DDL is executed instead.
 		rs, err := s.startPlanStream(ctx, plan, prep.blocks, params)
-		if err == nil {
-			return rs, nil
-		}
 		if err != errStalePlan {
-			return nil, err
+			return rs, err
 		}
-	}
-	if sel, ok := s.streamableSelect(prep.stmt); ok {
-		rs, err := s.startStream(ctx, sel, prep.blocks, params)
-		if err == nil {
-			return rs, nil
-		}
-		// Setup failed before any row was produced (bad table, bad
-		// LIMIT expression, lock timeout): surface it like Execute.
-		return nil, err
 	}
 	res, err := s.ExecutePrepared(ctx, prep, params...)
 	if err != nil {
@@ -182,43 +168,18 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value
 	return rs, nil
 }
 
-// streamableSelect reports whether the statement is a SELECT the
-// incremental producer can run: one base table, optional WHERE and
-// LIMIT/OFFSET, no pipeline breakers (anything that needs the full row
-// set before the first output row — sorting, grouping, aggregates,
-// DISTINCT, UNION — and no joins or derived tables).
-func (s *Session) streamableSelect(st Statement) (*SelectStmt, bool) {
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, false
-	}
-	if s.inTxn || s.aborted {
-		return nil, false
-	}
-	if len(sel.Unions) > 0 || sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil ||
-		len(sel.OrderBy) > 0 || len(sel.Joins) > 0 || selectHasAggregate(sel) {
-		return nil, false
-	}
-	if sel.From == nil || sel.From.Subquery != nil {
-		return nil, false
-	}
-	db := s.engine.db
-	db.mu.RLock()
-	_, isView := db.views[strings.ToLower(sel.From.Table)]
-	db.mu.RUnlock()
-	return sel, !isView
-}
-
-// streamSink is where a producer's rows become batches: it owns OFFSET
-// and LIMIT, batch hand-off and cancellation; Session.produce, which
-// runs a scan into it, is the epilogue every producer ends with.
+// streamSink is where a scan's rows go. Streaming (rs set), it turns
+// them into batches: it owns OFFSET and LIMIT, batch hand-off and
+// cancellation, and Session.produce, which runs the scan into it, is the
+// epilogue. Materialising (rs nil, no OFFSET, no LIMIT), its one open
+// batch is the result.
 type streamSink struct {
 	rs     *RowStream
 	ctx    context.Context
 	offset int // rows still to skip
 	limit  int // rows still to deliver; negative without a LIMIT
 
-	// upper bounds the rows the producer may still emit, so that a
+	// upper bounds the rows the open segment may still emit, so that a
 	// 20-row reply does not allocate a full batch.
 	upper   int
 	batch   [][]Value
@@ -238,7 +199,10 @@ func (k *streamSink) emit(row []Value) error {
 		return nil
 	}
 	if k.batch == nil {
-		n := min(streamBatchRows, k.upper)
+		n := k.upper
+		if k.rs != nil {
+			n = min(n, streamBatchRows)
+		}
 		if k.limit >= 0 {
 			n = min(n, k.limit)
 		}
@@ -249,18 +213,18 @@ func (k *streamSink) emit(row []Value) error {
 	if k.limit > 0 {
 		k.limit--
 	}
-	if len(k.batch) == streamBatchRows {
+	if k.rs != nil && len(k.batch) == streamBatchRows {
 		return k.endSegment()
 	}
 	return nil
 }
 
-// endSegment hands the open batch over, if it holds anything. Producers
-// call it after every streamBatchRows input rows at most, so a
+// endSegment hands a stream's open batch over, if it holds anything.
+// Scans call it after every streamBatchRows input rows at most, so a
 // selective scan still trickles and cancellation is seen within one
 // batch.
 func (k *streamSink) endSegment() error {
-	if len(k.batch) == 0 {
+	if k.rs == nil || len(k.batch) == 0 {
 		return ctxCheck(k.ctx)
 	}
 	select {
@@ -270,113 +234,6 @@ func (k *streamSink) endSegment() error {
 	case <-k.ctx.Done():
 		return &CancelledError{Err: k.ctx.Err()}
 	}
-}
-
-// rowScan is the filter and projection a producer applies to each
-// segment of input rows.
-type rowScan struct {
-	env   *evalEnv
-	where Expr // nil: every input row survives
-	exprs []Expr
-	// gather and identity are the plan's (see selectPlan): projections
-	// that copy cells by ordinal, or pass the input row — the table's
-	// stored image — through uncopied.
-	gather   []int
-	identity bool
-	slab     *rowSlab
-}
-
-// segment runs input rows into the sink, mirroring execSelectEnv's
-// semantics exactly, and closes the segment.
-func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
-	env := sc.env
-	for _, r := range rows {
-		if k.full() {
-			break
-		}
-		env.row = r
-		if sc.where != nil {
-			v, err := eval(sc.where, env)
-			if err != nil {
-				return err
-			}
-			ok, err := truthy(v)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out := r
-		if !sc.identity {
-			out = sc.slab.next()
-			if sc.gather != nil {
-				for i, c := range sc.gather {
-					out[i] = r[c]
-				}
-			} else {
-				for i, e := range sc.exprs {
-					v, err := eval(e, env)
-					if err != nil {
-						return err
-					}
-					out[i] = v
-				}
-			}
-		}
-		if err := k.emit(out); err != nil {
-			return err
-		}
-	}
-	return k.endSegment()
-}
-
-// openStream is the set-up every stream shares, done synchronously so
-// that schema errors and lock timeouts surface to the caller, not
-// mid-stream: the statement's read locks and the database read latch —
-// which the producer then holds until every row is delivered or the
-// stream is cancelled — the production context, and OFFSET and LIMIT,
-// row-independent expressions evaluated once. bind runs under the latch
-// and returns the result columns and the scan body.
-func (s *Session) openStream(ctx context.Context, sel *SelectStmt, env *evalEnv,
-	bind func(k *streamSink) ([]ResultColumn, func() error, error)) (*RowStream, error) {
-	db := s.engine.db
-	if err := s.lockForRead(tablesOfSelect(sel)); err != nil {
-		s.engine.locks.releaseAll(s)
-		return nil, err
-	}
-	prodCtx, cancel := context.WithCancel(ctx)
-	env.db, env.ctx = db, prodCtx
-	k := &streamSink{ctx: prodCtx, limit: -1}
-
-	db.mu.RLock()
-	cols, scan, err := bind(k)
-	if err == nil && sel.Offset != nil {
-		if k.offset, err = evalCount(sel.Offset, env); err != nil {
-			err = fmt.Errorf("OFFSET: %w", err)
-		}
-	}
-	if err == nil && sel.Limit != nil {
-		if k.limit, err = evalCount(sel.Limit, env); err != nil {
-			err = fmt.Errorf("LIMIT: %w", err)
-		}
-	}
-	if err != nil {
-		db.mu.RUnlock()
-		s.engine.locks.releaseAll(s)
-		cancel()
-		return nil, err
-	}
-	k.rs = &RowStream{
-		cols:      cols,
-		streaming: true,
-		ch:        make(chan [][]Value, 1),
-		cancel:    cancel,
-		done:      make(chan struct{}),
-	}
-	go s.produce(k, scan)
-	return k.rs, nil
 }
 
 // produce is the producer goroutine: the scan body, then the implicit
@@ -404,126 +261,36 @@ func (s *Session) produce(k *streamSink, scan func() error) {
 	close(rs.done)
 }
 
-// startStream streams an interpreted single-table SELECT: bound by
-// name, filtered and projected through eval.
-func (s *Session) startStream(ctx context.Context, sel *SelectStmt, plans *blockPlans, params []Value) (*RowStream, error) {
-	env := &evalEnv{params: params, plans: plans}
-	return s.openStream(ctx, sel, env, func(k *streamSink) ([]ResultColumn, func() error, error) {
-		base, cols, err := s.engine.db.bindTableForSelect(sel, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		env.cols = cols
-		if sel.Where != nil && containsAggregate(sel.Where) {
-			return nil, nil, fmt.Errorf("aggregates are not allowed in WHERE")
-		}
-		outCols, exprs, err := expandSelectItems(sel, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		sc := &rowScan{env: env, where: sel.Where, exprs: exprs, slab: newRowSlab(len(exprs), 0)}
-		return outCols, func() error {
-			for len(base) > 0 && !k.full() {
-				n := min(len(base), streamBatchRows)
-				k.upper = len(base)
-				if err := sc.segment(k, base[:n]); err != nil {
-					return err
-				}
-				base = base[n:]
-			}
-			return nil
-		}, nil
-	})
-}
-
 // startPlanStream streams a compiled plan; plans is the statement's
-// whole set, which subqueries in its expressions run by. The schema epoch
-// is re-validated under the latch; errStalePlan sends the caller back to
-// the interpreted paths. A vector-annotated plan (always a full scan
-// with no unsatisfied ORDER BY, or it would not be streamable) scans
-// chunk at a time; bind failure or an unbuildable chunk cache falls
-// through to the access path (point, range or ordered scan), which
-// resolves the base row IDs already in delivery order — its own, which
-// equals the ORDER BY order when the plan satisfied it.
+// whole set, which subqueries in its expressions run by. Set-up is done
+// synchronously, so that a stale plan, a bad OFFSET or LIMIT and a lock
+// timeout surface to the caller, not mid-stream: the statement's read
+// locks and the database read latch — which the producer then holds until
+// every row is delivered or the stream is cancelled — the schema epoch's
+// re-validation (errStalePlan sends the caller to the materialised path),
+// OFFSET and LIMIT, evaluated once, and the scan's binding (bindScan).
 func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, plans *blockPlans, params []Value) (*RowStream, error) {
-	env := &evalEnv{cols: p.cols, params: params, plans: plans}
-	return s.openStream(ctx, p.sel, env, func(k *streamSink) ([]ResultColumn, func() error, error) {
-		db := s.engine.db
-		if p.epoch != db.epoch {
-			return nil, nil, errStalePlan
-		}
-		sc := &rowScan{env: env, where: p.where, exprs: p.projExprs, gather: p.gather, identity: p.identity,
-			slab: newRowSlab(len(p.projExprs), 0)}
-		if p.vec != nil && db.vectorEnabled() {
-			var bp boundVec
-			okBind := true
-			if p.vec.pred != nil {
-				bp, okBind = bindVecPred(p.vec.pred, params, p.t)
-			}
-			if okBind {
-				if tc := db.ensureChunks(p.t); tc.ok {
-					sc.where = nil // the kernels are the filter
-					return p.projCols, func() error { return p.scanChunks(k, sc, bp, tc) }, nil
-				}
-			}
-			db.vecFallbacks.Add(1)
-		}
-		ids, filtered := p.baseIDs(params)
-		if filtered {
-			sc.where = nil
-		}
-		return p.projCols, func() error {
-			seg := make([][]Value, 0, min(len(ids), streamBatchRows))
-			for len(ids) > 0 && !k.full() {
-				n := min(len(ids), streamBatchRows)
-				k.upper = len(ids)
-				seg = seg[:0]
-				for _, id := range ids[:n] {
-					if r, ok := p.t.rows[id]; ok {
-						seg = append(seg, r)
-					}
-				}
-				if err := sc.segment(k, seg); err != nil {
-					return err
-				}
-				ids = ids[n:]
-			}
-			return nil
-		}, nil
-	})
-}
-
-// scanChunks is the scan body over column chunks, a chunk a segment:
-// zone-map skipping and kernel filtering per chunk, the survivors' rows
-// handed to the projection.
-func (p *selectPlan) scanChunks(k *streamSink, sc *rowScan, bp boundVec, tc *tableChunks) error {
-	db := sc.env.db
-	var selbuf [chunkRows]int8
-	seg := make([][]Value, 0, chunkRows)
-	k.upper = len(p.t.order)
-	for _, ch := range tc.chunks {
-		if k.full() {
-			break
-		}
-		seg = seg[:0]
-		if bp != nil && chunkSkippable(bp, ch) {
-			db.vecSkipped.Add(1)
-		} else {
-			db.vecBatches.Add(1)
-			sel := selbuf[:ch.n]
-			if bp != nil {
-				bp.eval(ch, sel)
-			}
-			for i, id := range ch.ids[:ch.n] {
-				if bp == nil || sel[i] == triT {
-					seg = append(seg, p.t.rows[id])
-				}
-			}
-		}
-		if err := sc.segment(k, seg); err != nil {
-			return err
-		}
-		k.upper -= ch.n
+	db := s.engine.db
+	if err := s.lockForRead(tablesOfSelect(p.sel)); err != nil {
+		s.engine.locks.releaseAll(s)
+		return nil, err
 	}
-	return nil
+	prodCtx, cancel := context.WithCancel(ctx)
+	env := &evalEnv{cols: p.cols, params: params, plans: plans, db: db, ctx: prodCtx}
+	k := &streamSink{ctx: prodCtx, rs: &RowStream{cols: p.projCols, streaming: true, cancel: cancel}}
+	db.mu.RLock()
+	err := errStalePlan
+	if p.epoch == db.epoch {
+		k.offset, k.limit, err = offsetLimit(p.sel, env)
+	}
+	if err != nil {
+		db.mu.RUnlock()
+		s.engine.locks.releaseAll(s)
+		cancel()
+		return nil, err
+	}
+	scan := db.bindScan(p, p.rowScan(env, true), k)
+	k.rs.ch, k.rs.done = make(chan [][]Value, 1), make(chan struct{})
+	go s.produce(k, scan)
+	return k.rs, nil
 }

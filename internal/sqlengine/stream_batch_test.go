@@ -48,14 +48,14 @@ func batchEngine(t testing.TB, rows int, opts ...sqlengine.Option) *sqlengine.En
 	return e
 }
 
-// The three streaming producers, by the toggles that select them.
+// The two sources a streamed scan draws from, by the switch that selects
+// them. With the planner off a SELECT is executed and replayed instead.
 var producers = []struct {
 	name              string
 	noPlanner, noVect bool
 }{
-	{"interpreted", true, true},
-	{"planned-rows", false, true},
-	{"vector", false, false}, // where the plan has a vector annotation
+	{"row IDs", false, true},
+	{"kernels", false, false}, // where the plan has a vector annotation
 }
 
 // TestStreamedBatchesMatchMaterialised is the batch-boundary
@@ -65,7 +65,8 @@ var producers = []struct {
 // filter), random OFFSET/LIMIT, page sizes and spilling, the bytes every
 // codec renders for random windows of the streamed result — asked for
 // while it is still being produced — are the bytes it renders for the
-// same window of the materialised result. Run under -race (make check).
+// same window of the interpreter's result, and with the planner off the
+// stream is that result replayed. Run under -race (make check).
 func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 	counts := []int{0, 1, 1023, 1024, 1025, 4097}
 	if testing.Short() {
@@ -88,6 +89,8 @@ func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 		// One survivor in 97: batches close on input rows, not output rows.
 		{`SELECT id, tag, num FROM t WHERE num * 4 = id AND id - (id / 97) * 97 = 0`, nil},
 	}
+	replayed := producers[0]
+	replayed.name, replayed.noPlanner = "replayed", true
 	reg := rowset.NewRegistry()
 	for ci, n := range counts {
 		e := batchEngine(t, n)
@@ -104,11 +107,13 @@ func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 			if st.params != nil {
 				params = st.params(n, rng)
 			}
+			e.SetPlannerDisabled(true)
 			want, err := e.NewSession().Execute(sql, params...)
+			e.SetPlannerDisabled(false)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			for _, prod := range producers {
+			for _, prod := range append(producers, replayed) {
 				cfg := rowset.BufferConfig{PageRows: []int{1, 7, 1000, 1024, 5000}[rng.Intn(5)]}
 				if rng.Intn(2) == 0 {
 					cfg.MemCap, cfg.Spill, cfg.SpillName = 1, filestore.NewStore("spill"), "diff.spill"
@@ -122,8 +127,8 @@ func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !stream.Streaming() {
-					t.Fatalf("%s: statement did not stream", name)
+				if stream.Streaming() == prod.noPlanner {
+					t.Fatalf("%s: Streaming() = %v", name, stream.Streaming())
 				}
 				buf := rowset.NewBuffer(stream, cfg)
 				total := len(want.Set.Rows)

@@ -110,19 +110,11 @@ func TestExecuteStreamSetupErrors(t *testing.T) {
 	for _, sql := range []string{
 		`SELECT id FROM missing`,
 		`SELECT id FROM items LIMIT 'abc'`,
+		`SELECT nosuch FROM items`, // no plan: executed, and fails, before the stream opens
 	} {
 		if _, err := e.NewSession().ExecuteStream(context.Background(), sql); err == nil {
 			t.Fatalf("%s: expected setup error", sql)
 		}
-	}
-	// Unknown columns bind lazily: the stream opens, the error surfaces
-	// on the first row — and the producer still releases its locks.
-	stream, err := e.NewSession().ExecuteStream(context.Background(), `SELECT nosuch FROM items`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stream.Next(); err == nil || err == io.EOF {
-		t.Fatalf("Next = %v, want eval error", err)
 	}
 	// Setup errors must not leave locks behind: a write must proceed.
 	done := make(chan error, 1)

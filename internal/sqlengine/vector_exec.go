@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"context"
-	"sort"
 	"strings"
 )
 
@@ -24,20 +23,11 @@ const (
 	maskN
 )
 
-// vecInfo is a plan's vectorised-execution annotation: the compiled
-// chunk predicate (nil when the statement has no WHERE clause). The
-// plan's gather and vproj lists say whether survivors project by
-// columnar gather, by expression vectors, or materialise their row and
-// evaluate projections the row way.
-type vecInfo struct {
-	pred vecPred
-}
-
 // vecPred is a plan-time compiled predicate tree. Operand expressions
 // (literals, parameters) are kept symbolic and evaluated once per
 // execution by bindVecPred; any binding that could diverge from
 // interpreter semantics (evaluation error, incomparable type) refuses
-// to bind and the row executor runs instead.
+// to bind and the row filter runs instead.
 type vecPred interface{ vecPred() }
 
 // vpOperand is the row-dependent side of a kernel: a base column, or
@@ -979,6 +969,30 @@ func chunkSkippable(bp boundVec, ch *colChunk) bool {
 	return bp.possible(ch)&maskT == 0
 }
 
+// eachChunk is the chunk source: it runs bp (nil: no predicate) over
+// every chunk of tc through filterChunk and hands f each chunk's accepted
+// row IDs in scan order — none for a chunk the zone maps skip — until f
+// wants no more. ids is valid until f returns.
+func (d *Database) eachChunk(ctx context.Context, bp boundVec, tc *tableChunks, f func(ids []int64) (more bool, err error)) error {
+	var sel [chunkRows]int8
+	var pos [chunkRows]uint16
+	ids := make([]int64, 0, chunkRows)
+	for _, ch := range tc.chunks {
+		if err := ctxCheck(ctx); err != nil {
+			return err
+		}
+		rows, _ := d.filterChunk(bp, ch, &sel, &pos)
+		ids = ids[:0]
+		for _, r := range rows {
+			ids = append(ids, ch.ids[r])
+		}
+		if more, err := f(ids); err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
 // vectorEnabled reports whether columnar operators may run for this
 // database right now (consulted per execution, so cached plans honour
 // the option).
@@ -993,291 +1007,4 @@ func ctxCheck(ctx context.Context) error {
 		return &CancelledError{Err: err}
 	}
 	return nil
-}
-
-// execPlanVector runs a compiled plan through the columnar operators:
-// zone-map chunk skipping, kernel predicate evaluation into a
-// selection vector, then columnar gather, expression vectors, or row
-// materialisation for projections the kernels do not cover. env is the
-// plan's row environment. handled=false means the plan was abandoned —
-// an operand that does not bind, an unbuildable chunk cache, a zero
-// divisor under a projected row — and the caller must run the row path;
-// err is terminal either way. Caller holds d.mu for reading.
-func (d *Database) execPlanVector(p *selectPlan, env *evalEnv) (set *ResultSet, handled bool, err error) {
-	ctx, params := env.ctx, env.params
-	var bp boundVec
-	if p.vec.pred != nil {
-		var ok bool
-		bp, ok = bindVecPred(p.vec.pred, params, p.t)
-		if !ok {
-			return nil, false, nil
-		}
-	}
-	exprs := make([]boundExpr, len(p.vproj)) // nil where the projection is a plain column
-	for k, vp := range p.vproj {
-		if vp.expr != nil {
-			var ok bool
-			if exprs[k], ok = bindVecExpr(vp.expr.e, p.t, params); !ok {
-				return nil, false, nil
-			}
-		}
-	}
-	tc := d.ensureChunks(p.t)
-	if !tc.ok {
-		return nil, false, nil
-	}
-
-	out := &ResultSet{Columns: p.projCols}
-	needKeys := len(p.order) > 0 && !p.orderSatisfied
-	var top *topRows
-	if needKeys {
-		top = p.topRows(env, tc)
-	}
-	var orderKeys [][]Value
-	slab := newRowSlab(len(p.projExprs), 0)
-	var selbuf [chunkRows]int8
-	var rowbuf [chunkRows]uint16
-	vecs := make([]*colVec, len(p.vproj))
-	// Row materialisation is needed when some projection or sort key is
-	// neither a column gather nor an expression vector.
-	needRow := p.gather == nil && p.vproj == nil
-	for _, k := range p.order {
-		if k.kind == orderKeyExpr {
-			needRow = true
-		}
-	}
-
-	for _, ch := range tc.chunks {
-		if err := ctxCheck(ctx); err != nil {
-			return nil, true, err
-		}
-		rows, skipped := d.filterChunk(bp, ch, &selbuf, &rowbuf)
-		if skipped {
-			continue
-		}
-		if top != nil {
-			top.offer(ch, rows)
-			continue
-		}
-		for k, vp := range p.vproj {
-			if exprs[k] == nil {
-				vecs[k] = &ch.vecs[vp.col]
-				continue
-			}
-			v, ok := exprs[k].eval(ch, rows)
-			if !ok {
-				return nil, false, nil
-			}
-			vecs[k] = v
-		}
-		for _, r := range rows {
-			i := int(r)
-			if needRow {
-				env.row = p.t.rows[ch.ids[i]]
-			}
-			vals := slab.next()
-			switch {
-			case p.gather != nil:
-				for k, ci := range p.gather {
-					vals[k] = ch.vecs[ci].value(i)
-				}
-			case p.vproj != nil:
-				for k, v := range vecs {
-					vals[k] = v.value(i)
-				}
-			default:
-				for k, e := range p.projExprs {
-					v, err := eval(e, env)
-					if err != nil {
-						return nil, true, err
-					}
-					vals[k] = v
-				}
-			}
-			out.Rows = append(out.Rows, vals)
-			if needKeys {
-				keys := make([]Value, len(p.order))
-				for ki, k := range p.order {
-					if k.kind == orderKeyProjected {
-						keys[ki] = vals[k.idx]
-						continue
-					}
-					v, err := eval(k.expr, env)
-					if err != nil {
-						return nil, true, err
-					}
-					keys[ki] = v
-				}
-				orderKeys = append(orderKeys, keys)
-			}
-		}
-	}
-
-	if top != nil {
-		out.Rows = top.rows(p.gather)
-		return out, true, nil
-	}
-	if needKeys {
-		if err := sortRows(out, orderKeys, p.sel.OrderBy); err != nil {
-			return nil, true, err
-		}
-	}
-	if err := applyOffsetLimit(out, p.sel, env); err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
-}
-
-// topRows is the bounded ORDER BY ... LIMIT of the vector path: instead
-// of materialising, keying and stable-sorting every selected row, it
-// keeps the OFFSET+LIMIT rows that sort first in a heap and gathers only
-// the winners. A row is (keys, arrival ordinal) and ties go to the
-// earlier arrival, so the outcome is sortRows' — a stable sort —
-// exactly.
-type topRows struct {
-	cols          []int  // key columns, one per ORDER BY item
-	desc          []bool // per key
-	offset, limit int
-	arrived       int
-	cand          []Value  // the row on offer's keys
-	heap          []topRow // max-heap: heap[0] sorts last of the rows kept
-}
-
-type topRow struct {
-	keys []Value
-	ord  int
-	ch   *colChunk
-	pos  int
-}
-
-// topRows returns the bounded sorter when the plan admits one, else nil
-// and execPlanVector sorts as ever: the projection is a gather (so no
-// row outside the winners could have failed to project), every key is a
-// base column, OFFSET and LIMIT evaluate — an error there must surface
-// after the scan, where applyOffsetLimit raises it — to no more than
-// chunkRows rows together, and no key column holds a NaN, which Compare
-// finds equal to everything and a stable sort therefore orders by its
-// own merge pattern, not by any rule a heap could follow.
-func (p *selectPlan) topRows(env *evalEnv, tc *tableChunks) *topRows {
-	if p.gather == nil || p.orderCols == nil || p.sel.Limit == nil {
-		return nil
-	}
-	t := &topRows{cols: p.orderCols}
-	var err error
-	if p.sel.Offset != nil {
-		if t.offset, err = evalCount(p.sel.Offset, env); err != nil {
-			return nil
-		}
-	}
-	if t.limit, err = evalCount(p.sel.Limit, env); err != nil || t.offset+t.limit > chunkRows {
-		return nil
-	}
-	for _, ch := range tc.chunks {
-		for _, c := range t.cols {
-			if ch.vecs[c].hasNaN {
-				return nil
-			}
-		}
-	}
-	for _, k := range p.order {
-		t.desc = append(t.desc, k.desc)
-	}
-	t.cand = make([]Value, len(t.cols))
-	return t
-}
-
-// before reports that keys a sort strictly before keys b; equal keys
-// leave it to the arrival ordinals.
-func (t *topRows) before(a []Value, aOrd int, b []Value, bOrd int) bool {
-	for k := range a {
-		c := compareInColumn(&a[k], &b[k])
-		if c == 0 {
-			continue
-		}
-		return (c < 0) != t.desc[k]
-	}
-	return aOrd < bOrd
-}
-
-// offer takes a chunk's selected rows in scan order.
-func (t *topRows) offer(ch *colChunk, rows []uint16) {
-	k := t.offset + t.limit
-	for _, r := range rows {
-		ord := t.arrived
-		t.arrived++
-		if k == 0 {
-			continue
-		}
-		for i, c := range t.cols {
-			t.cand[i] = ch.vecs[c].value(int(r))
-		}
-		full := len(t.heap) == k
-		if full && !t.before(t.cand, ord, t.heap[0].keys, t.heap[0].ord) {
-			continue
-		}
-		row := topRow{ord: ord, ch: ch, pos: int(r)}
-		if full {
-			row.keys = t.heap[0].keys // the evicted row's
-		} else {
-			row.keys = make([]Value, len(t.cand))
-		}
-		copy(row.keys, t.cand)
-		if !full {
-			t.heap = append(t.heap, row)
-			t.up(len(t.heap) - 1)
-		} else {
-			t.heap[0] = row
-			t.down(0)
-		}
-	}
-}
-
-// after is the heap order: row i sorts after row j.
-func (t *topRows) after(i, j int) bool {
-	return t.before(t.heap[j].keys, t.heap[j].ord, t.heap[i].keys, t.heap[i].ord)
-}
-
-func (t *topRows) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.after(i, parent) {
-			return
-		}
-		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
-		i = parent
-	}
-}
-
-func (t *topRows) down(i int) {
-	for {
-		last := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(t.heap); c++ {
-			if t.after(c, last) {
-				last = c
-			}
-		}
-		if last == i {
-			return
-		}
-		t.heap[i], t.heap[last] = t.heap[last], t.heap[i]
-		i = last
-	}
-}
-
-// rows sorts the kept rows, drops the OFFSET and gathers the rest.
-func (t *topRows) rows(gather []int) [][]Value {
-	sort.Slice(t.heap, func(i, j int) bool { return t.after(j, i) })
-	kept := t.heap[min(t.offset, len(t.heap)):]
-	var out [][]Value
-	w := len(gather)
-	cells := make([]Value, len(kept)*w)
-	for _, r := range kept {
-		vals := cells[:w:w]
-		cells = cells[w:]
-		for k, ci := range gather {
-			vals[k] = r.ch.vecs[ci].value(r.pos)
-		}
-		out = append(out, vals)
-	}
-	return out
 }

@@ -7,17 +7,17 @@ import (
 
 // Expression vectors: arithmetic over base columns evaluated a chunk at
 // a time into a scratch typed vector with a null bitmap, so that an
-// aggregate argument (SUM(a+b)), a predicate operand (a + b > ?) or a
-// projection (a * 2) stays on the columnar pipeline. The class is the
-// interpreter's evalArith over numeric columns, literals and parameters,
-// with its static typing — DOUBLE if either side is, else BIGINT if
-// either side is, else INTEGER, integers wrapping around — and NULL in,
-// NULL out. Whatever a kernel could not reproduce byte for byte abandons
-// the plan for that execution and the row operators or the interpreter
-// run the statement instead: an operand that does not bind (a
-// non-numeric, NULL or missing parameter, a zero constant divisor), or a
-// zero divisor met on a selected row. Results and error text therefore
-// stay the interpreter's by construction.
+// aggregate argument (SUM(a+b)) or a predicate operand (a + b > ?) stays
+// on the columnar pipeline. The class is the interpreter's evalArith over
+// numeric columns, literals and parameters, with its static typing —
+// DOUBLE if either side is, else BIGINT if either side is, else INTEGER,
+// integers wrapping around — and NULL in, NULL out. Whatever a kernel
+// could not reproduce byte for byte abandons the plan for that execution
+// and the row filter or the interpreter run the statement instead: an
+// operand that does not bind (a non-numeric, NULL or missing parameter, a
+// zero constant divisor), or a zero divisor met on a selected row.
+// Results and error text therefore stay the interpreter's by
+// construction.
 
 // vecExpr is a plan-time compiled expression: the rewritten tree itself,
 // proven to have the shape above and to read at least one column.

@@ -373,10 +373,11 @@ func TestVectorStreamMatches(t *testing.T) {
 	}
 }
 
-// TestVectorDisabledEngineOption proves WithVectorDisabled pins an
-// engine to row execution: results match and no vector batches run.
+// TestVectorDisabledEngineOption proves the vector switch pins an engine
+// to row execution: results match and no vector batches run.
 func TestVectorDisabledEngineOption(t *testing.T) {
-	e := New("novec", WithVectorDisabled())
+	e := New("novec")
+	e.SetVectorDisabled(true)
 	e.MustExec(`CREATE TABLE x (a INTEGER)`)
 	for i := 0; i < 10; i++ {
 		e.MustExec(`INSERT INTO x VALUES (?)`, NewInt(int64(i)))
@@ -414,6 +415,17 @@ func TestVectorZoneMapSkipping(t *testing.T) {
 	}
 	if batches := after.Batches - before.Batches; batches != 1 {
 		t.Fatalf("evaluated %d chunks, want 1", batches)
+	}
+	// A stream stops scanning once its LIMIT is met.
+	stream, err := e.NewSession().ExecuteStream(context.Background(), `SELECT id FROM z WHERE v >= 0 LIMIT 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := len(drain(t, stream)); rows != 3 {
+		t.Fatalf("streamed %d rows", rows)
+	}
+	if batches := e.VectorStats().Batches - after.Batches; batches != 1 {
+		t.Fatalf("streaming evaluated %d chunks, want 1", batches)
 	}
 
 	lines, err := e.NewSession().Explain(fmt.Sprintf(`SELECT id FROM z WHERE v >= %d`, n-10))

@@ -113,15 +113,17 @@ type xpContext struct {
 
 type xpExpr interface{ xp() }
 
+// Operator chains are flat — args[0] ops[0] args[1] ops[1] ... applied
+// left to right — so a long chain is a wide node, not a deep tree.
 type xpOr struct{ args []xpExpr }
 type xpAnd struct{ args []xpExpr }
 type xpCompare struct {
-	op          string
-	left, right xpExpr
+	ops  []string
+	args []xpExpr
 }
 type xpArith struct {
-	op          string
-	left, right xpExpr
+	ops  []string
+	args []xpExpr
 }
 type xpNeg struct{ operand xpExpr }
 type xpUnion struct{ paths []xpExpr }
@@ -211,15 +213,41 @@ type xpToken struct {
 }
 
 type xpParser struct {
-	src  string
-	toks []xpToken
-	pos  int
-	err  error
+	src   string
+	toks  []xpToken
+	pos   int
+	err   error
+	depth int // nesting levels open, see maxExprDepth
 }
 
+// maxExprDepth bounds how deeply an expression nests — brackets and
+// unary minus; operator chains are flat — as SQLite's
+// SQLITE_MAX_EXPR_DEPTH does for SQL. The parser and the evaluator
+// recurse once a level, and a request body is not bounded, so without it
+// one deep expression would exhaust a goroutine's stack and kill the
+// process. XQuery and XUpdate compile through here.
+const maxExprDepth = 1000
+
+var errTooDeep = fmt.Errorf("expression nests more than %d levels deep", maxExprDepth)
+
+// nest opens one level of the parser's own recursion where it needs no
+// bracket (unary minus; the lexer bounds brackets); the caller closes it
+// with a deferred unnest.
+func (p *xpParser) nest() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return errTooDeep
+	}
+	return nil
+}
+
+func (p *xpParser) unnest() { p.depth-- }
+
+// lex tokenises the expression. Brackets nested past maxExprDepth end it
+// early: the parser would refuse them, and the text may be megabytes long.
 func (p *xpParser) lex() {
 	s := p.src
 	i := 0
+	depth := 0 // ( and [ open
 	for i < len(s) {
 		c := s[i]
 		switch {
@@ -271,6 +299,17 @@ func (p *xpParser) lex() {
 			}
 			switch c {
 			case '/', '[', ']', '(', ')', '@', '*', '|', '=', '<', '>', '+', '-', ',', '.':
+				switch c {
+				case '(', '[':
+					depth++
+				case ')', ']':
+					depth--
+				}
+				if depth > maxExprDepth {
+					p.err = errTooDeep
+					p.toks = append(p.toks, xpToken{kind: "eof"})
+					return
+				}
 				p.toks = append(p.toks, xpToken{kind: "sym", text: string(c)})
 				i++
 			default:
@@ -324,124 +363,77 @@ func (p *xpParser) parseExpr() (xpExpr, error) {
 }
 
 func (p *xpParser) parseOr() (xpExpr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	args := []xpExpr{left}
-	for p.acceptName("or") {
-		a, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, a)
-	}
-	if len(args) == 1 {
-		return left, nil
+	lone, args, _, err := p.chain(p.parseAnd, "or")
+	if err != nil || args == nil {
+		return lone, err
 	}
 	return &xpOr{args: args}, nil
 }
 
 func (p *xpParser) parseAnd() (xpExpr, error) {
-	left, err := p.parseCompare()
-	if err != nil {
-		return nil, err
-	}
-	args := []xpExpr{left}
-	for p.acceptName("and") {
-		a, err := p.parseCompare()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, a)
-	}
-	if len(args) == 1 {
-		return left, nil
+	lone, args, _, err := p.chain(p.parseCompare, "and")
+	if err != nil || args == nil {
+		return lone, err
 	}
 	return &xpAnd{args: args}, nil
 }
 
 func (p *xpParser) parseCompare() (xpExpr, error) {
-	left, err := p.parseAdd()
-	if err != nil {
-		return nil, err
+	lone, args, ops, err := p.chain(p.parseAdd, "=", "!=", "<=", ">=", "<", ">")
+	if err != nil || args == nil {
+		return lone, err
 	}
-	for {
-		var op string
-		switch {
-		case p.acceptSym("="):
-			op = "="
-		case p.acceptSym("!="):
-			op = "!="
-		case p.acceptSym("<="):
-			op = "<="
-		case p.acceptSym(">="):
-			op = ">="
-		case p.acceptSym("<"):
-			op = "<"
-		case p.acceptSym(">"):
-			op = ">"
-		default:
-			return left, nil
-		}
-		right, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		left = &xpCompare{op: op, left: left, right: right}
-	}
+	return &xpCompare{ops: ops, args: args}, nil
 }
 
 func (p *xpParser) parseAdd() (xpExpr, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
+	lone, args, ops, err := p.chain(p.parseMul, "+", "-")
+	if err != nil || args == nil {
+		return lone, err
 	}
-	for {
-		var op string
-		switch {
-		case p.acceptSym("+"):
-			op = "+"
-		case p.acceptSym("-"):
-			op = "-"
-		default:
-			return left, nil
-		}
-		right, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &xpArith{op: op, left: left, right: right}
-	}
+	return &xpArith{ops: ops, args: args}, nil
 }
 
 func (p *xpParser) parseMul() (xpExpr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+	lone, args, ops, err := p.chain(p.parseUnary, "*", "div", "mod")
+	if err != nil || args == nil {
+		return lone, err
 	}
-	for {
-		var op string
-		switch {
-		case p.acceptSym("*"):
-			op = "*"
-		case p.acceptName("div"):
-			op = "div"
-		case p.acceptName("mod"):
-			op = "mod"
-		default:
-			return left, nil
+	return &xpArith{ops: ops, args: args}, nil
+}
+
+// chain parses operand (op operand)* for one precedence level's
+// operators, symbols or names: the lone operand, or the chain's operands
+// and the operators between them.
+func (p *xpParser) chain(operand func() (xpExpr, error), ops ...string) (lone xpExpr, args []xpExpr, used []string, err error) {
+	lone, err = operand()
+	for err == nil {
+		op := ""
+		for _, o := range ops {
+			if p.acceptSym(o) || p.acceptName(o) {
+				op = o
+				break
+			}
 		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if op == "" {
+			break
 		}
-		left = &xpArith{op: op, left: left, right: right}
+		if args == nil {
+			args = []xpExpr{lone}
+		}
+		var e xpExpr
+		e, err = operand()
+		args, used = append(args, e), append(used, op)
 	}
+	return lone, args, used, err
 }
 
 func (p *xpParser) parseUnary() (xpExpr, error) {
 	if p.acceptSym("-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

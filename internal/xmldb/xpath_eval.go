@@ -42,30 +42,24 @@ func evalXP(e xpExpr, ctx *xpContext) (XPathValue, error) {
 		}
 		return numberValue(-v.AsNumber()), nil
 	case *xpCompare:
-		return evalCompare(n, ctx)
+		l, err := evalXP(n.args[0], ctx)
+		for i := 0; err == nil && i < len(n.ops); i++ {
+			var r XPathValue
+			if r, err = evalXP(n.args[i+1], ctx); err == nil {
+				l = boolValue(compareValues(n.ops[i], l, r))
+			}
+		}
+		return l, err
 	case *xpArith:
-		l, err := evalXP(n.left, ctx)
-		if err != nil {
-			return XPathValue{}, err
+		l, err := evalXP(n.args[0], ctx)
+		x := l.AsNumber()
+		for i := 0; err == nil && i < len(n.ops); i++ {
+			var r XPathValue
+			if r, err = evalXP(n.args[i+1], ctx); err == nil {
+				x = arith(n.ops[i], x, r.AsNumber())
+			}
 		}
-		r, err := evalXP(n.right, ctx)
-		if err != nil {
-			return XPathValue{}, err
-		}
-		lf, rf := l.AsNumber(), r.AsNumber()
-		switch n.op {
-		case "+":
-			return numberValue(lf + rf), nil
-		case "-":
-			return numberValue(lf - rf), nil
-		case "*":
-			return numberValue(lf * rf), nil
-		case "div":
-			return numberValue(lf / rf), nil
-		case "mod":
-			return numberValue(math.Mod(lf, rf)), nil
-		}
-		return XPathValue{}, fmt.Errorf("unknown arithmetic op %q", n.op)
+		return numberValue(x), err
 	case *xpUnion:
 		seen := map[*xmlutil.Element]bool{}
 		var nodes []*xmlutil.Element
@@ -93,30 +87,36 @@ func evalXP(e xpExpr, ctx *xpContext) (XPathValue, error) {
 	return XPathValue{}, fmt.Errorf("unsupported xpath node %T", e)
 }
 
-// evalCompare implements XPath comparison semantics, including the
+// compareValues implements XPath comparison semantics, including the
 // node-set existential rules.
-func evalCompare(n *xpCompare, ctx *xpContext) (XPathValue, error) {
-	l, err := evalXP(n.left, ctx)
-	if err != nil {
-		return XPathValue{}, err
-	}
-	r, err := evalXP(n.right, ctx)
-	if err != nil {
-		return XPathValue{}, err
-	}
+func compareValues(op string, l, r XPathValue) bool {
 	// Node-set vs anything: existential over string-values.
 	if l.Kind == KindNodeSet || r.Kind == KindNodeSet {
 		for i := 0; i < operandCount(l); i++ {
 			lv := operand(l, i)
 			for j := 0; j < operandCount(r); j++ {
-				if compareAtoms(n.op, lv, operand(r, j)) {
-					return boolValue(true), nil
+				if compareAtoms(op, lv, operand(r, j)) {
+					return true
 				}
 			}
 		}
-		return boolValue(false), nil
+		return false
 	}
-	return boolValue(compareAtoms(n.op, l, r)), nil
+	return compareAtoms(op, l, r)
+}
+
+func arith(op string, l, r float64) float64 {
+	switch op {
+	case "+":
+		return l + r
+	case "-":
+		return l - r
+	case "*":
+		return l * r
+	case "div":
+		return l / r
+	}
+	return math.Mod(l, r)
 }
 
 // operandCount and operand read a comparison operand as its atoms: a

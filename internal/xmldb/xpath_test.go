@@ -1,7 +1,9 @@
 package xmldb
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dais/internal/xmlutil"
@@ -236,6 +238,20 @@ func TestXPathArithmetic(t *testing.T) {
 	if v := evalValue(t, doc, "sum(book/price) div count(book)"); v.AsNumber() != 85 {
 		t.Fatalf("avg = %v", v.AsNumber())
 	}
+	// Chains apply left to right, however long.
+	for expr, want := range map[string]float64{
+		"10 - 4 - 3":                       3,
+		"100 div 10 div 5":                 2,
+		"2 * 3 mod 4":                      2,
+		"1" + strings.Repeat(" + 1", 5000): 5001,
+	} {
+		if v := evalValue(t, doc, expr); v.AsNumber() != want {
+			t.Fatalf("%.20s = %v, want %v", expr, v.AsNumber(), want)
+		}
+	}
+	if v := evalValue(t, doc, "3 > 2 > 1"); v.AsBool() {
+		t.Fatal("3 > 2 > 1 is (true) > 1, which is false")
+	}
 }
 
 func TestXPathComparisonSemantics(t *testing.T) {
@@ -300,6 +316,16 @@ func TestXPathCompileErrors(t *testing.T) {
 	for _, expr := range bad {
 		if _, err := CompileXPath(expr); err == nil {
 			t.Errorf("CompileXPath(%q): expected error", expr)
+		}
+	}
+	// Nesting past maxExprDepth is an error, not an exhausted stack.
+	for name, expr := range map[string]string{
+		"parentheses": "/a[" + strings.Repeat("(", 3_000_000) + "1" + strings.Repeat(")", 3_000_000) + "]",
+		"predicates":  strings.Repeat("a[", maxExprDepth+1) + "1" + strings.Repeat("]", maxExprDepth+1),
+		"minus":       strings.Repeat("- ", maxExprDepth+1) + "1",
+	} {
+		if _, err := CompileXPath(expr); !errors.Is(err, errTooDeep) {
+			t.Errorf("%s: err = %.80v, want %v", name, err, errTooDeep)
 		}
 	}
 }
