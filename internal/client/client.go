@@ -282,8 +282,11 @@ func (c *Client) SQLExecute(ctx context.Context, ref ResourceRef, expression str
 		return nil, err
 	}
 	out := &SQLResult{UpdateCount: -1}
-	if ca, err := dair.ParseCommunicationArea(resp.Find(ops.NSDAIR, "SQLCommunicationArea")); err == nil {
-		out.CA = ca
+	// A reply may omit the communication area, but not garble it.
+	if caEl := resp.Find(ops.NSDAIR, "SQLCommunicationArea"); caEl != nil {
+		if out.CA, err = dair.ParseCommunicationArea(caEl); err != nil {
+			return nil, err
+		}
 	}
 	if uc := resp.Find(ops.NSDAIR, "UpdateCount"); uc != nil {
 		if out.UpdateCount, err = intField("UpdateCount", uc.Text()); err != nil {

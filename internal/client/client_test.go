@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"dais/internal/core"
+	"dais/internal/ops"
 	"dais/internal/service"
 	"dais/internal/soap"
+	"dais/internal/sqlengine"
 	"dais/internal/wsaddr"
 	"dais/internal/xmlutil"
 )
@@ -88,14 +90,14 @@ func TestCallAttachesAddressingHeaders(t *testing.T) {
 }
 
 func TestDecodeSequenceVariants(t *testing.T) {
-	seq := xmlutil.NewElement(service.NSDAIX, "XMLSequence")
-	n1 := seq.Add(service.NSDAIX, "Item")
+	seq := xmlutil.NewElement(ops.NSDAIX, "XMLSequence")
+	n1 := seq.Add(ops.NSDAIX, "Item")
 	n1.SetAttr("", "document", "a.xml")
 	node := n1.Add("", "book")
 	node.SetText("content")
-	n2 := seq.Add(service.NSDAIX, "Item")
+	n2 := seq.Add(ops.NSDAIX, "Item")
 	n2.SetAttr("", "document", "b.xml")
-	n2.AddText(service.NSDAIX, "Value", "42")
+	n2.AddText(ops.NSDAIX, "Value", "42")
 
 	items, err := decodeSequence(seq)
 	if err != nil {
@@ -210,12 +212,12 @@ func TestMalformedCountsAreErrors(t *testing.T) {
 		},
 	}
 	build := func(text string) map[string]*xmlutil.Element {
-		uc := xmlutil.NewElement(service.NSDAIR, "R")
-		uc.AddText(service.NSDAIR, "UpdateCount", text)
-		nm := xmlutil.NewElement(service.NSDAIX, "R")
-		nm.AddText(service.NSDAIX, "NodesModified", text)
-		fl := xmlutil.NewElement(service.NSDAIF, "R")
-		fl.Add(service.NSDAIF, "FileList").Add(service.NSDAIF, "File").SetAttr("", "name", "a").SetAttr("", "size", text)
+		uc := xmlutil.NewElement(ops.NSDAIR, "R")
+		uc.AddText(ops.NSDAIR, "UpdateCount", text)
+		nm := xmlutil.NewElement(ops.NSDAIX, "R")
+		nm.AddText(ops.NSDAIX, "NodesModified", text)
+		fl := xmlutil.NewElement(ops.NSDAIF, "R")
+		fl.Add(ops.NSDAIF, "FileList").Add(ops.NSDAIF, "File").SetAttr("", "name", "a").SetAttr("", "size", text)
 		return map[string]*xmlutil.Element{
 			"SQLExecute": uc, "GetSQLUpdateCount": uc, "GetSQLResponseItem": uc, "XUpdateExecute": nm, "ListFiles": fl,
 		}
@@ -233,8 +235,41 @@ func TestMalformedCountsAreErrors(t *testing.T) {
 		}
 	}
 	// No count element at all.
-	reply = xmlutil.NewElement(service.NSDAIR, "R")
+	reply = xmlutil.NewElement(ops.NSDAIR, "R")
 	if n, err := c.GetSQLUpdateCount(ctx, ref, 0); err == nil {
 		t.Errorf("GetSQLUpdateCount: reply without UpdateCount read as %d", n)
+	}
+}
+
+// TestMalformedCommunicationArea: an SQLCode that is not a number is an
+// error on both operations that carry the area, not a success; SQLExecute
+// still takes a reply with no area at all.
+func TestMalformedCommunicationArea(t *testing.T) {
+	ctx := context.Background()
+	reply := func(code string) *Client {
+		resp := xmlutil.NewElement(ops.NSDAIR, "R")
+		if code != "" {
+			ca := resp.Add(ops.NSDAIR, "SQLCommunicationArea")
+			ca.AddText(ops.NSDAIR, "SQLState", "HY000")
+			ca.AddText(ops.NSDAIR, "SQLCode", code)
+			ca.AddText(ops.NSDAIR, "UpdateCount", "-1")
+			ca.AddText(ops.NSDAIR, "RowsFetched", "0")
+		}
+		return cannedClient(cannedReply(soap.NewEnvelope(resp).Marshal()))
+	}
+	if res, err := reply("-1").SQLExecute(ctx, canned, "SELECT 1", nil, ""); err != nil || res.CA.SQLCode != -1 {
+		t.Fatalf("well-formed area: %+v, %v", res, err)
+	}
+	if ca, err := reply("-1").GetSQLCommunicationArea(ctx, canned); err != nil || ca.SQLCode != -1 {
+		t.Fatalf("well-formed area: %+v, %v", ca, err)
+	}
+	if res, err := reply("").SQLExecute(ctx, canned, "SELECT 1", nil, ""); err != nil || res.CA != (sqlengine.SQLCA{}) {
+		t.Fatalf("no area: %+v, %v", res, err)
+	}
+	if res, err := reply("x").SQLExecute(ctx, canned, "SELECT 1", nil, ""); err == nil || !strings.Contains(err.Error(), "SQLCode") {
+		t.Fatalf("SQLExecute read SQLCode x as %+v, %v", res, err)
+	}
+	if ca, err := reply("x").GetSQLCommunicationArea(ctx, canned); err == nil || !strings.Contains(err.Error(), "SQLCode") {
+		t.Fatalf("GetSQLCommunicationArea read SQLCode x as %+v, %v", ca, err)
 	}
 }

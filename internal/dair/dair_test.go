@@ -3,6 +3,7 @@ package dair
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -368,6 +369,25 @@ func TestCommunicationAreaRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseCommunicationArea(nil); err == nil {
 		t.Fatal("nil element")
+	}
+	// A count that is missing or not a number is an error naming its
+	// field, never a 0 — an SQLCode of 0 reads as success.
+	for _, field := range []string{"SQLCode", "UpdateCount", "RowsFetched"} {
+		for _, bad := range []string{"x", "", "12abc", "-"} {
+			el := resp.CommunicationAreaElement()
+			el.Find(NSDAIR, field).SetText(bad)
+			if ca, err := ParseCommunicationArea(el); err == nil || !strings.Contains(err.Error(), field) {
+				t.Fatalf("%s %q: ca = %+v, err = %v", field, bad, ca, err)
+			}
+		}
+		el := resp.CommunicationAreaElement()
+		el.Children = slices.DeleteFunc(el.Children, func(n xmlutil.Node) bool {
+			c, ok := n.(*xmlutil.Element)
+			return ok && c.Name.Local == field
+		})
+		if ca, err := ParseCommunicationArea(el); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("no %s: ca = %+v, err = %v", field, ca, err)
+		}
 	}
 }
 

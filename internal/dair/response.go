@@ -3,6 +3,8 @@ package dair
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"dais/internal/cim"
@@ -89,7 +91,9 @@ func (d *SQLResponseData) CommunicationAreaElement() *xmlutil.Element {
 	return e
 }
 
-// ParseCommunicationArea decodes a rendered SQLCommunicationArea.
+// ParseCommunicationArea decodes a rendered SQLCommunicationArea. Its
+// SQLCode, UpdateCount and RowsFetched must each hold a decimal integer:
+// read as 0, a missing or malformed SQLCode would pass for success.
 func ParseCommunicationArea(e *xmlutil.Element) (sqlengine.SQLCA, error) {
 	var ca sqlengine.SQLCA
 	if e == nil || e.Name.Local != "SQLCommunicationArea" {
@@ -97,9 +101,17 @@ func ParseCommunicationArea(e *xmlutil.Element) (sqlengine.SQLCA, error) {
 	}
 	ca.SQLState = e.FindText(NSDAIR, "SQLState")
 	ca.Message = e.FindText(NSDAIR, "SQLMessage")
-	fmt.Sscanf(e.FindText(NSDAIR, "SQLCode"), "%d", &ca.SQLCode)
-	fmt.Sscanf(e.FindText(NSDAIR, "UpdateCount"), "%d", &ca.UpdateCount)
-	fmt.Sscanf(e.FindText(NSDAIR, "RowsFetched"), "%d", &ca.RowsFetched)
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{{"SQLCode", &ca.SQLCode}, {"UpdateCount", &ca.UpdateCount}, {"RowsFetched", &ca.RowsFetched}} {
+		text := e.FindText(NSDAIR, f.name)
+		n, err := strconv.Atoi(strings.TrimSpace(text))
+		if err != nil {
+			return sqlengine.SQLCA{}, fmt.Errorf("dair: SQLCommunicationArea %s %q is not an integer", f.name, text)
+		}
+		*f.dst = n
+	}
 	return ca, nil
 }
 
@@ -551,23 +563,4 @@ func (r *SQLRowsetResource) TuplesRenderer(ctx context.Context, startPosition, c
 		cols, pages = set.Columns, [][][]sqlengine.Value{set.Rows[from:to]}
 	}
 	return func(dst []byte) []byte { return codec.AppendWindow(dst, cols, pages...) }, nil
-}
-
-// GetTuplesSet is GetTuples without encoding, for in-process consumers.
-func (r *SQLRowsetResource) GetTuplesSet(ctx context.Context, startPosition, count int) (*sqlengine.ResultSet, error) {
-	if err := core.CheckReadable(r); err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	if r.buf != nil {
-		buf := r.buf
-		r.mu.RUnlock()
-		set, err := buf.Window(ctx, startPosition, count)
-		if err != nil {
-			return nil, execFault(err)
-		}
-		return set, nil
-	}
-	defer r.mu.RUnlock()
-	return rowset.Slice(r.set, startPosition, count), nil
 }

@@ -37,7 +37,7 @@ func (e *Endpoint) admissionInterceptor() soap.Interceptor {
 	return func(ctx context.Context, action string, env *soap.Envelope, next soap.HandlerFunc) (*soap.Envelope, error) {
 		resource := ""
 		if body := env.BodyEntry(); body != nil {
-			resource = body.FindText(NSDAI, "DataResourceAbstractName")
+			resource = body.FindText(core.NSDAI, "DataResourceAbstractName")
 		}
 		release, scope, err := gate.Acquire(resource)
 		if err != nil {

@@ -28,7 +28,7 @@ func (e *Endpoint) registerDAIF() {
 			return nil, err
 		}
 		resp := ops.ReadFile.NewResponse()
-		d := resp.Add(NSDAIF, "Data")
+		d := resp.Add(daif.NSDAIF, "Data")
 		d.SetAttr("", "encoding", "base64")
 		d.SetText(base64.StdEncoding.EncodeToString(data))
 		return resp, nil

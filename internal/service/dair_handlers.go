@@ -44,9 +44,9 @@ func (e *Endpoint) registerDAIR() {
 			if err != nil {
 				return nil, err
 			}
-			resp.AppendChild(datasetElement(codec.FormatURI(), encoded))
+			resp.AppendChild(ops.DatasetElement(codec.FormatURI(), encoded))
 		} else {
-			resp.AddText(NSDAIR, "UpdateCount", fmt.Sprintf("%d", data.UpdateCount()))
+			resp.AddText(dair.NSDAIR, "UpdateCount", fmt.Sprintf("%d", data.UpdateCount()))
 		}
 		resp.AppendChild(data.CommunicationAreaElement())
 		return resp, nil
@@ -82,7 +82,7 @@ func (e *Endpoint) registerDAIR() {
 			return nil, err
 		}
 		resp := ops.GetSQLUpdateCount.NewResponse()
-		resp.AddText(NSDAIR, "UpdateCount", fmt.Sprintf("%d", n))
+		resp.AddText(dair.NSDAIR, "UpdateCount", fmt.Sprintf("%d", n))
 		return resp, nil
 	})
 	handleOp(e, ops.GetSQLCommunicationArea, func(ctx context.Context, res *dair.SQLResponseResource, _ *ops.Empty) (*xmlutil.Element, error) {
@@ -97,7 +97,7 @@ func (e *Endpoint) registerDAIR() {
 			return nil, err
 		}
 		resp := ops.GetSQLReturnValue.NewResponse()
-		resp.AddText(NSDAIR, "Value", v.String())
+		resp.AddText(dair.NSDAIR, "Value", v.String())
 		return resp, nil
 	})
 	handleOp(e, ops.GetSQLOutputParameter, func(ctx context.Context, res *dair.SQLResponseResource, req *ops.ParamMsg) (*xmlutil.Element, error) {
@@ -106,7 +106,7 @@ func (e *Endpoint) registerDAIR() {
 			return nil, err
 		}
 		resp := ops.GetSQLOutputParameter.NewResponse()
-		resp.AddText(NSDAIR, "Value", v.String())
+		resp.AddText(dair.NSDAIR, "Value", v.String())
 		return resp, nil
 	})
 	handleOp(e, ops.GetSQLResponseItem, func(ctx context.Context, res *dair.SQLResponseResource, req *ops.IndexMsg) (*xmlutil.Element, error) {
@@ -119,9 +119,9 @@ func (e *Endpoint) registerDAIR() {
 		case dair.ItemRowset:
 			resp.AppendChild(rowset.SQLRowsetElement(item.Rowset))
 		case dair.ItemUpdateCount:
-			resp.AddText(NSDAIR, "UpdateCount", fmt.Sprintf("%d", item.UpdateCount))
+			resp.AddText(dair.NSDAIR, "UpdateCount", fmt.Sprintf("%d", item.UpdateCount))
 		default:
-			resp.AddText(NSDAIR, "Value", item.Value.String())
+			resp.AddText(dair.NSDAIR, "Value", item.Value.String())
 		}
 		return resp, nil
 	})

@@ -25,7 +25,7 @@ func (e *Endpoint) registerDAIX() {
 			return nil, wrapDAIXErr(err)
 		}
 		resp := ops.GetDocument.NewResponse()
-		wrap := resp.Add(NSDAIX, "Document")
+		wrap := resp.Add(daix.NSDAIX, "Document")
 		wrap.AppendChild(doc)
 		return resp, nil
 	})
@@ -42,7 +42,7 @@ func (e *Endpoint) registerDAIX() {
 		}
 		resp := ops.ListDocuments.NewResponse()
 		for _, n := range names {
-			resp.AddText(NSDAIX, "DocumentName", n)
+			resp.AddText(daix.NSDAIX, "DocumentName", n)
 		}
 		return resp, nil
 	})
@@ -67,7 +67,7 @@ func (e *Endpoint) registerDAIX() {
 		}
 		resp := ops.ListSubcollections.NewResponse()
 		for _, n := range names {
-			resp.AddText(NSDAIX, "CollectionName", n)
+			resp.AddText(daix.NSDAIX, "CollectionName", n)
 		}
 		return resp, nil
 	})
@@ -97,7 +97,7 @@ func (e *Endpoint) registerDAIX() {
 			return nil, err
 		}
 		resp := ops.XUpdateExecute.NewResponse()
-		resp.AddText(NSDAIX, "NodesModified", fmt.Sprintf("%d", n))
+		resp.AddText(daix.NSDAIX, "NodesModified", fmt.Sprintf("%d", n))
 		return resp, nil
 	})
 

@@ -225,7 +225,7 @@ func (e *Endpoint) Register(r core.DataResource) {
 // plus the abstract name as a reference parameter (paper §3).
 func (e *Endpoint) EPRFor(abstractName string) *wsaddr.EndpointReference {
 	epr := wsaddr.NewEPR(e.svc.Address())
-	p := xmlutil.NewElement(NSDAI, "DataResourceAbstractName")
+	p := xmlutil.NewElement(core.NSDAI, "DataResourceAbstractName")
 	p.SetText(abstractName)
 	epr.AddReferenceParameter(p)
 	return epr
@@ -278,9 +278,9 @@ func ToSOAPFault(err error) *soap.Fault {
 	if name == "" {
 		return soap.ServerFault("%v", err)
 	}
-	detail := xmlutil.NewElement(NSDAI, name)
-	detail.AddText(NSDAI, "Message", err.Error())
-	detail.AddText(NSDAI, "Value", faultValue(err))
+	detail := xmlutil.NewElement(core.NSDAI, name)
+	detail.AddText(core.NSDAI, "Message", err.Error())
+	detail.AddText(core.NSDAI, "Value", faultValue(err))
 	f := soap.ClientFault("%v", err)
 	f.Detail = detail
 	// Overload sheds are a server condition with an explicit pacing
@@ -323,9 +323,9 @@ func DecodeFault(err error) error {
 	if !ok || f.Detail == nil {
 		return err
 	}
-	value := f.Detail.FindText(NSDAI, "Value")
+	value := f.Detail.FindText(core.NSDAI, "Value")
 	if value == "" {
-		value = f.Detail.FindText(NSDAI, "Message")
+		value = f.Detail.FindText(core.NSDAI, "Message")
 	}
 	switch f.Detail.Name.Local {
 	case "InvalidResourceNameFault":
@@ -343,25 +343,13 @@ func DecodeFault(err error) error {
 		// would double-wrap the error text); RetryAfter from the
 		// transport hint the fault carried.
 		return &core.ServiceBusyFault{
-			Reason:     f.Detail.FindText(NSDAI, "Value"),
+			Reason:     f.Detail.FindText(core.NSDAI, "Value"),
 			RetryAfter: f.RetryAfter,
 		}
 	case "RequestTimeoutFault":
 		return &core.RequestTimeoutFault{Detail: value}
 	}
 	return err
-}
-
-// datasetElement embeds encoded data in a response; the shared codec
-// lives in the ops package so both sides agree by construction.
-func datasetElement(formatURI string, data []byte) *xmlutil.Element {
-	return ops.DatasetElement(formatURI, data)
-}
-
-// DatasetPayload extracts the raw bytes and format URI from a Dataset
-// element produced by datasetElement.
-func DatasetPayload(e *xmlutil.Element) ([]byte, string) {
-	return ops.DatasetPayload(e)
 }
 
 // trackDerived registers a factory-created resource with the endpoint's

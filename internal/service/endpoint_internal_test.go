@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"dais/internal/core"
+	"dais/internal/dair"
+	"dais/internal/daix"
+	"dais/internal/ops"
 	"dais/internal/soap"
 	"dais/internal/sqlengine"
 	"dais/internal/wsrf"
@@ -13,12 +16,12 @@ import (
 
 func TestDatasetElementRoundTrip(t *testing.T) {
 	// XML payloads embed as elements.
-	xmlData := []byte(`<SQLRowset xmlns="` + NSDAIR + `"><Metadata/><Row/></SQLRowset>`)
-	e := datasetElement("urn:fmt:xml", xmlData)
+	xmlData := []byte(`<SQLRowset xmlns="` + dair.NSDAIR + `"><Metadata/><Row/></SQLRowset>`)
+	e := ops.DatasetElement("urn:fmt:xml", xmlData)
 	if len(e.ChildElements()) != 1 {
 		t.Fatalf("xml payload not embedded: %s", xmlutil.MarshalString(e))
 	}
-	data, format := DatasetPayload(e)
+	data, format := ops.DatasetPayload(e)
 	if format != "urn:fmt:xml" {
 		t.Fatalf("format = %q", format)
 	}
@@ -29,11 +32,11 @@ func TestDatasetElementRoundTrip(t *testing.T) {
 
 	// Non-XML payloads embed as text.
 	csvData := []byte("a:INTEGER\n1\n2\n")
-	e = datasetElement("urn:fmt:csv", csvData)
+	e = ops.DatasetElement("urn:fmt:csv", csvData)
 	if len(e.ChildElements()) != 0 {
 		t.Fatal("csv should be text content")
 	}
-	data, _ = DatasetPayload(e)
+	data, _ = ops.DatasetPayload(e)
 	if string(data) != string(csvData) {
 		t.Fatalf("payload = %q", data)
 	}
@@ -44,11 +47,11 @@ func TestDatasetElementRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ = DatasetPayload(parsed.BodyEntry())
+	data, _ = ops.DatasetPayload(parsed.BodyEntry())
 	if string(data) != string(csvData) {
 		t.Fatalf("after soap: %q", data)
 	}
-	if d, f := DatasetPayload(nil); d != nil || f != "" {
+	if d, f := ops.DatasetPayload(nil); d != nil || f != "" {
 		t.Fatal("nil dataset should be empty")
 	}
 }
@@ -119,9 +122,9 @@ func TestQNameHelpers(t *testing.T) {
 		t.Fatal("bare")
 	}
 	cases := map[string]string{
-		"Readable":           NSDAI,
-		"dair:NumberOfRows":  NSDAIR,
-		"daix:NumberOfItems": NSDAIX,
+		"Readable":           core.NSDAI,
+		"dair:NumberOfRows":  dair.NSDAIR,
+		"daix:NumberOfItems": daix.NSDAIX,
 		"wsrl:CurrentTime":   wsrf.NSRL,
 	}
 	for in, want := range cases {
@@ -132,7 +135,7 @@ func TestQNameHelpers(t *testing.T) {
 }
 
 func TestSQLExpressionRoundTrip(t *testing.T) {
-	req := xmlutil.NewElement(NSDAIR, "SQLExecuteRequest")
+	req := xmlutil.NewElement(dair.NSDAIR, "SQLExecuteRequest")
 	params := []sqlengine.Value{
 		sqlengine.NewInt(42),
 		sqlengine.NewString("hello"),
@@ -140,13 +143,13 @@ func TestSQLExpressionRoundTrip(t *testing.T) {
 		sqlengine.NewDouble(2.5),
 		sqlengine.NewBool(true),
 	}
-	AddSQLExpression(req, "SELECT * FROM t WHERE a = ? AND b = ?", params)
+	ops.AddSQLExpression(req, "SELECT * FROM t WHERE a = ? AND b = ?", params)
 	// Through the wire.
 	parsed, err := xmlutil.ParseString(xmlutil.MarshalString(req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	expr, got, err := ParseSQLExpression(parsed)
+	expr, got, err := ops.ParseSQLExpression(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,19 +173,19 @@ func TestSQLExpressionRoundTrip(t *testing.T) {
 }
 
 func TestParseSQLExpressionErrors(t *testing.T) {
-	req := xmlutil.NewElement(NSDAIR, "SQLExecuteRequest")
-	if _, _, err := ParseSQLExpression(req); err == nil {
+	req := xmlutil.NewElement(dair.NSDAIR, "SQLExecuteRequest")
+	if _, _, err := ops.ParseSQLExpression(req); err == nil {
 		t.Fatal("missing SQLExpression")
 	}
-	se := req.Add(NSDAIR, "SQLExpression")
-	if _, _, err := ParseSQLExpression(req); err == nil {
+	se := req.Add(dair.NSDAIR, "SQLExpression")
+	if _, _, err := ops.ParseSQLExpression(req); err == nil {
 		t.Fatal("missing Expression")
 	}
-	se.AddText(NSDAIR, "Expression", "SELECT 1")
-	p := se.Add(NSDAIR, "Parameter")
+	se.AddText(dair.NSDAIR, "Expression", "SELECT 1")
+	p := se.Add(dair.NSDAIR, "Parameter")
 	p.SetAttr("", "type", "INTEGER")
 	p.SetText("not-a-number")
-	if _, _, err := ParseSQLExpression(req); err == nil {
+	if _, _, err := ops.ParseSQLExpression(req); err == nil {
 		t.Fatal("bad parameter should fail")
 	}
 }
@@ -191,11 +194,11 @@ func TestAbstractNameOf(t *testing.T) {
 	if _, err := AbstractNameOf(nil); err == nil {
 		t.Fatal("nil body")
 	}
-	body := xmlutil.NewElement(NSDAIR, "SQLExecuteRequest")
+	body := xmlutil.NewElement(dair.NSDAIR, "SQLExecuteRequest")
 	if _, err := AbstractNameOf(body); err == nil {
 		t.Fatal("missing name")
 	}
-	body.AddText(NSDAI, "DataResourceAbstractName", "urn:r")
+	body.AddText(core.NSDAI, "DataResourceAbstractName", "urn:r")
 	name, err := AbstractNameOf(body)
 	if err != nil || name != "urn:r" {
 		t.Fatalf("name = %q, %v", name, err)
@@ -203,11 +206,11 @@ func TestAbstractNameOf(t *testing.T) {
 }
 
 func TestNewRequestShape(t *testing.T) {
-	req := NewRequest(NSDAIR, "GetTuplesRequest", "urn:abc")
-	if req.Name.Space != NSDAIR || req.Name.Local != "GetTuplesRequest" {
+	req := NewRequest(dair.NSDAIR, "GetTuplesRequest", "urn:abc")
+	if req.Name.Space != dair.NSDAIR || req.Name.Local != "GetTuplesRequest" {
 		t.Fatalf("name = %v", req.Name)
 	}
-	if req.FindText(NSDAI, "DataResourceAbstractName") != "urn:abc" {
+	if req.FindText(core.NSDAI, "DataResourceAbstractName") != "urn:abc" {
 		t.Fatal("abstract name missing")
 	}
 }

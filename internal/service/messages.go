@@ -20,86 +20,14 @@ import (
 	"fmt"
 
 	"dais/internal/core"
-	"dais/internal/daif"
-	"dais/internal/dair"
-	"dais/internal/daix"
-	"dais/internal/ops"
-	"dais/internal/sqlengine"
 	"dais/internal/xmlutil"
-)
-
-// Namespace aliases re-exported for message construction.
-const (
-	NSDAI  = core.NSDAI
-	NSDAIR = dair.NSDAIR
-	NSDAIX = daix.NSDAIX
-	NSDAIF = daif.NSDAIF
-)
-
-// Action URIs, re-exported from the operation catalog so existing
-// callers (and tests) keep a single import for the wire contract.
-const (
-	// WS-DAI core.
-	ActGetPropertyDocument = ops.ActGetPropertyDocument
-	ActGenericQuery        = ops.ActGenericQuery
-	ActDestroyDataResource = ops.ActDestroyDataResource
-	ActGetResourceList     = ops.ActGetResourceList
-	ActResolve             = ops.ActResolve
-
-	// WS-DAIR.
-	ActSQLExecute            = ops.ActSQLExecute
-	ActGetSQLPropertyDoc     = ops.ActGetSQLPropertyDoc
-	ActSQLExecuteFactory     = ops.ActSQLExecuteFactory
-	ActGetSQLRowset          = ops.ActGetSQLRowset
-	ActGetSQLUpdateCount     = ops.ActGetSQLUpdateCount
-	ActGetSQLReturnValue     = ops.ActGetSQLReturnValue
-	ActGetSQLOutputParameter = ops.ActGetSQLOutputParameter
-	ActGetSQLCommArea        = ops.ActGetSQLCommArea
-	ActGetSQLResponseItem    = ops.ActGetSQLResponseItem
-	ActGetSQLResponsePropDoc = ops.ActGetSQLResponsePropDoc
-	ActSQLRowsetFactory      = ops.ActSQLRowsetFactory
-	ActGetTuples             = ops.ActGetTuples
-	ActGetRowsetPropDoc      = ops.ActGetRowsetPropDoc
-
-	// WS-DAIX.
-	ActAddDocument         = ops.ActAddDocument
-	ActGetDocument         = ops.ActGetDocument
-	ActRemoveDocument      = ops.ActRemoveDocument
-	ActListDocuments       = ops.ActListDocuments
-	ActCreateSubcollection = ops.ActCreateSubcollection
-	ActRemoveSubcollection = ops.ActRemoveSubcollection
-	ActListSubcollections  = ops.ActListSubcollections
-	ActXPathExecute        = ops.ActXPathExecute
-	ActXQueryExecute       = ops.ActXQueryExecute
-	ActXUpdateExecute      = ops.ActXUpdateExecute
-	ActXPathFactory        = ops.ActXPathFactory
-	ActXQueryFactory       = ops.ActXQueryFactory
-	ActCollectionFactory   = ops.ActCollectionFactory
-	ActGetItems            = ops.ActGetItems
-
-	// WS-DAIF.
-	ActReadFile          = ops.ActReadFile
-	ActWriteFile         = ops.ActWriteFile
-	ActAppendFile        = ops.ActAppendFile
-	ActDeleteFile        = ops.ActDeleteFile
-	ActListFiles         = ops.ActListFiles
-	ActStatFile          = ops.ActStatFile
-	ActFileSelectFactory = ops.ActFileSelectFactory
-
-	// WSRF (optional layer).
-	ActGetResourceProperty      = ops.ActGetResourceProperty
-	ActSetResourceProperties    = ops.ActSetResourceProperties
-	ActGetMultipleResourceProps = ops.ActGetMultipleResourceProps
-	ActQueryResourceProperties  = ops.ActQueryResourceProperties
-	ActSetTerminationTime       = ops.ActSetTerminationTime
-	ActWSRFDestroy              = ops.ActWSRFDestroy
 )
 
 // NewRequest builds a request body element in the given namespace with
 // the mandatory DataResourceAbstractName child.
 func NewRequest(ns, local, abstractName string) *xmlutil.Element {
 	e := xmlutil.NewElement(ns, local)
-	e.AddText(NSDAI, "DataResourceAbstractName", abstractName)
+	e.AddText(core.NSDAI, "DataResourceAbstractName", abstractName)
 	return e
 }
 
@@ -109,21 +37,9 @@ func AbstractNameOf(body *xmlutil.Element) (string, error) {
 	if body == nil {
 		return "", fmt.Errorf("service: empty request body")
 	}
-	n := body.FindText(NSDAI, "DataResourceAbstractName")
+	n := body.FindText(core.NSDAI, "DataResourceAbstractName")
 	if n == "" {
 		return "", fmt.Errorf("service: request %s is missing the DataResourceAbstractName body element", body.Name.Local)
 	}
 	return n, nil
-}
-
-// AddSQLExpression renders an SQLExpression element (expression text
-// plus positional parameters) into a request. Kept as a thin alias of
-// the catalog codec for existing callers.
-func AddSQLExpression(req *xmlutil.Element, expression string, params []sqlengine.Value) {
-	ops.AddSQLExpression(req, expression, params)
-}
-
-// ParseSQLExpression decodes an SQLExpression element.
-func ParseSQLExpression(req *xmlutil.Element) (string, []sqlengine.Value, error) {
-	return ops.ParseSQLExpression(req)
 }

@@ -13,6 +13,7 @@ import (
 	"dais/internal/dair"
 	"dais/internal/daix"
 	"dais/internal/filestore"
+	"dais/internal/ops"
 	"dais/internal/service"
 	"dais/internal/sqlengine"
 	"dais/internal/wsrf"
@@ -152,7 +153,7 @@ func TestPropertiesByNameMatchWholeDocument(t *testing.T) {
 	}
 	check()
 
-	cimBefore, err := sqlEp.WSRF().GetResourceProperty(sqlRef.AbstractName, service.NSDAIR, "CIMDescription")
+	cimBefore, err := sqlEp.WSRF().GetResourceProperty(sqlRef.AbstractName, ops.NSDAIR, "CIMDescription")
 	if err != nil || len(cimBefore) != 1 {
 		t.Fatalf("CIMDescription: %v, %v", cimBefore, err)
 	}
@@ -166,7 +167,7 @@ func TestPropertiesByNameMatchWholeDocument(t *testing.T) {
 	}
 	eng.MustExec(`CREATE TABLE dept (id INTEGER PRIMARY KEY, name VARCHAR(32))`)
 	check()
-	cimAfter, _ := sqlEp.WSRF().GetResourceProperty(sqlRef.AbstractName, service.NSDAIR, "CIMDescription")
+	cimAfter, _ := sqlEp.WSRF().GetResourceProperty(sqlRef.AbstractName, ops.NSDAIR, "CIMDescription")
 	if len(cimAfter) != 1 || xmlutil.MarshalString(cimAfter[0]) == xmlutil.MarshalString(cimBefore[0]) {
 		t.Fatal("CIMDescription by name did not follow the DDL")
 	}

@@ -17,6 +17,7 @@ import (
 	"dais/internal/dair"
 	"dais/internal/daix"
 	"dais/internal/filestore"
+	"dais/internal/ops"
 	"dais/internal/rowset"
 	"dais/internal/service"
 	"dais/internal/soap"
@@ -154,7 +155,7 @@ func TestCorePropertyDocumentOverHTTP(t *testing.T) {
 	if len(doc.FindAll(core.NSDAI, "DatasetMap")) != 3 {
 		t.Fatal("dataset maps")
 	}
-	if doc.Find(service.NSDAIR, "CIMDescription") == nil {
+	if doc.Find(ops.NSDAIR, "CIMDescription") == nil {
 		t.Fatal("CIMDescription extension missing")
 	}
 	if doc.Find(core.NSDAI, "ConfigurationMap") == nil {
@@ -591,9 +592,9 @@ func TestAbstractNameRequiredInBody(t *testing.T) {
 	// Paper §3/§5: the abstract name must be in the body. A request
 	// without it is rejected even though the action routes.
 	_, _, ref, _ := relationalFixture(t)
-	bare := xmlutil.NewElement(service.NSDAIR, "SQLExecuteRequest")
-	service.AddSQLExpression(bare, "SELECT 1", nil)
-	err := clientRawCall(t, ref.Address, service.ActSQLExecute, bare)
+	bare := xmlutil.NewElement(ops.NSDAIR, "SQLExecuteRequest")
+	ops.AddSQLExpression(bare, "SELECT 1", nil)
+	err := clientRawCall(t, ref.Address, ops.ActSQLExecute, bare)
 	if err == nil || !strings.Contains(err.Error(), "DataResourceAbstractName") {
 		t.Fatalf("err = %v", err)
 	}
@@ -631,7 +632,7 @@ func TestWSRFRequiresBodyName(t *testing.T) {
 	_, _, ref, _ := relationalFixture(t)
 	body := xmlutil.NewElement(wsrf.NSRP, "GetResourceProperty")
 	body.AddText(wsrf.NSRP, "ResourceProperty", "Readable")
-	err := clientRawCall(t, ref.Address, service.ActGetResourceProperty, body)
+	err := clientRawCall(t, ref.Address, ops.ActGetResourceProperty, body)
 	if err == nil || !strings.Contains(err.Error(), "DataResourceAbstractName") {
 		t.Fatalf("err = %v", err)
 	}
@@ -773,7 +774,7 @@ func TestFileStagingOverHTTP(t *testing.T) {
 	if doc.FindText(core.NSDAI, "ParentDataResource") == "" {
 		t.Fatal("parent missing")
 	}
-	if doc.FindText(service.NSDAIF, "NumberOfFiles") != "2" {
+	if doc.FindText(ops.NSDAIF, "NumberOfFiles") != "2" {
 		t.Fatal("file count extension missing")
 	}
 	// Soft-state cleanup works for staged resources too.
@@ -806,7 +807,7 @@ func TestFileGenericQueryOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list.FindAll(service.NSDAIF, "File")) != 3 {
+	if len(list.FindAll(ops.NSDAIF, "File")) != 3 {
 		t.Fatalf("list = %s", xmlutil.MarshalString(list))
 	}
 }
@@ -817,7 +818,7 @@ func TestRealisationPropertyDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sqlDoc.Find(service.NSDAIR, "CIMDescription") == nil {
+	if sqlDoc.Find(ops.NSDAIR, "CIMDescription") == nil {
 		t.Fatal("SQL property document missing CIMDescription")
 	}
 	respRef, err := c.SQLExecuteFactory(context.Background(), ref, `SELECT id FROM emp`, nil, nil)
@@ -828,7 +829,7 @@ func TestRealisationPropertyDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if respDoc.FindText(service.NSDAIR, "NumberOfSQLRowsets") != "1" {
+	if respDoc.FindText(ops.NSDAIR, "NumberOfSQLRowsets") != "1" {
 		t.Fatal("response property document missing item counts")
 	}
 	// Wrong resource type faults.
@@ -843,7 +844,7 @@ func TestRealisationPropertyDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsDoc.FindText(service.NSDAIR, "NumberOfRows") != "3" {
+	if rsDoc.FindText(ops.NSDAIR, "NumberOfRows") != "3" {
 		t.Fatal("rowset property document missing NumberOfRows")
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 
+	"dais/internal/core"
 	"dais/internal/xmlutil"
 )
 
@@ -27,7 +28,7 @@ func (e *Endpoint) DescriptionDocument() *xmlutil.Element {
 	}
 	defs := xmlutil.NewElement(NSWSDL, "definitions")
 	defs.SetAttr("", "name", name)
-	defs.SetAttr("", "targetNamespace", NSDAI)
+	defs.SetAttr("", "targetNamespace", core.NSDAI)
 
 	specs := e.registry.Specs()
 

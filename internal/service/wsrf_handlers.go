@@ -181,8 +181,8 @@ func linkProperties(resp *xmlutil.Element, props []*xmlutil.Element) *xmlutil.El
 // wrapConfig wraps a single property element in a ConfigurationDocument
 // so the shared core parser can validate it.
 func wrapConfig(p *xmlutil.Element) *xmlutil.Element {
-	doc := xmlutil.NewElement(NSDAI, "ConfigurationDocument")
-	cp := xmlutil.NewElement(NSDAI, p.Name.Local)
+	doc := xmlutil.NewElement(core.NSDAI, "ConfigurationDocument")
+	cp := xmlutil.NewElement(core.NSDAI, p.Name.Local)
 	cp.SetText(p.Text())
 	doc.AppendChild(cp)
 	return doc
@@ -200,16 +200,16 @@ func wsrfErr(err error) error {
 }
 
 // nsOfProperty resolves the namespace for a property QName: DAIS
-// properties live in NSDAI; prefixed names select the realisation or
+// properties live in the WS-DAI namespace; prefixed names select the realisation or
 // lifetime namespaces.
 func nsOfProperty(q string) string {
 	switch {
 	case len(q) > 5 && q[:5] == "dair:":
-		return NSDAIR
+		return ops.NSDAIR
 	case len(q) > 5 && q[:5] == "daix:":
-		return NSDAIX
+		return ops.NSDAIX
 	case len(q) > 5 && q[:5] == "wsrl:":
 		return wsrf.NSRL
 	}
-	return NSDAI
+	return core.NSDAI
 }

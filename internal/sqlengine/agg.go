@@ -1,9 +1,6 @@
 package sqlengine
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Vectorised aggregation: GROUP BY / aggregate SELECTs over a single
 // base table compile into an aggPlan that folds column chunks into
@@ -37,72 +34,50 @@ type aggItem struct {
 }
 
 // aggPlan is a compiled aggregate query: items classified, GROUP BY
-// resolved to base columns, the WHERE predicate vector-compiled, and
-// ORDER BY restricted to output ordinals. Valid only while the schema
-// epoch matches.
+// resolved to base columns, and ORDER BY restricted to output ordinals,
+// over a source whose WHERE the kernels take whole. Valid only while
+// the schema epoch matches.
 type aggPlan struct {
 	sel   *SelectStmt
 	epoch uint64
 
-	t        *Table
+	src      *tableSource
 	projCols []ResultColumn
 	items    []aggItem
 	groupBy  []int
-	pred     vecPred // nil when no WHERE clause
 
 	orderIdx []int // output ordinals for ORDER BY keys
 	explain  []string
 }
 
-// planAggregate compiles a grouped/aggregate SELECT, or reports
-// ok=false when any part is outside the vectorisable class — the
-// interpreter then runs the statement, including producing any errors
-// (a plan-time bail is always safe because the fallback IS the
-// reference implementation). Caller holds d.mu for reading.
-func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
-	switch {
-	case len(sel.Unions) > 0 || sel.Distinct || sel.Having != nil:
-		return nil, false
-	case len(sel.GroupBy) == 0 && !selectHasAggregate(sel):
-		return nil, false // not a grouped query; planSelect owns it
-	case sel.From == nil || sel.From.Subquery != nil || len(sel.Joins) > 0:
-		return nil, false
+// planAggregate compiles a grouped/aggregate SELECT block — one planSelect
+// refused for its grouping — from its source, or returns nil when any
+// part is outside the vectorisable class: the interpreter then runs the
+// statement, including producing any errors (a plan-time bail is always
+// safe because the fallback IS the reference implementation). Caller
+// holds d.mu for reading.
+func (d *Database) planAggregate(sel *SelectStmt, src *tableSource) *aggPlan {
+	// A WHERE outside the kernels' class includes one with an aggregate in it.
+	if sel.Having != nil || sel.Where != nil && src.pred == nil {
+		return nil
 	}
-	if sel.Where != nil && containsAggregate(sel.Where) {
-		return nil, false
-	}
-	if _, isView := d.views[strings.ToLower(sel.From.Table)]; isView {
-		return nil, false
-	}
-	t, err := d.table(sel.From.Table)
+	t, cols := src.t, src.cols
+	projCols, projExprs, err := expandSelectItems(sel, &evalEnv{cols: cols})
 	if err != nil {
-		return nil, false
-	}
-	qual := strings.ToLower(sel.From.Table)
-	if sel.From.Alias != "" {
-		qual = strings.ToLower(sel.From.Alias)
-	}
-	cols := make([]boundColumn, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
-	}
-	env := &evalEnv{cols: cols}
-	projCols, projExprs, err := expandSelectItems(sel, env)
-	if err != nil {
-		return nil, false
+		return nil
 	}
 
-	ap := &aggPlan{sel: sel, epoch: d.epoch, t: t, projCols: projCols}
+	ap := &aggPlan{sel: sel, epoch: d.epoch, src: src, projCols: projCols}
 
 	// GROUP BY: plain base columns only.
 	for _, ge := range sel.GroupBy {
 		re, ok := rewriteExpr(ge, cols)
 		if !ok {
-			return nil, false
+			return nil
 		}
 		bc, ok := re.(*boundColExpr)
 		if !ok || bc.idx >= len(t.Columns) {
-			return nil, false
+			return nil
 		}
 		ap.groupBy = append(ap.groupBy, bc.idx)
 	}
@@ -114,33 +89,33 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 	for _, e := range projExprs {
 		re, ok := rewriteExpr(e, cols)
 		if !ok {
-			return nil, false
+			return nil
 		}
 		switch n := re.(type) {
 		case *boundColExpr:
 			if len(ap.groupBy) == 0 || n.idx >= len(t.Columns) {
-				return nil, false
+				return nil
 			}
 			ap.items = append(ap.items, aggItem{kind: aggGroupCol, col: n.idx})
 		case *FuncExpr:
 			if !aggregateNames[n.Name] || n.Distinct {
-				return nil, false
+				return nil
 			}
 			if n.Star {
 				if n.Name != "COUNT" {
-					return nil, false // interpreter errors; let it
+					return nil // interpreter errors; let it
 				}
 				ap.items = append(ap.items, aggItem{kind: aggCountStar, col: -1})
 				continue
 			}
 			if len(n.Args) != 1 {
-				return nil, false
+				return nil
 			}
 			it := aggItem{col: -1}
 			if col, ok := vecColumn(n.Args[0], t); ok {
 				it.col = col
 			} else if it.expr, ok = compileVecExpr(n.Args[0], t); !ok {
-				return nil, false
+				return nil
 			}
 			switch n.Name {
 			case "COUNT":
@@ -151,7 +126,7 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 				it.kind = aggMax
 			case "SUM", "AVG":
 				if it.expr == nil && !t.Columns[it.col].Type.isNumeric() {
-					return nil, false // interpreter errors per group; let it
+					return nil // interpreter errors per group; let it
 				}
 				if n.Name == "SUM" {
 					it.kind = aggSum
@@ -159,11 +134,11 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 					it.kind = aggAvg
 				}
 			default:
-				return nil, false
+				return nil
 			}
 			ap.items = append(ap.items, it)
 		default:
-			return nil, false
+			return nil
 		}
 	}
 
@@ -172,39 +147,23 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 	for _, oi := range sel.OrderBy {
 		ord, ok := ordinalRef(oi.Expr, len(ap.items))
 		if !ok {
-			return nil, false
+			return nil
 		}
 		ap.orderIdx = append(ap.orderIdx, ord)
 	}
 
-	// WHERE: must compile to vector kernels (folded first, as the
-	// select planner does).
-	if sel.Where != nil {
-		w, ok := rewriteExpr(sel.Where, cols)
-		if !ok {
-			return nil, false
-		}
-		ap.pred, ok = compileVecPred(foldConstants(w), t)
-		if !ok {
-			return nil, false
-		}
-	}
-
 	ap.explain = ap.explainLines()
-	return ap, true
+	return ap
 }
 
 func (ap *aggPlan) explainLines() []string {
-	lines := []string{fmt.Sprintf("select on %q (vectorised aggregate)", ap.t.Name)}
-	lines = append(lines, "  access: full scan")
-	lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
-	if ap.pred != nil {
-		lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
-	}
+	// Every chunk, through the kernels, whatever index the source found.
+	lines := append([]string{fmt.Sprintf("select on %q (vectorised aggregate)", ap.src.t.Name)},
+		ap.src.explainLines(accessFullScan.String(), true, "row fallback")...)
 	lines = append(lines, fmt.Sprintf("  aggregate: %d item(s), group by %d column(s)", len(ap.items), len(ap.groupBy)))
 	for _, it := range ap.items {
 		if it.expr != nil {
-			lines = append(lines, fmt.Sprintf("  aggregate arg: expression kernel (%s(%s))", it.kind, it.expr.text(ap.t)))
+			lines = append(lines, fmt.Sprintf("  aggregate arg: expression kernel (%s(%s))", it.kind, it.expr.text(ap.src.t)))
 		}
 	}
 	if len(ap.orderIdx) > 0 {
@@ -243,15 +202,7 @@ type aggGroup struct {
 // divisor on a selected row — and the interpreter must run. Caller holds
 // d.mu for reading and has verified ap.epoch == d.epoch.
 func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handled bool, err error) {
-	ctx, params := in.ctx, in.params
-	var bp boundVec
-	if ap.pred != nil {
-		var ok bool
-		bp, ok = bindVecPred(ap.pred, params, ap.t)
-		if !ok {
-			return nil, false, nil
-		}
-	}
+	t, params := ap.src.t, in.params
 	// Per item: the bound expression argument (nil for a plain column), the
 	// static type of what it aggregates, and the vector it reads in the
 	// chunk at hand.
@@ -264,17 +215,17 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 	for k, it := range ap.items {
 		switch {
 		case it.expr != nil:
-			arg, ok := bindVecExpr(it.expr.e, ap.t, params)
+			arg, ok := bindVecExpr(it.expr.e, t, params)
 			if !ok {
 				return nil, false, nil
 			}
 			inputs[k] = itemInput{arg: arg, typ: arg.typ()}
 		case it.col >= 0:
-			inputs[k].typ = ap.t.Columns[it.col].Type
+			inputs[k].typ = t.Columns[it.col].Type
 		}
 	}
-	tc := d.ensureChunks(ap.t)
-	if !tc.ok {
+	bp, tc, _ := d.bindKernels(ap.src, params, true)
+	if tc == nil {
 		return nil, false, nil
 	}
 
@@ -301,7 +252,7 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 	var nullGroup *aggGroup
 	var strGroups map[string]*aggGroup
 	if len(ap.groupBy) == 1 {
-		gt := ap.t.Columns[ap.groupBy[0]].Type
+		gt := t.Columns[ap.groupBy[0]].Type
 		if gt == TypeInteger || gt == TypeBigint {
 			intKeyed = true
 			intGroups = map[int64]*aggGroup{}
@@ -312,22 +263,15 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 	}
 	var keyBuf []byte
 
-	var selbuf [chunkRows]int8
-	var rowbuf [chunkRows]uint16
-	for _, ch := range tc.chunks {
-		if err := ctxCheck(ctx); err != nil {
-			return nil, true, err
-		}
-		rows, skipped := d.filterChunk(bp, ch, &selbuf, &rowbuf)
-		if skipped {
-			continue
-		}
+	abandoned := false
+	err = d.eachChunk(in.ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
 		for k, it := range ap.items {
 			switch {
 			case inputs[k].arg != nil:
 				v, ok := inputs[k].arg.eval(ch, rows)
 				if !ok {
-					return nil, false, nil
+					abandoned = true // a zero divisor on a selected row
+					return false, nil
 				}
 				inputs[k].vec = v
 			case it.col >= 0:
@@ -407,6 +351,10 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 				}
 			}
 		}
+		return true, nil
+	})
+	if err != nil || abandoned {
+		return nil, !abandoned, err
 	}
 
 	// No GROUP BY: one implicit group even over zero rows.

@@ -125,21 +125,20 @@ func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Valu
 }
 
 // dmlPlan is the compiled target selection of one UPDATE or DELETE
-// whose WHERE lies in the error-free predicate class (compileVecPred
-// succeeds, so no subquery): the rows to visit come from an index probe
-// or from the vector kernels instead of a walk over the table. Like a
+// whose WHERE lies in the error-free predicate class (its source has
+// kernels, so no subquery): the rows to visit come from an index probe
+// or from the kernels instead of a walk over the table. Like a
 // selectPlan it is immutable and only valid at the schema epoch it was
 // built against.
 type dmlPlan struct {
 	stmt  Statement
 	epoch uint64
-	accessPath
-	pred vecPred // the whole WHERE clause
+	tableSource
 }
 
-// planDML compiles the target selection for an UPDATE or DELETE, or
-// returns nil with the reason the statement walks the table. The caller
-// must hold d.mu for reading.
+// planDML plans the target selection for an UPDATE or DELETE from its
+// source, or returns nil with the reason the statement walks the table.
+// The caller must hold d.mu for reading.
 func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 	var table string
 	var where Expr
@@ -149,27 +148,20 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 	case *DeleteStmt:
 		table, where = n.Table, n.Where
 	}
-	if where == nil {
+	src := d.planSource(&TableRef{Table: table}, where, true)
+	switch {
+	case where == nil:
 		return nil, "no WHERE clause"
-	}
-	t, err := d.table(table)
-	if err != nil {
+	case src == nil:
 		return nil, "unknown table"
-	}
-	if exprHasSubquery(where) {
+	case exprHasSubquery(where):
 		return nil, "subquery in WHERE"
-	}
-	w, ok := rewriteExpr(where, tableBindings(t))
-	if !ok {
+	case src.where == nil:
 		return nil, "unresolvable WHERE expression"
-	}
-	pred, ok := compileVecPred(foldConstants(w), t)
-	if !ok {
+	case src.pred == nil:
 		return nil, "WHERE outside the error-free predicate class"
 	}
-	p := &dmlPlan{stmt: st, epoch: d.epoch, accessPath: accessPath{t: t, keyCol: -1, exact: true}, pred: pred}
-	p.chooseIndex(strings.ToLower(t.Name), foldConstants(where))
-	return p, ""
+	return &dmlPlan{stmt: st, epoch: d.epoch, tableSource: *src}, ""
 }
 
 // targets resolves a planned statement's candidate row IDs for one
@@ -179,26 +171,23 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 // unvisited hides nothing the walk would have reported. ok=false — an
 // operand that does not bind (NULL or uncoercible key, type mismatch),
 // or no index and no live chunk cache to drain instead — sends the
-// statement down the walk. Caller holds d.mu exclusively.
+// statement down the walk: a write never builds a chunk cache no read
+// has built. Caller holds d.mu exclusively.
 func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids []int64, ok bool, err error) {
-	bp, ok := bindVecPred(p.pred, params, p.t)
-	if !ok {
+	scan := p.access == accessFullScan
+	bp, tc, bound := d.bindKernels(&p.tableSource, params, scan && p.t.chunksLive())
+	if !bound {
 		return nil, false, nil
 	}
-	if p.access != accessFullScan {
-		if ids, ok := p.indexIDs(params, false, false); ok {
-			return ids, true, nil
-		}
+	if !scan {
+		ids, ok = p.indexIDs(params, false, false)
+		return ids, ok, nil
 	}
-	if !d.vectorEnabled() || !p.t.chunksLive() {
+	if tc == nil {
 		return nil, false, nil
 	}
-	tc := d.ensureChunks(p.t)
-	if !tc.ok {
-		return nil, false, nil
-	}
-	err = d.eachChunk(ctx, bp, tc, func(seg []int64) (bool, error) {
-		ids = append(ids, seg...)
+	err = d.eachChunk(ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
+		ids = ch.appendIDs(ids, rows)
 		return true, nil
 	})
 	return ids, err == nil, err
@@ -226,7 +215,7 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 	if err != nil {
 		return 0, nil, err
 	}
-	env := &evalEnv{params: params, cols: tableBindings(t), db: d, ctx: ctx}
+	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx}
 	// Pre-resolve SET targets.
 	type setTarget struct {
 		col  int
@@ -297,7 +286,7 @@ func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Valu
 	if err != nil {
 		return 0, nil, err
 	}
-	env := &evalEnv{params: params, cols: tableBindings(t), db: d, ctx: ctx}
+	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx}
 	ids, err := d.dmlCandidates(ctx, t, p, params)
 	if err != nil {
 		return 0, nil, err
@@ -360,18 +349,4 @@ func (d *Database) applyUndo(entries []undoEntry) {
 			}
 		}
 	}
-}
-
-// tableBindings builds evaluation bindings for a single table.
-func tableBindings(t *Table) []boundColumn {
-	cols := make([]boundColumn, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = boundColumn{
-			qualifier: strings.ToLower(t.Name),
-			name:      strings.ToLower(c.Name),
-			typ:       c.Type,
-			origName:  c.Name,
-		}
-	}
-	return cols
 }

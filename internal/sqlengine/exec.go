@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -24,7 +23,8 @@ type ResultSet struct {
 // runSelect is the one place a SELECT block — a statement, a derived
 // table, a view body, a UNION arm, a subquery — chooses its executor:
 // the compiled plan the prepared statement holds for it, else its
-// aggregate plan, else the interpreter. env is the block's own fresh
+// aggregate plan, else the interpreter, which reads a one-table FROM
+// through the block's source. env is the block's own fresh
 // environment (parameters, context, outer scope, the statement's plans).
 // A block has a plan only if its names resolve locally, so running it
 // planned inside an outer scope is running it alone; an abandoned
@@ -32,25 +32,28 @@ type ResultSet struct {
 // the reference for every path. The caller must hold d.mu for reading.
 func (d *Database) runSelect(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
 	env.db = d
-	if bp := env.plans.block(st, d); bp != nil {
-		switch {
-		case bp.plan != nil:
-			return d.execPlan(bp.plan, env)
-		case bp.agg != nil && d.vectorEnabled():
-			set, handled, err := d.execAggPlan(bp.agg, env)
-			if handled || err != nil {
-				return set, err
-			}
-			d.vecFallbacks.Add(1)
-		}
+	bp := env.plans.block(st, d)
+	if bp == nil {
+		return d.execSelectEnv(st, env, nil)
 	}
-	return d.execSelectEnv(st, env)
+	switch {
+	case bp.plan != nil:
+		return d.execPlan(bp.plan, env)
+	case bp.agg != nil && d.vectorEnabled():
+		set, handled, err := d.execAggPlan(bp.agg, env)
+		if handled || err != nil {
+			return set, err
+		}
+		d.vecFallbacks.Add(1)
+	}
+	return d.execSelectEnv(st, env, bp.src)
 }
 
 // execSelectEnv interprets a SELECT with an explicit environment; the
-// environment's outer chain makes correlated subqueries work. Nested
-// blocks go back through runSelect.
-func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
+// environment's outer chain makes correlated subqueries work. src is the
+// block's planned table source, nil without one (or with the planner
+// off). Nested blocks go back through runSelect.
+func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv, src *tableSource) (*ResultSet, error) {
 	if len(st.Unions) > 0 {
 		return d.execUnion(st, env)
 	}
@@ -59,14 +62,14 @@ func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, erro
 	if st.From == nil {
 		rows = [][]Value{nil} // one empty row for expression-only SELECT
 	} else {
-		base, cols, err := d.bindTableForSelect(st, env)
+		base, cols, err := d.bindTable(st.From, env, src)
 		if err != nil {
 			return nil, err
 		}
 		env.cols = cols
 		rows = base
 		for _, j := range st.Joins {
-			right, rcols, err := d.bindTable(j.Table, env)
+			right, rcols, err := d.bindTable(j.Table, env, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -232,107 +235,23 @@ func unionFirstArm(st *SelectStmt) *SelectStmt {
 	return &first
 }
 
-// bindTableForSelect materialises the FROM table's rows, using a hash
-// index to narrow the scan when the query has no joins and the WHERE
-// clause contains an equality conjunct on an indexed column. The full
-// WHERE predicate is still applied afterwards, so index selection is
-// purely an access-path optimisation.
-func (d *Database) bindTableForSelect(st *SelectStmt, env *evalEnv) ([][]Value, []boundColumn, error) {
-	if st.From.Subquery != nil || len(st.Joins) > 0 || st.Where == nil {
-		return d.bindTable(st.From, env)
-	}
-	if _, isView := d.views[strings.ToLower(st.From.Table)]; isView {
-		return d.bindTable(st.From, env)
-	}
-	t, err := d.table(st.From.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	qual := strings.ToLower(st.From.Table)
-	if st.From.Alias != "" {
-		qual = strings.ToLower(st.From.Alias)
-	}
-	col, val, ok := indexableConjunct(st.Where, t, qual, env)
-	if !ok {
-		return d.bindTable(st.From, env)
-	}
-	var ix *Index
-	for _, candidate := range t.indexes {
-		if strings.EqualFold(candidate.Column, col) {
-			ix = candidate
-			break
-		}
-	}
-	if ix == nil {
-		return d.bindTable(st.From, env)
-	}
-	cols := make([]boundColumn, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
-	}
-	ids := append([]int64(nil), ix.lookup(val)...)
-	slices.Sort(ids)
-	return t.rowsOf(make([][]Value, 0, len(ids)), ids), cols, nil
-}
-
-// indexableConjunct walks the AND-tree of a WHERE clause looking for a
-// `column = constant` conjunct whose constant can be evaluated without
-// row context. It returns the column name and the comparison value.
-func indexableConjunct(e Expr, t *Table, qual string, env *evalEnv) (string, Value, bool) {
-	switch n := e.(type) {
-	case *BinaryExpr:
-		if n.Op == "AND" {
-			if c, v, ok := indexableConjunct(n.Left, t, qual, env); ok {
-				return c, v, ok
+// bindTable materialises a table reference's rows and column bindings
+// under its qualifier. src is the block's source when the reference is its
+// one base table: the rows are then the access path's candidates,
+// ascending, or every row when the path has no index or does not bind —
+// the caller applies the whole WHERE to each either way. Derived tables
+// (FROM (SELECT ...) alias) evaluate their subquery with the caller's
+// environment as outer scope.
+func (d *Database) bindTable(tr *TableRef, env *evalEnv, src *tableSource) ([][]Value, []boundColumn, error) {
+	if src != nil {
+		ids := src.t.scan()
+		if src.access != accessFullScan {
+			if narrowed, ok := src.indexIDs(env.params, false, false); ok {
+				ids = narrowed
 			}
-			return indexableConjunct(n.Right, t, qual, env)
 		}
-		if n.Op != "=" {
-			return "", Null, false
-		}
-		if c, v, ok := columnConstPair(n.Left, n.Right, t, qual, env); ok {
-			return c, v, ok
-		}
-		return columnConstPair(n.Right, n.Left, t, qual, env)
+		return src.t.rowsOf(make([][]Value, 0, len(ids)), ids), src.cols, nil
 	}
-	return "", Null, false
-}
-
-// columnConstPair matches (ColumnExpr, constant expr) in that order.
-func columnConstPair(colSide, constSide Expr, t *Table, qual string, env *evalEnv) (string, Value, bool) {
-	ce, ok := colSide.(*ColumnExpr)
-	if !ok {
-		return "", Null, false
-	}
-	if ce.Table != "" && strings.ToLower(ce.Table) != qual {
-		return "", Null, false
-	}
-	ci := t.ColumnIndex(ce.Column)
-	if ci < 0 {
-		return "", Null, false
-	}
-	switch constSide.(type) {
-	case *LiteralExpr, *ParamExpr:
-	default:
-		return "", Null, false
-	}
-	v, err := eval(constSide, &evalEnv{params: env.params})
-	if err != nil || v.IsNull() {
-		return "", Null, false
-	}
-	// Coerce to the column type so the index group key matches the
-	// stored representation (e.g. literal 5 against a DOUBLE column).
-	cv, err := v.Coerce(t.Columns[ci].Type)
-	if err != nil {
-		return "", Null, false
-	}
-	return t.Columns[ci].Name, cv, true
-}
-
-// bindTable materialises a table's rows and column bindings under an
-// optional alias. Derived tables (FROM (SELECT ...) alias) evaluate
-// their subquery with the caller's environment as outer scope.
-func (d *Database) bindTable(tr *TableRef, env *evalEnv) ([][]Value, []boundColumn, error) {
 	if tr.Subquery != nil {
 		set, err := d.runSelect(tr.Subquery, env.nested(env.outer))
 		if err != nil {
@@ -352,55 +271,49 @@ func (d *Database) bindTable(tr *TableRef, env *evalEnv) ([][]Value, []boundColu
 		if expanded.Alias == "" {
 			expanded.Alias = v.Name
 		}
-		return d.bindTable(expanded, env)
+		return d.bindTable(expanded, env, nil)
 	}
 	t, err := d.table(tr.Table)
 	if err != nil {
 		return nil, nil, err
 	}
-	qual := strings.ToLower(tr.Table)
-	if tr.Alias != "" {
-		qual = strings.ToLower(tr.Alias)
-	}
-	cols := make([]boundColumn, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = boundColumn{
-			qualifier: qual,
-			name:      strings.ToLower(c.Name),
-			typ:       c.Type,
-			origName:  c.Name,
-		}
-	}
-	return t.rowsOf(make([][]Value, 0, len(t.order)), t.scan()), cols, nil
+	return t.rowsOf(make([][]Value, 0, len(t.order)), t.scan()), columnsOf(t, tr.qualifier()), nil
 }
 
 // joinRows joins the accumulated left rows with the right table's
 // rows. env.cols currently describes only the left side; the ON
-// expression is evaluated against left+right. When the ON carries a
-// hashable equi-join conjunct the hash fast path (join.go) runs;
-// otherwise — or when the fast path bails on a hash-defeating value —
-// the nested loop below is the reference implementation.
+// expression is evaluated against left+right, and its equi-join
+// conjunct, if any, is found by name for this execution.
 func joinRows(left [][]Value, right [][]Value, env *evalEnv, rcols []boundColumn, j JoinClause) ([][]Value, error) {
 	joinEnv := env.nested(env.outer)
 	joinEnv.cols = append(append([]boundColumn{}, env.cols...), rcols...)
-	leftWidth := len(env.cols)
-	if !env.db.hashJoinOff && j.On != nil {
-		if k, ok := findEquiConjunct(j.On, joinEnv, leftWidth); ok {
-			out, ok, err := hashJoinRows(left, right, joinEnv, leftWidth, rcols, j, k)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return out, nil
-			}
+	var key *equiConjunct
+	if j.On != nil {
+		if k, ok := findEquiConjunct(j.On, joinEnv, len(env.cols)); ok {
+			key = &k
+		}
+	}
+	return joinStep(left, right, joinEnv, len(env.cols), rcols, j, key)
+}
+
+// joinStep is one join, for the interpreter and compiled plans alike:
+// the hash path (join.go) when the ON carries a hashable equi-join
+// conjunct (key non-nil) and the hashJoinOff switch allows it — consulted
+// per execution, so the equivalence toggle works on cached plans too —
+// otherwise, or when the hash path bails on a hash-defeating value, the
+// nested loop below, which is the reference implementation.
+func joinStep(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause, key *equiConjunct) ([][]Value, error) {
+	if key != nil && !joinEnv.db.hashJoinOff {
+		out, ok, err := hashJoinRows(left, right, joinEnv, leftWidth, rcols, j, *key)
+		if err != nil || ok {
+			return out, err
 		}
 	}
 	return nestedLoopJoin(left, right, joinEnv, leftWidth, rcols, j)
 }
 
 // nestedLoopJoin is the reference join implementation: O(L×R) pairs with
-// the full ON expression evaluated per pair. Both the interpreter and
-// compiled plans fall back to it when the hash path bails.
+// the full ON expression evaluated per pair.
 func nestedLoopJoin(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause) ([][]Value, error) {
 	var out [][]Value
 	slab := newRowSlab(leftWidth+len(rcols), 0)

@@ -2,11 +2,11 @@ package sqlengine
 
 import "math"
 
-// Hash-join fast path. joinRows detects an equi-join conjunct in the ON
-// expression (the same column=column shape indexableConjunct recognises
-// for column=constant) and, when the key columns have hashable declared
-// types, builds a hash table over the right input instead of running
-// the O(L×R) nested loop. The build side is always the right input and
+// Hash-join fast path. findEquiConjunct detects a column=column conjunct
+// in the ON expression (the interpreter per execution, a plan once) and,
+// when the key columns have hashable declared types, joinStep builds a
+// hash table over the right input instead of running the O(L×R) nested
+// loop. The build side is always the right input and
 // the probe loop iterates the left input in order, emitting matches in
 // right-row order per bucket — exactly the nested loop's output order,
 // so results are byte-identical. The full ON expression is re-evaluated

@@ -61,12 +61,11 @@ type planOrderKey struct {
 // bindings appended, the ON expression rewritten to ordinals, and the
 // hash-join decision taken at plan time.
 type joinNode struct {
-	t       *Table
-	rcols   []boundColumn
-	cols    []boundColumn // combined bindings including this join
-	clause  JoinClause    // clause with the rewritten ON expression
-	hasEqui bool
-	equi    equiConjunct
+	t      *Table
+	rcols  []boundColumn
+	cols   []boundColumn // combined bindings including this join
+	clause JoinClause    // clause with the rewritten ON expression
+	equi   *equiConjunct // the hash join's key; nil: nested loop only
 }
 
 // accessPath is the physical access bound for one base table. SELECT
@@ -80,6 +79,7 @@ type accessPath struct {
 	keyCol int  // ordinal of the access column in the base row
 	eq     Expr // equality probe value (point access)
 	lo, hi *planBound
+	desc   bool // iteration direction when a plan's ORDER BY is satisfied
 
 	// exact restricts the path to probes that select precisely the rows
 	// Compare-equality would: no DOUBLE key column (NaN compares equal to
@@ -97,6 +97,84 @@ type accessPath struct {
 	boundsAreWhere bool
 }
 
+// tableSource is how one SELECT block whose FROM is one base table with
+// no joins, or one UPDATE/DELETE, finds its rows: the table and its
+// bindings, the access path chooseIndex picks from the folded WHERE, and
+// the WHERE as kernels when it lies in their error-free class. The row
+// plan, the aggregate plan, DML target selection and the interpreter all
+// read the table through it.
+type tableSource struct {
+	accessPath
+	cols []boundColumn // the table's bindings under its qualifier
+	// where is the WHERE rewritten to ordinals and left unfolded, for the
+	// row filter's error parity; nil without a WHERE or when a name in it
+	// does not resolve against the table alone (a correlated subquery).
+	where Expr
+	// pred is the folded where as kernels; nil without a WHERE or when it
+	// lies outside their class.
+	pred vecPred
+}
+
+// planSource plans the source of one base-table reference, or returns
+// nil when tr names no base table (no FROM, a derived table, a view, an
+// unknown name). exact restricts the access path to exact probes (see
+// accessPath.exact).
+func (d *Database) planSource(tr *TableRef, where Expr, exact bool) *tableSource {
+	if tr == nil || tr.Subquery != nil {
+		return nil
+	}
+	if _, isView := d.views[strings.ToLower(tr.Table)]; isView {
+		return nil
+	}
+	t, err := d.table(tr.Table)
+	if err != nil {
+		return nil
+	}
+	s := &tableSource{accessPath: accessPath{t: t, keyCol: -1, exact: exact}, cols: columnsOf(t, tr.qualifier())}
+	if where == nil {
+		return s
+	}
+	// Folding first makes `WHERE 1=1 AND x > 5` expose the same conjuncts,
+	// and compile the same kernels, as `WHERE x > 5`.
+	s.chooseIndex(tr.qualifier(), foldConstants(where))
+	if w, ok := rewriteExpr(where, s.cols); ok {
+		s.where = w
+		s.pred, _ = compileVecPred(foldConstants(w), t)
+	}
+	return s
+}
+
+// columnsOf binds a table's columns under a qualifier.
+func columnsOf(t *Table, qual string) []boundColumn {
+	cols := make([]boundColumn, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
+	}
+	return cols
+}
+
+// qualifier is the name a table reference's columns are qualified by.
+func (tr *TableRef) qualifier() string {
+	if tr.Alias != "" {
+		return strings.ToLower(tr.Alias)
+	}
+	return strings.ToLower(tr.Table)
+}
+
+// explainLines renders how a consumer of the source finds its rows: the
+// access line for the path it takes and, when the rows come from the
+// kernels, the vector lines, ending in what runs when they do not bind.
+func (s *tableSource) explainLines(access string, vector bool, onBindFailure string) []string {
+	lines := []string{"  access: " + access}
+	if vector {
+		lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
+		if s.pred != nil {
+			lines = append(lines, "  vector filter: compiled kernels with zone-map skipping ("+onBindFailure+" on bind failure)")
+		}
+	}
+	return lines
+}
+
 // selectPlan is a compiled physical plan for one SELECT: every column
 // reference resolved to a row ordinal, the access path and join
 // strategies chosen, and the projection/order machinery pre-bound. A
@@ -106,7 +184,12 @@ type selectPlan struct {
 	sel   *SelectStmt
 	epoch uint64
 
+	// accessPath is src's, widened to an ordered full scan when that
+	// replaces the sort.
 	accessPath
+	// src is the block's source; with joins, the base table's alone, whose
+	// access is a full scan.
+	src *tableSource
 
 	joins []joinNode
 	cols  []boundColumn // final combined bindings
@@ -125,17 +208,15 @@ type selectPlan struct {
 
 	order          []planOrderKey
 	orderSatisfied bool // access path already yields ORDER BY order
-	desc           bool // iteration direction when orderSatisfied
 	// orderCols lists the base column behind each ORDER BY key when the
 	// plan has no joins and every key is one (nil otherwise): what a
 	// bounded top-K can order by without evaluating anything.
 	orderCols []int
 
-	// vector marks a join-free full scan whose WHERE compiles to vector
-	// kernels (pred; nil without a WHERE) and that gains by them: its rows
-	// may come from the column chunks (see bindScan).
+	// vector marks a join-free full scan whose WHERE the kernels take whole
+	// (src.pred; none without a WHERE) and that gains by them: its rows may
+	// come from the column chunks (see bindScan).
 	vector bool
-	pred   vecPred
 
 	explain []string
 }
@@ -147,11 +228,11 @@ func (p *selectPlan) streamable() bool {
 	return len(p.joins) == 0 && (len(p.sel.OrderBy) == 0 || p.orderSatisfied)
 }
 
-// planSelect compiles a SELECT into a physical plan, or returns nil
-// with a reason when the statement is outside the plannable class (the
-// interpreter then runs it, including producing any errors). The caller
-// must hold d.mu for reading.
-func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
+// planSelect compiles a SELECT into a physical plan from the block's
+// source (nil with joins), or returns nil with a reason when the
+// statement is outside the plannable class (the interpreter then runs it,
+// including producing any errors). The caller must hold d.mu for reading.
+func (d *Database) planSelect(sel *SelectStmt, src *tableSource) (*selectPlan, string) {
 	switch {
 	case len(sel.Unions) > 0:
 		return nil, "UNION"
@@ -170,19 +251,14 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 	if _, isView := d.views[strings.ToLower(sel.From.Table)]; isView {
 		return nil, "view"
 	}
-	t, err := d.table(sel.From.Table)
-	if err != nil {
+	if len(sel.Joins) > 0 {
+		src = d.planSource(sel.From, nil, false) // the WHERE filters joined rows
+	}
+	if src == nil {
 		return nil, "unknown table"
 	}
-	qual := strings.ToLower(sel.From.Table)
-	if sel.From.Alias != "" {
-		qual = strings.ToLower(sel.From.Alias)
-	}
-	p := &selectPlan{sel: sel, epoch: d.epoch, accessPath: accessPath{t: t, keyCol: -1}}
-	cols := make([]boundColumn, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
-	}
+	p := &selectPlan{sel: sel, epoch: d.epoch, accessPath: src.accessPath, src: src}
+	cols := src.cols
 
 	// Joins: base tables only, ON rewritten against the combined
 	// bindings, hash strategy detected with the interpreter's own
@@ -198,19 +274,13 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if err != nil {
 			return nil, "unknown join table"
 		}
-		jq := strings.ToLower(j.Table.Table)
-		if j.Table.Alias != "" {
-			jq = strings.ToLower(j.Table.Alias)
-		}
-		rcols := make([]boundColumn, len(jt.Columns))
-		for i, c := range jt.Columns {
-			rcols[i] = boundColumn{qualifier: jq, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
-		}
+		rcols := columnsOf(jt, j.Table.qualifier())
 		combined := append(append([]boundColumn{}, cols...), rcols...)
 		node := joinNode{t: jt, rcols: rcols, cols: combined, clause: j}
 		if j.On != nil {
-			probeEnv := &evalEnv{cols: combined}
-			node.equi, node.hasEqui = findEquiConjunct(j.On, probeEnv, len(cols))
+			if k, ok := findEquiConjunct(j.On, &evalEnv{cols: combined}, len(cols)); ok {
+				node.equi = &k
+			}
 			on, ok := rewriteExpr(j.On, combined)
 			if !ok {
 				return nil, "unresolvable ON expression"
@@ -238,13 +308,13 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		p.projExprs[i] = re
 	}
 
-	// WHERE.
-	if sel.Where != nil {
-		w, ok := rewriteExpr(sel.Where, cols)
-		if !ok {
-			return nil, "unresolvable WHERE expression"
-		}
-		p.where = w
+	// WHERE: the source's, or with joins over the joined row.
+	p.where = src.where
+	if len(p.joins) > 0 && sel.Where != nil {
+		p.where, _ = rewriteExpr(sel.Where, cols)
+	}
+	if sel.Where != nil && p.where == nil {
+		return nil, "unresolvable WHERE expression"
 	}
 
 	// ORDER BY keys, classified with the interpreter's precedence:
@@ -281,45 +351,35 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: re, desc: oi.Desc})
 	}
 
-	// Access path: only for join-free statements (with joins the
-	// interpreter scans too, so parity is free). Constant folding runs
-	// first so `WHERE 1=1 AND x > 5` exposes the same conjuncts (and
-	// compiles the same vector predicate) as `WHERE x > 5`; the row
-	// executor keeps the unfolded p.where for exact error parity.
+	// Access path: the source's, for join-free statements (with joins the
+	// interpreter scans too, so parity is free). Without a predicate-based
+	// access, a single-key ORDER BY over an ordered index can still replace
+	// the sort with an index-ordered full scan.
 	if len(p.joins) == 0 {
+		t := p.t
 		p.gather = gatherList(p.projExprs, t)
 		p.identity = len(p.gather) == len(t.Columns)
 		for i, c := range p.gather {
 			p.identity = p.identity && c == i
 		}
 		p.orderCols = p.orderColumns()
-		var foldedWhere Expr
-		if sel.Where != nil {
-			foldedWhere = foldConstants(sel.Where)
-		}
-		if !p.chooseIndex(qual, foldedWhere) {
-			// No predicate-based access: a single-key ORDER BY over an
-			// ordered index can still replace the sort with an
-			// index-ordered full scan.
-			if ord, ok := p.effectiveOrderColumn(); ok {
-				if ix := orderedIndexOn(t, ord); ix != nil {
-					p.access, p.ordIx, p.keyCol = accessOrderedScan, ix, ord
-				}
+		single := len(p.orderCols) == 1
+		if single && p.access == accessFullScan {
+			if ix := orderedIndexOn(t, p.orderCols[0]); ix != nil {
+				p.access, p.ordIx, p.keyCol = accessOrderedScan, ix, p.orderCols[0]
 			}
 		}
-	}
-	p.bindOrderSatisfaction()
-
-	// Columnar annotation: join-free full scans whose predicate compiles
-	// to vector kernels scan chunk at a time. Index accesses stay on their
-	// row IDs — already narrowed and, for ordered scans, not in chunk
-	// order.
-	if len(p.joins) == 0 && p.access == accessFullScan {
-		okPred := true
-		if p.where != nil {
-			p.pred, okPred = compileVecPred(foldConstants(p.where), t)
+		// The access path emits rows in ORDER BY order — the executor skips
+		// the sort and a stream delivers them as they come — when it is the
+		// ordered scan chosen above, or a point (equal keys) or range
+		// (index-ordered keys) access whose key column is the order column.
+		if single && p.access != accessFullScan && p.orderCols[0] == p.keyCol {
+			p.orderSatisfied, p.desc = true, p.order[0].desc
 		}
-		p.vector = okPred && (p.pred != nil || p.gather != nil)
+		// Columnar annotation: a full scan whose WHERE the kernels take whole
+		// scans chunk at a time. Index accesses stay on their row IDs —
+		// already narrowed and, for ordered scans, not in chunk order.
+		p.vector = p.access == accessFullScan && (src.pred != nil || sel.Where == nil && p.gather != nil)
 	}
 	p.explain = p.explainLines()
 	return p, ""
@@ -390,7 +450,8 @@ func constExpr(e Expr) bool {
 }
 
 // baseColumn resolves a ColumnExpr against the base table under its
-// qualifier, mirroring columnConstPair's matching rules.
+// qualifier: unqualified or qualified by it, as the interpreter's inner
+// scope resolves it first.
 func baseColumn(e Expr, t *Table, qual string) (int, bool) {
 	ce, ok := e.(*ColumnExpr)
 	if !ok {
@@ -407,11 +468,11 @@ func baseColumn(e Expr, t *Table, qual string) (int, bool) {
 }
 
 // chooseIndex binds the best index access the (folded, unrewritten)
-// WHERE clause admits: a hash point probe first (the interpreter's own
-// fast path), then an ordered point probe, then an ordered range scan.
+// WHERE clause admits: a hash point probe first, then an ordered point
+// probe, then an ordered range scan.
 // Ties between indexes on the same column break by name so plans are
-// deterministic. It reports whether an index was bound.
-func (p *accessPath) chooseIndex(qual string, where Expr) bool {
+// deterministic.
+func (p *accessPath) chooseIndex(qual string, where Expr) {
 	t := p.t
 	var eqs []eqCand
 	ranges := map[int]*rangeCand{}
@@ -510,14 +571,14 @@ func (p *accessPath) chooseIndex(qual string, where Expr) bool {
 	for _, eq := range eqs {
 		if ix := hashIndexOn(t, eq.col); ix != nil && usable(eq.col) {
 			p.access, p.hashIx, p.keyCol, p.eq = accessHashPoint, ix, eq.col, eq.val
-			return true
+			return
 		}
 	}
 	// Ordered point probe.
 	for _, eq := range eqs {
 		if ix := orderedIndexOn(t, eq.col); ix != nil && usable(eq.col) {
 			p.access, p.ordIx, p.keyCol, p.eq = accessOrderedPoint, ix, eq.col, eq.val
-			return true
+			return
 		}
 	}
 	// Ordered range scan.
@@ -532,10 +593,9 @@ func (p *accessPath) chooseIndex(qual string, where Expr) bool {
 				}
 			}
 			p.boundsAreWhere = offered == expected && kept == offered && t.Columns[col].Type != TypeDouble
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // hashIndexOn returns the lexicographically first hash index on the
@@ -568,47 +628,6 @@ func orderedIndexOn(t *Table, col int) *OrderedIndex {
 	}
 	sort.Strings(names)
 	return t.ordIndexes[names[0]]
-}
-
-// effectiveOrderColumn reports the base-row ordinal the (single) ORDER
-// BY key reduces to, when it is a plain column reference.
-func (p *selectPlan) effectiveOrderColumn() (int, bool) {
-	if len(p.order) != 1 || len(p.joins) > 0 {
-		return 0, false
-	}
-	var key Expr
-	switch p.order[0].kind {
-	case orderKeyProjected:
-		key = p.projExprs[p.order[0].idx]
-	case orderKeyExpr:
-		key = p.order[0].expr
-	}
-	if bc, ok := key.(*boundColExpr); ok {
-		return bc.idx, true
-	}
-	return 0, false
-}
-
-// bindOrderSatisfaction marks plans whose access path already emits rows
-// in the requested ORDER BY order, so the executor can skip the sort and
-// the stream can deliver ordered rows incrementally.
-func (p *selectPlan) bindOrderSatisfaction() {
-	ord, ok := p.effectiveOrderColumn()
-	if !ok {
-		return
-	}
-	switch p.access {
-	case accessOrderedScan:
-		// chosen because of the ORDER BY in the first place
-		p.orderSatisfied = ord == p.keyCol
-	case accessOrderedRange, accessOrderedPoint, accessHashPoint:
-		// Equal keys (point) or index-ordered keys (range) reproduce the
-		// stable sort exactly when the key column is the order column.
-		p.orderSatisfied = ord == p.keyCol
-	}
-	if p.orderSatisfied {
-		p.desc = p.order[0].desc
-	}
 }
 
 // rewriteExpr compiles an expression against fixed bindings: every
@@ -754,11 +773,17 @@ func refsAnyUnqualified(e Expr, names map[string]int) bool {
 	return found
 }
 
-// describe names the access kind and, for predicate-bound index
-// accesses, the index and the pushed-down key condition.
+// describe names the access kind and, for index accesses, the index and
+// the pushed-down key condition or the scan direction.
 func (p *accessPath) describe() string {
 	access := p.access.String()
 	switch p.access {
+	case accessOrderedScan:
+		dir := "asc"
+		if p.desc {
+			dir = "desc"
+		}
+		access += fmt.Sprintf(" via %s (%s.%s %s)", p.ordIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name, dir)
 	case accessHashPoint:
 		access += fmt.Sprintf(" via %s (%s.%s = ?)", p.hashIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name)
 	case accessOrderedPoint:
@@ -788,19 +813,10 @@ func (p *accessPath) describe() string {
 // -explain: access path, pushed-down bounds, join strategy, filter,
 // projection width, order strategy and limit handling.
 func (p *selectPlan) explainLines() []string {
-	lines := []string{fmt.Sprintf("select on %q", p.t.Name)}
-	access := "  access: " + p.describe()
-	if p.access == accessOrderedScan {
-		dir := "asc"
-		if p.desc {
-			dir = "desc"
-		}
-		access += fmt.Sprintf(" via %s (%s.%s %s)", p.ordIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name, dir)
-	}
-	lines = append(lines, access)
+	lines := append([]string{fmt.Sprintf("select on %q", p.t.Name)}, p.src.explainLines(p.describe(), p.vector, "row fallback")...)
 	for _, j := range p.joins {
 		strategy := "nested loop"
-		if j.hasEqui {
+		if j.equi != nil {
 			strategy = "hash join (nested-loop fallback)"
 		}
 		kind := "inner"
@@ -815,11 +831,7 @@ func (p *selectPlan) explainLines() []string {
 		lines = append(lines, fmt.Sprintf("  join: %s %s %q", kind, strategy, j.t.Name))
 	}
 	switch {
-	case p.vector:
-		lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
-		if p.pred != nil {
-			lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
-		}
+	case p.vector: // the source's lines say it
 	case p.boundsAreWhere:
 		lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind exactly)")
 	case p.where != nil:
@@ -850,16 +862,15 @@ func (p *selectPlan) explainLines() []string {
 }
 
 // zoneMapLine reports, at EXPLAIN time, how many of the table's current
-// chunks the bound predicate's zone maps would skip. Predicates with
-// parameters cannot bind without values and report per-execution
+// chunks the source's bound predicate's zone maps would skip. Predicates
+// with parameters cannot bind without values and report per-execution
 // evaluation instead. Caller holds d.mu for reading.
-func (d *Database) zoneMapLine(pred vecPred, t *Table) string {
-	bp, ok := bindVecPred(pred, nil, t)
-	if !ok {
+func (d *Database) zoneMapLine(s *tableSource) string {
+	bp, tc, bound := d.bindKernels(s, nil, true)
+	switch {
+	case !bound:
 		return "  vector zone maps: evaluated per execution"
-	}
-	tc := d.ensureChunks(t)
-	if !tc.ok {
+	case tc == nil:
 		return "  vector zone maps: column chunks unavailable (row fallback)"
 	}
 	skipped := 0
@@ -881,13 +892,16 @@ func (d *Database) explainSelect(st *SelectStmt, bps *blockPlans, open map[*Sele
 	switch {
 	case bp.plan != nil:
 		lines = append(lines, bp.plan.explain...)
-		if p := bp.plan; p.pred != nil {
-			lines = append(lines, d.zoneMapLine(p.pred, p.t))
+		if p := bp.plan; p.vector && p.src.pred != nil {
+			lines = append(lines, d.zoneMapLine(p.src))
 		}
 	case bp.agg != nil:
 		lines = append(lines, bp.agg.explain...)
 	default:
 		lines = append(lines, "select: interpreted ("+bp.reason+")")
+		if bp.src != nil {
+			lines = append(lines, bp.src.explainLines(bp.src.describe(), false, "")...)
+		}
 	}
 	open[st] = true
 	for _, c := range bp.children {
@@ -930,13 +944,12 @@ func (d *Database) explainDML(head string, st Statement) []string {
 	if p == nil {
 		return []string{head, "  access: full scan (interpreted: " + reason + ")"}
 	}
-	lines := []string{head, "  access: " + p.describe()}
-	if p.access == accessFullScan {
-		lines = append(lines,
-			fmt.Sprintf("  vector: columnar scan (chunks of %d rows) while the chunk cache is live, else interpreted walk", chunkRows),
-			"  vector filter: compiled kernels with zone-map skipping (walk on bind failure)")
+	scan := p.access == accessFullScan
+	lines := append([]string{head}, p.explainLines(p.describe(), scan, "walk")...)
+	if scan {
+		lines = append(lines, "  vector: kernels only while the chunk cache is live, else interpreted walk")
 		if p.t.chunksLive() {
-			lines = append(lines, d.zoneMapLine(p.pred, p.t))
+			lines = append(lines, d.zoneMapLine(&p.tableSource))
 		}
 	}
 	return append(lines, "  filter: interpreted WHERE re-check on candidates")

@@ -265,25 +265,17 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() error {
 	env := sc.env
 	if p.vector && d.vectorEnabled() {
-		var bp boundVec
-		ok := true
-		if p.pred != nil {
-			bp, ok = bindVecPred(p.pred, env.params, p.t)
-		}
-		var tc *tableChunks
-		if ok {
-			tc = d.ensureChunks(p.t)
-		}
-		if ok && tc.ok {
+		if bp, tc, _ := d.bindKernels(p.src, env.params, true); tc != nil {
 			sc.where = nil // the kernels are the filter
 			if sc.order != nil {
 				sc.top = p.topRows(env, tc)
 			}
 			return func() error {
+				ids := make([]int64, 0, chunkRows)
 				seg := make([][]Value, 0, chunkRows)
-				return d.eachChunk(env.ctx, bp, tc, func(ids []int64) (bool, error) {
-					seg = p.t.rowsOf(seg[:0], ids)
-					err := sc.segment(k, seg)
+				return d.eachChunk(env.ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
+					ids = ch.appendIDs(ids[:0], rows)
+					err := sc.segment(k, p.t.rowsOf(seg[:0], ids))
 					return !k.full(), err
 				})
 			}
@@ -351,10 +343,8 @@ func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
 	return out, nil
 }
 
-// joinedRows runs a plan's joins over its base table. The strategy was
-// decided at plan time; hashJoinOff is still consulted per execution so
-// the equivalence toggle works on cached plans too, and the hash path
-// keeps its runtime bail to the nested loop.
+// joinedRows runs a plan's joins over its base table, each through
+// joinStep with the key found at plan time.
 func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
 	rows := p.t.rowsOf(make([][]Value, 0, len(p.t.order)), p.t.scan())
 	leftWidth := len(p.t.Columns)
@@ -363,25 +353,10 @@ func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
 		right := j.t.rowsOf(make([][]Value, 0, len(j.t.order)), j.t.scan())
 		joinEnv := env.nested(env.outer)
 		joinEnv.cols = j.cols
-		var joined [][]Value
-		hashed := false
-		if !d.hashJoinOff && j.hasEqui {
-			out, ok, err := hashJoinRows(rows, right, joinEnv, leftWidth, j.rcols, j.clause, j.equi)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				joined, hashed = out, true
-			}
+		var err error
+		if rows, err = joinStep(rows, right, joinEnv, leftWidth, j.rcols, j.clause, j.equi); err != nil {
+			return nil, err
 		}
-		if !hashed {
-			var err error
-			joined, err = nestedLoopJoin(rows, right, joinEnv, leftWidth, j.rcols, j.clause)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rows = joined
 		leftWidth = len(j.cols)
 	}
 	return rows, nil

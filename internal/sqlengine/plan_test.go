@@ -91,6 +91,23 @@ var planCorpus = []struct {
 	{sql: `SELECT SUM(k + id), AVG(d * 2), MIN(-k) FROM rng WHERE k_noix > 3`},
 	{sql: `SELECT k, SUM(id / k) FROM rng GROUP BY k ORDER BY 1`},
 	{sql: `SELECT id, k_noix FROM rng ORDER BY k_noix DESC, id LIMIT 6 OFFSET 2`},
+	// Interpreted blocks read through the access path as well: DISTINCT,
+	// HAVING and a grouped ORDER BY by name over a hash point, an ordered
+	// point and an ordered range, then parameters that widen each one.
+	{sql: `SELECT DISTINCT k FROM rng WHERE id = 42`},
+	{sql: `SELECT DISTINCT s FROM rng WHERE k = 5 ORDER BY s`},
+	{sql: `SELECT DISTINCT id, k FROM rng WHERE k BETWEEN 6 AND 9`},
+	{sql: `SELECT s, COUNT(*) FROM rng WHERE id = 17 GROUP BY s HAVING COUNT(*) > 0`},
+	{sql: `SELECT s, COUNT(*) FROM rng WHERE k = 5 GROUP BY s HAVING COUNT(*) > 1 ORDER BY 1`},
+	{sql: `SELECT k, COUNT(*) FROM rng WHERE k >= 3 AND k < 9 GROUP BY k HAVING SUM(id) > 500`},
+	{sql: `SELECT k, MAX(id) FROM rng WHERE id = 44 GROUP BY k ORDER BY k`},
+	{sql: `SELECT s, COUNT(*) FROM rng WHERE k = 12 GROUP BY s ORDER BY s DESC`},
+	{sql: `SELECT k, SUM(d) FROM rng WHERE k > 14 GROUP BY k ORDER BY k`},
+	{sql: `SELECT DISTINCT s FROM rng WHERE id = ?`, params: []Value{Null}},
+	{sql: `SELECT DISTINCT k FROM rng WHERE k = ?`, params: []Value{NewString("7")}},
+	{sql: `SELECT k, COUNT(*) FROM rng WHERE k >= ? GROUP BY k HAVING COUNT(*) > 1 ORDER BY 1`, params: []Value{NewDouble(6.5)}},
+	{sql: `SELECT k, COUNT(*) FROM rng WHERE id = ? GROUP BY k ORDER BY k`, params: []Value{NewDouble(6.5)}},
+	{sql: `SELECT DISTINCT k FROM rng WHERE k BETWEEN ? AND 9`, params: []Value{Null}},
 	// Failures must match byte for byte too.
 	{sql: `SELECT id FROM rng WHERE k < 'abc'`},
 	{sql: `SELECT id FROM rng WHERE nosuch > 1`},
@@ -240,6 +257,9 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = o.k)`, `    select: interpreted (unresolvable WHERE expression)`},
 		{`SELECT COUNT(*) FROM rng GROUP BY k HAVING COUNT(*) > 1`, `interpreted`},
 		{`SELECT DISTINCT k FROM rng`, `interpreted`},
+		{`SELECT DISTINCT k FROM rng WHERE id = 3`, `access: hash point lookup via pk_rng_id`},
+		{`SELECT k, COUNT(*) FROM rng WHERE k BETWEEN 2 AND 5 GROUP BY k HAVING COUNT(*) > 1`, `ordered range scan via rng_k`},
+		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = 3 AND i.k = o.k)`, "  subquery:\n    select: interpreted (unresolvable WHERE expression)\n      access: hash point lookup via pk_rng_id"},
 		{`SELECT a.id FROM rng a JOIN rng b ON a.k = b.id`, `join: inner hash join`},
 	}
 	for _, tc := range cases {

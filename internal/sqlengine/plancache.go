@@ -37,11 +37,14 @@ func (p *Prepared) topPlan() *selectPlan {
 // else a vectorised aggregate plan, else neither and the reason — which
 // is how a block whose names do not resolve locally (a correlated
 // subquery) is recorded as not plannable once, instead of being looked
-// at again for every outer row.
+// at again for every outer row. src is the block's table source when
+// its FROM is one base table with no joins; the plans are built from it,
+// and the interpreter reads the table through its access path.
 type blockPlan struct {
 	plan   *selectPlan
 	agg    *aggPlan
 	reason string
+	src    *tableSource
 	// firstArm is set for a UNION statement: its first arm as a block of
 	// its own (see unionFirstArm), planned under that key.
 	firstArm *SelectStmt
@@ -110,9 +113,12 @@ func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
 		}
 		return
 	}
-	bp.plan, bp.reason = d.planSelect(st)
-	if bp.plan == nil && bp.reason == "grouping/aggregates" {
-		bp.agg, _ = d.planAggregate(st)
+	if len(st.Joins) == 0 {
+		bp.src = d.planSource(st.From, st.Where, false)
+	}
+	bp.plan, bp.reason = d.planSelect(st, bp.src)
+	if bp.plan == nil && bp.reason == "grouping/aggregates" && bp.src != nil {
+		bp.agg = d.planAggregate(st, bp.src)
 	}
 	ref := func(tr *TableRef) {
 		switch {

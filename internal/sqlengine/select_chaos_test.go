@@ -31,7 +31,8 @@ func TestExpressionVectorsEngage(t *testing.T) {
 		{sql: `SELECT x.a FROM (SELECT a FROM vt WHERE id < 10) x`},
 		{sql: `SELECT id FROM vt WHERE a = (SELECT MAX(a + 1) FROM vt WHERE id < 1000) - 1`},
 		{sql: `SELECT SUM(a / b) FROM vt WHERE id <> 40`},
-		{sql: `SELECT SUM(a / b) FROM vt`, abandoned: true}, // b = 0 at id 40
+		{sql: `SELECT SUM(a / b) FROM vt`, abandoned: true},         // b = 0 at id 40
+		{sql: `SELECT SUM(a / (b - 200)) FROM vt`, abandoned: true}, // b = 200 at id 1 640, in the second chunk
 		{sql: `SELECT SUM(a + ?) FROM vt`, params: []Value{Null}, abandoned: true},
 		{sql: `SELECT id / a FROM vt WHERE id < 60`, fails: true}, // a = 0 at id 50
 		{sql: `SELECT id FROM vt WHERE a % ? = 1`, params: []Value{NewInt(0)}, abandoned: true},

@@ -969,28 +969,53 @@ func chunkSkippable(bp boundVec, ch *colChunk) bool {
 	return bp.possible(ch)&maskT == 0
 }
 
-// eachChunk is the chunk source: it runs bp (nil: no predicate) over
-// every chunk of tc through filterChunk and hands f each chunk's accepted
-// row IDs in scan order — none for a chunk the zone maps skip — until f
-// wants no more. ids is valid until f returns.
-func (d *Database) eachChunk(ctx context.Context, bp boundVec, tc *tableChunks, f func(ids []int64) (more bool, err error)) error {
+// eachChunk is the one chunk loop: it runs bp (nil: no predicate) over
+// every chunk of tc through filterChunk and hands f each chunk the zone
+// maps do not skip, with the positions of the rows the filter accepts,
+// in scan order, until f wants no more. rows is valid until f returns.
+func (d *Database) eachChunk(ctx context.Context, bp boundVec, tc *tableChunks, f func(ch *colChunk, rows []uint16) (more bool, err error)) error {
 	var sel [chunkRows]int8
 	var pos [chunkRows]uint16
-	ids := make([]int64, 0, chunkRows)
 	for _, ch := range tc.chunks {
 		if err := ctxCheck(ctx); err != nil {
 			return err
 		}
-		rows, _ := d.filterChunk(bp, ch, &sel, &pos)
-		ids = ids[:0]
-		for _, r := range rows {
-			ids = append(ids, ch.ids[r])
+		rows, skipped := d.filterChunk(bp, ch, &sel, &pos)
+		if skipped {
+			continue
 		}
-		if more, err := f(ids); err != nil || !more {
+		if more, err := f(ch, rows); err != nil || !more {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendIDs appends the row IDs at the given positions of the chunk.
+func (ch *colChunk) appendIDs(dst []int64, rows []uint16) []int64 {
+	for _, r := range rows {
+		dst = append(dst, ch.ids[r])
+	}
+	return dst
+}
+
+// bindKernels binds a source's kernels for one execution: its predicate
+// against params — bound=false when an operand does not bind, and the
+// row filter or the walk must run instead — and, when the caller wants
+// chunks and the vector switch is on, the table's current chunks (nil
+// when they do not build).
+func (d *Database) bindKernels(s *tableSource, params []Value, wantChunks bool) (bp boundVec, tc *tableChunks, bound bool) {
+	if s.pred != nil {
+		if bp, bound = bindVecPred(s.pred, params, s.t); !bound {
+			return nil, nil, false
+		}
+	}
+	if wantChunks && d.vectorEnabled() {
+		if tc = d.ensureChunks(s.t); !tc.ok {
+			tc = nil
+		}
+	}
+	return bp, tc, true
 }
 
 // vectorEnabled reports whether columnar operators may run for this
