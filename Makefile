@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzRowsetRoundTrip -fuzztime $(FUZZTIME) ./internal/rowset/
+	$(GO) test -run '^$$' -fuzz FuzzBufferWindow -fuzztime $(FUZZTIME) ./internal/rowset/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

@@ -445,10 +445,11 @@ func BenchmarkE13EnvelopeMarshal(b *testing.B) {
 // BenchmarkE13GetTuplesPage serves one 100-row page out of a 10 000-row
 // service-managed rowset — the paging hot path of paper Fig. 5.
 func BenchmarkE13GetTuplesPage(b *testing.B) {
-	res, err := dair.NewSQLRowsetResource("parent", e13ResultSet(10000), "", core.DefaultConfiguration())
+	res, err := dair.NewSQLRowsetResource("parent", rowset.NewBuffer(rowset.NewSetSource(e13ResultSet(10000)), rowset.BufferConfig{}), "", core.DefaultConfiguration())
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer res.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

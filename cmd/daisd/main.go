@@ -16,6 +16,11 @@
 // main listener and, when -ops-addr is set, on a separate ops listener
 // that optionally adds net/http/pprof.
 //
+// Every derived rowset (the factory chain of WS-DAIR) streams: GetTuples
+// answers while the engine is still producing. -rowset-mem-cap bounds
+// the bytes of rows one of them keeps in memory before its pages spill
+// to a filestore; 0 never spills.
+//
 // -max-inflight bounds concurrent requests per endpoint and
 // -per-resource-inflight bounds them per data resource; excess load is
 // shed with a ServiceBusyFault carried on HTTP 503 + Retry-After,
@@ -66,7 +71,7 @@ func main() {
 	slow := flag.Duration("slow", time.Second, "slow-call log threshold (0 disables)")
 	maxInFlight := flag.Int("max-inflight", 0, "per-endpoint in-flight request cap; excess requests are shed with HTTP 503 + Retry-After (0 disables admission control)")
 	perResource := flag.Int("per-resource-inflight", 0, "per-data-resource in-flight request cap (0 disables)")
-	rowsetMemCap := flag.Int64("rowset-mem-cap", 64<<20, "streaming rowset delivery: bytes of result rows kept in memory per derived rowset before pages spill to disk (0 disables streaming delivery)")
+	rowsetMemCap := flag.Int64("rowset-mem-cap", 64<<20, "bytes of result rows a derived rowset keeps in memory before its pages spill to disk (0 never spills)")
 	planCache := flag.Int("plan-cache", 256, "prepared-plan cache capacity per engine (0 disables plan caching)")
 	flag.Parse()
 
@@ -167,8 +172,8 @@ type config struct {
 	// resource; both 0 = accept unbounded concurrency.
 	maxInFlight int
 	perResource int
-	// Streaming rowset delivery: in-memory byte cap per derived rowset
-	// before pages spill to the filestore (0 disables streaming).
+	// In-memory byte cap per streamed result before its pages spill to
+	// the filestore (0 never spills).
 	rowsetMemCap int64
 	// Prepared-plan cache capacity per engine (0 disables caching).
 	planCache int
@@ -226,19 +231,15 @@ func buildServer(base string, cfg config) (*server, func()) {
 	// Columnar-execution counters: chunks evaluated by vector kernels
 	// and chunks skipped outright via zone maps.
 	service.RegisterVectorMetrics(obs.Registry, eng)
-	var sqlOpts []dair.ResourceOption
-	if cfg.rowsetMemCap > 0 {
-		// Streaming delivery: derived rowsets answer GetTuples while the
-		// engine is still producing, spilling past the memory cap into a
-		// dedicated filestore; spill volume, rows produced and buffer
-		// depth land on /metrics.
-		sqlOpts = append(sqlOpts, dair.WithStreamDelivery(rowset.BufferConfig{
-			MemCap: cfg.rowsetMemCap,
-			Spill:  filestore.NewStore("rowset-spill"),
-			Hooks:  service.RowsetStreamHooks(obs.Registry),
-		}))
-	}
-	sqlRes := dair.NewSQLDataResource(eng, sqlOpts...)
+	// Derived rowsets answer GetTuples while the engine is still
+	// producing, spilling past the memory cap into a dedicated
+	// filestore; spill volume, rows produced and buffer depth land on
+	// /metrics.
+	sqlRes := dair.NewSQLDataResource(eng, dair.WithStreamDelivery(rowset.BufferConfig{
+		MemCap: cfg.rowsetMemCap,
+		Spill:  filestore.NewStore("rowset-spill"),
+		Hooks:  service.RowsetStreamHooks(obs.Registry),
+	}))
 	sqlSvc := core.NewDataService("relational",
 		core.WithConcurrentAccess(cfg.concurrent),
 		core.WithConfigurationMap(dair.StandardConfigurationMaps()...))

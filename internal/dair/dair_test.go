@@ -230,8 +230,8 @@ func TestSQLRowsetFactoryChain(t *testing.T) {
 	if rr.FormatURI() != rowset.FormatWebRowSet {
 		t.Fatalf("format = %s", rr.FormatURI())
 	}
-	if rr.RowCount() != 3 {
-		t.Fatalf("rows = %d", rr.RowCount())
+	if n, err := rr.FinalRowCount(context.Background()); err != nil || n != 3 {
+		t.Fatalf("rows = %d, %v", n, err)
 	}
 	page, err := rr.GetTuples(context.Background(), 2, 1)
 	if err != nil {
@@ -254,8 +254,8 @@ func TestSQLRowsetFactoryCountLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.RowCount() != 2 {
-		t.Fatalf("rows = %d", rr.RowCount())
+	if n, err := rr.FinalRowCount(context.Background()); err != nil || n != 2 {
+		t.Fatalf("rows = %d, %v", n, err)
 	}
 }
 
@@ -270,15 +270,26 @@ func TestSQLRowsetFactoryBadFormat(t *testing.T) {
 	}
 }
 
+// rowsetFromSQL composes the two factories into the short-cut the paper
+// notes at the end of §4.2: a query straight to a rowset resource.
+func rowsetFromSQL(src *SQLDataResource, ds *core.DataService, expression, formatURI string) (*SQLRowsetResource, error) {
+	resp, err := SQLExecuteFactory(context.Background(), src, ds, expression, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return SQLRowsetFactory(context.Background(), resp, ds, formatURI, 0, nil)
+}
+
 func TestRowsetFromSQLShortcut(t *testing.T) {
 	src := NewSQLDataResource(seedEngine(t))
 	ds := core.NewDataService("ds")
-	rr, err := RowsetFromSQL(context.Background(), src, ds, `SELECT name FROM emp`, nil, rowset.FormatCSV, nil)
+	rr, err := rowsetFromSQL(src, ds, `SELECT name FROM emp`, rowset.FormatCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.ParentName() != src.AbstractName() {
-		t.Fatal("shortcut parent should be the source resource")
+	resp, err := ds.Resolve(rr.ParentName())
+	if err != nil || resp.ParentName() != src.AbstractName() {
+		t.Fatalf("rowset parent %q should be a response derived from the source: %v", rr.ParentName(), err)
 	}
 	data, err := rr.GetTuples(context.Background(), 1, 100)
 	if err != nil {
@@ -288,7 +299,7 @@ func TestRowsetFromSQLShortcut(t *testing.T) {
 		t.Fatalf("csv = %s", data)
 	}
 	// Non-query expression fails.
-	if _, err := RowsetFromSQL(context.Background(), src, ds, `DELETE FROM emp WHERE id = 99`, nil, "", nil); err == nil {
+	if _, err := rowsetFromSQL(src, ds, `DELETE FROM emp WHERE id = 99`, ""); err == nil {
 		t.Fatal("expected fault for non-query")
 	}
 }
@@ -394,7 +405,10 @@ func TestCommunicationAreaRoundTrip(t *testing.T) {
 func TestRowsetPropertyExtensions(t *testing.T) {
 	src := NewSQLDataResource(seedEngine(t))
 	ds := core.NewDataService("ds")
-	rr, _ := RowsetFromSQL(context.Background(), src, ds, `SELECT id, name FROM emp`, nil, "", nil)
+	rr, err := rowsetFromSQL(src, ds, `SELECT id, name FROM emp`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ext := rr.ExtendedProperties()
 	var found int
 	for _, e := range ext {

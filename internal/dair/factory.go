@@ -80,81 +80,57 @@ func SQLRowsetFactory(ctx context.Context, src *SQLResponseResource, target *cor
 	if err := core.CheckReadable(src); err != nil {
 		return nil, err
 	}
+	if _, err := src.formats.Lookup(formatURI); err != nil {
+		return nil, &core.InvalidDatasetFormatFault{Format: formatURI}
+	}
 	c := core.DefaultConfiguration()
 	if cfg != nil {
 		c = *cfg
 	}
-	src.mu.RLock()
-	h := src.stream
-	src.mu.RUnlock()
-	if h != nil && count <= 0 {
-		// Streaming source, unbounded copy: share the producing buffer
-		// instead of materialising — GetTuples pages are carved from it
-		// on demand and the full result never has to fit in RAM.
-		res, err := NewStreamingSQLRowsetResource(src.AbstractName(), h.buf, formatURI, c)
-		if err != nil {
-			return nil, err
-		}
-		h.buf.Retain()
-		target.AddResource(res)
-		return res, nil
-	}
-	var copied *sqlengine.ResultSet
-	if h != nil {
-		// Bounded copy from a streaming source: wait only for the first
-		// count rows, not the whole result.
-		set, err := h.buf.Window(ctx, 1, count)
-		if err != nil {
-			return nil, execFault(err)
-		}
-		copied = &sqlengine.ResultSet{Columns: set.Columns, Rows: set.Rows}
-	} else {
-		set, err := src.GetSQLRowset(0)
-		if err != nil {
-			return nil, err
-		}
-		copied = &sqlengine.ResultSet{Columns: set.Columns}
-		if count <= 0 || count > len(set.Rows) {
-			count = len(set.Rows)
-		}
-		copied.Rows = append(copied.Rows, set.Rows[:count]...)
-	}
-	res, err := NewSQLRowsetResource(src.AbstractName(), copied, formatURI, c)
+	buf, err := src.rowsetBuffer(ctx, count)
 	if err != nil {
+		return nil, err
+	}
+	res, err := NewSQLRowsetResource(src.AbstractName(), buf, formatURI, c)
+	if err != nil {
+		buf.Release()
 		return nil, err
 	}
 	target.AddResource(res)
 	return res, nil
 }
 
-// RowsetFromSQL is a convenience composing both factories when no
-// intermediate response resource is needed: it executes a query and
-// directly materialises a rowset resource (the short-cut the paper
-// notes at the end of §4.2: "all that would be required is for Data
-// Service 1 to support the SQLResponseFactory interface").
-func RowsetFromSQL(ctx context.Context, src *SQLDataResource, target *core.DataService, expression string,
-	params []sqlengine.Value, formatURI string, cfg *core.Configuration) (*SQLRowsetResource, error) {
-	if err := core.CheckReadable(src); err != nil {
-		return nil, err
+// rowsetBuffer returns a buffer reference holding the response's first
+// count rows (all of them when count <= 0). An unbounded copy of a
+// streamed response shares its producing buffer: GetTuples pages are
+// carved from it on demand and the full result never has to fit in RAM.
+// Any other copy is the first count rows — waited for in the producing
+// buffer, or taken from the executed response — in a buffer of its own.
+func (r *SQLResponseResource) rowsetBuffer(ctx context.Context, count int) (*rowset.Buffer, error) {
+	r.mu.RLock()
+	h := r.stream
+	r.mu.RUnlock()
+	if h != nil && count <= 0 {
+		h.buf.Retain()
+		return h.buf, nil
 	}
-	data, err := src.SQLExecute(ctx, expression, params)
-	if err != nil {
-		return nil, err
+	var set *sqlengine.ResultSet
+	if h != nil {
+		var err error
+		if set, err = h.buf.Window(ctx, 1, count); err != nil {
+			return nil, execFault(err)
+		}
+	} else {
+		whole, err := r.GetSQLRowset(0)
+		if err != nil {
+			return nil, err
+		}
+		if count <= 0 || count > len(whole.Rows) {
+			count = len(whole.Rows)
+		}
+		set = &sqlengine.ResultSet{Columns: whole.Columns, Rows: whole.Rows[:count:count]}
 	}
-	set := data.FirstRowset()
-	if set == nil {
-		return nil, &core.InvalidExpressionFault{Detail: "expression did not produce a rowset"}
-	}
-	c := core.DefaultConfiguration()
-	if cfg != nil {
-		c = *cfg
-	}
-	res, err := NewSQLRowsetResource(src.AbstractName(), set, formatURI, c)
-	if err != nil {
-		return nil, err
-	}
-	target.AddResource(res)
-	return res, nil
+	return rowset.NewBuffer(rowset.NewSetSource(set), rowset.BufferConfig{}), nil
 }
 
 // StandardConfigurationMaps returns the ConfigurationMap entries a

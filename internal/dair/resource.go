@@ -70,9 +70,9 @@ type SQLDataResource struct {
 	formats *rowset.Registry
 	wrapper Wrapper
 
-	// streamCfg enables streaming result delivery for derived
-	// resources (WithStreamDelivery); nil keeps the materialised path.
-	streamCfg *rowset.BufferConfig
+	// bufCfg configures the buffer each streamed result is produced
+	// into (WithStreamDelivery); the zero value keeps it in memory.
+	bufCfg rowset.BufferConfig
 
 	// txnMu guards the consumer-controlled transaction session.
 	txnMu   sync.Mutex

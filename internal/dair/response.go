@@ -374,48 +374,25 @@ func (r *SQLResponseResource) GetSQLResponseItem(index int) (ResponseItem, error
 // SQLRowsetResource is a derived, service-managed resource holding one
 // rowset in a chosen dataset format — the target of
 // ResponseFactory.SQLRowsetFactory and the subject of the RowsetAccess
-// interface (paper Fig. 5's web row set data resource). It is backed
-// either by a materialised result set or, for streaming delivery, by
-// the producing buffer: then GetTuples pages are carved out of the
-// buffer (blocking while they overlap the unproduced tail, paging
-// spilled rows back in) and encoded per request, byte-identically to
-// the materialised path.
+// interface (paper Fig. 5's web row set data resource). Its rows are a
+// rowset.Buffer — the producing buffer of a streamed response, or one
+// holding rows copied from a response — and GetTuples pages are carved
+// out of it (blocking while they overlap the unproduced tail, paging
+// spilled rows back in) and encoded per request.
 type SQLRowsetResource struct {
 	core.BaseResource
 	mu        sync.RWMutex
-	set       *sqlengine.ResultSet // nil when buffer-backed
-	buf       *rowset.Buffer       // nil when materialised
+	buf       *rowset.Buffer // nil once released
+	cols      []sqlengine.ResultColumn
 	formatURI string
 	formats   *rowset.Registry
 }
 
-// NewSQLRowsetResource wraps a result set as a rowset resource in the
-// given format (empty = SQLRowset default).
-func NewSQLRowsetResource(parent string, set *sqlengine.ResultSet, formatURI string, cfg core.Configuration) (*SQLRowsetResource, error) {
-	reg := rowset.NewRegistry()
-	if _, err := reg.Lookup(formatURI); err != nil {
-		return nil, &core.InvalidDatasetFormatFault{Format: formatURI}
-	}
-	if formatURI == "" {
-		formatURI = rowset.FormatSQLRowset
-	}
-	return &SQLRowsetResource{
-		BaseResource: core.BaseResource{
-			Name:   core.NewAbstractName("sqlrowset"),
-			Parent: parent,
-			Mgmt:   core.ServiceManaged,
-			Config: cfg,
-		},
-		set:       set,
-		formatURI: formatURI,
-		formats:   reg,
-	}, nil
-}
-
-// NewStreamingSQLRowsetResource wraps a producing buffer as a rowset
-// resource. The caller must already hold a buffer reference for the
-// resource (Retain); Release drops it.
-func NewStreamingSQLRowsetResource(parent string, buf *rowset.Buffer, formatURI string, cfg core.Configuration) (*SQLRowsetResource, error) {
+// NewSQLRowsetResource wraps a buffer as a rowset resource in the given
+// format (empty = SQLRowset default). The resource takes over one
+// reference to buf, which Release drops; on a fault the reference stays
+// the caller's.
+func NewSQLRowsetResource(parent string, buf *rowset.Buffer, formatURI string, cfg core.Configuration) (*SQLRowsetResource, error) {
 	reg := rowset.NewRegistry()
 	if _, err := reg.Lookup(formatURI); err != nil {
 		return nil, &core.InvalidDatasetFormatFault{Format: formatURI}
@@ -431,6 +408,7 @@ func NewStreamingSQLRowsetResource(parent string, buf *rowset.Buffer, formatURI 
 			Config: cfg,
 		},
 		buf:       buf,
+		cols:      buf.Columns(),
 		formatURI: formatURI,
 		formats:   reg,
 	}, nil
@@ -439,32 +417,20 @@ func NewStreamingSQLRowsetResource(parent string, buf *rowset.Buffer, formatURI 
 // FormatURI returns the resource's dataset format.
 func (r *SQLRowsetResource) FormatURI() string { return r.formatURI }
 
-// RowCount returns the number of rows held. For a still-producing
-// streaming resource this is the rows produced so far; use
-// FinalRowCount to wait for the total.
-func (r *SQLRowsetResource) RowCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.buf != nil {
-		return r.buf.Produced()
-	}
-	return len(r.set.Rows)
-}
-
-// FinalRowCount blocks until the total row count is known (immediately
-// for materialised resources) and returns it.
+// FinalRowCount blocks until production finishes and returns the total
+// row count; a released resource holds none.
 func (r *SQLRowsetResource) FinalRowCount(ctx context.Context) (int, error) {
 	r.mu.RLock()
 	buf := r.buf
 	r.mu.RUnlock()
-	if buf != nil {
-		n, err := buf.FinalCount(ctx)
-		if err != nil {
-			return 0, execFault(err)
-		}
-		return n, nil
+	if buf == nil {
+		return 0, nil
 	}
-	return r.RowCount(), nil
+	n, err := buf.FinalCount(ctx)
+	if err != nil {
+		return 0, execFault(err)
+	}
+	return n, nil
 }
 
 // QueryLanguages implements core.DataResource.
@@ -480,37 +446,26 @@ func (r *SQLRowsetResource) GenericQuery(ctx context.Context, lang, expr string)
 
 // ExtendedProperties implements core.DataResource with the
 // SQLRowsetDescription extensions: row count, format and the derived
-// schema rendered via CIM. A still-producing streaming resource
-// reports the rows produced so far.
+// schema rendered via CIM. NumberOfRows is the final count: on a
+// still-producing resource the read waits for production, and after a
+// failed one it reports 0.
 func (r *SQLRowsetResource) ExtendedProperties() []*xmlutil.Element {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rows, cols := 0, []sqlengine.ResultColumn(nil)
-	if r.buf != nil {
-		rows, cols = r.buf.Produced(), r.buf.Columns()
-	} else {
-		rows, cols = len(r.set.Rows), r.set.Columns
-	}
+	rows, _ := r.FinalRowCount(context.Background())
 	n := xmlutil.NewElement(NSDAIR, "NumberOfRows")
 	n.SetText(fmt.Sprintf("%d", rows))
 	f := xmlutil.NewElement(NSDAIR, "RowsetFormat")
 	f.SetText(r.formatURI)
 	schema := xmlutil.NewElement(NSDAIR, "RowsetSchema")
-	schema.AppendChild(cim.TableDescription("rowset", cols))
+	schema.AppendChild(cim.TableDescription("rowset", r.cols))
 	return []*xmlutil.Element{n, f, schema}
 }
 
-// Release implements core.DataResource by dropping the rows (and, for
-// a streaming resource, this resource's buffer reference).
+// Release implements core.DataResource by dropping this resource's
+// buffer reference; the last one to go stops a still-running producer.
 func (r *SQLRowsetResource) Release() error {
 	r.mu.Lock()
 	buf := r.buf
-	if buf != nil {
-		r.set = &sqlengine.ResultSet{Columns: buf.Columns()}
-		r.buf = nil
-	} else {
-		r.set = &sqlengine.ResultSet{Columns: r.set.Columns}
-	}
+	r.buf = nil
 	r.mu.Unlock()
 	if buf != nil {
 		buf.Release()
@@ -520,10 +475,9 @@ func (r *SQLRowsetResource) Release() error {
 
 // GetTuples implements RowsetAccess.GetTuples(StartPosition, Count):
 // the requested page encoded in the resource's dataset format.
-// StartPosition is 1-based, matching Fig. 5's message signature. On a
-// streaming resource a window overlapping the unproduced tail blocks
-// (under ctx) until the rows exist, then encodes exactly the bytes the
-// materialised path would have produced.
+// StartPosition is 1-based, matching Fig. 5's message signature. A
+// window overlapping the unproduced tail blocks (under ctx) until the
+// rows exist.
 func (r *SQLRowsetResource) GetTuples(ctx context.Context, startPosition, count int) ([]byte, error) {
 	render, err := r.TuplesRenderer(ctx, startPosition, count)
 	if err != nil {
@@ -533,13 +487,13 @@ func (r *SQLRowsetResource) GetTuples(ctx context.Context, startPosition, count 
 }
 
 // TuplesRenderer is GetTuples in two steps. It resolves the window to
-// the rows that hold it — the buffer's pages, or the stored set's — and
-// every fault GetTuples can answer with is decided here; the function
-// it returns then appends the page's encoding to a buffer of the
-// caller's, any number of times, and cannot fail. The rows it reads are
-// never written, so it stays valid after the resource is released. A
-// service hands it to the reply (ops.WindowDatasetElement) and a window
-// is rendered once, where it is sent from.
+// the buffer's pages that hold it, and every fault GetTuples can answer
+// with is decided here; the function it returns then appends the page's
+// encoding to a buffer of the caller's, any number of times, and cannot
+// fail. The rows it reads are never written, so it stays valid after the
+// resource is released. A service hands it to the reply
+// (ops.WindowDatasetElement) and a window is rendered once, where it is
+// sent from. A released resource answers an empty window.
 func (r *SQLRowsetResource) TuplesRenderer(ctx context.Context, startPosition, count int) (func(dst []byte) []byte, error) {
 	if err := core.CheckReadable(r); err != nil {
 		return nil, err
@@ -549,18 +503,13 @@ func (r *SQLRowsetResource) TuplesRenderer(ctx context.Context, startPosition, c
 		return nil, &core.InvalidDatasetFormatFault{Format: r.formatURI}
 	}
 	r.mu.RLock()
-	buf, set := r.buf, r.set
+	buf := r.buf
 	r.mu.RUnlock()
-	var cols []sqlengine.ResultColumn
 	var pages [][][]sqlengine.Value
 	if buf != nil {
 		if pages, err = buf.Pages(ctx, startPosition, count); err != nil {
 			return nil, execFault(err)
 		}
-		cols = buf.Columns()
-	} else {
-		from, to := rowset.Window(set, startPosition, count)
-		cols, pages = set.Columns, [][][]sqlengine.Value{set.Rows[from:to]}
 	}
-	return func(dst []byte) []byte { return codec.AppendWindow(dst, cols, pages...) }, nil
+	return func(dst []byte) []byte { return codec.AppendWindow(dst, r.cols, pages...) }, nil
 }

@@ -9,21 +9,21 @@ import (
 )
 
 // This file wires the streaming delivery pipeline into the WS-DAIR
-// resources: when a SQLDataResource is configured WithStreamDelivery,
-// indirect-mode SQLExecute runs the engine's pull-based row stream
-// into a rowset.Buffer and registers the derived resources against the
-// buffer, so GetTuples starts answering while the engine is still
-// producing and large results spill to the filestore instead of
-// occupying RAM. The encoded pages are byte-identical to the
-// materialised path: both resolve windows through the same clamp and
-// feed the same codecs the same rows.
+// resources: indirect-mode SQLExecute runs the engine's pull-based row
+// stream into a rowset.Buffer and registers the derived resources
+// against the buffer, so GetTuples starts answering while the engine is
+// still producing, and with a spill store configured large results
+// spill to the filestore instead of occupying RAM. Every derived rowset
+// is a buffer: rows that already exist in memory enter one through
+// rowset.NewSetSource.
 
-// WithStreamDelivery enables streaming result delivery for derived
-// resources. The config's SpillName is ignored — each stream gets a
+// WithStreamDelivery configures the buffer every streamed result is
+// produced into. The config's SpillName is ignored — each stream gets a
 // unique name in the configured store — and its Hooks/MemCap/PageRows
-// apply to every stream the resource starts.
+// apply to every stream the resource starts. Without it a buffer keeps
+// every row in memory, in pages of rowset.DefaultPageRows.
 func WithStreamDelivery(cfg rowset.BufferConfig) ResourceOption {
-	return func(r *SQLDataResource) { r.streamCfg = &cfg }
+	return func(r *SQLDataResource) { r.bufCfg = cfg }
 }
 
 // streamHandle pairs one engine row stream with the buffer draining
@@ -34,31 +34,31 @@ type streamHandle struct {
 	buf    *rowset.Buffer
 }
 
-// streamQuery attempts streaming execution of the expression. It
-// returns (nil, nil) when the statement or configuration is not
-// eligible — the caller then takes the materialised path — and defers
-// all execution errors to that path too, so error behaviour is
-// identical with and without streaming:
+// streamQuery starts streaming execution of the expression. It returns
+// (nil, nil) for the statements a one-shot stream cannot serve — the
+// caller then executes them through SQLExecute:
 //
-//   - resource not configured for streaming
-//   - Sensitive derived resources (they re-execute on every access;
-//     a one-shot stream cannot satisfy that)
+//   - Sensitive derived resources (they re-execute on every access)
 //   - consumer-controlled transactions (the sticky session must not
 //     be occupied by a long-lived stream)
 //   - anything but a SELECT (DML must not run twice, and only queries
-//     produce rowsets worth streaming)
+//     produce rowsets)
+//
+// A statement that fails to parse or to start faults here, and is not
+// executed a second time.
 func (r *SQLDataResource) streamQuery(expression string, params []sqlengine.Value, cfg core.Configuration) (*streamHandle, error) {
-	if r.streamCfg == nil || cfg.Sensitivity == core.Sensitive ||
-		r.Config.TransactionInitiation == core.TransactionConsumerControlled {
+	if cfg.Sensitivity == core.Sensitive || r.Config.TransactionInitiation == core.TransactionConsumerControlled {
 		return nil, nil
 	}
 	prepared, err := r.wrapper.Prepare(expression)
 	if err != nil {
 		return nil, err
 	}
-	if st, _, perr := sqlengine.Parse(prepared); perr != nil {
-		return nil, nil
-	} else if _, ok := st.(*sqlengine.SelectStmt); !ok {
+	prep, err := r.engine.Prepare(prepared)
+	if err != nil {
+		return nil, execFault(err)
+	}
+	if _, ok := prep.Statement().(*sqlengine.SelectStmt); !ok {
 		return nil, nil
 	}
 	if err := core.CheckReadable(r); err != nil {
@@ -74,19 +74,16 @@ func (r *SQLDataResource) streamQuery(expression string, params []sqlengine.Valu
 	// comes from releasing the resource instead.
 	stream, err := sess.ExecuteStream(context.Background(), prepared, params...)
 	if err != nil {
-		// Let the materialised path re-execute and fail with its
-		// canonical fault; a failed SELECT has no side effects.
-		return nil, nil
+		return nil, execFault(err)
 	}
-	bcfg := *r.streamCfg
+	bcfg := r.bufCfg
 	bcfg.SpillName = core.NewAbstractName("rowset-spill")
 	return &streamHandle{stream: stream, buf: rowset.NewBuffer(stream, bcfg)}, nil
 }
 
 // responseData waits for production to finish and assembles the
-// response payload the materialised path would have produced: the full
-// rowset (paged back from spill if needed) plus the communication
-// area.
+// response payload SQLExecute would have produced: the full rowset
+// (paged back from spill if needed) plus the communication area.
 func (h *streamHandle) responseData(ctx context.Context) (*SQLResponseData, error) {
 	set, err := h.buf.Materialise(ctx)
 	if err != nil {

@@ -2,6 +2,7 @@ package dair
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -28,10 +29,20 @@ func wideEngine(t testing.TB, rows int) *sqlengine.Engine {
 	return e
 }
 
+// clampedRows is the GetTuples window (start, count) of rows: 1-based,
+// a start below 1 read as 1, clamped to the rows there are.
+func clampedRows(rows [][]sqlengine.Value, start, count int) [][]sqlengine.Value {
+	from := max(start, 1) - 1
+	if from >= len(rows) || count <= 0 {
+		return nil
+	}
+	return rows[from : from+min(count, len(rows)-from)]
+}
+
 // TestStreamingFactoryPagesMatchMaterialised is the integration half of
-// the byte-identity requirement: the same query through a streaming
-// resource and a plain materialised resource must produce identical
-// GetTuples pages in every registered codec.
+// the byte-identity requirement: the factory chain's GetTuples pages,
+// in memory and spilled, are the materialised result's rows in the
+// window, rendered, in every registered codec.
 func TestStreamingFactoryPagesMatchMaterialised(t *testing.T) {
 	const rows = 377
 	for _, spill := range []bool{false, true} {
@@ -47,54 +58,48 @@ func TestStreamingFactoryPagesMatchMaterialised(t *testing.T) {
 				cfg.MemCap = 1 // force everything to disk
 				cfg.Spill = store
 			}
-			streamSrc := NewSQLDataResource(wideEngine(t, rows), WithStreamDelivery(cfg))
-			plainSrc := NewSQLDataResource(wideEngine(t, rows))
+			eng := wideEngine(t, rows)
+			src := NewSQLDataResource(eng, WithStreamDelivery(cfg))
 			ds := core.NewDataService("ds")
 			const q = `SELECT id, station, reading FROM obs WHERE id >= 10`
+			whole, err := eng.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			sresp, err := SQLExecuteFactory(context.Background(), streamSrc, ds, q, nil, nil)
+			resp, err := SQLExecuteFactory(context.Background(), src, ds, q, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sresp.stream == nil {
+			if resp.stream == nil {
 				t.Fatal("expected streaming delivery")
-			}
-			presp, err := SQLExecuteFactory(context.Background(), plainSrc, ds, q, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if presp.stream != nil {
-				t.Fatal("unconfigured resource must not stream")
 			}
 
 			for _, format := range DefaultRowsetFormats() {
-				srr, err := SQLRowsetFactory(context.Background(), sresp, ds, format, 0, nil)
+				codec, err := rowset.NewRegistry().Lookup(format)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prr, err := SQLRowsetFactory(context.Background(), presp, ds, format, 0, nil)
+				rr, err := SQLRowsetFactory(context.Background(), resp, ds, format, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, win := range [][2]int{{1, 40}, {33, 64}, {360, 100}, {1, rows}, {-3, 5}, {400, 2}} {
-					got, err := srr.GetTuples(context.Background(), win[0], win[1])
+					got, err := rr.GetTuples(context.Background(), win[0], win[1])
 					if err != nil {
-						t.Fatalf("%s streaming GetTuples(%v): %v", format, win, err)
+						t.Fatalf("%s GetTuples(%v): %v", format, win, err)
 					}
-					want, err := prr.GetTuples(context.Background(), win[0], win[1])
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := codec.AppendWindow(nil, whole.Set.Columns, clampedRows(whole.Set.Rows, win[0], win[1]))
 					if string(got) != string(want) {
-						t.Fatalf("%s window %v: streaming page differs from materialised", format, win)
+						t.Fatalf("%s window %v: page differs from the materialised result's", format, win)
 					}
 				}
-				n, err := srr.FinalRowCount(context.Background())
+				n, err := rr.FinalRowCount(context.Background())
 				if err != nil || n != rows-10 {
 					t.Fatalf("final count = %d, %v", n, err)
 				}
 			}
-			if spilled := sresp.stream.buf.SpilledBytes(); spill != (spilled > 0) {
+			if spilled := resp.stream.buf.SpilledBytes(); spill != (spilled > 0) {
 				t.Fatalf("spill=%v but %d bytes spilled", spill, spilled)
 			}
 			if spill && store.Count() == 0 {
@@ -102,20 +107,16 @@ func TestStreamingFactoryPagesMatchMaterialised(t *testing.T) {
 			}
 
 			// The response payload itself (materialised once, from the
-			// buffer) must match the plain path too.
-			sset, err := sresp.GetSQLRowset(0)
+			// buffer) must match the executed result too.
+			set, err := resp.GetSQLRowset(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pset, err := presp.GetSQLRowset(0)
-			if err != nil {
-				t.Fatal(err)
+			if len(set.Rows) != len(whole.Set.Rows) {
+				t.Fatalf("rows %d != %d", len(set.Rows), len(whole.Set.Rows))
 			}
-			if len(sset.Rows) != len(pset.Rows) {
-				t.Fatalf("rows %d != %d", len(sset.Rows), len(pset.Rows))
-			}
-			if sresp.GetSQLCommunicationArea() != presp.GetSQLCommunicationArea() {
-				t.Fatalf("CA %+v != %+v", sresp.GetSQLCommunicationArea(), presp.GetSQLCommunicationArea())
+			if ca := resp.GetSQLCommunicationArea(); ca != whole.CA {
+				t.Fatalf("CA %+v != %+v", ca, whole.CA)
 			}
 		})
 	}
@@ -151,9 +152,10 @@ func TestStreamingReleaseDropsSpill(t *testing.T) {
 	}
 }
 
-// TestStreamingFallbacks checks each ineligibility gate takes the
-// materialised path — and, for DML, that the statement runs exactly
-// once.
+// TestStreamingFallbacks checks each statement a stream cannot serve is
+// executed instead — and, for DML, that the statement runs exactly once
+// — and that a query which fails to start faults without a second
+// execution.
 func TestStreamingFallbacks(t *testing.T) {
 	store := filestore.NewStore("spill")
 	cfg := rowset.BufferConfig{PageRows: 16, Spill: store, MemCap: 1 << 20}
@@ -169,6 +171,16 @@ func TestStreamingFallbacks(t *testing.T) {
 		}
 		if resp.stream != nil {
 			t.Fatal("sensitive resources must not stream")
+		}
+		// Its rowsets are copies of the executed rows, in buffers of their own.
+		for count, want := range map[int]int{0: 20, 3: 3, 50: 20} {
+			rr, err := SQLRowsetFactory(context.Background(), resp, ds, "", count, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := rr.FinalRowCount(context.Background()); err != nil || n != want {
+				t.Fatalf("count %d: rows = %d, %v", count, n, err)
+			}
 		}
 	})
 
@@ -199,14 +211,10 @@ func TestStreamingFallbacks(t *testing.T) {
 	t.Run("query errors use canonical faults", func(t *testing.T) {
 		src := NewSQLDataResource(wideEngine(t, 20), WithStreamDelivery(cfg))
 		ds := core.NewDataService("ds")
-		_, serr := SQLExecuteFactory(context.Background(), src, ds, `SELECT id FROM missing`, nil, nil)
-		plain := NewSQLDataResource(wideEngine(t, 20))
-		_, perr := SQLExecuteFactory(context.Background(), plain, ds, `SELECT id FROM missing`, nil, nil)
-		if serr == nil || perr == nil {
-			t.Fatalf("errs = %v, %v", serr, perr)
-		}
-		if fmt.Sprintf("%T", serr) != fmt.Sprintf("%T", perr) {
-			t.Fatalf("fault types diverge: %T vs %T", serr, perr)
+		_, err := SQLExecuteFactory(context.Background(), src, ds, `SELECT id FROM missing`, nil, nil)
+		var ief *core.InvalidExpressionFault
+		if !errors.As(err, &ief) {
+			t.Fatalf("err = %v, want InvalidExpressionFault", err)
 		}
 	})
 
@@ -221,8 +229,8 @@ func TestStreamingFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rr.RowCount() != 7 {
-			t.Fatalf("rows = %d", rr.RowCount())
+		if n, err := rr.FinalRowCount(context.Background()); err != nil || n != 7 {
+			t.Fatalf("rows = %d, %v", n, err)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package rowset
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"fmt"
 	"math"
@@ -198,10 +199,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestEncodeWindowMatchesSliceEncode: the zero-materialisation
-// EncodeRange fast path must be byte-identical to encoding a Slice
-// page, for every codec, across random windows including degenerate
-// ones (start before 1, start past the end, zero and oversized counts).
+// TestEncodeWindowMatchesSliceEncode: a window encoded from the pages
+// of a buffer holding the set — cut into pages of a few rows, so that
+// windows straddle them — is the encoding of the window's slice of the
+// set, for every codec, across random windows including degenerate ones
+// (start before 1, start past the end, zero and oversized counts).
 func TestEncodeWindowMatchesSliceEncode(t *testing.T) {
 	for _, c := range allCodecs() {
 		c := c
@@ -209,22 +211,23 @@ func TestEncodeWindowMatchesSliceEncode(t *testing.T) {
 			for seed := int64(100); seed < 140; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				rs := randomResultSet(rng)
+				buf := NewBuffer(NewSetSource(rs), BufferConfig{PageRows: 1 + rng.Intn(4)})
 				for trial := 0; trial < 8; trial++ {
 					sp := rng.Intn(len(rs.Rows)+4) - 1 // [-1, len+2]
 					n := rng.Intn(len(rs.Rows) + 3)
-					fast, err := EncodeWindow(c, rs, sp, n)
+					pages, err := buf.Pages(context.Background(), sp, n)
 					if err != nil {
-						t.Fatalf("seed %d sp=%d n=%d: EncodeWindow: %v", seed, sp, n, err)
+						t.Fatalf("seed %d sp=%d n=%d: Pages: %v", seed, sp, n, err)
 					}
-					slow, err := c.Encode(Slice(rs, sp, n))
-					if err != nil {
-						t.Fatalf("seed %d sp=%d n=%d: Encode(Slice): %v", seed, sp, n, err)
-					}
-					if !bytes.Equal(fast, slow) {
-						t.Fatalf("seed %d sp=%d n=%d: windowed bytes differ from sliced bytes\nwindow: %s\nslice:  %s",
-							seed, sp, n, fast, slow)
+					paged := c.AppendWindow(nil, rs.Columns, pages...)
+					from, to := windowRange(len(rs.Rows), sp, n)
+					sliced := c.AppendWindow(nil, rs.Columns, rs.Rows[from:to])
+					if !bytes.Equal(paged, sliced) {
+						t.Fatalf("seed %d sp=%d n=%d: paged bytes differ from sliced bytes\npaged:  %s\nsliced: %s",
+							seed, sp, n, paged, sliced)
 					}
 				}
+				buf.Release()
 			}
 		})
 	}
@@ -232,8 +235,9 @@ func TestEncodeWindowMatchesSliceEncode(t *testing.T) {
 
 // TestUntypedColumnWindowIdentity: computed (TypeNull) columns infer
 // their wire type from the rows in view. A window whose rows disagree
-// with the whole set about the first non-null value must still render
-// identically via both paths, and an all-NULL window decays to VARCHAR.
+// with the whole set about the first non-null value renders the same
+// whether its rows come as one page or one page a row, and an all-NULL
+// window decays to VARCHAR.
 func TestUntypedColumnWindowIdentity(t *testing.T) {
 	rs := &sqlengine.ResultSet{
 		Columns: []sqlengine.ResultColumn{
@@ -246,22 +250,29 @@ func TestUntypedColumnWindowIdentity(t *testing.T) {
 			{sqlengine.Null, sqlengine.NewInt(3)},
 		},
 	}
+	buf := NewBuffer(NewSetSource(rs), BufferConfig{PageRows: 1})
+	defer buf.Release()
 	for _, c := range allCodecs() {
 		name := c.FormatURI()
-		// Window [3,1): only the NULL row — the untyped column decays to
-		// VARCHAR, exactly as encoding the slice would.
 		for _, w := range [][2]int{{1, 3}, {3, 1}, {2, 2}, {1, 0}} {
-			fast, err := EncodeWindow(c, rs, w[0], w[1])
+			pages, err := buf.Pages(context.Background(), w[0], w[1])
 			if err != nil {
 				t.Fatalf("%s window %v: %v", name, w, err)
 			}
-			slow, err := c.Encode(Slice(rs, w[0], w[1]))
-			if err != nil {
-				t.Fatalf("%s slice %v: %v", name, w, err)
+			from, to := windowRange(len(rs.Rows), w[0], w[1])
+			paged := c.AppendWindow(nil, rs.Columns, pages...)
+			if sliced := c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]); !bytes.Equal(paged, sliced) {
+				t.Fatalf("%s window %v: bytes differ\npaged:  %s\nsliced: %s", name, w, paged, sliced)
 			}
-			if !bytes.Equal(fast, slow) {
-				t.Fatalf("%s window %v: bytes differ\nwindow: %s\nslice:  %s", name, w, fast, slow)
-			}
+		}
+		// Window [3,1): only the NULL row — the untyped column decays to
+		// VARCHAR.
+		lone, err := c.Decode(c.AppendWindow(nil, rs.Columns, rs.Rows[2:3]))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if lone.Columns[0].Type != sqlengine.TypeVarchar {
+			t.Fatalf("%s: all-NULL window typed the column %s, want VARCHAR", name, lone.Columns[0].Type)
 		}
 		// Whole-set decode resolves the computed column to its runtime
 		// type (DOUBLE, from the first non-null value).
@@ -381,17 +392,11 @@ func TestDirectEncodersMatchTheirOracles(t *testing.T) {
 	for n, rs := range sets {
 		for from := 0; from <= len(rs.Rows); from++ {
 			for _, to := range []int{from, min(from+1, len(rs.Rows)), len(rs.Rows)} {
-				got, err := WebRowSetCodec{}.EncodeRange(rs, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := WebRowSetCodec{}.AppendWindow(nil, rs.Columns, rs.Rows[from:to])
 				if want := xmlutil.Marshal(webRowSetTree(rs, from, to)); !bytes.Equal(got, want) {
 					t.Fatalf("set %d [%d,%d): WebRowSet diverged from tree rendering:\n got %s\nwant %s", n, from, to, got, want)
 				}
-				got, err = CSVCodec{}.EncodeRange(rs, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got = CSVCodec{}.AppendWindow(nil, rs.Columns, rs.Rows[from:to])
 				if want := csvWriterEncode(t, rs, from, to); !bytes.Equal(got, want) {
 					t.Fatalf("set %d [%d,%d): CSV diverged from encoding/csv:\n got %q\nwant %q", n, from, to, got, want)
 				}

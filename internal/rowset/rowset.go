@@ -42,10 +42,10 @@ type Codec interface {
 	Encode(rs *sqlengine.ResultSet) ([]byte, error)
 	// AppendWindow is the form a codec encodes in: a window — its rows
 	// given as the pages that hold them, in order, under the header cols
-	// — rendered after dst, which is returned grown. Encode and
-	// EncodeRange are this with nothing before the window and one page; a
-	// producer that owns a buffer (a reply being written) appends to it
-	// and a window costs no allocation of its own.
+	// — rendered after dst, which is returned grown. Encode is this with
+	// nothing before the window and one page; a producer that owns a
+	// buffer (a reply being written) appends to it and a window costs no
+	// allocation of its own.
 	AppendWindow(dst []byte, cols []sqlengine.ResultColumn, pages ...[][]sqlengine.Value) []byte
 	// Decode parses a rendering produced by Encode.
 	Decode(data []byte) (*sqlengine.ResultSet, error)
@@ -240,12 +240,6 @@ func (c SQLRowsetCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
 	return c.AppendWindow(nil, rs.Columns, rs.Rows), nil
 }
 
-// EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page.
-func (c SQLRowsetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
-	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
-}
-
 // AppendWindow implements Codec. It writes the bytes straight from
 // the values — no element tree — and its output is byte-identical to
 // marshalling SQLRowsetElement (pinned by test), so consumers cannot
@@ -393,12 +387,6 @@ func (c WebRowSetCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
 	return c.AppendWindow(nil, rs.Columns, rs.Rows), nil
 }
 
-// EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page.
-func (c WebRowSetCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
-	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
-}
-
 // AppendWindow implements Codec. Like the SQLRowset encoder it
 // writes the bytes straight from the values, byte-identical to
 // marshalling the equivalent element tree (pinned by test).
@@ -528,12 +516,6 @@ func (c CSVCodec) Encode(rs *sqlengine.ResultSet) ([]byte, error) {
 	return c.AppendWindow(nil, rs.Columns, rs.Rows), nil
 }
 
-// EncodeRange renders rows [from, to) directly from the stored result
-// set, without materialising an intermediate page.
-func (c CSVCodec) EncodeRange(rs *sqlengine.ResultSet, from, to int) ([]byte, error) {
-	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
-}
-
 // AppendWindow implements Codec: the bytes a csv.Writer would
 // produce for the same records (pinned by test).
 func (CSVCodec) AppendWindow(dst []byte, cols []sqlengine.ResultColumn, pages ...[][]sqlengine.Value) []byte {
@@ -643,52 +625,15 @@ func (CSVCodec) Decode(data []byte) (*sqlengine.ResultSet, error) {
 	return rs, nil
 }
 
-// Window clamps the 1-based WS-DAIR (StartPosition, Count) pair to the
-// 0-based half-open row range [from, to) actually present in rs.
-func Window(rs *sqlengine.ResultSet, startPosition, count int) (from, to int) {
-	return windowRange(len(rs.Rows), startPosition, count)
-}
-
-// windowRange is the clamp shared by the materialised Window and the
-// streaming Buffer.Window, so both paths resolve a (StartPosition,
-// Count) pair to exactly the same rows.
+// windowRange clamps the 1-based WS-DAIR (StartPosition, Count) pair to
+// the 0-based half-open range [from, to) of n rows: the GetTuples
+// window semantics, which Buffer.Pages resolves every window through. A
+// Count of any size, math.MaxInt included, reaches the last row and no
+// further.
 func windowRange(n, startPosition, count int) (from, to int) {
-	if startPosition < 1 {
-		startPosition = 1
-	}
-	from = startPosition - 1
+	from = max(startPosition, 1) - 1
 	if from >= n || count <= 0 {
 		return 0, 0
 	}
-	to = from + count
-	if to > n {
-		to = n
-	}
-	return from, to
-}
-
-// EncodeWindow renders one GetTuples page.
-func EncodeWindow(c Codec, rs *sqlengine.ResultSet, startPosition, count int) ([]byte, error) {
-	from, to := Window(rs, startPosition, count)
-	return c.AppendWindow(nil, rs.Columns, rs.Rows[from:to]), nil
-}
-
-// Slice returns a paged view of the result set: rows
-// [start, start+count), clamped to the available range. It implements
-// the WS-DAIR RowsetAccess GetTuples(StartPosition, Count) semantics,
-// where StartPosition is 1-based.
-//
-// The returned set is a zero-copy window: its Rows slice aliases the
-// source's row headers (full-capacity-clamped, so appends to the view
-// reallocate instead of clobbering the source). Callers treat pages as
-// read-only — they are encoded and discarded — so sharing is safe; use
-// Clone-style copying before mutating a page in place.
-func Slice(rs *sqlengine.ResultSet, startPosition, count int) *sqlengine.ResultSet {
-	out := &sqlengine.ResultSet{Columns: rs.Columns}
-	from, to := Window(rs, startPosition, count)
-	if from == to {
-		return out
-	}
-	out.Rows = rs.Rows[from:to:to]
-	return out
+	return from, from + min(count, n-from)
 }

@@ -174,25 +174,31 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// window is the slice of rs's rows a GetTuples (start, count) names.
+func window(rs *sqlengine.ResultSet, start, count int) [][]sqlengine.Value {
+	from, to := windowRange(len(rs.Rows), start, count)
+	return rs.Rows[from:to]
+}
+
 func TestSlicePaging(t *testing.T) {
 	rs := &sqlengine.ResultSet{Columns: []sqlengine.ResultColumn{{Name: "n", Type: sqlengine.TypeInteger}}}
 	for i := 1; i <= 10; i++ {
 		rs.Rows = append(rs.Rows, []sqlengine.Value{sqlengine.NewInt(int64(i))})
 	}
-	page := Slice(rs, 3, 4)
-	if len(page.Rows) != 4 || page.Rows[0][0].I != 3 || page.Rows[3][0].I != 6 {
-		t.Fatalf("page = %+v", page.Rows)
+	page := window(rs, 3, 4)
+	if len(page) != 4 || page[0][0].I != 3 || page[3][0].I != 6 {
+		t.Fatalf("page = %+v", page)
 	}
-	if p := Slice(rs, 9, 5); len(p.Rows) != 2 {
-		t.Fatalf("tail page = %d", len(p.Rows))
+	if p := window(rs, 9, 5); len(p) != 2 {
+		t.Fatalf("tail page = %d", len(p))
 	}
-	if p := Slice(rs, 11, 5); len(p.Rows) != 0 {
-		t.Fatalf("beyond end = %d", len(p.Rows))
+	if p := window(rs, 11, 5); len(p) != 0 {
+		t.Fatalf("beyond end = %d", len(p))
 	}
-	if p := Slice(rs, 0, 2); len(p.Rows) != 2 || p.Rows[0][0].I != 1 {
-		t.Fatalf("clamped start = %+v", p.Rows)
+	if p := window(rs, 0, 2); len(p) != 2 || p[0][0].I != 1 {
+		t.Fatalf("clamped start = %+v", p)
 	}
-	if p := Slice(rs, 1, 0); len(p.Rows) != 0 {
+	if p := window(rs, 1, 0); len(p) != 0 {
 		t.Fatal("zero count should be empty")
 	}
 }
@@ -208,11 +214,11 @@ func TestQuickSliceCoverage(t *testing.T) {
 		}
 		var got []int64
 		for pos := 1; ; pos += size {
-			p := Slice(rs, pos, size)
-			if len(p.Rows) == 0 {
+			p := window(rs, pos, size)
+			if len(p) == 0 {
 				break
 			}
-			for _, r := range p.Rows {
+			for _, r := range p {
 				got = append(got, r[0].I)
 			}
 		}
@@ -300,13 +306,10 @@ func TestSQLRowsetEncodeMatchesTree(t *testing.T) {
 	for _, rs := range []*sqlengine.ResultSet{sampleSet(), tricky} {
 		for from := 0; from <= len(rs.Rows); from++ {
 			for to := from; to <= len(rs.Rows); to++ {
-				got, err := SQLRowsetCodec{}.EncodeRange(rs, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := SQLRowsetCodec{}.AppendWindow(nil, rs.Columns, rs.Rows[from:to])
 				want := xmlutil.Marshal(sqlRowsetRangeElement(rs, from, to))
 				if string(got) != string(want) {
-					t.Fatalf("EncodeRange(%d,%d) diverged from tree rendering:\n got %s\nwant %s",
+					t.Fatalf("rows [%d,%d) diverged from tree rendering:\n got %s\nwant %s",
 						from, to, got, want)
 				}
 			}

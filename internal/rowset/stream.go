@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -26,9 +27,10 @@ type RowSource interface {
 	Close() error
 }
 
-// NewSetSource wraps a materialised result set as a RowSource, so the
-// buffer machinery can be exercised (and tested) without an engine
-// stream behind it.
+// NewSetSource wraps a materialised result set as a RowSource: rows that
+// already exist in memory (a bounded copy of a result, the rows of a
+// response that was executed rather than streamed) enter a Buffer this
+// way.
 func NewSetSource(rs *sqlengine.ResultSet) RowSource {
 	return &setSource{rs: rs}
 }
@@ -110,7 +112,7 @@ type BufferConfig struct {
 	// MemCap bounds the estimated bytes of row data held in memory;
 	// once sealed pages exceed it, the oldest are spilled. Zero (or a
 	// nil Spill store) disables spilling: the buffer holds everything
-	// in memory like the materialised path.
+	// in memory.
 	MemCap int64
 	// Spill is the store completed pages are written to; SpillName is
 	// the file they share (each page is one self-delimiting record).
@@ -191,13 +193,6 @@ func NewBuffer(src RowSource, cfg BufferConfig) *Buffer {
 // Columns returns the result column metadata.
 func (b *Buffer) Columns() []sqlengine.ResultColumn { return b.cols }
 
-// Produced returns the number of rows drained from the source so far.
-func (b *Buffer) Produced() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.produced
-}
-
 // Done reports whether production has finished (successfully or not).
 func (b *Buffer) Done() bool {
 	b.mu.Lock()
@@ -243,7 +238,7 @@ func (b *Buffer) fill() {
 // b.mu and wakes the readers. It reports false, sealing nothing, once
 // the buffer is released.
 func (b *Buffer) seal(batch [][]sqlengine.Value) bool {
-	pages := make([]bufPage, 0, (len(batch)+b.cfg.PageRows-1)/b.cfg.PageRows)
+	pages := make([]bufPage, 0, 1+(len(batch)-1)/b.cfg.PageRows) // batches are not empty
 	for rows := batch; len(rows) > 0; {
 		n := min(len(rows), b.cfg.PageRows)
 		p := bufPage{n: n, rows: rows[:n:n]}
@@ -367,12 +362,12 @@ func (b *Buffer) spillOver() {
 // sealed page the window overlaps, in order, clipped to the window; a
 // page that lives in the spill store is read back. It blocks while the
 // window overlaps the still-producing tail. Once production is done the
-// window clamps to the final row count exactly like the materialised
-// path's rowset.Window. A production error is returned from every call:
-// a partial result from a failed query is never served. The runs alias
-// the pages, which nobody writes: an encoder renders a window straight
-// from them (Codec.AppendWindow), and every error there is to report has been
-// reported before it writes a byte.
+// window clamps to the final row count (windowRange). A production
+// error is returned from every call: a partial result from a failed
+// query is never served. The runs alias the pages, which nobody writes:
+// an encoder renders a window straight from them (Codec.AppendWindow),
+// and every error there is to report has been reported before it writes
+// a byte.
 func (b *Buffer) Pages(ctx context.Context, startPosition, count int) ([][][]sqlengine.Value, error) {
 	if startPosition < 1 {
 		startPosition = 1
@@ -380,7 +375,9 @@ func (b *Buffer) Pages(ctx context.Context, startPosition, count int) ([][][]sql
 	if count <= 0 {
 		return nil, nil
 	}
-	need := startPosition - 1 + count
+	// The last row the window reaches, saturating: a Count near
+	// math.MaxInt waits for the end of production.
+	need := startPosition - 1 + min(count, math.MaxInt-(startPosition-1))
 	if err := b.await(ctx, func() bool {
 		return b.released || b.err != nil || b.done || b.produced >= need
 	}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -76,8 +77,8 @@ func TestSpillPageRoundTripEmpty(t *testing.T) {
 
 // TestBufferWindowsMatchMaterialised is the streaming arm of the
 // equivalence corpus: every GetTuples window served out of a buffer —
-// in memory or spilled — must encode byte-identically to the
-// materialised path, for every codec.
+// in memory or spilled — must encode byte-identically to the clamped
+// rows of the materialised set, for every codec.
 func TestBufferWindowsMatchMaterialised(t *testing.T) {
 	rs := corpusSet(103)
 	windows := [][2]int{{1, 10}, {5, 7}, {97, 100}, {1, 103}, {200, 5}, {3, 0}, {-4, 6}, {103, 1}}
@@ -106,10 +107,8 @@ func TestBufferWindowsMatchMaterialised(t *testing.T) {
 			}
 			for _, w := range windows {
 				start, count := w[0], w[1]
-				want, err := EncodeWindow(codec, rs, start, count)
-				if err != nil {
-					t.Fatal(err)
-				}
+				from, to := windowRange(len(rs.Rows), start, count)
+				want := codec.AppendWindow(nil, rs.Columns, rs.Rows[from:to])
 				page, err := buf.Window(context.Background(), start, count)
 				if err != nil {
 					t.Fatal(err)
@@ -180,6 +179,32 @@ func TestBufferWindowBlocksForTail(t *testing.T) {
 	n, err := buf.FinalCount(context.Background())
 	if err != nil || n != 50 {
 		t.Fatalf("final count = %d, %v", n, err)
+	}
+}
+
+// TestBufferHugeCountWaitsForProduction: a window whose Count reaches
+// past any row count — math.MaxInt, which a GetTuples request may carry
+// — on a buffer still producing waits for the end and returns every row
+// from its start, instead of an empty page that looks complete.
+func TestBufferHugeCountWaitsForProduction(t *testing.T) {
+	rs := corpusSet(50)
+	gate := make(chan struct{})
+	// Ten rows, then production waits for the gate.
+	src := &scriptedSource{rs: rs, batch: 5, before: func(pos int) error {
+		if pos >= 10 {
+			<-gate
+		}
+		return nil
+	}}
+	buf := NewBuffer(src, BufferConfig{PageRows: 8})
+	defer buf.Release()
+	time.AfterFunc(20*time.Millisecond, func() { close(gate) })
+	pages, err := buf.Pages(context.Background(), 2, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countRows(pages); n != 49 || pages[0][0][0].I != 1 {
+		t.Fatalf("window (2, MaxInt) = %d rows; want the 49 from id 1", n)
 	}
 }
 

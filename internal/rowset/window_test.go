@@ -1,36 +1,19 @@
 package rowset
 
 import (
-	"bytes"
-	"fmt"
+	"context"
+	"math"
+	"slices"
 	"testing"
 
+	"dais/internal/filestore"
 	"dais/internal/sqlengine"
 )
 
-func windowSet(rows int) *sqlengine.ResultSet {
-	// The last column is declared untyped (a computed expression) so
-	// range encoding exercises effectiveColumnsRange inference.
-	set := &sqlengine.ResultSet{
-		Columns: []sqlengine.ResultColumn{
-			{Name: "id", Type: sqlengine.TypeInteger, Table: "t"},
-			{Name: "name", Type: sqlengine.TypeVarchar, Table: "t"},
-			{Name: "score", Type: sqlengine.TypeNull},
-		},
-	}
-	for i := 0; i < rows; i++ {
-		name := sqlengine.NewString(fmt.Sprintf("row-%d", i))
-		score := sqlengine.NewDouble(float64(i) / 4)
-		if i%3 == 0 {
-			score = sqlengine.Null
-		}
-		set.Rows = append(set.Rows, []sqlengine.Value{sqlengine.NewInt(int64(i)), name, score})
-	}
-	return set
-}
-
+// TestSliceBoundsEdges: the rows windowRange slices out of a set for a
+// GetTuples (StartPosition, Count) pair, at every edge.
 func TestSliceBoundsEdges(t *testing.T) {
-	rs := windowSet(5)
+	rs := corpusSet(5)
 	cases := []struct {
 		name         string
 		start, count int
@@ -44,77 +27,73 @@ func TestSliceBoundsEdges(t *testing.T) {
 		{"negative count", 2, -1, nil},
 		{"full range", 1, 5, []int64{0, 1, 2, 3, 4}},
 		{"interior page", 2, 2, []int64{1, 2}},
+		{"huge count", 4, math.MaxInt, []int64{3, 4}},
+		{"huge start", math.MaxInt, math.MaxInt, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out := Slice(rs, tc.start, tc.count)
-			if len(out.Rows) != len(tc.wantIDs) {
-				t.Fatalf("got %d rows, want %d", len(out.Rows), len(tc.wantIDs))
+			from, to := windowRange(len(rs.Rows), tc.start, tc.count)
+			out := rs.Rows[from:to]
+			if len(out) != len(tc.wantIDs) {
+				t.Fatalf("got %d rows, want %d", len(out), len(tc.wantIDs))
 			}
 			for i, id := range tc.wantIDs {
-				if out.Rows[i][0].I != id {
-					t.Fatalf("row %d: id %d, want %d", i, out.Rows[i][0].I, id)
+				if out[i][0].I != id {
+					t.Fatalf("row %d: id %d, want %d", i, out[i][0].I, id)
 				}
 			}
 		})
 	}
 }
 
-func TestSliceIsZeroCopyView(t *testing.T) {
-	rs := windowSet(5)
-	view := Slice(rs, 2, 2)
-	if &view.Rows[0][0] != &rs.Rows[1][0] {
-		t.Fatal("Slice copied the window instead of aliasing it")
-	}
-	// The view's capacity is clamped, so growing it must not clobber
-	// the source's next row.
-	view.Rows = append(view.Rows, rs.Rows[0])
-	if rs.Rows[3][0].I != 3 {
-		t.Fatalf("append through the view clobbered the source: %v", rs.Rows[3][0])
-	}
-}
-
-func TestEncodeRangeMatchesMaterialisedPage(t *testing.T) {
-	rs := windowSet(12)
-	reg := NewRegistry()
-	windows := [][2]int{{1, 4}, {5, 3}, {11, 10}, {1, 12}, {20, 2}, {3, 0}}
-	for _, uri := range reg.URIs() {
-		codec, err := reg.Lookup(uri)
+// FuzzBufferWindow: whatever window is asked for — any start, any count,
+// math.MaxInt included — and however the buffer pages its rows and
+// whether it spills them, Pages returns, in order, exactly the rows the
+// GetTuples clamp names: from row max(start, 1) on, count of them, the
+// last row at most.
+func FuzzBufferWindow(f *testing.F) {
+	f.Add(uint16(100), 16, false, 2, math.MaxInt)
+	f.Add(uint16(100), 16, true, 2, math.MaxInt)
+	f.Add(uint16(3000), 0, false, -5, 1500)
+	f.Add(uint16(50), 7, true, 45, 10)
+	f.Add(uint16(0), 1, false, 1, 1)
+	f.Add(uint16(6), math.MaxInt-2, true, math.MaxInt-51, math.MaxInt) // a page count that overflowed
+	f.Add(uint16(2000), -3, false, math.MinInt, math.MaxInt)
+	f.Add(uint16(10), 3, true, 4, math.MinInt)
+	f.Fuzz(func(t *testing.T, n uint16, pageRows int, spill bool, start, count int) {
+		rows := int(n) % 3001
+		rs := &sqlengine.ResultSet{Columns: []sqlengine.ResultColumn{{Name: "id", Type: sqlengine.TypeInteger}}}
+		for i := 0; i < rows; i++ {
+			rs.Rows = append(rs.Rows, []sqlengine.Value{sqlengine.NewInt(int64(i))})
+		}
+		cfg := BufferConfig{PageRows: pageRows}
+		if spill {
+			cfg.MemCap, cfg.Spill, cfg.SpillName = 1, filestore.NewStore("fuzz"), "window.spill"
+		}
+		buf := NewBuffer(NewSetSource(rs), cfg)
+		defer buf.Release()
+		pages, err := buf.Pages(context.Background(), start, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, ok := codec.(RangeEncoder)
-		if !ok {
-			t.Fatalf("%s does not implement RangeEncoder", uri)
+		var got []int64
+		for _, row := range slices.Concat(pages...) {
+			got = append(got, row[0].I)
 		}
-		for _, w := range windows {
-			start, count := w[0], w[1]
-			// Reference: a materialised deep-copy page, as the old
-			// Slice produced, run through the whole-set encoder.
-			page := &sqlengine.ResultSet{Columns: rs.Columns}
-			from, to := Window(rs, start, count)
-			for _, r := range rs.Rows[from:to] {
-				page.Rows = append(page.Rows, append([]sqlengine.Value(nil), r...))
-			}
-			want, err := codec.Encode(page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := re.EncodeRange(rs, from, to)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s window (%d,%d): range encode differs from materialised page:\n%s\n---\n%s",
-					uri, start, count, got, want)
-			}
-			viaHelper, err := EncodeWindow(codec, rs, start, count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(viaHelper, want) {
-				t.Fatalf("%s window (%d,%d): EncodeWindow differs from materialised page", uri, start, count)
-			}
+		// The clamp, 1-based and without overflow: rows first..last.
+		first, last := max(start, 1), rows
+		if count <= 0 {
+			last = 0
+		} else if count-1 < rows-first {
+			last = first + count - 1
 		}
-	}
+		var want []int64
+		for id := first; id <= last; id++ {
+			want = append(want, int64(id-1))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d rows, pages of %d, spill %v, window (%d, %d): got %d rows %v, want %d rows",
+				rows, pageRows, spill, start, count, len(got), got[:min(len(got), 5)], len(want))
+		}
+	})
 }

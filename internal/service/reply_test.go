@@ -184,11 +184,7 @@ func TestConcurrentGetTuplesShareNothing(t *testing.T) {
 	}
 	var want [][]byte
 	for from := 0; from < rows; from += window {
-		data, err := rowset.SQLRowsetCodec{}.EncodeRange(whole, from, min(from+window, rows))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, data)
+		want = append(want, rowset.SQLRowsetCodec{}.AppendWindow(nil, whole.Columns, whole.Rows[from:min(from+window, rows)]))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

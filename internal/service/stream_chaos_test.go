@@ -1,15 +1,17 @@
 package service_test
 
 // Streaming-delivery tests at the service boundary: GetTuples edge
-// cases over HTTP against both materialised and streaming resources,
-// and the stream-chaos proof — a chunked, fault-injected fetch of a
-// spilled resource that must reassemble byte-identically with the
-// retries visible in telemetry.
+// cases over HTTP against rowsets copied from an executed response and
+// rowsets streamed through a spilling buffer, and the stream-chaos
+// proof — a chunked, fault-injected fetch of a spilled resource that
+// must reassemble byte-identically with the retries visible in
+// telemetry.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -76,9 +78,11 @@ func indirectRowset(t testing.TB, c *client.Client, ref client.ResourceRef, quer
 }
 
 // TestGetTuplesEdgeCasesOverHTTP drives the normalisation table through
-// the full wire path, against a materialised resource and a streaming
-// spilled one — the edge semantics must not depend on the delivery
-// path.
+// the full wire path, against the two ways rows enter a derived rowset's
+// buffer — "materialised": a resource under consumer-controlled
+// transactions executes the query, and the rowset holds a copy of its
+// rows in memory; "streaming": the engine streams into a buffer that
+// spills — the edge semantics must not depend on the delivery path.
 func TestGetTuplesEdgeCasesOverHTTP(t *testing.T) {
 	const rows = 50
 	fixtures := map[string]client.ResourceRef{}
@@ -88,7 +92,11 @@ func TestGetTuplesEdgeCasesOverHTTP(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			eng.MustExec(fmt.Sprintf(`INSERT INTO pts VALUES (%d, 'tag-%03d', %g)`, i, i%11, float64(i)*0.5))
 		}
-		res := dair.NewSQLDataResource(eng)
+		res := dair.NewSQLDataResource(eng, dair.WithConfiguration(core.Configuration{
+			Readable: true, Writeable: true,
+			TransactionInitiation: core.TransactionConsumerControlled,
+			TransactionIsolation:  sqlengine.ReadCommitted.String(),
+		}))
 		svc := core.NewDataService("relational", core.WithConfigurationMap(dair.StandardConfigurationMaps()...))
 		ep := service.NewEndpoint(svc)
 		ep.Register(res)
@@ -120,6 +128,7 @@ func TestGetTuplesEdgeCasesOverHTTP(t *testing.T) {
 				{name: "start clamps to one", start: -9, count: 2, wantRows: 2, wantFirst: 0},
 				{name: "start past end empty page", start: rows + 10, count: 4, wantRows: 0},
 				{name: "window overlapping the end truncates", start: rows - 1, count: 10, wantRows: 2, wantFirst: int64(rows - 2)},
+				{name: "huge count reads to the end", start: 2, count: math.MaxInt, wantRows: rows - 1, wantFirst: 1},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {

@@ -75,11 +75,11 @@ func RowsetStreamHooks(reg *telemetry.Registry) rowset.Hooks {
 //   - Count zero stays zero: an empty page in the resource's format
 //   - StartPosition below 1 clamps to 1 (WS-DAIR positions are 1-based)
 //   - an absent Count means "everything from StartPosition on", which
-//     for a streaming resource waits until the total is known
-//   - a start past the end yields an empty page, and a window
-//     overlapping the still-producing tail blocks until the rows exist
-//     (both resolved downstream by the shared window clamp; the wait is
-//     bounded by the request context)
+//     waits until production has ended and the total is known
+//   - a start past the end yields an empty page, a window overlapping
+//     the still-producing tail blocks until the rows exist, and a Count
+//     of any size stops at the last row (all resolved downstream by the
+//     buffer's window clamp; the wait is bounded by the request context)
 func normalizeTuplesWindow(ctx context.Context, res *dair.SQLRowsetResource, req *ops.PageMsg) (start, count int, err error) {
 	if req.HasCount && req.Count < 0 {
 		return 0, 0, &core.InvalidExpressionFault{

@@ -23,10 +23,11 @@ func tuplesResource(t *testing.T, rows int) *dair.SQLRowsetResource {
 	for i := 0; i < rows; i++ {
 		set.Rows = append(set.Rows, []sqlengine.Value{sqlengine.NewInt(int64(i))})
 	}
-	res, err := dair.NewSQLRowsetResource("parent", set, "", core.DefaultConfiguration())
+	res, err := dair.NewSQLRowsetResource("parent", rowset.NewBuffer(rowset.NewSetSource(set), rowset.BufferConfig{}), "", core.DefaultConfiguration())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { res.Release() })
 	return res
 }
 
@@ -82,13 +83,10 @@ func TestNormalizeAbsentCountWaitsForTotal(t *testing.T) {
 		Rows:    [][]sqlengine.Value{{sqlengine.NewInt(1)}, {sqlengine.NewInt(2)}},
 	}
 	slow := &gatedSource{src: rowset.NewSetSource(set), gate: make(chan struct{})}
-	buf := rowset.NewBuffer(slow, rowset.BufferConfig{})
-	defer buf.Release()
-	res, err := dair.NewStreamingSQLRowsetResource("parent", buf, "", core.DefaultConfiguration())
+	res, err := dair.NewSQLRowsetResource("parent", rowset.NewBuffer(slow, rowset.BufferConfig{}), "", core.DefaultConfiguration())
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Retain()
 	defer res.Release()
 
 	// Gate closed: the total is unknown, so the call must time out.

@@ -149,6 +149,8 @@ func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 								t.Errorf("%s window %v: %v", name, w, err)
 								return
 							}
+							from := min(max(w[0], 1)-1, total)
+							rows := want.Set.Rows[from:min(from+w[1], total)]
 							for _, uri := range reg.URIs() {
 								codec, _ := reg.Lookup(uri)
 								got, err := codec.Encode(page)
@@ -156,9 +158,8 @@ func TestStreamedBatchesMatchMaterialised(t *testing.T) {
 									t.Errorf("%s window %v: %v", name, w, err)
 									return
 								}
-								exp, err := rowset.EncodeWindow(codec, want.Set, w[0], w[1])
-								if err != nil || !bytes.Equal(got, exp) {
-									t.Errorf("%s window %v %s: streamed bytes differ from materialised (%v)", name, w, uri, err)
+								if exp := codec.AppendWindow(nil, want.Set.Columns, rows); !bytes.Equal(got, exp) {
+									t.Errorf("%s window %v %s: streamed bytes differ from materialised", name, w, uri)
 									return
 								}
 							}

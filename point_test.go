@@ -16,7 +16,9 @@ import (
 	"dais/internal/core"
 	"dais/internal/dair"
 	"dais/internal/daix"
+	"dais/internal/filestore"
 	"dais/internal/resil"
+	"dais/internal/rowset"
 	"dais/internal/service"
 	"dais/internal/sqlengine"
 	"dais/internal/telemetry"
@@ -60,7 +62,13 @@ func newPointFixture(tb testing.TB) *pointFixture {
 		}
 		eng.MustExec(sb.String())
 	}
-	sqlRes := dair.NewSQLDataResource(eng)
+	// daisd's delivery: derived rowsets stream through a buffer that
+	// would spill past 64 MiB, observed on /metrics.
+	sqlRes := dair.NewSQLDataResource(eng, dair.WithStreamDelivery(rowset.BufferConfig{
+		MemCap: 64 << 20,
+		Spill:  filestore.NewStore("rowset-spill"),
+		Hooks:  service.RowsetStreamHooks(obs.Registry),
+	}))
 	sqlSvc := core.NewDataService("relational", core.WithConfigurationMap(dair.StandardConfigurationMaps()...))
 	sqlEp := service.NewEndpoint(sqlSvc, service.WithTelemetry(obs), service.WithWSRF())
 	sqlEp.Register(sqlRes)
@@ -252,13 +260,16 @@ func BenchmarkPointExchange(b *testing.B) {
 // collecting scratch sized for a bulk window — a 256-row slab and two
 // 128-element parse arenas for a 20-row reply, the CIM description of
 // every table cloned three times to answer "Readable". The ceilings are
-// one and a half times what the classes allocate now (EXPERIMENTS.md
-// E23; the 40-byte cell of E24 took another 6 kB off a 20-row reply):
+// one and a half times what the classes allocated after E23 (the 40-byte
+// cell of E24 took another 6 kB off a 20-row reply). sql_indirect runs
+// daisd's path, the response streamed into a rowset buffer, which costs
+// 1.8 kB and 26 allocations more than the executed, in-memory response
+// this fixture used to build (73.3 kB, 1 114):
 //
 //	class          kB before   kB now   allocations before   now
-//	sql_direct         149.6     47.6                  567   438
-//	sql_indirect       209.6     72.6                 1349  1105
-//	xml_xpath           90.7     45.1                 1641   858
+//	sql_direct         149.6     48.1                  567   439
+//	sql_indirect       209.6     75.1                 1349  1140
+//	xml_xpath           90.7     45.1                 1641   856
 //	wsrf_props         126.3     17.4                 1769   267
 func TestPointExchangeAllocCeiling(t *testing.T) {
 	if raceDetector {
