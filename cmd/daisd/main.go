@@ -72,7 +72,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "per-endpoint in-flight request cap; excess requests are shed with HTTP 503 + Retry-After (0 disables admission control)")
 	perResource := flag.Int("per-resource-inflight", 0, "per-data-resource in-flight request cap (0 disables)")
 	rowsetMemCap := flag.Int64("rowset-mem-cap", 64<<20, "bytes of result rows a derived rowset keeps in memory before its pages spill to disk (0 never spills)")
-	planCache := flag.Int("plan-cache", 256, "prepared-plan cache capacity per engine (0 disables plan caching)")
 	flag.Parse()
 
 	logger := newLogger(os.Stderr, *logLevel, *logJSON)
@@ -95,7 +94,6 @@ func main() {
 		maxInFlight:  *maxInFlight,
 		perResource:  *perResource,
 		rowsetMemCap: *rowsetMemCap,
-		planCache:    *planCache,
 	})
 	defer stop()
 
@@ -175,8 +173,6 @@ type config struct {
 	// In-memory byte cap per streamed result before its pages spill to
 	// the filestore (0 never spills).
 	rowsetMemCap int64
-	// Prepared-plan cache capacity per engine (0 disables caching).
-	planCache int
 }
 
 // server bundles the composed endpoints for main and for tests.
@@ -223,7 +219,7 @@ func buildServer(base string, cfg config) (*server, func()) {
 		return out
 	}
 
-	eng := sqlengine.New("hr", sqlengine.WithPlanCacheSize(cfg.planCache))
+	eng := sqlengine.New("hr")
 	seedRelational(logger, eng, cfg.seedRows)
 	// Plan-cache hit/miss/size counters land on /metrics, labelled by
 	// engine.

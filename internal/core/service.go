@@ -43,11 +43,6 @@ func WithConcurrentAccess(ok bool) ServiceOption {
 	return func(s *DataService) { s.concurrent = ok }
 }
 
-// WithAddress records the service endpoint URL for EPR construction.
-func WithAddress(url string) ServiceOption {
-	return func(s *DataService) { s.address = url }
-}
-
 // WithConfigurationMap appends ConfigurationMap property entries.
 func WithConfigurationMap(entries ...ConfigurationMapEntry) ServiceOption {
 	return func(s *DataService) { s.configMaps = append(s.configMaps, entries...) }
@@ -83,11 +78,6 @@ func (s *DataService) SetAddress(url string) {
 
 // ConcurrentAccess reports the ConcurrentAccess property.
 func (s *DataService) ConcurrentAccess() bool { return s.concurrent }
-
-// ConfigurationMaps returns the advertised ConfigurationMap entries.
-func (s *DataService) ConfigurationMaps() []ConfigurationMapEntry {
-	return append([]ConfigurationMapEntry(nil), s.configMaps...)
-}
 
 // OnDestroy registers a destruction observer.
 func (s *DataService) OnDestroy(f func(name string)) {

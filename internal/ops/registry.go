@@ -47,13 +47,3 @@ func (r *Registry) Specs() []Spec {
 	sort.Slice(out, func(i, j int) bool { return out[i].Action < out[j].Action })
 	return out
 }
-
-// ByClass groups the registered specs by interface class — the Fig. 6
-// table view.
-func (r *Registry) ByClass() map[string][]Spec {
-	out := make(map[string][]Spec)
-	for _, s := range r.Specs() {
-		out[s.Class] = append(out[s.Class], s)
-	}
-	return out
-}

@@ -61,10 +61,6 @@ type ClientConfig struct {
 	// idempotent. Non-idempotent and uncatalogued operations are never
 	// retried regardless of this policy.
 	Retry Policy
-	// PolicyFor overrides the per-operation policy resolution: it
-	// receives the call metadata (zero CallInfo and known=false when the
-	// action is not in the catalog) and returns the policy to apply.
-	PolicyFor func(info ops.CallInfo, known bool) Policy
 	// Breaker configures the per-endpoint circuit breaker; a zero
 	// Threshold disables breaking.
 	Breaker BreakerConfig
@@ -290,9 +286,6 @@ func (cfg ClientConfig) policyFor(ctx context.Context, action string) Policy {
 		if spec, ok := ops.ByAction(action); ok {
 			info, known = spec.Info(), true
 		}
-	}
-	if cfg.PolicyFor != nil {
-		return cfg.PolicyFor(info, known)
 	}
 	if known && info.Idempotent && cfg.Retry.retries() {
 		return cfg.Retry

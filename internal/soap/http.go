@@ -274,17 +274,6 @@ func (s *Server) HandleFallback(h HandlerFunc) {
 	s.fallback = h
 }
 
-// Actions returns the registered action URIs (for service metadata).
-func (s *Server) Actions() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.handlers))
-	for a := range s.handlers {
-		out = append(out, a)
-	}
-	return out
-}
-
 // ServeHTTP decodes the envelope, resolves the action (preferring the
 // wsa:Action header over the HTTP SOAPAction header), dispatches through
 // the interceptor chain under the request's context, and writes the

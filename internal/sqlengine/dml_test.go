@@ -496,7 +496,7 @@ func (g *dmlFuzz) where() (string, []Value) {
 	if g.r.Intn(6) == 0 {
 		hi = lo + g.r.Int63n(g.nextID+1) // wide: crosses chunk boundaries
 	}
-	switch g.r.Intn(26) {
+	switch g.r.Intn(30) {
 	case 0, 1, 2:
 		return `id = ?`, []Value{g.someID()}
 	case 3:
@@ -544,6 +544,15 @@ func (g *dmlFuzz) where() (string, []Value) {
 		return g.pick(`a + id > ?`, `id - a * 2 < ?`, `-a <= ?`, `b * 2 > ?`, `(a + 1) IS NULL AND id < ?`), []Value{NewInt(lo)}
 	case 24: // ... a zero one sometimes, and operands that do not bind
 		return `id % ? = 1 AND a + ? > 3`, []Value{NewInt(int64(g.r.Intn(3))), g.pickVal(NewInt(2), NewDouble(0.5), Null, NewString("x"))}
+	case 25: // row-independent operands: constants of one execution, key and bounds included
+		return g.pick(`id = ? + 1`, `id > -?`, `id BETWEEN ABS(?) AND ? + 30`, `b > CAST(? AS DOUBLE)`),
+			[]Value{g.pickVal(NewInt(-lo), NewInt(lo), Null), NewInt(lo)}
+	case 26: // row-independent conjuncts and disjuncts
+		return g.pick(`1 = 1 AND id >= ? AND id <= ?`, `? IS NULL OR id < ?`), []Value{g.pickVal(NewInt(lo), Null), NewInt(hi)}
+	case 27: // a constant that fails to evaluate at 0, which only the rows it meets may raise
+		return g.pick(`a > 1 / ?`, `id < ? AND a > 10 / ?`), []Value{NewInt(int64(g.r.Intn(3))), NewInt(int64(g.r.Intn(3)))}
+	case 28: // a row-independent predicate that is not boolean, met only where id < ?
+		return `id < ? AND ?`, []Value{NewInt(hi), g.pickVal(NewBool(true), NewString("x"), NewInt(1))}
 	}
 	return "", nil // WHERE-less
 }

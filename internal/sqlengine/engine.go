@@ -159,11 +159,6 @@ func (e *Engine) Exec(sql string, params ...Value) (*Result, error) {
 	return e.NewSession().Execute(sql, params...)
 }
 
-// ExecContext is Exec under a context.
-func (e *Engine) ExecContext(ctx context.Context, sql string, params ...Value) (*Result, error) {
-	return e.NewSession().ExecuteContext(ctx, sql, params...)
-}
-
 // MustExec executes and panics on error; intended for test and example
 // seeding only.
 func (e *Engine) MustExec(sql string, params ...Value) *Result {
@@ -235,17 +230,7 @@ func (s *Session) ExecutePrepared(ctx context.Context, prep *Prepared, params ..
 	}
 	s.prep = prep
 	defer func() { s.prep = nil }()
-	return s.ExecuteStmtContext(ctx, prep.stmt, params)
-}
-
-// ExecuteStmt runs an already-parsed statement. This is the entry point
-// thick DAIS wrappers use after their own parse/validate pass.
-func (s *Session) ExecuteStmt(st Statement, params []Value) (*Result, error) {
-	return s.ExecuteStmtContext(context.Background(), st, params)
-}
-
-// ExecuteStmtContext is ExecuteStmt under a context.
-func (s *Session) ExecuteStmtContext(ctx context.Context, st Statement, params []Value) (*Result, error) {
+	st := prep.stmt
 	switch st.(type) {
 	case *BeginStmt:
 		return s.begin()
@@ -464,7 +449,7 @@ func (s *Session) Explain(sql string) ([]string, error) {
 // lockForRead acquires shared locks for the given tables according to
 // the isolation level: READ UNCOMMITTED takes none (dirty reads
 // allowed); everything stronger takes shared locks, whose release
-// policy in ExecuteStmt distinguishes READ COMMITTED from
+// policy in ExecutePrepared distinguishes READ COMMITTED from
 // REPEATABLE READ/SERIALIZABLE.
 func (s *Session) lockForRead(tables []string) error {
 	if s.isolation == ReadUncommitted {

@@ -33,10 +33,10 @@ func (k accessKind) String() string {
 }
 
 // planBound is one side of a compiled range predicate. The bound value
-// is an expression (literal or parameter) evaluated per execution; if it
-// evaluates to NULL or fails to coerce to the column type the bound is
-// dropped and the scan widens — the filter stage re-applies the full
-// WHERE predicate either way.
+// is a constant (see constExpr) evaluated per execution; if it fails to
+// evaluate, is NULL or is not comparable with the column type the scan
+// widens — the filter stage re-applies the full WHERE predicate either
+// way.
 type planBound struct {
 	expr Expr
 	incl bool
@@ -99,26 +99,28 @@ type accessPath struct {
 
 // tableSource is how one SELECT block whose FROM is one base table with
 // no joins, or one UPDATE/DELETE, finds its rows: the table and its
-// bindings, the access path chooseIndex picks from the folded WHERE, and
-// the WHERE as kernels when it lies in their error-free class. The row
-// plan, the aggregate plan, DML target selection and the interpreter all
-// read the table through it.
+// bindings, the access path chooseIndex picks from the WHERE's compiled
+// conjuncts, and the WHERE as kernels when it lies in their error-free
+// class. The row plan, the aggregate plan, DML target selection and the
+// interpreter all read the table through it.
 type tableSource struct {
 	accessPath
 	cols []boundColumn // the table's bindings under its qualifier
-	// where is the WHERE rewritten to ordinals and left unfolded, for the
-	// row filter's error parity; nil without a WHERE or when a name in it
-	// does not resolve against the table alone (a correlated subquery).
+	// where is the WHERE rewritten to ordinals, for the row filter; nil
+	// without a WHERE or when a name in it does not resolve against the
+	// table alone (a correlated subquery).
 	where Expr
-	// pred is the folded where as kernels; nil without a WHERE or when it
-	// lies outside their class.
+	// pred is where as kernels; nil without a WHERE or when it lies outside
+	// their class.
 	pred vecPred
 }
 
 // planSource plans the source of one base-table reference, or returns
 // nil when tr names no base table (no FROM, a derived table, a view, an
 // unknown name). exact restricts the access path to exact probes (see
-// accessPath.exact).
+// accessPath.exact). The access path reads the WHERE one conjunct at a
+// time, so a conjunct that does not resolve against the table (a
+// correlated one) leaves the others their index.
 func (d *Database) planSource(tr *TableRef, where Expr, exact bool) *tableSource {
 	if tr == nil || tr.Subquery != nil {
 		return nil
@@ -134,12 +136,18 @@ func (d *Database) planSource(tr *TableRef, where Expr, exact bool) *tableSource
 	if where == nil {
 		return s
 	}
-	// Folding first makes `WHERE 1=1 AND x > 5` expose the same conjuncts,
-	// and compile the same kernels, as `WHERE x > 5`.
-	s.chooseIndex(tr.qualifier(), foldConstants(where))
+	var conjuncts []Expr
+	collectConjuncts(where, &conjuncts)
+	compiled := make([]vecPred, len(conjuncts))
+	for i, c := range conjuncts {
+		if w, ok := rewriteExpr(c, s.cols); ok {
+			compiled[i], _ = compileVecPred(w, t)
+		}
+	}
+	s.chooseIndex(compiled)
 	if w, ok := rewriteExpr(where, s.cols); ok {
 		s.where = w
-		s.pred, _ = compileVecPred(foldConstants(w), t)
+		s.pred, _ = compileVecPred(w, t)
 	}
 	return s
 }
@@ -418,9 +426,8 @@ func (p *selectPlan) orderColumns() []int {
 	return cols
 }
 
-// conjunctCandidates walks the AND-tree of the WHERE clause in source
-// order, collecting equality and range conjuncts of the shape
-// column-vs-constant (literal or parameter, either side).
+// eqCand and rangeCand are the index candidates the WHERE's conjuncts
+// offer: an equality, or the bounds on one column.
 type eqCand struct {
 	col int
 	val Expr
@@ -431,6 +438,8 @@ type rangeCand struct {
 	lo, hi *planBound
 }
 
+// collectConjuncts splits the AND spine of a WHERE clause into its
+// conjuncts, in source order.
 func collectConjuncts(e Expr, out *[]Expr) {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {
 		collectConjuncts(b.Left, out)
@@ -440,39 +449,43 @@ func collectConjuncts(e Expr, out *[]Expr) {
 	*out = append(*out, e)
 }
 
-// constExpr reports whether e can be evaluated without row context.
+// constExpr reports whether e is row-independent: it reads no column, no
+// subquery and no aggregate. Such an expression is a constant of one
+// execution — evalConst computes it from the parameters alone, and when
+// it fails to, the statement takes the row path, which evaluates it per
+// row as the interpreter does.
 func constExpr(e Expr) bool {
-	switch e.(type) {
-	case *LiteralExpr, *ParamExpr:
-		return true
+	switch n := e.(type) {
+	case *ColumnExpr, *boundColExpr:
+		return false
+	case *FuncExpr:
+		if aggregateNames[n.Name] {
+			return false
+		}
 	}
-	return false
+	ok := true
+	eachChild(e, func(c Expr) { ok = ok && constExpr(c) }, func(*SelectStmt) { ok = false })
+	return ok
 }
 
-// baseColumn resolves a ColumnExpr against the base table under its
-// qualifier: unqualified or qualified by it, as the interpreter's inner
-// scope resolves it first.
-func baseColumn(e Expr, t *Table, qual string) (int, bool) {
-	ce, ok := e.(*ColumnExpr)
-	if !ok {
-		return 0, false
+// evalConst evaluates a constant (see constExpr) for one execution;
+// ok=false reports an evaluation error.
+func evalConst(e Expr, params []Value) (Value, bool) {
+	v, err := eval(e, &evalEnv{params: params})
+	if err != nil {
+		return Null, false
 	}
-	if ce.Table != "" && strings.ToLower(ce.Table) != qual {
-		return 0, false
-	}
-	ci := t.ColumnIndex(ce.Column)
-	if ci < 0 {
-		return 0, false
-	}
-	return ci, true
+	return v, true
 }
 
-// chooseIndex binds the best index access the (folded, unrewritten)
-// WHERE clause admits: a hash point probe first, then an ordered point
-// probe, then an ordered range scan.
-// Ties between indexes on the same column break by name so plans are
+// chooseIndex binds the best index access the WHERE's compiled conjuncts
+// admit (nil: one the kernels do not take): a hash point probe first,
+// then an ordered point probe, then an ordered range scan. A comparison
+// of a plain column with a constant offers an equality or a bound, a
+// BETWEEN of one two bounds; nothing else offers a candidate. Ties
+// between indexes on the same column break by name so plans are
 // deterministic.
-func (p *accessPath) chooseIndex(qual string, where Expr) {
+func (p *accessPath) chooseIndex(conjuncts []vecPred) {
 	t := p.t
 	var eqs []eqCand
 	ranges := map[int]*rangeCand{}
@@ -480,89 +493,42 @@ func (p *accessPath) chooseIndex(qual string, where Expr) {
 	// offered counts the bounds the conjuncts put forward; expected is what
 	// that count would be if every conjunct were a bound.
 	offered, expected := 0, 0
-	if where != nil {
-		var conjuncts []Expr
-		collectConjuncts(where, &conjuncts)
-		addBound := func(col int, b planBound, isLo bool) {
-			offered++
-			rc := ranges[col]
-			if rc == nil {
-				rc = &rangeCand{col: col}
-				ranges[col] = rc
-				rangeOrder = append(rangeOrder, col)
-			}
-			if isLo && rc.lo == nil {
-				rc.lo = &b
-			} else if !isLo && rc.hi == nil {
-				rc.hi = &b
-			}
+	addBound := func(col int, b planBound, isLo bool) {
+		offered++
+		rc := ranges[col]
+		if rc == nil {
+			rc = &rangeCand{col: col}
+			ranges[col] = rc
+			rangeOrder = append(rangeOrder, col)
 		}
-		for _, c := range conjuncts {
-			expected++
-			switch n := c.(type) {
-			case *BinaryExpr:
-				col, colOnLeft := baseColumn(n.Left, t, qual)
-				other := n.Right
-				if !colOnLeft {
-					col, colOnLeft = baseColumn(n.Right, t, qual)
-					other = n.Left
-					if !colOnLeft {
-						continue
-					}
-					// constant on the left: flip the operator sense
-					switch n.Op {
-					case "=":
-					case "<":
-						if constExpr(other) {
-							addBound(col, planBound{expr: other, incl: false}, true)
-						}
-						continue
-					case "<=":
-						if constExpr(other) {
-							addBound(col, planBound{expr: other, incl: true}, true)
-						}
-						continue
-					case ">":
-						if constExpr(other) {
-							addBound(col, planBound{expr: other, incl: false}, false)
-						}
-						continue
-					case ">=":
-						if constExpr(other) {
-							addBound(col, planBound{expr: other, incl: true}, false)
-						}
-						continue
-					default:
-						continue
-					}
-				}
-				if !constExpr(other) {
-					continue
-				}
-				switch n.Op {
-				case "=":
-					eqs = append(eqs, eqCand{col: col, val: other})
-				case "<":
-					addBound(col, planBound{expr: other, incl: false}, false)
-				case "<=":
-					addBound(col, planBound{expr: other, incl: true}, false)
-				case ">":
-					addBound(col, planBound{expr: other, incl: false}, true)
-				case ">=":
-					addBound(col, planBound{expr: other, incl: true}, true)
-				}
-			case *BetweenExpr:
-				expected++
-				if n.Negate {
-					continue
-				}
-				col, ok := baseColumn(n.Operand, t, qual)
-				if !ok || !constExpr(n.Lo) || !constExpr(n.Hi) {
-					continue
-				}
-				addBound(col, planBound{expr: n.Lo, incl: true}, true)
-				addBound(col, planBound{expr: n.Hi, incl: true}, false)
+		if isLo && rc.lo == nil {
+			rc.lo = &b
+		} else if !isLo && rc.hi == nil {
+			rc.hi = &b
+		}
+	}
+	for _, c := range conjuncts {
+		expected++
+		switch n := c.(type) {
+		case *vpCmp: // the constant is on the right: compileVecPred flipped it there
+			if n.src.expr != nil {
+				continue
 			}
+			switch n.op {
+			case "=":
+				eqs = append(eqs, eqCand{col: n.src.col, val: n.operand})
+			case "<", "<=":
+				addBound(n.src.col, planBound{expr: n.operand, incl: n.op == "<="}, false)
+			case ">", ">=":
+				addBound(n.src.col, planBound{expr: n.operand, incl: n.op == ">="}, true)
+			}
+		case *vpBetween:
+			expected++
+			if n.negate || n.src.expr != nil {
+				continue
+			}
+			addBound(n.src.col, planBound{expr: n.lo, incl: true}, true)
+			addBound(n.src.col, planBound{expr: n.hi, incl: true}, false)
 		}
 	}
 

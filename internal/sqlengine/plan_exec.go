@@ -6,17 +6,6 @@ import (
 	"sort"
 )
 
-// evalAccessValue evaluates a point/bound expression with parameters
-// only — access expressions are literals or parameters, never row
-// references. ok=false (error or NULL) widens the access path.
-func evalAccessValue(e Expr, params []Value) (Value, bool) {
-	v, err := eval(e, &evalEnv{params: params})
-	if err != nil || v.IsNull() {
-		return Null, false
-	}
-	return v, true
-}
-
 // comparableWith reports whether Compare is defined between a bound
 // value's type and the key column's type (Compare's own rule: any
 // numeric mix, otherwise identical types). Incomparable bounds widen to
@@ -34,17 +23,18 @@ func comparableWith(v Value, colType Type) bool {
 func (p *accessPath) inexact(v Value) bool { return p.exact && v.Type == TypeDouble }
 
 // indexIDs resolves a predicate-bound index access (point or range) to
-// its candidate row IDs. ok=false is a runtime binding failure — a NULL
-// key, an uncoercible or incomparable bound, or (for exact paths) a
-// DOUBLE probe — and the caller widens to the whole table. IDs come
-// back ascending, or for a range scan with keyOrder set in index key
-// order (descending when desc). The result never aliases index storage.
+// its candidate row IDs. ok=false is a runtime binding failure — a key
+// that fails to evaluate, a NULL key, an uncoercible or incomparable
+// bound, or (for exact paths) a DOUBLE probe — and the caller widens to
+// the whole table. IDs come back ascending, or for a range scan with
+// keyOrder set in index key order (descending when desc). The result
+// never aliases index storage.
 func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64, ok bool) {
 	colType := p.t.Columns[p.keyCol].Type
 	switch p.access {
 	case accessHashPoint:
-		v, ok := evalAccessValue(p.eq, params)
-		if !ok || p.inexact(v) {
+		v, ok := evalConst(p.eq, params)
+		if !ok || v.IsNull() || p.inexact(v) {
 			return nil, false
 		}
 		// Coerce to the column type so the hash group key matches the
@@ -56,8 +46,8 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 		ids = append(ids, p.hashIx.lookup(cv)...)
 		slices.Sort(ids)
 	case accessOrderedPoint:
-		v, ok := evalAccessValue(p.eq, params)
-		if !ok || !comparableWith(v, colType) || p.inexact(v) {
+		v, ok := evalConst(p.eq, params)
+		if !ok || v.IsNull() || !comparableWith(v, colType) || p.inexact(v) {
 			return nil, false
 		}
 		ids = append(ids, p.ordIx.lookup(v)...) // already id-ascending
@@ -107,7 +97,7 @@ func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 	}
 	for _, b := range []*planBound{p.lo, p.hi} {
 		if b != nil {
-			if v, _ := evalAccessValue(b.expr, params); v.Type == TypeDouble {
+			if v, _ := evalConst(b.expr, params); v.Type == TypeDouble {
 				return ids, false
 			}
 		}
@@ -116,13 +106,14 @@ func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 }
 
 // rangeBounds evaluates the plan's pushed-down bounds. ok=false means a
-// bound evaluated to NULL or to a value Compare cannot order against
-// the key column — the access widens and the filter settles it.
+// bound failed to evaluate, or evaluated to NULL or to a value Compare
+// cannot order against the key column — the access widens and the
+// filter settles it.
 func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 	colType := p.t.Columns[p.keyCol].Type
 	bound := func(b *planBound) (*ordBound, bool) {
-		v, ok := evalAccessValue(b.expr, params)
-		if !ok || !comparableWith(v, colType) || p.inexact(v) {
+		v, ok := evalConst(b.expr, params)
+		if !ok || v.IsNull() || !comparableWith(v, colType) || p.inexact(v) {
 			return nil, false
 		}
 		return &ordBound{val: v, incl: b.incl}, true

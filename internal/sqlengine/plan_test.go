@@ -241,7 +241,7 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng WHERE k BETWEEN 2 AND 5`, `access: ordered range scan via rng_k (k >= ? AND k <= ?)`},
 		{`SELECT id FROM rng WHERE k >= 1 AND k < 9`, `access: ordered range scan via rng_k (k >= ? AND k < ?)`},
 		{`SELECT id FROM rng WHERE k >= 1 AND k < 9`, `filter: satisfied by access path`},
-		{`SELECT id FROM rng WHERE 1 = 1 AND k BETWEEN ? AND ?`, `filter: satisfied by access path`},
+		{`SELECT id FROM rng WHERE 1 = 1 AND k BETWEEN ? AND ?`, `filter: predicate per row`},
 		{`SELECT id FROM rng WHERE k >= 1 AND id < 9`, `filter: predicate per row`},
 		{`SELECT id FROM rng WHERE k >= 1 AND k >= 5`, `filter: predicate per row`},
 		{`SELECT k FROM rng ORDER BY k`, `order: satisfied by index (no sort)`},

@@ -164,10 +164,10 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 // and the expression kernels cover, beside shapes they must refuse.
 type selectFuzz struct{ *dmlFuzz }
 
-// numExpr draws arithmetic over the numeric columns; safe keeps every
-// divisor a non-zero constant.
+// numExpr draws arithmetic over the numeric columns, some of it with
+// row-independent terms; safe keeps every divisor a non-zero constant.
 func (g selectFuzz) numExpr(safe bool) (string, []Value) {
-	switch g.r.Intn(12) {
+	switch g.r.Intn(16) {
 	case 0:
 		return `a + id`, nil
 	case 1:
@@ -193,17 +193,29 @@ func (g selectFuzz) numExpr(safe bool) (string, []Value) {
 		return `(a + 1) * (id % 5)`, nil
 	case 10:
 		return `a % ?`, []Value{NewInt(int64(g.r.Intn(4)))} // sometimes a zero constant divisor
+	case 11:
+		return `a + (? + 1)`, []Value{g.intVal()}
+	case 12:
+		return `id * -?`, []Value{g.intVal()}
+	case 13:
+		return g.pick(`b - ABS(?)`, `a + CAST(? AS DOUBLE)`), []Value{g.pickVal(g.intVal(), g.dblVal())}
+	case 14:
+		if !safe {
+			return `id + 1 / ?`, []Value{NewInt(int64(g.r.Intn(3)))} // a constant that fails to evaluate at 0
+		}
+		return `id - 60 / ?`, []Value{NewInt(int64(1 + g.r.Intn(3)))}
 	}
 	return `id`, nil
 }
 
-// predicate draws a WHERE clause: dmlFuzz's classes or a computed one.
+// predicate draws a WHERE clause: dmlFuzz's classes or a computed one,
+// alone or beside a row-independent conjunct or disjunct.
 func (g selectFuzz) predicate() (string, []Value) {
 	if g.r.Intn(3) > 0 {
 		return g.where()
 	}
 	x, xp := g.numExpr(g.r.Intn(4) > 0)
-	switch g.r.Intn(5) {
+	switch g.r.Intn(7) {
 	case 0:
 		return x + ` > ?`, append(xp, g.intVal())
 	case 1:
@@ -212,6 +224,10 @@ func (g selectFuzz) predicate() (string, []Value) {
 		return x + ` BETWEEN ? AND ?`, append(xp, g.intVal(), NewInt(int64(g.r.Intn(400))))
 	case 3:
 		return `(` + x + `) IS NULL`, xp
+	case 5:
+		return `1 = 1 AND ` + x + ` < ?`, append(xp, g.intVal())
+	case 6:
+		return `? IS NULL OR ` + x + ` >= ?`, slices.Concat([]Value{g.intVal()}, xp, []Value{g.dblVal()})
 	}
 	return x + ` IN (?, 4, ?)`, append(xp, g.intVal(), g.dblVal())
 }
@@ -314,12 +330,17 @@ func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 		sql, params := g.insert()
 		_, _ = s.Execute(sql, params...) // a duplicate key just does not land
 	}
-	count := func(sql string, params []Value) (int64, bool) {
-		res, err := s.Execute(sql, params...)
+	// aggs reads, over the rows a WHERE selects, the aggregates whose value
+	// over a table is a combination of their values over a partition of it:
+	// counts, SUMs of the integer columns (64-bit wrap-around associates)
+	// and MIN/MAX of columns without NaN. DOUBLE b has neither property.
+	const aggs = `SELECT COUNT(*), COUNT(a), SUM(a), SUM(id), SUM(u), MIN(a), MIN(s), MIN(id), MAX(a), MAX(s), MAX(id) FROM t`
+	read := func(where string, params []Value) ([]Value, bool) {
+		res, err := s.Execute(aggs+where, params...)
 		if err != nil {
-			return 0, false
+			return nil, false
 		}
-		return res.Set.Rows[0][0].I, true
+		return res.Set.Rows[0], true
 	}
 	for i := 0; i < statements; i++ {
 		switch k := g.r.Intn(20); {
@@ -340,15 +361,54 @@ func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 		if p == "" {
 			continue
 		}
-		all, _ := count(`SELECT COUNT(*) FROM t`, nil)
-		yes, ok1 := count(`SELECT COUNT(*) FROM t WHERE `+p, pp)
-		no, ok2 := count(`SELECT COUNT(*) FROM t WHERE NOT (`+p+`)`, pp)
-		unknown, ok3 := count(`SELECT COUNT(*) FROM t WHERE (`+p+`) IS NULL`, pp)
-		// A predicate that fails on some row fails only where that row is
-		// visited (an index probe for p may never see it): the identity is
-		// about predicates that evaluate everywhere.
-		if ok1 && ok2 && ok3 && yes+no+unknown != all {
-			t.Fatalf("seed %d: %s %v: %d accepted + %d rejected + %d unknown != %d rows", seed, p, pp, yes, no, unknown, all)
+		all, _ := read(``, nil)
+		var parts [][]Value
+		for _, w := range []string{` WHERE ` + p, ` WHERE NOT (` + p + `)`, ` WHERE (` + p + `) IS NULL`} {
+			// A predicate that fails on some row fails only where that row is
+			// visited (an index probe for p may never see it): the identity is
+			// about predicates that evaluate everywhere.
+			part, ok := read(w, pp)
+			if !ok {
+				parts = nil
+				break
+			}
+			parts = append(parts, part)
+		}
+		if parts == nil {
+			continue
+		}
+		if got, want := dumpSet(&ResultSet{Rows: [][]Value{combinePartials(parts)}}), dumpSet(&ResultSet{Rows: [][]Value{all}}); got != want {
+			t.Fatalf("seed %d: %s %v: accepted, rejected and unknown rows combine to\n%s, the table holds\n%s", seed, p, pp, got, want)
 		}
 	}
+}
+
+// combinePartials combines rows of selectDifferential's aggs read over
+// the parts of a partition: the two counts and three SUMs add (a NULL SUM
+// is a part without values), the three MINs and three MAXes take the
+// least or greatest non-NULL partial.
+func combinePartials(parts [][]Value) []Value {
+	out := make([]Value, len(parts[0]))
+	for c := range out {
+		out[c] = Null
+		if c < 2 {
+			out[c] = NewBigint(0)
+		}
+		for _, part := range parts {
+			v := part[c]
+			switch {
+			case v.IsNull():
+			case out[c].IsNull():
+				out[c] = v
+			case c < 5:
+				out[c] = NewBigint(out[c].I + v.I)
+			default:
+				cmp, _ := Compare(v, out[c])
+				if c < 8 && cmp < 0 || c >= 8 && cmp > 0 {
+					out[c] = v
+				}
+			}
+		}
+	}
+	return out
 }

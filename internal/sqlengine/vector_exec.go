@@ -23,11 +23,11 @@ const (
 	maskN
 )
 
-// vecPred is a plan-time compiled predicate tree. Operand expressions
-// (literals, parameters) are kept symbolic and evaluated once per
-// execution by bindVecPred; any binding that could diverge from
-// interpreter semantics (evaluation error, incomparable type) refuses
-// to bind and the row filter runs instead.
+// vecPred is a plan-time compiled predicate tree. Constant operands (see
+// constExpr) are kept symbolic and evaluated once per execution by
+// bindVecPred; any binding that could diverge from interpreter semantics
+// (evaluation error, incomparable type) refuses to bind and the row
+// filter runs instead.
 type vecPred interface{ vecPred() }
 
 // vpOperand is the row-dependent side of a kernel: a base column, or
@@ -69,10 +69,9 @@ type vpAnd struct{ l, r vecPred }
 type vpOr struct{ l, r vecPred }
 type vpNot struct{ c vecPred }
 
-// vpConst is a literal-valued predicate (e.g. the residue of constant
-// folding). tri was proven at compile time: truthy() cannot error on
-// the folded value.
-type vpConst struct{ tri int8 }
+// vpConst is a row-independent predicate (`1 = 1`, `? IS NULL`), one
+// truth value for every row of an execution.
+type vpConst struct{ expr Expr }
 
 func (*vpCmp) vecPred()     {}
 func (*vpLike) vecPred()    {}
@@ -99,29 +98,20 @@ func flipCmp(op string) string {
 	return op // = and <> are symmetric
 }
 
-// compileVecPred translates a folded, rewritten predicate tree into a
-// vector predicate over base-table columns. ok=false means some
-// subtree is outside the vectorisable class (subqueries, functions,
-// column-vs-column comparison, arithmetic that could fail on a row,
-// non-bool constants, ...) and the plan keeps the row filter. The
-// compiled class is chosen so that kernel evaluation can NEVER error at
-// runtime: every error the interpreter could raise per row is either
-// proven absent here or detected at bind time, which falls back to the
-// row path for exact error parity.
+// compileVecPred translates a rewritten predicate tree into a vector
+// predicate over base-table columns. ok=false means some subtree is
+// outside the vectorisable class (subqueries, functions of a column,
+// column-vs-column comparison, arithmetic that could fail on a row, ...)
+// and the plan keeps the row filter. The compiled class is chosen so
+// that kernel evaluation can NEVER error at runtime: every error the
+// interpreter could raise per row is either proven absent here or
+// detected at bind time, which falls back to the row path for exact
+// error parity.
 func compileVecPred(e Expr, t *Table) (vecPred, bool) {
+	if constExpr(e) {
+		return &vpConst{expr: e}, true
+	}
 	switch n := e.(type) {
-	case *LiteralExpr:
-		if n.Value.IsNull() {
-			return &vpConst{tri: triN}, true
-		}
-		b, err := truthy(n.Value)
-		if err != nil {
-			return nil, false // interpreter errors per row; keep row path
-		}
-		if b {
-			return &vpConst{tri: triT}, true
-		}
-		return &vpConst{tri: triF}, true
 	case *BinaryExpr:
 		switch n.Op {
 		case "AND", "OR":
@@ -260,27 +250,33 @@ type boundVec interface {
 	possible(ch *colChunk) uint8
 }
 
-// evalVecConst evaluates a bind-time constant (literal or parameter).
-func evalVecConst(e Expr, params []Value) (Value, bool) {
-	v, err := eval(e, &evalEnv{params: params})
-	if err != nil {
-		return Null, false
-	}
-	return v, true
-}
-
 // bindVecPred resolves a compiled predicate's constants against this
 // execution's parameters. ok=false (operand evaluation error, operand
-// type Compare cannot order against the column, uncompilable LIKE
-// pattern) sends the statement down the row path, which reproduces the
-// interpreter's per-row error surface exactly — including producing NO
-// error when the table has no rows to evaluate.
+// type Compare cannot order against the column, a constant predicate
+// that is not boolean, uncompilable LIKE pattern) sends the statement
+// down the row path, which reproduces the interpreter's per-row error
+// surface exactly — including producing NO error when the table has no
+// rows to evaluate.
 func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 	switch n := p.(type) {
 	case *vpConst:
-		return &bvConst{tri: n.tri}, true
+		v, ok := evalConst(n.expr, params)
+		if !ok {
+			return nil, false
+		}
+		if v.IsNull() {
+			return &bvConst{tri: triN}, true
+		}
+		b, err := truthy(v)
+		if err != nil {
+			return nil, false // the interpreter errors per row
+		}
+		if b {
+			return &bvConst{tri: triT}, true
+		}
+		return &bvConst{tri: triF}, true
 	case *vpCmp:
-		v, ok := evalVecConst(n.operand, params)
+		v, ok := evalConst(n.operand, params)
 		if !ok {
 			return nil, false
 		}
@@ -296,7 +292,7 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		}
 		return &bvCmp{src: src, op: n.op, tri: opTri(n.op), val: v}, true
 	case *vpLike:
-		v, ok := evalVecConst(n.pattern, params)
+		v, ok := evalConst(n.pattern, params)
 		if !ok {
 			return nil, false
 		}
@@ -315,11 +311,11 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		}
 		return &bvIsNull{src: src, negate: n.negate}, true
 	case *vpBetween:
-		lo, ok := evalVecConst(n.lo, params)
+		lo, ok := evalConst(n.lo, params)
 		if !ok {
 			return nil, false
 		}
-		hi, ok := evalVecConst(n.hi, params)
+		hi, ok := evalConst(n.hi, params)
 		if !ok {
 			return nil, false
 		}
@@ -344,7 +340,7 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		b := &bvIn{src: src, negate: n.negate}
 		ct := src.typ
 		for _, it := range n.items {
-			v, ok := evalVecConst(it, params)
+			v, ok := evalConst(it, params)
 			if !ok {
 				return nil, false
 			}

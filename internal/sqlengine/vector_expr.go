@@ -3,19 +3,21 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Expression vectors: arithmetic over base columns evaluated a chunk at
 // a time into a scratch typed vector with a null bitmap, so that an
 // aggregate argument (SUM(a+b)) or a predicate operand (a + b > ?) stays
 // on the columnar pipeline. The class is the interpreter's evalArith over
-// numeric columns, literals and parameters, with its static typing —
+// numeric columns and constants (see constExpr), with its static typing —
 // DOUBLE if either side is, else BIGINT if either side is, else INTEGER,
 // integers wrapping around — and NULL in, NULL out. Whatever a kernel
 // could not reproduce byte for byte abandons the plan for that execution
-// and the row filter or the interpreter run the statement instead: an
-// operand that does not bind (a non-numeric, NULL or missing parameter, a
-// zero constant divisor), or a zero divisor met on a selected row.
+// and the row filter or the interpreter run the statement instead: a
+// constant that does not bind (one that fails to evaluate, or is
+// non-numeric or NULL; a zero divisor), or a zero divisor met on a
+// selected row.
 // Results and error text therefore stay the interpreter's by
 // construction.
 
@@ -39,11 +41,12 @@ func compileVecExpr(e Expr, t *Table) (*vecExpr, bool) {
 }
 
 func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
+	if constExpr(e) {
+		return false, true, true
+	}
 	switch n := e.(type) {
 	case *boundColExpr:
 		return true, true, n.idx < len(t.Columns) && t.Columns[n.idx].Type.isNumeric()
-	case *LiteralExpr, *ParamExpr:
-		return false, true, true
 	case *UnaryExpr:
 		if n.Op == "-" {
 			return vecExprShape(n.Operand, t)
@@ -78,9 +81,20 @@ func exprText(e Expr, t *Table) string {
 	case *ParamExpr:
 		return "?"
 	case *UnaryExpr:
+		if n.Op != "-" {
+			return n.Op + " " + exprText(n.Operand, t)
+		}
 		return "-" + exprText(n.Operand, t)
 	case *BinaryExpr:
 		return "(" + exprText(n.Left, t) + " " + n.Op + " " + exprText(n.Right, t) + ")"
+	case *FuncExpr:
+		args := make([]string, len(n.Args))
+		for i, a := range n.Args {
+			args[i] = exprText(a, t)
+		}
+		return n.Name + "(" + strings.Join(args, ", ") + ")"
+	case *CastExpr:
+		return "CAST(" + exprText(n.Operand, t) + " AS " + n.Target.String() + ")"
 	}
 	return fmt.Sprintf("%T", e)
 }
@@ -269,31 +283,25 @@ func (b *beArith) eval(ch *colChunk, rows []uint16) (*colVec, bool) {
 	return out, true
 }
 
-// bindVecExpr settles an expression for one execution. Constant
-// subtrees fold through the interpreter's own eval and evalArith, so
-// their values, types and failures are its own; ok=false hands the
-// statement back to it.
+// bindVecExpr settles an expression for one execution. A constant
+// subtree is evaluated whole by the interpreter's own eval, so its
+// value, type and failure are its own; ok=false hands the statement back
+// to it.
 func bindVecExpr(e Expr, t *Table, params []Value) (boundExpr, bool) {
-	switch n := e.(type) {
-	case *boundColExpr:
-		return &beCol{col: n.idx, t: t.Columns[n.idx].Type}, true
-	case *LiteralExpr, *ParamExpr:
-		v, ok := evalVecConst(e, params)
+	if constExpr(e) {
+		v, ok := evalConst(e, params)
 		if !ok {
 			return nil, false
 		}
 		return newBeConst(v)
+	}
+	switch n := e.(type) {
+	case *boundColExpr:
+		return &beCol{col: n.idx, t: t.Columns[n.idx].Type}, true
 	case *UnaryExpr:
 		x, ok := bindVecExpr(n.Operand, t, params)
 		if !ok {
 			return nil, false
-		}
-		if c, isConst := x.(*beConst); isConst {
-			v, ok := evalVecConst(&UnaryExpr{Op: "-", Operand: &LiteralExpr{Value: c.val}}, nil)
-			if !ok {
-				return nil, false
-			}
-			return newBeConst(v)
 		}
 		return &beNeg{x: x, out: newScratch(x.typ())}, true
 	case *BinaryExpr:
@@ -305,16 +313,7 @@ func bindVecExpr(e Expr, t *Table, params []Value) (boundExpr, bool) {
 		if !ok {
 			return nil, false
 		}
-		lc, lConst := l.(*beConst)
-		rc, rConst := r.(*beConst)
-		if lConst && rConst {
-			v, err := evalArith(n.Op, lc.val, rc.val)
-			if err != nil {
-				return nil, false
-			}
-			return newBeConst(v)
-		}
-		if (n.Op == "/" || n.Op == "%") && rConst && rc.val.asFloat() == 0 {
+		if rc, rConst := r.(*beConst); (n.Op == "/" || n.Op == "%") && rConst && rc.val.asFloat() == 0 {
 			return nil, false // fails on the first row with a non-NULL dividend
 		}
 		out := TypeInteger

@@ -51,8 +51,8 @@ func vecEngine(t testing.TB, rows int) *Engine {
 }
 
 // vectorCorpus exercises every kernel, the three-valued combinators,
-// zone-map edge cases (NaN vectors, all-NULL chunks), constant folding
-// residues, bind-time fallbacks, and statements that must error
+// zone-map edge cases (NaN vectors, all-NULL chunks), row-independent
+// predicates and operands, bind-time fallbacks, and statements that must error
 // identically on all paths.
 var vectorCorpus = []struct {
 	sql    string
@@ -102,8 +102,9 @@ var vectorCorpus = []struct {
 	{sql: `SELECT id FROM vt WHERE s LIKE 'v-00%'`},
 	{sql: `SELECT id FROM vt WHERE s LIKE '%1_'`},
 	{sql: `SELECT id FROM vt WHERE s NOT LIKE 'v-%'`},
-	// Constant folding: literal residues plan identically to their
-	// simplified forms and still produce interpreter-identical rows.
+	// Row-independent predicates and operands: constants of one execution,
+	// bound before the scan; one that does not evaluate, or is not
+	// boolean where a predicate is, takes the row path.
 	{sql: `SELECT id FROM vt WHERE 1 = 1 AND a > 30`},
 	{sql: `SELECT id FROM vt WHERE 1 = 0 AND a > 30`},
 	{sql: `SELECT id FROM vt WHERE 1 = 0 OR a > 30`},
@@ -111,6 +112,24 @@ var vectorCorpus = []struct {
 	{sql: `SELECT id FROM vt WHERE 1 = 1`},
 	{sql: `SELECT id FROM vt WHERE NULL`},
 	{sql: `SELECT id FROM vt WHERE NOT NULL`},
+	{sql: `SELECT id FROM vt WHERE a > ? + 1`, params: []Value{NewInt(30)}},
+	{sql: `SELECT id FROM vt WHERE a > -?`, params: []Value{NewInt(-40)}},
+	{sql: `SELECT id FROM vt WHERE a BETWEEN ABS(?) AND 10`, params: []Value{NewInt(-3)}},
+	{sql: `SELECT id FROM vt WHERE b < CAST(? AS DOUBLE)`, params: []Value{NewInt(2)}},
+	{sql: `SELECT id FROM vt WHERE a IN (? + 1, ABS(?), NULL)`, params: []Value{NewInt(4), NewInt(-9)}},
+	{sql: `SELECT id FROM vt WHERE s LIKE ? || '%'`, params: []Value{NewString("v-01")}},
+	{sql: `SELECT id FROM vt WHERE ? IS NULL OR a > 40`, params: []Value{Null}},
+	{sql: `SELECT id FROM vt WHERE ? IS NULL OR a > 40`, params: []Value{NewInt(1)}},
+	{sql: `SELECT id FROM vt WHERE ?`, params: []Value{NewBool(true)}},
+	{sql: `SELECT id FROM vt WHERE NOT (a > 10 AND ?)`, params: []Value{Null}}, // unknown, not false
+	{sql: `SELECT id FROM vt WHERE NOT (a > 10 OR ?)`, params: []Value{NewBool(false)}},
+	{sql: `SELECT id FROM vt WHERE ? AND a > 40`, params: []Value{NewString("x")}},
+	{sql: `SELECT id FROM vt WHERE a > 40 AND ?`, params: []Value{NewString("x")}},
+	{sql: `SELECT id FROM vt WHERE a + ABS(?) > 3`, params: []Value{NewInt(-40)}},
+	{sql: `SELECT id FROM vt WHERE a > 1 / ?`, params: []Value{NewInt(0)}},
+	{sql: `SELECT id FROM vt WHERE a > 1 / ?`, params: []Value{NewInt(1)}},
+	{sql: `SELECT id FROM vt WHERE a % (1 / ?) = 0`, params: []Value{NewInt(2)}}, // a zero divisor
+	{sql: `SELECT COUNT(*), SUM(a + ABS(?)), MAX(id * -?) FROM vt WHERE 1 = 1 AND a > ?`, params: []Value{NewInt(-2), NewInt(3), NewInt(20)}},
 	// Projection: gather vs computed, star, ORDER BY over vector scan.
 	{sql: `SELECT * FROM vt WHERE a = 7`},
 	{sql: `SELECT s, b, a FROM vt WHERE a > 40`},
@@ -452,32 +471,53 @@ func TestVectorZoneMapSkipping(t *testing.T) {
 	}
 }
 
-// TestFoldPlansIdentically pins the satellite requirement directly:
-// a literal-laden predicate produces the same physical plan as its
-// simplified form, including index access pushdown.
-func TestFoldPlansIdentically(t *testing.T) {
-	e := planEngine(t, 50)
-	pairs := [][2]string{
-		{`SELECT id FROM rng WHERE 1 = 1 AND k > 5`, `SELECT id FROM rng WHERE k > 5`},
-		{`SELECT id FROM rng WHERE k > 5 AND TRUE`, `SELECT id FROM rng WHERE k > 5`},
-		{`SELECT id FROM rng WHERE 2 > 1 OR k > 5`, `SELECT id FROM rng WHERE TRUE`},
-		{`SELECT id FROM rng WHERE 1 = 1 AND k = 3`, `SELECT id FROM rng WHERE k = 3`},
-		{`SELECT id FROM rng WHERE k BETWEEN 1+1 AND 10-2`, `SELECT id FROM rng WHERE k BETWEEN 2 AND 8`},
-	}
-	for _, pair := range pairs {
-		a, err := e.NewSession().Explain(pair[0])
+// TestConstantsBindPerExecution: a row-independent expression is a
+// constant of one execution wherever the planner looks for one — an index
+// bound, a kernel operand, a whole conjunct, a term of an expression
+// vector — and one that does not evaluate sends the statement down the
+// row path, which raises the interpreter's error.
+func TestConstantsBindPerExecution(t *testing.T) {
+	explain := func(e *Engine, sql string) string {
+		t.Helper()
+		lines, err := e.NewSession().Explain(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.NewSession().Explain(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := strings.Join(a, "\n"), strings.Join(b, "\n"); got != want {
-			t.Fatalf("plans diverged:\n%s\n=>\n%s\nvs\n%s\n=>\n%s", pair[0], got, pair[1], want)
-		}
-		execBothWays(t, e, pair[0])
+		return strings.Join(lines, "\n")
 	}
+	pe := planEngine(t, 50)
+	computed, literal := `SELECT id FROM rng WHERE k BETWEEN 1+1 AND 10-2`, `SELECT id FROM rng WHERE k BETWEEN 2 AND 8`
+	if got, want := explain(pe, computed), explain(pe, literal); got != want {
+		t.Fatalf("computed bounds plan apart from literal ones:\n%s\nvs\n%s", got, want)
+	}
+	execBothWays(t, pe, computed)
+	if got := explain(pe, `SELECT id FROM rng WHERE k > ? + 1`); !strings.Contains(got, "access: ordered range scan via rng_k (k > ?)") {
+		t.Fatalf("k > ? + 1 does not take the ordered range:\n%s", got)
+	}
+	execBothWays(t, pe, `SELECT id FROM rng WHERE k > ? + 1`, NewInt(14))
+
+	ve := vecEngine(t, 500)
+	for _, tc := range []struct {
+		sql    string
+		params []Value
+	}{
+		{`SELECT id FROM vt WHERE 1 = 1 AND a > 30`, nil},
+		{`SELECT id FROM vt WHERE a + ABS(?) > 3`, []Value{NewInt(-40)}},
+	} {
+		if got := explain(ve, tc.sql); !strings.Contains(got, "vector filter: compiled kernels") {
+			t.Fatalf("%s is not on the kernels:\n%s", tc.sql, got)
+		}
+		execBothWays(t, ve, tc.sql, tc.params...)
+	}
+	const failing = `SELECT id FROM vt WHERE a > 1 / ?`
+	before := ve.VectorStats().Fallbacks
+	if _, err := ve.Exec(failing, NewInt(0)); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("%s with 0: err = %v", failing, err)
+	}
+	if got := ve.VectorStats().Fallbacks - before; got != 1 {
+		t.Fatalf("%s with 0: %d fallbacks, want 1", failing, got)
+	}
+	execBothWays(t, ve, failing, NewInt(0))
 }
 
 // TestChaosVectorScanDML hammers vectorised scans and aggregates

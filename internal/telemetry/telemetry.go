@@ -64,15 +64,13 @@ type Observer struct {
 type ObserverOption func(*observerConfig)
 
 type observerConfig struct {
-	spanCapacity  int
 	slowThreshold time.Duration
 	logger        *slog.Logger
 }
 
-// WithSpanCapacity bounds the span ring buffer (default 256).
-func WithSpanCapacity(n int) ObserverOption {
-	return func(c *observerConfig) { c.spanCapacity = n }
-}
+// spanCapacity is the number of recent spans an Observer's ring buffer
+// keeps for /spans.
+const spanCapacity = 256
 
 // WithSlowThreshold sets the duration above which a span is logged as a
 // slow call (default 1s; 0 disables the slow log).
@@ -88,7 +86,7 @@ func WithLogger(l *slog.Logger) ObserverOption {
 // NewObserver builds an Observer with a fresh Registry and the standard
 // instrument set.
 func NewObserver(opts ...ObserverOption) *Observer {
-	cfg := observerConfig{spanCapacity: 256, slowThreshold: time.Second}
+	cfg := observerConfig{slowThreshold: time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -110,7 +108,7 @@ func NewObserver(opts ...ObserverOption) *Observer {
 		Faults: reg.NewCounterVec(MetricFaults,
 			"SOAP exchanges that ended in a fault, by fault code.",
 			"side", "op", "code"),
-		Tracer: NewTracer(cfg.spanCapacity, cfg.slowThreshold, cfg.logger),
+		Tracer: NewTracer(spanCapacity, cfg.slowThreshold, cfg.logger),
 	}
 	// The soap encode counters are process-global atomics (the soap
 	// package cannot import telemetry), so they surface as a scrape-time
