@@ -789,3 +789,41 @@ func BenchmarkScanTemplates(b *testing.B) {
 		})
 	}
 }
+
+// E25 — grouped aggregation by key shape over 200 000 rows: a narrow
+// integer key (64 groups, a chunk-local table per chunk), a wide one
+// (50 000 keys spread over every chunk, a map lookup per row), VARCHAR and
+// two-column keys (group-key bytes), no GROUP BY, and MIN/MAX folds.
+func BenchmarkGroupedAggregate(b *testing.B) {
+	const rows, groups, wideKeys, tags = 200000, 64, 50000, 7
+	eng := sqlengine.New("bench")
+	eng.MustExec(`CREATE TABLE ga (id INTEGER PRIMARY KEY, grp INTEGER, wide BIGINT, tag VARCHAR(16), num DOUBLE)`)
+	s := eng.NewSession()
+	for i := 0; i < rows; i++ {
+		if _, err := s.Execute(`INSERT INTO ga VALUES (?, ?, ?, ?, ?)`, sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(i%groups)),
+			sqlengine.NewBigint(int64(i*7919%wideKeys)), sqlengine.NewString(fmt.Sprintf("tag-%d", i%tags)), sqlengine.NewDouble(float64(i)*0.5)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ name, sql string }{
+		{"int_dense", `SELECT grp, COUNT(*), SUM(num) FROM ga GROUP BY grp`},
+		{"int_wide", `SELECT wide, COUNT(*), SUM(num) FROM ga GROUP BY wide`},
+		{"varchar", `SELECT tag, COUNT(*), SUM(num) FROM ga GROUP BY tag`},
+		{"two_keys", `SELECT grp, tag, COUNT(*), SUM(num) FROM ga GROUP BY grp, tag`},
+		{"no_group", `SELECT COUNT(*), SUM(num), AVG(num) FROM ga`},
+		{"minmax", `SELECT grp, MIN(num), MAX(num), MIN(tag), MAX(id) FROM ga GROUP BY grp`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := s.Execute(c.sql); err != nil { // plan cached, chunks built
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(c.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -178,22 +178,230 @@ func (ap *aggPlan) explainLines() []string {
 	return lines
 }
 
-// aggAcc accumulates one aggregate item over one group. MIN/MAX keep
-// the stored Value and replace only on a strict Compare win, exactly
-// like evalAggregate — so NaN never displaces a value and is never
-// displaced, and ties keep the first-seen value.
+// aggAcc holds one item's accumulators, one slot per group ordinal; only
+// the slices the item's kind and argument type fold into are grown.
 type aggAcc struct {
-	count int64
-	sumI  int64
-	sumF  float64
-	has   bool
-	best  Value
+	count []int64   // COUNT(*): rows; every other aggregate: non-null rows
+	sumI  []int64   // SUM of an integer argument
+	sumF  []float64 // SUM of a DOUBLE argument; AVG
+	vals  []Value   // MIN/MAX: the best so far; a plain column: the group's first-row value
 }
 
-type aggGroup struct {
-	n     int64 // total rows, for COUNT(*)
-	first []Value
-	accs  []aggAcc
+// growTo extends s with zeroes to length n.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// grow gives groups up to n a slot in what the item folds into; a plain
+// column's slots are filled as its groups are created.
+func (a *aggAcc) grow(kind aggItemKind, typ Type, n int) {
+	if kind == aggGroupCol {
+		return
+	}
+	a.count = growTo(a.count, n)
+	switch {
+	case kind == aggSum && typ != TypeDouble:
+		a.sumI = growTo(a.sumI, n)
+	case kind == aggSum || kind == aggAvg:
+		a.sumF = growTo(a.sumF, n)
+	case kind == aggMin || kind == aggMax:
+		a.vals = growTo(a.vals, n)
+	}
+}
+
+// fold is one item's pass over a chunk: the selected rows of v, rows[j]
+// into the accumulators of group gids[j], in row order, so every group
+// adds its values in the order the interpreter does. MIN/MAX replace
+// only on a strict win, exactly like evalAggregate — so NaN never
+// displaces a value and is never displaced, and ties keep the first-seen
+// value.
+func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) {
+	switch kind {
+	case aggCountStar:
+		for _, g := range gids {
+			a.count[g]++
+		}
+	case aggCount:
+		for j, r := range rows {
+			if !v.nulls.get(int(r)) {
+				a.count[gids[j]]++
+			}
+		}
+	case aggSum, aggAvg:
+		switch {
+		case v.typ == TypeDouble:
+			foldSum(a.count, a.sumF, v.flts, v.nulls, rows, gids)
+		case kind == aggSum:
+			foldSum(a.count, a.sumI, v.ints, v.nulls, rows, gids)
+		default: // AVG of integers adds them as doubles, like evalAggregate
+			for j, r := range rows {
+				if !v.nulls.get(int(r)) {
+					g := gids[j]
+					a.count[g]++
+					a.sumF[g] += float64(v.ints[r])
+				}
+			}
+		}
+	case aggMin, aggMax:
+		isMax := kind == aggMax
+		for j, r := range rows {
+			i := int(r)
+			if v.nulls.get(i) {
+				continue
+			}
+			g, val := gids[j], v.value(i)
+			if a.count[g] == 0 {
+				a.vals[g] = val
+			} else if c, _ := Compare(val, a.vals[g]); isMax && c > 0 || !isMax && c < 0 { // same column type: no error
+				a.vals[g] = val
+			}
+			a.count[g]++
+		}
+	}
+}
+
+func foldSum[T int64 | float64](count []int64, sum, xs []T, nulls bitset, rows []uint16, gids []int32) {
+	for j, r := range rows {
+		if nulls.get(int(r)) {
+			continue
+		}
+		g := gids[j]
+		count[g]++
+		sum[g] += xs[r]
+	}
+}
+
+// result is the item's value for group g.
+func (a *aggAcc) result(kind aggItemKind, typ Type, g int) Value {
+	switch kind {
+	case aggCountStar, aggCount:
+		return NewBigint(a.count[g])
+	case aggGroupCol:
+		return a.vals[g]
+	}
+	if a.count[g] == 0 {
+		return Null
+	}
+	switch kind {
+	case aggSum:
+		if typ == TypeDouble {
+			return NewDouble(a.sumF[g])
+		}
+		return NewBigint(a.sumI[g])
+	case aggAvg:
+		return NewDouble(a.sumF[g] / float64(a.count[g]))
+	}
+	return a.vals[g]
+}
+
+// aggGroups numbers one execution's groups in order of first appearance.
+type aggGroups struct {
+	ap   *aggPlan
+	accs []aggAcc
+	n    int32
+	gids [chunkRows]int32 // the chunk at hand: per selected row, its group's ordinal
+
+	ints  map[int64]int32   // one INTEGER/BIGINT key
+	null  int32             // ... its NULL group, -1 until met
+	local *[chunkRows]int32 // ... a narrow chunk's keys: key − min → ordinal, -1 until met in this chunk
+	keys  map[string]int32  // any other key: the interpreter's group-key bytes
+	key   []byte
+}
+
+func newAggGroups(ap *aggPlan) *aggGroups {
+	gs := &aggGroups{ap: ap, accs: make([]aggAcc, len(ap.items)), null: -1}
+	if len(ap.groupBy) == 0 {
+		gs.n = 1 // one implicit group, even over zero rows
+		return gs
+	}
+	if gt := ap.src.t.Columns[ap.groupBy[0]].Type; len(ap.groupBy) == 1 && (gt == TypeInteger || gt == TypeBigint) {
+		gs.ints, gs.local = map[int64]int32{}, new([chunkRows]int32)
+	} else {
+		gs.keys = map[string]int32{}
+	}
+	return gs
+}
+
+func (gs *aggGroups) create(ch *colChunk, i int) int32 {
+	for k, it := range gs.ap.items {
+		if it.kind == aggGroupCol {
+			gs.accs[k].vals = append(gs.accs[k].vals, ch.vecs[it.col].value(i))
+		}
+	}
+	gs.n++
+	return gs.n - 1
+}
+
+// ordinals is the group-ordinal pass over one chunk: it creates the groups
+// of keys first met here, in row order, and returns the ordinal of each
+// selected row's group.
+func (gs *aggGroups) ordinals(ch *colChunk, rows []uint16) []int32 {
+	gids := gs.gids[:len(rows)]
+	switch {
+	case len(gs.ap.groupBy) == 0:
+		// Every row is group 0: gids is never written.
+	case gs.ints != nil:
+		v := &ch.vecs[gs.ap.groupBy[0]]
+		lo, span := v.min.I, v.max.I-v.min.I
+		if v.statN == 0 || span < 0 || span >= chunkRows { // no key, overflow, or wider than a chunk
+			for j, r := range rows {
+				gids[j] = gs.intGroup(ch, int(r), v)
+			}
+			break
+		}
+		// Every key lies in [min, max]: each is looked up once per chunk.
+		local := gs.local[:span+1]
+		for s := range local {
+			local[s] = -1
+		}
+		for j, r := range rows {
+			i := int(r)
+			if v.nulls.get(i) {
+				gids[j] = gs.intGroup(ch, i, v)
+				continue
+			}
+			s := &local[v.ints[i]-lo]
+			if *s < 0 {
+				*s = gs.intGroup(ch, i, v)
+			}
+			gids[j] = *s
+		}
+	default:
+		for j, r := range rows {
+			i := int(r)
+			gs.key = gs.key[:0]
+			for _, gc := range gs.ap.groupBy {
+				gs.key = ch.vecs[gc].appendGroupKey(gs.key, i)
+				gs.key = append(gs.key, '\x01')
+			}
+			g, ok := gs.keys[string(gs.key)]
+			if !ok {
+				g = gs.create(ch, i)
+				gs.keys[string(gs.key)] = g
+			}
+			gids[j] = g
+		}
+	}
+	return gids
+}
+
+// intGroup is the ordinal of row i's group under one integer key.
+func (gs *aggGroups) intGroup(ch *colChunk, i int, v *colVec) int32 {
+	if v.nulls.get(i) {
+		if gs.null < 0 {
+			gs.null = gs.create(ch, i)
+		}
+		return gs.null
+	}
+	g, ok := gs.ints[v.ints[i]]
+	if !ok {
+		g = gs.create(ch, i)
+		gs.ints[v.ints[i]] = g
+	}
+	return g
 }
 
 // execAggPlan runs a compiled aggregate; in carries the execution's
@@ -201,6 +409,8 @@ type aggGroup struct {
 // an operand that does not bind, an unbuildable chunk cache, a zero
 // divisor on a selected row — and the interpreter must run. Caller holds
 // d.mu for reading and has verified ap.epoch == d.epoch.
+//
+// Each chunk takes one group-ordinal pass, then one fold per item.
 func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handled bool, err error) {
 	t, params := ap.src.t, in.params
 	// Per item: the bound expression argument (nil for a plain column), the
@@ -229,40 +439,7 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 		return nil, false, nil
 	}
 
-	var groups []*aggGroup
-	newGroup := func(ch *colChunk, i int) *aggGroup {
-		g := &aggGroup{accs: make([]aggAcc, len(ap.items))}
-		if len(ap.groupBy) > 0 {
-			g.first = make([]Value, len(ap.items))
-			for k, it := range ap.items {
-				if it.kind == aggGroupCol {
-					g.first[k] = ch.vecs[it.col].value(i)
-				}
-			}
-		}
-		groups = append(groups, g)
-		return g
-	}
-
-	// Group lookup: a dense int64 map when grouping by one integer
-	// column (the NULL group keyed separately), otherwise the
-	// interpreter's own composite group-key bytes.
-	intKeyed := false
-	var intGroups map[int64]*aggGroup
-	var nullGroup *aggGroup
-	var strGroups map[string]*aggGroup
-	if len(ap.groupBy) == 1 {
-		gt := t.Columns[ap.groupBy[0]].Type
-		if gt == TypeInteger || gt == TypeBigint {
-			intKeyed = true
-			intGroups = map[int64]*aggGroup{}
-		}
-	}
-	if !intKeyed {
-		strGroups = map[string]*aggGroup{}
-	}
-	var keyBuf []byte
-
+	gs := newAggGroups(ap)
 	abandoned := false
 	err = d.eachChunk(in.ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
 		for k, it := range ap.items {
@@ -278,78 +455,10 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 				inputs[k].vec = &ch.vecs[it.col]
 			}
 		}
-		for _, r := range rows {
-			i := int(r)
-			var g *aggGroup
-			switch {
-			case len(ap.groupBy) == 0:
-				if len(groups) == 0 {
-					g = newGroup(ch, i)
-				} else {
-					g = groups[0]
-				}
-			case intKeyed:
-				v := &ch.vecs[ap.groupBy[0]]
-				if v.nulls.get(i) {
-					if nullGroup == nil {
-						nullGroup = newGroup(ch, i)
-					}
-					g = nullGroup
-				} else {
-					k := v.ints[i]
-					g = intGroups[k]
-					if g == nil {
-						g = newGroup(ch, i)
-						intGroups[k] = g
-					}
-				}
-			default:
-				keyBuf = keyBuf[:0]
-				for _, gc := range ap.groupBy {
-					keyBuf = ch.vecs[gc].appendGroupKey(keyBuf, i)
-					keyBuf = append(keyBuf, '\x01')
-				}
-				g = strGroups[string(keyBuf)]
-				if g == nil {
-					g = newGroup(ch, i)
-					strGroups[string(keyBuf)] = g
-				}
-			}
-			g.n++
-			for k := range ap.items {
-				it := &ap.items[k]
-				if it.kind == aggCountStar || it.kind == aggGroupCol {
-					continue
-				}
-				v := inputs[k].vec
-				if v.nulls.get(i) {
-					continue
-				}
-				acc := &g.accs[k]
-				switch it.kind {
-				case aggCount:
-					acc.count++
-				case aggSum, aggAvg:
-					acc.count++
-					switch v.typ {
-					case TypeDouble:
-						acc.sumF += v.flts[i]
-					default:
-						acc.sumI += v.ints[i]
-						acc.sumF += float64(v.ints[i])
-					}
-				case aggMin, aggMax:
-					val := v.value(i)
-					if !acc.has {
-						acc.has, acc.best = true, val
-						continue
-					}
-					c, _ := Compare(val, acc.best) // same column type: no error
-					if (it.kind == aggMin && c < 0) || (it.kind == aggMax && c > 0) {
-						acc.best = val
-					}
-				}
-			}
+		gids := gs.ordinals(ch, rows)
+		for k, it := range ap.items {
+			gs.accs[k].grow(it.kind, inputs[k].typ, int(gs.n))
+			gs.accs[k].fold(it.kind, inputs[k].vec, rows, gids)
 		}
 		return true, nil
 	})
@@ -357,46 +466,15 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 		return nil, !abandoned, err
 	}
 
-	// No GROUP BY: one implicit group even over zero rows.
-	if len(ap.groupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, &aggGroup{accs: make([]aggAcc, len(ap.items))})
-	}
-
 	out := &ResultSet{Columns: ap.projCols}
 	var orderKeys [][]Value
-	for _, g := range groups {
+	for k, it := range ap.items {
+		gs.accs[k].grow(it.kind, inputs[k].typ, int(gs.n)) // the implicit group when no chunk was read
+	}
+	for g := 0; g < int(gs.n); g++ {
 		vals := make([]Value, len(ap.items))
 		for k, it := range ap.items {
-			acc := &g.accs[k]
-			switch it.kind {
-			case aggCountStar:
-				vals[k] = NewBigint(g.n)
-			case aggCount:
-				vals[k] = NewBigint(acc.count)
-			case aggGroupCol:
-				vals[k] = g.first[k]
-			case aggMin, aggMax:
-				if !acc.has {
-					vals[k] = Null
-				} else {
-					vals[k] = acc.best
-				}
-			case aggSum:
-				switch {
-				case acc.count == 0:
-					vals[k] = Null
-				case inputs[k].typ == TypeDouble:
-					vals[k] = NewDouble(acc.sumF)
-				default:
-					vals[k] = NewBigint(acc.sumI)
-				}
-			case aggAvg:
-				if acc.count == 0 {
-					vals[k] = Null
-				} else {
-					vals[k] = NewDouble(acc.sumF / float64(acc.count))
-				}
-			}
+			vals[k] = gs.accs[k].result(it.kind, inputs[k].typ, g)
 		}
 		out.Rows = append(out.Rows, vals)
 		if len(ap.orderIdx) > 0 {

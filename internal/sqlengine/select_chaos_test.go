@@ -256,9 +256,7 @@ func (g selectFuzz) statement() (string, []Value) {
 		agg := g.pick("SUM", "AVG", "MIN", "MAX", "COUNT")
 		return `SELECT COUNT(*), ` + agg + `(` + x + `), SUM(a), MAX(s) FROM t` + w, append(xp, wp...)
 	case 4:
-		x, xp := g.numExpr(true)
-		key := g.pick("a", "s", "b", "a, s")
-		return `SELECT ` + key + `, COUNT(*), SUM(` + x + `), MIN(b) FROM t` + w + ` GROUP BY ` + key + ` ORDER BY 1, 2`, append(xp, wp...)
+		return g.groupStatement(w, wp)
 	case 5: // top-K and its refusals: ties on a and s, NaN keys in b, big limits
 		order := g.pick("a", "a DESC, id", "s, a DESC", "b", "2", "id DESC", "a + id")
 		lim := g.pickVal(NewInt(0), NewInt(3), NewInt(17), NewInt(40), NewInt(5000), NewInt(-1))
@@ -294,6 +292,46 @@ func (g selectFuzz) statement() (string, []Value) {
 	lo := g.r.Int63n(g.nextID + 1)
 	return `SELECT id, (SELECT COUNT(*) FROM t i WHERE i.a = o.a) FROM t o WHERE id >= ? AND id < ? AND EXISTS (SELECT 1 FROM t i WHERE i.id = o.a)`,
 		[]Value{NewInt(lo), NewInt(lo + 40)}
+}
+
+// groupStatement draws a grouped aggregate under the WHERE clause w over
+// one of dmlFuzz's key shapes: a narrow integer key (a, 0 to 39), one
+// about a chunk wide per chunk until duplicates and moved keys widen it
+// (id), a wide one (u, ten apart), VARCHAR, DOUBLE and two-column keys.
+// Without ORDER BY, groups come in first-appearance order.
+func (g selectFuzz) groupStatement(w string, wp []Value) (string, []Value) {
+	key := g.pick("a", "id", "u", "s", "b", "a, s", "u, a", "s, id")
+	items := []string{key}
+	var params []Value
+	for n := 1 + g.r.Intn(3); n > 0; n-- {
+		switch g.r.Intn(7) {
+		case 0:
+			items = append(items, "COUNT(*)")
+		case 1:
+			items = append(items, g.pick("COUNT(a)", "COUNT(b)", "COUNT(s)"))
+		case 2:
+			items = append(items, g.pick("SUM(a)", "SUM(u)", "SUM(b)", "AVG(a)", "AVG(b)"))
+		case 3:
+			items = append(items, g.pick("MIN(a)", "MAX(u)", "MIN(b)", "MAX(b)", "MIN(s)", "MAX(s)"))
+		default:
+			x, xp := g.numExpr(true)
+			items = append(items, g.pick("SUM", "AVG", "MIN", "MAX", "COUNT")+"("+x+")")
+			params = append(params, xp...)
+		}
+	}
+	sql := `SELECT ` + strings.Join(items, ", ") + ` FROM t` + w + ` GROUP BY ` + key
+	params = append(params, wp...)
+	switch g.r.Intn(4) {
+	case 0:
+		sql += ` ORDER BY 1, 2`
+	case 1:
+		sql += ` ORDER BY 2 DESC, 1 LIMIT ?`
+		params = append(params, NewInt(int64(g.r.Intn(20))))
+	case 2:
+		sql += ` LIMIT ? OFFSET ?`
+		params = append(params, NewInt(int64(g.r.Intn(30))), NewInt(int64(g.r.Intn(10))))
+	}
+	return sql, params
 }
 
 // TestChaosSelectDifferential drives seeded random SELECTs over random
