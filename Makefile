@@ -79,7 +79,8 @@ load-smoke:
 soak:
 	DAIS_SOAK=1 $(GO) test -race -count=1 -run TestChaosSoakGoroutineHygiene -v ./internal/service/
 
-# Short fuzz pass over each parser target; scheduled CI runs this.
+# Short fuzz pass over each parser target and the ordered index;
+# scheduled CI runs this.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnvelope -fuzztime $(FUZZTIME) ./internal/soap/
@@ -93,6 +94,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzRowsetRoundTrip -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzBufferWindow -fuzztime $(FUZZTIME) ./internal/rowset/
+	$(GO) test -run '^$$' -fuzz FuzzOrderedIndex -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzParseEPR -fuzztime $(FUZZTIME) ./internal/wsaddr/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

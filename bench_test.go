@@ -7,6 +7,7 @@ package dais_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -562,9 +563,9 @@ func BenchmarkE12TelemetryOverhead(b *testing.B) {
 	}
 }
 
-// dmlFacts loads the benchmark's facts table shape — a unique hash
-// index on id and nothing else — and scans it once so the chunk cache
-// is live, as it is beside a reader.
+// dmlFacts loads the benchmark's facts table shape — a unique index on
+// id and nothing else — and scans it once so the chunk cache is live, as
+// it is beside a reader.
 func dmlFacts(b *testing.B, rows int) *sqlengine.Session {
 	b.Helper()
 	eng := sqlengine.New("bench")
@@ -587,7 +588,7 @@ const (
 	dmlScan = `SELECT grp, COUNT(*), SUM(num) FROM facts GROUP BY grp`
 )
 
-// E20 — a write costs what it touches. By-key UPDATE: one hash probe,
+// E20 — a write costs what it touches. By-key UPDATE: one index probe,
 // one row, one stale chunk.
 func BenchmarkDMLUpdateByKey(b *testing.B) {
 	s := dmlFacts(b, dmlRows)
@@ -601,9 +602,10 @@ func BenchmarkDMLUpdateByKey(b *testing.B) {
 	}
 }
 
-// E20 — range DELETE with no ordered index: kernels over the live
-// chunks, zone maps skipping all but the owning chunk. Each iteration
-// inserts four rows at the tail and deletes them again.
+// E20 — range DELETE on the key: an ordered range probe of the primary
+// key picks the rows (kernels over the live chunks, zone maps skipping all
+// but the owning chunk, before the key was an ordered index). Each
+// iteration inserts four rows at the tail and deletes them again.
 func BenchmarkDMLDeleteRange(b *testing.B) {
 	s := dmlFacts(b, dmlRows)
 	b.ReportAllocs()
@@ -822,6 +824,43 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Execute(c.sql); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// E26 — building a unique index: 100 000 single-row INSERTs into a table
+// whose only index is its PRIMARY KEY, keys ascending or in a random
+// order. A key that lands inside the index shifts one short block of it,
+// not the whole index.
+func BenchmarkIndexInsert(b *testing.B) {
+	const rows = 100000
+	for _, order := range []struct {
+		name string
+		keys func() []int
+	}{
+		{"ascending", func() []int {
+			keys := make([]int, rows)
+			for i := range keys {
+				keys[i] = i
+			}
+			return keys
+		}},
+		{"random", func() []int { return rand.New(rand.NewSource(1)).Perm(rows) }},
+	} {
+		b.Run(order.name, func(b *testing.B) {
+			keys := order.keys()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng := sqlengine.New("bench")
+				eng.MustExec(`CREATE TABLE ins (k INTEGER PRIMARY KEY, v INTEGER)`)
+				s := eng.NewSession()
+				for _, k := range keys {
+					if _, err := s.Execute(`INSERT INTO ins VALUES (?, ?)`, sqlengine.NewInt(int64(k)), sqlengine.NewInt(int64(k))); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -245,10 +245,15 @@ func (g *Gateway) handleProxy(spec ops.Spec) soap.HandlerFunc {
 }
 
 // namedOp forwards an operation addressed to a concrete resource name
-// to its owning backend.
+// to its owning backend. The name's placement goes with the resource: on
+// a proxied Destroy, and when the backend answers that it knows no such
+// resource (it was reaped or destroyed behind the gateway's back).
 func (g *Gateway) namedOp(ctx context.Context, spec ops.Spec, name string, body *xmlutil.Element) (*xmlutil.Element, error) {
 	resp, err := g.forward(ctx, g.route(name), spec, body)
-	if err == nil && (spec.Action == ops.ActDestroyDataResource || spec.Action == ops.ActWSRFDestroy) {
+	var unknown *core.InvalidResourceNameFault
+	switch {
+	case err == nil && (spec.Action == ops.ActDestroyDataResource || spec.Action == ops.ActWSRFDestroy),
+		errors.As(err, &unknown) && !ops.IsTypeFault(err, name):
 		g.place.forget(name)
 	}
 	return resp, err

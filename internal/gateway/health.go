@@ -107,9 +107,11 @@ func (g *Gateway) onBreakerChange(endpoint, to string) {
 }
 
 // Probe refreshes every backend's health by fetching its resource list,
-// recording discovered resource locations in the placement table as a
-// side effect — which is how pre-existing backend resources become
-// routable and resolvable through the gateway.
+// and brings the placement table in line with each list as a side
+// effect: discovered resources become routable and resolvable through
+// the gateway, and resources the backend no longer lists (destroyed
+// behind the gateway's back, or reaped at their termination time) stop
+// counting towards its load.
 func (g *Gateway) Probe(ctx context.Context) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, g.fanout)
@@ -121,13 +123,11 @@ func (g *Gateway) Probe(ctx context.Context) {
 			defer func() { <-sem }()
 			pctx, cancel := context.WithTimeout(ctx, g.probeTimeout)
 			defer cancel()
+			mark := g.place.mark()
 			names, err := g.client.GetResourceList(pctx, backend)
 			g.health.probed(backend, len(names), err)
-			if err != nil {
-				return
-			}
-			for _, n := range names {
-				g.place.record(n, backend)
+			if err == nil {
+				g.place.sync(backend, names, mark)
 			}
 		}(b)
 	}

@@ -9,15 +9,24 @@ import "sync"
 // pre-existing resources). A recorded location always wins over the
 // consistent-hash ring, so routing stays stable for resources that were
 // placed by load rather than by hash, and for resources that predate
-// the gateway.
+// the gateway. An entry lives as long as the resource: a Destroy the
+// gateway proxies or an unknown-name fault from the owning backend drops
+// it, and so does a probe that no longer finds it in the backend's list
+// (a backend's soft-state sweeper reaps without telling the gateway).
 type placements struct {
 	mu     sync.RWMutex
-	byName map[string]string
+	byName map[string]placement
 	counts map[string]int
+	seq    uint64 // stamps each new entry, so a probe can tell what predates its list
+}
+
+type placement struct {
+	backend string
+	seq     uint64
 }
 
 func newPlacements() *placements {
-	return &placements{byName: make(map[string]string), counts: make(map[string]int)}
+	return &placements{byName: make(map[string]placement), counts: make(map[string]int)}
 }
 
 // record pins a resource to a backend (idempotent; relocating a name
@@ -29,12 +38,13 @@ func (p *placements) record(name, backend string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if prev, ok := p.byName[name]; ok {
-		if prev == backend {
+		if prev.backend == backend {
 			return
 		}
-		p.counts[prev]--
+		p.counts[prev.backend]--
 	}
-	p.byName[name] = backend
+	p.seq++
+	p.byName[name] = placement{backend: backend, seq: p.seq}
 	p.counts[backend]++
 }
 
@@ -42,17 +52,45 @@ func (p *placements) record(name, backend string) {
 func (p *placements) lookup(name string) (string, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	b, ok := p.byName[name]
-	return b, ok
+	e, ok := p.byName[name]
+	return e.backend, ok
 }
 
 // forget drops a name (resource destroyed).
 func (p *placements) forget(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if b, ok := p.byName[name]; ok {
-		p.counts[b]--
+	if e, ok := p.byName[name]; ok {
+		p.counts[e.backend]--
 		delete(p.byName, name)
+	}
+}
+
+// mark returns the stamp of the newest entry, for a later sync.
+func (p *placements) mark() uint64 {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.seq
+}
+
+// sync makes a backend's entries match its resource list: every listed
+// name is recorded, and every entry on the backend the list lacks is
+// dropped — unless it is newer than mark, taken before the list was
+// requested: a factory reply recorded meanwhile names a resource the
+// list may predate.
+func (p *placements) sync(backend string, names []string, mark uint64) {
+	listed := make(map[string]bool, len(names))
+	for _, n := range names {
+		listed[n] = true
+		p.record(n, backend)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for name, e := range p.byName {
+		if e.backend == backend && e.seq <= mark && !listed[name] {
+			p.counts[backend]--
+			delete(p.byName, name)
+		}
 	}
 }
 

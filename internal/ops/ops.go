@@ -14,7 +14,9 @@ package ops
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 
 	"dais/internal/core"
 	"dais/internal/xmlutil"
@@ -88,6 +90,13 @@ func (k Kind) faultLabel() string {
 func TypeFault(name string, kind Kind) error {
 	return &core.InvalidResourceNameFault{
 		Name: fmt.Sprintf("%s (not a %s resource)", name, kind.faultLabel())}
+}
+
+// IsTypeFault reports whether err is TypeFault for name: the resource
+// exists, but is not of the realisation the operation needs.
+func IsTypeFault(err error, name string) bool {
+	var f *core.InvalidResourceNameFault
+	return errors.As(err, &f) && strings.HasPrefix(f.Name, name+" (not a ")
 }
 
 // Resolve maps an abstract name to a resource of the realisation type

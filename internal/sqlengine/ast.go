@@ -39,14 +39,13 @@ type DropViewStmt struct {
 }
 
 // CreateIndexStmt is CREATE [UNIQUE] [ORDERED] INDEX name ON table
-// (col). Ordered selects the sorted posting structure (range pushdown,
-// ORDER BY over the index) instead of the hash index.
+// (col). Every index is ordered; the ORDERED keyword is accepted and
+// changes nothing.
 type CreateIndexStmt struct {
-	Name    string
-	Table   string
-	Column  string
-	Unique  bool
-	Ordered bool
+	Name   string
+	Table  string
+	Column string
+	Unique bool
 }
 
 // DropIndexStmt is DROP INDEX name.
@@ -335,18 +334,19 @@ func eachChild(e Expr, f func(Expr), sub func(*SelectStmt)) {
 	}
 }
 
-// eachPart calls f for every expression of a SELECT block (nil ones
-// included) and sub for every block nested directly in it: derived
-// tables and UNION arms. Subqueries inside the expressions are f's.
-func eachPart(st *SelectStmt, f func(Expr), sub func(*SelectStmt)) {
-	ref := func(tr *TableRef) {
-		if tr != nil && tr.Subquery != nil {
-			sub(tr.Subquery)
-		}
+// eachPart walks a SELECT block's direct children: ref gets every table
+// reference (FROM, then each JOIN's), f every expression (nil ones
+// included) — ON, the select list, WHERE, GROUP BY, HAVING, ORDER BY,
+// LIMIT and OFFSET — and arm every UNION arm. Blocks nested in a derived
+// table or an expression are ref's and f's to find.
+func eachPart(st *SelectStmt, ref func(*TableRef), f func(Expr), arm func(*SelectStmt)) {
+	if st.From != nil {
+		ref(st.From)
 	}
-	ref(st.From)
 	for _, j := range st.Joins {
-		ref(j.Table)
+		if j.Table != nil {
+			ref(j.Table)
+		}
 		f(j.On)
 	}
 	for _, it := range st.Items {
@@ -363,6 +363,6 @@ func eachPart(st *SelectStmt, f func(Expr), sub func(*SelectStmt)) {
 	f(st.Limit)
 	f(st.Offset)
 	for _, u := range st.Unions {
-		sub(u.Sel)
+		arm(u.Sel)
 	}
 }

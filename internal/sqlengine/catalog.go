@@ -32,8 +32,7 @@ type Table struct {
 	nextID int64
 	order  []int64 // live rowIDs in insertion order, which is ascending
 
-	indexes    map[string]*Index        // lower-cased index name -> hash index
-	ordIndexes map[string]*OrderedIndex // lower-cased index name -> ordered index
+	indexes map[string]*OrderedIndex // lower-cased index name -> index
 
 	// chunks is the lazily built columnar representation (column.go);
 	// chunkMu serialises concurrent builds by readers holding the
@@ -42,24 +41,13 @@ type Table struct {
 	chunks  *tableChunks
 }
 
-// Index is a hash index over a single column.
-type Index struct {
-	Name   string
-	Table  string
-	Column string
-	Unique bool
-	// buckets maps group-keyed values to rowIDs. NULLs are not indexed.
-	buckets map[string][]int64
-}
-
 func newTable(name string, cols []Column) *Table {
 	t := &Table{
-		Name:       name,
-		Columns:    cols,
-		colIdx:     make(map[string]int, len(cols)),
-		rows:       make(map[int64][]Value),
-		indexes:    make(map[string]*Index),
-		ordIndexes: make(map[string]*OrderedIndex),
+		Name:    name,
+		Columns: cols,
+		colIdx:  make(map[string]int, len(cols)),
+		rows:    make(map[int64][]Value),
+		indexes: make(map[string]*OrderedIndex),
 	}
 	for i, c := range cols {
 		t.colIdx[strings.ToLower(c.Name)] = i
@@ -96,39 +84,17 @@ func (t *Table) rowsOf(dst [][]Value, ids []int64) [][]Value {
 // insertRow stores a row and maintains indexes. The row must already be
 // coerced and validated.
 func (t *Table) insertRow(row []Value) (int64, error) {
-	id := t.nextID
-	for _, idx := range t.indexes {
-		ci := t.ColumnIndex(idx.Column)
-		v := row[ci]
-		if v.IsNull() {
-			continue
-		}
-		if idx.Unique && len(idx.buckets[v.groupKey()]) > 0 {
-			return 0, fmt.Errorf("unique constraint %s violated on %s.%s (value %s)",
-				idx.Name, t.Name, idx.Column, v)
-		}
-	}
-	for _, ix := range t.ordIndexes {
-		ci := t.ColumnIndex(ix.Column)
-		v := row[ci]
-		if v.IsNull() {
-			continue
-		}
-		if ix.Unique && len(ix.lookup(v)) > 0 {
+	for _, ix := range t.indexes {
+		if v := row[t.ColumnIndex(ix.Column)]; ix.Unique && len(ix.lookup(v)) > 0 {
 			return 0, fmt.Errorf("unique constraint %s violated on %s.%s (value %s)",
 				ix.Name, t.Name, ix.Column, v)
 		}
 	}
+	id := t.nextID
 	t.nextID++
 	t.rows[id] = row
 	t.order = append(t.order, id)
-	for _, idx := range t.indexes {
-		ci := t.ColumnIndex(idx.Column)
-		if v := row[ci]; !v.IsNull() {
-			idx.buckets[v.groupKey()] = append(idx.buckets[v.groupKey()], id)
-		}
-	}
-	for _, ix := range t.ordIndexes {
+	for _, ix := range t.indexes {
 		ix.insert(row[t.ColumnIndex(ix.Column)], id)
 	}
 	t.chunkAppendRow(id, row)
@@ -141,13 +107,7 @@ func (t *Table) deleteRow(id int64) {
 	if !ok {
 		return
 	}
-	for _, idx := range t.indexes {
-		ci := t.ColumnIndex(idx.Column)
-		if v := row[ci]; !v.IsNull() {
-			idx.remove(v, id)
-		}
-	}
-	for _, ix := range t.ordIndexes {
+	for _, ix := range t.indexes {
 		ix.remove(row[t.ColumnIndex(ix.Column)], id)
 	}
 	delete(t.rows, id)
@@ -164,12 +124,7 @@ func (t *Table) restoreRow(id int64, row []Value) {
 	t.rows[id] = row
 	pos, _ := slices.BinarySearch(t.order, id)
 	t.order = slices.Insert(t.order, pos, id)
-	for _, idx := range t.indexes {
-		if v := row[t.ColumnIndex(idx.Column)]; !v.IsNull() {
-			idx.buckets[v.groupKey()] = append(idx.buckets[v.groupKey()], id)
-		}
-	}
-	for _, ix := range t.ordIndexes {
+	for _, ix := range t.indexes {
 		ix.insert(row[t.ColumnIndex(ix.Column)], id)
 	}
 	t.chunkRestoreRow(id)
@@ -182,28 +137,9 @@ func (t *Table) updateRow(id int64, newRow []Value) error {
 	if !ok {
 		return fmt.Errorf("row %d not found", id)
 	}
-	for _, idx := range t.indexes {
-		ci := t.ColumnIndex(idx.Column)
-		nv := newRow[ci]
-		if nv.IsNull() || Equal(old[ci], nv) {
-			continue
-		}
-		if idx.Unique {
-			for _, rid := range idx.buckets[nv.groupKey()] {
-				if rid != id {
-					return fmt.Errorf("unique constraint %s violated on %s.%s (value %s)",
-						idx.Name, t.Name, idx.Column, nv)
-				}
-			}
-		}
-	}
-	for _, ix := range t.ordIndexes {
+	for _, ix := range t.indexes {
 		ci := t.ColumnIndex(ix.Column)
-		nv := newRow[ci]
-		if nv.IsNull() || Equal(old[ci], nv) {
-			continue
-		}
-		if ix.Unique {
+		if nv := newRow[ci]; ix.Unique && !sameKey(old[ci], nv) {
 			for _, rid := range ix.lookup(nv) {
 				if rid != id {
 					return fmt.Errorf("unique constraint %s violated on %s.%s (value %s)",
@@ -212,65 +148,27 @@ func (t *Table) updateRow(id int64, newRow []Value) error {
 			}
 		}
 	}
-	for _, idx := range t.indexes {
-		ci := t.ColumnIndex(idx.Column)
-		ov, nv := old[ci], newRow[ci]
-		if Equal(ov, nv) || (ov.IsNull() && nv.IsNull()) {
-			continue
-		}
-		if !ov.IsNull() {
-			idx.remove(ov, id)
-		}
-		if !nv.IsNull() {
-			idx.buckets[nv.groupKey()] = append(idx.buckets[nv.groupKey()], id)
-		}
-	}
-	for _, ix := range t.ordIndexes {
+	for _, ix := range t.indexes {
 		ci := t.ColumnIndex(ix.Column)
-		ov, nv := old[ci], newRow[ci]
-		if Equal(ov, nv) || (ov.IsNull() && nv.IsNull()) {
-			continue
+		if ov, nv := old[ci], newRow[ci]; !sameKey(ov, nv) {
+			ix.remove(ov, id)
+			ix.insert(nv, id)
 		}
-		ix.remove(ov, id)
-		ix.insert(nv, id)
 	}
 	t.rows[id] = newRow
 	t.chunkMarkStale(id)
 	return nil
 }
 
-func (ix *Index) remove(v Value, id int64) {
-	key := v.groupKey()
-	b := ix.buckets[key]
-	for i, rid := range b {
-		if rid == id {
-			ix.buckets[key] = append(b[:i], b[i+1:]...)
-			break
-		}
-	}
-	if len(ix.buckets[key]) == 0 {
-		delete(ix.buckets, key)
-	}
-}
-
-// lookup returns rowIDs matching an equality value via the index.
-func (ix *Index) lookup(v Value) []int64 {
-	if v.IsNull() {
-		return nil
-	}
-	return ix.buckets[v.groupKey()]
-}
-
 // Database is the catalog: a named set of tables plus index metadata.
 // It is guarded by a single RW mutex; the Engine layer chooses whether
 // to exploit reader concurrency (the DAIS ConcurrentAccess property).
 type Database struct {
-	mu         sync.RWMutex
-	name       string
-	tables     map[string]*Table        // lower-cased name
-	indexes    map[string]*Index        // lower-cased index name -> owning index
-	ordIndexes map[string]*OrderedIndex // lower-cased index name -> ordered index
-	views      map[string]*viewDef
+	mu      sync.RWMutex
+	name    string
+	tables  map[string]*Table        // lower-cased name
+	indexes map[string]*OrderedIndex // lower-cased index name
+	views   map[string]*viewDef
 
 	// epoch counts successful DDL statements. Compiled plans record the
 	// epoch they were built against and are discarded when it moves, so
@@ -308,11 +206,10 @@ type viewDef struct {
 // NewDatabase creates an empty database with the given name.
 func NewDatabase(name string) *Database {
 	return &Database{
-		name:       name,
-		tables:     make(map[string]*Table),
-		indexes:    make(map[string]*Index),
-		ordIndexes: make(map[string]*OrderedIndex),
-		views:      make(map[string]*viewDef),
+		name:    name,
+		tables:  make(map[string]*Table),
+		indexes: make(map[string]*OrderedIndex),
+		views:   make(map[string]*viewDef),
 	}
 }
 
@@ -376,19 +273,15 @@ type IndexInfo struct {
 	Table  string
 	Column string
 	Unique bool
-	Kind   string // "hash" or "ordered"
 }
 
 // Indexes returns metadata for all indexes, sorted by name.
 func (d *Database) Indexes() []IndexInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]IndexInfo, 0, len(d.indexes)+len(d.ordIndexes))
+	out := make([]IndexInfo, 0, len(d.indexes))
 	for _, ix := range d.indexes {
-		out = append(out, IndexInfo{Name: ix.Name, Table: ix.Table, Column: ix.Column, Unique: ix.Unique, Kind: "hash"})
-	}
-	for _, ix := range d.ordIndexes {
-		out = append(out, IndexInfo{Name: ix.Name, Table: ix.Table, Column: ix.Column, Unique: ix.Unique, Kind: "ordered"})
+		out = append(out, IndexInfo{Name: ix.Name, Table: ix.Table, Column: ix.Column, Unique: ix.Unique})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -431,16 +324,12 @@ func (d *Database) createTable(st *CreateTableStmt) error {
 		t.Columns[ci].PrimaryKey = true
 		t.Columns[ci].NotNull = true
 		ixName := fmt.Sprintf("pk_%s_%s", strings.ToLower(st.Name), strings.ToLower(pk))
-		ix := &Index{Name: ixName, Table: st.Name, Column: t.Columns[ci].Name, Unique: true, buckets: map[string][]int64{}}
-		t.indexes[ixName] = ix
-		d.indexes[ixName] = ix
+		d.addIndex(t, newOrderedIndex(ixName, st.Name, t.Columns[ci].Name, true))
 	}
 	for i := range t.Columns {
 		if t.Columns[i].Unique && !t.Columns[i].PrimaryKey {
 			ixName := fmt.Sprintf("uq_%s_%s", strings.ToLower(st.Name), strings.ToLower(t.Columns[i].Name))
-			ix := &Index{Name: ixName, Table: st.Name, Column: t.Columns[i].Name, Unique: true, buckets: map[string][]int64{}}
-			t.indexes[ixName] = ix
-			d.indexes[ixName] = ix
+			d.addIndex(t, newOrderedIndex(ixName, st.Name, t.Columns[i].Name, true))
 		}
 	}
 	d.tables[key] = t
@@ -460,20 +349,21 @@ func (d *Database) dropTable(st *DropTableStmt) error {
 	for name := range t.indexes {
 		delete(d.indexes, name)
 	}
-	for name := range t.ordIndexes {
-		delete(d.ordIndexes, name)
-	}
 	delete(d.tables, key)
 	d.epoch++
 	return nil
 }
 
+// addIndex registers an index under its (lower-cased) name with its
+// table and the catalog.
+func (d *Database) addIndex(t *Table, ix *OrderedIndex) {
+	t.indexes[ix.Name] = ix
+	d.indexes[ix.Name] = ix
+}
+
 func (d *Database) createIndex(st *CreateIndexStmt) error {
 	key := strings.ToLower(st.Name)
 	if _, exists := d.indexes[key]; exists {
-		return fmt.Errorf("index %q already exists", st.Name)
-	}
-	if _, exists := d.ordIndexes[key]; exists {
 		return fmt.Errorf("index %q already exists", st.Name)
 	}
 	t, err := d.table(st.Table)
@@ -484,57 +374,31 @@ func (d *Database) createIndex(st *CreateIndexStmt) error {
 	if ci < 0 {
 		return fmt.Errorf("column %q not in table %q", st.Column, st.Table)
 	}
-	if st.Ordered {
-		ix := newOrderedIndex(key, t.Name, t.Columns[ci].Name, st.Unique)
-		for _, id := range t.order {
-			v := t.rows[id][ci]
-			if ix.Unique && !v.IsNull() && len(ix.lookup(v)) > 0 {
-				return fmt.Errorf("cannot create unique index %q: duplicate value %s", st.Name, v)
-			}
-			ix.insert(v, id)
-		}
-		t.ordIndexes[key] = ix
-		d.ordIndexes[key] = ix
-		d.epoch++
-		return nil
-	}
-	ix := &Index{Name: key, Table: t.Name, Column: t.Columns[ci].Name, Unique: st.Unique, buckets: map[string][]int64{}}
-	// Build from existing rows.
+	ix := newOrderedIndex(key, t.Name, t.Columns[ci].Name, st.Unique)
 	for _, id := range t.order {
 		v := t.rows[id][ci]
-		if v.IsNull() {
-			continue
-		}
-		if ix.Unique && len(ix.buckets[v.groupKey()]) > 0 {
+		if ix.Unique && len(ix.lookup(v)) > 0 {
 			return fmt.Errorf("cannot create unique index %q: duplicate value %s", st.Name, v)
 		}
-		ix.buckets[v.groupKey()] = append(ix.buckets[v.groupKey()], id)
+		ix.insert(v, id)
 	}
-	t.indexes[key] = ix
-	d.indexes[key] = ix
+	d.addIndex(t, ix)
 	d.epoch++
 	return nil
 }
 
 func (d *Database) dropIndex(st *DropIndexStmt) error {
 	key := strings.ToLower(st.Name)
-	if ix, exists := d.indexes[key]; exists {
-		if t, ok := d.tables[strings.ToLower(ix.Table)]; ok {
-			delete(t.indexes, key)
-		}
-		delete(d.indexes, key)
-		d.epoch++
-		return nil
+	ix, exists := d.indexes[key]
+	if !exists {
+		return fmt.Errorf("index %q does not exist", st.Name)
 	}
-	if ix, exists := d.ordIndexes[key]; exists {
-		if t, ok := d.tables[strings.ToLower(ix.Table)]; ok {
-			delete(t.ordIndexes, key)
-		}
-		delete(d.ordIndexes, key)
-		d.epoch++
-		return nil
+	if t, ok := d.tables[strings.ToLower(ix.Table)]; ok {
+		delete(t.indexes, key)
 	}
-	return fmt.Errorf("index %q does not exist", st.Name)
+	delete(d.indexes, key)
+	d.epoch++
+	return nil
 }
 
 // ViewNames returns the sorted list of view names.

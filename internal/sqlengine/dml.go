@@ -169,7 +169,7 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 // rows the WHERE clause accepts (the caller re-checks each). Because the
 // bound predicate cannot error on any row, leaving the other rows
 // unvisited hides nothing the walk would have reported. ok=false — an
-// operand that does not bind (NULL or uncoercible key, type mismatch),
+// operand that does not bind (NULL key, type mismatch),
 // or no index and no live chunk cache to drain instead — sends the
 // statement down the walk: a write never builds a chunk cache no read
 // has built. Caller holds d.mu exclusively.

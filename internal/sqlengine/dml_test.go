@@ -99,18 +99,19 @@ func TestDMLTargetAccess(t *testing.T) {
 		}
 		return strings.Join(lines, "\n")
 	}
-	// No chunk cache yet: a range on the hash-indexed id has nothing to
+	// No chunk cache yet: a range on the unindexed num has nothing to
 	// scan but rows.
-	if got := explain(`DELETE FROM facts WHERE id >= 10 AND id <= 13`); strings.Contains(got, "zone maps") {
+	if got := explain(`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`); strings.Contains(got, "zone maps") {
 		t.Fatalf("zone-map line without a chunk cache:\n%s", got)
 	}
 	execAllPaths(t, e, `SELECT COUNT(*) FROM facts WHERE num >= 0`)
 	for sql, wants := range map[string][]string{
-		`UPDATE facts SET payload = 'x' WHERE id = 7`:         {`update "facts"`, "access: hash point lookup via pk_facts_id (facts.id = ?)", "set: 1 column(s)"},
+		`UPDATE facts SET payload = 'x' WHERE id = 7`:         {`update "facts"`, "access: ordered point lookup via pk_facts_id (facts.id = ?)", "set: 1 column(s)"},
 		`DELETE FROM facts WHERE grp = 3`:                     {"access: ordered point lookup via facts_grp (facts.grp = ?)"},
 		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:        {"access: ordered range scan via facts_grp (grp > ? AND grp <= ?)"},
-		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:       {`delete from "facts"`, "access: full scan", "vector: columnar scan", "vector zone maps: 3/4 chunks skippable"},
-		`DELETE FROM facts WHERE id >= ? AND id <= ?`:         {"vector zone maps: evaluated per execution"},
+		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:       {"access: ordered range scan via pk_facts_id (id >= ? AND id <= ?)"},
+		`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`:     {`delete from "facts"`, "access: full scan", "vector: columnar scan", "vector zone maps: 3/4 chunks skippable"},
+		`DELETE FROM facts WHERE num >= ? AND num <= ?`:       {"vector zone maps: evaluated per execution"},
 		`DELETE FROM facts WHERE num = 1.5`:                   {"access: full scan", "vector filter: compiled kernels"},
 		`DELETE FROM facts WHERE id + grp > 9 AND id % 2 = 0`: {"access: full scan", "vector filter: compiled kernels"},
 		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:            {"access: full scan (interpreted: WHERE outside the error-free predicate class)"},
@@ -128,7 +129,7 @@ func TestDMLTargetAccess(t *testing.T) {
 
 	// The range DELETE runs on the kernels and skips by zone map.
 	before := e.VectorStats()
-	if res := e.MustExec(`DELETE FROM facts WHERE id >= ? AND id <= ?`, NewInt(10), NewInt(13)); res.UpdateCount != 4 {
+	if res := e.MustExec(`DELETE FROM facts WHERE num >= ? AND num <= ?`, NewDouble(5), NewDouble(6.5)); res.UpdateCount != 4 {
 		t.Fatalf("deleted %d rows", res.UpdateCount)
 	}
 	after := e.VectorStats()
@@ -164,7 +165,7 @@ func TestDMLPlanCachedAndReplanned(t *testing.T) {
 	}
 	e.MustExec(`CREATE INDEX c_id ON c (id)`)
 	p3, _ := e.Prepare(upd)
-	if p3 == p1 || p3.dml == nil || p3.dml.access != accessHashPoint {
+	if p3 == p1 || p3.dml == nil || p3.dml.access != accessOrderedPoint {
 		t.Fatalf("plan not rebuilt after CREATE INDEX: %+v", p3.dml)
 	}
 	// A Prepared held across DDL is stale: it must walk, not probe the

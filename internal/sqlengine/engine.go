@@ -469,40 +469,17 @@ func (s *Session) lockForRead(tables []string) error {
 // union arms and subqueries, so read locks cover the whole statement.
 func tablesOfSelect(st *SelectStmt) []string {
 	seen := map[string]bool{}
-	var collectSelect func(*SelectStmt)
-	collectExpr := func(e Expr) { forEachSubquery(e, collectSelect) }
-	collectSelect = func(s *SelectStmt) {
-		if s == nil {
-			return
-		}
-		ref := func(tr *TableRef) {
-			if tr == nil {
-				return
-			}
+	var collect func(*SelectStmt)
+	collect = func(s *SelectStmt) {
+		eachPart(s, func(tr *TableRef) {
 			if tr.Subquery != nil {
-				collectSelect(tr.Subquery)
+				collect(tr.Subquery)
 				return
 			}
 			seen[strings.ToLower(tr.Table)] = true
-		}
-		ref(s.From)
-		for _, j := range s.Joins {
-			ref(j.Table)
-			collectExpr(j.On)
-		}
-		collectExpr(s.Where)
-		collectExpr(s.Having)
-		for _, it := range s.Items {
-			collectExpr(it.Expr)
-		}
-		for _, g := range s.GroupBy {
-			collectExpr(g)
-		}
-		for _, u := range s.Unions {
-			collectSelect(u.Sel)
-		}
+		}, func(e Expr) { forEachSubquery(e, collect) }, collect)
 	}
-	collectSelect(st)
+	collect(st)
 	out := make([]string, 0, len(seen))
 	for t := range seen {
 		out = append(out, t)

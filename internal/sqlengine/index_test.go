@@ -2,6 +2,9 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -301,4 +304,76 @@ func BenchmarkIndexLookupVsScan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestIndexProbeMatchesWalk: an index answers a probe only under the
+// comparison the walk would make. A key Compare cannot order against the
+// column — a VARCHAR against an INTEGER key, an integer against a VARCHAR
+// one — widens the access, and every path then raises the walk's error,
+// whether the probe would have found a row or not.
+func TestIndexProbeMatchesWalk(t *testing.T) {
+	e := New("probe")
+	e.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(8) UNIQUE)`)
+	e.MustExec(`INSERT INTO t VALUES (1, 'a'), (2, '7')`)
+	for _, sql := range []string{
+		`SELECT v FROM t WHERE id = '7'`,
+		`SELECT v FROM t WHERE id = '1'`,
+		`SELECT DISTINCT v FROM t WHERE id = '7'`,
+		`SELECT id FROM t WHERE v = 7`,
+	} {
+		execAllPaths(t, e, sql)
+		if _, err := e.Exec(sql); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+			t.Fatalf("%s: err = %v, want the walk's comparison error", sql, err)
+		}
+	}
+}
+
+// TestUniqueDoubleKeys: uniqueness is the equality = uses, so -0 collides
+// with 0; NaN, which the index keeps apart from every other key, collides
+// only with NaN, on INSERT and on UPDATE alike.
+func TestUniqueDoubleKeys(t *testing.T) {
+	e := New("dbl")
+	e.MustExec(`CREATE TABLE d (id INTEGER, x DOUBLE UNIQUE)`)
+	insert := func(id int64, x float64) error {
+		_, err := e.Exec(`INSERT INTO d VALUES (?, ?)`, NewInt(id), NewDouble(x))
+		return err
+	}
+	nan := math.NaN()
+	for _, step := range []struct {
+		id      int64
+		x       float64
+		violate bool
+	}{
+		{1, 0, false},
+		{2, math.Copysign(0, -1), true},
+		{3, 1, false},
+		{4, nan, false},
+		{5, nan, true},
+	} {
+		if err := insert(step.id, step.x); (err != nil) != step.violate {
+			t.Fatalf("INSERT (%d, %v): err = %v, want violation %v", step.id, step.x, err, step.violate)
+		}
+	}
+	// lookup returns the ids of the rows the index finds for x.
+	lookup := func(x float64) []int64 {
+		var ids []int64
+		for _, rid := range e.db.indexes["uq_d_x"].lookup(NewDouble(x)) {
+			ids = append(ids, e.db.tables["d"].rows[rid][0].I)
+		}
+		return ids
+	}
+	if got := lookup(1); !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("lookup(1.0) = %v, want the 1.0 row alone", got)
+	}
+	if _, err := e.Exec(`UPDATE d SET x = ? WHERE id = 3`, NewDouble(nan)); err == nil {
+		t.Fatal("UPDATE to a second NaN was not a violation")
+	}
+	e.MustExec(`DELETE FROM d WHERE id = 4`)
+	e.MustExec(`UPDATE d SET x = ? WHERE id = 3`, NewDouble(nan))
+	if got := lookup(1); got != nil {
+		t.Fatalf("lookup(1.0) after the UPDATE to NaN = %v, want none", got)
+	}
+	if got := lookup(nan); !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("lookup(NaN) = %v, want the updated row", got)
+	}
 }

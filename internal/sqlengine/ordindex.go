@@ -1,41 +1,63 @@
 package sqlengine
 
 import (
+	"math"
 	"slices"
 	"sort"
 )
 
-// OrderedIndex is a sorted posting structure over a single column: the
-// ordered sibling of the hash Index. Keys are kept in ascending Compare
-// order with one ascending rowID posting list per distinct key, so the
+// OrderedIndex is the engine's one index structure: a sorted posting
+// structure over a single column. PRIMARY KEY and UNIQUE constraints and
+// every CREATE INDEX build one. Keys are kept in ascending key order
+// (cmpKeys) with one ascending rowID posting list per distinct key, so the
 // index supports point lookup, range scans (<, <=, >, >=, BETWEEN
 // pushdown) and full ordered iteration (ORDER BY over the index) without
 // a sort. NULL keys live in a separate ascending rowID list, matching
 // the engine's NULLS FIRST sort order.
 //
-// Key comparison uses the column's declared type via Compare; values are
-// coerced on insert so comparisons cannot fail. NaN in a DOUBLE column
-// compares equal to everything, so its position among the keys is
-// unspecified — the same caveat the hash index has (its group key never
-// matches a non-NaN probe).
+// The keys are cut into short sorted blocks: a lookup is a binary search
+// over the blocks' last keys and then one inside a block, and an insert
+// or delete shifts one block, never the whole index. A block splits in
+// two when it outgrows blockKeys and is dropped when it empties.
 type OrderedIndex struct {
 	Name   string
 	Table  string
 	Column string
 	Unique bool
 
-	keys  []Value   // distinct non-NULL keys, ascending
-	post  [][]int64 // posting lists parallel to keys, rowIDs ascending
-	nulls []int64   // rowIDs with a NULL key, ascending
+	blocks []*ordBlock // non-empty, ascending: each block's keys precede the next one's
+	nulls  []int64     // rowIDs with a NULL key, ascending
 }
+
+// ordBlock is one run of consecutive distinct keys and their postings.
+type ordBlock struct {
+	keys []Value   // ascending
+	post [][]int64 // posting lists parallel to keys, rowIDs ascending
+}
+
+// blockKeys is the most distinct keys one block holds.
+const blockKeys = 128
 
 func newOrderedIndex(name, table, column string, unique bool) *OrderedIndex {
 	return &OrderedIndex{Name: name, Table: table, Column: column, Unique: unique}
 }
 
-// cmpKeys orders two same-column values; a comparison error cannot
-// happen for coerced column values and degrades to "equal" if it does.
+// cmpKeys is the index's key order: Compare's, except that NaN sorts
+// after +Inf and equals only NaN — under Compare it equals everything,
+// which would leave the keys unsorted and merge a NaN into another key's
+// postings. So -0 and 0 are one key, as they are to =. A comparison error
+// cannot happen for coerced column values and degrades to "equal" if it
+// does.
 func cmpKeys(a, b Value) int {
+	if an, bn := isNaN(a), isNaN(b); an || bn {
+		switch {
+		case an && bn:
+			return 0
+		case an:
+			return 1
+		}
+		return -1
+	}
 	c, err := Compare(a, b)
 	if err != nil {
 		return 0
@@ -43,27 +65,56 @@ func cmpKeys(a, b Value) int {
 	return c
 }
 
-// search returns the position of v among the keys and whether it is
-// present.
-func (ix *OrderedIndex) search(v Value) (int, bool) {
-	pos := sort.Search(len(ix.keys), func(i int) bool { return cmpKeys(ix.keys[i], v) >= 0 })
-	return pos, pos < len(ix.keys) && cmpKeys(ix.keys[pos], v) == 0
+func isNaN(v Value) bool { return v.Type == TypeDouble && math.IsNaN(v.F) }
+
+// sameKey reports whether two column values index as one key: both NULL,
+// or equal in key order.
+func sameKey(a, b Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() && b.IsNull()
+	}
+	return cmpKeys(a, b) == 0
+}
+
+// seek returns the position of the first key at or after v — after v
+// when past is set — as a block and a key within it; block ==
+// len(ix.blocks) past the last key.
+func (ix *OrderedIndex) seek(v Value, past bool) (block, key int) {
+	want := 0
+	if past {
+		want = 1
+	}
+	block = sort.Search(len(ix.blocks), func(i int) bool {
+		b := ix.blocks[i]
+		return cmpKeys(b.keys[len(b.keys)-1], v) >= want
+	})
+	if block == len(ix.blocks) {
+		return block, 0
+	}
+	b := ix.blocks[block]
+	return block, sort.Search(len(b.keys), func(i int) bool { return cmpKeys(b.keys[i], v) >= want })
+}
+
+// find locates v's key: its block and position, or where it would go.
+func (ix *OrderedIndex) find(v Value) (b *ordBlock, block, key int, found bool) {
+	block, key = ix.seek(v, false)
+	if block == len(ix.blocks) {
+		return nil, block, 0, false
+	}
+	b = ix.blocks[block]
+	return b, block, key, cmpKeys(b.keys[key], v) == 0
 }
 
 // insertID places id into an ascending rowID list.
 func insertID(ids []int64, id int64) []int64 {
-	pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	return ids
+	pos, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, pos, id)
 }
 
+// removeID drops id from an ascending rowID list.
 func removeID(ids []int64, id int64) []int64 {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
+	if pos, found := slices.BinarySearch(ids, id); found {
+		return slices.Delete(ids, pos, pos+1)
 	}
 	return ids
 }
@@ -74,17 +125,37 @@ func (ix *OrderedIndex) insert(v Value, id int64) {
 		ix.nulls = insertID(ix.nulls, id)
 		return
 	}
-	pos, found := ix.search(v)
-	if found {
-		ix.post[pos] = insertID(ix.post[pos], id)
+	b, block, key, found := ix.find(v)
+	switch {
+	case found:
+		b.post[key] = insertID(b.post[key], id)
+		return
+	case len(ix.blocks) == 0:
+		ix.blocks = []*ordBlock{{}}
+		b, block = ix.blocks[0], 0
+	case b == nil: // past the last key: the last block takes it
+		block = len(ix.blocks) - 1
+		b, key = ix.blocks[block], len(ix.blocks[block].keys)
+	}
+	b.keys = slices.Insert(b.keys, key, v)
+	b.post = slices.Insert(b.post, key, []int64{id})
+	if len(b.keys) <= blockKeys {
 		return
 	}
-	ix.keys = append(ix.keys, Null)
-	copy(ix.keys[pos+1:], ix.keys[pos:])
-	ix.keys[pos] = v
-	ix.post = append(ix.post, nil)
-	copy(ix.post[pos+1:], ix.post[pos:])
-	ix.post[pos] = []int64{id}
+	// Split in halves; a key appended past the end of the index starts the
+	// next block alone, so ascending inserts leave full blocks behind.
+	half := len(b.keys) / 2
+	if block == len(ix.blocks)-1 && key == len(b.keys)-1 {
+		half = key
+	}
+	next := &ordBlock{
+		keys: append(make([]Value, 0, blockKeys+1), b.keys[half:]...),
+		post: append(make([][]int64, 0, blockKeys+1), b.post[half:]...),
+	}
+	clear(b.keys[half:])
+	clear(b.post[half:])
+	b.keys, b.post = b.keys[:half], b.post[:half]
+	ix.blocks = slices.Insert(ix.blocks, block+1, next)
 }
 
 // remove drops one (value, rowID) pair.
@@ -93,14 +164,17 @@ func (ix *OrderedIndex) remove(v Value, id int64) {
 		ix.nulls = removeID(ix.nulls, id)
 		return
 	}
-	pos, found := ix.search(v)
+	b, block, key, found := ix.find(v)
 	if !found {
 		return
 	}
-	ix.post[pos] = removeID(ix.post[pos], id)
-	if len(ix.post[pos]) == 0 {
-		ix.keys = append(ix.keys[:pos], ix.keys[pos+1:]...)
-		ix.post = append(ix.post[:pos], ix.post[pos+1:]...)
+	if b.post[key] = removeID(b.post[key], id); len(b.post[key]) > 0 {
+		return
+	}
+	b.keys = slices.Delete(b.keys, key, key+1)
+	b.post = slices.Delete(b.post, key, key+1)
+	if len(b.keys) == 0 {
+		ix.blocks = slices.Delete(ix.blocks, block, block+1)
 	}
 }
 
@@ -110,14 +184,20 @@ func (ix *OrderedIndex) lookup(v Value) []int64 {
 	if v.IsNull() {
 		return nil
 	}
-	if pos, found := ix.search(v); found {
-		return ix.post[pos]
+	if b, _, key, found := ix.find(v); found {
+		return b.post[key]
 	}
 	return nil
 }
 
-// entries returns the number of indexed (non-NULL) keys.
-func (ix *OrderedIndex) entries() int { return len(ix.keys) }
+// entries returns the number of distinct non-NULL keys.
+func (ix *OrderedIndex) entries() int {
+	n := 0
+	for _, b := range ix.blocks {
+		n += len(b.keys)
+	}
+	return n
+}
 
 // ordBound is one side of a range scan; nil means unbounded.
 type ordBound struct {
@@ -130,31 +210,46 @@ type ordBound struct {
 // ascending within one key. NULL keys never satisfy a range predicate
 // and are excluded.
 func (ix *OrderedIndex) appendRange(dst []int64, lo, hi *ordBound, desc bool) []int64 {
-	start := 0
+	fromBlock, fromKey := 0, 0
 	if lo != nil {
-		want := 0
-		if !lo.incl {
-			want = 1
-		}
-		start = sort.Search(len(ix.keys), func(i int) bool { return cmpKeys(ix.keys[i], lo.val) >= want })
+		fromBlock, fromKey = ix.seek(lo.val, !lo.incl)
 	}
-	end := len(ix.keys)
+	toBlock, toKey := len(ix.blocks), 0 // exclusive
 	if hi != nil {
-		want := 1
-		if !hi.incl {
-			want = 0
-		}
-		end = sort.Search(len(ix.keys), func(i int) bool { return cmpKeys(ix.keys[i], hi.val) >= want })
+		toBlock, toKey = ix.seek(hi.val, hi.incl)
 	}
-	dst = slices.Grow(dst, max(end-start, 0)) // an ID per key at least
+	// keys returns block i's slice of the range.
+	keys := func(i int) (int, int) {
+		b := ix.blocks[i]
+		start, end := 0, len(b.keys)
+		if i == fromBlock {
+			start = fromKey
+		}
+		if i == toBlock {
+			end = toKey
+		}
+		return start, end
+	}
+	last, n := min(toBlock, len(ix.blocks)-1), 0
+	for i := fromBlock; i <= last; i++ {
+		start, end := keys(i)
+		n += max(end-start, 0)
+	}
+	dst = slices.Grow(dst, n) // an ID per key at least
 	if desc {
-		for i := end - 1; i >= start; i-- {
-			dst = append(dst, ix.post[i]...)
+		for i := last; i >= fromBlock; i-- {
+			start, end := keys(i)
+			for k := end - 1; k >= start; k-- {
+				dst = append(dst, ix.blocks[i].post[k]...)
+			}
 		}
 		return dst
 	}
-	for i := start; i < end; i++ {
-		dst = append(dst, ix.post[i]...)
+	for i := fromBlock; i <= last; i++ {
+		start, end := keys(i)
+		for k := start; k < end; k++ {
+			dst = append(dst, ix.blocks[i].post[k]...)
+		}
 	}
 	return dst
 }
@@ -165,14 +260,7 @@ func (ix *OrderedIndex) appendRange(dst []int64, lo, hi *ordBound, desc bool) []
 // exactly the stable-sort order of a rowID-ordered scan.
 func (ix *OrderedIndex) appendOrdered(dst []int64, desc bool) []int64 {
 	if desc {
-		for i := len(ix.keys) - 1; i >= 0; i-- {
-			dst = append(dst, ix.post[i]...)
-		}
-		return append(dst, ix.nulls...)
+		return append(ix.appendRange(dst, nil, nil, true), ix.nulls...)
 	}
-	dst = append(dst, ix.nulls...)
-	for i := range ix.keys {
-		dst = append(dst, ix.post[i]...)
-	}
-	return dst
+	return ix.appendRange(append(dst, ix.nulls...), nil, nil, false)
 }

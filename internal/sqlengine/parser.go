@@ -142,7 +142,7 @@ func (p *parser) parseCreate() (Statement, error) {
 		}
 		return p.parseCreateTable()
 	case p.accept(tokKeyword, "INDEX"):
-		return p.parseCreateIndex(unique, ordered)
+		return p.parseCreateIndex(unique)
 	case p.accept(tokKeyword, "VIEW"):
 		if unique || ordered {
 			return nil, fmt.Errorf("sql: UNIQUE/ORDERED is not valid before VIEW")
@@ -275,7 +275,7 @@ func (p *parser) parseColumnDef() (*ColumnDef, error) {
 	}
 }
 
-func (p *parser) parseCreateIndex(unique, ordered bool) (Statement, error) {
+func (p *parser) parseCreateIndex(unique bool) (Statement, error) {
 	name, err := p.identLike()
 	if err != nil {
 		return nil, err
@@ -297,7 +297,7 @@ func (p *parser) parseCreateIndex(unique, ordered bool) (Statement, error) {
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
 		return nil, err
 	}
-	return &CreateIndexStmt{Name: name, Table: table, Column: col, Unique: unique, Ordered: ordered}, nil
+	return &CreateIndexStmt{Name: name, Table: table, Column: col, Unique: unique}, nil
 }
 
 func (p *parser) parseDrop() (Statement, error) {
@@ -1157,6 +1157,12 @@ func selectTooDeep(st *SelectStmt, n int) bool {
 		return true
 	}
 	deep := false
-	eachPart(st, func(e Expr) { deep = deep || tooDeep(e, n-1) }, func(s *SelectStmt) { deep = deep || selectTooDeep(s, n-1) })
+	sub := func(s *SelectStmt) { deep = deep || selectTooDeep(s, n-1) }
+	derived := func(tr *TableRef) {
+		if tr.Subquery != nil {
+			sub(tr.Subquery)
+		}
+	}
+	eachPart(st, derived, func(e Expr) { deep = deep || tooDeep(e, n-1) }, sub)
 	return deep
 }

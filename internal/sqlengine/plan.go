@@ -12,16 +12,13 @@ type accessKind int
 
 const (
 	accessFullScan     accessKind = iota // t.order, rowID ascending
-	accessHashPoint                      // hash index equality probe
-	accessOrderedPoint                   // ordered index equality probe
-	accessOrderedRange                   // ordered index range scan
+	accessOrderedPoint                   // index equality probe
+	accessOrderedRange                   // index range scan
 	accessOrderedScan                    // full ordered iteration (ORDER BY)
 )
 
 func (k accessKind) String() string {
 	switch k {
-	case accessHashPoint:
-		return "hash point lookup"
 	case accessOrderedPoint:
 		return "ordered point lookup"
 	case accessOrderedRange:
@@ -74,8 +71,7 @@ type joinNode struct {
 type accessPath struct {
 	t      *Table
 	access accessKind
-	hashIx *Index
-	ordIx  *OrderedIndex
+	ix     *OrderedIndex
 	keyCol int  // ordinal of the access column in the base row
 	eq     Expr // equality probe value (point access)
 	lo, hi *planBound
@@ -83,9 +79,9 @@ type accessPath struct {
 
 	// exact restricts the path to probes that select precisely the rows
 	// Compare-equality would: no DOUBLE key column (NaN compares equal to
-	// everything and -0 = 0, neither of which an index key reproduces)
-	// and no DOUBLE probe value (an integer key compares through float64
-	// and loses precision above 2^53). SELECT keeps the documented index
+	// everything, which no key order reproduces) and no DOUBLE probe value
+	// (an integer key compares through float64 and loses precision above
+	// 2^53). SELECT keeps the documented index
 	// caveat; DML changes data and must not.
 	exact bool
 
@@ -373,8 +369,8 @@ func (d *Database) planSelect(sel *SelectStmt, src *tableSource) (*selectPlan, s
 		p.orderCols = p.orderColumns()
 		single := len(p.orderCols) == 1
 		if single && p.access == accessFullScan {
-			if ix := orderedIndexOn(t, p.orderCols[0]); ix != nil {
-				p.access, p.ordIx, p.keyCol = accessOrderedScan, ix, p.orderCols[0]
+			if ix := indexOn(t, p.orderCols[0]); ix != nil {
+				p.access, p.ix, p.keyCol = accessOrderedScan, ix, p.orderCols[0]
 			}
 		}
 		// The access path emits rows in ORDER BY order — the executor skips
@@ -479,8 +475,8 @@ func evalConst(e Expr, params []Value) (Value, bool) {
 }
 
 // chooseIndex binds the best index access the WHERE's compiled conjuncts
-// admit (nil: one the kernels do not take): a hash point probe first,
-// then an ordered point probe, then an ordered range scan. A comparison
+// admit (nil: one the kernels do not take): a point probe first, then a
+// range scan. A comparison
 // of a plain column with a constant offers an equality or a bound, a
 // BETWEEN of one two bounds; nothing else offers a candidate. Ties
 // between indexes on the same column break by name so plans are
@@ -533,25 +529,18 @@ func (p *accessPath) chooseIndex(conjuncts []vecPred) {
 	}
 
 	usable := func(col int) bool { return !p.exact || t.Columns[col].Type != TypeDouble }
-	// Hash point probe.
+	// Point probe.
 	for _, eq := range eqs {
-		if ix := hashIndexOn(t, eq.col); ix != nil && usable(eq.col) {
-			p.access, p.hashIx, p.keyCol, p.eq = accessHashPoint, ix, eq.col, eq.val
+		if ix := indexOn(t, eq.col); ix != nil && usable(eq.col) {
+			p.access, p.ix, p.keyCol, p.eq = accessOrderedPoint, ix, eq.col, eq.val
 			return
 		}
 	}
-	// Ordered point probe.
-	for _, eq := range eqs {
-		if ix := orderedIndexOn(t, eq.col); ix != nil && usable(eq.col) {
-			p.access, p.ordIx, p.keyCol, p.eq = accessOrderedPoint, ix, eq.col, eq.val
-			return
-		}
-	}
-	// Ordered range scan.
+	// Range scan.
 	for _, col := range rangeOrder {
-		if ix := orderedIndexOn(t, col); ix != nil && usable(col) {
+		if ix := indexOn(t, col); ix != nil && usable(col) {
 			rc := ranges[col]
-			p.access, p.ordIx, p.keyCol, p.lo, p.hi = accessOrderedRange, ix, col, rc.lo, rc.hi
+			p.access, p.ix, p.keyCol, p.lo, p.hi = accessOrderedRange, ix, col, rc.lo, rc.hi
 			kept := 0
 			for _, b := range []*planBound{rc.lo, rc.hi} {
 				if b != nil {
@@ -564,9 +553,9 @@ func (p *accessPath) chooseIndex(conjuncts []vecPred) {
 	}
 }
 
-// hashIndexOn returns the lexicographically first hash index on the
-// given column ordinal, or nil.
-func hashIndexOn(t *Table, col int) *Index {
+// indexOn returns the lexicographically first index on the given column
+// ordinal, or nil.
+func indexOn(t *Table, col int) *OrderedIndex {
 	var names []string
 	for name, ix := range t.indexes {
 		if strings.EqualFold(ix.Column, t.Columns[col].Name) {
@@ -578,22 +567,6 @@ func hashIndexOn(t *Table, col int) *Index {
 	}
 	sort.Strings(names)
 	return t.indexes[names[0]]
-}
-
-// orderedIndexOn returns the lexicographically first ordered index on
-// the given column ordinal, or nil.
-func orderedIndexOn(t *Table, col int) *OrderedIndex {
-	var names []string
-	for name, ix := range t.ordIndexes {
-		if strings.EqualFold(ix.Column, t.Columns[col].Name) {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names)
-	return t.ordIndexes[names[0]]
 }
 
 // rewriteExpr compiles an expression against fixed bindings: every
@@ -749,11 +722,9 @@ func (p *accessPath) describe() string {
 		if p.desc {
 			dir = "desc"
 		}
-		access += fmt.Sprintf(" via %s (%s.%s %s)", p.ordIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name, dir)
-	case accessHashPoint:
-		access += fmt.Sprintf(" via %s (%s.%s = ?)", p.hashIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name)
+		access += fmt.Sprintf(" via %s (%s.%s %s)", p.ix.Name, p.t.Name, p.t.Columns[p.keyCol].Name, dir)
 	case accessOrderedPoint:
-		access += fmt.Sprintf(" via %s (%s.%s = ?)", p.ordIx.Name, p.t.Name, p.t.Columns[p.keyCol].Name)
+		access += fmt.Sprintf(" via %s (%s.%s = ?)", p.ix.Name, p.t.Name, p.t.Columns[p.keyCol].Name)
 	case accessOrderedRange:
 		var parts []string
 		if p.lo != nil {
@@ -770,7 +741,7 @@ func (p *accessPath) describe() string {
 			}
 			parts = append(parts, p.t.Columns[p.keyCol].Name+" "+op+" ?")
 		}
-		access += fmt.Sprintf(" via %s (%s)", p.ordIx.Name, strings.Join(parts, " AND "))
+		access += fmt.Sprintf(" via %s (%s)", p.ix.Name, strings.Join(parts, " AND "))
 	}
 	return access
 }

@@ -18,45 +18,38 @@ func comparableWith(v Value, colType Type) bool {
 	return v.Type == colType
 }
 
-// inexact reports a probe value an exact path must not take to an
-// index: see accessPath.exact.
-func (p *accessPath) inexact(v Value) bool { return p.exact && v.Type == TypeDouble }
+// probeValue evaluates a point key or a range bound for one execution.
+// ok=false — it fails to evaluate, is NULL, is a value Compare cannot
+// order against the key column, or (for exact paths, see
+// accessPath.exact) is DOUBLE — widens the access, and the filter
+// settles it.
+func (p *accessPath) probeValue(e Expr, params []Value) (Value, bool) {
+	v, ok := evalConst(e, params)
+	if !ok || v.IsNull() || !comparableWith(v, p.t.Columns[p.keyCol].Type) || p.exact && v.Type == TypeDouble {
+		return Null, false
+	}
+	return v, true
+}
 
 // indexIDs resolves a predicate-bound index access (point or range) to
-// its candidate row IDs. ok=false is a runtime binding failure — a key
-// that fails to evaluate, a NULL key, an uncoercible or incomparable
-// bound, or (for exact paths) a DOUBLE probe — and the caller widens to
-// the whole table. IDs come back ascending, or for a range scan with
-// keyOrder set in index key order (descending when desc). The result
-// never aliases index storage.
+// its candidate row IDs. ok=false is a runtime binding failure (see
+// probeValue), and the caller widens to the whole table. IDs come back
+// ascending, or for a range scan with keyOrder set in index key order
+// (descending when desc). The result never aliases index storage.
 func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64, ok bool) {
-	colType := p.t.Columns[p.keyCol].Type
 	switch p.access {
-	case accessHashPoint:
-		v, ok := evalConst(p.eq, params)
-		if !ok || v.IsNull() || p.inexact(v) {
-			return nil, false
-		}
-		// Coerce to the column type so the hash group key matches the
-		// stored representation, as the interpreter's probe does.
-		cv, err := v.Coerce(colType)
-		if err != nil {
-			return nil, false
-		}
-		ids = append(ids, p.hashIx.lookup(cv)...)
-		slices.Sort(ids)
 	case accessOrderedPoint:
-		v, ok := evalConst(p.eq, params)
-		if !ok || v.IsNull() || !comparableWith(v, colType) || p.inexact(v) {
+		v, ok := p.probeValue(p.eq, params)
+		if !ok {
 			return nil, false
 		}
-		ids = append(ids, p.ordIx.lookup(v)...) // already id-ascending
+		ids = append(ids, p.ix.lookup(v)...) // already id-ascending
 	case accessOrderedRange:
 		lo, hi, ok := p.rangeBounds(params)
 		if !ok {
 			return nil, false
 		}
-		ids = p.ordIx.appendRange(ids, lo, hi, keyOrder && desc)
+		ids = p.ix.appendRange(ids, lo, hi, keyOrder && desc)
 		if !keyOrder {
 			slices.Sort(ids)
 		}
@@ -67,8 +60,8 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 }
 
 // baseIDs resolves the base table's row IDs through the plan's access
-// path. Any runtime binding failure (NULL key, uncoercible or
-// incomparable bound) widens to a scan of the whole table: the caller
+// path. Any runtime binding failure (a NULL or incomparable key or
+// bound) widens to a scan of the whole table: the caller
 // re-applies the full WHERE predicate, so a superset access path is
 // exactly as correct as the narrowed one. When the plan's ORDER BY is
 // index-satisfied the widened scan still iterates the ordered index so
@@ -82,13 +75,13 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 	narrowed := false
 	if p.access == accessOrderedScan {
-		ids, narrowed = p.ordIx.appendOrdered(ids, p.desc), true
+		ids, narrowed = p.ix.appendOrdered(ids, p.desc), true
 	} else if p.access != accessFullScan {
 		ids, narrowed = p.indexIDs(params, p.orderSatisfied, p.desc)
 	}
 	if !narrowed {
-		if p.orderSatisfied && p.ordIx != nil {
-			return p.ordIx.appendOrdered(ids, p.desc), false
+		if p.orderSatisfied && p.ix != nil {
+			return p.ix.appendOrdered(ids, p.desc), false
 		}
 		return p.t.scan(), false
 	}
@@ -105,15 +98,12 @@ func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 	return ids, true
 }
 
-// rangeBounds evaluates the plan's pushed-down bounds. ok=false means a
-// bound failed to evaluate, or evaluated to NULL or to a value Compare
-// cannot order against the key column — the access widens and the
-// filter settles it.
+// rangeBounds evaluates the plan's pushed-down bounds; ok=false when
+// one does not bind (see probeValue).
 func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
-	colType := p.t.Columns[p.keyCol].Type
 	bound := func(b *planBound) (*ordBound, bool) {
-		v, ok := evalConst(b.expr, params)
-		if !ok || v.IsNull() || !comparableWith(v, colType) || p.inexact(v) {
+		v, ok := p.probeValue(b.expr, params)
+		if !ok {
 			return nil, false
 		}
 		return &ordBound{val: v, incl: b.incl}, true

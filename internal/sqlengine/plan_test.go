@@ -235,7 +235,7 @@ func TestPlanAccessPaths(t *testing.T) {
 		sql  string
 		want string
 	}{
-		{`SELECT id FROM rng WHERE id = 3`, `access: hash point lookup via pk_rng_id`},
+		{`SELECT id FROM rng WHERE id = 3`, `access: ordered point lookup via pk_rng_id`},
 		{`SELECT id FROM rng WHERE k = 3`, `access: ordered point lookup via rng_k`},
 		{`SELECT id FROM rng WHERE k > 3`, `access: ordered range scan via rng_k (k > ?)`},
 		{`SELECT id FROM rng WHERE k BETWEEN 2 AND 5`, `access: ordered range scan via rng_k (k >= ? AND k <= ?)`},
@@ -257,9 +257,9 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = o.k)`, `    select: interpreted (unresolvable WHERE expression)`},
 		{`SELECT COUNT(*) FROM rng GROUP BY k HAVING COUNT(*) > 1`, `interpreted`},
 		{`SELECT DISTINCT k FROM rng`, `interpreted`},
-		{`SELECT DISTINCT k FROM rng WHERE id = 3`, `access: hash point lookup via pk_rng_id`},
+		{`SELECT DISTINCT k FROM rng WHERE id = 3`, `access: ordered point lookup via pk_rng_id`},
 		{`SELECT k, COUNT(*) FROM rng WHERE k BETWEEN 2 AND 5 GROUP BY k HAVING COUNT(*) > 1`, `ordered range scan via rng_k`},
-		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = 3 AND i.k = o.k)`, "  subquery:\n    select: interpreted (unresolvable WHERE expression)\n      access: hash point lookup via pk_rng_id"},
+		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = 3 AND i.k = o.k)`, "  subquery:\n    select: interpreted (unresolvable WHERE expression)\n      access: ordered point lookup via pk_rng_id"},
 		{`SELECT a.id FROM rng a JOIN rng b ON a.k = b.id`, `join: inner hash join`},
 	}
 	for _, tc := range cases {
@@ -333,7 +333,7 @@ func TestExplainStatement(t *testing.T) {
 	}
 	for sql, want := range map[string]string{
 		`EXPLAIN INSERT INTO rng VALUES (999, 1, 1, 'x', 0)`: `insert into "rng" (interpreted)`,
-		`EXPLAIN UPDATE rng SET s = 'y' WHERE id = 1`:        `access: hash point lookup via pk_rng_id (rng.id = ?)`,
+		`EXPLAIN UPDATE rng SET s = 'y' WHERE id = 1`:        `access: ordered point lookup via pk_rng_id (rng.id = ?)`,
 		`EXPLAIN DELETE FROM rng WHERE k >= 1 AND k < 3`:     `access: ordered range scan via rng_k (k >= ? AND k < ?)`,
 		`EXPLAIN DELETE FROM rng WHERE 1/k > 0`:              `access: full scan (interpreted: WHERE outside the error-free predicate class)`,
 		`EXPLAIN SELECT COUNT(*) FROM rng`:                   `vectorised aggregate`,

@@ -120,34 +120,14 @@ func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
 	if bp.plan == nil && bp.reason == "grouping/aggregates" && bp.src != nil {
 		bp.agg = d.planAggregate(st, bp.src)
 	}
-	ref := func(tr *TableRef) {
-		switch {
-		case tr == nil:
-		case tr.Subquery != nil:
-			child("derived table "+tr.Alias, tr.Subquery)
-		default:
-			if v, ok := d.views[strings.ToLower(tr.Table)]; ok {
-				child("view "+v.Name, v.Select)
-			}
-		}
-	}
 	sub := func(s *SelectStmt) { child("subquery", s) }
-	ref(st.From)
-	for _, j := range st.Joins {
-		ref(j.Table)
-		forEachSubquery(j.On, sub)
-	}
-	for _, it := range st.Items {
-		forEachSubquery(it.Expr, sub)
-	}
-	forEachSubquery(st.Where, sub)
-	for _, g := range st.GroupBy {
-		forEachSubquery(g, sub)
-	}
-	forEachSubquery(st.Having, sub)
-	for _, o := range st.OrderBy {
-		forEachSubquery(o.Expr, sub)
-	}
+	eachPart(st, func(tr *TableRef) {
+		if tr.Subquery != nil {
+			child("derived table "+tr.Alias, tr.Subquery)
+		} else if v, ok := d.views[strings.ToLower(tr.Table)]; ok {
+			child("view "+v.Name, v.Select)
+		}
+	}, func(e Expr) { forEachSubquery(e, sub) }, nil) // no arms: a UNION returned above
 }
 
 // Statement returns the parsed statement.

@@ -151,7 +151,7 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 	if err != nil || fresh == prep || fresh.blocks.epoch == prep.blocks.epoch {
 		t.Fatalf("DDL did not drop the nested plans (err=%v)", err)
 	}
-	if bp := fresh.blocks.m[fresh.stmt.(*SelectStmt).Unions[0].Sel]; bp.plan == nil || bp.plan.access != accessHashPoint {
+	if bp := fresh.blocks.m[fresh.stmt.(*SelectStmt).Unions[0].Sel]; bp.plan == nil || bp.plan.access != accessOrderedPoint {
 		t.Fatalf("arm 2 was not re-planned onto the new index: %+v", bp)
 	}
 	if got := dumpSet(e.MustExec(sql).Set); got != want {

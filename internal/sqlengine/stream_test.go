@@ -58,7 +58,7 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 		{"limit offset", `SELECT id FROM items LIMIT 10 OFFSET 25`, nil, true},
 		{"empty result", `SELECT id FROM items WHERE id < 0`, nil, true},
 		{"expression projection", `SELECT id * 2, label FROM items WHERE id < 20`, nil, true},
-		{"order by falls back", `SELECT id FROM items ORDER BY id DESC LIMIT 5`, nil, false},
+		{"order by falls back", `SELECT id FROM items ORDER BY num DESC LIMIT 5`, nil, false},
 		{"aggregate falls back", `SELECT COUNT(*) FROM items`, nil, false},
 		{"distinct falls back", `SELECT DISTINCT label FROM items WHERE id < 3`, nil, false},
 	}

@@ -169,6 +169,37 @@ func TestNoDirtyReadAtReadCommitted(t *testing.T) {
 	}
 }
 
+// TestReadLocksCoverEveryClause: a subquery reads its table under the
+// statement's read lock wherever it sits — ORDER BY, LIMIT and OFFSET as
+// much as WHERE and the select list — so a READ COMMITTED reader waits
+// on an uncommitted UPDATE there too instead of reading it.
+func TestReadLocksCoverEveryClause(t *testing.T) {
+	e := New("t", WithLockTimeout(50*time.Millisecond))
+	e.MustExec(`CREATE TABLE t (a INTEGER)`)
+	e.MustExec(`CREATE TABLE u (b INTEGER)`)
+	e.MustExec(`INSERT INTO t VALUES (1), (2), (3)`)
+	e.MustExec(`INSERT INTO u VALUES (1)`)
+
+	writer := e.NewSession()
+	mustSess(t, writer, `BEGIN`)
+	mustSess(t, writer, `UPDATE u SET b = 2`)
+	reader := e.NewSession() // READ COMMITTED default
+	for _, sql := range []string{
+		`SELECT a FROM t ORDER BY (SELECT MAX(b) FROM u) + a`,
+		`SELECT a FROM t LIMIT (SELECT MAX(b) FROM u)`,
+		`SELECT a FROM t OFFSET (SELECT MAX(b) FROM u)`,
+		`SELECT a FROM t WHERE a > (SELECT MAX(b) FROM u)`,
+		`SELECT a, (SELECT MAX(b) FROM u) FROM t`,
+	} {
+		_, err := reader.Execute(sql)
+		var lt *errLockTimeout
+		if !errors.As(err, &lt) {
+			t.Errorf("%s: err = %v, want a lock timeout", sql, err)
+		}
+	}
+	mustSess(t, writer, `ROLLBACK`)
+}
+
 func TestRepeatableReadHoldsLocks(t *testing.T) {
 	e := New("t", WithLockTimeout(100*time.Millisecond))
 	e.MustExec(`CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`)

@@ -197,21 +197,22 @@ func ParsePrometheus(text string) ([]Sample, error) {
 
 func parseSampleLine(line string) (Sample, error) {
 	s := Sample{Labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
+	i := strings.IndexAny(line, "{ ")
+	if i < 0 {
 		return s, fmt.Errorf("no value in %q", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
 	}
-	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
+	s.Name, line = line[:i], line[i:]
+	if !validName(s.Name, true) {
+		return s, fmt.Errorf("bad metric name %q", s.Name)
+	}
+	if strings.HasPrefix(line, "{") {
+		pairs, rest, ok := splitLabelPairs(line[1:])
+		if !ok {
 			return s, fmt.Errorf("unterminated label set in %q", line)
 		}
-		for _, pair := range splitLabelPairs(rest[1:end]) {
+		for _, pair := range pairs {
 			k, v, ok := strings.Cut(pair, "=")
-			if !ok {
+			if !ok || !validName(k, false) || !strings.HasPrefix(v, `"`) {
 				return s, fmt.Errorf("bad label pair %q", pair)
 			}
 			unq, err := strconv.Unquote(v)
@@ -220,9 +221,9 @@ func parseSampleLine(line string) (Sample, error) {
 			}
 			s.Labels[k] = unq
 		}
-		rest = rest[end+1:]
+		line = rest
 	}
-	val, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+	val, err := strconv.ParseFloat(strings.TrimSpace(line), 64)
 	if err != nil {
 		return s, fmt.Errorf("bad value in %q: %w", line, err)
 	}
@@ -230,9 +231,22 @@ func parseSampleLine(line string) (Sample, error) {
 	return s, nil
 }
 
-// splitLabelPairs splits k1="v1",k2="v2" on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var out []string
+// validName reports whether s is a metric name ([a-zA-Z_:][a-zA-Z0-9_:]*),
+// or a label name — no colon — when colon is unset.
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || colon && c == ':' || i > 0 && c >= '0' && c <= '9') {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// splitLabelPairs splits k1="v1",k2="v2"} on the commas outside quotes,
+// up to the closing brace outside quotes, and returns the text after
+// it; ok=false when no brace closes the set.
+func splitLabelPairs(s string) (pairs []string, rest string, ok bool) {
 	var b strings.Builder
 	inQuote := false
 	for i := 0; i < len(s); i++ {
@@ -246,16 +260,18 @@ func splitLabelPairs(s string) []string {
 			inQuote = !inQuote
 			b.WriteByte(c)
 		case c == ',' && !inQuote:
-			out = append(out, b.String())
+			pairs = append(pairs, b.String())
 			b.Reset()
+		case c == '}' && !inQuote:
+			if b.Len() > 0 {
+				pairs = append(pairs, b.String())
+			}
+			return pairs, s[i+1:], true
 		default:
 			b.WriteByte(c)
 		}
 	}
-	if b.Len() > 0 {
-		out = append(out, b.String())
-	}
-	return out
+	return nil, "", false
 }
 
 // bucketsFromSamples collects the (le, cumulative count) pairs of a
