@@ -97,6 +97,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOrderedIndex -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzParseEPR -fuzztime $(FUZZTIME) ./internal/wsaddr/
+	$(GO) test -run '^$$' -fuzz FuzzXPath -fuzztime $(FUZZTIME) ./internal/xmldb/
+	$(GO) test -run '^$$' -fuzz FuzzXUpdate -fuzztime $(FUZZTIME) ./internal/xmldb/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

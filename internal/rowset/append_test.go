@@ -131,8 +131,9 @@ func TestPagesEncodeMatchesWindowEncode(t *testing.T) {
 		return nil
 	}}, BufferConfig{PageRows: 4})
 	defer failing.Release()
-	_, gotErr := pagesEncode(failing, SQLRowsetCodec{}, 1, 2)
-	_, wantErr := windowEncode(failing, SQLRowsetCodec{}, 1, 2)
+	// The window reaches past row 7, so both reads wait for the failure.
+	_, gotErr := pagesEncode(failing, SQLRowsetCodec{}, 5, 4)
+	_, wantErr := windowEncode(failing, SQLRowsetCodec{}, 5, 4)
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || !strings.Contains(gotErr.Error(), "mid-stream failure") {
 		t.Fatalf("failed producer: pages err %v, window err %v", gotErr, wantErr)
 	}

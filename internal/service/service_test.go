@@ -501,6 +501,24 @@ func TestXPathXQueryOverHTTP(t *testing.T) {
 	}
 }
 
+// TestXPathArityFaults: a rounding function called without its argument
+// is an InvalidExpressionFault like any other bad expression — not a
+// handler panic that closes the connection — and the resource still
+// answers afterwards.
+func TestXPathArityFaults(t *testing.T) {
+	ref, c := xmlFixture(t)
+	for _, expr := range []string{"round()", "floor()", "ceiling()", "/book[round(price, 2) > 1]"} {
+		var ief *core.InvalidExpressionFault
+		if _, err := c.XPathExecute(context.Background(), ref, expr); !errors.As(err, &ief) {
+			t.Fatalf("%s: err = %v, want InvalidExpressionFault", expr, err)
+		}
+	}
+	items, err := c.XPathExecute(context.Background(), ref, "/book[floor(price div 20) = 1]/title")
+	if err != nil || len(items) != 1 || items[0].Value != "Beta" {
+		t.Fatalf("items = %+v, %v", items, err)
+	}
+}
+
 func TestXUpdateOverHTTP(t *testing.T) {
 	ref, c := xmlFixture(t)
 	mods, _ := xmlutil.ParseString(`<xu:modifications xmlns:xu="` + xmldb.NSXUpdate + `">

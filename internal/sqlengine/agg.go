@@ -434,14 +434,14 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 			inputs[k].typ = t.Columns[it.col].Type
 		}
 	}
-	bp, tc, _ := d.bindKernels(ap.src, params, true)
-	if tc == nil {
+	bp, chunks, _ := d.bindKernels(ap.src, params, true)
+	if !chunks {
 		return nil, false, nil
 	}
 
 	gs := newAggGroups(ap)
 	abandoned := false
-	err = d.eachChunk(in.ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
+	err = d.eachChunk(in.ctx, bp, t, func(ch *colChunk, rows []uint16) (bool, error) {
 		for k, it := range ap.items {
 			switch {
 			case inputs[k].arg != nil:

@@ -20,25 +20,30 @@ type Column struct {
 }
 
 // Table holds a table's schema and row storage. Rows are identified by
-// a monotonically increasing rowID so indexes and transaction undo
-// records can reference them stably; the rows map preserves no order,
-// and scans iterate in rowID order for determinism.
+// a monotonically increasing rowID, never reused, so indexes and
+// transaction undo records can reference them stably; scans iterate in
+// rowID order for determinism.
 type Table struct {
 	Name    string
 	Columns []Column
 	colIdx  map[string]int // lower-cased column name -> position
 
-	rows   map[int64][]Value
+	// pages is the row store: page k holds the rows whose IDs lie in
+	// [k·chunkRows, (k+1)·chunkRows) and is also their column chunk
+	// (column.go). A page left empty is dropped (nil); the next row in
+	// its span, or the undo of a DELETE, recreates it.
+	pages  []*colChunk
 	nextID int64
-	order  []int64 // live rowIDs in insertion order, which is ascending
 
 	indexes map[string]*OrderedIndex // lower-cased index name -> index
 
-	// chunks is the lazily built columnar representation (column.go);
-	// chunkMu serialises concurrent builds by readers holding the
-	// database latch in shared mode.
-	chunkMu sync.Mutex
-	chunks  *tableChunks
+	// chunkMu serialises the vector builds of concurrent readers holding
+	// the database latch in shared mode. columnar records that a columnar
+	// read has happened, so the pages carry vectors and DML keeps them
+	// current; mixed, that a stored value's type defeated the layout.
+	chunkMu  sync.Mutex
+	columnar bool
+	mixed    bool
 }
 
 func newTable(name string, cols []Column) *Table {
@@ -46,7 +51,6 @@ func newTable(name string, cols []Column) *Table {
 		Name:    name,
 		Columns: cols,
 		colIdx:  make(map[string]int, len(cols)),
-		rows:    make(map[int64][]Value),
 		indexes: make(map[string]*OrderedIndex),
 	}
 	for i, c := range cols {
@@ -65,20 +69,71 @@ func (t *Table) ColumnIndex(name string) int {
 }
 
 // RowCount returns the number of live rows.
-func (t *Table) RowCount() int { return len(t.order) }
+func (t *Table) RowCount() int {
+	n := 0
+	for _, ch := range t.pages {
+		if ch != nil {
+			n += ch.n
+		}
+	}
+	return n
+}
 
-// scan returns live rowIDs in insertion order. The returned slice is
-// shared; callers must not mutate it.
-func (t *Table) scan() []int64 { return t.order }
+// row returns the stored image of row id, or nil when id is not live.
+func (t *Table) row(id int64) []Value {
+	if k := id / chunkRows; k < int64(len(t.pages)) && t.pages[k] != nil {
+		if rows := t.pages[k].rows; id%chunkRows < int64(len(rows)) {
+			return rows[id%chunkRows]
+		}
+	}
+	return nil
+}
 
 // rowsOf appends the stored row images of ids to dst.
 func (t *Table) rowsOf(dst [][]Value, ids []int64) [][]Value {
 	for _, id := range ids {
-		if r, ok := t.rows[id]; ok {
+		if r := t.row(id); r != nil {
 			dst = append(dst, r)
 		}
 	}
 	return dst
+}
+
+// liveRows returns every live row image in ID order.
+func (t *Table) liveRows() [][]Value {
+	rows := make([][]Value, 0, t.RowCount())
+	for _, ch := range t.pages {
+		if ch != nil {
+			for _, id := range ch.ids {
+				rows = append(rows, ch.rows[id%chunkRows])
+			}
+		}
+	}
+	return rows
+}
+
+// liveIDs returns every live row ID in ascending order.
+func (t *Table) liveIDs() []int64 {
+	ids := make([]int64, 0, t.RowCount())
+	for _, ch := range t.pages {
+		if ch != nil {
+			ids = append(ids, ch.ids...)
+		}
+	}
+	return ids
+}
+
+// pageFor returns the page that holds id, creating it when id is the
+// first of a new page or a DELETE dropped it.
+func (t *Table) pageFor(id int64) *colChunk {
+	k := int(id / chunkRows)
+	if k >= len(t.pages) {
+		t.pages = append(t.pages, make([]*colChunk, k+1-len(t.pages))...)
+	}
+	if t.pages[k] == nil {
+		t.pages[k] = &colChunk{stale: true}
+	}
+	return t.pages[k]
 }
 
 // insertRow stores a row and maintains indexes. The row must already be
@@ -92,49 +147,60 @@ func (t *Table) insertRow(row []Value) (int64, error) {
 	}
 	id := t.nextID
 	t.nextID++
-	t.rows[id] = row
-	t.order = append(t.order, id)
+	ch := t.pageFor(id)
+	if pos := ch.add(id, row); !ch.stale { // the row joins the vectors in place
+		for i := range ch.vecs {
+			if !ch.vecs[i].push(pos, row[i]) {
+				t.mixed = true
+			}
+		}
+	}
 	for _, ix := range t.indexes {
 		ix.insert(row[t.ColumnIndex(ix.Column)], id)
 	}
-	t.chunkAppendRow(id, row)
 	return id, nil
 }
 
-// deleteRow removes a row by id, maintaining indexes.
+// deleteRow removes a row by id, maintaining indexes. Its page goes
+// stale, and is dropped if left empty.
 func (t *Table) deleteRow(id int64) {
-	row, ok := t.rows[id]
-	if !ok {
+	row := t.row(id)
+	if row == nil {
 		return
 	}
 	for _, ix := range t.indexes {
 		ix.remove(row[t.ColumnIndex(ix.Column)], id)
 	}
-	delete(t.rows, id)
-	if pos, found := slices.BinarySearch(t.order, id); found {
-		t.order = slices.Delete(t.order, pos, pos+1)
+	k := id / chunkRows
+	ch := t.pages[k]
+	ch.rows[id%chunkRows] = nil
+	pos, _ := slices.BinarySearch(ch.ids, id)
+	ch.ids = slices.Delete(ch.ids, pos, pos+1)
+	ch.n--
+	ch.stale = true
+	if ch.n == 0 {
+		t.pages[k] = nil
 	}
-	t.chunkDropRow(id)
 }
 
 // restoreRow re-inserts a deleted row under its original id (rollback
 // of a DELETE), so scan order and every undo record that names the id
-// stay valid. The previous image cannot violate a constraint.
+// stay valid; a page the DELETE dropped is recreated. The previous image
+// cannot violate a constraint.
 func (t *Table) restoreRow(id int64, row []Value) {
-	t.rows[id] = row
-	pos, _ := slices.BinarySearch(t.order, id)
-	t.order = slices.Insert(t.order, pos, id)
+	ch := t.pageFor(id)
+	ch.add(id, row)
+	ch.stale = true
 	for _, ix := range t.indexes {
 		ix.insert(row[t.ColumnIndex(ix.Column)], id)
 	}
-	t.chunkRestoreRow(id)
 }
 
 // updateRow swaps a row's image for newRow, maintaining indexes. The
 // old image is never written to again, so undo records may alias it.
 func (t *Table) updateRow(id int64, newRow []Value) error {
-	old, ok := t.rows[id]
-	if !ok {
+	old := t.row(id)
+	if old == nil {
 		return fmt.Errorf("row %d not found", id)
 	}
 	for _, ix := range t.indexes {
@@ -155,9 +221,15 @@ func (t *Table) updateRow(id int64, newRow []Value) error {
 			ix.insert(nv, id)
 		}
 	}
-	t.rows[id] = newRow
-	t.chunkMarkStale(id)
+	t.setRow(id, newRow)
 	return nil
+}
+
+// setRow swaps row id's stored image and marks its page stale.
+func (t *Table) setRow(id int64, row []Value) {
+	ch := t.pages[id/chunkRows]
+	ch.rows[id%chunkRows] = row
+	ch.stale = true
 }
 
 // Database is the catalog: a named set of tables plus index metadata.
@@ -375,8 +447,8 @@ func (d *Database) createIndex(st *CreateIndexStmt) error {
 		return fmt.Errorf("column %q not in table %q", st.Column, st.Table)
 	}
 	ix := newOrderedIndex(key, t.Name, t.Columns[ci].Name, st.Unique)
-	for _, id := range t.order {
-		v := t.rows[id][ci]
+	for _, id := range t.liveIDs() {
+		v := t.row(id)[ci]
 		if ix.Unique && len(ix.lookup(v)) > 0 {
 			return fmt.Errorf("cannot create unique index %q: duplicate value %s", st.Name, v)
 		}

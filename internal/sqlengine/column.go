@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -174,47 +173,59 @@ func (v *colVec) reset(n int) {
 	v.min, v.max = Value{}, Value{}
 }
 
-// colChunk is a horizontal slice of a table in columnar layout: one
-// typed vector per column plus the owning rowIDs in scan order. A chunk
-// owns an ascending row-ID span and holds 1..chunkRows rows: builds and
-// INSERT fill chunks to chunkRows, DELETE leaves them short.
+// colChunk is one page of a table, and its column chunk: the rows whose
+// IDs lie in [k·chunkRows, (k+1)·chunkRows) for page k, their live IDs
+// in ascending order, and — once the table has had a columnar read — one
+// typed vector per column over those rows in that order.
 type colChunk struct {
+	rows [][]Value // row images by id % chunkRows; nil for an ID not live
 	n    int
 	ids  []int64
 	vecs []colVec
 
-	// stale marks vectors that no longer mirror the row store: an
-	// UPDATE, DELETE or undo touched one of the chunk's rows. n and ids
+	// stale marks vectors that do not mirror rows and ids: the page is
+	// new, or an UPDATE, DELETE or undo touched one of its rows. n and ids
 	// are always current; ensureChunks rebuilds the vectors from them.
 	stale bool
 }
 
-// tableChunks is a table's full column-chunk representation: chunks in
-// ascending row-ID order, none empty. ok=false marks a table whose
-// stored values defeated the columnar layout (a type-mismatched value);
-// vector execution then falls back to rows.
-type tableChunks struct {
-	ok     bool
-	chunks []*colChunk
-}
-
-func newColChunk(cols []Column) *colChunk {
-	ch := &colChunk{ids: make([]int64, 0, chunkRows), vecs: make([]colVec, len(cols))}
-	for i, c := range cols {
-		ch.vecs[i] = colVec{typ: c.Type, nulls: newBitset(chunkRows)}
+// add stores row under id and returns id's position among the page's
+// live IDs.
+func (ch *colChunk) add(id int64, row []Value) (pos int) {
+	if slot := int(id % chunkRows); slot >= len(ch.rows) {
+		ch.rows = slices.Grow(ch.rows, slot+1-len(ch.rows))[:slot+1]
 	}
-	return ch
+	ch.rows[id%chunkRows] = row
+	pos, _ = slices.BinarySearch(ch.ids, id)
+	ch.ids = slices.Insert(ch.ids, pos, id)
+	ch.n++
+	return pos
 }
 
-// rebuild refills a stale chunk's vectors, null bitmaps and zone maps
-// from the row store. ok=false reports a type-mismatched stored value.
-func (ch *colChunk) rebuild(t *Table) bool {
+// appendRowsAt appends the row images at the given positions of the
+// page.
+func (ch *colChunk) appendRowsAt(dst [][]Value, rows []uint16) [][]Value {
+	for _, r := range rows {
+		dst = append(dst, ch.rows[ch.ids[r]%chunkRows])
+	}
+	return dst
+}
+
+// rebuild refills a stale page's vectors, null bitmaps and zone maps
+// from its rows. ok=false reports a type-mismatched stored value.
+func (ch *colChunk) rebuild(cols []Column) bool {
+	if ch.vecs == nil {
+		ch.vecs = make([]colVec, len(cols))
+		for i, c := range cols {
+			ch.vecs[i] = colVec{typ: c.Type, nulls: newBitset(chunkRows)}
+		}
+	}
 	ok := true
 	for i := range ch.vecs {
 		ch.vecs[i].reset(ch.n)
 	}
 	for pos, id := range ch.ids {
-		row := t.rows[id]
+		row := ch.rows[id%chunkRows]
 		for i := range ch.vecs {
 			if !ch.vecs[i].push(pos, row[i]) {
 				ok = false
@@ -225,60 +236,27 @@ func (ch *colChunk) rebuild(t *Table) bool {
 	return ok
 }
 
-// tail returns the chunk a new highest row ID joins: the last chunk
-// while it has room, otherwise a fresh one opened at the boundary.
-func (tc *tableChunks) tail(cols []Column) *colChunk {
-	if n := len(tc.chunks); n > 0 && tc.chunks[n-1].n < chunkRows {
-		return tc.chunks[n-1]
-	}
-	ch := newColChunk(cols)
-	tc.chunks = append(tc.chunks, ch)
-	return ch
-}
-
-// owner returns the index of the chunk whose ID span covers id: the
-// first chunk whose last row ID is >= id, or len(tc.chunks) when id lies
-// beyond every chunk.
-func (tc *tableChunks) owner(id int64) int {
-	return sort.Search(len(tc.chunks), func(i int) bool {
-		ch := tc.chunks[i]
-		return ch.ids[ch.n-1] >= id
-	})
-}
-
-// ensureChunks returns the table's column-chunk representation with
-// every chunk current: the first call lays the chunks out from the row
-// store, later calls rebuild just the chunks DML marked stale. Callers
-// must hold the database latch (shared suffices); chunkMu serialises
-// concurrent reader builds, and writers — who hold the latch exclusively
-// and are therefore alone — mark, append and splice without it. A
-// reader never sees a chunk change under it: chunks only go stale under
-// the exclusive latch, and every reader passes through here after
-// taking the shared latch and before touching a chunk, so by the time
-// one reader scans, no other reader has anything left to rebuild. The
-// RWMutex hand-off orders a reader's build before any later writer's
-// access.
-func (d *Database) ensureChunks(t *Table) *tableChunks {
+// ensureChunks brings every page's vectors up to date: the first call
+// builds them all, later calls rebuild just the pages DML marked stale.
+// ok=false reports a table whose stored values defeat the columnar
+// layout; vector execution then falls back to rows. Callers must hold
+// the database latch (shared suffices); chunkMu serialises concurrent
+// reader builds, and writers — who hold the latch exclusively and are
+// therefore alone — mark and append without it. A reader never sees a
+// page change under it: pages only go stale under the exclusive latch,
+// and every reader passes through here after taking the shared latch
+// and before touching a vector, so by the time one reader scans, no
+// other reader has anything left to rebuild. The RWMutex hand-off orders
+// a reader's build before any later writer's access.
+func (d *Database) ensureChunks(t *Table) (ok bool) {
 	t.chunkMu.Lock()
 	defer t.chunkMu.Unlock()
-	tc := t.chunks
-	if tc == nil {
-		tc = &tableChunks{ok: true}
-		for rest := t.order; len(rest) > 0; {
-			ch := newColChunk(t.Columns)
-			ch.n = min(len(rest), chunkRows)
-			ch.ids = append(ch.ids, rest[:ch.n]...)
-			ch.stale = true
-			tc.chunks = append(tc.chunks, ch)
-			rest = rest[ch.n:]
-		}
-		t.chunks = tc
-	}
+	t.columnar = true
 	rebuilt := 0
-	for _, ch := range tc.chunks {
-		if ch.stale {
-			if !ch.rebuild(t) {
-				tc.ok = false
+	for _, ch := range t.pages {
+		if ch != nil && ch.stale {
+			if !ch.rebuild(t.Columns) {
+				t.mixed = true
 			}
 			rebuilt++
 		}
@@ -286,111 +264,14 @@ func (d *Database) ensureChunks(t *Table) *tableChunks {
 	if rebuilt > 0 {
 		d.vecRebuilt.Add(uint64(rebuilt))
 	}
-	return tc
+	return !t.mixed
 }
 
-// chunksLive reports whether the table has a chunk cache at all. Caller
-// holds the database latch (shared suffices).
+// chunksLive reports whether the table has had a columnar read, so DML
+// keeps its vectors current. Caller holds the database latch (shared
+// suffices).
 func (t *Table) chunksLive() bool {
 	t.chunkMu.Lock()
 	defer t.chunkMu.Unlock()
-	return t.chunks != nil
-}
-
-// invalidateChunks drops the whole cached columnar representation. Only
-// a rollback re-insertion that would overflow its chunk still needs it;
-// caller holds the latch exclusively.
-func (t *Table) invalidateChunks() { t.chunks = nil }
-
-// The chunk* methods below keep a live chunk cache current across the
-// row store's mutations. Callers hold the latch exclusively.
-
-// chunkAppendRow follows an INSERT, the one mutation that extends scan
-// order at its end: the row joins the tail chunk in place.
-func (t *Table) chunkAppendRow(id int64, row []Value) {
-	tc := t.chunks
-	if tc == nil {
-		return
-	}
-	ch := tc.tail(t.Columns)
-	pos := ch.n
-	ch.ids = append(ch.ids, id)
-	ch.n++
-	if ch.stale {
-		return // vectors are rebuilt from ids before anyone reads them
-	}
-	for i := range ch.vecs {
-		if !ch.vecs[i].push(pos, row[i]) {
-			tc.ok = false
-		}
-	}
-}
-
-// chunkMarkStale follows an in-place change of row id's image (UPDATE
-// and its undo): only the owning chunk needs a rebuild.
-func (t *Table) chunkMarkStale(id int64) {
-	tc := t.chunks
-	if tc == nil {
-		return
-	}
-	if i := tc.owner(id); i < len(tc.chunks) {
-		tc.chunks[i].stale = true
-	}
-}
-
-// chunkDropRow follows the removal of row id (DELETE, undo of INSERT):
-// the owning chunk gives up the ID and goes stale; a chunk left empty is
-// removed.
-func (t *Table) chunkDropRow(id int64) {
-	tc := t.chunks
-	if tc == nil {
-		return
-	}
-	i := tc.owner(id)
-	if i == len(tc.chunks) {
-		return
-	}
-	ch := tc.chunks[i]
-	pos, found := slices.BinarySearch(ch.ids, id)
-	if !found {
-		return
-	}
-	if ch.n == 1 {
-		tc.chunks = slices.Delete(tc.chunks, i, i+1)
-		return
-	}
-	ch.ids = slices.Delete(ch.ids, pos, pos+1)
-	ch.n--
-	ch.stale = true
-}
-
-// chunkRestoreRow follows the re-insertion of a deleted row under its
-// original ID (undo of DELETE), which splices into the middle of scan
-// order: the ID rejoins the chunk owning its span. Normally that is the
-// chunk it left, which therefore has room. If the DELETE emptied that
-// chunk it was removed and the span fell to a neighbour; when the
-// neighbour is full the whole cache is dropped — chunks never exceed
-// chunkRows, and the case is too rare to earn a split.
-func (t *Table) chunkRestoreRow(id int64) {
-	tc := t.chunks
-	if tc == nil {
-		return
-	}
-	var ch *colChunk
-	switch i := tc.owner(id); {
-	case i == len(tc.chunks):
-		ch = tc.tail(t.Columns)
-	case tc.chunks[i].n == chunkRows && i > 0 && id < tc.chunks[i].ids[0] && tc.chunks[i-1].n < chunkRows:
-		ch = tc.chunks[i-1] // in the gap before a full chunk: the left neighbour has room
-	default:
-		ch = tc.chunks[i]
-	}
-	if ch.n == chunkRows {
-		t.invalidateChunks()
-		return
-	}
-	pos, _ := slices.BinarySearch(ch.ids, id)
-	ch.ids = slices.Insert(ch.ids, pos, id)
-	ch.n++
-	ch.stale = true
+	return t.columnar
 }

@@ -1,44 +1,37 @@
 package sqlengine
 
 import (
-	"slices"
 	"testing"
 )
 
-// chunkState inspects the chunk cache of a table under the read latch.
+// chunkState inspects the chunk cache of a table under the read latch:
+// whether a columnar read has built it, and its non-empty pages and rows.
 func chunkState(e *Engine, table string) (built bool, chunks int, rows int) {
-	e.db.mu.RLock()
-	defer e.db.mu.RUnlock()
-	t, err := e.db.table(table)
-	if err != nil {
-		return false, 0, 0
-	}
-	t.chunkMu.Lock()
-	defer t.chunkMu.Unlock()
-	if t.chunks == nil {
-		return false, 0, 0
-	}
-	for _, ch := range t.chunks.chunks {
+	for _, ch := range liveChunks(e, table) {
+		chunks++
 		rows += ch.n
 	}
-	return true, len(t.chunks.chunks), rows
-}
-
-// liveChunks returns the table's current chunk objects without
-// triggering a rebuild.
-func liveChunks(e *Engine, table string) []*colChunk {
 	e.db.mu.RLock()
 	defer e.db.mu.RUnlock()
 	t, err := e.db.table(table)
-	if err != nil {
+	return err == nil && t.chunksLive(), chunks, rows
+}
+
+// liveChunks returns the table's non-empty pages, in ID order, without
+// triggering a rebuild; none before a columnar read.
+func liveChunks(e *Engine, table string) (chunks []*colChunk) {
+	e.db.mu.RLock()
+	defer e.db.mu.RUnlock()
+	t, err := e.db.table(table)
+	if err != nil || !t.chunksLive() {
 		return nil
 	}
-	t.chunkMu.Lock()
-	defer t.chunkMu.Unlock()
-	if t.chunks == nil {
-		return nil
+	for _, ch := range t.pages {
+		if ch != nil {
+			chunks = append(chunks, ch)
+		}
 	}
-	return slices.Clone(t.chunks.chunks)
+	return chunks
 }
 
 // staleChunks counts the chunks of a live cache awaiting a rebuild.

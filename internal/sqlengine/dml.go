@@ -175,7 +175,7 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 // has built. Caller holds d.mu exclusively.
 func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids []int64, ok bool, err error) {
 	scan := p.access == accessFullScan
-	bp, tc, bound := d.bindKernels(&p.tableSource, params, scan && p.t.chunksLive())
+	bp, chunks, bound := d.bindKernels(&p.tableSource, params, scan && p.t.chunksLive())
 	if !bound {
 		return nil, false, nil
 	}
@@ -183,10 +183,10 @@ func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids
 		ids, ok = p.indexIDs(params, false, false)
 		return ids, ok, nil
 	}
-	if tc == nil {
+	if !chunks {
 		return nil, false, nil
 	}
-	err = d.eachChunk(ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
+	err = d.eachChunk(ctx, bp, p.t, func(ch *colChunk, rows []uint16) (bool, error) {
 		ids = ch.appendIDs(ids, rows)
 		return true, nil
 	})
@@ -195,9 +195,7 @@ func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids
 
 // dmlCandidates returns the row IDs an UPDATE or DELETE must visit, in
 // ascending order: the planned targets when p is current and binds,
-// otherwise every live row. Neither statement reorders t.order while it
-// iterates (UPDATE never touches it, DELETE collects before it removes),
-// so the walk reads the shared slice rather than copying it.
+// otherwise every live row.
 func (d *Database) dmlCandidates(ctx context.Context, t *Table, p *dmlPlan, params []Value) ([]int64, error) {
 	if p != nil && p.epoch == d.epoch {
 		ids, ok, err := d.targets(ctx, p, params)
@@ -205,7 +203,7 @@ func (d *Database) dmlCandidates(ctx context.Context, t *Table, p *dmlPlan, para
 			return ids, err
 		}
 	}
-	return t.scan(), nil
+	return t.liveIDs(), nil
 }
 
 // execUpdate applies an UPDATE; p is its compiled target plan, or nil.
@@ -239,7 +237,7 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 		if err := env.checkCtx(); err != nil {
 			return count, undo, err
 		}
-		row := t.rows[id]
+		row := t.row(id)
 		env.row = row
 		if st.Where != nil {
 			v, err := eval(st.Where, env)
@@ -297,7 +295,7 @@ func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Valu
 			return 0, nil, err
 		}
 		if st.Where != nil {
-			env.row = t.rows[id]
+			env.row = t.row(id)
 			v, err := eval(st.Where, env)
 			if err != nil {
 				return 0, nil, err
@@ -313,13 +311,13 @@ func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Valu
 		doomed = append(doomed, id)
 	}
 	// Highest ID first: deleteRow cannot fail, so the order is not
-	// observable, and this one closes t.order (and each chunk's ids) from
-	// the end — no shifting when the doomed rows are the table or its
-	// tail — and has the rollback, which replays in reverse, append.
+	// observable, and this one closes each page's ids from the end — no
+	// shifting when the doomed rows are the table or its tail — and has
+	// the rollback, which replays in reverse, append.
 	undo := make([]undoEntry, 0, len(doomed))
 	for i := len(doomed) - 1; i >= 0; i-- {
 		id := doomed[i]
-		undo = append(undo, undoEntry{table: t.Name, kind: undoDelete, rowID: id, row: t.rows[id]})
+		undo = append(undo, undoEntry{table: t.Name, kind: undoDelete, rowID: id, row: t.row(id)})
 		t.deleteRow(id)
 	}
 	return len(doomed), undo, nil
@@ -344,8 +342,7 @@ func (d *Database) applyUndo(entries []undoEntry) {
 			// previous image cannot violate them, but fall back to a
 			// raw write if it reports an error (it cannot in practice).
 			if err := t.updateRow(e.rowID, e.row); err != nil {
-				t.rows[e.rowID] = e.row
-				t.chunkMarkStale(e.rowID)
+				t.setRow(e.rowID, e.row)
 			}
 		}
 	}

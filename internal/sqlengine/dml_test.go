@@ -19,8 +19,8 @@ func withWalk(e *Engine, f func()) {
 	f()
 }
 
-// factsEngine is a miniature of the benchmark's facts table: a unique
-// hash index on id only, ids clustered so zone maps on id are tight.
+// factsEngine is a miniature of the benchmark's facts table: the primary
+// key's index on id only, ids clustered so zone maps on id are tight.
 func factsEngine(t testing.TB, rows int) *Engine {
 	t.Helper()
 	e := New("facts")
@@ -228,9 +228,9 @@ func TestDMLFallsBackToWalk(t *testing.T) {
 }
 
 // TestRollbackBulkDelete rolls back DELETE FROM t on 50 000 rows. Every
-// undo entry puts its row back into t.order; with a linear search to
-// remove and an insertion sort per entry to restore, that was quadratic
-// in element moves.
+// undo entry puts its row back into its page's ID list; with a linear
+// search to remove and an insertion sort per entry to restore, that
+// was quadratic in element moves.
 func TestRollbackBulkDelete(t *testing.T) {
 	const n = 50000
 	e := New("bulk")
@@ -269,9 +269,9 @@ func TestRollbackBulkDelete(t *testing.T) {
 }
 
 // TestChunkRestoreGapAndOverflow covers the two corners of re-inserting
-// a row under its old ID: an ID in the gap before a full chunk rejoins
-// the left neighbour it came from, and an ID whose span now belongs to a
-// full chunk drops the whole cache rather than overfill it.
+// a row under its old ID: the last ID of a page rejoins that page, not
+// the full one after it, and the rows of a page the DELETE emptied and
+// dropped get the page back — only it is rebuilt, the cache stays.
 func TestChunkRestoreGapAndOverflow(t *testing.T) {
 	e := factsEngine(t, 3*chunkRows)
 	const all = `SELECT * FROM facts`
@@ -294,11 +294,27 @@ func TestChunkRestoreGapAndOverflow(t *testing.T) {
 		t.Fatalf("gap restore: %d chunks, chunk0 n=%d stale=%v, chunk1 stale=%v", len(after), after[0].n, after[0].stale, after[1].stale)
 	}
 	execAllPaths(t, e, all)
-	// All of chunk 1: the chunk is removed, its span falls to full
-	// chunk 2, and the first restored row has nowhere to go.
-	rollBack(`DELETE FROM facts WHERE id >= ? AND id < ?`, NewInt(chunkRows), NewInt(2*chunkRows))
-	if built, _, _ := chunkState(e, "facts"); built {
-		t.Fatal("overflowing restore kept the chunk cache")
+	// All of page 1, which lies between two full ones: the DELETE drops
+	// it, the rollback recreates it, and the next scan rebuilds it alone.
+	const count = `SELECT COUNT(*) FROM facts WHERE num >= 0`
+	vecCount(t, e, count)
+	rebuilt := e.VectorStats().ChunksRebuilt
+	mustExecSession(t, s, `BEGIN`)
+	mustExecSession(t, s, `DELETE FROM facts WHERE id >= ? AND id < ?`, NewInt(chunkRows), NewInt(2*chunkRows))
+	checkChunks(t, e, "facts", false)
+	if chunks := liveChunks(e, "facts"); len(chunks) != 2 || chunks[1] != after[2] {
+		t.Fatalf("emptied page 1 was not dropped: %d pages left", len(chunks))
+	}
+	mustExecSession(t, s, `ROLLBACK`)
+	checkChunks(t, e, "facts", false)
+	if built, chunks, rows := chunkState(e, "facts"); !built || chunks != 3 || rows != 3*chunkRows {
+		t.Fatalf("after rollback: built=%v chunks=%d rows=%d", built, chunks, rows)
+	}
+	if got := vecCount(t, e, count); got != 3*chunkRows {
+		t.Fatalf("count = %d after rollback", got)
+	}
+	if got := e.VectorStats().ChunksRebuilt - rebuilt; got != 1 {
+		t.Fatalf("the scan after the rollback rebuilt %d chunks, want 1", got)
 	}
 	execAllPaths(t, e, all)
 	if got := dumpSet(e.MustExec(all).Set); got != want {
@@ -372,11 +388,14 @@ func chunkDiff(a, b *colChunk) string {
 	return ""
 }
 
-// checkChunks asserts the chunk-maintenance property on a table's live
-// cache: chunks partition t.order in order, none is empty or longer than
-// chunkRows, and every chunk not marked stale is field-identical to one
-// built from scratch over the same IDs. With settled set (the caller has
-// just scanned), no chunk may be stale at all.
+// checkChunks asserts the chunk-maintenance property on a table's
+// pages: page k's IDs lie in [k·chunkRows, (k+1)·chunkRows) and ascend;
+// they are exactly the page's slots holding a row image, so their union
+// is the table's live rows; no page is empty (an emptied one is nil);
+// and once a columnar read has built the cache, every page not marked stale
+// is field-identical to one built from scratch over the same rows. With
+// settled set (the caller has just scanned), no page may be stale at
+// all.
 func checkChunks(t *testing.T, e *Engine, table string, settled bool) {
 	t.Helper()
 	e.db.mu.RLock()
@@ -385,34 +404,43 @@ func checkChunks(t *testing.T, e *Engine, table string, settled bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.chunkMu.Lock()
-	defer tb.chunkMu.Unlock()
-	if tb.chunks == nil {
-		return
-	}
-	var ids []int64
-	for i, ch := range tb.chunks.chunks {
-		if ch.n < 1 || ch.n > chunkRows || ch.n != len(ch.ids) {
-			t.Fatalf("chunk %d: n=%d len(ids)=%d", i, ch.n, len(ch.ids))
+	for k, ch := range tb.pages {
+		if ch == nil {
+			continue
 		}
-		ids = append(ids, ch.ids...)
+		if ch.n != len(ch.ids) || ch.n == 0 {
+			t.Fatalf("page %d: n=%d len(ids)=%d", k, ch.n, len(ch.ids))
+		}
+		for i, id := range ch.ids {
+			if id/chunkRows != int64(k) || i > 0 && id <= ch.ids[i-1] || ch.rows[id%chunkRows] == nil {
+				t.Fatalf("page %d: id %d at %d (ids %v)", k, id, i, ch.ids)
+			}
+		}
+		images := 0
+		for _, r := range ch.rows {
+			if r != nil {
+				images++
+			}
+		}
+		if images != ch.n {
+			t.Fatalf("page %d: %d row images for %d ids", k, images, ch.n)
+		}
+		if !tb.chunksLive() {
+			continue
+		}
 		if ch.stale {
 			if settled {
-				t.Fatalf("chunk %d still stale after a scan", i)
+				t.Fatalf("page %d still stale after a scan", k)
 			}
 			continue
 		}
-		fresh := newColChunk(tb.Columns)
-		fresh.ids, fresh.n = ch.ids, ch.n
-		if !fresh.rebuild(tb) {
-			t.Fatalf("chunk %d: row store defeats the columnar layout", i)
+		fresh := &colChunk{rows: ch.rows, ids: ch.ids, n: ch.n}
+		if !fresh.rebuild(tb.Columns) {
+			t.Fatalf("page %d: row store defeats the columnar layout", k)
 		}
 		if diff := chunkDiff(ch, fresh); diff != "" {
-			t.Fatalf("chunk %d is not marked stale but differs from a fresh build: %s", i, diff)
+			t.Fatalf("page %d is not marked stale but differs from a fresh build: %s", k, diff)
 		}
-	}
-	if !slices.Equal(ids, tb.order) {
-		t.Fatalf("chunk ids do not partition scan order: %d ids vs %d rows", len(ids), len(tb.order))
 	}
 }
 

@@ -244,13 +244,12 @@ func unionFirstArm(st *SelectStmt) *SelectStmt {
 // environment as outer scope.
 func (d *Database) bindTable(tr *TableRef, env *evalEnv, src *tableSource) ([][]Value, []boundColumn, error) {
 	if src != nil {
-		ids := src.t.scan()
 		if src.access != accessFullScan {
-			if narrowed, ok := src.indexIDs(env.params, false, false); ok {
-				ids = narrowed
+			if ids, ok := src.indexIDs(env.params, false, false); ok {
+				return src.t.rowsOf(make([][]Value, 0, len(ids)), ids), src.cols, nil
 			}
 		}
-		return src.t.rowsOf(make([][]Value, 0, len(ids)), ids), src.cols, nil
+		return src.t.liveRows(), src.cols, nil
 	}
 	if tr.Subquery != nil {
 		set, err := d.runSelect(tr.Subquery, env.nested(env.outer))
@@ -277,7 +276,7 @@ func (d *Database) bindTable(tr *TableRef, env *evalEnv, src *tableSource) ([][]
 	if err != nil {
 		return nil, nil, err
 	}
-	return t.rowsOf(make([][]Value, 0, len(t.order)), t.scan()), columnsOf(t, tr.qualifier()), nil
+	return t.liveRows(), columnsOf(t, tr.qualifier()), nil
 }
 
 // joinRows joins the accumulated left rows with the right table's

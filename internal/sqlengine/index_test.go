@@ -138,9 +138,10 @@ func TestQuickIndexEquivalence(t *testing.T) {
 	}
 }
 
-// seedBothIndexed extends the twin-column harness to both index kinds:
-// hv carries a hash index, ov an ordered index, and each has an
-// unindexed twin holding identical data.
+// seedBothIndexed extends the twin-column harness to both spellings of
+// CREATE INDEX: hv carries a plain index, ov an ORDERED one (the same
+// ordered index since there is one kind), and each has an unindexed
+// twin holding identical data.
 func seedBothIndexed(t testing.TB, rows int) *Engine {
 	t.Helper()
 	e := New("idx2")
@@ -358,7 +359,7 @@ func TestUniqueDoubleKeys(t *testing.T) {
 	lookup := func(x float64) []int64 {
 		var ids []int64
 		for _, rid := range e.db.indexes["uq_d_x"].lookup(NewDouble(x)) {
-			ids = append(ids, e.db.tables["d"].rows[rid][0].I)
+			ids = append(ids, e.db.tables["d"].row(rid)[0].I)
 		}
 		return ids
 	}

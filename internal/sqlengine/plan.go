@@ -11,7 +11,7 @@ import (
 type accessKind int
 
 const (
-	accessFullScan     accessKind = iota // t.order, rowID ascending
+	accessFullScan     accessKind = iota // every page, rowID ascending
 	accessOrderedPoint                   // index equality probe
 	accessOrderedRange                   // index range scan
 	accessOrderedScan                    // full ordered iteration (ORDER BY)
@@ -803,20 +803,23 @@ func (p *selectPlan) explainLines() []string {
 // with parameters cannot bind without values and report per-execution
 // evaluation instead. Caller holds d.mu for reading.
 func (d *Database) zoneMapLine(s *tableSource) string {
-	bp, tc, bound := d.bindKernels(s, nil, true)
+	bp, chunks, bound := d.bindKernels(s, nil, true)
 	switch {
 	case !bound:
 		return "  vector zone maps: evaluated per execution"
-	case tc == nil:
+	case !chunks:
 		return "  vector zone maps: column chunks unavailable (row fallback)"
 	}
-	skipped := 0
-	for _, ch := range tc.chunks {
-		if chunkSkippable(bp, ch) {
-			skipped++
+	skipped, n := 0, 0
+	for _, ch := range s.t.pages {
+		if ch != nil {
+			n++
+			if chunkSkippable(bp, ch) {
+				skipped++
+			}
 		}
 	}
-	return fmt.Sprintf("  vector zone maps: %d/%d chunks skippable", skipped, len(tc.chunks))
+	return fmt.Sprintf("  vector zone maps: %d/%d chunks skippable", skipped, n)
 }
 
 // explainSelect renders one block's plan — or why it is interpreted —

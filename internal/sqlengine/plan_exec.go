@@ -83,7 +83,7 @@ func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 		if p.orderSatisfied && p.ix != nil {
 			return p.ix.appendOrdered(ids, p.desc), false
 		}
-		return p.t.scan(), false
+		return p.t.liveIDs(), false
 	}
 	if !p.boundsAreWhere {
 		return ids, false
@@ -246,17 +246,15 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() error {
 	env := sc.env
 	if p.vector && d.vectorEnabled() {
-		if bp, tc, _ := d.bindKernels(p.src, env.params, true); tc != nil {
+		if bp, chunks, _ := d.bindKernels(p.src, env.params, true); chunks {
 			sc.where = nil // the kernels are the filter
 			if sc.order != nil {
-				sc.top = p.topRows(env, tc)
+				sc.top = p.topRows(env)
 			}
 			return func() error {
-				ids := make([]int64, 0, chunkRows)
 				seg := make([][]Value, 0, chunkRows)
-				return d.eachChunk(env.ctx, bp, tc, func(ch *colChunk, rows []uint16) (bool, error) {
-					ids = ch.appendIDs(ids[:0], rows)
-					err := sc.segment(k, p.t.rowsOf(seg[:0], ids))
+				return d.eachChunk(env.ctx, bp, p.t, func(ch *colChunk, rows []uint16) (bool, error) {
+					err := sc.segment(k, ch.appendRowsAt(seg[:0], rows))
 					return !k.full(), err
 				})
 			}
@@ -327,11 +325,11 @@ func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
 // joinedRows runs a plan's joins over its base table, each through
 // joinStep with the key found at plan time.
 func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
-	rows := p.t.rowsOf(make([][]Value, 0, len(p.t.order)), p.t.scan())
+	rows := p.t.liveRows()
 	leftWidth := len(p.t.Columns)
 	for i := range p.joins {
 		j := &p.joins[i]
-		right := j.t.rowsOf(make([][]Value, 0, len(j.t.order)), j.t.scan())
+		right := j.t.liveRows()
 		joinEnv := env.nested(env.outer)
 		joinEnv.cols = j.cols
 		var err error
@@ -407,7 +405,7 @@ type topRow struct {
 // rows together, and no chunk of a key column holds a NaN, which Compare
 // finds equal to everything and a stable sort therefore orders by its own
 // merge pattern, not by any rule a heap could follow.
-func (p *selectPlan) topRows(env *evalEnv, tc *tableChunks) *topRows {
+func (p *selectPlan) topRows(env *evalEnv) *topRows {
 	if p.gather == nil || p.orderCols == nil || p.sel.Limit == nil {
 		return nil
 	}
@@ -415,9 +413,9 @@ func (p *selectPlan) topRows(env *evalEnv, tc *tableChunks) *topRows {
 	if err != nil || offset+limit > chunkRows {
 		return nil
 	}
-	for _, ch := range tc.chunks {
+	for _, ch := range p.t.pages {
 		for _, c := range p.orderCols {
-			if ch.vecs[c].hasNaN {
+			if ch != nil && ch.vecs[c].hasNaN {
 				return nil
 			}
 		}

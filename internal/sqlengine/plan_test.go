@@ -10,7 +10,7 @@ import (
 )
 
 // planEngine seeds the planner-equivalence fixture: an ordered index on
-// k (with NULLs mixed in), the primary-key hash index on id, and twin
+// k (with NULLs mixed in), the primary key's index on id, and twin
 // unindexed columns so the same predicate can run with and without
 // pushdown. Rows: id 0..n-1, k = id%20 (NULL every 7th row), k_noix a
 // copy of k, s a label, d a double.

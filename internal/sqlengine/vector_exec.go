@@ -966,13 +966,17 @@ func chunkSkippable(bp boundVec, ch *colChunk) bool {
 }
 
 // eachChunk is the one chunk loop: it runs bp (nil: no predicate) over
-// every chunk of tc through filterChunk and hands f each chunk the zone
-// maps do not skip, with the positions of the rows the filter accepts,
-// in scan order, until f wants no more. rows is valid until f returns.
-func (d *Database) eachChunk(ctx context.Context, bp boundVec, tc *tableChunks, f func(ch *colChunk, rows []uint16) (more bool, err error)) error {
+// every non-empty page of t through filterChunk and hands f each one the
+// zone maps do not skip, with the positions of the rows the filter
+// accepts, in scan order, until f wants no more. rows is valid until f
+// returns. The caller has brought t's vectors up to date (bindKernels).
+func (d *Database) eachChunk(ctx context.Context, bp boundVec, t *Table, f func(ch *colChunk, rows []uint16) (more bool, err error)) error {
 	var sel [chunkRows]int8
 	var pos [chunkRows]uint16
-	for _, ch := range tc.chunks {
+	for _, ch := range t.pages {
+		if ch == nil {
+			continue
+		}
 		if err := ctxCheck(ctx); err != nil {
 			return err
 		}
@@ -998,20 +1002,18 @@ func (ch *colChunk) appendIDs(dst []int64, rows []uint16) []int64 {
 // bindKernels binds a source's kernels for one execution: its predicate
 // against params — bound=false when an operand does not bind, and the
 // row filter or the walk must run instead — and, when the caller wants
-// chunks and the vector switch is on, the table's current chunks (nil
-// when they do not build).
-func (d *Database) bindKernels(s *tableSource, params []Value, wantChunks bool) (bp boundVec, tc *tableChunks, bound bool) {
+// chunks and the vector switch is on, brings the table's vectors up to
+// date (chunks=false when they do not build).
+func (d *Database) bindKernels(s *tableSource, params []Value, wantChunks bool) (bp boundVec, chunks, bound bool) {
 	if s.pred != nil {
 		if bp, bound = bindVecPred(s.pred, params, s.t); !bound {
-			return nil, nil, false
+			return nil, false, false
 		}
 	}
 	if wantChunks && d.vectorEnabled() {
-		if tc = d.ensureChunks(s.t); !tc.ok {
-			tc = nil
-		}
+		chunks = d.ensureChunks(s.t)
 	}
-	return bp, tc, true
+	return bp, chunks, true
 }
 
 // vectorEnabled reports whether columnar operators may run for this

@@ -493,12 +493,18 @@ func evalXPFunc(n *xpFunc, ctx *xpContext) (XPathValue, error) {
 			total += stringValue(nd.Text()).AsNumber()
 		}
 		return numberValue(total), nil
-	case "floor":
-		return numberValue(math.Floor(argVals[0].AsNumber())), nil
-	case "ceiling":
-		return numberValue(math.Ceil(argVals[0].AsNumber())), nil
-	case "round":
-		return numberValue(math.Round(argVals[0].AsNumber())), nil
+	case "floor", "ceiling", "round":
+		if len(argVals) != 1 {
+			return XPathValue{}, fmt.Errorf("%s() requires one argument", n.name)
+		}
+		x := argVals[0].AsNumber()
+		switch n.name {
+		case "floor":
+			return numberValue(math.Floor(x)), nil
+		case "ceiling":
+			return numberValue(math.Ceil(x)), nil
+		}
+		return numberValue(math.Round(x)), nil
 	}
 	return XPathValue{}, fmt.Errorf("unknown function %s()", n.name)
 }
