@@ -866,3 +866,45 @@ func BenchmarkIndexInsert(b *testing.B) {
 		})
 	}
 }
+
+// E28 — bounded top-K (ORDER BY … LIMIT 10) over 200 000 rows by how
+// the sort key lies across the 1 024-row pages: num rises with the row
+// ID, so the zone maps put the winners in the first or last pages and the
+// scan reads two of 196; unc is a permutation of the row IDs, so every
+// page may hold a winner and only its filter is saved. corr_desc is
+// scan_agg's top template.
+func BenchmarkTopK(b *testing.B) {
+	const rows, groups = 200000, 64
+	eng := sqlengine.New("bench")
+	eng.MustExec(`CREATE TABLE topk (id INTEGER PRIMARY KEY, grp INTEGER, num DOUBLE, unc DOUBLE)`)
+	s := eng.NewSession()
+	for i := 0; i < rows; i++ {
+		if _, err := s.Execute(`INSERT INTO topk VALUES (?, ?, ?, ?)`, sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(i%groups)),
+			sqlengine.NewDouble(float64(i)*0.5), sqlengine.NewDouble(float64(i*7919%rows))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	grp := func(i int) []sqlengine.Value { return []sqlengine.Value{sqlengine.NewInt(int64(i % groups))} }
+	for _, c := range []struct {
+		name, sql string
+		params    func(i int) []sqlengine.Value
+	}{
+		{"corr_desc", `SELECT id, num FROM topk WHERE grp = ? ORDER BY num DESC LIMIT 10`, grp},
+		{"corr_asc", `SELECT id, num FROM topk WHERE grp = ? ORDER BY num LIMIT 10`, grp},
+		{"unc_filter", `SELECT id, unc FROM topk WHERE grp = ? ORDER BY unc DESC LIMIT 10`, grp},
+		{"unc_all", `SELECT id, unc FROM topk ORDER BY unc DESC LIMIT 10`, func(int) []sqlengine.Value { return nil }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := s.Execute(c.sql, c.params(0)...); err != nil { // plan cached, chunks built
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(c.sql, c.params(i)...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

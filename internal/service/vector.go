@@ -14,7 +14,8 @@ const (
 	// kernels (chunks skipped via zone maps are not included).
 	MetricVectorBatches = "dais_vector_batches_total"
 	// MetricVectorChunksSkipped counts column chunks skipped entirely
-	// because their zone maps proved no row could match the predicate.
+	// because their zone maps proved no row could match the predicate,
+	// or could enter a bounded top-K's heap.
 	MetricVectorChunksSkipped = "dais_vector_chunks_skipped_total"
 	// MetricVectorChunksRebuilt counts column chunks built or rebuilt
 	// from the row store: a table's whole set on its first vectorised

@@ -441,7 +441,7 @@ func (d *Database) execAggPlan(ap *aggPlan, in *evalEnv) (set *ResultSet, handle
 
 	gs := newAggGroups(ap)
 	abandoned := false
-	err = d.eachChunk(in.ctx, bp, t, func(ch *colChunk, rows []uint16) (bool, error) {
+	err = d.eachChunk(in.ctx, bp, t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
 		for k, it := range ap.items {
 			switch {
 			case inputs[k].arg != nil:

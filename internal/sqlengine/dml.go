@@ -186,7 +186,7 @@ func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids
 	if !chunks {
 		return nil, false, nil
 	}
-	err = d.eachChunk(ctx, bp, p.t, func(ch *colChunk, rows []uint16) (bool, error) {
+	err = d.eachChunk(ctx, bp, p.t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
 		ids = ch.appendIDs(ids, rows)
 		return true, nil
 	})

@@ -109,7 +109,8 @@ type VectorStats struct {
 	// kernels.
 	Batches uint64
 	// ChunksSkipped is the number of column chunks eliminated by
-	// zone-map analysis without touching their vectors.
+	// zone-map analysis without touching their vectors: no row can match
+	// the predicate, or enter a bounded top-K's heap.
 	ChunksSkipped uint64
 	// ChunksRebuilt is the number of column chunks built or rebuilt from
 	// the row store: a table's whole set on its first vectorised scan,

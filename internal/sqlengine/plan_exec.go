@@ -1,6 +1,8 @@
 package sqlengine
 
 import (
+	"container/heap"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -123,8 +125,8 @@ func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 
 // rowScan is what a plan does with each segment of its input rows: the
 // filter, unless the kernels or the access path already applied it, then
-// the projection and, when the plan sorts, the ORDER BY keys — or, under
-// a bounded top-K, an offer to its heap instead of the projection.
+// the projection and, when the plan sorts, the ORDER BY keys. A bounded
+// top-K (top) takes the kernels' rows instead (topRows.scan).
 type rowScan struct {
 	env   *evalEnv
 	where Expr // nil: every input row survives
@@ -179,10 +181,6 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 			}
 		}
 		rows = kept
-	}
-	if sc.top != nil {
-		sc.top.offer(rows)
-		return k.endSegment()
 	}
 	k.upper = len(rows)
 	for _, r := range rows {
@@ -241,19 +239,22 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 // access path's row IDs — as one segment when k materialises, so every
 // row is filtered before any is projected, and streamBatchRows at a time
 // when it streams. A materialised scan that sorts on the kernels takes a
-// bounded top-K where the plan admits one. The caller holds d.mu for
-// reading until the body has run.
+// bounded top-K where the plan admits one, which reads only the pages
+// that can enter its heap. The caller holds d.mu for reading until the
+// body has run.
 func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() error {
 	env := sc.env
 	if p.vector && d.vectorEnabled() {
 		if bp, chunks, _ := d.bindKernels(p.src, env.params, true); chunks {
 			sc.where = nil // the kernels are the filter
 			if sc.order != nil {
-				sc.top = p.topRows(env)
+				if sc.top = p.topRows(env); sc.top != nil {
+					return func() error { return sc.top.scan(d, env.ctx, bp, p.t.pages) }
+				}
 			}
 			return func() error {
 				seg := make([][]Value, 0, chunkRows)
-				return d.eachChunk(env.ctx, bp, p.t, func(ch *colChunk, rows []uint16) (bool, error) {
+				return d.eachChunk(env.ctx, bp, p.t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
 					err := sc.segment(k, ch.appendRowsAt(seg[:0], rows))
 					return !k.full(), err
 				})
@@ -381,20 +382,19 @@ func applyOffsetLimit(out *ResultSet, sel *SelectStmt, env *evalEnv) error {
 // topRows is the bounded ORDER BY ... LIMIT: instead of projecting,
 // keying and stable-sorting every selected row, it keeps in a heap the
 // OFFSET+LIMIT row images that sort first, keyed by their own cells, and
-// projects only the winners. A row is (image, arrival ordinal) and ties
-// go to the earlier arrival, so the outcome is sortRows' — a stable sort
-// — exactly.
+// projects only the winners. A row is (image, row ID) and ties go to the
+// lower ID — the earlier row in scan order — so the outcome is sortRows'
+// (a stable sort) exactly, in whatever order scan visits the pages.
 type topRows struct {
 	cols          []int  // key columns, one per ORDER BY item
 	desc          []bool // per key
 	offset, limit int
-	arrived       int
 	heap          []topRow // max-heap: heap[0] sorts last of the rows kept
 }
 
 type topRow struct {
 	row []Value // a stored row image, never written
-	ord int
+	id  int64
 }
 
 // topRows returns the bounded sorter when the plan admits one, else nil
@@ -410,7 +410,7 @@ func (p *selectPlan) topRows(env *evalEnv) *topRows {
 		return nil
 	}
 	offset, limit, err := offsetLimit(p.sel, env)
-	if err != nil || offset+limit > chunkRows {
+	if err != nil || offset > chunkRows || limit > chunkRows-offset {
 		return nil
 	}
 	for _, ch := range p.t.pages {
@@ -427,23 +427,95 @@ func (p *selectPlan) topRows(env *evalEnv) *topRows {
 	return t
 }
 
+// scan fills the heap from pages through the kernels bp. It seeds the
+// heap from the pages whose zone maps promise the best first key, best
+// first, until it holds OFFSET+LIMIT rows, then reads the other pages in
+// row-ID order, skipping each whose bound sorts strictly after the first
+// key of the heap's last row: none of its rows could enter the heap.
+func (t *topRows) scan(d *Database, ctx context.Context, bp boundVec, pages []*colChunk) error {
+	offer := func(ch *colChunk, rows []uint16) (bool, error) {
+		t.offer(ch, rows)
+		return true, nil
+	}
+	seeds := &seedPages{t: t, bounds: make([]Value, len(pages))}
+	for k, ch := range pages {
+		if ch != nil {
+			seeds.bounds[k] = t.bound(ch)
+			seeds.at = append(seeds.at, k)
+		}
+	}
+	heap.Init(seeds)
+	rest := slices.Clone(pages)
+	for len(t.heap) < t.offset+t.limit && seeds.Len() > 0 {
+		k := heap.Pop(seeds).(int)
+		if err := d.eachChunk(ctx, bp, rest[k:k+1], nil, offer); err != nil {
+			return err
+		}
+		rest[k] = nil
+	}
+	// The heap is full now, or every page was a seed and rest is empty.
+	return d.eachChunk(ctx, bp, rest, func(k int) bool {
+		return len(t.heap) > 0 && t.firstBefore(&t.heap[0].row[t.cols[0]], &seeds.bounds[k])
+	}, offer)
+}
+
+// seedPages is a top-K's pages as a heap on their bounds: the page whose
+// bound sorts first on top.
+type seedPages struct {
+	t      *topRows
+	at     []int   // page numbers
+	bounds []Value // by page number
+}
+
+func (q *seedPages) Len() int { return len(q.at) }
+func (q *seedPages) Less(i, j int) bool {
+	return q.t.firstBefore(&q.bounds[q.at[i]], &q.bounds[q.at[j]])
+}
+func (q *seedPages) Swap(i, j int) { q.at[i], q.at[j] = q.at[j], q.at[i] }
+func (q *seedPages) Push(any)      { panic("seedPages: push") }
+func (q *seedPages) Pop() any {
+	k := q.at[len(q.at)-1]
+	q.at = q.at[:len(q.at)-1]
+	return k
+}
+
+// bound is the first key that sorts first of any row of a page, from its
+// zone map: the max under DESC and the min under ASC, or NULL when a key
+// is NULL under ASC (where NULL sorts first) or every key is under DESC.
+func (t *topRows) bound(ch *colChunk) Value {
+	v := &ch.vecs[t.cols[0]]
+	switch {
+	case t.desc[0] && v.statN > 0:
+		return v.max
+	case t.desc[0] || v.nonNull < ch.n:
+		return Null
+	}
+	return v.min
+}
+
+// firstBefore reports that first key a sorts strictly before b.
+func (t *topRows) firstBefore(a, b *Value) bool {
+	cmp := compareInColumn(a, b)
+	return cmp != 0 && (cmp < 0) != t.desc[0]
+}
+
 // before reports that a sorts strictly before b; equal keys leave it to
-// the arrival ordinals.
+// the row IDs.
 func (t *topRows) before(a, b *topRow) bool {
 	for i, c := range t.cols {
 		if cmp := compareInColumn(&a.row[c], &b.row[c]); cmp != 0 {
 			return (cmp < 0) != t.desc[i]
 		}
 	}
-	return a.ord < b.ord
+	return a.id < b.id
 }
 
-// offer takes a segment's surviving row images in scan order.
-func (t *topRows) offer(rows [][]Value) {
+// offer takes the rows at the given positions of a page.
+func (t *topRows) offer(ch *colChunk, rows []uint16) {
 	k := t.offset + t.limit
 	for _, r := range rows {
-		row := topRow{row: r, ord: t.arrived}
-		t.arrived++
+		id := ch.ids[r]
+		row := topRow{row: ch.rows[id%chunkRows], id: id}
 		switch {
 		case len(t.heap) < k:
 			t.heap = append(t.heap, row)

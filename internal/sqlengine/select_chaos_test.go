@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -259,7 +260,7 @@ func (g selectFuzz) statement() (string, []Value) {
 		return g.groupStatement(w, wp)
 	case 5: // top-K and its refusals: ties on a and s, NaN keys in b, big limits
 		order := g.pick("a", "a DESC, id", "s, a DESC", "b", "2", "id DESC", "a + id")
-		lim := g.pickVal(NewInt(0), NewInt(3), NewInt(17), NewInt(40), NewInt(5000), NewInt(-1))
+		lim := g.pickVal(NewInt(0), NewInt(3), NewInt(17), NewInt(40), NewInt(5000), NewInt(-1), NewInt(math.MaxInt64))
 		sql := `SELECT id, a, s FROM t` + w + ` ORDER BY ` + order + ` LIMIT ?`
 		if g.r.Intn(2) == 0 {
 			return sql + ` OFFSET ?`, append(wp, lim, NewInt(int64(g.r.Intn(30))))

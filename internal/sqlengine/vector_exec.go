@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"strings"
+	"sync"
 )
 
 // Tri-state selection values: SQL three-valued logic over a chunk.
@@ -835,7 +836,18 @@ type bvAnd struct {
 	buf  []int8
 }
 
+// eval leaves out a side the zone maps find true on every row of the
+// chunk: T AND x is x. possible is sound for F and N as well as T, so a
+// side whose mask is maskT alone yields T on every row.
 func (b *bvAnd) eval(ch *colChunk, out []int8) {
+	switch {
+	case b.l.possible(ch) == maskT:
+		b.r.eval(ch, out)
+		return
+	case b.r.possible(ch) == maskT:
+		b.l.eval(ch, out)
+		return
+	}
 	b.l.eval(ch, out)
 	if b.buf == nil {
 		b.buf = make([]int8, chunkRows)
@@ -875,7 +887,17 @@ type bvOr struct {
 	buf  []int8
 }
 
+// eval leaves out a side the zone maps find false on every row of the
+// chunk: F OR x is x.
 func (b *bvOr) eval(ch *colChunk, out []int8) {
+	switch {
+	case b.l.possible(ch) == maskF:
+		b.r.eval(ch, out)
+		return
+	case b.r.possible(ch) == maskF:
+		b.l.eval(ch, out)
+		return
+	}
 	b.l.eval(ch, out)
 	if b.buf == nil {
 		b.buf = make([]int8, chunkRows)
@@ -965,22 +987,39 @@ func chunkSkippable(bp boundVec, ch *colChunk) bool {
 	return bp.possible(ch)&maskT == 0
 }
 
+// selBuf is eachChunk's scratch: a chunk's selection and the positions
+// it accepts. They are pooled because a bounded top-K calls eachChunk
+// once per page it seeds its heap from.
+type selBuf struct {
+	sel [chunkRows]int8
+	pos [chunkRows]uint16
+}
+
+var selBufs = sync.Pool{New: func() any { return new(selBuf) }}
+
 // eachChunk is the one chunk loop: it runs bp (nil: no predicate) over
-// every non-empty page of t through filterChunk and hands f each one the
-// zone maps do not skip, with the positions of the rows the filter
-// accepts, in scan order, until f wants no more. rows is valid until f
-// returns. The caller has brought t's vectors up to date (bindKernels).
-func (d *Database) eachChunk(ctx context.Context, bp boundVec, t *Table, f func(ch *colChunk, rows []uint16) (more bool, err error)) error {
-	var sel [chunkRows]int8
-	var pos [chunkRows]uint16
-	for _, ch := range t.pages {
+// every non-nil page of pages — a table's, or a part of them — through
+// filterChunk and hands f each one the zone maps do not skip, with the
+// positions of the rows the filter accepts, in scan order, until f wants
+// no more. rows is valid until f returns. skip (nil: none) rules page k
+// out before it is filtered, and counts as a zone-map skip: a bounded
+// top-K's test that no row of the page can enter its heap. The caller
+// has brought the pages' vectors up to date (bindKernels).
+func (d *Database) eachChunk(ctx context.Context, bp boundVec, pages []*colChunk, skip func(k int) bool, f func(ch *colChunk, rows []uint16) (more bool, err error)) error {
+	buf := selBufs.Get().(*selBuf)
+	defer selBufs.Put(buf)
+	for k, ch := range pages {
 		if ch == nil {
 			continue
 		}
 		if err := ctxCheck(ctx); err != nil {
 			return err
 		}
-		rows, skipped := d.filterChunk(bp, ch, &sel, &pos)
+		if skip != nil && skip(k) {
+			d.vecSkipped.Add(1)
+			continue
+		}
+		rows, skipped := d.filterChunk(bp, ch, &buf.sel, &buf.pos)
 		if skipped {
 			continue
 		}

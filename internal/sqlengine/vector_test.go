@@ -471,6 +471,154 @@ func TestVectorZoneMapSkipping(t *testing.T) {
 	}
 }
 
+// decidedSidesCorpus holds AND/OR statements with a side the zone maps
+// decide on some pages and not on others (id < 1024 is true on the
+// first page of a three-page vt and false on the rest), beside sides
+// whose every page holds NULLs (a, s) or NULLs and NaN (b).
+var decidedSidesCorpus = []struct {
+	sql    string
+	params []Value
+}{
+	{sql: `SELECT id FROM vt WHERE id < 1024 AND a > 10`},
+	{sql: `SELECT id FROM vt WHERE a > 10 AND id >= 1024`},
+	{sql: `SELECT id FROM vt WHERE b < 3 AND id < 2048`},
+	{sql: `SELECT id FROM vt WHERE s LIKE 'v-01%' AND id > 1500 AND id < 2100`},
+	{sql: `SELECT id FROM vt WHERE id < ? AND a > ?`, params: []Value{NewInt(1024), NewInt(10)}},
+	{sql: `SELECT id FROM vt WHERE id >= 1024 OR a > 40`},
+	{sql: `SELECT id FROM vt WHERE a > 45 OR id < 1024`},
+	{sql: `SELECT id FROM vt WHERE b > 0 OR id >= 2048`},
+	{sql: `SELECT id FROM vt WHERE NOT (id < 1024 AND a > 10)`},
+	{sql: `SELECT id FROM vt WHERE NOT (id >= 1024 OR b > 0)`},
+	{sql: `SELECT id FROM vt WHERE (id < 1024 OR a IS NULL) AND (b IS NULL OR id >= 2048)`},
+	{sql: `SELECT id FROM vt WHERE id IS NOT NULL AND a + id > 2000`},
+	{sql: `SELECT id FROM vt WHERE b IS NULL AND id < 1500`},
+	{sql: `SELECT COUNT(*), SUM(a), MIN(b) FROM vt WHERE id < 1024 AND a > 10`},
+	{sql: `SELECT a, COUNT(*) FROM vt WHERE b > 50 OR id < 1024 GROUP BY a ORDER BY 1`},
+}
+
+// TestVectorDecidedSides runs decidedSidesCorpus three ways over one
+// page (where id < 1024 is decided everywhere) and over three.
+func TestVectorDecidedSides(t *testing.T) {
+	for _, rows := range []int{500, 2*chunkRows + 500} {
+		e := vecEngine(t, rows)
+		for _, tc := range decidedSidesCorpus {
+			execAllPaths(t, e, tc.sql, tc.params...)
+		}
+	}
+}
+
+// TestTopKLimitOverflow: OFFSET + LIMIT past the largest int is not a
+// small bound. The heap's test must not add them, or it keeps nothing.
+func TestTopKLimitOverflow(t *testing.T) {
+	e := New("topk")
+	e.MustExec(`CREATE TABLE t (id INTEGER, k INTEGER)`)
+	for i := 0; i < 50; i++ {
+		e.MustExec(`INSERT INTO t VALUES (?, ?)`, NewInt(int64(i)), NewInt(int64(i%7)))
+	}
+	queryStrings(t, e, `SELECT COUNT(*) FROM t WHERE k > 0`) // builds the chunk cache
+	const sql = `SELECT id FROM t ORDER BY k LIMIT 9223372036854775807 OFFSET 1`
+	if rows := queryStrings(t, e, sql); len(rows) != 49 {
+		t.Fatalf("%s: %d rows, want 49", sql, len(rows))
+	}
+	execAllPaths(t, e, sql)
+}
+
+// TestTopKPagePruning: a bounded top-K reads the pages whose zone maps
+// promise the best first key, then skips every page that cannot enter its
+// heap, and still answers exactly as the stable sort does — ties to the
+// lower row ID across pages visited out of order, NULLs first under ASC
+// and last under DESC, an all-NULL page, two keys, OFFSET+LIMIT at the
+// bound, and pages left stale by DML or a rollback.
+func TestTopKPagePruning(t *testing.T) {
+	const n = 5*chunkRows + 40 // six pages, the last one short
+	e := New("topk")
+	e.MustExec(`CREATE TABLE tk (id INTEGER, grp INTEGER, up INTEGER, down INTEGER, tie INTEGER, nk INTEGER)`)
+	s := e.NewSession()
+	for i := 0; i < n; i++ {
+		tie := NewInt(int64(i % 5))
+		switch {
+		case i >= 1000 && i < 1050: // straddles the first page boundary
+			tie = NewInt(7)
+		case i >= 3050 && i < 3100: // straddles the third
+			tie = NewInt(-7)
+		}
+		nk := NewInt(int64(i % 1000))
+		if i%97 == 0 || (i >= 2*chunkRows && i < 3*chunkRows) { // page 2 is all NULL
+			nk = Null
+		}
+		if _, err := s.Execute(`INSERT INTO tk VALUES (?, ?, ?, ?, ?, ?)`, NewInt(int64(i)), NewInt(int64(i%8)),
+			NewInt(int64(i)), NewInt(int64(-i)), tie, nk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	statements := []struct {
+		sql    string
+		params []Value
+	}{
+		{sql: `SELECT id, up FROM tk ORDER BY up DESC LIMIT 10`},
+		{sql: `SELECT id, up FROM tk ORDER BY up LIMIT 10`},
+		{sql: `SELECT id, down FROM tk ORDER BY down DESC LIMIT 10`},
+		{sql: `SELECT id, down FROM tk ORDER BY down LIMIT 10`},
+		{sql: `SELECT id, up FROM tk WHERE grp = ? ORDER BY up DESC LIMIT 10`, params: []Value{NewInt(3)}},
+		{sql: `SELECT id, down FROM tk WHERE grp = ? ORDER BY down LIMIT 10`, params: []Value{NewInt(5)}},
+		{sql: `SELECT id, tie FROM tk ORDER BY tie DESC LIMIT 5`},
+		{sql: `SELECT id, tie FROM tk ORDER BY tie DESC LIMIT 30 OFFSET 20`},
+		{sql: `SELECT id, tie FROM tk ORDER BY tie LIMIT 5`},
+		{sql: `SELECT id, tie FROM tk WHERE grp = 1 ORDER BY tie DESC LIMIT 4`},
+		{sql: `SELECT id, nk FROM tk ORDER BY nk LIMIT 10`},
+		{sql: `SELECT id, nk FROM tk ORDER BY nk DESC LIMIT 10`},
+		{sql: `SELECT id, nk FROM tk ORDER BY nk, id DESC LIMIT 30`},
+		{sql: `SELECT id, nk FROM tk WHERE grp = 3 AND id >= 2000 AND id < 3200 ORDER BY nk DESC LIMIT 200`},
+		{sql: `SELECT id, nk FROM tk WHERE id >= 2048 AND id < 3072 ORDER BY nk DESC LIMIT 3`},
+		{sql: `SELECT id, grp, down FROM tk ORDER BY grp DESC, down LIMIT 12`},
+		{sql: `SELECT id, tie, up FROM tk ORDER BY tie DESC, up DESC LIMIT 5`},
+		{sql: `SELECT id FROM tk ORDER BY up DESC LIMIT 1000 OFFSET 24`},
+		{sql: `SELECT id FROM tk ORDER BY down LIMIT 1024`},
+		{sql: `SELECT id FROM tk WHERE grp = 2 ORDER BY nk LIMIT 1 OFFSET 1023`},
+	}
+	runAll := func() {
+		t.Helper()
+		for _, tc := range statements {
+			execAllPaths(t, e, tc.sql, tc.params...)
+		}
+	}
+	runAll()
+
+	// The correlated DESC shape reads the short last page and the one
+	// before it, and skips the other four.
+	const top = `SELECT id, up FROM tk WHERE grp = ? ORDER BY up DESC LIMIT 10`
+	for g := 0; g < 8; g++ {
+		before := e.VectorStats()
+		rows := queryStrings(t, e, top, NewInt(int64(g)))
+		after := e.VectorStats()
+		batches, skipped := after.Batches-before.Batches, after.ChunksSkipped-before.ChunksSkipped
+		if batches > 3 || batches+skipped != 6 {
+			t.Fatalf("grp %d: filtered %d pages and skipped %d, want at most 3 of 6 filtered and the rest skipped", g, batches, skipped)
+		}
+		if want := fmt.Sprint((n-1)/8*8 + g); len(rows) != 10 || rows[0][0] != want {
+			t.Fatalf("grp %d: %v, want 10 rows from id %s down", g, rows, want)
+		}
+	}
+
+	// Stale pages: a key raised on page 0, keys cleared on page 4, rows
+	// deleted off the last page; then a DELETE rolled back.
+	e.MustExec(`UPDATE tk SET up = 100000, down = -100000, tie = 9 WHERE id = 17`)
+	e.MustExec(`UPDATE tk SET nk = NULL, tie = 7 WHERE id >= 4100 AND id < 4110`)
+	e.MustExec(`DELETE FROM tk WHERE id >= 5100`)
+	runAll()
+	if rows := queryStrings(t, e, `SELECT id FROM tk ORDER BY up DESC LIMIT 1`); rows[0][0] != "17" {
+		t.Fatalf("after UPDATE: top row %v, want 17", rows)
+	}
+	want := queryStrings(t, e, `SELECT id, up FROM tk ORDER BY up DESC LIMIT 20`)
+	mustSess(t, s, `BEGIN`)
+	mustSess(t, s, `DELETE FROM tk WHERE id >= 4000 OR id = 17`)
+	mustSess(t, s, `ROLLBACK`)
+	runAll()
+	if got := queryStrings(t, e, `SELECT id, up FROM tk ORDER BY up DESC LIMIT 20`); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after a rolled-back DELETE: %v, want %v", got, want)
+	}
+}
+
 // TestConstantsBindPerExecution: a row-independent expression is a
 // constant of one execution wherever the planner looks for one — an index
 // bound, a kernel operand, a whole conjunct, a term of an expression
