@@ -7,8 +7,8 @@ import "fmt"
 // typed accumulators — no per-row evalEnv, no per-row group-row
 // slices. The compilable class is chosen so results are byte-identical
 // to execGrouped; anything outside it (HAVING, DISTINCT, aggregate
-// arguments beyond column arithmetic, non-ordinal ORDER BY, ...) stays
-// on the interpreter.
+// arguments beyond column arithmetic, non-ordinal ORDER BY, ...) runs
+// as the block plan's grouping stage, execGrouped over its filtered rows.
 
 type aggItemKind int
 
@@ -50,15 +50,15 @@ type aggPlan struct {
 	explain  []string
 }
 
-// planAggregate compiles a grouped/aggregate SELECT block — one planSelect
-// refused for its grouping — from its source, or returns nil when any
-// part is outside the vectorisable class: the interpreter then runs the
-// statement, including producing any errors (a plan-time bail is always
-// safe because the fallback IS the reference implementation). Caller
-// holds d.mu for reading.
+// planAggregate compiles a grouped/aggregate SELECT block over one base
+// table from its source, or returns nil when any part is outside the
+// vectorisable class: the block's plan then groups its filtered rows with
+// execGrouped, which also raises any error (a plan-time bail is always
+// safe because that stage is the reference implementation). Caller holds
+// d.mu for reading.
 func (d *Database) planAggregate(sel *SelectStmt, src *tableSource) *aggPlan {
 	// A WHERE outside the kernels' class includes one with an aggregate in it.
-	if sel.Having != nil || sel.Where != nil && src.pred == nil {
+	if sel.Distinct || sel.Having != nil || sel.Where != nil && src.pred == nil {
 		return nil
 	}
 	t, cols := src.t, src.cols
@@ -84,7 +84,7 @@ func (d *Database) planAggregate(sel *SelectStmt, src *tableSource) *aggPlan {
 
 	// Select items: direct aggregates over a plain column or column
 	// arithmetic, COUNT(*), or a plain column (grouped only — with no
-	// GROUP BY the interpreter has no first row to read and the query is
+	// GROUP BY execGrouped has no first row to read and the query is
 	// malformed anyway).
 	for _, e := range projExprs {
 		re, ok := rewriteExpr(e, cols)
@@ -103,7 +103,7 @@ func (d *Database) planAggregate(sel *SelectStmt, src *tableSource) *aggPlan {
 			}
 			if n.Star {
 				if n.Name != "COUNT" {
-					return nil // interpreter errors; let it
+					return nil // execGrouped raises the error
 				}
 				ap.items = append(ap.items, aggItem{kind: aggCountStar, col: -1})
 				continue
@@ -126,7 +126,7 @@ func (d *Database) planAggregate(sel *SelectStmt, src *tableSource) *aggPlan {
 				it.kind = aggMax
 			case "SUM", "AVG":
 				if it.expr == nil && !t.Columns[it.col].Type.isNumeric() {
-					return nil // interpreter errors per group; let it
+					return nil // execGrouped raises the error per group
 				}
 				if n.Name == "SUM" {
 					it.kind = aggSum
@@ -143,7 +143,7 @@ func (d *Database) planAggregate(sel *SelectStmt, src *tableSource) *aggPlan {
 	}
 
 	// ORDER BY: output ordinals only; names would resolve through the
-	// grouped alias scope, which only the interpreter reproduces.
+	// grouped alias scope, which execGrouped reproduces.
 	for _, oi := range sel.OrderBy {
 		ord, ok := ordinalRef(oi.Expr, len(ap.items))
 		if !ok {
@@ -214,10 +214,10 @@ func (a *aggAcc) grow(kind aggItemKind, typ Type, n int) {
 
 // fold is one item's pass over a chunk: the selected rows of v, rows[j]
 // into the accumulators of group gids[j], in row order, so every group
-// adds its values in the order the interpreter does. MIN/MAX replace
-// only on a strict win, exactly like evalAggregate — so NaN never
-// displaces a value and is never displaced, and ties keep the first-seen
-// value.
+// adds its values in the order execGrouped does. MIN/MAX compare in the
+// total order (cmpKeys, so a NaN is the greatest value) and replace only
+// on a strict win, exactly like evalAggregate, so ties keep the
+// first-seen value.
 func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) {
 	switch kind {
 	case aggCountStar:
@@ -255,7 +255,7 @@ func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) 
 			g, val := gids[j], v.value(i)
 			if a.count[g] == 0 {
 				a.vals[g] = val
-			} else if c, _ := Compare(val, a.vals[g]); isMax && c > 0 || !isMax && c < 0 { // same column type: no error
+			} else if c := cmpKeys(val, a.vals[g]); isMax && c > 0 || !isMax && c < 0 {
 				a.vals[g] = val
 			}
 			a.count[g]++
@@ -307,7 +307,7 @@ type aggGroups struct {
 	ints  map[int64]int32   // one INTEGER/BIGINT key
 	null  int32             // ... its NULL group, -1 until met
 	local *[chunkRows]int32 // ... a narrow chunk's keys: key − min → ordinal, -1 until met in this chunk
-	keys  map[string]int32  // any other key: the interpreter's group-key bytes
+	keys  map[string]int32  // any other key: execGrouped's group-key bytes
 	key   []byte
 }
 
@@ -407,7 +407,7 @@ func (gs *aggGroups) intGroup(ch *colChunk, i int, v *colVec) int32 {
 // execAggPlan runs a compiled aggregate; in carries the execution's
 // parameters and context. handled=false means the plan was abandoned —
 // an operand that does not bind, an unbuildable chunk cache, a zero
-// divisor on a selected row — and the interpreter must run. Caller holds
+// divisor on a selected row — and the block's plan must run. Caller holds
 // d.mu for reading and has verified ap.epoch == d.epoch.
 //
 // Each chunk takes one group-ordinal pass, then one fold per item.

@@ -249,12 +249,14 @@ type Database struct {
 
 	// Execution-path switches, consulted per execution so cached plans
 	// honour them. vectorOff keeps every statement off the columnar
-	// operators, plannerOff sends every statement to the interpreter and
-	// hashJoinOff every join to the nested loop; only the equivalence
-	// tests, which own their engine, set them.
+	// operators and hashJoinOff every join off the hash table. oracle, nil
+	// in production, is the differential tests' reference executor: with
+	// it set runSelect hands it every SELECT block instead of running the
+	// block's plan, and UPDATE/DELETE walk their table. Only the
+	// equivalence tests, which own their engine, set them.
 	vectorOff   bool
-	plannerOff  bool
 	hashJoinOff bool
+	oracle      func(d *Database, st *SelectStmt, env *evalEnv) (*ResultSet, error)
 
 	// Columnar execution counters, exported via Engine.VectorStats.
 	vecBatches atomic.Uint64 // chunks evaluated by vector operators
@@ -262,7 +264,7 @@ type Database struct {
 	vecRebuilt atomic.Uint64 // chunks (re)built from the row store
 	// vecFallbacks counts executions that had a vector or aggregate plan
 	// and abandoned it (bind failure, unbuildable chunks, a zero divisor on
-	// a selected row) for the row operators or the interpreter.
+	// a selected row) for the row operators or the grouping stage.
 	vecFallbacks atomic.Uint64
 	// hashJoins counts completed hash-join fast paths, so tests can assert
 	// the path engaged.

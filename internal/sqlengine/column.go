@@ -47,8 +47,6 @@ type colVec struct {
 	max     Value
 }
 
-func (v *colVec) isNull(i int) bool { return v.nulls.get(i) }
-
 // value reconstructs the stored Value for row i. The result is
 // field-identical to the row-store Value (INSERT coerces to the column
 // type, so stored values carry exactly one populated field).
@@ -73,7 +71,7 @@ func (v *colVec) value(i int) Value {
 
 // appendGroupKey appends row i's grouping rendering, byte-identical to
 // Value.groupKey, so columnar aggregation partitions rows exactly as
-// the interpreter does.
+// execGrouped does.
 func (v *colVec) appendGroupKey(dst []byte, i int) []byte {
 	if v.nulls.get(i) {
 		return append(dst, "\x00null"...)

@@ -23,9 +23,10 @@ const (
 	undoUpdate                 // restore the previous image
 )
 
-// execInsert applies an INSERT. Caller holds d.mu for writing. Returns
-// the rows inserted and the undo entries recorded.
-func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Value) (int, []undoEntry, error) {
+// execInsert applies an INSERT; plans holds its SELECT blocks'. Caller
+// holds d.mu for writing. Returns the rows inserted and the undo entries
+// recorded.
+func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Value, plans *blockPlans) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
@@ -47,7 +48,7 @@ func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Valu
 			targets[i] = ci
 		}
 	}
-	env := &evalEnv{params: params, db: d, ctx: ctx}
+	env := &evalEnv{params: params, db: d, ctx: ctx, plans: plans}
 	exprRows := st.Rows
 	if st.Query != nil {
 		// INSERT ... SELECT: materialise the query first, then insert
@@ -149,6 +150,10 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 		table, where = n.Table, n.Where
 	}
 	src := d.planSource(&TableRef{Table: table}, where, true)
+	bound := false
+	if src != nil {
+		_, bound = rewriteExpr(where, src.cols)
+	}
 	switch {
 	case where == nil:
 		return nil, "no WHERE clause"
@@ -156,7 +161,7 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 		return nil, "unknown table"
 	case exprHasSubquery(where):
 		return nil, "subquery in WHERE"
-	case src.where == nil:
+	case !bound:
 		return nil, "unresolvable WHERE expression"
 	case src.pred == nil:
 		return nil, "WHERE outside the error-free predicate class"
@@ -206,14 +211,14 @@ func (d *Database) dmlCandidates(ctx context.Context, t *Table, p *dmlPlan, para
 	return t.liveIDs(), nil
 }
 
-// execUpdate applies an UPDATE; p is its compiled target plan, or nil.
-// Caller holds d.mu for writing.
-func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Value, p *dmlPlan) (int, []undoEntry, error) {
+// execUpdate applies an UPDATE; p is its compiled target plan, or nil, and
+// plans holds its subqueries'. Caller holds d.mu for writing.
+func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Value, p *dmlPlan, plans *blockPlans) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
 	}
-	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx}
+	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx, plans: plans}
 	// Pre-resolve SET targets.
 	type setTarget struct {
 		col  int
@@ -277,14 +282,14 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 	return count, undo, nil
 }
 
-// execDelete applies a DELETE; p is its compiled target plan, or nil.
-// Caller holds d.mu for writing.
-func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Value, p *dmlPlan) (int, []undoEntry, error) {
+// execDelete applies a DELETE; p is its compiled target plan, or nil, and
+// plans holds its subqueries'. Caller holds d.mu for writing.
+func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Value, p *dmlPlan, plans *blockPlans) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
 	}
-	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx}
+	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx, plans: plans}
 	ids, err := d.dmlCandidates(ctx, t, p, params)
 	if err != nil {
 		return 0, nil, err

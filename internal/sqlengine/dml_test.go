@@ -515,6 +515,17 @@ func (g *dmlFuzz) insert() (string, []Value) {
 	return `INSERT INTO t VALUES (?, ?, ?, ?, ?)`, []Value{NewInt(id), g.intVal(), g.dblVal(), g.strVal(), NewInt(u)}
 }
 
+// insertSelect draws an INSERT ... SELECT copying up to ten rows of t to
+// fresh IDs: a unique violation where the copies collide with each other
+// or with a key already there.
+func (g *dmlFuzz) insertSelect() (string, []Value) {
+	lo := g.r.Int63n(g.nextID + 1)
+	shift := g.nextID - lo
+	g.nextID += 10
+	return `INSERT INTO t SELECT id + ?, a, b, s, u + ? FROM t WHERE id >= ? AND id < ? ` + g.pick("", "AND a IN (SELECT a FROM t WHERE s IS NULL)"),
+		[]Value{NewInt(shift), NewInt(shift * 10), NewInt(lo), NewInt(lo + 10)}
+}
+
 // where draws a predicate: by key, range, IN, LIKE, IS NULL, boolean
 // combinations, float and NaN operands, computed operands — all inside
 // the planned class — plus operands that fail to bind and predicates
@@ -525,7 +536,7 @@ func (g *dmlFuzz) where() (string, []Value) {
 	if g.r.Intn(6) == 0 {
 		hi = lo + g.r.Int63n(g.nextID+1) // wide: crosses chunk boundaries
 	}
-	switch g.r.Intn(30) {
+	switch g.r.Intn(31) {
 	case 0, 1, 2:
 		return `id = ?`, []Value{g.someID()}
 	case 3:
@@ -582,6 +593,8 @@ func (g *dmlFuzz) where() (string, []Value) {
 		return g.pick(`a > 1 / ?`, `id < ? AND a > 10 / ?`), []Value{NewInt(int64(g.r.Intn(3))), NewInt(int64(g.r.Intn(3)))}
 	case 28: // a row-independent predicate that is not boolean, met only where id < ?
 		return `id < ? AND ?`, []Value{NewInt(hi), g.pickVal(NewBool(true), NewString("x"), NewInt(1))}
+	case 29: // outside the class: a correlated subquery, behind a narrow range
+		return `id >= ? AND id <= ? AND ` + g.pick("", "NOT ") + `EXISTS (SELECT 1 FROM t i WHERE i.id = t.a AND i.s IS NOT NULL)`, []Value{NewInt(lo), NewInt(lo + 30)}
 	}
 	return "", nil // WHERE-less
 }
@@ -626,6 +639,8 @@ func (g *dmlFuzz) statement(inTxn *bool) (string, []Value) {
 		return g.pick(`CREATE INDEX fz_a ON t (a)`, `DROP INDEX fz_a`, `CREATE ORDERED INDEX fz_id ON t (id)`, `DROP INDEX fz_id`), nil
 	case k < 30:
 		return g.insert()
+	case k < 33:
+		return g.insertSelect()
 	case k < 70:
 		set, sp := g.set()
 		where, wp := g.where()

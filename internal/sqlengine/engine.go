@@ -118,7 +118,7 @@ type VectorStats struct {
 	ChunksRebuilt uint64
 	// Fallbacks is the number of executions that had a vector or
 	// aggregate plan and abandoned it for the row operators or the
-	// interpreter — an operand that did not bind, column chunks that could
+	// grouping stage — an operand that did not bind, column chunks that could
 	// not be built, a zero divisor on a selected row. It tells "planned"
 	// from "actually ran on kernels".
 	Fallbacks uint64
@@ -219,11 +219,10 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string, params ...Valu
 	return s.ExecutePrepared(ctx, prep, params...)
 }
 
-// ExecutePrepared runs a statement prepared by Engine.Prepare. Each
-// SELECT block the Prepared holds a plan for, built at the current
-// schema epoch, runs planned; every other block (or all of them, when
-// the schema has moved since planning) falls back to the interpreter,
-// which is always correct.
+// ExecutePrepared runs a statement prepared by Engine.Prepare, its SELECT
+// blocks on the plans the Prepared holds for them. When the schema has
+// moved since they were built, the statement is planned again, once, as
+// it starts.
 func (s *Session) ExecutePrepared(ctx context.Context, prep *Prepared, params ...Value) (*Result, error) {
 	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
 		err := fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
@@ -328,7 +327,7 @@ func (s *Session) run(ctx context.Context, st Statement, params []Value) (*Resul
 			return errResult(StateSerialization, err), err
 		}
 		db.mu.RLock()
-		set, err := db.runSelect(n, &evalEnv{params: params, ctx: ctx, plans: s.currentBlocks(n)})
+		set, err := db.runSelect(n, &evalEnv{params: params, ctx: ctx, plans: s.blocks(n)})
 		db.mu.RUnlock()
 		if err != nil {
 			return errResult(stateFor(err), err), err
@@ -340,11 +339,15 @@ func (s *Session) run(ctx context.Context, st Statement, params []Value) (*Resul
 		}
 		return &Result{Set: set, UpdateCount: -1, CA: ca}, nil
 	case *InsertStmt:
-		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execInsert(ctx, n, params) })
+		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execInsert(ctx, n, params, s.blocks(n)) })
 	case *UpdateStmt:
-		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execUpdate(ctx, n, params, s.currentDMLPlan(n)) })
+		return s.runDML(n.Table, func() (int, []undoEntry, error) {
+			return db.execUpdate(ctx, n, params, s.currentDMLPlan(n), s.blocks(n))
+		})
 	case *DeleteStmt:
-		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execDelete(ctx, n, params, s.currentDMLPlan(n)) })
+		return s.runDML(n.Table, func() (int, []undoEntry, error) {
+			return db.execDelete(ctx, n, params, s.currentDMLPlan(n), s.blocks(n))
+		})
 	case *CreateTableStmt:
 		return s.runDDL(func() error { return db.createTable(n) })
 	case *DropTableStmt:
@@ -411,28 +414,40 @@ func (s *Session) runDDL(f func() error) (*Result, error) {
 	return okResult(-1), nil
 }
 
-// currentBlocks returns the block plans threaded through ExecutePrepared
-// when they belong to exactly this statement. runSelect still checks the
-// schema epoch and the planner switch under the database latch.
-func (s *Session) currentBlocks(n *SelectStmt) *blockPlans {
-	if s.prep == nil || s.prep.stmt != Statement(n) {
-		return nil
+// blocks returns the plans the statement's SELECT blocks run by: the ones
+// threaded through ExecutePrepared while they belong to exactly this
+// statement and the schema has not moved since they were built, else the
+// statement's blocks planned again — once, under the database latch the
+// caller holds, so no block of it is planned per row. A literal INSERT,
+// which Prepare leaves unplanned, has none unless a default of its table
+// nests one.
+func (s *Session) blocks(n Statement) *blockPlans {
+	db := s.engine.db
+	if p := s.prep; p != nil && p.stmt == n {
+		if p.blocks != nil && p.blocks.epoch == db.epoch {
+			return p.blocks
+		}
+		if ins, ok := n.(*InsertStmt); ok && p.blocks == nil && !db.defaultsNestBlock(ins.Table) {
+			return nil
+		}
 	}
-	return s.prep.blocks
+	return db.planStatement(n)
 }
 
-// currentDMLPlan is currentBlocks for UPDATE/DELETE target plans.
+// currentDMLPlan returns the UPDATE/DELETE target plan threaded through
+// ExecutePrepared when it belongs to exactly this statement; dmlCandidates
+// checks its epoch. With the test oracle installed the statement walks.
 func (s *Session) currentDMLPlan(n Statement) *dmlPlan {
-	if s.engine.db.plannerOff || s.prep == nil || s.prep.dml == nil || s.prep.dml.stmt != n {
+	if s.engine.db.oracle != nil || s.prep == nil || s.prep.dml == nil || s.prep.dml.stmt != n {
 		return nil
 	}
 	return s.prep.dml
 }
 
 // Explain describes the physical plan the engine would use for one
-// statement: the access path (and index) for plannable SELECTs and for
-// the target selection of UPDATE/DELETE, or the interpreted path (with
-// the reason) for everything else. It never executes the statement.
+// statement: every SELECT block's plan, the target selection of an
+// UPDATE or DELETE, and the path any other statement takes. It never
+// executes the statement.
 func (s *Session) Explain(sql string) ([]string, error) {
 	st, _, err := Parse(sql)
 	if err != nil {

@@ -23,9 +23,8 @@ type evalEnv struct {
 	// query's environment for correlated subqueries.
 	db    *Database
 	outer *evalEnv
-	// plans holds the compiled plans of the prepared statement being
-	// executed, for runSelect to find each nested block's; nil when the
-	// statement was not prepared (everything is then interpreted).
+	// plans holds the plans of the statement being executed, for
+	// runSelect to find each nested block's.
 	plans *blockPlans
 	// ctx carries the request context so long scans can be cancelled;
 	// checkN counts rows between cancellation probes.

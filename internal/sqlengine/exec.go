@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,150 +21,40 @@ type ResultSet struct {
 	Rows    [][]Value
 }
 
-// runSelect is the one place a SELECT block — a statement, a derived
-// table, a view body, a UNION arm, a subquery — chooses its executor:
-// the compiled plan the prepared statement holds for it, else its
-// aggregate plan, else the interpreter, which reads a one-table FROM
-// through the block's source. env is the block's own fresh
+// runSelect runs one SELECT block — a statement, a derived table, a view
+// body, a UNION arm, a subquery — by the plans of its statement, which
+// env carries: the vectorised aggregate plan when the block has one and
+// it runs to the end, else the block's plan. env is the block's own fresh
 // environment (parameters, context, outer scope, the statement's plans).
-// A block has a plan only if its names resolve locally, so running it
-// planned inside an outer scope is running it alone; an abandoned
-// aggregate plan (handled=false) falls through, the interpreter being
-// the reference for every path. The caller must hold d.mu for reading.
+// A name the block does not bind stays a name in its plan and resolves
+// through env's outer scope when it is evaluated, so a correlated block
+// runs on the plan built for it at Prepare. The caller must hold d.mu for
+// reading, at the schema epoch the plans were built at.
 func (d *Database) runSelect(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
 	env.db = d
+	if d.oracle != nil {
+		return d.oracle(d, st, env)
+	}
 	bp := env.plans.block(st, d)
 	if bp == nil {
-		return d.execSelectEnv(st, env, nil)
+		return nil, errors.New("sql: internal error: a SELECT block was not planned with its statement")
 	}
-	switch {
-	case bp.plan != nil:
-		return d.execPlan(bp.plan, env)
-	case bp.agg != nil && d.vectorEnabled():
+	if bp.agg != nil && d.vectorEnabled() {
 		set, handled, err := d.execAggPlan(bp.agg, env)
 		if handled || err != nil {
 			return set, err
 		}
 		d.vecFallbacks.Add(1)
 	}
-	return d.execSelectEnv(st, env, bp.src)
+	return d.execPlan(bp.plan, env)
 }
 
-// execSelectEnv interprets a SELECT with an explicit environment; the
-// environment's outer chain makes correlated subqueries work. src is the
-// block's planned table source, nil without one (or with the planner
-// off). Nested blocks go back through runSelect.
-func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv, src *tableSource) (*ResultSet, error) {
-	if len(st.Unions) > 0 {
-		return d.execUnion(st, env)
-	}
-	var rows [][]Value
-
-	if st.From == nil {
-		rows = [][]Value{nil} // one empty row for expression-only SELECT
-	} else {
-		base, cols, err := d.bindTable(st.From, env, src)
-		if err != nil {
-			return nil, err
-		}
-		env.cols = cols
-		rows = base
-		for _, j := range st.Joins {
-			right, rcols, err := d.bindTable(j.Table, env, nil)
-			if err != nil {
-				return nil, err
-			}
-			rows, err = joinRows(rows, right, env, rcols, j)
-			if err != nil {
-				return nil, err
-			}
-			env.cols = append(env.cols, rcols...)
-		}
-	}
-
-	// WHERE.
-	if st.Where != nil {
-		if containsAggregate(st.Where) {
-			return nil, fmt.Errorf("aggregates are not allowed in WHERE")
-		}
-		filtered := rows[:0:0]
-		for _, r := range rows {
-			if err := env.checkCtx(); err != nil {
-				return nil, err
-			}
-			env.row = r
-			v, err := eval(st.Where, env)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := truthy(v)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				filtered = append(filtered, r)
-			}
-		}
-		rows = filtered
-	}
-
-	grouped := len(st.GroupBy) > 0 || st.Having != nil || selectHasAggregate(st)
-	var out *ResultSet
-	var orderKeys [][]Value
-	var err error
-	if grouped {
-		out, orderKeys, err = d.execGrouped(st, rows, env)
-	} else {
-		out, orderKeys, err = d.execProjection(st, rows, env)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// DISTINCT.
-	if st.Distinct {
-		seen := map[string]bool{}
-		var dr [][]Value
-		var dk [][]Value
-		for i, r := range out.Rows {
-			key := rowKey(r)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			dr = append(dr, r)
-			if orderKeys != nil {
-				dk = append(dk, orderKeys[i])
-			}
-		}
-		out.Rows = dr
-		if orderKeys != nil {
-			orderKeys = dk
-		}
-	}
-
-	// ORDER BY.
-	if len(st.OrderBy) > 0 {
-		if err := sortRows(out, orderKeys, st.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := applyOffsetLimit(out, st, env); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// execUnion evaluates a UNION chain: each arm runs independently, the
-// results are concatenated left to right, and every non-ALL step
-// deduplicates the accumulated rows. ORDER BY on a union may reference
-// output columns by name or ordinal only.
-func (d *Database) execUnion(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
-	first := env.plans.firstArm(st, d)
-	if first == nil {
-		first = unionFirstArm(st)
-	}
+// execUnion evaluates a UNION chain: first (the head's first arm as a
+// block of its own, see unionFirstArm) and every later arm run
+// independently, the results are concatenated left to right, and every
+// non-ALL step deduplicates the accumulated rows. ORDER BY on a union may
+// reference output columns by name or ordinal only.
+func (d *Database) execUnion(st, first *SelectStmt, env *evalEnv) (*ResultSet, error) {
 	out, err := d.runSelect(first, env.nested(env.outer))
 	if err != nil {
 		return nil, err
@@ -178,17 +69,7 @@ func (d *Database) execUnion(st *SelectStmt, env *evalEnv) (*ResultSet, error) {
 		}
 		out.Rows = append(out.Rows, right.Rows...)
 		if !part.All {
-			seen := map[string]bool{}
-			dedup := out.Rows[:0:0]
-			for _, r := range out.Rows {
-				k := rowKey(r)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				dedup = append(dedup, r)
-			}
-			out.Rows = dedup
+			out.Rows, _ = distinctRows(out.Rows, nil)
 		}
 	}
 	if len(st.OrderBy) > 0 {
@@ -235,67 +116,26 @@ func unionFirstArm(st *SelectStmt) *SelectStmt {
 	return &first
 }
 
-// bindTable materialises a table reference's rows and column bindings
-// under its qualifier. src is the block's source when the reference is its
-// one base table: the rows are then the access path's candidates,
-// ascending, or every row when the path has no index or does not bind —
-// the caller applies the whole WHERE to each either way. Derived tables
-// (FROM (SELECT ...) alias) evaluate their subquery with the caller's
-// environment as outer scope.
-func (d *Database) bindTable(tr *TableRef, env *evalEnv, src *tableSource) ([][]Value, []boundColumn, error) {
-	if src != nil {
-		if src.access != accessFullScan {
-			if ids, ok := src.indexIDs(env.params, false, false); ok {
-				return src.t.rowsOf(make([][]Value, 0, len(ids)), ids), src.cols, nil
-			}
+// distinctRows keeps the first of every set of equal rows, in order, and
+// the keys of the rows it keeps (keys may be nil).
+func distinctRows(rows, keys [][]Value) ([][]Value, [][]Value) {
+	seen := map[string]bool{}
+	var dr, dk [][]Value
+	for i, r := range rows {
+		k := rowKey(r)
+		if seen[k] {
+			continue
 		}
-		return src.t.liveRows(), src.cols, nil
-	}
-	if tr.Subquery != nil {
-		set, err := d.runSelect(tr.Subquery, env.nested(env.outer))
-		if err != nil {
-			return nil, nil, err
+		seen[k] = true
+		dr = append(dr, r)
+		if keys != nil {
+			dk = append(dk, keys[i])
 		}
-		qual := strings.ToLower(tr.Alias)
-		cols := make([]boundColumn, len(set.Columns))
-		for i, c := range set.Columns {
-			cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
-		}
-		return set.Rows, cols, nil
 	}
-	// A view expands into its stored SELECT, evaluated as a derived
-	// table whose qualifier is the view name (or its alias).
-	if v, ok := d.views[strings.ToLower(tr.Table)]; ok {
-		expanded := &TableRef{Subquery: v.Select, Alias: tr.Alias}
-		if expanded.Alias == "" {
-			expanded.Alias = v.Name
-		}
-		return d.bindTable(expanded, env, nil)
-	}
-	t, err := d.table(tr.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.liveRows(), columnsOf(t, tr.qualifier()), nil
+	return dr, dk
 }
 
-// joinRows joins the accumulated left rows with the right table's
-// rows. env.cols currently describes only the left side; the ON
-// expression is evaluated against left+right, and its equi-join
-// conjunct, if any, is found by name for this execution.
-func joinRows(left [][]Value, right [][]Value, env *evalEnv, rcols []boundColumn, j JoinClause) ([][]Value, error) {
-	joinEnv := env.nested(env.outer)
-	joinEnv.cols = append(append([]boundColumn{}, env.cols...), rcols...)
-	var key *equiConjunct
-	if j.On != nil {
-		if k, ok := findEquiConjunct(j.On, joinEnv, len(env.cols)); ok {
-			key = &k
-		}
-	}
-	return joinStep(left, right, joinEnv, len(env.cols), rcols, j, key)
-}
-
-// joinStep is one join, for the interpreter and compiled plans alike:
+// joinStep is one join, for every plan and the test oracle alike:
 // the hash path (join.go) when the ON carries a hashable equi-join
 // conjunct (key non-nil) and the hashJoinOff switch allows it — consulted
 // per execution, so the equivalence toggle works on cached plans too —
@@ -394,54 +234,6 @@ func selectHasAggregate(st *SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// execProjection projects the select list over plain (non-grouped)
-// rows. It also computes ORDER BY keys per row so sorting can reference
-// columns not in the output.
-func (d *Database) execProjection(st *SelectStmt, rows [][]Value, env *evalEnv) (*ResultSet, [][]Value, error) {
-	cols, exprs, err := expandSelectItems(st, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &ResultSet{Columns: cols}
-	var orderKeys [][]Value
-	slab := newRowSlab(len(exprs), len(rows))
-	// The alias map only feeds ORDER BY resolution; skip building it
-	// (one map per row) when there is nothing to sort.
-	needAliases := len(st.OrderBy) > 0
-	for _, r := range rows {
-		if err := env.checkCtx(); err != nil {
-			return nil, nil, err
-		}
-		env.row = r
-		vals := slab.next()
-		var aliases map[string]Value
-		if needAliases {
-			aliases = make(map[string]Value, len(exprs))
-		}
-		for i, e := range exprs {
-			v, err := eval(e, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[i] = v
-			if needAliases {
-				aliases[strings.ToLower(cols[i].Name)] = v
-			}
-		}
-		out.Rows = append(out.Rows, vals)
-		if needAliases {
-			env.aliases = aliases
-			keys, err := evalOrderKeys(st.OrderBy, env, vals)
-			env.aliases = nil
-			if err != nil {
-				return nil, nil, err
-			}
-			orderKeys = append(orderKeys, keys)
-		}
-	}
-	return out, orderKeys, nil
 }
 
 // expandSelectItems resolves * and computes output column metadata and
@@ -668,7 +460,7 @@ func evalAggregate(n *FuncExpr, group [][]Value, env *evalEnv) (Value, error) {
 		}
 		best := vals[0]
 		for _, v := range vals[1:] {
-			c, err := Compare(v, best)
+			c, err := compareTotal(v, best)
 			if err != nil {
 				return Null, err
 			}
@@ -738,7 +530,8 @@ func ordinalRef(e Expr, n int) (int, bool) {
 	return i - 1, true
 }
 
-// sortRows sorts result rows by the precomputed keys.
+// sortRows sorts result rows by the precomputed keys, stably, in the
+// total order (compareTotal).
 func sortRows(rs *ResultSet, keys [][]Value, items []OrderItem) error {
 	if len(keys) != len(rs.Rows) {
 		return fmt.Errorf("internal: order keys mismatch (%d keys, %d rows)", len(keys), len(rs.Rows))
@@ -750,7 +543,7 @@ func sortRows(rs *ResultSet, keys [][]Value, items []OrderItem) error {
 	var sortErr error
 	sort.SliceStable(idx, func(a, b int) bool {
 		for k, it := range items {
-			c, err := Compare(keys[idx[a]][k], keys[idx[b]][k])
+			c, err := compareTotal(keys[idx[a]][k], keys[idx[b]][k])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err

@@ -6,8 +6,14 @@ package sqlengine
 // (stream_batch_test.go) imports rowset, which imports this package, so it
 // cannot live inside it and reaches the switches through these.
 
-// SetPlannerDisabled forces every statement through the interpreter.
-func (e *Engine) SetPlannerDisabled(off bool) { e.db.plannerOff = off }
+// SetPlannerDisabled installs the tree interpreter (interp_test.go) as the
+// oracle every SELECT block runs on, and has UPDATE and DELETE walk.
+func (e *Engine) SetPlannerDisabled(off bool) {
+	e.db.oracle = nil
+	if off {
+		e.db.oracle = (*Database).execSelectEnv
+	}
+}
 
 // SetVectorDisabled forces the row operators even for vector plans.
 func (e *Engine) SetVectorDisabled(off bool) { e.db.vectorOff = off }

@@ -3,7 +3,7 @@ package sqlengine
 import "math"
 
 // Hash-join fast path. findEquiConjunct detects a column=column conjunct
-// in the ON expression (the interpreter per execution, a plan once) and,
+// in the ON expression (a plan once, the test oracle per execution) and,
 // when the key columns have hashable declared types, joinStep builds a
 // hash table over the right input instead of running the O(L×R) nested
 // loop. The build side is always the right input and

@@ -42,26 +42,13 @@ func newOrderedIndex(name, table, column string, unique bool) *OrderedIndex {
 	return &OrderedIndex{Name: name, Table: table, Column: column, Unique: unique}
 }
 
-// cmpKeys is the index's key order: Compare's, except that NaN sorts
-// after +Inf and equals only NaN — under Compare it equals everything,
-// which would leave the keys unsorted and merge a NaN into another key's
-// postings. So -0 and 0 are one key, as they are to =. A comparison error
-// cannot happen for coerced column values and degrades to "equal" if it
-// does.
+// cmpKeys is the index's key order: compareTotal's, so -0 and 0 are one
+// key, as they are to =, and a NaN is one key above +Inf instead of equal
+// to every key, which would leave the keys unsorted and merge it into
+// another key's postings. A comparison error cannot happen for coerced
+// column values and degrades to "equal" if it does.
 func cmpKeys(a, b Value) int {
-	if an, bn := isNaN(a), isNaN(b); an || bn {
-		switch {
-		case an && bn:
-			return 0
-		case an:
-			return 1
-		}
-		return -1
-	}
-	c, err := Compare(a, b)
-	if err != nil {
-		return 0
-	}
+	c, _ := compareTotal(a, b)
 	return c
 }
 

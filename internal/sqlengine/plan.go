@@ -54,12 +54,24 @@ type planOrderKey struct {
 	desc bool
 }
 
-// joinNode is one compiled join step: the right table resolved, its
+// blockSource is one table reference of a block: a base table, or a
+// nested block (a derived table, or a view's body) whose rows are bound
+// under the reference's qualifier, or the error reading the reference
+// raises (an unknown table, a view that reads itself) — at the point the
+// block reads it, not before.
+type blockSource struct {
+	t     *Table
+	sub   *SelectStmt
+	cols  []boundColumn
+	err   error
+	label string // how EXPLAIN names it
+}
+
+// joinNode is one compiled join step: the right source bound, its
 // bindings appended, the ON expression rewritten to ordinals, and the
 // hash-join decision taken at plan time.
 type joinNode struct {
-	t      *Table
-	rcols  []boundColumn
+	src    *blockSource
 	cols   []boundColumn // combined bindings including this join
 	clause JoinClause    // clause with the rewritten ON expression
 	equi   *equiConjunct // the hash join's key; nil: nested loop only
@@ -97,17 +109,14 @@ type accessPath struct {
 // no joins, or one UPDATE/DELETE, finds its rows: the table and its
 // bindings, the access path chooseIndex picks from the WHERE's compiled
 // conjuncts, and the WHERE as kernels when it lies in their error-free
-// class. The row plan, the aggregate plan, DML target selection and the
-// interpreter all read the table through it.
+// class. The block plan, the aggregate plan and DML target selection all
+// read the table through it.
 type tableSource struct {
 	accessPath
 	cols []boundColumn // the table's bindings under its qualifier
-	// where is the WHERE rewritten to ordinals, for the row filter; nil
-	// without a WHERE or when a name in it does not resolve against the
-	// table alone (a correlated subquery).
-	where Expr
-	// pred is where as kernels; nil without a WHERE or when it lies outside
-	// their class.
+	// pred is the WHERE as kernels; nil without a WHERE, when a name in it
+	// does not resolve against the table alone (a correlated subquery) or
+	// when it lies outside their class.
 	pred vecPred
 }
 
@@ -142,7 +151,6 @@ func (d *Database) planSource(tr *TableRef, where Expr, exact bool) *tableSource
 	}
 	s.chooseIndex(compiled)
 	if w, ok := rewriteExpr(where, s.cols); ok {
-		s.where = w
 		s.pred, _ = compileVecPred(w, t)
 	}
 	return s
@@ -179,28 +187,48 @@ func (s *tableSource) explainLines(access string, vector bool, onBindFailure str
 	return lines
 }
 
-// selectPlan is a compiled physical plan for one SELECT: every column
-// reference resolved to a row ordinal, the access path and join
-// strategies chosen, and the projection/order machinery pre-bound. A
-// plan is immutable after construction and is only runnable while the
-// database's schema epoch matches the one it was built against.
+// selectPlan is the compiled physical plan of one SELECT block: every
+// column reference the block binds resolved to a row ordinal, its
+// sources, access path and join strategies chosen, and the stages after
+// the filter — grouping, projection, DISTINCT, order and limit —
+// pre-bound. Every block has one; execPlan runs it. A plan is immutable
+// after construction and is only runnable while the database's schema
+// epoch matches the one it was built against.
 type selectPlan struct {
 	sel   *SelectStmt
 	epoch uint64
 
+	// firstArm is set for a UNION: the head's first arm as a block of its
+	// own (see unionFirstArm); the arms are planned blocks and execUnion
+	// runs them. Nothing below is then set but projCols and explain.
+	firstArm *SelectStmt
+
+	// from is the FROM reference; nil without one (one empty row).
+	from *blockSource
 	// accessPath is src's, widened to an ordered full scan when that
 	// replaces the sort.
 	accessPath
-	// src is the block's source; with joins, the base table's alone, whose
-	// access is a full scan.
+	// src is the source of a FROM that is a base table; with joins, the
+	// base table's alone, whose access is a full scan.
 	src *tableSource
 
 	joins []joinNode
 	cols  []boundColumn // final combined bindings
 
-	where     Expr // rewritten filter, nil when absent
+	where Expr // rewritten filter, nil when absent
+	// whereErr is raised once the sources are read, before any row is
+	// filtered: an aggregate in WHERE.
+	whereErr error
+	// grouped blocks (GROUP BY, HAVING or an aggregate in the select list)
+	// group their filtered rows with execGrouped, which projects, keys and
+	// raises errors as the block's statement text says.
+	grouped bool
+	// projErr is raised once every row is filtered, where the select list
+	// is expanded: `SELECT *` without FROM, `x.*` naming no table.
+	projErr   error
 	projCols  []ResultColumn
 	projExprs []Expr
+	outNames  []string // projCols' names, lower-cased: the select-list aliases
 	// gather lists the base-row ordinals when the plan has no joins and
 	// every projection is a plain column reference (nil otherwise): such
 	// a projection cannot fail, so producers copy cells by ordinal
@@ -210,7 +238,12 @@ type selectPlan struct {
 	gather   []int
 	identity bool
 
-	order          []planOrderKey
+	order []planOrderKey
+	// aliasOrder marks an ORDER BY with a key that may read a select-list
+	// alias: every key is then evaluated as written, by evalOrderKeys with
+	// the row's aliases in scope (order gives only their number and
+	// direction).
+	aliasOrder     bool
 	orderSatisfied bool // access path already yields ORDER BY order
 	// orderCols lists the base column behind each ORDER BY key when the
 	// plan has no joins and every key is one (nil otherwise): what a
@@ -222,111 +255,95 @@ type selectPlan struct {
 	// come from the column chunks (see bindScan).
 	vector bool
 
+	// unbound notes a name the block's bindings do not resolve: a
+	// correlated name, or one that fails when it is evaluated.
+	unbound bool
+
 	explain []string
 }
 
-// streamable reports whether the plan can produce rows incrementally:
-// no joins (the probe side would need full materialisation anyway) and
-// either no ORDER BY or one the access path already satisfies.
+// scansTable reports that the block reads one base table and nothing
+// else: its rows come through bindScan.
+func (p *selectPlan) scansTable() bool { return p.src != nil && len(p.joins) == 0 }
+
+// streamable reports whether the plan can produce rows incrementally: a
+// scan of one table (the probe side of a join would need full
+// materialisation anyway) that binds every name — a statement's unbound
+// name fails, and it fails before a stream opens — projects row by row,
+// and has either no ORDER BY or one the access path already satisfies.
 func (p *selectPlan) streamable() bool {
-	return len(p.joins) == 0 && (len(p.sel.OrderBy) == 0 || p.orderSatisfied)
+	return p.scansTable() && !p.unbound && !p.grouped && !p.sel.Distinct && p.whereErr == nil && p.projErr == nil &&
+		(len(p.sel.OrderBy) == 0 || p.orderSatisfied)
 }
 
-// planSelect compiles a SELECT into a physical plan from the block's
-// source (nil with joins), or returns nil with a reason when the
-// statement is outside the plannable class (the interpreter then runs it,
-// including producing any errors). The caller must hold d.mu for reading.
-func (d *Database) planSelect(sel *SelectStmt, src *tableSource) (*selectPlan, string) {
-	switch {
-	case len(sel.Unions) > 0:
-		return nil, "UNION"
-	case sel.Distinct:
-		return nil, "DISTINCT"
-	case len(sel.GroupBy) > 0 || sel.Having != nil || selectHasAggregate(sel):
-		return nil, "grouping/aggregates"
-	case sel.From == nil:
-		return nil, "no FROM clause"
-	case sel.From.Subquery != nil:
-		return nil, "derived table"
+// planSelect compiles a SELECT block that is not a UNION into its plan.
+// Its derived tables and views must be planned in bps already: their
+// plans give the columns they bind. Planning never fails: what cannot
+// bind — a name that does not resolve, an unknown table, a select list
+// that does not expand — raises its error when the block runs, at the
+// point the statement reaches it. The caller must hold d.mu for reading.
+func (d *Database) planSelect(sel *SelectStmt, bps *blockPlans) *selectPlan {
+	p := &selectPlan{sel: sel, epoch: d.epoch, grouped: len(sel.GroupBy) > 0 || sel.Having != nil || selectHasAggregate(sel)}
+	if sel.From != nil {
+		p.from = d.bindSource(sel.From, bps)
+		p.cols = p.from.cols
+		if p.from.t != nil {
+			where := sel.Where
+			if len(sel.Joins) > 0 {
+				where = nil // the WHERE filters joined rows
+			}
+			p.src = d.planSource(sel.From, where, false)
+			p.accessPath = p.src.accessPath
+		}
 	}
-	if sel.Where != nil && containsAggregate(sel.Where) {
-		return nil, "aggregate in WHERE"
-	}
-	if _, isView := d.views[strings.ToLower(sel.From.Table)]; isView {
-		return nil, "view"
-	}
-	if len(sel.Joins) > 0 {
-		src = d.planSource(sel.From, nil, false) // the WHERE filters joined rows
-	}
-	if src == nil {
-		return nil, "unknown table"
-	}
-	p := &selectPlan{sel: sel, epoch: d.epoch, accessPath: src.accessPath, src: src}
-	cols := src.cols
 
-	// Joins: base tables only, ON rewritten against the combined
-	// bindings, hash strategy detected with the interpreter's own
-	// conjunct finder.
+	// Joins: ON rewritten against the combined bindings, hash strategy
+	// detected with the conjunct finder the oracle uses per execution.
 	for _, j := range sel.Joins {
-		if j.Table == nil || j.Table.Subquery != nil {
-			return nil, "derived join table"
-		}
-		if _, isView := d.views[strings.ToLower(j.Table.Table)]; isView {
-			return nil, "view in join"
-		}
-		jt, err := d.table(j.Table.Table)
-		if err != nil {
-			return nil, "unknown join table"
-		}
-		rcols := columnsOf(jt, j.Table.qualifier())
-		combined := append(append([]boundColumn{}, cols...), rcols...)
-		node := joinNode{t: jt, rcols: rcols, cols: combined, clause: j}
+		src := d.bindSource(j.Table, bps)
+		leftWidth := len(p.cols)
+		p.cols = append(append([]boundColumn{}, p.cols...), src.cols...)
+		node := joinNode{src: src, cols: p.cols, clause: j}
 		if j.On != nil {
-			if k, ok := findEquiConjunct(j.On, &evalEnv{cols: combined}, len(cols)); ok {
+			if k, ok := findEquiConjunct(j.On, &evalEnv{cols: p.cols}, leftWidth); ok {
 				node.equi = &k
 			}
-			on, ok := rewriteExpr(j.On, combined)
-			if !ok {
-				return nil, "unresolvable ON expression"
-			}
-			node.clause.On = on
+			node.clause.On = p.bind(j.On)
 		}
 		p.joins = append(p.joins, node)
-		cols = combined
 	}
-	p.cols = cols
+
+	// WHERE, over the joined row.
+	if sel.Where != nil {
+		if containsAggregate(sel.Where) {
+			p.whereErr = fmt.Errorf("aggregates are not allowed in WHERE")
+		} else {
+			p.where = p.bind(sel.Where)
+		}
+	}
 
 	// Projection: expand stars and rewrite every output expression.
-	env := &evalEnv{cols: cols}
-	projCols, projExprs, err := expandSelectItems(sel, env)
+	projCols, projExprs, err := expandSelectItems(sel, &evalEnv{cols: p.cols})
 	if err != nil {
-		return nil, "unplannable select list"
+		p.projErr = err
 	}
 	p.projCols = projCols
+	if p.grouped || p.projErr != nil {
+		p.explain = p.explainLines()
+		return p // execGrouped projects and orders; a failing list does neither
+	}
 	p.projExprs = make([]Expr, len(projExprs))
 	for i, e := range projExprs {
-		re, ok := rewriteExpr(e, cols)
-		if !ok {
-			return nil, "unresolvable select expression"
-		}
-		p.projExprs[i] = re
+		p.projExprs[i] = p.bind(e)
 	}
 
-	// WHERE: the source's, or with joins over the joined row.
-	p.where = src.where
-	if len(p.joins) > 0 && sel.Where != nil {
-		p.where, _ = rewriteExpr(sel.Where, cols)
-	}
-	if sel.Where != nil && p.where == nil {
-		return nil, "unresolvable WHERE expression"
-	}
-
-	// ORDER BY keys, classified with the interpreter's precedence:
+	// ORDER BY keys, classified with evalOrderKeys' precedence:
 	// ordinals first, then select-list aliases (later duplicates win),
-	// then plain column resolution.
+	// then names resolved against the row.
 	outNames := make(map[string]int, len(projCols))
 	for i, c := range projCols {
-		outNames[strings.ToLower(c.Name)] = i
+		p.outNames = append(p.outNames, strings.ToLower(c.Name))
+		outNames[p.outNames[i]] = i
 	}
 	for _, oi := range sel.OrderBy {
 		if ord, ok := ordinalRef(oi.Expr, len(projExprs)); ok {
@@ -339,27 +356,20 @@ func (d *Database) planSelect(sel *SelectStmt, src *tableSource) (*selectPlan, s
 				continue
 			}
 		}
-		// Complex keys that could observe the select-list alias scope
-		// (or a correlated alias via a subquery) keep interpreter
-		// semantics by refusing to plan.
-		if exprHasSubquery(oi.Expr) {
-			return nil, "subquery in ORDER BY"
+		if exprHasSubquery(oi.Expr) || refsAnyUnqualified(oi.Expr, outNames) {
+			// A key that may read a select-list alias — an unqualified name of
+			// one, or a subquery, whose names reach this block's scope.
+			p.aliasOrder = true
+			p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: oi.Expr, desc: oi.Desc})
+			continue
 		}
-		if refsAnyUnqualified(oi.Expr, outNames) {
-			return nil, "ORDER BY references select-list alias"
-		}
-		re, ok := rewriteExpr(oi.Expr, cols)
-		if !ok {
-			return nil, "unresolvable ORDER BY expression"
-		}
-		p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: re, desc: oi.Desc})
+		p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: p.bind(oi.Expr), desc: oi.Desc})
 	}
 
-	// Access path: the source's, for join-free statements (with joins the
-	// interpreter scans too, so parity is free). Without a predicate-based
-	// access, a single-key ORDER BY over an ordered index can still replace
-	// the sort with an index-ordered full scan.
-	if len(p.joins) == 0 {
+	// A scan of one table: gather, top-K and the index order. Without a
+	// predicate-based access, a single-key ORDER BY over an ordered index
+	// can replace the sort with an index-ordered full scan.
+	if p.scansTable() && p.whereErr == nil {
 		t := p.t
 		p.gather = gatherList(p.projExprs, t)
 		p.identity = len(p.gather) == len(t.Columns)
@@ -367,7 +377,10 @@ func (d *Database) planSelect(sel *SelectStmt, src *tableSource) (*selectPlan, s
 			p.identity = p.identity && c == i
 		}
 		p.orderCols = p.orderColumns()
-		single := len(p.orderCols) == 1
+		// DISTINCT keeps the first of equal rows in row-ID order, with that
+		// row's keys, so its input stays in row-ID order and its output is
+		// sorted.
+		single := len(p.orderCols) == 1 && !sel.Distinct
 		if single && p.access == accessFullScan {
 			if ix := indexOn(t, p.orderCols[0]); ix != nil {
 				p.access, p.ix, p.keyCol = accessOrderedScan, ix, p.orderCols[0]
@@ -383,10 +396,49 @@ func (d *Database) planSelect(sel *SelectStmt, src *tableSource) (*selectPlan, s
 		// Columnar annotation: a full scan whose WHERE the kernels take whole
 		// scans chunk at a time. Index accesses stay on their row IDs —
 		// already narrowed and, for ordered scans, not in chunk order.
-		p.vector = p.access == accessFullScan && (src.pred != nil || sel.Where == nil && p.gather != nil)
+		p.vector = p.access == accessFullScan && (p.src.pred != nil || sel.Where == nil && p.gather != nil)
 	}
 	p.explain = p.explainLines()
-	return p, ""
+	return p
+}
+
+// bind rewrites an expression of the block against its bindings (see
+// rewriteExpr), noting a name that stays unbound.
+func (p *selectPlan) bind(e Expr) Expr {
+	re, ok := rewriteExpr(e, p.cols)
+	p.unbound = p.unbound || !ok
+	return re
+}
+
+// bindSource binds one table reference of a block. A view's body and a
+// derived table are blocks planned before the one reading them, and the
+// columns their plans project are what the reference binds; a view being
+// planned further up reads itself, which is an error when it runs.
+func (d *Database) bindSource(tr *TableRef, bps *blockPlans) *blockSource {
+	sub, alias, label := tr.Subquery, tr.Alias, "derived table "+tr.Alias
+	if v, ok := d.views[strings.ToLower(tr.Table)]; ok && sub == nil {
+		sub, label = v.Select, "view "+v.Name
+		if alias == "" {
+			alias = v.Name
+		}
+	}
+	if sub != nil {
+		inner := bps.m[sub]
+		if inner == nil || inner.plan == nil {
+			return &blockSource{err: fmt.Errorf("%s reads itself", label), label: label}
+		}
+		qual := strings.ToLower(alias)
+		cols := make([]boundColumn, len(inner.plan.projCols))
+		for i, c := range inner.plan.projCols {
+			cols[i] = boundColumn{qualifier: qual, name: strings.ToLower(c.Name), typ: c.Type, origName: c.Name}
+		}
+		return &blockSource{sub: sub, cols: cols, label: label}
+	}
+	t, err := d.table(tr.Table)
+	if err != nil {
+		return &blockSource{err: err, label: fmt.Sprintf("%q", tr.Table)}
+	}
+	return &blockSource{t: t, cols: columnsOf(t, tr.qualifier()), label: fmt.Sprintf("%q", t.Name)}
 }
 
 // gatherList reports the base-column ordinals when every projection is
@@ -449,7 +501,7 @@ func collectConjuncts(e Expr, out *[]Expr) {
 // subquery and no aggregate. Such an expression is a constant of one
 // execution — evalConst computes it from the parameters alone, and when
 // it fails to, the statement takes the row path, which evaluates it per
-// row as the interpreter does.
+// row.
 func constExpr(e Expr) bool {
 	switch n := e.(type) {
 	case *ColumnExpr, *boundColExpr:
@@ -570,118 +622,59 @@ func indexOn(t *Table, col int) *OrderedIndex {
 }
 
 // rewriteExpr compiles an expression against fixed bindings: every
-// resolvable column reference becomes a row-ordinal boundColExpr.
-// Subquery interiors are left untouched — they resolve at run time
-// through the environment chain, exactly as interpreted execution does.
-// The original tree is never mutated (plans share ASTs with the cache
-// and the interpreter), so every rewritten node is a copy. ok=false
-// means a reference did not resolve cleanly and the statement must stay
-// on the interpreter.
+// column reference that resolves becomes a row-ordinal boundColExpr. A
+// reference that does not — a correlated name, or one unknown or
+// ambiguous — stays a ColumnExpr, which lookupColumn resolves through the
+// environment chain when it is evaluated, raising the error it raises
+// then; ok=false reports that one stayed. Subquery interiors are left
+// untouched: they are blocks of their own. The original tree is never
+// mutated (plans share ASTs with the cache), so every rewritten node is a
+// copy.
 func rewriteExpr(e Expr, cols []boundColumn) (Expr, bool) {
+	ok := true
 	env := &evalEnv{cols: cols}
-	switch n := e.(type) {
-	case nil:
-		return nil, true
-	case *LiteralExpr, *ParamExpr, *SubqueryExpr, *ExistsExpr:
-		return e, true
-	case *ColumnExpr:
-		i, err := env.resolve(n.Table, n.Column)
-		if err != nil {
-			return nil, false
-		}
-		return &boundColExpr{idx: i}, true
-	case *boundColExpr:
-		return e, true
-	case *BinaryExpr:
-		l, ok := rewriteExpr(n.Left, cols)
-		if !ok {
-			return nil, false
-		}
-		r, ok := rewriteExpr(n.Right, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BinaryExpr{Op: n.Op, Left: l, Right: r}, true
-	case *UnaryExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &UnaryExpr{Op: n.Op, Operand: op}, true
-	case *IsNullExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &IsNullExpr{Operand: op, Negate: n.Negate}, true
-	case *InExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		list := make([]Expr, len(n.List))
-		for i, it := range n.List {
-			re, ok := rewriteExpr(it, cols)
-			if !ok {
-				return nil, false
+	var rw func(Expr) Expr
+	rw = func(e Expr) Expr {
+		switch n := e.(type) {
+		case *ColumnExpr:
+			i, err := env.resolve(n.Table, n.Column)
+			if err != nil {
+				ok = false
+				return e
 			}
-			list[i] = re
-		}
-		return &InExpr{Operand: op, List: list, Subquery: n.Subquery, Negate: n.Negate}, true
-	case *BetweenExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := rewriteExpr(n.Lo, cols)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := rewriteExpr(n.Hi, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BetweenExpr{Operand: op, Lo: lo, Hi: hi, Negate: n.Negate}, true
-	case *FuncExpr:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			re, ok := rewriteExpr(a, cols)
-			if !ok {
-				return nil, false
+			return &boundColExpr{idx: i}
+		case *BinaryExpr:
+			return &BinaryExpr{Op: n.Op, Left: rw(n.Left), Right: rw(n.Right)}
+		case *UnaryExpr:
+			return &UnaryExpr{Op: n.Op, Operand: rw(n.Operand)}
+		case *IsNullExpr:
+			return &IsNullExpr{Operand: rw(n.Operand), Negate: n.Negate}
+		case *InExpr:
+			list := make([]Expr, len(n.List))
+			for i, it := range n.List {
+				list[i] = rw(it)
 			}
-			args[i] = re
-		}
-		return &FuncExpr{Name: n.Name, Args: args, Star: n.Star, Distinct: n.Distinct}, true
-	case *CaseExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		els, ok := rewriteExpr(n.Else, cols)
-		if !ok {
-			return nil, false
-		}
-		whens := make([]CaseWhen, len(n.Whens))
-		for i, w := range n.Whens {
-			wc, ok := rewriteExpr(w.When, cols)
-			if !ok {
-				return nil, false
+			return &InExpr{Operand: rw(n.Operand), List: list, Subquery: n.Subquery, Negate: n.Negate}
+		case *BetweenExpr:
+			return &BetweenExpr{Operand: rw(n.Operand), Lo: rw(n.Lo), Hi: rw(n.Hi), Negate: n.Negate}
+		case *FuncExpr:
+			args := make([]Expr, len(n.Args))
+			for i, a := range n.Args {
+				args[i] = rw(a)
 			}
-			wt, ok := rewriteExpr(w.Then, cols)
-			if !ok {
-				return nil, false
+			return &FuncExpr{Name: n.Name, Args: args, Star: n.Star, Distinct: n.Distinct}
+		case *CaseExpr:
+			whens := make([]CaseWhen, len(n.Whens))
+			for i, w := range n.Whens {
+				whens[i] = CaseWhen{When: rw(w.When), Then: rw(w.Then)}
 			}
-			whens[i] = CaseWhen{When: wc, Then: wt}
+			return &CaseExpr{Operand: rw(n.Operand), Whens: whens, Else: rw(n.Else)}
+		case *CastExpr:
+			return &CastExpr{Operand: rw(n.Operand), Target: n.Target}
 		}
-		return &CaseExpr{Operand: op, Whens: whens, Else: els}, true
-	case *CastExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &CastExpr{Operand: op, Target: n.Target}, true
+		return e // nil, a literal, a parameter, a subquery, a bound column
 	}
-	return nil, false
+	return rw(e), ok
 }
 
 // forEachSubquery calls f for every SELECT nested directly in the
@@ -700,8 +693,8 @@ func exprHasSubquery(e Expr) bool {
 
 // refsAnyUnqualified reports whether the tree, outside its subqueries,
 // contains an unqualified column reference whose name appears in the
-// given set — the shape that would resolve to a select-list alias in
-// interpreted ORDER BY.
+// given set — the shape that resolves to a select-list alias in ORDER
+// BY.
 func refsAnyUnqualified(e Expr, names map[string]int) bool {
 	if ce, ok := e.(*ColumnExpr); ok && ce.Table == "" {
 		_, found := names[strings.ToLower(ce.Column)]
@@ -747,10 +740,21 @@ func (p *accessPath) describe() string {
 }
 
 // explainLines renders the plan node tree for EXPLAIN and daisql
-// -explain: access path, pushed-down bounds, join strategy, filter,
-// projection width, order strategy and limit handling.
+// -explain: the source and its access path, join strategies, filter,
+// grouping or projection width, DISTINCT, order strategy and limit
+// handling.
 func (p *selectPlan) explainLines() []string {
-	lines := append([]string{fmt.Sprintf("select on %q", p.t.Name)}, p.src.explainLines(p.describe(), p.vector, "row fallback")...)
+	var lines []string
+	switch {
+	case p.firstArm != nil:
+		lines = []string{fmt.Sprintf("select: union of %d arms", len(p.sel.Unions)+1)}
+	case p.src != nil:
+		lines = append([]string{fmt.Sprintf("select on %q", p.t.Name)}, p.src.explainLines(p.describe(), p.vector, "row fallback")...)
+	case p.from != nil:
+		lines = []string{"select on " + p.from.label}
+	default:
+		lines = []string{"select: no FROM (one empty row)"}
+	}
 	for _, j := range p.joins {
 		strategy := "nested loop"
 		if j.equi != nil {
@@ -765,7 +769,7 @@ func (p *selectPlan) explainLines() []string {
 		case JoinCross:
 			kind = "cross"
 		}
-		lines = append(lines, fmt.Sprintf("  join: %s %s %q", kind, strategy, j.t.Name))
+		lines = append(lines, fmt.Sprintf("  join: %s %s %s", kind, strategy, j.src.label))
 	}
 	switch {
 	case p.vector: // the source's lines say it
@@ -774,17 +778,33 @@ func (p *selectPlan) explainLines() []string {
 	case p.where != nil:
 		lines = append(lines, "  filter: predicate per row")
 	}
-	if p.vector && p.gather != nil {
+	for _, err := range []error{p.whereErr, p.projErr} {
+		if err != nil {
+			lines = append(lines, "  fails when run: "+err.Error())
+		}
+	}
+	switch {
+	case p.firstArm != nil || p.projErr != nil:
+	case p.grouped:
+		lines = append(lines, fmt.Sprintf("  group: %d key(s), aggregates per group row", len(p.sel.GroupBy)))
+		if p.sel.Having != nil {
+			lines = append(lines, "  having: per group")
+		}
+	case p.vector && p.gather != nil:
 		lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.gather)))
-	} else {
+	default:
 		lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
 	}
-	if len(p.order) > 0 {
-		if p.orderSatisfied {
+	if p.sel.Distinct {
+		lines = append(lines, "  distinct: first of equal rows")
+	}
+	if n := len(p.sel.OrderBy); n > 0 {
+		switch {
+		case p.orderSatisfied:
 			lines = append(lines, "  order: satisfied by index (no sort)")
-		} else {
-			lines = append(lines, fmt.Sprintf("  order: sort on %d key(s)", len(p.order)))
-			if p.vector && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil {
+		default:
+			lines = append(lines, fmt.Sprintf("  order: sort on %d key(s)", n))
+			if p.vector && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil && !p.sel.Distinct {
 				lines = append(lines, fmt.Sprintf("  order: bounded top-K when OFFSET+LIMIT <= %d", chunkRows))
 			}
 		}
@@ -822,25 +842,19 @@ func (d *Database) zoneMapLine(s *tableSource) string {
 	return fmt.Sprintf("  vector zone maps: %d/%d chunks skippable", skipped, n)
 }
 
-// explainSelect renders one block's plan — or why it is interpreted —
-// and, indented under a label each, the blocks nested directly in it.
-// open holds the blocks being rendered further up, so a view that reads
-// itself ends the listing instead of the stack.
+// explainSelect renders one block's plan and, indented under a label
+// each, the blocks nested directly in it. open holds the blocks being
+// rendered further up, so a view that reads itself ends the listing
+// instead of the stack.
 func (d *Database) explainSelect(st *SelectStmt, bps *blockPlans, open map[*SelectStmt]bool) []string {
 	bp := bps.m[st]
 	var lines []string
-	switch {
-	case bp.plan != nil:
+	if bp.agg != nil {
+		lines = append(lines, bp.agg.explain...)
+	} else {
 		lines = append(lines, bp.plan.explain...)
 		if p := bp.plan; p.vector && p.src.pred != nil {
 			lines = append(lines, d.zoneMapLine(p.src))
-		}
-	case bp.agg != nil:
-		lines = append(lines, bp.agg.explain...)
-	default:
-		lines = append(lines, "select: interpreted ("+bp.reason+")")
-		if bp.src != nil {
-			lines = append(lines, bp.src.explainLines(bp.src.describe(), false, "")...)
 		}
 	}
 	open[st] = true
@@ -859,13 +873,12 @@ func (d *Database) explainSelect(st *SelectStmt, bps *blockPlans, open map[*Sele
 }
 
 // explainStatement describes any statement for EXPLAIN. SELECTs compile
-// fresh plans for every block (or report why one cannot); everything
-// else names the interpreted path it takes. Caller must hold d.mu for
-// reading.
+// fresh plans for every block; everything else names the path it takes.
+// Caller must hold d.mu for reading.
 func (d *Database) explainStatement(st Statement) []string {
 	switch n := st.(type) {
 	case *SelectStmt:
-		return d.explainSelect(n, d.planBlocks(n), map[*SelectStmt]bool{})
+		return d.explainSelect(n, d.planStatement(n), map[*SelectStmt]bool{})
 	case *InsertStmt:
 		return []string{fmt.Sprintf("insert into %q (interpreted)", n.Table)}
 	case *UpdateStmt:

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -11,8 +12,8 @@ import (
 // comparableWith reports whether Compare is defined between a bound
 // value's type and the key column's type (Compare's own rule: any
 // numeric mix, otherwise identical types). Incomparable bounds widen to
-// a full scan so the row-level filter reproduces the interpreter's
-// comparison error.
+// a full scan so the row-level filter raises the comparison error a walk
+// of the table would.
 func comparableWith(v Value, colType Type) bool {
 	if v.Type.isNumeric() && colType.isNumeric() {
 		return true
@@ -22,12 +23,13 @@ func comparableWith(v Value, colType Type) bool {
 
 // probeValue evaluates a point key or a range bound for one execution.
 // ok=false — it fails to evaluate, is NULL, is a value Compare cannot
-// order against the key column, or (for exact paths, see
-// accessPath.exact) is DOUBLE — widens the access, and the filter
-// settles it.
+// order against the key column, is NaN (which Compare finds equal to
+// every number, and the index's key order to none but NaN), or (for
+// exact paths, see accessPath.exact) is DOUBLE — widens the access, and
+// the filter settles it.
 func (p *accessPath) probeValue(e Expr, params []Value) (Value, bool) {
 	v, ok := evalConst(e, params)
-	if !ok || v.IsNull() || !comparableWith(v, p.t.Columns[p.keyCol].Type) || p.exact && v.Type == TypeDouble {
+	if !ok || v.IsNull() || isNaN(v) || !comparableWith(v, p.t.Columns[p.keyCol].Type) || p.exact && v.Type == TypeDouble {
 		return Null, false
 	}
 	return v, true
@@ -67,8 +69,8 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 // re-applies the full WHERE predicate, so a superset access path is
 // exactly as correct as the narrowed one. When the plan's ORDER BY is
 // index-satisfied the widened scan still iterates the ordered index so
-// row order is preserved; otherwise row IDs are ascending, matching the
-// interpreter's scan order.
+// row order is preserved; otherwise row IDs are ascending, a walk's scan
+// order.
 //
 // filtered reports that the IDs are exactly the rows WHERE accepts, so
 // the caller skips the predicate: the clause is nothing but the range
@@ -125,8 +127,10 @@ func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 
 // rowScan is what a plan does with each segment of its input rows: the
 // filter, unless the kernels or the access path already applied it, then
-// the projection and, when the plan sorts, the ORDER BY keys. A bounded
-// top-K (top) takes the kernels' rows instead (topRows.scan).
+// the projection and, when the plan sorts, the ORDER BY keys — or, when
+// the plan groups or its select list does not expand (collect), nothing
+// but keeping the rows that passed. A bounded top-K (top) takes the
+// kernels' rows instead (topRows.scan).
 type rowScan struct {
 	env   *evalEnv
 	where Expr // nil: every input row survives
@@ -138,17 +142,25 @@ type rowScan struct {
 	identity bool
 	slab     *rowSlab
 	order    []planOrderKey // nil when the plan does not sort
+	aliased  []OrderItem    // the statement's ORDER BY when a key may read an alias
+	names    []string       // the plan's outNames, the aliases' names
 	keys     [][]Value      // order's values, one row of keys per output row
 	top      *topRows
+	collect  bool
+	kept     [][]Value // collect's rows
 }
 
 // rowScan returns the per-segment work of one execution. A materialised
 // result owns its rows, so only a stream hands out the stored images an
 // identity projection selects.
 func (p *selectPlan) rowScan(env *evalEnv, streaming bool) *rowScan {
-	sc := &rowScan{env: env, where: p.where, exprs: p.projExprs, gather: p.gather, identity: streaming && p.identity}
+	sc := &rowScan{env: env, where: p.where, exprs: p.projExprs, gather: p.gather, identity: streaming && p.identity,
+		names: p.outNames, collect: p.grouped || p.projErr != nil}
 	if len(p.order) > 0 && !p.orderSatisfied {
 		sc.order = p.order
+		if p.aliasOrder {
+			sc.aliased = p.sel.OrderBy
+		}
 	}
 	return sc
 }
@@ -156,9 +168,9 @@ func (p *selectPlan) rowScan(env *evalEnv, streaming bool) *rowScan {
 // segment runs input rows into the sink — a filter pass over all of
 // them, then a projection pass — and closes the segment. A row therefore
 // fails its projection only once every row of the segment has passed the
-// filter: the interpreter's order when the segment is the whole input,
-// and the same order under the kernels, which cannot fail. rows is
-// filtered in place.
+// filter: the statement's order when the segment is the whole input, and
+// the same order under the kernels, which cannot fail. rows is filtered
+// in place.
 func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 	env := sc.env
 	if sc.where != nil {
@@ -181,6 +193,10 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 			}
 		}
 		rows = kept
+	}
+	if sc.collect {
+		sc.kept = append(sc.kept, rows...)
+		return k.endSegment()
 	}
 	k.upper = len(rows)
 	for _, r := range rows {
@@ -212,25 +228,47 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 			}
 		}
 		if sc.order != nil {
-			keys := make([]Value, len(sc.order))
-			for i, o := range sc.order {
-				if o.kind == orderKeyProjected {
-					keys[i] = out[o.idx]
-					continue
-				}
-				v, err := eval(o.expr, env)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
+			if err := sc.orderKeys(out); err != nil {
+				return err
 			}
-			sc.keys = append(sc.keys, keys)
 		}
 		if err := k.emit(out); err != nil {
 			return err
 		}
 	}
 	return k.endSegment()
+}
+
+// orderKeys computes the ORDER BY keys of one projected row, env.row
+// being its input row. When a key may read a select-list alias, every key
+// is evaluated as the statement states it, with the row's aliases in
+// scope (later duplicates win).
+func (sc *rowScan) orderKeys(out []Value) error {
+	env := sc.env
+	if sc.aliased != nil {
+		env.aliases = make(map[string]Value, len(out))
+		for c, name := range sc.names {
+			env.aliases[name] = out[c]
+		}
+		keys, err := evalOrderKeys(sc.aliased, env, out)
+		env.aliases = nil
+		sc.keys = append(sc.keys, keys)
+		return err
+	}
+	keys := make([]Value, len(sc.order))
+	for i, o := range sc.order {
+		if o.kind == orderKeyProjected {
+			keys[i] = out[o.idx]
+			continue
+		}
+		v, err := eval(o.expr, env)
+		if err != nil {
+			return err
+		}
+		keys[i] = v
+	}
+	sc.keys = append(sc.keys, keys)
+	return nil
 }
 
 // bindScan binds a join-free plan's scan for one execution and returns
@@ -283,37 +321,54 @@ func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() er
 	}
 }
 
-// execPlan runs a compiled plan: its scan into a sink with no channel and
-// no LIMIT (a plan with joins hands its joined rows to the same rowScan
-// as one segment), the sort unless the access path or a bounded top-K
-// ordered the rows, then OFFSET/LIMIT — with the interpreter's operation
-// order and error surface. env is the block's fresh environment (see
+// execPlan runs a block's plan: its sources and joins (or, for a scan of
+// one table, bindScan) into a sink with no channel and no LIMIT, then the
+// stages the block has — grouping, DISTINCT, the sort unless the access
+// path or a bounded top-K ordered the rows, OFFSET/LIMIT — in the
+// statement's operation order and with its error surface. A UNION runs
+// its arms through execUnion. env is the block's fresh environment (see
 // runSelect) and becomes its row environment; its outer scope and plans
-// are what the plan's subquery expressions evaluate through. The caller
-// holds d.mu for reading and has verified p.epoch == d.epoch.
+// are what the plan's subquery expressions and unbound names evaluate
+// through. The caller holds d.mu for reading and has verified p.epoch ==
+// d.epoch.
 func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
+	if p.firstArm != nil {
+		return d.execUnion(p.sel, p.firstArm, env)
+	}
 	env.cols = p.cols
 	k := &streamSink{ctx: env.ctx, limit: -1}
 	sc := p.rowScan(env, false)
 	var err error
-	if len(p.joins) > 0 {
+	if p.scansTable() && p.whereErr == nil {
+		err = d.bindScan(p, sc, k)()
+	} else {
 		var rows [][]Value
 		if rows, err = d.joinedRows(p, env); err == nil {
-			err = sc.segment(k, rows)
+			if err = p.whereErr; err == nil {
+				err = sc.segment(k, rows)
+			}
 		}
-	} else {
-		err = d.bindScan(p, sc, k)()
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := &ResultSet{Columns: p.projCols, Rows: k.batch}
+	out, keys := &ResultSet{Columns: p.projCols, Rows: k.batch}, sc.keys
 	switch {
+	case p.projErr != nil:
+		return nil, p.projErr
+	case p.grouped:
+		if out, keys, err = d.execGrouped(p.sel, sc.kept, env); err != nil {
+			return nil, err
+		}
 	case sc.top != nil:
 		out.Rows = sc.top.rows(p.gather)
 		return out, nil
-	case sc.order != nil:
-		if err := sortRows(out, sc.keys, p.sel.OrderBy); err != nil {
+	}
+	if p.sel.Distinct {
+		out.Rows, keys = distinctRows(out.Rows, keys)
+	}
+	if len(p.sel.OrderBy) > 0 && !p.orderSatisfied {
+		if err := sortRows(out, keys, p.sel.OrderBy); err != nil {
 			return nil, err
 		}
 	}
@@ -323,23 +378,49 @@ func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
 	return out, nil
 }
 
-// joinedRows runs a plan's joins over its base table, each through
-// joinStep with the key found at plan time.
+// joinedRows reads a plan's FROM — one empty row without one — and runs
+// its joins over it, each right source read in its turn and joined
+// through joinStep with the key found at plan time.
 func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
-	rows := p.t.liveRows()
-	leftWidth := len(p.t.Columns)
+	if p.from == nil {
+		return [][]Value{nil}, nil
+	}
+	rows, err := d.sourceRows(p.from, env)
+	if err != nil {
+		return nil, err
+	}
+	leftWidth := len(p.from.cols)
 	for i := range p.joins {
 		j := &p.joins[i]
-		right := j.t.liveRows()
+		right, err := d.sourceRows(j.src, env)
+		if err != nil {
+			return nil, err
+		}
 		joinEnv := env.nested(env.outer)
 		joinEnv.cols = j.cols
-		var err error
-		if rows, err = joinStep(rows, right, joinEnv, leftWidth, j.rcols, j.clause, j.equi); err != nil {
+		if rows, err = joinStep(rows, right, joinEnv, leftWidth, j.src.cols, j.clause, j.equi); err != nil {
 			return nil, err
 		}
 		leftWidth = len(j.cols)
 	}
 	return rows, nil
+}
+
+// sourceRows reads one table reference for one execution: every live row
+// of a base table, or the rows of a nested block, run with the block's
+// outer scope as its own (a derived table sees what the block sees).
+func (d *Database) sourceRows(s *blockSource, env *evalEnv) ([][]Value, error) {
+	switch {
+	case s.err != nil:
+		return nil, s.err
+	case s.sub != nil:
+		set, err := d.runSelect(s.sub, env.nested(env.outer))
+		if err != nil {
+			return nil, err
+		}
+		return set.Rows, nil
+	}
+	return s.t.liveRows(), nil
 }
 
 // offsetLimit evaluates a block's OFFSET and LIMIT, row-independent
@@ -360,9 +441,9 @@ func offsetLimit(sel *SelectStmt, env *evalEnv) (offset, limit int, err error) {
 }
 
 // applyOffsetLimit trims a materialised result per OFFSET/LIMIT,
-// evaluated after projection and ordering exactly as the interpreter
-// does — no early termination, so evaluation errors surface for the
-// same inputs. Every executor that materialises ends with it.
+// evaluated after projection and ordering — no early termination, so
+// evaluation errors surface for the same inputs as without a LIMIT. Every
+// block that materialises ends with it.
 func applyOffsetLimit(out *ResultSet, sel *SelectStmt, env *evalEnv) error {
 	offset, limit, err := offsetLimit(sel, env)
 	if err != nil {
@@ -382,9 +463,10 @@ func applyOffsetLimit(out *ResultSet, sel *SelectStmt, env *evalEnv) error {
 // topRows is the bounded ORDER BY ... LIMIT: instead of projecting,
 // keying and stable-sorting every selected row, it keeps in a heap the
 // OFFSET+LIMIT row images that sort first, keyed by their own cells, and
-// projects only the winners. A row is (image, row ID) and ties go to the
-// lower ID — the earlier row in scan order — so the outcome is sortRows'
-// (a stable sort) exactly, in whatever order scan visits the pages.
+// projects only the winners. A row is (image, row ID), keys compare in
+// the total order (a NaN after +Inf), and ties go to the lower ID — the
+// earlier row in scan order — so the outcome is sortRows' (a stable sort)
+// exactly, in whatever order scan visits the pages.
 type topRows struct {
 	cols          []int  // key columns, one per ORDER BY item
 	desc          []bool // per key
@@ -398,27 +480,18 @@ type topRow struct {
 }
 
 // topRows returns the bounded sorter when the plan admits one, else nil
-// and execPlan sorts as ever: the projection is a gather (so no row
-// outside the winners could have failed to project), every key is a base
-// column, OFFSET and LIMIT evaluate — an error there must surface after
-// the scan, where applyOffsetLimit raises it — to no more than chunkRows
-// rows together, and no chunk of a key column holds a NaN, which Compare
-// finds equal to everything and a stable sort therefore orders by its own
-// merge pattern, not by any rule a heap could follow.
+// and execPlan sorts as ever: the block is not DISTINCT, the projection
+// is a gather (so no row outside the winners could have failed to
+// project), every key is a base column, and OFFSET and LIMIT evaluate —
+// an error there must surface after the scan, where applyOffsetLimit
+// raises it — to no more than chunkRows rows together.
 func (p *selectPlan) topRows(env *evalEnv) *topRows {
-	if p.gather == nil || p.orderCols == nil || p.sel.Limit == nil {
+	if p.sel.Distinct || p.gather == nil || p.orderCols == nil || p.sel.Limit == nil {
 		return nil
 	}
 	offset, limit, err := offsetLimit(p.sel, env)
 	if err != nil || offset > chunkRows || limit > chunkRows-offset {
 		return nil
-	}
-	for _, ch := range p.t.pages {
-		for _, c := range p.orderCols {
-			if ch != nil && ch.vecs[c].hasNaN {
-				return nil
-			}
-		}
 	}
 	t := &topRows{cols: p.orderCols, offset: offset, limit: limit}
 	for _, k := range p.order {
@@ -480,15 +553,21 @@ func (q *seedPages) Pop() any {
 }
 
 // bound is the first key that sorts first of any row of a page, from its
-// zone map: the max under DESC and the min under ASC, or NULL when a key
-// is NULL under ASC (where NULL sorts first) or every key is under DESC.
+// zone map, whose min and max leave NaN out: under DESC a NaN when the
+// page holds one (NaN sorts last), else the max, or NULL when every key
+// is; under ASC NULL when a key is (NULL sorts first), else the min, or a
+// NaN when every key is one.
 func (t *topRows) bound(ch *colChunk) Value {
 	v := &ch.vecs[t.cols[0]]
 	switch {
+	case t.desc[0] && v.hasNaN:
+		return NewDouble(math.NaN())
 	case t.desc[0] && v.statN > 0:
 		return v.max
 	case t.desc[0] || v.nonNull < ch.n:
 		return Null
+	case v.statN == 0:
+		return NewDouble(math.NaN())
 	}
 	return v.min
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -38,8 +39,8 @@ func planEngine(t testing.TB, rows int) *Engine {
 // through both executors. Range predicates in every direction, flipped
 // operands, BETWEEN, parameters, ORDER BY (indexed, unindexed, DESC,
 // multi-key, ordinal) with LIMIT/OFFSET, point lookups, joins,
-// aggregates and subqueries (which fall back to the interpreter), and
-// statements that must fail with identical errors.
+// aggregates and subqueries, and statements that must fail with
+// identical errors.
 var planCorpus = []struct {
 	sql    string
 	params []Value
@@ -79,21 +80,22 @@ var planCorpus = []struct {
 	{sql: `SELECT id FROM rng WHERE k IN (SELECT k FROM rng WHERE id < 5) ORDER BY id`},
 	// Nested blocks take the same access paths: an index range inside a
 	// derived table, a point lookup inside a scalar subquery, UNION arms,
-	// a correlated subquery (interpreted), computed predicates and
+	// a correlated subquery, computed predicates and
 	// aggregate arguments.
 	{sql: `SELECT x.k, COUNT(*) FROM (SELECT id, k FROM rng WHERE k >= 3 AND k < 9) x GROUP BY x.k ORDER BY 1`},
 	{sql: `SELECT x.id, r.s FROM (SELECT id FROM rng WHERE k = ?) x JOIN rng r ON x.id = r.id`, params: []Value{NewInt(5)}},
 	{sql: `SELECT id, (SELECT s FROM rng WHERE id = 42) FROM rng WHERE id < 3`},
 	{sql: `SELECT id FROM rng WHERE k > 17 UNION SELECT id FROM rng WHERE k < 1 ORDER BY 1`},
 	{sql: `SELECT id FROM rng WHERE k > 17 UNION ALL SELECT k FROM rng WHERE id = 3 UNION ALL SELECT COUNT(*) FROM rng`},
+	{sql: `SELECT id FROM rng WHERE k > 17 UNION SELECT id FROM rng WHERE k < 1 ORDER BY 1 LIMIT (SELECT COUNT(*) FROM rng WHERE id < 4)`},
 	{sql: `SELECT id FROM rng o WHERE k = (SELECT MAX(k) FROM rng i WHERE i.id < o.id) ORDER BY id LIMIT 9`},
 	{sql: `SELECT id FROM rng WHERE k_noix + id > 100 AND id % 2 = 1`},
 	{sql: `SELECT SUM(k + id), AVG(d * 2), MIN(-k) FROM rng WHERE k_noix > 3`},
 	{sql: `SELECT k, SUM(id / k) FROM rng GROUP BY k ORDER BY 1`},
 	{sql: `SELECT id, k_noix FROM rng ORDER BY k_noix DESC, id LIMIT 6 OFFSET 2`},
-	// Interpreted blocks read through the access path as well: DISTINCT,
-	// HAVING and a grouped ORDER BY by name over a hash point, an ordered
-	// point and an ordered range, then parameters that widen each one.
+	// Every block reads through the access path: DISTINCT, HAVING and a
+	// grouped ORDER BY by name over a hash point, an ordered point and an
+	// ordered range, then parameters that widen each one.
 	{sql: `SELECT DISTINCT k FROM rng WHERE id = 42`},
 	{sql: `SELECT DISTINCT s FROM rng WHERE k = 5 ORDER BY s`},
 	{sql: `SELECT DISTINCT id, k FROM rng WHERE k BETWEEN 6 AND 9`},
@@ -108,8 +110,26 @@ var planCorpus = []struct {
 	{sql: `SELECT k, COUNT(*) FROM rng WHERE k >= ? GROUP BY k HAVING COUNT(*) > 1 ORDER BY 1`, params: []Value{NewDouble(6.5)}},
 	{sql: `SELECT k, COUNT(*) FROM rng WHERE id = ? GROUP BY k ORDER BY k`, params: []Value{NewDouble(6.5)}},
 	{sql: `SELECT DISTINCT k FROM rng WHERE k BETWEEN ? AND 9`, params: []Value{Null}},
+	// DISTINCT keeps the first of equal rows in row-ID order, with that
+	// row's ORDER BY key, however the key column is indexed.
+	{sql: `SELECT DISTINCT s FROM rng ORDER BY k`},
+	{sql: `SELECT DISTINCT s FROM rng WHERE k BETWEEN 2 AND 9 ORDER BY k DESC`},
+	{sql: `SELECT DISTINCT s FROM rng WHERE k = 4 ORDER BY k`},
 	// Failures must match byte for byte too.
 	{sql: `SELECT id FROM rng WHERE k < 'abc'`},
+	// A block that cannot bind fails when it runs, where the oracle fails,
+	// and a subquery that never runs never fails.
+	{sql: `SELECT id FROM nosuch`},
+	{sql: `SELECT a.id FROM (SELECT id FROM rng WHERE 1/(id - 5) > 0) a JOIN nosuch b ON a.id = b.id`},
+	{sql: `SELECT *`},
+	{sql: `SELECT * WHERE 1/0 = 1`},
+	{sql: `SELECT x.* FROM rng WHERE id < 3`},
+	{sql: `SELECT COUNT(*) FROM rng WHERE SUM(id) > 1`},
+	{sql: `SELECT id FROM rng WHERE id < 0 AND id IN (SELECT x FROM nosuch)`},
+	{sql: `SELECT id FROM rng WHERE id < 3 AND EXISTS (SELECT * WHERE 1 = 1)`},
+	{sql: `SELECT id, (SELECT nosuch FROM rng i WHERE i.id = o.k) FROM rng o WHERE o.k IS NULL ORDER BY id LIMIT 3`},
+	{sql: `SELECT id FROM rng o ORDER BY (SELECT COUNT(*) FROM rng i WHERE i.k = o.k), id DESC LIMIT 5`},
+	{sql: `SELECT id AS k, k AS id FROM rng WHERE id < 30 ORDER BY k + 0 DESC, id`},
 	{sql: `SELECT id FROM rng WHERE nosuch > 1`},
 	{sql: `SELECT id FROM rng ORDER BY k LIMIT -1`},
 	{sql: `SELECT id FROM rng OFFSET ?`, params: []Value{Null}},
@@ -254,12 +274,12 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id * 2 FROM rng`, `project: 1 columns`},
 		{`SELECT id FROM rng ORDER BY k_noix LIMIT 3`, `order: bounded top-K`},
 		{`SELECT x.id FROM (SELECT id FROM rng WHERE k > 3) x`, `    access: ordered range scan via rng_k (k > ?)`},
-		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = o.k)`, `    select: interpreted (unresolvable WHERE expression)`},
-		{`SELECT COUNT(*) FROM rng GROUP BY k HAVING COUNT(*) > 1`, `interpreted`},
-		{`SELECT DISTINCT k FROM rng`, `interpreted`},
+		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = o.k)`, "  subquery:\n    select on \"rng\"\n      access: full scan\n      filter: predicate per row"},
+		{`SELECT COUNT(*) FROM rng GROUP BY k HAVING COUNT(*) > 1`, "  group: 1 key(s), aggregates per group row\n  having: per group"},
+		{`SELECT DISTINCT k FROM rng`, `  distinct: first of equal rows`},
 		{`SELECT DISTINCT k FROM rng WHERE id = 3`, `access: ordered point lookup via pk_rng_id`},
 		{`SELECT k, COUNT(*) FROM rng WHERE k BETWEEN 2 AND 5 GROUP BY k HAVING COUNT(*) > 1`, `ordered range scan via rng_k`},
-		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = 3 AND i.k = o.k)`, "  subquery:\n    select: interpreted (unresolvable WHERE expression)\n      access: ordered point lookup via pk_rng_id"},
+		{`SELECT id FROM rng o WHERE EXISTS (SELECT 1 FROM rng i WHERE i.id = 3 AND i.k = o.k)`, "  subquery:\n    select on \"rng\"\n      access: ordered point lookup via pk_rng_id"},
 		{`SELECT a.id FROM rng a JOIN rng b ON a.k = b.id`, `join: inner hash join`},
 	}
 	for _, tc := range cases {
@@ -276,7 +296,7 @@ func TestPlanAccessPaths(t *testing.T) {
 
 // TestRangeFilterSatisfiedByAccessPath: a WHERE that is nothing but the
 // pushed-down bounds is not evaluated again on the rows the ordered
-// index selected — unless a bound does not bind exactly (NULL, a DOUBLE
+// index selected — unless a bound does not bind exactly (NULL, NaN, a DOUBLE
 // against the integer key, a type Compare rejects), when the scan widens
 // or the filter runs and the interpreter's rows and errors come back.
 func TestRangeFilterSatisfiedByAccessPath(t *testing.T) {
@@ -292,6 +312,9 @@ func TestRangeFilterSatisfiedByAccessPath(t *testing.T) {
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewDouble(6.5)}},
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewDouble(9007199254740993)}},
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{Null}},
+		{`SELECT * FROM rng WHERE ? <= k`, []Value{NewDouble(math.NaN())}}, // NaN equals every key under Compare
+		{`SELECT id FROM rng WHERE id = ?`, []Value{NewDouble(math.NaN())}},
+		{`SELECT id FROM rng WHERE k BETWEEN ? AND 9 ORDER BY k`, []Value{NewDouble(math.NaN())}},
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewString("7")}},
 		{`SELECT * FROM rng WHERE k BETWEEN ? AND ?`, []Value{NewInt(3), NewInt(11)}},
 		{`SELECT * FROM rng WHERE k BETWEEN ? AND ?`, []Value{NewInt(11), NewInt(3)}},
@@ -337,7 +360,7 @@ func TestExplainStatement(t *testing.T) {
 		`EXPLAIN DELETE FROM rng WHERE k >= 1 AND k < 3`:     `access: ordered range scan via rng_k (k >= ? AND k < ?)`,
 		`EXPLAIN DELETE FROM rng WHERE 1/k > 0`:              `access: full scan (interpreted: WHERE outside the error-free predicate class)`,
 		`EXPLAIN SELECT COUNT(*) FROM rng`:                   `vectorised aggregate`,
-		`EXPLAIN SELECT COUNT(DISTINCT k) FROM rng`:          `select: interpreted (`,
+		`EXPLAIN SELECT COUNT(DISTINCT k) FROM rng`:          `group: 0 key(s), aggregates per group row`,
 	} {
 		res, err := e.NewSession().Execute(sql)
 		if err != nil {
@@ -352,7 +375,9 @@ func TestExplainStatement(t *testing.T) {
 	e.MustExec(`CREATE VIEW lowk AS SELECT id, k FROM rng WHERE k_noix < 5`)
 	for sql, want := range map[string][]string{
 		`EXPLAIN SELECT x.k, SUM(x.id + 1) FROM (SELECT id, k FROM rng WHERE id BETWEEN 2 AND 7) x JOIN lowk v ON v.id = x.id GROUP BY x.k`: {
-			`select: interpreted (grouping/aggregates)`,
+			`select on derived table x`,
+			`  join: inner hash join (nested-loop fallback) view lowk`,
+			`  group: 1 key(s), aggregates per group row`,
 			`  derived table x:`,
 			`    select on "rng"`,
 			`      vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)`,
@@ -361,13 +386,13 @@ func TestExplainStatement(t *testing.T) {
 			`      vector project: gather 2 columns`,
 		},
 		`EXPLAIN SELECT id FROM rng WHERE k = 1 UNION SELECT SUM(d * 2) FROM rng WHERE id IN (SELECT id FROM lowk)`: {
-			`select: interpreted (UNION)`,
+			`select: union of 2 arms`,
 			`  union arm 1:`,
 			`      access: ordered point lookup via rng_k (rng.k = ?)`,
 			`  union arm 2:`,
-			`    select: interpreted (grouping/aggregates)`,
+			`      group: 0 key(s), aggregates per group row`,
 			`      subquery:`,
-			`        select: interpreted (view)`,
+			`        select on view lowk`,
 			`          view lowk:`,
 			`            select on "rng"`,
 		},

@@ -3,29 +3,29 @@ package sqlengine
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // Prepared pairs a parsed statement with the physical plans compiled for
-// it: for a SELECT one per block — the statement itself and every
-// derived table, view body, UNION arm and subquery under it — and for an
-// UPDATE or DELETE a target plan (nil when the statement is outside the
-// plannable class — the interpreter runs it). Prepared values are
-// immutable and safe to share across sessions; the plans carry the
+// it: one per SELECT block in it — a SELECT's own and every derived
+// table, view body, UNION arm and subquery under it, an INSERT's query,
+// the subqueries of an UPDATE or DELETE — and for an UPDATE or DELETE a
+// target plan (nil when the statement walks its table). Prepared values
+// are immutable and safe to share across sessions; the plans carry the
 // schema epoch they were built against and are only dispatched while
 // that epoch is current.
 type Prepared struct {
 	SQL     string
 	stmt    Statement
 	nparams int
-	blocks  *blockPlans // a SELECT's plans, its own included; nil otherwise
+	blocks  *blockPlans // the statement's SELECT blocks; nil for other statements and a literal INSERT
 	dml     *dmlPlan    // UPDATE/DELETE target plan; nil means the statement walks
-	reason  string      // why the statement's own plan (or dml) is nil, for diagnostics
+	reason  string      // why dml is nil, for diagnostics
 }
 
-// topPlan returns the statement's own compiled plan, if it is a SELECT
-// that has one.
+// topPlan returns the statement's own plan, if it is a SELECT.
 func (p *Prepared) topPlan() *selectPlan {
 	if sel, ok := p.stmt.(*SelectStmt); ok && p.blocks != nil {
 		return p.blocks.m[sel].plan
@@ -33,21 +33,15 @@ func (p *Prepared) topPlan() *selectPlan {
 	return nil
 }
 
-// blockPlan is what planning made of one SELECT block: a row/vector plan,
-// else a vectorised aggregate plan, else neither and the reason — which
-// is how a block whose names do not resolve locally (a correlated
-// subquery) is recorded as not plannable once, instead of being looked
-// at again for every outer row. src is the block's table source when
-// its FROM is one base table with no joins; the plans are built from it,
-// and the interpreter reads the table through its access path.
+// blockPlan is what planning made of one SELECT block: its plan, and a
+// vectorised aggregate plan when the block groups one base table in the
+// kernels' class — the plan's grouping stage runs when the aggregate
+// plan is abandoned. A block whose names do not resolve locally (a
+// correlated subquery) is planned like any other, once, and runs on that
+// plan for every outer row.
 type blockPlan struct {
-	plan   *selectPlan
-	agg    *aggPlan
-	reason string
-	src    *tableSource
-	// firstArm is set for a UNION statement: its first arm as a block of
-	// its own (see unionFirstArm), planned under that key.
-	firstArm *SelectStmt
+	plan     *selectPlan
+	agg      *aggPlan
 	children []childBlock
 }
 
@@ -58,41 +52,77 @@ type childBlock struct {
 	sel   *SelectStmt
 }
 
-// blockPlans holds the plans of every block of one prepared SELECT,
-// keyed by the block's AST node (a view body's is the catalog's own),
-// all built under one read latch at one schema epoch.
+// blockPlans holds the plans of every SELECT block of one statement,
+// keyed by the block's AST node (a view body's is the catalog's own, a
+// UNION's first arm the stripped copy its head's plan holds), all built
+// under one read latch at one schema epoch.
 type blockPlans struct {
 	epoch uint64
 	m     map[*SelectStmt]*blockPlan
 }
 
-// block returns the plan record to run st by, or nil when there is
-// none to use: statement not prepared, planner switched off, schema
-// moved since planning.
+// block returns the plan record to run st by, or nil when there is none
+// to use: no plans, or the schema moved since planning.
 func (bps *blockPlans) block(st *SelectStmt, d *Database) *blockPlan {
-	if bps == nil || d.plannerOff || bps.epoch != d.epoch {
+	if bps == nil || bps.epoch != d.epoch {
 		return nil
 	}
 	return bps.m[st]
 }
 
-// firstArm returns the planned first arm of a UNION statement, nil when
-// block would return nil.
-func (bps *blockPlans) firstArm(st *SelectStmt, d *Database) *SelectStmt {
-	if bp := bps.block(st, d); bp != nil {
-		return bp.firstArm
-	}
-	return nil
-}
-
-// planBlocks plans a SELECT statement and every block under it. The
-// caller must hold d.mu for reading.
-func (d *Database) planBlocks(st *SelectStmt) *blockPlans {
+// planStatement plans every SELECT block of a statement: a SELECT's own
+// tree, an INSERT's query, the subqueries of its VALUES and of its target
+// table's column defaults, the subqueries of an UPDATE's SET list and
+// WHERE and of a DELETE's WHERE. The caller must hold d.mu for reading.
+func (d *Database) planStatement(st Statement) *blockPlans {
 	bps := &blockPlans{epoch: d.epoch, m: make(map[*SelectStmt]*blockPlan)}
-	d.planBlock(st, bps)
+	top := func(sel *SelectStmt) { d.planBlock(sel, bps) }
+	sub := func(e Expr) { forEachSubquery(e, top) }
+	switch n := st.(type) {
+	case *SelectStmt:
+		top(n)
+	case *InsertStmt:
+		if n.Query != nil {
+			top(n.Query)
+		}
+		for _, row := range n.Rows {
+			for _, e := range row {
+				sub(e)
+			}
+		}
+		if t, err := d.table(n.Table); err == nil {
+			for _, c := range t.Columns {
+				sub(c.Default)
+			}
+		}
+	case *UpdateStmt:
+		for _, s := range n.Set {
+			sub(s.Value)
+		}
+		sub(n.Where)
+	case *DeleteStmt:
+		sub(n.Where)
+	}
 	return bps
 }
 
+// literalInsert reports whether an INSERT nests no SELECT block of its
+// own: no query, and no subquery in its VALUES.
+func literalInsert(ins *InsertStmt) bool {
+	return ins.Query == nil && !slices.ContainsFunc(ins.Rows, func(row []Expr) bool {
+		return slices.ContainsFunc(row, exprHasSubquery)
+	})
+}
+
+// defaultsNestBlock reports whether a column default of the named table
+// nests a SELECT block. The caller must hold d.mu.
+func (d *Database) defaultsNestBlock(table string) bool {
+	t, err := d.table(table)
+	return err == nil && slices.ContainsFunc(t.Columns, func(c Column) bool { return exprHasSubquery(c.Default) })
+}
+
+// planBlock plans the blocks nested in st, then st from them: a derived
+// table's or a view's plan gives the columns st binds.
 func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
 	if _, seen := bps.m[st]; seen {
 		return // a view read twice, or reading itself
@@ -103,24 +133,23 @@ func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
 		bp.children = append(bp.children, childBlock{label: label, sel: sub})
 		d.planBlock(sub, bps)
 	}
+	sub := func(s *SelectStmt) { child("subquery", s) }
 	if len(st.Unions) > 0 {
 		// The arms are the blocks; what the statement's FROM and expressions
 		// nest belongs to the first arm.
-		bp.reason, bp.firstArm = "UNION", unionFirstArm(st)
-		child("union arm 1", bp.firstArm)
+		first := unionFirstArm(st)
+		child("union arm 1", first)
 		for i, u := range st.Unions {
 			child(fmt.Sprintf("union arm %d", i+2), u.Sel)
 		}
+		// Its LIMIT and OFFSET are the union's own (its ORDER BY names
+		// output columns). Its columns are its first arm's.
+		forEachSubquery(st.Limit, sub)
+		forEachSubquery(st.Offset, sub)
+		bp.plan = &selectPlan{sel: st, epoch: d.epoch, firstArm: first, projCols: bps.m[first].plan.projCols}
+		bp.plan.explain = bp.plan.explainLines()
 		return
 	}
-	if len(st.Joins) == 0 {
-		bp.src = d.planSource(st.From, st.Where, false)
-	}
-	bp.plan, bp.reason = d.planSelect(st, bp.src)
-	if bp.plan == nil && bp.reason == "grouping/aggregates" && bp.src != nil {
-		bp.agg = d.planAggregate(st, bp.src)
-	}
-	sub := func(s *SelectStmt) { child("subquery", s) }
 	eachPart(st, func(tr *TableRef) {
 		if tr.Subquery != nil {
 			child("derived table "+tr.Alias, tr.Subquery)
@@ -128,6 +157,10 @@ func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
 			child("view "+v.Name, v.Select)
 		}
 	}, func(e Expr) { forEachSubquery(e, sub) }, nil) // no arms: a UNION returned above
+	bp.plan = d.planSelect(st, bps)
+	if p := bp.plan; p.grouped && p.scansTable() && p.whereErr == nil {
+		bp.agg = d.planAggregate(st, p.src)
+	}
 }
 
 // Statement returns the parsed statement.
@@ -137,7 +170,9 @@ func (p *Prepared) Statement() Statement { return p.stmt }
 // requires.
 func (p *Prepared) NumParams() int { return p.nparams }
 
-// Planned reports whether a compiled physical plan is attached.
+// Planned reports whether a compiled physical plan is attached: every
+// SELECT has one, and an UPDATE or DELETE whose target selection is
+// planned.
 func (p *Prepared) Planned() bool { return p.topPlan() != nil || p.dml != nil }
 
 // PlanCacheStats is a point-in-time snapshot of prepared-plan cache
@@ -264,8 +299,9 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 	return e.plans.stats()
 }
 
-// Prepare parses one statement and compiles a physical plan when it is
-// plannable, consulting the engine's plan cache. A cached entry built
+// Prepare parses one statement and compiles the plans of its SELECT
+// blocks and, for an UPDATE or DELETE, its target plan, consulting the
+// engine's plan cache. A cached entry built
 // under an older schema epoch is re-planned (the parse is reused) and
 // replaced. EXPLAIN statements are never cached — they are diagnostic
 // and each execution should observe the current catalog.
@@ -298,16 +334,17 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 		return prep, nil
 	}
 	switch st := stmt.(type) {
-	case *SelectStmt:
+	case *SelectStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
+		if ins, ok := st.(*InsertStmt); ok && literalInsert(ins) {
+			break // nothing to plan but what its table's defaults nest: see Session.blocks
+		}
 		e.db.mu.RLock()
-		epoch = e.db.epoch // re-read under the same latch the plan binds under
-		prep.blocks = e.db.planBlocks(st)
-		prep.reason = prep.blocks.m[st].reason
-		e.db.mu.RUnlock()
-	case *UpdateStmt, *DeleteStmt:
-		e.db.mu.RLock()
-		epoch = e.db.epoch
-		prep.dml, prep.reason = e.db.planDML(st)
+		epoch = e.db.epoch // re-read under the same latch the plans bind under
+		prep.blocks = e.db.planStatement(st)
+		switch st.(type) {
+		case *UpdateStmt, *DeleteStmt:
+			prep.dml, prep.reason = e.db.planDML(st)
+		}
 		e.db.mu.RUnlock()
 	}
 	if e.plans != nil {

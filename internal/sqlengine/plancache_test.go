@@ -166,8 +166,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 }
 
 // TestPreparedReuse exercises the Prepare surface directly: the same
-// Prepared pointer comes back warm, and Planned() distinguishes the
-// compiled class from interpreter-only statements.
+// Prepared pointer comes back warm, and Planned() holds for every
+// SELECT, aggregates included.
 func TestPreparedReuse(t *testing.T) {
 	e := planEngine(t, 10)
 	p1, err := e.Prepare(`SELECT id FROM rng WHERE k > ?`)
@@ -191,7 +191,7 @@ func TestPreparedReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Planned() {
-		t.Fatal("aggregate should stay on the interpreter")
+	if !agg.Planned() || agg.topPlan() == nil {
+		t.Fatal("aggregate not planned: every SELECT has a plan")
 	}
 }

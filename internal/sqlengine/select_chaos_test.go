@@ -61,8 +61,9 @@ func TestExpressionVectorsEngage(t *testing.T) {
 
 // TestNestedBlocksArePlannedOnce: the plans of a statement's nested
 // blocks are built when it is prepared, reused by every execution, and
-// dropped with the schema epoch; a correlated subquery is recorded as
-// not plannable then, so executing it for every outer row plans nothing.
+// dropped with the schema epoch; a correlated subquery is planned then
+// too, and executing it for every outer row runs that plan and plans
+// nothing.
 func TestNestedBlocksArePlannedOnce(t *testing.T) {
 	e := planEngine(t, 60)
 	const sql = `SELECT x.id, (SELECT MAX(k) FROM rng) FROM (SELECT id, k FROM rng WHERE k > 3) x ` +
@@ -72,7 +73,7 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := prep.stmt.(*SelectStmt)
-	first := prep.blocks.m[head].firstArm
+	first := prep.blocks.m[head].plan.firstArm
 	if first == nil || prep.blocks.m[first] == nil {
 		t.Fatalf("UNION head has no planned first arm: %+v", prep.blocks.m[head])
 	}
@@ -84,27 +85,24 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 		t.Fatalf("planned %d blocks, want 6 (head, two arms, derived, scalar, correlated)", len(prep.blocks.m))
 	}
 	for name, want := range map[string]struct {
-		sel       *SelectStmt
-		plan, agg bool
+		sel *SelectStmt
+		agg bool
 	}{
-		"derived table": {derived, true, false},
-		"scalar":        {scalar, false, true},
-		"arm 1":         {first, false, false}, // its FROM is a derived table
-		"arm 2":         {arm2, true, false},
-		"correlated":    {correlated, false, false},
+		"derived table": {derived, false},
+		"scalar":        {scalar, true},
+		"arm 1":         {first, false}, // its FROM is a derived table
+		"arm 2":         {arm2, false},
+		"correlated":    {correlated, false},
 	} {
 		bp := prep.blocks.m[want.sel]
-		if bp == nil || (bp.plan != nil) != want.plan || (bp.agg != nil) != want.agg {
+		if bp == nil || bp.plan == nil || (bp.agg != nil) != want.agg {
 			t.Fatalf("%s: planned as %+v", name, bp)
-		}
-		if bp.plan == nil && bp.agg == nil && bp.reason == "" {
-			t.Fatalf("%s: not plannable, but no reason recorded", name)
 		}
 	}
 	snapshot := func(p *Prepared) map[*SelectStmt]blockPlan {
 		m := map[*SelectStmt]blockPlan{}
 		for sel, bp := range p.blocks.m {
-			m[sel] = blockPlan{plan: bp.plan, agg: bp.agg, reason: bp.reason}
+			m[sel] = blockPlan{plan: bp.plan, agg: bp.agg}
 		}
 		return m
 	}
@@ -113,7 +111,7 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 			return false
 		}
 		for sel, x := range a {
-			if y := b[sel]; x.plan != y.plan || x.agg != y.agg || x.reason != y.reason {
+			if y := b[sel]; x.plan != y.plan || x.agg != y.agg {
 				return false
 			}
 		}
@@ -135,6 +133,24 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 			again == prep, same(built, snapshot(again)), misses, e.PlanCacheStats().Misses, err)
 	}
 	execBothWays(t, e, sql)
+
+	// Every outer row runs the correlated block on the record Prepare
+	// built: swap in the plan of a block that never matches and the first
+	// arm's rows go, swap it back and they return.
+	e.db.mu.RLock()
+	neverSel := mustParse(t, `SELECT 1 FROM rng i WHERE 1 = 0`).(*SelectStmt)
+	never := e.db.planStatement(neverSel).m[neverSel]
+	e.db.mu.RUnlock()
+	kept := prep.blocks.m[correlated]
+	prep.blocks.m[correlated] = never
+	got, arm2Only := e.MustExec(sql).Set.Rows, e.MustExec(`SELECT id, k FROM rng WHERE k_noix = 2`).Set.Rows
+	if dumpSet(&ResultSet{Rows: got}) != dumpSet(&ResultSet{Rows: arm2Only}) {
+		t.Fatalf("the correlated block did not run on its prepared record: %d rows, want arm 2's %d", len(got), len(arm2Only))
+	}
+	prep.blocks.m[correlated] = kept
+	if got := dumpSet(e.MustExec(sql).Set); got != want {
+		t.Fatalf("after restoring the record:\n%s\nwant:\n%s", got, want)
+	}
 
 	// DDL moves the epoch: the old plans are not dispatched any more and
 	// the next Prepare builds new ones.
@@ -160,9 +176,52 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 	}
 }
 
+// TestDefaultBlocksArePlannedWithTheInsert: a subquery in a column
+// default is planned with the INSERT that reads it — a literal INSERT,
+// which Prepare leaves unplanned, as it starts, once, not for each row it
+// inserts.
+func TestDefaultBlocksArePlannedWithTheInsert(t *testing.T) {
+	e := planEngine(t, 60)
+	e.MustExec(`CREATE TABLE dflt (id INTEGER, n INTEGER DEFAULT (SELECT COUNT(*) FROM rng WHERE k = 3))`)
+	withDefault, err := e.Prepare(`INSERT INTO dflt (id) VALUES (1), (2), (3)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := e.Prepare(`INSERT INTO rng (id) VALUES (1000)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withDefault.blocks != nil || plain.blocks != nil {
+		t.Fatal("a literal INSERT was planned at Prepare")
+	}
+	s := e.NewSession()
+	e.db.mu.RLock()
+	s.prep = withDefault
+	got := s.blocks(withDefault.stmt)
+	s.prep = plain
+	gotPlain := s.blocks(plain.stmt)
+	s.prep = nil
+	e.db.mu.RUnlock()
+	def := e.db.tables["dflt"].Columns[1].Default.(*SubqueryExpr).Select
+	if got == nil || got.m[def] == nil || got.m[def].plan == nil {
+		t.Fatal("the default's subquery is not planned with the INSERT")
+	}
+	if gotPlain != nil {
+		t.Fatal("a literal INSERT into a table without default subqueries has plans")
+	}
+	if _, err := s.ExecutePrepared(context.Background(), withDefault); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range e.MustExec(`SELECT id, n FROM dflt ORDER BY id`).Set.Rows {
+		if r[1].Type != TypeInteger || r[1].I != 3 {
+			t.Fatalf("row %v: the default counted %v rows with k = 3, want 3", r[0], r[1])
+		}
+	}
+}
+
 // selectFuzz draws SELECT statements over dmlFuzz's schema: every
-// projection, aggregate, ordering and nesting shape the block dispatch
-// and the expression kernels cover, beside shapes they must refuse.
+// projection, aggregate, ordering and nesting shape the block plans and
+// the expression kernels cover, beside shapes the kernels must refuse.
 type selectFuzz struct{ *dmlFuzz }
 
 // numExpr draws arithmetic over the numeric columns, some of it with
@@ -243,7 +302,7 @@ func (g selectFuzz) whereClause() (string, []Value) {
 
 func (g selectFuzz) statement() (string, []Value) {
 	w, wp := g.whereClause()
-	switch g.r.Intn(14) {
+	switch g.r.Intn(22) {
 	case 0:
 		return `SELECT * FROM t` + w, wp
 	case 1:
@@ -258,10 +317,10 @@ func (g selectFuzz) statement() (string, []Value) {
 		return `SELECT COUNT(*), ` + agg + `(` + x + `), SUM(a), MAX(s) FROM t` + w, append(xp, wp...)
 	case 4:
 		return g.groupStatement(w, wp)
-	case 5: // top-K and its refusals: ties on a and s, NaN keys in b, big limits
-		order := g.pick("a", "a DESC, id", "s, a DESC", "b", "2", "id DESC", "a + id")
+	case 5: // top-K: ties on a and s, NaN keys in b, big limits
+		order := g.pick("a", "a DESC, id", "s, a DESC", "b", "b DESC, id", "2", "id DESC", "a + id")
 		lim := g.pickVal(NewInt(0), NewInt(3), NewInt(17), NewInt(40), NewInt(5000), NewInt(-1), NewInt(math.MaxInt64))
-		sql := `SELECT id, a, s FROM t` + w + ` ORDER BY ` + order + ` LIMIT ?`
+		sql := `SELECT id, a, s, b FROM t` + w + ` ORDER BY ` + order + ` LIMIT ?`
 		if g.r.Intn(2) == 0 {
 			return sql + ` OFFSET ?`, append(wp, lim, NewInt(int64(g.r.Intn(30))))
 		}
@@ -279,8 +338,8 @@ func (g selectFuzz) statement() (string, []Value) {
 		w2, wp2 := g.whereClause()
 		return `SELECT id, a FROM t` + w + g.pick(" UNION ", " UNION ALL ") + `SELECT id, a FROM t` + w2 + ` ORDER BY 1, 2 LIMIT 50`, append(wp, wp2...)
 	case 11, 12:
-		// An uncorrelated subquery still runs once per outer row on the
-		// interpreter: keep the outer rows few.
+		// An uncorrelated subquery runs once per outer row: keep the outer
+		// rows few.
 		lo := g.r.Int63n(g.nextID + 1)
 		outer := []Value{NewInt(lo), NewInt(lo + 40)}
 		if g.r.Intn(2) == 0 {
@@ -288,8 +347,36 @@ func (g selectFuzz) statement() (string, []Value) {
 		}
 		x, xp := g.numExpr(true)
 		return `SELECT id, (SELECT MAX(` + x + `) FROM t` + w + `) FROM t WHERE id >= ? AND id < ?`, slices.Concat(xp, wp, outer)
+	case 13: // DISTINCT, alone, ordered and limited, or ordered by a column it may not project
+		sql := `SELECT DISTINCT ` + g.pick("a", "a, s", "s, b", "a % 3", "s") + ` FROM t` + w
+		switch g.r.Intn(3) {
+		case 0:
+			return sql + ` ORDER BY 1 DESC LIMIT ?`, append(wp, NewInt(int64(g.r.Intn(30))))
+		case 1:
+			return sql + ` ORDER BY ` + g.pick("a", "a DESC", "s DESC", "id"), wp
+		}
+		return sql, wp
+	case 14: // no FROM: one row, an expression and a scalar subquery over t
+		if g.r.Intn(2) == 0 {
+			return `SELECT ? + 1`, []Value{g.pickVal(g.intVal(), g.dblVal(), NewString("x"))}
+		}
+		return `SELECT ? + 1, (SELECT ` + g.pick("COUNT(*)", "MAX(b)", "MIN(s)") + ` FROM t` + w + `)`, append([]Value{g.intVal()}, wp...)
+	case 15: // ORDER BY an expression over a select-list alias
+		x, xp := g.numExpr(true)
+		return `SELECT id, ` + x + ` AS x, s FROM t` + w + ` ORDER BY ` + g.pick("x + id", "-x, id", "x * 2 DESC, s, id") + ` LIMIT ?`,
+			slices.Concat(xp, wp, []Value{NewInt(int64(g.r.Intn(60)))})
+	case 16, 17: // outer joins over a derived table and over the view
+		kind := g.pick("LEFT", "RIGHT")
+		if g.r.Intn(2) == 0 {
+			return `SELECT x.id, v.b FROM (SELECT id, a FROM t` + w + `) x ` + kind + ` JOIN live v ON x.a = v.id`, wp
+		}
+		return `SELECT v.id, y.s FROM live v ` + kind + ` JOIN (SELECT id, s, a FROM t` + w + `) y ON v.a = y.a AND y.id < 30`, wp
+	case 18, 19: // correlated, in the select list, WHERE and ORDER BY, inside a narrow range
+		lo := g.r.Int63n(g.nextID + 1)
+		return `SELECT id, (SELECT COUNT(*) FROM t i WHERE i.a = o.a) AS n FROM t o WHERE id >= ? AND id < ? AND EXISTS (SELECT 1 FROM t i WHERE i.id = o.a)` +
+			g.pick(``, ` ORDER BY (SELECT MAX(i.b) FROM t i WHERE i.a = o.a) DESC, id`, ` ORDER BY n + id`), []Value{NewInt(lo), NewInt(lo + 40)}
 	}
-	// Correlated: interpreted for every outer row, inside a narrow range.
+	// Correlated: once for every outer row, inside a narrow range.
 	lo := g.r.Int63n(g.nextID + 1)
 	return `SELECT id, (SELECT COUNT(*) FROM t i WHERE i.a = o.a) FROM t o WHERE id >= ? AND id < ? AND EXISTS (SELECT 1 FROM t i WHERE i.id = o.a)`,
 		[]Value{NewInt(lo), NewInt(lo + 40)}
@@ -322,6 +409,10 @@ func (g selectFuzz) groupStatement(w string, wp []Value) (string, []Value) {
 	}
 	sql := `SELECT ` + strings.Join(items, ", ") + ` FROM t` + w + ` GROUP BY ` + key
 	params = append(params, wp...)
+	if g.r.Intn(3) == 0 {
+		sql += ` HAVING ` + g.pick("COUNT(*) > ?", "SUM(a) > ?", "MIN(b) < ?", "MAX(id) - MIN(id) >= ?")
+		params = append(params, g.intVal())
+	}
 	switch g.r.Intn(4) {
 	case 0:
 		sql += ` ORDER BY 1, 2`
@@ -340,9 +431,10 @@ func (g selectFuzz) groupStatement(w string, wp []Value) (string, []Value) {
 // vector, row and interpreter paths of one engine and requires identical
 // rows, communication areas and error text, with random writes in
 // between so the chunk cache goes stale and schema changes so the plans
-// do. It then checks the identity no path can get right by agreeing with
-// another: the rows a predicate accepts, rejects and leaves unknown
-// partition the table.
+// do. It then checks what no path can get right by agreeing with
+// another: every answer to an ORDER BY is sorted (checkSorted), no block's
+// EXPLAIN says it is interpreted, and the rows a predicate accepts,
+// rejects and leaves unknown partition the table.
 func TestChaosSelectDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -350,6 +442,17 @@ func TestChaosSelectDifferential(t *testing.T) {
 			selectDifferential(t, seed, chunkRows+400, 150)
 		})
 	}
+}
+
+// FuzzSelectPaths maps a seed to a short selectDifferential run: twenty
+// generated statements, with writes and schema changes between them, over
+// a table of 300 rows — small enough that a fuzzer tries many schemas and
+// data sets a second. The seeds below run with the tier-1 tests.
+func FuzzSelectPaths(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { selectDifferential(t, seed, 300, 20) })
 }
 
 func selectDifferential(t *testing.T, seed int64, rows, statements int) {
@@ -394,7 +497,10 @@ func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 			_, _ = s.Execute(sql, params...)
 		}
 		sql, params := g.statement()
-		execAllPaths(t, e, sql, params...)
+		checkSorted(t, sql, execAllPaths(t, e, sql, params...))
+		if lines, err := s.Explain(sql); err != nil || strings.Contains(strings.Join(lines, "\n"), "interpreted") {
+			t.Fatalf("seed %d: EXPLAIN %s (err=%v):\n%s", seed, sql, err, strings.Join(lines, "\n"))
+		}
 
 		p, pp := g.predicate()
 		if p == "" {
@@ -418,6 +524,56 @@ func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 		}
 		if got, want := dumpSet(&ResultSet{Rows: [][]Value{combinePartials(parts)}}), dumpSet(&ResultSet{Rows: [][]Value{all}}); got != want {
 			t.Fatalf("seed %d: %s %v: accepted, rejected and unknown rows combine to\n%s, the table holds\n%s", seed, p, pp, got, want)
+		}
+	}
+}
+
+// checkSorted fails the test when the answer to a statement with ORDER
+// BY is out of order — the check no path can pass by agreeing with
+// another. Each key that is an output column, by ordinal or by a name
+// exactly one output column has, must be non-decreasing under cmpKeys
+// (non-increasing under DESC) among rows whose earlier keys are equal;
+// the keys from the first that is no output column on are not checked.
+func checkSorted(t *testing.T, sql string, set *ResultSet) {
+	t.Helper()
+	st, _, err := Parse(sql)
+	sel, ok := st.(*SelectStmt)
+	if err != nil || !ok || set == nil {
+		return
+	}
+	var cols []int
+	var desc []bool
+	for _, oi := range sel.OrderBy {
+		c, ok := ordinalRef(oi.Expr, len(set.Columns))
+		if !ok {
+			ce, isCol := oi.Expr.(*ColumnExpr)
+			if !isCol {
+				break
+			}
+			matches := 0
+			for i, rc := range set.Columns {
+				if strings.EqualFold(rc.Name, ce.Column) && (ce.Table == "" || strings.EqualFold(rc.Table, ce.Table)) {
+					c, matches = i, matches+1
+				}
+			}
+			if matches != 1 {
+				break
+			}
+		}
+		cols, desc = append(cols, c), append(desc, oi.Desc)
+	}
+	for r := 1; r < len(set.Rows); r++ {
+		for k, c := range cols {
+			cmp := cmpKeys(set.Rows[r-1][c], set.Rows[r][c])
+			if desc[k] {
+				cmp = -cmp
+			}
+			if cmp > 0 {
+				t.Fatalf("%s: rows %d and %d are out of order on key %d:\n%v\n%v", sql, r-1, r, k+1, set.Rows[r-1], set.Rows[r])
+			}
+			if cmp < 0 {
+				break
+			}
 		}
 	}
 }

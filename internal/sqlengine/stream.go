@@ -135,10 +135,9 @@ func (r *RowStream) Close() error {
 // incrementally. A SELECT whose current plan is join-free and whose ORDER
 // BY, if any, the access path already satisfies streams while its scan is
 // still running, outside an explicit transaction; everything else —
-// including a SELECT with no current plan (planner off, plan gone stale,
-// a name that does not resolve) — executes exactly as ExecuteContext and
-// is replayed from the materialised result, so callers see one uniform
-// interface. ctx governs production, not just setup: cancelling it aborts
+// including a SELECT whose plan has gone stale — executes exactly as
+// ExecuteContext and is replayed from the materialised result, so callers
+// see one uniform interface. ctx governs production, not just setup: cancelling it aborts
 // the scan with a *CancelledError.
 func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value) (*RowStream, error) {
 	prep, err := s.engine.Prepare(sql)
@@ -148,7 +147,7 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value
 	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
 		return nil, fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
 	}
-	if plan := prep.topPlan(); plan != nil && !s.engine.db.plannerOff && plan.streamable() && !s.inTxn && !s.aborted {
+	if plan := prep.topPlan(); plan != nil && s.engine.db.oracle == nil && plan.streamable() && !s.inTxn && !s.aborted {
 		// Setup errors (bad LIMIT, lock timeout) surface here, like
 		// Execute's; a plan gone stale under DDL is executed instead.
 		rs, err := s.startPlanStream(ctx, plan, prep.blocks, params)

@@ -359,6 +359,19 @@ func Compare(a, b Value) (int, error) {
 	return 0, fmt.Errorf("cannot compare values of type %s", a.Type)
 }
 
+// compareTotal is the engine's one total order, in which ORDER BY sorts,
+// MIN and MAX choose and the ordered index keeps its keys: Compare's,
+// except that a NaN sorts after +Inf and equals only NaN. Under Compare a
+// NaN equals every number, which is no order at all: a sort leaves it
+// where its merge pattern happens to, and MIN/MAX keep whichever came
+// first.
+func compareTotal(a, b Value) (int, error) {
+	if (isNaN(a) || isNaN(b)) && a.Type.isNumeric() && b.Type.isNumeric() {
+		return cmpTotalF(a.asFloat(), b.asFloat()), nil
+	}
+	return Compare(a, b)
+}
+
 // Equal reports SQL equality (NULL = NULL is false; use for hashing
 // only after checking IsNull).
 func Equal(a, b Value) bool {

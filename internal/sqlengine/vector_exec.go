@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 )
@@ -387,7 +388,7 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 	return nil, false
 }
 
-// compareInColumn is Compare for two values of one column — NULLs
+// compareInColumn is compareTotal for two values of one column — NULLs
 // first, then the column type's own ordering, which cannot fail — read
 // through pointers, a Value being nine words.
 func compareInColumn(a, b *Value) int {
@@ -396,7 +397,7 @@ func compareInColumn(a, b *Value) int {
 		c, _ := Compare(*a, *b)
 		return c
 	case a.Type == TypeDouble:
-		return cmpF(a.F, b.F)
+		return cmpTotalF(a.F, b.F)
 	case a.Type == TypeInteger || a.Type == TypeBigint:
 		return cmpI(a.I, b.I)
 	case a.Type == TypeVarchar:
@@ -417,6 +418,21 @@ func cmpF(a, b float64) int {
 		return 1
 	}
 	return 0
+}
+
+// cmpTotalF is cmpF in the engine's total order: a NaN sorts after +Inf
+// and equals only NaN.
+func cmpTotalF(a, b float64) int {
+	an, bn := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case !an && !bn:
+		return cmpF(a, b)
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
 }
 
 func cmpI(a, b int64) int {

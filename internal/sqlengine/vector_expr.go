@@ -14,7 +14,7 @@ import (
 // DOUBLE if either side is, else BIGINT if either side is, else INTEGER,
 // integers wrapping around — and NULL in, NULL out. Whatever a kernel
 // could not reproduce byte for byte abandons the plan for that execution
-// and the row filter or the interpreter run the statement instead: a
+// and the row filter or the grouping stage run the statement instead: a
 // constant that does not bind (one that fails to evaluate, or is
 // non-numeric or NULL; a zero divisor), or a zero divisor met on a
 // selected row.

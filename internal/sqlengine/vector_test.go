@@ -255,11 +255,13 @@ var vectorCorpus = []struct {
 }
 
 // execAllPaths runs one statement three ways — vectorised, row plan
-// (vector disabled), interpreter (planner disabled) — and requires
-// byte-identical dumps, CAs, or error text.
-func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) {
+// (vector disabled), interpreter oracle (planner disabled) — and requires
+// byte-identical dumps, CAs, or error text. It returns the answer they
+// agree on, nil when they agree on an error.
+func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) *ResultSet {
 	t.Helper()
 	type outcome struct {
+		set  *ResultSet
 		dump string
 		ca   SQLCA
 		err  error
@@ -269,7 +271,7 @@ func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) {
 		if err != nil {
 			return outcome{err: err}
 		}
-		return outcome{dump: dumpSet(res.Set), ca: res.CA}
+		return outcome{set: res.Set, dump: dumpSet(res.Set), ca: res.CA}
 	}
 	vec := run()
 	e.SetVectorDisabled(true)
@@ -295,6 +297,7 @@ func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) {
 			t.Fatalf("%s: CA diverged: %+v vs %s %+v", sql, vec.ca, name, o.ca)
 		}
 	}
+	return vec.set
 }
 
 // TestVectorMatchesRowAndInterpreter is the three-way equivalence
