@@ -30,7 +30,11 @@ type fixtureOpt struct {
 	// handlerDelay slows every dispatched request, giving the fixture a
 	// known capacity ceiling for overload tests.
 	handlerDelay time.Duration
-	reap         time.Duration // reaper interval (0: no reaper)
+	// hold, when set, parks every dispatched request until it is closed:
+	// the admitted requests fill the admission gate for as long as the
+	// test wants them to.
+	hold chan struct{}
+	reap time.Duration // reaper interval (0: no reaper)
 }
 
 // loadFixture is an in-process daisd-shaped endpoint hosting a
@@ -60,12 +64,17 @@ func newLoadFixture(t testing.TB, opt fixtureOpt) *loadFixture {
 	if opt.admission != nil {
 		epOpts = append(epOpts, service.WithAdmission(*opt.admission))
 	}
-	if opt.handlerDelay > 0 {
-		delay := opt.handlerDelay
+	if opt.handlerDelay > 0 || opt.hold != nil {
+		delay, hold := opt.handlerDelay, opt.hold
 		epOpts = append(epOpts, service.WithServerInterceptors(
 			func(ctx context.Context, action string, env *soap.Envelope, next soap.HandlerFunc) (*soap.Envelope, error) {
+				var wait <-chan time.Time
+				if hold == nil {
+					wait = time.After(delay)
+				}
 				select {
-				case <-time.After(delay):
+				case <-wait:
+				case <-hold:
 				case <-ctx.Done():
 					return nil, ctx.Err()
 				}
