@@ -46,11 +46,14 @@ bench-smoke:
 # three-seed planned-vs-walked DML differential and the three-seed
 # vector/row/interpreter SELECT differential, lifetime churn (100k
 # registry cycles + 10k full-stack cycles racing the reaper) and the
-# short soak. CI runs this. Scale the churn with DAIS_CHURN_CYCLES.
+# short soak, then 20 s of FuzzSelectPaths: new seeds for the SELECT
+# differential on every run. CI runs this. Scale the churn with
+# DAIS_CHURN_CYCLES.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChaos|TestAdmission' ./internal/service/
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChaosVector|TestChaosDML|TestChaosSelect' ./internal/sqlengine/
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChurn' ./internal/wsrf/ ./internal/loadgen/
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectPaths$$' -fuzztime 20s ./internal/sqlengine/
 
 # Streaming-pipeline chaos: chunked fetch of a spilled 100k-row
 # resource through a fault-injecting transport, asserting byte-identical

@@ -22,11 +22,13 @@ const (
 	// scan, then one per chunk a write touched. A rate near the scan
 	// rate times the table's chunk count is a rebuild storm.
 	MetricVectorChunksRebuilt = "dais_vector_chunks_rebuilt_total"
-	// MetricVectorFallbacks counts executions that had a vector or
-	// aggregate plan and abandoned it for the row operators or the
-	// interpreter (an operand that did not bind, a zero divisor on a
-	// selected row): EXPLAIN says what was planned, this says how often
-	// it did not run on the kernels.
+	// MetricVectorFallbacks counts executions whose plan read its table
+	// through the kernels and did not: a scan that went to the row
+	// operators, or a grouping whose chunk fold was abandoned and whose
+	// row feeder started over (an operand that did not bind, column chunks
+	// that could not be built, a zero divisor on a selected row). EXPLAIN
+	// says what was planned, this says how often it did not run on the
+	// kernels.
 	MetricVectorFallbacks = "dais_vector_fallbacks_total"
 )
 

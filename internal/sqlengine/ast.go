@@ -1,5 +1,7 @@
 package sqlengine
 
+import "slices"
+
 // Statement is the interface implemented by all parsed SQL statements.
 type Statement interface{ stmt() }
 
@@ -278,6 +280,12 @@ func (*boundColExpr) expr() {}
 // aggregateNames is the set of aggregate function names.
 var aggregateNames = map[string]bool{
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+}
+
+// grouped reports whether a SELECT block groups: GROUP BY, HAVING, or an
+// aggregate in its select list.
+func (st *SelectStmt) grouped() bool {
+	return len(st.GroupBy) > 0 || st.Having != nil || slices.ContainsFunc(st.Items, func(it SelectItem) bool { return containsAggregate(it.Expr) })
 }
 
 // containsAggregate reports whether the expression tree contains an

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -30,6 +31,9 @@ type evalEnv struct {
 	// checkN counts rows between cancellation probes.
 	ctx    context.Context
 	checkN int
+	// slotErrs holds, while a group row is evaluated, the errors its
+	// aggregate slots raise when read; see aggRef.
+	slotErrs []error
 }
 
 // nested returns a fresh environment for a SELECT block nested in env's
@@ -150,6 +154,18 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 		// Planner-compiled column reference: the ordinal was resolved at
 		// plan time against the same bindings env.row is built from.
 		return env.row[n.idx], nil
+	case *aggRef:
+		if err := env.slotErrs[n.slot]; err != nil {
+			return Null, err
+		}
+		return env.row[n.cell], nil
+	case *eagerLogic:
+		l, lerr := eval(n.Left, env)
+		r, rerr := eval(n.Right, env)
+		if err := cmp.Or(lerr, rerr); err != nil {
+			return Null, err
+		}
+		return evalBinary(&BinaryExpr{Op: n.Op, Left: &LiteralExpr{Value: l}, Right: &LiteralExpr{Value: r}}, env)
 	case *SubqueryExpr:
 		return evalScalarSubquery(n.Select, env)
 	case *ExistsExpr:

@@ -33,15 +33,12 @@ func (p *Prepared) topPlan() *selectPlan {
 	return nil
 }
 
-// blockPlan is what planning made of one SELECT block: its plan, and a
-// vectorised aggregate plan when the block groups one base table in the
-// kernels' class — the plan's grouping stage runs when the aggregate
-// plan is abandoned. A block whose names do not resolve locally (a
+// blockPlan is what planning made of one SELECT block: its plan, and
+// the blocks nested in it. A block whose names do not resolve locally (a
 // correlated subquery) is planned like any other, once, and runs on that
 // plan for every outer row.
 type blockPlan struct {
 	plan     *selectPlan
-	agg      *aggPlan
 	children []childBlock
 }
 
@@ -70,20 +67,27 @@ func (bps *blockPlans) block(st *SelectStmt, d *Database) *blockPlan {
 	return bps.m[st]
 }
 
-// planStatement plans every SELECT block of a statement: a SELECT's own
-// tree, an INSERT's query, the subqueries of its VALUES and of its target
-// table's column defaults, the subqueries of an UPDATE's SET list and
-// WHERE and of a DELETE's WHERE. The caller must hold d.mu for reading.
+// planStatement plans every SELECT block of a statement (see eachBlock).
+// The caller must hold d.mu for reading.
 func (d *Database) planStatement(st Statement) *blockPlans {
 	bps := &blockPlans{epoch: d.epoch, m: make(map[*SelectStmt]*blockPlan)}
-	top := func(sel *SelectStmt) { d.planBlock(sel, bps) }
-	sub := func(e Expr) { forEachSubquery(e, top) }
+	d.eachBlock(st, func(sel *SelectStmt) { d.planBlock(sel, bps) })
+	return bps
+}
+
+// eachBlock calls f for every SELECT block at the top of a statement: a
+// SELECT itself, an INSERT's query, the subqueries of its VALUES and of
+// its target table's column defaults, the subqueries of an UPDATE's SET
+// list and WHERE and of a DELETE's WHERE. The caller must hold d.mu for
+// reading.
+func (d *Database) eachBlock(st Statement, f func(*SelectStmt)) {
+	sub := func(e Expr) { forEachSubquery(e, f) }
 	switch n := st.(type) {
 	case *SelectStmt:
-		top(n)
+		f(n)
 	case *InsertStmt:
 		if n.Query != nil {
-			top(n.Query)
+			f(n.Query)
 		}
 		for _, row := range n.Rows {
 			for _, e := range row {
@@ -103,7 +107,6 @@ func (d *Database) planStatement(st Statement) *blockPlans {
 	case *DeleteStmt:
 		sub(n.Where)
 	}
-	return bps
 }
 
 // literalInsert reports whether an INSERT nests no SELECT block of its
@@ -158,9 +161,6 @@ func (d *Database) planBlock(st *SelectStmt, bps *blockPlans) {
 		}
 	}, func(e Expr) { forEachSubquery(e, sub) }, nil) // no arms: a UNION returned above
 	bp.plan = d.planSelect(st, bps)
-	if p := bp.plan; p.grouped && p.scansTable() && p.whereErr == nil {
-		bp.agg = d.planAggregate(st, p.src)
-	}
 }
 
 // Statement returns the parsed statement.

@@ -95,14 +95,14 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 		"correlated":    {correlated, false},
 	} {
 		bp := prep.blocks.m[want.sel]
-		if bp == nil || bp.plan == nil || (bp.agg != nil) != want.agg {
+		if bp == nil || bp.plan == nil || (bp.plan.group != nil && bp.plan.group.chunked) != want.agg {
 			t.Fatalf("%s: planned as %+v", name, bp)
 		}
 	}
 	snapshot := func(p *Prepared) map[*SelectStmt]blockPlan {
 		m := map[*SelectStmt]blockPlan{}
 		for sel, bp := range p.blocks.m {
-			m[sel] = blockPlan{plan: bp.plan, agg: bp.agg}
+			m[sel] = blockPlan{plan: bp.plan}
 		}
 		return m
 	}
@@ -111,7 +111,7 @@ func TestNestedBlocksArePlannedOnce(t *testing.T) {
 			return false
 		}
 		for sel, x := range a {
-			if y := b[sel]; x.plan != y.plan || x.agg != y.agg {
+			if y := b[sel]; x.plan != y.plan {
 				return false
 			}
 		}
@@ -385,14 +385,30 @@ func (g selectFuzz) statement() (string, []Value) {
 // groupStatement draws a grouped aggregate under the WHERE clause w over
 // one of dmlFuzz's key shapes: a narrow integer key (a, 0 to 39), one
 // about a chunk wide per chunk until duplicates and moved keys widen it
-// (id), a wide one (u, ten apart), VARCHAR, DOUBLE and two-column keys.
-// Without ORDER BY, groups come in first-appearance order.
+// (id), a wide one (u, ten apart), VARCHAR, DOUBLE and two-column keys, an
+// expression, or none — the implicit group, sometimes over no rows. Its
+// items are aggregates, expressions over them, DISTINCT aggregates and
+// bare columns; HAVING may come without GROUP BY, and ORDER BY may name
+// an alias or an aggregate. Without ORDER BY, groups come in
+// first-appearance order.
 func (g selectFuzz) groupStatement(w string, wp []Value) (string, []Value) {
-	key := g.pick("a", "id", "u", "s", "b", "a, s", "u, a", "s, id")
-	items := []string{key}
+	switch g.r.Intn(10) {
+	case 0: // scan_agg's join template over t and the view
+		return `SELECT v.b, COUNT(*), SUM(f.u) FROM (SELECT a, u FROM t` + w + `) f JOIN live v ON f.a = v.id GROUP BY v.b`, wp
+	case 1: // a correlated subquery in the select list, run for every group
+		return `SELECT a, COUNT(*), (SELECT COUNT(*) FROM t i WHERE i.a = o.a) AS n FROM t o` + w + ` GROUP BY a` +
+			g.pick(``, ` ORDER BY n DESC, 1`, ` HAVING (SELECT MAX(i.id) FROM t i WHERE i.a = o.a) > 40`), wp
+	}
+	key := g.pick("a", "id", "u", "s", "b", "a, s", "u, a", "s, id", "a % 3", "")
+	var items []string
+	if key != "" {
+		items = append(items, key)
+	} else if g.r.Intn(3) == 0 {
+		w, wp = ` WHERE id < 0`, nil // the implicit group over no rows
+	}
 	var params []Value
 	for n := 1 + g.r.Intn(3); n > 0; n-- {
-		switch g.r.Intn(7) {
+		switch g.r.Intn(10) {
 		case 0:
 			items = append(items, "COUNT(*)")
 		case 1:
@@ -401,19 +417,32 @@ func (g selectFuzz) groupStatement(w string, wp []Value) (string, []Value) {
 			items = append(items, g.pick("SUM(a)", "SUM(u)", "SUM(b)", "AVG(a)", "AVG(b)"))
 		case 3:
 			items = append(items, g.pick("MIN(a)", "MAX(u)", "MIN(b)", "MAX(b)", "MIN(s)", "MAX(s)"))
+		case 4:
+			items = append(items, g.pick("SUM(a) + COUNT(*)", "-MAX(b)", "CAST(COUNT(*) AS DOUBLE)", "MAX(id) - MIN(id)"))
+		case 5:
+			items = append(items, g.pick("COUNT(DISTINCT s)", "SUM(DISTINCT u)", "COUNT(DISTINCT a % 5)", "AVG(DISTINCT b)"))
+		case 6: // a bare column: the group's first row's
+			items = append(items, g.pick("s", "b", "id", "u + 1"))
 		default:
 			x, xp := g.numExpr(true)
 			items = append(items, g.pick("SUM", "AVG", "MIN", "MAX", "COUNT")+"("+x+")")
 			params = append(params, xp...)
 		}
 	}
-	sql := `SELECT ` + strings.Join(items, ", ") + ` FROM t` + w + ` GROUP BY ` + key
+	aliased := g.r.Intn(2) == 0
+	if aliased {
+		items[len(items)-1] += " AS n"
+	}
+	sql := `SELECT ` + strings.Join(items, ", ") + ` FROM t` + w
+	if key != "" {
+		sql += ` GROUP BY ` + key
+	}
 	params = append(params, wp...)
 	if g.r.Intn(3) == 0 {
-		sql += ` HAVING ` + g.pick("COUNT(*) > ?", "SUM(a) > ?", "MIN(b) < ?", "MAX(id) - MIN(id) >= ?")
+		sql += ` HAVING ` + g.pick("COUNT(*) > ?", "SUM(a) > ?", "MIN(b) < ?", "MAX(id) - MIN(id) >= ?", "COUNT(DISTINCT s) > ?")
 		params = append(params, g.intVal())
 	}
-	switch g.r.Intn(4) {
+	switch g.r.Intn(6) {
 	case 0:
 		sql += ` ORDER BY 1, 2`
 	case 1:
@@ -422,6 +451,14 @@ func (g selectFuzz) groupStatement(w string, wp []Value) (string, []Value) {
 	case 2:
 		sql += ` LIMIT ? OFFSET ?`
 		params = append(params, NewInt(int64(g.r.Intn(30))), NewInt(int64(g.r.Intn(10))))
+	case 3:
+		if aliased {
+			sql += ` ORDER BY n DESC, 1`
+			break
+		}
+		fallthrough
+	case 4:
+		sql += ` ORDER BY ` + g.pick("COUNT(*) DESC, 1", "SUM(a), 1 DESC", "MAX(b) - MIN(b), 1")
 	}
 	return sql, params
 }

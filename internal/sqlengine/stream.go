@@ -270,7 +270,7 @@ func (s *Session) produce(k *streamSink, scan func() error) {
 // OFFSET and LIMIT, evaluated once, and the scan's binding (bindScan).
 func (s *Session) startPlanStream(ctx context.Context, p *selectPlan, plans *blockPlans, params []Value) (*RowStream, error) {
 	db := s.engine.db
-	if err := s.lockForRead(tablesOfSelect(p.sel)); err != nil {
+	if err := s.lockForRead(p.sel); err != nil {
 		s.engine.locks.releaseAll(s)
 		return nil, err
 	}
