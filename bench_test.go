@@ -795,7 +795,8 @@ func BenchmarkScanTemplates(b *testing.B) {
 // E25 — grouped aggregation by key shape over 200 000 rows: a narrow
 // integer key (64 groups, a chunk-local table per chunk), a wide one
 // (50 000 keys spread over every chunk, a map lookup per row), VARCHAR and
-// two-column keys (group-key bytes), no GROUP BY, and MIN/MAX folds.
+// two-column keys (group-key bytes), no GROUP BY, MIN/MAX folds, and a
+// primary-key range under GROUP BY that selects 1 % or 99 % of the rows.
 func BenchmarkGroupedAggregate(b *testing.B) {
 	const rows, groups, wideKeys, tags = 200000, 64, 50000, 7
 	eng := sqlengine.New("bench")
@@ -814,6 +815,8 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 		{"two_keys", `SELECT grp, tag, COUNT(*), SUM(num) FROM ga GROUP BY grp, tag`},
 		{"no_group", `SELECT COUNT(*), SUM(num), AVG(num) FROM ga`},
 		{"minmax", `SELECT grp, MIN(num), MAX(num), MIN(tag), MAX(id) FROM ga GROUP BY grp`},
+		{"pk_narrow", `SELECT grp, COUNT(*), SUM(num) FROM ga WHERE id BETWEEN 100000 AND 101999 GROUP BY grp`},
+		{"pk_wide", `SELECT grp, COUNT(*), SUM(num) FROM ga WHERE id BETWEEN 2000 AND 199999 GROUP BY grp`},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if _, err := s.Execute(c.sql); err != nil { // plan cached, chunks built
