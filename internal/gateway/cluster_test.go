@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,6 +214,63 @@ func TestClusterScatterGather(t *testing.T) {
 	if !bytes.Equal(xmlutil.Marshal(got), xmlutil.Marshal(want)) {
 		t.Fatalf("filtered scatter differs:\n gw: %s\nsolo: %s",
 			xmlutil.Marshal(got), xmlutil.Marshal(want))
+	}
+}
+
+// TestClusterRefusesNonSelect: an SQL statement other than a SELECT on a
+// cluster alias is an InvalidExpressionFault naming the statement kind,
+// raised before any member is contacted — no backend request is made, and
+// every shard keeps its rows — because without a commit protocol across
+// the members one member's failure would leave the others changed.
+func TestClusterRefusesNonSelect(t *testing.T) {
+	shards := []*sqlBackend{
+		startSQLBackend(t, "s1", 1, 3),
+		startSQLBackend(t, "s2", 4, 6),
+		startSQLBackend(t, "s3", 7, 9),
+	}
+	obs := telemetry.NewObserver()
+	_, gwts := startGateway(t, gateway.Config{
+		Backends:    []string{shards[0].URL(), shards[1].URL(), shards[2].URL()},
+		Aliases:     []gateway.Alias{empAlias(shards)},
+		Observer:    obs,
+		ObserverSet: true,
+	})
+	backendRequests := func() (n float64) {
+		for _, s := range obs.Registry.Snapshot() {
+			if s.Name == gateway.MetricBackendRequests {
+				n += s.Value
+			}
+		}
+		return n
+	}
+	c := client.New(nil)
+	const all = `SELECT id, name, salary FROM emp ORDER BY id`
+	before, err := c.GenericQuery(context.Background(), client.Ref(gwts.URL, "urn:dais:cluster:emp"), dair.LanguageSQL92, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := backendRequests()
+	for sql, kind := range map[string]string{
+		`UPDATE emp SET salary = salary + 1`:           "UPDATE",
+		`DELETE FROM emp WHERE id > 0`:                 "DELETE",
+		`INSERT INTO emp VALUES (10, 'emp-10', 60000)`: "INSERT",
+		`CREATE TABLE extra (id INTEGER)`:              "CREATE TABLE",
+	} {
+		_, err := c.GenericQuery(context.Background(), client.Ref(gwts.URL, "urn:dais:cluster:emp"), dair.LanguageSQL92, sql)
+		var ief *core.InvalidExpressionFault
+		if !errors.As(err, &ief) || !strings.Contains(ief.Detail, kind) {
+			t.Fatalf("%s on the alias: err = %v, want an InvalidExpressionFault naming %s", sql, err, kind)
+		}
+	}
+	if got := backendRequests(); got != requests {
+		t.Fatalf("refused statements made %v backend requests", got-requests)
+	}
+	after, err := c.GenericQuery(context.Background(), client.Ref(gwts.URL, "urn:dais:cluster:emp"), dair.LanguageSQL92, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(xmlutil.Marshal(after), xmlutil.Marshal(before)) {
+		t.Fatalf("a shard's rows changed:\nbefore: %s\nafter:  %s", xmlutil.Marshal(before), xmlutil.Marshal(after))
 	}
 }
 

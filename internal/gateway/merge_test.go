@@ -63,24 +63,6 @@ func TestMergeRowsetsColumnMismatch(t *testing.T) {
 	}
 }
 
-func TestMergeUpdateCounts(t *testing.T) {
-	mk := func(text string) *xmlutil.Element {
-		e := xmlutil.NewElement(rowset.NSDAIR, "UpdateCount")
-		e.SetText(text)
-		return e
-	}
-	merged, err := mergeQueryResults([]*xmlutil.Element{mk("2"), mk("0"), mk("5")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Text(); got != "7" {
-		t.Fatalf("summed update count = %q, want 7", got)
-	}
-	if _, err := mergeQueryResults([]*xmlutil.Element{mk("2"), mk("oops")}); err == nil {
-		t.Fatal("malformed shard count not rejected")
-	}
-}
-
 func TestMergeSequencesConcatenatesItems(t *testing.T) {
 	mk := func(texts ...string) *xmlutil.Element {
 		seq := xmlutil.NewElement(ops.NSDAIX, "XMLSequence")

@@ -3,11 +3,12 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"dais/internal/core"
+	"dais/internal/dair"
 	"dais/internal/ops"
 	"dais/internal/rowset"
 	"dais/internal/sqlengine"
@@ -28,9 +29,23 @@ import (
 // backend that was believed healthy fails the whole query (silently
 // dropping a shard mid-flight would return a result that looks complete
 // and isn't). No healthy member at all is an overload condition.
+//
+// An SQL statement other than a SELECT is an InvalidExpressionFault
+// before any member is contacted: every member would apply it, and
+// without a commit protocol across them one member's failure would leave
+// the others changed. A text that does not parse goes to the members,
+// whose fault names the syntax error as a single node's would.
 func (g *Gateway) scatterQuery(ctx context.Context, spec ops.Spec, a *Alias, body *xmlutil.Element) (*xmlutil.Element, error) {
 	language := body.FindText(core.NSDAI, "GenericQueryLanguage")
 	expression := body.FindText(core.NSDAI, "Expression")
+	if language == dair.LanguageSQL92 {
+		if st, _, err := sqlengine.Parse(expression); err == nil {
+			if _, ok := st.(*sqlengine.SelectStmt); !ok {
+				return nil, &core.InvalidExpressionFault{Detail: fmt.Sprintf(
+					"%s on cluster alias %s: only SELECT runs across its members", strings.ToUpper(sqlengine.StatementKind(st)), a.Name)}
+			}
+		}
+	}
 	start := time.Now()
 
 	type part struct {
@@ -102,7 +117,6 @@ func (g *Gateway) scatterQuery(ctx context.Context, spec ops.Spec, a *Alias, bod
 //
 //   - SQLRowset: column metadata must agree; rows concatenate in shard
 //     order and re-encode through the shared rowset codec.
-//   - UpdateCount: counts sum.
 //   - XMLSequence: item lists concatenate in shard order.
 func mergeQueryResults(results []*xmlutil.Element) (*xmlutil.Element, error) {
 	if len(results) == 1 {
@@ -117,8 +131,6 @@ func mergeQueryResults(results []*xmlutil.Element) (*xmlutil.Element, error) {
 	switch {
 	case first.Name.Space == rowset.NSDAIR && first.Name.Local == "SQLRowset":
 		return mergeRowsets(results)
-	case first.Name.Space == rowset.NSDAIR && first.Name.Local == "UpdateCount":
-		return mergeUpdateCounts(results)
 	case first.Name.Space == ops.NSDAIX && first.Name.Local == "XMLSequence":
 		return mergeSequences(results)
 	}
@@ -155,20 +167,6 @@ func sameColumns(a, b []sqlengine.ResultColumn) error {
 		}
 	}
 	return nil
-}
-
-func mergeUpdateCounts(results []*xmlutil.Element) (*xmlutil.Element, error) {
-	total := 0
-	for i, r := range results {
-		n, err := strconv.Atoi(r.Text())
-		if err != nil {
-			return nil, fmt.Errorf("gateway: shard %d update count %q: %w", i, r.Text(), err)
-		}
-		total += n
-	}
-	e := xmlutil.NewElement(rowset.NSDAIR, "UpdateCount")
-	e.SetText(strconv.Itoa(total))
-	return e, nil
 }
 
 func mergeSequences(results []*xmlutil.Element) (*xmlutil.Element, error) {

@@ -173,7 +173,7 @@ func (a *aggAcc) grow(kind aggItemKind) {
 
 // fold is the chunk feeder's pass of one aggregate over a chunk: row
 // rows[j] of v into group gids[j], in row order, as the row feeder adds
-// them. MIN/MAX compare in the total order (cmpKeys) and replace only on
+// them. MIN/MAX compare in Compare's order (cmpKeys) and replace only on
 // a strict win, so ties keep the first-seen value.
 func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) {
 	switch kind {
@@ -271,7 +271,7 @@ func (a *aggAcc) add(it *aggItem, g int32, env *evalEnv) {
 		a.sumF[g] += v.asFloat()
 	case aggMin, aggMax:
 		if a.count[g] > 0 {
-			c, err := compareTotal(v, a.vals[g])
+			c, err := Compare(v, a.vals[g])
 			if err != nil {
 				setErr(&a.foldErr, g, err)
 				return
@@ -444,7 +444,7 @@ func (gs *aggGroups) ordinals(ch *colChunk, rows []uint16) []int32 {
 	case gs.ints != nil:
 		v := &ch.vecs[gs.g.keyCols[0]]
 		lo, span := v.min.I, v.max.I-v.min.I
-		if v.statN == 0 || span < 0 || span >= chunkRows { // no key, overflow, or wider than a chunk
+		if v.nonNull == 0 || span < 0 || span >= chunkRows { // no key, overflow, or wider than a chunk
 			for j, r := range rows {
 				gids[j] = gs.intGroup(ch, int(r), v)
 			}

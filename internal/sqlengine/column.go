@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -35,14 +34,10 @@ type colVec struct {
 	bools []bool
 	times []time.Time
 
-	// Zone map: nonNull counts non-null rows; min/max order every
-	// non-NaN non-null value (statN of them). NaN is excluded from
-	// min/max — Compare treats NaN as equal to everything, so a chunk
-	// containing NaN can never be skipped by ordering bounds — and
-	// hasNaN records its presence.
+	// Zone map: nonNull counts non-null rows; min and max are the least
+	// and greatest of them in Compare's order (a NaN is the greatest), or
+	// NULL when there are none.
 	nonNull int
-	statN   int
-	hasNaN  bool
 	min     Value
 	max     Value
 }
@@ -115,10 +110,6 @@ func (v *colVec) push(i int, val Value) bool {
 		v.ints = append(v.ints, val.I)
 	case TypeDouble:
 		v.flts = append(v.flts, val.F)
-		if math.IsNaN(val.F) {
-			v.hasNaN = true
-			return true // excluded from min/max
-		}
 	case TypeVarchar:
 		v.strs = append(v.strs, val.S)
 	case TypeBoolean:
@@ -126,17 +117,14 @@ func (v *colVec) push(i int, val Value) bool {
 	case TypeTimestamp:
 		v.times = append(v.times, val.Time())
 	}
-	if v.statN == 0 {
+	switch {
+	case v.nonNull == 1:
 		v.min, v.max = val, val
-	} else {
-		if c, err := Compare(val, v.min); err == nil && c < 0 {
-			v.min = val
-		}
-		if c, err := Compare(val, v.max); err == nil && c > 0 {
-			v.max = val
-		}
+	case cmpKeys(val, v.min) < 0:
+		v.min = val
+	case cmpKeys(val, v.max) > 0:
+		v.max = val
 	}
-	v.statN++
 	return true
 }
 
@@ -156,7 +144,7 @@ func (v *colVec) reset(n int) {
 	case TypeTimestamp:
 		v.times = slices.Grow(v.times[:0], n)
 	}
-	v.nonNull, v.statN, v.hasNaN = 0, 0, false
+	v.nonNull = 0
 	v.min, v.max = Value{}, Value{}
 }
 

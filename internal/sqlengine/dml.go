@@ -149,7 +149,7 @@ func (d *Database) planDML(st Statement) (*dmlPlan, string) {
 	case *DeleteStmt:
 		table, where = n.Table, n.Where
 	}
-	src := d.planSource(&TableRef{Table: table}, where, true)
+	src := d.planSource(&TableRef{Table: table}, where)
 	bound := false
 	if src != nil {
 		_, bound = rewriteExpr(where, src.cols)
@@ -236,22 +236,28 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 	if err != nil {
 		return 0, nil, err
 	}
-	var undo []undoEntry
-	count := 0
+	// Every target's WHERE and new image are evaluated before the first
+	// write, so a subquery in either reads the table as the statement
+	// found it; the images then apply in ascending row-ID order.
+	type change struct {
+		id       int64
+		old, new []Value
+	}
+	var changes []change
 	for _, id := range ids {
 		if err := env.checkCtx(); err != nil {
-			return count, undo, err
+			return 0, nil, err
 		}
 		row := t.row(id)
 		env.row = row
 		if st.Where != nil {
 			v, err := eval(st.Where, env)
 			if err != nil {
-				return count, undo, err
+				return 0, nil, err
 			}
 			ok, err := truthy(v)
 			if err != nil {
-				return count, undo, err
+				return 0, nil, err
 			}
 			if !ok {
 				continue
@@ -261,25 +267,28 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 		for _, s := range sets {
 			v, err := eval(s.expr, env)
 			if err != nil {
-				return count, undo, err
+				return 0, nil, err
 			}
 			cv, err := v.Coerce(t.Columns[s.col].Type)
 			if err != nil {
-				return count, undo, fmt.Errorf("column %q: %w", t.Columns[s.col].Name, err)
+				return 0, nil, fmt.Errorf("column %q: %w", t.Columns[s.col].Name, err)
 			}
 			if t.Columns[s.col].NotNull && cv.IsNull() {
-				return count, undo, fmt.Errorf("column %q may not be NULL", t.Columns[s.col].Name)
+				return 0, nil, fmt.Errorf("column %q may not be NULL", t.Columns[s.col].Name)
 			}
 			newRow[s.col] = cv
 		}
-		if err := t.updateRow(id, newRow); err != nil {
-			return count, undo, err
-		}
-		// updateRow swapped the image; row is now the undo record's alone.
-		undo = append(undo, undoEntry{table: t.Name, kind: undoUpdate, rowID: id, row: row})
-		count++
+		changes = append(changes, change{id: id, old: row, new: newRow})
 	}
-	return count, undo, nil
+	undo := make([]undoEntry, 0, len(changes))
+	for _, c := range changes {
+		if err := t.updateRow(c.id, c.new); err != nil {
+			return len(undo), undo, err
+		}
+		// updateRow swapped the image; old is now the undo record's alone.
+		undo = append(undo, undoEntry{table: t.Name, kind: undoUpdate, rowID: c.id, row: c.old})
+	}
+	return len(undo), undo, nil
 }
 
 // execDelete applies a DELETE; p is its compiled target plan, or nil, and

@@ -379,13 +379,19 @@ func chunkDiff(a, b *colChunk) string {
 			return fmt.Sprintf("col %d: null bitmap", c)
 		case !slices.Equal(x.ints, y.ints) || !floatsEqual || !slices.Equal(x.strs, y.strs) || !slices.Equal(x.bools, y.bools) || !timesEqual:
 			return fmt.Sprintf("col %d: values", c)
-		case x.nonNull != y.nonNull || x.statN != y.statN || x.hasNaN != y.hasNaN:
-			return fmt.Sprintf("col %d: nonNull/statN/hasNaN %d/%d/%v vs %d/%d/%v", c, x.nonNull, x.statN, x.hasNaN, y.nonNull, y.statN, y.hasNaN)
-		case x.min != y.min || x.max != y.max:
+		case x.nonNull != y.nonNull:
+			return fmt.Sprintf("col %d: nonNull %d vs %d", c, x.nonNull, y.nonNull)
+		case !sameStat(x.min, y.min) || !sameStat(x.max, y.max):
 			return fmt.Sprintf("col %d: zone map [%v,%v] vs [%v,%v]", c, x.min, x.max, y.min, y.max)
 		}
 	}
 	return ""
+}
+
+// sameStat reports that two zone-map bounds are the same value: equal
+// fields, or both a DOUBLE NaN, which == never finds equal.
+func sameStat(p, q Value) bool {
+	return p == q || p.Type == TypeDouble && q.Type == TypeDouble && math.IsNaN(p.F) && math.IsNaN(q.F)
 }
 
 // checkChunks asserts the chunk-maintenance property on a table's

@@ -290,8 +290,8 @@ func ordinalRef(e Expr, n int) (int, bool) {
 	return i - 1, true
 }
 
-// sortRows sorts result rows by the precomputed keys, stably, in the
-// total order (compareTotal).
+// sortRows sorts result rows by the precomputed keys, stably, in
+// Compare's order.
 func sortRows(rs *ResultSet, keys [][]Value, items []OrderItem) error {
 	if len(keys) != len(rs.Rows) {
 		return fmt.Errorf("internal: order keys mismatch (%d keys, %d rows)", len(keys), len(rs.Rows))
@@ -303,7 +303,7 @@ func sortRows(rs *ResultSet, keys [][]Value, items []OrderItem) error {
 	var sortErr error
 	sort.SliceStable(idx, func(a, b int) bool {
 		for k, it := range items {
-			c, err := compareTotal(keys[idx[a]][k], keys[idx[b]][k])
+			c, err := Compare(keys[idx[a]][k], keys[idx[b]][k])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err

@@ -394,7 +394,7 @@ func evalAggregate(n *FuncExpr, group [][]Value, env *evalEnv) (Value, error) {
 		}
 		best := vals[0]
 		for _, v := range vals[1:] {
-			c, err := compareTotal(v, best)
+			c, err := Compare(v, best)
 			if err != nil {
 				return Null, err
 			}

@@ -110,9 +110,9 @@ func keyClass(a, b Type) (joinKeyClass, bool) {
 
 // joinKeyFor hashes one value under the class discipline. skip means
 // the value is NULL (it can never satisfy `=`); bail means the runtime
-// value defeats hashing — a NaN (which Compare treats as equal to
-// everything) or a type that contradicts the declared class — and the
-// whole join must fall back to the nested loop to stay byte-identical.
+// value's type contradicts the declared class, and the whole join must
+// fall back to the nested loop to stay byte-identical. Values Compare
+// finds equal share a key: -0 and 0 share +0's, every NaN the one NaN's.
 func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, skip, bail bool) {
 	if v.IsNull() {
 		return joinKey{}, true, false
@@ -120,11 +120,11 @@ func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, skip, bail bool) {
 	switch cls {
 	case classNumeric:
 		f := v.asFloat()
-		if math.IsNaN(f) {
-			return joinKey{}, false, true
-		}
-		if f == 0 {
-			f = 0 // normalise -0.0 to +0.0; Compare treats them equal
+		switch {
+		case f == 0:
+			f = 0
+		case math.IsNaN(f):
+			f = math.NaN()
 		}
 		return joinKey{num: math.Float64bits(f)}, false, false
 	case classString:

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -153,9 +154,10 @@ func TestHashJoinTypeMismatchStillErrors(t *testing.T) {
 	}
 }
 
-// TestHashJoinNaNBailout: NaN keys defeat hashing (Compare treats NaN
-// as equal to everything), so the join must detect them and fall back
-// mid-flight with results identical to the nested loop.
+// TestHashJoinNaNBailout: a NaN key does not make the hash join bail out
+// to the nested loop. Under Compare a NaN equals only NaN, so every NaN,
+// whatever its bits, hashes to one key, and both joins pair the NaN rows
+// with each other and the 1s with each other, identically.
 func TestHashJoinNaNBailout(t *testing.T) {
 	run := func(disable bool) string {
 		e := New("nan")
@@ -166,15 +168,23 @@ func TestHashJoinNaNBailout(t *testing.T) {
 		mustParam(t, e, `INSERT INTO a VALUES (?, ?)`, NewInt(1), nan)
 		mustParam(t, e, `INSERT INTO a VALUES (?, ?)`, NewInt(2), NewDouble(1))
 		mustParam(t, e, `INSERT INTO b VALUES (?, ?)`, NewInt(1), NewDouble(1))
-		mustParam(t, e, `INSERT INTO b VALUES (?, ?)`, NewInt(2), nan)
+		mustParam(t, e, `INSERT INTO b VALUES (?, ?)`, NewInt(2), NewDouble(math.Float64frombits(0x7ff8000000000001))) // another NaN's bits
+		before := e.db.hashJoins.Load()
 		res, err := e.Exec(`SELECT a.id, b.id FROM a JOIN b ON a.x = b.x`)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if hashed := e.db.hashJoins.Load() != before; hashed == disable {
+			t.Fatalf("hash join disabled=%v, completed=%v", disable, hashed)
+		}
 		return dumpSet(res.Set)
 	}
-	if hash, nested := run(false), run(true); hash != nested {
+	hash, nested := run(false), run(true)
+	if hash != nested {
 		t.Fatalf("NaN keys diverge:\n--- hash ---\n%s--- nested ---\n%s", hash, nested)
+	}
+	if want := "id:INTEGER:a|id:INTEGER:b|\nINTEGER(1),INTEGER(2),\nINTEGER(2),INTEGER(1),\n"; hash != want {
+		t.Fatalf("NaN join answered\n%s, want\n%s", hash, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"math"
 	"slices"
 	"sort"
 )
@@ -42,17 +41,14 @@ func newOrderedIndex(name, table, column string, unique bool) *OrderedIndex {
 	return &OrderedIndex{Name: name, Table: table, Column: column, Unique: unique}
 }
 
-// cmpKeys is the index's key order: compareTotal's, so -0 and 0 are one
-// key, as they are to =, and a NaN is one key above +Inf instead of equal
-// to every key, which would leave the keys unsorted and merge it into
-// another key's postings. A comparison error cannot happen for coerced
-// column values and degrades to "equal" if it does.
+// cmpKeys is the index's key order: Compare's, so -0 and 0 are one key,
+// as they are to =, and a NaN is one key above +Inf. A comparison error
+// cannot happen for coerced column values and degrades to "equal" if it
+// does.
 func cmpKeys(a, b Value) int {
-	c, _ := compareTotal(a, b)
+	c, _ := Compare(a, b)
 	return c
 }
-
-func isNaN(v Value) bool { return v.Type == TypeDouble && math.IsNaN(v.F) }
 
 // sameKey reports whether two column values index as one key: both NULL,
 // or equal in key order.

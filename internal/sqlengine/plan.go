@@ -90,19 +90,10 @@ type accessPath struct {
 	lo, hi *planBound
 	desc   bool // iteration direction when a plan's ORDER BY is satisfied
 
-	// exact restricts the path to probes that select precisely the rows
-	// Compare-equality would: no DOUBLE key column (NaN compares equal to
-	// everything, which no key order reproduces) and no DOUBLE probe value
-	// (an integer key compares through float64 and loses precision above
-	// 2^53). SELECT keeps the documented index
-	// caveat; DML changes data and must not.
-	exact bool
-
 	// boundsAreWhere is set when the WHERE clause is nothing but the range
-	// conjuncts pushed down as lo and hi, on a key column an exact path
-	// could use. If the bounds then bind, and to no DOUBLE value, the index
-	// applies the whole predicate — one that cannot fail on any row — and
-	// the residual filter is skipped (see baseIDs).
+	// conjuncts pushed down as lo and hi. If the bounds then bind, the
+	// index applies the whole predicate — one that cannot fail on any row
+	// — and the residual filter is skipped (see baseIDs).
 	boundsAreWhere bool
 }
 
@@ -123,11 +114,10 @@ type tableSource struct {
 
 // planSource plans the source of one base-table reference, or returns
 // nil when tr names no base table (no FROM, a derived table, a view, an
-// unknown name). exact restricts the access path to exact probes (see
-// accessPath.exact). The access path reads the WHERE one conjunct at a
-// time, so a conjunct that does not resolve against the table (a
-// correlated one) leaves the others their index.
-func (d *Database) planSource(tr *TableRef, where Expr, exact bool) *tableSource {
+// unknown name). The access path reads the WHERE one conjunct at a time,
+// so a conjunct that does not resolve against the table (a correlated
+// one) leaves the others their index.
+func (d *Database) planSource(tr *TableRef, where Expr) *tableSource {
 	if tr == nil || tr.Subquery != nil {
 		return nil
 	}
@@ -138,7 +128,7 @@ func (d *Database) planSource(tr *TableRef, where Expr, exact bool) *tableSource
 	if err != nil {
 		return nil
 	}
-	s := &tableSource{accessPath: accessPath{t: t, keyCol: -1, exact: exact}, cols: columnsOf(t, tr.qualifier())}
+	s := &tableSource{accessPath: accessPath{t: t, keyCol: -1}, cols: columnsOf(t, tr.qualifier())}
 	if where == nil {
 		return s
 	}
@@ -292,7 +282,7 @@ func (d *Database) planSelect(sel *SelectStmt, bps *blockPlans) *selectPlan {
 			if len(sel.Joins) > 0 {
 				where = nil // the WHERE filters joined rows
 			}
-			p.src = d.planSource(sel.From, where, false)
+			p.src = d.planSource(sel.From, where)
 			p.accessPath = p.src.accessPath
 		}
 	}
@@ -597,17 +587,16 @@ func (p *accessPath) chooseIndex(conjuncts []vecPred) {
 		}
 	}
 
-	usable := func(col int) bool { return !p.exact || t.Columns[col].Type != TypeDouble }
 	// Point probe.
 	for _, eq := range eqs {
-		if ix := indexOn(t, eq.col); ix != nil && usable(eq.col) {
+		if ix := indexOn(t, eq.col); ix != nil {
 			p.access, p.ix, p.keyCol, p.eq = accessOrderedPoint, ix, eq.col, eq.val
 			return
 		}
 	}
 	// Range scan.
 	for _, col := range rangeOrder {
-		if ix := indexOn(t, col); ix != nil && usable(col) {
+		if ix := indexOn(t, col); ix != nil {
 			rc := ranges[col]
 			p.access, p.ix, p.keyCol, p.lo, p.hi = accessOrderedRange, ix, col, rc.lo, rc.hi
 			kept := 0
@@ -616,7 +605,7 @@ func (p *accessPath) chooseIndex(conjuncts []vecPred) {
 					kept++
 				}
 			}
-			p.boundsAreWhere = offered == expected && kept == offered && t.Columns[col].Type != TypeDouble
+			p.boundsAreWhere = offered == expected && kept == offered
 			return
 		}
 	}
@@ -791,7 +780,7 @@ func (p *selectPlan) explainLines() []string {
 	switch {
 	case p.vector: // the source's lines say it
 	case p.boundsAreWhere:
-		lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind exactly)")
+		lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind)")
 	case p.where != nil:
 		lines = append(lines, "  filter: predicate per row")
 	}
@@ -907,7 +896,7 @@ func (d *Database) explainStatement(st Statement) []string {
 	case *DeleteStmt:
 		return d.explainDML(fmt.Sprintf("delete from %q", n.Table), n)
 	}
-	return []string{fmt.Sprintf("%s (interpreted)", statementKind(st))}
+	return []string{fmt.Sprintf("%s (interpreted)", StatementKind(st))}
 }
 
 // explainDML describes how an UPDATE or DELETE selects its target rows,
@@ -928,9 +917,18 @@ func (d *Database) explainDML(head string, st Statement) []string {
 	return append(lines, "  filter: interpreted WHERE re-check on candidates")
 }
 
-// statementKind names a statement for explain output.
-func statementKind(st Statement) string {
+// StatementKind names a statement's kind in lower case: "update",
+// "create table", ... — for EXPLAIN output and faults that name it.
+func StatementKind(st Statement) string {
 	switch st.(type) {
+	case *InsertStmt:
+		return "insert"
+	case *UpdateStmt:
+		return "update"
+	case *DeleteStmt:
+		return "delete"
+	case *ExplainStmt:
+		return "explain"
 	case *CreateTableStmt:
 		return "create table"
 	case *DropTableStmt:

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
@@ -22,14 +21,14 @@ func comparableWith(v Value, colType Type) bool {
 }
 
 // probeValue evaluates a point key or a range bound for one execution.
-// ok=false — it fails to evaluate, is NULL, is a value Compare cannot
-// order against the key column, is NaN (which Compare finds equal to
-// every number, and the index's key order to none but NaN), or (for
-// exact paths, see accessPath.exact) is DOUBLE — widens the access, and
-// the filter settles it.
+// ok=false — it fails to evaluate, is NULL, or is a value Compare cannot
+// order against the key column — widens the access, and the filter
+// settles it. Any other value probes the index in the order its keys are
+// kept in, Compare's, so the probe selects exactly the rows the
+// comparison accepts.
 func (p *accessPath) probeValue(e Expr, params []Value) (Value, bool) {
 	v, ok := evalConst(e, params)
-	if !ok || v.IsNull() || isNaN(v) || !comparableWith(v, p.t.Columns[p.keyCol].Type) || p.exact && v.Type == TypeDouble {
+	if !ok || v.IsNull() || !comparableWith(v, p.t.Columns[p.keyCol].Type) {
 		return Null, false
 	}
 	return v, true
@@ -74,8 +73,7 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 //
 // filtered reports that the IDs are exactly the rows WHERE accepts, so
 // the caller skips the predicate: the clause is nothing but the range
-// bounds (boundsAreWhere), they bound, and none to a DOUBLE — which an
-// integer key would be compared with through float64, unlike the index.
+// bounds (boundsAreWhere), and they bound.
 func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 	narrowed := false
 	if p.access == accessOrderedScan {
@@ -89,17 +87,7 @@ func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
 		}
 		return p.t.liveIDs(), false
 	}
-	if !p.boundsAreWhere {
-		return ids, false
-	}
-	for _, b := range []*planBound{p.lo, p.hi} {
-		if b != nil {
-			if v, _ := evalConst(b.expr, params); v.Type == TypeDouble {
-				return ids, false
-			}
-		}
-	}
-	return ids, true
+	return ids, p.boundsAreWhere
 }
 
 // rangeBounds evaluates the plan's pushed-down bounds; ok=false when
@@ -475,7 +463,7 @@ func applyOffsetLimit(out *ResultSet, sel *SelectStmt, env *evalEnv) error {
 // keying and stable-sorting every selected row, it keeps in a heap the
 // OFFSET+LIMIT row images that sort first, keyed by their own cells, and
 // projects only the winners. A row is (image, row ID), keys compare in
-// the total order (a NaN after +Inf), and ties go to the lower ID — the
+// Compare's order (a NaN after +Inf), and ties go to the lower ID — the
 // earlier row in scan order — so the outcome is sortRows' (a stable sort)
 // exactly, in whatever order scan visits the pages.
 type topRows struct {
@@ -564,21 +552,15 @@ func (q *seedPages) Pop() any {
 }
 
 // bound is the first key that sorts first of any row of a page, from its
-// zone map, whose min and max leave NaN out: under DESC a NaN when the
-// page holds one (NaN sorts last), else the max, or NULL when every key
-// is; under ASC NULL when a key is (NULL sorts first), else the min, or a
-// NaN when every key is one.
+// zone map: under DESC the max, NULL when every key is; under ASC NULL
+// when a key is (NULL sorts first), else the min.
 func (t *topRows) bound(ch *colChunk) Value {
 	v := &ch.vecs[t.cols[0]]
 	switch {
-	case t.desc[0] && v.hasNaN:
-		return NewDouble(math.NaN())
-	case t.desc[0] && v.statN > 0:
+	case t.desc[0]:
 		return v.max
-	case t.desc[0] || v.nonNull < ch.n:
+	case v.nonNull < ch.n:
 		return Null
-	case v.statN == 0:
-		return NewDouble(math.NaN())
 	}
 	return v.min
 }

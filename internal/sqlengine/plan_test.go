@@ -322,9 +322,10 @@ func TestPlanAccessPaths(t *testing.T) {
 
 // TestRangeFilterSatisfiedByAccessPath: a WHERE that is nothing but the
 // pushed-down bounds is not evaluated again on the rows the ordered
-// index selected — unless a bound does not bind exactly (NULL, NaN, a DOUBLE
-// against the integer key, a type Compare rejects), when the scan widens
-// or the filter runs and the interpreter's rows and errors come back.
+// index selected — whatever the bound, NaN or a DOUBLE against the
+// integer key included, since the index keeps Compare's order — unless a
+// bound does not bind (NULL, a type Compare rejects), when the scan widens
+// and the interpreter's rows and errors come back.
 func TestRangeFilterSatisfiedByAccessPath(t *testing.T) {
 	e := planEngine(t, 150)
 	e.MustExec(`CREATE ORDERED INDEX rng_d ON rng (d)`)
@@ -338,7 +339,7 @@ func TestRangeFilterSatisfiedByAccessPath(t *testing.T) {
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewDouble(6.5)}},
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewDouble(9007199254740993)}},
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{Null}},
-		{`SELECT * FROM rng WHERE ? <= k`, []Value{NewDouble(math.NaN())}}, // NaN equals every key under Compare
+		{`SELECT * FROM rng WHERE ? <= k`, []Value{NewDouble(math.NaN())}}, // NaN is above every integer key
 		{`SELECT id FROM rng WHERE id = ?`, []Value{NewDouble(math.NaN())}},
 		{`SELECT id FROM rng WHERE k BETWEEN ? AND 9 ORDER BY k`, []Value{NewDouble(math.NaN())}},
 		{`SELECT * FROM rng WHERE k >= ?`, []Value{NewString("7")}},
@@ -348,7 +349,7 @@ func TestRangeFilterSatisfiedByAccessPath(t *testing.T) {
 		{`SELECT * FROM rng WHERE ? < k AND k <= ?`, []Value{NewInt(3), NewInt(11)}},
 		{`SELECT * FROM rng WHERE k >= 3 AND k >= 15`, nil},
 		{`SELECT * FROM rng WHERE k > 3 AND k_noix < 9`, nil},
-		{`SELECT * FROM rng WHERE d >= ?`, []Value{NewDouble(0)}}, // DOUBLE key: never satisfied
+		{`SELECT * FROM rng WHERE d >= ?`, []Value{NewDouble(0)}}, // DOUBLE key: satisfied like any other
 		{`SELECT * FROM rng WHERE d >= ?`, []Value{NewInt(0)}},
 		{`SELECT * FROM rng WHERE s >= ? AND s < ?`, []Value{NewString("v-003"), NewString("v-009")}},
 		{`SELECT * FROM rng WHERE s >= ?`, []Value{NewInt(3)}},

@@ -301,10 +301,14 @@ func parseTimestamp(s string) (Value, error) {
 	return Null, fmt.Errorf("cannot parse timestamp %q", s)
 }
 
-// Compare orders two values. NULLs compare less than everything (the
-// executor handles three-valued logic before calling Compare; ORDER BY
-// uses this NULLS FIRST behaviour). Numeric types compare numerically
-// across widths.
+// Compare is the engine's one total order: predicates, kernels, zone
+// maps, ORDER BY, MIN/MAX and the ordered index all compare in it, so an
+// index answers what a scan answers. NULLs compare less than everything
+// (the executor handles three-valued logic before calling Compare;
+// ORDER BY uses this NULLS FIRST behaviour). Numeric types compare by
+// exact value across widths — an INTEGER or BIGINT is never rounded to
+// a DOUBLE to meet one —, -0 equals 0, and a NaN equals only NaN and
+// sorts after +Inf, as in PostgreSQL.
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -317,23 +321,15 @@ func Compare(a, b Value) (int, error) {
 		}
 	}
 	if a.Type.isNumeric() && b.Type.isNumeric() {
-		if a.Type != TypeDouble && b.Type != TypeDouble {
-			switch {
-			case a.I < b.I:
-				return -1, nil
-			case a.I > b.I:
-				return 1, nil
-			}
-			return 0, nil
+		switch ad, bd := a.Type == TypeDouble, b.Type == TypeDouble; {
+		case ad && bd:
+			return cmpF(a.F, b.F), nil
+		case ad:
+			return -cmpIF(b.I, a.F), nil
+		case bd:
+			return cmpIF(a.I, b.F), nil
 		}
-		af, bf := a.asFloat(), b.asFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
+		return cmpI(a.I, b.I), nil
 	}
 	if a.Type != b.Type {
 		return 0, fmt.Errorf("cannot compare %s with %s", a.Type, b.Type)
@@ -359,17 +355,49 @@ func Compare(a, b Value) (int, error) {
 	return 0, fmt.Errorf("cannot compare values of type %s", a.Type)
 }
 
-// compareTotal is the engine's one total order, in which ORDER BY sorts,
-// MIN and MAX choose and the ordered index keeps its keys: Compare's,
-// except that a NaN sorts after +Inf and equals only NaN. Under Compare a
-// NaN equals every number, which is no order at all: a sort leaves it
-// where its merge pattern happens to, and MIN/MAX keep whichever came
-// first.
-func compareTotal(a, b Value) (int, error) {
-	if (isNaN(a) || isNaN(b)) && a.Type.isNumeric() && b.Type.isNumeric() {
-		return cmpTotalF(a.asFloat(), b.asFloat()), nil
+// cmpF is Compare's order of two doubles. The ordered cases come first,
+// so only an unordered pair — one at least a NaN — reaches the NaN rule;
+// never use == alone on doubles here.
+func cmpF(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case !math.IsNaN(a): // b is the NaN
+		return -1
+	case !math.IsNaN(b):
+		return 1
 	}
-	return Compare(a, b)
+	return 0
+}
+
+func cmpI(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// cmpIF is Compare's order of an integer and a double: exact, the
+// integer never rounded, and a NaN after every integer.
+func cmpIF(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f) || f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := int64(f) // f truncated toward zero: exact in this range
+	if c := cmpI(i, t); c != 0 {
+		return c
+	}
+	return -cmpF(f, float64(t)) // i is f's integer part: its fraction decides
 }
 
 // Equal reports SQL equality (NULL = NULL is false; use for hashing

@@ -292,7 +292,7 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		if !comparableWith(v, src.typ) {
 			return nil, false
 		}
-		return &bvCmp{src: src, op: n.op, tri: opTri(n.op), val: v}, true
+		return bindCmp(src, opTri(n.op), v), true
 	case *vpLike:
 		v, ok := evalConst(n.pattern, params)
 		if !ok {
@@ -333,7 +333,12 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 		if !comparableWith(lo, src.typ) || !comparableWith(hi, src.typ) {
 			return nil, false
 		}
-		return &bvBetween{src: src, lo: lo, hi: hi, negate: n.negate}, true
+		// With both bounds non-null, BETWEEN is its two comparisons ANDed.
+		var b boundVec = &bvAnd{l: bindCmp(src, opTri(">="), lo), r: bindCmp(src, opTri("<="), hi)}
+		if n.negate {
+			b = &bvNot{c: b}
+		}
+		return b, true
 	case *vpIn:
 		src, ok := bindOperand(n.src, params, t)
 		if !ok {
@@ -355,7 +360,9 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 				// reach this item; only the row path can time that.
 				return nil, false
 			}
-			b.items = append(b.items, v)
+			if key, equal, _ := inDomain(v, ct); equal {
+				b.items = append(b.items, key) // no value of the column equals any other
+			}
 		}
 		return b, true
 	case *vpAnd:
@@ -388,7 +395,7 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 	return nil, false
 }
 
-// compareInColumn is compareTotal for two values of one column — NULLs
+// compareInColumn is Compare for two values of one column — NULLs
 // first, then the column type's own ordering, which cannot fail — read
 // through pointers, a Value being nine words.
 func compareInColumn(a, b *Value) int {
@@ -397,7 +404,7 @@ func compareInColumn(a, b *Value) int {
 		c, _ := Compare(*a, *b)
 		return c
 	case a.Type == TypeDouble:
-		return cmpTotalF(a.F, b.F)
+		return cmpF(a.F, b.F)
 	case a.Type == TypeInteger || a.Type == TypeBigint:
 		return cmpI(a.I, b.I)
 	case a.Type == TypeVarchar:
@@ -407,56 +414,15 @@ func compareInColumn(a, b *Value) int {
 	return c
 }
 
-// cmpF is Compare's three-way float ordering: NaN compares equal to
-// everything (af<bf and af>bf are both false), which the kernels must
-// reproduce — never use == on doubles here.
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// cmpTotalF is cmpF in the engine's total order: a NaN sorts after +Inf
-// and equals only NaN.
-func cmpTotalF(a, b float64) int {
-	an, bn := math.IsNaN(a), math.IsNaN(b)
-	switch {
-	case !an && !bn:
-		return cmpF(a, b)
-	case an && bn:
-		return 0
-	case an:
-		return 1
-	}
-	return -1
-}
-
-func cmpI(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// vecCmp is Compare(vec[i], c) for a non-null row and a bind-checked
-// comparable constant — the slow generic form used by the BETWEEN/IN
-// kernels and non-numeric comparisons.
+// vecCmp is Compare(vec[i], c) for a non-null row and a constant of the
+// column's own domain (inDomain) — the slow generic form used by the IN
+// kernel and non-numeric comparisons.
 func vecCmp(v *colVec, i int, c Value) int {
 	switch v.typ {
 	case TypeInteger, TypeBigint:
-		if c.Type == TypeDouble {
-			return cmpF(float64(v.ints[i]), c.F)
-		}
 		return cmpI(v.ints[i], c.I)
 	case TypeDouble:
-		return cmpF(v.flts[i], c.asFloat())
+		return cmpF(v.flts[i], c.F)
 	case TypeVarchar:
 		return strings.Compare(v.strs[i], c.S)
 	case TypeBoolean:
@@ -526,29 +492,61 @@ func (b *bvConst) possible(*colChunk) uint8 {
 
 // bvCmp evaluates column <op> constant over a chunk with typed inner
 // loops for the hot layouts (int, float, string) and the generic
-// comparator otherwise.
+// comparator otherwise. tri is the operator's outcome by the sign of the
+// comparison with val, a value of the column's own domain (bindCmp).
 type bvCmp struct {
 	src bvOperand
-	op  string
 	tri [3]int8
 	val Value
+}
+
+// bindCmp binds operand <op> c, whose outcomes by Compare's sign are tri.
+// A numeric c of the other domain than the operand's — a DOUBLE against
+// an integer, or an integer against a DOUBLE — is restated once here as
+// the greatest value of the operand's domain at or below it (inDomain):
+// a value that is not c itself compares with c as with that one, except
+// that it is never equal, and every value is above a c below the whole
+// domain. So the typed loops compare within one domain and still answer
+// Compare's exact order.
+func bindCmp(src bvOperand, tri [3]int8, c Value) *bvCmp {
+	key, equal, ok := inDomain(c, src.typ)
+	switch {
+	case !ok:
+		tri = [3]int8{tri[2], tri[2], tri[2]}
+	case !equal:
+		tri = [3]int8{tri[0], tri[0], tri[2]}
+	}
+	return &bvCmp{src: src, tri: tri, val: key}
+}
+
+// inDomain returns the greatest value of column type t at or below the
+// constant c in Compare's order; equal reports that it equals c, and
+// ok=false that c is below every value of t. Only a numeric c of the
+// other domain than t's moves: integers have no NaN and no fractions,
+// and past 2^53 doubles skip integers.
+func inDomain(c Value, t Type) (key Value, equal, ok bool) {
+	switch {
+	case !c.Type.isNumeric() || !t.isNumeric() || (c.Type == TypeDouble) == (t == TypeDouble):
+		return c, true, true
+	case t == TypeDouble:
+		f := float64(c.I) // the nearest double, which may lie above c
+		if cmpIF(c.I, f) < 0 {
+			f = math.Nextafter(f, math.Inf(-1))
+		}
+		return NewDouble(f), cmpIF(c.I, f) == 0, true
+	case math.IsNaN(c.F) || c.F >= 0x1p63:
+		return Value{Type: t, I: math.MaxInt64}, false, true
+	case c.F < -0x1p63:
+		return Value{Type: t, I: math.MinInt64}, false, false
+	}
+	f := math.Floor(c.F)
+	return Value{Type: t, I: int64(f)}, f == c.F, true
 }
 
 func (b *bvCmp) eval(ch *colChunk, out []int8) {
 	v := b.src.vec(ch)
 	switch v.typ {
 	case TypeInteger, TypeBigint:
-		if b.val.Type == TypeDouble {
-			c := b.val.F
-			for i := 0; i < ch.n; i++ {
-				if v.nulls.get(i) {
-					out[i] = triN
-					continue
-				}
-				out[i] = b.tri[cmpF(float64(v.ints[i]), c)+1]
-			}
-			return
-		}
 		c := b.val.I
 		if v.nonNull == ch.n { // a NULL-free column vector: no bitmap reads
 			for i, x := range v.ints[:ch.n] {
@@ -564,7 +562,7 @@ func (b *bvCmp) eval(ch *colChunk, out []int8) {
 			out[i] = b.tri[cmpI(v.ints[i], c)+1]
 		}
 	case TypeDouble:
-		c := b.val.asFloat()
+		c := b.val.F
 		if v.nonNull == ch.n {
 			for i, x := range v.flts[:ch.n] {
 				out[i] = b.tri[cmpF(x, c)+1]
@@ -598,22 +596,14 @@ func (b *bvCmp) eval(ch *colChunk, out []int8) {
 	}
 }
 
-// cmpPossible reports which outcomes an operator admits given the
-// chunk's [min,max] ordering against the constant.
-func cmpPossible(op string, lo, hi int) (canT, canF bool) {
-	switch op {
-	case "=":
-		return lo <= 0 && hi >= 0, !(lo == 0 && hi == 0)
-	case "<>":
-		return !(lo == 0 && hi == 0), lo <= 0 && hi >= 0
-	case "<":
-		return lo < 0, hi >= 0
-	case "<=":
-		return lo <= 0, hi > 0
-	case ">":
-		return hi > 0, lo <= 0
+// cmpPossible reports which outcomes tri admits for a chunk whose values
+// compare with the constant from lo (its min's sign) to hi (its max's).
+func cmpPossible(tri [3]int8, lo, hi int) (canT, canF bool) {
+	for c := lo; c <= hi; c++ {
+		canT = canT || tri[c+1] == triT
+		canF = canF || tri[c+1] == triF
 	}
-	return hi >= 0, lo < 0 // >=
+	return canT, canF
 }
 
 func (b *bvCmp) possible(ch *colChunk) uint8 {
@@ -628,17 +618,12 @@ func (b *bvCmp) possible(ch *colChunk) uint8 {
 	if v.nonNull == 0 {
 		return m
 	}
-	// NaN defeats ordering (it compares equal to everything), and a
-	// vector whose every value is NaN has no min/max at all.
-	if v.hasNaN || v.statN == 0 {
-		return m | maskT | maskF
-	}
 	lo, errLo := Compare(v.min, b.val)
 	hi, errHi := Compare(v.max, b.val)
 	if errLo != nil || errHi != nil {
 		return m | maskT | maskF
 	}
-	canT, canF := cmpPossible(b.op, lo, hi)
+	canT, canF := cmpPossible(b.tri, lo, hi)
 	if canT {
 		m |= maskT
 	}
@@ -719,67 +704,6 @@ func (b *bvIsNull) possible(ch *colChunk) uint8 {
 	return m
 }
 
-type bvBetween struct {
-	src    bvOperand
-	lo, hi Value
-	negate bool
-}
-
-func (b *bvBetween) eval(ch *colChunk, out []int8) {
-	v := b.src.vec(ch)
-	for i := 0; i < ch.n; i++ {
-		if v.nulls.get(i) {
-			out[i] = triN
-			continue
-		}
-		res := vecCmp(v, i, b.lo) >= 0 && vecCmp(v, i, b.hi) <= 0
-		if b.negate {
-			res = !res
-		}
-		if res {
-			out[i] = triT
-		} else {
-			out[i] = triF
-		}
-	}
-}
-
-func (b *bvBetween) possible(ch *colChunk) uint8 {
-	if b.src.ex != nil {
-		return maskAny
-	}
-	v := &ch.vecs[b.src.col]
-	var m uint8
-	if v.nonNull < ch.n {
-		m |= maskN
-	}
-	if v.nonNull == 0 {
-		return m
-	}
-	if v.hasNaN || v.statN == 0 {
-		return m | maskT | maskF
-	}
-	cMaxLo, e1 := Compare(v.max, b.lo)
-	cMinHi, e2 := Compare(v.min, b.hi)
-	cMinLo, e3 := Compare(v.min, b.lo)
-	cMaxHi, e4 := Compare(v.max, b.hi)
-	if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-		return m | maskT | maskF
-	}
-	canT := cMaxLo >= 0 && cMinHi <= 0 // ranges overlap
-	canF := cMinLo < 0 || cMaxHi > 0   // some value outside
-	if b.negate {
-		canT, canF = canF, canT
-	}
-	if canT {
-		m |= maskT
-	}
-	if canF {
-		m |= maskF
-	}
-	return m
-}
-
 type bvIn struct {
 	src     bvOperand
 	items   []Value // non-null, in list order
@@ -828,7 +752,7 @@ func (b *bvIn) possible(ch *colChunk) uint8 {
 	if v.nonNull == 0 {
 		return m
 	}
-	if b.negate || v.hasNaN || v.statN == 0 {
+	if b.negate {
 		return m | maskT | maskF
 	}
 	// IN can only be true when some item falls inside [min,max].

@@ -70,7 +70,7 @@ var vectorCorpus = []struct {
 	{sql: `SELECT id FROM vt WHERE b > 2.5`},
 	{sql: `SELECT id FROM vt WHERE b <= -3`},
 	{sql: `SELECT id FROM vt WHERE b = 0`},
-	{sql: `SELECT id FROM vt WHERE b <> 1.25`}, // NaN rows: <> via Compare, stays false
+	{sql: `SELECT id FROM vt WHERE b <> 1.25`}, // NaN rows: NaN <> 1.25 holds
 	{sql: `SELECT id FROM vt WHERE s > 'v-008'`},
 	{sql: `SELECT id FROM vt WHERE s = 'v-003'`},
 	{sql: `SELECT id FROM vt WHERE f = TRUE`},
