@@ -83,8 +83,8 @@ soak:
 	DAIS_SOAK=1 $(GO) test -race -count=1 -run TestChaosSoakGoroutineHygiene -v ./internal/service/
 
 # Short fuzz pass over each parser target, the ordered index, the one
-# comparison order and the SELECT executor against its oracle; scheduled
-# CI runs this.
+# comparison order, the exact sum against math/big and the SELECT
+# executor against its oracle; scheduled CI runs this.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnvelope -fuzztime $(FUZZTIME) ./internal/soap/
@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBufferWindow -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzOrderedIndex -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzCompareOrder -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzSelectPaths -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzParseEPR -fuzztime $(FUZZTIME) ./internal/wsaddr/

@@ -793,10 +793,12 @@ func BenchmarkScanTemplates(b *testing.B) {
 }
 
 // E25 — grouped aggregation by key shape over 200 000 rows: a narrow
-// integer key (64 groups, a chunk-local table per chunk), a wide one
-// (50 000 keys spread over every chunk, a map lookup per row), VARCHAR and
-// two-column keys (group-key bytes), no GROUP BY, MIN/MAX folds, and a
-// primary-key range under GROUP BY that selects 1 % or 99 % of the rows.
+// integer key (64 groups), a wide one (50 000 keys spread over every
+// page, about a thousand groups a page), VARCHAR and two-column keys
+// (group-key bytes), no GROUP BY, MIN/MAX folds, and a primary-key range
+// under GROUP BY that selects 1 % or 99 % of the rows. Each statement
+// repeats over an unchanged table, so every page its WHERE passes whole
+// is merged from the page's partial (E29).
 func BenchmarkGroupedAggregate(b *testing.B) {
 	const rows, groups, wideKeys, tags = 200000, 64, 50000, 7
 	eng := sqlengine.New("bench")

@@ -30,6 +30,11 @@ const (
 	// says what was planned, this says how often it did not run on the
 	// kernels.
 	MetricVectorFallbacks = "dais_vector_fallbacks_total"
+	// MetricVectorPartialsReused counts pages a grouped aggregate answered
+	// from the page's stored partial aggregates instead of reading its
+	// rows. Its rate over the batch rate is the share of grouped pages no
+	// write touched since the last grouped read of them.
+	MetricVectorPartialsReused = "dais_vector_partials_reused_total"
 )
 
 // RegisterVectorMetrics exposes an engine's columnar-execution counters
@@ -46,5 +51,6 @@ func RegisterVectorMetrics(reg *telemetry.Registry, eng *sqlengine.Engine) {
 		emit(telemetry.Sample{Name: MetricVectorChunksSkipped, Labels: labels, Value: float64(stats.ChunksSkipped)})
 		emit(telemetry.Sample{Name: MetricVectorChunksRebuilt, Labels: labels, Value: float64(stats.ChunksRebuilt)})
 		emit(telemetry.Sample{Name: MetricVectorFallbacks, Labels: labels, Value: float64(stats.Fallbacks)})
+		emit(telemetry.Sample{Name: MetricVectorPartialsReused, Labels: labels, Value: float64(stats.PartialsReused)})
 	})
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // TestVectorMetricsExposed scrapes an engine's columnar counters: all
-// four series must appear with the engine label, running a vectorised
+// five series must appear with the engine label, running a vectorised
 // scan between scrapes must move the batch counter, a one-row write must
-// move the rebuild counter by the one chunk it touched, and a planned
-// statement that has to abandon its kernels the fallback counter.
+// move the rebuild counter by the one chunk it touched, a planned
+// statement that has to abandon its kernels the fallback counter, and a
+// grouped read of an unchanged page the partials counter.
 func TestVectorMetricsExposed(t *testing.T) {
 	eng := sqlengine.New("vecdb")
 	eng.MustExec(`CREATE TABLE t (id INTEGER, v INTEGER)`)
@@ -49,6 +50,7 @@ func TestVectorMetricsExposed(t *testing.T) {
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorChunksSkipped, stats.ChunksSkipped),
 		fmt.Sprintf(`%s{engine="vecdb"} 1`, MetricVectorChunksRebuilt), // 64 rows: one chunk, built by the scan
 		fmt.Sprintf(`%s{engine="vecdb"} 0`, MetricVectorFallbacks),
+		fmt.Sprintf(`%s{engine="vecdb"} 0`, MetricVectorPartialsReused),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, text)
@@ -68,6 +70,12 @@ func TestVectorMetricsExposed(t *testing.T) {
 	if _, err := s.Execute(`SELECT SUM(id / v) FROM t`); err == nil {
 		t.Fatal("expected division by zero")
 	}
+	// The first grouped read stores the page's partial, the second merges it.
+	for i := 0; i < 2; i++ {
+		if _, err := s.Execute(`SELECT v, COUNT(*), SUM(id) FROM t GROUP BY v`); err != nil {
+			t.Fatal(err)
+		}
+	}
 	after := eng.VectorStats()
 	if after.Batches <= stats.Batches {
 		t.Fatalf("expected extra batch: %+v -> %+v", stats, after)
@@ -77,6 +85,7 @@ func TestVectorMetricsExposed(t *testing.T) {
 		fmt.Sprintf(`%s{engine="vecdb"} %d`, MetricVectorBatches, after.Batches),
 		fmt.Sprintf(`%s{engine="vecdb"} 2`, MetricVectorChunksRebuilt),
 		fmt.Sprintf(`%s{engine="vecdb"} 1`, MetricVectorFallbacks),
+		fmt.Sprintf(`%s{engine="vecdb"} 1`, MetricVectorPartialsReused),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("second scrape missing %q:\n%s", want, text)

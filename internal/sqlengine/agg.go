@@ -2,7 +2,9 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strconv"
 )
 
@@ -45,9 +47,10 @@ type groupPlan struct {
 	width   int    // the input row's width: a group row's first cells
 	keys    []Expr // bound GROUP BY expressions
 	items   []aggItem
-	having  Expr  // over the group row; nil without HAVING
-	chunked bool  // the chunk feeder applies (see chunkable)
-	keyCols []int // ... and the keys are these base columns
+	having  Expr   // over the group row; nil without HAVING
+	chunked bool   // the chunk feeder applies (see chunkable)
+	keyCols []int  // ... and the keys are these base columns
+	sig     string // ... and a page's partial holds this fold; "" when an argument computes
 }
 
 // aggRef reads an aggregate's slot of a group row: its value at cell, or
@@ -113,18 +116,23 @@ func (p *selectPlan) outputExpr(e Expr, bind bool) Expr {
 // chunkable reports whether the chunk feeder can fold the block: every
 // key is a base column, and every aggregate is COUNT(*) or, without
 // DISTINCT, one over a base column or column arithmetic — SUM and AVG
-// over a numeric one. An aggregate that fails folds as COUNT(*).
+// over a numeric one. An aggregate that fails folds as COUNT(*). It also
+// names the fold's signature (groupPlan.sig).
 func (p *selectPlan) chunkable() bool {
 	g, t := p.group, p.t
+	var sig []byte
 	for _, k := range g.keys {
 		col, ok := vecColumn(k, t)
 		if !ok {
 			return false
 		}
 		g.keyCols = append(g.keyCols, col)
+		sig = append(strconv.AppendInt(sig, int64(col), 10), ',')
 	}
+	computes := false
 	for i := range g.items {
 		it := &g.items[i]
+		sig = append(sig, '|', '0'+byte(it.kind))
 		if it.arg == nil {
 			continue
 		}
@@ -132,22 +140,27 @@ func (p *selectPlan) chunkable() bool {
 		ok := isCol
 		if !isCol {
 			it.expr, ok = compileVecExpr(it.arg, t)
+			computes = true
 		}
 		if !ok || it.call.Distinct || (it.kind == aggSum || it.kind == aggAvg) && isCol && !t.Columns[col].Type.isNumeric() {
 			return false
 		}
+		sig = strconv.AppendInt(sig, int64(col), 10)
+	}
+	if !computes {
+		g.sig = string(sig)
 	}
 	return true
 }
 
 // aggAcc holds one aggregate's accumulators, one slot per group ordinal.
 type aggAcc struct {
-	count []int64   // COUNT(*): rows; any other: the non-null values folded
-	sumI  []int64   // SUM of integers
-	sumF  []float64 // SUM of DOUBLEs, AVG; the row feeder's SUM adds every value here too
-	dbl   []bool    // the row feeder's SUM: a DOUBLE was added
-	vals  []Value   // MIN/MAX: the best so far
-	typ   Type      // the chunk feeder's argument type; TypeNull on the row feeder
+	count []int64    // COUNT(*): rows; any other: the non-null values folded
+	sumI  []int64    // SUM of integers
+	sumX  []exactSum // SUM of DOUBLEs, AVG; the row feeder's SUM adds every value here too
+	dbl   []bool     // the row feeder's SUM: a DOUBLE was added
+	vals  []Value    // MIN/MAX: the best so far
+	typ   Type       // the chunk feeder's argument type; TypeNull on the row feeder
 
 	// The row feeder's errors per group, grown when one first fails: the
 	// argument's first evaluation error, and the first fold error (SUM
@@ -158,23 +171,36 @@ type aggAcc struct {
 	key              []byte
 }
 
-// grow gives one more group a slot in what the aggregate folds into.
+// grow gives one more group a slot in what the aggregate folds into. An
+// exact sum's slot left from a reset keeps its digits for reuse.
 func (a *aggAcc) grow(kind aggItemKind) {
 	a.count = append(a.count, 0)
 	switch kind {
 	case aggSum:
-		a.sumI, a.sumF, a.dbl = append(a.sumI, 0), append(a.sumF, 0), append(a.dbl, false)
+		a.sumI, a.dbl = append(a.sumI, 0), append(a.dbl, false)
+		fallthrough
 	case aggAvg:
-		a.sumF = append(a.sumF, 0)
+		if n := len(a.sumX); n < cap(a.sumX) {
+			a.sumX = a.sumX[:n+1]
+			a.sumX[n].reset()
+		} else {
+			a.sumX = append(a.sumX, exactSum{})
+		}
 	case aggMin, aggMax:
 		a.vals = append(a.vals, Null)
 	}
 }
 
-// fold is the chunk feeder's pass of one aggregate over a chunk: row
-// rows[j] of v into group gids[j], in row order, as the row feeder adds
-// them. MIN/MAX compare in Compare's order (cmpKeys) and replace only on
-// a strict win, so ties keep the first-seen value.
+// reset drops every group's slot, keeping the allocations.
+func (a *aggAcc) reset() {
+	a.count, a.sumI, a.sumX, a.dbl, a.vals = a.count[:0], a.sumI[:0], a.sumX[:0], a.dbl[:0], a.vals[:0]
+}
+
+// fold is the chunk feeder's pass of one aggregate over a page: row
+// rows[j] of v into local group gids[j] of the page's fresh groups
+// (pageGroups), in row order, as the row feeder adds them. MIN/MAX
+// compare in Compare's order (cmpKeys) and replace only on a strict win,
+// so ties keep the first-seen value.
 func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) {
 	switch kind {
 	case aggCountStar:
@@ -190,15 +216,21 @@ func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) 
 	case aggSum, aggAvg:
 		switch {
 		case v.typ == TypeDouble:
-			foldSum(a.count, a.sumF, v.flts, v.nulls, rows, gids)
+			a.foldFloats(v, rows, gids)
 		case kind == aggSum:
-			foldSum(a.count, a.sumI, v.ints, v.nulls, rows, gids)
-		default: // AVG of integers adds them as doubles
 			for j, r := range rows {
 				if !v.nulls.get(int(r)) {
 					g := gids[j]
 					a.count[g]++
-					a.sumF[g] += float64(v.ints[r])
+					a.sumI[g] += v.ints[r]
+				}
+			}
+		default: // AVG of integers: their exact sum
+			for j, r := range rows {
+				if !v.nulls.get(int(r)) {
+					g := gids[j]
+					a.count[g]++
+					a.sumX[g].addInt(v.ints[r])
 				}
 			}
 		}
@@ -220,14 +252,79 @@ func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) 
 	}
 }
 
-func foldSum[T int64 | float64](count []int64, sum, xs []T, nulls bitset, rows []uint16, gids []int32) {
+// foldFloats adds a DOUBLE page's values into the groups' exact sums: as
+// integers at the page's fixed scale when it has one, which the fresh
+// sums take, else one value at a time.
+func (a *aggAcc) foldFloats(v *colVec, rows []uint16, gids []int32) {
+	k, fixed := v.sumScale()
+	if !fixed {
+		for j, r := range rows {
+			if !v.nulls.get(int(r)) {
+				g := gids[j]
+				a.count[g]++
+				a.sumX[g].addFloat(v.flts[r])
+			}
+		}
+		return
+	}
+	unit := math.Ldexp(1, k)
 	for j, r := range rows {
-		if !nulls.get(int(r)) {
-			g := gids[j]
-			count[g]++
-			sum[g] += xs[r]
+		if !v.nulls.get(int(r)) {
+			s := &a.sumX[gids[j]]
+			a.count[gids[j]]++
+			s.fix += int64(v.flts[r] * unit)
+			s.scale = int32(k)
 		}
 	}
+}
+
+// merge folds a page's groups, b, into these: local group j into group
+// gmap[j]. It is fold's arithmetic over a page at a time, so the answer
+// is the one a row-at-a-time fold gives: counts and integer sums add,
+// exact sums merge, and a MIN/MAX replaces only on a strict win. b is
+// only read.
+func (a *aggAcc) merge(kind aggItemKind, b *aggAcc, gmap []int32) {
+	switch kind {
+	case aggSum, aggAvg:
+		exact := kind == aggAvg || a.typ == TypeDouble
+		for j, g := range gmap {
+			a.count[g] += b.count[j]
+			if exact {
+				a.sumX[g].merge(&b.sumX[j])
+			} else {
+				a.sumI[g] += b.sumI[j]
+			}
+		}
+	case aggMin, aggMax:
+		isMax := kind == aggMax
+		for j, g := range gmap {
+			if b.count[j] == 0 {
+				continue
+			}
+			if a.count[g] == 0 {
+				a.vals[g] = b.vals[j]
+			} else if c := cmpKeys(b.vals[j], a.vals[g]); isMax && c > 0 || !isMax && c < 0 {
+				a.vals[g] = b.vals[j]
+			}
+			a.count[g] += b.count[j]
+		}
+	default:
+		for j, g := range gmap {
+			a.count[g] += b.count[j]
+		}
+	}
+}
+
+// clone is a compact copy of the accumulators a page's partial keeps.
+func (a *aggAcc) clone() aggAcc {
+	c := aggAcc{count: slices.Clone(a.count), sumI: slices.Clone(a.sumI), vals: slices.Clone(a.vals)}
+	if a.sumX != nil {
+		c.sumX = make([]exactSum, len(a.sumX))
+		for i := range a.sumX {
+			c.sumX[i] = a.sumX[i].clone()
+		}
+	}
+	return c
 }
 
 // add is the row feeder's fold of one aggregate for one input row,
@@ -264,11 +361,17 @@ func (a *aggAcc) add(it *aggItem, g int32, env *evalEnv) {
 			setErr(&a.foldErr, g, fmt.Errorf("%s requires numeric values, got %s", it.kind, v.Type))
 			return
 		}
+		if v.Type == TypeDouble {
+			a.sumX[g].addFloat(v.F)
+			if it.kind == aggSum {
+				a.dbl[g] = true
+			}
+			break
+		}
 		if it.kind == aggSum {
 			a.sumI[g] += v.I
-			a.dbl[g] = a.dbl[g] || v.Type == TypeDouble
 		}
-		a.sumF[g] += v.asFloat()
+		a.sumX[g].addInt(v.I)
 	case aggMin, aggMax:
 		if a.count[g] > 0 {
 			c, err := Compare(v, a.vals[g])
@@ -307,11 +410,11 @@ func (a *aggAcc) result(it *aggItem, g int) (Value, error) {
 	case a.count[g] == 0:
 		return Null, nil
 	case it.kind == aggAvg:
-		return NewDouble(a.sumF[g] / float64(a.count[g])), nil
+		return NewDouble(a.sumX[g].round() / float64(a.count[g])), nil
 	case it.kind != aggSum:
 		return a.vals[g], nil
 	case a.typ == TypeDouble || a.dbl[g]:
-		return NewDouble(a.sumF[g]), nil
+		return NewDouble(a.sumX[g].round()), nil
 	}
 	return NewBigint(a.sumI[g]), nil
 }
@@ -326,13 +429,25 @@ type aggGroups struct {
 	keys  map[string]int32
 	key   []byte // the row at hand's key: its values' appendGroupKey bytes
 
-	// The chunk feeder's: per selected row of the chunk at hand, its
-	// group's ordinal; and for one INTEGER/BIGINT key column, the ordinal
-	// per non-NULL key, and per key − min of a narrow chunk (-1 until met
-	// in this chunk).
-	gids  []int32
+	// One INTEGER/BIGINT key column: the ordinal per non-NULL key, in
+	// ints, or — when the pages' zone maps bound the keys to a span of
+	// denseKeys or less — plus one per key − lo in dense.
 	ints  map[int64]int32
+	dense []int32
+	lo    int64
+
+	// The chunk feeder's: a page's rows fold into the page's own groups,
+	// part — gids holding each selected row's local ordinal — which then
+	// merge into these, gmap holding each local group's ordinal here. For
+	// one integer key, a local group is found per key − min of a narrow
+	// page (local, -1 until met) or per key (lints); for others, per key
+	// bytes (lkeys).
+	part  pagePartial
+	gids  []int32
+	gmap  []int32
 	local *[chunkRows]int32
+	lints map[int64]int32
+	lkeys map[string]int32
 }
 
 func newAggGroups(g *groupPlan, env *evalEnv) *aggGroups {
@@ -394,15 +509,64 @@ func (gs *aggGroups) feed(rows [][]Value) error {
 	return nil
 }
 
+// pagePartials is the number of grouping signatures a page keeps a
+// partial for; a new one displaces the oldest.
+const pagePartials = 4
+
+type partialSet [pagePartials]*pagePartial
+
+// pagePartial is one page's grouped fold under one signature: the page's
+// groups in order of first appearance, each with its first row's
+// position and, per aggregate, the accumulators fold leaves. Merged into
+// an execution's groups in page order, partials give what folding the
+// pages' rows gives: groups are created in order of first appearance
+// with the same first rows, and the merge is fold's own arithmetic. Once
+// published a partial is only read.
+type pagePartial struct {
+	sig   string
+	first []uint16
+	accs  []aggAcc
+}
+
+// partial is the page's partial under sig, or nil.
+func (ch *colChunk) partial(sig string) *pagePartial {
+	if set := ch.partials.Load(); set != nil {
+		for _, p := range set {
+			if p != nil && p.sig == sig {
+				return p
+			}
+		}
+	}
+	return nil
+}
+
+// keepPartial publishes p as the page's newest partial. When another
+// reader published first, p is dropped: the page keeps theirs.
+func (ch *colChunk) keepPartial(p *pagePartial) {
+	old := ch.partials.Load()
+	set := &partialSet{p}
+	if old != nil {
+		copy(set[1:], old[:])
+	}
+	ch.partials.CompareAndSwap(old, set)
+}
+
 // foldChunks is the chunk feeder: the table's chunks through the bound
-// predicate bp, one group-ordinal pass and then one fold per aggregate
-// each. done=false reports it abandoned, with no error — an argument that
-// does not bind, a zero divisor on a selected row — and the row feeder
-// must start over on fresh groups.
+// predicate bp, each page's selected rows folded into the page's groups
+// — one group-ordinal pass and then one fold per aggregate — and those
+// merged into the execution's. A page whose every row is selected, under
+// a block whose aggregates read base columns (groupPlan.sig), merges its
+// stored partial instead, or stores the one it folds. done=false reports
+// it abandoned, with no error — an argument that does not bind, a zero
+// divisor on a selected row — and the row feeder must start over on
+// fresh groups.
 func (gs *aggGroups) foldChunks(d *Database, t *Table, bp boundVec) (done bool, err error) {
-	items := gs.g.items
+	items, sig := gs.g.items, gs.g.sig
 	if cols := gs.g.keyCols; len(cols) == 1 && (t.Columns[cols[0]].Type == TypeInteger || t.Columns[cols[0]].Type == TypeBigint) {
-		gs.ints, gs.local = map[int64]int32{}, new([chunkRows]int32)
+		gs.ints, gs.lints, gs.local = map[int64]int32{}, map[int64]int32{}, new([chunkRows]int32)
+		gs.denseTable(t, cols[0])
+	} else if len(cols) > 0 {
+		gs.lkeys = map[string]int32{}
 	}
 	args, vecs := make([]boundExpr, len(items)), make([]*colVec, len(items))
 	for k, it := range items {
@@ -413,73 +577,190 @@ func (gs *aggGroups) foldChunks(d *Database, t *Table, bp boundVec) (done bool, 
 			gs.accs[k].typ = args[k].typ()
 		}
 	}
-	gs.gids, done = make([]int32, chunkRows), true
+	gs.part.accs, gs.gids, done = make([]aggAcc, len(items)), make([]int32, chunkRows), true
 	err = d.eachChunk(gs.env.ctx, bp, t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
-		for k := range items {
+		whole := sig != "" && len(rows) == ch.n
+		if whole {
+			if p := ch.partial(sig); p != nil {
+				d.vecPartials.Add(1)
+				gs.merge(ch, p)
+				return true, nil
+			}
+		}
+		for k, it := range items {
 			if args[k] != nil {
 				if vecs[k], done = args[k].eval(ch, rows); !done {
 					return false, nil // a zero divisor on a selected row
 				}
+				if it.expr != nil && vecs[k].typ == TypeDouble {
+					vecs[k].noteRows(rows)
+				}
 			}
 		}
-		gids := gs.ordinals(ch, rows)
+		gids := gs.pageGroups(ch, rows)
 		for k, it := range items {
-			gs.accs[k].fold(it.kind, vecs[k], rows, gids)
+			gs.part.accs[k].fold(it.kind, vecs[k], rows, gids)
 		}
+		if whole {
+			ch.keepPartial(gs.part.clone(sig))
+		}
+		gs.merge(ch, &gs.part)
 		return true, nil
 	})
 	return done, err
 }
 
-// ordinals is the group-ordinal pass over one chunk: it creates the groups
-// of keys first met here, in row order, and returns the ordinal of each
-// selected row's group.
-func (gs *aggGroups) ordinals(ch *colChunk, rows []uint16) []int32 {
-	gids := gs.gids[:len(rows)]
+// pageGroups is the group-ordinal pass over one page: it empties gs.part,
+// creates the page's groups there in row order, and returns the local
+// ordinal of each selected row's group.
+func (gs *aggGroups) pageGroups(ch *colChunk, rows []uint16) []int32 {
+	p, gids := &gs.part, gs.gids[:len(rows)]
+	p.first = p.first[:0]
+	for k := range p.accs {
+		p.accs[k].reset()
+	}
 	switch {
 	case len(gs.g.keys) == 0: // every row is group 0: gids is never written
-		if gs.first[0] == nil && len(rows) > 0 {
-			gs.first[0] = ch.rowAt(int(rows[0]))
+		if len(rows) > 0 {
+			gs.localGroup(rows[0])
 		}
 	case gs.ints != nil:
 		v := &ch.vecs[gs.g.keyCols[0]]
 		lo, span := v.min.I, v.max.I-v.min.I
-		if v.nonNull == 0 || span < 0 || span >= chunkRows { // no key, overflow, or wider than a chunk
-			for j, r := range rows {
-				gids[j] = gs.intGroup(ch, int(r), v)
+		narrow := v.nonNull > 0 && span >= 0 && span < chunkRows // else no key, overflow, or wider than a page
+		if narrow {
+			local := gs.local[:span+1]
+			for s := range local {
+				local[s] = -1
 			}
-			break
+		} else {
+			clear(gs.lints)
 		}
-		// Every key lies in [min, max]: each is looked up once per chunk.
-		local := gs.local[:span+1]
-		for s := range local {
-			local[s] = -1
-		}
+		null := int32(-1)
 		for j, r := range rows {
 			i := int(r)
-			if v.nulls.get(i) {
-				gids[j] = gs.intGroup(ch, i, v)
+			var s *int32
+			switch {
+			case v.nulls.get(i):
+				s = &null
+			case narrow:
+				s = &gs.local[v.ints[i]-lo]
+			default:
+				g, ok := gs.lints[v.ints[i]]
+				if !ok {
+					g = gs.localGroup(r)
+					gs.lints[v.ints[i]] = g
+				}
+				gids[j] = g
 				continue
 			}
-			s := &local[v.ints[i]-lo]
 			if *s < 0 {
-				*s = gs.intGroup(ch, i, v)
+				*s = gs.localGroup(r)
 			}
 			gids[j] = *s
 		}
 	default:
+		clear(gs.lkeys)
 		for j, r := range rows {
-			gs.key = gs.key[:0]
-			for _, gc := range gs.g.keyCols {
-				gs.key = append(ch.vecs[gc].appendGroupKey(gs.key, int(r)), '\x01')
+			gs.pageKey(ch, int(r))
+			g, ok := gs.lkeys[string(gs.key)]
+			if !ok {
+				g = gs.localGroup(r)
+				gs.lkeys[string(gs.key)] = g
 			}
-			gids[j] = gs.keyed(ch.rowAt(int(r)))
+			gids[j] = g
 		}
 	}
 	return gids
 }
 
-// intGroup is the ordinal of row i's group under one integer key.
+// localGroup creates a page group whose first row is at position r.
+func (gs *aggGroups) localGroup(r uint16) int32 {
+	p := &gs.part
+	p.first = append(p.first, r)
+	for k := range p.accs {
+		p.accs[k].grow(gs.g.items[k].kind)
+	}
+	return int32(len(p.first) - 1)
+}
+
+// pageKey sets gs.key to the key of the row at position i of the page.
+func (gs *aggGroups) pageKey(ch *colChunk, i int) {
+	gs.key = gs.key[:0]
+	for _, gc := range gs.g.keyCols {
+		gs.key = append(ch.vecs[gc].appendGroupKey(gs.key, i), '\x01')
+	}
+}
+
+// merge folds page ch's groups, p, into the execution's, creating those
+// first met here in p's order.
+func (gs *aggGroups) merge(ch *colChunk, p *pagePartial) {
+	gmap := gs.gmap[:0]
+	for _, r := range p.first {
+		i := int(r)
+		switch {
+		case len(gs.g.keys) == 0:
+			if gs.first[0] == nil {
+				gs.first[0] = ch.rowAt(i)
+			}
+			gmap = append(gmap, 0)
+		case gs.ints != nil:
+			v := &ch.vecs[gs.g.keyCols[0]]
+			if gs.dense == nil || v.nulls.get(i) {
+				gmap = append(gmap, gs.intGroup(ch, i, v))
+				break
+			}
+			s := &gs.dense[v.ints[i]-gs.lo]
+			if *s == 0 {
+				*s = gs.create(ch.rowAt(i)) + 1
+			}
+			gmap = append(gmap, *s-1)
+		default:
+			gs.pageKey(ch, i)
+			gmap = append(gmap, gs.keyed(ch.rowAt(i)))
+		}
+	}
+	for k, it := range gs.g.items {
+		gs.accs[k].merge(it.kind, &p.accs[k], gmap)
+	}
+	gs.gmap = gmap
+}
+
+// clone is the partial to keep for the page: a compact copy of p under
+// sig.
+func (p *pagePartial) clone(sig string) *pagePartial {
+	c := &pagePartial{sig: sig, first: slices.Clone(p.first), accs: make([]aggAcc, len(p.accs))}
+	for k := range p.accs {
+		c.accs[k] = p.accs[k].clone()
+	}
+	return c
+}
+
+// denseKeys is the most keys a dense table of integer group ordinals
+// spans.
+const denseKeys = 1 << 16
+
+// denseTable sets up the dense table when the zone maps of column col
+// bound its keys to a span of denseKeys or less.
+func (gs *aggGroups) denseTable(t *Table, col int) {
+	lo, hi, seen := int64(0), int64(0), false
+	for _, ch := range t.pages {
+		if ch == nil || ch.vecs[col].nonNull == 0 {
+			continue
+		}
+		v := &ch.vecs[col]
+		if !seen {
+			lo, hi, seen = v.min.I, v.max.I, true
+		}
+		lo, hi = min(lo, v.min.I), max(hi, v.max.I)
+	}
+	if seen && uint64(hi)-uint64(lo) < denseKeys {
+		gs.dense, gs.lo = make([]int32, hi-lo+1), lo
+	}
+}
+
+// intGroup is the ordinal of row i's group under one integer key, when
+// the key is NULL or there is no dense table.
 func (gs *aggGroups) intGroup(ch *colChunk, i int, v *colVec) int32 {
 	if v.nulls.get(i) {
 		gs.key = appendGroupKey(gs.key[:0], Null)

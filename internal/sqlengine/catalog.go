@@ -149,6 +149,7 @@ func (t *Table) insertRow(row []Value) (int64, error) {
 	t.nextID++
 	ch := t.pageFor(id)
 	if pos := ch.add(id, row); !ch.stale { // the row joins the vectors in place
+		ch.partials.Store(nil)
 		for i := range ch.vecs {
 			if !ch.vecs[i].push(pos, row[i]) {
 				t.mixed = true
@@ -262,6 +263,9 @@ type Database struct {
 	vecBatches atomic.Uint64 // chunks evaluated by vector operators
 	vecSkipped atomic.Uint64 // chunks skipped by zone maps
 	vecRebuilt atomic.Uint64 // chunks (re)built from the row store
+	// vecPartials counts pages a grouped fold merged from their stored
+	// partial instead of reading their rows.
+	vecPartials atomic.Uint64
 	// vecFallbacks counts executions whose vector plan did not run on the
 	// kernels (bind failure, unbuildable chunks, a zero divisor on a
 	// selected row): the row operators, or the row feeder, ran instead.

@@ -1,8 +1,11 @@
 package sqlengine
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,6 +43,13 @@ type colVec struct {
 	nonNull int
 	min     Value
 	max     Value
+
+	// DOUBLE: what the exact sum's fixed route needs (sumScale). Over the
+	// finite nonzero values, low is the least exponent of a value's lowest
+	// set bit and high the greatest of its highest (low > high when there
+	// are none); special counts NaN and ±Inf.
+	low, high int16
+	special   int
 }
 
 // value reconstructs the stored Value for row i. The result is
@@ -76,6 +86,12 @@ func (v *colVec) appendGroupKey(dst []byte, i int) []byte {
 		return strconv.AppendInt(dst, v.ints[i], 10)
 	case TypeVarchar:
 		return append(dst, v.strs[i]...)
+	case TypeDouble:
+		x := v.flts[i]
+		if x == 0 {
+			x = 0 // −0 keys as 0
+		}
+		return appendFloat(dst, x)
 	}
 	return v.value(i).AppendText(dst)
 }
@@ -110,6 +126,7 @@ func (v *colVec) push(i int, val Value) bool {
 		v.ints = append(v.ints, val.I)
 	case TypeDouble:
 		v.flts = append(v.flts, val.F)
+		v.noteFloat(val.F)
 	case TypeVarchar:
 		v.strs = append(v.strs, val.S)
 	case TypeBoolean:
@@ -146,6 +163,41 @@ func (v *colVec) reset(n int) {
 	}
 	v.nonNull = 0
 	v.min, v.max = Value{}, Value{}
+	v.low, v.high, v.special = math.MaxInt16, math.MinInt16, 0
+}
+
+// noteFloat records a DOUBLE value for sumScale.
+func (v *colVec) noteFloat(x float64) {
+	switch m, exp, finite := floatParts(x); {
+	case !finite:
+		v.special++
+	case m != 0:
+		v.low = min(v.low, int16(exp+bits.TrailingZeros64(m)))
+		v.high = max(v.high, int16(exp+bits.Len64(m)-1))
+	}
+}
+
+// noteRows recomputes sumScale's record over the given rows of a
+// computed DOUBLE vector.
+func (v *colVec) noteRows(rows []uint16) {
+	v.low, v.high, v.special = math.MaxInt16, math.MinInt16, 0
+	for _, r := range rows {
+		if !v.nulls.get(int(r)) {
+			v.noteFloat(v.flts[r])
+		}
+	}
+}
+
+// sumScale is the exact sum's fixed route over a DOUBLE vector: the k at
+// which every finite value is m·2^-k with integer |m| < 2^53, so that
+// 1 024 of them add in an int64. ok=false when there is none (k beyond
+// 1023, where 2^k is no double, counts as none) or a NaN or ±Inf is held.
+func (v *colVec) sumScale() (k int, ok bool) {
+	if v.low > v.high {
+		return 0, v.special == 0
+	}
+	k = -int(v.low)
+	return k, v.special == 0 && k <= 1023 && k+int(v.high) <= 52
 }
 
 // colChunk is one page of a table, and its column chunk: the rows whose
@@ -162,6 +214,12 @@ type colChunk struct {
 	// new, or an UPDATE, DELETE or undo touched one of its rows. n and ids
 	// are always current; ensureChunks rebuilds the vectors from them.
 	stale bool
+
+	// partials holds the page's grouped folds, newest first, one per
+	// grouping signature (pagePartial). Readers fill it under the shared
+	// latch, so it is published whole; whatever changes the vectors —
+	// rebuild, an INSERT joining them in place — drops it.
+	partials atomic.Pointer[partialSet]
 }
 
 // add stores row under id and returns id's position among the page's
@@ -211,6 +269,7 @@ func (ch *colChunk) rebuild(cols []Column) bool {
 		}
 	}
 	ch.stale = false
+	ch.partials.Store(nil)
 	return ok
 }
 

@@ -121,15 +121,20 @@ type VectorStats struct {
 	// that could not be built, a zero divisor on a selected row. It tells
 	// "planned" from "actually ran on kernels".
 	Fallbacks uint64
+	// PartialsReused is the number of pages a grouped fold answered from
+	// the page's stored partial aggregates instead of reading its rows
+	// (each is also counted in Batches).
+	PartialsReused uint64
 }
 
 // VectorStats returns the engine's columnar execution counters.
 func (e *Engine) VectorStats() VectorStats {
 	return VectorStats{
-		Batches:       e.db.vecBatches.Load(),
-		ChunksSkipped: e.db.vecSkipped.Load(),
-		ChunksRebuilt: e.db.vecRebuilt.Load(),
-		Fallbacks:     e.db.vecFallbacks.Load(),
+		Batches:        e.db.vecBatches.Load(),
+		ChunksSkipped:  e.db.vecSkipped.Load(),
+		ChunksRebuilt:  e.db.vecRebuilt.Load(),
+		Fallbacks:      e.db.vecFallbacks.Load(),
+		PartialsReused: e.db.vecPartials.Load(),
 	}
 }
 

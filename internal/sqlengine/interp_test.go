@@ -409,7 +409,6 @@ func evalAggregate(n *FuncExpr, group [][]Value, env *evalEnv) (Value, error) {
 		}
 		allInt := true
 		var sumI int64
-		var sumF float64
 		for _, v := range vals {
 			if !v.Type.isNumeric() {
 				return Null, fmt.Errorf("%s requires numeric values, got %s", n.Name, v.Type)
@@ -418,15 +417,14 @@ func evalAggregate(n *FuncExpr, group [][]Value, env *evalEnv) (Value, error) {
 				allInt = false
 			}
 			sumI += v.I
-			sumF += v.asFloat()
 		}
 		if n.Name == "AVG" {
-			return NewDouble(sumF / float64(len(vals))), nil
+			return NewDouble(bigSum(vals) / float64(len(vals))), nil
 		}
 		if allInt {
 			return NewBigint(sumI), nil
 		}
-		return NewDouble(sumF), nil
+		return NewDouble(bigSum(vals)), nil
 	}
 	return Null, fmt.Errorf("unknown aggregate %s", n.Name)
 }

@@ -495,7 +495,8 @@ func FuzzSelectPaths(f *testing.F) {
 func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 	g := selectFuzz{&dmlFuzz{r: rand.New(rand.NewSource(seed))}}
 	e := New("select-chaos")
-	for _, ddl := range g.schema() {
+	schema := g.schema()
+	for _, ddl := range schema {
 		e.MustExec(ddl)
 	}
 	e.MustExec(`CREATE VIEW live AS SELECT id, a, b FROM t WHERE a IS NOT NULL`)
@@ -508,8 +509,10 @@ func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 	// over a table is a combination of their values over a partition of it:
 	// counts, SUMs of the integer columns (64-bit wrap-around associates)
 	// and MIN/MAX of the columns other than DOUBLE b. b has neither
-	// property: its SUM rounds in visit order, and its MIN or MAX may be
-	// -0 over one part and 0 over another, equal but rendered apart.
+	// property: its SUM over a part is rounded, so parts' SUMs do not add
+	// up to the whole's, and its MIN or MAX may be -0 over one part and 0
+	// over another, equal but rendered apart. What b does have — one
+	// answer whatever order its rows are visited in — checkPermuted holds.
 	const aggs = `SELECT COUNT(*), COUNT(a), SUM(a), SUM(id), SUM(u), MIN(a), MIN(s), MIN(id), MAX(a), MAX(s), MAX(id) FROM t`
 	read := func(where string, params []Value) ([]Value, bool) {
 		res, err := s.Execute(aggs+where, params...)
@@ -558,6 +561,61 @@ func selectDifferential(t *testing.T, seed int64, rows, statements int) {
 		}
 		if got, want := dumpSet(&ResultSet{Rows: [][]Value{combinePartials(parts)}}), dumpSet(&ResultSet{Rows: [][]Value{all}}); got != want {
 			t.Fatalf("seed %d: %s %v: accepted, rejected and unknown rows combine to\n%s, the table holds\n%s", seed, p, pp, got, want)
+		}
+	}
+	checkPermuted(t, seed, e, schema)
+}
+
+// checkPermuted is the permutation identity: t's rows loaded into a fresh
+// engine in a shuffled order, so that they land in other pages and are
+// visited in another order, answer SUM, AVG and COUNT over DOUBLE b —
+// whole and per group — in the same bytes, and MIN and MAX of b equal
+// under Compare (−0 and 0 may trade places).
+func checkPermuted(t *testing.T, seed int64, e *Engine, schema []string) {
+	t.Helper()
+	rows, err := e.NewSession().Execute(`SELECT id, a, b, s, u FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New("permuted")
+	for _, ddl := range schema {
+		p.MustExec(ddl)
+	}
+	ps := p.NewSession()
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(len(rows.Set.Rows)) {
+		if _, err := ps.Execute(`INSERT INTO t VALUES (?, ?, ?, ?, ?)`, rows.Set.Rows[i]...); err != nil {
+			t.Fatalf("seed %d: reloading %v: %v", seed, rows.Set.Rows[i], err)
+		}
+	}
+	answer := func(e *Engine, sql string) *ResultSet {
+		res, err := e.NewSession().Execute(sql)
+		if err != nil {
+			t.Fatalf("seed %d: %s: %v", seed, sql, err)
+		}
+		return res.Set
+	}
+	for _, sql := range []string{
+		`SELECT COUNT(*), COUNT(b), SUM(b), AVG(b) FROM t`,
+		`SELECT a, COUNT(b), SUM(b), AVG(b) FROM t GROUP BY a ORDER BY a`,
+		`SELECT SUM(b), AVG(b) FROM t WHERE a > 5`,
+		`SELECT s, SUM(b + a), AVG(b * 2) FROM t GROUP BY s ORDER BY s`,
+	} {
+		if got, want := dumpSet(execAllPaths(t, p, sql)), dumpSet(answer(e, sql)); got != want {
+			t.Fatalf("seed %d: %s over the rows reloaded in another order:\n%s\nin the original order:\n%s", seed, sql, got, want)
+		}
+	}
+	for _, sql := range []string{`SELECT MIN(b), MAX(b) FROM t`, `SELECT a, MIN(b), MAX(b) FROM t GROUP BY a ORDER BY a`} {
+		got, want := execAllPaths(t, p, sql), answer(e, sql)
+		same := len(got.Rows) == len(want.Rows)
+		for r := 0; same && r < len(want.Rows); r++ {
+			for c := range want.Rows[r] {
+				if cmp, _ := Compare(got.Rows[r][c], want.Rows[r][c]); cmp != 0 {
+					same = false
+				}
+			}
+		}
+		if !same {
+			t.Fatalf("seed %d: %s over the rows reloaded in another order:\n%v\nin the original order:\n%v", seed, sql, got.Rows, want.Rows)
 		}
 	}
 }

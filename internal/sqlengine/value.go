@@ -417,6 +417,9 @@ func appendGroupKey(dst []byte, v Value) []byte {
 	if v.IsNull() {
 		return append(dst, "\x00null"...)
 	}
+	if v.Type == TypeDouble && v.F == 0 {
+		v.F = 0 // −0 keys as 0: = finds them equal
+	}
 	dst = strconv.AppendInt(dst, int64(v.Type), 10)
 	return v.AppendText(append(dst, 0))
 }

@@ -903,7 +903,8 @@ func (b *bvNot) possible(ch *colChunk) uint8 {
 
 // filterChunk applies a bound predicate (nil: none) to one chunk and
 // counts it: the positions of the rows it accepts, in order, or
-// skipped=true when the zone maps rule the chunk out untouched. rows may
+// skipped=true when the zone maps rule the chunk out untouched. When
+// they rule every row in, the predicate is not evaluated. rows may
 // alias buf or the shared identity selection; it is valid until the
 // next call.
 func (d *Database) filterChunk(bp boundVec, ch *colChunk, sel *[chunkRows]int8, buf *[chunkRows]uint16) (rows []uint16, skipped bool) {
@@ -911,11 +912,15 @@ func (d *Database) filterChunk(bp boundVec, ch *colChunk, sel *[chunkRows]int8, 
 		d.vecBatches.Add(1)
 		return allRows[:ch.n], false
 	}
-	if chunkSkippable(bp, ch) {
+	m := bp.possible(ch)
+	if m&maskT == 0 {
 		d.vecSkipped.Add(1)
 		return nil, true
 	}
 	d.vecBatches.Add(1)
+	if m == maskT { // the zone maps decide every row true
+		return allRows[:ch.n], false
+	}
 	bp.eval(ch, sel[:ch.n])
 	return selectedRows(sel[:ch.n], buf), false
 }

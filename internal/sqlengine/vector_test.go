@@ -739,6 +739,23 @@ func TestChaosVectorScanDML(t *testing.T) {
 					errs <- err
 					return
 				}
+				// Grouped reads with no WHERE fill and reuse the pages'
+				// partials, concurrently with each other: whatever a write
+				// left, the groups' counts add up to a table of the 3000
+				// seeded rows and at most one live row per writer.
+				res, err = s.Execute(`SELECT v, COUNT(*), SUM(id), AVG(v), MIN(s) FROM h GROUP BY v`)
+				if err != nil {
+					errs <- err
+					return
+				}
+				n := int64(0)
+				for _, r := range res.Set.Rows {
+					n += r[1].I
+				}
+				if n < 3000 || n > 3000+writers {
+					errs <- fmt.Errorf("grouped counts add up to %d rows", n)
+					return
+				}
 				if _, err := s.Execute(`SELECT id, v FROM h WHERE v BETWEEN 10 AND 20 ORDER BY id LIMIT 50`); err != nil {
 					errs <- err
 					return

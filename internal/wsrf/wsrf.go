@@ -69,7 +69,7 @@ type Registry struct {
 type entry struct {
 	res         Resource
 	created     time.Time
-	termination time.Time // zero value = no scheduled termination
+	termination *time.Time // nil: no scheduled termination
 }
 
 // Option configures a Registry.
@@ -111,7 +111,7 @@ func (r *Registry) Add(id string, res Resource) {
 func (r *Registry) AddWithTermination(id string, res Resource, term time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.entries[id] = &entry{res: res, created: r.clock(), termination: term}
+	r.entries[id] = &entry{res: res, created: r.clock(), termination: &term}
 	r.created++
 }
 
@@ -177,12 +177,12 @@ func (r *Registry) DestroyedCount() int64 {
 
 // lookup returns what a property read needs of a registration, and the
 // time of the read.
-func (r *Registry) lookup(id string) (res Resource, term, now time.Time, err error) {
+func (r *Registry) lookup(id string) (res Resource, term *time.Time, now time.Time, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
 	if !ok {
-		return nil, term, now, &UnknownResourceError{ID: id}
+		return nil, nil, now, &UnknownResourceError{ID: id}
 	}
 	return e.res, e.termination, r.clock(), nil
 }
@@ -193,9 +193,9 @@ func currentTime(now time.Time) *xmlutil.Element {
 	return xmlutil.NewElement(NSRL, "CurrentTime").SetText(now.UTC().Format(time.RFC3339Nano))
 }
 
-func terminationTime(term time.Time) *xmlutil.Element {
+func terminationTime(term *time.Time) *xmlutil.Element {
 	tt := xmlutil.NewElement(NSRL, "TerminationTime")
-	if term.IsZero() {
+	if term == nil {
 		return tt.SetAttr("", "nil", "true")
 	}
 	return tt.SetText(term.UTC().Format(time.RFC3339Nano))
@@ -302,19 +302,20 @@ func (r *Registry) SetTerminationTime(id string, requested *time.Time) (*time.Ti
 	}
 	now := r.clock()
 	if requested == nil {
-		e.termination = time.Time{}
+		e.termination = nil
 		return nil, now, nil
 	}
-	// A time already past is stored like any other: what makes it an
-	// immediate-destruction request is the next SweepExpired, which reaps
-	// every resource whose termination time is not after its clock.
-	e.termination = *requested
-	t := e.termination
-	return &t, now, nil
+	// A time already past is stored like any other — the zero time.Time,
+	// 0001-01-01T00:00:00Z, too: what makes it an immediate-destruction
+	// request is the next SweepExpired, which reaps every resource whose
+	// termination time is not after its clock.
+	t, out := *requested, *requested
+	e.termination = &t
+	return &out, now, nil
 }
 
 // TerminationTime reports the scheduled termination for an id (zero
-// time when none).
+// time when none; TerminationTime property reads tell the two apart).
 func (r *Registry) TerminationTime(id string) (time.Time, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -322,7 +323,10 @@ func (r *Registry) TerminationTime(id string) (time.Time, bool) {
 	if !ok {
 		return time.Time{}, false
 	}
-	return e.termination, true
+	if e.termination == nil {
+		return time.Time{}, true
+	}
+	return *e.termination, true
 }
 
 // Destroy implements wsrfl:Destroy: it unregisters the resource and
@@ -362,7 +366,7 @@ func (r *Registry) SweepExpired() []string {
 	r.mu.Lock()
 	var doomed []string
 	for id, e := range r.entries {
-		if !e.termination.IsZero() && !e.termination.After(now) {
+		if e.termination != nil && !e.termination.After(now) {
 			doomed = append(doomed, id)
 		}
 	}
