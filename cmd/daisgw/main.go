@@ -2,9 +2,10 @@
 // that shards data resources across N backend daisd endpoints. It owns
 // the cluster-wide CoreResourceList, routes operations by
 // DataResourceAbstractName (recorded placement first, consistent-hash
-// ring otherwise), scatter-gathers alias-addressed GenericQuery calls
-// across the member shards, and places alias factory operations on the
-// least-loaded healthy backend. Every backend call runs through the
+// ring otherwise) and scatter-gathers alias-addressed GenericQuery calls
+// across the member shards; a factory operation on an alias, whose
+// derived resource would hold one shard's rows, is an
+// InvalidResourceNameFault. Every backend call runs through the
 // resilient client: idempotency-gated retries and a per-backend
 // circuit breaker wired into the gateway's health board.
 //

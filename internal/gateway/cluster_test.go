@@ -408,52 +408,49 @@ func TestClusterResourceListAndResolve(t *testing.T) {
 	}
 }
 
-// TestClusterFactoryLeastLoaded: factory operations addressed to the
-// alias land on the least-loaded healthy backend, and the derived
-// resources remain reachable through the gateway.
-func TestClusterFactoryLeastLoaded(t *testing.T) {
+// TestClusterFactoryOnAliasFaults: every alias is partitioned, so a
+// factory operation addressed to one is an InvalidResourceNameFault
+// naming the alias, raised before any member is contacted. Placed on one
+// member, its derived rowset held that shard's 3 rows of the 9 a
+// GenericQuery on the same alias answers.
+func TestClusterFactoryOnAliasFaults(t *testing.T) {
 	shards := []*sqlBackend{
 		startSQLBackend(t, "s1", 1, 3),
 		startSQLBackend(t, "s2", 4, 6),
 		startSQLBackend(t, "s3", 7, 9),
 	}
-	gw, gwts := startGateway(t, gateway.Config{
-		Backends: []string{shards[0].URL(), shards[1].URL(), shards[2].URL()},
-		Aliases:  []gateway.Alias{empAlias(shards)},
+	obs := telemetry.NewObserver()
+	_, gwts := startGateway(t, gateway.Config{
+		Backends:    []string{shards[0].URL(), shards[1].URL(), shards[2].URL()},
+		Aliases:     []gateway.Alias{empAlias(shards)},
+		Observer:    obs,
+		ObserverSet: true,
 	})
-	_ = gw
-
+	backendRequests := func() (n float64) {
+		for _, s := range obs.Registry.Snapshot() {
+			if s.Name == gateway.MetricBackendRequests {
+				n += s.Value
+			}
+		}
+		return n
+	}
 	c := client.New(nil)
-	aliasRef := client.Ref(gwts.URL, "urn:dais:cluster:emp")
-	seen := map[string]int{}
-	for i := 0; i < 6; i++ {
-		ref, err := c.SQLExecuteFactory(context.Background(), aliasRef,
-			`SELECT id FROM emp ORDER BY id`, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Address != gwts.URL {
-			t.Fatalf("derived EPR addresses %s, want gateway", ref.Address)
-		}
-		set, err := c.GetSQLRowset(context.Background(), ref, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(set.Rows) != 3 {
-			t.Fatalf("derived rowset rows = %d, want 3", len(set.Rows))
-		}
-		seen[set.Rows[0][0].String()]++
+	const alias = "urn:dais:cluster:emp"
+	requests := backendRequests()
+	_, err := c.SQLExecuteFactory(context.Background(), client.Ref(gwts.URL, alias), `SELECT id FROM emp ORDER BY id`, nil, nil)
+	var irf *core.InvalidResourceNameFault
+	if !errors.As(err, &irf) || !strings.Contains(irf.Name, alias) {
+		t.Fatalf("SQLExecuteFactory on the alias: err = %v, want an InvalidResourceNameFault naming %s", err, alias)
 	}
-	// Placement must spread: each shard starts with one probed resource,
-	// so six factory calls land two per backend — the first rows differ
-	// per shard (1, 4, 7).
-	if len(seen) != 3 {
-		t.Fatalf("factory placement did not spread across shards: %v", seen)
+	if got := backendRequests(); got != requests {
+		t.Fatalf("backend requests %v -> %v: a member was contacted", requests, got)
 	}
-	for first, n := range seen {
-		if n != 2 {
-			t.Fatalf("shard starting at id %s received %d placements, want 2 (%v)", first, n, seen)
-		}
+	result, err := c.GenericQuery(context.Background(), client.Ref(gwts.URL, alias), dair.LanguageSQL92, `SELECT id FROM emp ORDER BY id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set, err := decodeRows(result); err != nil || len(set.Rows) != 9 {
+		t.Fatalf("GenericQuery on the alias: %v, %v; want 9 rows", set, err)
 	}
 }
 

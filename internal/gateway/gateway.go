@@ -8,11 +8,11 @@
 // health prober collected) wins; otherwise a consistent-hash ring over
 // the backend set decides, so every gateway instance routes a given
 // name identically and backend churn moves only the keys it must.
-// Cluster aliases name a list of equivalent per-backend resources:
-// GenericQuery on an alias scatter-gathers across the member resources
-// with bounded fan-out and a deterministic merge, and factory
-// operations on an alias place the derived resource on the least-loaded
-// healthy backend.
+// Cluster aliases name a list of per-backend resources that partition
+// one table: GenericQuery on an alias scatter-gathers across the member
+// resources with bounded fan-out and a deterministic merge. A factory
+// operation on an alias is an InvalidResourceNameFault, since the
+// resource it derives would hold one member's rows only.
 //
 // Every backend call runs through the resilient consumer client
 // (internal/resil): idempotency-gated retries, and a per-backend
@@ -48,8 +48,8 @@ type Member struct {
 }
 
 // Alias is a cluster-wide resource name the gateway itself owns: it
-// stands for one equivalent resource per backend. Scatter-gather
-// queries and least-loaded factory placement address the alias.
+// stands for one resource per backend, each holding a part of the
+// alias's rows. Scatter-gather queries address the alias.
 type Alias struct {
 	Name    string
 	Members []Member
@@ -59,7 +59,7 @@ type Alias struct {
 type Config struct {
 	// Backends are the federated DAIS endpoint URLs (at least one).
 	Backends []string
-	// Aliases are the cluster-wide scatter/placement names.
+	// Aliases are the cluster-wide scatter names.
 	Aliases []Alias
 	// Fanout bounds concurrent backend calls per scatter (and per
 	// probe sweep). 0 selects 4.
@@ -260,49 +260,20 @@ func (g *Gateway) namedOp(ctx context.Context, spec ops.Spec, name string, body 
 }
 
 // aliasOp handles an operation addressed to a cluster alias: Resolve
-// answers locally with a gateway EPR, GenericQuery scatter-gathers
-// over the members, and factory operations place on the least-loaded
-// healthy member. Anything else has no cluster-wide meaning.
+// answers locally with a gateway EPR and GenericQuery scatter-gathers
+// over the members. Anything else — a factory operation included, whose
+// derived resource would hold one member's part — has no cluster-wide
+// meaning.
 func (g *Gateway) aliasOp(ctx context.Context, spec ops.Spec, a *Alias, body *xmlutil.Element) (*xmlutil.Element, error) {
-	switch {
-	case spec.Action == ops.ActResolve:
+	switch spec.Action {
+	case ops.ActResolve:
 		resp := spec.NewResponse()
 		ops.AddResourceAddress(resp, g.EPRFor(a.Name))
 		return resp, nil
-	case spec.Action == ops.ActGenericQuery:
+	case ops.ActGenericQuery:
 		return g.scatterQuery(ctx, spec, a, body)
-	case spec.EPRReply:
-		m, err := g.placeMember(a)
-		if err != nil {
-			return nil, err
-		}
-		ops.SetAbstractName(body, m.Resource)
-		return g.forward(ctx, m.Backend, spec, body)
-	default:
-		return nil, &core.InvalidResourceNameFault{
-			Name: a.Name + " (cluster alias: supports GenericQuery, Resolve and factory operations)"}
 	}
-}
-
-// placeMember picks the alias member on the least-loaded healthy
-// backend (deterministic tie-break by backend URL).
-func (g *Gateway) placeMember(a *Alias) (Member, error) {
-	var candidates []string
-	byBackend := map[string]Member{}
-	for _, m := range a.Members {
-		if g.health.isHealthy(m.Backend) {
-			candidates = append(candidates, m.Backend)
-			byBackend[m.Backend] = m
-		}
-	}
-	best := g.place.leastLoaded(candidates)
-	if best == "" {
-		return Member{}, &core.ServiceBusyFault{
-			Reason:     "no healthy backend for alias " + a.Name,
-			RetryAfter: time.Second,
-		}
-	}
-	return byBackend[best], nil
+	return nil, &core.InvalidResourceNameFault{Name: a.Name + " (cluster alias: supports GenericQuery and Resolve)"}
 }
 
 // forward performs the resilient backend call and, for EPR replies,

@@ -4,19 +4,19 @@ import "sync"
 
 // placements is the gateway's resource-location table: abstract name →
 // backend endpoint URL. Entries come from two sources — factory replies
-// the gateway proxied (authoritative: it placed the resource itself)
-// and backend resource lists collected by the health prober (discovered
-// pre-existing resources). A recorded location always wins over the
-// consistent-hash ring, so routing stays stable for resources that were
-// placed by load rather than by hash, and for resources that predate
-// the gateway. An entry lives as long as the resource: a Destroy the
+// the gateway proxied (authoritative: the backend named the resource it
+// derived) and backend resource lists collected by the health prober
+// (discovered pre-existing resources). A recorded location always wins
+// over the consistent-hash ring, so routing stays stable for resources
+// the ring would send elsewhere — a derived resource's name is its
+// backend's choice, and the ring follows the healthy set — and for
+// resources that predate the gateway. An entry lives as long as the resource: a Destroy the
 // gateway proxies or an unknown-name fault from the owning backend drops
 // it, and so does a probe that no longer finds it in the backend's list
 // (a backend's soft-state sweeper reaps without telling the gateway).
 type placements struct {
 	mu     sync.RWMutex
 	byName map[string]placement
-	counts map[string]int
 	seq    uint64 // stamps each new entry, so a probe can tell what predates its list
 }
 
@@ -26,26 +26,21 @@ type placement struct {
 }
 
 func newPlacements() *placements {
-	return &placements{byName: make(map[string]placement), counts: make(map[string]int)}
+	return &placements{byName: make(map[string]placement)}
 }
 
-// record pins a resource to a backend (idempotent; relocating a name
-// moves its count).
+// record pins a resource to a backend (idempotent).
 func (p *placements) record(name, backend string) {
 	if name == "" || backend == "" {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if prev, ok := p.byName[name]; ok {
-		if prev.backend == backend {
-			return
-		}
-		p.counts[prev.backend]--
+	if prev, ok := p.byName[name]; ok && prev.backend == backend {
+		return
 	}
 	p.seq++
 	p.byName[name] = placement{backend: backend, seq: p.seq}
-	p.counts[backend]++
 }
 
 // lookup returns the recorded backend for a name.
@@ -60,10 +55,7 @@ func (p *placements) lookup(name string) (string, bool) {
 func (p *placements) forget(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.byName[name]; ok {
-		p.counts[e.backend]--
-		delete(p.byName, name)
-	}
+	delete(p.byName, name)
 }
 
 // mark returns the stamp of the newest entry, for a later sync.
@@ -88,31 +80,7 @@ func (p *placements) sync(backend string, names []string, mark uint64) {
 	defer p.mu.Unlock()
 	for name, e := range p.byName {
 		if e.backend == backend && e.seq <= mark && !listed[name] {
-			p.counts[backend]--
 			delete(p.byName, name)
 		}
 	}
-}
-
-// load reports how many resources are recorded on a backend.
-func (p *placements) load(backend string) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.counts[backend]
-}
-
-// leastLoaded picks the backend with the fewest recorded placements
-// from candidates, breaking ties by backend name so placement is
-// deterministic under equal load. Returns "" for no candidates.
-func (p *placements) leastLoaded(candidates []string) string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	best, bestLoad := "", 0
-	for _, b := range candidates {
-		n := p.counts[b]
-		if best == "" || n < bestLoad || (n == bestLoad && b < best) {
-			best, bestLoad = b, n
-		}
-	}
-	return best
 }

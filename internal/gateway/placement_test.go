@@ -16,6 +16,19 @@ import (
 	"dais/internal/telemetry"
 )
 
+// load counts the names recorded on a backend.
+func (p *placements) load(backend string) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	n := 0
+	for _, e := range p.byName {
+		if e.backend == backend {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPlacementRecordLookupForget(t *testing.T) {
 	p := newPlacements()
 	if b, ok := p.lookup("urn:a"); ok || b != "" {
@@ -37,7 +50,7 @@ func TestPlacementRecordLookupForget(t *testing.T) {
 		t.Fatalf("idempotent re-record changed load to %d", got)
 	}
 
-	// Relocation moves the count to the new backend.
+	// Relocation moves the name to the new backend.
 	p.record("urn:a", "http://b2/sql")
 	if got := p.load("http://b1/sql"); got != 1 {
 		t.Fatalf("after relocation load b1 = %d, want 1", got)
@@ -54,24 +67,6 @@ func TestPlacementRecordLookupForget(t *testing.T) {
 		t.Fatalf("after forget load b2 = %d, want 1", got)
 	}
 	p.forget("urn:never-recorded") // no-op, must not panic
-}
-
-func TestPlacementLeastLoaded(t *testing.T) {
-	p := newPlacements()
-	p.record("urn:1", "http://b/sql")
-	p.record("urn:2", "http://b/sql")
-	p.record("urn:3", "http://c/sql")
-	if got := p.leastLoaded([]string{"http://b/sql", "http://c/sql", "http://a/sql"}); got != "http://a/sql" {
-		t.Fatalf("leastLoaded = %q, want the unloaded backend", got)
-	}
-	// Tie-break is lexicographic for determinism.
-	p.record("urn:4", "http://a/sql")
-	if got := p.leastLoaded([]string{"http://c/sql", "http://a/sql"}); got != "http://a/sql" {
-		t.Fatalf("tie-break = %q, want http://a/sql", got)
-	}
-	if got := p.leastLoaded(nil); got != "" {
-		t.Fatalf("leastLoaded(nil) = %q, want empty", got)
-	}
 }
 
 func TestPlacementSyncKeepsNewerEntries(t *testing.T) {
@@ -92,7 +87,7 @@ func TestPlacementSyncKeepsNewerEntries(t *testing.T) {
 }
 
 // TestPlacementsFollowBackendLifetime: resources a backend reaps at their
-// termination time stop counting towards its load. An operation on one
+// termination time leave the placement table. An operation on one
 // through the gateway meets the backend's unknown-name fault and forgets
 // it at once; the next probe forgets the rest.
 func TestPlacementsFollowBackendLifetime(t *testing.T) {
@@ -122,7 +117,7 @@ func TestPlacementsFollowBackendLifetime(t *testing.T) {
 	ctx := context.Background()
 	g.Probe(ctx)
 
-	base := g.place.leastLoaded(urls)
+	base := urls[0]
 	baseLoad, b := g.place.load(base), byURL[base]
 	c := client.New(nil)
 	const n = 4
@@ -141,9 +136,6 @@ func TestPlacementsFollowBackendLifetime(t *testing.T) {
 	}
 	if got := g.place.load(base); got != baseLoad+n {
 		t.Fatalf("load after %d factory calls = %d, want %d", n, got, baseLoad+n)
-	}
-	if g.place.leastLoaded(urls) == base {
-		t.Fatalf("leastLoaded still picks %s under %d more resources", base, n)
 	}
 
 	past := time.Now().Add(-time.Second)
@@ -165,8 +157,5 @@ func TestPlacementsFollowBackendLifetime(t *testing.T) {
 	g.Probe(ctx)
 	if got := g.place.load(base); got != baseLoad {
 		t.Fatalf("load after the probe = %d, want the baseline %d", got, baseLoad)
-	}
-	if got := g.place.leastLoaded(urls); got != base {
-		t.Fatalf("leastLoaded after the probe = %s, want the baseline %s", got, base)
 	}
 }

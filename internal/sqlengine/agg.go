@@ -37,9 +37,8 @@ var aggKinds = map[string]aggItemKind{"COUNT": aggCount, "MIN": aggMin, "MAX": a
 type aggItem struct {
 	call *FuncExpr // as written; the same call written again reads the same slot
 	kind aggItemKind
-	arg  Expr     // the bound argument; nil for COUNT(*)
-	expr *vecExpr // an argument that computes (SUM(a+b)), as the chunk feeder's kernels take it; for EXPLAIN
-	err  error    // raised by every group's read instead: SUM(*), a wrong argument count
+	arg  Expr  // the bound argument; nil for COUNT(*)
+	err  error // raised by every group's read instead: SUM(*), a wrong argument count
 }
 
 // groupPlan is a grouped block's grouping stage.
@@ -139,8 +138,8 @@ func (p *selectPlan) chunkable() bool {
 		col, isCol := vecColumn(it.arg, t)
 		ok := isCol
 		if !isCol {
-			it.expr, ok = compileVecExpr(it.arg, t)
-			computes = true
+			hasCol, _, shape := vecExprShape(it.arg, t)
+			ok, computes = hasCol && shape, true
 		}
 		if !ok || it.call.Distinct || (it.kind == aggSum || it.kind == aggAvg) && isCol && !t.Columns[col].Type.isNumeric() {
 			return false
@@ -156,11 +155,8 @@ func (p *selectPlan) chunkable() bool {
 // aggAcc holds one aggregate's accumulators, one slot per group ordinal.
 type aggAcc struct {
 	count []int64    // COUNT(*): rows; any other: the non-null values folded
-	sumI  []int64    // SUM of integers
-	sumX  []exactSum // SUM of DOUBLEs, AVG; the row feeder's SUM adds every value here too
-	dbl   []bool     // the row feeder's SUM: a DOUBLE was added
+	sumX  []exactSum // SUM, AVG
 	vals  []Value    // MIN/MAX: the best so far
-	typ   Type       // the chunk feeder's argument type; TypeNull on the row feeder
 
 	// The row feeder's errors per group, grown when one first fails: the
 	// argument's first evaluation error, and the first fold error (SUM
@@ -176,10 +172,7 @@ type aggAcc struct {
 func (a *aggAcc) grow(kind aggItemKind) {
 	a.count = append(a.count, 0)
 	switch kind {
-	case aggSum:
-		a.sumI, a.dbl = append(a.sumI, 0), append(a.dbl, false)
-		fallthrough
-	case aggAvg:
+	case aggSum, aggAvg:
 		if n := len(a.sumX); n < cap(a.sumX) {
 			a.sumX = a.sumX[:n+1]
 			a.sumX[n].reset()
@@ -193,7 +186,7 @@ func (a *aggAcc) grow(kind aggItemKind) {
 
 // reset drops every group's slot, keeping the allocations.
 func (a *aggAcc) reset() {
-	a.count, a.sumI, a.sumX, a.dbl, a.vals = a.count[:0], a.sumI[:0], a.sumX[:0], a.dbl[:0], a.vals[:0]
+	a.count, a.sumX, a.vals = a.count[:0], a.sumX[:0], a.vals[:0]
 }
 
 // fold is the chunk feeder's pass of one aggregate over a page: row
@@ -214,18 +207,9 @@ func (a *aggAcc) fold(kind aggItemKind, v *colVec, rows []uint16, gids []int32) 
 			}
 		}
 	case aggSum, aggAvg:
-		switch {
-		case v.typ == TypeDouble:
+		if v.typ == TypeDouble {
 			a.foldFloats(v, rows, gids)
-		case kind == aggSum:
-			for j, r := range rows {
-				if !v.nulls.get(int(r)) {
-					g := gids[j]
-					a.count[g]++
-					a.sumI[g] += v.ints[r]
-				}
-			}
-		default: // AVG of integers: their exact sum
+		} else {
 			for j, r := range rows {
 				if !v.nulls.get(int(r)) {
 					g := gids[j]
@@ -273,27 +257,21 @@ func (a *aggAcc) foldFloats(v *colVec, rows []uint16, gids []int32) {
 			s := &a.sumX[gids[j]]
 			a.count[gids[j]]++
 			s.fix += int64(v.flts[r] * unit)
-			s.scale = int32(k)
+			s.scale, s.dbl = int32(k), true
 		}
 	}
 }
 
 // merge folds a page's groups, b, into these: local group j into group
 // gmap[j]. It is fold's arithmetic over a page at a time, so the answer
-// is the one a row-at-a-time fold gives: counts and integer sums add,
-// exact sums merge, and a MIN/MAX replaces only on a strict win. b is
-// only read.
+// is the one a row-at-a-time fold gives: counts add, exact sums merge,
+// and a MIN/MAX replaces only on a strict win. b is only read.
 func (a *aggAcc) merge(kind aggItemKind, b *aggAcc, gmap []int32) {
 	switch kind {
 	case aggSum, aggAvg:
-		exact := kind == aggAvg || a.typ == TypeDouble
 		for j, g := range gmap {
 			a.count[g] += b.count[j]
-			if exact {
-				a.sumX[g].merge(&b.sumX[j])
-			} else {
-				a.sumI[g] += b.sumI[j]
-			}
+			a.sumX[g].merge(&b.sumX[j])
 		}
 	case aggMin, aggMax:
 		isMax := kind == aggMax
@@ -317,7 +295,7 @@ func (a *aggAcc) merge(kind aggItemKind, b *aggAcc, gmap []int32) {
 
 // clone is a compact copy of the accumulators a page's partial keeps.
 func (a *aggAcc) clone() aggAcc {
-	c := aggAcc{count: slices.Clone(a.count), sumI: slices.Clone(a.sumI), vals: slices.Clone(a.vals)}
+	c := aggAcc{count: slices.Clone(a.count), vals: slices.Clone(a.vals)}
 	if a.sumX != nil {
 		c.sumX = make([]exactSum, len(a.sumX))
 		for i := range a.sumX {
@@ -363,15 +341,9 @@ func (a *aggAcc) add(it *aggItem, g int32, env *evalEnv) {
 		}
 		if v.Type == TypeDouble {
 			a.sumX[g].addFloat(v.F)
-			if it.kind == aggSum {
-				a.dbl[g] = true
-			}
-			break
+		} else {
+			a.sumX[g].addInt(v.I)
 		}
-		if it.kind == aggSum {
-			a.sumI[g] += v.I
-		}
-		a.sumX[g].addInt(v.I)
 	case aggMin, aggMax:
 		if a.count[g] > 0 {
 			c, err := Compare(v, a.vals[g])
@@ -413,10 +385,13 @@ func (a *aggAcc) result(it *aggItem, g int) (Value, error) {
 		return NewDouble(a.sumX[g].round() / float64(a.count[g])), nil
 	case it.kind != aggSum:
 		return a.vals[g], nil
-	case a.typ == TypeDouble || a.dbl[g]:
+	case a.sumX[g].dbl:
 		return NewDouble(a.sumX[g].round()), nil
 	}
-	return NewBigint(a.sumI[g]), nil
+	if v, ok := a.sumX[g].int(); ok {
+		return NewBigint(v), nil
+	}
+	return Null, fmt.Errorf("SUM out of BIGINT range")
 }
 
 // aggGroups is one execution's groups: each group's first input row and,
@@ -574,7 +549,6 @@ func (gs *aggGroups) foldChunks(d *Database, t *Table, bp boundVec) (done bool, 
 			if args[k], done = bindVecExpr(it.arg, t, gs.env.params); !done {
 				return false, nil
 			}
-			gs.accs[k].typ = args[k].typ()
 		}
 	}
 	gs.part.accs, gs.gids, done = make([]aggAcc, len(items)), make([]int32, chunkRows), true
@@ -587,12 +561,12 @@ func (gs *aggGroups) foldChunks(d *Database, t *Table, bp boundVec) (done bool, 
 				return true, nil
 			}
 		}
-		for k, it := range items {
+		for k := range items {
 			if args[k] != nil {
 				if vecs[k], done = args[k].eval(ch, rows); !done {
 					return false, nil // a zero divisor on a selected row
 				}
-				if it.expr != nil && vecs[k].typ == TypeDouble {
+				if _, isCol := args[k].(*beCol); !isCol && vecs[k].typ == TypeDouble {
 					vecs[k].noteRows(rows)
 				}
 			}

@@ -98,7 +98,8 @@ var groupKeyCorpus = []struct {
 	{sql: `SELECT %[1]s, COUNT(*), MIN(d) FROM gk GROUP BY %[1]s ORDER BY 2 DESC, 1 LIMIT 12 OFFSET 3`},
 	{sql: `SELECT %[1]s, SUM(v) FROM gk GROUP BY %[1]s ORDER BY 1 DESC LIMIT 40`},
 	{sql: `SELECT %[1]s, s, COUNT(*), MAX(v) FROM gk WHERE id < 3500 GROUP BY %[1]s, s ORDER BY 3 DESC, 1, 2 LIMIT 30`},
-	{sql: `SELECT COUNT(*), SUM(%[1]s), MIN(%[1]s), MAX(%[1]s), AVG(d), MAX(s) FROM gk`},
+	{sql: `SELECT COUNT(*), SUM(%[1]s), MIN(%[1]s), MAX(%[1]s), AVG(d), MAX(s) FROM gk`}, // SUM outside BIGINT once the UPDATE wraps a key
+	{sql: `SELECT COUNT(*), MIN(%[1]s), MAX(%[1]s), AVG(d), MAX(s) FROM gk`},
 	// HAVING, ORDER BY an alias or an aggregate, and DISTINCT run on the
 	// group rows, whatever feeds the groups.
 	{sql: `SELECT %[1]s, COUNT(*), SUM(v) FROM gk GROUP BY %[1]s HAVING COUNT(*) > ?`, params: []Value{NewInt(40)}},

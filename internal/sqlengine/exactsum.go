@@ -6,13 +6,13 @@ import (
 	"slices"
 )
 
-// The exact sum. SUM and AVG over DOUBLE — and a row feeder's SUM that
-// meets a DOUBLE beside its integers, and AVG over integers — add their
-// values exactly and round the total to a float64 once, to nearest-even,
-// when it is read. The answer then depends on the values alone, not on
-// the order a scan, an index or a page's partial visits them in, so a
-// total merges from parts (Neal, "Fast exact summation using small and
-// large superaccumulators", arXiv:1505.05571).
+// The exact sum. Every SUM and AVG adds its values exactly. A total a
+// DOUBLE was added to is rounded to a float64 once, to nearest-even, when
+// it is read; an integer SUM's total is read as the BIGINT it is, or
+// fails when it lies outside BIGINT. The answer then depends on the
+// values alone, not on the order a scan, an index or a page's partial
+// visits them in, so a total merges from parts (Neal, "Fast exact
+// summation using small and large superaccumulators", arXiv:1505.05571).
 //
 // Two routes hold the total. The fast one is fixed point: values
 // m·2^-scale with integer m, summed in an int64. A DOUBLE page records
@@ -40,11 +40,13 @@ const (
 )
 
 // exactSum is one exact total: fix·2^-scale, plus acc, plus the NaN and
-// infinities in special. The zero value is an empty sum.
+// infinities in special; dbl records that a DOUBLE was added. The zero
+// value is an empty sum.
 type exactSum struct {
 	fix     int64
 	scale   int32
 	special uint8
+	dbl     bool
 	acc     *superAcc // nil until something spills
 }
 
@@ -66,6 +68,7 @@ func floatParts(x float64) (m uint64, exp int, finite bool) {
 
 // addFloat adds one DOUBLE.
 func (s *exactSum) addFloat(x float64) {
+	s.dbl = true
 	m, exp, finite := floatParts(x)
 	switch {
 	case !finite:
@@ -92,8 +95,16 @@ func specialOf(x float64) uint8 {
 	return sumNegInf
 }
 
-// addInt adds one integer.
-func (s *exactSum) addInt(v int64) { s.addAt(v, 0) }
+// addInt adds one integer: straight into a fixed sum of whole units
+// when the two do not overflow, which spares an integer SUM's fold
+// addAt's detour.
+func (s *exactSum) addInt(v int64) {
+	if r := s.fix + v; s.scale == 0 && (s.fix^r)&(v^r) >= 0 {
+		s.fix = r
+		return
+	}
+	s.addAt(v, 0)
+}
 
 // addAt adds v·2^exp: into the fixed sum when it is empty (taking exp's
 // scale) or when v is a whole multiple of its unit, else into acc.
@@ -128,6 +139,7 @@ func (s *exactSum) accum() *superAcc {
 
 // merge adds the total o holds; o is only read.
 func (s *exactSum) merge(o *exactSum) {
+	s.dbl = s.dbl || o.dbl
 	if o.acc == nil && o.special == 0 && o.scale == s.scale {
 		s.addFixed(o.fix)
 		return
@@ -143,7 +155,7 @@ func (s *exactSum) merge(o *exactSum) {
 
 // reset empties the sum, keeping acc's digits for reuse.
 func (s *exactSum) reset() {
-	s.fix, s.scale, s.special = 0, 0, 0
+	s.fix, s.scale, s.special, s.dbl = 0, 0, 0, false
 	if s.acc != nil {
 		s.acc.reset()
 	}
@@ -171,12 +183,26 @@ func (s *exactSum) round() float64 {
 	case s.acc == nil && -1<<53 < s.fix && s.fix < 1<<53:
 		return math.Ldexp(float64(s.fix), -int(s.scale)) // exact, or overflows to ±Inf
 	}
-	var t superAcc
+	return s.total().round()
+}
+
+// int is an integer total, exactly; ok=false when it lies outside
+// BIGINT.
+func (s *exactSum) int() (v int64, ok bool) {
+	if s.acc == nil && s.scale == 0 {
+		return s.fix, true
+	}
+	return s.total().int()
+}
+
+// total is the whole sum in a superaccumulator of its own.
+func (s *exactSum) total() *superAcc {
+	t := new(superAcc)
 	if s.acc != nil {
 		t.merge(s.acc)
 	}
 	t.add(s.fix, -int(s.scale))
-	return t.round()
+	return t
 }
 
 // superAcc is an exact integer multiple of 2^-expBias in base-2^32
@@ -272,15 +298,15 @@ func (a *superAcc) carry() {
 	}
 }
 
-// round rounds the total to the nearest float64, ties to even; a is
-// left holding its magnitude.
-func (a *superAcc) round() float64 {
+// magnitude carries a and leaves it holding the total's magnitude: neg
+// is the total's sign, high the position of its leading bit, -1 for
+// zero.
+func (a *superAcc) magnitude() (neg bool, high int) {
 	if len(a.d) == 0 {
-		return 0
+		return false, -1
 	}
 	a.carry()
-	neg := a.d[len(a.d)-1] < 0
-	if neg {
+	if neg = a.d[len(a.d)-1] < 0; neg {
 		for j := range a.d {
 			a.d[j] = -a.d[j]
 		}
@@ -291,9 +317,35 @@ func (a *superAcc) round() float64 {
 		top--
 	}
 	if top < 0 {
+		return neg, -1
+	}
+	return neg, 32*(a.lo+top) + bits.Len64(uint64(a.d[top])) - 1
+}
+
+// int reads an integer total (one with no bit below 2^0) exactly;
+// ok=false when it lies outside BIGINT.
+func (a *superAcc) int() (int64, bool) {
+	neg, high := a.magnitude()
+	if w := high - expBias; w > 63 || w == 63 && (!neg || a.anyBelow(high)) {
+		return 0, false
+	}
+	var m uint64
+	for p := high; p >= expBias; p-- {
+		m = m<<1 | a.bit(p)
+	}
+	if neg {
+		return -int64(m), true // m = 2^63 wraps to MinInt64, as it should
+	}
+	return int64(m), true
+}
+
+// round rounds the total to the nearest float64, ties to even; a is
+// left holding its magnitude.
+func (a *superAcc) round() float64 {
+	neg, high := a.magnitude()
+	if high < 0 {
 		return 0
 	}
-	high := 32*(a.lo+top) + bits.Len64(uint64(a.d[top])) - 1 // the leading bit's position
 	var m uint64
 	var f float64
 	if high <= 52 { // below 2^53 units of 2^-1074: a subnormal or a small normal, exact

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,35 +59,43 @@ func sameFloat(a, b float64) bool {
 }
 
 // pageSum is a page's exact sum the way the chunk feeder takes it: the
-// values pushed into a DOUBLE vector and folded into one group, through
-// the page's fixed scale when it has one.
-func pageSum(xs []float64) exactSum {
-	v := colVec{typ: TypeDouble, nulls: newBitset(chunkRows)}
-	v.reset(len(xs))
-	for i, x := range xs {
-		v.push(i, NewDouble(x))
+// values, all of one type, pushed into a vector and folded into one
+// group — a DOUBLE page through its fixed scale when it has one.
+func pageSum(vals []Value) exactSum {
+	v := colVec{typ: vals[0].Type, nulls: newBitset(chunkRows)}
+	v.reset(len(vals))
+	for i, x := range vals {
+		v.push(i, x)
 	}
 	var a aggAcc
 	a.grow(aggSum)
-	a.foldFloats(&v, allRows[:len(xs)], make([]int32, len(xs)))
+	a.fold(aggSum, &v, allRows[:len(vals)], make([]int32, len(vals)))
 	return a.sumX[0]
 }
 
-// checkExactSum splits xs at random points into parts, sums each part on
-// its own — value by value, or as a page — and merges the parts in a
-// random order. The total must be bigSum's, bit for bit.
-func checkExactSum(t *testing.T, xs []float64, seed int64) {
+// checkExactSum splits vals at random points into parts, sums each part
+// on its own — value by value, or as a page when it is of one type — and
+// merges the parts in a random order. A total a DOUBLE was added to must
+// round to bigSum's, bit for bit; an integer one must read as math/big's
+// sum, or fail when that lies outside BIGINT.
+func checkExactSum(t *testing.T, vals []Value, seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	var parts []exactSum
-	for rest := xs; len(rest) > 0; {
+	for rest := vals; len(rest) > 0; {
 		n := 1 + r.Intn(min(len(rest), chunkRows))
+		part := rest[:n]
+		oneType := !slices.ContainsFunc(part, func(v Value) bool { return v.Type != part[0].Type })
 		var s exactSum
-		if r.Intn(2) == 0 {
-			s = pageSum(rest[:n])
+		if oneType && r.Intn(2) == 0 {
+			s = pageSum(part)
 		} else {
-			for _, x := range rest[:n] {
-				s.addFloat(x)
+			for _, v := range part {
+				if v.Type == TypeDouble {
+					s.addFloat(v.F)
+				} else {
+					s.addInt(v.I)
+				}
 			}
 		}
 		parts, rest = append(parts, s), rest[n:]
@@ -95,38 +104,74 @@ func checkExactSum(t *testing.T, xs []float64, seed int64) {
 	for _, i := range r.Perm(len(parts)) {
 		total.merge(&parts[i])
 	}
-	if got, want := total.round(), bigSum(doubles(xs)); !sameFloat(got, want) {
+	dbl := slices.ContainsFunc(vals, func(v Value) bool { return v.Type == TypeDouble })
+	if total.dbl != dbl {
+		t.Fatalf("%d values in %d parts (seed %d): a DOUBLE was added %v, recorded %v", len(vals), len(parts), seed, dbl, total.dbl)
+	}
+	if !dbl {
+		want := new(big.Int)
+		for _, v := range vals {
+			want.Add(want, big.NewInt(v.I))
+		}
+		if got, ok := total.int(); ok != want.IsInt64() || ok && got != want.Int64() {
+			t.Fatalf("%d integers in %d parts (seed %d): exact sum %d (in range %v), math/big %v\nvalues: %v",
+				len(vals), len(parts), seed, got, ok, want, vals)
+		}
+		return
+	}
+	if got, want := total.round(), bigSum(vals); !sameFloat(got, want) {
 		t.Fatalf("%d values in %d parts (seed %d): exact sum %v (%#x), math/big %v (%#x)\nvalues: %v",
-			len(xs), len(parts), seed, got, math.Float64bits(got), want, math.Float64bits(want), xs)
+			len(vals), len(parts), seed, got, math.Float64bits(got), want, math.Float64bits(want), vals)
 	}
 }
 
-// fuzzFloats decodes a fuzz input into doubles, nine bytes a value: a
+// fuzzValues decodes a fuzz input into values, nine bytes a value: a
 // selector, then eight bytes read as a float64's bits, as a small
-// multiple of a half, as the negation of an earlier value, or as one of
-// the edge values.
-func fuzzFloats(data []byte) []float64 {
+// multiple of a half, as the negation of an earlier value, as one of the
+// edge doubles, as a mantissa at a nearby exponent, as one of the edge
+// integers, or as an int64's bits.
+func fuzzValues(data []byte) []Value {
 	edges := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 1e16, -1e16, 1, 0.1}
-	var xs []float64
+	intEdges := []int64{1 << 62, -1 << 62, math.MaxInt64, math.MinInt64, 0, 1, -1}
+	var vals []Value
 	for ; len(data) >= 9; data = data[9:] {
 		b := binary.LittleEndian.Uint64(data[1:9])
-		switch data[0] % 5 {
+		switch data[0] % 7 {
 		case 0:
-			xs = append(xs, math.Float64frombits(b))
+			vals = append(vals, NewDouble(math.Float64frombits(b)))
 		case 1:
-			xs = append(xs, float64(int32(b))*0.5)
+			vals = append(vals, NewDouble(float64(int32(b))*0.5))
 		case 2:
-			if len(xs) > 0 {
-				xs = append(xs, -xs[b%uint64(len(xs))])
+			if len(vals) > 0 {
+				switch v := vals[b%uint64(len(vals))]; v.Type {
+				case TypeDouble:
+					vals = append(vals, NewDouble(-v.F))
+				default:
+					vals = append(vals, NewBigint(-v.I))
+				}
 			}
 		case 3:
-			xs = append(xs, edges[b%uint64(len(edges))])
-		default: // a mantissa's worth of bits at a nearby exponent
-			xs = append(xs, math.Ldexp(float64(b>>11), int(int8(b))%40-52))
+			vals = append(vals, NewDouble(edges[b%uint64(len(edges))]))
+		case 4: // a mantissa's worth of bits at a nearby exponent
+			vals = append(vals, NewDouble(math.Ldexp(float64(b>>11), int(int8(b))%40-52)))
+		case 5:
+			vals = append(vals, NewBigint(intEdges[b%uint64(len(intEdges))]))
+		default:
+			vals = append(vals, NewBigint(int64(b)))
 		}
 	}
-	return xs
+	return vals
+}
+
+// encodeInts encodes integers for fuzzValues, as an int64's bits.
+func encodeInts(xs ...int64) []byte {
+	var data []byte
+	for _, x := range xs {
+		data = append(data, 6)
+		data = binary.LittleEndian.AppendUint64(data, uint64(x))
+	}
+	return data
 }
 
 func encodeFloats(sel byte, xs ...float64) []byte {
@@ -141,9 +186,12 @@ func encodeFloats(sel byte, xs ...float64) []byte {
 // FuzzExactSum holds the exact sum to math/big: random lists of doubles,
 // NaN, ±Inf, ±0, subnormals, ±MaxFloat64 and cancellations among them,
 // split into parts that merge in random order, total bit for bit what
-// adding them all exactly and rounding once gives. The seeds reach the
-// fixed route (halves, one page's scale) and the superaccumulator
-// (values a fixed sum cannot hold, overflowing partial sums).
+// adding them all exactly and rounding once gives; integers among them,
+// ±2^62, MaxInt64 and MinInt64 included, add exactly too, and a list of
+// integers alone reads as their exact total or is out of BIGINT's range
+// exactly when math/big's is. The seeds reach the fixed route (halves,
+// one page's scale) and the superaccumulator (values a fixed sum cannot
+// hold, overflowing partial sums).
 func FuzzExactSum(f *testing.F) {
 	f.Add(encodeFloats(0, 1e16, 1, -1e16), int64(1))
 	f.Add(encodeFloats(0, 0.5, 1.5, -2, 7.25, 1024), int64(2))
@@ -162,9 +210,20 @@ func FuzzExactSum(f *testing.F) {
 		mixed = binary.LittleEndian.AppendUint64(mixed, r.Uint64())
 	}
 	f.Add(mixed, int64(12))
+	f.Add(encodeInts(1<<62, 1<<62), int64(13))                                            // out of range
+	f.Add(encodeInts(1<<62, 1<<62, -1<<62, -1<<62, -1), int64(14))                        // back in range
+	f.Add(encodeInts(math.MaxInt64, 1, math.MinInt64, math.MinInt64, -1), int64(15))      // out below
+	f.Add(encodeInts(-1<<62, -1<<62), int64(16))                                          // MinInt64 exactly
+	f.Add(append(encodeFloats(0, 1e16, 0.5), encodeInts(math.MaxInt64, 3)...), int64(17)) // integers beside doubles
+	var ints []byte
+	for i := 0; i < 300; i++ {
+		ints = append(ints, byte(5+r.Intn(2)))
+		ints = binary.LittleEndian.AppendUint64(ints, r.Uint64())
+	}
+	f.Add(ints, int64(18))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		if xs := fuzzFloats(data); len(xs) > 0 {
-			checkExactSum(t, xs, seed)
+		if vals := fuzzValues(data); len(vals) > 0 {
+			checkExactSum(t, vals, seed)
 		}
 	})
 }
@@ -179,7 +238,7 @@ func TestExactSumRoutes(t *testing.T) {
 	for _, x := range halves {
 		s.addFloat(x)
 	}
-	if p := pageSum(halves); s.acc != nil || p.acc != nil {
+	if p := pageSum(doubles(halves)); s.acc != nil || p.acc != nil {
 		t.Fatalf("halves spilled: value by value %v, as a page %v", s.acc != nil, p.acc != nil)
 	}
 	if k, ok := pageVec(halves).sumScale(); !ok || k != 2 {
@@ -193,7 +252,7 @@ func TestExactSumRoutes(t *testing.T) {
 		if s.acc == nil {
 			t.Fatalf("%v stayed in the fixed sum", xs)
 		}
-		checkExactSum(t, xs, 1)
+		checkExactSum(t, doubles(xs), 1)
 	}
 	if _, ok := pageVec([]float64{1, 0x1p-60}).sumScale(); ok {
 		t.Fatal("a page of 1 and 2^-60 has a fixed scale")
@@ -276,5 +335,51 @@ func TestNegativeZeroGroupsWithZero(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIntegerSumRange pins an integer SUM to its exact total: one outside
+// BIGINT fails with HY000 on the chunk feeder, the row feeder (a grouped
+// join) and the oracle alike — two rows of 2^62 used to wrap to -2^63 —,
+// and a total back inside the range answers it, whatever the partial
+// sums passed through on the way.
+func TestIntegerSumRange(t *testing.T) {
+	const p62 = 1 << 62
+	for _, tc := range []struct {
+		vals []int64
+		want Value // Null: out of range
+	}{
+		{[]int64{p62, p62}, Null},
+		{[]int64{p62, p62, -p62, -p62, -1}, NewBigint(-1)},
+		{[]int64{math.MaxInt64, 1, math.MinInt64, -1, -1}, NewBigint(-2)},
+		{[]int64{math.MinInt64, -1}, Null},
+		{[]int64{-p62, -p62}, NewBigint(math.MinInt64)},
+	} {
+		t.Run(fmt.Sprint(tc.vals), func(t *testing.T) {
+			e := New("sumrange")
+			e.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v BIGINT)`)
+			e.MustExec(`CREATE TABLE one (id INTEGER)`)
+			e.MustExec(`INSERT INTO one VALUES (0)`)
+			for i, v := range tc.vals {
+				e.MustExec(`INSERT INTO t VALUES (?, 0, ?)`, NewInt(int64(i)), NewBigint(v))
+			}
+			for _, sql := range []string{
+				`SELECT SUM(v) FROM t`,                                                // chunk feeder, the implicit group
+				`SELECT g, SUM(v) FROM t GROUP BY g`,                                  // chunk feeder
+				`SELECT o.id, SUM(t.v) FROM t JOIN one o ON t.g = o.id GROUP BY o.id`, // row feeder, joined
+			} {
+				set := execAllPaths(t, e, sql)
+				if !tc.want.IsNull() {
+					if row := set.Rows[0]; len(set.Rows) != 1 || row[len(row)-1] != tc.want {
+						t.Fatalf("%s: got %v, want SUM %v in one row", sql, set.Rows, tc.want)
+					}
+					continue
+				}
+				res, err := e.NewSession().Execute(sql)
+				if err == nil || err.Error() != "SUM out of BIGINT range" || res.CA.SQLState != StateGeneral {
+					t.Fatalf("%s: err %v, state %v; want SUM out of BIGINT range, %s", sql, err, res.CA.SQLState, StateGeneral)
+				}
+			}
+		})
 	}
 }

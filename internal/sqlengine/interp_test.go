@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math/big"
 	"strings"
 )
 
@@ -408,7 +409,7 @@ func evalAggregate(n *FuncExpr, group [][]Value, env *evalEnv) (Value, error) {
 			return Null, nil
 		}
 		allInt := true
-		var sumI int64
+		sumI := new(big.Int)
 		for _, v := range vals {
 			if !v.Type.isNumeric() {
 				return Null, fmt.Errorf("%s requires numeric values, got %s", n.Name, v.Type)
@@ -416,15 +417,17 @@ func evalAggregate(n *FuncExpr, group [][]Value, env *evalEnv) (Value, error) {
 			if v.Type == TypeDouble {
 				allInt = false
 			}
-			sumI += v.I
+			sumI.Add(sumI, big.NewInt(v.I))
 		}
-		if n.Name == "AVG" {
+		switch {
+		case n.Name == "AVG":
 			return NewDouble(bigSum(vals) / float64(len(vals))), nil
+		case !allInt:
+			return NewDouble(bigSum(vals)), nil
+		case !sumI.IsInt64():
+			return Null, fmt.Errorf("SUM out of BIGINT range")
 		}
-		if allInt {
-			return NewBigint(sumI), nil
-		}
-		return NewDouble(bigSum(vals)), nil
+		return NewBigint(sumI.Int64()), nil
 	}
 	return Null, fmt.Errorf("unknown aggregate %s", n.Name)
 }

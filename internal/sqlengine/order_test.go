@@ -291,7 +291,7 @@ func FuzzCompareOrder(f *testing.F) {
 		if !ch.rebuild(tb.Columns) {
 			t.Fatal("chunk did not build")
 		}
-		kernel := func(p vecPred, what string, want func(x Value) bool) {
+		kernel := func(p Expr, what string, want func(x Value) bool) {
 			bp, ok := bindVecPred(p, nil, tb)
 			if !ok {
 				t.Fatalf("%s did not bind", what)
@@ -314,17 +314,17 @@ func FuzzCompareOrder(f *testing.F) {
 				}
 			}
 		}
-		col := vpOperand{col: 0}
+		col, lb, lc := &boundColExpr{idx: 0}, &LiteralExpr{Value: b}, &LiteralExpr{Value: c}
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-			kernel(&vpCmp{src: col, op: op, operand: &LiteralExpr{Value: b}}, op+" "+b.String(), func(x Value) bool {
+			kernel(&BinaryExpr{Op: op, Left: col, Right: lb}, op+" "+b.String(), func(x Value) bool {
 				return opTri(op)[cmp(x, b)+1] == triT
 			})
 		}
 		between := func(x Value) bool { return cmp(x, b) >= 0 && cmp(x, c) <= 0 }
-		kernel(&vpBetween{src: col, lo: &LiteralExpr{Value: b}, hi: &LiteralExpr{Value: c}}, "BETWEEN", between)
-		kernel(&vpBetween{src: col, lo: &LiteralExpr{Value: b}, hi: &LiteralExpr{Value: c}, negate: true}, "NOT BETWEEN",
+		kernel(&BetweenExpr{Operand: col, Lo: lb, Hi: lc}, "BETWEEN", between)
+		kernel(&BetweenExpr{Operand: col, Lo: lb, Hi: lc, Negate: true}, "NOT BETWEEN",
 			func(x Value) bool { return !between(x) })
-		kernel(&vpIn{src: col, items: []Expr{&LiteralExpr{Value: b}, &LiteralExpr{Value: c}}}, "IN",
+		kernel(&InExpr{Operand: col, List: []Expr{lb, lc}}, "IN",
 			func(x Value) bool { return cmp(x, b) == 0 || cmp(x, c) == 0 })
 
 		// vecCmp compares within the column's domain, against the value

@@ -99,17 +99,18 @@ type accessPath struct {
 
 // tableSource is how one SELECT block whose FROM is one base table with
 // no joins, or one UPDATE/DELETE, finds its rows: the table and its
-// bindings, the access path chooseIndex picks from the WHERE's compiled
-// conjuncts, and the WHERE as kernels when it lies in their error-free
-// class. The block plan — its grouping stage's chunk feeder included —
-// and DML target selection both read the table through it.
+// bindings, the access path chooseIndex picks from the WHERE's bound
+// conjuncts, and the WHERE for the kernels when it lies in their
+// error-free class. The block plan — its grouping stage's chunk feeder
+// included — and DML target selection both read the table through it.
 type tableSource struct {
 	accessPath
 	cols []boundColumn // the table's bindings under its qualifier
-	// pred is the WHERE as kernels; nil without a WHERE, when a name in it
-	// does not resolve against the table alone (a correlated subquery) or
-	// when it lies outside their class.
-	pred vecPred
+	// pred is the bound WHERE when the kernels take it whole (kernelPred);
+	// nil without a WHERE, when a name in it does not resolve against the
+	// table alone (a correlated subquery) or when it lies outside their
+	// class.
+	pred Expr
 }
 
 // planSource plans the source of one base-table reference, or returns
@@ -134,15 +135,15 @@ func (d *Database) planSource(tr *TableRef, where Expr) *tableSource {
 	}
 	var conjuncts []Expr
 	collectConjuncts(where, &conjuncts)
-	compiled := make([]vecPred, len(conjuncts))
+	bound := make([]Expr, len(conjuncts))
 	for i, c := range conjuncts {
 		if w, ok := rewriteExpr(c, s.cols); ok {
-			compiled[i], _ = compileVecPred(w, t)
+			bound[i] = w
 		}
 	}
-	s.chooseIndex(compiled)
-	if w, ok := rewriteExpr(where, s.cols); ok {
-		s.pred, _ = compileVecPred(w, t)
+	s.chooseIndex(bound)
+	if w, ok := rewriteExpr(where, s.cols); ok && kernelPred(w, t) {
+		s.pred = w
 	}
 	return s
 }
@@ -533,14 +534,14 @@ func evalConst(e Expr, params []Value) (Value, bool) {
 	return v, true
 }
 
-// chooseIndex binds the best index access the WHERE's compiled conjuncts
-// admit (nil: one the kernels do not take): a point probe first, then a
-// range scan. A comparison
-// of a plain column with a constant offers an equality or a bound, a
-// BETWEEN of one two bounds; nothing else offers a candidate. Ties
+// chooseIndex binds the best index access the WHERE's bound conjuncts
+// admit (nil: one that does not resolve against the table): a point probe
+// first, then a range scan. A comparison of a plain column with a
+// constant offers an equality or a bound, a BETWEEN of one with constant
+// ends two bounds; nothing else offers a candidate. Ties
 // between indexes on the same column break by name so plans are
 // deterministic.
-func (p *accessPath) chooseIndex(conjuncts []vecPred) {
+func (p *accessPath) chooseIndex(conjuncts []Expr) {
 	t := p.t
 	var eqs []eqCand
 	ranges := map[int]*rangeCand{}
@@ -565,25 +566,28 @@ func (p *accessPath) chooseIndex(conjuncts []vecPred) {
 	for _, c := range conjuncts {
 		expected++
 		switch n := c.(type) {
-		case *vpCmp: // the constant is on the right: compileVecPred flipped it there
-			if n.src.expr != nil {
+		case *BinaryExpr:
+			src, op, v, ok := cmpSides(n, t)
+			col, isCol := vecColumn(src, t)
+			if !ok || !isCol {
 				continue
 			}
-			switch n.op {
+			switch op {
 			case "=":
-				eqs = append(eqs, eqCand{col: n.src.col, val: n.operand})
+				eqs = append(eqs, eqCand{col: col, val: v})
 			case "<", "<=":
-				addBound(n.src.col, planBound{expr: n.operand, incl: n.op == "<="}, false)
+				addBound(col, planBound{expr: v, incl: op == "<="}, false)
 			case ">", ">=":
-				addBound(n.src.col, planBound{expr: n.operand, incl: n.op == ">="}, true)
+				addBound(col, planBound{expr: v, incl: op == ">="}, true)
 			}
-		case *vpBetween:
+		case *BetweenExpr:
 			expected++
-			if n.negate || n.src.expr != nil {
+			col, isCol := vecColumn(n.Operand, t)
+			if n.Negate || !isCol || !constExpr(n.Lo) || !constExpr(n.Hi) {
 				continue
 			}
-			addBound(n.src.col, planBound{expr: n.lo, incl: true}, true)
-			addBound(n.src.col, planBound{expr: n.hi, incl: true}, false)
+			addBound(col, planBound{expr: n.Lo, incl: true}, true)
+			addBound(col, planBound{expr: n.Hi, incl: true}, false)
 		}
 	}
 
@@ -795,8 +799,12 @@ func (p *selectPlan) explainLines() []string {
 		if p.group.chunked {
 			lines = append(lines, "  vector aggregate: typed fold over column chunks (row feeder if abandoned)")
 			for _, it := range p.group.items {
-				if it.expr != nil {
-					lines = append(lines, fmt.Sprintf("  aggregate arg: expression kernel (%s(%s))", it.kind, it.expr.text(p.t)))
+				if _, isCol := it.arg.(*boundColExpr); it.arg != nil && !isCol {
+					s := exprText(it.arg, p.t)
+					if _, binary := it.arg.(*BinaryExpr); binary {
+						s = s[1 : len(s)-1] // the outermost pair of parentheses says nothing
+					}
+					lines = append(lines, fmt.Sprintf("  aggregate arg: expression kernel (%s(%s))", it.kind, s))
 				}
 			}
 		}
@@ -848,7 +856,7 @@ func (d *Database) zoneMapLine(s *tableSource) string {
 	for _, ch := range s.t.pages {
 		if ch != nil {
 			n++
-			if chunkSkippable(bp, ch) {
+			if bp.possible(ch)&maskT == 0 {
 				skipped++
 			}
 		}

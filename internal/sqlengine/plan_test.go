@@ -269,6 +269,45 @@ func TestPlannedStreamMatchesInterpreted(t *testing.T) {
 	}
 }
 
+// TestKernelPlansBind is the plan/bind agreement check: every block of
+// the corpus whose plan puts its WHERE on the kernels (kernelPred) binds
+// it with the statement's parameters, and running the statement counts
+// no fallback — a shape the plan admits and the binding refuses would
+// take the row path on every execution.
+func TestKernelPlansBind(t *testing.T) {
+	e := planEngine(t, 150)
+	kernels := 0
+	for _, tc := range planCorpus {
+		prep, err := e.Prepare(tc.sql)
+		if err != nil || prep.blocks == nil {
+			continue
+		}
+		filtered := false
+		e.db.mu.RLock()
+		for _, bp := range prep.blocks.m {
+			if p := bp.plan; p != nil && p.vector && p.src.pred != nil {
+				filtered = true
+				if _, chunks, bound := e.db.bindKernels(p.src, tc.params, true); !bound || !chunks {
+					t.Errorf("%s: the kernel filter %s does not bind (chunks %v)", tc.sql, exprText(p.src.pred, p.t), chunks)
+				}
+			}
+		}
+		e.db.mu.RUnlock()
+		if !filtered {
+			continue
+		}
+		kernels++
+		before := e.VectorStats().Fallbacks
+		_, _ = e.NewSession().Execute(tc.sql, tc.params...)
+		if after := e.VectorStats().Fallbacks; after != before {
+			t.Errorf("%s: counted %d fallbacks", tc.sql, after-before)
+		}
+	}
+	if kernels < 10 {
+		t.Fatalf("only %d corpus statements have a kernel filter", kernels)
+	}
+}
+
 // TestPlanAccessPaths asserts the planner actually picks the access
 // methods the corpus relies on — otherwise the equivalence tests could
 // pass vacuously with every query widened to a scan.

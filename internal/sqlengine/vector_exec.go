@@ -25,65 +25,69 @@ const (
 	maskN
 )
 
-// vecPred is a plan-time compiled predicate tree. Constant operands (see
-// constExpr) are kept symbolic and evaluated once per execution by
-// bindVecPred; any binding that could diverge from interpreter semantics
-// (evaluation error, incomparable type) refuses to bind and the row
-// filter runs instead.
-type vecPred interface{ vecPred() }
-
-// vpOperand is the row-dependent side of a kernel: a base column, or
-// (expr non-nil) an expression vector that cannot fail once bound.
-type vpOperand struct {
-	col  int
-	expr *vecExpr
+// kernelPred reports that the kernels take a bound predicate whole. When
+// some subtree lies outside their class (subqueries, functions of a
+// column, column-vs-column comparison, arithmetic that could fail on a
+// row, ...) the plan keeps the row filter. The class is chosen so that
+// kernel evaluation can NEVER error at runtime: every error the
+// interpreter could raise per row is either proven absent here or
+// detected at bind time, which falls back to the row path for exact
+// error parity.
+func kernelPred(e Expr, t *Table) bool {
+	if constExpr(e) {
+		return true // one truth value for every row of an execution
+	}
+	switch n := e.(type) {
+	case *BinaryExpr:
+		switch n.Op {
+		case "AND", "OR":
+			return kernelPred(n.Left, t) && kernelPred(n.Right, t)
+		case "LIKE":
+			// Non-varchar columns LIKE via String() coercion; keep the
+			// interpreter's exact rendering by not vectorising them.
+			col, ok := vecColumn(n.Left, t)
+			return ok && t.Columns[col].Type == TypeVarchar && constExpr(n.Right)
+		}
+		_, _, _, ok := cmpSides(n, t)
+		return ok
+	case *UnaryExpr:
+		return n.Op == "NOT" && kernelPred(n.Operand, t)
+	case *IsNullExpr:
+		return vecOperand(n.Operand, t)
+	case *BetweenExpr:
+		return vecOperand(n.Operand, t) && constExpr(n.Lo) && constExpr(n.Hi)
+	case *InExpr:
+		if n.Subquery != nil || !vecOperand(n.Operand, t) {
+			return false
+		}
+		for _, it := range n.List {
+			if !constExpr(it) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
-type vpCmp struct {
-	src     vpOperand
-	op      string // =, <>, <, <=, >, >=  (row-dependent side on the left)
-	operand Expr
+// cmpSides reads a comparison operand-first: the row-dependent side, the
+// operator as it reads from that side (`5 < x` is `x > 5`) and the
+// constant. ok=false: n is no comparison of a kernel operand with a
+// constant.
+func cmpSides(n *BinaryExpr, t *Table) (src Expr, op string, c Expr, ok bool) {
+	switch n.Op {
+	case "=", "<>", "<", "<=", ">", ">=":
+	default:
+		return nil, "", nil, false
+	}
+	switch {
+	case vecOperand(n.Left, t) && constExpr(n.Right):
+		return n.Left, n.Op, n.Right, true
+	case vecOperand(n.Right, t) && constExpr(n.Left):
+		return n.Right, flipCmp(n.Op), n.Left, true
+	}
+	return nil, "", nil, false
 }
-
-type vpLike struct {
-	col     int
-	pattern Expr
-}
-
-type vpIsNull struct {
-	src    vpOperand
-	negate bool
-}
-
-type vpBetween struct {
-	src    vpOperand
-	lo, hi Expr
-	negate bool
-}
-
-type vpIn struct {
-	src    vpOperand
-	items  []Expr
-	negate bool
-}
-
-type vpAnd struct{ l, r vecPred }
-type vpOr struct{ l, r vecPred }
-type vpNot struct{ c vecPred }
-
-// vpConst is a row-independent predicate (`1 = 1`, `? IS NULL`), one
-// truth value for every row of an execution.
-type vpConst struct{ expr Expr }
-
-func (*vpCmp) vecPred()     {}
-func (*vpLike) vecPred()    {}
-func (*vpIsNull) vecPred()  {}
-func (*vpBetween) vecPred() {}
-func (*vpIn) vecPred()      {}
-func (*vpAnd) vecPred()     {}
-func (*vpOr) vecPred()      {}
-func (*vpNot) vecPred()     {}
-func (*vpConst) vecPred()   {}
 
 // flipCmp mirrors an operator for const-on-the-left comparisons.
 func flipCmp(op string) string {
@@ -100,95 +104,8 @@ func flipCmp(op string) string {
 	return op // = and <> are symmetric
 }
 
-// compileVecPred translates a rewritten predicate tree into a vector
-// predicate over base-table columns. ok=false means some subtree is
-// outside the vectorisable class (subqueries, functions of a column,
-// column-vs-column comparison, arithmetic that could fail on a row, ...)
-// and the plan keeps the row filter. The compiled class is chosen so
-// that kernel evaluation can NEVER error at runtime: every error the
-// interpreter could raise per row is either proven absent here or
-// detected at bind time, which falls back to the row path for exact
-// error parity.
-func compileVecPred(e Expr, t *Table) (vecPred, bool) {
-	if constExpr(e) {
-		return &vpConst{expr: e}, true
-	}
-	switch n := e.(type) {
-	case *BinaryExpr:
-		switch n.Op {
-		case "AND", "OR":
-			l, ok := compileVecPred(n.Left, t)
-			if !ok {
-				return nil, false
-			}
-			r, ok := compileVecPred(n.Right, t)
-			if !ok {
-				return nil, false
-			}
-			if n.Op == "AND" {
-				return &vpAnd{l: l, r: r}, true
-			}
-			return &vpOr{l: l, r: r}, true
-		case "=", "<>", "<", "<=", ">", ">=":
-			if src, ok := vecOperand(n.Left, t); ok && constExpr(n.Right) {
-				return &vpCmp{src: src, op: n.Op, operand: n.Right}, true
-			}
-			if src, ok := vecOperand(n.Right, t); ok && constExpr(n.Left) {
-				return &vpCmp{src: src, op: flipCmp(n.Op), operand: n.Left}, true
-			}
-			return nil, false
-		case "LIKE":
-			col, ok := vecColumn(n.Left, t)
-			if !ok || t.Columns[col].Type != TypeVarchar || !constExpr(n.Right) {
-				// Non-varchar columns LIKE via String() coercion; keep the
-				// interpreter's exact rendering by not vectorising them.
-				return nil, false
-			}
-			return &vpLike{col: col, pattern: n.Right}, true
-		}
-		return nil, false
-	case *UnaryExpr:
-		if n.Op != "NOT" {
-			return nil, false
-		}
-		c, ok := compileVecPred(n.Operand, t)
-		if !ok {
-			return nil, false
-		}
-		return &vpNot{c: c}, true
-	case *IsNullExpr:
-		src, ok := vecOperand(n.Operand, t)
-		if !ok {
-			return nil, false
-		}
-		return &vpIsNull{src: src, negate: n.Negate}, true
-	case *BetweenExpr:
-		src, ok := vecOperand(n.Operand, t)
-		if !ok || !constExpr(n.Lo) || !constExpr(n.Hi) {
-			return nil, false
-		}
-		return &vpBetween{src: src, lo: n.Lo, hi: n.Hi, negate: n.Negate}, true
-	case *InExpr:
-		if n.Subquery != nil {
-			return nil, false
-		}
-		src, ok := vecOperand(n.Operand, t)
-		if !ok {
-			return nil, false
-		}
-		for _, it := range n.List {
-			if !constExpr(it) {
-				return nil, false
-			}
-		}
-		return &vpIn{src: src, items: n.List, negate: n.Negate}, true
-	}
-	return nil, false
-}
-
-// vecColumn resolves a rewritten expression to a base-table column
-// ordinal (vector plans are join-free, so every binding is a base
-// column).
+// vecColumn resolves a bound expression to a base-table column ordinal
+// (vector plans are join-free, so every binding is a base column).
 func vecColumn(e Expr, t *Table) (int, bool) {
 	bc, ok := e.(*boundColExpr)
 	if !ok || bc.idx >= len(t.Columns) {
@@ -197,33 +114,32 @@ func vecColumn(e Expr, t *Table) (int, bool) {
 	return bc.idx, true
 }
 
-// vecOperand resolves the row-dependent side of a kernel: a base column,
-// or arithmetic over base columns whose every divisor is a constant —
-// bound, such an expression is as error-free as a column read.
-func vecOperand(e Expr, t *Table) (vpOperand, bool) {
-	if col, ok := vecColumn(e, t); ok {
-		return vpOperand{col: col}, true
+// vecOperand reports that e is the row-dependent side of a kernel: a base
+// column, or
+// arithmetic over base columns whose every divisor is a constant — bound,
+// such an expression is as error-free as a column read.
+func vecOperand(e Expr, t *Table) bool {
+	if _, ok := vecColumn(e, t); ok {
+		return true
 	}
-	x, ok := compileVecExpr(e, t)
-	if !ok || !x.safe {
-		return vpOperand{}, false
-	}
-	return vpOperand{col: -1, expr: x}, true
+	hasCol, safe, ok := vecExprShape(e, t)
+	return ok && hasCol && safe
 }
 
-// bvOperand is a vpOperand bound for one execution; typ is what Compare
-// sees on its side: the column's type or the expression's static one.
+// bvOperand is a kernel operand bound for one execution; typ is what
+// Compare sees on its side: the column's type or the expression's static
+// one.
 type bvOperand struct {
 	col int
 	ex  boundExpr
 	typ Type
 }
 
-func bindOperand(o vpOperand, params []Value, t *Table) (bvOperand, bool) {
-	if o.expr == nil {
-		return bvOperand{col: o.col, typ: t.Columns[o.col].Type}, true
+func bindOperand(e Expr, params []Value, t *Table) (bvOperand, bool) {
+	if bc, ok := e.(*boundColExpr); ok {
+		return bvOperand{col: bc.idx, typ: t.Columns[bc.idx].Type}, true
 	}
-	ex, ok := bindVecExpr(o.expr.e, t, params)
+	ex, ok := bindVecExpr(e, t, params)
 	if !ok {
 		return bvOperand{}, false
 	}
@@ -243,8 +159,8 @@ func (o *bvOperand) vec(ch *colChunk) *colVec {
 // maskAny is what zone maps can say about a computed operand: nothing.
 const maskAny = maskT | maskF | maskN
 
-// boundVec is a vecPred with its constant operands evaluated for one
-// execution. eval fills a tri-state selection vector for a chunk;
+// boundVec is a kernel predicate with its constant operands evaluated for
+// one execution. eval fills a tri-state selection vector for a chunk;
 // possible reports which tri-states the chunk's zone map admits.
 // Kernels are error-free by construction.
 type boundVec interface {
@@ -252,22 +168,22 @@ type boundVec interface {
 	possible(ch *colChunk) uint8
 }
 
-// bindVecPred resolves a compiled predicate's constants against this
-// execution's parameters. ok=false (operand evaluation error, operand
+// bindVecPred binds a predicate kernelPred admitted — the bound WHERE,
+// over base-table column ordinals — evaluating its constant operands
+// (see constExpr) with this execution's parameters. ok=false (operand evaluation error, operand
 // type Compare cannot order against the column, a constant predicate
 // that is not boolean, uncompilable LIKE pattern) sends the statement
 // down the row path, which reproduces the interpreter's per-row error
 // surface exactly — including producing NO error when the table has no
 // rows to evaluate.
-func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
-	switch n := p.(type) {
-	case *vpConst:
-		v, ok := evalConst(n.expr, params)
+func bindVecPred(e Expr, params []Value, t *Table) (boundVec, bool) {
+	if constExpr(e) {
+		v, ok := evalConst(e, params)
 		if !ok {
 			return nil, false
 		}
 		if v.IsNull() {
-			return &bvConst{tri: triN}, true
+			return allN, true
 		}
 		b, err := truthy(v)
 		if err != nil {
@@ -277,76 +193,103 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 			return &bvConst{tri: triT}, true
 		}
 		return &bvConst{tri: triF}, true
-	case *vpCmp:
-		v, ok := evalConst(n.operand, params)
+	}
+	switch n := e.(type) {
+	case *BinaryExpr:
+		switch n.Op {
+		case "AND", "OR":
+			l, ok := bindVecPred(n.Left, params, t)
+			if !ok {
+				return nil, false
+			}
+			r, ok := bindVecPred(n.Right, params, t)
+			if !ok {
+				return nil, false
+			}
+			if n.Op == "AND" {
+				return &bvAnd{l: l, r: r}, true
+			}
+			return &bvOr{l: l, r: r}, true
+		case "LIKE":
+			v, ok := evalConst(n.Right, params)
+			if !ok {
+				return nil, false
+			}
+			if v.IsNull() {
+				return allN, true
+			}
+			pv, err := v.Coerce(TypeVarchar)
+			if err != nil {
+				return nil, false
+			}
+			return &bvLike{col: n.Left.(*boundColExpr).idx, pat: compileLike(pv.S)}, true
+		}
+		operand, op, c, ok := cmpSides(n, t)
 		if !ok {
 			return nil, false
 		}
-		src, ok := bindOperand(n.src, params, t)
+		v, ok := evalConst(c, params)
+		if !ok {
+			return nil, false
+		}
+		src, ok := bindOperand(operand, params, t)
 		if !ok {
 			return nil, false
 		}
 		if v.IsNull() {
-			return bvAllN{}, true
+			return allN, true
 		}
 		if !comparableWith(v, src.typ) {
 			return nil, false
 		}
-		return bindCmp(src, opTri(n.op), v), true
-	case *vpLike:
-		v, ok := evalConst(n.pattern, params)
+		return bindCmp(src, opTri(op), v), true
+	case *UnaryExpr:
+		c, ok := bindVecPred(n.Operand, params, t)
 		if !ok {
 			return nil, false
 		}
-		if v.IsNull() {
-			return bvAllN{}, true
-		}
-		pv, err := v.Coerce(TypeVarchar)
-		if err != nil {
-			return nil, false
-		}
-		return &bvLike{col: n.col, pat: compileLike(pv.S)}, true
-	case *vpIsNull:
-		src, ok := bindOperand(n.src, params, t)
+		return &bvNot{c: c}, true
+	case *IsNullExpr:
+		src, ok := bindOperand(n.Operand, params, t)
 		if !ok {
 			return nil, false
 		}
-		return &bvIsNull{src: src, negate: n.negate}, true
-	case *vpBetween:
-		lo, ok := evalConst(n.lo, params)
+		return &bvIsNull{src: src, negate: n.Negate}, true
+	case *BetweenExpr:
+		lo, ok := evalConst(n.Lo, params)
 		if !ok {
 			return nil, false
 		}
-		hi, ok := evalConst(n.hi, params)
+		hi, ok := evalConst(n.Hi, params)
 		if !ok {
 			return nil, false
 		}
-		src, ok := bindOperand(n.src, params, t)
+		src, ok := bindOperand(n.Operand, params, t)
 		if !ok {
 			return nil, false
 		}
 		if lo.IsNull() || hi.IsNull() {
 			// NULL bound: the interpreter yields NULL for every non-null
 			// operand too (it null-checks before comparing).
-			return bvAllN{}, true
+			return allN, true
 		}
 		if !comparableWith(lo, src.typ) || !comparableWith(hi, src.typ) {
 			return nil, false
 		}
 		// With both bounds non-null, BETWEEN is its two comparisons ANDed.
 		var b boundVec = &bvAnd{l: bindCmp(src, opTri(">="), lo), r: bindCmp(src, opTri("<="), hi)}
-		if n.negate {
+		if n.Negate {
 			b = &bvNot{c: b}
 		}
 		return b, true
-	case *vpIn:
-		src, ok := bindOperand(n.src, params, t)
+	case *InExpr:
+		src, ok := bindOperand(n.Operand, params, t)
 		if !ok {
 			return nil, false
 		}
-		b := &bvIn{src: src, negate: n.negate}
+		b := &bvIn{src: src, negate: n.Negate}
 		ct := src.typ
-		for _, it := range n.items {
+		for _, it := range n.List {
 			v, ok := evalConst(it, params)
 			if !ok {
 				return nil, false
@@ -365,32 +308,6 @@ func bindVecPred(p vecPred, params []Value, t *Table) (boundVec, bool) {
 			}
 		}
 		return b, true
-	case *vpAnd:
-		l, ok := bindVecPred(n.l, params, t)
-		if !ok {
-			return nil, false
-		}
-		r, ok := bindVecPred(n.r, params, t)
-		if !ok {
-			return nil, false
-		}
-		return &bvAnd{l: l, r: r}, true
-	case *vpOr:
-		l, ok := bindVecPred(n.l, params, t)
-		if !ok {
-			return nil, false
-		}
-		r, ok := bindVecPred(n.r, params, t)
-		if !ok {
-			return nil, false
-		}
-		return &bvOr{l: l, r: r}, true
-	case *vpNot:
-		c, ok := bindVecPred(n.c, params, t)
-		if !ok {
-			return nil, false
-		}
-		return &bvNot{c: c}, true
 	}
 	return nil, false
 }
@@ -462,18 +379,12 @@ func opTri(op string) [3]int8 {
 	return [3]int8{triF, triT, triT} // >=
 }
 
-// bvAllN marks a predicate subtree that is NULL for every row (NULL
-// comparison operand): nothing matches, nothing errors.
-type bvAllN struct{}
-
-func (bvAllN) eval(ch *colChunk, out []int8) {
-	for i := 0; i < ch.n; i++ {
-		out[i] = triN
-	}
-}
-func (bvAllN) possible(*colChunk) uint8 { return maskN }
-
+// bvConst is one truth value for every row of an execution.
 type bvConst struct{ tri int8 }
+
+// allN is a predicate subtree that is NULL for every row (NULL
+// comparison operand): nothing matches, nothing errors.
+var allN = &bvConst{tri: triN}
 
 func (b *bvConst) eval(ch *colChunk, out []int8) {
 	for i := 0; i < ch.n; i++ {
@@ -923,13 +834,6 @@ func (d *Database) filterChunk(bp boundVec, ch *colChunk, sel *[chunkRows]int8, 
 	}
 	bp.eval(ch, sel[:ch.n])
 	return selectedRows(sel[:ch.n], buf), false
-}
-
-// chunkSkippable reports that no row in the chunk can satisfy the
-// predicate, so the whole chunk is skipped without touching its
-// vectors.
-func chunkSkippable(bp boundVec, ch *colChunk) bool {
-	return bp.possible(ch)&maskT == 0
 }
 
 // selBuf is eachChunk's scratch: a chunk's selection and the positions

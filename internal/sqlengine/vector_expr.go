@@ -21,25 +21,11 @@ import (
 // Results and error text therefore stay the interpreter's by
 // construction.
 
-// vecExpr is a plan-time compiled expression: the rewritten tree itself,
-// proven to have the shape above and to read at least one column.
-type vecExpr struct {
-	e Expr
-	// safe: every divisor is a constant, so once bound the expression
-	// cannot fail on any row. Predicates require it — zone maps skip
-	// chunks and AND/OR kernels evaluate both sides, so a row-dependent
-	// failure would surface for different rows than the interpreter's.
-	safe bool
-}
-
-func compileVecExpr(e Expr, t *Table) (*vecExpr, bool) {
-	hasCol, safe, ok := vecExprShape(e, t)
-	if !ok || !hasCol {
-		return nil, false
-	}
-	return &vecExpr{e: e, safe: safe}, true
-}
-
+// vecExprShape checks an expression against the class above: hasCol, it
+// reads at least one column; safe, every divisor is a constant, so once
+// bound it cannot fail on any row. Predicates require safe — zone maps
+// skip chunks and AND/OR kernels evaluate both sides, so a row-dependent
+// failure would surface for different rows than the interpreter's.
 func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
 	if constExpr(e) {
 		return false, true, true
@@ -63,15 +49,7 @@ func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
 	return false, false, false
 }
 
-// text renders the expression for EXPLAIN.
-func (x *vecExpr) text(t *Table) string {
-	s := exprText(x.e, t)
-	if _, binary := x.e.(*BinaryExpr); binary {
-		s = s[1 : len(s)-1] // the outermost pair of parentheses says nothing
-	}
-	return s
-}
-
+// exprText renders an expression for EXPLAIN.
 func exprText(e Expr, t *Table) string {
 	switch n := e.(type) {
 	case *boundColExpr:
@@ -120,10 +98,10 @@ func selectedRows(sel []int8, buf *[chunkRows]uint16) []uint16 {
 	return buf[:n]
 }
 
-// boundExpr is a vecExpr with its constants evaluated and its types
-// settled for one execution. eval computes the given rows of a chunk;
-// the other positions of the returned vector are undefined. ok=false
-// reports a zero divisor on one of the rows.
+// boundExpr is an expression vector with its constants evaluated and
+// its types settled for one execution. eval computes the given rows of
+// a chunk; the other positions of the returned vector are undefined.
+// ok=false reports a zero divisor on one of the rows.
 type boundExpr interface {
 	typ() Type
 	eval(ch *colChunk, rows []uint16) (v *colVec, ok bool)

@@ -168,7 +168,8 @@ var vectorCorpus = []struct {
 	{sql: `SELECT SUM(a + id), AVG(a * 2), MIN(-a), MAX(a - id), COUNT(a + b) FROM vt`},
 	{sql: `SELECT SUM(a + b), AVG(b * 2), MIN(-b), MAX(b / 2), MIN(b * -1) FROM vt WHERE a > 5`},
 	{sql: `SELECT MIN(-b), MAX(-b), SUM(b * 0) FROM vt WHERE id BETWEEN 38 AND 42`},
-	{sql: `SELECT SUM(id * 4611686018427387904), SUM(a * 9223372036854775807), MAX(id * 4611686018427387904 * 4) FROM vt`},
+	{sql: `SELECT SUM(id * 4611686018427387904), SUM(a * 9223372036854775807), MAX(id * 4611686018427387904 * 4) FROM vt`}, // SUM outside BIGINT
+	{sql: `SELECT MAX(id * 4611686018427387904 * 4), MIN(a * 9223372036854775807), SUM(id * 4611686018427387904 * 4) FROM vt`},
 	{sql: `SELECT a, SUM(id + ?), AVG(b - ?), MIN(id % 7) FROM vt GROUP BY a ORDER BY 1`, params: []Value{NewBigint(1 << 40), NewDouble(0.5)}},
 	{sql: `SELECT SUM(a + ?), MAX(a + ?) FROM vt`, params: []Value{NewDouble(0.25), NewBigint(7)}},
 	{sql: `SELECT COUNT(*), SUM(a + id) FROM vt WHERE a + id > 400`},

@@ -116,7 +116,7 @@ func lifetimeRun(t *testing.T, seed int64, steps int) {
 			_, err := reg.GetResourcePropertyDocument(name)
 			unknown(step, "GetResourcePropertyDocument", name, err)
 			at, ok := reg.TerminationTime(name)
-			if want, live := m.live[name]; ok != live || !at.Equal(deref(want)) {
+			if want, live := m.live[name]; ok != live || (at == nil) != (want == nil) || at != nil && !at.Equal(*want) {
 				fail(step, "TerminationTime(%s) = %v, %v; model %v", name, at, ok, want)
 			}
 		case 6:
@@ -154,13 +154,6 @@ func lifetimeRun(t *testing.T, seed int64, steps int) {
 			fail(step, "destroy callbacks %v, want %v", *released, m.released)
 		}
 	}
-}
-
-func deref(at *time.Time) time.Time {
-	if at == nil {
-		return time.Time{}
-	}
-	return *at
 }
 
 // termText is the TerminationTime property's text for a model's

@@ -314,19 +314,18 @@ func (r *Registry) SetTerminationTime(id string, requested *time.Time) (*time.Ti
 	return &out, now, nil
 }
 
-// TerminationTime reports the scheduled termination for an id (zero
-// time when none; TerminationTime property reads tell the two apart).
-func (r *Registry) TerminationTime(id string) (time.Time, bool) {
+// TerminationTime reports the scheduled termination for an id: nil when
+// none, as SetTerminationTime takes and returns it, so a termination
+// scheduled at the zero time.Time is told apart from none.
+func (r *Registry) TerminationTime(id string) (*time.Time, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
-	if !ok {
-		return time.Time{}, false
+	if !ok || e.termination == nil {
+		return nil, ok
 	}
-	if e.termination == nil {
-		return time.Time{}, true
-	}
-	return *e.termination, true
+	t := *e.termination
+	return &t, true
 }
 
 // Destroy implements wsrfl:Destroy: it unregisters the resource and

@@ -248,7 +248,7 @@ func TestSetTerminationTimeSemantics(t *testing.T) {
 	if err != nil || nt != nil {
 		t.Fatalf("clear = %v, %v", nt, err)
 	}
-	if tt, _ := r.TerminationTime("urn:r1"); !tt.IsZero() {
+	if tt, _ := r.TerminationTime("urn:r1"); tt != nil {
 		t.Fatal("termination not cleared")
 	}
 	// Past time destroys on next sweep.
