@@ -82,13 +82,17 @@ load-smoke:
 soak:
 	DAIS_SOAK=1 $(GO) test -race -count=1 -run TestChaosSoakGoroutineHygiene -v ./internal/service/
 
-# Short fuzz pass over each parser target, the ordered index, the one
+# Short fuzz pass over each parser target, the bulk path's cell kernels
+# against their byte-loop and strconv models, the ordered index, the one
 # comparison order, the exact sum against math/big and the SELECT
 # executor against its oracle; scheduled CI runs this.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnvelope -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmlutil/
+	$(GO) test -run '^$$' -fuzz FuzzScanText -fuzztime $(FUZZTIME) ./internal/xmlutil/
+	$(GO) test -run '^$$' -fuzz FuzzAppendEscaped -fuzztime $(FUZZTIME) ./internal/xmlutil/
+	$(GO) test -run '^$$' -fuzz FuzzPlainFloat -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowset -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSet -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSQLRowsetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
@@ -96,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzAppendInt -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzRowsetRoundTrip -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzBufferWindow -fuzztime $(FUZZTIME) ./internal/rowset/
 	$(GO) test -run '^$$' -fuzz FuzzOrderedIndex -fuzztime $(FUZZTIME) ./internal/sqlengine/

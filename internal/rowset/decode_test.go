@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -362,6 +363,36 @@ func (fn decodeFuncs) fuzz(f *testing.F, shapes []shape) {
 
 func FuzzDecodeSQLRowset(f *testing.F) { sqlRowsetDecode.fuzz(f, allSQLRowsetShapes) }
 func FuzzDecodeWebRowSet(f *testing.F) { webRowSetDecode.fuzz(f, allWebRowSetShapes) }
+
+// plainDecimal is the text plainFloat must take: an optional '-', then
+// digits with at most one '.' between two of them, fifteen digits at most.
+var plainDecimal = regexp.MustCompile(`^-?[0-9]+(\.[0-9]+)?$`)
+
+// FuzzPlainFloat holds plainFloat to ParseFloat, bit for bit, on all it
+// takes, and to plainDecimal on what it takes: everything else is
+// ParseFloat's.
+func FuzzPlainFloat(f *testing.F) {
+	for _, s := range []string{"0", "-0", "-0.000", "007", "0.1", "-0.1", ".5", "5.", "-", "", "1..2", "1.2.3",
+		"123456789012345", "1234567890123456", "1.23456789012345", "12345678901234.5", "1.234567890123456",
+		"0.00000000000001", "999999999999999", "9007199254740993", "0.3", "73500.5", "2.675", "1e5", "+1", " 1",
+		"1 ", "1_0", "0x1p-2", "Inf", "NaN", "-.5", "5.e1", "1.5\r"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := plainFloat([]byte(s))
+		digits := len(s) - strings.Count(s, "-") - strings.Count(s, ".")
+		if want := plainDecimal.MatchString(s) && digits <= 15; ok != want {
+			t.Fatalf("plainFloat(%q) takes it: %v, want %v", s, ok, want)
+		}
+		if !ok {
+			return
+		}
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("plainFloat(%q) = %b; ParseFloat says %b, %v", s, got, want, err)
+		}
+	})
+}
 
 // templateStats runs the one-pass decoder and reports how many rows it
 // read, and how many of them by the template.

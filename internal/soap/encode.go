@@ -22,26 +22,62 @@ var (
 	bufMisses    atomic.Int64
 )
 
-// bufPool holds scratch buffers for envelope encoding and response
-// reading. The New hook counts misses (first use and post-GC refills);
-// hits are derived as gets minus misses.
-var bufPool = sync.Pool{New: func() any {
-	bufMisses.Add(1)
-	return new(bytes.Buffer)
-}}
+// Scratch buffers for envelope encoding and message reading come in two
+// classes by capacity, and a buffer goes back to the class of its own:
+// a bulk window's reply or read (hundreds of kB) that drew a buffer sized
+// for a small message would pay for the window twice — the renderer's
+// own slice, where the buffer's room is too small, and the buffer grown
+// to take the copy. The small class's New hook counts misses (first use
+// and post-GC refills); hits are derived as gets minus misses. The large
+// class has no New: a draw from it that finds it empty takes a small
+// buffer.
+var (
+	smallBufs = sync.Pool{New: func() any {
+		bufMisses.Add(1)
+		return new(bytes.Buffer)
+	}}
+	largeBufs sync.Pool
+)
 
-func getBuffer() *bytes.Buffer {
+// largeBuffer is the capacity from which a buffer is in the large class.
+const largeBuffer = 64 << 10
+
+// getBuffer draws an empty buffer for a message of size bytes: from the
+// class of that size, with room for it.
+func getBuffer(size int) *bytes.Buffer {
+	buf := drawBuffer(size >= largeBuffer)
+	buf.Grow(size)
+	return buf
+}
+
+// getReplyBuffer draws the buffer a reply is encoded into. The reply's
+// size is not known until it is rendered, so it takes a large buffer if
+// the pool has one: a small reply costs nothing there, and a window
+// reply is rendered into the buffer's own room.
+func getReplyBuffer() *bytes.Buffer { return drawBuffer(true) }
+
+func drawBuffer(large bool) *bytes.Buffer {
 	bufGets.Add(1)
-	buf := bufPool.Get().(*bytes.Buffer)
+	var buf *bytes.Buffer
+	if large {
+		buf, _ = largeBufs.Get().(*bytes.Buffer)
+	}
+	if buf == nil {
+		buf = smallBufs.Get().(*bytes.Buffer)
+	}
 	buf.Reset()
 	return buf
 }
 
 func putBuffer(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledBuffer {
-		return // oversized one-off; let the GC reclaim it
+	switch c := buf.Cap(); {
+	case c > maxPooledBuffer:
+		// oversized one-off; let the GC reclaim it
+	case c >= largeBuffer:
+		largeBufs.Put(buf)
+	default:
+		smallBufs.Put(buf)
 	}
-	bufPool.Put(buf)
 }
 
 // EncodeStats reports cumulative envelope-encode telemetry: total

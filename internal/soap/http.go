@@ -192,14 +192,16 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 	// and the verbatim span of an opaque payload — out of the bytes it
 	// is handed, and a payload decoder is held to the same, so nothing
 	// aliases the buffer once it is returned.
-	buf := getBuffer()
-	defer putBuffer(buf)
+	// Where the reply's size is known, the buffer is drawn from its class
+	// with room for it: no allocation once the pool is warm, where reading
+	// to EOF doubles its way up through twice a bulk window. (MinRead
+	// more, or ReadFrom grows the full buffer to find the EOF.)
+	var size int
 	if n := resp.ContentLength; n > 0 && n <= maxPresizedReply {
-		// The reply's size is known: one allocation of it, where reading
-		// to EOF doubles its way up through twice a bulk window. (MinRead
-		// more, or ReadFrom grows the full buffer to find the EOF.)
-		buf.Grow(int(n) + bytes.MinRead)
+		size = int(n) + bytes.MinRead
 	}
+	buf := getBuffer(size)
+	defer putBuffer(buf)
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, fmt.Errorf("soap: read response: %w", err)
 	}
@@ -285,8 +287,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pooled request read: ParseEnvelope copies everything it keeps, so
-	// the decoded envelope never aliases the scratch buffer.
-	reqBuf := getBuffer()
+	// the decoded envelope never aliases the scratch buffer. The stated
+	// length picks the buffer's class, but is trusted with no more than
+	// largeBuffer of room before the bytes arrive.
+	reqBuf := getBuffer(int(min(max(r.ContentLength, 0), largeBuffer)))
 	defer putBuffer(reqBuf)
 	if _, err := reqBuf.ReadFrom(r.Body); err != nil {
 		s.writeFault(w, ClientFault("unreadable request: %v", err))
@@ -323,7 +327,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	// Encode straight into a pooled scratch buffer and write it to the
 	// ResponseWriter — no per-response []byte materialisation.
-	buf := getBuffer()
+	buf := getReplyBuffer()
 	defer putBuffer(buf)
 	if err != nil {
 		f, isFault := err.(*Fault)
@@ -342,7 +346,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
-	buf := getBuffer()
+	buf := getBuffer(0)
 	defer putBuffer(buf)
 	NewEnvelope(f.Element()).encodeTo(buf)
 	writeReply(w, faultStatus(w, f), buf)

@@ -90,7 +90,7 @@ func (e *Envelope) encodeTo(buf *bytes.Buffer) {
 // encode runs through a pooled scratch buffer; the returned slice is a
 // right-sized copy owned by the caller.
 func (e *Envelope) Marshal() []byte {
-	buf := getBuffer()
+	buf := getBuffer(0)
 	e.encodeTo(buf)
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"unicode/utf8"
 )
@@ -504,26 +505,69 @@ func evalArith(op string, l, r Value) (Value, error) {
 	if l.Type == TypeBigint || r.Type == TypeBigint {
 		out = TypeBigint
 	}
+	var i int64
+	ok := true
 	switch op {
 	case "+":
-		return Value{Type: out, I: l.I + r.I}, nil
+		i, ok = addInt(l.I, r.I)
 	case "-":
-		return Value{Type: out, I: l.I - r.I}, nil
+		i, ok = subInt(l.I, r.I)
 	case "*":
-		return Value{Type: out, I: l.I * r.I}, nil
+		i, ok = mulInt(l.I, r.I)
 	case "/":
 		if r.I == 0 {
 			return Null, fmt.Errorf("division by zero")
 		}
-		return Value{Type: out, I: l.I / r.I}, nil
+		i, ok = l.I/r.I, !divOverflows(l.I, r.I)
 	case "%":
 		if r.I == 0 {
 			return Null, fmt.Errorf("division by zero")
 		}
-		return Value{Type: out, I: l.I % r.I}, nil
+		i = l.I % r.I // MinInt64 % -1 is 0 in Go, as in arithmetic
+	default:
+		return Null, fmt.Errorf("unknown arithmetic operator %q", op)
 	}
-	return Null, fmt.Errorf("unknown arithmetic operator %q", op)
+	if !ok {
+		return Null, errIntRange
+	}
+	return Value{Type: out, I: i}, nil
 }
+
+// errIntRange is an integer + - * / whose result BIGINT cannot hold:
+// the statement fails, as a SUM outside the range does, where the
+// machine word would wrap around.
+var errIntRange = errors.New("integer arithmetic out of BIGINT range")
+
+// addInt is x + y, ok=false where it overflows: the sum's sign is
+// neither operand's, which needs both to share one.
+func addInt(x, y int64) (int64, bool) {
+	s := x + y
+	return s, (x^s)&(y^s) >= 0
+}
+
+// subInt is x - y, ok=false where it overflows: the operands' signs
+// differ and the difference has y's.
+func subInt(x, y int64) (int64, bool) {
+	d := x - y
+	return d, (x^y)&(x^d) >= 0
+}
+
+// mulInt is x × y, ok=false where it overflows: the high word of the
+// 128-bit product, corrected from unsigned to signed, must be the sign
+// extension of the low one.
+func mulInt(x, y int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(x), uint64(y))
+	if x < 0 {
+		hi -= uint64(y)
+	}
+	if y < 0 {
+		hi -= uint64(x)
+	}
+	return int64(lo), int64(hi) == int64(lo)>>63
+}
+
+// divOverflows reports the one quotient outside BIGINT: MinInt64 / -1.
+func divOverflows(x, y int64) bool { return y == -1 && x == math.MinInt64 }
 
 // likePattern is a compiled LIKE pattern: % matches any run of
 // characters, _ exactly one, everything else itself. Subject and pattern

@@ -383,3 +383,74 @@ func TestIntegerSumRange(t *testing.T) {
 		})
 	}
 }
+
+// TestIntegerArithmeticOutOfRange: an integer + - * / whose result
+// BIGINT cannot hold fails the statement on every path, with one error
+// text and SQLSTATE, where it used to wrap around — and the results at
+// the edges of the range are answered.
+func TestIntegerArithmeticOutOfRange(t *testing.T) {
+	e := vecEngine(t, 500)
+	for _, sql := range []string{
+		`SELECT MAX(id * 4611686018427387904 * 4) FROM vt`, // answered 0 when it wrapped
+		`SELECT SUM(a + 9223372036854775807) FROM vt WHERE a > 0`,
+		`SELECT a, MIN(id - 9223372036854775807 - 2) FROM vt GROUP BY a`,
+		`SELECT id FROM vt WHERE id * 4611686018427387904 > 0`,
+		`SELECT id * 4611686018427387904 FROM vt WHERE a > 40`,
+		`SELECT 9223372036854775807 + 1`,
+		`SELECT (-9223372036854775807 - 1) / -1`,
+	} {
+		if set := execAllPaths(t, e, sql); set != nil {
+			t.Fatalf("%s answered %v", sql, set.Rows)
+		}
+		res, err := e.NewSession().Execute(sql)
+		if err == nil || err.Error() != errIntRange.Error() || res.CA.SQLState != StateGeneral {
+			t.Fatalf("%s: err %v, state %v; want %v, %s", sql, err, res.CA.SQLState, errIntRange, StateGeneral)
+		}
+	}
+	for sql, want := range map[string]int64{
+		`SELECT 9223372036854775806 + 1`:             math.MaxInt64,
+		`SELECT -9223372036854775807 - 1`:            math.MinInt64,
+		`SELECT -4611686018427387904 * 2`:            math.MinInt64,
+		`SELECT 3037000499 * 3037000499`:             3037000499 * 3037000499,
+		`SELECT (-9223372036854775807 - 1) % -1`:     0,
+		`SELECT (-9223372036854775807 - 1) / 1`:      math.MinInt64,
+		`SELECT MAX(id * 18446744073709551) FROM vt`: 499 * 18446744073709551,
+	} {
+		set := execAllPaths(t, e, sql)
+		if set == nil || len(set.Rows) != 1 || set.Rows[0][0].I != want {
+			t.Fatalf("%s: got %v, want %d", sql, set, want)
+		}
+	}
+}
+
+// TestIntArithAgainstBig holds the overflow tests of + - * / to math/big
+// over the edges of the range, every pair.
+func TestIntArithAgainstBig(t *testing.T) {
+	edges := []int64{0, 1, -1, 2, -2, 3037000499, -3037000499, 3037000500, math.MaxInt32, math.MinInt32,
+		1 << 62, -1 << 62, math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1}
+	for _, x := range edges {
+		for _, y := range edges {
+			bx, by := big.NewInt(x), big.NewInt(y)
+			for _, c := range []struct {
+				op   string
+				f    func(x, y int64) (int64, bool)
+				want *big.Int
+			}{
+				{"+", addInt, new(big.Int).Add(bx, by)},
+				{"-", subInt, new(big.Int).Sub(bx, by)},
+				{"*", mulInt, new(big.Int).Mul(bx, by)},
+			} {
+				got, ok := c.f(x, y)
+				if ok != c.want.IsInt64() || ok && got != c.want.Int64() {
+					t.Fatalf("%d %s %d = %d, ok=%v; math/big says %v", x, c.op, y, got, ok, c.want)
+				}
+			}
+			if y != 0 {
+				q := new(big.Int).Quo(bx, by)
+				if divOverflows(x, y) == q.IsInt64() {
+					t.Fatalf("%d / %d: overflow %v; math/big says %v", x, y, divOverflows(x, y), q)
+				}
+			}
+		}
+	}
+}

@@ -332,7 +332,8 @@ func TestPlanAccessPaths(t *testing.T) {
 		{`SELECT id FROM rng WHERE k_noix > 3`, `access: full scan`},
 		{`SELECT COUNT(*) FROM rng`, `vector aggregate: typed fold over column chunks`},
 		{`SELECT SUM(k + id) FROM rng`, `aggregate arg: expression kernel (SUM(k + id))`},
-		{`SELECT id FROM rng WHERE k_noix + id > 10`, `vector filter: compiled kernels`},
+		{`SELECT id FROM rng WHERE d + id > 10`, `vector filter: compiled kernels`},
+		{`SELECT id FROM rng WHERE k_noix + id > 10`, `filter: predicate per row`}, // integer + can leave BIGINT
 		{`SELECT id * 2 FROM rng`, `project: 1 columns`},
 		{`SELECT id FROM rng ORDER BY k_noix LIMIT 3`, `order: bounded top-K`},
 		{`SELECT x.id FROM (SELECT id FROM rng WHERE k > 3) x`, `    access: ordered range scan via rng_k (k > ?)`},

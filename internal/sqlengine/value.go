@@ -16,6 +16,8 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -156,7 +158,7 @@ func (v Value) AppendText(dst []byte) []byte {
 	case TypeNull:
 		return append(dst, "NULL"...)
 	case TypeInteger, TypeBigint:
-		return strconv.AppendInt(dst, v.I, 10)
+		return appendInt(dst, v.I)
 	case TypeDouble:
 		return appendFloat(dst, v.F)
 	case TypeVarchar:
@@ -189,7 +191,7 @@ func appendFloat(dst []byte, f float64) []byte {
 			if f < 0 {
 				dst = append(dst, '-')
 			}
-			dst = strconv.AppendUint(dst, k/1000, 10)
+			dst = appendUint(dst, k/1000)
 			if frac := k % 1000; frac != 0 {
 				dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 				for dst[len(dst)-1] == '0' {
@@ -200,6 +202,66 @@ func appendFloat(dst []byte, f float64) []byte {
 		}
 	}
 	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendInt appends strconv.AppendInt(dst, i, 10). -i is taken as an
+// unsigned word, which is |i| for MinInt64 too.
+func appendInt(dst []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	return appendUint(dst, u)
+}
+
+// appendUint appends strconv.AppendUint(dst, u, 10), writing the digits
+// straight into dst's room two at a time, last first, where strconv
+// writes them into a buffer of its own and copies that.
+func appendUint(dst []byte, u uint64) []byte {
+	end := len(dst) + decimalLen(u)
+	dst = slices.Grow(dst, end-len(dst))[:end]
+	i := end
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		i -= 2
+		dst[i], dst[i+1] = twoDigits[r], twoDigits[r+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = twoDigits[2*u], twoDigits[2*u+1]
+	} else {
+		dst[i-1] = byte('0' + u)
+	}
+	return dst
+}
+
+const twoDigits = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10u holds 10^0 through 10^19, every power of ten a uint64 holds.
+var pow10u = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimalLen is how many digits u has (one for zero). With L its bit
+// length, L × 1233 >> 12 is ⌊L·log10 2⌋, u's digit count or one less;
+// the table settles which. (u|1 only keeps the length of zero at one: it
+// crosses no power of ten, those being even.)
+func decimalLen(u uint64) int {
+	n := bits.Len64(u|1) * 1233 >> 12
+	if u >= pow10u[n] {
+		n++
+	}
+	return max(n, 1)
 }
 
 // isNumeric reports whether the type participates in arithmetic.

@@ -80,3 +80,33 @@ func TestAppendFloatSweep(t *testing.T) {
 		check(float64(k) / 100)
 	}
 }
+
+// FuzzAppendInt holds the rendering of an INTEGER or BIGINT cell, whose
+// digits are written in place, to strconv's: every digit count, both
+// signs, MinInt64, and a destination with and without room to spare.
+func FuzzAppendInt(f *testing.F) {
+	f.Add(int64(0), 0)
+	for _, i := range []int64{9, 10, 99, 100, math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
+		f.Add(i, 3)
+		f.Add(-i, 64)
+	}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		for _, i := range []int64{p - 1, p, p + 1} {
+			f.Add(i, 0)
+			f.Add(-i, 21)
+		}
+	}
+	f.Fuzz(func(t *testing.T, i int64, room int) {
+		dst := make([]byte, 2, 2+max(0, room%32))
+		copy(dst, "x=")
+		want := strconv.AppendInt([]byte("x="), i, 10)
+		for _, typ := range []Type{TypeInteger, TypeBigint} {
+			if got := (Value{Type: typ, I: i}).AppendText(dst); string(got) != string(want) {
+				t.Fatalf("AppendText(%s %d) = %q, strconv says %q", typ, i, got, want)
+			}
+		}
+		if got, want := appendUint(dst, uint64(i)), strconv.AppendUint([]byte("x="), uint64(i), 10); string(got) != string(want) {
+			t.Fatalf("appendUint(%d) = %q, strconv says %q", uint64(i), got, want)
+		}
+	})
+}

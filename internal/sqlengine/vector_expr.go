@@ -12,20 +12,22 @@ import (
 // on the columnar pipeline. The class is the interpreter's evalArith over
 // numeric columns and constants (see constExpr), with its static typing —
 // DOUBLE if either side is, else BIGINT if either side is, else INTEGER,
-// integers wrapping around — and NULL in, NULL out. Whatever a kernel
-// could not reproduce byte for byte abandons the plan for that execution
-// and the row filter or the grouping stage run the statement instead: a
-// constant that does not bind (one that fails to evaluate, or is
-// non-numeric or NULL; a zero divisor), or a zero divisor met on a
-// selected row.
-// Results and error text therefore stay the interpreter's by
-// construction.
+// an integer result outside BIGINT failing — and NULL in, NULL out.
+// Whatever a kernel could not reproduce byte for byte abandons the plan
+// for that execution and the row filter or the grouping stage run the
+// statement instead: a constant that does not bind (one that fails to
+// evaluate, or is non-numeric or NULL; a zero divisor, or an integer one
+// of -1), or a zero divisor or an integer result outside BIGINT met on a
+// selected row. Results and error text therefore stay the interpreter's
+// by construction.
 
 // vecExprShape checks an expression against the class above: hasCol, it
-// reads at least one column; safe, every divisor is a constant, so once
-// bound it cannot fail on any row. Predicates require safe — zone maps
-// skip chunks and AND/OR kernels evaluate both sides, so a row-dependent
-// failure would surface for different rows than the interpreter's.
+// reads at least one column; safe, every divisor is a constant and every
+// + - * over a column is DOUBLE whatever the parameters, so once bound
+// it cannot fail on any row (integer arithmetic can leave BIGINT).
+// Predicates require safe — zone maps skip chunks and AND/OR kernels
+// evaluate both sides, so a row-dependent failure would surface for
+// different rows than the interpreter's.
 func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
 	if constExpr(e) {
 		return false, true, true
@@ -43,10 +45,30 @@ func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
 			lc, ls, lok := vecExprShape(n.Left, t)
 			rc, rs, rok := vecExprShape(n.Right, t)
 			divides := n.Op == "/" || n.Op == "%"
-			return lc || rc, ls && rs && !(divides && rc), lok && rok
+			safe := ls && rs && (divides && !rc || !divides && staticDouble(n, t))
+			return lc || rc, safe, lok && rok
 		}
 	}
 	return false, false, false
+}
+
+// staticDouble reports that e is DOUBLE whatever its parameters: a
+// DOUBLE column or literal, or arithmetic with such a side.
+func staticDouble(e Expr, t *Table) bool {
+	switch n := e.(type) {
+	case *boundColExpr:
+		return n.idx < len(t.Columns) && t.Columns[n.idx].Type == TypeDouble
+	case *LiteralExpr:
+		return n.Value.Type == TypeDouble
+	case *UnaryExpr:
+		return n.Op == "-" && staticDouble(n.Operand, t)
+	case *BinaryExpr:
+		switch n.Op {
+		case "+", "-", "*", "/", "%":
+			return staticDouble(n.Left, t) || staticDouble(n.Right, t)
+		}
+	}
+	return false
 }
 
 // exprText renders an expression for EXPLAIN.
@@ -239,24 +261,30 @@ func (b *beArith) eval(ch *colChunk, rows []uint16) (*colVec, bool) {
 			continue
 		}
 		x, y := l.ints[i], r.ints[i]
+		var z int64
+		ok := true
 		switch b.op {
 		case '+':
-			out.ints[i] = x + y
+			z, ok = addInt(x, y)
 		case '-':
-			out.ints[i] = x - y
+			z, ok = subInt(x, y)
 		case '*':
-			out.ints[i] = x * y
+			z, ok = mulInt(x, y)
 		case '/':
-			if y == 0 {
+			if y == 0 || divOverflows(x, y) {
 				return nil, false
 			}
-			out.ints[i] = x / y
+			z = x / y
 		default:
 			if y == 0 {
 				return nil, false
 			}
-			out.ints[i] = x % y
+			z = x % y
 		}
+		if !ok {
+			return nil, false
+		}
+		out.ints[i] = z
 	}
 	return out, true
 }
@@ -291,15 +319,20 @@ func bindVecExpr(e Expr, t *Table, params []Value) (boundExpr, bool) {
 		if !ok {
 			return nil, false
 		}
-		if rc, rConst := r.(*beConst); (n.Op == "/" || n.Op == "%") && rConst && rc.val.asFloat() == 0 {
-			return nil, false // fails on the first row with a non-NULL dividend
-		}
 		out := TypeInteger
 		switch lt, rt := l.typ(), r.typ(); {
 		case lt == TypeDouble || rt == TypeDouble:
 			out = TypeDouble
 		case lt == TypeBigint || rt == TypeBigint:
 			out = TypeBigint
+		}
+		if rc, rConst := r.(*beConst); (n.Op == "/" || n.Op == "%") && rConst {
+			if rc.val.asFloat() == 0 {
+				return nil, false // fails on the first row with a non-NULL dividend
+			}
+			if n.Op == "/" && out != TypeDouble && rc.val.I == -1 {
+				return nil, false // fails on a MinInt64 dividend, which a predicate must not meet
+			}
 		}
 		return &beArith{op: n.Op[0], l: l, r: r, out: newScratch(out)}, true
 	}

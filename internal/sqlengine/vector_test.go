@@ -163,13 +163,14 @@ var vectorCorpus = []struct {
 	{sql: `SELECT a, COUNT(*) FROM vt GROUP BY a ORDER BY a`},
 	// Expression vectors as aggregate arguments: integer, DOUBLE (NaN in
 	// b; b = 0 at id 40, so -b and b * -1 make -0), mixed, parameters,
-	// 64-bit wrap-around, grouped.
+	// results outside BIGINT, grouped.
 	{sql: `SELECT SUM(a + 1) FROM vt`},
 	{sql: `SELECT SUM(a + id), AVG(a * 2), MIN(-a), MAX(a - id), COUNT(a + b) FROM vt`},
 	{sql: `SELECT SUM(a + b), AVG(b * 2), MIN(-b), MAX(b / 2), MIN(b * -1) FROM vt WHERE a > 5`},
 	{sql: `SELECT MIN(-b), MAX(-b), SUM(b * 0) FROM vt WHERE id BETWEEN 38 AND 42`},
-	{sql: `SELECT SUM(id * 4611686018427387904), SUM(a * 9223372036854775807), MAX(id * 4611686018427387904 * 4) FROM vt`}, // SUM outside BIGINT
-	{sql: `SELECT MAX(id * 4611686018427387904 * 4), MIN(a * 9223372036854775807), SUM(id * 4611686018427387904 * 4) FROM vt`},
+	{sql: `SELECT SUM(id * 922337203685477580), MAX(id * 922337203685477580) FROM vt WHERE id < 10`}, // SUM outside BIGINT, of products inside it
+	{sql: `SELECT MAX(id * 4611686018427387904 * 4) FROM vt`},                                        // a product outside BIGINT faults
+	{sql: `SELECT MIN(a * 9223372036854775807), SUM(id + 9223372036854775807) FROM vt`},
 	{sql: `SELECT a, SUM(id + ?), AVG(b - ?), MIN(id % 7) FROM vt GROUP BY a ORDER BY 1`, params: []Value{NewBigint(1 << 40), NewDouble(0.5)}},
 	{sql: `SELECT SUM(a + ?), MAX(a + ?) FROM vt`, params: []Value{NewDouble(0.25), NewBigint(7)}},
 	{sql: `SELECT COUNT(*), SUM(a + id) FROM vt WHERE a + id > 400`},
@@ -654,7 +655,7 @@ func TestConstantsBindPerExecution(t *testing.T) {
 		params []Value
 	}{
 		{`SELECT id FROM vt WHERE 1 = 1 AND a > 30`, nil},
-		{`SELECT id FROM vt WHERE a + ABS(?) > 3`, []Value{NewInt(-40)}},
+		{`SELECT id FROM vt WHERE b + ABS(?) > 3`, []Value{NewInt(-40)}},
 	} {
 		if got := explain(ve, tc.sql); !strings.Contains(got, "vector filter: compiled kernels") {
 			t.Fatalf("%s is not on the kernels:\n%s", tc.sql, got)

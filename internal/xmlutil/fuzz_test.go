@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -57,4 +58,136 @@ func reparse(t *testing.T, e *Element) *Element {
 		t.Fatalf("marshalled document does not parse: %v\n%s", err, Marshal(e))
 	}
 	return again
+}
+
+// scanTextModel is ScanText a byte at a time.
+func scanTextModel(data []byte, pos int) (end int, clean bool) {
+	clean = true
+	for ; pos < len(data); pos++ {
+		switch data[pos] {
+		case '<':
+			return pos, clean
+		case '&', '\r':
+			clean = false
+		}
+	}
+	return len(data), clean
+}
+
+// appendEscapedModel is AppendEscaped a byte at a time, as it was
+// before it read words.
+func appendEscapedModel(dst []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			esc = "&quot;"
+		default:
+			continue
+		}
+		dst = append(append(dst, s[last:i]...), esc...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}
+
+// cellKernelSeeds puts each byte the word-at-a-time kernels look for at
+// each byte of a word and past the first ones, alone, after one of the
+// others, and beside bytes that differ from it in the top bit only.
+func cellKernelSeeds() []string {
+	seeds := []string{"", "a", "]]>", "café ¼¦\u008d", "\xbc\xa6\x8d\xbe\xa2<", strings.Repeat("x", 47) + "&", strings.Repeat("y", 49) + "\r<"}
+	for _, c := range []string{"<", "&", "\r", ">", `"`} {
+		for i := 0; i <= 17; i++ {
+			pad := strings.Repeat("p", i)
+			seeds = append(seeds, pad+c+"tail<", pad+"&"+c+"<", pad+c, "\x80"+pad+c+"\x7f")
+		}
+	}
+	return seeds
+}
+
+// FuzzScanText holds ScanText to its byte-loop model from every start
+// offset, with the data at every alignment of its backing array.
+func FuzzScanText(f *testing.F) {
+	for _, s := range cellKernelSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for shift := 0; shift < 8; shift++ {
+			data := append(make([]byte, shift, shift+len(s)), s...)[shift:]
+			for pos := 0; pos <= len(data); pos++ {
+				end, clean := ScanText(data, pos)
+				if wantEnd, wantClean := scanTextModel(data, pos); end != wantEnd || clean != wantClean {
+					t.Fatalf("ScanText(%q, %d) = %d, %v; the byte loop says %d, %v", data, pos, end, clean, wantEnd, wantClean)
+				}
+			}
+		}
+	})
+}
+
+// FuzzAppendEscaped holds AppendEscaped to its byte-loop model, for text
+// and attribute values, from every offset of the input.
+func FuzzAppendEscaped(f *testing.F) {
+	for _, s := range cellKernelSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for from := 0; from <= len(s); from++ {
+			for _, attr := range []bool{false, true} {
+				got := AppendEscaped([]byte("x="), s[from:], attr)
+				if want := appendEscapedModel([]byte("x="), s[from:], attr); string(got) != string(want) {
+					t.Fatalf("AppendEscaped(%q, attr=%v) = %q; the byte loop says %q", s[from:], attr, got, want)
+				}
+			}
+		}
+	})
+}
+
+// What the kernel benchmarks compute goes here, so that it is computed.
+var (
+	kernelEnd int
+	kernelOut []byte
+)
+
+// BenchmarkCellKernels times the word-at-a-time kernels against their
+// byte loops on clean cells of a few lengths: one that no word fits, one
+// word exactly, the benchmark's payload column, a long one. ScanText
+// reads a cell followed by its end tag, as a decoder meets it.
+func BenchmarkCellKernels(b *testing.B) {
+	for _, n := range []int{3, 8, 29, 64} {
+		cell := strings.Repeat("r", n)
+		data := []byte(cell + "</ns0:c><ns0:c>")
+		b.Run(fmt.Sprintf("ScanText/%d/words", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernelEnd, _ = ScanText(data, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("ScanText/%d/bytes", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernelEnd, _ = scanTextModel(data, 0)
+			}
+		})
+		// Called through a function value, as the rowset encoders call
+		// the escaping of a VARCHAR cell.
+		dst := make([]byte, 0, 256)
+		for _, k := range []struct {
+			name string
+			str  func(dst []byte, s string, attr bool) []byte
+		}{{"words", AppendEscaped}, {"bytes", appendEscapedModel}} {
+			b.Run(fmt.Sprintf("AppendEscaped/%d/%s", n, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kernelOut = k.str(dst, cell, false)
+				}
+			})
+		}
+	}
 }

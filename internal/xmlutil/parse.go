@@ -2,6 +2,7 @@ package xmlutil
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"unicode/utf8"
@@ -321,24 +322,45 @@ func (t *Tokenizer) scanBang() (isText bool, err error) {
 // next '<', or the end of data — and whether it is clean: free of
 // anything decoding would change, so that a text token for it is the
 // bytes themselves. Cells are short and adjacent tags have nothing
-// between them, so it looks byte by byte before paying for the
-// vectorised search's set-up.
+// between them, so it looks a word at a time for the first of '<', '&'
+// and '\r' before paying for the vectorised search's set-up; the lowest
+// flag of a word is exact, so a '&' or '\r' makes the text dirty only
+// when it comes before the '<'. A byte loop takes what a word does not
+// fit.
 func ScanText(data []byte, pos int) (end int, clean bool) {
-	clean = true
-	for near := min(pos+48, len(data)); pos < near; pos++ {
+	near := min(pos+48, len(data))
+	for ; pos+8 <= near; pos += 8 {
+		w := binary.LittleEndian.Uint64(data[pos:])
+		if m := matches(w, '<') | matches(w, '&') | matches(w, '\r'); m != 0 {
+			if pos += firstFlag(m); data[pos] == '<' {
+				return pos, true
+			}
+			return dirtyTextEnd(data, pos)
+		}
+	}
+	for ; pos < near; pos++ {
 		switch data[pos] {
 		case '<':
-			return pos, clean
+			return pos, true
 		case '&', '\r':
-			clean = false
+			return dirtyTextEnd(data, pos)
 		}
 	}
 	rest := data[pos:]
 	if i := bytes.IndexByte(rest, '<'); i >= 0 {
 		rest = rest[:i]
 	}
-	clean = clean && bytes.IndexByte(rest, '&') < 0 && bytes.IndexByte(rest, '\r') < 0
+	clean = bytes.IndexByte(rest, '&') < 0 && bytes.IndexByte(rest, '\r') < 0
 	return pos + len(rest), clean
+}
+
+// dirtyTextEnd finishes ScanText from a '&' or '\r' that came before
+// any '<'.
+func dirtyTextEnd(data []byte, pos int) (end int, clean bool) {
+	if i := bytes.IndexByte(data[pos:], '<'); i >= 0 {
+		return pos + i, false
+	}
+	return len(data), false
 }
 
 // setText makes data[start:end] the current text token, decoded.

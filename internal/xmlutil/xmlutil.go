@@ -535,6 +535,15 @@ func writeElement(b encWriter, e *Element, ctx *nsContext, root bool) {
 		case Raw:
 			b.WriteString(string(n))
 		case Lazy:
+			if buf, ok := b.(*bytes.Buffer); ok {
+				// Rendered after the buffer's contents, in its own room
+				// where the renderer's need fits, and the result becomes
+				// the buffer: nothing is copied, and a buffer the renderer
+				// outgrew takes the renderer's allocation for its own
+				// where a Write would grow it to a second one.
+				*buf = *bytes.NewBuffer(n(buf.Bytes()))
+				break
+			}
 			var spare []byte // a buffer's own room: rendered in place when it fits
 			if buf, ok := b.(interface{ AvailableBuffer() []byte }); ok {
 				spare = buf.AvailableBuffer()
@@ -589,7 +598,24 @@ func writeQName(b encWriter, n Name, ctx *nsContext) {
 // emit fragments byte-identical to a Marshal of the equivalent tree. It
 // is writeEscaped for a byte slice; the two are kept apart because
 // sharing the per-byte test through a function cost Marshal a tenth.
+// A string that a word fits is tested eight bytes at a time first: a
+// clean one, nearly every cell, is a single append. A shorter one, or
+// one with a byte to escape, takes the byte loop.
 func AppendEscaped(dst []byte, s string, attr bool) []byte {
+	for i := 0; len(s) >= 8; i += 8 {
+		i = min(i, len(s)-8) // the last word overlaps the one before
+		w := load64(s, i)
+		m := matches(w, '&') | matches(w, '<') | matches(w, '>')
+		if attr {
+			m |= matches(w, '"')
+		}
+		if m != 0 {
+			break
+		}
+		if i == len(s)-8 {
+			return append(dst, s...)
+		}
+	}
 	last := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
