@@ -83,7 +83,8 @@ soak:
 	DAIS_SOAK=1 $(GO) test -race -count=1 -run TestChaosSoakGoroutineHygiene -v ./internal/service/
 
 # Short fuzz pass over each parser target, the bulk path's cell kernels
-# against their byte-loop and strconv models, the ordered index, the one
+# against their byte-loop and strconv models, the LIKE kernel's prefix
+# words against the row matcher, the ordered index, the one
 # comparison order, the exact sum against math/big and the SELECT
 # executor against its oracle; scheduled CI runs this.
 FUZZTIME ?= 30s
@@ -99,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWebRowSetInEnvelope -fuzztime $(FUZZTIME) ./internal/client/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzLikeKernel -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzAppendInt -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzRowsetRoundTrip -fuzztime $(FUZZTIME) ./internal/rowset/

@@ -37,6 +37,11 @@ type colVec struct {
 	bools []bool
 	times []time.Time
 
+	// VARCHAR: words[i] is prefixWord(strs[i]), 0 for a NULL row, so that
+	// the LIKE kernel decides most rows without following a string
+	// pointer. push and reset, strs' only writers, keep it in step.
+	words []uint64
+
 	// Zone map: nonNull counts non-null rows; min and max are the least
 	// and greatest of them in Compare's order (a NaN is the greatest), or
 	// NULL when there are none.
@@ -110,6 +115,7 @@ func (v *colVec) push(i int, val Value) bool {
 			v.flts = append(v.flts, 0)
 		case TypeVarchar:
 			v.strs = append(v.strs, "")
+			v.words = append(v.words, 0)
 		case TypeBoolean:
 			v.bools = append(v.bools, false)
 		case TypeTimestamp:
@@ -129,6 +135,7 @@ func (v *colVec) push(i int, val Value) bool {
 		v.noteFloat(val.F)
 	case TypeVarchar:
 		v.strs = append(v.strs, val.S)
+		v.words = append(v.words, prefixWord(val.S))
 	case TypeBoolean:
 		v.bools = append(v.bools, val.B)
 	case TypeTimestamp:
@@ -156,6 +163,7 @@ func (v *colVec) reset(n int) {
 		v.flts = slices.Grow(v.flts[:0], n)
 	case TypeVarchar:
 		v.strs = slices.Grow(v.strs[:0], n)
+		v.words = slices.Grow(v.words[:0], n)
 	case TypeBoolean:
 		v.bools = slices.Grow(v.bools[:0], n)
 	case TypeTimestamp:
@@ -164,6 +172,22 @@ func (v *colVec) reset(n int) {
 	v.nonNull = 0
 	v.min, v.max = Value{}, Value{}
 	v.low, v.high, v.special = math.MaxInt16, math.MinInt16, 0
+}
+
+// prefixWord is the first eight bytes of s as a big-endian word, padded
+// with zero bytes: under a mask of a literal's leading bytes, it equals
+// the literal's word where s begins with the literal, a NUL in the
+// literal aside, which the padding cannot be told from.
+func prefixWord(s string) uint64 {
+	if len(s) >= 8 { // the compiler merges the eight loads into one
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+	}
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (56 - 8*i)
+	}
+	return w
 }
 
 // noteFloat records a DOUBLE value for sumScale.

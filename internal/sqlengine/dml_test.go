@@ -378,7 +378,7 @@ func chunkDiff(a, b *colChunk) string {
 			return fmt.Sprintf("col %d: type", c)
 		case !slices.Equal(x.nulls, y.nulls):
 			return fmt.Sprintf("col %d: null bitmap", c)
-		case !slices.Equal(x.ints, y.ints) || !floatsEqual || !slices.Equal(x.strs, y.strs) || !slices.Equal(x.bools, y.bools) || !timesEqual:
+		case !slices.Equal(x.ints, y.ints) || !floatsEqual || !slices.Equal(x.strs, y.strs) || !slices.Equal(x.words, y.words) || !slices.Equal(x.bools, y.bools) || !timesEqual:
 			return fmt.Sprintf("col %d: values", c)
 		case x.nonNull != y.nonNull:
 			return fmt.Sprintf("col %d: nonNull %d vs %d", c, x.nonNull, y.nonNull)
@@ -484,8 +484,11 @@ func (g *dmlFuzz) dblVal() Value {
 }
 
 func (g *dmlFuzz) strVal() Value {
-	if g.r.Intn(9) == 0 {
+	switch g.r.Intn(18) {
+	case 0, 1:
 		return Null
+	case 2: // the LIKE kernel's edges: 0, 8, 9 and 16 bytes, multi-byte, a NUL
+		return NewString(g.pick("", "v-012345", "v-0123456", "v-0123456789abcd", "v-日本", "v-é1", "v-1\x00", "v-12\x00"))
 	}
 	return NewString(fmt.Sprintf("v-%02d", g.r.Intn(30)))
 }
@@ -558,8 +561,9 @@ func (g *dmlFuzz) where() (string, []Value) {
 		return `a IN (?, ?, 3)`, []Value{g.intVal(), g.intVal()}
 	case 9:
 		return `a NOT IN (?, 7) AND id < ?`, []Value{g.intVal(), NewInt(hi)}
-	case 10:
-		return `s LIKE ?`, []Value{NewString(g.pick("v-1%", "v-_3", "%9", "nomatch"))}
+	case 10: // prefix, general and suffix; exact literals; prefixes of 7, 8 and 9 bytes, one with a NUL
+		return `s LIKE ?`, []Value{NewString(g.pick("v-1%", "v-_3", "%9", "nomatch",
+			"v-12", "v-012345", "", "v-01234%", "v-012345%", "v-0123456%", "v-1\x00%", "v-日%"))}
 	case 11:
 		return g.pick(`a IS NULL`, `b IS NOT NULL AND s IS NULL`, `s IS NULL OR a IS NULL`), nil
 	case 12:

@@ -189,6 +189,9 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 			}
 			switch v.Type {
 			case TypeInteger, TypeBigint:
+				if v.I == math.MinInt64 {
+					return Null, errIntRange
+				}
 				return Value{Type: v.Type, I: -v.I}, nil
 			case TypeDouble:
 				return NewDouble(-v.F), nil
@@ -533,9 +536,9 @@ func evalArith(op string, l, r Value) (Value, error) {
 	return Value{Type: out, I: i}, nil
 }
 
-// errIntRange is an integer + - * / whose result BIGINT cannot hold:
-// the statement fails, as a SUM outside the range does, where the
-// machine word would wrap around.
+// errIntRange is an integer + - * /, or a negation, whose result BIGINT
+// cannot hold: the statement fails, as a SUM outside the range does,
+// where the machine word would wrap around.
 var errIntRange = errors.New("integer arithmetic out of BIGINT range")
 
 // addInt is x + y, ok=false where it overflows: the sum's sign is

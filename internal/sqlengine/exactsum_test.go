@@ -423,6 +423,61 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 	}
 }
 
+// TestIntegerNegationOutOfRange: negating the least BIGINT fails the
+// statement as + - * / outside the range do — on the row path, in an
+// aggregate argument the kernels abandon, and in a WHERE, which unary
+// minus over an integer column keeps off the kernels — where it used to
+// answer the operand itself.
+func TestIntegerNegationOutOfRange(t *testing.T) {
+	e := New("neg")
+	e.MustExec(`CREATE TABLE n (id INTEGER, u BIGINT, d DOUBLE)`)
+	e.MustExec(`INSERT INTO n VALUES (1, -9223372036854775807 - 1, -1.5), (2, 5, 2), (3, NULL, NULL)`)
+	for _, tc := range []struct {
+		sql    string
+		params []Value
+	}{
+		{`SELECT -(-9223372036854775807 - 1)`, nil},
+		{`SELECT -?`, []Value{NewBigint(math.MinInt64)}},
+		{`SELECT MAX(-u) FROM n`, nil},
+		{`SELECT id FROM n WHERE -u < 0`, nil}, // matched the row when it wrapped
+		{`SELECT id, -u FROM n WHERE d < 0`, nil},
+	} {
+		if set := execAllPaths(t, e, tc.sql, tc.params...); set != nil {
+			t.Fatalf("%s answered %v", tc.sql, set.Rows)
+		}
+		res, err := e.NewSession().Execute(tc.sql, tc.params...)
+		if err == nil || err.Error() != errIntRange.Error() || res.CA.SQLState != StateGeneral {
+			t.Fatalf("%s: err %v, state %v; want %v, %s", tc.sql, err, res.CA.SQLState, errIntRange, StateGeneral)
+		}
+	}
+	before := e.VectorStats().Fallbacks
+	if _, err := e.Exec(`SELECT MAX(-u) FROM n`); err == nil {
+		t.Fatal("MAX(-u) answered")
+	}
+	if got := e.VectorStats().Fallbacks - before; got != 1 {
+		t.Fatalf("MAX(-u): %d fallbacks, want 1: the fold over the kernels abandons", got)
+	}
+	for sql, want := range map[string]int64{
+		`SELECT -(-9223372036854775807)`:      math.MaxInt64,
+		`SELECT MIN(-u) FROM n WHERE u > 0`:   -5,
+		`SELECT COUNT(*) FROM n WHERE -d > 0`: 1,
+	} {
+		set := execAllPaths(t, e, sql)
+		if set == nil || len(set.Rows) != 1 || set.Rows[0][0].I != want {
+			t.Fatalf("%s: got %v, want %d", sql, set, want)
+		}
+	}
+	for sql, want := range map[string]string{
+		`SELECT id FROM n WHERE -u < 0`: `filter: predicate per row`, // negation can leave BIGINT
+		`SELECT id FROM n WHERE -d < 0`: `vector filter: compiled kernels`,
+	} {
+		lines, err := e.NewSession().Explain(sql)
+		if err != nil || !strings.Contains(strings.Join(lines, "\n"), want) {
+			t.Fatalf("Explain(%s) = %v, %v; want %q", sql, lines, err, want)
+		}
+	}
+}
+
 // TestIntArithAgainstBig holds the overflow tests of + - * / to math/big
 // over the edges of the range, every pair.
 func TestIntArithAgainstBig(t *testing.T) {

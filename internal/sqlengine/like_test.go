@@ -65,3 +65,93 @@ func FuzzLikeMatch(f *testing.F) {
 	}
 	f.Fuzz(checkLike)
 }
+
+// likeKernelRows and likeKernelPatterns seed FuzzLikeKernel: strings of
+// 0, 7, 8, 9 and 16 bytes, ones that differ from a literal only in its
+// eighth or ninth byte, multi-byte UTF-8, embedded NULs and a NULL; and
+// patterns that are empty, all %, or 7-, 8- and 9-byte prefix and exact
+// literals, with and without a NUL.
+var (
+	likeKernelRows = []any{"", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefgX", "abcdefgi",
+		"abcdefghX", "ab", "ab\x00", "ab\x00c", "\x00", "héllo wörld", "日本語テキスト", nil, "a%c_e"}
+	likeKernelPatterns = []string{"", "%", "abcdefg%", "abcdefgh%", "abcdefghi%", "abcdefg", "abcdefgh", "abcdefghi",
+		"abcdefghijklmnop%", "ab\x00%", "ab\x00", "\x00%", "ab%", "héllo%", "日本%", "日本語テキスト", "%gh", "%def%", "a_c%"}
+)
+
+// likeKernelData encodes rows as FuzzLikeKernel reads them: per row a
+// length byte, 0xff for NULL, then the string's bytes.
+func likeKernelData(rows []any) []byte {
+	var data []byte
+	for _, r := range rows {
+		s, ok := r.(string)
+		if !ok {
+			data = append(data, 0xff)
+			continue
+		}
+		data = append(append(data, byte(len(s))), s...)
+	}
+	return data
+}
+
+// FuzzLikeKernel holds the LIKE kernel — prefix words, masks, the
+// patterns the words cannot decide and the NULL pass — to the row matcher on
+// every row of a chunk built from the fuzzed rows (repeated past 64 rows,
+// so the NULL pass crosses bitmap words), and again after a rebuild that
+// reuses the vector for other rows.
+func FuzzLikeKernel(f *testing.F) {
+	data := likeKernelData(likeKernelRows)
+	for _, p := range likeKernelPatterns {
+		f.Add(data, p)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pattern string) {
+		var rows []Value
+		for len(data) > 0 {
+			n := int(data[0])
+			data = data[1:]
+			if n == 0xff {
+				rows = append(rows, Null)
+				continue
+			}
+			n = min(n%24, len(data))
+			rows = append(rows, NewString(string(data[:n])))
+			data = data[n:]
+		}
+		if len(rows) == 0 {
+			return
+		}
+		cols := []Column{{Name: "s", Type: TypeVarchar}}
+		ch := &colChunk{}
+		for id := 0; id < max(len(rows), 130) && id < chunkRows; id++ {
+			ch.add(int64(id), []Value{rows[id%len(rows)]})
+		}
+		pred := &BinaryExpr{Op: "LIKE", Left: &boundColExpr{idx: 0}, Right: &LiteralExpr{Value: NewString(pattern)}}
+		kernel, ok := bindVecPred(pred, nil, &Table{Columns: cols})
+		if !ok {
+			t.Fatalf("LIKE %q does not bind", pattern)
+		}
+		p := compileLike(pattern)
+		out := make([]int8, chunkRows)
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 { // one row on, half as many
+				ch.ids = ch.ids[1 : 1+ch.n/2]
+				ch.n = len(ch.ids)
+			}
+			if !ch.rebuild(cols) {
+				t.Fatal("rebuild refused a VARCHAR row")
+			}
+			kernel.eval(ch, out)
+			for i := 0; i < ch.n; i++ {
+				want := triN
+				if v := ch.rowAt(i)[0]; !v.IsNull() {
+					want = triF
+					if p.match(v.S) {
+						want = triT
+					}
+				}
+				if out[i] != want {
+					t.Fatalf("row %d of %d, %q LIKE %q: kernel %d, matcher %d", i, ch.n, ch.rowAt(i)[0].S, pattern, out[i], want)
+				}
+			}
+		}
+	})
+}

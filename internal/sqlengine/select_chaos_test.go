@@ -233,7 +233,7 @@ func (g selectFuzz) numExpr(safe bool) (string, []Value) {
 	case 1:
 		return `a * 2`, nil
 	case 2:
-		return `-a`, nil
+		return g.pick(`-a`, `-u`), nil // -u is outside BIGINT where u holds bigintEdge's MinInt64
 	case 3:
 		return `b * 2 - a`, nil
 	case 4:

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 )
@@ -222,7 +223,7 @@ func bindVecPred(e Expr, params []Value, t *Table) (boundVec, bool) {
 			if err != nil {
 				return nil, false
 			}
-			return &bvLike{col: n.Left.(*boundColExpr).idx, pat: compileLike(pv.S)}, true
+			return newBvLike(n.Left.(*boundColExpr).idx, compileLike(pv.S)), true
 		}
 		operand, op, c, ok := cmpSides(n, t)
 		if !ok {
@@ -544,22 +545,50 @@ func (b *bvCmp) possible(ch *colChunk) uint8 {
 	return m
 }
 
+// bvLike is LIKE over a VARCHAR column. lit% with a literal of at most
+// eight bytes, none of them NUL, is decided by the column's prefix words
+// under the mask of the literal's bytes, without reading a string; every
+// other pattern goes through the row matcher.
 type bvLike struct {
-	col int
-	pat likePattern
+	col        int
+	pat        likePattern
+	word, mask uint64
+	byWord     bool // the word decides
+}
+
+func newBvLike(col int, pat likePattern) *bvLike {
+	b := &bvLike{col: col, pat: pat}
+	if lit := pat.lit; pat.kind == likePrefix && len(lit) <= 8 && strings.IndexByte(lit, 0) < 0 {
+		b.word, b.mask, b.byWord = prefixWord(lit), ^uint64(0)<<(64-8*len(lit)), true
+	}
+	return b
 }
 
 func (b *bvLike) eval(ch *colChunk, out []int8) {
 	v := &ch.vecs[b.col]
-	for i := 0; i < ch.n; i++ {
-		if v.nulls.get(i) {
-			out[i] = triN
-			continue
+	out = out[:ch.n]
+	if b.byWord {
+		word, mask := b.word, b.mask
+		for i, w := range v.words[:ch.n] {
+			t := triF
+			if w&mask == word {
+				t = triT
+			}
+			out[i] = t
 		}
-		if b.pat.match(v.strs[i]) {
-			out[i] = triT
-		} else {
+	} else {
+		for i, s := range v.strs[:ch.n] {
 			out[i] = triF
+			if b.pat.match(s) {
+				out[i] = triT
+			}
+		}
+	}
+	if v.nonNull < ch.n {
+		for k, w := range v.nulls {
+			for ; w != 0; w &= w - 1 {
+				out[k<<6+bits.TrailingZeros64(w)] = triN
+			}
 		}
 	}
 }

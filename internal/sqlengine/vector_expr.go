@@ -23,8 +23,9 @@ import (
 
 // vecExprShape checks an expression against the class above: hasCol, it
 // reads at least one column; safe, every divisor is a constant and every
-// + - * over a column is DOUBLE whatever the parameters, so once bound
-// it cannot fail on any row (integer arithmetic can leave BIGINT).
+// + - * and unary minus over a column is DOUBLE whatever the parameters,
+// so once bound it cannot fail on any row (integer arithmetic and
+// negation can leave BIGINT).
 // Predicates require safe — zone maps skip chunks and AND/OR kernels
 // evaluate both sides, so a row-dependent failure would surface for
 // different rows than the interpreter's.
@@ -37,7 +38,8 @@ func vecExprShape(e Expr, t *Table) (hasCol, safe, ok bool) {
 		return true, true, n.idx < len(t.Columns) && t.Columns[n.idx].Type.isNumeric()
 	case *UnaryExpr:
 		if n.Op == "-" {
-			return vecExprShape(n.Operand, t)
+			hasCol, safe, ok := vecExprShape(n.Operand, t)
+			return hasCol, safe && staticDouble(n.Operand, t), ok
 		}
 	case *BinaryExpr:
 		switch n.Op {
@@ -193,6 +195,8 @@ func (b *beNeg) eval(ch *colChunk, rows []uint16) (*colVec, bool) {
 			out.nulls.set(int(i))
 		case out.typ == TypeDouble:
 			out.flts[i] = -x.flts[i]
+		case x.ints[i] == math.MinInt64:
+			return nil, false
 		default:
 			out.ints[i] = -x.ints[i]
 		}

@@ -762,6 +762,19 @@ func TestChaosVectorScanDML(t *testing.T) {
 					errs <- err
 					return
 				}
+				// The writers only insert and delete 'w' rows and roll back
+				// what else they delete: whatever pages were pushed into,
+				// rebuilt or spliced back, the prefix words find the 300
+				// seeded 's1' rows.
+				res, err = s.Execute(`SELECT COUNT(*) FROM h WHERE s LIKE 's1%'`)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if n := res.Set.Rows[0][0].I; n != 300 {
+					errs <- fmt.Errorf("LIKE 's1%%' counted %d rows, want 300", n)
+					return
+				}
 			}
 		}()
 	}
