@@ -461,7 +461,7 @@ func BenchmarkE13GetTuplesPage(b *testing.B) {
 }
 
 // BenchmarkE13EquiJoin runs an equi-join (2 000 orders × 200 customers)
-// through the engine — the joinStep hot path.
+// through the engine — the execJoin hot path.
 func BenchmarkE13EquiJoin(b *testing.B) {
 	eng := sqlengine.New("bench")
 	eng.MustExec(`CREATE TABLE customers (id INTEGER PRIMARY KEY, name VARCHAR(32))`)

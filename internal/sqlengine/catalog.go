@@ -250,7 +250,8 @@ type Database struct {
 
 	// Execution-path switches, consulted per execution so cached plans
 	// honour them. vectorOff keeps every statement off the columnar
-	// operators and hashJoinOff every join off the hash table. oracle, nil
+	// operators and hashJoinOff has every join list its candidate pairs
+	// by scan instead of through the hash table (join.go). oracle, nil
 	// in production, is the differential tests' reference executor: with
 	// it set runSelect hands it every SELECT block instead of running the
 	// block's plan, and UPDATE/DELETE walk their table. Only the
@@ -270,8 +271,8 @@ type Database struct {
 	// kernels (bind failure, unbuildable chunks, a zero divisor on a
 	// selected row): the row operators, or the row feeder, ran instead.
 	vecFallbacks atomic.Uint64
-	// hashJoins counts completed hash-join fast paths, so tests can assert
-	// the path engaged.
+	// hashJoins counts completed joins that listed their candidates
+	// through the hash table, so tests can assert it engaged.
 	hashJoins atomic.Int64
 }
 

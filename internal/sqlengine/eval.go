@@ -536,7 +536,7 @@ func evalArith(op string, l, r Value) (Value, error) {
 	return Value{Type: out, I: i}, nil
 }
 
-// errIntRange is an integer + - * /, or a negation, whose result BIGINT
+// errIntRange is an integer + - * /, a negation or an ABS, whose result BIGINT
 // cannot hold: the statement fails, as a SUM outside the range does,
 // where the machine word would wrap around.
 var errIntRange = errors.New("integer arithmetic out of BIGINT range")
@@ -713,6 +713,9 @@ func evalScalarFunc(n *FuncExpr, env *evalEnv) (Value, error) {
 		}
 		switch v.Type {
 		case TypeInteger, TypeBigint:
+			if v.I == math.MinInt64 {
+				return Null, errIntRange
+			}
 			if v.I < 0 {
 				return Value{Type: v.Type, I: -v.I}, nil
 			}

@@ -384,7 +384,7 @@ func TestIntegerSumRange(t *testing.T) {
 	}
 }
 
-// TestIntegerArithmeticOutOfRange: an integer + - * / whose result
+// TestIntegerArithmeticOutOfRange: an integer + - * / or ABS whose result
 // BIGINT cannot hold fails the statement on every path, with one error
 // text and SQLSTATE, where it used to wrap around — and the results at
 // the edges of the range are answered.
@@ -398,6 +398,7 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 		`SELECT id * 4611686018427387904 FROM vt WHERE a > 40`,
 		`SELECT 9223372036854775807 + 1`,
 		`SELECT (-9223372036854775807 - 1) / -1`,
+		`SELECT ABS(-9223372036854775807 - 1)`, // answered -9223372036854775808
 	} {
 		if set := execAllPaths(t, e, sql); set != nil {
 			t.Fatalf("%s answered %v", sql, set.Rows)
@@ -414,6 +415,7 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 		`SELECT 3037000499 * 3037000499`:             3037000499 * 3037000499,
 		`SELECT (-9223372036854775807 - 1) % -1`:     0,
 		`SELECT (-9223372036854775807 - 1) / 1`:      math.MinInt64,
+		`SELECT ABS(-9223372036854775807)`:           math.MaxInt64,
 		`SELECT MAX(id * 18446744073709551) FROM vt`: 499 * 18446744073709551,
 	} {
 		set := execAllPaths(t, e, sql)

@@ -131,98 +131,6 @@ func distinctRows(rows, keys [][]Value) ([][]Value, [][]Value) {
 	return dr, dk
 }
 
-// joinStep is one join, for every plan and the test oracle alike:
-// the hash path (join.go) when the ON carries a hashable equi-join
-// conjunct (key non-nil) and the hashJoinOff switch allows it — consulted
-// per execution, so the equivalence toggle works on cached plans too —
-// otherwise, or when the hash path bails on a hash-defeating value, the
-// nested loop below, which is the reference implementation.
-func joinStep(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause, key *equiConjunct) ([][]Value, error) {
-	if key != nil && !joinEnv.db.hashJoinOff {
-		out, ok, err := hashJoinRows(left, right, joinEnv, leftWidth, rcols, j, *key)
-		if err != nil || ok {
-			return out, err
-		}
-	}
-	return nestedLoopJoin(left, right, joinEnv, leftWidth, rcols, j)
-}
-
-// nestedLoopJoin is the reference join implementation: O(L×R) pairs with
-// the full ON expression evaluated per pair.
-func nestedLoopJoin(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause) ([][]Value, error) {
-	var out [][]Value
-	slab := newRowSlab(leftWidth+len(rcols), 0)
-	scratch := make([]Value, leftWidth+len(rcols))
-	nullRight := make([]Value, len(rcols))
-	for i := range nullRight {
-		nullRight[i] = Null
-	}
-	match := func(l, r []Value) (bool, error) {
-		if j.On == nil {
-			return true, nil
-		}
-		copy(scratch, l)
-		copy(scratch[len(l):], r)
-		joinEnv.row = scratch
-		v, err := eval(j.On, joinEnv)
-		if err != nil {
-			return false, err
-		}
-		return truthy(v)
-	}
-	combine := func(l, r []Value) []Value {
-		row := slab.next()
-		copy(row, l)
-		copy(row[len(l):], r)
-		return row
-	}
-	for _, l := range left {
-		if err := joinEnv.checkCtx(); err != nil {
-			return nil, err
-		}
-		matched := false
-		for _, r := range right {
-			ok, err := match(l, r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			matched = true
-			out = append(out, combine(l, r))
-		}
-		if !matched && j.Kind == JoinLeft {
-			out = append(out, combine(l, nullRight))
-		}
-	}
-	if j.Kind == JoinRight {
-		// Preserve right rows with no left match; the left side of the
-		// combined row is NULL. Column order stays left-then-right.
-		nullLeft := make([]Value, leftWidth)
-		for i := range nullLeft {
-			nullLeft[i] = Null
-		}
-		for _, r := range right {
-			matched := false
-			for _, l := range left {
-				ok, err := match(l, r)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				out = append(out, combine(nullLeft, r))
-			}
-		}
-	}
-	return out, nil
-}
-
 // expandSelectItems resolves * and computes output column metadata and
 // the expression list to evaluate per row.
 func expandSelectItems(st *SelectStmt, env *evalEnv) ([]ResultColumn, []Expr, error) {

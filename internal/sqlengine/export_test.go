@@ -18,5 +18,5 @@ func (e *Engine) SetPlannerDisabled(off bool) {
 // SetVectorDisabled forces the row operators even for vector plans.
 func (e *Engine) SetVectorDisabled(off bool) { e.db.vectorOff = off }
 
-// SetHashJoinDisabled forces every join through the nested loop.
+// SetHashJoinDisabled has every join list its candidate pairs by scan.
 func (e *Engine) SetHashJoinDisabled(off bool) { e.db.hashJoinOff = off }

@@ -161,13 +161,7 @@ func (d *Database) bindTable(tr *TableRef, env *evalEnv) ([][]Value, []boundColu
 func joinRows(left [][]Value, right [][]Value, env *evalEnv, rcols []boundColumn, j JoinClause) ([][]Value, error) {
 	joinEnv := env.nested(env.outer)
 	joinEnv.cols = append(append([]boundColumn{}, env.cols...), rcols...)
-	var key *equiConjunct
-	if j.On != nil {
-		if k, ok := findEquiConjunct(j.On, joinEnv, len(env.cols)); ok {
-			key = &k
-		}
-	}
-	return joinStep(left, right, joinEnv, len(env.cols), rcols, j, key)
+	return execJoin(left, right, joinEnv, len(env.cols), rcols, j, joinKeyOf(j.On, joinEnv, len(env.cols)))
 }
 
 // execProjection projects the select list over plain (non-grouped)

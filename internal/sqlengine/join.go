@@ -2,20 +2,25 @@ package sqlengine
 
 import "math"
 
-// Hash-join fast path. findEquiConjunct detects a column=column conjunct
-// in the ON expression (a plan once, the test oracle per execution) and,
-// when the key columns have hashable declared types, joinStep builds a
-// hash table over the right input instead of running the O(L×R) nested
-// loop. The build side is always the right input and
-// the probe loop iterates the left input in order, emitting matches in
-// right-row order per bucket — exactly the nested loop's output order,
-// so results are byte-identical. The full ON expression is re-evaluated
-// on every candidate pair (residual predicate), which filters the hash
-// false positives wide integer keys can produce under float64 keying
-// and keeps any extra non-equi conjuncts working.
+// The join. Every plan and the test oracle join a right input to the
+// accumulated left rows through execJoin, one loop under one rule: when
+// the ON carries a `left.col = right.col` conjunct (findEquiConjunct), a
+// pair is a candidate only if its two keys are non-NULL and equal under
+// Compare — the only pairs that conjunct lets the ON be TRUE on —, and
+// without one every pair is. The ON is evaluated on candidates only, in
+// left-major, right-row order, so an ON that would fail on a pair the
+// key rules out is never evaluated there. Inner rows come out in that
+// order, a LEFT join's unmatched left row after its candidates, and a
+// RIGHT join's unmatched right rows, in order, at the end.
 //
-// Database.hashJoinOff forces the nested loop; the equivalence tests set
-// it to prove both paths agree on the same corpus.
+// A hash table over the right keys is only a faster way to list the same
+// candidates. Each bucket entry is still held to Compare, which drops the
+// collisions float64 keying gives integers past 2^53, and a key whose
+// runtime type contradicts its class (a UNION-typed derived column) is
+// listed by a scan of the right rows instead: a left one for its own
+// row, a right one for the whole join. Database.hashJoinOff lists every
+// pair by that scan; the equivalence tests set it, and both listings give
+// one answer and one error by construction.
 
 // joinKeyClass is the hashing discipline for one equi-join key, derived
 // from the declared types of the two key columns.
@@ -42,13 +47,27 @@ type equiConjunct struct {
 	leftIdx  int // index into the left (accumulated) row
 	rightIdx int // index into the right row
 	class    joinKeyClass
+	alone    bool // the ON is this conjunct: every candidate satisfies it
+}
+
+// joinKeyOf is the ON's equi conjunct, nil when it has none.
+func joinKeyOf(on Expr, joinEnv *evalEnv, leftWidth int) *equiConjunct {
+	if on == nil {
+		return nil
+	}
+	k, ok := findEquiConjunct(on, joinEnv, leftWidth)
+	if !ok {
+		return nil
+	}
+	k.alone = on.(*BinaryExpr).Op == "="
+	return &k
 }
 
 // findEquiConjunct walks the AND tree of the ON expression for a
 // column=column conjunct with one side bound to the left input and the
 // other to the right. Resolution uses the combined environment, so
-// ambiguous or unknown references simply fail the match and the join
-// falls back to the nested loop (preserving its error behaviour).
+// ambiguous or unknown references simply fail the match and every pair
+// is a candidate, the ON raising the error on the first.
 func findEquiConjunct(e Expr, joinEnv *evalEnv, leftWidth int) (equiConjunct, bool) {
 	n, ok := e.(*BinaryExpr)
 	if !ok {
@@ -89,7 +108,7 @@ func findEquiConjunct(e Expr, joinEnv *evalEnv, leftWidth int) (equiConjunct, bo
 // keyClass maps the two declared key-column types to a hashing
 // discipline, mirroring Compare's equality rules: any numeric mix keys
 // on float64 value, otherwise both sides must share a concrete type.
-// Untyped (computed) columns refuse, forcing the nested loop.
+// Untyped (computed) columns refuse: every pair is a candidate.
 func keyClass(a, b Type) (joinKeyClass, bool) {
 	if a.isNumeric() && b.isNumeric() {
 		return classNumeric, true
@@ -108,17 +127,16 @@ func keyClass(a, b Type) (joinKeyClass, bool) {
 	return 0, false
 }
 
-// joinKeyFor hashes one value under the class discipline. skip means
-// the value is NULL (it can never satisfy `=`); bail means the runtime
-// value's type contradicts the declared class, and the whole join must
-// fall back to the nested loop to stay byte-identical. Values Compare
-// finds equal share a key: -0 and 0 share +0's, every NaN the one NaN's.
-func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, skip, bail bool) {
-	if v.IsNull() {
-		return joinKey{}, true, false
-	}
+// joinKeyFor hashes one non-NULL value under the class discipline;
+// ok=false means the value's runtime type contradicts the class, and the
+// value's candidates must be listed by scan. Values Compare finds equal
+// share a key: -0 and 0 share +0's, every NaN the one NaN's.
+func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, ok bool) {
 	switch cls {
 	case classNumeric:
+		if !v.Type.isNumeric() {
+			return joinKey{}, false
+		}
 		f := v.asFloat()
 		switch {
 		case f == 0:
@@ -126,26 +144,17 @@ func joinKeyFor(v Value, cls joinKeyClass) (k joinKey, skip, bail bool) {
 		case math.IsNaN(f):
 			f = math.NaN()
 		}
-		return joinKey{num: math.Float64bits(f)}, false, false
+		return joinKey{num: math.Float64bits(f)}, true
 	case classString:
-		if v.Type != TypeVarchar {
-			return joinKey{}, false, true
-		}
-		return joinKey{str: v.S}, false, false
+		return joinKey{str: v.S}, v.Type == TypeVarchar
 	case classBool:
-		if v.Type != TypeBoolean {
-			return joinKey{}, false, true
-		}
 		var n uint64
 		if v.B {
 			n = 1
 		}
-		return joinKey{num: n}, false, false
+		return joinKey{num: n}, v.Type == TypeBoolean
 	default: // classTime
-		if v.Type != TypeTimestamp {
-			return joinKey{}, false, true
-		}
-		return joinKey{num: uint64(v.Time().UnixNano())}, false, false
+		return joinKey{num: uint64(v.Time().UnixNano())}, v.Type == TypeTimestamp
 	}
 }
 
@@ -190,89 +199,115 @@ func (s *rowSlab) next() []Value {
 	return r
 }
 
-// hashJoinRows runs the fast path. ok=false (with nil error) means a
-// bail condition surfaced mid-join and the caller must rerun the nested
-// loop; the partial output is discarded.
-func hashJoinRows(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause, k equiConjunct) ([][]Value, bool, error) {
-	build := make(map[joinKey][]int, len(right))
-	for ri, r := range right {
-		key, skip, bail := joinKeyFor(r[k.rightIdx], k.class)
-		if bail {
-			return nil, false, nil
-		}
-		if skip {
-			continue
-		}
-		build[key] = append(build[key], ri)
+// execJoin joins right, whose rows bind rcols, to left, leftWidth wide,
+// under j: the loop of the rule above, with key the ON's equi conjunct
+// (nil: every pair is a candidate).
+func execJoin(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []boundColumn, j JoinClause, key *equiConjunct) ([][]Value, error) {
+	var buckets map[joinKey][]int // nil: list by scan
+	if key != nil && !joinEnv.db.hashJoinOff {
+		buckets = hashRight(right, key)
 	}
-	slab := newRowSlab(leftWidth+len(rcols), 0)
-	scratch := make([]Value, leftWidth+len(rcols))
-	match := func(l, r []Value) (bool, error) {
-		copy(scratch, l)
-		copy(scratch[len(l):], r)
-		joinEnv.row = scratch
-		v, err := eval(j.On, joinEnv)
-		if err != nil {
-			return false, err
-		}
-		return truthy(v)
+	on := j.On
+	if key != nil && key.alone {
+		on = nil
 	}
+	width := leftWidth + len(rcols)
+	slab := newRowSlab(width, 0)
+	scratch := make([]Value, width)
 	combine := func(l, r []Value) []Value {
 		row := slab.next()
 		copy(row, l)
-		copy(row[len(l):], r)
+		copy(row[leftWidth:], r)
 		return row
-	}
-	nullRight := make([]Value, len(rcols))
-	for i := range nullRight {
-		nullRight[i] = Null
 	}
 	var rightMatched []bool
 	if j.Kind == JoinRight {
 		rightMatched = make([]bool, len(right))
 	}
+	nullRight := make([]Value, len(rcols)) // Null is Value's zero
 	var out [][]Value
 	for _, l := range left {
 		if err := joinEnv.checkCtx(); err != nil {
-			return nil, false, err
+			return nil, err
+		}
+		// The right rows to try: every one (a scan), or lk's bucket.
+		var lk Value
+		bucket, n := []int(nil), len(right)
+		if key != nil {
+			if lk = l[key.leftIdx]; lk.IsNull() {
+				n = 0
+			} else if buckets != nil {
+				if k, ok := joinKeyFor(lk, key.class); ok {
+					bucket = buckets[k]
+					n = len(bucket)
+				}
+			}
 		}
 		matched := false
-		key, skip, bail := joinKeyFor(l[k.leftIdx], k.class)
-		if bail {
-			return nil, false, nil
-		}
-		if !skip {
-			for _, ri := range build[key] {
-				ok, err := match(l, right[ri])
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
+		for i := 0; i < n; i++ {
+			ri := i
+			if bucket != nil {
+				ri = bucket[i]
+			}
+			r := right[ri]
+			if key != nil { // lk is not NULL, so Compare puts a NULL apart
+				if c, err := Compare(lk, r[key.rightIdx]); err != nil {
+					return nil, err
+				} else if c != 0 {
 					continue
 				}
-				matched = true
-				if rightMatched != nil {
-					rightMatched[ri] = true
-				}
-				out = append(out, combine(l, right[ri]))
 			}
+			if on != nil {
+				copy(scratch, l)
+				copy(scratch[leftWidth:], r)
+				joinEnv.row = scratch
+				v, err := eval(on, joinEnv)
+				if err != nil {
+					return nil, err
+				}
+				if ok, err := truthy(v); err != nil {
+					return nil, err
+				} else if !ok {
+					continue
+				}
+			}
+			matched = true
+			if rightMatched != nil {
+				rightMatched[ri] = true
+			}
+			out = append(out, combine(l, r))
 		}
 		if !matched && j.Kind == JoinLeft {
 			out = append(out, combine(l, nullRight))
 		}
 	}
 	if j.Kind == JoinRight {
-		// rightMatched replaces the nested loop's second O(L×R) pass.
 		nullLeft := make([]Value, leftWidth)
-		for i := range nullLeft {
-			nullLeft[i] = Null
-		}
 		for ri, r := range right {
 			if !rightMatched[ri] {
 				out = append(out, combine(nullLeft, r))
 			}
 		}
 	}
-	joinEnv.db.hashJoins.Add(1)
-	return out, true, nil
+	if buckets != nil {
+		joinEnv.db.hashJoins.Add(1)
+	}
+	return out, nil
+}
+
+// hashRight buckets the right rows' non-NULL keys, in row order, or
+// returns nil when one contradicts its class: Compare may fail on that
+// key against any left one, so every pair is listed by scan.
+func hashRight(right [][]Value, k *equiConjunct) map[joinKey][]int {
+	buckets := make(map[joinKey][]int, len(right))
+	for ri, r := range right {
+		if v := r[k.rightIdx]; !v.IsNull() {
+			key, ok := joinKeyFor(v, k.class)
+			if !ok {
+				return nil
+			}
+			buckets[key] = append(buckets[key], ri)
+		}
+	}
+	return buckets
 }

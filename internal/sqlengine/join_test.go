@@ -90,14 +90,24 @@ var joinCorpus = []string{
 	`SELECT l.id, r.id, b.id FROM l JOIN r ON l.k = r.k JOIN l b ON r.id = b.id`, // chained joins
 	`SELECT l.id, r.id FROM l JOIN r ON l.k = r.k WHERE r.bo = FALSE`,
 	`SELECT l.id, COUNT(*) FROM l JOIN r ON l.k = r.k GROUP BY l.id`,
-	`SELECT l.id, r.id FROM l JOIN r ON l.k < r.k`,     // non-equi: nested loop both ways
-	`SELECT l.id, r.id FROM l JOIN r ON l.k + 0 = r.k`, // expression side: fallback
+	`SELECT l.id, r.id FROM l JOIN r ON l.k < r.k`,     // non-equi: every pair a candidate
+	`SELECT l.id, r.id FROM l JOIN r ON l.k + 0 = r.k`, // expression side: no equi key
 	`SELECT l.id, r.id FROM l RIGHT JOIN r ON l.s = r.s AND l.id <> r.id`,
+	// An ON that fails on a pair the key rules out: r.id = 4 has a NULL k.
+	`SELECT l.id, r.id FROM l JOIN r ON l.k = r.k AND 1 / (r.id - 4) > 0`,
+	`SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND 1 / (r.id - 4) > 0`,
+	`SELECT l.id, r.id FROM l RIGHT JOIN r ON 1 / (l.id - 4) > 0 AND l.k = r.k`,
+	// A VARCHAR key column holding integers, an INTEGER one holding
+	// strings: their rows are listed by scan.
+	`SELECT l.id FROM l JOIN (SELECT s AS v FROM r UNION ALL SELECT k FROM r) u ON l.s = u.v`,
+	`SELECT u.v, l.id FROM (SELECT s AS v FROM r UNION ALL SELECT k FROM r) u JOIN l ON u.v = l.s`,
+	`SELECT l.id FROM l JOIN (SELECT k AS v FROM r UNION ALL SELECT s FROM r) u ON l.k = u.v`,
 }
 
-// TestHashJoinMatchesNestedLoop runs the corpus with the hash fast
-// path enabled and disabled and requires byte-identical output —
-// values, runtime types, column metadata and row order.
+// TestHashJoinMatchesNestedLoop runs the corpus with the candidates
+// listed through the hash table and by a scan of every pair, and requires
+// byte-identical output — values, runtime types, column metadata and row
+// order — or the same error text.
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	for _, sql := range joinCorpus {
 		t.Run(sql, func(t *testing.T) {
@@ -106,20 +116,55 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 				e.SetHashJoinDisabled(disable)
 				res, err := e.Exec(sql)
 				if err != nil {
-					t.Fatalf("%s: %v", sql, err)
+					return "error: " + err.Error()
 				}
 				return dumpSet(res.Set)
 			}
-			hash, nested := run(false), run(true)
-			if hash != nested {
-				t.Fatalf("hash join diverges from nested loop for %q:\n--- hash ---\n%s--- nested ---\n%s", sql, hash, nested)
+			hash, scan := run(false), run(true)
+			if hash != scan {
+				t.Fatalf("hash listing diverges from scan listing for %q:\n--- hash ---\n%s\n--- scan ---\n%s", sql, hash, scan)
 			}
 		})
 	}
 }
 
-// TestHashJoinEngages proves the fast path actually runs for an
-// equi-join (the equivalence test alone would pass even if the
+// TestJoinCandidateRule pins what both listings answer where a separate
+// hash path and nested loop once disagreed, or where a hash key
+// contradicts its class. The ON is evaluated
+// only on pairs whose keys are non-NULL and equal, so a residual that
+// divides by zero on the pairs with r.id = 4, whose key is NULL, never
+// runs; and a UNION-typed key column that holds a value of another type
+// than it declares fails with Compare's error, whichever side it is on.
+func TestJoinCandidateRule(t *testing.T) {
+	for _, tc := range []struct{ sql, want string }{
+		{`SELECT l.id, r.id FROM l JOIN r ON l.k = r.k AND 1 / (r.id - 4) > 0`, ``},
+		{`SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND 1 / (r.id - 4) > 0`,
+			"INTEGER(1),NULL,\nINTEGER(2),NULL,\nINTEGER(3),NULL,\nINTEGER(4),NULL,\nINTEGER(5),NULL,\n"},
+		{`SELECT l.id, r.id FROM l RIGHT JOIN r ON 1 / (l.id - 4) > 0 AND l.k = r.k`,
+			"NULL,INTEGER(1),\nNULL,INTEGER(2),\nNULL,INTEGER(3),\nNULL,INTEGER(4),\nNULL,INTEGER(5),\n"},
+		{`SELECT l.id, r.id FROM l JOIN r ON l.k = r.k AND 1 / (r.id - 4) < 0`, "INTEGER(2),INTEGER(3),\n"},
+		{`SELECT l.id FROM l JOIN (SELECT s AS v FROM r UNION ALL SELECT k FROM r) u ON l.s = u.v`, `error: cannot compare VARCHAR with INTEGER`},
+		{`SELECT u.v, l.id FROM (SELECT s AS v FROM r UNION ALL SELECT k FROM r) u JOIN l ON u.v = l.s`, `error: cannot compare INTEGER with VARCHAR`},
+		{`SELECT l.id FROM l JOIN (SELECT k AS v FROM r UNION ALL SELECT s FROM r) u ON l.k = u.v`, `error: cannot compare INTEGER with VARCHAR`}, // answered 1, 1, 2, 3, 3 when hashed
+	} {
+		for _, disable := range []bool{false, true} {
+			e := seedJoinCorpus(t)
+			e.SetHashJoinDisabled(disable)
+			got := ""
+			if res, err := e.Exec(tc.sql); err != nil {
+				got = "error: " + err.Error()
+			} else {
+				got = strings.SplitN(dumpSet(res.Set), "\n", 2)[1]
+			}
+			if got != tc.want {
+				t.Errorf("hash join disabled=%v: %s answered\n%s\nwant\n%s", disable, tc.sql, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestHashJoinEngages proves the hash table actually lists an
+// equi-join's candidates (the equivalence test alone would pass even if the
 // detector never fired).
 func TestHashJoinEngages(t *testing.T) {
 	e := seedJoinCorpus(t)
@@ -141,8 +186,8 @@ func TestHashJoinEngages(t *testing.T) {
 }
 
 // TestHashJoinTypeMismatchStillErrors: comparing VARCHAR with INTEGER
-// is a type error in the nested loop; the hash path must refuse the
-// key and surface the same error, not silently return zero rows.
+// is a type error; with the hash join on or off the key is refused and
+// the ON surfaces the error, not silently zero rows.
 func TestHashJoinTypeMismatchStillErrors(t *testing.T) {
 	e := seedJoinCorpus(t)
 	for _, disable := range []bool{false, true} {
@@ -154,8 +199,8 @@ func TestHashJoinTypeMismatchStillErrors(t *testing.T) {
 	}
 }
 
-// TestHashJoinNaNBailout: a NaN key does not make the hash join bail out
-// to the nested loop. Under Compare a NaN equals only NaN, so every NaN,
+// TestHashJoinNaNBailout: a NaN key does not send the hash join to a
+// scan. Under Compare a NaN equals only NaN, so every NaN,
 // whatever its bits, hashes to one key, and both joins pair the NaN rows
 // with each other and the 1s with each other, identically.
 func TestHashJoinNaNBailout(t *testing.T) {
@@ -179,9 +224,9 @@ func TestHashJoinNaNBailout(t *testing.T) {
 		}
 		return dumpSet(res.Set)
 	}
-	hash, nested := run(false), run(true)
-	if hash != nested {
-		t.Fatalf("NaN keys diverge:\n--- hash ---\n%s--- nested ---\n%s", hash, nested)
+	hash, scan := run(false), run(true)
+	if hash != scan {
+		t.Fatalf("NaN keys diverge:\n--- hash ---\n%s--- scan ---\n%s", hash, scan)
 	}
 	if want := "id:INTEGER:a|id:INTEGER:b|\nINTEGER(1),INTEGER(2),\nINTEGER(2),INTEGER(1),\n"; hash != want {
 		t.Fatalf("NaN join answered\n%s, want\n%s", hash, want)

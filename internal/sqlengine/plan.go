@@ -75,7 +75,7 @@ type joinNode struct {
 	src    *blockSource
 	cols   []boundColumn // combined bindings including this join
 	clause JoinClause    // clause with the rewritten ON expression
-	equi   *equiConjunct // the hash join's key; nil: nested loop only
+	equi   *equiConjunct // the ON's equi conjunct; nil: every pair is a candidate
 }
 
 // accessPath is the physical access bound for one base table. SELECT
@@ -288,17 +288,14 @@ func (d *Database) planSelect(sel *SelectStmt, bps *blockPlans) *selectPlan {
 		}
 	}
 
-	// Joins: ON rewritten against the combined bindings, hash strategy
-	// detected with the conjunct finder the oracle uses per execution.
+	// Joins: ON rewritten against the combined bindings, its equi
+	// conjunct found by the finder the oracle uses per execution.
 	for _, j := range sel.Joins {
 		src := d.bindSource(j.Table, bps)
 		leftWidth := len(p.cols)
 		p.cols = append(append([]boundColumn{}, p.cols...), src.cols...)
-		node := joinNode{src: src, cols: p.cols, clause: j}
+		node := joinNode{src: src, cols: p.cols, clause: j, equi: joinKeyOf(j.On, &evalEnv{cols: p.cols}, leftWidth)}
 		if j.On != nil {
-			if k, ok := findEquiConjunct(j.On, &evalEnv{cols: p.cols}, leftWidth); ok {
-				node.equi = &k
-			}
 			node.clause.On = p.bind(j.On)
 		}
 		p.joins = append(p.joins, node)

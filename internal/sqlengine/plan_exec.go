@@ -379,7 +379,7 @@ func (d *Database) execPlan(p *selectPlan, env *evalEnv) (*ResultSet, error) {
 
 // joinedRows reads a plan's FROM — one empty row without one — and runs
 // its joins over it, each right source read in its turn and joined
-// through joinStep with the key found at plan time.
+// through execJoin with the key found at plan time.
 func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
 	if p.from == nil {
 		return [][]Value{nil}, nil
@@ -397,7 +397,7 @@ func (d *Database) joinedRows(p *selectPlan, env *evalEnv) ([][]Value, error) {
 		}
 		joinEnv := env.nested(env.outer)
 		joinEnv.cols = j.cols
-		if rows, err = joinStep(rows, right, joinEnv, leftWidth, j.src.cols, j.clause, j.equi); err != nil {
+		if rows, err = execJoin(rows, right, joinEnv, leftWidth, j.src.cols, j.clause, j.equi); err != nil {
 			return nil, err
 		}
 		leftWidth = len(j.cols)

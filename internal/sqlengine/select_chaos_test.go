@@ -370,12 +370,13 @@ func (g selectFuzz) statement() (string, []Value) {
 		x, xp := g.numExpr(true)
 		return `SELECT id, ` + x + ` AS x, s FROM t` + w + ` ORDER BY ` + g.pick("x + id", "-x, id", "x * 2 DESC, s, id") + ` LIMIT ?`,
 			slices.Concat(xp, wp, []Value{NewInt(int64(g.r.Intn(60)))})
-	case 16, 17: // outer joins over a derived table and over the view
-		kind := g.pick("LEFT", "RIGHT")
+	case 16, 17: // inner and outer joins of a derived table and the view
+		kind := g.pick("", "LEFT ", "RIGHT ")
+		on, onp := g.joinOn()
 		if g.r.Intn(2) == 0 {
-			return `SELECT x.id, v.b FROM (SELECT id, a FROM t` + w + `) x ` + kind + ` JOIN live v ON x.a = v.id`, wp
+			return `SELECT x.id, y.b FROM (SELECT id, a, b FROM t` + w + `) x ` + kind + `JOIN live y ON ` + on, append(wp, onp...)
 		}
-		return `SELECT v.id, y.s FROM live v ` + kind + ` JOIN (SELECT id, s, a FROM t` + w + `) y ON v.a = y.a AND y.id < 30`, wp
+		return `SELECT x.id, y.s, y.b FROM live x ` + kind + `JOIN (SELECT id, s, a, b FROM t` + w + `) y ON ` + on, append(wp, onp...)
 	case 18, 19: // correlated, in the select list, WHERE and ORDER BY, inside a narrow range
 		lo := g.r.Int63n(g.nextID + 1)
 		return `SELECT id, (SELECT COUNT(*) FROM t i WHERE i.a = o.a) AS n FROM t o WHERE id >= ? AND id < ? AND EXISTS (SELECT 1 FROM t i WHERE i.id = o.a)` +
@@ -385,6 +386,25 @@ func (g selectFuzz) statement() (string, []Value) {
 	lo := g.r.Int63n(g.nextID + 1)
 	return `SELECT id, (SELECT COUNT(*) FROM t i WHERE i.a = o.a) FROM t o WHERE id >= ? AND id < ? AND EXISTS (SELECT 1 FROM t i WHERE i.id = o.a)`,
 		[]Value{NewInt(lo), NewInt(lo + 40)}
+}
+
+// joinOn draws the ON of a join of x to y, both holding t's id, a and
+// b: an equi conjunct on the NULL-able a, on DOUBLE b (NaN, -0 and 0),
+// across a and id or across INTEGER and DOUBLE, alone or beside a residual
+// — one that fails on the pairs holding the parameter's y.id or x.id,
+// whatever their keys, so that a join evaluating it on a pair its key
+// rules out fails where the others answer.
+func (g selectFuzz) joinOn() (string, []Value) {
+	on := g.pick(`x.a = y.a`, `x.b = y.b`, `x.a = y.id`, `y.a = x.id`, `x.a = y.b`, `x.id = y.id`)
+	switch g.r.Intn(4) {
+	case 0:
+		return on + ` AND y.id < 30`, nil
+	case 1:
+		return on + ` AND 1 / (y.id - ?) > 0`, []Value{g.someID()}
+	case 2:
+		return `1 / (x.id - ?) > 0 AND ` + on, []Value{g.someID()}
+	}
+	return on, nil
 }
 
 // groupStatement draws a grouped aggregate under the WHERE clause w over
@@ -494,6 +514,11 @@ func FuzzSelectPaths(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
+	// Joins whose ON divides by zero on a pair with a NULL key (29) or
+	// with unequal ones (52): answered where candidates were listed
+	// through the hash table, failed where every pair was tried.
+	f.Add(int64(29))
+	f.Add(int64(52))
 	f.Fuzz(func(t *testing.T, seed int64) { selectDifferential(t, seed, 300, 20) })
 }
 

@@ -256,10 +256,11 @@ var vectorCorpus = []struct {
 	{sql: `SELECT id FROM vt WHERE a > 1 OFFSET ?`, params: []Value{Null}},
 }
 
-// execAllPaths runs one statement three ways — vectorised, row plan
-// (vector disabled), interpreter oracle (planner disabled) — and requires
-// byte-identical dumps, CAs, or error text. It returns the answer they
-// agree on, nil when they agree on an error.
+// execAllPaths runs one statement four ways — vectorised, row plan
+// (vector disabled), interpreter oracle (planner disabled), and with every
+// join listing its candidate pairs by scan (hash join disabled) — and
+// requires byte-identical dumps, CAs, or error text. It returns the answer
+// they agree on, nil when they agree on an error.
 func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) *ResultSet {
 	t.Helper()
 	type outcome struct {
@@ -282,7 +283,10 @@ func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) *ResultS
 	e.SetPlannerDisabled(true)
 	interp := run()
 	e.SetPlannerDisabled(false)
-	for name, o := range map[string]outcome{"row": row, "interpreted": interp} {
+	e.SetHashJoinDisabled(true)
+	scan := run()
+	e.SetHashJoinDisabled(false)
+	for name, o := range map[string]outcome{"row": row, "interpreted": interp, "hash join off": scan} {
 		if (vec.err == nil) != (o.err == nil) {
 			t.Fatalf("%s: vector err = %v, %s err = %v", sql, vec.err, name, o.err)
 		}
