@@ -43,17 +43,19 @@ bench-smoke:
 
 # Fault-injection suite under the race detector: chaos byte-identity,
 # breaker recovery, admission shedding, vector scans beside DML plus the
-# three-seed planned-vs-walked DML differential and the three-seed
+# three-seed planned-vs-walked DML differential (with its COUNT-vs-DELETE
+# check of every generated WHERE) and the three-seed
 # vector/row/interpreter SELECT differential, lifetime churn (100k
 # registry cycles + 10k full-stack cycles racing the reaper) and the
-# short soak, then 20 s of FuzzSelectPaths: new seeds for the SELECT
-# differential on every run. CI runs this. Scale the churn with
-# DAIS_CHURN_CYCLES.
+# short soak, then 20 s each of FuzzSelectPaths and FuzzDMLPaths: new
+# seeds for the SELECT and DML differentials on every run. CI runs this.
+# Scale the churn with DAIS_CHURN_CYCLES.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChaos|TestAdmission' ./internal/service/
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChaosVector|TestChaosDML|TestChaosSelect' ./internal/sqlengine/
 	$(GO) test -race -shuffle=on -count=1 -run 'TestChurn' ./internal/wsrf/ ./internal/loadgen/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectPaths$$' -fuzztime 20s ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz '^FuzzDMLPaths$$' -fuzztime 20s ./internal/sqlengine/
 
 # Streaming-pipeline chaos: chunked fetch of a spilled 100k-row
 # resource through a fault-injecting transport, asserting byte-identical
@@ -85,8 +87,8 @@ soak:
 # Short fuzz pass over each parser target, the bulk path's cell kernels
 # against their byte-loop and strconv models, the LIKE kernel's prefix
 # words against the row matcher, the ordered index, the one
-# comparison order, the exact sum against math/big and the SELECT
-# executor against its oracle; scheduled CI runs this.
+# comparison order, the exact sum against math/big and the SELECT and
+# DML executors against their oracle; scheduled CI runs this.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnvelope -fuzztime $(FUZZTIME) ./internal/soap/
@@ -109,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompareOrder -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzExactSum -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzSelectPaths -fuzztime $(FUZZTIME) ./internal/sqlengine/
+	$(GO) test -run '^$$' -fuzz FuzzDMLPaths -fuzztime $(FUZZTIME) ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzParseEPR -fuzztime $(FUZZTIME) ./internal/wsaddr/
 	$(GO) test -run '^$$' -fuzz FuzzXPath -fuzztime $(FUZZTIME) ./internal/xmldb/

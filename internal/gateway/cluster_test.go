@@ -666,3 +666,64 @@ func TestGatewayForwardsDatasetVerbatim(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayAdmissionSheds: a gateway admitting one request at a time
+// sheds a second one while the first is held at its backend — a
+// ServiceBusyFault carrying the gate's Retry-After, counted under
+// dais_shed_total{service="gateway"} — and admits again once it is done.
+func TestGatewayAdmissionSheds(t *testing.T) {
+	hold, entered := make(chan struct{}), make(chan struct{}, 1)
+	blocker := func(ctx context.Context, action string, env *soap.Envelope, next soap.HandlerFunc) (*soap.Envelope, error) {
+		if action == ops.ActSQLExecute {
+			entered <- struct{}{}
+			<-hold
+		}
+		return next(ctx, action, env)
+	}
+	eng := sqlengine.New("held")
+	eng.MustExec(`CREATE TABLE emp (id INTEGER PRIMARY KEY)`)
+	res := dair.NewSQLDataResource(eng)
+	svc := core.NewDataService("held", core.WithConfigurationMap(dair.StandardConfigurationMaps()...))
+	ep := service.NewEndpoint(svc, service.WithServerInterceptors(blocker))
+	ep.Register(res)
+	backend := httptest.NewServer(ep)
+	t.Cleanup(backend.Close)
+	svc.SetAddress(backend.URL)
+
+	obs := telemetry.NewObserver()
+	_, gwts := startGateway(t, gateway.Config{
+		Backends:    []string{backend.URL},
+		Observer:    obs,
+		ObserverSet: true,
+		Admission:   &resil.AdmissionConfig{MaxInFlight: 1, RetryAfter: 2 * time.Second},
+	})
+	plain := client.NewResilient(nil, nil, resil.ClientConfig{}) // no retries: a shed must surface
+	ctx := context.Background()
+	ref := client.Ref(gwts.URL, res.AbstractName())
+	done := make(chan error, 1)
+	go func() {
+		_, err := plain.SQLExecute(ctx, ref, `SELECT id FROM emp`, nil, "")
+		done <- err
+	}()
+	<-entered // the first request holds the gateway's only slot
+	var busy *core.ServiceBusyFault
+	if _, err := plain.GetResourceList(ctx, gwts.URL); !errors.As(err, &busy) || busy.RetryAfter != 2*time.Second {
+		t.Fatalf("second request: err = %v, want ServiceBusyFault with Retry-After 2s", err)
+	}
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if _, err := plain.GetResourceList(ctx, gwts.URL); err != nil {
+		t.Fatalf("after release: %v", err)
+	}
+	shed := 0.0
+	for _, s := range obs.Registry.Snapshot() {
+		if s.Name == resil.MetricShed && s.Label("service") == "gateway" {
+			shed += s.Value
+		}
+	}
+	if shed != 1 {
+		t.Fatalf("dais_shed_total{service=\"gateway\"} = %v, want 1", shed)
+	}
+}

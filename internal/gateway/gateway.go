@@ -92,8 +92,6 @@ type Gateway struct {
 	obs          *telemetry.Observer
 	gm           *gwMetrics
 	health       *healthBoard
-	gate         *resil.Gate
-	shed         func(service, scope string)
 	fanout       int
 	probeTimeout time.Duration
 	address      string
@@ -146,15 +144,12 @@ func New(cfg Config) *Gateway {
 		rcfg.OnBreakerChange = g.onBreakerChange
 	}
 	g.client = client.NewResilient(cfg.HTTPClient, obs, rcfg)
-	if cfg.Admission != nil {
-		g.gate = resil.NewGate(*cfg.Admission)
-		if obs != nil {
-			g.shed = resil.ShedObserver(obs.Registry)
-		}
-	}
 	ics := []soap.Interceptor{soap.ServerRequestID()}
 	if obs != nil {
 		ics = append(ics, obs.ServerInterceptor())
+	}
+	if cfg.Admission != nil {
+		ics = append(ics, service.AdmissionInterceptor(resil.NewGate(*cfg.Admission), "gateway", obs))
 	}
 	g.soapSrv = soap.NewServer(ics...)
 	if obs != nil {
@@ -207,8 +202,8 @@ func (g *Gateway) route(name string) string {
 	return g.ring.Owner(name, g.health.isHealthy)
 }
 
-// handleProxy proxies one catalog operation: admission, alias or
-// name-based routing, the resilient backend call, EPR rewriting for
+// handleProxy proxies one catalog operation: alias or name-based
+// routing, the resilient backend call, EPR rewriting for
 // factory-style replies, and fault re-encoding — the reply a consumer
 // sees is byte-identical to dialing the owning backend directly,
 // except that EPRs address the gateway.
@@ -220,16 +215,6 @@ func (g *Gateway) handleProxy(spec ops.Spec) soap.HandlerFunc {
 		}
 		ctx = ops.WithCallInfo(ctx, spec.Info())
 		name := ops.AbstractNameText(body)
-		if g.gate != nil {
-			release, scope, err := g.gate.Acquire(name)
-			if err != nil {
-				if g.shed != nil {
-					g.shed("gateway", scope)
-				}
-				return nil, service.ToSOAPFault(err)
-			}
-			defer release()
-		}
 		var resp *xmlutil.Element
 		var err error
 		if a, ok := g.aliases[name]; ok {
@@ -321,16 +306,6 @@ func (g *Gateway) rewriteEPR(spec ops.Spec, resp *xmlutil.Element, backend strin
 func (g *Gateway) handleList(spec ops.Spec) soap.HandlerFunc {
 	return func(ctx context.Context, _ string, env *soap.Envelope) (*soap.Envelope, error) {
 		ctx = ops.WithCallInfo(ctx, spec.Info())
-		if g.gate != nil {
-			release, scope, err := g.gate.Acquire("")
-			if err != nil {
-				if g.shed != nil {
-					g.shed("gateway", scope)
-				}
-				return nil, service.ToSOAPFault(err)
-			}
-			defer release()
-		}
 		names := g.collectResourceLists(ctx)
 		for name := range g.aliases {
 			names = append(names, name)

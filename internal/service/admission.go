@@ -4,8 +4,10 @@ import (
 	"context"
 
 	"dais/internal/core"
+	"dais/internal/ops"
 	"dais/internal/resil"
 	"dais/internal/soap"
+	"dais/internal/telemetry"
 )
 
 // WithAdmission bounds the endpoint's concurrency: requests beyond the
@@ -21,28 +23,25 @@ func WithAdmission(cfg resil.AdmissionConfig) EndpointOption {
 // control is disabled.
 func (e *Endpoint) Gate() *resil.Gate { return e.gate }
 
-// admissionInterceptor enforces the endpoint's admission gate around
-// every dispatched request. It sits inside the telemetry interceptor so
-// shed requests still show up in the request/fault metrics, and outside
-// the user interceptors so load is dropped before any per-request work.
-// The per-resource cap keys on the DataResourceAbstractName body
-// element; service-level operations (factories, resource lists) consume
-// only the global cap.
-func (e *Endpoint) admissionInterceptor() soap.Interceptor {
-	gate, name := e.gate, e.svc.Name()
+// AdmissionInterceptor enforces an admission gate around every request
+// a SOAP server dispatches: the endpoint's, and the gateway's. Installed
+// inside the telemetry interceptor, shed requests still show up in the
+// request/fault metrics; outside the user interceptors, load is dropped
+// before any per-request work. The per-resource cap keys on the
+// DataResourceAbstractName body element; service-level operations
+// (factories, resource lists) consume only the global cap. A shed is a
+// ServiceBusyFault (HTTP 503 + Retry-After), counted in dais_shed_total
+// under service when obs is non-nil.
+func AdmissionInterceptor(gate *resil.Gate, service string, obs *telemetry.Observer) soap.Interceptor {
 	var countShed func(service, scope string)
-	if e.obs != nil {
-		countShed = resil.ShedObserver(e.obs.Registry)
+	if obs != nil {
+		countShed = resil.ShedObserver(obs.Registry)
 	}
 	return func(ctx context.Context, action string, env *soap.Envelope, next soap.HandlerFunc) (*soap.Envelope, error) {
-		resource := ""
-		if body := env.BodyEntry(); body != nil {
-			resource = body.FindText(core.NSDAI, "DataResourceAbstractName")
-		}
-		release, scope, err := gate.Acquire(resource)
+		release, scope, err := gate.Acquire(ops.AbstractNameText(env.BodyEntry()))
 		if err != nil {
 			if countShed != nil {
-				countShed(name, scope)
+				countShed(service, scope)
 			}
 			return nil, ToSOAPFault(err)
 		}

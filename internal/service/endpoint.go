@@ -132,7 +132,7 @@ func NewEndpoint(svc *core.DataService, opts ...EndpointOption) *Endpoint {
 	// Retry-After transport hints; handler errors are mapped in bind.
 	ics = append(ics, normalizeFaults())
 	if e.gate != nil {
-		ics = append(ics, e.admissionInterceptor())
+		ics = append(ics, AdmissionInterceptor(e.gate, e.svc.Name(), e.obs))
 	}
 	ics = append(ics, e.extraICs...)
 	e.soapSrv = soap.NewServer(ics...)

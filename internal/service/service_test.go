@@ -115,6 +115,19 @@ func TestSQLExecuteFormats(t *testing.T) {
 	}
 }
 
+// TestParameterCountFaults: SQLExecute with a surplus parameter gets the
+// typed fault a missing one gets, naming both counts.
+func TestParameterCountFaults(t *testing.T) {
+	_, _, ref, c := relationalFixture(t)
+	for _, params := range [][]sqlengine.Value{nil, {sqlengine.NewInt(1), sqlengine.NewInt(2)}} {
+		var ief *core.InvalidExpressionFault
+		_, err := c.SQLExecute(context.Background(), ref, `SELECT id FROM emp WHERE id = ?`, params, "")
+		if want := fmt.Sprintf("statement requires 1 parameters, got %d", len(params)); !errors.As(err, &ief) || !strings.Contains(ief.Detail, want) {
+			t.Fatalf("%d params: err = %v, want InvalidExpressionFault %q", len(params), err, want)
+		}
+	}
+}
+
 func TestFaultsTravelTyped(t *testing.T) {
 	_, _, ref, c := relationalFixture(t)
 	var irf *core.InvalidResourceNameFault

@@ -327,12 +327,3 @@ func (d *Database) ensureChunks(t *Table) (ok bool) {
 	}
 	return !t.mixed
 }
-
-// chunksLive reports whether the table has had a columnar read, so DML
-// keeps its vectors current. Caller holds the database latch (shared
-// suffices).
-func (t *Table) chunksLive() bool {
-	t.chunkMu.Lock()
-	defer t.chunkMu.Unlock()
-	return t.columnar
-}

@@ -4,6 +4,15 @@ import (
 	"testing"
 )
 
+// chunksLive reports whether the table has had a columnar read, so
+// writes keep its vectors current. Caller holds the database latch
+// (shared suffices).
+func (t *Table) chunksLive() bool {
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	return t.columnar
+}
+
 // chunkState inspects the chunk cache of a table under the read latch:
 // whether a columnar read has built it, and its non-empty pages and rows.
 func chunkState(e *Engine, table string) (built bool, chunks int, rows int) {

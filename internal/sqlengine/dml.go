@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
 // undoEntry reverses one physical change; applied in reverse order on
@@ -125,100 +124,46 @@ func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Valu
 	return count, undo, nil
 }
 
-// dmlPlan is the compiled target selection of one UPDATE or DELETE
-// whose WHERE lies in the error-free predicate class (its source has
-// kernels, so no subquery): the rows to visit come from an index probe
-// or from the kernels instead of a walk over the table. Like a
-// selectPlan it is immutable and only valid at the schema epoch it was
-// built against.
-type dmlPlan struct {
-	stmt  Statement
-	epoch uint64
-	tableSource
-}
-
-// planDML plans the target selection for an UPDATE or DELETE from its
-// source, or returns nil with the reason the statement walks the table.
-// The caller must hold d.mu for reading.
-func (d *Database) planDML(st Statement) (*dmlPlan, string) {
-	var table string
-	var where Expr
-	switch n := st.(type) {
-	case *UpdateStmt:
-		table, where = n.Table, n.Where
-	case *DeleteStmt:
-		table, where = n.Table, n.Where
+// whereIDs lists, ascending, the rows of an UPDATE's or DELETE's table
+// its WHERE accepts: the rows its source lists as a SELECT's row path
+// does (rowIDs) — every row, as the oracle reads them, with the test
+// oracle installed — each decided under the candidate rule (splitKeys).
+// Caller holds d.mu for writing.
+func (d *Database) whereIDs(env *evalEnv, src *tableSource, where Expr) ([]int64, error) {
+	var ids []int64
+	filtered := false
+	if d.oracle != nil {
+		ids = src.t.liveIDs()
+	} else {
+		ids, filtered = src.rowIDs(env.params, false)
 	}
-	src := d.planSource(&TableRef{Table: table}, where)
-	bound := false
-	if src != nil {
-		_, bound = rewriteExpr(where, src.cols)
+	if where == nil || filtered {
+		return ids, nil
 	}
-	switch {
-	case where == nil:
-		return nil, "no WHERE clause"
-	case src == nil:
-		return nil, "unknown table"
-	case exprHasSubquery(where):
-		return nil, "subquery in WHERE"
-	case !bound:
-		return nil, "unresolvable WHERE expression"
-	case src.pred == nil:
-		return nil, "WHERE outside the error-free predicate class"
-	}
-	return &dmlPlan{stmt: st, epoch: d.epoch, tableSource: *src}, ""
-}
-
-// targets resolves a planned statement's candidate row IDs for one
-// execution: ascending, private to the caller, and a superset of the
-// rows the WHERE clause accepts (the caller re-checks each). Because the
-// bound predicate cannot error on any row, leaving the other rows
-// unvisited hides nothing the walk would have reported. ok=false — an
-// operand that does not bind (NULL key, type mismatch),
-// or no index and no live chunk cache to drain instead — sends the
-// statement down the walk: a write never builds a chunk cache no read
-// has built. Caller holds d.mu exclusively.
-func (d *Database) targets(ctx context.Context, p *dmlPlan, params []Value) (ids []int64, ok bool, err error) {
-	scan := p.access == accessFullScan
-	bp, chunks, bound := d.bindKernels(&p.tableSource, params, scan && p.t.chunksLive())
-	if !bound {
-		return nil, false, nil
-	}
-	if !scan {
-		ids, ok = p.indexIDs(params, false, false)
-		return ids, ok, nil
-	}
-	if !chunks {
-		return nil, false, nil
-	}
-	err = d.eachChunk(ctx, bp, p.t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
-		ids = ch.appendIDs(ids, rows)
-		return true, nil
-	})
-	return ids, err == nil, err
-}
-
-// dmlCandidates returns the row IDs an UPDATE or DELETE must visit, in
-// ascending order: the planned targets when p is current and binds,
-// otherwise every live row.
-func (d *Database) dmlCandidates(ctx context.Context, t *Table, p *dmlPlan, params []Value) ([]int64, error) {
-	if p != nil && p.epoch == d.epoch {
-		ids, ok, err := d.targets(ctx, p, params)
-		if err != nil || ok {
-			return ids, err
+	keys, kept := src.splitKeys(env.params), ids[:0]
+	for _, id := range ids {
+		if err := env.checkCtx(); err != nil {
+			return nil, err
+		}
+		ok, err := decide(env, keys, where, src.t.row(id))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, id)
 		}
 	}
-	return t.liveIDs(), nil
+	return kept, nil
 }
 
-// execUpdate applies an UPDATE; p is its compiled target plan, or nil, and
-// plans holds its subqueries'. Caller holds d.mu for writing.
-func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Value, p *dmlPlan, plans *blockPlans) (int, []undoEntry, error) {
+// execUpdate applies an UPDATE; plans holds its table's source and its
+// subqueries' plans. Caller holds d.mu for writing.
+func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Value, plans *blockPlans) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
 	}
-	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx, plans: plans}
+	env := &evalEnv{params: params, cols: plans.src.cols, db: d, ctx: ctx, plans: plans}
 	// Pre-resolve SET targets.
 	type setTarget struct {
 		col  int
@@ -232,37 +177,26 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 		}
 		sets[i] = setTarget{col: ci, expr: sc.Value}
 	}
-	ids, err := d.dmlCandidates(ctx, t, p, params)
+	// Every target is chosen, and its new image evaluated, before the first
+	// write, so a subquery in the WHERE or the SET list reads the table as
+	// the statement found it — and, as in a SELECT, a row fails its SET only
+	// once the WHERE has passed every row. The images then apply in
+	// ascending row-ID order.
+	ids, err := d.whereIDs(env, plans.src, st.Where)
 	if err != nil {
 		return 0, nil, err
 	}
-	// Every target's WHERE and new image are evaluated before the first
-	// write, so a subquery in either reads the table as the statement
-	// found it; the images then apply in ascending row-ID order.
 	type change struct {
 		id       int64
 		old, new []Value
 	}
-	var changes []change
+	changes := make([]change, 0, len(ids))
 	for _, id := range ids {
 		if err := env.checkCtx(); err != nil {
 			return 0, nil, err
 		}
 		row := t.row(id)
 		env.row = row
-		if st.Where != nil {
-			v, err := eval(st.Where, env)
-			if err != nil {
-				return 0, nil, err
-			}
-			ok, err := truthy(v)
-			if err != nil {
-				return 0, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
 		newRow := append([]Value(nil), row...)
 		for _, s := range sets {
 			v, err := eval(s.expr, env)
@@ -291,38 +225,16 @@ func (d *Database) execUpdate(ctx context.Context, st *UpdateStmt, params []Valu
 	return len(undo), undo, nil
 }
 
-// execDelete applies a DELETE; p is its compiled target plan, or nil, and
-// plans holds its subqueries'. Caller holds d.mu for writing.
-func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Value, p *dmlPlan, plans *blockPlans) (int, []undoEntry, error) {
+// execDelete applies a DELETE; plans holds its table's source and its
+// subqueries' plans. Caller holds d.mu for writing.
+func (d *Database) execDelete(ctx context.Context, st *DeleteStmt, params []Value, plans *blockPlans) (int, []undoEntry, error) {
 	t, err := d.table(st.Table)
 	if err != nil {
 		return 0, nil, err
 	}
-	env := &evalEnv{params: params, cols: columnsOf(t, strings.ToLower(t.Name)), db: d, ctx: ctx, plans: plans}
-	ids, err := d.dmlCandidates(ctx, t, p, params)
+	doomed, err := d.whereIDs(&evalEnv{params: params, cols: plans.src.cols, db: d, ctx: ctx, plans: plans}, plans.src, st.Where)
 	if err != nil {
 		return 0, nil, err
-	}
-	var doomed []int64
-	for _, id := range ids {
-		if err := env.checkCtx(); err != nil {
-			return 0, nil, err
-		}
-		if st.Where != nil {
-			env.row = t.row(id)
-			v, err := eval(st.Where, env)
-			if err != nil {
-				return 0, nil, err
-			}
-			ok, err := truthy(v)
-			if err != nil {
-				return 0, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		doomed = append(doomed, id)
 	}
 	// Highest ID first: deleteRow cannot fail, so the order is not
 	// observable, and this one closes each page's ids from the end — no

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -86,8 +87,9 @@ func TestOneRowDMLTouchesOneChunk(t *testing.T) {
 	}
 }
 
-// TestDMLTargetAccess checks which path each statement shape selects
-// its rows by, through EXPLAIN and through the kernel counters.
+// TestDMLTargetAccess checks how each statement shape lists its rows:
+// through its table source, in the lines a SELECT's row path prints,
+// and never through the kernels or the column chunks.
 func TestDMLTargetAccess(t *testing.T) {
 	e := factsEngine(t, 4*chunkRows)
 	e.MustExec(`CREATE ORDERED INDEX facts_grp ON facts (grp)`)
@@ -99,52 +101,93 @@ func TestDMLTargetAccess(t *testing.T) {
 		}
 		return strings.Join(lines, "\n")
 	}
-	// No chunk cache yet: a range on the unindexed num has nothing to
-	// scan but rows.
-	if got := explain(`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`); strings.Contains(got, "zone maps") {
-		t.Fatalf("zone-map line without a chunk cache:\n%s", got)
-	}
 	execAllPaths(t, e, `SELECT COUNT(*) FROM facts WHERE num >= 0`)
-	for sql, wants := range map[string][]string{
-		`UPDATE facts SET payload = 'x' WHERE id = 7`:         {`update "facts"`, "access: ordered point lookup via pk_facts_id (facts.id = ?)", "set: 1 column(s)"},
-		`DELETE FROM facts WHERE grp = 3`:                     {"access: ordered point lookup via facts_grp (facts.grp = ?)"},
-		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:        {"access: ordered range scan via facts_grp (grp > ? AND grp <= ?)"},
-		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:       {"access: ordered range scan via pk_facts_id (id >= ? AND id <= ?)"},
-		`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`:     {`delete from "facts"`, "access: full scan", "vector: columnar scan", "vector zone maps: 3/4 chunks skippable"},
-		`DELETE FROM facts WHERE num >= ? AND num <= ?`:       {"vector zone maps: evaluated per execution"},
-		`DELETE FROM facts WHERE num = 1.5`:                   {"access: full scan", "vector filter: compiled kernels"},
-		`DELETE FROM facts WHERE num + id > 9 AND id % 2 = 0`: {"access: full scan", "vector filter: compiled kernels"},
-		`DELETE FROM facts WHERE id + grp > 9`:                {"access: full scan (interpreted: WHERE outside the error-free predicate class)"},
-		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:            {"access: full scan (interpreted: WHERE outside the error-free predicate class)"},
-		`DELETE FROM facts WHERE id IN (SELECT 1)`:            {"access: full scan (interpreted: subquery in WHERE)"},
-		`DELETE FROM facts`:                                   {"access: full scan (interpreted: no WHERE clause)"},
-		`DELETE FROM facts WHERE nosuch = 1`:                  {"access: full scan (interpreted: unresolvable WHERE expression)"},
+	for sql, want := range map[string]string{
+		`UPDATE facts SET payload = 'x' WHERE id = 7`:         "update \"facts\"\n  access: ordered point lookup via pk_facts_id (facts.id = ?)\n  filter: predicate per row\n  set: 1 column(s), interpreted per target row",
+		`DELETE FROM facts WHERE grp = 3`:                     "delete from \"facts\"\n  access: ordered point lookup via facts_grp (facts.grp = ?)\n  filter: predicate per row",
+		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:        "delete from \"facts\"\n  access: ordered range scan via facts_grp (grp > ? AND grp <= ?)\n  filter: satisfied by access path (re-applied if a bound does not bind)",
+		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:       "delete from \"facts\"\n  access: ordered range scan via pk_facts_id (id >= ? AND id <= ?)\n  filter: satisfied by access path (re-applied if a bound does not bind)",
+		`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`:     "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
+		`DELETE FROM facts WHERE num + id > 9 AND id % 2 = 0`: "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
+		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:            "update \"facts\"\n  access: full scan\n  filter: predicate per row\n  set: 1 column(s), interpreted per target row",
+		`DELETE FROM facts WHERE id IN (SELECT 1)`:            "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
+		`DELETE FROM facts`:                                   "delete from \"facts\"\n  access: full scan",
+		`DELETE FROM facts WHERE nosuch = 1`:                  "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
+		`DELETE FROM nosuch WHERE id = 1`:                     "delete from \"nosuch\"\n  fails when run: table \"nosuch\" does not exist",
 	} {
-		got := explain(sql)
-		for _, want := range wants {
-			if !strings.Contains(got, want) {
-				t.Fatalf("EXPLAIN %s:\n%s\nmissing %q", sql, got, want)
-			}
+		if got := explain(sql); got != want {
+			t.Fatalf("EXPLAIN %s:\n%s\nwant:\n%s", sql, got, want)
 		}
 	}
+	// A SELECT with the same WHERE prints the same source lines.
+	if got := explain(`SELECT * FROM facts WHERE grp = 3`); !strings.Contains(got, "access: ordered point lookup via facts_grp (facts.grp = ?)\n  filter: predicate per row") {
+		t.Fatalf("SELECT:\n%s", got)
+	}
 
-	// The range DELETE runs on the kernels and skips by zone map.
+	// Neither a range DELETE on the unindexed num nor a by-key UPDATE
+	// touches the kernels or the chunks.
 	before := e.VectorStats()
 	if res := e.MustExec(`DELETE FROM facts WHERE num >= ? AND num <= ?`, NewDouble(5), NewDouble(6.5)); res.UpdateCount != 4 {
 		t.Fatalf("deleted %d rows", res.UpdateCount)
 	}
-	after := e.VectorStats()
-	if after.ChunksSkipped-before.ChunksSkipped != 3 || after.Batches-before.Batches != 1 {
-		t.Fatalf("range DELETE: %+v -> %+v, want 3 skipped and 1 evaluated", before, after)
-	}
-	// The by-key UPDATE touches neither kernels nor chunks.
-	before = after
 	if res := e.MustExec(`UPDATE facts SET payload = 'x' WHERE id = ?`, NewInt(3000)); res.UpdateCount != 1 {
 		t.Fatalf("updated %d rows", res.UpdateCount)
 	}
-	if after = e.VectorStats(); after != before {
-		t.Fatalf("by-key UPDATE moved vector counters: %+v -> %+v", before, after)
+	if after := e.VectorStats(); after != before {
+		t.Fatalf("DML moved vector counters: %+v -> %+v", before, after)
 	}
+	// A by-key UPDATE lists the probe's row, not the table: a statement
+	// allocates less than half of one listing of the table's row IDs.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 20; i++ {
+		e.MustExec(`UPDATE facts SET payload = 'y' WHERE id = ?`, NewInt(int64(i)))
+	}
+	runtime.ReadMemStats(&m1)
+	if per, listing := (m1.TotalAlloc-m0.TotalAlloc)/20, uint64(8*4*chunkRows); per > listing/2 {
+		t.Fatalf("a by-key UPDATE allocated %d bytes; one listing of the table is %d", per, listing)
+	}
+}
+
+// TestWhereCandidateRule pins the candidate rule for a WHERE over one
+// table: the conjuncts that cannot fail pick the rows, and the WHERE
+// decides only those, whatever index lists them. A probe on id = 1 skips
+// row 2, where 10 / (a - 5) divides by zero; one on a = 7 skips row 1,
+// whose NULL a has s = 3 compare a VARCHAR with an INTEGER. A planned
+// SELECT, the oracle, UPDATE and DELETE, planned or walked, answer each
+// case alike; each split them before the rule.
+func TestWhereCandidateRule(t *testing.T) {
+	e := New("rule")
+	e.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b DOUBLE, s VARCHAR(8))`)
+	e.MustExec(`CREATE INDEX ia ON t (a)`)
+	e.MustExec(`INSERT INTO t VALUES (1, NULL, 1.5, 'x'), (2, 5, 2.5, 'y')`)
+	for _, where := range []string{`10 / (a - 5) > 0 AND id = 1`, `a = 7 AND s = 3`} {
+		t.Run(where, func(t *testing.T) {
+			if got := execAllPaths(t, e, `SELECT id FROM t WHERE `+where); len(got.Rows) != 0 {
+				t.Fatalf("%d rows", len(got.Rows))
+			}
+			for _, dml := range []string{`DELETE FROM t WHERE `, `UPDATE t SET b = 0 WHERE `} {
+				for _, walk := range []bool{false, true} {
+					s := e.NewSession()
+					mustExecSession(t, s, `BEGIN`)
+					e.SetPlannerDisabled(walk)
+					res, err := s.Execute(dml + where)
+					e.SetPlannerDisabled(false)
+					mustExecSession(t, s, `ROLLBACK`)
+					if err != nil || res.UpdateCount != 0 {
+						t.Fatalf("%s%s (walk=%v): count=%v err=%v", dml, where, walk, res.UpdateCount, err)
+					}
+				}
+			}
+		})
+	}
+	// The join a differential seed drew: its derived table y probes a.
+	t.Run("join", func(t *testing.T) {
+		const join = `SELECT x.id, y.s FROM (SELECT id, a FROM t WHERE b > CAST(? AS DOUBLE)) x JOIN (SELECT id, s FROM t WHERE a = ? AND s = ?) y ON x.id = y.id`
+		if got := execAllPaths(t, e, join, NewInt(0), NewInt(7), NewInt(3)); len(got.Rows) != 0 {
+			t.Fatalf("%d rows", len(got.Rows))
+		}
+	})
 }
 
 // TestDMLPlanCachedAndReplanned: a parametrised DML statement plans once
@@ -161,13 +204,13 @@ func TestDMLPlanCachedAndReplanned(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, _ := e.Prepare(upd)
-	if p1 != p2 || !p1.Planned() || p1.dml.access != accessFullScan {
-		t.Fatalf("first plan: same=%v planned=%v", p1 == p2, p1.Planned())
+	if p1 != p2 || p1.blocks.src.access != accessFullScan {
+		t.Fatalf("first plan: same=%v access=%v", p1 == p2, p1.blocks.src.access)
 	}
 	e.MustExec(`CREATE INDEX c_id ON c (id)`)
 	p3, _ := e.Prepare(upd)
-	if p3 == p1 || p3.dml == nil || p3.dml.access != accessOrderedPoint {
-		t.Fatalf("plan not rebuilt after CREATE INDEX: %+v", p3.dml)
+	if p3 == p1 || p3.blocks.src.access != accessOrderedPoint {
+		t.Fatalf("plan not rebuilt after CREATE INDEX: %v", p3.blocks.src.access)
 	}
 	// A Prepared held across DDL is stale: it must walk, not probe the
 	// index it was not planned against (or one since dropped).
@@ -180,16 +223,16 @@ func TestDMLPlanCachedAndReplanned(t *testing.T) {
 	}
 }
 
-// TestDMLFallsBackToWalk proves the two fallbacks take the walk: an
-// unplannable WHERE gets no plan at all, and a plan whose operands do
-// not bind yields no targets — and both report the walk's exact errors.
+// TestDMLFallsBackToWalk proves that a WHERE outside the kernels'
+// class, and one in it whose operands do not bind, answer what the walk
+// answers — its exact errors included.
 func TestDMLFallsBackToWalk(t *testing.T) {
 	e := factsEngine(t, 2*chunkRows)
-	execAllPaths(t, e, `SELECT COUNT(*) FROM facts WHERE num >= 0`) // live cache: kernels are on offer
+	execAllPaths(t, e, `SELECT COUNT(*) FROM facts WHERE num >= 0`) // live cache
 	for _, tc := range []struct {
 		sql     string
 		params  []Value
-		planned bool // a target plan exists; its operands then fail to bind
+		kernels bool // the kernels take the WHERE whole; its operands then fail to bind
 		wantErr string
 	}{
 		{`UPDATE facts SET num = 1 WHERE 1/(grp - 3) > 0`, nil, false, "division by zero"},
@@ -204,15 +247,11 @@ func TestDMLFallsBackToWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		if (prep.dml != nil) != tc.planned {
-			t.Fatalf("%s: planned=%v (%s), want %v", tc.sql, prep.dml != nil, prep.reason, tc.planned)
-		}
-		if tc.planned {
-			e.db.mu.Lock()
-			_, ok, err := e.db.targets(context.Background(), prep.dml, tc.params)
-			e.db.mu.Unlock()
-			if ok || err != nil {
-				t.Fatalf("%s: targets bound (ok=%v err=%v); the walk must run", tc.sql, ok, err)
+		if src := prep.blocks.src; (src.pred != nil) != tc.kernels {
+			t.Fatalf("%s: kernels=%v, want %v", tc.sql, src.pred != nil, tc.kernels)
+		} else if tc.kernels {
+			if _, bound := bindVecPred(src.pred, tc.params, src.t); bound {
+				t.Fatalf("%s: the kernels bound", tc.sql)
 			}
 		}
 		plannedRes, plannedErr := e.Exec(tc.sql, tc.params...)
@@ -538,15 +577,16 @@ func (g *dmlFuzz) insertSelect() (string, []Value) {
 
 // where draws a predicate: by key, range, IN, LIKE, IS NULL, boolean
 // combinations, float and NaN operands, computed operands — all inside
-// the planned class — plus operands that fail to bind and predicates
-// outside the class.
+// the kernels' class — plus operands that fail to bind, predicates
+// outside the class, and keys beside conjuncts that fail on rows the keys
+// rule out.
 func (g *dmlFuzz) where() (string, []Value) {
 	lo := g.r.Int63n(g.nextID + 1)
 	hi := lo + g.r.Int63n(40)
 	if g.r.Intn(6) == 0 {
 		hi = lo + g.r.Int63n(g.nextID+1) // wide: crosses chunk boundaries
 	}
-	switch g.r.Intn(31) {
+	switch g.r.Intn(32) {
 	case 0, 1, 2:
 		return `id = ?`, []Value{g.someID()}
 	case 3:
@@ -596,16 +636,36 @@ func (g *dmlFuzz) where() (string, []Value) {
 	case 24: // ... a zero one sometimes, and operands that do not bind
 		return `id % ? = 1 AND a + ? > 3`, []Value{NewInt(int64(g.r.Intn(3))), g.pickVal(NewInt(2), NewDouble(0.5), Null, NewString("x"))}
 	case 25: // row-independent operands: constants of one execution, key and bounds included
-		return g.pick(`id = ? + 1`, `id > -?`, `id BETWEEN ABS(?) AND ? + 30`, `b > CAST(? AS DOUBLE)`),
-			[]Value{g.pickVal(NewInt(-lo), NewInt(lo), Null), NewInt(lo)}
+		v := g.pickVal(NewInt(-lo), NewInt(lo), Null)
+		if g.r.Intn(4) == 0 {
+			return `id BETWEEN ABS(?) AND ? + 30`, []Value{v, NewInt(lo)}
+		}
+		return g.pick(`id = ? + 1`, `id > -?`, `b > CAST(? AS DOUBLE)`), []Value{v}
 	case 26: // row-independent conjuncts and disjuncts
 		return g.pick(`1 = 1 AND id >= ? AND id <= ?`, `? IS NULL OR id < ?`), []Value{g.pickVal(NewInt(lo), Null), NewInt(hi)}
-	case 27: // a constant that fails to evaluate at 0, which only the rows it meets may raise
-		return g.pick(`a > 1 / ?`, `id < ? AND a > 10 / ?`), []Value{NewInt(int64(g.r.Intn(3))), NewInt(int64(g.r.Intn(3)))}
+	case 27: // a constant that fails to evaluate at 0, which only the candidates may raise
+		d := NewInt(int64(g.r.Intn(3)))
+		if g.r.Intn(2) == 0 {
+			return `a > 1 / ?`, []Value{d}
+		}
+		return `id < ? AND a > 10 / ?`, []Value{NewInt(hi), d}
 	case 28: // a row-independent predicate that is not boolean, met only where id < ?
 		return `id < ? AND ?`, []Value{NewInt(hi), g.pickVal(NewBool(true), NewString("x"), NewInt(1))}
 	case 29: // outside the class: a correlated subquery, behind a narrow range
 		return `id >= ? AND id <= ? AND ` + g.pick("", "NOT ") + `EXISTS (SELECT 1 FROM t i WHERE i.id = t.a AND i.s IS NOT NULL)`, []Value{NewInt(lo), NewInt(lo + 30)}
+	case 30: // a key beside a residual that fails on some row the key rules out, in either order
+		key, kp := `id = ?`, []Value{g.someID()}
+		if g.r.Intn(2) == 0 {
+			key, kp = `a = ?`, []Value{g.intVal()}
+		}
+		res, rp := `10 / (a - ?) > 0`, []Value{g.intVal()}
+		if g.r.Intn(2) == 0 {
+			res, rp = `s = ?`, []Value{NewInt(int64(g.r.Intn(40)))} // VARCHAR against INTEGER
+		}
+		if g.r.Intn(2) == 0 {
+			return key + ` AND ` + res, append(kp, rp...)
+		}
+		return res + ` AND ` + key, append(rp, kp...)
 	}
 	return "", nil // WHERE-less
 }
@@ -684,6 +744,16 @@ func TestChaosDMLDifferential(t *testing.T) {
 	}
 }
 
+// FuzzDMLPaths maps a seed to a short dmlDifferential run: twenty
+// generated statements over a table of 300 rows, like FuzzSelectPaths.
+// The seeds below run with the tier-1 tests.
+func FuzzDMLPaths(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { dmlDifferential(t, seed, 300, 20) })
+}
+
 func dmlDifferential(t *testing.T, seed int64, rows, statements int) {
 	g := &dmlFuzz{r: rand.New(rand.NewSource(seed))}
 	planned := New("planned")
@@ -751,10 +821,42 @@ func dmlDifferential(t *testing.T, seed int64, rows, statements int) {
 		}
 		checkChunks(t, planned, "t", true)
 	}
+	// rule is the metamorphic check on a generated WHERE p, on each engine:
+	// SELECT COUNT(*) under p and a DELETE under p, rolled back, both
+	// succeed with one count or both fail with one error text — and the two
+	// engines agree.
+	rule := func() {
+		t.Helper()
+		p, pp := g.where()
+		if p == "" {
+			return
+		}
+		outcome := func(s *Session) string {
+			cnt, cerr := s.Execute(`SELECT COUNT(*) FROM t WHERE `+p, pp...)
+			mustExecSession(t, s, `BEGIN`)
+			del, derr := s.Execute(`DELETE FROM t WHERE `+p, pp...)
+			mustExecSession(t, s, `ROLLBACK`)
+			if fmt.Sprint(cerr) != fmt.Sprint(derr) || cerr == nil && cnt.Set.Rows[0][0].I != int64(del.UpdateCount) {
+				t.Fatalf("seed %d: WHERE %s %v: SELECT COUNT(*) %v err=%v, DELETE %d err=%v", seed, p, pp, cnt.Set, cerr, del.UpdateCount, derr)
+			}
+			if cerr != nil {
+				return cerr.Error()
+			}
+			return fmt.Sprint(del.UpdateCount)
+		}
+		var walk string
+		withWalk(walked, func() { walk = outcome(ws) })
+		if plan := outcome(ps); plan != walk {
+			t.Fatalf("seed %d: WHERE %s %v: planned %s, walked %s", seed, p, pp, plan, walk)
+		}
+	}
 	check()
 	inTxn := false
 	for i := 0; i < statements; i++ {
 		both(g.statement(&inTxn))
+		if !inTxn {
+			rule()
+		}
 		check()
 	}
 	if inTxn {

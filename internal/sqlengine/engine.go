@@ -228,8 +228,7 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string, params ...Valu
 // moved since they were built, the statement is planned again, once, as
 // it starts.
 func (s *Session) ExecutePrepared(ctx context.Context, prep *Prepared, params ...Value) (*Result, error) {
-	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
-		err := fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
+	if err := prep.checkParams(params); err != nil {
 		return errResult(StateSyntax, err), err
 	}
 	s.prep = prep
@@ -345,13 +344,9 @@ func (s *Session) run(ctx context.Context, st Statement, params []Value) (*Resul
 	case *InsertStmt:
 		return s.runDML(n, n.Table, func() (int, []undoEntry, error) { return db.execInsert(ctx, n, params, s.blocks(n)) })
 	case *UpdateStmt:
-		return s.runDML(n, n.Table, func() (int, []undoEntry, error) {
-			return db.execUpdate(ctx, n, params, s.currentDMLPlan(n), s.blocks(n))
-		})
+		return s.runDML(n, n.Table, func() (int, []undoEntry, error) { return db.execUpdate(ctx, n, params, s.blocks(n)) })
 	case *DeleteStmt:
-		return s.runDML(n, n.Table, func() (int, []undoEntry, error) {
-			return db.execDelete(ctx, n, params, s.currentDMLPlan(n), s.blocks(n))
-		})
+		return s.runDML(n, n.Table, func() (int, []undoEntry, error) { return db.execDelete(ctx, n, params, s.blocks(n)) })
 	case *CreateTableStmt:
 		return s.runDDL(func() error { return db.createTable(n) })
 	case *DropTableStmt:
@@ -423,13 +418,13 @@ func (s *Session) runDDL(f func() error) (*Result, error) {
 	return okResult(-1), nil
 }
 
-// blocks returns the plans the statement's SELECT blocks run by: the ones
-// threaded through ExecutePrepared while they belong to exactly this
-// statement and the schema has not moved since they were built, else the
-// statement's blocks planned again — once, under the database latch the
-// caller holds, so no block of it is planned per row. A literal INSERT,
-// which Prepare leaves unplanned, has none unless a default of its table
-// nests one.
+// blocks returns the plans the statement's SELECT blocks — and an UPDATE
+// or DELETE its table — run by: the ones threaded through ExecutePrepared
+// while they belong to exactly this statement and the schema has not
+// moved since they were built, else the statement's blocks planned again
+// — once, under the database latch the caller holds, so no block of it is
+// planned per row. A literal INSERT, which Prepare leaves unplanned, has
+// none unless a default of its table nests one.
 func (s *Session) blocks(n Statement) *blockPlans {
 	db := s.engine.db
 	if p := s.prep; p != nil && p.stmt == n {
@@ -443,19 +438,9 @@ func (s *Session) blocks(n Statement) *blockPlans {
 	return db.planStatement(n)
 }
 
-// currentDMLPlan returns the UPDATE/DELETE target plan threaded through
-// ExecutePrepared when it belongs to exactly this statement; dmlCandidates
-// checks its epoch. With the test oracle installed the statement walks.
-func (s *Session) currentDMLPlan(n Statement) *dmlPlan {
-	if s.engine.db.oracle != nil || s.prep == nil || s.prep.dml == nil || s.prep.dml.stmt != n {
-		return nil
-	}
-	return s.prep.dml
-}
-
 // Explain describes the physical plan the engine would use for one
-// statement: every SELECT block's plan, the target selection of an
-// UPDATE or DELETE, and the path any other statement takes. It never
+// statement: every SELECT block's plan, how an UPDATE or DELETE lists its
+// target rows, and the path any other statement takes. It never
 // executes the statement.
 func (s *Session) Explain(sql string) ([]string, error) {
 	st, _, err := Parse(sql)

@@ -1,6 +1,8 @@
 package sqlengine
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -239,6 +241,27 @@ func TestParameters(t *testing.T) {
 	_, err := e.Exec(`SELECT * FROM emp WHERE id = ?`)
 	if err == nil || !strings.Contains(err.Error(), "parameters") {
 		t.Fatalf("missing param err = %v", err)
+	}
+}
+
+// TestParameterCount: a statement runs only with as many parameters as
+// it has placeholders — a surplus one faults like a missing one, on the
+// materialised path and the streaming one; EXPLAIN runs nothing.
+func TestParameterCount(t *testing.T) {
+	e := seedEmployees(t)
+	s := e.NewSession()
+	for _, params := range [][]Value{nil, {NewInt(1), NewInt(2)}} {
+		want := fmt.Sprintf("statement requires 1 parameters, got %d", len(params))
+		res, err := s.Execute(`SELECT id FROM emp WHERE id = ?`, params...)
+		if err == nil || err.Error() != want || res.CA.SQLState != StateSyntax {
+			t.Fatalf("%d params: %v %+v, want %q (42000)", len(params), err, res, want)
+		}
+		if _, err := s.ExecuteStream(context.Background(), `SELECT id FROM emp WHERE id >= ?`, params...); err == nil || err.Error() != want {
+			t.Fatalf("stream, %d params: err = %v, want %q", len(params), err, want)
+		}
+	}
+	if _, err := s.Execute(`EXPLAIN SELECT id FROM emp WHERE id = ?`, NewInt(1)); err != nil {
+		t.Fatal(err)
 	}
 }
 

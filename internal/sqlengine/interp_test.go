@@ -9,12 +9,15 @@ import (
 // The tree interpreter: the oracle every differential test compares the
 // planned executor with. Its grouping (execGrouped) partitions the whole
 // filtered input first and evaluates every group's aggregates over the
-// group's rows as its HAVING, select list and ORDER BY reach them. SetPlannerDisabled installs execSelectEnv as the
-// database's oracle, and runSelect then sends every SELECT block to it —
-// nested ones included, since the interpreter runs them through
-// runSelect too — and UPDATE/DELETE walk their table. It reads every
-// table whole, in ascending row-ID order, and evaluates the AST as it
-// stands: no access path, no kernels, no compiled expression.
+// group's rows as its HAVING, select list and ORDER BY reach them.
+// SetPlannerDisabled installs execSelectEnv as the database's oracle, and
+// runSelect then sends every SELECT block to it — nested ones included,
+// since the interpreter runs them through runSelect too — and
+// UPDATE/DELETE walk their table. It reads every table whole, in
+// ascending row-ID order, and evaluates the AST as it stands: no access
+// path, no kernels, no compiled expression. The WHERE of a block that
+// reads one base table decides the rows under the engine's candidate
+// rule (splitKeys), as its joins list their pairs by execJoin's.
 
 // execSelectEnv interprets a SELECT with an explicit environment; the
 // environment's outer chain makes correlated subqueries work. Nested
@@ -52,17 +55,18 @@ func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, erro
 		if containsAggregate(st.Where) {
 			return nil, fmt.Errorf("aggregates are not allowed in WHERE")
 		}
+		var keys []Expr
+		if len(st.Joins) == 0 {
+			if src := d.planSource(st.From, st.Where); src != nil {
+				keys = src.splitKeys(env.params)
+			}
+		}
 		filtered := rows[:0:0]
 		for _, r := range rows {
 			if err := env.checkCtx(); err != nil {
 				return nil, err
 			}
-			env.row = r
-			v, err := eval(st.Where, env)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := truthy(v)
+			ok, err := decide(env, keys, st.Where, r)
 			if err != nil {
 				return nil, err
 			}

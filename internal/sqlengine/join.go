@@ -260,12 +260,7 @@ func execJoin(left, right [][]Value, joinEnv *evalEnv, leftWidth int, rcols []bo
 			if on != nil {
 				copy(scratch, l)
 				copy(scratch[leftWidth:], r)
-				joinEnv.row = scratch
-				v, err := eval(on, joinEnv)
-				if err != nil {
-					return nil, err
-				}
-				if ok, err := truthy(v); err != nil {
+				if ok, err := decide(joinEnv, nil, on, scratch); err != nil {
 					return nil, err
 				} else if !ok {
 					continue

@@ -79,8 +79,8 @@ type joinNode struct {
 }
 
 // accessPath is the physical access bound for one base table. SELECT
-// plans and UPDATE/DELETE target plans (dml.go) share it, so both pick
-// and describe their rows in one vocabulary.
+// plans and UPDATE/DELETE read their table through it, so both list and
+// describe their rows in one vocabulary.
 type accessPath struct {
 	t      *Table
 	access accessKind
@@ -93,16 +93,17 @@ type accessPath struct {
 	// boundsAreWhere is set when the WHERE clause is nothing but the range
 	// conjuncts pushed down as lo and hi. If the bounds then bind, the
 	// index applies the whole predicate — one that cannot fail on any row
-	// — and the residual filter is skipped (see baseIDs).
+	// — and the residual filter is skipped (see rowIDs).
 	boundsAreWhere bool
 }
 
 // tableSource is how one SELECT block whose FROM is one base table with
 // no joins, or one UPDATE/DELETE, finds its rows: the table and its
 // bindings, the access path chooseIndex picks from the WHERE's bound
-// conjuncts, and the WHERE for the kernels when it lies in their
-// error-free class. The block plan — its grouping stage's chunk feeder
-// included — and DML target selection both read the table through it.
+// conjuncts, the WHERE for the kernels when it lies in their error-free
+// class, and the conjuncts that may be its keys (splitKeys). The block
+// plan — its grouping stage's chunk feeder included — and UPDATE/DELETE
+// both read the table through it.
 type tableSource struct {
 	accessPath
 	cols []boundColumn // the table's bindings under its qualifier
@@ -111,6 +112,13 @@ type tableSource struct {
 	// table alone (a correlated subquery) or when it lies outside their
 	// class.
 	pred Expr
+	// keys are the WHERE's bound conjuncts in the kernels' class: its keys
+	// in an execution whose operands bind them (splitKeys). nil when the
+	// WHERE is one conjunct, which alone decides a row either way.
+	keys []Expr
+	// residual reports a conjunct that is never a key: one that does not
+	// bind against the table alone or lies outside the kernels' class.
+	residual bool
 }
 
 // planSource plans the source of one base-table reference, or returns
@@ -137,15 +145,64 @@ func (d *Database) planSource(tr *TableRef, where Expr) *tableSource {
 	collectConjuncts(where, &conjuncts)
 	bound := make([]Expr, len(conjuncts))
 	for i, c := range conjuncts {
-		if w, ok := rewriteExpr(c, s.cols); ok {
+		w, ok := rewriteExpr(c, s.cols)
+		if ok {
 			bound[i] = w
+		}
+		if ok && kernelPred(w, t) {
+			s.keys = append(s.keys, w)
+		} else {
+			s.residual = true
 		}
 	}
 	s.chooseIndex(bound)
-	if w, ok := rewriteExpr(where, s.cols); ok && kernelPred(w, t) {
-		s.pred = w
+	if !s.residual {
+		s.pred, _ = rewriteExpr(where, s.cols)
+	}
+	if len(conjuncts) == 1 {
+		s.keys = nil // one conjunct: a key or not, the WHERE is all that decides a row
 	}
 	return s
+}
+
+// splitKeys returns, for one execution, the keys of the source's WHERE:
+// its top-level conjuncts that bind against the table alone
+// (rewriteExpr), lie in the kernels' error-free class (kernelPred) and
+// whose operands bind with params (bindVecPred) — so that none can fail
+// on any row. A row is a candidate when every key is TRUE on it, and the
+// WHERE is evaluated on candidates only (decide): the index probe, the
+// zone maps and the kernels are faster ways to list them. nil means every
+// row is a candidate, which answers the same when no conjunct is a key or
+// every one is (the WHERE then cannot fail). Plans, UPDATE/DELETE and the
+// test oracle all split by it.
+func (s *tableSource) splitKeys(params []Value) []Expr {
+	var keys []Expr
+	for _, c := range s.keys {
+		if _, ok := bindVecPred(c, params, s.t); ok {
+			keys = append(keys, c)
+		}
+	}
+	if !s.residual && len(keys) == len(s.keys) {
+		return nil
+	}
+	return keys
+}
+
+// decide reports whether a row is in a WHERE's result under the candidate
+// rule: every key (see splitKeys) is TRUE on it, then the WHERE is. A
+// key cannot fail, so an error is the WHERE's, on a candidate.
+func decide(env *evalEnv, keys []Expr, where Expr, row []Value) (bool, error) {
+	for _, k := range keys {
+		if ok, err := decide(env, nil, k, row); !ok || err != nil {
+			return false, err
+		}
+	}
+	env.row = row
+	v, err := eval(where, env)
+	if err != nil {
+		return false, err
+	}
+	return truthy(v)
 }
 
 // columnsOf binds a table's columns under a qualifier.
@@ -163,20 +220,6 @@ func (tr *TableRef) qualifier() string {
 		return strings.ToLower(tr.Alias)
 	}
 	return strings.ToLower(tr.Table)
-}
-
-// explainLines renders how a consumer of the source finds its rows: the
-// access line for the path it takes and, when the rows come from the
-// kernels, the vector lines, ending in what runs when they do not bind.
-func (s *tableSource) explainLines(access string, vector bool, onBindFailure string) []string {
-	lines := []string{"  access: " + access}
-	if vector {
-		lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
-		if s.pred != nil {
-			lines = append(lines, "  vector filter: compiled kernels with zone-map skipping ("+onBindFailure+" on bind failure)")
-		}
-	}
-	return lines
 }
 
 // selectPlan is the compiled physical plan of one SELECT block: every
@@ -756,7 +799,13 @@ func (p *selectPlan) explainLines() []string {
 	case p.firstArm != nil:
 		lines = []string{fmt.Sprintf("select: union of %d arms", len(p.sel.Unions)+1)}
 	case p.src != nil:
-		lines = append([]string{fmt.Sprintf("select on %q", p.t.Name)}, p.src.explainLines(p.describe(), p.vector, "row fallback")...)
+		lines = []string{fmt.Sprintf("select on %q", p.t.Name), "  access: " + p.describe()}
+		if p.vector {
+			lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
+			if p.src.pred != nil {
+				lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
+			}
+		}
 	case p.from != nil:
 		lines = []string{"select on " + p.from.label}
 	default:
@@ -778,12 +827,8 @@ func (p *selectPlan) explainLines() []string {
 		}
 		lines = append(lines, fmt.Sprintf("  join: %s %s %s", kind, strategy, j.src.label))
 	}
-	switch {
-	case p.vector: // the source's lines say it
-	case p.boundsAreWhere:
-		lines = append(lines, "  filter: satisfied by access path (re-applied if a bound does not bind)")
-	case p.where != nil:
-		lines = append(lines, "  filter: predicate per row")
+	if !p.vector { // else the source's lines say it
+		lines = append(lines, p.filterLine(p.where != nil)...)
 	}
 	for _, err := range []error{p.whereErr, p.projErr} {
 		if err != nil {
@@ -842,7 +887,7 @@ func (p *selectPlan) explainLines() []string {
 // with parameters cannot bind without values and report per-execution
 // evaluation instead. Caller holds d.mu for reading.
 func (d *Database) zoneMapLine(s *tableSource) string {
-	bp, chunks, bound := d.bindKernels(s, nil, true)
+	bp, chunks, bound := d.bindKernels(s, nil)
 	switch {
 	case !bound:
 		return "  vector zone maps: evaluated per execution"
@@ -896,30 +941,37 @@ func (d *Database) explainStatement(st Statement) []string {
 	case *InsertStmt:
 		return []string{fmt.Sprintf("insert into %q (interpreted)", n.Table)}
 	case *UpdateStmt:
-		return append(d.explainDML(fmt.Sprintf("update %q", n.Table), n),
+		return append(d.explainDML(fmt.Sprintf("update %q", n.Table), n.Table, n.Where),
 			fmt.Sprintf("  set: %d column(s), interpreted per target row", len(n.Set)))
 	case *DeleteStmt:
-		return d.explainDML(fmt.Sprintf("delete from %q", n.Table), n)
+		return d.explainDML(fmt.Sprintf("delete from %q", n.Table), n.Table, n.Where)
 	}
 	return []string{fmt.Sprintf("%s (interpreted)", StatementKind(st))}
 }
 
-// explainDML describes how an UPDATE or DELETE selects its target rows,
-// in the SELECT plans' vocabulary. Caller holds d.mu for reading.
-func (d *Database) explainDML(head string, st Statement) []string {
-	p, reason := d.planDML(st)
-	if p == nil {
-		return []string{head, "  access: full scan (interpreted: " + reason + ")"}
+// explainDML describes how an UPDATE or DELETE lists its target rows: in
+// the lines of a SELECT's row path, which it reads its table by. Caller
+// holds d.mu for reading.
+func (d *Database) explainDML(head, table string, where Expr) []string {
+	src := d.planSource(&TableRef{Table: table}, where)
+	if src == nil {
+		_, err := d.table(table)
+		return []string{head, "  fails when run: " + err.Error()}
 	}
-	scan := p.access == accessFullScan
-	lines := append([]string{head}, p.explainLines(p.describe(), scan, "walk")...)
-	if scan {
-		lines = append(lines, "  vector: kernels only while the chunk cache is live, else interpreted walk")
-		if p.t.chunksLive() {
-			lines = append(lines, d.zoneMapLine(&p.tableSource))
-		}
+	return append([]string{head, "  access: " + src.describe()}, src.filterLine(where != nil)...)
+}
+
+// filterLine is what the row path's filter does with the rows an access
+// path lists: nothing without a WHERE (where false) or when the bounds
+// are the WHERE, else it decides each row.
+func (p *accessPath) filterLine(where bool) []string {
+	switch {
+	case p.boundsAreWhere:
+		return []string{"  filter: satisfied by access path (re-applied if a bound does not bind)"}
+	case where:
+		return []string{"  filter: predicate per row"}
 	}
-	return append(lines, "  filter: interpreted WHERE re-check on candidates")
+	return nil
 }
 
 // StatementKind names a statement's kind in lower case: "update",

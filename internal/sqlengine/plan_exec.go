@@ -62,27 +62,27 @@ func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64,
 	return ids, true
 }
 
-// baseIDs resolves the base table's row IDs through the plan's access
-// path. Any runtime binding failure (a NULL or incomparable key or
-// bound) widens to a scan of the whole table: the caller
-// re-applies the full WHERE predicate, so a superset access path is
-// exactly as correct as the narrowed one. When the plan's ORDER BY is
-// index-satisfied the widened scan still iterates the ordered index so
-// row order is preserved; otherwise row IDs are ascending, a walk's scan
-// order.
+// rowIDs lists the row IDs of the table through the access path, for a
+// SELECT's row path and for an UPDATE or DELETE alike. Any runtime binding
+// failure (a NULL or incomparable key or bound) widens to a scan of the
+// whole table: the caller decides every listed row by the WHERE (decide),
+// so a superset listing is exactly as correct as the narrowed one. When
+// ordered — a plan's ORDER BY the index satisfies — the widened scan
+// still iterates the ordered index so row order is preserved; otherwise
+// row IDs are ascending, a walk's scan order.
 //
 // filtered reports that the IDs are exactly the rows WHERE accepts, so
 // the caller skips the predicate: the clause is nothing but the range
 // bounds (boundsAreWhere), and they bound.
-func (p *selectPlan) baseIDs(params []Value) (ids []int64, filtered bool) {
+func (p *accessPath) rowIDs(params []Value, ordered bool) (ids []int64, filtered bool) {
 	narrowed := false
 	if p.access == accessOrderedScan {
 		ids, narrowed = p.ix.appendOrdered(ids, p.desc), true
 	} else if p.access != accessFullScan {
-		ids, narrowed = p.indexIDs(params, p.orderSatisfied, p.desc)
+		ids, narrowed = p.indexIDs(params, ordered, p.desc)
 	}
 	if !narrowed {
-		if p.orderSatisfied && p.ix != nil {
+		if ordered && p.ix != nil {
 			return p.ix.appendOrdered(ids, p.desc), false
 		}
 		return p.t.liveIDs(), false
@@ -121,7 +121,8 @@ func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 // top-K (top) takes the kernels' rows instead (topRows.scan).
 type rowScan struct {
 	env   *evalEnv
-	where Expr // nil: every input row survives
+	where Expr   // nil: every input row survives
+	split []Expr // the WHERE's keys when the row path splits them off (splitKeys)
 	exprs []Expr
 	// gather and identity are the plan's (see selectPlan): projections
 	// that copy cells by ordinal, or pass the input row — the table's
@@ -168,12 +169,7 @@ func (sc *rowScan) segment(k *streamSink, rows [][]Value) error {
 			if err := env.checkCtx(); err != nil {
 				return err
 			}
-			env.row = r
-			v, err := eval(sc.where, env)
-			if err != nil {
-				return err
-			}
-			ok, err := truthy(v)
+			ok, err := decide(env, sc.split, sc.where, r)
 			if err != nil {
 				return err
 			}
@@ -271,7 +267,7 @@ func (sc *rowScan) orderKeys(out []Value) error {
 func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() error {
 	env := sc.env
 	if p.vector && d.vectorEnabled() {
-		if bp, chunks, _ := d.bindKernels(p.src, env.params, true); chunks {
+		if bp, chunks, _ := d.bindKernels(p.src, env.params); chunks {
 			sc.where = nil // the kernels are the filter
 			if sc.order != nil {
 				if sc.top = p.topRows(env); sc.top != nil {
@@ -295,9 +291,11 @@ func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() er
 		}
 		d.vecFallbacks.Add(1)
 	}
-	ids, filtered := p.baseIDs(env.params)
+	ids, filtered := p.rowIDs(env.params, p.orderSatisfied)
 	if filtered {
 		sc.where = nil
+	} else if sc.where != nil {
+		sc.split = p.src.splitKeys(env.params)
 	}
 	size := len(ids)
 	if k.rs != nil {

@@ -287,7 +287,7 @@ func TestKernelPlansBind(t *testing.T) {
 		for _, bp := range prep.blocks.m {
 			if p := bp.plan; p != nil && p.vector && p.src.pred != nil {
 				filtered = true
-				if _, chunks, bound := e.db.bindKernels(p.src, tc.params, true); !bound || !chunks {
+				if _, chunks, bound := e.db.bindKernels(p.src, tc.params); !bound || !chunks {
 					t.Errorf("%s: the kernel filter %s does not bind (chunks %v)", tc.sql, exprText(p.src.pred, p.t), chunks)
 				}
 			}
@@ -425,7 +425,7 @@ func TestExplainStatement(t *testing.T) {
 		`EXPLAIN INSERT INTO rng VALUES (999, 1, 1, 'x', 0)`: `insert into "rng" (interpreted)`,
 		`EXPLAIN UPDATE rng SET s = 'y' WHERE id = 1`:        `access: ordered point lookup via pk_rng_id (rng.id = ?)`,
 		`EXPLAIN DELETE FROM rng WHERE k >= 1 AND k < 3`:     `access: ordered range scan via rng_k (k >= ? AND k < ?)`,
-		`EXPLAIN DELETE FROM rng WHERE 1/k > 0`:              `access: full scan (interpreted: WHERE outside the error-free predicate class)`,
+		`EXPLAIN DELETE FROM rng WHERE 1/k > 0`:              `filter: predicate per row`,
 		`EXPLAIN SELECT COUNT(*) FROM rng`:                   `vector aggregate: typed fold over column chunks`,
 		`EXPLAIN SELECT COUNT(DISTINCT k) FROM rng`:          `group: 0 key(s), aggregates per group row`,
 	} {

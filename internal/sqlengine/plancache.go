@@ -11,18 +11,15 @@ import (
 // Prepared pairs a parsed statement with the physical plans compiled for
 // it: one per SELECT block in it — a SELECT's own and every derived
 // table, view body, UNION arm and subquery under it, an INSERT's query,
-// the subqueries of an UPDATE or DELETE — and for an UPDATE or DELETE a
-// target plan (nil when the statement walks its table). Prepared values
-// are immutable and safe to share across sessions; the plans carry the
-// schema epoch they were built against and are only dispatched while
-// that epoch is current.
+// the subqueries of an UPDATE or DELETE — and an UPDATE's or DELETE's
+// table source. Prepared values are immutable and safe to share across
+// sessions; the plans carry the schema epoch they were built against and
+// are only dispatched while that epoch is current.
 type Prepared struct {
 	SQL     string
 	stmt    Statement
 	nparams int
-	blocks  *blockPlans // the statement's SELECT blocks; nil for other statements and a literal INSERT
-	dml     *dmlPlan    // UPDATE/DELETE target plan; nil means the statement walks
-	reason  string      // why dml is nil, for diagnostics
+	blocks  *blockPlans // the statement's plans; nil for other statements and a literal INSERT
 }
 
 // topPlan returns the statement's own plan, if it is a SELECT.
@@ -51,11 +48,13 @@ type childBlock struct {
 
 // blockPlans holds the plans of every SELECT block of one statement,
 // keyed by the block's AST node (a view body's is the catalog's own, a
-// UNION's first arm the stripped copy its head's plan holds), all built
-// under one read latch at one schema epoch.
+// UNION's first arm the stripped copy its head's plan holds), and an
+// UPDATE's or DELETE's table source, all built under one read latch at one
+// schema epoch.
 type blockPlans struct {
 	epoch uint64
 	m     map[*SelectStmt]*blockPlan
+	src   *tableSource // an UPDATE's or DELETE's; nil when its table does not exist
 }
 
 // block returns the plan record to run st by, or nil when there is none
@@ -67,11 +66,18 @@ func (bps *blockPlans) block(st *SelectStmt, d *Database) *blockPlan {
 	return bps.m[st]
 }
 
-// planStatement plans every SELECT block of a statement (see eachBlock).
-// The caller must hold d.mu for reading.
+// planStatement plans every SELECT block of a statement (see eachBlock)
+// and an UPDATE's or DELETE's table source. The caller must hold d.mu for
+// reading.
 func (d *Database) planStatement(st Statement) *blockPlans {
 	bps := &blockPlans{epoch: d.epoch, m: make(map[*SelectStmt]*blockPlan)}
 	d.eachBlock(st, func(sel *SelectStmt) { d.planBlock(sel, bps) })
+	switch n := st.(type) {
+	case *UpdateStmt:
+		bps.src = d.planSource(&TableRef{Table: n.Table}, n.Where)
+	case *DeleteStmt:
+		bps.src = d.planSource(&TableRef{Table: n.Table}, n.Where)
+	}
 	return bps
 }
 
@@ -170,10 +176,15 @@ func (p *Prepared) Statement() Statement { return p.stmt }
 // requires.
 func (p *Prepared) NumParams() int { return p.nparams }
 
-// Planned reports whether a compiled physical plan is attached: every
-// SELECT has one, and an UPDATE or DELETE whose target selection is
-// planned.
-func (p *Prepared) Planned() bool { return p.topPlan() != nil || p.dml != nil }
+// checkParams faults an execution given more or fewer parameters than the
+// statement has placeholders (42000 where a result carries it). EXPLAIN
+// runs nothing, so it takes any.
+func (p *Prepared) checkParams(params []Value) error {
+	if _, isExplain := p.stmt.(*ExplainStmt); !isExplain && p.nparams != len(params) {
+		return fmt.Errorf("statement requires %d parameters, got %d", p.nparams, len(params))
+	}
+	return nil
+}
 
 // PlanCacheStats is a point-in-time snapshot of prepared-plan cache
 // counters.
@@ -300,7 +311,7 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 }
 
 // Prepare parses one statement and compiles the plans of its SELECT
-// blocks and, for an UPDATE or DELETE, its target plan, consulting the
+// blocks and, for an UPDATE or DELETE, its table source, consulting the
 // engine's plan cache. A cached entry built
 // under an older schema epoch is re-planned (the parse is reused) and
 // replaced. EXPLAIN statements are never cached — they are diagnostic
@@ -341,10 +352,6 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 		e.db.mu.RLock()
 		epoch = e.db.epoch // re-read under the same latch the plans bind under
 		prep.blocks = e.db.planStatement(st)
-		switch st.(type) {
-		case *UpdateStmt, *DeleteStmt:
-			prep.dml, prep.reason = e.db.planDML(st)
-		}
 		e.db.mu.RUnlock()
 	}
 	if e.plans != nil {

@@ -166,15 +166,15 @@ func TestPlanCacheDisabled(t *testing.T) {
 }
 
 // TestPreparedReuse exercises the Prepare surface directly: the same
-// Prepared pointer comes back warm, and Planned() holds for every
-// SELECT, aggregates included.
+// Prepared pointer comes back warm, and every SELECT has a plan,
+// aggregates included.
 func TestPreparedReuse(t *testing.T) {
 	e := planEngine(t, 10)
 	p1, err := e.Prepare(`SELECT id FROM rng WHERE k > ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p1.Planned() {
+	if p1.topPlan() == nil {
 		t.Fatal("range select not planned")
 	}
 	if p1.NumParams() != 1 {
@@ -191,7 +191,7 @@ func TestPreparedReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agg.Planned() || agg.topPlan() == nil {
+	if agg.topPlan() == nil {
 		t.Fatal("aggregate not planned: every SELECT has a plan")
 	}
 }

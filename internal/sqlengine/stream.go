@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -144,8 +143,8 @@ func (s *Session) ExecuteStream(ctx context.Context, sql string, params ...Value
 	if err != nil {
 		return nil, err
 	}
-	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
-		return nil, fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
+	if err := prep.checkParams(params); err != nil {
+		return nil, err
 	}
 	if plan := prep.topPlan(); plan != nil && s.engine.db.oracle == nil && plan.streamable() && !s.inTxn && !s.aborted {
 		// Setup errors (bad LIMIT, lock timeout) surface here, like

@@ -908,29 +908,17 @@ func (d *Database) eachChunk(ctx context.Context, bp boundVec, pages []*colChunk
 	return nil
 }
 
-// appendIDs appends the row IDs at the given positions of the chunk.
-func (ch *colChunk) appendIDs(dst []int64, rows []uint16) []int64 {
-	for _, r := range rows {
-		dst = append(dst, ch.ids[r])
-	}
-	return dst
-}
-
 // bindKernels binds a source's kernels for one execution: its predicate
 // against params — bound=false when an operand does not bind, and the
-// row filter or the walk must run instead — and, when the caller wants
-// chunks and the vector switch is on, brings the table's vectors up to
-// date (chunks=false when they do not build).
-func (d *Database) bindKernels(s *tableSource, params []Value, wantChunks bool) (bp boundVec, chunks, bound bool) {
+// row filter must run instead — and, when the vector switch is on, brings
+// the table's vectors up to date (chunks=false when they do not build).
+func (d *Database) bindKernels(s *tableSource, params []Value) (bp boundVec, chunks, bound bool) {
 	if s.pred != nil {
 		if bp, bound = bindVecPred(s.pred, params, s.t); !bound {
 			return nil, false, false
 		}
 	}
-	if wantChunks && d.vectorEnabled() {
-		chunks = d.ensureChunks(s.t)
-	}
-	return bp, chunks, true
+	return bp, d.vectorEnabled() && d.ensureChunks(s.t), true
 }
 
 // vectorEnabled reports whether columnar operators may run for this
