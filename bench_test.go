@@ -645,6 +645,29 @@ func BenchmarkScanAfterOneRowUpdate(b *testing.B) {
 	}
 }
 
+// E33 — a WHERE with a residual lists its candidates through the kernels
+// on its keys: the residual SELECTs and the full-scan DELETE, which
+// matches no row, read only the chunks the zone maps keep, as the
+// all-key SELECT does.
+func BenchmarkResidualWhere(b *testing.B) {
+	s := dmlFacts(b, dmlRows)
+	for _, bc := range []struct{ name, sql string }{
+		{"all_key", `SELECT COUNT(*) FROM facts WHERE num < 0`},
+		{"residual", `SELECT COUNT(*) FROM facts WHERE num < 0 AND UPPER(payload) = 'X'`},
+		{"like_residual", `SELECT COUNT(*) FROM facts WHERE payload LIKE 'k1%' AND UPPER(payload) = 'X'`},
+		{"delete", `DELETE FROM facts WHERE num < 0`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(bc.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // The bulk session is the paper's Fig. 5 path as the repository's
 // benchmark drives it (bulk_indirect): a factory-made response resource,
 // a rowset resource derived from it, the whole rowset pulled in

@@ -38,12 +38,10 @@ type Table struct {
 	indexes map[string]*OrderedIndex // lower-cased index name -> index
 
 	// chunkMu serialises the vector builds of concurrent readers holding
-	// the database latch in shared mode. columnar records that a columnar
-	// read has happened, so the pages carry vectors and DML keeps them
-	// current; mixed, that a stored value's type defeated the layout.
-	chunkMu  sync.Mutex
-	columnar bool
-	mixed    bool
+	// the database latch in shared mode. mixed records that a stored
+	// value's type defeated the layout.
+	chunkMu sync.Mutex
+	mixed   bool
 }
 
 func newTable(name string, cols []Column) *Table {

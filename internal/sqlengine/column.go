@@ -312,7 +312,6 @@ func (ch *colChunk) rebuild(cols []Column) bool {
 func (d *Database) ensureChunks(t *Table) (ok bool) {
 	t.chunkMu.Lock()
 	defer t.chunkMu.Unlock()
-	t.columnar = true
 	rebuilt := 0
 	for _, ch := range t.pages {
 		if ch != nil && ch.stale {

@@ -4,13 +4,18 @@ import (
 	"testing"
 )
 
-// chunksLive reports whether the table has had a columnar read, so
-// writes keep its vectors current. Caller holds the database latch
-// (shared suffices).
+// chunksLive reports whether the table has had a columnar read: a page
+// carries vectors, which writes then keep current. Caller holds the
+// database latch (shared suffices).
 func (t *Table) chunksLive() bool {
 	t.chunkMu.Lock()
 	defer t.chunkMu.Unlock()
-	return t.columnar
+	for _, ch := range t.pages {
+		if ch != nil && ch.vecs != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // chunkState inspects the chunk cache of a table under the read latch:

@@ -125,27 +125,32 @@ func (d *Database) execInsert(ctx context.Context, st *InsertStmt, params []Valu
 }
 
 // whereIDs lists, ascending, the rows of an UPDATE's or DELETE's table
-// its WHERE accepts: the rows its source lists as a SELECT's row path
-// does (rowIDs) — every row, as the oracle reads them, with the test
-// oracle installed — each decided under the candidate rule (splitKeys).
-// Caller holds d.mu for writing.
+// its WHERE accepts: the candidates a SELECT with its WHERE lists
+// (candidates) — every row, as the oracle reads them, with the test
+// oracle installed — each decided under the candidate rule. Caller holds
+// d.mu for writing.
 func (d *Database) whereIDs(env *evalEnv, src *tableSource, where Expr) ([]int64, error) {
-	var ids []int64
-	filtered := false
+	ap, kernels := &src.accessPath, src.access == accessFullScan && len(src.keys) > 0 && d.vectorEnabled()
 	if d.oracle != nil {
-		ids = src.t.liveIDs()
-	} else {
-		ids, filtered = src.rowIDs(env.params, false)
+		ap, kernels = &accessPath{t: src.t}, false
 	}
-	if where == nil || filtered {
+	var wk whereKeys
+	if kernels {
+		wk = src.bindKeys(env.params)
+	}
+	ids, split, decided, err := d.candidates(env, src, ap, kernels, wk, false)
+	if err != nil {
+		return nil, err
+	}
+	if where == nil || decided {
 		return ids, nil
 	}
-	keys, kept := src.splitKeys(env.params), ids[:0]
+	kept := ids[:0]
 	for _, id := range ids {
 		if err := env.checkCtx(); err != nil {
 			return nil, err
 		}
-		ok, err := decide(env, keys, where, src.t.row(id))
+		ok, err := decide(env, split, where, src.t.row(id))
 		if err != nil {
 			return nil, err
 		}

@@ -88,8 +88,9 @@ func TestOneRowDMLTouchesOneChunk(t *testing.T) {
 }
 
 // TestDMLTargetAccess checks how each statement shape lists its rows:
-// through its table source, in the lines a SELECT's row path prints,
-// and never through the kernels or the column chunks.
+// through its table source, in the source lines a SELECT with its WHERE
+// prints — an index probe, or the kernels on a full scan whose WHERE has
+// keys, whose zone maps skip chunks as a SELECT's do.
 func TestDMLTargetAccess(t *testing.T) {
 	e := factsEngine(t, 4*chunkRows)
 	e.MustExec(`CREATE ORDERED INDEX facts_grp ON facts (grp)`)
@@ -102,18 +103,20 @@ func TestDMLTargetAccess(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	execAllPaths(t, e, `SELECT COUNT(*) FROM facts WHERE num >= 0`)
+	const kernels = "  vector: columnar scan (chunks of 1024 rows)\n  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)"
 	for sql, want := range map[string]string{
-		`UPDATE facts SET payload = 'x' WHERE id = 7`:         "update \"facts\"\n  access: ordered point lookup via pk_facts_id (facts.id = ?)\n  filter: predicate per row\n  set: 1 column(s), interpreted per target row",
-		`DELETE FROM facts WHERE grp = 3`:                     "delete from \"facts\"\n  access: ordered point lookup via facts_grp (facts.grp = ?)\n  filter: predicate per row",
-		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:        "delete from \"facts\"\n  access: ordered range scan via facts_grp (grp > ? AND grp <= ?)\n  filter: satisfied by access path (re-applied if a bound does not bind)",
-		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:       "delete from \"facts\"\n  access: ordered range scan via pk_facts_id (id >= ? AND id <= ?)\n  filter: satisfied by access path (re-applied if a bound does not bind)",
-		`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`:     "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
-		`DELETE FROM facts WHERE num + id > 9 AND id % 2 = 0`: "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
-		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:            "update \"facts\"\n  access: full scan\n  filter: predicate per row\n  set: 1 column(s), interpreted per target row",
-		`DELETE FROM facts WHERE id IN (SELECT 1)`:            "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
-		`DELETE FROM facts`:                                   "delete from \"facts\"\n  access: full scan",
-		`DELETE FROM facts WHERE nosuch = 1`:                  "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
-		`DELETE FROM nosuch WHERE id = 1`:                     "delete from \"nosuch\"\n  fails when run: table \"nosuch\" does not exist",
+		`UPDATE facts SET payload = 'x' WHERE id = 7`:          "update \"facts\"\n  access: ordered point lookup via pk_facts_id (facts.id = ?)\n  filter: predicate per row\n  set: 1 column(s), interpreted per target row",
+		`DELETE FROM facts WHERE grp = 3`:                      "delete from \"facts\"\n  access: ordered point lookup via facts_grp (facts.grp = ?)\n  filter: predicate per row",
+		`DELETE FROM facts WHERE grp > 3 AND grp <= 5`:         "delete from \"facts\"\n  access: ordered range scan via facts_grp (grp > ? AND grp <= ?)\n  filter: satisfied by access path (re-applied if a bound does not bind)",
+		`DELETE FROM facts WHERE id >= 10 AND id <= 13`:        "delete from \"facts\"\n  access: ordered range scan via pk_facts_id (id >= ? AND id <= ?)\n  filter: satisfied by access path (re-applied if a bound does not bind)",
+		`DELETE FROM facts WHERE num >= 5 AND num <= 6.5`:      "delete from \"facts\"\n  access: full scan\n" + kernels + "\n  vector zone maps: 3/4 chunks skippable",
+		`DELETE FROM facts WHERE num + id > 9 AND id % 2 = 0`:  "delete from \"facts\"\n  access: full scan\n" + kernels + "\n  vector zone maps: 0/4 chunks skippable",
+		`UPDATE facts SET num = 0 WHERE num < ? AND 1/grp > 0`: "update \"facts\"\n  access: full scan\n  vector: columnar scan (chunks of 1024 rows)\n  vector filter: compiled kernels on the keys (num < ?) with zone-map skipping\n  filter: predicate per row on the kernels' candidates\n  vector zone maps: evaluated per execution\n  set: 1 column(s), interpreted per target row",
+		`UPDATE facts SET num = 0 WHERE 1/grp > 0`:             "update \"facts\"\n  access: full scan\n  filter: predicate per row\n  set: 1 column(s), interpreted per target row",
+		`DELETE FROM facts WHERE id IN (SELECT 1)`:             "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
+		`DELETE FROM facts`:                                    "delete from \"facts\"\n  access: full scan",
+		`DELETE FROM facts WHERE nosuch = 1`:                   "delete from \"facts\"\n  access: full scan\n  filter: predicate per row",
+		`DELETE FROM nosuch WHERE id = 1`:                      "delete from \"nosuch\"\n  fails when run: table \"nosuch\" does not exist",
 	} {
 		if got := explain(sql); got != want {
 			t.Fatalf("EXPLAIN %s:\n%s\nwant:\n%s", sql, got, want)
@@ -124,17 +127,23 @@ func TestDMLTargetAccess(t *testing.T) {
 		t.Fatalf("SELECT:\n%s", got)
 	}
 
-	// Neither a range DELETE on the unindexed num nor a by-key UPDATE
-	// touches the kernels or the chunks.
+	// A range DELETE on the unindexed num finds its rows through the
+	// kernels, the zone maps skipping every chunk but the first.
 	before := e.VectorStats()
 	if res := e.MustExec(`DELETE FROM facts WHERE num >= ? AND num <= ?`, NewDouble(5), NewDouble(6.5)); res.UpdateCount != 4 {
 		t.Fatalf("deleted %d rows", res.UpdateCount)
 	}
+	if after := e.VectorStats(); after.Batches != before.Batches+1 || after.ChunksSkipped != before.ChunksSkipped+3 || after.Fallbacks != before.Fallbacks {
+		t.Fatalf("range DELETE on num: vector counters %+v -> %+v", before, after)
+	}
+	// A by-key UPDATE probes the index and touches neither the kernels
+	// nor the chunks.
+	before = e.VectorStats()
 	if res := e.MustExec(`UPDATE facts SET payload = 'x' WHERE id = ?`, NewInt(3000)); res.UpdateCount != 1 {
 		t.Fatalf("updated %d rows", res.UpdateCount)
 	}
 	if after := e.VectorStats(); after != before {
-		t.Fatalf("DML moved vector counters: %+v -> %+v", before, after)
+		t.Fatalf("by-key UPDATE moved vector counters: %+v -> %+v", before, after)
 	}
 	// A by-key UPDATE lists the probe's row, not the table: a statement
 	// allocates less than half of one listing of the table's row IDs.
@@ -181,6 +190,45 @@ func TestWhereCandidateRule(t *testing.T) {
 			}
 		})
 	}
+	// On a table of four chunks, a full scan's keys list its candidates
+	// through the kernels, for a SELECT whose WHERE also runs per row and
+	// for a DELETE alike: the zone maps skip every chunk for num < 0.
+	f := factsEngine(t, 3*chunkRows+100)
+	t.Run("kernels", func(t *testing.T) {
+		for _, sql := range []string{
+			`SELECT COUNT(*) FROM facts WHERE num < 0 AND UPPER(payload) = 'X'`,
+			`DELETE FROM facts WHERE num < 0`,
+		} {
+			before := f.VectorStats().ChunksSkipped
+			if _, err := f.Exec(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if skipped := f.VectorStats().ChunksSkipped - before; skipped != 4 {
+				t.Fatalf("%s: the zone maps skipped %d chunks, want 4", sql, skipped)
+			}
+		}
+		execAllPaths(t, f, `SELECT COUNT(*) FROM facts WHERE num < 0 AND UPPER(payload) = 'X'`)
+		execAllPaths(t, f, `SELECT id, UPPER(payload) FROM facts WHERE num > 1500 AND id % 3 = 0 AND SUBSTR(payload, 2, 1) = '1'`)
+	})
+	// Every candidate is filtered before any row is projected or fed, on
+	// the kernels' listing as on the row path: the WHERE's division by zero
+	// at id 2 500, in chunk 2, wins over the BIGINT overflow at id 1, in
+	// chunk 0, of a projection, and of a grouped block's key (which fails
+	// as it is fed) and SUM argument.
+	t.Run("error order", func(t *testing.T) {
+		const where = ` FROM facts WHERE num >= 0 AND 10 / (id - 2500) <= 0`
+		for _, sql := range []string{
+			`SELECT id * 4611686018427387904 * 4` + where,
+			`SELECT grp * 4611686018427387904 * 4, SUM(id * 4611686018427387904 * 4)` + where + ` GROUP BY grp * 4611686018427387904 * 4`,
+		} {
+			if set := execAllPaths(t, f, sql); set != nil {
+				t.Fatalf("%s answered %d rows", sql, len(set.Rows))
+			}
+			if _, err := f.Exec(sql); err == nil || err.Error() != "division by zero" {
+				t.Fatalf("%s: err %v, want the WHERE's division by zero", sql, err)
+			}
+		}
+	})
 	// The join a differential seed drew: its derived table y probes a.
 	t.Run("join", func(t *testing.T) {
 		const join = `SELECT x.id, y.s FROM (SELECT id, a FROM t WHERE b > CAST(? AS DOUBLE)) x JOIN (SELECT id, s FROM t WHERE a = ? AND s = ?) y ON x.id = y.id`
@@ -232,27 +280,25 @@ func TestDMLFallsBackToWalk(t *testing.T) {
 	for _, tc := range []struct {
 		sql     string
 		params  []Value
-		kernels bool // the kernels take the WHERE whole; its operands then fail to bind
+		keys    int // the WHERE's keys; without a residual, one fails to bind these operands
 		wantErr string
 	}{
-		{`UPDATE facts SET num = 1 WHERE 1/(grp - 3) > 0`, nil, false, "division by zero"},
-		{`DELETE FROM facts WHERE id < 20 AND id IN (SELECT id FROM facts WHERE grp = 99)`, nil, false, ""},
-		{`DELETE FROM facts WHERE id = ?`, []Value{NewString("abc")}, true, "cannot compare"},
-		{`DELETE FROM facts WHERE payload >= ? AND payload <= ?`, []Value{NewInt(1), NewInt(2)}, true, "cannot compare"},
-		{`UPDATE facts SET num = 1 WHERE grp IN (1, ?)`, []Value{NewBool(true)}, true, "cannot compare"},
-		{`UPDATE facts SET num = 1 WHERE grp % ? = 1`, []Value{NewInt(0)}, true, "division by zero"},
-		{`DELETE FROM facts WHERE num + ? > 3`, []Value{NewString("x")}, true, "requires numeric operands"},
+		{`UPDATE facts SET num = 1 WHERE 1/(grp - 3) > 0`, nil, 0, "division by zero"},
+		{`DELETE FROM facts WHERE id < 20 AND id IN (SELECT id FROM facts WHERE grp = 99)`, nil, 1, ""},
+		{`DELETE FROM facts WHERE id = ?`, []Value{NewString("abc")}, 1, "cannot compare"},
+		{`DELETE FROM facts WHERE payload >= ? AND payload <= ?`, []Value{NewInt(1), NewInt(2)}, 2, "cannot compare"},
+		{`UPDATE facts SET num = 1 WHERE grp IN (1, ?)`, []Value{NewBool(true)}, 1, "cannot compare"},
+		{`UPDATE facts SET num = 1 WHERE grp % ? = 1`, []Value{NewInt(0)}, 1, "division by zero"},
+		{`DELETE FROM facts WHERE num + ? > 3`, []Value{NewString("x")}, 1, "requires numeric operands"},
 	} {
 		prep, err := e.Prepare(tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		if src := prep.blocks.src; (src.pred != nil) != tc.kernels {
-			t.Fatalf("%s: kernels=%v, want %v", tc.sql, src.pred != nil, tc.kernels)
-		} else if tc.kernels {
-			if _, bound := bindVecPred(src.pred, tc.params, src.t); bound {
-				t.Fatalf("%s: the kernels bound", tc.sql)
-			}
+		if src := prep.blocks.src; len(src.keys) != tc.keys {
+			t.Fatalf("%s: %d keys, want %d", tc.sql, len(src.keys), tc.keys)
+		} else if !src.residual && !src.bindKeys(tc.params).perRow {
+			t.Fatalf("%s: the kernels bound", tc.sql)
 		}
 		plannedRes, plannedErr := e.Exec(tc.sql, tc.params...)
 		var walkRes *Result

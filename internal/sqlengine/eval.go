@@ -743,15 +743,9 @@ func evalScalarFunc(n *FuncExpr, env *evalEnv) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		// SQL is 1-based.
-		from := int(start.I) - 1
-		if from < 0 {
-			from = 0
-		}
-		if from > len(s) {
-			from = len(s)
-		}
-		to := len(s)
+		// SQL's positions start … start+length−1, 1-based, clipped to the
+		// string; the end saturates instead of wrapping.
+		from, end := start.I, int64(len(s))+1
 		if len(args) == 3 {
 			if args[2].IsNull() {
 				return Null, nil
@@ -760,15 +754,18 @@ func evalScalarFunc(n *FuncExpr, env *evalEnv) (Value, error) {
 			if err != nil {
 				return Null, err
 			}
-			to = from + int(l.I)
-			if to > len(s) {
-				to = len(s)
+			if l.I < 0 {
+				return NewString(""), nil
 			}
-			if to < from {
-				to = from
+			if e := from + l.I; e >= from { // else it wrapped: past any string
+				end = min(end, e)
 			}
 		}
-		return NewString(string(s[from:to])), nil
+		from = max(from, 1)
+		if from >= end {
+			return NewString(""), nil
+		}
+		return NewString(string(s[from-1 : end-1])), nil
 	case "TRIM":
 		if err := wantArgs(n, args, 1); err != nil {
 			return Null, err
@@ -796,7 +793,18 @@ func evalScalarFunc(n *FuncExpr, env *evalEnv) (Value, error) {
 			}
 			digits = int(d.I)
 		}
-		scale := math.Pow(10, float64(digits))
+		// A scale past the double range rounds every finite value to 0
+		// (digits < 0) or to itself (digits > 0, as does any |f·scale| past
+		// 2^52, which is integral already).
+		scale := math.Pow(10, math.Abs(float64(digits)))
+		switch {
+		case digits < 0 && math.IsInf(scale, 1):
+			return NewDouble(0), nil
+		case digits < 0:
+			return NewDouble(math.Round(f.F/scale) * scale), nil
+		case math.Abs(f.F*scale) >= 0x1p52:
+			return f, nil
+		}
 		return NewDouble(math.Round(f.F*scale) / scale), nil
 	}
 	return Null, fmt.Errorf("unknown function %s", n.Name)

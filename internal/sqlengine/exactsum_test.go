@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -399,6 +400,9 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 		`SELECT 9223372036854775807 + 1`,
 		`SELECT (-9223372036854775807 - 1) / -1`,
 		`SELECT ABS(-9223372036854775807 - 1)`, // answered -9223372036854775808
+		`SELECT CAST(1e19 AS BIGINT)`,          // the three CASTs answered -9223372036854775808
+		`SELECT CAST(-1e19 AS BIGINT)`,
+		`SELECT CAST(9223372036854775807.0 AS BIGINT)`, // 2^63
 	} {
 		if set := execAllPaths(t, e, sql); set != nil {
 			t.Fatalf("%s answered %v", sql, set.Rows)
@@ -409,18 +413,60 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 		}
 	}
 	for sql, want := range map[string]int64{
-		`SELECT 9223372036854775806 + 1`:             math.MaxInt64,
-		`SELECT -9223372036854775807 - 1`:            math.MinInt64,
-		`SELECT -4611686018427387904 * 2`:            math.MinInt64,
-		`SELECT 3037000499 * 3037000499`:             3037000499 * 3037000499,
-		`SELECT (-9223372036854775807 - 1) % -1`:     0,
-		`SELECT (-9223372036854775807 - 1) / 1`:      math.MinInt64,
-		`SELECT ABS(-9223372036854775807)`:           math.MaxInt64,
-		`SELECT MAX(id * 18446744073709551) FROM vt`: 499 * 18446744073709551,
+		`SELECT 9223372036854775806 + 1`:                math.MaxInt64,
+		`SELECT -9223372036854775807 - 1`:               math.MinInt64,
+		`SELECT -4611686018427387904 * 2`:               math.MinInt64,
+		`SELECT 3037000499 * 3037000499`:                3037000499 * 3037000499,
+		`SELECT (-9223372036854775807 - 1) % -1`:        0,
+		`SELECT (-9223372036854775807 - 1) / 1`:         math.MinInt64,
+		`SELECT ABS(-9223372036854775807)`:              math.MaxInt64,
+		`SELECT MAX(id * 18446744073709551) FROM vt`:    499 * 18446744073709551,
+		`SELECT CAST(-9223372036854775808.0 AS BIGINT)`: math.MinInt64,
 	} {
 		set := execAllPaths(t, e, sql)
 		if set == nil || len(set.Rows) != 1 || set.Rows[0][0].I != want {
 			t.Fatalf("%s: got %v, want %d", sql, set, want)
+		}
+	}
+	// A DOUBLE parameter stored into a BIGINT column converts the same way.
+	e.MustExec(`CREATE TABLE big (v BIGINT)`)
+	if res, err := e.NewSession().Execute(`INSERT INTO big VALUES (?)`, NewDouble(1e19)); !errors.Is(err, errIntRange) || res.CA.SQLState != StateGeneral {
+		t.Fatalf("INSERT of 1e19: err %v, state %v", err, res.CA.SQLState)
+	}
+	if got := queryStrings(t, e, `SELECT COUNT(*) FROM big`); got[0][0] != "0" {
+		t.Fatalf("the failed INSERT stored %v", got)
+	}
+}
+
+// TestScalarBoundsDoNotWrap: SUBSTR's bounds and ROUND's scale answer
+// the value SQL defines at the edges of their operands' ranges, where
+// SUBSTR's end and start used to wrap (answering ”) and ROUND's scale
+// overflowed (answering NaN or +Inf). SUBSTR counts its length from the
+// start as written, before clipping to the string: positions 0 and 1 of
+// SUBSTR('abc', 0, 2) leave only 'a'.
+func TestScalarBoundsDoNotWrap(t *testing.T) {
+	e := New("scalar")
+	for sql, want := range map[string]Value{
+		`SELECT SUBSTR('abc', 2, 9223372036854775807)`:                        NewString("bc"),
+		`SELECT SUBSTR('abc', -9223372036854775807 - 1)`:                      NewString("abc"),
+		`SELECT SUBSTR('abc', -9223372036854775807 - 1, 9223372036854775807)`: NewString(""),
+		`SELECT SUBSTR('abc', 0, 2)`:                                          NewString("a"),
+		`SELECT SUBSTR('abc', -1, 3)`:                                         NewString("a"),
+		`SELECT SUBSTR('abc', 2, -1)`:                                         NewString(""),
+		`SELECT SUBSTR('abc', -9223372036854775807 - 1, -1)`:                  NewString(""),
+		`SELECT SUBSTR('abc', 4)`:                                             NewString(""),
+		`SELECT SUBSTR('abc', 2)`:                                             NewString("bc"),
+		`SELECT SUBSTR('abc', 1, 2)`:                                          NewString("ab"),
+		`SELECT ROUND(1.5, 400)`:                                              NewDouble(1.5),
+		`SELECT ROUND(1e300, 10)`:                                             NewDouble(1e300),
+		`SELECT ROUND(1.5, -400)`:                                             NewDouble(0),
+		`SELECT ROUND(3.567, 2)`:                                              NewDouble(3.57),
+		`SELECT ROUND(1250, -2)`:                                              NewDouble(1300),
+		`SELECT ROUND(-2.5)`:                                                  NewDouble(-3),
+	} {
+		set := execAllPaths(t, e, sql)
+		if set == nil || len(set.Rows) != 1 || set.Rows[0][0] != want {
+			t.Fatalf("%s: got %v, want %v", sql, set, want)
 		}
 	}
 }

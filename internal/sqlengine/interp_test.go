@@ -17,7 +17,7 @@ import (
 // ascending row-ID order, and evaluates the AST as it stands: no access
 // path, no kernels, no compiled expression. The WHERE of a block that
 // reads one base table decides the rows under the engine's candidate
-// rule (splitKeys), as its joins list their pairs by execJoin's.
+// rule (bindKeys), as its joins list their pairs by execJoin's.
 
 // execSelectEnv interprets a SELECT with an explicit environment; the
 // environment's outer chain makes correlated subqueries work. Nested
@@ -58,7 +58,7 @@ func (d *Database) execSelectEnv(st *SelectStmt, env *evalEnv) (*ResultSet, erro
 		var keys []Expr
 		if len(st.Joins) == 0 {
 			if src := d.planSource(st.From, st.Where); src != nil {
-				keys = src.splitKeys(env.params)
+				keys = src.bindKeys(env.params).keys
 			}
 		}
 		filtered := rows[:0:0]

@@ -93,28 +93,21 @@ type accessPath struct {
 	// boundsAreWhere is set when the WHERE clause is nothing but the range
 	// conjuncts pushed down as lo and hi. If the bounds then bind, the
 	// index applies the whole predicate — one that cannot fail on any row
-	// — and the residual filter is skipped (see rowIDs).
+	// — and the residual filter is skipped (see candidates).
 	boundsAreWhere bool
 }
 
 // tableSource is how one SELECT block whose FROM is one base table with
 // no joins, or one UPDATE/DELETE, finds its rows: the table and its
 // bindings, the access path chooseIndex picks from the WHERE's bound
-// conjuncts, the WHERE for the kernels when it lies in their error-free
-// class, and the conjuncts that may be its keys (splitKeys). The block
+// conjuncts, and the conjuncts that may be its keys (bindKeys). The block
 // plan — its grouping stage's chunk feeder included — and UPDATE/DELETE
 // both read the table through it.
 type tableSource struct {
 	accessPath
 	cols []boundColumn // the table's bindings under its qualifier
-	// pred is the bound WHERE when the kernels take it whole (kernelPred);
-	// nil without a WHERE, when a name in it does not resolve against the
-	// table alone (a correlated subquery) or when it lies outside their
-	// class.
-	pred Expr
-	// keys are the WHERE's bound conjuncts in the kernels' class: its keys
-	// in an execution whose operands bind them (splitKeys). nil when the
-	// WHERE is one conjunct, which alone decides a row either way.
+	// keys are the WHERE's bound conjuncts in the kernels' class, in source
+	// order: its keys in an execution whose operands bind them (bindKeys).
 	keys []Expr
 	// residual reports a conjunct that is never a key: one that does not
 	// bind against the table alone or lies outside the kernels' class.
@@ -156,40 +149,57 @@ func (d *Database) planSource(tr *TableRef, where Expr) *tableSource {
 		}
 	}
 	s.chooseIndex(bound)
-	if !s.residual {
-		s.pred, _ = rewriteExpr(where, s.cols)
-	}
-	if len(conjuncts) == 1 {
-		s.keys = nil // one conjunct: a key or not, the WHERE is all that decides a row
-	}
 	return s
 }
 
-// splitKeys returns, for one execution, the keys of the source's WHERE:
-// its top-level conjuncts that bind against the table alone
-// (rewriteExpr), lie in the kernels' error-free class (kernelPred) and
-// whose operands bind with params (bindVecPred) — so that none can fail
-// on any row. A row is a candidate when every key is TRUE on it, and the
-// WHERE is evaluated on candidates only (decide): the index probe, the
-// zone maps and the kernels are faster ways to list them. nil means every
-// row is a candidate, which answers the same when no conjunct is a key or
-// every one is (the WHERE then cannot fail). Plans, UPDATE/DELETE and the
-// test oracle all split by it.
-func (s *tableSource) splitKeys(params []Value) []Expr {
-	var keys []Expr
-	for _, c := range s.keys {
-		if _, ok := bindVecPred(c, params, s.t); ok {
-			keys = append(keys, c)
+// whereKeys is a source's WHERE bound for one execution (bindKeys).
+type whereKeys struct {
+	vec boundVec // the kernel filter: the AND of the keys that bind; nil when none does
+	// keys are the keys that bind when perRow is set, which a row path
+	// tests on each row before the WHERE (decide); nil otherwise.
+	keys []Expr
+	// perRow reports that the WHERE must still run on each candidate: a
+	// conjunct is no key (residual), or a key did not bind.
+	perRow bool
+}
+
+// bindKeys binds the keys of the source's WHERE for one execution: its
+// top-level conjuncts that bind against the table alone (rewriteExpr),
+// lie in the kernels' error-free class (kernelPred) and whose operands
+// bind with params (bindVecPred) — so that none can fail on any row. A
+// key that does not bind is no key in this execution. A row is a
+// candidate when every key is TRUE on it, and the WHERE decides the
+// candidates only (decide): the index probe, the zone maps and the
+// kernels are faster ways to list them (candidates). Without perRow the
+// keys are the whole WHERE, which then cannot fail. Plans, UPDATE/DELETE
+// and the test oracle all bind by it.
+func (s *tableSource) bindKeys(params []Value) whereKeys {
+	wk := whereKeys{keys: s.keys, perRow: s.residual}
+	for i, k := range s.keys {
+		b, ok := bindVecPred(k, params, s.t)
+		switch {
+		case !ok && len(wk.keys) == len(s.keys): // the first that does not bind
+			wk.keys, wk.perRow = slices.Clone(s.keys[:i]), true
+			continue
+		case !ok:
+			continue
+		case len(wk.keys) < len(s.keys): // keys is that copy now
+			wk.keys = append(wk.keys, k)
+		}
+		if wk.vec == nil {
+			wk.vec = b
+		} else {
+			wk.vec = &bvLogic{l: wk.vec, r: b, dom: triF}
 		}
 	}
-	if !s.residual && len(keys) == len(s.keys) {
-		return nil
+	if !wk.perRow {
+		wk.keys = nil
 	}
-	return keys
+	return wk
 }
 
 // decide reports whether a row is in a WHERE's result under the candidate
-// rule: every key (see splitKeys) is TRUE on it, then the WHERE is. A
+// rule: every key (see bindKeys) is TRUE on it, then the WHERE is. A
 // key cannot fail, so an error is the WHERE's, on a candidate.
 func decide(env *evalEnv, keys []Expr, where Expr, row []Value) (bool, error) {
 	for _, k := range keys {
@@ -283,10 +293,10 @@ type selectPlan struct {
 	// bounded top-K can order by without evaluating anything.
 	orderCols []int
 
-	// vector marks a join-free full scan whose WHERE the kernels take whole
-	// (src.pred; none without a WHERE) and that gains by them — a filter, a
-	// gather, or the chunk feeder's fold: its rows may come from the column
-	// chunks (see bindScan).
+	// vector marks a join-free full scan that gains by the kernels — a
+	// WHERE with keys (src.keys), a gather, or the chunk feeder's fold: its
+	// rows, or its candidates when the WHERE runs per row, may come from the
+	// column chunks (see bindScan).
 	vector bool
 
 	// unbound notes a name the block's bindings do not resolve: a
@@ -404,15 +414,16 @@ func (d *Database) planSelect(sel *SelectStmt, bps *blockPlans) *selectPlan {
 		p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: p.outputExpr(oi.Expr, true), desc: oi.Desc})
 	}
 
-	// A grouped scan of one table folds its chunks when the kernels take
-	// its WHERE and the chunk feeder its keys and aggregates — every chunk
-	// the zone maps keep, whatever index the source found. It reads its
-	// rows in row-ID order, the order groups appear in.
+	// A grouped scan of one table folds its chunks when its WHERE has no
+	// residual and the chunk feeder takes its keys and aggregates — every
+	// chunk the zone maps keep, whatever index the source found. It reads
+	// its rows in row-ID order, the order groups appear in.
+	keyed := p.scansTable() && len(p.src.keys) > 0
 	if p.scansTable() && p.whereErr == nil && p.group != nil {
-		if p.group.chunked = (p.src.pred != nil || sel.Where == nil) && p.chunkable(); p.group.chunked {
+		if p.group.chunked = !p.src.residual && p.chunkable(); p.group.chunked {
 			p.access = accessFullScan
 		}
-		p.vector = p.access == accessFullScan && (p.src.pred != nil || p.group.chunked)
+		p.vector = p.access == accessFullScan && (keyed || p.group.chunked)
 	}
 	// An ungrouped scan of one table: gather, top-K and the index order.
 	// Without a predicate-based access, a single-key ORDER BY over an
@@ -441,10 +452,10 @@ func (d *Database) planSelect(sel *SelectStmt, bps *blockPlans) *selectPlan {
 		if single && p.access != accessFullScan && p.orderCols[0] == p.keyCol {
 			p.orderSatisfied, p.desc = true, p.order[0].desc
 		}
-		// Columnar annotation: a full scan whose WHERE the kernels take whole
-		// scans chunk at a time. Index accesses stay on their row IDs —
-		// already narrowed and, for ordered scans, not in chunk order.
-		p.vector = p.access == accessFullScan && (p.src.pred != nil || sel.Where == nil && p.gather != nil)
+		// Columnar annotation: a full scan whose WHERE has keys scans chunk
+		// at a time. Index accesses stay on their row IDs — already narrowed
+		// and, for ordered scans, not in chunk order.
+		p.vector = p.access == accessFullScan && (keyed || sel.Where == nil && p.gather != nil)
 	}
 	p.explain = p.explainLines()
 	return p
@@ -801,10 +812,7 @@ func (p *selectPlan) explainLines() []string {
 	case p.src != nil:
 		lines = []string{fmt.Sprintf("select on %q", p.t.Name), "  access: " + p.describe()}
 		if p.vector {
-			lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
-			if p.src.pred != nil {
-				lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
-			}
+			lines = append(lines, p.src.kernelLines()...)
 		}
 	case p.from != nil:
 		lines = []string{"select on " + p.from.label}
@@ -868,7 +876,7 @@ func (p *selectPlan) explainLines() []string {
 			lines = append(lines, "  order: satisfied by index (no sort)")
 		default:
 			lines = append(lines, fmt.Sprintf("  order: sort on %d key(s)", n))
-			if p.vector && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil && !p.sel.Distinct {
+			if p.vector && !p.src.residual && p.gather != nil && p.orderCols != nil && p.sel.Limit != nil && !p.sel.Distinct {
 				lines = append(lines, fmt.Sprintf("  order: bounded top-K when OFFSET+LIMIT <= %d", chunkRows))
 			}
 		}
@@ -882,23 +890,40 @@ func (p *selectPlan) explainLines() []string {
 	return lines
 }
 
+// kernelLines is how a full scan lists its rows through the kernels:
+// with every conjunct of its WHERE a key, the kernels are the filter;
+// with a residual, they list the keys' candidates and the WHERE runs on
+// each.
+func (s *tableSource) kernelLines() []string {
+	lines := []string{fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows)}
+	switch {
+	case len(s.keys) == 0:
+	case !s.residual:
+		lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
+	default:
+		lines = append(lines, "  vector filter: compiled kernels on the keys "+exprsText(s.keys, s.t, " AND ")+" with zone-map skipping",
+			"  filter: predicate per row on the kernels' candidates")
+	}
+	return lines
+}
+
 // zoneMapLine reports, at EXPLAIN time, how many of the table's current
-// chunks the source's bound predicate's zone maps would skip. Predicates
-// with parameters cannot bind without values and report per-execution
+// chunks the zone maps of the source's keys would skip. Keys with
+// parameters cannot bind without values and report per-execution
 // evaluation instead. Caller holds d.mu for reading.
 func (d *Database) zoneMapLine(s *tableSource) string {
-	bp, chunks, bound := d.bindKernels(s, nil)
+	wk := s.bindKeys(nil)
 	switch {
-	case !bound:
+	case wk.perRow && len(wk.keys) < len(s.keys):
 		return "  vector zone maps: evaluated per execution"
-	case !chunks:
+	case !d.vectorEnabled() || !d.ensureChunks(s.t):
 		return "  vector zone maps: column chunks unavailable (row fallback)"
 	}
 	skipped, n := 0, 0
 	for _, ch := range s.t.pages {
 		if ch != nil {
 			n++
-			if bp.possible(ch)&maskT == 0 {
+			if wk.vec.possible(ch)&maskT == 0 {
 				skipped++
 			}
 		}
@@ -913,7 +938,7 @@ func (d *Database) zoneMapLine(s *tableSource) string {
 func (d *Database) explainSelect(st *SelectStmt, bps *blockPlans, open map[*SelectStmt]bool) []string {
 	bp := bps.m[st]
 	lines := slices.Clone(bp.plan.explain)
-	if p := bp.plan; p.vector && p.src.pred != nil {
+	if p := bp.plan; p.vector && len(p.src.keys) > 0 {
 		lines = append(lines, d.zoneMapLine(p.src))
 	}
 	open[st] = true
@@ -950,15 +975,19 @@ func (d *Database) explainStatement(st Statement) []string {
 }
 
 // explainDML describes how an UPDATE or DELETE lists its target rows: in
-// the lines of a SELECT's row path, which it reads its table by. Caller
-// holds d.mu for reading.
+// the source lines of a SELECT with its WHERE, which lists them the same
+// way (candidates). Caller holds d.mu for reading.
 func (d *Database) explainDML(head, table string, where Expr) []string {
 	src := d.planSource(&TableRef{Table: table}, where)
 	if src == nil {
 		_, err := d.table(table)
 		return []string{head, "  fails when run: " + err.Error()}
 	}
-	return append([]string{head, "  access: " + src.describe()}, src.filterLine(where != nil)...)
+	lines := []string{head, "  access: " + src.describe()}
+	if src.access == accessFullScan && len(src.keys) > 0 {
+		return append(append(lines, src.kernelLines()...), d.zoneMapLine(src))
+	}
+	return append(lines, src.filterLine(where != nil)...)
 }
 
 // filterLine is what the row path's filter does with the rows an access

@@ -34,60 +34,61 @@ func (p *accessPath) probeValue(e Expr, params []Value) (Value, bool) {
 	return v, true
 }
 
-// indexIDs resolves a predicate-bound index access (point or range) to
-// its candidate row IDs. ok=false is a runtime binding failure (see
-// probeValue), and the caller widens to the whole table. IDs come back
-// ascending, or for a range scan with keyOrder set in index key order
-// (descending when desc). The result never aliases index storage.
-func (p *accessPath) indexIDs(params []Value, keyOrder, desc bool) (ids []int64, ok bool) {
-	switch p.access {
-	case accessOrderedPoint:
-		v, ok := p.probeValue(p.eq, params)
-		if !ok {
-			return nil, false
+// candidates lists one execution's candidate row IDs under the candidate
+// rule (bindKeys), for a SELECT's row loop (bindScan) and for an UPDATE
+// or DELETE (whereIDs) alike. When the kernels may run (kernels: a full
+// scan whose keys wk holds bound, the vector switch on) and a key binds,
+// they list the candidates through the chunks, ascending, the zone maps
+// skipping chunks as ever: split is nil, and decided reports that the
+// keys are the whole WHERE. Else the access path lists them, counted as a
+// fallback if the kernels might have, and split is the keys to test on
+// each before the WHERE (decide). An index probe or range lists its rows
+// ascending, or in key order when ordered (a plan's ORDER BY the index
+// satisfies), never aliasing the index; decided then reports bounds that
+// are the WHERE (boundsAreWhere). A probe key or bound that does not bind
+// (probeValue) widens to every row — in the index's order when ordered —,
+// as correct a listing as the narrowed one. The caller holds d.mu.
+func (d *Database) candidates(env *evalEnv, s *tableSource, ap *accessPath, kernels bool, wk whereKeys, ordered bool) (ids []int64, split []Expr, decided bool, err error) {
+	if kernels {
+		if wk.vec != nil && d.ensureChunks(ap.t) {
+			err = d.eachChunk(env.ctx, wk.vec, ap.t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
+				for _, r := range rows {
+					ids = append(ids, ch.ids[r])
+				}
+				return true, nil
+			})
+			return ids, nil, !wk.perRow, err
 		}
-		ids = append(ids, p.ix.lookup(v)...) // already id-ascending
-	case accessOrderedRange:
-		lo, hi, ok := p.rangeBounds(params)
-		if !ok {
-			return nil, false
-		}
-		ids = p.ix.appendRange(ids, lo, hi, keyOrder && desc)
-		if !keyOrder {
-			slices.Sort(ids)
-		}
-	default:
-		return nil, false
+		d.vecFallbacks.Add(1)
 	}
-	return ids, true
-}
-
-// rowIDs lists the row IDs of the table through the access path, for a
-// SELECT's row path and for an UPDATE or DELETE alike. Any runtime binding
-// failure (a NULL or incomparable key or bound) widens to a scan of the
-// whole table: the caller decides every listed row by the WHERE (decide),
-// so a superset listing is exactly as correct as the narrowed one. When
-// ordered — a plan's ORDER BY the index satisfies — the widened scan
-// still iterates the ordered index so row order is preserved; otherwise
-// row IDs are ascending, a walk's scan order.
-//
-// filtered reports that the IDs are exactly the rows WHERE accepts, so
-// the caller skips the predicate: the clause is nothing but the range
-// bounds (boundsAreWhere), and they bound.
-func (p *accessPath) rowIDs(params []Value, ordered bool) (ids []int64, filtered bool) {
 	narrowed := false
-	if p.access == accessOrderedScan {
-		ids, narrowed = p.ix.appendOrdered(ids, p.desc), true
-	} else if p.access != accessFullScan {
-		ids, narrowed = p.indexIDs(params, ordered, p.desc)
-	}
-	if !narrowed {
-		if ordered && p.ix != nil {
-			return p.ix.appendOrdered(ids, p.desc), false
+	switch ap.access {
+	case accessOrderedScan:
+		ids, narrowed = ap.ix.appendOrdered(nil, ap.desc), true
+	case accessOrderedPoint:
+		if v, ok := ap.probeValue(ap.eq, env.params); ok {
+			ids, narrowed = append(ids, ap.ix.lookup(v)...), true // already ID-ascending
 		}
-		return p.t.liveIDs(), false
+	case accessOrderedRange:
+		if lo, hi, ok := ap.rangeBounds(env.params); ok {
+			if ids, narrowed = ap.ix.appendRange(nil, lo, hi, ordered && ap.desc), true; !ordered {
+				slices.Sort(ids)
+			}
+		}
 	}
-	return ids, p.boundsAreWhere
+	switch {
+	case narrowed:
+		decided = ap.boundsAreWhere
+	case ordered && ap.ix != nil:
+		ids = ap.ix.appendOrdered(nil, ap.desc)
+	default:
+		ids = ap.t.liveIDs()
+	}
+	// One key and no residual: the key is the WHERE, and splits nothing off.
+	if !decided && !kernels && (s.residual || len(s.keys) > 1) {
+		wk = s.bindKeys(env.params)
+	}
+	return ids, wk.keys, decided, nil
 }
 
 // rangeBounds evaluates the plan's pushed-down bounds; ok=false when
@@ -122,7 +123,7 @@ func (p *accessPath) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 type rowScan struct {
 	env   *evalEnv
 	where Expr   // nil: every input row survives
-	split []Expr // the WHERE's keys when the row path splits them off (splitKeys)
+	split []Expr // the keys tested before the WHERE on each row (candidates)
 	exprs []Expr
 	// gather and identity are the plan's (see selectPlan): projections
 	// that copy cells by ordinal, or pass the input row — the table's
@@ -255,53 +256,58 @@ func (sc *rowScan) orderKeys(out []Value) error {
 }
 
 // bindScan binds a join-free plan's scan for one execution and returns
-// its body, which feeds k. The rows come from the chunk kernels when the
-// vector annotation binds and the table's chunks build (the chunk feeder
-// folds them, its row feeder starting over if it abandons), else from the
-// access path's row IDs: as one segment when k materialises, so every row
-// is filtered before any is projected, and streamBatchRows at a time when
-// it streams. A materialised scan that sorts on the kernels
-// takes a bounded top-K where the plan admits one, which reads only the
-// pages that can enter its heap. The caller holds d.mu for reading until
-// the body has run.
+// its body, which feeds k. When the plan's keys are its whole WHERE (or
+// it has none) and the table's chunks build, the rows come from the
+// chunk kernels: the chunk feeder folds them, its row feeder starting
+// over if it abandons, and a materialised scan that sorts takes a
+// bounded top-K where the plan admits one, which reads only the pages
+// that can enter its heap. Else the rows are the WHERE's candidates
+// (candidates), filtered and projected as one segment when k
+// materialises, so every row is filtered before any is projected or fed,
+// and streamBatchRows at a time when it streams. The caller holds d.mu
+// for reading until the body has run.
 func (d *Database) bindScan(p *selectPlan, sc *rowScan, k *streamSink) func() error {
 	env := sc.env
-	if p.vector && d.vectorEnabled() {
-		if bp, chunks, _ := d.bindKernels(p.src, env.params); chunks {
-			sc.where = nil // the kernels are the filter
-			if sc.order != nil {
-				if sc.top = p.topRows(env); sc.top != nil {
-					return func() error { return sc.top.scan(d, env.ctx, bp, p.t.pages) }
-				}
-			}
-			return func() error {
-				if g := p.group; g != nil && g.chunked {
-					if done, err := sc.group.foldChunks(d, p.t, bp); done || err != nil {
-						return err
-					}
-					d.vecFallbacks.Add(1)
-					sc.group = newAggGroups(g, env)
-				}
-				seg := make([][]Value, 0, chunkRows)
-				return d.eachChunk(env.ctx, bp, p.t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
-					err := sc.segment(k, ch.appendRowsAt(seg[:0], rows))
-					return !k.full(), err
-				})
+	kernels := p.vector && d.vectorEnabled()
+	var wk whereKeys
+	if kernels {
+		wk = p.src.bindKeys(env.params)
+	}
+	if bp := wk.vec; kernels && !wk.perRow && d.ensureChunks(p.t) {
+		sc.where = nil // the kernels are the filter
+		if sc.order != nil {
+			if sc.top = p.topRows(env); sc.top != nil {
+				return func() error { return sc.top.scan(d, env.ctx, bp, p.t.pages) }
 			}
 		}
-		d.vecFallbacks.Add(1)
-	}
-	ids, filtered := p.rowIDs(env.params, p.orderSatisfied)
-	if filtered {
-		sc.where = nil
-	} else if sc.where != nil {
-		sc.split = p.src.splitKeys(env.params)
-	}
-	size := len(ids)
-	if k.rs != nil {
-		size = streamBatchRows
+		return func() error {
+			if g := p.group; g != nil && g.chunked {
+				if done, err := sc.group.foldChunks(d, p.t, bp); done || err != nil {
+					return err
+				}
+				d.vecFallbacks.Add(1)
+				sc.group = newAggGroups(g, env)
+			}
+			seg := make([][]Value, 0, chunkRows)
+			return d.eachChunk(env.ctx, bp, p.t.pages, nil, func(ch *colChunk, rows []uint16) (bool, error) {
+				err := sc.segment(k, ch.appendRowsAt(seg[:0], rows))
+				return !k.full(), err
+			})
+		}
 	}
 	return func() error {
+		ids, split, decided, err := d.candidates(env, p.src, &p.accessPath, kernels, wk, p.orderSatisfied)
+		if err != nil {
+			return err
+		}
+		if decided {
+			sc.where = nil
+		}
+		sc.split = split
+		size := len(ids)
+		if k.rs != nil {
+			size = streamBatchRows
+		}
 		seg := make([][]Value, 0, min(len(ids), size))
 		for len(ids) > 0 && !k.full() {
 			n := min(len(ids), size)

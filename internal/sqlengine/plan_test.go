@@ -270,10 +270,10 @@ func TestPlannedStreamMatchesInterpreted(t *testing.T) {
 }
 
 // TestKernelPlansBind is the plan/bind agreement check: every block of
-// the corpus whose plan puts its WHERE on the kernels (kernelPred) binds
-// it with the statement's parameters, and running the statement counts
-// no fallback — a shape the plan admits and the binding refuses would
-// take the row path on every execution.
+// the corpus whose plan puts its WHERE's keys on the kernels (kernelPred)
+// binds each of them with the statement's parameters, and running the
+// statement counts no fallback — a shape the plan admits and the binding
+// refuses would take the row path on every execution.
 func TestKernelPlansBind(t *testing.T) {
 	e := planEngine(t, 150)
 	kernels := 0
@@ -285,10 +285,10 @@ func TestKernelPlansBind(t *testing.T) {
 		filtered := false
 		e.db.mu.RLock()
 		for _, bp := range prep.blocks.m {
-			if p := bp.plan; p != nil && p.vector && p.src.pred != nil {
+			if p := bp.plan; p != nil && p.vector && len(p.src.keys) > 0 {
 				filtered = true
-				if _, chunks, bound := e.db.bindKernels(p.src, tc.params); !bound || !chunks {
-					t.Errorf("%s: the kernel filter %s does not bind (chunks %v)", tc.sql, exprText(p.src.pred, p.t), chunks)
+				if wk, chunks := p.src.bindKeys(tc.params), e.db.ensureChunks(p.t); wk.perRow && len(wk.keys) < len(p.src.keys) || !chunks {
+					t.Errorf("%s: a key of %v does not bind (chunks %v)", tc.sql, p.src.kernelLines(), chunks)
 				}
 			}
 		}

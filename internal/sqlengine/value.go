@@ -295,8 +295,11 @@ func (v Value) Coerce(t Type) (Value, error) {
 		case TypeInteger, TypeBigint:
 			return Value{Type: t, I: v.I}, nil
 		case TypeDouble:
-			if v.F != math.Trunc(v.F) || math.IsInf(v.F, 0) || math.IsNaN(v.F) {
+			switch {
+			case v.F != math.Trunc(v.F) || math.IsInf(v.F, 0) || math.IsNaN(v.F):
 				return Null, fmt.Errorf("cannot coerce %v to %s without loss", v.F, t)
+			case v.F >= 0x1p63 || v.F < -0x1p63:
+				return Null, errIntRange
 			}
 			return Value{Type: t, I: int64(v.F)}, nil
 		case TypeVarchar:

@@ -26,6 +26,9 @@ const (
 	maskN
 )
 
+// triMask is each tri-state's possibility mask.
+var triMask = [3]uint8{triF: maskF, triT: maskT, triN: maskN}
+
 // kernelPred reports that the kernels take a bound predicate whole. When
 // some subtree lies outside their class (subqueries, functions of a
 // column, column-vs-column comparison, arithmetic that could fail on a
@@ -208,9 +211,9 @@ func bindVecPred(e Expr, params []Value, t *Table) (boundVec, bool) {
 				return nil, false
 			}
 			if n.Op == "AND" {
-				return &bvAnd{l: l, r: r}, true
+				return &bvLogic{l: l, r: r, dom: triF}, true
 			}
-			return &bvOr{l: l, r: r}, true
+			return &bvLogic{l: l, r: r, dom: triT}, true
 		case "LIKE":
 			v, ok := evalConst(n.Right, params)
 			if !ok {
@@ -278,7 +281,7 @@ func bindVecPred(e Expr, params []Value, t *Table) (boundVec, bool) {
 			return nil, false
 		}
 		// With both bounds non-null, BETWEEN is its two comparisons ANDed.
-		var b boundVec = &bvAnd{l: bindCmp(src, opTri(">="), lo), r: bindCmp(src, opTri("<="), hi)}
+		var b boundVec = &bvLogic{l: bindCmp(src, opTri(">="), lo), r: bindCmp(src, opTri("<="), hi), dom: triF}
 		if n.Negate {
 			b = &bvNot{c: b}
 		}
@@ -392,15 +395,7 @@ func (b *bvConst) eval(ch *colChunk, out []int8) {
 		out[i] = b.tri
 	}
 }
-func (b *bvConst) possible(*colChunk) uint8 {
-	switch b.tri {
-	case triT:
-		return maskT
-	case triF:
-		return maskF
-	}
-	return maskN
-}
+func (b *bvConst) possible(*colChunk) uint8 { return triMask[b.tri] }
 
 // bvCmp evaluates column <op> constant over a chunk with typed inner
 // loops for the hot layouts (int, float, string) and the generic
@@ -711,20 +706,26 @@ func (b *bvIn) possible(ch *colChunk) uint8 {
 	return m | maskF
 }
 
-type bvAnd struct {
+// bvLogic is Kleene AND (dom triF) or OR (dom triT): a row is dom when
+// either side is, the other truth value when both sides are, and unknown
+// otherwise.
+type bvLogic struct {
 	l, r boundVec
+	dom  int8
 	buf  []int8
 }
 
-// eval leaves out a side the zone maps find true on every row of the
-// chunk: T AND x is x. possible is sound for F and N as well as T, so a
-// side whose mask is maskT alone yields T on every row.
-func (b *bvAnd) eval(ch *colChunk, out []int8) {
-	switch {
-	case b.l.possible(ch) == maskT:
+// eval leaves out a side the zone maps find to be the other truth value
+// on every row of the chunk: T AND x is x, F OR x is x. possible is sound
+// for all three tri-states, so a side whose mask is that value's alone
+// yields it on every row.
+func (b *bvLogic) eval(ch *colChunk, out []int8) {
+	dom := b.dom
+	switch other := triMask[triT-dom]; {
+	case b.l.possible(ch) == other:
 		b.r.eval(ch, out)
 		return
-	case b.r.possible(ch) == maskT:
+	case b.r.possible(ch) == other:
 		b.l.eval(ch, out)
 		return
 	}
@@ -734,82 +735,21 @@ func (b *bvAnd) eval(ch *colChunk, out []int8) {
 	}
 	rb := b.buf[:ch.n]
 	b.r.eval(ch, rb)
-	for i := 0; i < ch.n; i++ {
-		l, r := out[i], rb[i]
-		switch {
-		case l == triF || r == triF:
-			out[i] = triF
-		case l == triT && r == triT:
-			out[i] = triT
-		default:
+	for i, r := range rb {
+		switch l := out[i]; {
+		case r == dom:
+			out[i] = dom
+		case l != r && l != dom: // one side unknown, the other not dom
 			out[i] = triN
 		}
 	}
 }
 
-func (b *bvAnd) possible(ch *colChunk) uint8 {
-	lm, rm := b.l.possible(ch), b.r.possible(ch)
-	var m uint8
-	if lm&maskT != 0 && rm&maskT != 0 {
-		m |= maskT
-	}
-	if lm&maskF != 0 || rm&maskF != 0 {
-		m |= maskF
-	}
-	if lm&maskN != 0 || rm&maskN != 0 {
-		m |= maskN
-	}
-	return m
-}
-
-type bvOr struct {
-	l, r boundVec
-	buf  []int8
-}
-
-// eval leaves out a side the zone maps find false on every row of the
-// chunk: F OR x is x.
-func (b *bvOr) eval(ch *colChunk, out []int8) {
-	switch {
-	case b.l.possible(ch) == maskF:
-		b.r.eval(ch, out)
-		return
-	case b.r.possible(ch) == maskF:
-		b.l.eval(ch, out)
-		return
-	}
-	b.l.eval(ch, out)
-	if b.buf == nil {
-		b.buf = make([]int8, chunkRows)
-	}
-	rb := b.buf[:ch.n]
-	b.r.eval(ch, rb)
-	for i := 0; i < ch.n; i++ {
-		l, r := out[i], rb[i]
-		switch {
-		case l == triT || r == triT:
-			out[i] = triT
-		case l == triF && r == triF:
-			out[i] = triF
-		default:
-			out[i] = triN
-		}
-	}
-}
-
-func (b *bvOr) possible(ch *colChunk) uint8 {
-	lm, rm := b.l.possible(ch), b.r.possible(ch)
-	var m uint8
-	if lm&maskT != 0 || rm&maskT != 0 {
-		m |= maskT
-	}
-	if lm&maskF != 0 && rm&maskF != 0 {
-		m |= maskF
-	}
-	if lm&maskN != 0 || rm&maskN != 0 {
-		m |= maskN
-	}
-	return m
+// possible: dom or unknown when either side may be, the other value only
+// when both may.
+func (b *bvLogic) possible(ch *colChunk) uint8 {
+	lm, rm, dn := b.l.possible(ch), b.r.possible(ch), triMask[b.dom]|maskN
+	return (lm|rm)&dn | lm&rm&^dn
 }
 
 type bvNot struct{ c boundVec }
@@ -841,30 +781,6 @@ func (b *bvNot) possible(ch *colChunk) uint8 {
 	return m
 }
 
-// filterChunk applies a bound predicate (nil: none) to one chunk and
-// counts it: the positions of the rows it accepts, in order, or
-// skipped=true when the zone maps rule the chunk out untouched. When
-// they rule every row in, the predicate is not evaluated. rows may
-// alias buf or the shared identity selection; it is valid until the
-// next call.
-func (d *Database) filterChunk(bp boundVec, ch *colChunk, sel *[chunkRows]int8, buf *[chunkRows]uint16) (rows []uint16, skipped bool) {
-	if bp == nil {
-		d.vecBatches.Add(1)
-		return allRows[:ch.n], false
-	}
-	m := bp.possible(ch)
-	if m&maskT == 0 {
-		d.vecSkipped.Add(1)
-		return nil, true
-	}
-	d.vecBatches.Add(1)
-	if m == maskT { // the zone maps decide every row true
-		return allRows[:ch.n], false
-	}
-	bp.eval(ch, sel[:ch.n])
-	return selectedRows(sel[:ch.n], buf), false
-}
-
 // selBuf is eachChunk's scratch: a chunk's selection and the positions
 // it accepts. They are pooled because a bounded top-K calls eachChunk
 // once per page it seeds its heap from.
@@ -876,13 +792,14 @@ type selBuf struct {
 var selBufs = sync.Pool{New: func() any { return new(selBuf) }}
 
 // eachChunk is the one chunk loop: it runs bp (nil: no predicate) over
-// every non-nil page of pages — a table's, or a part of them — through
-// filterChunk and hands f each one the zone maps do not skip, with the
-// positions of the rows the filter accepts, in scan order, until f wants
-// no more. rows is valid until f returns. skip (nil: none) rules page k
-// out before it is filtered, and counts as a zone-map skip: a bounded
-// top-K's test that no row of the page can enter its heap. The caller
-// has brought the pages' vectors up to date (bindKernels).
+// every non-nil page of pages — a table's, or a part of them — and hands
+// f each one the zone maps do not skip, with the positions of the rows
+// bp accepts, in scan order, until f wants no more; a page the zone maps
+// decide true on every row is handed over unevaluated. rows is valid
+// until f returns. skip (nil: none) rules page k out before it is
+// filtered, and counts as a zone-map skip: a bounded top-K's test that no
+// row of the page can enter its heap. The caller has brought the pages'
+// vectors up to date (ensureChunks).
 func (d *Database) eachChunk(ctx context.Context, bp boundVec, pages []*colChunk, skip func(k int) bool, f func(ch *colChunk, rows []uint16) (more bool, err error)) error {
 	buf := selBufs.Get().(*selBuf)
 	defer selBufs.Put(buf)
@@ -893,32 +810,28 @@ func (d *Database) eachChunk(ctx context.Context, bp boundVec, pages []*colChunk
 		if err := ctxCheck(ctx); err != nil {
 			return err
 		}
-		if skip != nil && skip(k) {
+		m := maskT // no predicate: every row
+		switch {
+		case skip != nil && skip(k):
+			m = 0
+		case bp != nil:
+			m = bp.possible(ch)
+		}
+		if m&maskT == 0 {
 			d.vecSkipped.Add(1)
 			continue
 		}
-		rows, skipped := d.filterChunk(bp, ch, &buf.sel, &buf.pos)
-		if skipped {
-			continue
+		d.vecBatches.Add(1)
+		rows := allRows[:ch.n]
+		if m != maskT {
+			bp.eval(ch, buf.sel[:ch.n])
+			rows = selectedRows(buf.sel[:ch.n], &buf.pos)
 		}
 		if more, err := f(ch, rows); err != nil || !more {
 			return err
 		}
 	}
 	return nil
-}
-
-// bindKernels binds a source's kernels for one execution: its predicate
-// against params — bound=false when an operand does not bind, and the
-// row filter must run instead — and, when the vector switch is on, brings
-// the table's vectors up to date (chunks=false when they do not build).
-func (d *Database) bindKernels(s *tableSource, params []Value) (bp boundVec, chunks, bound bool) {
-	if s.pred != nil {
-		if bp, bound = bindVecPred(s.pred, params, s.t); !bound {
-			return nil, false, false
-		}
-	}
-	return bp, d.vectorEnabled() && d.ensureChunks(s.t), true
 }
 
 // vectorEnabled reports whether columnar operators may run for this

@@ -73,12 +73,18 @@ func staticDouble(e Expr, t *Table) bool {
 	return false
 }
 
+// notText is how exprText writes a negated IS NULL, BETWEEN or IN.
+var notText = map[bool]string{true: "NOT "}
+
 // exprText renders an expression for EXPLAIN.
 func exprText(e Expr, t *Table) string {
 	switch n := e.(type) {
 	case *boundColExpr:
 		return t.Columns[n.idx].Name
 	case *LiteralExpr:
+		if n.Value.Type == TypeVarchar {
+			return "'" + strings.ReplaceAll(n.Value.S, "'", "''") + "'"
+		}
 		return n.Value.String()
 	case *ParamExpr:
 		return "?"
@@ -90,15 +96,26 @@ func exprText(e Expr, t *Table) string {
 	case *BinaryExpr:
 		return "(" + exprText(n.Left, t) + " " + n.Op + " " + exprText(n.Right, t) + ")"
 	case *FuncExpr:
-		args := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = exprText(a, t)
-		}
-		return n.Name + "(" + strings.Join(args, ", ") + ")"
+		return n.Name + "(" + exprsText(n.Args, t, ", ") + ")"
 	case *CastExpr:
 		return "CAST(" + exprText(n.Operand, t) + " AS " + n.Target.String() + ")"
+	case *IsNullExpr:
+		return "(" + exprText(n.Operand, t) + " IS " + notText[n.Negate] + "NULL)"
+	case *BetweenExpr:
+		return "(" + exprText(n.Operand, t) + " " + notText[n.Negate] + "BETWEEN " + exprText(n.Lo, t) + " AND " + exprText(n.Hi, t) + ")"
+	case *InExpr:
+		return "(" + exprText(n.Operand, t) + " " + notText[n.Negate] + "IN (" + exprsText(n.List, t, ", ") + "))"
 	}
 	return fmt.Sprintf("%T", e)
+}
+
+// exprsText renders a list of expressions for EXPLAIN, joined by sep.
+func exprsText(es []Expr, t *Table, sep string) string {
+	texts := make([]string, len(es))
+	for i, e := range es {
+		texts[i] = exprText(e, t)
+	}
+	return strings.Join(texts, sep)
 }
 
 // allRows is the identity selection: positions 0..chunkRows-1.
