@@ -68,9 +68,11 @@ stream-chaos:
 # Federation gateway chaos: kill one of three backends mid-flight
 # under concurrent federated load with the race detector. Surviving
 # shards must keep answering, scatters must never return partial
-# rowsets, and the health board must converge. CI runs this.
+# rowsets, and the health board must converge. Relays cancelled
+# mid-flight beside completing ones must never send or answer with
+# another exchange's bytes. CI runs this.
 gw-chaos:
-	$(GO) test -race -shuffle=on -count=1 -run 'TestGWChaos' ./internal/gateway/
+	$(GO) test -race -shuffle=on -count=1 -run 'TestGWChaos|TestRelayCancelledMidFlight' ./internal/gateway/
 
 # Open-loop load harness smoke: a short fixed-seed E17 sweep against
 # both targets (single daisd + 3-backend daisgw) asserting every
@@ -87,8 +89,9 @@ soak:
 # Short fuzz pass over each parser target, the bulk path's cell kernels
 # against their byte-loop and strconv models, the LIKE kernel's prefix
 # words against the row matcher, the ordered index, the one
-# comparison order, the exact sum against math/big and the SELECT and
-# DML executors against their oracle; scheduled CI runs this.
+# comparison order, the exact sum against math/big, the SELECT and
+# DML executors against their oracle and the gateway's spliced scatter
+# merge against the decoded one; scheduled CI runs this.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnvelope -fuzztime $(FUZZTIME) ./internal/soap/
@@ -116,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEPR -fuzztime $(FUZZTIME) ./internal/wsaddr/
 	$(GO) test -run '^$$' -fuzz FuzzXPath -fuzztime $(FUZZTIME) ./internal/xmldb/
 	$(GO) test -run '^$$' -fuzz FuzzXUpdate -fuzztime $(FUZZTIME) ./internal/xmldb/
+	$(GO) test -run '^$$' -fuzz FuzzScatterSplice -fuzztime $(FUZZTIME) ./internal/gateway/
 
 # The benchmark is its own module (benchmark/go.mod), which ./... does
 # not reach: its tests — seed discipline, a smoke run of every workload,

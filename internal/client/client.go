@@ -131,6 +131,17 @@ func (c *Client) ResetCounters() { c.soap.ResetCounters() }
 // call performs one SOAP request/response round trip with WS-Addressing
 // headers, returning the response body element.
 func (c *Client) call(ctx context.Context, address, action string, body *xmlutil.Element) (*xmlutil.Element, error) {
+	resp, err := c.soap.Call(ctx, address, action, Request(address, action, body))
+	if err != nil {
+		return nil, service.DecodeFault(err)
+	}
+	return resp.BodyEntry(), nil
+}
+
+// Request wraps a request body in the envelope every call sends: the
+// WS-Addressing headers addressing it to address, with a fresh
+// MessageID and an anonymous ReplyTo.
+func Request(address, action string, body *xmlutil.Element) *soap.Envelope {
 	env := soap.NewEnvelope(body)
 	h := &wsaddr.MessageHeaders{
 		To:        address,
@@ -139,11 +150,7 @@ func (c *Client) call(ctx context.Context, address, action string, body *xmlutil
 		ReplyTo:   wsaddr.NewEPR(wsaddr.AnonymousURI),
 	}
 	h.Attach(env)
-	resp, err := c.soap.Call(ctx, address, action, env)
-	if err != nil {
-		return nil, service.DecodeFault(err)
-	}
-	return resp.BodyEntry(), nil
+	return env
 }
 
 // invoke performs one operation per its catalog spec: the spec builds
@@ -158,15 +165,16 @@ func (c *Client) invoke(ctx context.Context, ref ResourceRef, spec ops.Spec, msg
 	return c.call(ops.WithCallInfo(ctx, spec.Info()), ref.Address, spec.Action, req)
 }
 
-// Invoke performs one operation against an address with a caller-built
-// request body, returning the raw response body. The federation gateway
-// forwards through this: it rewrites the decoded request itself (alias
-// translation, name framing) and must not re-encode through the typed
-// message layer, but still wants the catalog metadata on the context so
+// Relay performs one operation with a caller-built request envelope —
+// sent as its Wire where it has one (a request a server read and passes
+// on), as Request builds it otherwise — and hands the reply back as it
+// was written (soap.Client.Relay): the federation gateway passes
+// replies on through this. The catalog metadata rides the context, so
 // the resilience interceptor sees the idempotency class and telemetry
-// labels the call.
-func (c *Client) Invoke(ctx context.Context, address string, spec ops.Spec, body *xmlutil.Element) (*xmlutil.Element, error) {
-	return c.call(ops.WithCallInfo(ctx, spec.Info()), address, spec.Action, body)
+// labels the call. A fault comes back as the *soap.Fault the reply
+// carried, its Wire set; service.DecodeFault types it.
+func (c *Client) Relay(ctx context.Context, address string, spec ops.Spec, req *soap.Envelope) (*soap.Envelope, error) {
+	return c.soap.Relay(ops.WithCallInfo(ctx, spec.Info()), address, spec.Action, req)
 }
 
 // factory is invoke for the indirect access pattern (paper Fig. 3):

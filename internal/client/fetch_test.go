@@ -174,10 +174,10 @@ func TestFetchHammerNothingAliasesThePooledBuffer(t *testing.T) {
 					t.Errorf("fetcher %d: %v", f, err)
 					return
 				}
-				// One window as the gateway sees it: the raw reply.
+				// One window's reply as parsed, its Dataset kept verbatim.
 				body := ops.GetTuples.NewRequest(ref.AbstractName)
 				ops.PageMsg{Start: 1 + 100*r, Count: 200}.Encode(ops.GetTuples, body)
-				resp, err := c.Invoke(ctx, ref.Address, ops.GetTuples, body)
+				resp, err := c.call(ops.WithCallInfo(ctx, ops.GetTuples.Info()), ref.Address, ops.GetTuples.Action, body)
 				if err != nil {
 					t.Errorf("fetcher %d: %v", f, err)
 					return

@@ -649,10 +649,15 @@ func TestGatewayForwardsDatasetVerbatim(t *testing.T) {
 	dependent := datasetBackend(t, tree)
 	_, gwts = startGateway(t, gateway.Config{Backends: []string{dependent.URL}})
 	for _, hop := range []string{dependent.URL, gwts.URL} {
-		resp, err := c.Invoke(ctx, hop, ops.GetTuples, ops.GetTuples.NewRequest("urn:any"))
+		reply, err := c.Relay(ctx, hop, ops.GetTuples, client.Request(hop, ops.GetTuples.Action, ops.GetTuples.NewRequest("urn:any")))
 		if err != nil {
 			t.Fatal(err)
 		}
+		env, err := soap.ParseEnvelope(reply.Wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := env.BodyEntry()
 		ds := resp.Find(core.NSDAI, "Dataset")
 		if ds == nil || ds.Find(rowset.NSDAIR, "SQLRowset") == nil {
 			t.Fatalf("via %s: a fragment using an outer xmlns binding was not built as a subtree: %s", hop, xmlutil.Marshal(resp))

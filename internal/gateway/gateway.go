@@ -17,15 +17,20 @@
 // Every backend call runs through the resilient consumer client
 // (internal/resil): idempotency-gated retries, and a per-backend
 // circuit breaker whose transitions feed the gateway's health board so
-// a dying backend leaves the routing rotation immediately. Responses
-// stream back byte-identically — the gateway re-wraps the backend's
-// response body, rewriting only EPR replies so consumers keep routing
-// through the gateway.
+// a dying backend leaves the routing rotation immediately. The gateway
+// relays: a request goes to its backend as the consumer wrote it, and
+// the reply comes back as the backend wrote it — faults included — with
+// only an EPR reply's address text replaced, so consumers keep routing
+// through the gateway. A scatter's answer is the first member's reply
+// with the other members' rows appended as they wrote them. The gateway
+// builds a tree only for what it answers itself: the resource list, an
+// alias's Resolve and the faults it raises.
 package gateway
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -203,10 +208,12 @@ func (g *Gateway) route(name string) string {
 }
 
 // handleProxy proxies one catalog operation: alias or name-based
-// routing, the resilient backend call, EPR rewriting for
-// factory-style replies, and fault re-encoding — the reply a consumer
-// sees is byte-identical to dialing the owning backend directly,
-// except that EPRs address the gateway.
+// routing and the resilient backend call. The consumer's request goes
+// to the backend as the consumer wrote it, and the backend's reply —
+// fault or answer — comes back as the backend wrote it: the backend saw
+// the consumer's MessageID, so its RelatesTo is already right. Only an
+// EPR reply changes, in the text of its address, so consumers keep
+// routing through the gateway.
 func (g *Gateway) handleProxy(spec ops.Spec) soap.HandlerFunc {
 	return func(ctx context.Context, _ string, env *soap.Envelope) (*soap.Envelope, error) {
 		body := env.BodyEntry()
@@ -215,31 +222,35 @@ func (g *Gateway) handleProxy(spec ops.Spec) soap.HandlerFunc {
 		}
 		ctx = ops.WithCallInfo(ctx, spec.Info())
 		name := ops.AbstractNameText(body)
-		var resp *xmlutil.Element
+		var resp *soap.Envelope
 		var err error
 		if a, ok := g.aliases[name]; ok {
-			resp, err = g.aliasOp(ctx, spec, a, body)
+			resp, err = g.aliasOp(ctx, spec, a, env)
 		} else {
-			resp, err = g.namedOp(ctx, spec, name, body)
+			resp, err = g.namedOp(ctx, spec, name, env)
 		}
 		if err != nil {
-			return nil, service.ToSOAPFault(g.gwError(ctx, err))
+			return nil, g.fault(ctx, err)
 		}
-		return reply(env, spec, resp), nil
+		return resp, nil
 	}
 }
 
-// namedOp forwards an operation addressed to a concrete resource name
-// to its owning backend. The name's placement goes with the resource: on
+// namedOp relays an operation addressed to a concrete resource name to
+// its owning backend. The name's placement goes with the resource: on
 // a proxied Destroy, and when the backend answers that it knows no such
 // resource (it was reaped or destroyed behind the gateway's back).
-func (g *Gateway) namedOp(ctx context.Context, spec ops.Spec, name string, body *xmlutil.Element) (*xmlutil.Element, error) {
-	resp, err := g.forward(ctx, g.route(name), spec, body)
+func (g *Gateway) namedOp(ctx context.Context, spec ops.Spec, name string, env *soap.Envelope) (*soap.Envelope, error) {
+	backend := g.route(name)
+	resp, err := g.relay(ctx, backend, spec, env)
 	var unknown *core.InvalidResourceNameFault
-	switch {
+	switch typed := service.DecodeFault(err); {
 	case err == nil && (spec.Action == ops.ActDestroyDataResource || spec.Action == ops.ActWSRFDestroy),
-		errors.As(err, &unknown) && !ops.IsTypeFault(err, name):
+		errors.As(typed, &unknown) && !ops.IsTypeFault(typed, name):
 		g.place.forget(name)
+	}
+	if err == nil && spec.EPRReply {
+		return g.rewriteEPR(resp, backend)
 	}
 	return resp, err
 }
@@ -249,54 +260,80 @@ func (g *Gateway) namedOp(ctx context.Context, spec ops.Spec, name string, body 
 // over the members. Anything else — a factory operation included, whose
 // derived resource would hold one member's part — has no cluster-wide
 // meaning.
-func (g *Gateway) aliasOp(ctx context.Context, spec ops.Spec, a *Alias, body *xmlutil.Element) (*xmlutil.Element, error) {
+func (g *Gateway) aliasOp(ctx context.Context, spec ops.Spec, a *Alias, env *soap.Envelope) (*soap.Envelope, error) {
 	switch spec.Action {
 	case ops.ActResolve:
 		resp := spec.NewResponse()
 		ops.AddResourceAddress(resp, g.EPRFor(a.Name))
-		return resp, nil
+		return reply(env, spec, resp), nil
 	case ops.ActGenericQuery:
-		return g.scatterQuery(ctx, spec, a, body)
+		return g.scatterQuery(ctx, spec, a, env)
 	}
 	return nil, &core.InvalidResourceNameFault{Name: a.Name + " (cluster alias: supports GenericQuery and Resolve)"}
 }
 
-// forward performs the resilient backend call and, for EPR replies,
-// rewrites the address to the gateway and records the placement.
-func (g *Gateway) forward(ctx context.Context, backend string, spec ops.Spec, body *xmlutil.Element) (*xmlutil.Element, error) {
+// relay performs the resilient backend call, the reply handed back as
+// the backend wrote it.
+func (g *Gateway) relay(ctx context.Context, backend string, spec ops.Spec, req *soap.Envelope) (*soap.Envelope, error) {
 	if backend == "" {
 		return nil, &core.ServiceBusyFault{Reason: "no backend configured", RetryAfter: time.Second}
 	}
-	resp, err := g.client.Invoke(ctx, backend, spec, body)
+	resp, err := g.client.Relay(ctx, backend, spec, req)
 	g.gm.request(backend, spec.Op, telemetry.FaultCode(err))
-	if err != nil {
-		return nil, err
-	}
-	if spec.EPRReply {
-		return g.rewriteEPR(spec, resp, backend)
-	}
-	return resp, nil
+	return resp, err
 }
 
-// rewriteEPR rebuilds an EPR-bearing reply (factory responses,
-// Resolve) around a gateway EPR: the derived resource's abstract name
-// is read from the backend's EPR, its placement recorded, and the
-// response re-minted so the consumer keeps routing through the
-// gateway. The backend EPR's own address — satellite-2's fixed client
-// fallback notwithstanding — never reaches the consumer.
-func (g *Gateway) rewriteEPR(spec ops.Spec, resp *xmlutil.Element, backend string) (*xmlutil.Element, error) {
-	epr, err := ops.ResourceAddress(resp)
-	if err != nil {
-		return nil, err
+// rewriteEPR passes an EPR-bearing reply (factory responses, Resolve)
+// on with the text of the EPR's address replaced by the gateway's, and
+// records the placement of the resource the EPR names. The backend's
+// own address never reaches the consumer; nothing else in the reply
+// changes.
+func (g *Gateway) rewriteEPR(resp *soap.Envelope, backend string) (*soap.Envelope, error) {
+	t := soap.GetTokenizer()
+	defer soap.PutTokenizer(t)
+	var address xmlutil.Edit
+	var name string
+	found, addressed := false, false
+	ok, err := soap.ReadToBody(t, resp.Wire, nil)
+	if err == nil && ok {
+		err = t.EachChild(func(t *xmlutil.Tokenizer) error {
+			if found || !t.Name().Matches(core.NSDAI, "DataResourceAddress") {
+				return t.Skip()
+			}
+			found = true
+			return t.EachChild(func(t *xmlutil.Tokenizer) error {
+				switch n := t.Name(); {
+				case n.Matches(wsaddr.NS, "Address") && !addressed:
+					addressed = true
+					var err error
+					address, err = t.ContentEdit(xmlutil.AppendEscaped(nil, g.address, false))
+					return err
+				case n.Matches(wsaddr.NS, "ReferenceParameters"):
+					return t.EachChild(func(t *xmlutil.Tokenizer) error {
+						if name != "" || !t.Name().Matches(core.NSDAI, "DataResourceAbstractName") {
+							return t.Skip()
+						}
+						var err error
+						name, err = t.ElementText()
+						return err
+					})
+				}
+				return t.Skip()
+			})
+		})
 	}
-	name := ops.EPRName(epr)
-	if name == "" {
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("gateway: EPR reply: %w", err)
+	case !found:
+		return nil, errors.New("gateway: backend reply carries no DataResourceAddress")
+	case !addressed:
+		return nil, errors.New("gateway: backend EPR carries no Address")
+	case name == "":
 		return nil, errors.New("gateway: backend EPR carries no DataResourceAbstractName")
 	}
 	g.place.record(name, backend)
-	out := spec.NewResponse()
-	ops.AddResourceAddress(out, g.EPRFor(name))
-	return out, nil
+	return &soap.Envelope{Wire: xmlutil.ApplyEdits(resp.Wire, address)}, nil
 }
 
 // handleList serves the cluster-wide GetResourceList: the merged,
@@ -355,11 +392,22 @@ func (g *Gateway) collectResourceLists(ctx context.Context) []string {
 	return out
 }
 
-// gwError maps backend-path errors to the fault a consumer should see:
-// typed DAIS faults and SOAP faults pass through untouched (the
-// backend's definitive answer), circuit-open and transport failures
-// become a ServiceBusyFault with pacing, and the caller's own expired
-// context a RequestTimeoutFault.
+// fault maps an error on the backend path to the fault the consumer
+// gets: a backend's fault as the backend wrote it, and one the gateway
+// writes otherwise (gwError).
+func (g *Gateway) fault(ctx context.Context, err error) *soap.Fault {
+	var f *soap.Fault
+	if errors.As(err, &f) && f.Wire != nil {
+		return f
+	}
+	return service.ToSOAPFault(g.gwError(ctx, err))
+}
+
+// gwError maps the errors the gateway answers for itself to the fault a
+// consumer should see: typed DAIS faults and SOAP faults pass through
+// untouched, circuit-open and transport failures become a
+// ServiceBusyFault with pacing, and the caller's own expired context a
+// RequestTimeoutFault.
 func (g *Gateway) gwError(ctx context.Context, err error) error {
 	if core.FaultName(err) != "" {
 		return err
@@ -384,9 +432,10 @@ func (g *Gateway) gwError(ctx context.Context, err error) error {
 	}
 }
 
-// reply wraps a response body with the WS-Addressing reply headers,
-// mirroring the service layer's bind tail so gateway replies are
-// shaped exactly like backend replies.
+// reply wraps a response body the gateway authors (the resource list,
+// an alias's Resolve) with the WS-Addressing reply headers, mirroring
+// the service layer's bind tail so gateway replies are shaped exactly
+// like backend replies.
 func reply(req *soap.Envelope, spec ops.Spec, body *xmlutil.Element) *soap.Envelope {
 	out := soap.NewEnvelope(body)
 	h := wsaddr.FromEnvelope(req)

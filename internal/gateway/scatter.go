@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,8 +12,9 @@ import (
 	"dais/internal/dair"
 	"dais/internal/ops"
 	"dais/internal/rowset"
+	"dais/internal/soap"
 	"dais/internal/sqlengine"
-	"dais/internal/telemetry"
+	"dais/internal/wsaddr"
 	"dais/internal/xmlutil"
 )
 
@@ -22,7 +24,9 @@ import (
 // visited in their declared order, and the merged result concatenates
 // shard results in that order, so a partitioned table whose shards each
 // ORDER BY the partition key reassembles into exactly the rowset a
-// single node holding all the rows would return.
+// single node holding all the rows would return. Each member gets the
+// consumer's request as written, readdressed (memberRequest), and its
+// reply stays bytes (mergeReplies).
 //
 // Failure semantics: members on unhealthy backends are skipped — the
 // federation answers from its surviving shards — but an error from a
@@ -35,7 +39,8 @@ import (
 // without a commit protocol across them one member's failure would leave
 // the others changed. A text that does not parse goes to the members,
 // whose fault names the syntax error as a single node's would.
-func (g *Gateway) scatterQuery(ctx context.Context, spec ops.Spec, a *Alias, body *xmlutil.Element) (*xmlutil.Element, error) {
+func (g *Gateway) scatterQuery(ctx context.Context, spec ops.Spec, a *Alias, env *soap.Envelope) (*soap.Envelope, error) {
+	body := env.BodyEntry()
 	language := body.FindText(core.NSDAI, "GenericQueryLanguage")
 	expression := body.FindText(core.NSDAI, "Expression")
 	if language == dair.LanguageSQL92 {
@@ -49,7 +54,7 @@ func (g *Gateway) scatterQuery(ctx context.Context, spec ops.Spec, a *Alias, bod
 	start := time.Now()
 
 	type part struct {
-		result *xmlutil.Element
+		reply  []byte
 		err    error
 		member Member
 	}
@@ -75,85 +80,263 @@ func (g *Gateway) scatterQuery(ctx context.Context, spec ops.Spec, a *Alias, bod
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			req := spec.NewRequest(p.member.Resource)
-			ops.GenericQueryMsg{Language: language, Expression: expression}.Encode(spec, req)
-			resp, err := g.client.Invoke(ctx, p.member.Backend, spec, req)
-			g.gm.request(p.member.Backend, spec.Op, telemetry.FaultCode(err))
+			req, err := memberRequest(env, spec, p.member)
 			if err != nil {
 				p.err = err
 				return
 			}
-			kids := resp.ChildElements()
-			if len(kids) == 0 {
-				p.err = fmt.Errorf("gateway: empty GenericQuery response from %s", p.member.Backend)
+			resp, err := g.relay(ctx, p.member.Backend, spec, req)
+			if err != nil {
+				p.err = err
 				return
 			}
-			p.result = kids[0]
+			p.reply = resp.Wire
 		}(p)
 	}
 	wg.Wait()
 	g.gm.observeFanout(spec.Op, time.Since(start))
-	results := make([]*xmlutil.Element, len(parts))
+	replies := make([][]byte, len(parts))
 	for i, p := range parts {
 		if p.err != nil {
 			g.gm.countFanned(spec.Op, "error")
 			return nil, p.err
 		}
 		g.gm.countFanned(spec.Op, "ok")
-		results[i] = p.result
+		replies[i] = p.reply
 	}
-	merged, err := mergeQueryResults(results)
+	var messageID string
+	if h := env.FindHeader(wsaddr.NS, "MessageID"); h != nil {
+		messageID = h.Text()
+	}
+	merged, err := mergeReplies(replies, messageID)
 	if err != nil {
 		return nil, err
 	}
-	resp := spec.NewResponse()
-	resp.AppendChild(merged)
-	return resp, nil
+	return &soap.Envelope{Wire: merged}, nil
 }
 
-// mergeQueryResults combines per-shard GenericQuery results into the
-// element a single backend holding all the data would have produced.
-// All shards must return the same result shape:
-//
-//   - SQLRowset: column metadata must agree; rows concatenate in shard
-//     order and re-encode through the shared rowset codec.
-//   - XMLSequence: item lists concatenate in shard order.
-func mergeQueryResults(results []*xmlutil.Element) (*xmlutil.Element, error) {
-	if len(results) == 1 {
-		return results[0], nil
+// memberRequest is the consumer's request as written, readdressed to
+// one member: the text of its wsa:To, of its MessageID (a fresh one:
+// each member's request is a message of its own) and of its
+// DataResourceAbstractName replaced. Header and Body are what the
+// client's interceptors read: the RequestID, which stays, and the name
+// the request now addresses.
+func memberRequest(env *soap.Envelope, spec ops.Spec, m Member) (*soap.Envelope, error) {
+	t := soap.GetTokenizer()
+	defer soap.PutTokenizer(t)
+	var edits []xmlutil.Edit
+	replace := func(t *xmlutil.Tokenizer, text string) error {
+		e, err := t.ContentEdit(xmlutil.AppendEscaped(nil, text, false))
+		edits = append(edits, e)
+		return err
 	}
-	first := results[0]
-	for _, r := range results[1:] {
-		if r.Name != first.Name {
-			return nil, fmt.Errorf("gateway: shards returned mixed result shapes (%s vs %s)", first.Name, r.Name)
+	ok, err := soap.ReadToBody(t, env.Wire, func(t *xmlutil.Tokenizer) error {
+		switch n := t.Name(); {
+		case n.Matches(wsaddr.NS, "To"):
+			return replace(t, m.Backend)
+		case n.Matches(wsaddr.NS, "MessageID"):
+			return replace(t, wsaddr.NewMessageID())
 		}
+		return t.Skip()
+	})
+	if err == nil && ok {
+		err = t.EachChild(func(t *xmlutil.Tokenizer) error {
+			if !t.Name().Matches(core.NSDAI, "DataResourceAbstractName") {
+				return t.Skip()
+			}
+			return replace(t, m.Resource)
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("gateway: request to %s: %w", m.Backend, err)
+	}
+	return &soap.Envelope{
+		Header: env.Header,
+		Body:   []*xmlutil.Element{spec.NewRequest(m.Resource)},
+		Wire:   xmlutil.ApplyEdits(env.Wire, edits...),
+	}, nil
+}
+
+// mergeReplies combines the members' GenericQuery replies into the one
+// a single backend holding all the data would have written: the first
+// member's reply, its RelatesTo made relatesTo (the consumer's
+// MessageID; none, where the consumer sent none), with every other
+// member's result rows appended to its own, as the members wrote them,
+// in member order. All members must return the same result shape:
+//
+//   - SQLRowset: column metadata must agree; the Row elements append.
+//   - XMLSequence: the items append.
+//
+// A copied row or item declares the namespace bindings it uses that the
+// first reply binds otherwise (xmlutil's CopyElement). A lone reply is
+// passed on whatever its result, so single-member aliases are
+// transparent.
+func mergeReplies(replies [][]byte, relatesTo string) ([]byte, error) {
+	t := soap.GetTokenizer()
+	defer soap.PutTokenizer(t)
+	// The first reply is read twice: to its result's columns, for the
+	// shape, scope and metadata the other members' rows are checked
+	// against and copied into; then for its edits.
+	var rows []byte
+	if len(replies) > 1 {
+		n := 0
+		for _, r := range replies[1:] {
+			n += len(r) // room for every row, as each reply's share of it
+		}
+		rows = make([]byte, 0, n)
+		ok, err := soap.ReadToBody(t, replies[0], nil)
+		first, err := openResult(t, ok, err, 0)
+		if err != nil {
+			return nil, err
+		}
+		into := t.Scope(nil)
+		if first.cols, err = resultColumns(t, first.name, nil, 0); err != nil {
+			return nil, err
+		}
+		for i, r := range replies[1:] {
+			if rows, err = appendShard(rows, r, i+1, first, into); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var edits []xmlutil.Edit
+	ok, err := soap.ReadToBody(t, replies[0], func(t *xmlutil.Tokenizer) error {
+		if !t.Name().Matches(wsaddr.NS, "RelatesTo") {
+			return t.Skip()
+		}
+		if relatesTo == "" {
+			from := t.TagOffset()
+			if err := t.Skip(); err != nil {
+				return err
+			}
+			edits = append(edits, xmlutil.Edit{From: from, To: t.Offset()})
+			return nil
+		}
+		e, err := t.ContentEdit(xmlutil.AppendEscaped(nil, relatesTo, false))
+		edits = append(edits, e)
+		return err
+	})
+	if _, err := openResult(t, ok, err, 0); err != nil {
+		return nil, err
+	}
+	if len(replies) > 1 {
+		e, err := t.AppendEdit(rows)
+		if err != nil {
+			return nil, fmt.Errorf("gateway: shard 0: %w", err)
+		}
+		edits = append(edits, e)
+	}
+	return xmlutil.ApplyEdits(replies[0], edits...), nil
+}
+
+// result is what a shard's GenericQuery result says of its shape.
+type result struct {
+	name xmlutil.Name
+	cols []sqlengine.ResultColumn // an SQLRowset's metadata
+}
+
+// openResult stands t on the start tag of a GenericQuery reply's result
+// — the body entry's first child — once ReadToBody has read to the
+// entry (ok, err).
+func openResult(t *xmlutil.Tokenizer, ok bool, err error, shard int) (result, error) {
+	if err == nil && ok {
+		ok, err = t.FirstChild()
+	}
+	if err != nil {
+		return result{}, fmt.Errorf("gateway: shard %d: %w", shard, err)
+	}
+	if !ok {
+		return result{}, fmt.Errorf("gateway: shard %d: empty GenericQuery response", shard)
+	}
+	return result{name: t.Name()}, nil
+}
+
+// appendShard appends the rows (an XMLSequence's items) of shard i's
+// reply to rows, once its result has been checked against the first's.
+func appendShard(rows, reply []byte, i int, first result, into []xmlutil.Binding) ([]byte, error) {
+	t := soap.GetTokenizer()
+	defer soap.PutTokenizer(t)
+	ok, err := soap.ReadToBody(t, reply, nil)
+	r, err := openResult(t, ok, err, i)
+	if err != nil {
+		return rows, err
+	}
+	if r.name != first.name {
+		return rows, fmt.Errorf("gateway: shards returned mixed result shapes (%s vs %s)", first.name, r.name)
 	}
 	switch {
-	case first.Name.Space == rowset.NSDAIR && first.Name.Local == "SQLRowset":
-		return mergeRowsets(results)
-	case first.Name.Space == ops.NSDAIX && first.Name.Local == "XMLSequence":
-		return mergeSequences(results)
+	case first.name.Matches(rowset.NSDAIR, "SQLRowset"):
+		cols, err := resultColumns(t, first.name, func(t *xmlutil.Tokenizer) (err error) {
+			if !t.Name().Matches(rowset.NSDAIR, "Row") {
+				return t.Skip()
+			}
+			rows, err = t.CopyElement(rows, into)
+			return err
+		}, i)
+		if err != nil {
+			return rows, err
+		}
+		if err := sameColumns(first.cols, cols); err != nil {
+			return rows, fmt.Errorf("gateway: shard %d: %w", i, err)
+		}
+		return rows, nil
+	case first.name.Matches(ops.NSDAIX, "XMLSequence"):
+		err := t.EachChild(func(t *xmlutil.Tokenizer) (err error) {
+			rows, err = t.CopyElement(rows, into)
+			return err
+		})
+		if err != nil {
+			return rows, fmt.Errorf("gateway: shard %d: %w", i, err)
+		}
+		return rows, nil
 	}
-	return nil, fmt.Errorf("gateway: cannot merge %s results across shards", first.Name)
+	return rows, fmt.Errorf("gateway: cannot merge %s results across shards", first.name)
 }
 
-func mergeRowsets(results []*xmlutil.Element) (*xmlutil.Element, error) {
-	var merged *sqlengine.ResultSet
-	for i, r := range results {
-		rs, err := rowset.DecodeSQLRowsetElement(r)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: shard %d rowset: %w", i, err)
-		}
-		if merged == nil {
-			merged = rs
-			continue
-		}
-		if err := sameColumns(merged.Columns, rs.Columns); err != nil {
-			return nil, fmt.Errorf("gateway: shard %d: %w", i, err)
-		}
-		merged.Rows = append(merged.Rows, rs.Rows...)
+// errMetadataRead stops resultColumns after the Metadata.
+var errMetadataRead = errors.New("metadata read")
+
+// resultColumns reads an SQLRowset result's first Metadata into
+// columns, and hands every other child to row, through the result's end
+// tag; with row nil it stops after the Metadata. Any other result has
+// no columns.
+func resultColumns(t *xmlutil.Tokenizer, name xmlutil.Name, row func(*xmlutil.Tokenizer) error, shard int) ([]sqlengine.ResultColumn, error) {
+	if !name.Matches(rowset.NSDAIR, "SQLRowset") {
+		return nil, nil
 	}
-	return rowset.SQLRowsetElement(merged), nil
+	var cols []sqlengine.ResultColumn
+	meta := false
+	err := t.EachChild(func(t *xmlutil.Tokenizer) error {
+		if meta || !t.Name().Matches(rowset.NSDAIR, "Metadata") {
+			if row == nil {
+				return t.Skip()
+			}
+			return row(t)
+		}
+		meta = true
+		err := t.EachChild(func(t *xmlutil.Tokenizer) error {
+			if t.Name().Matches(rowset.NSDAIR, "Column") {
+				name, _ := t.Attr("", "name")
+				typ, _ := t.Attr("", "type")
+				cols = append(cols, sqlengine.ResultColumn{Name: string(name), Type: rowset.TypeFromName(string(typ))})
+			}
+			return t.Skip()
+		})
+		if err == nil && row == nil {
+			err = errMetadataRead
+		}
+		return err
+	})
+	if err == errMetadataRead {
+		err = nil
+	}
+	if err == nil && !meta {
+		err = errors.New("rowset: SQLRowset missing Metadata")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("gateway: shard %d rowset: %w", shard, err)
+	}
+	return cols, nil
 }
 
 func sameColumns(a, b []sqlengine.ResultColumn) error {
@@ -167,14 +350,4 @@ func sameColumns(a, b []sqlengine.ResultColumn) error {
 		}
 	}
 	return nil
-}
-
-func mergeSequences(results []*xmlutil.Element) (*xmlutil.Element, error) {
-	seq := xmlutil.NewElement(ops.NSDAIX, "XMLSequence")
-	for _, r := range results {
-		for _, item := range r.ChildElements() {
-			seq.AppendChild(item)
-		}
-	}
-	return seq, nil
 }

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"dais/internal/core"
-	"dais/internal/wsaddr"
 	"dais/internal/xmlutil"
 )
 
@@ -45,27 +44,4 @@ func AbstractNameText(body *xmlutil.Element) string {
 		return ""
 	}
 	return body.FindText(core.NSDAI, "DataResourceAbstractName")
-}
-
-// SetAbstractName rewrites the DataResourceAbstractName of a request
-// body in place (adding it when absent). The federation gateway uses it
-// to translate a cluster-wide alias into the concrete per-backend
-// resource name before forwarding.
-func SetAbstractName(body *xmlutil.Element, name string) {
-	if el := body.Find(core.NSDAI, "DataResourceAbstractName"); el != nil {
-		el.SetText(name)
-		return
-	}
-	body.AddText(core.NSDAI, "DataResourceAbstractName", name)
-}
-
-// EPRName extracts the DataResourceAbstractName reference parameter
-// from an EPR ("" when absent) — the name a factory response or
-// Resolve reply addresses.
-func EPRName(epr *wsaddr.EndpointReference) string {
-	p := epr.ReferenceParameter(core.NSDAI, "DataResourceAbstractName")
-	if p == nil {
-		return ""
-	}
-	return p.Text()
 }

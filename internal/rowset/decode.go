@@ -128,7 +128,7 @@ func (d *streamDecoder) leafText() (string, bool) {
 }
 
 func (d *streamDecoder) addColumn(name, typeName, table string) {
-	t := typeFromName(typeName)
+	t := TypeFromName(typeName)
 	if t == sqlengine.TypeVarchar {
 		d.varchars = append(d.varchars, len(d.cols))
 	}

@@ -103,7 +103,7 @@ func (r *Registry) URIs() []string {
 	return out
 }
 
-// typeName/typeFromName serialise column types.
+// typeName/TypeFromName serialise column types.
 func typeName(t sqlengine.Type) string { return t.String() }
 
 // effectiveColumns resolves untyped (computed) columns by inferring the
@@ -141,7 +141,9 @@ func effectiveColumnsRange(rs *sqlengine.ResultSet, from, to int) []sqlengine.Re
 	return effectiveColumns(rs.Columns, [][][]sqlengine.Value{rs.Rows[from:to]})
 }
 
-func typeFromName(s string) sqlengine.Type {
+// TypeFromName reads a column type as the renderings name it: an
+// unknown name is VARCHAR.
+func TypeFromName(s string) sqlengine.Type {
 	t, err := sqlengine.TypeFromName(s)
 	if err != nil {
 		return sqlengine.TypeVarchar
@@ -347,7 +349,7 @@ func DecodeSQLRowsetElement(root *xmlutil.Element) (*sqlengine.ResultSet, error)
 	for _, c := range meta.FindAll(NSDAIR, "Column") {
 		rs.Columns = append(rs.Columns, sqlengine.ResultColumn{
 			Name:  c.AttrValue("", "name"),
-			Type:  typeFromName(c.AttrValue("", "type")),
+			Type:  TypeFromName(c.AttrValue("", "type")),
 			Table: c.AttrValue("", "table"),
 		})
 	}
@@ -465,7 +467,7 @@ func decodeWebRowSetElement(root *xmlutil.Element) (*sqlengine.ResultSet, error)
 	for _, cd := range meta.FindAll(NSWebRowSet, "column-definition") {
 		rs.Columns = append(rs.Columns, sqlengine.ResultColumn{
 			Name:  cd.FindText(NSWebRowSet, "column-name"),
-			Type:  typeFromName(cd.FindText(NSWebRowSet, "column-type-name")),
+			Type:  TypeFromName(cd.FindText(NSWebRowSet, "column-type-name")),
 			Table: cd.FindText(NSWebRowSet, "table-name"),
 		})
 	}
@@ -596,7 +598,7 @@ func (CSVCodec) Decode(data []byte) (*sqlengine.ResultSet, error) {
 		if i := strings.LastIndex(h, ":"); i >= 0 {
 			name, tname = h[:i], h[i+1:]
 		}
-		rs.Columns = append(rs.Columns, sqlengine.ResultColumn{Name: name, Type: typeFromName(tname)})
+		rs.Columns = append(rs.Columns, sqlengine.ResultColumn{Name: name, Type: TypeFromName(tname)})
 	}
 	for _, rec := range records[1:] {
 		if len(rec) != len(rs.Columns) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -158,18 +159,43 @@ func (c *Client) ResetCounters() {
 // aborts the connection. A SOAP fault in the response is returned as a
 // *Fault error; the envelope is still returned for callers that need
 // header context.
+//
+// A request with Wire is sent as those bytes.
 func (c *Client) Call(ctx context.Context, url, action string, req *Envelope) (*Envelope, error) {
+	return c.call(ctx, url, action, req, false)
+}
+
+// Relay is Call for a caller that passes the reply on as it was
+// written: the envelope it returns holds the reply's bytes as its Wire,
+// and nothing parsed. A fault is the exception, so that interceptors
+// and the caller see it typed: it comes back as Call returns it, with
+// the reply's bytes as the Fault's Wire. The HTTP status tells the two
+// apart (relayReply); an answer is passed on unread.
+func (c *Client) Relay(ctx context.Context, url, action string, req *Envelope) (*Envelope, error) {
+	return c.call(ctx, url, action, req, true)
+}
+
+func (c *Client) call(ctx context.Context, url, action string, req *Envelope, relay bool) (*Envelope, error) {
 	h := Chain(func(ctx context.Context, action string, env *Envelope) (*Envelope, error) {
-		return c.do(ctx, url, action, env)
+		return c.do(ctx, url, action, env, relay)
 	}, c.interceptors...)
 	// Interceptors (the per-endpoint circuit breaker in particular) see
 	// the call's target through the context.
 	return h(WithEndpoint(ctx, url), action, req)
 }
 
-// do performs the terminal HTTP exchange of a Call.
-func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*Envelope, error) {
-	payload := req.Marshal()
+// do performs the terminal HTTP exchange of a Call or a Relay.
+func (c *Client) do(ctx context.Context, url, action string, req *Envelope, relay bool) (*Envelope, error) {
+	payload := req.Wire
+	if payload == nil {
+		payload = req.Marshal()
+	} else {
+		// net/http may read a request body after the exchange returned —
+		// a cancelled RoundTrip does — and by then Wire may be a pooled
+		// buffer serving another request (a relay's Wire is the one its
+		// server read): the transport gets bytes of its own.
+		payload = bytes.Clone(payload)
+	}
 	c.bytesSent.Add(int64(len(payload)))
 	// bytes.Reader bodies get ContentLength and a rewindable GetBody
 	// from the net/http constructor, so retries can replay the request.
@@ -187,6 +213,9 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 		return nil, fmt.Errorf("soap: transport: %w", err)
 	}
 	defer resp.Body.Close()
+	if relay {
+		return c.relayReply(action, len(payload), resp)
+	}
 	// The response body is read into a pooled scratch buffer; this is
 	// safe because ParseEnvelope copies everything it keeps — strings,
 	// and the verbatim span of an opaque payload — out of the bytes it
@@ -224,6 +253,44 @@ func (c *Client) do(ctx context.Context, url, action string, req *Envelope) (*En
 		return env, &HTTPError{StatusCode: resp.StatusCode, RetryAfter: retryAfter(resp.Header)}
 	}
 	return env, nil
+}
+
+// relayReply reads a Relay's reply into bytes of its own — they are
+// passed on after the exchange. A 2xx reply is an answer and is passed
+// on unread: SOAP 1.1's HTTP binding sends a fault with status 500
+// (this stack's overload shed with 503). A reply with any other status
+// is parsed: a fault comes back as Call returns it, the bytes its Wire.
+func (c *Client) relayReply(action string, sent int, resp *http.Response) (*Envelope, error) {
+	var data []byte
+	var err error
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedReply {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("soap: read response: %w", err)
+	}
+	c.bytesReceived.Add(int64(len(data)))
+	if c.onExchange != nil {
+		c.onExchange(action, sent, len(data))
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		return &Envelope{Wire: data}, nil
+	}
+	env, err := parseEnvelope(data, nil)
+	if err != nil {
+		return nil, fmt.Errorf("soap: response (HTTP %d): %w", resp.StatusCode, err)
+	}
+	env.Wire = data
+	if f, ok := AsFault(env.BodyEntry()); ok {
+		f.Status = resp.StatusCode
+		f.RetryAfter = retryAfter(resp.Header)
+		f.Wire = data
+		return env, f
+	}
+	return env, &HTTPError{StatusCode: resp.StatusCode, RetryAfter: retryAfter(resp.Header)}
 }
 
 // HandlerFunc processes one SOAP request under a context. Returning a
@@ -302,6 +369,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.writeFault(w, ClientFault("malformed envelope: %v", err))
 		return
 	}
+	env.Wire = data
 	action := headerAction(env)
 	if action == "" {
 		action = trimQuotes(r.Header.Get("SOAPAction"))
@@ -326,41 +394,47 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	resp, err := Chain(h, ics...)(r.Context(), action, env)
 	status := http.StatusOK
 	// Encode straight into a pooled scratch buffer and write it to the
-	// ResponseWriter — no per-response []byte materialisation.
+	// ResponseWriter — no per-response []byte materialisation. A reply
+	// or fault that has its Wire is written as it stands.
 	buf := getReplyBuffer()
 	defer putBuffer(buf)
+	var out []byte
 	if err != nil {
 		f, isFault := err.(*Fault)
 		if !isFault {
 			f = ServerFault("%v", err)
 		}
-		NewEnvelope(f.Element()).encodeTo(buf)
+		if out = f.Wire; out == nil {
+			NewEnvelope(f.Element()).encodeTo(buf)
+			out = buf.Bytes()
+		}
 		status = faultStatus(w, f)
-	} else {
+	} else if out = resp.Wire; out == nil {
 		resp.encodeTo(buf)
+		out = buf.Bytes()
 	}
 	if observe != nil {
-		observe(action, len(data), buf.Len())
+		observe(action, len(data), len(out))
 	}
-	writeReply(w, status, buf)
+	writeReply(w, status, out)
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
 	buf := getBuffer(0)
 	defer putBuffer(buf)
 	NewEnvelope(f.Element()).encodeTo(buf)
-	writeReply(w, faultStatus(w, f), buf)
+	writeReply(w, faultStatus(w, f), buf.Bytes())
 }
 
-// writeReply sends a reply that is complete in buf. Its length is
+// writeReply sends a reply that is complete in out. Its length is
 // stated: net/http otherwise frames every reply over 2 kB in chunks,
 // which the server pays to write and the consumer to read, for a body
 // that was never a stream.
-func writeReply(w http.ResponseWriter, status int, buf *bytes.Buffer) {
+func writeReply(w http.ResponseWriter, status int, out []byte) {
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	w.Write(out)
 }
 
 // faultStatus resolves the HTTP status a fault is written with (SOAP

@@ -100,7 +100,9 @@ func setRequestID(env *Envelope, id string) {
 // ClientRequestID is a client interceptor that stamps every outgoing
 // request with a request ID: the one already carried by the context, or
 // a freshly generated one. The ID is placed both in the context (for
-// downstream interceptors) and in a SOAP header (for the service).
+// downstream interceptors) and in a SOAP header (for the service) — for
+// a request sent as its Wire, in a copy of the bytes, unless its parsed
+// Header carries the ID already.
 func ClientRequestID() Interceptor {
 	return func(ctx context.Context, action string, env *Envelope, next HandlerFunc) (*Envelope, error) {
 		id := RequestIDFromContext(ctx)
@@ -108,7 +110,15 @@ func ClientRequestID() Interceptor {
 			id = NewRequestID()
 			ctx = WithRequestID(ctx, id)
 		}
-		setRequestID(env, id)
+		if env.Wire == nil {
+			setRequestID(env, id)
+		} else if RequestIDOf(env) != id {
+			wire, err := stampRequestID(env.Wire, id)
+			if err != nil {
+				return nil, err
+			}
+			env = &Envelope{Header: env.Header, Body: env.Body, Wire: wire}
+		}
 		return next(ctx, action, env)
 	}
 }
@@ -116,7 +126,9 @@ func ClientRequestID() Interceptor {
 // ServerRequestID is a server interceptor that adopts the request ID
 // from the incoming envelope (generating one when the consumer sent
 // none), exposes it through the context, and echoes it on the response
-// so consumers can correlate replies.
+// so consumers can correlate replies. A reply written as its Wire is
+// left as it is: a relay's, whose author had the ID from the request
+// (ClientRequestID stamps a relayed request's Wire with it).
 func ServerRequestID() Interceptor {
 	return func(ctx context.Context, action string, env *Envelope, next HandlerFunc) (*Envelope, error) {
 		id := RequestIDOf(env)
@@ -124,7 +136,7 @@ func ServerRequestID() Interceptor {
 			id = NewRequestID()
 		}
 		resp, err := next(WithRequestID(ctx, id), action, env)
-		if resp != nil {
+		if resp != nil && resp.Wire == nil {
 			setRequestID(resp, id)
 		}
 		return resp, err

@@ -27,6 +27,13 @@ const (
 type Envelope struct {
 	Header []*xmlutil.Element
 	Body   []*xmlutil.Element
+	// Wire is the envelope as it was written, where the stack has it at
+	// hand: a request Server read — valid until its handler returns,
+	// when the buffer goes back to a pool — or a reply Client.Relay
+	// read. An envelope with Wire is sent and written as those bytes:
+	// Header and Body are what interceptors read — what was parsed from
+	// them, if anything — and editing them changes nothing on the wire.
+	Wire []byte
 }
 
 // NewEnvelope returns an envelope with the given single body entry.
@@ -162,6 +169,12 @@ type Fault struct {
 	// honour the server's pacing hint.
 	Status     int
 	RetryAfter time.Duration
+
+	// Wire is the envelope the fault arrived in, as Client.Relay read it.
+	// A server handler that returns the fault has Wire written as it
+	// stands, with Status and RetryAfter: a relay passes a fault on as
+	// its author wrote it.
+	Wire []byte
 }
 
 // Error implements the error interface so faults propagate naturally

@@ -670,13 +670,19 @@ func evalScalarFunc(n *FuncExpr, env *evalEnv) (Value, error) {
 	if aggregateNames[n.Name] {
 		return Null, fmt.Errorf("aggregate %s not allowed here", n.Name)
 	}
-	args := make([]Value, len(n.Args))
-	for i, a := range n.Args {
+	// The arguments of the common arities live on the stack: a
+	// function in a WHERE runs once a candidate row.
+	var small [3]Value
+	args := small[:0]
+	if len(n.Args) > len(small) {
+		args = make([]Value, 0, len(n.Args))
+	}
+	for _, a := range n.Args {
 		v, err := eval(a, env)
 		if err != nil {
 			return Null, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	switch n.Name {
 	case "UPPER":

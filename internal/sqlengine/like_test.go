@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -154,4 +155,44 @@ func FuzzLikeKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScalarFunctionArgsOnStack: a scalar function in a WHERE's residual
+// runs once a candidate row, and takes its arguments without a heap
+// slice: UPPER(payload) costs a candidate the one string it returns
+// (BenchmarkResidualWhere/like_residual, E33). The figure is the slope
+// between two candidate counts, so what a statement costs whatever its
+// rows drops out.
+func TestScalarFunctionArgsOnStack(t *testing.T) {
+	e := New("allocs")
+	s := e.NewSession()
+	mustExecAll(t, s, `CREATE TABLE facts (id INTEGER PRIMARY KEY, payload VARCHAR(64))`)
+	for i := range 7000 {
+		if _, err := s.Execute(`INSERT INTO facts VALUES (?, ?)`, NewInt(int64(i)), NewString(fmt.Sprintf("k%d-%06d", i%7, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(pattern string) float64 {
+		sql := `SELECT COUNT(*) FROM facts WHERE payload LIKE '` + pattern + `' AND UPPER(payload) = 'X'`
+		run := func() {
+			if _, err := s.Execute(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: plan cache, column chunks
+		return testing.AllocsPerRun(5, run)
+	}
+	few, all := allocs("k1%"), allocs("k%") // 1 000 and 7 000 candidates
+	if perCandidate := (all - few) / 6000; perCandidate > 1.05 {
+		t.Fatalf("a candidate costs %.2f allocations (%.0f for 1 000, %.0f for 7 000), want 1: UPPER's result", perCandidate, few, all)
+	}
+}
+
+func mustExecAll(t *testing.T, s *Session, stmts ...string) {
+	t.Helper()
+	for _, st := range stmts {
+		if _, err := s.Execute(st); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

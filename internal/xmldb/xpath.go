@@ -72,14 +72,29 @@ func (v XPathValue) AsString() string {
 		}
 		return "false"
 	case KindNumber:
-		if v.Num == math.Trunc(v.Num) && !math.IsInf(v.Num, 0) {
-			return strconv.FormatInt(int64(v.Num), 10)
-		}
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+		return numberString(v.Num)
 	case KindString:
 		return v.Str
 	}
 	return ""
+}
+
+// numberString renders a number as XPath 1.0's string() does (§4.2):
+// the infinities and NaN spelled out, either zero as "0", and any other
+// number in decimal with no exponent, in as few digits as tell it from
+// every other double.
+func numberString(f float64) string {
+	switch {
+	case math.IsNaN(f):
+		return "NaN"
+	case math.IsInf(f, 1):
+		return "Infinity"
+	case math.IsInf(f, -1):
+		return "-Infinity"
+	case f == 0:
+		return "0"
+	}
+	return strconv.FormatFloat(f, 'f', -1, 64)
 }
 
 // AsNumber converts per XPath number() rules.

@@ -466,10 +466,10 @@ func evalXPFunc(n *xpFunc, ctx *xpContext) (XPathValue, error) {
 			return XPathValue{}, fmt.Errorf("substring() requires 2 or 3 arguments")
 		}
 		s := []rune(argVals[0].AsString())
-		start := int(math.Round(argVals[1].AsNumber())) - 1
+		start := int(round(argVals[1].AsNumber())) - 1
 		end := len(s)
 		if len(argVals) == 3 {
-			end = start + int(math.Round(argVals[2].AsNumber()))
+			end = start + int(round(argVals[2].AsNumber()))
 		}
 		if start < 0 {
 			start = 0
@@ -504,7 +504,22 @@ func evalXPFunc(n *xpFunc, ctx *xpContext) (XPathValue, error) {
 		case "ceiling":
 			return numberValue(math.Ceil(x)), nil
 		}
-		return numberValue(math.Round(x)), nil
+		return numberValue(round(x)), nil
 	}
 	return XPathValue{}, fmt.Errorf("unknown function %s()", n.name)
+}
+
+// round is XPath 1.0's round() (§4.4): the integer closest to x, a tie
+// going toward positive infinity, and −0 for x in [−0.5, −0). NaN, the
+// infinities and either zero are their own rounding. (math.Round takes
+// a tie away from zero.)
+func round(x float64) float64 {
+	if x < 0 && x >= -0.5 {
+		return math.Copysign(0, -1)
+	}
+	f := math.Floor(x)
+	if x-f >= 0.5 { // exact: x and its floor are within one of each other
+		return f + 1
+	}
+	return f
 }

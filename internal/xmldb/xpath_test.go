@@ -423,3 +423,45 @@ func names(nodes []*xmlutil.Element) []string {
 	}
 	return out
 }
+
+// TestXPathRecommendationNumbers: the XPath 1.0 Recommendation's rules
+// for string() of a number (§4.2) and for round() (§4.4). Every case in
+// defects answered otherwise before they were fixed: an integral number
+// went through int64, a small one took an exponent, the infinities were
+// Go's spelling, and round() took a tie away from zero. held are the
+// rules the implementation already kept, pinned beside them. A −0 shows
+// as the sign of an infinity it divides.
+func TestXPathRecommendationNumbers(t *testing.T) {
+	doc := parseDoc(t, `<a/>`)
+	defects := []struct{ expr, want string }{
+		{"string(123456789012345678901)", "123456789012345680000"},
+		{"string(-123456789012345678901)", "-123456789012345680000"},
+		{"string(0.000001)", "0.000001"},
+		{"string(1 div 0)", "Infinity"},
+		{"string(-1 div 0)", "-Infinity"},
+		{"string(1 div round(-0.5))", "-Infinity"},
+		{"string(1 div round(-0.25))", "-Infinity"},
+		{"string(round(-2.5))", "-2"},
+		{"string(round(-1.5))", "-1"},
+		{"substring('12345', -0.5, 3)", "12"},
+		{"string(1 div -0)", "-Infinity"},
+		{"string(round(1 div 0))", "Infinity"},
+	}
+	held := []struct{ expr, want string }{
+		{"string(0 div 0)", "NaN"},
+		{"string(-0)", "0"},
+		{"string(round(0.49999999999999994))", "0"},
+		{"string(round(2.5))", "3"},
+		{"string(round(-2.6))", "-3"},
+		{"string(round(0 div 0))", "NaN"},
+		{"string(1.5)", "1.5"},
+		{"string(-42)", "-42"},
+		{"substring('12345', 1.5, 2.6)", "234"},
+		{"substring('12345', 0, 3)", "12"},
+	}
+	for _, c := range append(defects, held...) {
+		if got := evalValue(t, doc, c.expr).AsString(); got != c.want {
+			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
+		}
+	}
+}

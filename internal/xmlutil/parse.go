@@ -101,6 +101,7 @@ type Tokenizer struct {
 
 	rootSeen   bool
 	pendingEnd bool // an empty-element tag's TokenEnd is due
+	emptyMark  int  // len(ns) before that tag's declarations
 
 	// The current token.
 	nameSlot           int  // start tag: its entry in qnames
@@ -115,9 +116,14 @@ type Tokenizer struct {
 
 	// usedOuter records that a name resolved through a binding below
 	// nsFloor: the tree builder's test for whether a fragment depends on
-	// declarations outside itself.
+	// declarations outside itself. outerUsed says which: bit i for the
+	// binding ns[i], bit 63 for every binding from the 63rd up.
+	// noDefault records that an unprefixed element name found no
+	// default namespace. CopyElement reads both.
 	nsFloor   int
 	usedOuter bool
+	outerUsed uint64
+	noDefault bool
 
 	// noVocabulary sends every name to the per-parse table: the reference
 	// the vocabulary is tested against.
@@ -205,6 +211,7 @@ func (t *Tokenizer) PeekEnd() bool {
 func (t *Tokenizer) Next() (TokenKind, error) {
 	if t.pendingEnd {
 		t.pendingEnd = false
+		t.popBindings(t.emptyMark)
 		return TokenEnd, nil
 	}
 	for {
@@ -522,8 +529,9 @@ func (t *Tokenizer) scanStartTag() error {
 	}
 	t.rootSeen = true
 	if selfClose {
-		t.popBindings(nsMark)
-		t.pendingEnd = true
+		// Its declarations stay in scope until its TokenEnd, as an
+		// element's do until its end tag.
+		t.emptyMark, t.pendingEnd = nsMark, true
 		return nil
 	}
 	t.open = append(t.open, openTag{rawStart: rawStart, rawEnd: rawStart + len(raw), nsMark: nsMark})
@@ -542,11 +550,13 @@ func (t *Tokenizer) resolve(prefix []byte, isElement bool) string {
 		if t.ns[i].prefix == string(prefix) {
 			if i < t.nsFloor {
 				t.usedOuter = true
+				t.outerUsed |= 1 << min(i, 63)
 			}
 			return t.ns[i].uri
 		}
 	}
 	if len(prefix) == 0 {
+		t.noDefault = true
 		return ""
 	}
 	if string(prefix) == "xml" { // predeclared by the XML spec
